@@ -18,10 +18,10 @@ import (
 
 	"sampleview/internal/btree"
 	"sampleview/internal/core"
-	"sampleview/internal/diffview"
 	"sampleview/internal/figures"
 	"sampleview/internal/iosim"
 	"sampleview/internal/kary"
+	"sampleview/internal/lsm"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/permfile"
 	"sampleview/internal/record"
@@ -241,10 +241,16 @@ func BenchmarkAblationDifferential(b *testing.B) {
 	for _, deltaFrac := range []float64{0, 0.05, 0.20} {
 		b.Run("delta"+itoa(int(deltaFrac*100))+"pct", func(b *testing.B) {
 			b.ReportAllocs()
-			v := diffview.New(tree)
+			store, err := lsm.CreateStore(sim, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			v := lsm.NewView(tree, store)
 			g := workload.NewGenerator(workload.Uniform, 14)
 			for i := 0; i < int(deltaFrac*100_000); i++ {
-				v.Append(g.Next())
+				if err := v.Insert(g.Next()); err != nil {
+					b.Fatal(err)
+				}
 			}
 			rng := rand.New(rand.NewPCG(2, 2))
 			q := record.Box1D(0, workload.KeyDomain/4)

@@ -47,7 +47,7 @@ func main() {
 		parallel = flag.Int("par", 0, "worker goroutines for builds and per-figure queries (0 or 1 = sequential)")
 		shards   = flag.String("shards", "", "comma-separated shard counts: run the shard-scaling bench instead of figures")
 		out      = flag.String("out", "", "shard/wall bench: also write a markdown report to this file")
-		wall     = flag.Bool("wall", false, "run the real-I/O wall-clock bench (mmap/pread × prefetch × parallelism) instead of figures")
+		wall     = flag.Bool("wall", false, "run the real-I/O wall-clock bench (mmap/pread × parallelism) instead of figures")
 	)
 	flag.Parse()
 

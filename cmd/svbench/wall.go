@@ -25,19 +25,16 @@ const (
 	wallOps     = 4    // queries per worker goroutine
 )
 
-// wallConfig is one backend/prefetch combination under test.
+// wallConfig is one raw-I/O backend under test.
 type wallConfig struct {
-	name     string
-	backend  sampleview.BackendKind
-	prefetch int
+	name    string
+	backend sampleview.BackendKind
 }
 
 func wallConfigs() []wallConfig {
 	return []wallConfig{
-		{"pread", sampleview.BackendPread, 0},
-		{"pread+prefetch", sampleview.BackendPread, 4},
-		{"mmap", sampleview.BackendMmap, 0},
-		{"mmap+prefetch", sampleview.BackendMmap, 4},
+		{"pread", sampleview.BackendPread},
+		{"mmap", sampleview.BackendMmap},
 	}
 }
 
@@ -49,7 +46,7 @@ type wallResult struct {
 }
 
 // runWallBench builds one view file on real disk and streams it through
-// every backend/prefetch combination at several parallelism levels,
+// every backend at several parallelism levels,
 // reporting wall-clock records/sec and time-to-first-1000 next to the
 // simulated baseline, plus a byte-equality check of the sample prefix
 // across configurations. The markdown report goes to out.
@@ -86,15 +83,12 @@ func runWallBench(n int64, seed uint64, pageSize int, out string) error {
 		time.Since(buildStart).Round(time.Millisecond), n, model.PageSize)
 
 	openOpts := func(c wallConfig) sampleview.Options {
-		return sampleview.Options{
-			Seed: seed, DiskModel: model,
-			Backend: c.backend, PrefetchWorkers: c.prefetch,
-		}
+		return sampleview.Options{Seed: seed, DiskModel: model, Backend: c.backend}
 	}
 
 	// Byte-equality gate: the same seeded query must deliver the identical
-	// sample prefix whatever the backend or prefetch setting — the fast
-	// path may only change the wall clock.
+	// sample prefix whatever the backend — the fast path may only change the
+	// wall clock.
 	var refPrefix []sampleview.Record
 	prefixOK := true
 	for i, c := range wallConfigs() {
@@ -230,7 +224,7 @@ func writeWallReport(out string, n int64, seed uint64, pageSize int, pars []int,
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Real-I/O wall-clock benchmark\n\n")
 	fmt.Fprintf(&b, "One view of %d records (%d B pages, seed %d) built on real disk, then streamed "+
-		"through each raw-I/O backend with and without the async leaf prefetcher. Every cell runs "+
+		"through each raw-I/O backend. Every cell runs "+
 		"the paper's selectivity mix (%v); records/sec is aggregate wall-clock throughput across "+
 		"the cell's concurrent streams, and ttf-%d is the median wall time until one query's first "+
 		"%d online samples. The simulated column is the same run's iosim time-to-first-%d — it is "+
@@ -249,7 +243,7 @@ func writeWallReport(out string, n int64, seed uint64, pageSize int, pars []int,
 	}
 	if prefixOK {
 		fmt.Fprintf(&b, "Stream-equality check: PASS — the first %d samples of the same seeded query "+
-			"are byte-identical across every backend/prefetch configuration.\n", prefixLen)
+			"are byte-identical across every backend.\n", prefixLen)
 	} else {
 		fmt.Fprintf(&b, "Stream-equality check: **FAIL** — backends disagreed on the sample prefix.\n")
 	}

@@ -334,11 +334,11 @@ func buildTarget(dir string, recs []record.Record, shards int, seed uint64) (*ta
 		return nil, err
 	}
 	return &target{
-		source: server.ShardedSource(v.View),
+		source: server.ShardedSource(v),
 		count:  v.Count(),
 		k:      shards,
 		inject: v.InjectFaults,
-		faults: func() sampleview.FaultCounters { return v.View.Stats().Faults },
+		faults: func() sampleview.FaultCounters { return v.Stats().Faults },
 		close:  func() { v.Close() },
 		kill:   v.KillShard,
 		revive: v.ReviveShard,

@@ -52,7 +52,6 @@ func main() {
 		maxLevels   = flag.Int("max-delta-levels", 4, "catalog: merge delta levels, forcing past this depth (0 = never)")
 		scrubEvery  = flag.Duration("scrub-every", 0, "catalog: checksum-scrub each view at this simulated-time interval (0 = never)")
 		backendName = flag.String("backend", "default", "raw-I/O backend for stored view files: pread or mmap")
-		prefetch    = flag.Int("prefetch", 0, "async leaf-prefetch workers per opened view file (0 = off)")
 		walOn       = flag.Bool("wal", false, "write-ahead-log every served view: appends and deletes are group-committed before the ack and replayed on restart")
 		syncEvery   = flag.Int("sync-every", 0, "wal: fsync once at most this many writes accumulate in a commit cohort (1 = every write, 0 = window batching only)")
 		groupWindow = flag.Duration("group-commit-window", 0, "wal: how long a group-commit leader waits for more writers before the fsync (0 = none)")
@@ -103,12 +102,11 @@ func main() {
 	})
 	for name, path := range views {
 		v, err := sampleview.Open(path, sampleview.Options{
-			Faults:          plan,
-			Backend:         backend,
-			PrefetchWorkers: *prefetch,
-			WAL:             *walOn,
-			WALSyncEvery:    *syncEvery,
-			WALGroupWindow:  *groupWindow,
+			Faults:         plan,
+			Backend:        backend,
+			WAL:            *walOn,
+			WALSyncEvery:   *syncEvery,
+			WALGroupWindow: *groupWindow,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svserve: %v\n", err)
@@ -124,12 +122,11 @@ func main() {
 	if *catalogDir != "" {
 		cat, err := sampleview.NewCatalog(*catalogDir,
 			sampleview.ShardedOptions{
-				Faults:          plan,
-				Backend:         backend,
-				PrefetchWorkers: *prefetch,
-				WAL:             *walOn,
-				WALSyncEvery:    *syncEvery,
-				WALGroupWindow:  *groupWindow,
+				Faults:         plan,
+				Backend:        backend,
+				WAL:            *walOn,
+				WALSyncEvery:   *syncEvery,
+				WALGroupWindow: *groupWindow,
 			},
 			sampleview.CatalogPolicy{
 				CompactThreshold: *compactAt,

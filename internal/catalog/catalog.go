@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"sampleview/internal/lsm"
+	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
 	"sampleview/internal/shard"
 )
@@ -204,50 +205,10 @@ func (c *Catalog) saveLocked() error {
 	if err != nil {
 		return fmt.Errorf("catalog: encoding manifest: %w", err)
 	}
-	tmp := filepath.Join(c.root, ManifestName+".tmp")
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
-		return fmt.Errorf("catalog: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(c.root, ManifestName)); err != nil {
-		return fmt.Errorf("catalog: swapping manifest: %w", err)
-	}
-	if err := syncDir(c.root); err != nil {
-		return fmt.Errorf("catalog: syncing root: %w", err)
+	if err := pagefile.WriteFileAtomic(filepath.Join(c.root, ManifestName), append(data, '\n'), nil); err != nil {
+		return fmt.Errorf("catalog: saving manifest: %w", err)
 	}
 	return nil
-}
-
-// writeFileSync writes data to path and fsyncs it before closing, so the
-// bytes are durable before the caller renames the file into place.
-func writeFileSync(path string, data []byte) error {
-	//lint:ignore nodirectio manifest durability needs an explicit fsync before the rename; ReadFile/WriteFile cannot express the barrier
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
-func syncDir(dir string) error {
-	//lint:ignore nodirectio fsyncing a directory requires its handle; there is no one-shot helper for a dirent barrier
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Register builds a new sharded view over recs and adds it under name. The

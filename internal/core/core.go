@@ -507,19 +507,3 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder) ([][]record.Record, e
 	}
 	return sections, nil
 }
-
-// prefetchLeaf hints the given leaf's data pages to the file's async
-// prefetcher: a wall-clock page-cache warm-up that charges no simulated
-// time. A no-op when the file has no prefetcher attached.
-func (t *Tree) prefetchLeaf(ordinal int64) {
-	if ordinal < 0 || ordinal >= t.nLeaves {
-		return
-	}
-	m := &t.leaves[ordinal]
-	total := m.totalRecords()
-	if total == 0 {
-		return
-	}
-	perPage := int64(t.f.PageSize() / record.Size)
-	t.f.Prefetch(m.firstPage, ceilDiv(total, perPage))
-}

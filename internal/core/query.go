@@ -67,13 +67,9 @@ type Stream struct {
 	degradedLeaves   int64
 	degradedSections int64
 
-	// cur is the stab being served. When the file has an async prefetcher,
-	// next holds one stab of lookahead (valid while haveNext): the shuttle's
-	// schedule is deterministic, so the following leaf is routed as soon as
-	// the current one starts and its pages are hinted to the prefetcher.
-	cur, next stab
-	haveNext  bool
-	prefetch  bool
+	// cur is the stab being served; its path survives a transient fault so
+	// the retry re-reads the same leaf.
+	cur stab
 
 	// dec is the stream's reusable leaf-decode arena.
 	dec leafDecoder
@@ -127,8 +123,6 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 		buckets:   make([]map[int64][][]record.Record, t.h),
 		pending:   -1,
 		cur:       newStab(t.h),
-		next:      newStab(t.h),
-		prefetch:  t.f.Prefetchable(),
 	}
 	for i := range s.buckets {
 		s.buckets[i] = make(map[int64][][]record.Record)
@@ -195,15 +189,8 @@ func (s *Stream) QueryLeaves() int {
 }
 
 // RemainingLeaves returns the number of leaves not yet served to the caller
-// (over the whole tree, not just the query-overlapping region). A routed
-// but unserved lookahead stab still counts as remaining.
-func (s *Stream) RemainingLeaves() int64 {
-	n := int64(s.remaining[1])
-	if s.haveNext {
-		n++
-	}
-	return n
-}
+// (over the whole tree, not just the query-overlapping region).
+func (s *Stream) RemainingLeaves() int64 { return int64(s.remaining[1]) }
 
 // LeavesRead returns the number of leaf nodes retrieved so far.
 func (s *Stream) LeavesRead() int64 { return s.leavesRead }
@@ -283,24 +270,10 @@ func (s *Stream) NextLeaf() (int, error) {
 	if s.done {
 		return 0, io.EOF
 	}
-	switch {
-	case s.pending >= 0:
+	if s.pending >= 0 {
 		s.pending = -1 // retry cur over its preserved path
-	case s.haveNext:
-		s.cur, s.next = s.next, s.cur
-		s.haveNext = false
-	default:
+	} else {
 		s.shuttle(&s.cur)
-	}
-	// One stab of lookahead when a prefetcher is attached: route the
-	// following leaf now and hint its pages, so they warm on wall-clock time
-	// while this leaf is read and decoded. Routing early changes nothing the
-	// caller can observe — the stab sequence, the simulated charges and the
-	// emitted sample prefix are exactly those of the unprefetched run.
-	if s.prefetch && !s.haveNext && s.remaining[1] > 0 {
-		s.shuttle(&s.next)
-		s.haveNext = true
-		s.t.prefetchLeaf(s.next.leaf)
 	}
 	leaf := s.cur.leaf
 	emitted, err := s.combineTuples(&s.cur)
@@ -313,13 +286,13 @@ func (s *Stream) NextLeaf() (int, error) {
 		secs := s.lostSections()
 		s.degradedLeaves++
 		s.degradedSections += int64(len(secs))
-		if s.remaining[1] == 0 && !s.haveNext {
+		if s.remaining[1] == 0 {
 			s.done = true
 		}
 		return 0, &DegradedError{Leaf: leaf, Sections: secs, Err: err}
 	}
 	s.leavesRead++
-	if s.remaining[1] == 0 && !s.haveNext {
+	if s.remaining[1] == 0 {
 		s.done = true
 	}
 	return emitted, nil

@@ -98,7 +98,7 @@ func (ps *proxySession) teardown() {
 
 // reject builds a typed error response.
 func (ps *proxySession) reject(code uint16, msg string) (server.FrameType, []byte) {
-	return server.FError, server.EncodeErrorBody(code, msg)
+	return server.FError, server.ErrorResp{Code: code, Msg: msg}.Encode()
 }
 
 // forward re-encodes a replica's typed error for the client; transport
@@ -148,7 +148,7 @@ func (ps *proxySession) handle(t server.FrameType, body []byte) (server.FrameTyp
 }
 
 func (ps *proxySession) handleOpenView(body []byte) (server.FrameType, []byte) {
-	req, err := server.DecodeOpenViewRequest(body)
+	req, err := server.DecodeOpenViewReq(body)
 	if err != nil {
 		return ps.badFrame(err)
 	}
@@ -156,19 +156,20 @@ func (ps *proxySession) handleOpenView(body []byte) (server.FrameType, []byte) {
 	if err != nil {
 		return ps.forward(err)
 	}
-	return server.FViewInfo, server.EncodeViewInfo(id, meta.dims, meta.height, meta.count)
+	return server.FViewInfo, server.ViewInfo{ViewID: id, Dims: uint8(meta.dims), Height: uint8(meta.height), Count: meta.count}.Encode()
 }
 
 func (ps *proxySession) handleSetTenant(body []byte) (server.FrameType, []byte) {
-	tenant, err := server.DecodeSetTenantRequest(body)
+	req, err := server.DecodeSetTenantReq(body)
 	if err != nil {
 		return ps.badFrame(err)
 	}
+	tenant := req.Tenant
 	switch {
 	case tenant == "":
 		return ps.reject(server.CodeBadRequest, "empty tenant name")
 	case ps.tenant == tenant:
-		return server.FTenantOK, server.EncodeTenantOK(tenant) // idempotent
+		return server.FTenantOK, req.Encode() // idempotent
 	case ps.tenant != "":
 		return ps.reject(server.CodeBadRequest, "connection already attributed to tenant "+ps.tenant)
 	case ps.key != "":
@@ -176,11 +177,11 @@ func (ps *proxySession) handleSetTenant(body []byte) (server.FrameType, []byte) 
 	}
 	ps.tenant = tenant
 	ps.accountKey()
-	return server.FTenantOK, server.EncodeTenantOK(tenant)
+	return server.FTenantOK, req.Encode()
 }
 
 func (ps *proxySession) handleOpenStream(body []byte) (server.FrameType, []byte) {
-	req, err := server.DecodeOpenStreamRequest(body)
+	req, err := server.DecodeOpenStreamReq(body)
 	if err != nil {
 		return ps.badFrame(err)
 	}
@@ -231,11 +232,11 @@ func (ps *proxySession) handleOpenStream(body []byte) (server.FrameType, []byte)
 	st.id = ps.nextStream
 	ps.streams[st.id] = st
 	r.stats.StreamsOpened.Add(1)
-	return server.FStreamOpened, server.EncodeStreamOpened(st.id)
+	return server.FStreamOpened, server.StreamOpened{StreamID: st.id}.Encode()
 }
 
 func (ps *proxySession) handleNextBatch(body []byte) (server.FrameType, []byte) {
-	req, err := server.DecodeNextBatchRequest(body)
+	req, err := server.DecodeNextBatchReq(body)
 	if err != nil {
 		return ps.badFrame(err)
 	}
@@ -273,19 +274,20 @@ func (ps *proxySession) handleNextBatch(body []byte) (server.FrameType, []byte) 
 		ps.r.releaseTenantStream(st.key)
 		ps.r.stats.StreamsClosed.Add(1)
 	}
-	return server.FBatch, server.EncodeBatch(req.StreamID, eof, recs, end)
+	return server.FBatch, server.BatchResp{StreamID: req.StreamID, EOF: eof, Records: recs, Pos: end}.Encode()
 }
 
 func (ps *proxySession) handleCancel(body []byte) (server.FrameType, []byte) {
-	id, err := server.DecodeCancelRequest(body)
+	req, err := server.DecodeCancelReq(body)
 	if err != nil {
 		return ps.badFrame(err)
 	}
+	id := req.StreamID
 	st, ok := ps.streams[id]
 	if !ok {
 		// Idempotent against EOF auto-close, like the single server.
 		if id != 0 && id <= ps.nextStream {
-			return server.FCancelOK, server.EncodeCancelOK(id)
+			return server.FCancelOK, req.Encode()
 		}
 		return ps.reject(server.CodeUnknownStream, "unknown stream id")
 	}
@@ -293,11 +295,11 @@ func (ps *proxySession) handleCancel(body []byte) (server.FrameType, []byte) {
 	st.close()
 	ps.r.releaseTenantStream(st.key)
 	ps.r.stats.StreamsClosed.Add(1)
-	return server.FCancelOK, server.EncodeCancelOK(id)
+	return server.FCancelOK, req.Encode()
 }
 
 func (ps *proxySession) handleEstimate(body []byte) (server.FrameType, []byte) {
-	req, err := server.DecodeEstimateRequest(body)
+	req, err := server.DecodeEstimateReq(body)
 	if err != nil {
 		return ps.badFrame(err)
 	}
@@ -319,7 +321,7 @@ func (ps *proxySession) handleEstimate(body []byte) (server.FrameType, []byte) {
 		}
 		est, eerr := rv.EstimateCount(req.Query)
 		if eerr == nil {
-			return server.FEstimateResult, server.EncodeEstimateResult(est)
+			return server.FEstimateResult, server.EstimateResp{Count: est}.Encode()
 		}
 		lastErr = eerr
 		if _, typed := eerr.(*server.Error); typed {
@@ -340,7 +342,7 @@ func (ps *proxySession) handleEstimate(body []byte) (server.FrameType, []byte) {
 // follower that fails after the decider accepted is marked dead — it can
 // no longer be byte-identical with the fleet.
 func (ps *proxySession) handleWrite(t server.FrameType, body []byte) (server.FrameType, []byte) {
-	req, err := server.DecodeWriteRequest(body)
+	req, err := server.DecodeWriteReq(body)
 	if err != nil {
 		return ps.badFrame(err)
 	}
@@ -401,17 +403,18 @@ func (ps *proxySession) handleWrite(t server.FrameType, body []byte) (server.Fra
 	} else {
 		resp = server.FDeleteOK
 	}
-	return resp, server.EncodeWriteAck(req.ViewID, ack)
+	return resp, server.WriteAck{ViewID: req.ViewID, N: ack}.Encode()
 }
 
 // handleFlush fans a flush out to every live replica under the same
 // write-serialization lock; the first reachable replica's ack is the
 // response.
 func (ps *proxySession) handleFlush(body []byte) (server.FrameType, []byte) {
-	viewID, err := server.DecodeFlushRequest(body)
+	req, err := server.DecodeFlushViewReq(body)
 	if err != nil {
 		return ps.badFrame(err)
 	}
+	viewID := req.ViewID
 	name, _, ok := ps.r.viewByID(viewID)
 	if !ok {
 		return ps.reject(server.CodeUnknownView, "unknown view id")
@@ -451,7 +454,7 @@ func (ps *proxySession) handleFlush(body []byte) (server.FrameType, []byte) {
 		}
 		return ps.forward(lastErr)
 	}
-	return server.FFlushOK, server.EncodeWriteAck(viewID, ack)
+	return server.FFlushOK, server.WriteAck{ViewID: viewID, N: ack}.Encode()
 }
 
 func (ps *proxySession) handleListViews(body []byte) (server.FrameType, []byte) {
@@ -468,7 +471,7 @@ func (ps *proxySession) handleListViews(body []byte) (server.FrameType, []byte) 
 		}
 		views, err := cl.ListViews()
 		if err == nil {
-			return server.FViewList, server.EncodeViewList(views)
+			return server.FViewList, server.ViewListResp{Views: views}.Encode()
 		}
 		lastErr = err
 		if _, typed := err.(*server.Error); !typed {
@@ -497,12 +500,12 @@ func (ps *proxySession) handleReplicaInfo(body []byte) (server.FrameType, []byte
 	if open < 0 {
 		open = 0
 	}
-	return server.FReplicaInfoResult, server.EncodeReplicaInfo(server.ReplicaInfo{
+	return server.FReplicaInfoResult, server.ReplicaInfoResp{
 		ReplicaID:   "router",
-		OpenStreams: int(open),
-		MaxStreams:  capacity,
+		OpenStreams: uint32(open),
+		MaxStreams:  uint32(capacity),
 		Draining:    ps.r.isDraining(),
-	})
+	}.Encode()
 }
 
 // viewByID resolves a router view id back to its name and cached shape.

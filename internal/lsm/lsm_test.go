@@ -153,6 +153,15 @@ func TestRangePredicateAcrossComponents(t *testing.T) {
 	if len(got) != want {
 		t.Fatalf("predicate stream returned %d, want %d", len(got), want)
 	}
+	// The count estimate covers every component: exact over the memview and
+	// the level, interpolated over the base.
+	est, err := v.EstimateCount(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est < float64(want)*0.85 || est > float64(want)*1.15 {
+		t.Fatalf("EstimateCount = %v, exact %d", est, want)
+	}
 }
 
 // TestTombstoneRoundTrip is the insert→delete→never-sampled property test:

@@ -11,6 +11,7 @@ import (
 
 	"sampleview/internal/iosim"
 	"sampleview/internal/memview"
+	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
 )
 
@@ -202,59 +203,19 @@ func (s *Store) saveManifestLocked() error {
 	if err != nil {
 		return fmt.Errorf("lsm: encoding manifest: %w", err)
 	}
-	tmp := manifestPath(s.prefix) + ".tmp"
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
-		return fmt.Errorf("lsm: writing manifest: %w", err)
-	}
-	if s.sim != nil {
+	err = pagefile.WriteFileAtomic(manifestPath(s.prefix), append(data, '\n'), func() error {
+		if s.sim == nil {
+			return nil
+		}
 		if err := s.sim.AtCrashPoint(iosim.CrashPreManifestRename); err != nil {
 			return err
 		}
-		if err := s.sim.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp, manifestPath(s.prefix)); err != nil {
-		os.Remove(tmp)
+		return s.sim.Sync()
+	})
+	if err != nil {
 		return fmt.Errorf("lsm: installing manifest: %w", err)
 	}
-	if err := syncDir(filepath.Dir(s.prefix)); err != nil {
-		return fmt.Errorf("lsm: syncing manifest directory: %w", err)
-	}
 	return nil
-}
-
-// writeFileSync writes data to path and fsyncs it before closing, so the
-// bytes are durable before any rename makes them authoritative.
-func writeFileSync(path string, data []byte) error {
-	//lint:ignore nodirectio manifest durability needs an explicit fsync before the rename; ReadFile/WriteFile cannot express the barrier
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	//lint:ignore nodirectio fsyncing a directory requires its handle; there is no one-shot helper for a dirent barrier
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // writeLevel writes snap out as a new delta file without making it

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"io"
 	"math/rand/v2"
 
@@ -9,24 +10,41 @@ import (
 	"sampleview/internal/record"
 )
 
-// Stream merges the base tree's online sample with the write path's
-// components — the in-memory buffer and every delta level — into one
-// stream whose every prefix is a uniform without-replacement sample of the
-// live matching set. Each component is one draw population of the shared
-// hypergeometric interleaver: the in-memory lists are exact and
-// pre-shuffled (an exchangeable uniform sample of themselves), the base is
-// estimated from internal-node counts. Deletes act as tombstones: a base
-// draw that turns out tombstoned is suppressed and deducted from the base's
-// remaining population — rejection from a uniform without-replacement
-// sample of the superset yields a uniform without-replacement sample of
-// the live subset — so counts stay honest and no deleted record is ever
-// emitted.
+// ErrStreamClosed is returned by a closed stream's Next and Sample. The
+// unsharded and sharded streams both wrap this package's Stream and share
+// the sentinel; the message names the public package callers meet it in.
+var ErrStreamClosed = errors.New("sampleview: stream closed")
+
+// Collect draws up to n records from next, stopping early at io.EOF: the
+// Sample loop of every in-process stream.
+func Collect(n int, next func() (record.Record, error)) ([]record.Record, error) {
+	out := make([]record.Record, 0, min(n, 4096)) // the predicate may exhaust long before n
+	for len(out) < n {
+		rec, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
+// Stream is one partition's online sample: the base tree's stream, merged
+// (when the write path held anything at open) with the write path's
+// components — the in-memory buffer and every delta level — so that every
+// prefix is a uniform without-replacement sample of the live matching set.
+// Each component is one draw population of the shared hypergeometric
+// interleaver: the in-memory lists are exact and pre-shuffled (an
+// exchangeable uniform sample of themselves), the base is estimated from
+// internal-node counts. Deletes act as tombstones: a base draw that turns
+// out tombstoned is suppressed and deducted from the base's remaining
+// population — rejection from a uniform without-replacement sample of the
+// superset yields a uniform without-replacement sample of the live subset —
+// so counts stay honest and no deleted record is ever emitted.
 type Stream struct {
-	merge *interleave.Merger
-	// lists holds the exact in-memory populations: index 0 the memview
-	// draws, 1..L the per-level live matching inserts, each shuffled at
-	// open. The base is source len(lists) of the merger.
-	lists    [][]record.Record
 	base     *core.Stream
 	baseDone bool
 	// rng shuffles each base stab's batch before it is served record by
@@ -34,8 +52,18 @@ type Stream struct {
 	// section records sit in the key-correlated order the tag sort left
 	// them in, so an unshuffled batch cut mid-way (as the sharded K-way
 	// merger does on every draw) would lean each prefix toward low keys.
+	// nil serves the base in emission order: the unsharded view over an
+	// empty write path, where nothing cuts a batch.
 	rng       *rand.Rand
 	baseQueue []record.Record
+
+	// merge interleaves the write path with the base; nil when the write
+	// path was empty at open and the stream is the base alone.
+	merge *interleave.Merger
+	// lists holds the exact in-memory populations: index 0 the memview
+	// draws, 1..L the per-level live matching inserts, each shuffled at
+	// open. The base is source len(lists) of the merger.
+	lists [][]record.Record
 	// pending parks a base draw whose tombstone probe failed transiently,
 	// so a retried Next resumes with the same record (nothing skipped).
 	pending *record.Record
@@ -69,6 +97,9 @@ func (s *Stream) baseIdx() int { return len(s.lists) }
 // tombstone probes) surface to the caller and a retried Next continues
 // exactly where the fault struck.
 func (s *Stream) Next() (record.Record, error) {
+	if s.merge == nil {
+		return s.nextBaseRaw()
+	}
 	// A permanent write-path loss (dead or corrupt delta page, at open or
 	// during a tombstone probe) surfaces exactly once as a typed
 	// WritePathLostError; the stream then keeps serving whatever survived.
@@ -165,6 +196,9 @@ func (s *Stream) nextBase() (record.Record, bool, error) {
 // error mid-stab leaves the stab pending inside the base stream; the
 // retried call resumes it with nothing skipped.
 func (s *Stream) nextBaseRaw() (record.Record, error) {
+	if s.rng == nil {
+		return s.base.Next()
+	}
 	for len(s.baseQueue) == 0 {
 		batch, err := s.base.NextBatch()
 		if err != nil {

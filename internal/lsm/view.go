@@ -550,6 +550,24 @@ func (v *View) QueryClocked(c *iosim.Clock, q record.Box, rng *rand.Rand) (*Stre
 	return v.queryOn(v.main.WithClock(c), c, q, rng)
 }
 
+// OpenStream opens the partition's leaf stream for q on clock ck: the one
+// stream type both the unsharded and the sharded view serve from. Over an
+// empty write path it is the base tree's stream alone, its stab batches
+// shuffled by shuffle (nil = served in emission order); otherwise it is the
+// QueryClocked merge driven by the rng merge returns. merge is called only
+// in the second case, so a caller deriving seeds from a shared source draws
+// exactly what the stream consumes.
+func (v *View) OpenStream(ck *iosim.Clock, q record.Box, shuffle *rand.Rand, merge func() *rand.Rand) (*Stream, error) {
+	if !v.Empty() {
+		return v.QueryClocked(ck, q, merge())
+	}
+	base, err := v.main.WithClock(ck).Query(q)
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{base: base, rng: shuffle}, nil
+}
+
 func (v *View) queryOn(main *core.Tree, ck *iosim.Clock, q record.Box, rng *rand.Rand) (*Stream, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("lsm: query needs a random source")
@@ -583,71 +601,65 @@ func (v *View) Fold(dst *pagefile.File, p core.Params) (*core.Tree, error) {
 	v.mu.Unlock()
 	checker := newTombChecker(mems, levels, nil)
 
-	staging := pagefile.NewItemFile(pagefile.NewMem(dst.Sim()), record.Size)
-	w := staging.NewWriter()
-	buf := make([]byte, record.Size)
-	write := func(rec *record.Record) error {
-		rec.Marshal(buf)
-		return w.Write(buf)
-	}
-
-	// Base records, skipping every tombstoned Seq. The full-domain query
-	// returns each base record exactly once.
-	full := record.FullBox(v.main.Dims())
-	stream, err := v.main.Query(full)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		rec, err := stream.Next()
-		if err == io.EOF {
-			break
-		}
+	staging, err := stage(dst.Sim(), func(write func(*record.Record) error) error {
+		// Base records, skipping every tombstoned Seq. The full-domain query
+		// returns each base record exactly once.
+		stream, err := v.main.Query(record.FullBox(v.main.Dims()))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		dead, err := checker.deleted(rec.Seq)
-		if err != nil {
-			return nil, err
-		}
-		if dead {
-			continue
-		}
-		if err := write(&rec); err != nil {
-			return nil, err
-		}
-	}
-
-	// Level inserts, oldest level first, each filtered by newer tombstones.
-	for i := len(levels) - 1; i >= 0; i-- {
-		recs, err := readAll(levels[i].inserts, nil)
-		if err != nil {
-			return nil, err
-		}
-		for j := range recs {
-			dead, err := checker.deletedBefore(recs[j].Seq, i)
+		for {
+			rec, err := stream.Next()
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
-				return nil, err
+				return err
+			}
+			dead, err := checker.deleted(rec.Seq)
+			if err != nil {
+				return err
 			}
 			if dead {
 				continue
 			}
-			if err := write(&recs[j]); err != nil {
-				return nil, err
+			if err := write(&rec); err != nil {
+				return err
 			}
 		}
-	}
 
-	// The in-memory buffers last; their own tombstones can only target
-	// older components, already filtered above.
-	for i := len(mems) - 1; i >= 0; i-- {
-		for j := range mems[i].Inserts {
-			if err := write(&mems[i].Inserts[j]); err != nil {
-				return nil, err
+		// Level inserts, oldest level first, each filtered by newer tombstones.
+		for i := len(levels) - 1; i >= 0; i-- {
+			recs, err := readAll(levels[i].inserts, nil)
+			if err != nil {
+				return err
+			}
+			for j := range recs {
+				dead, err := checker.deletedBefore(recs[j].Seq, i)
+				if err != nil {
+					return err
+				}
+				if dead {
+					continue
+				}
+				if err := write(&recs[j]); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	if err := w.Flush(); err != nil {
+
+		// The in-memory buffers last; their own tombstones can only target
+		// older components, already filtered above.
+		for i := len(mems) - 1; i >= 0; i-- {
+			for j := range mems[i].Inserts {
+				if err := write(&mems[i].Inserts[j]); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if p.Dims == 0 {

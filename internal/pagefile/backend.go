@@ -54,10 +54,6 @@ func ParseBackendKind(s string) (BackendKind, error) {
 type OpenOptions struct {
 	// Backend picks the raw page I/O implementation.
 	Backend BackendKind
-	// PrefetchWorkers > 0 attaches an async prefetcher with that many
-	// workers: Prefetch hints warm upcoming pages into memory on wall-clock
-	// time without charging the simulated disk. 0 disables prefetching.
-	PrefetchWorkers int
 }
 
 // resolve applies the environment override to BackendDefault.
@@ -72,11 +68,10 @@ func (k BackendKind) resolve() BackendKind {
 }
 
 // OpenWith opens an existing OS-backed page file at path on sim like Open,
-// choosing the raw-I/O backend and optionally attaching an async
-// prefetcher. Format detection (v2 superblock vs. legacy v1) is identical
-// across backends, and so is every byte a caller reads: the backend only
-// changes how fast the wall clock moves, never what the simulated clock
-// charges.
+// choosing the raw-I/O backend. Format detection (v2 superblock vs. legacy
+// v1) is identical across backends, and so is every byte a caller reads:
+// the backend only changes how fast the wall clock moves, never what the
+// simulated clock charges.
 func OpenWith(sim *iosim.Sim, path string, opts OpenOptions) (*File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -118,9 +113,5 @@ func OpenWith(sim *iosim.Sim, path string, opts OpenOptions) (*File, error) {
 			hdrSize, physOff = frameHdrSize, 1
 		}
 	}
-	pf := newFile(sim, b, hdrSize, physOff)
-	if opts.PrefetchWorkers > 0 {
-		pf.pf = newPrefetcher(b, phys, opts.PrefetchWorkers)
-	}
-	return pf, nil
+	return newFile(sim, b, hdrSize, physOff), nil
 }

@@ -70,9 +70,6 @@ type File struct {
 	// frames recycles physical-frame scratch buffers for the checksum
 	// encode/verify paths; nil for legacy v1 files.
 	frames *bufPool
-	// pf is the async page-cache warmer attached by OpenWith, nil otherwise;
-	// shared across OnClock views of the same file.
-	pf *prefetcher
 }
 
 // bufPool is a bounded free list of page buffers. A plain sync.Pool of
@@ -190,7 +187,7 @@ func Create(sim *iosim.Sim, path string) (*File, error) {
 // superblock are verified with per-page checksums on every read; files
 // without it are legacy v1 seed files, served verbatim for back-compat.
 // The raw-I/O backend is BackendDefault; use OpenWith to choose one
-// explicitly or to attach a prefetcher.
+// explicitly.
 func Open(sim *iosim.Sim, path string) (*File, error) {
 	return OpenWith(sim, path, OpenOptions{})
 }
@@ -388,33 +385,6 @@ func (f *File) Append(src []byte) (int64, error) {
 	return i, nil
 }
 
-// Prefetch hints that logical pages [i, i+n) will be read soon. The hint
-// goes to the async prefetcher attached at open, which warms the pages into
-// memory on wall-clock time only: no simulated time is charged, so the
-// deterministic iosim accounting of the foreground reads is unchanged.
-// Safe from any goroutine; a no-op without a prefetcher, for n <= 0, and
-// for out-of-range pages (the range is clamped to the file).
-func (f *File) Prefetch(i, n int64) {
-	if f.pf == nil {
-		return
-	}
-	if i < 0 {
-		n += i
-		i = 0
-	}
-	if m := f.NumPages() - i; n > m {
-		n = m
-	}
-	if n <= 0 {
-		return
-	}
-	f.pf.hint(i+f.physOff, n)
-}
-
-// Prefetchable reports whether an async prefetcher is attached, letting
-// callers skip computing read-ahead hints when nobody consumes them.
-func (f *File) Prefetchable() bool { return f.pf != nil }
-
 // Sync forces every written page to durable storage: one barrier is charged
 // to the simulated clock (failing after a simulated power cut, before any
 // real I/O), then the backend's fsync runs if it has one. Layers that
@@ -434,15 +404,8 @@ func (f *File) Sync() error {
 	return nil
 }
 
-// Close stops the prefetcher (waiting for in-flight warm-ups, so no worker
-// touches backend memory being released) and then releases the backing
-// storage.
-func (f *File) Close() error {
-	if f.pf != nil {
-		f.pf.close()
-	}
-	return f.backend.Close()
-}
+// Close releases the backing storage.
+func (f *File) Close() error { return f.backend.Close() }
 
 // memBackend stores pages in memory.
 type memBackend struct {

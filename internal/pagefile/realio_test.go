@@ -5,9 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"sampleview/internal/iosim"
 )
@@ -297,79 +295,6 @@ func TestOpenItemFileRange(t *testing.T) {
 		if !errors.As(err, &ire) {
 			t.Fatalf("OpenItemFile(start=%d, count=%d) = %v, want ItemRangeError", c.start, c.count, err)
 		}
-	}
-}
-
-// TestPrefetchUncharged drains a prefetch hint and demands zero simulated
-// charges: the prefetcher is a wall-clock-only page-cache warmer, invisible
-// to the determinism oracle.
-func TestPrefetchUncharged(t *testing.T) {
-	sim := testSim()
-	path := writeTestFile(t, sim, 32)
-	f, err := OpenWith(sim, path, OpenOptions{Backend: BackendMmap, PrefetchWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if !f.Prefetchable() {
-		t.Fatal("PrefetchWorkers > 0 but Prefetchable() is false")
-	}
-
-	before := sim.Counters()
-	simBefore := sim.Now()
-	f.Prefetch(0, 32)
-	f.Prefetch(-4, 8)  // clamped at the front
-	f.Prefetch(30, 10) // clamped at the back
-	f.Prefetch(5, 0)   // no-op
-	deadline := time.Now().Add(5 * time.Second)
-	for f.pf.touched.Load() < 32 {
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetcher warmed only %d of 32 pages", f.pf.touched.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := sim.Counters().Reads() - before.Reads(); got != 0 {
-		t.Fatalf("prefetch charged %d simulated reads; must charge none", got)
-	}
-	if sim.Now() != simBefore {
-		t.Fatal("prefetch advanced the simulated clock")
-	}
-}
-
-// TestPrefetchCloseRace churns open/hint/close under -race: closing the
-// file mid-prefetch must cancel cleanly, with no worker touching backend
-// memory after Close returns and late hints being silently dropped.
-func TestPrefetchCloseRace(t *testing.T) {
-	sim := testSim()
-	path := writeTestFile(t, sim, 64)
-	for round := 0; round < 20; round++ {
-		f, err := OpenWith(sim, path, OpenOptions{Backend: BackendMmap, PrefetchWorkers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := int64(0); ; i = (i + 3) % 64 {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					f.Prefetch(i, 8)
-				}
-			}(g)
-		}
-		// Close mid-flight; hints racing with close must not panic or leak.
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		close(stop)
-		wg.Wait()
-		f.Prefetch(0, 8) // after close: must be a silent no-op
 	}
 }
 

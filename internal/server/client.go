@@ -154,7 +154,7 @@ func (c *Client) roundTrip(t FrameType, body []byte) (FrameType, []byte, error) 
 		return fail(err)
 	}
 	if rt == FError {
-		e, derr := decodeErrorResp(rbody)
+		e, derr := DecodeErrorResp(rbody)
 		if derr != nil {
 			return fail(derr)
 		}
@@ -217,11 +217,11 @@ func (c *Client) expect(req FrameType, body []byte, want FrameType) ([]byte, err
 
 // OpenView resolves a served view by name.
 func (c *Client) OpenView(name string) (*RemoteView, error) {
-	rbody, err := c.expect(FOpenView, openViewReq{Name: name}.encode(), FViewInfo)
+	rbody, err := c.expect(FOpenView, OpenViewReq{Name: name}.Encode(), FViewInfo)
 	if err != nil {
 		return nil, err
 	}
-	info, err := decodeViewInfo(rbody)
+	info, err := DecodeViewInfo(rbody)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +235,7 @@ func (c *Client) ListViews() ([]ViewListEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := decodeViewListResp(rbody)
+	resp, err := DecodeViewListResp(rbody)
 	if err != nil {
 		return nil, err
 	}
@@ -258,11 +258,11 @@ func (c *Client) ServerStats() (*StatsSnapshot, error) {
 // first stream opens and at most once per connection (repeating the same
 // tenant is an idempotent no-op).
 func (c *Client) SetTenant(tenant string) error {
-	rbody, err := c.expect(FSetTenant, setTenantReq{Tenant: tenant}.encode(), FTenantOK)
+	rbody, err := c.expect(FSetTenant, SetTenantReq{Tenant: tenant}.Encode(), FTenantOK)
 	if err != nil {
 		return err
 	}
-	ack, err := decodeSetTenantReq(rbody)
+	ack, err := DecodeSetTenantReq(rbody)
 	if err != nil {
 		return err
 	}
@@ -287,7 +287,7 @@ func (c *Client) ReplicaInfo() (ReplicaInfo, error) {
 	if err != nil {
 		return ReplicaInfo{}, err
 	}
-	resp, err := decodeReplicaInfoResp(rbody)
+	resp, err := DecodeReplicaInfoResp(rbody)
 	if err != nil {
 		return ReplicaInfo{}, err
 	}
@@ -322,11 +322,11 @@ func (v *RemoteView) Count() int64 { return v.count }
 // hit transient storage faults, which the retry policy absorbs (the
 // estimate is idempotent).
 func (v *RemoteView) EstimateCount(q record.Box) (float64, error) {
-	rbody, err := v.c.expectRetry(FEstimate, estimateReq{ViewID: v.id, Query: q}.encode(), FEstimateResult)
+	rbody, err := v.c.expectRetry(FEstimate, EstimateReq{ViewID: v.id, Query: q}.Encode(), FEstimateResult)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := decodeEstimateResp(rbody)
+	resp, err := DecodeEstimateResp(rbody)
 	if err != nil {
 		return 0, err
 	}
@@ -348,11 +348,11 @@ func (v *RemoteView) EstimateCount(q record.Box) (float64, error) {
 // double-insert.
 func (v *RemoteView) Append(recs []record.Record) (int, error) {
 	rbody, err := v.c.expectRetryIf(
-		FAppend, appendReq{ViewID: v.id, Records: recs}.encode(), FAppendOK, IsWriteThrottled)
+		FAppend, WriteReq{ViewID: v.id, Records: recs}.Encode(), FAppendOK, IsWriteThrottled)
 	if err != nil {
 		return 0, err
 	}
-	ack, err := decodeWriteAck(rbody)
+	ack, err := DecodeWriteAck(rbody)
 	if err != nil {
 		return 0, err
 	}
@@ -365,11 +365,11 @@ func (v *RemoteView) Append(recs []record.Record) (int, error) {
 // throttle-retry semantics match Append.
 func (v *RemoteView) Delete(recs []record.Record) (int, error) {
 	rbody, err := v.c.expectRetryIf(
-		FDeleteRecs, deleteRecsReq{ViewID: v.id, Records: recs}.encode(), FDeleteOK, IsWriteThrottled)
+		FDeleteRecs, WriteReq{ViewID: v.id, Records: recs}.Encode(), FDeleteOK, IsWriteThrottled)
 	if err != nil {
 		return 0, err
 	}
-	ack, err := decodeWriteAck(rbody)
+	ack, err := DecodeWriteAck(rbody)
 	if err != nil {
 		return 0, err
 	}
@@ -381,11 +381,11 @@ func (v *RemoteView) Delete(recs []record.Record) (int, error) {
 // Flushing is idempotent (an empty buffer flushes to nothing), so transient
 // failures are absorbed under the client's RetryPolicy.
 func (v *RemoteView) Flush() (int, error) {
-	rbody, err := v.c.expectRetry(FFlushView, flushViewReq{ViewID: v.id}.encode(), FFlushOK)
+	rbody, err := v.c.expectRetry(FFlushView, FlushViewReq{ViewID: v.id}.Encode(), FFlushOK)
 	if err != nil {
 		return 0, err
 	}
-	ack, err := decodeWriteAck(rbody)
+	ack, err := DecodeWriteAck(rbody)
 	if err != nil {
 		return 0, err
 	}
@@ -398,11 +398,11 @@ func (v *RemoteView) Flush() (int, error) {
 // transient storage faults hit while scanning the view's delta levels are
 // absorbed by the retry policy.
 func (v *RemoteView) Query(q record.Box) (*RemoteStream, error) {
-	rbody, err := v.c.expectRetry(FOpenStream, openStreamReq{ViewID: v.id, Query: q}.encode(), FStreamOpened)
+	rbody, err := v.c.expectRetry(FOpenStream, OpenStreamReq{ViewID: v.id, Query: q}.Encode(), FStreamOpened)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := decodeStreamOpened(rbody)
+	resp, err := DecodeStreamOpened(rbody)
 	if err != nil {
 		return nil, err
 	}
@@ -421,12 +421,12 @@ func (v *RemoteView) QueryAt(q record.Box, seed uint64, pos int64) (*RemoteStrea
 	if pos < 0 {
 		pos = 0
 	}
-	req := openStreamReq{ViewID: v.id, Query: q, Seeded: true, Seed: seed, StartPos: pos}
-	rbody, err := v.c.expectRetry(FOpenStream, req.encode(), FStreamOpened)
+	req := OpenStreamReq{ViewID: v.id, Query: q, Seeded: true, Seed: seed, StartPos: pos}
+	rbody, err := v.c.expectRetry(FOpenStream, req.Encode(), FStreamOpened)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := decodeStreamOpened(rbody)
+	resp, err := DecodeStreamOpened(rbody)
 	if err != nil {
 		return nil, err
 	}
@@ -540,15 +540,15 @@ func (s *RemoteStream) NextBatch() ([]record.Record, error) {
 // (CodeDegraded and the rest) surface to the caller; the stream itself
 // stays usable, mirroring the in-process Stream's degraded semantics.
 func (s *RemoteStream) pullLocked(max int) error {
-	req := nextBatchReq{StreamID: s.id, Max: uint32(max), Pos: -1}
+	req := NextBatchReq{StreamID: s.id, Max: uint32(max), Pos: -1}
 	if s.checked {
 		req.Pos = s.pos
 	}
-	rbody, err := s.v.c.expectRetry(FNextBatch, req.encode(), FBatch)
+	rbody, err := s.v.c.expectRetry(FNextBatch, req.Encode(), FBatch)
 	if err != nil {
 		return err
 	}
-	resp, err := decodeBatchResp(rbody)
+	resp, err := DecodeBatchResp(rbody)
 	if err != nil {
 		return err
 	}
@@ -577,12 +577,12 @@ func (s *RemoteStream) PullAt(pos int64, max int) ([]record.Record, bool, int64,
 	if max <= 0 {
 		max = 256
 	}
-	req := nextBatchReq{StreamID: s.id, Max: uint32(max), Pos: pos}
-	rbody, err := s.v.c.expectRetry(FNextBatch, req.encode(), FBatch)
+	req := NextBatchReq{StreamID: s.id, Max: uint32(max), Pos: pos}
+	rbody, err := s.v.c.expectRetry(FNextBatch, req.Encode(), FBatch)
 	if err != nil {
 		return nil, false, pos, err
 	}
-	resp, err := decodeBatchResp(rbody)
+	resp, err := DecodeBatchResp(rbody)
 	if err != nil {
 		return nil, false, pos, err
 	}
@@ -635,7 +635,7 @@ func (s *RemoteStream) Close() error {
 	if alreadyDone {
 		return nil // the server retired the stream at EOF
 	}
-	_, err := s.v.c.expect(FCancel, cancelReq{StreamID: s.id}.encode(), FCancelOK)
+	_, err := s.v.c.expect(FCancel, CancelReq{StreamID: s.id}.Encode(), FCancelOK)
 	if se, ok := err.(*Error); ok && (se.Code == CodeUnknownStream || se.Code == CodeStreamReaped) {
 		return nil
 	}

@@ -59,7 +59,7 @@ func TestReadFrameErrors(t *testing.T) {
 }
 
 func TestDecodeFrameBounds(t *testing.T) {
-	frame, err := AppendFrame(nil, FCancel, cancelReq{StreamID: 7}.encode())
+	frame, err := AppendFrame(nil, FCancel, CancelReq{StreamID: 7}.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestDecodeFrameBounds(t *testing.T) {
 	if err != nil || ft != FCancel {
 		t.Fatalf("DecodeFrame: %v %v", ft, err)
 	}
-	if req, err := decodeCancelReq(body); err != nil || req.StreamID != 7 {
-		t.Fatalf("decodeCancelReq: %+v %v", req, err)
+	if req, err := DecodeCancelReq(body); err != nil || req.StreamID != 7 {
+		t.Fatalf("DecodeCancelReq: %+v %v", req, err)
 	}
 	if !bytes.Equal(rest, frame) {
 		t.Fatalf("rest is not the second frame")
@@ -92,38 +92,38 @@ func TestAppendFrameTooLarge(t *testing.T) {
 func TestMessageRoundTrips(t *testing.T) {
 	box2 := record.Box2D(-5, 10, 100, 200)
 
-	ov, err := decodeOpenViewReq(openViewReq{Name: "sale"}.encode())
+	ov, err := DecodeOpenViewReq(OpenViewReq{Name: "sale"}.Encode())
 	if err != nil || ov.Name != "sale" {
-		t.Fatalf("openViewReq: %+v %v", ov, err)
+		t.Fatalf("OpenViewReq: %+v %v", ov, err)
 	}
-	os2, err := decodeOpenStreamReq(openStreamReq{ViewID: 3, Query: box2}.encode())
+	os2, err := DecodeOpenStreamReq(OpenStreamReq{ViewID: 3, Query: box2}.Encode())
 	if err != nil || os2.ViewID != 3 || os2.Query.Dims() != 2 || os2.Query.Dim(1).Hi != 200 {
-		t.Fatalf("openStreamReq: %+v %v", os2, err)
+		t.Fatalf("OpenStreamReq: %+v %v", os2, err)
 	}
-	nb, err := decodeNextBatchReq(nextBatchReq{StreamID: 9, Max: 512}.encode())
+	nb, err := DecodeNextBatchReq(NextBatchReq{StreamID: 9, Max: 512}.Encode())
 	if err != nil || nb.StreamID != 9 || nb.Max != 512 {
-		t.Fatalf("nextBatchReq: %+v %v", nb, err)
+		t.Fatalf("NextBatchReq: %+v %v", nb, err)
 	}
-	est, err := decodeEstimateReq(estimateReq{ViewID: 1, Query: record.Box1D(0, 9)}.encode())
+	est, err := DecodeEstimateReq(EstimateReq{ViewID: 1, Query: record.Box1D(0, 9)}.Encode())
 	if err != nil || est.ViewID != 1 || est.Query.Dim(0).Hi != 9 {
-		t.Fatalf("estimateReq: %+v %v", est, err)
+		t.Fatalf("EstimateReq: %+v %v", est, err)
 	}
-	vi, err := decodeViewInfo(viewInfo{ViewID: 2, Dims: 2, Height: 7, Count: 1 << 40}.encode())
-	if err != nil || vi != (viewInfo{ViewID: 2, Dims: 2, Height: 7, Count: 1 << 40}) {
-		t.Fatalf("viewInfo: %+v %v", vi, err)
+	vi, err := DecodeViewInfo(ViewInfo{ViewID: 2, Dims: 2, Height: 7, Count: 1 << 40}.Encode())
+	if err != nil || vi != (ViewInfo{ViewID: 2, Dims: 2, Height: 7, Count: 1 << 40}) {
+		t.Fatalf("ViewInfo: %+v %v", vi, err)
 	}
 	recs := []record.Record{{Key: 1, Amount: 2, Seq: 3}, {Key: -9, Amount: 8, Seq: 7}}
-	br, err := decodeBatchResp(batchResp{StreamID: 4, EOF: true, Records: recs}.encode())
+	br, err := DecodeBatchResp(BatchResp{StreamID: 4, EOF: true, Records: recs}.Encode())
 	if err != nil || br.StreamID != 4 || !br.EOF || len(br.Records) != 2 || br.Records[1] != recs[1] {
-		t.Fatalf("batchResp: %+v %v", br, err)
+		t.Fatalf("BatchResp: %+v %v", br, err)
 	}
-	er, err := decodeEstimateResp(estimateResp{Count: 123.5}.encode())
+	er, err := DecodeEstimateResp(EstimateResp{Count: 123.5}.Encode())
 	if err != nil || er.Count != 123.5 {
-		t.Fatalf("estimateResp: %+v %v", er, err)
+		t.Fatalf("EstimateResp: %+v %v", er, err)
 	}
-	ee, err := decodeErrorResp(errorResp{Code: CodeServerStreams, Msg: "full"}.encode())
+	ee, err := DecodeErrorResp(ErrorResp{Code: CodeServerStreams, Msg: "full"}.Encode())
 	if err != nil || ee.Code != CodeServerStreams || ee.Msg != "full" {
-		t.Fatalf("errorResp: %+v %v", ee, err)
+		t.Fatalf("ErrorResp: %+v %v", ee, err)
 	}
 
 	snap := &StatsSnapshot{
@@ -134,7 +134,7 @@ func TestMessageRoundTrips(t *testing.T) {
 			{ID: 2, Batches: 7, BytesRead: 9},
 		},
 	}
-	got, err := decodeStatsSnapshot(snap.encode())
+	got, err := decodeStatsSnapshot(snap.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,25 +145,25 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
-	full := openStreamReq{ViewID: 1, Query: record.Box1D(3, 4)}.encode()
+	full := OpenStreamReq{ViewID: 1, Query: record.Box1D(3, 4)}.Encode()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeOpenStreamReq(full[:cut]); err == nil {
+		if _, err := DecodeOpenStreamReq(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := decodeOpenStreamReq(append(full, 0)); err == nil {
+	if _, err := DecodeOpenStreamReq(append(full, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	// A batch claiming more records than its bytes can hold must error
 	// before allocating.
 	claim := appendU32(appendU32(nil, 1), 0) // streamID=1, then eof byte missing entirely
-	if _, err := decodeBatchResp(claim); err == nil {
+	if _, err := DecodeBatchResp(claim); err == nil {
 		t.Fatal("truncated batch accepted")
 	}
 	huge := append(appendU32(nil, 1), 0)              // streamID, eof=0
 	huge = appendU32(huge, 1<<30)                     // one billion records claimed
 	huge = append(huge, make([]byte, record.Size)...) // but one record's bytes
-	if _, err := decodeBatchResp(huge); err == nil {
+	if _, err := DecodeBatchResp(huge); err == nil {
 		t.Fatal("batch with absurd count accepted")
 	}
 }

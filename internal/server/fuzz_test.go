@@ -18,25 +18,25 @@ func fuzzSeedFrames() [][]byte {
 		t    FrameType
 		body []byte
 	}{
-		{FOpenView, openViewReq{Name: "sale"}.encode()},
-		{FOpenStream, openStreamReq{ViewID: 1, Query: box}.encode()},
-		{FNextBatch, nextBatchReq{StreamID: 2, Max: 512}.encode()},
-		{FEstimate, estimateReq{ViewID: 1, Query: record.Box1D(5, 9)}.encode()},
-		{FCancel, cancelReq{StreamID: 2}.encode()},
+		{FOpenView, OpenViewReq{Name: "sale"}.Encode()},
+		{FOpenStream, OpenStreamReq{ViewID: 1, Query: box}.Encode()},
+		{FNextBatch, NextBatchReq{StreamID: 2, Max: 512}.Encode()},
+		{FEstimate, EstimateReq{ViewID: 1, Query: record.Box1D(5, 9)}.Encode()},
+		{FCancel, CancelReq{StreamID: 2}.Encode()},
 		{FStats, nil},
-		{FAppend, appendReq{ViewID: 1, Records: recs}.encode()},
-		{FDeleteRecs, deleteRecsReq{ViewID: 1, Records: recs[:1]}.encode()},
-		{FFlushView, flushViewReq{ViewID: 1}.encode()},
-		{FAppendOK, writeAck{ViewID: 1, N: 2}.encode()},
-		{FDeleteOK, writeAck{ViewID: 1, N: 1}.encode()},
-		{FFlushOK, writeAck{ViewID: 1, N: 3}.encode()},
-		{FViewInfo, viewInfo{ViewID: 1, Dims: 2, Height: 6, Count: 1000}.encode()},
-		{FStreamOpened, streamOpened{StreamID: 2}.encode()},
-		{FBatch, batchResp{StreamID: 2, EOF: true, Records: recs}.encode()},
-		{FEstimateResult, estimateResp{Count: 12.5}.encode()},
-		{FCancelOK, cancelReq{StreamID: 2}.encode()},
-		{FStatsResult, snap.encode()},
-		{FError, errorResp{Code: CodeServerStreams, Msg: "full"}.encode()},
+		{FAppend, WriteReq{ViewID: 1, Records: recs}.Encode()},
+		{FDeleteRecs, WriteReq{ViewID: 1, Records: recs[:1]}.Encode()},
+		{FFlushView, FlushViewReq{ViewID: 1}.Encode()},
+		{FAppendOK, WriteAck{ViewID: 1, N: 2}.Encode()},
+		{FDeleteOK, WriteAck{ViewID: 1, N: 1}.Encode()},
+		{FFlushOK, WriteAck{ViewID: 1, N: 3}.Encode()},
+		{FViewInfo, ViewInfo{ViewID: 1, Dims: 2, Height: 6, Count: 1000}.Encode()},
+		{FStreamOpened, StreamOpened{StreamID: 2}.Encode()},
+		{FBatch, BatchResp{StreamID: 2, EOF: true, Records: recs}.Encode()},
+		{FEstimateResult, EstimateResp{Count: 12.5}.Encode()},
+		{FCancelOK, CancelReq{StreamID: 2}.Encode()},
+		{FStatsResult, snap.Encode()},
+		{FError, ErrorResp{Code: CodeServerStreams, Msg: "full"}.Encode()},
 	}
 	var out [][]byte
 	for _, m := range msgs {
@@ -54,49 +54,46 @@ func fuzzSeedFrames() [][]byte {
 func decodeBody(t FrameType, body []byte) error {
 	switch t {
 	case FOpenView:
-		_, err := decodeOpenViewReq(body)
+		_, err := DecodeOpenViewReq(body)
 		return err
 	case FOpenStream:
-		_, err := decodeOpenStreamReq(body)
+		_, err := DecodeOpenStreamReq(body)
 		return err
 	case FNextBatch:
-		_, err := decodeNextBatchReq(body)
+		_, err := DecodeNextBatchReq(body)
 		return err
 	case FEstimate:
-		_, err := decodeEstimateReq(body)
+		_, err := DecodeEstimateReq(body)
 		return err
 	case FCancel, FCancelOK:
-		_, err := decodeCancelReq(body)
+		_, err := DecodeCancelReq(body)
 		return err
-	case FAppend:
-		_, err := decodeAppendReq(body)
-		return err
-	case FDeleteRecs:
-		_, err := decodeDeleteRecsReq(body)
+	case FAppend, FDeleteRecs:
+		_, err := DecodeWriteReq(body)
 		return err
 	case FFlushView:
-		_, err := decodeFlushViewReq(body)
+		_, err := DecodeFlushViewReq(body)
 		return err
 	case FAppendOK, FDeleteOK, FFlushOK:
-		_, err := decodeWriteAck(body)
+		_, err := DecodeWriteAck(body)
 		return err
 	case FViewInfo:
-		_, err := decodeViewInfo(body)
+		_, err := DecodeViewInfo(body)
 		return err
 	case FStreamOpened:
-		_, err := decodeStreamOpened(body)
+		_, err := DecodeStreamOpened(body)
 		return err
 	case FBatch:
-		_, err := decodeBatchResp(body)
+		_, err := DecodeBatchResp(body)
 		return err
 	case FEstimateResult:
-		_, err := decodeEstimateResp(body)
+		_, err := DecodeEstimateResp(body)
 		return err
 	case FStatsResult:
 		_, err := decodeStatsSnapshot(body)
 		return err
 	case FError:
-		_, err := decodeErrorResp(body)
+		_, err := DecodeErrorResp(body)
 		return err
 	default:
 		return nil
@@ -160,46 +157,43 @@ func reencodeCheck(t *testing.T, ft FrameType, body []byte) {
 	var out []byte
 	switch ft {
 	case FOpenView:
-		m, _ := decodeOpenViewReq(body)
-		out = m.encode()
+		m, _ := DecodeOpenViewReq(body)
+		out = m.Encode()
 	case FOpenStream:
-		m, _ := decodeOpenStreamReq(body)
-		out = m.encode()
+		m, _ := DecodeOpenStreamReq(body)
+		out = m.Encode()
 	case FNextBatch:
-		m, _ := decodeNextBatchReq(body)
-		out = m.encode()
+		m, _ := DecodeNextBatchReq(body)
+		out = m.Encode()
 	case FEstimate:
-		m, _ := decodeEstimateReq(body)
-		out = m.encode()
+		m, _ := DecodeEstimateReq(body)
+		out = m.Encode()
 	case FCancel, FCancelOK:
-		m, _ := decodeCancelReq(body)
-		out = m.encode()
-	case FAppend:
-		m, _ := decodeAppendReq(body)
-		out = m.encode()
-	case FDeleteRecs:
-		m, _ := decodeDeleteRecsReq(body)
-		out = m.encode()
+		m, _ := DecodeCancelReq(body)
+		out = m.Encode()
+	case FAppend, FDeleteRecs:
+		m, _ := DecodeWriteReq(body)
+		out = m.Encode()
 	case FFlushView:
-		m, _ := decodeFlushViewReq(body)
-		out = m.encode()
+		m, _ := DecodeFlushViewReq(body)
+		out = m.Encode()
 	case FAppendOK, FDeleteOK, FFlushOK:
-		m, _ := decodeWriteAck(body)
-		out = m.encode()
+		m, _ := DecodeWriteAck(body)
+		out = m.Encode()
 	case FViewInfo:
-		m, _ := decodeViewInfo(body)
-		out = m.encode()
+		m, _ := DecodeViewInfo(body)
+		out = m.Encode()
 	case FStreamOpened:
-		m, _ := decodeStreamOpened(body)
-		out = m.encode()
+		m, _ := DecodeStreamOpened(body)
+		out = m.Encode()
 	case FBatch:
-		m, _ := decodeBatchResp(body)
-		out = m.encode()
+		m, _ := DecodeBatchResp(body)
+		out = m.Encode()
 	case FError:
-		m, _ := decodeErrorResp(body)
-		out = m.encode()
+		m, _ := DecodeErrorResp(body)
+		out = m.Encode()
 	default:
-		return // estimateResp (NaN bit patterns) and stats (padding) skip byte-identity
+		return // EstimateResp (NaN bit patterns) and stats (padding) skip byte-identity
 	}
 	if !bytes.Equal(out, body) {
 		t.Fatalf("%v: re-encode changed the bytes:\n in %x\nout %x", ft, body, out)

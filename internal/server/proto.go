@@ -246,20 +246,28 @@ func consumeRecords(b []byte) ([]record.Record, []byte, error) {
 }
 
 // --- request messages ----------------------------------------------------
+//
+// The message types and their codecs are exported for protocol-compatible
+// intermediaries: the fleet router terminates client connections with
+// them, rewrites ids, and re-issues requests to replicas through the Client
+// API, sharing (not mirroring) the codecs the server and client use.
 
-type openViewReq struct{ Name string }
+// OpenViewReq is the body of FOpenView.
+type OpenViewReq struct{ Name string }
 
-func (m openViewReq) encode() []byte { return appendString(nil, m.Name) }
+// Encode renders the body.
+func (m OpenViewReq) Encode() []byte { return appendString(nil, m.Name) }
 
-func decodeOpenViewReq(b []byte) (openViewReq, error) {
+// DecodeOpenViewReq decodes an FOpenView body.
+func DecodeOpenViewReq(b []byte) (OpenViewReq, error) {
 	name, rest, err := consumeString(b)
 	if err != nil {
-		return openViewReq{}, err
+		return OpenViewReq{}, err
 	}
 	if len(rest) != 0 {
-		return openViewReq{}, errTrailing
+		return OpenViewReq{}, errTrailing
 	}
-	return openViewReq{Name: name}, nil
+	return OpenViewReq{Name: name}, nil
 }
 
 // openStreamFlagSeeded marks an open-stream request that pins the stream's
@@ -268,7 +276,8 @@ func decodeOpenViewReq(b []byte) (openViewReq, error) {
 // replica holding the same view bytes.
 const openStreamFlagSeeded = 0x01
 
-type openStreamReq struct {
+// OpenStreamReq is the body of FOpenStream.
+type OpenStreamReq struct {
 	ViewID uint32
 	Query  record.Box
 	// Seeded pins the stream's randomness to Seed; StartPos (records to
@@ -280,7 +289,8 @@ type openStreamReq struct {
 	StartPos int64
 }
 
-func (m openStreamReq) encode() []byte {
+// Encode renders the body.
+func (m OpenStreamReq) Encode() []byte {
 	b := appendBox(appendU32(nil, m.ViewID), m.Query)
 	if m.Seeded {
 		b = append(b, openStreamFlagSeeded)
@@ -290,8 +300,9 @@ func (m openStreamReq) encode() []byte {
 	return b
 }
 
-func decodeOpenStreamReq(b []byte) (openStreamReq, error) {
-	var m openStreamReq
+// DecodeOpenStreamReq decodes an FOpenStream body.
+func DecodeOpenStreamReq(b []byte) (OpenStreamReq, error) {
+	var m OpenStreamReq
 	var err error
 	if m.ViewID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -323,7 +334,8 @@ func decodeOpenStreamReq(b []byte) (openStreamReq, error) {
 	return m, nil
 }
 
-type nextBatchReq struct {
+// NextBatchReq is the body of FNextBatch.
+type NextBatchReq struct {
 	StreamID uint32
 	Max      uint32
 	// Pos is the stream position (records already consumed) the caller
@@ -335,7 +347,8 @@ type nextBatchReq struct {
 	Pos int64
 }
 
-func (m nextBatchReq) encode() []byte {
+// Encode renders the body.
+func (m NextBatchReq) Encode() []byte {
 	b := appendU32(appendU32(nil, m.StreamID), m.Max)
 	if m.Pos >= 0 {
 		b = appendI64(b, m.Pos)
@@ -343,8 +356,9 @@ func (m nextBatchReq) encode() []byte {
 	return b
 }
 
-func decodeNextBatchReq(b []byte) (nextBatchReq, error) {
-	m := nextBatchReq{Pos: -1}
+// DecodeNextBatchReq decodes an FNextBatch body.
+func DecodeNextBatchReq(b []byte) (NextBatchReq, error) {
+	m := NextBatchReq{Pos: -1}
 	var err error
 	if m.StreamID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -367,17 +381,20 @@ func decodeNextBatchReq(b []byte) (nextBatchReq, error) {
 	return m, nil
 }
 
-type estimateReq struct {
+// EstimateReq is the body of FEstimate.
+type EstimateReq struct {
 	ViewID uint32
 	Query  record.Box
 }
 
-func (m estimateReq) encode() []byte {
+// Encode renders the body.
+func (m EstimateReq) Encode() []byte {
 	return appendBox(appendU32(nil, m.ViewID), m.Query)
 }
 
-func decodeEstimateReq(b []byte) (estimateReq, error) {
-	var m estimateReq
+// DecodeEstimateReq decodes an FEstimate body.
+func DecodeEstimateReq(b []byte) (EstimateReq, error) {
+	var m EstimateReq
 	var err error
 	if m.ViewID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -391,12 +408,15 @@ func decodeEstimateReq(b []byte) (estimateReq, error) {
 	return m, nil
 }
 
-type cancelReq struct{ StreamID uint32 }
+// CancelReq is the body of FCancel and of its FCancelOK echo.
+type CancelReq struct{ StreamID uint32 }
 
-func (m cancelReq) encode() []byte { return appendU32(nil, m.StreamID) }
+// Encode renders the body.
+func (m CancelReq) Encode() []byte { return appendU32(nil, m.StreamID) }
 
-func decodeCancelReq(b []byte) (cancelReq, error) {
-	var m cancelReq
+// DecodeCancelReq decodes an FCancel or FCancelOK body.
+func DecodeCancelReq(b []byte) (CancelReq, error) {
+	var m CancelReq
 	var err error
 	if m.StreamID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -409,21 +429,23 @@ func decodeCancelReq(b []byte) (cancelReq, error) {
 
 var errTrailing = fmt.Errorf("server: trailing bytes after message body")
 
-// appendReq carries a batch of records to insert into a view's live write
-// path; deleteRecsReq carries a batch of tombstones (full records, so the
-// delete can be verified and merged without consulting the base view). Both
-// share the wire shape.
-type appendReq struct {
+// WriteReq is the body of FAppend and FDeleteRecs, which share the wire
+// shape: a batch of records to insert into a view's live write path, or a
+// batch of tombstones (full records, so the delete can be verified and
+// merged without consulting the base view).
+type WriteReq struct {
 	ViewID  uint32
 	Records []record.Record
 }
 
-func (m appendReq) encode() []byte {
+// Encode renders the body.
+func (m WriteReq) Encode() []byte {
 	return appendRecords(appendU32(nil, m.ViewID), m.Records)
 }
 
-func decodeAppendReq(b []byte) (appendReq, error) {
-	var m appendReq
+// DecodeWriteReq decodes an FAppend or FDeleteRecs body.
+func DecodeWriteReq(b []byte) (WriteReq, error) {
+	var m WriteReq
 	var err error
 	if m.ViewID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -437,38 +459,16 @@ func decodeAppendReq(b []byte) (appendReq, error) {
 	return m, nil
 }
 
-type deleteRecsReq struct {
-	ViewID  uint32
-	Records []record.Record
-}
-
-func (m deleteRecsReq) encode() []byte {
-	return appendRecords(appendU32(nil, m.ViewID), m.Records)
-}
-
-func decodeDeleteRecsReq(b []byte) (deleteRecsReq, error) {
-	var m deleteRecsReq
-	var err error
-	if m.ViewID, b, err = consumeU32(b); err != nil {
-		return m, err
-	}
-	if m.Records, b, err = consumeRecords(b); err != nil {
-		return m, err
-	}
-	if len(b) != 0 {
-		return m, errTrailing
-	}
-	return m, nil
-}
-
-// flushViewReq asks the server to seal the view's in-memory write buffer
+// FlushViewReq (the body of FFlushView) asks the server to seal the view's in-memory write buffer
 // and persist it as an on-disk delta level.
-type flushViewReq struct{ ViewID uint32 }
+type FlushViewReq struct{ ViewID uint32 }
 
-func (m flushViewReq) encode() []byte { return appendU32(nil, m.ViewID) }
+// Encode renders the body.
+func (m FlushViewReq) Encode() []byte { return appendU32(nil, m.ViewID) }
 
-func decodeFlushViewReq(b []byte) (flushViewReq, error) {
-	var m flushViewReq
+// DecodeFlushViewReq decodes an FFlushView body.
+func DecodeFlushViewReq(b []byte) (FlushViewReq, error) {
+	var m FlushViewReq
 	var err error
 	if m.ViewID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -479,35 +479,38 @@ func decodeFlushViewReq(b []byte) (flushViewReq, error) {
 	return m, nil
 }
 
-// setTenantReq attributes a connection's quota usage to a named tenant.
+// SetTenantReq (the body of FSetTenant and of its FTenantOK echo) attributes a connection's quota usage to a named tenant.
 // Sessions that never send it are accounted per-connection (the pre-fleet
 // behaviour); the fleet router sends it on every replica connection so all
 // of a tenant's connections draw from one stream cap and one write bucket.
-type setTenantReq struct{ Tenant string }
+type SetTenantReq struct{ Tenant string }
 
-func (m setTenantReq) encode() []byte { return appendString(nil, m.Tenant) }
+// Encode renders the body.
+func (m SetTenantReq) Encode() []byte { return appendString(nil, m.Tenant) }
 
-func decodeSetTenantReq(b []byte) (setTenantReq, error) {
+// DecodeSetTenantReq decodes an FSetTenant or FTenantOK body.
+func DecodeSetTenantReq(b []byte) (SetTenantReq, error) {
 	t, rest, err := consumeString(b)
 	if err != nil {
-		return setTenantReq{}, err
+		return SetTenantReq{}, err
 	}
 	if len(rest) != 0 {
-		return setTenantReq{}, errTrailing
+		return SetTenantReq{}, errTrailing
 	}
-	return setTenantReq{Tenant: t}, nil
+	return SetTenantReq{Tenant: t}, nil
 }
 
-// replicaInfoResp identifies a replica and reports its live load, the
+// ReplicaInfoResp (the body of FReplicaInfoResult) identifies a replica and reports its live load, the
 // signal the fleet router's placement and health checks run on.
-type replicaInfoResp struct {
+type ReplicaInfoResp struct {
 	ReplicaID   string
 	OpenStreams uint32
 	MaxStreams  uint32
 	Draining    bool
 }
 
-func (m replicaInfoResp) encode() []byte {
+// Encode renders the body.
+func (m ReplicaInfoResp) Encode() []byte {
 	b := appendString(nil, m.ReplicaID)
 	b = appendU32(b, m.OpenStreams)
 	b = appendU32(b, m.MaxStreams)
@@ -517,8 +520,9 @@ func (m replicaInfoResp) encode() []byte {
 	return append(b, 0)
 }
 
-func decodeReplicaInfoResp(b []byte) (replicaInfoResp, error) {
-	var m replicaInfoResp
+// DecodeReplicaInfoResp decodes an FReplicaInfoResult body.
+func DecodeReplicaInfoResp(b []byte) (ReplicaInfoResp, error) {
+	var m ReplicaInfoResp
 	var err error
 	if m.ReplicaID, b, err = consumeString(b); err != nil {
 		return m, err
@@ -555,9 +559,11 @@ type ViewListEntry struct {
 	Health    string
 }
 
-type viewListResp struct{ Views []ViewListEntry }
+// ViewListResp is the body of FViewList.
+type ViewListResp struct{ Views []ViewListEntry }
 
-func (m viewListResp) encode() []byte {
+// Encode renders the body.
+func (m ViewListResp) Encode() []byte {
 	b := appendU32(nil, uint32(len(m.Views)))
 	for i := range m.Views {
 		e := &m.Views[i]
@@ -575,65 +581,69 @@ func (m viewListResp) encode() []byte {
 	return b
 }
 
-func decodeViewListResp(b []byte) (viewListResp, error) {
+// DecodeViewListResp decodes an FViewList body.
+func DecodeViewListResp(b []byte) (ViewListResp, error) {
 	n, b, err := consumeU32(b)
 	if err != nil {
-		return viewListResp{}, err
+		return ViewListResp{}, err
 	}
 	// Each entry costs at least 13 bytes, bounding n before any allocation.
 	if uint64(len(b)) < uint64(n)*13 {
-		return viewListResp{}, fmt.Errorf("server: view list claims %d entries but only %d bytes follow", n, len(b))
+		return ViewListResp{}, fmt.Errorf("server: view list claims %d entries but only %d bytes follow", n, len(b))
 	}
-	m := viewListResp{Views: make([]ViewListEntry, n)}
+	m := ViewListResp{Views: make([]ViewListEntry, n)}
 	for i := range m.Views {
 		e := &m.Views[i]
 		if e.Name, b, err = consumeString(b); err != nil {
-			return viewListResp{}, err
+			return ViewListResp{}, err
 		}
 		if len(b) < 1 {
-			return viewListResp{}, errShort
+			return ViewListResp{}, errShort
 		}
 		if b[0] > 1 {
-			return viewListResp{}, fmt.Errorf("server: view sharded flag %d, want 0 or 1", b[0])
+			return ViewListResp{}, fmt.Errorf("server: view sharded flag %d, want 0 or 1", b[0])
 		}
 		e.Sharded = b[0] == 1
 		b = b[1:]
 		if e.K, b, err = consumeU32(b); err != nil {
-			return viewListResp{}, err
+			return ViewListResp{}, err
 		}
 		if e.Partition, b, err = consumeString(b); err != nil {
-			return viewListResp{}, err
+			return ViewListResp{}, err
 		}
 		if e.Count, b, err = consumeI64(b); err != nil {
-			return viewListResp{}, err
+			return ViewListResp{}, err
 		}
 		if e.Health, b, err = consumeString(b); err != nil {
-			return viewListResp{}, err
+			return ViewListResp{}, err
 		}
 	}
 	if len(b) != 0 {
-		return viewListResp{}, errTrailing
+		return ViewListResp{}, errTrailing
 	}
 	return m, nil
 }
 
 // --- response messages ----------------------------------------------------
 
-type viewInfo struct {
+// ViewInfo is the body of FViewInfo.
+type ViewInfo struct {
 	ViewID uint32
 	Dims   uint8
 	Height uint8
 	Count  int64
 }
 
-func (m viewInfo) encode() []byte {
+// Encode renders the body.
+func (m ViewInfo) Encode() []byte {
 	b := appendU32(nil, m.ViewID)
 	b = append(b, m.Dims, m.Height)
 	return appendI64(b, m.Count)
 }
 
-func decodeViewInfo(b []byte) (viewInfo, error) {
-	var m viewInfo
+// DecodeViewInfo decodes an FViewInfo body.
+func DecodeViewInfo(b []byte) (ViewInfo, error) {
+	var m ViewInfo
 	var err error
 	if m.ViewID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -651,12 +661,15 @@ func decodeViewInfo(b []byte) (viewInfo, error) {
 	return m, nil
 }
 
-type streamOpened struct{ StreamID uint32 }
+// StreamOpened is the body of FStreamOpened.
+type StreamOpened struct{ StreamID uint32 }
 
-func (m streamOpened) encode() []byte { return appendU32(nil, m.StreamID) }
+// Encode renders the body.
+func (m StreamOpened) Encode() []byte { return appendU32(nil, m.StreamID) }
 
-func decodeStreamOpened(b []byte) (streamOpened, error) {
-	var m streamOpened
+// DecodeStreamOpened decodes an FStreamOpened body.
+func DecodeStreamOpened(b []byte) (StreamOpened, error) {
+	var m StreamOpened
 	var err error
 	if m.StreamID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -667,7 +680,8 @@ func decodeStreamOpened(b []byte) (streamOpened, error) {
 	return m, nil
 }
 
-type batchResp struct {
+// BatchResp is the body of FBatch.
+type BatchResp struct {
 	StreamID uint32
 	EOF      bool
 	Records  []record.Record
@@ -677,7 +691,9 @@ type batchResp struct {
 	Pos int64
 }
 
-func (m batchResp) encode() []byte {
+// Encode renders the body; a negative Pos omits the position field (the
+// legacy shape).
+func (m BatchResp) Encode() []byte {
 	b := appendU32(nil, m.StreamID)
 	if m.EOF {
 		b = append(b, 1)
@@ -691,8 +707,9 @@ func (m batchResp) encode() []byte {
 	return b
 }
 
-func decodeBatchResp(b []byte) (batchResp, error) {
-	m := batchResp{Pos: -1}
+// DecodeBatchResp decodes an FBatch body.
+func DecodeBatchResp(b []byte) (BatchResp, error) {
+	m := BatchResp{Pos: -1}
 	var err error
 	if m.StreamID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -722,33 +739,38 @@ func decodeBatchResp(b []byte) (batchResp, error) {
 	return m, nil
 }
 
-type estimateResp struct{ Count float64 }
+// EstimateResp is the body of FEstimateResult.
+type EstimateResp struct{ Count float64 }
 
-func (m estimateResp) encode() []byte {
+// Encode renders the body.
+func (m EstimateResp) Encode() []byte {
 	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(m.Count))
 }
 
-func decodeEstimateResp(b []byte) (estimateResp, error) {
+// DecodeEstimateResp decodes an FEstimateResult body.
+func DecodeEstimateResp(b []byte) (EstimateResp, error) {
 	if len(b) != 8 {
-		return estimateResp{}, errShort
+		return EstimateResp{}, errShort
 	}
-	return estimateResp{Count: math.Float64frombits(binary.LittleEndian.Uint64(b))}, nil
+	return EstimateResp{Count: math.Float64frombits(binary.LittleEndian.Uint64(b))}, nil
 }
 
-// writeAck acknowledges an append, delete or flush: N is how many records
+// WriteAck (the body of FAppendOK, FDeleteOK and FFlushOK) acknowledges an append, delete or flush: N is how many records
 // were accepted (appends), how many tombstones were recorded (deletes), or
 // how many buffered entries the flush persisted.
-type writeAck struct {
+type WriteAck struct {
 	ViewID uint32
 	N      uint32
 }
 
-func (m writeAck) encode() []byte {
+// Encode renders the body.
+func (m WriteAck) Encode() []byte {
 	return appendU32(appendU32(nil, m.ViewID), m.N)
 }
 
-func decodeWriteAck(b []byte) (writeAck, error) {
-	var m writeAck
+// DecodeWriteAck decodes an FAppendOK, FDeleteOK or FFlushOK body.
+func DecodeWriteAck(b []byte) (WriteAck, error) {
+	var m WriteAck
 	var err error
 	if m.ViewID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -762,17 +784,20 @@ func decodeWriteAck(b []byte) (writeAck, error) {
 	return m, nil
 }
 
-type errorResp struct {
+// ErrorResp is the body of FError.
+type ErrorResp struct {
 	Code uint16
 	Msg  string
 }
 
-func (m errorResp) encode() []byte {
+// Encode renders the body.
+func (m ErrorResp) Encode() []byte {
 	return appendString(appendU16(nil, m.Code), m.Msg)
 }
 
-func decodeErrorResp(b []byte) (errorResp, error) {
-	var m errorResp
+// DecodeErrorResp decodes an FError body.
+func DecodeErrorResp(b []byte) (ErrorResp, error) {
+	var m ErrorResp
 	var err error
 	if m.Code, b, err = consumeU16(b); err != nil {
 		return m, err

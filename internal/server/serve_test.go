@@ -540,7 +540,7 @@ func TestUnknownViewAndStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fabricated stream id draws CodeUnknownStream.
-	rt, _, err := cl.roundTrip(FNextBatch, nextBatchReq{StreamID: 999, Max: 10}.encode())
+	rt, _, err := cl.roundTrip(FNextBatch, NextBatchReq{StreamID: 999, Max: 10}.Encode())
 	if !errors.As(err, &se) || se.Code != CodeUnknownStream {
 		t.Fatalf("NextBatch(999): frame %v err = %v, want CodeUnknownStream", rt, err)
 	}

@@ -625,10 +625,10 @@ func (s *Server) tenantsActive() int64 {
 
 // replicaInfo answers a replica-info request with the server's identity and
 // live load.
-func (s *Server) replicaInfo() replicaInfoResp {
+func (s *Server) replicaInfo() ReplicaInfoResp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return replicaInfoResp{
+	return ReplicaInfoResp{
 		ReplicaID:   s.cfg.ReplicaID,
 		OpenStreams: uint32(s.openStreams),
 		MaxStreams:  uint32(s.cfg.MaxStreams),

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sampleview"
-	"sampleview/internal/shard"
 )
 
 // servedStream is one open stream of one session. The underlying view
@@ -151,7 +150,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		// Raced with Shutdown: refuse politely and hang up.
 		s.stats.ConnsRejected.Add(1)
 		cc := &countingConn{Conn: nc, sess: sess}
-		_ = WriteFrame(cc, FError, errorResp{Code: CodeShuttingDown, Msg: "server shutting down"}.encode())
+		_ = WriteFrame(cc, FError, ErrorResp{Code: CodeShuttingDown, Msg: "server shutting down"}.Encode())
 		return
 	}
 	defer s.unregister(sess)
@@ -272,15 +271,15 @@ func (sess *session) handle(t FrameType, body []byte) (FrameType, []byte) {
 			sess.srv.stats.BadFrames.Add(1)
 			return reject(sess, CodeBadRequest, errTrailing.Error())
 		}
-		return FReplicaInfoResult, sess.srv.replicaInfo().encode()
+		return FReplicaInfoResult, sess.srv.replicaInfo().Encode()
 	case FListViews:
 		if len(body) != 0 {
 			sess.srv.stats.BadFrames.Add(1)
 			return reject(sess, CodeBadRequest, errTrailing.Error())
 		}
-		return FViewList, viewListResp{Views: sess.srv.listViews()}.encode()
+		return FViewList, ViewListResp{Views: sess.srv.listViews()}.Encode()
 	case FStats:
-		return FStatsResult, sess.srv.Snapshot().encode()
+		return FStatsResult, sess.srv.Snapshot().Encode()
 	default:
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, "unknown frame type "+t.String())
@@ -290,13 +289,7 @@ func (sess *session) handle(t FrameType, body []byte) (FrameType, []byte) {
 // reject builds a typed error response, counting it against the session.
 func reject(sess *session, code uint16, msg string) (FrameType, []byte) {
 	sess.counters.Rejections.Add(1)
-	return FError, errorResp{Code: code, Msg: msg}.encode()
-}
-
-// isStreamClosed matches either view layer's stream-closed sentinel; the
-// server treats both as losing a race with the reaper.
-func isStreamClosed(err error) bool {
-	return errors.Is(err, sampleview.ErrStreamClosed) || errors.Is(err, shard.ErrStreamClosed)
+	return FError, ErrorResp{Code: code, Msg: msg}.Encode()
 }
 
 // classifyStreamErr maps a view-layer stream failure to its wire code,
@@ -315,7 +308,7 @@ func (sess *session) classifyStreamErr(err error) uint16 {
 }
 
 func (sess *session) handleOpenView(body []byte) (FrameType, []byte) {
-	req, err := decodeOpenViewReq(body)
+	req, err := DecodeOpenViewReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, err.Error())
@@ -324,16 +317,16 @@ func (sess *session) handleOpenView(body []byte) (FrameType, []byte) {
 	if !ok {
 		return reject(sess, CodeUnknownView, "no served view named "+req.Name)
 	}
-	return FViewInfo, viewInfo{
+	return FViewInfo, ViewInfo{
 		ViewID: sv.id,
 		Dims:   uint8(sv.v.Dims()),
 		Height: uint8(sv.v.Height()),
 		Count:  sv.v.Count(),
-	}.encode()
+	}.Encode()
 }
 
 func (sess *session) handleSetTenant(body []byte) (FrameType, []byte) {
-	req, err := decodeSetTenantReq(body)
+	req, err := DecodeSetTenantReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, err.Error())
@@ -345,7 +338,7 @@ func (sess *session) handleSetTenant(body []byte) (FrameType, []byte) {
 	switch {
 	case sess.tenant == req.Tenant:
 		sess.mu.Unlock() // idempotent re-attribution
-		return FTenantOK, setTenantReq{Tenant: req.Tenant}.encode()
+		return FTenantOK, SetTenantReq{Tenant: req.Tenant}.Encode()
 	case sess.tenant != "":
 		sess.mu.Unlock()
 		return reject(sess, CodeBadRequest, "connection already attributed to tenant "+sess.tenant)
@@ -359,11 +352,11 @@ func (sess *session) handleSetTenant(body []byte) (FrameType, []byte) {
 	sess.tenant = req.Tenant
 	sess.mu.Unlock()
 	sess.srv.attributeTenant(req.Tenant)
-	return FTenantOK, setTenantReq{Tenant: req.Tenant}.encode()
+	return FTenantOK, SetTenantReq{Tenant: req.Tenant}.Encode()
 }
 
 func (sess *session) handleOpenStream(body []byte) (FrameType, []byte) {
-	req, err := decodeOpenStreamReq(body)
+	req, err := DecodeOpenStreamReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, err.Error())
@@ -449,7 +442,7 @@ func (sess *session) handleOpenStream(body []byte) (FrameType, []byte) {
 	sess.mu.Unlock()
 	sess.counters.StreamsOpened.Add(1)
 	sess.srv.stats.StreamsOpened.Add(1)
-	return FStreamOpened, streamOpened{StreamID: st.id}.encode()
+	return FStreamOpened, StreamOpened{StreamID: st.id}.Encode()
 }
 
 // skipTo fast-forwards the stream to position target by sampling and
@@ -514,7 +507,7 @@ func (sess *session) removeStream(id uint32, asReaped bool) (*servedStream, bool
 }
 
 func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
-	req, err := decodeNextBatchReq(body)
+	req, err := DecodeNextBatchReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, err.Error())
@@ -544,7 +537,7 @@ func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
 			if err := st.skipTo(req.Pos); err != nil {
 				st.chargeSim(sess)
 				st.touch()
-				if isStreamClosed(err) {
+				if errors.Is(err, sampleview.ErrStreamClosed) {
 					sess.removeStream(req.StreamID, true)
 					return reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout")
 				}
@@ -561,7 +554,7 @@ func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
 	st.touch()
 	pos := st.pos.Add(int64(len(recs)))
 	if err != nil {
-		if isStreamClosed(err) {
+		if errors.Is(err, sampleview.ErrStreamClosed) {
 			// Lost a race with the reaper between lookup and Sample.
 			sess.removeStream(req.StreamID, true)
 			return reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout")
@@ -582,7 +575,7 @@ func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
 		sess.counters.Records.Add(int64(len(recs)))
 		sess.srv.stats.BatchesServed.Add(1)
 		sess.srv.stats.RecordsServed.Add(int64(len(recs)))
-		return FBatch, batchResp{StreamID: req.StreamID, EOF: false, Records: recs, Pos: pos}.encode()
+		return FBatch, BatchResp{StreamID: req.StreamID, EOF: false, Records: recs, Pos: pos}.Encode()
 	}
 	eof := len(recs) < max
 	if eof {
@@ -600,11 +593,11 @@ func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
 	sess.counters.Records.Add(int64(len(recs)))
 	sess.srv.stats.BatchesServed.Add(1)
 	sess.srv.stats.RecordsServed.Add(int64(len(recs)))
-	return FBatch, batchResp{StreamID: req.StreamID, EOF: eof, Records: recs, Pos: pos}.encode()
+	return FBatch, BatchResp{StreamID: req.StreamID, EOF: eof, Records: recs, Pos: pos}.Encode()
 }
 
 func (sess *session) handleEstimate(body []byte) (FrameType, []byte) {
-	req, err := decodeEstimateReq(body)
+	req, err := DecodeEstimateReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, err.Error())
@@ -621,7 +614,7 @@ func (sess *session) handleEstimate(body []byte) (FrameType, []byte) {
 		return reject(sess, sess.classifyStreamErr(err), err.Error())
 	}
 	sess.srv.stats.EstimatesServed.Add(1)
-	return FEstimateResult, estimateResp{Count: est}.encode()
+	return FEstimateResult, EstimateResp{Count: est}.Encode()
 }
 
 // admitWrite runs write-path admission for n incoming entries against sv:
@@ -666,7 +659,7 @@ func (sess *session) rejectThrottled(n int) (FrameType, []byte) {
 }
 
 func (sess *session) handleAppend(body []byte) (FrameType, []byte) {
-	req, err := decodeAppendReq(body)
+	req, err := DecodeWriteReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, err.Error())
@@ -697,11 +690,11 @@ func (sess *session) handleAppend(body []byte) (FrameType, []byte) {
 		return reject(sess, CodeInternal, fmt.Sprintf("append commit: %v", err))
 	}
 	sess.srv.stats.RecordsIngested.Add(int64(len(req.Records)))
-	return FAppendOK, writeAck{ViewID: req.ViewID, N: uint32(len(req.Records))}.encode()
+	return FAppendOK, WriteAck{ViewID: req.ViewID, N: uint32(len(req.Records))}.Encode()
 }
 
 func (sess *session) handleDeleteRecs(body []byte) (FrameType, []byte) {
-	req, err := decodeDeleteRecsReq(body)
+	req, err := DecodeWriteReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, err.Error())
@@ -728,11 +721,11 @@ func (sess *session) handleDeleteRecs(body []byte) (FrameType, []byte) {
 		return reject(sess, CodeInternal, fmt.Sprintf("delete commit: %v", err))
 	}
 	sess.srv.stats.RecordsDeleted.Add(int64(len(req.Records)))
-	return FDeleteOK, writeAck{ViewID: req.ViewID, N: uint32(len(req.Records))}.encode()
+	return FDeleteOK, WriteAck{ViewID: req.ViewID, N: uint32(len(req.Records))}.Encode()
 }
 
 func (sess *session) handleFlushView(body []byte) (FrameType, []byte) {
-	req, err := decodeFlushViewReq(body)
+	req, err := DecodeFlushViewReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, err.Error())
@@ -760,11 +753,11 @@ func (sess *session) handleFlushView(body []byte) (FrameType, []byte) {
 	if buffered < 0 || buffered > int64(^uint32(0)) {
 		n = 0
 	}
-	return FFlushOK, writeAck{ViewID: req.ViewID, N: n}.encode()
+	return FFlushOK, WriteAck{ViewID: req.ViewID, N: n}.Encode()
 }
 
 func (sess *session) handleCancel(body []byte) (FrameType, []byte) {
-	req, err := decodeCancelReq(body)
+	req, err := DecodeCancelReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
 		return reject(sess, CodeBadRequest, err.Error())
@@ -778,7 +771,7 @@ func (sess *session) handleCancel(body []byte) (FrameType, []byte) {
 		known := wasKnown || req.StreamID != 0 && req.StreamID <= sess.nextStream
 		sess.mu.Unlock()
 		if known {
-			return FCancelOK, cancelReq{StreamID: req.StreamID}.encode()
+			return FCancelOK, CancelReq{StreamID: req.StreamID}.Encode()
 		}
 		return reject(sess, CodeUnknownStream, "unknown stream id")
 	}
@@ -788,7 +781,7 @@ func (sess *session) handleCancel(body []byte) (FrameType, []byte) {
 	sess.srv.stats.StreamsClosed.Add(1)
 	key, _ := sess.tenantKey()
 	sess.srv.releaseStreams(key, 1)
-	return FCancelOK, cancelReq{StreamID: req.StreamID}.encode()
+	return FCancelOK, CancelReq{StreamID: req.StreamID}.Encode()
 }
 
 // reapIdle closes this session's streams that are idle past d on their

@@ -193,7 +193,7 @@ func (s *SessionSnapshot) setFields(f []int64) {
 	s.BytesRead, s.BytesWritten, s.SimIO = f[7], f[8], time.Duration(f[9])
 }
 
-func (s *StatsSnapshot) encode() []byte {
+func (s *StatsSnapshot) Encode() []byte {
 	b := appendU32(nil, serverFieldCount)
 	for _, v := range s.serverFields() {
 		b = appendI64(b, v)

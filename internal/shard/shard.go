@@ -31,7 +31,6 @@ import (
 	"sampleview/internal/pagefile"
 	"sampleview/internal/par"
 	"sampleview/internal/record"
-	"sampleview/internal/wal"
 )
 
 // Partition selects how records map to shards.
@@ -91,9 +90,6 @@ type Options struct {
 	// opened (pread by default, mmap for the zero-copy fast path); it
 	// changes wall-clock speed only, never the simulated accounting.
 	Backend pagefile.BackendKind
-	// PrefetchWorkers > 0 attaches an async leaf prefetcher to each opened
-	// shard file. 0 disables prefetching.
-	PrefetchWorkers int
 	// WAL attaches a write-ahead log to every stored shard: inserts and
 	// deletes are logged before they are applied, Commit makes them durable,
 	// and Open replays whatever a crash left unflushed. Ignored for
@@ -133,6 +129,15 @@ func (o Options) params(shard int) core.Params {
 	}
 }
 
+func (o Options) part() lsm.PartOptions {
+	return lsm.PartOptions{
+		Backend:        o.Backend,
+		WAL:            o.WAL,
+		WALSyncEvery:   o.WALSyncEvery,
+		WALGroupWindow: o.WALGroupWindow,
+	}
+}
+
 // ManifestName is the metadata file a stored sharded view keeps in its
 // directory.
 const ManifestName = "shard.json"
@@ -150,31 +155,35 @@ type manifest struct {
 // ShardFile returns the file name of shard i within a view directory.
 func ShardFile(i int) string { return fmt.Sprintf("shard-%04d.sv", i) }
 
-// View is an open sharded sample view. Safe for concurrent use: the farm
-// and shard slice are immutable after open; the differential buffers and
-// the draw rng serialize on the view mutex, and streams charge private
-// clocks forked from their shard's disk.
+// View is an open sharded sample view: K partitions, the farm of disks
+// they live on, and the router that maps records to them. Safe for
+// concurrent use: the farm and shard slice are immutable after open; the
+// draw rng and in-place rebuilds serialize on the view mutex, and streams
+// charge private clocks forked from their shard's disk.
 type View struct {
 	opts   Options
 	farm   *iosim.Farm
 	dir    string  // "" = in-memory
 	bounds []int64 // range mode: K+1 key boundaries; nil for hash mode
 
-	// shards is immutable after Create/Open publish the view; the diff
-	// buffers inside each part mutate only under mu.
-	shards []*shardPart
+	// shards is immutable after Create/Open publish the view; each part
+	// owns its shard's file, write path and log.
+	shards []*lsm.Part
 
 	mu  sync.Mutex
 	rng *rand.Rand // guarded by mu
 }
 
-// shardPart is one partition: its backing file, live write-path view
-// (tree + memview + delta levels beside the shard file), and — when the
-// view runs with durability on — the shard's write-ahead log.
-type shardPart struct {
-	file *pagefile.File
-	live *lsm.View
-	log  *wal.Log // nil without Options.WAL or for in-memory shards
+// newView returns a view shell over k disks, its shards still to be filled.
+func newView(dir string, opts Options, k int, bounds []int64) *View {
+	return &View{
+		opts:   opts,
+		farm:   iosim.NewFarm(opts.model(), k),
+		dir:    dir,
+		bounds: bounds,
+		shards: make([]*lsm.Part, k),
+		rng:    rand.New(rand.NewPCG(opts.Seed^0x5aa3d01f, opts.Seed+1)),
+	}
 }
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed hash used
@@ -250,83 +259,32 @@ func Create(dir string, recs []record.Record, opts Options) (*View, error) {
 			return nil, fmt.Errorf("shard: creating view directory: %w", err)
 		}
 	}
-	v := &View{
-		opts:   opts,
-		farm:   iosim.NewFarm(opts.model(), k),
-		dir:    dir,
-		shards: make([]*shardPart, k),
-		rng:    rand.New(rand.NewPCG(opts.Seed^0x5aa3d01f, opts.Seed+1)),
-	}
+	var bounds []int64
 	if opts.Partition == RangeByKey {
-		v.bounds = rangeBounds(recs, k)
+		bounds = rangeBounds(recs, k)
 	}
+	v := newView(dir, opts, k, bounds)
 	parts := make([][]record.Record, k)
 	for i := range recs {
 		s := v.route(&recs[i])
 		parts[s] = append(parts[s], recs[i])
 	}
-	err := par.ForEach(k, opts.Parallelism, func(i int) error {
-		sp, err := buildShard(v.farm.Disk(i), v.shardPath(i), parts[i], opts.params(i))
+	err := par.ForEach(k, opts.Parallelism, func(i int) (err error) {
+		v.shards[i], err = lsm.BuildPart(v.farm.Disk(i), v.shardPath(i), lsm.SliceSource(parts[i]), opts.params(i), opts.part())
 		if err != nil {
 			return fmt.Errorf("shard: building shard %d: %w", i, err)
 		}
-		if err := sp.enableWAL(v.farm.Disk(i), v.shardPath(i), opts, true); err != nil {
-			return fmt.Errorf("shard: opening shard %d wal: %w", i, err)
-		}
-		v.shards[i] = sp
 		return nil
 	})
-	if err != nil {
-		v.closeShards()
-		return nil, err
+	if err == nil && dir != "" {
+		err = v.writeManifest()
 	}
-	if dir != "" {
-		if err := v.writeManifest(); err != nil {
-			v.closeShards()
-			return nil, err
-		}
+	if err != nil {
+		v.Close()
+		return nil, err
 	}
 	v.farm.SetFaultPlan(opts.Faults)
 	return v, nil
-}
-
-// buildShard stages the partition's records on the shard's own disk and
-// bulk-builds its ACE tree.
-func buildShard(disk *iosim.Sim, path string, recs []record.Record, p core.Params) (*shardPart, error) {
-	rel := pagefile.NewItemFile(pagefile.NewMem(disk), record.Size)
-	w := rel.NewWriter()
-	buf := make([]byte, record.Size)
-	for i := range recs {
-		recs[i].Marshal(buf)
-		if err := w.Write(buf); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	var f *pagefile.File
-	var err error
-	if path == "" {
-		f = pagefile.NewMem(disk)
-	} else if f, err = pagefile.Create(disk, path); err != nil {
-		return nil, err
-	}
-	tree, err := core.Create(f, rel, p)
-	if err != nil {
-		if path != "" {
-			f.Close()
-		}
-		return nil, err
-	}
-	store, err := lsm.CreateStore(disk, path)
-	if err != nil {
-		if path != "" {
-			f.Close()
-		}
-		return nil, err
-	}
-	return &shardPart{file: f, live: lsm.NewView(tree, store)}, nil
 }
 
 func (v *View) shardPath(i int) string {
@@ -349,8 +307,7 @@ func (v *View) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("shard: encoding manifest: %w", err)
 	}
-	path := filepath.Join(v.dir, ManifestName)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := pagefile.WriteFileAtomic(filepath.Join(v.dir, ManifestName), append(data, '\n'), nil); err != nil {
 		return fmt.Errorf("shard: writing manifest: %w", err)
 	}
 	return nil
@@ -402,106 +359,29 @@ func Open(dir string, opts Options) (*View, error) {
 	opts.Dims = m.Dims
 	opts.Height = m.Height
 	opts.Seed = m.Seed
-	v := &View{
-		opts:   opts,
-		farm:   iosim.NewFarm(opts.model(), m.K),
-		dir:    dir,
-		bounds: m.Bounds,
-		shards: make([]*shardPart, m.K),
-		rng:    rand.New(rand.NewPCG(m.Seed^0x5aa3d01f, m.Seed+1)),
-	}
-	for i := 0; i < m.K; i++ {
-		f, err := pagefile.OpenWith(v.farm.Disk(i), v.shardPath(i), pagefile.OpenOptions{
-			Backend:         opts.Backend,
-			PrefetchWorkers: opts.PrefetchWorkers,
-		})
-		if err != nil {
-			v.closeShards()
+	v := newView(dir, opts, m.K, m.Bounds)
+	for i := range v.shards {
+		if v.shards[i], err = lsm.OpenPart(v.farm.Disk(i), v.shardPath(i), opts.part()); err != nil {
+			v.Close()
 			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
-		tree, err := core.Open(f)
-		if err != nil {
-			f.Close()
-			v.closeShards()
-			return nil, fmt.Errorf("shard: opening shard %d tree: %w", i, err)
-		}
-		store, err := lsm.OpenStore(v.farm.Disk(i), v.shardPath(i))
-		if err != nil {
-			f.Close()
-			v.closeShards()
-			return nil, fmt.Errorf("shard: opening shard %d deltas: %w", i, err)
-		}
-		sp := &shardPart{file: f, live: lsm.NewView(tree, store)}
-		if err := sp.enableWAL(v.farm.Disk(i), v.shardPath(i), opts, false); err != nil {
-			f.Close()
-			v.closeShards()
-			return nil, fmt.Errorf("shard: recovering shard %d wal: %w", i, err)
-		}
-		v.shards[i] = sp
 	}
 	v.farm.SetFaultPlan(opts.Faults)
 	return v, nil
 }
 
-// enableWAL opens (create: after clearing stale segments from an earlier
-// incarnation) the shard's write-ahead log, replays any operations a crash
-// left unflushed into the shard's memview, and attaches the log to the
-// shard's write path. A no-op for in-memory shards or when Options.WAL is
-// off.
-func (sp *shardPart) enableWAL(disk *iosim.Sim, path string, opts Options, create bool) error {
-	if !opts.WAL || path == "" {
-		return nil
-	}
-	if create {
-		if err := wal.RemoveAll(path); err != nil {
-			return err
-		}
-	}
-	l, ops, err := wal.Open(path, wal.Options{
-		Sim:         disk,
-		SyncEvery:   opts.WALSyncEvery,
-		GroupWindow: opts.WALGroupWindow,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := sp.live.AttachWAL(l, ops); err != nil {
-		l.Close()
-		return err
-	}
-	sp.log = l
-	return nil
-}
-
-// closeShards closes every already-open shard file (build/open error paths).
-func (v *View) closeShards() {
-	for _, sp := range v.shards {
-		if sp != nil {
-			sp.live.Store().Close()
-			if sp.log != nil {
-				sp.log.Close()
-			}
-			sp.file.Close()
-		}
-	}
-}
-
-// Close releases every shard's backing file, delta store and write-ahead
-// log, returning the first error.
+// Close releases every open shard's delta store, write-ahead log and
+// backing file, returning the first error. (Shards a failed Create or Open
+// never reached are skipped.)
 func (v *View) Close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	var first error
 	for i, sp := range v.shards {
-		if err := sp.live.Store().Close(); err != nil && first == nil {
-			first = fmt.Errorf("shard: closing shard %d deltas: %w", i, err)
+		if sp == nil {
+			continue
 		}
-		if sp.log != nil {
-			if err := sp.log.Close(); err != nil && first == nil && !iosim.IsCrash(err) {
-				first = fmt.Errorf("shard: closing shard %d wal: %w", i, err)
-			}
-		}
-		if err := sp.file.Close(); err != nil && first == nil {
+		if err := sp.Close(); err != nil && first == nil {
 			first = fmt.Errorf("shard: closing shard %d: %w", i, err)
 		}
 	}
@@ -515,12 +395,12 @@ func (v *View) K() int { return len(v.shards) }
 func (v *View) Partitioning() Partition { return v.opts.Partition }
 
 // Dims returns the number of indexed dimensions.
-func (v *View) Dims() int { return v.shards[0].live.Main().Dims() }
+func (v *View) Dims() int { return v.shards[0].Main().Dims() }
 
 // Height returns the shard trees' height (they share the sizing rule but
 // may differ when Height is auto-sized over skewed partitions; this
 // reports shard 0's).
-func (v *View) Height() int { return v.shards[0].live.Main().Height() }
+func (v *View) Height() int { return v.shards[0].Main().Height() }
 
 // Farm returns the bank of simulated disks backing the view.
 func (v *View) Farm() *iosim.Farm { return v.farm }
@@ -532,7 +412,7 @@ func (v *View) Count() int64 {
 	defer v.mu.Unlock()
 	var n int64
 	for _, sp := range v.shards {
-		n += sp.live.Count()
+		n += sp.Count()
 	}
 	return n
 }
@@ -543,7 +423,7 @@ func (v *View) ShardCounts() []int64 {
 	defer v.mu.Unlock()
 	out := make([]int64, len(v.shards))
 	for i, sp := range v.shards {
-		out[i] = sp.live.Count()
+		out[i] = sp.Count()
 	}
 	return out
 }
@@ -555,7 +435,7 @@ func (v *View) EstimateCount(q record.Box) (float64, error) {
 	defer v.mu.Unlock()
 	var total float64
 	for i, sp := range v.shards {
-		est, err := sp.live.EstimateCount(q)
+		est, err := sp.EstimateCount(q)
 		if err != nil {
 			return 0, fmt.Errorf("shard: estimating on shard %d: %w", i, err)
 		}
@@ -569,13 +449,13 @@ func (v *View) EstimateCount(q record.Box) (float64, error) {
 // the write path. Append is Insert without the error (an insert can only
 // fail on a sealed buffer, which the lsm view retries past).
 func (v *View) Append(rec record.Record) {
-	v.shards[v.route(&rec)].live.Insert(rec)
+	v.shards[v.route(&rec)].Insert(rec)
 }
 
 // Insert routes a record to its owning shard's ingest buffer. Seqs must be
 // unique over the view's lifetime, and a deleted Seq never reinserted.
 func (v *View) Insert(rec record.Record) error {
-	return v.shards[v.route(&rec)].live.Insert(rec)
+	return v.shards[v.route(&rec)].Insert(rec)
 }
 
 // Delete routes a delete to the shard owning rec: an in-buffer target
@@ -583,7 +463,7 @@ func (v *View) Insert(rec record.Record) error {
 // queries at once. Routing is on the full record (hash mode routes by Seq,
 // range mode by Key), so deletes land on the shard the insert did.
 func (v *View) Delete(rec record.Record) error {
-	return v.shards[v.route(&rec)].live.Delete(rec)
+	return v.shards[v.route(&rec)].Delete(rec)
 }
 
 // Commit blocks until every write accepted so far is durable in each
@@ -593,7 +473,7 @@ func (v *View) Delete(rec record.Record) error {
 // shard's cohort.
 func (v *View) Commit() error {
 	for i, sp := range v.shards {
-		if err := sp.live.Commit(); err != nil {
+		if err := sp.Commit(); err != nil {
 			return fmt.Errorf("shard: committing shard %d wal: %w", i, err)
 		}
 	}
@@ -604,7 +484,7 @@ func (v *View) Commit() error {
 // its shard file, skipping empty buffers, and returns the first error.
 func (v *View) Flush() error {
 	for i, sp := range v.shards {
-		if err := sp.live.Flush(); err != nil {
+		if err := sp.Flush(); err != nil {
 			return fmt.Errorf("shard: flushing shard %d: %w", i, err)
 		}
 	}
@@ -616,7 +496,7 @@ func (v *View) Flush() error {
 func (v *View) CompactDeltas(force bool) (int, error) {
 	merged := 0
 	for i, sp := range v.shards {
-		ran, err := sp.live.CompactOnce(force)
+		ran, err := sp.CompactOnce(force)
 		if err != nil {
 			return merged, fmt.Errorf("shard: compacting shard %d deltas: %w", i, err)
 		}
@@ -631,7 +511,7 @@ func (v *View) CompactDeltas(force bool) (int, error) {
 func (v *View) DeltaLevels() int {
 	max := 0
 	for _, sp := range v.shards {
-		if n := sp.live.Store().Levels(); n > max {
+		if n := sp.Store().Levels(); n > max {
 			max = n
 		}
 	}
@@ -642,7 +522,7 @@ func (v *View) DeltaLevels() int {
 func (v *View) WriteStats() lsm.WriteStats {
 	var w lsm.WriteStats
 	for _, sp := range v.shards {
-		w.Add(sp.live.WriteStats())
+		w.Add(sp.WriteStats())
 	}
 	return w
 }
@@ -654,111 +534,29 @@ func (v *View) PendingAppends() int {
 	defer v.mu.Unlock()
 	n := 0
 	for _, sp := range v.shards {
-		n += sp.live.DeltaSize()
+		n += sp.DeltaSize()
 	}
 	return n
 }
 
-// Compact folds each shard's differential buffer into its tree, rebuilding
-// only the shards with pending appends, and returns how many shards were
-// rebuilt. Stored shards rebuild through a sibling file swapped in with an
-// atomic rename. The view stays open throughout; streams opened before
-// Compact keep reading the superseded trees.
+// Compact folds each shard's write path into its tree, rebuilding only the
+// shards with pending appends, and returns how many shards were rebuilt.
+// Stored shards rebuild through a sibling file swapped in with an atomic
+// rename (lsm.Part.Rebuild). The view stays open throughout.
 func (v *View) Compact() (int, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	rebuilt := 0
 	for i, sp := range v.shards {
-		if sp.live.DeltaSize() == 0 {
+		if sp.DeltaSize() == 0 {
 			continue
 		}
-		if err := v.compactShardLocked(i, sp); err != nil {
-			return rebuilt, err
+		if err := sp.Rebuild(v.opts.params(i)); err != nil {
+			return rebuilt, fmt.Errorf("shard: compacting shard %d: %w", i, err)
 		}
 		rebuilt++
 	}
 	return rebuilt, nil
-}
-
-// compactShardLocked rebuilds shard i over tree ∪ write path (the lsm
-// fold: base minus tombstones, plus delta levels and the ingest buffer),
-// then replaces the shard's delta store with a fresh empty one. Callers
-// hold mu.
-func (v *View) compactShardLocked(i int, sp *shardPart) error {
-	disk := v.farm.Disk(i)
-	path := v.shardPath(i)
-	swap := func(f *pagefile.File, tree *core.Tree) error {
-		store, err := lsm.CreateStore(disk, path)
-		if err != nil {
-			return err
-		}
-		old := sp.file
-		sp.file, sp.live = f, lsm.NewView(tree, store)
-		old.Close()
-		return nil
-	}
-	if path == "" {
-		f := pagefile.NewMem(disk)
-		tree, err := sp.live.Fold(f, v.opts.params(i))
-		if err != nil {
-			return fmt.Errorf("shard: compacting shard %d: %w", i, err)
-		}
-		oldStore := sp.live.Store()
-		if err := swap(f, tree); err != nil {
-			return fmt.Errorf("shard: compacting shard %d: %w", i, err)
-		}
-		oldStore.Destroy()
-		return nil
-	}
-	tmp := path + ".compact"
-	f, err := pagefile.Create(disk, tmp)
-	if err != nil {
-		return fmt.Errorf("shard: compacting shard %d: %w", i, err)
-	}
-	tree, err := sp.live.Fold(f, v.opts.params(i))
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("shard: compacting shard %d: %w", i, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("shard: swapping compacted shard %d: %w", i, err)
-	}
-	// The fold consumed the old store's contents; drop its files before the
-	// fresh store claims the prefix.
-	oldStore := sp.live.Store()
-	if err := swap(f, tree); err != nil {
-		return fmt.Errorf("shard: compacting shard %d: %w", i, err)
-	}
-	oldStore.Destroy()
-	if err := v.recycleWAL(i, sp); err != nil {
-		return err
-	}
-	return nil
-}
-
-// recycleWAL truncates shard i's write-ahead log after a full fold — every
-// logged operation is now in the rebuilt base tree, while the fresh delta
-// store restarts its applied-LSN watermark at zero, so stale segments
-// would double-apply on recovery — and re-attaches the (now empty) log to
-// the shard's new live view. Callers hold mu and have swapped sp.live.
-func (v *View) recycleWAL(i int, sp *shardPart) error {
-	if sp.log == nil {
-		return nil
-	}
-	boundary := sp.log.LastLSN()
-	if err := sp.log.Commit(boundary); err != nil {
-		return fmt.Errorf("shard: draining shard %d wal: %w", i, err)
-	}
-	if err := sp.log.TruncateThrough(boundary); err != nil {
-		return fmt.Errorf("shard: truncating shard %d wal: %w", i, err)
-	}
-	if _, err := sp.live.AttachWAL(sp.log, nil); err != nil {
-		return fmt.Errorf("shard: reattaching shard %d wal: %w", i, err)
-	}
-	return nil
 }
 
 // InjectFaults installs (or, with a zero plan, clears) a fault schedule on
@@ -799,7 +597,7 @@ func (v *View) Fsck() ([]ShardFsck, error) {
 	for i, sp := range v.shards {
 		disk := v.farm.Disk(i)
 		before, t0 := disk.Counters(), disk.Now()
-		faults, err := sp.live.Main().FsckPages()
+		faults, err := sp.Main().FsckPages()
 		if err != nil {
 			return out, fmt.Errorf("shard: fsck shard %d: %w", i, err)
 		}

@@ -16,8 +16,9 @@ import (
 	"sampleview/internal/record"
 )
 
-// ErrStreamClosed is returned by Stream.Next (and Sample) after Close.
-var ErrStreamClosed = errors.New("shard: stream closed")
+// ErrStreamClosed is returned by Stream.Next (and Sample) after Close: the
+// one sentinel every in-process stream shares.
+var ErrStreamClosed = lsm.ErrStreamClosed
 
 // ShardError wraps an error from one shard's stream with the shard index,
 // so callers can tell which partition faulted while the merged stream
@@ -34,43 +35,15 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// sub is one shard's contribution to a merged stream: its per-shard sample
-// stream (core when the shard's write path is empty, the lsm merged stream
-// otherwise) and the private clock its page reads charge.
+// sub is one shard's contribution to a merged stream: the shard's leaf
+// stream and what the merger needs to weigh it.
 type sub struct {
-	clock *iosim.Clock
-	core  *core.Stream
-	live  *lsm.Stream
-	// rng shuffles each batch before it is served record-by-record. The
-	// tree's uniformity guarantee is per batch (section contents are random
-	// subsets, but within a section records sit in the key-correlated order
-	// the tag sort left them in); the K-way merger cuts batches mid-way on
-	// every draw, so without the shuffle the merged prefix would lean
-	// toward each shard's low-key records.
-	rng   *rand.Rand
-	queue []record.Record
+	leaf *lsm.Stream
 	// est0 and queryLeaves size the Reduce applied when the shard loses a
 	// leaf: one lost leaf forfeits roughly est0/queryLeaves matching records.
 	est0        float64
 	queryLeaves int
 	done        bool
-}
-
-func (u *sub) next() (record.Record, error) {
-	if u.live != nil {
-		return u.live.Next()
-	}
-	for len(u.queue) == 0 {
-		batch, err := u.core.NextBatch()
-		if err != nil {
-			return record.Record{}, err
-		}
-		u.rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-		u.queue = batch
-	}
-	rec := u.queue[0]
-	u.queue = u.queue[1:]
-	return rec, nil
 }
 
 // Stream is an online random sample over a sharded view: the K per-shard
@@ -116,39 +89,32 @@ func (v *View) QuerySeeded(q record.Box, seed uint64) (*Stream, error) {
 }
 
 // queryLocked opens the merged stream, drawing every rng seed from src in a
-// fixed per-shard order. Callers hold v.mu.
+// fixed per-shard order: the shard's batch shuffle, then (only over a
+// non-empty write path) its merge rng; the K-way interleave last. Callers
+// hold v.mu.
 func (v *View) queryLocked(q record.Box, src *rand.Rand) (*Stream, error) {
+	seeded := func() *rand.Rand { return rand.New(rand.NewPCG(src.Uint64(), src.Uint64())) }
 	subs := make([]*sub, len(v.shards))
 	clocks := make([]*iosim.Clock, len(v.shards))
 	rem := make([]float64, len(v.shards))
 	for i, sp := range v.shards {
 		ck := v.farm.Disk(i).Fork()
-		est, err := sp.live.EstimateCount(q)
+		est, err := sp.EstimateCount(q)
 		if err != nil {
 			return nil, fmt.Errorf("shard: estimating on shard %d: %w", i, err)
 		}
-		u := &sub{
-			clock: ck,
-			est0:  est,
-			rng:   rand.New(rand.NewPCG(src.Uint64(), src.Uint64())),
+		// The tree's uniformity guarantee is per stab batch, and the K-way
+		// merger cuts batches mid-way on every draw, so each shard's batches
+		// are shuffled before they are served record by record.
+		ls, err := sp.OpenStream(ck, q, seeded(), seeded)
+		if err != nil {
+			return nil, fmt.Errorf("shard: opening shard %d stream: %w", i, err)
 		}
-		if sp.live.Empty() {
-			cs, err := sp.live.Main().WithClock(ck).Query(q)
-			if err != nil {
-				return nil, fmt.Errorf("shard: opening shard %d stream: %w", i, err)
-			}
-			u.core, u.queryLeaves = cs, cs.QueryLeaves()
-		} else {
-			ls, err := sp.live.QueryClocked(ck, q, rand.New(rand.NewPCG(src.Uint64(), src.Uint64())))
-			if err != nil {
-				return nil, fmt.Errorf("shard: opening shard %d stream: %w", i, err)
-			}
-			u.live, u.queryLeaves = ls, ls.QueryLeaves()
-		}
-		subs[i], clocks[i], rem[i] = u, ck, est
+		subs[i] = &sub{leaf: ls, est0: est, queryLeaves: ls.QueryLeaves()}
+		clocks[i], rem[i] = ck, est
 	}
 	return &Stream{
-		merge:    interleave.New(rand.New(rand.NewPCG(src.Uint64(), src.Uint64())), rem),
+		merge:    interleave.New(seeded(), rem),
 		subs:     subs,
 		clocks:   clocks,
 		degShard: make(map[int]bool),
@@ -212,7 +178,7 @@ func (s *Stream) popLocked(i int) (record.Record, bool, error) {
 	if u.done {
 		return record.Record{}, false, nil
 	}
-	rec, err := u.next()
+	rec, err := u.leaf.Next()
 	if err == io.EOF {
 		u.done = true
 		return record.Record{}, false, nil
@@ -242,24 +208,7 @@ func (s *Stream) popLocked(i int) (record.Record, bool, error) {
 }
 
 // Sample collects up to n records (fewer if the predicate exhausts first).
-func (s *Stream) Sample(n int) ([]record.Record, error) {
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	out := make([]record.Record, 0, capHint)
-	for len(out) < n {
-		rec, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
+func (s *Stream) Sample(n int) ([]record.Record, error) { return lsm.Collect(n, s.Next) }
 
 // Close releases the per-shard sampling state. Idempotent and safe to call
 // concurrently with Next; Stats remains valid after Close.

@@ -26,10 +26,10 @@ func buildDiskView(t *testing.T, recs []Record, seed uint64) string {
 }
 
 // TestBackendStreamEquivalence is the determinism criterion for the
-// real-I/O fast path: the same stored view opened through pread, mmap, and
-// mmap-with-prefetch — all under the same fault plan — must emit the exact
-// same record sequence and charge the exact same simulated time. The
-// backends may only change how fast the wall clock moves.
+// real-I/O fast path: the same stored view opened through pread and mmap —
+// both under the same fault plan — must emit the exact same record sequence
+// and charge the exact same simulated time. The backend may only change how
+// fast the wall clock moves.
 func TestBackendStreamEquivalence(t *testing.T) {
 	recs := genRecords(4000, 7)
 	q := Box1D(1<<18, 3<<19)
@@ -43,12 +43,9 @@ func TestBackendStreamEquivalence(t *testing.T) {
 		recs []Record
 		st   IOStats
 	}
-	open := func(backend BackendKind, workers int) run {
+	open := func(backend BackendKind) run {
 		t.Helper()
-		v, err := Open(path, Options{
-			DiskModel: smallPages(), Faults: plan,
-			Backend: backend, PrefetchWorkers: workers,
-		})
+		v, err := Open(path, Options{DiskModel: smallPages(), Faults: plan, Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,54 +69,40 @@ func TestBackendStreamEquivalence(t *testing.T) {
 		return run{out, s.Stats()}
 	}
 
-	ref := open(BackendPread, 0)
+	ref := open(BackendPread)
 	if len(ref.recs) == 0 {
 		t.Fatal("reference stream emitted nothing; test proves nothing")
 	}
 	if ref.st.Faults.Transient == 0 {
 		t.Fatal("fault plan injected nothing; test proves nothing")
 	}
-	for _, cfg := range []struct {
-		name    string
-		backend BackendKind
-		workers int
-	}{
-		{"mmap", BackendMmap, 0},
-		{"mmap+prefetch", BackendMmap, 4},
-		{"pread+prefetch", BackendPread, 4},
-	} {
-		got := open(cfg.backend, cfg.workers)
-		if len(got.recs) != len(ref.recs) {
-			t.Fatalf("%s emitted %d records, pread %d", cfg.name, len(got.recs), len(ref.recs))
+	got := open(BackendMmap)
+	if len(got.recs) != len(ref.recs) {
+		t.Fatalf("mmap emitted %d records, pread %d", len(got.recs), len(ref.recs))
+	}
+	for i := range ref.recs {
+		if got.recs[i] != ref.recs[i] {
+			t.Fatalf("mmap record %d differs from pread", i)
 		}
-		for i := range ref.recs {
-			if got.recs[i] != ref.recs[i] {
-				t.Fatalf("%s record %d differs from pread", cfg.name, i)
-			}
-		}
-		if got.st.SimTime != ref.st.SimTime {
-			t.Fatalf("%s charged %v simulated, pread %v", cfg.name, got.st.SimTime, ref.st.SimTime)
-		}
-		if got.st.Faults != ref.st.Faults {
-			t.Fatalf("%s fault counters %+v, pread %+v", cfg.name, got.st.Faults, ref.st.Faults)
-		}
+	}
+	if got.st.SimTime != ref.st.SimTime {
+		t.Fatalf("mmap charged %v simulated, pread %v", got.st.SimTime, ref.st.SimTime)
+	}
+	if got.st.Faults != ref.st.Faults {
+		t.Fatalf("mmap fault counters %+v, pread %+v", got.st.Faults, ref.st.Faults)
 	}
 }
 
-// TestStreamChurnMidPrefetchRace churns streams over a prefetching mmap
-// view under -race: samplers race closers while the async prefetcher warms
-// leaves, and the view itself closes with hints still in flight. Nothing
-// may panic, deadlock, or leak a worker past Close.
-func TestStreamChurnMidPrefetchRace(t *testing.T) {
+// TestStreamChurnMmapRace churns streams over an mmap view under -race:
+// samplers race closers on streams reading the mapping zero-copy, and the
+// view unmaps as soon as they are done. Nothing may panic or deadlock.
+func TestStreamChurnMmapRace(t *testing.T) {
 	recs := genRecords(20_000, 13)
 	path := buildDiskView(t, recs, 11)
 	q := Box1D(0, 1<<20)
 
 	for round := 0; round < 6; round++ {
-		v, err := Open(path, Options{
-			DiskModel: smallPages(),
-			Backend:   BackendMmap, PrefetchWorkers: 2,
-		})
+		v, err := Open(path, Options{DiskModel: smallPages(), Backend: BackendMmap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +138,6 @@ func TestStreamChurnMidPrefetchRace(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		// The prefetcher may still be draining hints here; Close must cancel
-		// it before releasing the mapping.
 		if err := v.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -167,12 +148,11 @@ func TestStreamChurnMidPrefetchRace(t *testing.T) {
 	}
 }
 
-// TestPrefetchUniformityUnderFaults is the statistical acceptance gate:
-// with the mmap backend, async prefetch, and a fault profile all active,
-// the k-prefix of a stream must still be a uniform sample of the matching
+// TestMmapUniformityUnderFaults is the statistical acceptance gate: with
+// the mmap backend and a fault profile both active, the k-prefix of a stream must still be a uniform sample of the matching
 // records. Each trial rebuilds the view with a fresh construction seed
 // (queries are deterministic; the randomness lives in the build).
-func TestPrefetchUniformityUnderFaults(t *testing.T) {
+func TestMmapUniformityUnderFaults(t *testing.T) {
 	recs := genRecords(2500, 7)
 	q := Box1D(1<<18, 3<<19)
 	match := matching(recs, q)
@@ -198,10 +178,7 @@ func TestPrefetchUniformityUnderFaults(t *testing.T) {
 		if err := v.Close(); err != nil {
 			t.Fatal(err)
 		}
-		rv, err := Open(path, Options{
-			DiskModel: smallPages(), Faults: plan,
-			Backend: BackendMmap, PrefetchWorkers: 2,
-		})
+		rv, err := Open(path, Options{DiskModel: smallPages(), Faults: plan, Backend: BackendMmap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,6 +222,6 @@ func TestPrefetchUniformityUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p < 0.001 {
-		t.Fatalf("prefix not uniform with prefetch+faults: p=%v", p)
+		t.Fatalf("prefix not uniform with mmap+faults: p=%v", p)
 	}
 }

@@ -2,8 +2,6 @@ package sampleview
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -14,12 +12,11 @@ import (
 	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
 	"sampleview/internal/stats"
-	"sampleview/internal/wal"
 )
 
-// ErrStreamClosed is returned by Stream.Next (and everything built on it)
-// after Stream.Close has been called.
-var ErrStreamClosed = errors.New("sampleview: stream closed")
+// ErrStreamClosed is returned by Next (and everything built on it) of a
+// Stream or ShardedStream after its Close has been called.
+var ErrStreamClosed = lsm.ErrStreamClosed
 
 // Re-exported data types. Record is the fixed 100-byte tuple the view
 // stores; Key is the primary indexed attribute and Amount the secondary
@@ -177,11 +174,6 @@ type Options struct {
 	// accounting and every sampled byte are identical across backends.
 	// Ignored by Create and by in-memory views.
 	Backend BackendKind
-	// PrefetchWorkers > 0 attaches an async leaf prefetcher to files opened
-	// with Open: while a stream decodes one leaf, the next leaf of its
-	// deterministic schedule is warmed into memory on wall-clock time, with
-	// no simulated charge. 0 disables prefetching.
-	PrefetchWorkers int
 	// WAL enables the crash-consistent write path for OS-backed views:
 	// every Insert/Delete is appended to a checksummed write-ahead log
 	// beside the view file before it reaches the memview, View.Commit
@@ -220,22 +212,21 @@ func (o Options) params() core.Params {
 	}
 }
 
+func (o Options) part() lsm.PartOptions {
+	return lsm.PartOptions{
+		Backend:        o.Backend,
+		WAL:            o.WAL,
+		WALSyncEvery:   o.WALSyncEvery,
+		WALGroupWindow: o.WALGroupWindow,
+	}
+}
+
 // Source supplies records to Create one at a time; it returns false when
 // exhausted.
 type Source func() (Record, bool)
 
 // SliceSource adapts a slice to a Source.
-func SliceSource(recs []Record) Source {
-	i := 0
-	return func() (Record, bool) {
-		if i >= len(recs) {
-			return Record{}, false
-		}
-		r := recs[i]
-		i++
-		return r, true
-	}
-}
+func SliceSource(recs []Record) Source { return lsm.SliceSource(recs) }
 
 // View is an open materialized sample view. A View and every Stream
 // created from it may be used from multiple goroutines. Streams do not
@@ -243,74 +234,23 @@ func SliceSource(recs []Record) Source {
 // charges its page reads to a private clock forked from the view's
 // simulated disk (iosim.Sim.Fork), so concurrent streams proceed
 // independently while the view's aggregate Stats stay complete. Only the
-// view's mutable bookkeeping - the differential buffer of appended
-// records and the draw rng - serializes on the view mutex.
+// draw rng and Compact-versus-Close serialize on the view mutex; the write
+// path has its own locking.
 type View struct {
+	sim *iosim.Sim
+	// part owns the view's storage: page file, base tree, write path (memview
+	// plus delta levels beside the file) and write-ahead log.
+	part *lsm.Part
 	mu   sync.Mutex
-	sim  *iosim.Sim
-	file *pagefile.File
-	tree *core.Tree
-	// live is the write path: memview ingest buffer plus leveled delta
-	// files beside the view file. It has its own locking; the view mutex
-	// only serializes the draw rng and rebuilds.
-	live *lsm.View
-	// walLog is the write-ahead log (nil unless Options.WAL); the view owns
-	// its lifecycle, lsm.View uses it.
-	walLog *wal.Log
-	rng    *rand.Rand // guarded by mu
-	path   string
+	rng  *rand.Rand // guarded by mu
 }
 
 // Create builds a sample view over the records produced by src and stores
 // it in a file at path. An empty path keeps the view in memory.
 func Create(path string, src Source, opts Options) (*View, error) {
 	sim := iosim.New(opts.model())
-	rel := pagefile.NewItemFile(pagefile.NewMem(sim), record.Size)
-	w := rel.NewWriter()
-	buf := make([]byte, record.Size)
-	for {
-		rec, ok := src()
-		if !ok {
-			break
-		}
-		rec.Marshal(buf)
-		if err := w.Write(buf); err != nil {
-			return nil, fmt.Errorf("sampleview: staging records: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-
-	var f *pagefile.File
-	var err error
-	if path == "" {
-		f = pagefile.NewMem(sim)
-	} else if f, err = pagefile.Create(sim, path); err != nil {
-		return nil, err
-	}
-	tree, err := core.Create(f, rel, opts.params())
-	if err != nil {
-		if path != "" {
-			f.Close()
-		}
-		return nil, err
-	}
-	store, err := lsm.CreateStore(sim, path)
-	if err != nil {
-		if path != "" {
-			f.Close()
-		}
-		return nil, err
-	}
-	v := newView(sim, f, tree, store, path, opts.Seed)
-	if err := v.enableWAL(opts, true); err != nil {
-		v.Close()
-		return nil, err
-	}
-	sim.SetFaultPlan(opts.Faults)
-	sim.SetCrashPlan(opts.Crash)
-	return v, nil
+	part, err := lsm.BuildPart(sim, path, src, opts.params(), opts.part())
+	return newView(sim, part, err, opts)
 }
 
 // CreateFromSlice builds a sample view over the given records.
@@ -318,79 +258,31 @@ func CreateFromSlice(path string, recs []Record, opts Options) (*View, error) {
 	return Create(path, SliceSource(recs), opts)
 }
 
-// Open opens a view previously stored by Create.
+// Open opens a view previously stored by Create: the view file, the delta
+// ladder persisted beside it (so ingest flushed by a previous process stays
+// visible) and, with Options.WAL, the write-ahead log — replayed into the
+// memview, skipping operations already folded into durable levels, before
+// any fault or crash schedule arms.
 func Open(path string, opts Options) (*View, error) {
 	sim := iosim.New(opts.model())
-	f, err := pagefile.OpenWith(sim, path, pagefile.OpenOptions{
-		Backend:         opts.Backend,
-		PrefetchWorkers: opts.PrefetchWorkers,
-	})
+	part, err := lsm.OpenPart(sim, path, opts.part())
+	return newView(sim, part, err, opts)
+}
+
+// newView wraps a freshly built, opened or folded partition (or passes its
+// error through) and only then arms the fault and crash schedules:
+// construction, metadata loading and recovery always run fault-free.
+func newView(sim *iosim.Sim, part *lsm.Part, err error, opts Options) (*View, error) {
 	if err != nil {
-		return nil, err
-	}
-	tree, err := core.Open(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Reopen the delta ladder persisted beside the view file, so ingest
-	// flushed by a previous process stays visible.
-	store, err := lsm.OpenStore(sim, path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	v := newView(sim, f, tree, store, path, opts.Seed)
-	// Recovery: replay the write-ahead log into the memview, skipping
-	// operations already folded into durable levels, before any fault or
-	// crash schedule arms.
-	if err := v.enableWAL(opts, false); err != nil {
-		v.Close()
 		return nil, err
 	}
 	sim.SetFaultPlan(opts.Faults)
 	sim.SetCrashPlan(opts.Crash)
-	return v, nil
-}
-
-func newView(sim *iosim.Sim, f *pagefile.File, tree *core.Tree, store *lsm.Store, path string, seed uint64) *View {
 	return &View{
 		sim:  sim,
-		file: f,
-		tree: tree,
-		live: lsm.NewView(tree, store),
-		rng:  rand.New(rand.NewPCG(seed^0x5eedf00d, seed+1)),
-		path: path,
-	}
-}
-
-// enableWAL opens (create: after clearing stale segments) the write-ahead
-// log beside the view file, replays recovered operations into the memview,
-// and attaches the log to the write path. A no-op for in-memory views or
-// when Options.WAL is off.
-func (v *View) enableWAL(opts Options, create bool) error {
-	if !opts.WAL || v.path == "" {
-		return nil
-	}
-	if create {
-		if err := wal.RemoveAll(v.path); err != nil {
-			return err
-		}
-	}
-	l, ops, err := wal.Open(v.path, wal.Options{
-		Sim:         v.sim,
-		SyncEvery:   opts.WALSyncEvery,
-		GroupWindow: opts.WALGroupWindow,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := v.live.AttachWAL(l, ops); err != nil {
-		l.Close()
-		return err
-	}
-	v.walLog = l
-	return nil
+		part: part,
+		rng:  rand.New(rand.NewPCG(opts.Seed^0x5eedf00d, opts.Seed+1)),
+	}, nil
 }
 
 // Commit blocks until every write accepted so far is durable in the
@@ -398,117 +290,77 @@ func (v *View) enableWAL(opts Options, create bool) error {
 // exists (one fsync acks every writer parked on it). Callers that ack
 // writes to others — the serving layer — call this before acking. Without a
 // WAL it returns immediately: durability is then only flush-deep.
-func (v *View) Commit() error { return v.live.Commit() }
+func (v *View) Commit() error { return v.part.Commit() }
 
-// Close releases the view's backing file, its delta-level files and its
-// write-ahead log (flushing any buffered log frames first, unless a
-// simulated power cut already struck).
+// Close releases the view's delta-level files, its write-ahead log
+// (flushing any buffered log frames first, unless a simulated power cut
+// already struck) and its backing file, after any Compact in flight.
 func (v *View) Close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	serr := v.live.Store().Close()
-	if v.walLog != nil {
-		if werr := v.walLog.Close(); werr != nil && serr == nil && !iosim.IsCrash(werr) {
-			serr = werr
-		}
-	}
-	if err := v.file.Close(); err != nil {
-		return err
-	}
-	return serr
+	return v.part.Close()
 }
 
 // Count returns the number of records in the view, including ingested ones
 // not yet folded into the tree.
-func (v *View) Count() int64 { return v.live.Count() }
+func (v *View) Count() int64 { return v.part.Count() }
 
 // Dims returns the number of indexed dimensions.
-func (v *View) Dims() int { return v.tree.Dims() }
+func (v *View) Dims() int { return v.part.Main().Dims() }
 
 // Height returns the ACE Tree height (sections per leaf).
-func (v *View) Height() int { return v.tree.Height() }
+func (v *View) Height() int { return v.part.Main().Height() }
 
 // PendingAppends returns how many ingested records await a fold into the
 // tree: the in-memory buffer plus every delta level.
-func (v *View) PendingAppends() int { return v.live.DeltaSize() }
+func (v *View) PendingAppends() int { return v.part.DeltaSize() }
 
 // Append adds a record to the view's ingest buffer. The record
 // participates in all subsequent queries; call Compact periodically to
 // fold the write path into the tree. It is Insert without the error (an
 // insert can only fail on a sealed buffer, which Insert retries past).
-func (v *View) Append(rec Record) { v.live.Insert(rec) }
+func (v *View) Append(rec Record) { v.part.Insert(rec) }
 
 // Insert adds a record to the view through the in-memory ingest buffer.
 // Seqs must be unique over the view's lifetime, and a deleted Seq must
 // never be reinserted.
-func (v *View) Insert(rec Record) error { return v.live.Insert(rec) }
+func (v *View) Insert(rec Record) error { return v.part.Insert(rec) }
 
 // Delete removes the record with rec's Seq from the view. A record still
 // in the ingest buffer annihilates immediately; anything older becomes a
 // tombstone that queries honor at once and maintenance folds away.
-func (v *View) Delete(rec Record) error { return v.live.Delete(rec) }
+func (v *View) Delete(rec Record) error { return v.part.Delete(rec) }
 
 // Flush seals the ingest buffer and writes it out as a new level-0 delta
 // file beside the view file (in memory for in-memory views). Ingest is
 // blocked only for the buffer swap; queries see every record throughout.
-func (v *View) Flush() error { return v.live.Flush() }
+func (v *View) Flush() error { return v.part.Flush() }
 
 // CompactDeltas runs one round of size-tiered delta compaction, merging an
 // adjacent level pair when one is due (always, with force, while two
 // levels exist). Open streams are not blocked: they keep reading the
 // superseded files. It reports whether a merge ran.
-func (v *View) CompactDeltas(force bool) (bool, error) { return v.live.CompactOnce(force) }
+func (v *View) CompactDeltas(force bool) (bool, error) { return v.part.CompactOnce(force) }
 
 // DeltaLevels returns the current depth of the on-disk delta ladder.
-func (v *View) DeltaLevels() int { return v.live.Store().Levels() }
+func (v *View) DeltaLevels() int { return v.part.Store().Levels() }
 
 // WriteStats returns the view's write-path gauges and counters.
-func (v *View) WriteStats() WriteStats { return v.live.WriteStats() }
+func (v *View) WriteStats() WriteStats { return v.part.WriteStats() }
 
 // Compact rebuilds the view over everything it holds — tree records minus
 // tombstoned ones, plus every delta level and the ingest buffer — writing
 // the result to path (empty = in memory), and returns the new view. The
 // receiver remains open and readable; the fold works from a snapshot, so
-// records ingested while it runs stay in the receiver only.
+// records ingested while it runs stay in the receiver only. The fold is
+// fully contained in the new base tree, so the compacted view starts from
+// an empty log (stale segments at path are cleared).
 func (v *View) Compact(path string, opts Options) (*View, error) {
-	if opts.Dims == 0 {
-		opts.Dims = v.Dims()
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	sim := iosim.New(opts.model())
-	var f *pagefile.File
-	var err error
-	if path == "" {
-		f = pagefile.NewMem(sim)
-	} else if f, err = pagefile.Create(sim, path); err != nil {
-		return nil, err
-	}
-	tree, err := v.live.Fold(f, opts.params())
-	if err != nil {
-		if path != "" {
-			f.Close()
-		}
-		return nil, err
-	}
-	store, err := lsm.CreateStore(sim, path)
-	if err != nil {
-		if path != "" {
-			f.Close()
-		}
-		return nil, err
-	}
-	nv := newView(sim, f, tree, store, path, opts.Seed)
-	// The fold is fully contained in the new base tree, so the compacted
-	// view starts from an empty log (stale segments at path are cleared).
-	if err := nv.enableWAL(opts, true); err != nil {
-		//lint:ignore lockorder nv is the freshly built view, not the receiver; its mutex is distinct from the v.mu held here
-		nv.Close()
-		return nil, err
-	}
-	sim.SetFaultPlan(opts.Faults)
-	sim.SetCrashPlan(opts.Crash)
-	return nv, nil
+	part, err := v.part.Fold(sim, path, opts.params(), opts.part())
+	return newView(sim, part, err, opts)
 }
 
 // InjectFaults installs (or, with a zero plan, clears) a deterministic
@@ -534,12 +386,12 @@ func (v *View) Crashed() bool { return v.sim.Crashed() }
 // reports each corrupt page with the tree region — and for leaf pages, the
 // leaf and sections — it damages. Legacy (pre-checksum) files report
 // nothing. The scan costs one sequential pass of simulated I/O.
-func (v *View) Fsck() ([]PageFault, error) { return v.tree.FsckPages() }
+func (v *View) Fsck() ([]PageFault, error) { return v.part.Main().FsckPages() }
 
 // EstimateCount estimates the number of records matching q from the
 // view's internal counts (exact for boundary-aligned predicates).
 func (v *View) EstimateCount(q Box) (float64, error) {
-	return v.live.EstimateCount(q)
+	return v.part.EstimateCount(q)
 }
 
 // NewEstimator returns an online-aggregation estimator whose population
@@ -567,42 +419,29 @@ func (v *View) NewEstimator(q Box) (*Estimator, error) {
 type Stream struct {
 	mu    sync.Mutex   // serializes draws on this stream
 	clock *iosim.Clock // the stream's private I/O clock
-	// core serves streams over views with an empty write path; live serves
-	// the rest, merging the base with the memview and delta levels. Exactly
-	// one is set until Close clears both.
-	core   *core.Stream // guarded by mu
-	live   *lsm.Stream  // guarded by mu
-	closed bool         // guarded by mu
+	// leaf is the partition's stream: the base tree alone over an empty write
+	// path, merged with the memview and delta levels otherwise. Close drops it.
+	leaf *lsm.Stream // guarded by mu; nil once closed
 	// write snapshots the view's write-path stats at open, so Stats can
 	// report the delta depth this stream reads through.
 	write WriteStats
-	// final* freeze the sampler-level fault accounting when Close drops the
-	// core stream, so Stats stays fully valid after Close.
-	finalRetries int64 // guarded by mu
-	finalDegLeaf int64 // guarded by mu
-	finalDegSec  int64 // guarded by mu
+	// final freezes the sampler-level fault accounting when Close drops the
+	// leaf stream, so Stats stays fully valid after Close.
+	final faultStats // guarded by mu
 }
+
+// faultStats is a stream's sampler-level fault accounting.
+type faultStats struct{ retries, degLeaves, degSections int64 }
 
 // Query starts an online sample stream for predicate q. Records ingested
 // after the stream was created do not join it; start a new stream to see
 // them.
 func (v *View) Query(q Box) (*Stream, error) {
-	ck := v.sim.Fork()
-	if v.live.Empty() {
-		cs, err := v.tree.WithClock(ck).Query(q)
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{clock: ck, core: cs}, nil
-	}
-	v.mu.Lock()
-	rng := rand.New(rand.NewPCG(v.rng.Uint64(), v.rng.Uint64()))
-	v.mu.Unlock()
-	ls, err := v.live.QueryClocked(ck, q, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{clock: ck, live: ls, write: v.live.WriteStats()}, nil
+	return v.open(q, func() *rand.Rand {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		return rand.New(rand.NewPCG(v.rng.Uint64(), v.rng.Uint64()))
+	})
 }
 
 // QuerySeeded is Query with an explicit stream seed: the randomness that
@@ -616,20 +455,20 @@ func (v *View) Query(q Box) (*Stream, error) {
 // deterministic (the shuttle draws nothing at query time); the seed is
 // simply recorded by convention.
 func (v *View) QuerySeeded(q Box, seed uint64) (*Stream, error) {
+	return v.open(q, func() *rand.Rand {
+		return rand.New(rand.NewPCG(seed^0x51ee0c0de, seed*0x9e3779b97f4a7c15+1))
+	})
+}
+
+// open starts a stream on a private clock; merge supplies the rng that
+// drives the write-path merge and is called only if there is one.
+func (v *View) open(q Box, merge func() *rand.Rand) (*Stream, error) {
 	ck := v.sim.Fork()
-	if v.live.Empty() {
-		cs, err := v.tree.WithClock(ck).Query(q)
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{clock: ck, core: cs}, nil
-	}
-	rng := rand.New(rand.NewPCG(seed^0x51ee0c0de, seed*0x9e3779b97f4a7c15+1))
-	ls, err := v.live.QueryClocked(ck, q, rng)
+	ls, err := v.part.OpenStream(ck, q, nil, merge)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{clock: ck, live: ls, write: v.live.WriteStats()}, nil
+	return &Stream{clock: ck, leaf: ls, write: v.part.WriteStats()}, nil
 }
 
 // Next returns the next sample record, io.EOF when the predicate is
@@ -637,13 +476,19 @@ func (v *View) QuerySeeded(q Box, seed uint64) (*Stream, error) {
 func (s *Stream) Next() (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.leaf == nil {
 		return Record{}, ErrStreamClosed
 	}
-	if s.core != nil {
-		return s.core.Next()
+	return s.leaf.Next()
+}
+
+// faultsLocked returns the live (or, once closed, frozen) fault accounting.
+// Callers hold mu.
+func (s *Stream) faultsLocked() faultStats {
+	if s.leaf == nil {
+		return s.final
 	}
-	return s.live.Next()
+	return faultStats{s.leaf.TransientRetries(), s.leaf.DegradedLeaves(), s.leaf.DegradedSections()}
 }
 
 // Close releases the stream's buffered state. It is idempotent and safe to
@@ -655,54 +500,23 @@ func (s *Stream) Next() (Record, error) {
 func (s *Stream) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closed = true
-	if s.core != nil {
-		s.finalRetries = s.core.TransientRetries()
-		s.finalDegLeaf = s.core.DegradedLeaves()
-		s.finalDegSec = s.core.DegradedSections()
-	}
-	if s.live != nil {
-		s.finalRetries = s.live.TransientRetries()
-		s.finalDegLeaf = s.live.DegradedLeaves()
-		s.finalDegSec = s.live.DegradedSections()
-	}
-	s.core, s.live = nil, nil
+	s.final, s.leaf = s.faultsLocked(), nil
 	return nil
 }
 
 // Sample collects up to n records from the stream (fewer if the predicate
 // exhausts first).
-func (s *Stream) Sample(n int) ([]Record, error) {
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096 // the predicate may exhaust long before n
-	}
-	out := make([]Record, 0, capHint)
-	for len(out) < n {
-		rec, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
+func (s *Stream) Sample(n int) ([]Record, error) { return lsm.Collect(n, s.Next) }
 
 // Buffered returns the number of records parked in the base stream's
 // combine buckets.
 func (s *Stream) Buffered() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.core != nil {
-		return s.core.Buffered()
+	if s.leaf == nil {
+		return 0
 	}
-	if s.live != nil {
-		return s.live.Buffered()
-	}
-	return 0
+	return s.leaf.Buffered()
 }
 
 // IOStats summarizes the I/O activity, fault activity and simulated time of
@@ -734,7 +548,7 @@ func (v *View) Stats() IOStats {
 	return IOStats{
 		Counters: v.sim.Counters(),
 		Faults:   v.sim.FaultCounters(),
-		Write:    v.live.WriteStats(),
+		Write:    v.part.WriteStats(),
 		SimTime:  v.sim.Now().String(),
 	}
 }
@@ -760,24 +574,14 @@ func (s *Stream) SimNow() time.Duration {
 func (s *Stream) Stats() IOStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := IOStats{
+	f := s.faultsLocked()
+	return IOStats{
 		Counters:         s.clock.Counters(),
 		Faults:           s.clock.FaultCounters(),
-		Retries:          s.finalRetries,
-		DegradedLeaves:   s.finalDegLeaf,
-		DegradedSections: s.finalDegSec,
+		Retries:          f.retries,
+		DegradedLeaves:   f.degLeaves,
+		DegradedSections: f.degSections,
 		Write:            s.write,
 		SimTime:          s.clock.Now().String(),
 	}
-	if s.core != nil {
-		st.Retries = s.core.TransientRetries()
-		st.DegradedLeaves = s.core.DegradedLeaves()
-		st.DegradedSections = s.core.DegradedSections()
-	}
-	if s.live != nil {
-		st.Retries = s.live.TransientRetries()
-		st.DegradedLeaves = s.live.DegradedLeaves()
-		st.DegradedSections = s.live.DegradedSections()
-	}
-	return st
 }

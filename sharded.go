@@ -1,9 +1,6 @@
 package sampleview
 
 import (
-	"io"
-	"time"
-
 	"sampleview/internal/catalog"
 	"sampleview/internal/shard"
 )
@@ -57,91 +54,30 @@ func NewCatalog(dir string, runtime ShardedOptions, policy CatalogPolicy) (*Cata
 	return catalog.New(dir, runtime, policy)
 }
 
-// ShardedView is a sample view partitioned across K simulated disks. Each
-// shard holds an independent ACE tree over its partition; queries merge the
-// K per-shard online streams into one stream with the same uniformity
-// guarantee as an unsharded view, while the shards' I/O proceeds in
-// parallel on separate spindles.
-type ShardedView struct {
-	*shard.View
-}
+// Sharded view and stream: the partitioned counterparts of View and Stream,
+// sharing ErrStreamClosed with them.
+type (
+	// ShardedView is a sample view partitioned across K simulated disks. Each
+	// shard holds an independent ACE tree over its partition; Query merges the
+	// K per-shard online streams into one stream with the same uniformity
+	// guarantee as an unsharded view, while the shards' I/O proceeds in
+	// parallel on separate spindles.
+	ShardedView = shard.View
+	// ShardedStream is an online random sample merged from K per-shard
+	// streams. Fault semantics mirror the unsharded Stream per shard:
+	// transient faults surface as retriable errors and a dead shard degrades
+	// (the survivors keep serving), both wrapped in *ShardError naming the
+	// shard.
+	ShardedStream = shard.Stream
+)
 
 // CreateSharded builds a sharded view over recs in dir (one file per shard
 // plus a manifest; empty dir keeps the view in memory).
 func CreateSharded(dir string, recs []Record, opts ShardedOptions) (*ShardedView, error) {
-	v, err := shard.Create(dir, recs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedView{View: v}, nil
+	return shard.Create(dir, recs, opts)
 }
 
 // OpenSharded opens a sharded view previously stored by CreateSharded.
 func OpenSharded(dir string, opts ShardedOptions) (*ShardedView, error) {
-	v, err := shard.Open(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedView{View: v}, nil
+	return shard.Open(dir, opts)
 }
-
-// Query opens a merged online sample stream for predicate q: every prefix
-// is a uniform without-replacement sample of the full matching set, exactly
-// as with an unsharded view.
-func (v *ShardedView) Query(q Box) (*ShardedStream, error) {
-	s, err := v.View.Query(q)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedStream{s: s}, nil
-}
-
-// ShardedStream is an online random sample merged from K per-shard streams.
-// Fault semantics mirror the unsharded Stream per shard: transient faults
-// surface as retriable errors and a dead shard degrades (the survivors keep
-// serving), both wrapped in *ShardError naming the shard.
-type ShardedStream struct {
-	s *shard.Stream
-}
-
-// Next returns the next sample record, io.EOF when the predicate is
-// exhausted across all shards, or ErrStreamClosed after Close.
-func (s *ShardedStream) Next() (Record, error) {
-	rec, err := s.s.Next()
-	if err == shard.ErrStreamClosed {
-		err = ErrStreamClosed
-	}
-	return rec, err
-}
-
-// Sample collects up to n records (fewer if the predicate exhausts first).
-func (s *ShardedStream) Sample(n int) ([]Record, error) {
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	out := make([]Record, 0, capHint)
-	for len(out) < n {
-		rec, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// Close releases the per-shard sampling state. Idempotent; Stats stays
-// valid after Close.
-func (s *ShardedStream) Close() error { return s.s.Close() }
-
-// SimNow returns the stream's elapsed simulated time: when the slowest
-// shard finished the work this stream charged.
-func (s *ShardedStream) SimNow() time.Duration { return s.s.SimNow() }
-
-// Stats returns the stream's I/O, fault and degradation counters, summed
-// across shards.
-func (s *ShardedStream) Stats() shard.StreamStats { return s.s.Stats() }
