@@ -20,7 +20,6 @@ import (
 	"sampleview/internal/core"
 	"sampleview/internal/figures"
 	"sampleview/internal/iosim"
-	"sampleview/internal/kary"
 	"sampleview/internal/lsm"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/permfile"
@@ -268,45 +267,6 @@ func BenchmarkAblationDifferential(b *testing.B) {
 					}
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationArity measures Section III-D's binary-versus-k-ary
-// design choice: with the leaf count held constant (2^8 = 4^4 = 16^2 = 256
-// leaves), it reports how many leaf retrievals (and how much simulated
-// time) pass before the first appended batch can be emitted for a
-// ~38%-wide range query. Wider trees must wait for up to k stabs per
-// level before sections spanning the query can be appended, so "fast
-// first" favours the binary tree.
-func BenchmarkAblationArity(b *testing.B) {
-	rng := rand.New(rand.NewPCG(21, 22))
-	recs := make([]record.Record, 120_000)
-	for i := range recs {
-		recs[i] = record.Record{Key: rng.Int64N(1 << 20), Seq: uint64(i)}
-	}
-	q := record.Range{Lo: 300_000, Hi: 700_000}
-	for _, cfg := range []struct{ k, h int }{{2, 9}, {4, 5}, {16, 3}} {
-		b.Run("k"+itoa(cfg.k), func(b *testing.B) {
-			var simMS, leaves float64
-			for i := 0; i < b.N; i++ {
-				sim := iosim.New(iosim.DefaultModel())
-				tree, err := kary.Build(pagefile.NewMem(sim), recs, cfg.k, cfg.h, 23)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s := tree.Query(q)
-				t0 := sim.Now()
-				for s.Appends() == 0 && !s.Done() {
-					if _, err := s.NextLeaf(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				simMS = float64((sim.Now() - t0).Milliseconds())
-				leaves = float64(s.LeavesRead())
-			}
-			b.ReportMetric(simMS, "simMS/firstAppend")
-			b.ReportMetric(leaves, "leaves/firstAppend")
 		})
 	}
 }

@@ -1,5 +1,6 @@
 // Command svinspect prints the structure and statistics of a sample view
-// file and optionally runs a deep integrity check.
+// file and the delta ladder beside it, and optionally runs a deep integrity
+// check of both.
 //
 // Usage:
 //
@@ -19,9 +20,8 @@ import (
 	"os"
 
 	"sampleview/internal/catalog"
-	"sampleview/internal/core"
 	"sampleview/internal/iosim"
-	"sampleview/internal/pagefile"
+	"sampleview/internal/lsm"
 	"sampleview/internal/shard"
 )
 
@@ -43,17 +43,13 @@ func main() {
 	}
 
 	sim := iosim.New(iosim.DefaultModel())
-	f, err := pagefile.Open(sim, *view)
+	part, err := lsm.OpenPart(sim, *view, lsm.PartOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "svinspect: %v\n", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	t, err := core.Open(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "svinspect: %v\n", err)
-		os.Exit(1)
-	}
+	defer part.Close()
+	f, t := part.File(), part.Main()
 
 	fmt.Printf("view:            %s\n", *view)
 	fmt.Printf("records:         %d\n", t.Count())
@@ -77,6 +73,9 @@ func main() {
 		fmt.Printf("S%d=%d", s+1, n)
 	}
 	fmt.Println()
+	ws := part.WriteStats()
+	fmt.Printf("delta ladder:    %d level(s), %d inserts, %d tombstones\n",
+		ws.DeltaLevels, ws.DeltaRecords, ws.TombstonesPending)
 
 	if *verify {
 		// Pass 1: page checksums. The scan inspects what is actually on
@@ -101,10 +100,11 @@ func main() {
 			fmt.Printf("ok (%d pages verified)\n", f.NumPages())
 		}
 
-		// Pass 2: structural invariants.
+		// Pass 2: structural invariants of the base tree, then of every
+		// delta level.
 		fmt.Printf("verifying...     ")
 		before, t0 := sim.Counters(), sim.Now()
-		if err := t.Verify(); err != nil {
+		if err := part.Verify(); err != nil {
 			fmt.Printf("FAILED\n%v\n", err)
 			os.Exit(1)
 		}

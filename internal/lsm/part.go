@@ -166,6 +166,18 @@ func (p *Part) openWAL(o PartOptions, create bool) error {
 	return nil
 }
 
+// File returns the page file holding the base tree.
+func (p *Part) File() *pagefile.File { return p.file }
+
+// Verify runs the deep structural check of everything the partition stores:
+// the base tree's invariants, then every delta level's.
+func (p *Part) Verify() error {
+	if err := p.Main().Verify(); err != nil {
+		return err
+	}
+	return p.Store().Verify()
+}
+
 // Close releases the delta store, then the log (flushing buffered frames
 // unless a simulated power cut already struck: the crash error is the
 // drill's doing, not a close failure), then the page file, and returns the

@@ -445,6 +445,18 @@ func (s *Store) snapshotLevels() []*level {
 	return out
 }
 
+// Verify reads every level whole and checks it against the invariants its
+// readers rely on (see level.verify), newest level first; the first
+// violation is returned.
+func (s *Store) Verify() error {
+	for _, l := range s.snapshotLevels() {
+		if err := l.verify(); err != nil {
+			return fmt.Errorf("lsm: delta level gen %d: %w", l.gen, err)
+		}
+	}
+	return nil
+}
+
 // Levels returns the current ladder depth.
 func (s *Store) Levels() int {
 	s.mu.Lock()

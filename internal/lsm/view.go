@@ -440,11 +440,11 @@ func (v *View) gatherRetry(main *core.Tree, ck *iosim.Clock, q record.Box) (*str
 }
 
 // gather assembles the stream components for q: it snapshots the in-memory
-// state and level ladder, scans each overlapping level's insert region
-// (filtered against all newer tombstones, so every list is fully live),
-// and reduces the base population estimate by the tombstones expected to
-// land in the base. All level I/O charges the given clock (or the shared
-// disk when ck is nil).
+// state and level ladder, reads from each overlapping level the insert pages
+// its fences leave for q's key range (matches filtered against all newer
+// tombstones, so every list is fully live), and reduces the base population
+// estimate by the tombstones expected to land in the base. All level I/O
+// charges the given clock (or the shared disk when ck is nil).
 func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamParts, error) {
 	v.mu.Lock()
 	mems := []memview.Snapshot{v.mem.Snapshot()}
@@ -470,7 +470,7 @@ func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamPa
 		if ck != nil {
 			itf = itf.OnClock(ck)
 		}
-		recs, err := l.matchingInserts(itf, q, nil)
+		recs, err := l.matchingInserts(itf, q)
 		if err != nil {
 			// A permanently unreadable insert region degrades the stream
 			// (that level's contributions are gone) instead of failing the
