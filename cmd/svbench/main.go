@@ -46,26 +46,9 @@ func main() {
 		physical = flag.Bool("physical", false, "charge the raw disk model instead of the scale-matched one")
 		parallel = flag.Int("par", 0, "worker goroutines for builds and per-figure queries (0 or 1 = sequential)")
 		shards   = flag.String("shards", "", "comma-separated shard counts: run the shard-scaling bench instead of figures")
-		out      = flag.String("out", "", "shard/wall bench: also write a markdown report to this file")
-		wall     = flag.Bool("wall", false, "run the real-I/O wall-clock bench (mmap/pread × parallelism) instead of figures")
+		out      = flag.String("out", "", "shard bench: also write a markdown report to this file")
 	)
 	flag.Parse()
-
-	if *wall {
-		nrec := int64(300_000)
-		if *n > 0 {
-			nrec = *n
-		}
-		report := *out
-		if report == "" {
-			report = "results/realio-bench.md"
-		}
-		if err := runWallBench(nrec, *seed, *pageSize, report); err != nil {
-			fmt.Fprintf(os.Stderr, "svbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *shards != "" {
 		nrec := int64(200_000)

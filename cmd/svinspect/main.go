@@ -82,26 +82,22 @@ func main() {
 		// disk, mapping each mismatch to the region — and for leaf pages,
 		// the leaf and sections — it damages.
 		fmt.Printf("checksums...     ")
-		if !f.Checksummed() {
-			fmt.Printf("skipped (legacy v1 file carries no page checksums)\n")
-		} else {
-			faults, err := t.FsckPages()
-			if err != nil {
-				fmt.Printf("FAILED\n%v\n", err)
-				os.Exit(1)
-			}
-			if len(faults) > 0 {
-				fmt.Printf("FAILED (%d corrupt pages)\n", len(faults))
-				for _, pf := range faults {
-					fmt.Printf("  %s\n", pf)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("ok (%d pages verified)\n", f.NumPages())
+		faults, err := t.FsckPages()
+		if err != nil {
+			fmt.Printf("FAILED\n%v\n", err)
+			os.Exit(1)
 		}
+		if len(faults) > 0 {
+			fmt.Printf("FAILED (%d corrupt pages)\n", len(faults))
+			for _, pf := range faults {
+				fmt.Printf("  %s\n", pf)
+			}
+			os.Exit(1)
+		}
+		fmt.Printf("ok (%d pages verified)\n", f.NumPages())
 
-		// Pass 2: structural invariants of the base tree, then of every
-		// delta level.
+		// Pass 2: structural invariants of the base tree (its directory's
+		// prefix checksums included), then of every delta level.
 		fmt.Printf("verifying...     ")
 		before, t0 := sim.Counters(), sim.Now()
 		if err := part.Verify(); err != nil {

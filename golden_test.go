@@ -9,14 +9,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sampleview/internal/iosim"
 	"sampleview/internal/record"
 )
 
 // goldenDigests is the checked-in record of every seeded stream's byte
-// sequence: one line per (configuration, predicate, open kind). A refactor
-// that changes any rng draw order, shuffle, merge decision or stored byte
-// changes a digest. When the file is missing the test writes it and fails,
-// so a new baseline is always a deliberate, reviewed act.
+// sequence: one line per (configuration, predicate, open kind).
 const goldenDigests = "testdata/stream_digests.golden"
 
 // goldenWriter is the write surface the root and sharded views share.
@@ -104,45 +102,38 @@ func goldenDigest(t *testing.T, s goldenNexter) string {
 	}
 }
 
-// goldenRecord appends one line per predicate and open kind for a view.
-func goldenRecord(t *testing.T, out *bytes.Buffer, cfg string,
-	seeded func(Box, uint64) (goldenNexter, error), drawn func(Box) (goldenNexter, error)) {
-	t.Helper()
-	for _, p := range goldenPreds {
-		s, err := seeded(p.q, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(out, "%s %s seeded %s\n", cfg, p.name, goldenDigest(t, s))
-		if s, err = drawn(p.q); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(out, "%s %s query %s\n", cfg, p.name, goldenDigest(t, s))
+// goldenView is the surface both golden tests drive: the root view and the
+// sharded view behind the same three closures.
+type goldenView struct {
+	seeded func(Box, uint64) (goldenNexter, error)
+	drawn  func(Box) (goldenNexter, error)
+	inject func(FaultPlan)
+}
+
+func goldenRoot(v *View) goldenView {
+	return goldenView{
+		seeded: func(q Box, seed uint64) (goldenNexter, error) { return v.QuerySeeded(q, seed) },
+		drawn:  func(q Box) (goldenNexter, error) { return v.Query(q) },
+		inject: v.InjectFaults,
 	}
 }
 
-func goldenRoot(t *testing.T, out *bytes.Buffer, cfg string, v *View) {
-	t.Helper()
-	goldenRecord(t, out, cfg,
-		func(q Box, seed uint64) (goldenNexter, error) { return v.QuerySeeded(q, seed) },
-		func(q Box) (goldenNexter, error) { return v.Query(q) })
+func goldenSharded(v *ShardedView) goldenView {
+	return goldenView{
+		seeded: func(q Box, seed uint64) (goldenNexter, error) { return v.QuerySeeded(q, seed) },
+		drawn:  func(q Box) (goldenNexter, error) { return v.Query(q) },
+		inject: v.InjectFaults,
+	}
 }
 
-func goldenSharded(t *testing.T, out *bytes.Buffer, cfg string, v *ShardedView) {
-	t.Helper()
-	goldenRecord(t, out, cfg,
-		func(q Box, seed uint64) (goldenNexter, error) { return v.QuerySeeded(q, seed) },
-		func(q Box) (goldenNexter, error) { return v.Query(q) })
-}
-
-// TestGoldenStreamDigests pins the exact record sequence of every stream
-// kind over every write-path shape, for the root view and a K=4 hash-sharded
-// view: empty write path, memview only, memview + two flushed levels with
-// tombstones, after Compact, and after close → reopen with WAL replay.
-func TestGoldenStreamDigests(t *testing.T) {
+// goldenConfigs builds every pinned configuration in turn — the root view
+// and a K=4 hash-sharded view, each with an empty write path, memview only,
+// memview + two flushed levels with tombstones, after Compact, and after
+// close → reopen with WAL replay — and hands each to visit while it is in
+// exactly that state.
+func goldenConfigs(t *testing.T, visit func(cfg string, v goldenView)) {
 	base := genRecords(8000, 2006)
 	dir := t.TempDir()
-	var out bytes.Buffer
 
 	// Root view.
 	ropts := Options{Seed: 7, DiskModel: smallPages()}
@@ -156,16 +147,16 @@ func TestGoldenStreamDigests(t *testing.T) {
 		return v
 	}
 	v := rootAt("empty.sv", ropts)
-	goldenRoot(t, &out, "root/empty", v)
+	visit("root/empty", goldenRoot(v))
 	goldenBatch(t, v, base, nil, 1_000_000, 600, 0, 200, 0)
-	goldenRoot(t, &out, "root/memview", v)
+	visit("root/memview", goldenRoot(v))
 
 	v = rootAt("levels.sv", ropts)
 	goldenLevels(t, v, base)
 	if v.DeltaLevels() != 2 {
 		t.Fatalf("root levels = %d, want 2", v.DeltaLevels())
 	}
-	goldenRoot(t, &out, "root/levels", v)
+	visit("root/levels", goldenRoot(v))
 	cv, err := v.Compact(filepath.Join(dir, "compacted.sv"), ropts)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +165,7 @@ func TestGoldenStreamDigests(t *testing.T) {
 	if cv.PendingAppends() != 0 {
 		t.Fatalf("compacted root view still holds %d pending", cv.PendingAppends())
 	}
-	goldenRoot(t, &out, "root/compacted", cv)
+	visit("root/compacted", goldenRoot(cv))
 
 	wopts := ropts
 	wopts.WAL, wopts.WALSyncEvery = true, 1
@@ -196,7 +187,7 @@ func TestGoldenStreamDigests(t *testing.T) {
 	if wv.WriteStats().WALReplayed == 0 {
 		t.Fatal("root reopen replayed nothing; the case proves nothing")
 	}
-	goldenRoot(t, &out, "root/reopened", wv)
+	visit("root/reopened", goldenRoot(wv))
 
 	// K=4 hash-sharded view.
 	sopts := ShardedOptions{K: 4, Partition: HashBySeq, Seed: 7, Model: smallPages()}
@@ -210,20 +201,20 @@ func TestGoldenStreamDigests(t *testing.T) {
 		return sv
 	}
 	sv := shardAt("empty.shards", sopts)
-	goldenSharded(t, &out, "shard4/empty", sv)
+	visit("shard4/empty", goldenSharded(sv))
 	goldenBatch(t, sv, base, nil, 1_000_000, 600, 0, 200, 0)
-	goldenSharded(t, &out, "shard4/memview", sv)
+	visit("shard4/memview", goldenSharded(sv))
 
 	sv = shardAt("levels.shards", sopts)
 	goldenLevels(t, sv, base)
 	if sv.DeltaLevels() != 2 {
 		t.Fatalf("shard levels = %d, want 2", sv.DeltaLevels())
 	}
-	goldenSharded(t, &out, "shard4/levels", sv)
+	visit("shard4/levels", goldenSharded(sv))
 	if n, err := sv.Compact(); err != nil || n != 4 {
 		t.Fatalf("shard Compact rebuilt %d shards, err %v; want 4", n, err)
 	}
-	goldenSharded(t, &out, "shard4/compacted", sv)
+	visit("shard4/compacted", goldenSharded(sv))
 
 	swopts := sopts
 	swopts.WAL, swopts.WALSyncEvery = true, 1
@@ -245,23 +236,29 @@ func TestGoldenStreamDigests(t *testing.T) {
 	if swv.WriteStats().WALReplayed == 0 {
 		t.Fatal("shard reopen replayed nothing; the case proves nothing")
 	}
-	goldenSharded(t, &out, "shard4/reopened", swv)
+	visit("shard4/reopened", goldenSharded(swv))
+}
 
-	want, err := os.ReadFile(goldenDigests)
+// goldenCompare checks out against the checked-in file at path. When the
+// file is missing the test writes it and fails, so a new baseline is always
+// a deliberate, reviewed act.
+func goldenCompare(t *testing.T, path string, out []byte) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(goldenDigests), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenDigests, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Fatalf("%s did not exist; wrote a fresh baseline — review and commit it", goldenDigests)
+		t.Fatalf("%s did not exist; wrote a fresh baseline — review and commit it", path)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, out.Bytes()) {
-		wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(out.Bytes(), []byte("\n"))
+	if !bytes.Equal(want, out) {
+		wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(out, []byte("\n"))
 		for i := range gl {
 			if i >= len(wl) || !bytes.Equal(wl[i], gl[i]) {
 				w := "<missing>"
@@ -271,6 +268,118 @@ func TestGoldenStreamDigests(t *testing.T) {
 				t.Errorf("line %d:\n  got  %s\n  want %s", i+1, gl[i], w)
 			}
 		}
-		t.Fatalf("stream digests differ from %s", goldenDigests)
+		t.Fatalf("output differs from %s", path)
 	}
+}
+
+// TestGoldenStreamDigests pins the exact record sequence of every stream
+// kind over every configuration of goldenConfigs: a refactor that changes
+// any rng draw order, shuffle, merge decision or stored byte changes a
+// digest.
+func TestGoldenStreamDigests(t *testing.T) {
+	var out bytes.Buffer
+	goldenConfigs(t, func(cfg string, v goldenView) {
+		for _, p := range goldenPreds {
+			s, err := v.seeded(p.q, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "%s %s seeded %s\n", cfg, p.name, goldenDigest(t, s))
+			if s, err = v.drawn(p.q); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "%s %s query %s\n", cfg, p.name, goldenDigest(t, s))
+		}
+	})
+	goldenCompare(t, goldenDigests, out.Bytes())
+}
+
+// goldenClocks is the checked-in record of what every seeded stream is
+// charged and what it loses under fault injection: simulated reads and
+// time, every fault counter, sampler retries, degraded leaves and sections,
+// and the error sequence. A change to how bytes move (partial reads,
+// backends, copies) must leave every line alone.
+const goldenClocks = "testdata/stream_clocks.golden"
+
+// goldenClockLine drains s the way a resilient client would (degraded and
+// transient errors are recorded and the stream re-driven) and renders the
+// record digest, the stream's clock and fault counters, and a digest of the
+// error sequence.
+func goldenClockLine(t *testing.T, s goldenNexter) string {
+	t.Helper()
+	recs, errs := fnv.New64a(), fnv.New64a()
+	buf := make([]byte, record.Size)
+	n, nerr := 0, 0
+	for {
+		rec, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			fmt.Fprintf(errs, "%d:%v\n", n, err)
+			if nerr++; nerr > 10000 {
+				t.Fatal("stream stuck in errors")
+			}
+			if IsDegraded(err) || IsTransient(err) {
+				continue
+			}
+			fmt.Fprintf(errs, "fatal\n")
+			break
+		}
+		rec.Marshal(buf)
+		recs.Write(buf)
+		n++
+	}
+	var (
+		c       iosim.Counters
+		f       FaultCounters
+		sim     string
+		retries int64
+		degL    int64
+		degS    int64
+	)
+	switch s := s.(type) {
+	case *Stream:
+		st := s.Stats()
+		c, f, sim, retries, degL, degS = st.Counters, st.Faults, st.SimTime, st.Retries, st.DegradedLeaves, st.DegradedSections
+	case *ShardedStream:
+		st := s.Stats()
+		c, f, sim, retries, degL, degS = st.Counters, st.Faults, st.SimTime.String(), st.Retries, st.DegradedLeaves, st.DegradedSections
+	default:
+		t.Fatalf("unknown stream type %T", s)
+	}
+	return fmt.Sprintf("%016x n=%d reads=%d/%d sim=%s faults=%d/%d/%d/%d/%d retries=%d degraded=%d/%d errs=%d:%016x",
+		recs.Sum64(), n, c.RandomReads, c.SequentialReads, sim,
+		f.Transient, f.LatencySpikes, f.Rereads, f.CorruptPages, f.DeadPages,
+		retries, degL, degS, nerr, errs.Sum64())
+}
+
+// TestGoldenStreamClocks pins, for every configuration × fault profile ×
+// two plan seeds × predicate, everything a seeded stream is charged and
+// everything it reports losing. The file was recorded before partial leaf
+// reads existed; it passing unchanged is the statement that they changed
+// only the real bytes moved.
+func TestGoldenStreamClocks(t *testing.T) {
+	var out bytes.Buffer
+	goldenConfigs(t, func(cfg string, v goldenView) {
+		for _, profile := range []string{"none", "flaky-disk", "bitrot", "hell"} {
+			for _, seed := range []uint64{1, 2} {
+				plan, err := FaultProfile(profile, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.inject(plan)
+				for _, p := range goldenPreds {
+					s, err := v.seeded(p.q, 42)
+					if err != nil {
+						fmt.Fprintf(&out, "%s %s %s/%d open: %v\n", cfg, p.name, profile, seed, err)
+						continue
+					}
+					fmt.Fprintf(&out, "%s %s %s/%d %s\n", cfg, p.name, profile, seed, goldenClockLine(t, s))
+				}
+			}
+		}
+		v.inject(FaultPlan{})
+	})
+	goldenCompare(t, goldenClocks, out.Bytes())
 }

@@ -92,36 +92,47 @@ func Create(dst *pagefile.File, src *pagefile.ItemFile, p Params) (*Tree, error)
 		return nil, fmt.Errorf("core: phase 2 sort: %w", err)
 	}
 
-	// Layout and final write.
-	if err := t.writeHeader(); err != nil {
+	if err := t.writeFile(sorted, workers); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
+
+// writeFile lays the tree out in its (empty) file: header, split region,
+// directory, the leaf data rendered from the (leaf, section)-sorted tagged
+// records, and the prefix-checksum region. The directory's section counts
+// are already known from tagging.
+func (t *Tree) writeFile(sorted *pagefile.ItemFile, workers int) error {
+	if err := t.writeHeader(); err != nil {
+		return err
+	}
 	if err := t.writeSplitRegion(); err != nil {
-		return nil, err
+		return err
 	}
 	// Reserve the directory region with zero pages; it is rewritten once
 	// the leaf layout is known.
-	zero := make([]byte, dst.PageSize())
+	zero := make([]byte, t.f.PageSize())
 	for i := int64(0); i < t.dirPages(); i++ {
-		if _, err := dst.Append(zero); err != nil {
-			return nil, err
+		if _, err := t.f.Append(zero); err != nil {
+			return err
 		}
 	}
+	var err error
 	if workers > 1 {
 		err = t.writeLeafDataParallel(sorted, workers)
 	} else {
 		err = t.writeLeafData(sorted)
 	}
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if err := t.writeCRCRegion(); err != nil {
+		return err
 	}
 	if err := t.writeDirRegion(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := t.writeHeader(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t.writeHeader()
 }
 
 const taggedSize = 8 + record.Size
@@ -302,9 +313,11 @@ func quickselect(part []int32, k int, coord []int64, rng *rand.Rand) {
 }
 
 // assignTags scans src, draws the section and leaf assignment for every
-// record, accumulates the exact per-node left/right counts, and returns
-// the tagged temporary file (Figure 9 of the paper).
+// record, accumulates the exact per-node left/right counts and the
+// directory's per-section counts, and returns the tagged temporary file
+// (Figure 9 of the paper).
 func (t *Tree) assignTags(src *pagefile.ItemFile, seed uint64) (*pagefile.ItemFile, error) {
+	t.leaves = newLeafMetas(t.nLeaves, t.h)
 	tagged := pagefile.NewItemFile(pagefile.NewMem(t.f.Sim()), taggedSize)
 	w := tagged.NewWriter()
 	rng := rand.New(rand.NewPCG(seed, seed^0xace7ace7ace7ace7))
@@ -352,6 +365,7 @@ func (t *Tree) assignTags(src *pagefile.ItemFile, seed uint64) (*pagefile.ItemFi
 		leavesBelow := int64(1) << uint(t.h-s)
 		firstLeaf := (ancestor - int64(1)<<uint(s-1)) * leavesBelow
 		leaf := firstLeaf + rng.Int64N(leavesBelow)
+		t.leaves[leaf].secCounts[s-1]++
 
 		binary.LittleEndian.PutUint64(buf[:8], makeTag(leaf, s-1))
 		copy(buf[8:], item)
@@ -366,18 +380,15 @@ func (t *Tree) assignTags(src *pagefile.ItemFile, seed uint64) (*pagefile.ItemFi
 }
 
 // writeLeafData streams the (leaf, section)-sorted records into the leaf
-// data region, page-aligning each leaf, and fills in the directory
-// metadata.
+// data region, page-aligning each leaf, and fills in the rest of the
+// directory metadata (the section counts come from tagging).
 func (t *Tree) writeLeafData(sorted *pagefile.ItemFile) error {
-	t.leaves = make([]leafMeta, t.nLeaves)
-	for i := range t.leaves {
-		t.leaves[i].secCounts = make([]int32, t.h)
-	}
 	r := sorted.NewReader()
 
 	perPage := t.f.PageSize() / record.Size
 	page := make([]byte, t.f.PageSize())
 	inPage := 0
+	current := int64(-1)
 	flushPage := func() error {
 		if inPage == 0 {
 			return nil
@@ -385,6 +396,8 @@ func (t *Tree) writeLeafData(sorted *pagefile.ItemFile) error {
 		for i := inPage * record.Size; i < len(page); i++ {
 			page[i] = 0
 		}
+		m := &t.leaves[current]
+		t.sealPage(m, t.f.NumPages()-m.firstPage, page, m.secCRC)
 		if _, err := t.f.Append(page); err != nil {
 			return err
 		}
@@ -392,7 +405,6 @@ func (t *Tree) writeLeafData(sorted *pagefile.ItemFile) error {
 		return nil
 	}
 
-	current := int64(-1)
 	for {
 		item, err := r.Next()
 		if err == io.EOF {
@@ -401,7 +413,7 @@ func (t *Tree) writeLeafData(sorted *pagefile.ItemFile) error {
 		if err != nil {
 			return err
 		}
-		leaf, section := splitTag(binary.LittleEndian.Uint64(item[:8]))
+		leaf, _ := splitTag(binary.LittleEndian.Uint64(item[:8]))
 		if leaf != current {
 			if err := flushPage(); err != nil { // page-align the new leaf
 				return err
@@ -409,7 +421,6 @@ func (t *Tree) writeLeafData(sorted *pagefile.ItemFile) error {
 			current = leaf
 			t.leaves[leaf].firstPage = t.f.NumPages()
 		}
-		t.leaves[leaf].secCounts[section]++
 		copy(page[inPage*record.Size:], item[8:])
 		inPage++
 		if inPage == perPage {

@@ -68,10 +68,7 @@ func (t *Tree) assignTagsParallel(src *pagefile.ItemFile, seed uint64, workers i
 		uVals[i] = rng.Int64N(int64(1) << uint(h-s))
 	}
 
-	t.leaves = make([]leafMeta, t.nLeaves)
-	for i := range t.leaves {
-		t.leaves[i].secCounts = make([]int32, h)
-	}
+	t.leaves = newLeafMetas(t.nLeaves, h)
 	tagged := pagefile.NewItemFile(pagefile.NewMem(sim), taggedSize)
 	if n == 0 {
 		return tagged, nil
@@ -295,6 +292,10 @@ func (t *Tree) writeLeafDataParallel(sorted *pagefile.ItemFile, workers int) err
 						page := i / perPage
 						slot := i % perPage
 						copy(out[base+page*int64(ps)+slot*record.Size:], item[8:])
+					}
+					m := &t.leaves[leaf]
+					for p := int64(0); p < pageOff[leaf+1]-pageOff[leaf]; p++ {
+						t.sealPage(m, p, out[base+p*int64(ps):][:ps], m.secCRC)
 					}
 				}
 				if err != nil {

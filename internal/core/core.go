@@ -25,10 +25,23 @@
 //	split region:           per internal node: split key, left/right counts
 //	directory region:       per leaf: first data page + per-section counts
 //	leaf data region:       each leaf page-aligned, records grouped by section
+//	prefix-checksum region: per leaf: one CRC32-C per section (the directory's
+//	                        second half, see below)
 //
-// The split and directory regions are small (tens of bytes per node/leaf)
-// and are read sequentially once at Open, mirroring the paper's packing of
-// binary internal nodes into disk-page-sized units.
+// The split, directory and prefix-checksum regions are small (tens of bytes
+// per node/leaf) and are read sequentially once at Open, mirroring the
+// paper's packing of binary internal nodes into disk-page-sized units.
+//
+// Regions nest, so the sections a query can use from a leaf are always
+// sections 1..k: a prefix of the leaf's bytes. The prefix checksum of
+// section s is the CRC32-C of the payload of the page on which section s
+// ends, from that page's first byte through the section's last record; with
+// it a stab reads, verifies and decodes the usable prefix alone
+// (readLeafInto) while the simulated disk is still charged the whole leaf.
+// The checksums sit after the leaf data rather than inside the directory
+// entries so that format 2 leaves every leaf on the page format 1 put it
+// on: the fault plans of internal/iosim are keyed by physical page, and a
+// shifted data region would meet a different fault schedule.
 package core
 
 import (
@@ -42,7 +55,11 @@ import (
 )
 
 const (
-	magic = uint64(0x5356414345545231) // "SVACETR1"
+	// magic ends in the tree format version. Version 2 added the directory's
+	// per-section prefix checksums; a version-1 file is refused (FormatError).
+	magic      = uint64(0x5356414345545232) // "SVACETR2"
+	magicStem  = magic &^ 0xff
+	treeFormat = int(magic&0xff) - '0'
 
 	// MaxHeight bounds the tree height; 2^(MaxHeight-1) leaves is far more
 	// than any laptop-scale relation needs.
@@ -112,6 +129,22 @@ func AutoHeight(n int64, pageSize int) int {
 type leafMeta struct {
 	firstPage int64
 	secCounts []int32 // per section, length h
+	// secCRC[s] is the CRC32-C of the payload of the page on which section s
+	// ends, through the section's last record (0 while sections 0..s hold no
+	// record): what a prefix read ending with section s is verified against.
+	secCRC []uint32
+}
+
+// newLeafMetas allocates the directory of an nLeaves-leaf tree of height h.
+func newLeafMetas(nLeaves int64, h int) []leafMeta {
+	leaves := make([]leafMeta, nLeaves)
+	counts := make([]int32, nLeaves*int64(h))
+	crcs := make([]uint32, nLeaves*int64(h))
+	for i := range leaves {
+		leaves[i].secCounts = counts[i*h : (i+1)*h : (i+1)*h]
+		leaves[i].secCRC = crcs[i*h : (i+1)*h : (i+1)*h]
+	}
+	return leaves
 }
 
 func (m *leafMeta) totalRecords() int64 {
@@ -175,7 +208,7 @@ func (t *Tree) Count() int64 { return t.count }
 func (t *Tree) NumLeaves() int64 { return t.nLeaves }
 
 // DataPages returns the number of pages in the leaf data region.
-func (t *Tree) DataPages() int64 { return t.f.NumPages() - t.leafDataStart() }
+func (t *Tree) DataPages() int64 { return t.crcStart() - t.leafDataStart() }
 
 // MeanSectionSize returns the observed mean section size mu.
 func (t *Tree) MeanSectionSize() float64 {
@@ -246,6 +279,14 @@ func (t *Tree) splitStart() int64    { return 1 }
 func (t *Tree) dirStart() int64      { return t.splitStart() + t.splitPages() }
 func (t *Tree) leafDataStart() int64 { return t.dirStart() + t.dirPages() }
 
+// The prefix-checksum region is the file's last crcPages pages.
+func (t *Tree) crcPages() int64 {
+	perPage := int64(t.f.PageSize()) / (4 * int64(t.h))
+	return ceilDiv(t.nLeaves, perPage)
+}
+
+func (t *Tree) crcStart() int64 { return t.f.NumPages() - t.crcPages() }
+
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // Open opens an ACE Tree previously written by Create.
@@ -257,7 +298,10 @@ func Open(f *pagefile.File) (*Tree, error) {
 	if err := f.Read(0, page); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint64(page[0:8]) != magic {
+	if m := binary.LittleEndian.Uint64(page[0:8]); m != magic {
+		if m&^0xff == magicStem {
+			return nil, &FormatError{Found: int(m&0xff) - '0', Wanted: treeFormat}
+		}
 		return nil, fmt.Errorf("core: bad magic")
 	}
 	t := &Tree{
@@ -279,7 +323,14 @@ func Open(f *pagefile.File) (*Tree, error) {
 	if err := t.readSplitRegion(); err != nil {
 		return nil, err
 	}
+	if t.crcStart() < t.leafDataStart() {
+		return nil, fmt.Errorf("core: corrupt header (h=%d needs %d pages, file has %d)",
+			t.h, t.leafDataStart()+t.crcPages(), f.NumPages())
+	}
 	if err := t.readDirRegion(); err != nil {
+		return nil, err
+	}
+	if err := t.readCRCRegion(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -414,7 +465,7 @@ func (t *Tree) writeDirRegion() error {
 		m := &t.leaves[i]
 		binary.LittleEndian.PutUint64(entry[0:8], uint64(m.firstPage))
 		for s := 0; s < t.h; s++ {
-			binary.LittleEndian.PutUint32(entry[8+4*s:12+4*s], uint32(m.secCounts[s]))
+			binary.LittleEndian.PutUint32(entry[8+4*s:], uint32(m.secCounts[s]))
 		}
 		if err := w.write(entry); err != nil {
 			return err
@@ -424,7 +475,7 @@ func (t *Tree) writeDirRegion() error {
 }
 
 func (t *Tree) readDirRegion() error {
-	t.leaves = make([]leafMeta, t.nLeaves)
+	t.leaves = newLeafMetas(t.nLeaves, t.h)
 	r := t.newRegionReader(t.dirStart())
 	es := int(t.dirEntrySize())
 	for i := int64(0); i < t.nLeaves; i++ {
@@ -434,21 +485,78 @@ func (t *Tree) readDirRegion() error {
 		}
 		m := &t.leaves[i]
 		m.firstPage = int64(binary.LittleEndian.Uint64(b[0:8]))
-		m.secCounts = make([]int32, t.h)
 		for s := 0; s < t.h; s++ {
-			m.secCounts[s] = int32(binary.LittleEndian.Uint32(b[8+4*s : 12+4*s]))
+			m.secCounts[s] = int32(binary.LittleEndian.Uint32(b[8+4*s:]))
 		}
 	}
 	return nil
 }
 
+// writeCRCRegion appends the prefix-checksum region; the leaf data must be
+// complete, since the region is located from the end of the file.
+func (t *Tree) writeCRCRegion() error {
+	w := t.newRegionWriter(t.f.NumPages(), t.crcPages())
+	entry := make([]byte, 4*t.h)
+	for i := range t.leaves {
+		for s, crc := range t.leaves[i].secCRC {
+			binary.LittleEndian.PutUint32(entry[4*s:], crc)
+		}
+		if err := w.write(entry); err != nil {
+			return err
+		}
+	}
+	return w.close()
+}
+
+func (t *Tree) readCRCRegion() error {
+	r := t.newRegionReader(t.crcStart())
+	for i := range t.leaves {
+		b, err := r.read(4 * t.h)
+		if err != nil {
+			return err
+		}
+		for s := range t.leaves[i].secCRC {
+			t.leaves[i].secCRC[s] = binary.LittleEndian.Uint32(b[4*s:])
+		}
+	}
+	return nil
+}
+
+// sealPage is the one definition of the prefix checksums: given the payload
+// of the leaf's page p (leaf-relative), it stores into crc[s] the checksum
+// of every section s of m that ends on that page, chaining so each byte is
+// hashed once. The builders call it with crc = m.secCRC on every page they
+// write; fsck calls it on every page it reads and compares.
+func (t *Tree) sealPage(m *leafMeta, p int64, payload []byte, crc []uint32) {
+	perPage := int64(t.f.PageSize() / record.Size)
+	lo, hi := p*perPage, (p+1)*perPage
+	var end int64 // records in sections 0..s
+	var sum uint32
+	off := 0
+	for s, c := range m.secCounts {
+		end += int64(c)
+		if end <= lo {
+			continue
+		}
+		if end > hi {
+			return
+		}
+		n := int(end-lo) * record.Size
+		sum = pagefile.UpdateCRC(sum, payload[off:n])
+		off = n
+		crc[s] = sum
+	}
+}
+
 // readLeaf reads leaf data from disk (first page random, the rest
 // sequential) and returns the records of each section, in section order,
 // freshly allocated: offline consumers (Verify, tests) may hold the result
-// across further reads. The query hot path uses readLeafInto instead.
+// across further reads. It is the fsck read: every page is fetched and
+// verified whole, and the directory's prefix checksums are recomputed from
+// those pages and compared. The query hot path uses readLeafInto instead.
 func (t *Tree) readLeaf(ordinal int64) ([][]record.Record, error) {
-	var d leafDecoder
-	return t.readLeafInto(ordinal, &d)
+	d := leafDecoder{fsck: true}
+	return t.readLeafInto(ordinal, &d, t.h)
 }
 
 // leafDecoder is the reusable arena one stream decodes leaves into. Every
@@ -461,12 +569,19 @@ func (t *Tree) readLeaf(ordinal int64) ([][]record.Record, error) {
 type leafDecoder struct {
 	arena    []record.Record
 	sections [][]record.Record
+	// fsck selects the offline read of all h sections (see readLeaf).
+	fsck bool
 }
 
-// readLeafInto decodes one leaf into d: each page's payload is obtained
-// with a zero-copy read where the backend allows it and decoded as a whole
-// batch, instead of copying the page and unmarshalling record by record.
-func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder) ([][]record.Record, error) {
+// readLeafInto reads the first k sections of one leaf into d (the other
+// sections come back empty). The simulated disk is charged every page of
+// the leaf, and every page meets its faults, whatever k is; what k decides
+// is the bytes that really move: pages before the one the prefix ends on
+// are read and verified whole, that page is read up to the prefix's last
+// record and verified against the directory's prefix checksum, and the
+// pages past it are charged without being fetched. Payloads are obtained
+// zero-copy where the backend allows it and decoded as whole batches.
+func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int) ([][]record.Record, error) {
 	if ordinal < 0 || ordinal >= t.nLeaves {
 		return nil, fmt.Errorf("core: leaf %d out of range [0,%d)", ordinal, t.nLeaves)
 	}
@@ -484,23 +599,51 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder) ([][]record.Record, e
 	}
 	perPage := int64(t.f.PageSize() / record.Size)
 	pages := ceilDiv(total, perPage)
+	var use int64 // records in the first k sections
+	for _, c := range m.secCounts[:k] {
+		use += int64(c)
+	}
+	// last is the page the prefix ends on: -1 for an empty prefix, past the
+	// leaf for fsck (every page is then "before" it, i.e. read whole).
+	last := ceilDiv(use, perPage) - 1
+	var resealed []uint32
+	if d.fsck {
+		k, use, last = t.h, total, pages
+		resealed = make([]uint32, t.h)
+	}
 	buf := t.f.PageBuf()
 	defer t.f.PutPageBuf(buf)
 	flat := d.arena[:0]
 	for p := int64(0); p < pages; p++ {
-		payload, err := t.f.ReadPayload(m.firstPage+p, buf)
+		n := min(perPage, use-p*perPage) // records of the prefix on this page
+		var payload []byte
+		var err error
+		switch {
+		case p < last:
+			payload, err = t.f.ReadPayload(m.firstPage+p, buf)
+		case p == last:
+			payload, err = t.f.ReadPrefix(m.firstPage+p, buf, int(n)*record.Size, m.secCRC[k-1])
+		default:
+			n = 0
+			_, err = t.f.ReadPrefix(m.firstPage+p, buf, 0, 0)
+		}
 		if err != nil {
 			return nil, err
 		}
-		n := perPage
-		if rem := total - p*perPage; rem < n {
-			n = rem
+		if d.fsck {
+			t.sealPage(m, p, payload, resealed)
 		}
 		flat = record.AppendBatch(flat, payload, int(n))
 	}
 	d.arena = flat
+	for s, got := range resealed {
+		if want := m.secCRC[s]; got != want {
+			return nil, fmt.Errorf("core: leaf %d section %d: directory prefix checksum %08x, pages hash to %08x",
+				ordinal, s+1, want, got)
+		}
+	}
 	off := 0
-	for s := 0; s < t.h; s++ {
+	for s := 0; s < k; s++ {
 		n := int(m.secCounts[s])
 		sections[s] = flat[off : off+n : off+n]
 		off += n

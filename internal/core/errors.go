@@ -7,6 +7,17 @@ import (
 	"sampleview/internal/pagefile"
 )
 
+// FormatError reports a tree file written under a format version this build
+// does not read. There is one reader: an older file is rebuilt, not
+// dual-read.
+type FormatError struct {
+	Found, Wanted int
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("core: tree format version %d, this build reads version %d: rebuild the view", e.Found, e.Wanted)
+}
+
 // DegradedError reports that a stream permanently lost a leaf to a hard
 // storage failure (a dead page or detected corruption). The stream stays
 // serviceable — subsequent stabs read the surviving leaves — but the

@@ -379,42 +379,62 @@ func (s *Stream) shuttle(st *stab) {
 // each section by the query, emit covering sections immediately, park
 // partially overlapping sections, and flush every bucket group that has a
 // batch for each required region.
+//
+// Regions nest along the stab's path, so the sections whose region overlaps
+// the query are sections 1..k for some k, and the rest are useless: k is
+// known before the read, and only that prefix of the leaf is fetched.
 func (s *Stream) combineTuples(st *stab) (int, error) {
 	t := s.t
-	sections, err := t.readLeafInto(st.leaf, &s.dec)
+	k := 0
+	for k < t.h && st.box[k+1].Overlaps(s.q) {
+		k++
+	}
+	sections, err := t.readLeafInto(st.leaf, &s.dec, k)
 	if err != nil {
 		return 0, err
 	}
 	emitted := 0
-	for sec := 0; sec < t.h; sec++ {
+	for sec := 0; sec < k; sec++ {
 		level := sec + 1
-		box := st.box[level]
-		if !box.Overlaps(s.q) {
-			continue // useless section: its region misses the query
-		}
-		// Filter sigma_Q over the section.
-		var batch []record.Record
-		for i := range sections[sec] {
-			if s.q.ContainsRecord(&sections[sec][i]) {
-				batch = append(batch, sections[sec][i])
-			}
-		}
-		if box.ContainsBox(s.q) {
+		recs := sections[sec]
+		if st.box[level].ContainsBox(s.q) {
 			// The section's region covers the query: an immediately usable
-			// random sample (combinability).
-			s.out = append(s.out, batch...)
-			emitted += len(batch)
-			s.emitted += int64(len(batch))
+			// random sample (combinability), filtered straight out.
+			before := len(s.out)
+			s.out = s.filterInto(s.out, recs)
+			emitted += len(s.out) - before
+			s.emitted += int64(len(s.out) - before)
 			continue
 		}
-		// Partial overlap: park under this region and try to append one
-		// batch per required region (appendability).
+		// Partial overlap: park sigma_Q of the section under this region
+		// (copied out of the decode arena at its exact size) and try to
+		// append one batch per required region (appendability).
+		n := 0
+		for i := range recs {
+			if s.q.ContainsRecord(&recs[i]) {
+				n++
+			}
+		}
+		var batch []record.Record
+		if n > 0 {
+			batch = s.filterInto(make([]record.Record, 0, n), recs)
+		}
 		nodeIdx := st.idx[level]
 		s.buckets[sec][nodeIdx] = append(s.buckets[sec][nodeIdx], batch)
 		s.buffered += len(batch)
 		emitted += s.tryCombine(sec)
 	}
 	return emitted, nil
+}
+
+// filterInto appends sigma_Q of recs to dst.
+func (s *Stream) filterInto(dst, recs []record.Record) []record.Record {
+	for i := range recs {
+		if s.q.ContainsRecord(&recs[i]) {
+			dst = append(dst, recs[i])
+		}
+	}
+	return dst
 }
 
 // tryCombine appends one parked batch from every required region of the

@@ -14,9 +14,12 @@ import (
 //  1. every record of section i of leaf L lies inside the region of L's
 //     level-i ancestor,
 //  2. the directory's per-section counts match the leaf contents,
-//  3. the total record count matches the header, and
+//  3. the total record count matches the header,
 //  4. the per-node left/right counts stored in the split region equal the
-//     counts recomputed from the records themselves.
+//     counts recomputed from the records themselves, and
+//  5. every page of every leaf passes its whole-page checksum and the
+//     directory's per-section prefix checksums equal the ones recomputed
+//     from those pages (readLeaf).
 //
 // It costs a full scan of the leaf data region.
 func (t *Tree) Verify() error {
@@ -83,7 +86,7 @@ type PageFault struct {
 	// Page is the logical page index within the view file.
 	Page int64
 	// Region names the file region the page belongs to: "header", "splits",
-	// "directory" or "leaf".
+	// "directory", "leaf" or "checksums".
 	Region string
 	// Leaf is the ordinal of the owning leaf when Region is "leaf", else -1.
 	Leaf int64
@@ -106,13 +109,9 @@ func (pf PageFault) String() string {
 // FsckPages verifies the stored checksum of every page of the view file and
 // maps each corrupt page to the tree region — and for leaf-data pages, the
 // exact leaf and sections — it damages. Fault injection and retries are
-// bypassed: this inspects what is actually on disk. Legacy (v1) files carry
-// no checksums, so the scan trivially reports nothing. The scan costs one
+// bypassed: this inspects what is actually on disk. The scan costs one
 // sequential pass over the file.
 func (t *Tree) FsckPages() ([]PageFault, error) {
-	if !t.f.Checksummed() {
-		return nil, nil
-	}
 	var faults []PageFault
 	n := t.f.NumPages()
 	for page := int64(0); page < n; page++ {
@@ -142,6 +141,9 @@ func (t *Tree) locatePage(page int64, err error) PageFault {
 		return pf
 	case page < t.leafDataStart():
 		pf.Region = "directory"
+		return pf
+	case page >= t.crcStart():
+		pf.Region = "checksums"
 		return pf
 	}
 	pf.Region = "leaf"

@@ -68,10 +68,9 @@ func (k BackendKind) resolve() BackendKind {
 }
 
 // OpenWith opens an existing OS-backed page file at path on sim like Open,
-// choosing the raw-I/O backend. Format detection (v2 superblock vs. legacy
-// v1) is identical across backends, and so is every byte a caller reads:
-// the backend only changes how fast the wall clock moves, never what the
-// simulated clock charges.
+// choosing the raw-I/O backend. The superblock check is identical across
+// backends, and so is every byte a caller reads: the backend only changes
+// how fast the wall clock moves, never what the simulated clock charges.
 func OpenWith(sim *iosim.Sim, path string, opts OpenOptions) (*File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -102,16 +101,9 @@ func OpenWith(sim *iosim.Sim, path string, opts OpenOptions) (*File, error) {
 		b = &osBackend{f: f, pageSize: phys, npages: npages}
 	}
 
-	hdrSize, physOff := 0, int64(0)
-	if npages > 0 {
-		v2, err := readSuper(b, phys)
-		if err != nil {
-			b.Close()
-			return nil, fmt.Errorf("pagefile: open %s: %w", path, err)
-		}
-		if v2 {
-			hdrSize, physOff = frameHdrSize, 1
-		}
+	if err := readSuper(b, phys); err != nil {
+		b.Close()
+		return nil, fmt.Errorf("pagefile: open %s: %w", path, err)
 	}
-	return newFile(sim, b, hdrSize, physOff), nil
+	return newFile(sim, b, 1), nil
 }

@@ -28,11 +28,16 @@ import (
 //
 // OS-backed files additionally carry a superblock at physical page 0 whose
 // payload starts with the magic "SVPGF002" followed by the physical page
-// size; logical page i lives at physical page i+1. Files without the
-// superblock magic are version-1 seed files: they are served verbatim with
-// no checksum verification (there is nothing to verify against), preserving
-// read compatibility. In-memory files are always version 2 but need no
-// superblock, since they never outlive the process that created them.
+// size; logical page i lives at physical page i+1. A file without the
+// superblock magic (a pre-checksum version-1 file, or not a page file at
+// all) is refused at open with a *FormatError: there is nothing to verify
+// its pages against. In-memory files need no superblock, since they never
+// outlive the process that created them.
+//
+// A layer that wants to read less than a page keeps, outside the page, the
+// CRC32-C of the payload prefix it will ask for (UpdateCRC at write time)
+// and reads with ReadPrefix; see there for what that does and does not
+// verify.
 
 // frameHdrSize is the per-page header: CRC32-C plus the page number.
 const frameHdrSize = 8
@@ -43,6 +48,18 @@ const superMagic = "SVPGF002"
 // castagnoli is the CRC32-C polynomial table (same polynomial used by
 // iSCSI, btrfs and ext4 metadata checksums).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// FormatError reports a file OpenWith refused because it does not start
+// with the version-2 superblock.
+type FormatError struct{}
+
+func (*FormatError) Error() string {
+	return "pagefile: no " + superMagic + " superblock (a pre-checksum v1 file, or not a page file): rebuild it"
+}
+
+// UpdateCRC extends crc — 0 to start — with the CRC32-C of p: the checksum
+// ReadPrefix verifies a payload prefix against.
+func UpdateCRC(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
 
 // CorruptPageError reports a page whose contents failed checksum
 // verification (or carried the wrong page number) even after the reread
@@ -129,24 +146,28 @@ func flipBit(frame []byte, bit int64) {
 	frame[bit/8] ^= 1 << (bit % 8)
 }
 
-// readSuper inspects physical page 0 of a non-empty backend and reports
-// whether it is a valid v2 superblock for the given physical page size.
-func readSuper(b Backend, physSize int) (bool, error) {
+// readSuper checks that physical page 0 of b is a valid v2 superblock for
+// the given physical page size; a file that is empty or does not carry the
+// magic is a *FormatError.
+func readSuper(b Backend, physSize int) error {
+	if b.NumPages() == 0 {
+		return &FormatError{}
+	}
 	frame := make([]byte, physSize)
 	if err := b.ReadPage(0, frame); err != nil {
-		return false, err
+		return err
 	}
 	if string(frame[frameHdrSize:frameHdrSize+len(superMagic)]) != superMagic {
-		return false, nil
+		return &FormatError{}
 	}
 	if _, _, ok := verifyFrame(frame, 0); !ok {
-		return false, fmt.Errorf("pagefile: superblock checksum mismatch")
+		return fmt.Errorf("pagefile: superblock checksum mismatch")
 	}
 	stored := int(binary.LittleEndian.Uint32(frame[frameHdrSize+len(superMagic):]))
 	if stored != physSize {
-		return false, fmt.Errorf("pagefile: file has page size %d, disk model has %d", stored, physSize)
+		return fmt.Errorf("pagefile: file has page size %d, disk model has %d", stored, physSize)
 	}
-	return true, nil
+	return nil
 }
 
 // writeSuper writes the v2 superblock as physical page 0. Superblock I/O is
@@ -162,16 +183,12 @@ func writeSuper(b Backend, physSize int) error {
 
 // CheckPage verifies the stored checksum of logical page i directly — no
 // fault injection, no retries — charging one read. It returns nil for a
-// healthy page, a *CorruptPageError for a checksum or page-number mismatch,
-// and nil for legacy v1 files (which carry no checksums to verify). This is
-// the primitive behind fsck-style offline verification.
+// healthy page and a *CorruptPageError for a checksum or page-number
+// mismatch. This is the primitive behind fsck-style offline verification.
 func (f *File) CheckPage(i int64) error {
 	n := f.NumPages()
 	if i < 0 || i >= n {
 		return fmt.Errorf("%w: check page %d of %d", ErrPageOutOfRange, i, n)
-	}
-	if f.hdrSize == 0 {
-		return nil
 	}
 	phys := i + f.physOff
 	f.charge.ReadPage(f.id, phys)
@@ -186,9 +203,6 @@ func (f *File) CheckPage(i int64) error {
 	return nil
 }
 
-// Checksummed reports whether the file's pages carry v2 checksum headers.
-func (f *File) Checksummed() bool { return f.hdrSize > 0 }
-
 // CorruptStored flips one bit of the stored image of logical page i,
 // bypassing the checksum machinery — it damages the page exactly the way
 // bit rot would, for tests and chaos tooling. The write is not charged.
@@ -198,8 +212,7 @@ func (f *File) CorruptStored(i int64, bit int64) error {
 		return fmt.Errorf("%w: corrupt page %d of %d", ErrPageOutOfRange, i, n)
 	}
 	phys := i + f.physOff
-	size := f.pageSize + f.hdrSize
-	frame := make([]byte, size)
+	frame := make([]byte, f.pageSize+frameHdrSize)
 	//lint:ignore clockcharge fault injection flips stored bits behind the cost model by design
 	if err := f.backend.ReadPage(phys, frame); err != nil {
 		return err

@@ -16,9 +16,6 @@ import (
 func TestChecksumRoundTrip(t *testing.T) {
 	sim := testSim()
 	f := NewMem(sim)
-	if !f.Checksummed() {
-		t.Fatal("mem files should be checksummed")
-	}
 	if f.PageSize() != 512-frameHdrSize {
 		t.Fatalf("PageSize = %d, want %d", f.PageSize(), 512-frameHdrSize)
 	}
@@ -71,11 +68,11 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestLegacyV1BackCompat writes a checksum-less seed-format file directly
-// and verifies Open serves it verbatim.
-func TestLegacyV1BackCompat(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.pf")
+// writeLegacyV1 writes a checksum-less seed-format file (three raw 512-byte
+// pages, no superblock) and returns its path.
+func writeLegacyV1(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "legacy.pf")
 	raw := make([]byte, 0, 3*512)
 	for i := byte(1); i <= 3; i++ {
 		raw = append(raw, fill(512, i)...)
@@ -83,31 +80,26 @@ func TestLegacyV1BackCompat(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Open(testSim(), path)
-	if err != nil {
+	return path
+}
+
+// TestLegacyV1BackCompat pins what is left of v1 support: a file without
+// the superblock — and an empty one — is refused with a *FormatError, not
+// served unverified.
+func TestLegacyV1BackCompat(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.pf")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if f.Checksummed() {
-		t.Fatal("legacy file misdetected as v2")
-	}
-	if f.PageSize() != 512 {
-		t.Fatalf("legacy PageSize = %d, want 512", f.PageSize())
-	}
-	if f.NumPages() != 3 {
-		t.Fatalf("legacy NumPages = %d, want 3", f.NumPages())
-	}
-	buf := make([]byte, 512)
-	for i := int64(0); i < 3; i++ {
-		if err := f.Read(i, buf); err != nil {
-			t.Fatal(err)
+	for _, path := range []string{writeLegacyV1(t), empty} {
+		f, err := OpenWith(testSim(), path, OpenOptions{Backend: BackendPread})
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			if err == nil {
+				f.Close()
+			}
+			t.Fatalf("Open(%s) = %v, want a *FormatError", filepath.Base(path), err)
 		}
-		if buf[0] != byte(i+1) || buf[511] != byte(i+1) {
-			t.Fatalf("legacy page %d contents wrong", i)
-		}
-	}
-	if err := f.CheckPage(0); err != nil {
-		t.Fatalf("CheckPage on legacy page should be a no-op, got %v", err)
 	}
 }
 

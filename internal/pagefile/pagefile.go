@@ -11,6 +11,7 @@
 package pagefile
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -28,7 +29,8 @@ var ErrPageOutOfRange = errors.New("pagefile: page index out of range")
 // ReadPage/WritePage calls to distinct pages; WritePage calls that extend
 // the backend require external synchronization.
 type Backend interface {
-	// ReadPage copies page i into dst (exactly one page long).
+	// ReadPage copies the leading len(dst) bytes of page i into dst (at most
+	// one page long).
 	ReadPage(i int64, dst []byte) error
 	// WritePage stores src (exactly one page long) as page i, extending the
 	// backend if i is the current page count.
@@ -61,14 +63,13 @@ type File struct {
 	charge   iosim.Charger
 	id       iosim.FileID
 	pageSize int   // payload bytes per page (physical page minus header)
-	hdrSize  int   // per-page checksum header bytes; 0 for legacy v1 files
 	physOff  int64 // physical page of logical page 0 (1 past a superblock)
 	backend  Backend
 	// bufs recycles page-sized scratch buffers (Get, readLeaf and friends);
 	// shared across OnClock views of the same file.
 	bufs *bufPool
 	// frames recycles physical-frame scratch buffers for the checksum
-	// encode/verify paths; nil for legacy v1 files.
+	// encode/verify paths.
 	frames *bufPool
 }
 
@@ -140,32 +141,32 @@ func (p *bufPool) put(b []byte) {
 	}
 }
 
-// newFile wires a File over backend. hdrSize selects the format (v2
-// checksum headers or 0 for legacy v1); physOff is the physical page index
-// of logical page 0.
-func newFile(sim *iosim.Sim, backend Backend, hdrSize int, physOff int64) *File {
+// newFile wires a File over backend; physOff is the physical page index of
+// logical page 0.
+func newFile(sim *iosim.Sim, backend Backend, physOff int64) *File {
 	phys := sim.Model().PageSize
-	f := &File{
+	return &File{
 		sim:      sim,
 		charge:   sim,
 		id:       sim.Register(),
-		pageSize: phys - hdrSize,
-		hdrSize:  hdrSize,
+		pageSize: phys - frameHdrSize,
 		physOff:  physOff,
 		backend:  backend,
-		bufs:     &bufPool{ps: phys - hdrSize},
+		bufs:     &bufPool{ps: phys - frameHdrSize},
+		frames:   &bufPool{ps: phys},
 	}
-	if hdrSize > 0 {
-		f.frames = &bufPool{ps: phys}
-	}
-	return f
 }
 
 // NewMem creates an empty in-memory page file on sim. Memory files use the
 // v2 checksummed page format but carry no superblock.
 func NewMem(sim *iosim.Sim) *File {
-	return newFile(sim, &memBackend{pageSize: sim.Model().PageSize}, frameHdrSize, 0)
+	return NewOn(sim, &memBackend{pageSize: sim.Model().PageSize})
 }
+
+// NewOn creates a page file over a caller-supplied backend holding no pages
+// yet, laid out like a memory file (no superblock). Tests use it to count or
+// perturb the raw page I/O beneath a File.
+func NewOn(sim *iosim.Sim, b Backend) *File { return newFile(sim, b, 0) }
 
 // Create creates (or truncates) an OS-backed v2 page file at path on sim,
 // writing its superblock.
@@ -179,15 +180,14 @@ func Create(sim *iosim.Sim, path string) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("pagefile: create %s: %w", path, err)
 	}
-	return newFile(sim, b, frameHdrSize, 1), nil
+	return newFile(sim, b, 1), nil
 }
 
 // Open opens an existing OS-backed page file at path on sim. The file size
-// must be a whole number of pages. Files whose first page carries the v2
-// superblock are verified with per-page checksums on every read; files
-// without it are legacy v1 seed files, served verbatim for back-compat.
-// The raw-I/O backend is BackendDefault; use OpenWith to choose one
-// explicitly.
+// must be a whole number of pages and its first page must carry the v2
+// superblock (anything else is refused with a *FormatError); every page is
+// verified against its checksum header on every read. The raw-I/O backend
+// is BackendDefault; use OpenWith to choose one explicitly.
 func Open(sim *iosim.Sim, path string) (*File, error) {
 	return OpenWith(sim, path, OpenOptions{})
 }
@@ -202,10 +202,10 @@ func (f *File) OnClock(c *iosim.Clock) *File {
 	return &v
 }
 
-// PageSize returns the usable page payload size in bytes. Checksummed (v2)
-// files reserve a small in-page header, so this is slightly smaller than
-// the disk model's physical page size; every layer above derives its
-// per-page capacities from this value.
+// PageSize returns the usable page payload size in bytes. Pages reserve a
+// small in-page checksum header, so this is slightly smaller than the disk
+// model's physical page size; every layer above derives its per-page
+// capacities from this value.
 func (f *File) PageSize() int { return f.pageSize }
 
 // NumPages returns the number of logical pages in the file.
@@ -224,10 +224,10 @@ func (f *File) Sim() *iosim.Sim { return f.sim }
 // clock. Under an active fault plan each attempt — the first read, retries
 // of transient failures, and rereads after checksum mismatches — is charged
 // like the real access it models, up to the plan's attempt budget. Checksum
-// verification runs on every read of a v2 page; failures that outlive the
-// budget surface as *TransientError, *DeadPageError or *CorruptPageError.
+// verification runs on every read; failures that outlive the budget surface
+// as *TransientError, *DeadPageError or *CorruptPageError.
 func (f *File) Read(i int64, dst []byte) error {
-	_, err := f.readPage(i, dst, false)
+	_, err := f.readPage(i, dst, false, wholePage, 0)
 	return err
 }
 
@@ -240,12 +240,32 @@ func (f *File) Read(i int64, dst []byte) error {
 // must treat the result as read-only; a zero-copy result stays valid until
 // the file is closed.
 func (f *File) ReadPayload(i int64, dst []byte) ([]byte, error) {
-	return f.readPage(i, dst, true)
+	return f.readPage(i, dst, true, wholePage, 0)
 }
 
-// readPage is the shared fault/attempt loop behind Read and ReadPayload.
-// With zerocopy set, the payload may alias the backend's stored frame.
-func (f *File) readPage(i int64, dst []byte, zerocopy bool) ([]byte, error) {
+// ReadPrefix returns the first n payload bytes of logical page i, charging
+// the clock and running the attempt loop exactly as Read does — a prefix
+// read costs the simulated disk a whole page and meets the same faults —
+// but moving only the page header and those n bytes: one positional read of
+// that length straight into dst (at least one page long), or a view of the
+// backend's frame under the rules of ReadPayload. The bytes are accepted iff
+// the header carries the page's number and CRC32-C(payload[:n]) == want,
+// where want was computed (UpdateCRC) when the page was written and is kept
+// by the caller outside the page; the whole-page checksum is not consulted,
+// so damage past the prefix goes unseen here and is left to CheckPage. With
+// n == 0 nothing is fetched: the access is charged and may fault, no more.
+func (f *File) ReadPrefix(i int64, dst []byte, n int, want uint32) ([]byte, error) {
+	return f.readPage(i, dst, true, n, want)
+}
+
+// wholePage is readPage's prefix length for "the whole frame, verified
+// against the header's checksum".
+const wholePage = -1
+
+// readPage is the one fault/attempt loop behind every read entry. Each
+// attempt fetches the whole frame (prefix == wholePage) or header + prefix
+// payload bytes checked against want.
+func (f *File) readPage(i int64, dst []byte, zerocopy bool, prefix int, want uint32) ([]byte, error) {
 	n := f.NumPages()
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, i, n)
@@ -265,7 +285,13 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool) ([]byte, error) {
 			transient = true
 			continue
 		}
-		payload, err := f.readFrame(phys, i, flt, dst, zerocopy)
+		var payload []byte
+		var err error
+		if prefix == wholePage {
+			payload, err = f.readFrame(phys, i, flt, dst, zerocopy)
+		} else {
+			payload, err = f.readFramePrefix(phys, i, flt, dst, prefix, want)
+		}
 		if err == nil {
 			return payload, nil
 		}
@@ -292,39 +318,32 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool) ([]byte, error) {
 	return nil, &TransientError{Page: i, Attempts: budget}
 }
 
+// view returns the backend's stored frame of physical page phys when it can
+// be used in place: the backend exposes stable memory and no injected bit
+// rot needs to mutate the bytes (the flip must never scribble on a
+// backend's stored frame, so bit rot always forces the copy path).
+func (f *File) view(phys int64, flt iosim.Fault) ([]byte, bool) {
+	if vb, ok := f.backend.(viewBackend); ok && flt.FlipBit < 0 {
+		return vb.PageView(phys)
+	}
+	return nil, false
+}
+
 // readFrame performs one uncharged read attempt of physical page phys
 // (logical page i): fetch the frame, apply any injected bit rot, verify the
 // checksum, and produce the payload — a view of the backend's frame when
-// zerocopy is allowed and safe, a copy into dst otherwise. Bit-rot
-// injection always forces the copy path: the flip must never scribble on a
-// backend's stored frame.
+// zerocopy is allowed and safe, a copy into dst otherwise.
 func (f *File) readFrame(phys, i int64, flt iosim.Fault, dst []byte, zerocopy bool) ([]byte, error) {
-	if vb, ok := f.backend.(viewBackend); ok && flt.FlipBit < 0 {
-		if frame, ok := vb.PageView(phys); ok {
-			payload := frame[:f.pageSize:f.pageSize]
-			if f.hdrSize > 0 {
-				got, want, ok := verifyFrame(frame, phys)
-				if !ok {
-					return nil, &CorruptPageError{Page: i, Got: got, Want: want}
-				}
-				payload = frame[f.hdrSize : f.hdrSize+f.pageSize : f.hdrSize+f.pageSize]
-			}
-			if zerocopy {
-				return payload, nil
-			}
-			copy(dst[:f.pageSize], payload)
-			return dst[:f.pageSize], nil
+	if frame, ok := f.view(phys, flt); ok {
+		got, want, ok := verifyFrame(frame, phys)
+		if !ok {
+			return nil, &CorruptPageError{Page: i, Got: got, Want: want}
 		}
-	}
-	if f.hdrSize == 0 {
-		// Legacy v1: no header, nothing to verify. Injected bit rot lands in
-		// the payload undetected — exactly the failure mode v2 exists to fix.
-		if err := f.backend.ReadPage(phys, dst[:f.pageSize]); err != nil {
-			return nil, err
+		payload := frame[frameHdrSize : frameHdrSize+f.pageSize : frameHdrSize+f.pageSize]
+		if zerocopy {
+			return payload, nil
 		}
-		if flt.FlipBit >= 0 {
-			flipBit(dst[:f.pageSize], flt.FlipBit)
-		}
+		copy(dst[:f.pageSize], payload)
 		return dst[:f.pageSize], nil
 	}
 	frame := f.frames.get()
@@ -339,8 +358,38 @@ func (f *File) readFrame(phys, i int64, flt iosim.Fault, dst []byte, zerocopy bo
 	if !ok {
 		return nil, &CorruptPageError{Page: i, Got: got, Want: want}
 	}
-	copy(dst[:f.pageSize], frame[f.hdrSize:])
+	copy(dst[:f.pageSize], frame[frameHdrSize:])
 	return dst[:f.pageSize], nil
+}
+
+// readFramePrefix is readFrame moving and verifying only header + n payload
+// bytes. An attempt with injected bit rot is a whole-page attempt (the flip
+// lands anywhere in the frame and must fail it exactly as it fails Read),
+// as is one whose header and prefix do not fit dst.
+func (f *File) readFramePrefix(phys, i int64, flt iosim.Fault, dst []byte, n int, want uint32) ([]byte, error) {
+	if flt.FlipBit >= 0 || frameHdrSize+n > len(dst) {
+		payload, err := f.readFrame(phys, i, flt, dst, true)
+		if err != nil {
+			return nil, err
+		}
+		return payload[:n], nil
+	}
+	if n == 0 {
+		return dst[:0], nil
+	}
+	frame, ok := f.view(phys, flt)
+	if !ok {
+		frame = dst[:frameHdrSize+n]
+		if err := f.backend.ReadPage(phys, frame); err != nil {
+			return nil, err
+		}
+	}
+	payload := frame[frameHdrSize : frameHdrSize+n : frameHdrSize+n]
+	got := UpdateCRC(0, payload)
+	if got != want || binary.LittleEndian.Uint32(frame[4:8]) != uint32(phys) {
+		return nil, &CorruptPageError{Page: i, Got: got, Want: want}
+	}
+	return payload, nil
 }
 
 // Write writes logical page i from src (at least one page long), charging
@@ -353,12 +402,9 @@ func (f *File) Write(i int64, src []byte) error {
 	}
 	phys := i + f.physOff
 	f.charge.WritePage(f.id, phys)
-	if f.hdrSize == 0 {
-		return f.backend.WritePage(phys, src[:f.pageSize])
-	}
 	frame := f.frames.get()
 	defer f.frames.put(frame)
-	copy(frame[f.hdrSize:], src[:f.pageSize])
+	copy(frame[frameHdrSize:], src[:f.pageSize])
 	encodeFrame(frame, phys)
 	return f.backend.WritePage(phys, frame)
 }

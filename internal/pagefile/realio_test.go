@@ -3,7 +3,6 @@ package pagefile
 import (
 	"bytes"
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -47,8 +46,8 @@ func TestMmapBackendRoundTrip(t *testing.T) {
 	if _, ok := f.backend.(*mmapBackend); !ok {
 		t.Fatalf("backend is %T, want *mmapBackend", f.backend)
 	}
-	if !f.Checksummed() || f.NumPages() != 8 {
-		t.Fatalf("mmap open misread the format: checksummed=%v pages=%d", f.Checksummed(), f.NumPages())
+	if f.NumPages() != 8 {
+		t.Fatalf("mmap open misread the format: pages=%d", f.NumPages())
 	}
 	buf := make([]byte, f.PageSize())
 	for i := int64(0); i < 8; i++ {
@@ -179,51 +178,19 @@ func TestMmapZeroCopyStable(t *testing.T) {
 	}
 }
 
-// TestLegacyV1ThroughMmap serves a checksum-less seed-format file through
-// the mmap backend: format detection and payload bytes must match the
-// pread path exactly.
+// TestLegacyV1ThroughMmap: the refusal of a superblock-less file does not
+// depend on the backend, and leaves no mapping behind.
 func TestLegacyV1ThroughMmap(t *testing.T) {
 	if !mmapAvailable {
 		t.Skip("mmap not available on this platform")
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.pf")
-	raw := make([]byte, 0, 3*512)
-	for i := byte(1); i <= 3; i++ {
-		raw = append(raw, fill(512, i)...)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenWith(testSim(), path, OpenOptions{Backend: BackendMmap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, ok := f.backend.(*mmapBackend); !ok {
-		t.Fatalf("backend is %T, want *mmapBackend", f.backend)
-	}
-	if f.Checksummed() {
-		t.Fatal("legacy file misdetected as v2 through mmap")
-	}
-	if f.PageSize() != 512 || f.NumPages() != 3 {
-		t.Fatalf("legacy geometry wrong: pageSize=%d pages=%d", f.PageSize(), f.NumPages())
-	}
-	buf := make([]byte, 512)
-	for i := int64(0); i < 3; i++ {
-		if err := f.Read(i, buf); err != nil {
-			t.Fatal(err)
+	f, err := OpenWith(testSim(), writeLegacyV1(t), OpenOptions{Backend: BackendMmap})
+	var fe *FormatError
+	if !errors.As(err, &fe) {
+		if err == nil {
+			f.Close()
 		}
-		if buf[0] != byte(i+1) || buf[511] != byte(i+1) {
-			t.Fatalf("legacy page %d wrong through mmap", i)
-		}
-		payload, err := f.ReadPayload(i, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if payload[0] != byte(i+1) {
-			t.Fatalf("legacy ReadPayload page %d wrong", i)
-		}
+		t.Fatalf("mmap open of a v1 file = %v, want a *FormatError", err)
 	}
 }
 

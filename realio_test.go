@@ -1,12 +1,17 @@
 package sampleview
 
 import (
+	"errors"
 	"io"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"sampleview/internal/iosim"
+	"sampleview/internal/pagefile"
+	"sampleview/internal/shard"
 	"sampleview/internal/stats"
 )
 
@@ -28,11 +33,13 @@ func buildDiskView(t *testing.T, recs []Record, seed uint64) string {
 // TestBackendStreamEquivalence is the determinism criterion for the
 // real-I/O fast path: the same stored view opened through pread and mmap —
 // both under the same fault plan — must emit the exact same record sequence
-// and charge the exact same simulated time. The backend may only change how
-// fast the wall clock moves.
+// and charge the exact same simulated time, on each selectivity of the
+// paper's 0.25 / 2.5 / 25% mix (the narrow ones read short leaf prefixes,
+// one positional read of a few records against a slice of the mapping; the
+// wide one reads whole leaves). The backend may only change how fast the
+// wall clock moves.
 func TestBackendStreamEquivalence(t *testing.T) {
 	recs := genRecords(4000, 7)
-	q := Box1D(1<<18, 3<<19)
 	path := buildDiskView(t, recs, 9)
 	plan, err := FaultProfile("flaky-disk", 42)
 	if err != nil {
@@ -43,7 +50,7 @@ func TestBackendStreamEquivalence(t *testing.T) {
 		recs []Record
 		st   IOStats
 	}
-	open := func(backend BackendKind) run {
+	open := func(backend BackendKind, q Box) run {
 		t.Helper()
 		v, err := Open(path, Options{DiskModel: smallPages(), Faults: plan, Backend: backend})
 		if err != nil {
@@ -69,28 +76,79 @@ func TestBackendStreamEquivalence(t *testing.T) {
 		return run{out, s.Stats()}
 	}
 
-	ref := open(BackendPread)
-	if len(ref.recs) == 0 {
-		t.Fatal("reference stream emitted nothing; test proves nothing")
-	}
-	if ref.st.Faults.Transient == 0 {
-		t.Fatal("fault plan injected nothing; test proves nothing")
-	}
-	got := open(BackendMmap)
-	if len(got.recs) != len(ref.recs) {
-		t.Fatalf("mmap emitted %d records, pread %d", len(got.recs), len(ref.recs))
-	}
-	for i := range ref.recs {
-		if got.recs[i] != ref.recs[i] {
-			t.Fatalf("mmap record %d differs from pread", i)
+	for _, p := range goldenPreds {
+		ref := open(BackendPread, p.q)
+		if len(ref.recs) == 0 {
+			t.Fatalf("%s: reference stream emitted nothing; test proves nothing", p.name)
+		}
+		if ref.st.Faults.Transient == 0 {
+			t.Fatalf("%s: fault plan injected nothing; test proves nothing", p.name)
+		}
+		got := open(BackendMmap, p.q)
+		if len(got.recs) != len(ref.recs) {
+			t.Fatalf("%s: mmap emitted %d records, pread %d", p.name, len(got.recs), len(ref.recs))
+		}
+		for i := range ref.recs {
+			if got.recs[i] != ref.recs[i] {
+				t.Fatalf("%s: mmap record %d differs from pread", p.name, i)
+			}
+		}
+		if got.st.SimTime != ref.st.SimTime {
+			t.Fatalf("%s: mmap charged %v simulated, pread %v", p.name, got.st.SimTime, ref.st.SimTime)
+		}
+		if got.st.Counters != ref.st.Counters || got.st.Faults != ref.st.Faults {
+			t.Fatalf("%s: mmap counters %+v %+v, pread %+v %+v", p.name,
+				got.st.Counters, got.st.Faults, ref.st.Counters, ref.st.Faults)
 		}
 	}
-	if got.st.SimTime != ref.st.SimTime {
-		t.Fatalf("mmap charged %v simulated, pread %v", got.st.SimTime, ref.st.SimTime)
+}
+
+// TestOldTreeFormatRefused rewrites a stored view's header to the previous
+// tree format and checks that Open and OpenSharded fail with the typed
+// *FormatError and its "rebuild the view" text intact, whatever wraps it.
+func TestOldTreeFormatRefused(t *testing.T) {
+	downgrade := func(path string) {
+		t.Helper()
+		f, err := pagefile.Open(iosim.New(smallPages()), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		page := make([]byte, f.PageSize())
+		if err := f.Read(0, page); err != nil {
+			t.Fatal(err)
+		}
+		page[0] = '1' // "SVACETR2" is stored little-endian: the version digit comes first
+		if err := f.Write(0, page); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got.st.Faults != ref.st.Faults {
-		t.Fatalf("mmap fault counters %+v, pread %+v", got.st.Faults, ref.st.Faults)
+	check := func(what string, err error) {
+		t.Helper()
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Found != 1 || !strings.Contains(err.Error(), fe.Error()) ||
+			!strings.Contains(err.Error(), "rebuild the view") {
+			t.Fatalf("%s over a format-1 tree = %v, want a *FormatError surfaced verbatim", what, err)
+		}
 	}
+	recs := genRecords(2000, 3)
+	path := buildDiskView(t, recs, 1)
+	downgrade(path)
+	_, err := Open(path, Options{DiskModel: smallPages()})
+	check("Open", err)
+
+	dir := filepath.Join(t.TempDir(), "old.shards")
+	sopts := ShardedOptions{K: 2, Partition: HashBySeq, Seed: 1, Model: smallPages()}
+	sv, err := CreateSharded(dir, recs, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	downgrade(filepath.Join(dir, shard.ShardFile(1)))
+	_, err = OpenSharded(dir, sopts)
+	check("OpenSharded", err)
 }
 
 // TestStreamChurnMmapRace churns streams over an mmap view under -race:

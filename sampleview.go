@@ -62,6 +62,9 @@ type (
 	BackendKind = pagefile.BackendKind
 	// ItemRangeError reports an item region that does not fit its file.
 	ItemRangeError = pagefile.ItemRangeError
+	// FormatError reports a view file whose tree was written under a format
+	// version this build does not read; the view must be rebuilt.
+	FormatError = core.FormatError
 )
 
 // Raw-I/O backends for Options.Backend.
@@ -384,8 +387,8 @@ func (v *View) Crashed() bool { return v.sim.Crashed() }
 
 // Fsck verifies the stored checksum of every page of the view file and
 // reports each corrupt page with the tree region — and for leaf pages, the
-// leaf and sections — it damages. Legacy (pre-checksum) files report
-// nothing. The scan costs one sequential pass of simulated I/O.
+// leaf and sections — it damages. The scan costs one sequential pass of
+// simulated I/O.
 func (v *View) Fsck() ([]PageFault, error) { return v.part.Main().FsckPages() }
 
 // EstimateCount estimates the number of records matching q from the
