@@ -43,6 +43,7 @@ func Create(dst *pagefile.File, src *pagefile.ItemFile, p Params) (*Tree, error)
 	}
 	t := &Tree{
 		f:       dst,
+		free:    make(chan *scratch, maxFreeScratch),
 		h:       h,
 		dims:    p.Dims,
 		count:   n,

@@ -173,6 +173,10 @@ type Tree struct {
 	// dataMin/dataMax bound the stored coordinates per dimension; they are
 	// used to clamp edge regions when interpolating count estimates.
 	dataMin, dataMax []int64
+
+	// free holds the scratch objects closed streams handed back (see
+	// Stream.Close); clocked views share their tree's list.
+	free chan *scratch
 }
 
 // WithClock returns a view of the tree whose I/O is charged to the given
@@ -306,6 +310,7 @@ func Open(f *pagefile.File) (*Tree, error) {
 	}
 	t := &Tree{
 		f:     f,
+		free:  make(chan *scratch, maxFreeScratch),
 		count: int64(binary.LittleEndian.Uint64(page[8:16])),
 		h:     int(binary.LittleEndian.Uint64(page[16:24])),
 		dims:  int(binary.LittleEndian.Uint64(page[24:32])),
@@ -555,7 +560,8 @@ func (t *Tree) sealPage(m *leafMeta, p int64, payload []byte, crc []uint32) {
 // verified whole, and the directory's prefix checksums are recomputed from
 // those pages and compared. The query hot path uses readLeafInto instead.
 func (t *Tree) readLeaf(ordinal int64) ([][]record.Record, error) {
-	d := leafDecoder{fsck: true}
+	d := leafDecoder{fsck: true, page: t.f.PageBuf()}
+	defer t.f.PutPageBuf(d.page)
 	return t.readLeafInto(ordinal, &d, t.h)
 }
 
@@ -569,6 +575,9 @@ func (t *Tree) readLeaf(ordinal int64) ([][]record.Record, error) {
 type leafDecoder struct {
 	arena    []record.Record
 	sections [][]record.Record
+	// page is the buffer pages are read into when the backend cannot lend
+	// its own frame: one page long, made on first use, owned with the decoder.
+	page []byte
 	// fsck selects the offline read of all h sections (see readLeaf).
 	fsck bool
 }
@@ -611,8 +620,10 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int) ([][]record.Re
 		k, use, last = t.h, total, pages
 		resealed = make([]uint32, t.h)
 	}
-	buf := t.f.PageBuf()
-	defer t.f.PutPageBuf(buf)
+	if len(d.page) < t.f.PageSize() {
+		d.page = make([]byte, t.f.PageSize())
+	}
+	buf := d.page
 	flat := d.arena[:0]
 	for p := int64(0); p < pages; p++ {
 		n := min(perPage, use-p*perPage) // records of the prefix on this page

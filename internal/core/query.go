@@ -28,32 +28,23 @@ type Stream struct {
 	t *Tree
 	q record.Box
 
-	// Lookup table T: next-child toggle bit per internal node, and
-	// remaining unread leaves per heap node (leaves included), which
-	// doubles as the done flag (remaining == 0).
-	nextRight []bool
-	remaining []int32
+	// The stream's working memory, taken from the tree's free list at open
+	// and handed back by Close (nil afterwards).
+	*scratch
 
 	// weight and sent drive the optional weighted shuttle (nil when the
 	// paper's toggling shuttle is in use).
 	weight, sent []int32
 
-	// requiredAll[s] (0-based section index) lists the heap indices of the
-	// level-(s+1) nodes whose region overlaps the query; all of them must
-	// contribute a batch before section-s batches can be appended.
-	requiredAll [][]int64
-
-	// buckets[s] holds parked batches keyed by heap node index.
-	buckets []map[int64][][]record.Record
 	// buffered counts the records currently parked across all buckets
 	// (Figure 15's metric).
 	buffered int
 
-	out        []record.Record // emitted but not yet consumed by Next
-	outHead    int
-	leavesRead int64
-	emitted    int64
-	done       bool
+	outHead     int // s.out[outHead:] is emitted but not yet consumed
+	queryLeaves int
+	leavesRead  int64
+	emitted     int64
+	done        bool
 
 	// pending is the leaf ordinal of a stab whose read failed transiently
 	// (-1 if none). The shuttle already consumed the leaf's remaining
@@ -66,13 +57,107 @@ type Stream struct {
 	transientRetries int64
 	degradedLeaves   int64
 	degradedSections int64
+}
+
+// scratch is the working memory of one stream at a time. Nothing in it
+// outlives the stream that holds it: every record a caller is handed was
+// copied out (Next, NextBatch, AppendNext) or is lent until the next call
+// only (LendBatch), so Close can pass the whole object to the next stream.
+type scratch struct {
+	// Lookup table T: next-child toggle bit per internal node, and
+	// remaining unread leaves per heap node (leaves included), which
+	// doubles as the done flag (remaining == 0).
+	nextRight []bool
+	remaining []int32
+
+	// requiredAll[s] (0-based section index) lists the heap indices of the
+	// level-(s+1) nodes whose region overlaps the query; all of them must
+	// contribute a batch before section-s batches can be appended.
+	requiredAll [][]int64
+
+	// buckets[s] holds parked batches keyed by heap node index. The batches
+	// themselves are exact-size allocations of the stream that parked them
+	// and are dropped, not recycled, at Close.
+	buckets []map[int64][][]record.Record
+
+	out []record.Record // emitted records, consumed from Stream.outHead
 
 	// cur is the stab being served; its path survives a transient fault so
 	// the retry re-reads the same leaf.
 	cur stab
 
-	// dec is the stream's reusable leaf-decode arena.
+	// dec is the reusable leaf-decode arena and page buffer.
 	dec leafDecoder
+}
+
+// Retained scratch is bounded by constants: a tree keeps at most
+// maxFreeScratch idle objects, and an object whose record buffers grew past
+// maxKeepRecords (one unusually wide combine) sheds them before it is kept.
+const (
+	maxFreeScratch = 4
+	maxKeepRecords = 4096
+)
+
+// getScratch takes a scratch object off the tree's free list (or makes one)
+// and sizes and resets its tables for a new stream over t.
+func (t *Tree) getScratch() *scratch {
+	var sc *scratch
+	select {
+	case sc = <-t.free:
+	default:
+		sc = new(scratch)
+	}
+	sc.nextRight = resized(sc.nextRight, int(t.nLeaves))
+	clear(sc.nextRight)
+	sc.remaining = resized(sc.remaining, int(2*t.nLeaves))
+	sc.requiredAll = resized(sc.requiredAll, t.h)
+	sc.buckets = resized(sc.buckets, t.h)
+	for i := range sc.buckets {
+		sc.requiredAll[i] = sc.requiredAll[i][:0]
+		if sc.buckets[i] == nil {
+			sc.buckets[i] = make(map[int64][][]record.Record)
+		}
+	}
+	sc.out = sc.out[:0]
+	sc.cur.leaf = -1
+	sc.cur.idx = resized(sc.cur.idx, t.h+1)
+	sc.cur.box = resized(sc.cur.box, t.h+1)
+	return sc
+}
+
+// resized returns s with length n, reallocating only when it must; the
+// contents are the caller's to reset.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Close hands the stream's working memory back to the tree for the next
+// stream. It is optional — an unclosed stream is ordinary garbage — and
+// idempotent; afterwards the stream reads as exhausted and its counters
+// stay valid. Like every method it must not race with a draw: the layers
+// above serialize both behind their stream lock.
+func (s *Stream) Close() {
+	sc := s.scratch
+	if sc == nil {
+		return
+	}
+	s.scratch, s.done, s.outHead, s.buffered = nil, true, 0, 0
+	for _, b := range sc.buckets {
+		clear(b)
+	}
+	if cap(sc.out) > maxKeepRecords {
+		sc.out = nil
+	}
+	if cap(sc.dec.arena) > maxKeepRecords {
+		sc.dec.arena = nil
+	}
+	select {
+	case s.t.free <- sc:
+	default:
+	}
 }
 
 // stab is one routed root-to-leaf traversal: the leaf it reached plus the
@@ -81,10 +166,6 @@ type stab struct {
 	leaf int64
 	idx  []int64
 	box  []record.Box
-}
-
-func newStab(h int) stab {
-	return stab{leaf: -1, idx: make([]int64, h+1), box: make([]record.Box, h+1)}
 }
 
 // StreamOptions tunes the query algorithm.
@@ -115,24 +196,16 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 	if q.Dims() != t.dims {
 		return nil, fmt.Errorf("core: query has %d dims, tree has %d", q.Dims(), t.dims)
 	}
-	s := &Stream{
-		t:         t,
-		q:         q,
-		nextRight: make([]bool, t.nLeaves),
-		remaining: make([]int32, 2*t.nLeaves),
-		buckets:   make([]map[int64][][]record.Record, t.h),
-		pending:   -1,
-		cur:       newStab(t.h),
-	}
-	for i := range s.buckets {
-		s.buckets[i] = make(map[int64][][]record.Record)
-	}
+	s := &Stream{t: t, q: q, scratch: t.getScratch(), pending: -1}
 	// remaining[i] = number of leaves below heap node i.
 	for i := int64(1); i < 2*t.nLeaves; i++ {
 		lvl := levelOf(i)
 		s.remaining[i] = int32(int64(1) << uint(t.h-lvl))
 	}
-	s.computeRequired()
+	if !q.Empty() {
+		s.computeRequired(1, 1, record.FullBox(t.dims))
+	}
+	s.queryLeaves = len(s.requiredAll[t.h-1])
 	if opts.WeightedShuttle {
 		// weight[i] = number of query-overlapping leaf regions below heap
 		// node i; sent[i] counts stabs routed through it.
@@ -150,47 +223,46 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 	return s, nil
 }
 
-// computeRequired walks the tree regions top-down and records, per level,
-// which nodes overlap the query.
-func (s *Stream) computeRequired() {
-	t := s.t
-	s.requiredAll = make([][]int64, t.h)
-	if s.q.Empty() {
+// computeRequired walks the tree regions top-down from node idx and
+// records, per level, which nodes overlap the query.
+func (s *Stream) computeRequired(idx int64, level int, box record.Box) {
+	if !box.Overlaps(s.q) {
 		return
 	}
-	var walk func(idx int64, level int, box record.Box)
-	walk = func(idx int64, level int, box record.Box) {
-		if !box.Overlaps(s.q) {
-			return
-		}
-		s.requiredAll[level-1] = append(s.requiredAll[level-1], idx)
-		if level == t.h {
-			return
-		}
-		split := t.splits[idx]
-		walk(2*idx, level+1, t.childBox(box, level, split, false))
-		walk(2*idx+1, level+1, t.childBox(box, level, split, true))
+	s.requiredAll[level-1] = append(s.requiredAll[level-1], idx)
+	if level == s.t.h {
+		return
 	}
-	walk(1, 1, record.FullBox(t.dims))
+	split := s.t.splits[idx]
+	s.computeRequired(2*idx, level+1, s.t.childBox(box, level, split, false))
+	s.computeRequired(2*idx+1, level+1, s.t.childBox(box, level, split, true))
+}
+
+// queued returns the records emitted but not yet consumed.
+func (s *Stream) queued() []record.Record {
+	if s.scratch == nil {
+		return nil
+	}
+	return s.out[s.outHead:]
 }
 
 // Done reports whether every leaf has been read and the stream drained of
 // new batches.
-func (s *Stream) Done() bool { return s.done && s.outHead >= len(s.out) }
+func (s *Stream) Done() bool { return s.done && len(s.queued()) == 0 }
 
 // QueryLeaves returns the number of leaf regions that overlap the query:
 // the leaves that can ever contribute matching records. Shard mergers use
 // it to apportion a degraded leaf's share of the estimated matching count.
-func (s *Stream) QueryLeaves() int {
-	if len(s.requiredAll) == 0 {
-		return 0
-	}
-	return len(s.requiredAll[len(s.requiredAll)-1])
-}
+func (s *Stream) QueryLeaves() int { return s.queryLeaves }
 
 // RemainingLeaves returns the number of leaves not yet served to the caller
 // (over the whole tree, not just the query-overlapping region).
-func (s *Stream) RemainingLeaves() int64 { return int64(s.remaining[1]) }
+func (s *Stream) RemainingLeaves() int64 {
+	if s.scratch == nil {
+		return 0
+	}
+	return int64(s.remaining[1])
+}
 
 // LeavesRead returns the number of leaf nodes retrieved so far.
 func (s *Stream) LeavesRead() int64 { return s.leavesRead }
@@ -217,44 +289,67 @@ func (s *Stream) DegradedLeaves() int64 { return s.degradedLeaves }
 // lost with degraded leaves.
 func (s *Stream) DegradedSections() int64 { return s.degradedSections }
 
+// AppendNext is the stream's batch draw: it appends the next n sample
+// records to dst — a slice the caller owns; the stream keeps no reference
+// to it — performing stabs as needed, and returns the extended slice. Fewer
+// than n records with a nil error means every matching record has been
+// emitted and consumed. On an error the records drawn before it are
+// returned with it and a retried call continues where the fault struck.
+func (s *Stream) AppendNext(dst []record.Record, n int) ([]record.Record, error) {
+	for n > 0 {
+		q := s.queued()
+		if len(q) == 0 {
+			if s.done {
+				break
+			}
+			if _, err := s.NextLeaf(); err != nil && err != io.EOF {
+				return dst, err
+			}
+			continue
+		}
+		k := min(n, len(q))
+		dst = append(dst, q[:k]...)
+		s.outHead += k
+		n -= k
+	}
+	return dst, nil
+}
+
 // Next returns the next sample record, performing stabs as needed. It
 // returns io.EOF once every matching record has been emitted and consumed.
 func (s *Stream) Next() (record.Record, error) {
-	for s.outHead >= len(s.out) {
-		if s.done {
-			return record.Record{}, io.EOF
-		}
-		if _, err := s.NextLeaf(); err != nil && err != io.EOF {
-			return record.Record{}, err
-		}
+	var one [1]record.Record
+	out, err := s.AppendNext(one[:0], 1)
+	if len(out) == 0 && err == nil {
+		err = io.EOF
 	}
-	rec := s.out[s.outHead]
-	s.outHead++
-	if s.outHead >= len(s.out) {
-		s.out = s.out[:0]
-		s.outHead = 0
-	}
-	return rec, nil
+	return one[0], err
 }
 
-// NextBatch returns all records emitted by the next stab (possibly none).
-// It returns io.EOF once the stream is exhausted.
-func (s *Stream) NextBatch() ([]record.Record, error) {
-	// Drain anything already queued first.
-	if s.outHead < len(s.out) {
-		batch := append([]record.Record(nil), s.out[s.outHead:]...)
-		s.out = s.out[:0]
-		s.outHead = 0
-		return batch, nil
+// LendBatch returns everything emitted and not yet consumed, performing one
+// stab first if that is nothing, and marks it consumed. The batch aliases
+// the stream's working memory: it is the caller's to read and reorder until
+// its next call on the stream, and must not be kept past that (or past
+// Close). It returns io.EOF once the stream is exhausted.
+func (s *Stream) LendBatch() ([]record.Record, error) {
+	if len(s.queued()) == 0 {
+		if _, err := s.NextLeaf(); err != nil {
+			return nil, err
+		}
 	}
-	n, err := s.NextLeaf()
+	batch := s.queued()
+	s.outHead = len(s.out)
+	return batch, nil
+}
+
+// NextBatch returns all records emitted by the next stab (possibly none) in
+// a slice of its own. It returns io.EOF once the stream is exhausted.
+func (s *Stream) NextBatch() ([]record.Record, error) {
+	batch, err := s.LendBatch()
 	if err != nil {
 		return nil, err
 	}
-	batch := append([]record.Record(nil), s.out[len(s.out)-n:]...)
-	s.out = s.out[:0]
-	s.outHead = 0
-	return batch, nil
+	return append([]record.Record(nil), batch...), nil
 }
 
 // NextLeaf performs one stab (Algorithm 3), reading exactly one leaf from
@@ -269,6 +364,9 @@ func (s *Stream) NextBatch() ([]record.Record, error) {
 func (s *Stream) NextLeaf() (int, error) {
 	if s.done {
 		return 0, io.EOF
+	}
+	if s.outHead >= len(s.out) {
+		s.out, s.outHead = s.out[:0], 0
 	}
 	if s.pending >= 0 {
 		s.pending = -1 // retry cur over its preserved path

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -43,19 +42,22 @@ func (r *Router) serveConn(nc net.Conn) {
 		streams: make(map[uint32]*routedStream),
 	}
 	defer ps.teardown()
-	br := bufio.NewReaderSize(nc, 64<<10)
-	bw := bufio.NewWriterSize(nc, 64<<10)
+	fr := server.NewFrameReader(nc)
+	var wbuf []byte // every response frame is encoded here, in place
 	for {
-		t, body, err := server.ReadFrame(br)
+		t, body, err := fr.Next()
 		if err != nil {
 			return // disconnect or torn frame; nothing to answer
 		}
 		rt, rbody := ps.handle(t, body)
-		if werr := server.WriteFrame(bw, rt, rbody); werr != nil {
+		if wbuf, err = server.AppendFrame(wbuf[:0], rt, rbody); err != nil {
 			return
 		}
-		if werr := bw.Flush(); werr != nil {
+		if _, err := nc.Write(wbuf); err != nil {
 			return
+		}
+		if cap(wbuf) > server.KeepBuf {
+			wbuf = nil
 		}
 		if r.isDraining() {
 			return
@@ -260,13 +262,13 @@ func (ps *proxySession) handleNextBatch(body []byte) (server.FrameType, []byte) 
 	if max <= 0 || max > ps.r.cfg.MaxBatch {
 		max = ps.r.cfg.MaxBatch
 	}
-	recs, eof, end, perr := st.pull(pos, max)
+	rb, perr := st.pull(pos, max)
 	if perr != nil {
 		return ps.forward(perr)
 	}
 	ps.r.stats.BatchesServed.Add(1)
-	ps.r.stats.RecordsServed.Add(int64(len(recs)))
-	if eof {
+	ps.r.stats.RecordsServed.Add(int64(rb.N))
+	if rb.EOF {
 		// Mirror the single server: the sequence is exhausted, retire the
 		// stream and free its quota slot without waiting for a cancel.
 		delete(ps.streams, req.StreamID)
@@ -274,7 +276,10 @@ func (ps *proxySession) handleNextBatch(body []byte) (server.FrameType, []byte) 
 		ps.r.releaseTenantStream(st.key)
 		ps.r.stats.StreamsClosed.Add(1)
 	}
-	return server.FBatch, server.BatchResp{StreamID: req.StreamID, EOF: eof, Records: recs, Pos: end}.Encode()
+	// Pass the replica's body through under the client's stream id: eof,
+	// records and position are already what this client must see.
+	server.SetBatchStream(rb.Body, req.StreamID)
+	return server.FBatch, rb.Body
 }
 
 func (ps *proxySession) handleCancel(body []byte) (server.FrameType, []byte) {

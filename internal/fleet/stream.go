@@ -80,6 +80,11 @@ type routedStream struct {
 	eof     bool        // guarded by mu
 	primary *streamLink // guarded by mu
 	shadow  *streamLink // guarded by mu; lazily opened by the first hedge
+	// body is the buffer the last forwarded batch sits in. Each pull hands it
+	// to the one leg goroutine that will write it, and takes back the
+	// winner's: a leg still in flight when its race is lost keeps the buffer
+	// it was given, so no two pulls ever share one.
+	body []byte // guarded by mu
 }
 
 // placeKey is the consistent-hash key the stream's legs are placed by:
@@ -140,24 +145,24 @@ func (st *routedStream) reopen(skip *replica, pos int64) (*streamLink, error) {
 	return nil, lastErr
 }
 
-// pullResult is one leg's answer in a (possibly hedged) pull race.
+// pullResult is one leg's answer in a (possibly hedged) pull race: the
+// replica's batch body as it arrived, not one record of it decoded.
 type pullResult struct {
-	recs   []record.Record
-	eof    bool
-	end    int64
+	server.RawBatch
 	err    error
 	link   *streamLink
 	hedged bool
 }
 
-// pullInto runs one positioned pull on a leg and delivers the result. It
+// pullInto runs one positioned pull on a leg, the body landing in buf
+// (which the goroutine owns from here on), and delivers the result. It
 // runs as a goroutine paired with the router's WaitGroup; a leg whose race
 // is already lost unblocks when the stream (or the router) closes the
 // leg's connection.
-func (st *routedStream) pullInto(ch chan<- pullResult, l *streamLink, pos int64, max int, hedged bool) {
+func (st *routedStream) pullInto(ch chan<- pullResult, l *streamLink, pos int64, max int, hedged bool, buf []byte) {
 	defer st.r.wg.Done()
-	recs, eof, end, err := l.rs.PullAt(pos, max)
-	ch <- pullResult{recs: recs, eof: eof, end: end, err: err, link: l, hedged: hedged}
+	rb, err := l.rs.PullAt(pos, max, buf)
+	ch <- pullResult{RawBatch: rb, err: err, link: l, hedged: hedged}
 }
 
 // recoverable reports whether a leg failure is survivable by reopening the
@@ -188,15 +193,17 @@ func recoverable(err error) bool {
 // fast-forwards on its next pull rather than re-serving the prefix. A leg
 // that fails recoverably is replaced by reopening (seed, pos) on the next
 // live replica in the placement walk — live migration, invisible to the
-// client beyond latency.
-func (st *routedStream) pull(pos int64, max int) ([]record.Record, bool, int64, error) {
+// client beyond latency. The batch comes back as the replica's own FBatch
+// body, valid until the stream's next pull.
+func (st *routedStream) pull(pos int64, max int) (server.RawBatch, error) {
 	st.mu.Lock()
-	pri := st.primary
+	pri, buf := st.primary, st.body
+	st.body = nil
 	st.mu.Unlock()
 	if pri == nil {
 		var err error
 		if pri, err = st.reopen(nil, pos); err != nil {
-			return nil, false, pos, err
+			return server.RawBatch{}, err
 		}
 		st.mu.Lock()
 		st.primary = pri
@@ -206,7 +213,7 @@ func (st *routedStream) pull(pos int64, max int) ([]record.Record, bool, int64, 
 	ch := make(chan pullResult, 2)
 	outstanding := 1
 	st.r.wg.Add(1)
-	go st.pullInto(ch, pri, pos, max, false)
+	go st.pullInto(ch, pri, pos, max, false, buf)
 
 	var res pullResult
 	if d := st.r.cfg.HedgeAfter; d > 0 {
@@ -219,7 +226,7 @@ func (st *routedStream) pull(pos int64, max int) ([]record.Record, bool, int64, 
 				st.r.stats.HedgedReads.Add(1)
 				outstanding++
 				st.r.wg.Add(1)
-				go st.pullInto(ch, sh, pos, max, true)
+				go st.pullInto(ch, sh, pos, max, true, nil)
 			}
 			res = <-ch
 		}
@@ -243,29 +250,30 @@ func (st *routedStream) pull(pos int64, max int) ([]record.Record, bool, int64, 
 
 	if res.err != nil {
 		if !recoverable(res.err) {
-			return nil, false, pos, res.err
+			return server.RawBatch{}, res.err
 		}
 		// Migrate: replace the stream's legs with a fresh one at the
 		// canonical position and pull once more, off the hedge path.
 		st.dropLeg(res.link, res.err)
 		repl, err := st.reopen(res.link.rep, pos)
 		if err != nil {
-			return nil, false, pos, err
+			return server.RawBatch{}, err
 		}
 		st.r.stats.Migrations.Add(1)
 		st.mu.Lock()
 		st.primary = repl
 		st.mu.Unlock()
-		recs, eof, end, err := repl.rs.PullAt(pos, max)
+		rb, err := repl.rs.PullAt(pos, max, nil)
 		if err != nil {
-			return nil, false, pos, err
+			return server.RawBatch{}, err
 		}
-		res = pullResult{recs: recs, eof: eof, end: end, link: repl}
+		res = pullResult{RawBatch: rb, link: repl}
 	}
 
 	st.mu.Lock()
-	st.pos = res.end
-	st.eof = res.eof
+	st.pos = res.End
+	st.eof = res.EOF
+	st.body = res.Body
 	if res.hedged && st.shadow == res.link {
 		// The shadow answered first: promote it. The demoted leg stays as
 		// the shadow — its replica fast-forwards if it is hedged later.
@@ -273,7 +281,7 @@ func (st *routedStream) pull(pos int64, max int) ([]record.Record, bool, int64, 
 		st.primary, st.shadow = st.shadow, st.primary
 	}
 	st.mu.Unlock()
-	return res.recs, res.eof, res.end, nil
+	return res.RawBatch, nil
 }
 
 // ensureShadow returns the stream's shadow leg, opening it at pos on the

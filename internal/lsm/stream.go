@@ -15,23 +15,6 @@ import (
 // the sentinel; the message names the public package callers meet it in.
 var ErrStreamClosed = errors.New("sampleview: stream closed")
 
-// Collect draws up to n records from next, stopping early at io.EOF: the
-// Sample loop of every in-process stream.
-func Collect(n int, next func() (record.Record, error)) ([]record.Record, error) {
-	out := make([]record.Record, 0, min(n, 4096)) // the predicate may exhaust long before n
-	for len(out) < n {
-		rec, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
 // Stream is one partition's online sample: the base tree's stream, merged
 // (when the write path held anything at open) with the write path's
 // components — the in-memory buffer and every delta level — so that every
@@ -54,7 +37,10 @@ type Stream struct {
 	// merger does on every draw) would lean each prefix toward low keys.
 	// nil serves the base in emission order: the unsharded view over an
 	// empty write path, where nothing cuts a batch.
-	rng       *rand.Rand
+	rng *rand.Rand
+	// baseQueue is the unserved tail of the current shuffled stab batch. It
+	// is lent by the base stream (core.Stream.LendBatch) and shuffled where
+	// it lies, so it is dropped before the base is asked for anything else.
 	baseQueue []record.Record
 
 	// merge interleaves the write path with the base; nil when the write
@@ -65,9 +51,10 @@ type Stream struct {
 	// open. The base is source len(lists) of the merger.
 	lists [][]record.Record
 	// pending parks a base draw whose tombstone probe failed transiently,
-	// so a retried Next resumes with the same record (nothing skipped).
-	pending *record.Record
-	checker *tombChecker
+	// so a retried draw resumes with the same record (nothing skipped).
+	pending    [1]record.Record
+	hasPending bool
+	checker    *tombChecker
 }
 
 func newStream(parts *streamParts, base *core.Stream, rng *rand.Rand) *Stream {
@@ -92,19 +79,57 @@ func newStream(parts *streamParts, base *core.Stream, rng *rand.Rand) *Stream {
 // baseIdx is the merger source index of the base tree's stream.
 func (s *Stream) baseIdx() int { return len(s.lists) }
 
-// Next returns the next sample of the merged stream, or io.EOF when every
-// component is exhausted. Transient storage errors (from base leaf reads or
-// tombstone probes) surface to the caller and a retried Next continues
-// exactly where the fault struck.
-func (s *Stream) Next() (record.Record, error) {
+// AppendNext is the partition's batch draw: it appends the next n samples
+// to the caller's dst, making per record exactly the decisions (and rng
+// draws) n calls of Next would, and returns the extended slice. Fewer than n
+// with a nil error means every component is exhausted. Transient storage
+// errors (from base leaf reads or tombstone probes) surface with the records
+// drawn before them, and a retried call continues exactly where the fault
+// struck.
+func (s *Stream) AppendNext(dst []record.Record, n int) ([]record.Record, error) {
 	if s.merge == nil {
-		return s.nextBaseRaw()
+		return s.appendBase(dst, n)
 	}
+	for want := len(dst) + n; len(dst) < want; {
+		var err error
+		if dst, err = s.appendMerged(dst); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// Next returns the next sample of the stream, or io.EOF when every
+// component is exhausted.
+func (s *Stream) Next() (record.Record, error) {
+	var one [1]record.Record
+	out, err := s.AppendNext(one[:0], 1)
+	if len(out) == 0 && err == nil {
+		err = io.EOF
+	}
+	return one[0], err
+}
+
+// Close ends the stream: it drops the write-path populations and lets the
+// base tree recycle its working memory. Only the fault counters (and
+// Buffered, now zero) may be read afterwards; callers serialize Close against
+// draws.
+func (s *Stream) Close() {
+	s.baseQueue, s.lists, s.merge, s.checker = nil, nil, nil, nil
+	s.base.Close()
+}
+
+// appendMerged appends the next sample of the merged stream to dst, or
+// returns io.EOF.
+func (s *Stream) appendMerged(dst []record.Record) ([]record.Record, error) {
 	// A permanent write-path loss (dead or corrupt delta page, at open or
 	// during a tombstone probe) surfaces exactly once as a typed
 	// WritePathLostError; the stream then keeps serving whatever survived.
 	if lerr := s.checker.takeLost(); lerr != nil {
-		return record.Record{}, &WritePathLostError{Err: lerr}
+		return dst, &WritePathLostError{Err: lerr}
 	}
 	for {
 		for i := range s.lists {
@@ -112,104 +137,102 @@ func (s *Stream) Next() (record.Record, error) {
 				s.merge.Exhaust(i)
 			}
 		}
-		if s.baseDone && s.pending == nil {
+		if s.baseDone && !s.hasPending {
 			s.merge.Exhaust(s.baseIdx())
 		}
-		src, ok := s.merge.Pick()
-		if !ok {
-			// Estimates undershot: drain the base first (still vetting
-			// tombstones), then any leftover exact lists.
-			rec, ok, err := s.nextBase()
-			if err != nil {
-				return record.Record{}, err
-			}
-			if ok {
-				return rec, nil
-			}
-			for i := range s.lists {
-				if len(s.lists[i]) > 0 {
-					return s.pop(i), nil
-				}
-			}
-			return record.Record{}, io.EOF
-		}
-		if src != s.baseIdx() {
+		src, picked := s.merge.Pick()
+		if picked && src != s.baseIdx() {
 			s.merge.Deduct(src)
-			return s.pop(src), nil
+			return s.pop(dst, src), nil
 		}
-		rec, ok, err := s.nextBase()
-		if err != nil {
-			return record.Record{}, err
+		var ok bool
+		var err error
+		if dst, ok, err = s.appendLiveBase(dst); err != nil || ok {
+			return dst, err
 		}
-		if !ok {
+		if picked {
 			// Base ran dry earlier than estimated: zero it and re-pick.
 			s.merge.Exhaust(s.baseIdx())
 			continue
 		}
-		return rec, nil
+		// Estimates undershot and the base (drained first, still vetting
+		// tombstones) is dry: serve any leftover exact lists.
+		for i := range s.lists {
+			if len(s.lists[i]) > 0 {
+				return s.pop(dst, i), nil
+			}
+		}
+		return dst, io.EOF
 	}
 }
 
-func (s *Stream) pop(i int) record.Record {
+func (s *Stream) pop(dst []record.Record, i int) []record.Record {
 	l := s.lists[i]
-	rec := l[len(l)-1]
 	s.lists[i] = l[:len(l)-1]
-	return rec
+	return append(dst, l[len(l)-1])
 }
 
-// nextBase returns the next live (non-tombstoned) base record. Tombstoned
-// draws are consumed and deducted from the base population without being
-// emitted. On error, the draw in flight is parked so a retry resumes with
-// it.
-func (s *Stream) nextBase() (record.Record, bool, error) {
+// appendLiveBase appends the next live (non-tombstoned) base record to dst
+// and reports whether there was one. Tombstoned draws are consumed and
+// deducted from the base population without being emitted. On error, the
+// draw in flight stays parked so a retry resumes with it.
+func (s *Stream) appendLiveBase(dst []record.Record) ([]record.Record, bool, error) {
 	for {
-		if s.pending == nil {
+		if !s.hasPending {
 			if s.baseDone {
-				return record.Record{}, false, nil
+				return dst, false, nil
 			}
-			rec, err := s.nextBaseRaw()
-			if err == io.EOF {
-				s.baseDone = true
-				return record.Record{}, false, nil
-			}
+			drawn, err := s.appendBase(s.pending[:0], 1)
 			if err != nil {
-				return record.Record{}, false, err
+				return dst, false, err
 			}
-			s.pending = &rec
+			if len(drawn) == 0 {
+				s.baseDone = true
+				return dst, false, nil
+			}
+			s.hasPending = true
 		}
-		dead, err := s.checker.deleted(s.pending.Seq)
+		dead, err := s.checker.deleted(s.pending[0].Seq)
 		if err != nil {
-			return record.Record{}, false, err
+			return dst, false, err
 		}
-		rec := *s.pending
-		s.pending = nil
+		s.hasPending = false
 		s.merge.Deduct(s.baseIdx())
 		if dead {
 			continue
 		}
-		return rec, true, nil
+		return append(dst, s.pending[0]), true, nil
 	}
 }
 
-// nextBaseRaw returns the next base record, pulling stabs batch by batch
-// and shuffling each batch so its serve order is exchangeable. A storage
-// error mid-stab leaves the stab pending inside the base stream; the
-// retried call resumes it with nothing skipped.
-func (s *Stream) nextBaseRaw() (record.Record, error) {
+// appendBase appends the next n base records to dst (fewer when the base is
+// exhausted), pulling stabs batch by batch and shuffling each batch, where
+// the base stream holds it, so its serve order is exchangeable. A storage
+// error mid-stab leaves the stab pending inside the base stream; the retried
+// call resumes it with nothing skipped.
+func (s *Stream) appendBase(dst []record.Record, n int) ([]record.Record, error) {
 	if s.rng == nil {
-		return s.base.Next()
+		return s.base.AppendNext(dst, n)
 	}
-	for len(s.baseQueue) == 0 {
-		batch, err := s.base.NextBatch()
-		if err != nil {
-			return record.Record{}, err
+	for n > 0 {
+		if len(s.baseQueue) == 0 {
+			batch, err := s.base.LendBatch()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return dst, err
+			}
+			s.rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			s.baseQueue = batch
+			continue
 		}
-		s.rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-		s.baseQueue = batch
+		k := min(n, len(s.baseQueue))
+		dst = append(dst, s.baseQueue[:k]...)
+		s.baseQueue = s.baseQueue[k:]
+		n -= k
 	}
-	rec := s.baseQueue[0]
-	s.baseQueue = s.baseQueue[1:]
-	return rec, nil
+	return dst, nil
 }
 
 // QueryLeaves returns the number of base-tree leaf regions overlapping the

@@ -608,6 +608,7 @@ func (v *View) Fold(dst *pagefile.File, p core.Params) (*core.Tree, error) {
 		if err != nil {
 			return err
 		}
+		defer stream.Close()
 		for {
 			rec, err := stream.Next()
 			if err == io.EOF {

@@ -64,10 +64,13 @@ func (r Range) String() string {
 }
 
 // Box is an axis-aligned query region over up to NumDims dimensions. A
-// one-dimensional range query is a Box with a single dimension. The zero
-// value is not valid; construct boxes with NewBox, Box1D or Box2D.
+// one-dimensional range query is a Box with a single dimension. A Box is a
+// plain value: copying one copies its ranges, and no method mutates its
+// receiver. The zero value is not valid (it is Empty); construct boxes with
+// NewBox, Box1D or Box2D.
 type Box struct {
-	dims []Range
+	dims [NumDims]Range
+	n    int
 }
 
 // NewBox returns a box over the given per-dimension ranges. It panics if
@@ -77,9 +80,9 @@ func NewBox(dims ...Range) Box {
 	if len(dims) == 0 || len(dims) > NumDims {
 		panic(fmt.Sprintf("record: box must have 1..%d dimensions, got %d", NumDims, len(dims)))
 	}
-	d := make([]Range, len(dims))
-	copy(d, dims)
-	return Box{dims: d}
+	b := Box{n: len(dims)}
+	copy(b.dims[:], dims)
+	return b
 }
 
 // Box1D returns a one-dimensional box over [lo, hi] on the Key attribute.
@@ -92,41 +95,39 @@ func Box2D(keyLo, keyHi, amtLo, amtHi int64) Box {
 
 // FullBox returns the box covering the whole domain in ndims dimensions.
 func FullBox(ndims int) Box {
-	dims := make([]Range, ndims)
+	var dims [NumDims]Range
 	for i := range dims {
 		dims[i] = FullRange()
 	}
-	return NewBox(dims...)
+	return NewBox(dims[:ndims]...)
 }
 
 // Dims returns the number of dimensions of the box.
-func (b Box) Dims() int { return len(b.dims) }
+func (b Box) Dims() int { return b.n }
 
 // Dim returns the range of dimension d.
-func (b Box) Dim(d int) Range { return b.dims[d] }
+func (b Box) Dim(d int) Range { return b.dims[:b.n][d] }
 
 // WithDim returns a copy of b with dimension d replaced by r.
 func (b Box) WithDim(d int, r Range) Box {
-	dims := make([]Range, len(b.dims))
-	copy(dims, b.dims)
-	dims[d] = r
-	return Box{dims: dims}
+	b.dims[:b.n][d] = r
+	return b
 }
 
 // Empty reports whether any dimension of the box is empty.
 func (b Box) Empty() bool {
-	for _, r := range b.dims {
+	for _, r := range b.dims[:b.n] {
 		if r.Empty() {
 			return true
 		}
 	}
-	return len(b.dims) == 0
+	return b.n == 0
 }
 
 // ContainsRecord reports whether the record's coordinates fall inside the
 // box in every dimension.
 func (b Box) ContainsRecord(rec *Record) bool {
-	for d, r := range b.dims {
+	for d, r := range b.dims[:b.n] {
 		if !r.Contains(rec.Coord(d)) {
 			return false
 		}
@@ -140,7 +141,7 @@ func (b Box) ContainsBox(o Box) bool {
 	if o.Empty() {
 		return true
 	}
-	for d, r := range b.dims {
+	for d, r := range b.dims[:b.n] {
 		if !r.ContainsRange(o.dims[d]) {
 			return false
 		}
@@ -151,11 +152,10 @@ func (b Box) ContainsBox(o Box) bool {
 // IntersectBox returns the per-dimension intersection of b and o, which
 // must have the same dimensionality.
 func (b Box) IntersectBox(o Box) Box {
-	dims := make([]Range, len(b.dims))
-	for d := range dims {
-		dims[d] = b.dims[d].Intersect(o.dims[d])
+	for d := range b.dims[:b.n] {
+		b.dims[d] = b.dims[d].Intersect(o.dims[d])
 	}
-	return Box{dims: dims}
+	return b
 }
 
 // Overlaps reports whether b and o intersect. The boxes must have the same
@@ -164,7 +164,7 @@ func (b Box) Overlaps(o Box) bool {
 	if b.Empty() || o.Empty() {
 		return false
 	}
-	for d, r := range b.dims {
+	for d, r := range b.dims[:b.n] {
 		if !r.Overlaps(o.dims[d]) {
 			return false
 		}
@@ -174,7 +174,7 @@ func (b Box) Overlaps(o Box) bool {
 
 func (b Box) String() string {
 	s := ""
-	for i, r := range b.dims {
+	for i, r := range b.dims[:b.n] {
 		if i > 0 {
 			s += "x"
 		}

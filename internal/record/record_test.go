@@ -215,3 +215,36 @@ func TestIntersectBox(t *testing.T) {
 		t.Fatal("disjoint intersection should be empty")
 	}
 }
+
+// TestBoxValueSemantics: a Box is a value — its ranges travel with it — so
+// the deriving methods work on their own copy: neither the receiver, nor a
+// box it was copied from, nor the argument is changed, whichever dimension
+// is touched, and a copy compares equal to its original.
+func TestBoxValueSemantics(t *testing.T) {
+	other := Box2D(3, 7, -4, 4)
+	r := Range{Lo: 1, Hi: 2}
+	cases := []struct {
+		name   string
+		box    Box
+		derive func(Box) Box
+		want   Box
+	}{
+		{"WithDim 0 of 1-d", Box1D(0, 10), func(b Box) Box { return b.WithDim(0, r) }, Box1D(1, 2)},
+		{"WithDim 0 of 2-d", Box2D(0, 10, 0, 10), func(b Box) Box { return b.WithDim(0, r) }, Box2D(1, 2, 0, 10)},
+		{"WithDim 1 of 2-d", Box2D(0, 10, 0, 10), func(b Box) Box { return b.WithDim(1, r) }, Box2D(0, 10, 1, 2)},
+		{"WithDim of full", FullBox(2), func(b Box) Box { return b.WithDim(1, r) }, NewBox(FullRange(), r)},
+		{"IntersectBox", Box2D(0, 10, 0, 10), func(b Box) Box { return b.IntersectBox(other) }, Box2D(3, 7, 0, 4)},
+		{"IntersectBox to empty", Box2D(0, 1, 0, 1), func(b Box) Box { return b.IntersectBox(other) }, Box2D(3, 1, 0, 1)},
+		{"chained", Box2D(0, 10, 0, 10), func(b Box) Box { return b.WithDim(0, r).IntersectBox(other).WithDim(1, r) }, Box2D(3, 2, 1, 2)},
+	}
+	for _, tc := range cases {
+		before, alias, arg := tc.box, tc.box, other
+		got := tc.derive(alias)
+		if got != tc.want {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+		if alias != before || tc.box != before || other != arg {
+			t.Errorf("%s: mutated an input: receiver %v (was %v), argument %v (was %v)", tc.name, alias, before, other, arg)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -64,10 +63,14 @@ func (p RetryPolicy) backoff(attempt int, jitter uint64) time.Duration {
 // over it. A Client is safe for concurrent use — requests serialize on the
 // connection, matching the protocol's strict request/response alternation.
 type Client struct {
-	mu     sync.Mutex
-	conn   net.Conn            // guarded by mu
-	br     *bufio.Reader       // guarded by mu
-	bw     *bufio.Writer       // guarded by mu
+	mu   sync.Mutex
+	conn net.Conn // guarded by mu
+	// fr reads every response into the connection's one read buffer, and
+	// wbuf is where every request frame is encoded, in place. A response
+	// body aliases fr's buffer, which the next exchange of any stream on
+	// this connection overwrites: it is decoded before mu is released.
+	fr     *FrameReader        // guarded by mu
+	wbuf   []byte              // guarded by mu
 	err    error               // guarded by mu; sticky transport failure
 	policy RetryPolicy         // guarded by mu
 	rng    *rand.Rand          // guarded by mu; seeded jitter source
@@ -104,8 +107,7 @@ func NewClient(conn net.Conn) *Client {
 	p := RetryPolicy{}.withDefaults()
 	return &Client{
 		conn:   conn,
-		br:     bufio.NewReaderSize(conn, 64<<10),
-		bw:     bufio.NewWriterSize(conn, 64<<10),
+		fr:     NewFrameReader(conn),
 		policy: p,
 		rng:    rand.New(rand.NewPCG(p.Seed, p.Seed^0x9e3779b97f4a7c15)),
 		// Backoff waits are real (wall clock) pauses between network
@@ -126,27 +128,33 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// roundTrip sends one request frame and reads the single response frame.
-// Server-signalled failures come back as *Error; transport failures poison
-// the client.
-func (c *Client) roundTrip(t FrameType, body []byte) (FrameType, []byte, error) {
+// roundTrip sends one request frame, reads the single response frame,
+// checks it is a want frame, and hands its body to use — while the
+// connection is still held, because the body lives in the connection's read
+// buffer. Server-signalled failures come back as *Error; transport failures
+// and out-of-protocol answers poison the client.
+func (c *Client) roundTrip(req FrameType, body []byte, want FrameType, use func(rbody []byte) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
-		return 0, nil, c.err
+		return c.err
 	}
-	fail := func(err error) (FrameType, []byte, error) {
+	fail := func(err error) error {
 		c.err = err
 		c.conn.Close()
-		return 0, nil, err
+		return err
 	}
-	if err := WriteFrame(c.bw, t, body); err != nil {
+	frame, err := AppendFrame(c.wbuf[:0], req, body)
+	if err != nil {
 		return fail(err)
 	}
-	if err := c.bw.Flush(); err != nil {
-		return fail(fmt.Errorf("server: flushing %v request: %w", t, err))
+	if cap(frame) <= KeepBuf {
+		c.wbuf = frame
 	}
-	rt, rbody, err := ReadFrame(c.br)
+	if _, err := c.conn.Write(frame); err != nil {
+		return fail(fmt.Errorf("server: writing %v request: %w", req, err))
+	}
+	rt, rbody, err := c.fr.Next()
 	if err != nil {
 		if err == io.EOF {
 			err = fmt.Errorf("server: connection closed by server: %w", io.EOF)
@@ -158,30 +166,29 @@ func (c *Client) roundTrip(t FrameType, body []byte) (FrameType, []byte, error) 
 		if derr != nil {
 			return fail(derr)
 		}
-		return rt, nil, &Error{Code: e.Code, Msg: e.Msg}
+		return &Error{Code: e.Code, Msg: e.Msg}
 	}
-	return rt, rbody, nil
+	if rt != want {
+		return fail(fmt.Errorf("server: %v request answered with %v frame", req, rt))
+	}
+	if use == nil {
+		return nil
+	}
+	return use(rbody)
 }
 
-// expectRetry is expect plus transient-fault absorption: a CodeTransient
-// error frame is retried under the client's RetryPolicy — capped
+// retry is roundTrip plus absorption of the failures retryable accepts
+// (nil: none): each is retried under the client's RetryPolicy — capped
 // exponential backoff, seeded jitter, a wall clock wait between attempts —
-// before the failure surfaces. It is safe only for requests the server
-// treats as resumable; batch pulls qualify because a transient failure
-// makes no stream progress.
-func (c *Client) expectRetry(req FrameType, body []byte, want FrameType) ([]byte, error) {
-	return c.expectRetryIf(req, body, want, IsTransient)
-}
-
-// expectRetryIf is expectRetry with a caller-chosen retry predicate. Every
-// retried failure must be one the server rejected before applying anything
-// (transient pulls, write-rate throttles), so replaying the identical
-// request is safe.
-func (c *Client) expectRetryIf(req FrameType, body []byte, want FrameType, retryable func(error) bool) ([]byte, error) {
+// before it surfaces. Every retried failure must be one the server rejected
+// before applying anything (transient pulls make no stream progress,
+// write-rate throttles land nothing), so replaying the identical request is
+// safe.
+func (c *Client) retry(req FrameType, body []byte, want FrameType, retryable func(error) bool, use func(rbody []byte) error) error {
 	for attempt := 0; ; attempt++ {
-		rbody, err := c.expect(req, body, want)
-		if err == nil || !retryable(err) {
-			return rbody, err
+		err := c.roundTrip(req, body, want, use)
+		if err == nil || retryable == nil || !retryable(err) {
+			return err
 		}
 		c.mu.Lock()
 		p := c.policy
@@ -189,7 +196,7 @@ func (c *Client) expectRetryIf(req FrameType, body []byte, want FrameType, retry
 		sleep := c.sleep
 		c.mu.Unlock()
 		if attempt >= p.MaxRetries {
-			return rbody, err
+			return err
 		}
 		c.retries.Add(1)
 		if sleep != nil {
@@ -198,30 +205,20 @@ func (c *Client) expectRetryIf(req FrameType, body []byte, want FrameType, retry
 	}
 }
 
-// expect asserts the response frame type.
-func (c *Client) expect(req FrameType, body []byte, want FrameType) ([]byte, error) {
-	rt, rbody, err := c.roundTrip(req, body)
-	if err != nil {
-		return nil, err
-	}
-	if rt != want {
-		err := fmt.Errorf("server: %v request answered with %v frame", req, rt)
-		c.mu.Lock()
-		c.err = err
-		c.conn.Close()
-		c.mu.Unlock()
-		return nil, err
-	}
-	return rbody, nil
+// call is retry for the exchanges whose response is one decodable message:
+// the message is decoded, inside the exchange, into a value of its own.
+func call[T any](c *Client, req FrameType, body []byte, want FrameType, retryable func(error) bool, decode func([]byte) (T, error)) (T, error) {
+	var out T
+	err := c.retry(req, body, want, retryable, func(rbody []byte) (err error) {
+		out, err = decode(rbody)
+		return err
+	})
+	return out, err
 }
 
 // OpenView resolves a served view by name.
 func (c *Client) OpenView(name string) (*RemoteView, error) {
-	rbody, err := c.expect(FOpenView, OpenViewReq{Name: name}.Encode(), FViewInfo)
-	if err != nil {
-		return nil, err
-	}
-	info, err := DecodeViewInfo(rbody)
+	info, err := call(c, FOpenView, OpenViewReq{Name: name}.Encode(), FViewInfo, nil, DecodeViewInfo)
 	if err != nil {
 		return nil, err
 	}
@@ -231,24 +228,13 @@ func (c *Client) OpenView(name string) (*RemoteView, error) {
 // ListViews enumerates the server's servable views: statically registered
 // ones plus the hosted catalog's registry, sorted by name.
 func (c *Client) ListViews() ([]ViewListEntry, error) {
-	rbody, err := c.expect(FListViews, nil, FViewList)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := DecodeViewListResp(rbody)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Views, nil
+	resp, err := call(c, FListViews, nil, FViewList, nil, DecodeViewListResp)
+	return resp.Views, err
 }
 
 // ServerStats fetches the server's observability snapshot.
 func (c *Client) ServerStats() (*StatsSnapshot, error) {
-	rbody, err := c.expect(FStats, nil, FStatsResult)
-	if err != nil {
-		return nil, err
-	}
-	return decodeStatsSnapshot(rbody)
+	return call(c, FStats, nil, FStatsResult, nil, decodeStatsSnapshot)
 }
 
 // SetTenant attributes this connection's quota usage to a named tenant:
@@ -258,11 +244,7 @@ func (c *Client) ServerStats() (*StatsSnapshot, error) {
 // first stream opens and at most once per connection (repeating the same
 // tenant is an idempotent no-op).
 func (c *Client) SetTenant(tenant string) error {
-	rbody, err := c.expect(FSetTenant, SetTenantReq{Tenant: tenant}.Encode(), FTenantOK)
-	if err != nil {
-		return err
-	}
-	ack, err := DecodeSetTenantReq(rbody)
+	ack, err := call(c, FSetTenant, SetTenantReq{Tenant: tenant}.Encode(), FTenantOK, nil, DecodeSetTenantReq)
 	if err != nil {
 		return err
 	}
@@ -283,11 +265,7 @@ type ReplicaInfo struct {
 
 // ReplicaInfo fetches the server's fleet identity and load.
 func (c *Client) ReplicaInfo() (ReplicaInfo, error) {
-	rbody, err := c.expect(FReplicaInfo, nil, FReplicaInfoResult)
-	if err != nil {
-		return ReplicaInfo{}, err
-	}
-	resp, err := DecodeReplicaInfoResp(rbody)
+	resp, err := call(c, FReplicaInfo, nil, FReplicaInfoResult, nil, DecodeReplicaInfoResp)
 	if err != nil {
 		return ReplicaInfo{}, err
 	}
@@ -322,15 +300,8 @@ func (v *RemoteView) Count() int64 { return v.count }
 // hit transient storage faults, which the retry policy absorbs (the
 // estimate is idempotent).
 func (v *RemoteView) EstimateCount(q record.Box) (float64, error) {
-	rbody, err := v.c.expectRetry(FEstimate, EstimateReq{ViewID: v.id, Query: q}.Encode(), FEstimateResult)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := DecodeEstimateResp(rbody)
-	if err != nil {
-		return 0, err
-	}
-	return resp.Count, nil
+	resp, err := call(v.c, FEstimate, EstimateReq{ViewID: v.id, Query: q}.Encode(), FEstimateResult, IsTransient, DecodeEstimateResp)
+	return resp.Count, err
 }
 
 // Append inserts a batch of records into the view's live write path. The
@@ -347,16 +318,8 @@ func (v *RemoteView) EstimateCount(q record.Box) (float64, error) {
 // mid-batch failure may leave a prefix applied, and replaying it would
 // double-insert.
 func (v *RemoteView) Append(recs []record.Record) (int, error) {
-	rbody, err := v.c.expectRetryIf(
-		FAppend, WriteReq{ViewID: v.id, Records: recs}.Encode(), FAppendOK, IsWriteThrottled)
-	if err != nil {
-		return 0, err
-	}
-	ack, err := DecodeWriteAck(rbody)
-	if err != nil {
-		return 0, err
-	}
-	return int(ack.N), nil
+	ack, err := call(v.c, FAppend, WriteReq{ViewID: v.id, Records: recs}.Encode(), FAppendOK, IsWriteThrottled, DecodeWriteAck)
+	return int(ack.N), err
 }
 
 // Delete tombstones a batch of records in the view's live write path. The
@@ -364,16 +327,8 @@ func (v *RemoteView) Append(recs []record.Record) (int, error) {
 // without consulting the base view. Rejection, durability and
 // throttle-retry semantics match Append.
 func (v *RemoteView) Delete(recs []record.Record) (int, error) {
-	rbody, err := v.c.expectRetryIf(
-		FDeleteRecs, WriteReq{ViewID: v.id, Records: recs}.Encode(), FDeleteOK, IsWriteThrottled)
-	if err != nil {
-		return 0, err
-	}
-	ack, err := DecodeWriteAck(rbody)
-	if err != nil {
-		return 0, err
-	}
-	return int(ack.N), nil
+	ack, err := call(v.c, FDeleteRecs, WriteReq{ViewID: v.id, Records: recs}.Encode(), FDeleteOK, IsWriteThrottled, DecodeWriteAck)
+	return int(ack.N), err
 }
 
 // Flush seals the view's in-memory write buffer and persists it as an
@@ -381,15 +336,8 @@ func (v *RemoteView) Delete(recs []record.Record) (int, error) {
 // Flushing is idempotent (an empty buffer flushes to nothing), so transient
 // failures are absorbed under the client's RetryPolicy.
 func (v *RemoteView) Flush() (int, error) {
-	rbody, err := v.c.expectRetry(FFlushView, FlushViewReq{ViewID: v.id}.Encode(), FFlushOK)
-	if err != nil {
-		return 0, err
-	}
-	ack, err := DecodeWriteAck(rbody)
-	if err != nil {
-		return 0, err
-	}
-	return int(ack.N), nil
+	ack, err := call(v.c, FFlushView, FlushViewReq{ViewID: v.id}.Encode(), FFlushOK, IsTransient, DecodeWriteAck)
+	return int(ack.N), err
 }
 
 // Query opens an online sample stream for predicate q. Admission-control
@@ -398,11 +346,7 @@ func (v *RemoteView) Flush() (int, error) {
 // transient storage faults hit while scanning the view's delta levels are
 // absorbed by the retry policy.
 func (v *RemoteView) Query(q record.Box) (*RemoteStream, error) {
-	rbody, err := v.c.expectRetry(FOpenStream, OpenStreamReq{ViewID: v.id, Query: q}.Encode(), FStreamOpened)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := DecodeStreamOpened(rbody)
+	resp, err := call(v.c, FOpenStream, OpenStreamReq{ViewID: v.id, Query: q}.Encode(), FStreamOpened, IsTransient, DecodeStreamOpened)
 	if err != nil {
 		return nil, err
 	}
@@ -422,11 +366,7 @@ func (v *RemoteView) QueryAt(q record.Box, seed uint64, pos int64) (*RemoteStrea
 		pos = 0
 	}
 	req := OpenStreamReq{ViewID: v.id, Query: q, Seeded: true, Seed: seed, StartPos: pos}
-	rbody, err := v.c.expectRetry(FOpenStream, req.Encode(), FStreamOpened)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := DecodeStreamOpened(rbody)
+	resp, err := call(v.c, FOpenStream, req.Encode(), FStreamOpened, IsTransient, DecodeStreamOpened)
 	if err != nil {
 		return nil, err
 	}
@@ -490,123 +430,142 @@ func (s *RemoteStream) Next() (record.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.head >= len(s.buf) {
-		if s.eof {
-			return record.Record{}, io.EOF
+		if err := s.drainedLocked(); err != nil {
+			return record.Record{}, err
 		}
-		if s.closed {
-			return record.Record{}, fmt.Errorf("server: stream closed")
-		}
-		if err := s.pullLocked(s.batch); err != nil {
+		// Every buffered record has been handed out by value: the next
+		// batch is decoded over them.
+		var err error
+		s.head = 0
+		if s.buf, err = s.pullLocked(s.buf[:0]); err != nil {
 			return record.Record{}, err
 		}
 	}
-	rec := s.buf[s.head]
 	s.head++
-	if s.head >= len(s.buf) {
-		s.buf, s.head = s.buf[:0], 0
-	}
-	return rec, nil
+	return s.buf[s.head-1], nil
 }
 
-// NextBatch returns the next batch of sample records, pulling from the
-// server if the local buffer is empty. It returns io.EOF once exhausted.
+// NextBatch returns the next batch of sample records in a slice of its own:
+// what Next left buffered if anything, otherwise one pull from the server
+// decoded straight into the slice returned. It returns io.EOF once
+// exhausted.
 func (s *RemoteStream) NextBatch() ([]record.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.head < len(s.buf) {
 		out := append([]record.Record(nil), s.buf[s.head:]...)
-		s.buf, s.head = s.buf[:0], 0
+		s.head = len(s.buf)
 		return out, nil
 	}
-	if s.eof {
-		return nil, io.EOF
-	}
-	if s.closed {
-		return nil, fmt.Errorf("server: stream closed")
-	}
-	if err := s.pullLocked(s.batch); err != nil {
+	if err := s.drainedLocked(); err != nil {
 		return nil, err
 	}
-	out := append([]record.Record(nil), s.buf[s.head:]...)
-	s.buf, s.head = s.buf[:0], 0
-	if len(out) == 0 && s.eof {
-		return nil, io.EOF
+	out, err := s.pullLocked(nil)
+	if err == nil && len(out) == 0 && s.eof {
+		err = io.EOF
 	}
-	return out, nil
+	return out, err
 }
 
-// pullLocked fetches one batch from the server into the buffer, absorbing
-// transient server faults under the client's RetryPolicy. Hard failures
-// (CodeDegraded and the rest) surface to the caller; the stream itself
-// stays usable, mirroring the in-process Stream's degraded semantics.
-func (s *RemoteStream) pullLocked(max int) error {
-	req := NextBatchReq{StreamID: s.id, Max: uint32(max), Pos: -1}
-	if s.checked {
-		req.Pos = s.pos
-	}
-	rbody, err := s.v.c.expectRetry(FNextBatch, req.Encode(), FBatch)
-	if err != nil {
-		return err
-	}
-	resp, err := DecodeBatchResp(rbody)
-	if err != nil {
-		return err
-	}
-	s.buf = append(s.buf, resp.Records...)
-	if resp.Pos >= 0 {
-		s.pos = resp.Pos
-	} else {
-		s.pos += int64(len(resp.Records))
-	}
-	if resp.EOF {
-		s.eof = true
+// drainedLocked says why an empty stream cannot pull (nil when it can).
+func (s *RemoteStream) drainedLocked() error {
+	switch {
+	case s.eof:
+		return io.EOF
+	case s.closed:
+		return fmt.Errorf("server: stream closed")
 	}
 	return nil
 }
 
+// pullLocked fetches one batch from the server and appends it to dst,
+// absorbing transient server faults under the client's RetryPolicy. Hard
+// failures (CodeDegraded and the rest) surface to the caller; the stream
+// itself stays usable, mirroring the in-process Stream's degraded semantics.
+func (s *RemoteStream) pullLocked(dst []record.Record) ([]record.Record, error) {
+	pos := int64(-1)
+	if s.checked {
+		pos = s.pos
+	}
+	err := s.pull(pos, s.batch, func(body []byte) error {
+		m, err := DecodeBatchInto(dst, body)
+		if err != nil {
+			return err
+		}
+		s.advanceLocked(m.Pos, len(m.Records)-len(dst), m.EOF)
+		dst = m.Records
+		return nil
+	})
+	return dst, err
+}
+
+// pull performs one wire pull of up to max records at position pos (-1:
+// unchecked) and hands the FBatch body to use inside the exchange.
+func (s *RemoteStream) pull(pos int64, max int, use func(body []byte) error) error {
+	var req [16]byte
+	body := NextBatchReq{StreamID: s.id, Max: uint32(max), Pos: pos}.appendTo(req[:0])
+	return s.v.c.retry(FNextBatch, body, FBatch, IsTransient, use)
+}
+
+// advanceLocked records a pulled batch of n records: end is the position
+// the server reported after it (negative from a server that predates
+// position export).
+func (s *RemoteStream) advanceLocked(end int64, n int, eof bool) {
+	if end < 0 {
+		end = s.pos + int64(n)
+	}
+	s.pos = end
+	s.eof = s.eof || eof
+}
+
+// RawBatch is one FBatch body as a server sent it, for forwarding: the
+// fields an intermediary routes on, the records still encoded.
+type RawBatch struct {
+	Body []byte // the whole body; SetBatchStream re-addresses it
+	N    int    // records in Body
+	EOF  bool   // the sequence is exhausted
+	End  int64  // the stream's position after the batch
+}
+
 // PullAt performs one position-checked wire pull: up to max records of the
 // stream's sequence starting at position pos, bypassing the client-side
-// buffer entirely. The server fast-forwards (discarding records this caller
+// buffer entirely and decoding nothing — the body is copied behind dst[:0]
+// as it arrived. The server fast-forwards (discarding records this caller
 // already holds from another replica) when the stream is behind pos, and
 // rejects with CodeStreamPosition (IsStreamPosition) when it is ahead — the
-// caller then reopens at pos. It returns the records, whether the sequence
-// is exhausted, and the stream's position after the batch. PullAt is the
-// fleet router's primitive for hedged reads and migration; do not mix it
-// with the buffered Next/NextBatch on the same stream.
-func (s *RemoteStream) PullAt(pos int64, max int) ([]record.Record, bool, int64, error) {
+// caller then reopens at pos. PullAt is the fleet router's primitive for
+// hedged reads and migration; do not mix it with the buffered
+// Next/NextBatch on the same stream.
+func (s *RemoteStream) PullAt(pos int64, max int, dst []byte) (RawBatch, error) {
 	if max <= 0 {
 		max = 256
 	}
-	req := NextBatchReq{StreamID: s.id, Max: uint32(max), Pos: pos}
-	rbody, err := s.v.c.expectRetry(FNextBatch, req.Encode(), FBatch)
+	var rb RawBatch
+	err := s.pull(pos, max, func(body []byte) error {
+		m, raw, err := SplitBatchResp(body)
+		if err != nil {
+			return err
+		}
+		n := len(raw) / record.Size
+		if m.Pos < 0 {
+			m.Pos = pos + int64(n)
+		}
+		rb = RawBatch{Body: append(dst[:0], body...), N: n, EOF: m.EOF, End: m.Pos}
+		return nil
+	})
 	if err != nil {
-		return nil, false, pos, err
-	}
-	resp, err := DecodeBatchResp(rbody)
-	if err != nil {
-		return nil, false, pos, err
-	}
-	end := resp.Pos
-	if end < 0 {
-		end = pos + int64(len(resp.Records))
+		return RawBatch{End: pos}, err
 	}
 	s.mu.Lock()
-	s.pos = end
-	if resp.EOF {
-		s.eof = true
-	}
+	s.advanceLocked(rb.End, rb.N, rb.EOF)
 	s.mu.Unlock()
-	return resp.Records, resp.EOF, end, nil
+	return rb, nil
 }
 
 // Sample collects up to n records (fewer if the predicate exhausts first),
 // mirroring the in-process Stream.Sample.
 func (s *RemoteStream) Sample(n int) ([]record.Record, error) {
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	out := make([]record.Record, 0, capHint)
+	out := make([]record.Record, 0, min(n, 4096))
 	for len(out) < n {
 		rec, err := s.Next()
 		if err == io.EOF {
@@ -635,7 +594,7 @@ func (s *RemoteStream) Close() error {
 	if alreadyDone {
 		return nil // the server retired the stream at EOF
 	}
-	_, err := s.v.c.expect(FCancel, CancelReq{StreamID: s.id}.Encode(), FCancelOK)
+	err := s.v.c.roundTrip(FCancel, CancelReq{StreamID: s.id}.Encode(), FCancelOK, nil)
 	if se, ok := err.(*Error); ok && (se.Code == CodeUnknownStream || se.Code == CodeStreamReaped) {
 		return nil
 	}

@@ -85,62 +85,28 @@ const (
 	FError             FrameType = 0xff // body: code, message
 )
 
-func (t FrameType) String() string {
-	switch t {
-	case FOpenView:
-		return "OpenView"
-	case FOpenStream:
-		return "OpenStream"
-	case FNextBatch:
-		return "NextBatch"
-	case FEstimate:
-		return "Estimate"
-	case FCancel:
-		return "Cancel"
-	case FStats:
-		return "Stats"
-	case FListViews:
-		return "ListViews"
-	case FAppend:
-		return "Append"
-	case FDeleteRecs:
-		return "DeleteRecs"
-	case FFlushView:
-		return "FlushView"
-	case FSetTenant:
-		return "SetTenant"
-	case FReplicaInfo:
-		return "ReplicaInfo"
-	case FViewInfo:
-		return "ViewInfo"
-	case FStreamOpened:
-		return "StreamOpened"
-	case FBatch:
-		return "Batch"
-	case FEstimateResult:
-		return "EstimateResult"
-	case FCancelOK:
-		return "CancelOK"
-	case FStatsResult:
-		return "StatsResult"
-	case FViewList:
-		return "ViewList"
-	case FAppendOK:
-		return "AppendOK"
-	case FDeleteOK:
-		return "DeleteOK"
-	case FFlushOK:
-		return "FlushOK"
-	case FTenantOK:
-		return "TenantOK"
-	case FReplicaInfoResult:
-		return "ReplicaInfoResult"
-	case FError:
-		return "Error"
-	default:
-		return fmt.Sprintf("FrameType(0x%02x)", uint8(t))
-	}
+var frameNames = map[FrameType]string{
+	FOpenView: "OpenView", FOpenStream: "OpenStream", FNextBatch: "NextBatch", FEstimate: "Estimate",
+	FCancel: "Cancel", FStats: "Stats", FListViews: "ListViews", FAppend: "Append",
+	FDeleteRecs: "DeleteRecs", FFlushView: "FlushView", FSetTenant: "SetTenant", FReplicaInfo: "ReplicaInfo",
+	FViewInfo: "ViewInfo", FStreamOpened: "StreamOpened", FBatch: "Batch", FEstimateResult: "EstimateResult",
+	FCancelOK: "CancelOK", FStatsResult: "StatsResult", FViewList: "ViewList", FAppendOK: "AppendOK",
+	FDeleteOK: "DeleteOK", FFlushOK: "FlushOK", FTenantOK: "TenantOK", FReplicaInfoResult: "ReplicaInfoResult",
+	FError: "Error",
 }
+
+func (t FrameType) String() string {
+	if name, ok := frameNames[t]; ok {
+		return name
+	}
+	return fmt.Sprintf("FrameType(0x%02x)", uint8(t))
+}
+
+// KeepBuf is the largest per-connection frame buffer (read or write) kept
+// between frames: a connection that meets one larger frame (they reach
+// MaxFrame) gives the memory back afterwards instead of holding it for its
+// lifetime.
+const KeepBuf = 64 << 10
 
 // AppendFrame appends one encoded frame carrying the given type and body to
 // dst and returns the extended slice. It fails if the frame would exceed
@@ -155,61 +121,78 @@ func AppendFrame(dst []byte, t FrameType, body []byte) ([]byte, error) {
 	return append(dst, body...), nil
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, t FrameType, body []byte) error {
-	buf := make([]byte, 0, headerSize+1+len(body))
-	buf, err := AppendFrame(buf, t, body)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("server: writing %v frame: %w", t, err)
-	}
-	return nil
+// FrameReader reads one connection's frames through one buffer: the body
+// Next returns aliases that buffer and is valid until the following Next, so
+// a steady stream of frames is read without allocating. The buffer grows to
+// the largest frame the connection carries and is released again past
+// KeepBuf.
+type FrameReader struct {
+	r   io.Reader
+	buf []byte // buf[lo:hi] is read but not yet consumed
+	lo  int
+	hi  int
+	// OnHeader, when set, runs once per frame the moment its length prefix
+	// has arrived and before the payload is awaited: the server arms its
+	// per-request deadline there, so waiting for the *next* request is
+	// unbounded while a request under way is not.
+	OnHeader func()
 }
 
-// ReadFrame reads one frame from r. The returned body slice is freshly
-// allocated (at most MaxFrame bytes — the length prefix is validated before
-// allocating). io.EOF is returned untouched when the reader is exhausted at
-// a frame boundary, so callers can distinguish a clean close from a torn
-// frame (io.ErrUnexpectedEOF).
-func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// NewFrameReader returns a FrameReader over r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// fill blocks until at least n unconsumed bytes are buffered.
+func (fr *FrameReader) fill(n int) error {
+	have := fr.hi - fr.lo
+	if have >= n {
+		return nil
+	}
+	if have == 0 {
+		fr.lo, fr.hi = 0, 0
+		if cap(fr.buf) > KeepBuf && n <= KeepBuf {
+			fr.buf = nil
+		}
+	}
+	if cap(fr.buf)-fr.lo < n {
+		// No room for n behind lo: move what is unconsumed to the front of a
+		// buffer that holds n, this one if it can.
+		buf := fr.buf[:cap(fr.buf)]
+		if len(buf) < n {
+			buf = make([]byte, max(n, 512))
+		}
+		copy(buf, fr.buf[fr.lo:fr.hi])
+		fr.buf, fr.lo, fr.hi = buf, 0, have
+	}
+	got, err := io.ReadAtLeast(fr.r, fr.buf[fr.hi:cap(fr.buf)], n-have)
+	fr.hi += got
+	if err == io.EOF && fr.hi > fr.lo {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Next reads one frame. io.EOF is returned untouched when the reader is
+// exhausted at a frame boundary, so callers can distinguish a clean close
+// from a torn frame (io.ErrUnexpectedEOF). The length prefix is validated
+// before any buffer is sized by it (at most MaxFrame bytes).
+func (fr *FrameReader) Next() (FrameType, []byte, error) {
+	if err := fr.fill(headerSize); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("server: reading frame header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	if fr.OnHeader != nil {
+		fr.OnHeader()
+	}
+	n := binary.LittleEndian.Uint32(fr.buf[fr.lo:])
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: %d outside [1, %d]", errFrameLength, n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if err := fr.fill(headerSize + int(n)); err != nil {
 		return 0, nil, fmt.Errorf("server: reading %d-byte frame payload: %w", n, err)
 	}
+	payload := fr.buf[fr.lo+headerSize : fr.lo+headerSize+int(n)]
+	fr.lo += headerSize + int(n)
 	return FrameType(payload[0]), payload[1:], nil
-}
-
-// DecodeFrame decodes the first frame of b without copying: body aliases b,
-// and rest is the remainder after the frame. The length prefix is validated
-// against both MaxFrame and the bytes actually available, so DecodeFrame
-// never allocates and never reads past b.
-func DecodeFrame(b []byte) (t FrameType, body, rest []byte, err error) {
-	if len(b) < headerSize {
-		return 0, nil, nil, fmt.Errorf("server: truncated frame header: %d bytes", len(b))
-	}
-	n := binary.LittleEndian.Uint32(b[:headerSize])
-	if n == 0 || n > MaxFrame {
-		return 0, nil, nil, fmt.Errorf("%w: %d outside [1, %d]", errFrameLength, n, MaxFrame)
-	}
-	if uint32(len(b)-headerSize) < n {
-		return 0, nil, nil, fmt.Errorf("server: frame length %d exceeds available %d bytes", n, len(b)-headerSize)
-	}
-	payload := b[headerSize : headerSize+int(n)]
-	return FrameType(payload[0]), payload[1:], b[headerSize+int(n):], nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -10,17 +11,39 @@ import (
 	"sampleview/internal/record"
 )
 
+// DecodeFrame decodes the first frame of b without copying: body aliases b,
+// and rest is the remainder after the frame. It is the reference the
+// FrameReader is checked against (here and by FuzzFrameDecode): a second,
+// independent statement of the frame layout over bytes already in memory.
+func DecodeFrame(b []byte) (t FrameType, body, rest []byte, err error) {
+	if len(b) < headerSize {
+		return 0, nil, nil, fmt.Errorf("server: truncated frame header: %d bytes", len(b))
+	}
+	n := binary.LittleEndian.Uint32(b[:headerSize])
+	if n == 0 || n > MaxFrame {
+		return 0, nil, nil, fmt.Errorf("%w: %d outside [1, %d]", errFrameLength, n, MaxFrame)
+	}
+	if uint32(len(b)-headerSize) < n {
+		return 0, nil, nil, fmt.Errorf("server: frame length %d exceeds available %d bytes", n, len(b)-headerSize)
+	}
+	payload := b[headerSize : headerSize+int(n)]
+	return FrameType(payload[0]), payload[1:], b[headerSize+int(n):], nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := [][]byte{nil, {}, {1, 2, 3}, bytes.Repeat([]byte{0xab}, 1000)}
 	types := []FrameType{FOpenView, FBatch, FError, FStats}
 	for i, body := range bodies {
-		if err := WriteFrame(&buf, types[i], body); err != nil {
+		frame, err := AppendFrame(nil, types[i], body)
+		if err != nil {
 			t.Fatal(err)
 		}
+		buf.Write(frame)
 	}
+	fr := NewFrameReader(&buf)
 	for i, body := range bodies {
-		ft, got, err := ReadFrame(&buf)
+		ft, got, err := fr.Next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -28,7 +51,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: got (%v, %d bytes), want (%v, %d bytes)", i, ft, len(got), types[i], len(body))
 		}
 	}
-	if _, _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("drained reader: err = %v, want io.EOF", err)
 	}
 }
@@ -47,7 +70,7 @@ func TestReadFrameErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := ReadFrame(bytes.NewReader(tc.in))
+			_, _, err := NewFrameReader(bytes.NewReader(tc.in)).Next()
 			if err == nil {
 				t.Fatal("want error, got nil")
 			}

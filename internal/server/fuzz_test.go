@@ -129,9 +129,9 @@ func FuzzFrameDecode(f *testing.F) {
 				break
 			}
 			// The no-copy decoder and the io.Reader path must agree.
-			rt, rbody, rerr := ReadFrame(bytes.NewReader(rest))
+			rt, rbody, rerr := NewFrameReader(bytes.NewReader(rest)).Next()
 			if rerr != nil || rt != ft || !bytes.Equal(rbody, body) {
-				t.Fatalf("DecodeFrame and ReadFrame disagree: (%v, %d bytes, %v) vs (%v, %d bytes, %v)",
+				t.Fatalf("DecodeFrame and FrameReader disagree: (%v, %d bytes, %v) vs (%v, %d bytes, %v)",
 					ft, len(body), err, rt, len(rbody), rerr)
 			}
 			if derr := decodeBody(ft, body); derr == nil {
@@ -189,6 +189,26 @@ func reencodeCheck(t *testing.T, ft FrameType, body []byte) {
 	case FBatch:
 		m, _ := DecodeBatchResp(body)
 		out = m.Encode()
+		// The in-place and into-dst halves of the codec agree with it, and a
+		// body re-addressed the way the router forwards it decodes to the
+		// same batch under the new stream id.
+		if framed := m.AppendTo([]byte{1, 2, 3, 4, byte(FBatch)}); !bytes.Equal(framed[5:], out) {
+			t.Fatalf("Batch: AppendTo behind a header differs from Encode")
+		}
+		into, err := DecodeBatchInto(make([]record.Record, 1, 4), body)
+		if err != nil || len(into.Records) != 1+len(m.Records) || into.EOF != m.EOF || into.Pos != m.Pos {
+			t.Fatalf("Batch: DecodeBatchInto disagrees with DecodeBatchResp: %+v vs %+v (%v)", into, m, err)
+		}
+		fwd := append([]byte(nil), body...)
+		split, raw, err := SplitBatchResp(fwd)
+		if err != nil || len(raw) != len(m.Records)*record.Size || split.EOF != m.EOF || split.Pos != m.Pos {
+			t.Fatalf("Batch: SplitBatchResp disagrees with DecodeBatchResp: %+v, %d bytes (%v)", split, len(raw), err)
+		}
+		SetBatchStream(fwd, m.StreamID^0x5a5a5a5a)
+		m.StreamID ^= 0x5a5a5a5a
+		if !bytes.Equal(fwd, m.Encode()) {
+			t.Fatalf("Batch: a re-addressed body is not the batch's encoding under the new id")
+		}
 	case FError:
 		m, _ := DecodeErrorResp(body)
 		out = m.Encode()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"sampleview/internal/record"
 )
@@ -202,7 +203,7 @@ func consumeBox(b []byte) (record.Box, []byte, error) {
 	if len(b) < nd*16 {
 		return record.Box{}, nil, errShort
 	}
-	dims := make([]record.Range, nd)
+	var dims [record.NumDims]record.Range
 	for d := 0; d < nd; d++ {
 		var lo, hi int64
 		var err error
@@ -214,35 +215,35 @@ func consumeBox(b []byte) (record.Box, []byte, error) {
 		}
 		dims[d] = record.Range{Lo: lo, Hi: hi}
 	}
-	return record.NewBox(dims...), b, nil
+	return record.NewBox(dims[:nd]...), b, nil
 }
 
-// appendRecords encodes a record batch: count then the fixed-size codec of
-// each record.
+// appendRecords encodes a record batch — count, then the fixed-size codec of
+// each record — growing b once, to the size the batch needs, and marshalling
+// every record where it lands.
 func appendRecords(b []byte, recs []record.Record) []byte {
-	b = appendU32(b, uint32(len(recs)))
-	var buf [record.Size]byte
+	b = appendU32(slices.Grow(b, 4+len(recs)*record.Size), uint32(len(recs)))
+	off := len(b)
+	b = b[:off+len(recs)*record.Size]
 	for i := range recs {
-		recs[i].Marshal(buf[:])
-		b = append(b, buf[:]...)
+		recs[i].Marshal(b[off+i*record.Size:])
 	}
 	return b
 }
 
-func consumeRecords(b []byte) ([]record.Record, []byte, error) {
-	n, b, err := consumeU32(b)
+// splitRecords validates a record batch's count against the bytes that
+// follow it and returns the still-encoded records (len(raw)/record.Size of
+// them) and the rest.
+func splitRecords(b []byte) (raw, rest []byte, err error) {
+	c, b, err := consumeU32(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(b)) < uint64(n)*record.Size {
-		return nil, nil, fmt.Errorf("server: batch claims %d records but only %d bytes follow", n, len(b))
+	if uint64(len(b)) < uint64(c)*record.Size {
+		return nil, nil, fmt.Errorf("server: batch claims %d records but only %d bytes follow", c, len(b))
 	}
-	recs := make([]record.Record, n)
-	for i := range recs {
-		recs[i].Unmarshal(b)
-		b = b[record.Size:]
-	}
-	return recs, b, nil
+	size := int(c) * record.Size
+	return b[:size], b[size:], nil
 }
 
 // --- request messages ----------------------------------------------------
@@ -348,8 +349,11 @@ type NextBatchReq struct {
 }
 
 // Encode renders the body.
-func (m NextBatchReq) Encode() []byte {
-	b := appendU32(appendU32(nil, m.StreamID), m.Max)
+func (m NextBatchReq) Encode() []byte { return m.appendTo(nil) }
+
+// appendTo renders the body behind b (a stack buffer, on the pull path).
+func (m NextBatchReq) appendTo(b []byte) []byte {
+	b = appendU32(appendU32(b, m.StreamID), m.Max)
 	if m.Pos >= 0 {
 		b = appendI64(b, m.Pos)
 	}
@@ -450,12 +454,14 @@ func DecodeWriteReq(b []byte) (WriteReq, error) {
 	if m.ViewID, b, err = consumeU32(b); err != nil {
 		return m, err
 	}
-	if m.Records, b, err = consumeRecords(b); err != nil {
+	raw, b, err := splitRecords(b)
+	if err != nil {
 		return m, err
 	}
 	if len(b) != 0 {
 		return m, errTrailing
 	}
+	m.Records = record.AppendBatch(nil, raw, len(raw)/record.Size)
 	return m, nil
 }
 
@@ -693,8 +699,16 @@ type BatchResp struct {
 
 // Encode renders the body; a negative Pos omits the position field (the
 // legacy shape).
-func (m BatchResp) Encode() []byte {
-	b := appendU32(nil, m.StreamID)
+func (m BatchResp) Encode() []byte { return m.AppendTo(nil) }
+
+// AppendTo renders the body behind b, in place: b grows once, to the exact
+// size of the body, and each record is marshalled where it lands.
+func (m BatchResp) AppendTo(b []byte) []byte {
+	size := 4 + 1 + 4 + len(m.Records)*record.Size
+	if m.Pos >= 0 {
+		size += 8
+	}
+	b = appendU32(slices.Grow(b, size), m.StreamID)
 	if m.EOF {
 		b = append(b, 1)
 	} else {
@@ -707,37 +721,57 @@ func (m BatchResp) Encode() []byte {
 	return b
 }
 
-// DecodeBatchResp decodes an FBatch body.
-func DecodeBatchResp(b []byte) (BatchResp, error) {
-	m := BatchResp{Pos: -1}
-	var err error
+// SplitBatchResp validates an FBatch body and returns its fields with the
+// records still encoded (m.Records is nil; raw aliases b and holds
+// len(raw)/record.Size of them): all an intermediary forwarding the body
+// needs, at no record decoded.
+func SplitBatchResp(b []byte) (m BatchResp, raw []byte, err error) {
+	m.Pos = -1
 	if m.StreamID, b, err = consumeU32(b); err != nil {
-		return m, err
+		return m, nil, err
 	}
 	if len(b) < 1 {
-		return m, errShort
+		return m, nil, errShort
 	}
 	if b[0] > 1 {
-		return m, fmt.Errorf("server: batch eof flag %d, want 0 or 1", b[0])
+		return m, nil, fmt.Errorf("server: batch eof flag %d, want 0 or 1", b[0])
 	}
 	m.EOF = b[0] == 1
-	if m.Records, b, err = consumeRecords(b[1:]); err != nil {
-		return m, err
+	if raw, b, err = splitRecords(b[1:]); err != nil {
+		return m, nil, err
 	}
 	if len(b) == 0 {
-		return m, nil // legacy response without position export
+		return m, raw, nil // legacy response without position export
 	}
 	if m.Pos, b, err = consumeI64(b); err != nil {
-		return m, err
+		return m, nil, err
 	}
 	if m.Pos < 0 {
-		return m, fmt.Errorf("server: batch position %d negative", m.Pos)
+		return m, nil, fmt.Errorf("server: batch position %d negative", m.Pos)
 	}
 	if len(b) != 0 {
-		return m, errTrailing
+		return m, nil, errTrailing
 	}
+	return m, raw, nil
+}
+
+// SetBatchStream re-addresses a valid FBatch body to stream id, in place:
+// how a router forwards a replica's batch under the client's stream id.
+func SetBatchStream(body []byte, id uint32) { binary.LittleEndian.PutUint32(body, id) }
+
+// DecodeBatchInto decodes an FBatch body, appending its records to dst —
+// once the body has been validated whole, so a bad body leaves dst alone.
+func DecodeBatchInto(dst []record.Record, b []byte) (BatchResp, error) {
+	m, raw, err := SplitBatchResp(b)
+	if err != nil {
+		return m, err
+	}
+	m.Records = record.AppendBatch(dst, raw, len(raw)/record.Size)
 	return m, nil
 }
+
+// DecodeBatchResp decodes an FBatch body into records of its own.
+func DecodeBatchResp(b []byte) (BatchResp, error) { return DecodeBatchInto(nil, b) }
 
 // EstimateResp is the body of FEstimateResult.
 type EstimateResp struct{ Count float64 }

@@ -462,7 +462,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 func isCleanDisconnect(err error) bool {
 	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF) {
 		// ErrUnexpectedEOF can only be clean here if no partial payload was
-		// delivered; ReadFrame wraps torn payloads distinctly, but a
+		// delivered; FrameReader wraps torn payloads distinctly, but a
 		// connection reset mid-header reads as unexpected EOF with zero
 		// frame bytes consumed by the client buffer. Treat resets as clean.
 		return true
@@ -540,9 +540,9 @@ func TestUnknownViewAndStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fabricated stream id draws CodeUnknownStream.
-	rt, _, err := cl.roundTrip(FNextBatch, NextBatchReq{StreamID: 999, Max: 10}.Encode())
+	err = cl.roundTrip(FNextBatch, NextBatchReq{StreamID: 999, Max: 10}.Encode(), FBatch, nil)
 	if !errors.As(err, &se) || se.Code != CodeUnknownStream {
-		t.Fatalf("NextBatch(999): frame %v err = %v, want CodeUnknownStream", rt, err)
+		t.Fatalf("NextBatch(999): err = %v, want CodeUnknownStream", err)
 	}
 	// Dimension mismatch is a bad request, not a hang.
 	_, err = rv.Query(record.Box2D(0, 1, 0, 1))

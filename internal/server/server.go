@@ -113,8 +113,12 @@ func (c Config) withDefaults() Config {
 }
 
 // ViewStream is the per-stream surface the serving layer drives: batch
-// pulls, teardown, and the simulated time used for idle accounting. Both
-// the unsharded and the sharded stream implement it.
+// pulls, teardown, and the simulated time used for idle accounting. The
+// slice Sample returns is the stream's to reuse: it is valid until the next
+// Sample on that stream and no longer (the session encodes it into the
+// response frame before it asks again). Close may come from the idle reaper
+// while a batch is still being encoded, so it must leave the last batch
+// alone; one goroutine at a time calls Sample.
 type ViewStream interface {
 	Sample(n int) ([]record.Record, error)
 	Close() error
@@ -160,42 +164,55 @@ type SeededSource interface {
 	OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error)
 }
 
+// batchStream is what the built-in sources open: an in-process stream
+// (unsharded or sharded), drawn a batch at a time into one record buffer
+// that lives as long as the stream.
+type batchStream struct {
+	drawer
+	// buf is the batch Sample lent last. It belongs to this object — plain
+	// garbage-collected memory, never the recycled working memory the
+	// stream's Close hands on to the next stream — because the reaper may
+	// Close the stream while the session is still encoding buf.
+	buf []record.Record
+}
+
+// drawer is the batch-draw surface sampleview.Stream and shard.Stream share.
+type drawer interface {
+	AppendSample(dst []record.Record, n int) ([]record.Record, error)
+	Close() error
+	SimNow() time.Duration
+}
+
+func (b *batchStream) Sample(n int) ([]record.Record, error) {
+	var err error
+	b.buf, err = b.AppendSample(b.buf[:0], n)
+	return b.buf, err
+}
+
+// lend wraps a freshly opened stream (or passes the open's error on).
+func lend(s drawer, err error) (ViewStream, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &batchStream{drawer: s}, nil
+}
+
 // localSource adapts an in-process unsharded view to ViewSource.
 type localSource struct{ *sampleview.View }
 
-func (v localSource) OpenStream(q record.Box) (ViewStream, error) {
-	s, err := v.View.Query(q)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
+func (v localSource) OpenStream(q record.Box) (ViewStream, error) { return lend(v.View.Query(q)) }
 
 func (v localSource) OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error) {
-	s, err := v.View.QuerySeeded(q, seed)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return lend(v.View.QuerySeeded(q, seed))
 }
 
 // shardedSource adapts a multi-disk sharded view to ViewSource.
 type shardedSource struct{ *shard.View }
 
-func (v shardedSource) OpenStream(q record.Box) (ViewStream, error) {
-	s, err := v.View.Query(q)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
+func (v shardedSource) OpenStream(q record.Box) (ViewStream, error) { return lend(v.View.Query(q)) }
 
 func (v shardedSource) OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error) {
-	s, err := v.View.QuerySeeded(q, seed)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return lend(v.View.QuerySeeded(q, seed))
 }
 
 // LocalSource adapts an unsharded view for AddSource.

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -96,6 +94,11 @@ type session struct {
 	// fall back to a per-connection accounting key.
 	tenant string // guarded by mu
 
+	// wbuf is the connection's one write buffer: every response frame is
+	// encoded into it, in place, and written from it. Only the goroutine
+	// serving the connection touches it.
+	wbuf []byte
+
 	counters sessionCounters
 }
 
@@ -150,16 +153,22 @@ func (s *Server) serveConn(nc net.Conn) {
 		// Raced with Shutdown: refuse politely and hang up.
 		s.stats.ConnsRejected.Add(1)
 		cc := &countingConn{Conn: nc, sess: sess}
-		_ = WriteFrame(cc, FError, ErrorResp{Code: CodeShuttingDown, Msg: "server shutting down"}.Encode())
+		frame, _ := AppendFrame(nil, FError, ErrorResp{Code: CodeShuttingDown, Msg: "server shutting down"}.Encode())
+		_, _ = cc.Write(frame) // best effort: the peer is being turned away either way
 		return
 	}
 	defer s.unregister(sess)
 
 	cc := &countingConn{Conn: nc, sess: sess}
-	br := bufio.NewReaderSize(cc, 64<<10)
-	bw := bufio.NewWriterSize(cc, 64<<10)
+	// One reader per connection: it arms the per-request deadline the moment
+	// a frame header arrives — from then on the payload read, the handling
+	// and the response write all race the same RequestTimeout budget.
+	// Waiting for the *next* header is deliberately unbounded: an idle
+	// keep-alive connection is not a stalled request.
+	fr := NewFrameReader(cc)
+	fr.OnHeader = sess.armDeadline
 	for {
-		t, body, err := sess.readRequest(br)
+		t, body, err := fr.Next()
 		if err != nil {
 			// Only protocol violations count as bad frames; disconnects and
 			// drain-triggered closes are ordinary transport events.
@@ -170,10 +179,9 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		sess.busy.Lock()
 		s.inFlight.Add(1)
-		rt, rbody := sess.handle(t, body)
-		werr := WriteFrame(bw, rt, rbody)
+		frame, werr := sess.respond(t, body)
 		if werr == nil {
-			werr = bw.Flush()
+			_, werr = cc.Write(frame)
 		}
 		idle := s.inFlight.Add(-1) == 0
 		sess.busy.Unlock()
@@ -192,32 +200,36 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
-// readRequest reads one request frame, arming the per-request deadline the
-// moment the frame header arrives: from then on the payload read, the
-// handling and the response write all race the same RequestTimeout budget.
-// Waiting for the *next* header is deliberately unbounded — an idle
-// keep-alive connection is not a stalled request.
-func (sess *session) readRequest(br *bufio.Reader) (FrameType, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("server: reading frame header: %w", err)
+// respond handles one request and returns the response frame, encoded in
+// place in the connection's write buffer and valid until the next response.
+func (sess *session) respond(t FrameType, body []byte) ([]byte, error) {
+	if t == FNextBatch {
+		return sess.handleNextBatch(body)
 	}
-	sess.armDeadline()
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return 0, nil, fmt.Errorf("%w: %d outside [1, %d]", errFrameLength, n, MaxFrame)
+	return sess.frame(sess.handle(t, body))
+}
+
+// frame encodes a response whose body a handler built on its own.
+func (sess *session) frame(t FrameType, body []byte) ([]byte, error) {
+	frame, err := AppendFrame(sess.wbuf[:0], t, body)
+	return sess.keep(frame), err
+}
+
+// batchFrame encodes a batch response — the one response of any size —
+// header and body at once, each record marshalled where it goes out from.
+func (sess *session) batchFrame(m BatchResp) ([]byte, error) {
+	frame := m.AppendTo(append(sess.wbuf[:0], 0, 0, 0, 0, byte(FBatch)))
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-headerSize))
+	return sess.keep(frame), nil
+}
+
+// keep makes frame's memory the connection's write buffer, unless the frame
+// was one of the rare ones past KeepBuf.
+func (sess *session) keep(frame []byte) []byte {
+	if cap(frame) <= KeepBuf {
+		sess.wbuf = frame
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("server: reading %d-byte frame payload: %w", n, err)
-	}
-	return FrameType(payload[0]), payload[1:], nil
+	return frame
 }
 
 // armDeadline sets the connection's absolute I/O deadline RequestTimeout
@@ -252,16 +264,12 @@ func (sess *session) handle(t FrameType, body []byte) (FrameType, []byte) {
 		return sess.handleOpenView(body)
 	case FOpenStream:
 		return sess.handleOpenStream(body)
-	case FNextBatch:
-		return sess.handleNextBatch(body)
 	case FEstimate:
 		return sess.handleEstimate(body)
 	case FCancel:
 		return sess.handleCancel(body)
-	case FAppend:
-		return sess.handleAppend(body)
-	case FDeleteRecs:
-		return sess.handleDeleteRecs(body)
+	case FAppend, FDeleteRecs:
+		return sess.handleWrite(t, body)
 	case FFlushView:
 		return sess.handleFlushView(body)
 	case FSetTenant:
@@ -413,7 +421,6 @@ func (sess *session) handleOpenStream(body []byte) (FrameType, []byte) {
 		stream, err = sv.v.OpenStream(req.Query)
 	}
 	if err != nil {
-		sess.dropConnSlot()
 		sess.srv.releaseStreams(key, 1)
 		// Opening a stream on a view with a live write path scans delta
 		// pages, so storage faults can strike here too: type them the same
@@ -429,7 +436,6 @@ func (sess *session) handleOpenStream(body []byte) (FrameType, []byte) {
 		// the router can retry the open elsewhere.
 		if err := st.skipTo(req.StartPos); err != nil {
 			st.s.Close()
-			sess.dropConnSlot()
 			sess.srv.releaseStreams(key, 1)
 			return reject(sess, sess.classifyStreamErr(err), err.Error())
 		}
@@ -456,10 +462,8 @@ func (st *servedStream) skipTo(target int64) error {
 		if cur >= target {
 			return nil
 		}
-		chunk := target - cur
-		if chunk > 4096 {
-			chunk = 4096
-		}
+		// The stream lends its batch buffer and keeps it: skip batch-sized.
+		chunk := min(target-cur, 512)
 		recs, err := st.s.Sample(int(chunk))
 		st.pos.Add(int64(len(recs)))
 		if err != nil {
@@ -471,16 +475,13 @@ func (st *servedStream) skipTo(target int64) error {
 	}
 }
 
-// claimConnSlot reserves one per-connection stream slot.
+// claimConnSlot reports whether the connection has a stream slot free (slots
+// are tracked by the stream map's size, so there is nothing to give back).
 func (sess *session) claimConnSlot() bool {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return len(sess.streams) < sess.srv.cfg.MaxStreamsPerConn
 }
-
-// dropConnSlot is the inverse of claimConnSlot for the error path; slots
-// are tracked implicitly by map size, so it only exists for symmetry.
-func (sess *session) dropConnSlot() {}
 
 func (sess *session) lookupStream(id uint32) (*servedStream, bool, bool) {
 	sess.mu.Lock()
@@ -506,21 +507,24 @@ func (sess *session) removeStream(id uint32, asReaped bool) (*servedStream, bool
 	return st, true
 }
 
-func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
+// handleNextBatch serves one batch pull. The records Sample returns are lent
+// by the stream until its next Sample, and are encoded into the response
+// frame before this returns — the only use made of them.
+func (sess *session) handleNextBatch(body []byte) ([]byte, error) {
 	req, err := DecodeNextBatchReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, err.Error())
+		return sess.frame(reject(sess, CodeBadRequest, err.Error()))
 	}
 	st, ok, wasReaped := sess.lookupStream(req.StreamID)
 	if !ok {
 		if wasReaped {
-			return reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout")
+			return sess.frame(reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout"))
 		}
-		return reject(sess, CodeUnknownStream, "unknown stream id")
+		return sess.frame(reject(sess, CodeUnknownStream, "unknown stream id"))
 	}
 	if derr := st.takeErr(); derr != nil {
-		return reject(sess, sess.classifyStreamErr(derr), derr.Error())
+		return sess.frame(reject(sess, sess.classifyStreamErr(derr), derr.Error()))
 	}
 	if req.Pos >= 0 {
 		// Position-checked pull: samples are served exactly once, so a
@@ -530,8 +534,8 @@ func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
 		// skipped records were already delivered by the other replica.
 		cur := st.pos.Load()
 		if req.Pos < cur {
-			return reject(sess, CodeStreamPosition, fmt.Sprintf(
-				"stream at position %d, requested position %d is behind it", cur, req.Pos))
+			return sess.frame(reject(sess, CodeStreamPosition, fmt.Sprintf(
+				"stream at position %d, requested position %d is behind it", cur, req.Pos)))
 		}
 		if req.Pos > cur {
 			if err := st.skipTo(req.Pos); err != nil {
@@ -539,9 +543,9 @@ func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
 				st.touch()
 				if errors.Is(err, sampleview.ErrStreamClosed) {
 					sess.removeStream(req.StreamID, true)
-					return reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout")
+					return sess.frame(reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout"))
 				}
-				return reject(sess, sess.classifyStreamErr(err), err.Error())
+				return sess.frame(reject(sess, sess.classifyStreamErr(err), err.Error()))
 			}
 		}
 	}
@@ -557,10 +561,10 @@ func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
 		if errors.Is(err, sampleview.ErrStreamClosed) {
 			// Lost a race with the reaper between lookup and Sample.
 			sess.removeStream(req.StreamID, true)
-			return reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout")
+			return sess.frame(reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout"))
 		}
 		if len(recs) == 0 {
-			return reject(sess, sess.classifyStreamErr(err), err.Error())
+			return sess.frame(reject(sess, sess.classifyStreamErr(err), err.Error()))
 		}
 		// A partial batch rode ahead of the failure. Deliver it — the
 		// records are valid and acknowledged batches must never be dropped.
@@ -575,7 +579,7 @@ func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
 		sess.counters.Records.Add(int64(len(recs)))
 		sess.srv.stats.BatchesServed.Add(1)
 		sess.srv.stats.RecordsServed.Add(int64(len(recs)))
-		return FBatch, BatchResp{StreamID: req.StreamID, EOF: false, Records: recs, Pos: pos}.Encode()
+		return sess.batchFrame(BatchResp{StreamID: req.StreamID, EOF: false, Records: recs, Pos: pos})
 	}
 	eof := len(recs) < max
 	if eof {
@@ -593,7 +597,7 @@ func (sess *session) handleNextBatch(body []byte) (FrameType, []byte) {
 	sess.counters.Records.Add(int64(len(recs)))
 	sess.srv.stats.BatchesServed.Add(1)
 	sess.srv.stats.RecordsServed.Add(int64(len(recs)))
-	return FBatch, BatchResp{StreamID: req.StreamID, EOF: eof, Records: recs, Pos: pos}.Encode()
+	return sess.batchFrame(BatchResp{StreamID: req.StreamID, EOF: eof, Records: recs, Pos: pos})
 }
 
 func (sess *session) handleEstimate(body []byte) (FrameType, []byte) {
@@ -658,7 +662,9 @@ func (sess *session) rejectThrottled(n int) (FrameType, []byte) {
 		"write rate limit: batch of %d exceeds the tenant's available tokens; retry after backoff", n))
 }
 
-func (sess *session) handleAppend(body []byte) (FrameType, []byte) {
+// handleWrite serves an append (FAppend) or, the same wire shape, a batch of
+// tombstones (FDeleteRecs).
+func (sess *session) handleWrite(t FrameType, body []byte) (FrameType, []byte) {
 	req, err := DecodeWriteReq(body)
 	if err != nil {
 		sess.srv.stats.BadFrames.Add(1)
@@ -675,53 +681,26 @@ func (sess *session) handleAppend(body []byte) (FrameType, []byte) {
 	if !sess.admitRate(len(req.Records)) {
 		return sess.rejectThrottled(len(req.Records))
 	}
-	// Inserts are applied in order; the first failure stops the batch and
-	// reports it, with the acknowledged count telling the client how far
-	// the batch got (earlier inserts are already applied in the memview).
+	verb, apply, applied, ack := "append", w.Insert, &sess.srv.stats.RecordsIngested, FAppendOK
+	if t == FDeleteRecs {
+		verb, apply, applied, ack = "delete", w.Delete, &sess.srv.stats.RecordsDeleted, FDeleteOK
+	}
+	// Entries are applied in order; the first failure stops the batch and
+	// reports it, with the count applied telling the client how far the
+	// batch got (the earlier entries are already in the memview).
 	for i := range req.Records {
-		if err := w.Insert(req.Records[i]); err != nil {
-			sess.srv.stats.RecordsIngested.Add(int64(i))
-			return reject(sess, CodeInternal, fmt.Sprintf("append record %d of %d: %v", i, len(req.Records), err))
+		if err := apply(req.Records[i]); err != nil {
+			applied.Add(int64(i))
+			return reject(sess, CodeInternal, fmt.Sprintf("%s record %d of %d: %v", verb, i, len(req.Records), err))
 		}
 	}
 	// The ack is a durability promise: group-commit the batch before
-	// sending it, so an acked append survives a crash.
+	// sending it, so an acked append or tombstone survives a crash.
 	if err := w.Commit(); err != nil {
-		return reject(sess, CodeInternal, fmt.Sprintf("append commit: %v", err))
+		return reject(sess, CodeInternal, fmt.Sprintf("%s commit: %v", verb, err))
 	}
-	sess.srv.stats.RecordsIngested.Add(int64(len(req.Records)))
-	return FAppendOK, WriteAck{ViewID: req.ViewID, N: uint32(len(req.Records))}.Encode()
-}
-
-func (sess *session) handleDeleteRecs(body []byte) (FrameType, []byte) {
-	req, err := DecodeWriteReq(body)
-	if err != nil {
-		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, err.Error())
-	}
-	sv, ok := sess.srv.lookupViewID(req.ViewID)
-	if !ok {
-		return reject(sess, CodeUnknownView, "unknown view id")
-	}
-	w, code, msg := sess.admitWrite(sv, len(req.Records))
-	if w == nil {
-		return sess.rejectWrite(code, msg)
-	}
-	if !sess.admitRate(len(req.Records)) {
-		return sess.rejectThrottled(len(req.Records))
-	}
-	for i := range req.Records {
-		if err := w.Delete(req.Records[i]); err != nil {
-			sess.srv.stats.RecordsDeleted.Add(int64(i))
-			return reject(sess, CodeInternal, fmt.Sprintf("delete record %d of %d: %v", i, len(req.Records), err))
-		}
-	}
-	// Like appends, a delete ack promises the tombstones survive a crash.
-	if err := w.Commit(); err != nil {
-		return reject(sess, CodeInternal, fmt.Sprintf("delete commit: %v", err))
-	}
-	sess.srv.stats.RecordsDeleted.Add(int64(len(req.Records)))
-	return FDeleteOK, WriteAck{ViewID: req.ViewID, N: uint32(len(req.Records))}.Encode()
+	applied.Add(int64(len(req.Records)))
+	return ack, WriteAck{ViewID: req.ViewID, N: uint32(len(req.Records))}.Encode()
 }
 
 func (sess *session) handleFlushView(body []byte) (FrameType, []byte) {

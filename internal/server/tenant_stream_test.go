@@ -198,8 +198,25 @@ func TestPullPositionContract(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// pullAt is PullAt with the forwarded body decoded, checked against the
+	// fields PullAt read off it without decoding.
+	var raw []byte
+	pullAt := func(pos int64, max int) ([]record.Record, bool, int64, error) {
+		rb, err := rs.PullAt(pos, max, raw)
+		if err != nil {
+			return nil, false, rb.End, err
+		}
+		raw = rb.Body
+		m, err := DecodeBatchResp(rb.Body)
+		if err != nil || len(m.Records) != rb.N || m.EOF != rb.EOF || m.Pos != rb.End {
+			t.Fatalf("PullAt(%d) says n=%d eof=%v end=%d, its body decodes to n=%d eof=%v pos=%d (%v)",
+				pos, rb.N, rb.EOF, rb.End, len(m.Records), m.EOF, m.Pos, err)
+		}
+		return m.Records, rb.EOF, rb.End, nil
+	}
+
 	// Normal pull at the server's position.
-	recsA, eof, end, err := rs.PullAt(0, 100)
+	recsA, eof, end, err := pullAt(0, 100)
 	if err != nil || eof {
 		t.Fatalf("PullAt(0): recs=%d eof=%v err=%v", len(recsA), eof, err)
 	}
@@ -215,7 +232,7 @@ func TestPullPositionContract(t *testing.T) {
 	// Ahead of the server: it must fast-forward and serve from the claimed
 	// position, exactly as the reference does.
 	ahead := end + 50
-	recsB, _, endB, err := rs.PullAt(ahead, 100)
+	recsB, _, endB, err := pullAt(ahead, 100)
 	if err != nil {
 		t.Fatalf("PullAt(ahead): %v", err)
 	}
@@ -231,12 +248,12 @@ func TestPullPositionContract(t *testing.T) {
 	// Behind the server: records already served are gone; the claim is
 	// unservable and must reject with the position code, leaving the
 	// stream usable at its canonical position.
-	_, _, _, err = rs.PullAt(endB-1, 100)
+	_, _, _, err = pullAt(endB-1, 100)
 	se, ok := err.(*Error)
 	if !ok || se.Code != CodeStreamPosition {
 		t.Fatalf("PullAt(behind): got %v, want CodeStreamPosition", err)
 	}
-	recsC, _, _, err := rs.PullAt(endB, 100)
+	recsC, _, _, err := pullAt(endB, 100)
 	if err != nil {
 		t.Fatalf("pull at canonical position after a rejected claim: %v", err)
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -535,9 +536,33 @@ func TestStreamCloseIdempotentAndRaceSafe(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := s.Sample(10); err != nil {
+	// A batch draw racing Close is all or nothing: the whole batch, or
+	// ErrStreamClosed and no record. (On its own stream, so a short batch
+	// can only mean exhaustion: this drawer alone holds all 2000 by then.)
+	sb, err := v.Query(record.Box1D(0, workload.KeyDomain-1))
+	if err != nil {
 		t.Fatal(err)
 	}
+	batches := make(chan error, 1)
+	go func() {
+		for drawn := 0; ; {
+			batch, err := sb.Sample(16)
+			drawn += len(batch)
+			if err == ErrStreamClosed && len(batch) == 0 {
+				batches <- nil
+				return
+			}
+			if err != nil || (len(batch) != 16 && drawn != len(recs)) {
+				batches <- fmt.Errorf("Sample(16) racing Close: %d records (%d so far), err %v", len(batch), drawn, err)
+				return
+			}
+		}
+	}()
+	first, err := s.Sample(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := append([]record.Record(nil), first...)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -545,6 +570,27 @@ func TestStreamCloseIdempotentAndRaceSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
+	if err := sb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-batches; err != nil {
+		t.Fatal(err)
+	}
+	// Close recycled every shard stream's working memory; a new stream's
+	// draws go through it and must leave what the old one returned alone.
+	s2, err := v.Query(record.Box1D(0, workload.KeyDomain-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Sample(1500); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	for i := range first {
+		if first[i] != held[i] {
+			t.Fatalf("record %d of a returned batch changed after Close + a draw on the next stream", i)
+		}
+	}
 	if _, err := s.Next(); err != ErrStreamClosed {
 		t.Fatalf("Next after Close = %v, want ErrStreamClosed", err)
 	}

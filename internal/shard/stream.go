@@ -121,21 +121,42 @@ func (v *View) queryLocked(q record.Box, src *rand.Rand) (*Stream, error) {
 	}, nil
 }
 
-// Next returns the next sample record, io.EOF when the predicate is
-// exhausted across all shards, or ErrStreamClosed after Close.
+// AppendSample is the merged stream's batch draw: under one acquisition of
+// the stream lock it appends the next n sample records to dst — a slice the
+// caller owns; the stream keeps no reference to it — making per record
+// exactly the decisions, in the same rng order, that n calls of Next would,
+// and returns the extended slice. Fewer than n records with a nil error
+// means the predicate is exhausted across all shards; after Close the error
+// is ErrStreamClosed.
 //
 // Fault semantics mirror the unsharded stream, per shard: a transient
-// fault surfaces as a *ShardError wrapping a transient error (retry Next;
-// no records are skipped), and a dead shard surfaces one *ShardError
+// fault surfaces as a *ShardError wrapping a transient error (retry; no
+// records are skipped), and a dead shard surfaces one *ShardError
 // wrapping a *DegradedError per lost leaf while the merged stream keeps
 // drawing from the surviving shards — with the dead shard's remaining
-// weight shaved so it cannot soak up draws it can no longer serve.
-func (s *Stream) Next() (record.Record, error) {
+// weight shaved so it cannot soak up draws it can no longer serve. The
+// records drawn before an error are returned with it.
+func (s *Stream) AppendSample(dst []record.Record, n int) ([]record.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return record.Record{}, ErrStreamClosed
+		return dst, ErrStreamClosed
 	}
+	for want := len(dst) + n; len(dst) < want; {
+		var err error
+		if dst, err = s.appendOneLocked(dst); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// appendOneLocked appends the merged stream's next record to dst, or
+// returns io.EOF. Callers hold mu.
+func (s *Stream) appendOneLocked(dst []record.Record) ([]record.Record, error) {
 	for {
 		for i, u := range s.subs {
 			if u.done {
@@ -147,42 +168,33 @@ func (s *Stream) Next() (record.Record, error) {
 			// Estimates hit zero; drain any shard that still holds records
 			// (interpolated counts may undershoot).
 			for i := range s.subs {
-				rec, ok, err := s.popLocked(i)
-				if err != nil {
-					return record.Record{}, err
-				}
-				if ok {
-					return rec, nil
+				if got, err := s.popLocked(dst, i); err != nil || len(got) > len(dst) {
+					return got, err
 				}
 			}
-			return record.Record{}, io.EOF
+			return dst, io.EOF
 		}
-		rec, ok, err := s.popLocked(idx)
+		got, err := s.popLocked(dst, idx)
 		if err != nil {
-			return record.Record{}, err
+			return dst, err
 		}
-		if ok {
+		if len(got) > len(dst) {
 			s.merge.Deduct(idx)
-			return rec, nil
+			return got, nil
 		}
 		s.merge.Exhaust(idx)
 	}
 }
 
-// popLocked pulls the next record from shard i's stream, translating its
-// outcome: (rec, true, nil) on success, (_, false, nil) when the shard is
-// exhausted, error otherwise. Degraded errors adjust the merge weights
-// before surfacing. Callers hold mu.
-func (s *Stream) popLocked(i int) (record.Record, bool, error) {
+// popLocked appends the next record of shard i's stream to dst; dst comes
+// back unextended when the shard is exhausted. Degraded errors adjust the
+// merge weights before surfacing. Callers hold mu.
+func (s *Stream) popLocked(dst []record.Record, i int) ([]record.Record, error) {
 	u := s.subs[i]
 	if u.done {
-		return record.Record{}, false, nil
+		return dst, nil
 	}
-	rec, err := u.leaf.Next()
-	if err == io.EOF {
-		u.done = true
-		return record.Record{}, false, nil
-	}
+	got, err := u.leaf.AppendNext(dst, 1)
 	if err != nil {
 		var de *core.DegradedError
 		var wl *lsm.WritePathLostError
@@ -202,19 +214,39 @@ func (s *Stream) popLocked(i int) (record.Record, bool, error) {
 		default:
 			s.retries++
 		}
-		return record.Record{}, false, &ShardError{Shard: i, Err: err}
+		return dst, &ShardError{Shard: i, Err: err}
 	}
-	return rec, true, nil
+	u.done = len(got) == len(dst)
+	return got, nil
 }
 
-// Sample collects up to n records (fewer if the predicate exhausts first).
-func (s *Stream) Sample(n int) ([]record.Record, error) { return lsm.Collect(n, s.Next) }
+// Next returns the next sample record, io.EOF when the predicate is
+// exhausted across all shards, or ErrStreamClosed after Close.
+func (s *Stream) Next() (record.Record, error) {
+	var one [1]record.Record
+	out, err := s.AppendSample(one[:0], 1)
+	if len(out) == 0 && err == nil {
+		err = io.EOF
+	}
+	return one[0], err
+}
 
-// Close releases the per-shard sampling state. Idempotent and safe to call
-// concurrently with Next; Stats remains valid after Close.
+// Sample collects up to n records (fewer if the predicate exhausts first)
+// into a slice of its own.
+func (s *Stream) Sample(n int) ([]record.Record, error) {
+	// The predicate may exhaust long before a large n.
+	return s.AppendSample(make([]record.Record, 0, min(n, 4096)), n)
+}
+
+// Close releases the per-shard sampling state, handing each shard tree its
+// stream's working memory back. Idempotent and safe to call concurrently
+// with draws; Stats remains valid after Close.
 func (s *Stream) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, u := range s.subs {
+		u.leaf.Close()
+	}
 	s.closed = true
 	s.merge = nil
 	s.subs = nil

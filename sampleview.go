@@ -2,6 +2,7 @@ package sampleview
 
 import (
 	"errors"
+	"io"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -423,18 +424,14 @@ type Stream struct {
 	mu    sync.Mutex   // serializes draws on this stream
 	clock *iosim.Clock // the stream's private I/O clock
 	// leaf is the partition's stream: the base tree alone over an empty write
-	// path, merged with the memview and delta levels otherwise. Close drops it.
-	leaf *lsm.Stream // guarded by mu; nil once closed
+	// path, merged with the memview and delta levels otherwise. Once closed it
+	// draws nothing more, but its fault counters stay readable.
+	leaf   *lsm.Stream // guarded by mu
+	closed bool        // guarded by mu
 	// write snapshots the view's write-path stats at open, so Stats can
 	// report the delta depth this stream reads through.
 	write WriteStats
-	// final freezes the sampler-level fault accounting when Close drops the
-	// leaf stream, so Stats stays fully valid after Close.
-	final faultStats // guarded by mu
 }
-
-// faultStats is a stream's sampler-level fault accounting.
-type faultStats struct{ retries, degLeaves, degSections int64 }
 
 // Query starts an online sample stream for predicate q. Records ingested
 // after the stream was created do not join it; start a new stream to see
@@ -474,51 +471,64 @@ func (v *View) open(q Box, merge func() *rand.Rand) (*Stream, error) {
 	return &Stream{clock: ck, leaf: ls, write: v.part.WriteStats()}, nil
 }
 
+// AppendSample is the stream's batch draw: under one acquisition of the
+// stream lock it appends the next n sample records to dst — a slice the
+// caller owns; the stream keeps no reference to it — and returns the
+// extended slice, having made exactly the draws n calls of Next would.
+// Fewer than n records with a nil error means the predicate is exhausted;
+// after Close the error is ErrStreamClosed. Records drawn before a storage
+// error are returned with it, and a retried call continues where the fault
+// struck.
+func (s *Stream) AppendSample(dst []Record, n int) ([]Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return dst, ErrStreamClosed
+	}
+	return s.leaf.AppendNext(dst, n)
+}
+
 // Next returns the next sample record, io.EOF when the predicate is
 // exhausted, or ErrStreamClosed after Close.
 func (s *Stream) Next() (Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.leaf == nil {
-		return Record{}, ErrStreamClosed
+	var one [1]Record
+	out, err := s.AppendSample(one[:0], 1)
+	if len(out) == 0 && err == nil {
+		err = io.EOF
 	}
-	return s.leaf.Next()
+	return one[0], err
 }
 
-// faultsLocked returns the live (or, once closed, frozen) fault accounting.
-// Callers hold mu.
-func (s *Stream) faultsLocked() faultStats {
-	if s.leaf == nil {
-		return s.final
-	}
-	return faultStats{s.leaf.TransientRetries(), s.leaf.DegradedLeaves(), s.leaf.DegradedSections()}
-}
-
-// Close releases the stream's buffered state. It is idempotent and safe to
-// call concurrently with Next, Sample, Buffered and Stats from other
-// goroutines: a draw racing with Close either completes normally or
-// observes ErrStreamClosed, never a torn state. Stats remains valid after
+// Close releases the stream's buffered state, handing its working memory
+// back to the view for the next stream. It is idempotent and safe to call
+// concurrently with Next, Sample, Buffered and Stats from other goroutines:
+// a draw racing with Close either completes normally (a batch draw whole) or
+// observes ErrStreamClosed, never a torn state, and nothing a draw returned
+// is touched by Close or by any later stream. Stats remains valid after
 // Close (the stream's clock is retained; only the sampling state is
 // dropped).
 func (s *Stream) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.final, s.leaf = s.faultsLocked(), nil
+	if !s.closed {
+		s.closed = true
+		s.leaf.Close()
+	}
 	return nil
 }
 
 // Sample collects up to n records from the stream (fewer if the predicate
-// exhausts first).
-func (s *Stream) Sample(n int) ([]Record, error) { return lsm.Collect(n, s.Next) }
+// exhausts first) into a slice of its own.
+func (s *Stream) Sample(n int) ([]Record, error) {
+	// The predicate may exhaust long before a large n.
+	return s.AppendSample(make([]Record, 0, min(n, 4096)), n)
+}
 
 // Buffered returns the number of records parked in the base stream's
 // combine buckets.
 func (s *Stream) Buffered() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.leaf == nil {
-		return 0
-	}
 	return s.leaf.Buffered()
 }
 
@@ -577,13 +587,12 @@ func (s *Stream) SimNow() time.Duration {
 func (s *Stream) Stats() IOStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := s.faultsLocked()
 	return IOStats{
 		Counters:         s.clock.Counters(),
 		Faults:           s.clock.FaultCounters(),
-		Retries:          f.retries,
-		DegradedLeaves:   f.degLeaves,
-		DegradedSections: f.degSections,
+		Retries:          s.leaf.TransientRetries(),
+		DegradedLeaves:   s.leaf.DegradedLeaves(),
+		DegradedSections: s.leaf.DegradedSections(),
 		Write:            s.write,
 		SimTime:          s.clock.Now().String(),
 	}
