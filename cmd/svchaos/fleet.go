@@ -1,20 +1,15 @@
 package main
 
-// Fleet mode (-fleet): the replicated-serving drill. For each fleet size
-// K in {1, 2, 4} it builds K byte-identical replicas of one view, fronts
-// them with an in-process router, and runs two phases:
+// Fleet mode (-fleet): the replicated-serving kill drill. For each fleet
+// size K in {2, 4} it builds K byte-identical replicas of one view, fronts
+// them with an in-process router, pulls a seeded stream partway, shuts the
+// replica hosting it down outright, and requires the drained remainder to be
+// byte-identical to an uninterrupted local stream over the same view bytes
+// (no gap, no duplicate, no reorder), with the post-migration suffix still
+// chi-square-uniform over the query range. Throughput, batch latency and
+// placement per K are svsuite's to measure (fleet-sharded).
 //
-//  1. bench — a closed-loop multi-connection workload through the router,
-//     reporting fleet-wide batch-latency percentiles and the per-node
-//     distribution of placed streams;
-//  2. kill drill (K >= 2) — a seeded stream is pulled partway, the replica
-//     hosting it is shut down outright, and the drained remainder must be
-//     byte-identical to an uninterrupted local stream over the same view
-//     bytes (no gap, no duplicate, no reorder), with the post-migration
-//     suffix still chi-square-uniform over the query range.
-//
-// The -out report (results/fleet-bench.md in CI) is the fleet counterpart
-// of the chaos report: contract verdicts plus the scaling table.
+// The -out report (results/fleet-bench.md in CI) is the drill's verdicts.
 
 import (
 	"fmt"
@@ -22,9 +17,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"sampleview"
@@ -35,30 +28,19 @@ import (
 	"sampleview/internal/workload"
 )
 
-// fleetSizes is the scaling ladder the drill walks.
-var fleetSizes = []int{1, 2, 4}
+// fleetSizes is the ladder the drill walks.
+var fleetSizes = []int{2, 4}
 
 const (
-	fleetBenchClients = 8
-	fleetBenchOps     = 4
-	fleetBenchSamples = 2000
-	fleetBenchBatch   = 256
-	fleetHoldPerNode  = 8 // streams held open per replica in the placement probe
-	fleetReplicaCap   = 64
+	fleetBatch      = 256
+	fleetReplicaCap = 64
 )
 
-// fleetResult aggregates one fleet size's run.
+// fleetResult is one fleet size's drill.
 type fleetResult struct {
 	k          int
 	elapsed    time.Duration
-	records    int64
-	ops        int
-	rejections int
-	batchLat   []time.Duration
-	perNode    []int64 // open streams per replica during the hold probe
 	violations []string
-	// kill-drill fields (K >= 2 only).
-	drillRan   bool
 	killAt     int
 	total      int
 	migrations int64
@@ -146,29 +128,28 @@ func runFleetMode(nrecords int, seed uint64, out string) int {
 	defer os.RemoveAll(dir)
 
 	recs := genRecords(nrecords, seed)
-	fmt.Printf("fleet drill: %d records per replica; K in %v; %d clients x %d ops x %d samples per fleet\n",
-		nrecords, fleetSizes, fleetBenchClients, fleetBenchOps, fleetBenchSamples)
+	fmt.Printf("fleet drill: %d records per replica; K in %v\n", nrecords, fleetSizes)
 
 	var results []fleetResult
 	failed := false
 	for _, k := range fleetSizes {
-		res := runFleetSize(dir, k, recs, seed)
+		res := fleetResult{k: k, suffixP: 1}
+		start := time.Now()
+		if cf, err := startChaosFleet(dir, k, recs, seed); err != nil {
+			res.violations = append(res.violations, err.Error())
+		} else {
+			runFleetKillDrill(cf, &res, seed)
+			cf.close()
+		}
+		res.elapsed = time.Since(start)
 		results = append(results, res)
 		verdict := "ok"
 		if len(res.violations) > 0 {
 			verdict = "CONTRACT VIOLATED"
 			failed = true
 		}
-		sort.Slice(res.batchLat, func(i, j int) bool { return res.batchLat[i] < res.batchLat[j] })
-		drill := "skipped (single replica)"
-		if res.drillRan {
-			drill = fmt.Sprintf("killed at %d/%d, %d migrations, suffix p=%.3f (n=%d)",
-				res.killAt, res.total, res.migrations, res.suffixP, res.suffixN)
-		}
-		fmt.Printf("K=%d  %7d recs %6.1fs  batch p99=%-10v streams/node=%v  drill: %s  %s\n",
-			k, res.records, res.elapsed.Seconds(),
-			fleetPercentile(res.batchLat, 0.99).Round(time.Microsecond),
-			res.perNode, drill, verdict)
+		fmt.Printf("K=%d  %6.1fs  killed at %d/%d, %d migrations, suffix p=%.3f (n=%d)  %s\n",
+			k, res.elapsed.Seconds(), res.killAt, res.total, res.migrations, res.suffixP, res.suffixN, verdict)
 		for i, v := range res.violations {
 			if i == 5 {
 				fmt.Printf("    ... and %d more\n", len(res.violations)-5)
@@ -196,140 +177,6 @@ func runFleetMode(nrecords int, seed uint64, out string) int {
 	return 0
 }
 
-// runFleetSize runs the bench and (for K >= 2) the kill drill against one
-// fleet of k replicas.
-func runFleetSize(dir string, k int, recs []record.Record, seed uint64) fleetResult {
-	res := fleetResult{k: k, suffixP: 1}
-	cf, err := startChaosFleet(dir, k, recs, seed)
-	if err != nil {
-		res.violations = append(res.violations, err.Error())
-		return res
-	}
-	defer cf.close()
-	start := time.Now()
-
-	// Placement probe: hold open streams from many connections (placement
-	// keys differ per connection) and record how they spread across nodes.
-	hold := fleetHoldPerNode * k
-	conns := make([]*server.Client, 0, hold)
-	streams := make([]*server.RemoteStream, 0, hold)
-	for i := 0; i < hold; i++ {
-		cl, err := server.Dial(cf.addr)
-		if err != nil {
-			res.violations = append(res.violations, fmt.Sprintf("hold dial: %v", err))
-			break
-		}
-		conns = append(conns, cl)
-		rv, err := cl.OpenView("fleet")
-		if err != nil {
-			res.violations = append(res.violations, fmt.Sprintf("hold open view: %v", err))
-			break
-		}
-		s, err := rv.Query(record.FullBox(1))
-		if err != nil {
-			res.violations = append(res.violations, fmt.Sprintf("hold open stream: %v", err))
-			break
-		}
-		streams = append(streams, s)
-	}
-	for _, srv := range cf.replicas {
-		res.perNode = append(res.perNode, srv.Snapshot().OpenStreams)
-	}
-	for _, s := range streams {
-		s.Close()
-	}
-	for _, cl := range conns {
-		cl.Close()
-	}
-
-	// Bench: the svload-style closed loop through the router.
-	perClient := make([]fleetResult, fleetBenchClients)
-	var wg sync.WaitGroup
-	for c := 0; c < fleetBenchClients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			perClient[c] = runFleetBenchClient(cf.addr, seed+uint64(c)*1000003)
-		}(c)
-	}
-	wg.Wait()
-	for i := range perClient {
-		pc := &perClient[i]
-		res.records += pc.records
-		res.ops += pc.ops
-		res.rejections += pc.rejections
-		res.batchLat = append(res.batchLat, pc.batchLat...)
-		res.violations = append(res.violations, pc.violations...)
-	}
-
-	if k >= 2 {
-		runFleetKillDrill(cf, &res, seed)
-	}
-	res.elapsed = time.Since(start)
-	return res
-}
-
-// runFleetBenchClient drives one connection through the bench loop.
-func runFleetBenchClient(addr string, seed uint64) fleetResult {
-	var res fleetResult
-	fail := func(format string, args ...any) {
-		res.violations = append(res.violations, fmt.Sprintf(format, args...))
-	}
-	cl, err := server.Dial(addr)
-	if err != nil {
-		fail("bench dial: %v", err)
-		return res
-	}
-	defer cl.Close()
-	rv, err := cl.OpenView("fleet")
-	if err != nil {
-		fail("bench open view: %v", err)
-		return res
-	}
-	qg := workload.NewQueryGen(seed)
-	for op := 0; op < fleetBenchOps; op++ {
-		q := qg.Range1D(selectivities[op%len(selectivities)])
-		s, err := rv.Query(q)
-		if err != nil {
-			if server.IsAdmissionReject(err) {
-				res.rejections++
-				continue
-			}
-			fail("op %d: open stream: %v", op, err)
-			return res
-		}
-		s.SetBatchSize(fleetBenchBatch)
-		seen := make(map[uint64]struct{}, fleetBenchSamples)
-		got := 0
-		for got < fleetBenchSamples {
-			t0 := time.Now()
-			batch, err := s.NextBatch()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				fail("op %d: next batch: %v", op, err)
-				break
-			}
-			res.batchLat = append(res.batchLat, time.Since(t0))
-			for i := range batch {
-				if !q.ContainsRecord(&batch[i]) {
-					fail("op %d: record seq %d outside the predicate", op, batch[i].Seq)
-				}
-				if _, dup := seen[batch[i].Seq]; dup {
-					fail("op %d: duplicate seq %d", op, batch[i].Seq)
-				}
-				seen[batch[i].Seq] = struct{}{}
-			}
-			got += len(batch)
-		}
-		res.records += int64(got)
-		res.ops++
-		s.Close()
-	}
-	return res
-}
-
 // runFleetKillDrill pulls a seeded stream a third of the way, kills the
 // replica hosting it, and verifies the migrated remainder: byte-identical
 // to the uninterrupted local reference, and the post-migration suffix
@@ -338,7 +185,6 @@ func runFleetKillDrill(cf *chaosFleet, res *fleetResult, seed uint64) {
 	fail := func(format string, args ...any) {
 		res.violations = append(res.violations, fmt.Sprintf("drill: %s", fmt.Sprintf(format, args...)))
 	}
-	res.drillRan = true
 	q := record.Box1D(0, workload.KeyDomain/2)
 	drillSeed := seed ^ 0xca11ab1e
 
@@ -382,7 +228,7 @@ func runFleetKillDrill(cf *chaosFleet, res *fleetResult, seed uint64) {
 		fail("open seeded stream: %v", err)
 		return
 	}
-	rs.SetBatchSize(fleetBenchBatch)
+	rs.SetBatchSize(fleetBatch)
 	got := make([]record.Record, 0, len(want))
 	for len(got) < res.killAt {
 		rec, err := rs.Next()
@@ -470,53 +316,21 @@ func runFleetKillDrill(cf *chaosFleet, res *fleetResult, seed uint64) {
 	}
 }
 
-func fleetPercentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[int(p*float64(len(sorted)-1))]
-}
-
 func buildFleetReport(nrecords int, seed uint64, results []fleetResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Fleet bench: replicated serving with kill-a-replica drills\n\n")
+	fmt.Fprintf(&b, "# Fleet drill: kill a replica under a live stream\n\n")
 	fmt.Fprintf(&b, "For each fleet size K a router fronts K byte-identical replicas "+
-		"(%d records each, build seed %d). The bench runs %d closed-loop clients "+
-		"(%d ops each, %d-sample budget, batches of %d) through the router; the "+
-		"placement probe holds %d streams per node open from distinct connections.\n\n",
-		nrecords, seed, fleetBenchClients, fleetBenchOps, fleetBenchSamples,
-		fleetBenchBatch, fleetHoldPerNode)
-	fmt.Fprintf(&b, "| K | records | wall | records/sec | batch p50 | batch p90 | batch p99 | streams per node | violations |\n")
-	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|\n")
+		"(%d records each, build seed %d). The drill pulls a seeded stream a third of the way, shuts the "+
+		"hosting replica down, and drains the rest through the router's live migration.\n\n", nrecords, seed)
+	fmt.Fprintf(&b, "| K | wall | killed at | total records | byte-identical | migrations | suffix n | suffix chi-square p |\n")
+	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|\n")
 	for _, r := range results {
-		sort.Slice(r.batchLat, func(i, j int) bool { return r.batchLat[i] < r.batchLat[j] })
-		nodes := make([]string, len(r.perNode))
-		for i, n := range r.perNode {
-			nodes[i] = fmt.Sprintf("%d", n)
-		}
-		fmt.Fprintf(&b, "| %d | %d | %v | %.0f | %v | %v | %v | %s | %d |\n",
-			r.k, r.records, r.elapsed.Round(time.Millisecond),
-			float64(r.records)/r.elapsed.Seconds(),
-			fleetPercentile(r.batchLat, 0.50).Round(time.Microsecond),
-			fleetPercentile(r.batchLat, 0.90).Round(time.Microsecond),
-			fleetPercentile(r.batchLat, 0.99).Round(time.Microsecond),
-			strings.Join(nodes, " / "), len(r.violations))
-	}
-	fmt.Fprintf(&b, "\nKill drill (K >= 2): pull a seeded stream a third of the way, shut the "+
-		"hosting replica down, drain the rest through the router's live migration.\n\n")
-	fmt.Fprintf(&b, "| K | killed at | total records | byte-identical | migrations | suffix n | suffix chi-square p |\n")
-	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|\n")
-	for _, r := range results {
-		if !r.drillRan {
-			fmt.Fprintf(&b, "| %d | - | - | n/a (single replica) | - | - | - |\n", r.k)
-			continue
-		}
 		identical := "yes"
 		if len(r.violations) > 0 {
 			identical = "VIOLATED"
 		}
-		fmt.Fprintf(&b, "| %d | %d | %d | %s | %d | %d | %.3f |\n",
-			r.k, r.killAt, r.total, identical, r.migrations, r.suffixN, r.suffixP)
+		fmt.Fprintf(&b, "| %d | %v | %d | %d | %s | %d | %d | %.3f |\n",
+			r.k, r.elapsed.Round(time.Millisecond), r.killAt, r.total, identical, r.migrations, r.suffixN, r.suffixP)
 	}
 	fmt.Fprintf(&b, "\nContract: a migrated stream's full sequence is byte-identical to an "+
 		"uninterrupted local stream over the same view bytes — no gap, no duplicate, "+

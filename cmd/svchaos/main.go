@@ -20,11 +20,9 @@
 //	svchaos -crash -records 20000 -out results/crash-bench.md
 //	svchaos -fleet -records 60000 -out results/fleet-bench.md
 //
-// With -fleet the fault ladder is replaced by the replicated-serving
-// drill: for each fleet size K in {1, 2, 4} a router fronts K
-// byte-identical replicas, a closed-loop workload measures fleet-wide
-// batch-latency percentiles and streams-per-node placement, and (for
-// K >= 2) the replica hosting a half-drained seeded stream is killed
+// With -fleet the fault ladder is replaced by the replicated-serving kill
+// drill: for each fleet size K in {2, 4} a router fronts K byte-identical
+// replicas and the replica hosting a part-drained seeded stream is killed
 // outright — the router must migrate the stream live, with the resumed
 // sequence byte-identical to an uninterrupted local stream and the
 // post-migration suffix still chi-square-uniform (see fleet.go).

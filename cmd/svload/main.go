@@ -20,17 +20,18 @@
 // With -tenants N the clients spread round-robin across N tenant
 // identities (declared via set-tenant before the first stream), so the
 // server's — or a fleet router's — per-tenant admission and accounting are
-// exercised, and the report breaks latency percentiles down per tenant.
+// exercised.
 //
 // Usage:
 //
 //	svload -connect 127.0.0.1:7070 -view sale -clients 64 -ops 10 \
-//	       -samples 2000 -check sale.view -out results/serve-bench.md
+//	       -samples 2000 -check sale.view
 //	svload -connect 127.0.0.1:7070 -view sale -clients 16 -writers 4
 //	svload -connect 127.0.0.1:7000 -view sale -clients 32 -tenants 8
 //
-// Throughput and open/batch latency percentiles are printed and, with
-// -out, appended as a markdown report.
+// svload is a correctness drill: it prints what it did and every failure,
+// and exits non-zero on any. Serving-path throughput and latency are
+// measured by svsuite's serve-wire workload.
 package main
 
 import (
@@ -39,8 +40,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"os"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,19 +55,11 @@ import (
 var selectivities = []float64{0.0025, 0.025, 0.25}
 
 type clientResult struct {
-	tenant     string
 	ops        int
 	records    int64
-	openLat    []time.Duration
-	batchLat   []time.Duration
-	ttf        []time.Duration // wall time from first pull to wallTarget samples
 	rejections int
 	failures   []string
 }
-
-// wallTarget is the sample count whose wall-clock delivery time -wall
-// reports: the serving-path counterpart of svbench -wall's ttf-1000.
-const wallTarget = 1000
 
 func main() {
 	var (
@@ -80,8 +71,6 @@ func main() {
 		batch   = flag.Int("batch", 256, "records per batch pull")
 		seed    = flag.Uint64("seed", 1, "workload seed")
 		check   = flag.String("check", "", "view file for exact record-for-record cross-checking")
-		out     = flag.String("out", "", "append a markdown report to this file")
-		wall    = flag.Bool("wall", false, "report wall-clock time-to-first-1000 per query")
 		writers = flag.Int("writers", 0, "concurrent writer connections appending/deleting/flushing for the run's duration")
 		wbatch  = flag.Int("write-batch", 128, "records per append batch")
 		tenants = flag.Int("tenants", 0, "spread clients round-robin across this many tenant identities (0 = untenanted)")
@@ -142,38 +131,20 @@ func main() {
 	wwg.Wait()
 	elapsed := time.Since(start)
 
+	var total clientResult
+	for _, r := range results {
+		total.ops += r.ops
+		total.records += r.records
+		total.rejections += r.rejections
+		total.failures = append(total.failures, r.failures...)
+	}
 	var wtotal writerResult
 	for _, r := range wresults {
 		wtotal.appended += r.appended
 		wtotal.deleted += r.deleted
 		wtotal.flushes += r.flushes
 		wtotal.rejections += r.rejections
-		wtotal.failures = append(wtotal.failures, r.failures...)
-	}
-
-	// Aggregate, overall and per tenant identity.
-	var total clientResult
-	perTenant := map[string]*clientResult{}
-	for _, r := range results {
-		total.ops += r.ops
-		total.records += r.records
-		total.rejections += r.rejections
-		total.openLat = append(total.openLat, r.openLat...)
-		total.batchLat = append(total.batchLat, r.batchLat...)
-		total.ttf = append(total.ttf, r.ttf...)
 		total.failures = append(total.failures, r.failures...)
-		if r.tenant != "" {
-			tr := perTenant[r.tenant]
-			if tr == nil {
-				tr = &clientResult{tenant: r.tenant}
-				perTenant[r.tenant] = tr
-			}
-			tr.ops += r.ops
-			tr.records += r.records
-			tr.rejections += r.rejections
-			tr.openLat = append(tr.openLat, r.openLat...)
-			tr.batchLat = append(tr.batchLat, r.batchLat...)
-		}
 	}
 	snap, err := probe.ServerStats()
 	if err != nil {
@@ -182,19 +153,20 @@ func main() {
 	}
 	probe.Close()
 
-	total.failures = append(total.failures, wtotal.failures...)
-	report := buildReport(*connect, *view, *clients, *ops, *samples, *batch, *seed,
-		*check != "", *wall, int(peak.Load()), elapsed, &total, perTenant, *writers, &wtotal, snap)
-	fmt.Print(report)
-	if *out != "" {
-		f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "svload: %v\n", err)
-			os.Exit(1)
+	fmt.Printf("%d queries, %d records in %v; peak %d concurrent streams; %d admission rejections retried\n",
+		total.ops, total.records, elapsed.Round(time.Millisecond), peak.Load(), total.rejections)
+	if *writers > 0 {
+		fmt.Printf("%d writers: %d appended, %d deleted, %d flushes, %d backlog rejections retried\n",
+			*writers, wtotal.appended, wtotal.deleted, wtotal.flushes, wtotal.rejections)
+	}
+	fmt.Println("server counters after the run:")
+	snap.Dump(os.Stdout)
+	for i, f := range total.failures {
+		if i == 20 {
+			fmt.Printf("... and %d more failures\n", len(total.failures)-20)
+			break
 		}
-		fmt.Fprint(f, report)
-		f.Close()
-		fmt.Printf("report appended to %s\n", *out)
+		fmt.Printf("FAIL: %s\n", f)
 	}
 	if len(total.failures) > 0 {
 		os.Exit(1)
@@ -286,7 +258,7 @@ func runWriter(addr, view string, id int, seed uint64, batchSize int, stop <-cha
 // and accounting run under that identity.
 func runClient(addr, view, check, tenant string, dims int, seed uint64, ops, samples, batchSize int,
 	live, peak *atomic.Int64) clientResult {
-	res := clientResult{tenant: tenant}
+	var res clientResult
 	fail := func(format string, args ...any) {
 		res.failures = append(res.failures, fmt.Sprintf(format, args...))
 	}
@@ -330,7 +302,6 @@ func runClient(addr, view, check, tenant string, dims int, seed uint64, ops, sam
 		// Open the stream, retrying briefly on admission rejections so a
 		// saturated server degrades to queueing, not errors.
 		var s *server.RemoteStream
-		t0 := time.Now()
 		for attempt := 0; ; attempt++ {
 			s, err = rv.Query(q)
 			if err == nil {
@@ -344,7 +315,6 @@ func runClient(addr, view, check, tenant string, dims int, seed uint64, ops, sam
 			fail("op %d: open stream: %v", op, err)
 			return res
 		}
-		res.openLat = append(res.openLat, time.Since(t0))
 		n := live.Add(1)
 		for {
 			p := peak.Load()
@@ -364,10 +334,7 @@ func runClient(addr, view, check, tenant string, dims int, seed uint64, ops, sam
 		}
 		seen := make(map[uint64]struct{}, samples)
 		got := 0
-		pullStart := time.Now()
-		ttfDone := false
 		for got < samples {
-			t1 := time.Now()
 			recs, err := s.NextBatch()
 			if err == io.EOF {
 				break
@@ -376,7 +343,6 @@ func runClient(addr, view, check, tenant string, dims int, seed uint64, ops, sam
 				fail("op %d: next batch: %v", op, err)
 				break
 			}
-			res.batchLat = append(res.batchLat, time.Since(t1))
 			for i := range recs {
 				if !q.ContainsRecord(&recs[i]) {
 					fail("op %d: record seq %d outside the predicate", op, recs[i].Seq)
@@ -396,15 +362,6 @@ func runClient(addr, view, check, tenant string, dims int, seed uint64, ops, sam
 				}
 			}
 			got += len(recs)
-			if !ttfDone && got >= min(wallTarget, samples) {
-				res.ttf = append(res.ttf, time.Since(pullStart))
-				ttfDone = true
-			}
-		}
-		if !ttfDone {
-			// The predicate exhausted below the target; the full matching
-			// set arrived in this time.
-			res.ttf = append(res.ttf, time.Since(pullStart))
 		}
 		res.records += int64(got)
 		res.ops++
@@ -412,92 +369,4 @@ func runClient(addr, view, check, tenant string, dims int, seed uint64, ops, sam
 		live.Add(-1)
 	}
 	return res
-}
-
-func percentile(lat []time.Duration, p float64) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(lat)-1))
-	return lat[i]
-}
-
-func latRow(name string, lat []time.Duration) string {
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return fmt.Sprintf("| %s | %d | %v | %v | %v | %v |\n", name, len(lat),
-		percentile(lat, 0.50).Round(time.Microsecond),
-		percentile(lat, 0.90).Round(time.Microsecond),
-		percentile(lat, 0.99).Round(time.Microsecond),
-		percentile(lat, 1.0).Round(time.Microsecond))
-}
-
-func buildReport(addr, view string, clients, ops, samples, batch int, seed uint64,
-	checked, wall bool, peak int, elapsed time.Duration, total *clientResult,
-	perTenant map[string]*clientResult,
-	writers int, wtotal *writerResult, snap *server.StatsSnapshot) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "\n## svload run: %d clients against %s\n\n", clients, addr)
-	fmt.Fprintf(&b, "- view `%s`, %d ops/client, %d samples/op, batches of %d, seed %d\n",
-		view, ops, samples, batch, seed)
-	fmt.Fprintf(&b, "- selectivity mix: 0.25%% / 2.5%% / 25%% range predicates (paper's evaluation mix)\n")
-	fmt.Fprintf(&b, "- peak concurrent streams observed by the generator: %d\n", peak)
-	if checked {
-		fmt.Fprintf(&b, "- every record cross-checked against an in-process stream over the same view file\n")
-	}
-	fmt.Fprintf(&b, "\n")
-	fmt.Fprintf(&b, "| metric | value |\n|---|---|\n")
-	fmt.Fprintf(&b, "| wall time | %v |\n", elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&b, "| completed queries | %d |\n", total.ops)
-	fmt.Fprintf(&b, "| records delivered | %d |\n", total.records)
-	fmt.Fprintf(&b, "| records/sec | %.0f |\n", float64(total.records)/elapsed.Seconds())
-	fmt.Fprintf(&b, "| queries/sec | %.1f |\n", float64(total.ops)/elapsed.Seconds())
-	fmt.Fprintf(&b, "| admission rejections (retried) | %d |\n", total.rejections)
-	if writers > 0 {
-		fmt.Fprintf(&b, "| writers | %d |\n", writers)
-		fmt.Fprintf(&b, "| records appended | %d |\n", wtotal.appended)
-		fmt.Fprintf(&b, "| records deleted | %d |\n", wtotal.deleted)
-		fmt.Fprintf(&b, "| flushes | %d |\n", wtotal.flushes)
-		fmt.Fprintf(&b, "| backlog rejections (retried) | %d |\n", wtotal.rejections)
-		fmt.Fprintf(&b, "| ingest records/sec | %.0f |\n", float64(wtotal.appended)/elapsed.Seconds())
-	}
-	fmt.Fprintf(&b, "| correctness failures | %d |\n", len(total.failures))
-	fmt.Fprintf(&b, "\n| latency | n | p50 | p90 | p99 | max |\n|---|---|---|---|---|---|\n")
-	b.WriteString(latRow("open-stream", total.openLat))
-	b.WriteString(latRow("next-batch", total.batchLat))
-	if wall {
-		b.WriteString(latRow(fmt.Sprintf("ttf-%d (wall)", wallTarget), total.ttf))
-	}
-	if len(perTenant) > 0 {
-		names := make([]string, 0, len(perTenant))
-		for name := range perTenant {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(&b, "\nPer-tenant breakdown (%d tenants):\n", len(names))
-		fmt.Fprintf(&b, "\n| tenant | queries | records | rejections | batch p50 | batch p99 | open p99 |\n|---|---|---|---|---|---|---|\n")
-		for _, name := range names {
-			tr := perTenant[name]
-			sort.Slice(tr.batchLat, func(i, j int) bool { return tr.batchLat[i] < tr.batchLat[j] })
-			sort.Slice(tr.openLat, func(i, j int) bool { return tr.openLat[i] < tr.openLat[j] })
-			fmt.Fprintf(&b, "| %s | %d | %d | %d | %v | %v | %v |\n",
-				name, tr.ops, tr.records, tr.rejections,
-				percentile(tr.batchLat, 0.50).Round(time.Microsecond),
-				percentile(tr.batchLat, 0.99).Round(time.Microsecond),
-				percentile(tr.openLat, 0.99).Round(time.Microsecond))
-		}
-	}
-	fmt.Fprintf(&b, "\nServer counters after the run:\n\n```\n")
-	snap.Dump(&b)
-	fmt.Fprintf(&b, "```\n")
-	for i, f := range total.failures {
-		if i == 0 {
-			fmt.Fprintf(&b, "\nFAILURES:\n")
-		}
-		if i == 20 {
-			fmt.Fprintf(&b, "- ... and %d more\n", len(total.failures)-20)
-			break
-		}
-		fmt.Fprintf(&b, "- %s\n", f)
-	}
-	return b.String()
 }

@@ -152,6 +152,9 @@ func TestCrashRecoveryDoesNotDoubleApply(t *testing.T) {
 	if got := re.WriteStats().WALReplayed; got != 31 {
 		t.Fatalf("replayed %d operations, want 31", got)
 	}
+	if err := re.part.Verify(); err != nil {
+		t.Fatalf("the recovered ladder fails its fsck: %v", err)
+	}
 	got := seqSet(t, re) // seqSet fails the test on any double-apply
 	want := base + 60 - 1
 	if len(got) != want {

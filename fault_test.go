@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sampleview/internal/iosim"
+	"sampleview/internal/lsm"
 )
 
 // smallPages shrinks the simulated disk's pages so modest test relations
@@ -192,36 +193,124 @@ func TestBitrotNeverSilent(t *testing.T) {
 	for _, r := range recs {
 		byseq[r.Seq] = r
 	}
-	plan, err := FaultProfile("bitrot", 1234)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := CreateFromSlice("", recs, Options{Seed: 2, DiskModel: smallPages(), Faults: plan})
+	v, err := CreateFromSlice("", recs, Options{Seed: 2, DiskModel: smallPages()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v.Close()
 
-	s, err := v.Query(FullBox(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, degraded := drainFaulty(t, s)
-	for i := range got {
-		want, ok := byseq[got[i].Seq]
-		if !ok || got[i] != want {
-			t.Fatalf("stream emitted a record that is not in the source relation: %+v", got[i])
+	// Search seeds for a plan that rots a queried page: a miss moves on to
+	// the next seed, it does not skip.
+	var got []Record
+	var degraded int
+	var st IOStats
+	for seed := uint64(1234); st.Faults.CorruptPages == 0; seed++ {
+		if seed == 1234+50 {
+			t.Fatal("no bitrot plan in 50 seeds hit a queried page")
 		}
-	}
-	st := s.Stats()
-	if st.Faults.CorruptPages == 0 {
-		t.Skip("bitrot profile hit no queried pages at this seed; raise rate")
+		plan, err := FaultProfile("bitrot", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.InjectFaults(plan)
+		s, err := v.Query(FullBox(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, degraded = drainFaulty(t, s)
+		for i := range got {
+			want, ok := byseq[got[i].Seq]
+			if !ok || got[i] != want {
+				t.Fatalf("stream emitted a record that is not in the source relation: %+v", got[i])
+			}
+		}
+		st = s.Stats()
 	}
 	if int64(degraded) != st.DegradedLeaves {
 		t.Fatalf("saw %d degraded errors, stats say %d leaves", degraded, st.DegradedLeaves)
 	}
 	if len(got)+degraded == 0 {
 		t.Fatal("stream produced nothing")
+	}
+}
+
+// TestDeltaLossMidStreamDegrades strikes the write path with the stream
+// open and a tenth drawn: a delta level's later runs are read as the draw
+// reaches them, so their pages can die after the open succeeded. The loss
+// surfaces once as a degraded error, the level's unread remainder is gone,
+// and the stream drains on: every record it serves is a source record,
+// served once, and nothing buffered in memory is missing.
+func TestDeltaLossMidStreamDegrades(t *testing.T) {
+	recs := genRecords(3000, 21)
+	v, err := CreateFromSlice("", recs, Options{Seed: 3, DiskModel: smallPages()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	fresh := genRecords(2100, 22)
+	for i := range fresh {
+		fresh[i].Seq = 1_000_000 + uint64(i)
+		if err := v.Insert(fresh[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1999 { // the last hundred stay in the memview
+			if err := v.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	byseq := make(map[uint64]Record, len(recs)+len(fresh))
+	for _, r := range append(recs, fresh...) {
+		byseq[r.Seq] = r
+	}
+
+	s, err := v.Query(FullBox(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]bool)
+	lost, degraded := 0, 0
+	for {
+		if len(seen) == 500 {
+			v.InjectFaults(FaultPlan{Seed: 5, StickyRate: 1})
+		}
+		rec, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			if !IsDegraded(err) {
+				t.Fatalf("stream error of unexpected type: %v", err)
+			}
+			if lsm.IsWritePathLost(err) {
+				lost++
+			}
+			if degraded++; degraded > 10000 {
+				t.Fatal("stream wedged on degraded errors")
+			}
+			continue
+		}
+		if want, ok := byseq[rec.Seq]; !ok || rec != want || seen[rec.Seq] {
+			t.Fatalf("stream emitted %+v: not a source record, or served twice", rec)
+		}
+		seen[rec.Seq] = true
+	}
+	if lost != 1 {
+		t.Fatalf("the lost level surfaced %d times, want exactly once", lost)
+	}
+	flushed := 0
+	for _, r := range fresh[:2000] {
+		if seen[r.Seq] {
+			flushed++
+		}
+	}
+	if flushed == 0 || flushed == 2000 {
+		t.Fatalf("%d of the level's 2000 records served; the loss should cut it mid-way", flushed)
+	}
+	for _, r := range fresh[2000:] {
+		if !seen[r.Seq] {
+			t.Fatalf("in-memory record seq %d lost from the degraded stream", r.Seq)
+		}
 	}
 }
 

@@ -88,15 +88,21 @@ func TestTransientRetryPreservesPrefix(t *testing.T) {
 func TestDegradedStreamContinues(t *testing.T) {
 	sim := testSim()
 	tree, _ := buildTestTree(t, sim, 2000, Params{Height: 5}, 3)
-	sim.SetFaultPlan(iosim.FaultPlan{Seed: 4, StickyRate: 0.15})
-
-	s, err := tree.Query(record.FullBox(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, degraded := drainWithRetry(t, s)
-	if len(degraded) == 0 {
-		t.Skip("sticky plan hit no leaf pages at this seed; adjust rate")
+	// Search seeds for a plan that kills a queried leaf page, as
+	// lsm's planHittingOneInsertPage does: a miss moves on, it does not skip.
+	var s *Stream
+	var recs []record.Record
+	var degraded []*DegradedError
+	for seed := uint64(4); len(degraded) == 0; seed++ {
+		if seed == 4+50 {
+			t.Fatal("no sticky plan in 50 seeds hit a leaf page")
+		}
+		sim.SetFaultPlan(iosim.FaultPlan{Seed: seed, StickyRate: 0.15})
+		var err error
+		if s, err = tree.Query(record.FullBox(1)); err != nil {
+			t.Fatal(err)
+		}
+		recs, degraded = drainWithRetry(t, s)
 	}
 	if !s.Done() {
 		t.Fatal("stream did not finish after degradation")

@@ -121,6 +121,10 @@ func (m *Merger) Reduce(i int, delta float64) {
 	}
 }
 
+// Restore returns one unit of mass to source i: a loss its count was
+// reduced for in advance turned out to fall on another source.
+func (m *Merger) Restore(i int) { m.rem[i]++ }
+
 // Exhaust zeroes source i's remaining count: the source ran dry earlier
 // than its (estimated) count predicted.
 func (m *Merger) Exhaust(i int) { m.rem[i] = 0 }

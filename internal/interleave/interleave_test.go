@@ -69,6 +69,11 @@ func TestExhaustAndReduce(t *testing.T) {
 	if got := m.Remaining(0); got != 0 {
 		t.Fatalf("remaining[0] = %v after over-Reduce, want clamp to 0", got)
 	}
+	m.Restore(2)
+	if got := m.Remaining(2); got != 1 {
+		t.Fatalf("remaining[2] = %v after Restore on an exhausted source, want 1", got)
+	}
+	m.Exhaust(2)
 	idx, ok := m.Pick()
 	if !ok || idx != 1 {
 		t.Fatalf("pick = (%d, %v), want (1, true): only source 1 has mass", idx, ok)

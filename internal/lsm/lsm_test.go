@@ -31,11 +31,17 @@ func testSim() *iosim.Sim {
 // with an in-memory delta store on the same simulated disk.
 func buildView(t *testing.T, sim *iosim.Sim, n int64, seed uint64) *View {
 	t.Helper()
+	return buildViewDims(t, sim, n, seed, 1)
+}
+
+// buildViewDims is buildView over a base tree indexing dims dimensions.
+func buildViewDims(t *testing.T, sim *iosim.Sim, n int64, seed uint64, dims int) *View {
+	t.Helper()
 	rel, err := workload.GenerateRelation(sim, n, workload.Uniform, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.Create(pagefile.NewMem(sim), rel, core.Params{Height: 5, Seed: seed})
+	tree, err := core.Create(pagefile.NewMem(sim), rel, core.Params{Height: 5, Seed: seed, Dims: dims})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,54 +272,38 @@ func TestTombstoneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUniformityAcrossComponentsUnderFlaky chi-squares prefixes of the
-// merged stream over memview + 2 delta levels + base while the flaky-disk
-// fault profile injects transient read faults: every prefix must be a
-// uniform without-replacement sample of the union, with component
-// boundaries invisible.
+// TestUniformityAcrossComponentsUnderFlaky checks that a merged prefix
+// spreads evenly over the write path's records — memview and both levels,
+// bucketed across component boundaries — with transient faults striking the
+// reads. Every trial builds its own view with its own Seqs: which of a
+// level's records sit in its first run is fixed when the level is written
+// (as the base tree's draw order is at build time), so the prefixes of many
+// streams over one level are uniform over its keys but not over its records.
 func TestUniformityAcrossComponentsUnderFlaky(t *testing.T) {
-	sim := testSim()
-	v := buildView(t, sim, 600, 30)
-	ingest(t, v, 200, 31, 1<<32)
-	if err := v.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ingest(t, v, 200, 32, 2<<32)
-	if err := v.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ingest(t, v, 200, 33, 3<<32)
-	if v.Store().Levels() != 2 {
-		t.Fatalf("levels = %d, want 2", v.Store().Levels())
-	}
 	plan, err := iosim.ProfilePlan("flaky-disk", 34)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetFaultPlan(plan)
-
-	// Index the write-path records (memview + both levels) so their draws
-	// can be bucketed across component boundaries. The base tree's own draw
-	// order is randomized at build time, not per query, so per-trial
-	// chi-square applies to the write path; the base is gated on its mass
-	// fraction below.
-	idx := make(map[uint64]int)
-	assign := func(seqBase uint64, n int) {
-		for i := 0; i < n; i++ {
-			idx[seqBase+uint64(i)] = len(idx)
-		}
-	}
-	assign(1<<32, 200)
-	assign(2<<32, 200)
-	assign(3<<32, 200)
-	writeTotal := len(idx)
-
-	const buckets = 12
-	const prefix = 30
+	const buckets, prefix, perComponent = 12, 30, 200
 	counts := make([]int64, buckets)
-	var baseDraws, allDraws int64
-	for trial := 0; trial < 300; trial++ {
-		s := mustQuery(t, v, record.FullBox(1), 1000+uint64(trial))
+	var baseDraws, allDraws, transients int64
+	for trial := uint64(0); trial < 300; trial++ {
+		sim := testSim()
+		v := buildView(t, sim, 600, 30)
+		first := (3*trial + 1) << 32
+		for c := uint64(0); c < 3; c++ {
+			ingest(t, v, perComponent, 31+c, first+c<<32)
+			if c < 2 {
+				if err := v.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if v.Store().Levels() != 2 {
+			t.Fatalf("levels = %d, want 2", v.Store().Levels())
+		}
+		sim.SetFaultPlan(plan)
+		s := mustQuery(t, v, record.FullBox(1), 1000+trial)
 		for picked := 0; picked < prefix; {
 			rec, err := s.Next()
 			if pagefile.IsTransient(err) {
@@ -324,12 +314,14 @@ func TestUniformityAcrossComponentsUnderFlaky(t *testing.T) {
 			}
 			picked++
 			allDraws++
-			if i, ok := idx[rec.Seq]; ok {
-				counts[i*buckets/writeTotal]++
+			if rec.Seq >= first {
+				i := (rec.Seq-first)>>32*perComponent + (rec.Seq-first)&(1<<32-1)
+				counts[i*buckets/(3*perComponent)]++
 			} else {
 				baseDraws++
 			}
 		}
+		transients += sim.FaultCounters().Transient
 	}
 	p, err := stats.ChiSquareUniformPValue(counts)
 	if err != nil {
@@ -344,7 +336,7 @@ func TestUniformityAcrossComponentsUnderFlaky(t *testing.T) {
 	if frac < 0.45 || frac > 0.55 {
 		t.Fatalf("base drew %.3f of the merged prefix, want ~0.5", frac)
 	}
-	if fc := sim.FaultCounters(); fc.Transient == 0 {
+	if transients == 0 {
 		t.Fatal("flaky profile injected no transient faults; the test exercised nothing")
 	}
 }
@@ -657,77 +649,86 @@ func TestBloomPrunesTombstoneProbes(t *testing.T) {
 }
 
 // TestWritePathLossDegradesStream kills every page on the disk after a
-// flush and verifies the failure contract: the query still opens, exactly
-// one typed WritePathLostError reports the lost delta level, base leaf
-// losses surface as typed DegradedErrors, and the stream drains to EOF
-// still serving the in-memory records — no raw storage error ever escapes.
+// flush — before the stream opens, and again with the stream open and part
+// drawn, when the loss strikes a run load instead of the open — and verifies
+// the failure contract: the query still opens, exactly one typed
+// WritePathLostError reports the lost delta level, base leaf losses surface
+// as typed DegradedErrors, and the stream drains to EOF still serving the
+// in-memory records — no raw storage error ever escapes.
 func TestWritePathLossDegradesStream(t *testing.T) {
-	sim := testSim()
-	v := buildView(t, sim, 2000, 41)
-	ingest(t, v, 300, 42, 1<<32)
-	deletes := 0
-	for _, r := range drain(t, mustQuery(t, v, record.FullBox(1), 40)) {
-		if r.Seq >= 1<<32 {
-			continue // only tombstone base records
+	for _, drawnFirst := range []int{0, 150} {
+		sim := testSim()
+		v := buildView(t, sim, 2000, 41)
+		ingest(t, v, 300, 42, 1<<32)
+		deletes := 0
+		for _, r := range drain(t, mustQuery(t, v, record.FullBox(1), 40)) {
+			if r.Seq >= 1<<32 {
+				continue // only tombstone base records
+			}
+			if err := v.Delete(r); err != nil {
+				t.Fatal(err)
+			}
+			if deletes++; deletes == 100 {
+				break
+			}
 		}
-		if err := v.Delete(r); err != nil {
+		if err := v.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if deletes++; deletes == 100 {
-			break
-		}
-	}
-	if err := v.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buffered := ingest(t, v, 200, 43, 2<<32)
+		buffered := ingest(t, v, 200, 43, 2<<32)
 
-	sim.SetFaultPlan(iosim.FaultPlan{Seed: 44, StickyRate: 1})
-
-	s, err := v.Query(record.FullBox(1), rand.New(rand.NewPCG(45, 46)))
-	if err != nil {
-		t.Fatalf("query under total page loss should open degraded, got %v", err)
-	}
-	var got []record.Record
-	lost, degraded := 0, 0
-	for {
-		rec, err := s.Next()
-		if err == io.EOF {
-			break
+		kill := func() { sim.SetFaultPlan(iosim.FaultPlan{Seed: 44, StickyRate: 1}) }
+		if drawnFirst == 0 {
+			kill()
 		}
+		s, err := v.Query(record.FullBox(1), rand.New(rand.NewPCG(45, 46)))
 		if err != nil {
-			var de *core.DegradedError
-			switch {
-			case IsWritePathLost(err):
-				lost++
-			case errors.As(err, &de):
-				degraded++
-			default:
-				t.Fatalf("raw storage error escaped the stream: %v", err)
-			}
-			if lost+degraded > 10_000 {
-				t.Fatal("stream wedged on typed errors")
-			}
-			continue
+			t.Fatalf("query under total page loss should open degraded, got %v", err)
 		}
-		got = append(got, rec)
-	}
-	if lost != 1 {
-		t.Errorf("WritePathLostError surfaced %d times, want exactly 1", lost)
-	}
-	if degraded == 0 {
-		t.Error("base leaf losses surfaced no DegradedError")
-	}
-	seen := make(map[uint64]bool)
-	for _, r := range got {
-		if seen[r.Seq] {
-			t.Fatalf("seq %d served twice", r.Seq)
+		var got []record.Record
+		lost, degraded := 0, 0
+		for {
+			if len(got) == drawnFirst {
+				kill()
+			}
+			rec, err := s.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				var de *core.DegradedError
+				switch {
+				case IsWritePathLost(err):
+					lost++
+				case errors.As(err, &de):
+					degraded++
+				default:
+					t.Fatalf("raw storage error escaped the stream: %v", err)
+				}
+				if lost+degraded > 10_000 {
+					t.Fatal("stream wedged on typed errors")
+				}
+				continue
+			}
+			got = append(got, rec)
 		}
-		seen[r.Seq] = true
-	}
-	for _, r := range buffered {
-		if !seen[r.Seq] {
-			t.Fatalf("in-memory record seq %d lost from the degraded stream", r.Seq)
+		if lost != 1 {
+			t.Errorf("%d drawn first: WritePathLostError surfaced %d times, want exactly 1", drawnFirst, lost)
+		}
+		if degraded == 0 {
+			t.Errorf("%d drawn first: base leaf losses surfaced no DegradedError", drawnFirst)
+		}
+		seen := make(map[uint64]bool)
+		for _, r := range got {
+			if seen[r.Seq] {
+				t.Fatalf("seq %d served twice", r.Seq)
+			}
+			seen[r.Seq] = true
+		}
+		for _, r := range buffered {
+			if !seen[r.Seq] {
+				t.Fatalf("%d drawn first: in-memory record seq %d lost from the degraded stream", drawnFirst, r.Seq)
+			}
 		}
 	}
 }

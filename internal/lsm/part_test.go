@@ -247,8 +247,25 @@ func TestDeltaOnlyView(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewView(tree, store)
-	ingest(t, v, 120, 50, 1<<32)
+	recs := ingest(t, v, 120, 50, 1<<32)
 	if got := len(drain(t, mustQuery(t, v, record.FullBox(1), 51))); got != 120 {
 		t.Fatalf("delta-only stream returned %d of 120", got)
+	}
+	// With nothing in the base to estimate, the count is exact: tombstones
+	// that cancel level inserts must not be charged to the base as well.
+	if err := v.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs[:10] {
+		if err := v.Delete(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(t, v, 30, 52, 2<<32)
+	if got := len(drain(t, mustQuery(t, v, record.FullBox(1), 53))); got != 140 {
+		t.Fatalf("delta-only stream returned %d of 140", got)
+	}
+	if est, err := v.EstimateCount(record.FullBox(1)); err != nil || est != 140 {
+		t.Fatalf("EstimateCount = %v, %v; want exactly 140", est, err)
 	}
 }

@@ -20,13 +20,17 @@ var ErrStreamClosed = errors.New("sampleview: stream closed")
 // components — the in-memory buffer and every delta level — so that every
 // prefix is a uniform without-replacement sample of the live matching set.
 // Each component is one draw population of the shared hypergeometric
-// interleaver: the in-memory lists are exact and pre-shuffled (an
-// exchangeable uniform sample of themselves), the base is estimated from
-// internal-node counts. Deletes act as tombstones: a base draw that turns
-// out tombstoned is suppressed and deducted from the base's remaining
-// population — rejection from a uniform without-replacement sample of the
-// superset yields a uniform without-replacement sample of the live subset —
-// so counts stay honest and no deleted record is ever emitted.
+// interleaver. The in-memory list is exact and shuffled at open. A level's
+// population is its candidate set, sized exactly at open and read one run at
+// a time, smallest first, each run shuffled as it is loaded: strata are
+// assigned independently of everything a predicate can see, so that order
+// is a uniform random permutation of the candidates. The base is estimated
+// from internal-node counts. Whatever a draw turns up that is not a live
+// match — a candidate outside the predicate, a tombstoned level insert or
+// base record — is suppressed and deducted from its population: rejection
+// from a uniform without-replacement sample of a superset yields a uniform
+// without-replacement sample of the subset, so counts stay honest and
+// nothing deleted is ever emitted.
 type Stream struct {
 	base     *core.Stream
 	baseDone bool
@@ -44,12 +48,14 @@ type Stream struct {
 	baseQueue []record.Record
 
 	// merge interleaves the write path with the base; nil when the write
-	// path was empty at open and the stream is the base alone.
-	merge *interleave.Merger
-	// lists holds the exact in-memory populations: index 0 the memview
-	// draws, 1..L the per-level live matching inserts, each shuffled at
-	// open. The base is source len(lists) of the merger.
-	lists [][]record.Record
+	// path was empty at open and the stream is the base alone. Source 0 is
+	// mem, 1..L the levels newest first, L+1 the base.
+	merge  *interleave.Merger
+	q      record.Box
+	mem    []record.Record
+	levels []levelSource
+	// page is the one buffer every run load of the stream reads through.
+	page []byte
 	// pending parks a base draw whose tombstone probe failed transiently,
 	// so a retried draw resumes with the same record (nothing skipped).
 	pending    [1]record.Record
@@ -57,27 +63,72 @@ type Stream struct {
 	checker    *tombChecker
 }
 
-func newStream(parts *streamParts, base *core.Stream, rng *rand.Rand) *Stream {
-	rem := make([]float64, len(parts.lists)+1)
-	for i, l := range parts.lists {
-		// Shuffling each exact component makes its draw order an
-		// exchangeable uniform permutation, so emitting from the tail is a
-		// uniform without-replacement draw.
-		rng.Shuffle(len(l), func(a, b int) { l[a], l[b] = l[b], l[a] })
-		rem[i] = float64(len(l))
+// newStream merges the gathered write path with the base stream, loading
+// each level's first run: the open absorbs that read's transient faults by
+// re-reading on the same clock, since a caller can retry a draw against live
+// stream state but has nothing to retry an open against — a fresh open forks
+// a fresh clock, whose per-charger fault schedule would start over.
+func newStream(parts *streamParts, base *core.Stream, q record.Box, rng *rand.Rand) (*Stream, error) {
+	rem := make([]float64, len(parts.levels)+2)
+	// Shuffling the exact component makes its draw order an exchangeable
+	// uniform permutation, so emitting from the tail is a uniform
+	// without-replacement draw.
+	rng.Shuffle(len(parts.mem), func(a, b int) { parts.mem[a], parts.mem[b] = parts.mem[b], parts.mem[a] })
+	rem[0] = float64(len(parts.mem))
+	for i := range parts.levels {
+		rem[i+1] = float64(parts.levels[i].cand.n)
 	}
-	rem[len(parts.lists)] = parts.baseEst
-	return &Stream{
+	rem[len(rem)-1] = parts.baseEst
+	s := &Stream{
 		merge:   interleave.New(rng, rem),
-		lists:   parts.lists,
+		q:       q,
+		mem:     parts.mem,
+		levels:  parts.levels,
 		base:    base,
 		rng:     rng,
 		checker: parts.checker,
 	}
+	for i := range s.levels {
+		if s.levels[i].cand.n == 0 {
+			continue
+		}
+		if err := s.loadRun(i, runRetryBudget); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // baseIdx is the merger source index of the base tree's stream.
-func (s *Stream) baseIdx() int { return len(s.lists) }
+func (s *Stream) baseIdx() int { return len(s.levels) + 1 }
+
+// loadRun reads level i's next run through the stream's buffer and shuffles
+// its candidates into ready, which is empty when it is called. A transient
+// fault that outlasts attempts passes leaves the level as it was, so the
+// retried draw reloads the same run. A permanent loss is recorded for the
+// stream to surface once and costs the level the rest of its mass.
+func (s *Stream) loadRun(i, attempts int) error {
+	ls := &s.levels[i]
+	if s.page == nil {
+		s.page = make([]byte, ls.itf.File().PageSize())
+	}
+	var err error
+	ls.ready, err = ls.l.readRunRetry(ls.itf, ls.next, &ls.cand, s.page, ls.ready[:0], attempts)
+	if err != nil {
+		ls.ready = ls.ready[:0]
+		if !hardLoss(err) {
+			return err
+		}
+		s.checker.noteLost(err)
+		ls.next = len(ls.l.runEnd)
+		s.merge.Exhaust(i + 1)
+		return nil
+	}
+	ls.next++
+	s.rng.Shuffle(len(ls.ready), func(a, b int) { ls.ready[a], ls.ready[b] = ls.ready[b], ls.ready[a] })
+	return nil
+}
 
 // AppendNext is the partition's batch draw: it appends the next n samples
 // to the caller's dst, making per record exactly the decisions (and rng
@@ -113,63 +164,91 @@ func (s *Stream) Next() (record.Record, error) {
 	return one[0], err
 }
 
-// Close ends the stream: it drops the write-path populations and lets the
-// base tree recycle its working memory. Only the fault counters (and
-// Buffered, now zero) may be read afterwards; callers serialize Close against
-// draws.
+// Close ends the stream: it drops the write-path populations and the run
+// buffer and lets the base tree recycle its working memory. Only the fault
+// counters (and Buffered, now zero) may be read afterwards; callers
+// serialize Close against draws.
 func (s *Stream) Close() {
-	s.baseQueue, s.lists, s.merge, s.checker = nil, nil, nil, nil
+	s.baseQueue, s.mem, s.levels, s.page, s.merge, s.checker = nil, nil, nil, nil, nil, nil
 	s.base.Close()
 }
 
 // appendMerged appends the next sample of the merged stream to dst, or
 // returns io.EOF.
 func (s *Stream) appendMerged(dst []record.Record) ([]record.Record, error) {
-	// A permanent write-path loss (dead or corrupt delta page, at open or
-	// during a tombstone probe) surfaces exactly once as a typed
-	// WritePathLostError; the stream then keeps serving whatever survived.
-	if lerr := s.checker.takeLost(); lerr != nil {
-		return dst, &WritePathLostError{Err: lerr}
-	}
 	for {
-		for i := range s.lists {
-			if len(s.lists[i]) == 0 {
-				s.merge.Exhaust(i)
-			}
+		// A permanent write-path loss (dead or corrupt delta page, in a run
+		// load or a tombstone probe) surfaces exactly once as a typed
+		// WritePathLostError; the stream then keeps serving whatever survived.
+		if lerr := s.checker.takeLost(); lerr != nil {
+			return dst, &WritePathLostError{Err: lerr}
 		}
 		if s.baseDone && !s.hasPending {
 			s.merge.Exhaust(s.baseIdx())
 		}
 		src, picked := s.merge.Pick()
-		if picked && src != s.baseIdx() {
-			s.merge.Deduct(src)
-			return s.pop(dst, src), nil
-		}
 		var ok bool
 		var err error
+		switch {
+		case picked && src == 0:
+			s.merge.Deduct(0)
+			last := len(s.mem) - 1
+			dst, s.mem = append(dst, s.mem[last]), s.mem[:last]
+			return dst, nil
+		case picked && src < s.baseIdx():
+			if dst, ok, err = s.appendLevel(dst, src-1); err != nil || ok {
+				return dst, err
+			}
+			continue // rejected or lost: re-pick over the masses as they now stand
+		}
 		if dst, ok, err = s.appendLiveBase(dst); err != nil || ok {
 			return dst, err
 		}
-		if picked {
-			// Base ran dry earlier than estimated: zero it and re-pick.
-			s.merge.Exhaust(s.baseIdx())
-			continue
+		if !picked {
+			// Every exact population is spent and the base, drained past its
+			// estimate and still vetting tombstones, is dry.
+			return dst, io.EOF
 		}
-		// Estimates undershot and the base (drained first, still vetting
-		// tombstones) is dry: serve any leftover exact lists.
-		for i := range s.lists {
-			if len(s.lists[i]) > 0 {
-				return s.pop(dst, i), nil
-			}
-		}
-		return dst, io.EOF
+		// Base ran dry earlier than estimated: zero it and re-pick.
+		s.merge.Exhaust(s.baseIdx())
 	}
 }
 
-func (s *Stream) pop(dst []record.Record, i int) []record.Record {
-	l := s.lists[i]
-	s.lists[i] = l[:len(l)-1]
-	return append(dst, l[len(l)-1])
+// appendLevel draws level i's next candidate, loading the level's next run
+// when the loaded one is spent, and appends it to dst if it is a live match.
+// Either way the candidate leaves the level's population; a tombstoned one
+// also returns a unit of mass to the base, whose estimate was reduced for a
+// tombstone that turned out not to land there. A failed probe leaves the
+// candidate in place for the retry.
+func (s *Stream) appendLevel(dst []record.Record, i int) ([]record.Record, bool, error) {
+	ls := &s.levels[i]
+	for len(ls.ready) == 0 {
+		if ls.next == len(ls.l.runEnd) {
+			s.merge.Exhaust(i + 1)
+			return dst, false, nil
+		}
+		if err := s.loadRun(i, 1); err != nil {
+			return dst, false, err
+		}
+	}
+	rec := &ls.ready[len(ls.ready)-1]
+	live := s.q.ContainsRecord(rec)
+	if live {
+		dead, err := s.checker.deletedBefore(rec.Seq, i)
+		if err != nil {
+			return dst, false, err
+		}
+		if dead {
+			live = false
+			s.merge.Restore(s.baseIdx())
+		}
+	}
+	s.merge.Deduct(i + 1)
+	ls.ready = ls.ready[:len(ls.ready)-1]
+	if live {
+		dst = append(dst, *rec)
+	}
+	return dst, live, nil
 }
 
 // appendLiveBase appends the next live (non-tombstoned) base record to dst

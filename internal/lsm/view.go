@@ -408,43 +408,43 @@ func (t *tombChecker) takeLost() error {
 	return t.lost
 }
 
+// levelSource is one delta level's share of a stream: the candidate set the
+// rank fences leave for the predicate, read one run at a time. ready holds
+// the loaded run's candidates not yet drawn; runs before next are spent.
+type levelSource struct {
+	l     *level
+	itf   *pagefile.ItemFile // the insert region on the stream's clock
+	cand  candRange
+	next  int
+	ready []record.Record
+}
+
 // streamParts is everything gather assembles for one query: the exact
-// in-memory draw populations (memview + per-level live matching inserts),
-// the estimated live base population, and the tombstone checker for base
-// draws.
+// in-memory draw population, each level's candidate set (its size exact,
+// nothing of it read yet), the estimated live base population (negative
+// when more tombstones are expected in q than the base holds matches: the
+// excess targets level inserts), and the tombstone checker for base and
+// level draws.
 type streamParts struct {
-	lists   [][]record.Record // index 0 = in-memory, 1..L = levels newest first
+	mem     []record.Record
+	levels  []levelSource // newest first
 	baseEst float64
 	checker *tombChecker
 }
 
-// gatherRetryBudget bounds the whole-scan retries gatherRetry makes. Each
-// pass pushes the currently failing page at least one attempt further, so
-// per-charger transient bursts (bounded by the fault plan) always clear
-// well within it.
-const gatherRetryBudget = 64
-
-// gatherRetry drives gather through transient storage faults by retrying
-// the whole scan on the same clock. A stream's caller can retry Next
-// against live stream state, but there is nothing to retry against before
-// the stream exists — and a fresh open forks a fresh clock, whose
-// per-charger fault schedule would start over — so the open itself absorbs
-// transients here, charging every retried read to the stream's clock.
-func (v *View) gatherRetry(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamParts, error) {
-	for attempt := 0; ; attempt++ {
-		parts, err := v.gather(main, ck, q)
-		if err == nil || !pagefile.IsTransient(err) || attempt >= gatherRetryBudget {
-			return parts, err
-		}
-	}
-}
+// runRetryBudget bounds the re-reads of one run through transient faults
+// where there is no caller to hand the fault to. Each pass pushes the
+// failing page at least one attempt further, so per-charger transient bursts
+// (bounded by the fault plan) always clear well within it.
+const runRetryBudget = 64
 
 // gather assembles the stream components for q: it snapshots the in-memory
-// state and level ladder, reads from each overlapping level the insert pages
-// its fences leave for q's key range (matches filtered against all newer
-// tombstones, so every list is fully live), and reduces the base population
-// estimate by the tombstones expected to land in the base. All level I/O
-// charges the given clock (or the shared disk when ck is nil).
+// state and level ladder, sizes each level's candidate set from its rank
+// fences, and reduces the base population estimate by the tombstones
+// expected in q — including those that will turn out to target level
+// inserts, which the stream hands back to the base as it meets them. It
+// reads nothing from the ladder; ck is the clock later level reads charge
+// (the shared disk when nil).
 func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamParts, error) {
 	v.mu.Lock()
 	mems := []memview.Snapshot{v.mem.Snapshot()}
@@ -459,48 +459,21 @@ func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamPa
 		return nil, err
 	}
 
-	checker := newTombChecker(mems, levels, ck)
-	lists := make([][]record.Record, 1, 1+len(levels))
+	parts := &streamParts{checker: newTombChecker(mems, levels, ck), levels: make([]levelSource, len(levels))}
 	for i := range mems {
-		lists[0] = mems[i].MatchingInserts(lists[0], q)
+		parts.mem = mems[i].MatchingInserts(parts.mem, q)
 	}
-	consumed := 0
 	for i, l := range levels {
 		itf := l.inserts
 		if ck != nil {
 			itf = itf.OnClock(ck)
 		}
-		recs, err := l.matchingInserts(itf, q)
-		if err != nil {
-			// A permanently unreadable insert region degrades the stream
-			// (that level's contributions are gone) instead of failing the
-			// whole query; transient failures still surface for retry.
-			if hardLoss(err) {
-				checker.noteLost(err)
-				lists = append(lists, nil)
-				continue
-			}
-			return nil, err
-		}
-		live := recs[:0]
-		for j := range recs {
-			dead, err := checker.deletedBefore(recs[j].Seq, i)
-			if err != nil {
-				return nil, err
-			}
-			if dead {
-				consumed++
-				continue
-			}
-			live = append(live, recs[j])
-		}
-		lists = append(lists, live)
+		parts.levels[i] = levelSource{l: l, itf: itf, cand: l.candidates(q)}
 	}
 
-	// Estimate how many tombstones target the base: matching in-memory
-	// tombstones (exact) plus each level's bounds-interpolated share, minus
-	// the ones observed cancelling level inserts above. The residual error
-	// is estimate drift, which the merge loop already tolerates.
+	// Matching in-memory tombstones are exact, each level's share is
+	// interpolated from its bounds; the residual error is estimate drift,
+	// which the merge loop already tolerates.
 	tombEst := 0.0
 	for i := range mems {
 		for j := range mems[i].Tombs {
@@ -514,27 +487,57 @@ func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamPa
 			tombEst += float64(l.nTombs) * l.tombBounds.overlapFraction(q)
 		}
 	}
-	baseEst := est - (tombEst - float64(consumed))
-	if baseEst < 0 {
-		baseEst = 0
-	}
-	return &streamParts{lists: lists, baseEst: baseEst, checker: checker}, nil
+	parts.baseEst = est - tombEst
+	return parts, nil
 }
 
 // EstimateCount estimates the number of live records matching q across the
 // write path and the base (the in-memory and level parts are exact; the
-// base part interpolates internal-node counts minus expected tombstones).
-// The level scans it performs charge the shared simulated disk.
+// base part interpolates internal-node counts minus the tombstones expected
+// to land in the base). It reads every run's window of every level, and
+// probes the tombstones of every match, on the shared simulated disk,
+// re-driving transient faults itself.
 func (v *View) EstimateCount(q record.Box) (float64, error) {
-	parts, err := v.gatherRetry(v.main, nil, q)
+	parts, err := v.gather(v.main, nil, q)
 	if err != nil {
 		return 0, err
 	}
-	est := parts.baseEst
-	for _, l := range parts.lists {
-		est += float64(len(l))
+	var live, consumed float64
+	var page []byte
+	var recs []record.Record
+	for i := range parts.levels {
+		ls := &parts.levels[i]
+		if ls.cand.n > 0 && page == nil {
+			page = make([]byte, ls.itf.File().PageSize())
+		}
+		for j := range ls.l.runEnd {
+			recs, err = ls.l.readRunRetry(ls.itf, j, &ls.cand, page, recs[:0], runRetryBudget)
+			if hardLoss(err) {
+				break // the rest of the level is as lost to a stream
+			}
+			if err != nil {
+				return 0, err
+			}
+			for k := range recs {
+				if !q.ContainsRecord(&recs[k]) {
+					continue
+				}
+				dead, err := parts.checker.deletedBefore(recs[k].Seq, i)
+				for a := 1; pagefile.IsTransient(err) && a < runRetryBudget; a++ {
+					dead, err = parts.checker.deletedBefore(recs[k].Seq, i)
+				}
+				if err != nil {
+					return 0, err
+				}
+				if dead {
+					consumed++ // a tombstone that did not land in the base
+				} else {
+					live++
+				}
+			}
+		}
 	}
-	return est, nil
+	return max(parts.baseEst+consumed, 0) + float64(len(parts.mem)) + live, nil
 }
 
 // Query returns a merged online sample stream for q, charging base and
@@ -572,7 +575,7 @@ func (v *View) queryOn(main *core.Tree, ck *iosim.Clock, q record.Box, rng *rand
 	if rng == nil {
 		return nil, fmt.Errorf("lsm: query needs a random source")
 	}
-	parts, err := v.gatherRetry(main, ck, q)
+	parts, err := v.gather(main, ck, q)
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +583,7 @@ func (v *View) queryOn(main *core.Tree, ck *iosim.Clock, q record.Box, rng *rand
 	if err != nil {
 		return nil, err
 	}
-	return newStream(parts, ms, rng), nil
+	return newStream(parts, ms, q, rng)
 }
 
 // Fold rebuilds the base ACE tree over everything the view holds — base

@@ -32,6 +32,10 @@ type Buffer struct {
 	inserts map[uint64]record.Record // guarded by mu; keyed by Seq
 	tombs   map[uint64]record.Record // guarded by mu; keyed by Seq
 	sealed  bool                     // guarded by mu
+	// snap is the snapshot of the current contents, nil once a write has
+	// made it stale: snapshots are immutable, so every stream opened between
+	// two writes shares one.
+	snap *Snapshot // guarded by mu
 }
 
 // New returns an empty buffer.
@@ -51,6 +55,7 @@ func (b *Buffer) Insert(rec record.Record) error {
 		return ErrSealed
 	}
 	b.inserts[rec.Seq] = rec
+	b.snap = nil
 	return nil
 }
 
@@ -64,6 +69,7 @@ func (b *Buffer) Delete(rec record.Record) error {
 	if b.sealed {
 		return ErrSealed
 	}
+	b.snap = nil
 	if _, ok := b.inserts[rec.Seq]; ok {
 		delete(b.inserts, rec.Seq)
 		return nil
@@ -88,7 +94,8 @@ func (b *Buffer) Tombstones() int {
 
 // Snapshot returns an immutable, deterministically ordered copy of the
 // buffer's current contents. The buffer keeps filling afterwards; the
-// snapshot does not change.
+// snapshot does not change. Callers must not modify it: until the next
+// write, every call returns the same slices.
 func (b *Buffer) Snapshot() Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -105,6 +112,9 @@ func (b *Buffer) Seal() Snapshot {
 }
 
 func (b *Buffer) snapshotLocked() Snapshot {
+	if b.snap != nil {
+		return *b.snap
+	}
 	s := Snapshot{
 		Inserts: make([]record.Record, 0, len(b.inserts)),
 		Tombs:   make([]record.Record, 0, len(b.tombs)),
@@ -120,6 +130,7 @@ func (b *Buffer) snapshotLocked() Snapshot {
 	// to per-stream shuffles — are deterministic for a given history.
 	sort.Slice(s.Inserts, func(i, j int) bool { return s.Inserts[i].Seq < s.Inserts[j].Seq })
 	sort.Slice(s.Tombs, func(i, j int) bool { return s.Tombs[i].Seq < s.Tombs[j].Seq })
+	b.snap = &s
 	return s
 }
 

@@ -1,6 +1,7 @@
 package memview
 
 import (
+	"sync"
 	"testing"
 
 	"sampleview/internal/record"
@@ -88,5 +89,53 @@ func TestMatchingInserts(t *testing.T) {
 		if r.Key < 10 || r.Key > 19 {
 			t.Fatalf("record key %d outside predicate", r.Key)
 		}
+	}
+}
+
+// TestSnapshotSharedUntilNextWrite: between two writes every opener gets the
+// same snapshot (no copy, no sort), a write makes the next one fresh, and
+// under -race writers and openers running together never touch a snapshot
+// an opener holds.
+func TestSnapshotSharedUntilNextWrite(t *testing.T) {
+	b := New()
+	b.Insert(rec(1, 1))
+	b.Delete(rec(50, 50))
+	s1, s2 := b.Snapshot(), b.Snapshot()
+	if &s1.Inserts[0] != &s2.Inserts[0] || &s1.Tombs[0] != &s2.Tombs[0] {
+		t.Fatal("two snapshots with no write between them do not share storage")
+	}
+	b.Insert(rec(2, 2))
+	if s3 := b.Snapshot(); len(s3.Inserts) != 2 || len(s1.Inserts) != 1 {
+		t.Fatalf("snapshot after a write holds %d inserts, the one before it now %d", len(s3.Inserts), len(s1.Inserts))
+	}
+
+	var wg sync.WaitGroup
+	for w := uint64(0); w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < 500; i++ {
+				b.Insert(rec(100+w*1000+i, int64(i)))
+				if i%3 == 0 {
+					b.Delete(rec(100+w*1000+i/2, 0))
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				s := b.Snapshot()
+				for j := 1; j < len(s.Inserts); j++ {
+					if s.Inserts[j-1].Seq >= s.Inserts[j].Seq {
+						t.Error("snapshot inserts not sorted by Seq")
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := b.Seal(); len(s.Inserts) != b.Len() || len(s.Tombs) != b.Tombstones() {
+		t.Fatalf("sealed snapshot holds %d/%d, buffer %d/%d", len(s.Inserts), len(s.Tombs), b.Len(), b.Tombstones())
 	}
 }

@@ -237,9 +237,9 @@ func (t *ItemFile) NewReaderAt(start int64) *ItemReader {
 // as soon as its own page has been transferred; bulk passes keep the
 // default burst.
 func (t *ItemFile) NewReaderBurst(start int64, pages int) *ItemReader {
-	if pages < 1 {
-		pages = 1
-	}
+	// A burst never spans more than the region holds from start on, so the
+	// buffer of a reader over a small region is small too.
+	pages = max(1, min(pages, int(t.NumPages()-start/int64(t.perPage))))
 	return &ItemReader{t: t, burst: int64(pages), buf: make([]byte, pages*t.file.PageSize()), loaded: -1, pos: start}
 }
 

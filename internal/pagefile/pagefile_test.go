@@ -395,3 +395,38 @@ func TestItemWriterGuards(t *testing.T) {
 	}()
 	itf.NewWriter()
 }
+
+// TestReaderBufferClampedToRegion: a sequential reader's read-ahead buffer
+// holds no more pages than the region has from its start position on, so
+// scanning a two-page region does not allocate the eight-page burst.
+func TestReaderBufferClampedToRegion(t *testing.T) {
+	sim := testSim()
+	itf := NewItemFile(NewMem(sim), 16)
+	w := itf.NewWriter()
+	item := make([]byte, 16)
+	for i := 0; i < 2*itf.PerPage()+1; i++ {
+		if err := w.Write(item); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ps := itf.File().PageSize()
+	for start, pages := range map[int64]int{0: 3, int64(itf.PerPage()): 2, int64(2 * itf.PerPage()): 1} {
+		r := itf.NewReaderAt(start)
+		if len(r.buf) != pages*ps {
+			t.Fatalf("reader at item %d buffers %d bytes, the region has %d pages from there", start, len(r.buf), pages)
+		}
+		n := int64(0)
+		for _, err := r.Next(); err == nil; _, err = r.Next() {
+			n++
+		}
+		if n != itf.Count()-start {
+			t.Fatalf("reader at item %d returned %d items, want %d", start, n, itf.Count()-start)
+		}
+	}
+	if r := NewItemFile(NewMem(sim), 16).NewReader(); len(r.buf) != ps {
+		t.Fatalf("reader over an empty region buffers %d bytes, want one page", len(r.buf))
+	}
+}

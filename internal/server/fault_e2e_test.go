@@ -177,9 +177,6 @@ func TestServedCorruptionTypedErrorNotConnDrop(t *testing.T) {
 		byseq[r.Seq] = r
 	}
 	srv, v, addr := startFaultServer(t, Config{}, recs)
-	plan := iosim.FaultPlan{Seed: 3, StickyRate: 0.02, TransientRate: 0.05, TransientBurst: 2}
-	v.InjectFaults(plan)
-
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -194,28 +191,34 @@ func TestServedCorruptionTypedErrorNotConnDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := rv.Query(record.FullBox(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Search seeds for a plan that kills a queried leaf page: a miss moves
+	// on to the next seed, it does not skip.
 	var got []record.Record
 	degraded := 0
-	for {
-		rec, err := rs.Next()
-		if err == io.EOF {
-			break
+	for seed := uint64(3); degraded == 0; seed++ {
+		if seed == 3+50 {
+			t.Fatal("no sticky plan in 50 seeds hit a leaf page")
 		}
+		v.InjectFaults(iosim.FaultPlan{Seed: seed, StickyRate: 0.02, TransientRate: 0.05, TransientBurst: 2})
+		rs, err := rv.Query(record.FullBox(1))
 		if err != nil {
-			if !IsDegraded(err) {
-				t.Fatalf("stream error is not a typed degraded frame: %v", err)
-			}
-			degraded++
-			continue // the stream must stay serviceable
+			t.Fatal(err)
 		}
-		got = append(got, rec)
-	}
-	if degraded == 0 {
-		t.Skip("sticky plan hit no leaf pages at this seed; raise the rate")
+		got = got[:0]
+		for {
+			rec, err := rs.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				if !IsDegraded(err) {
+					t.Fatalf("stream error is not a typed degraded frame: %v", err)
+				}
+				degraded++
+				continue // the stream must stay serviceable
+			}
+			got = append(got, rec)
+		}
 	}
 	seen := make(map[uint64]bool, len(got))
 	for i := range got {
