@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
 	"sampleview/internal/stats"
 	"sampleview/internal/workload"
@@ -129,17 +130,22 @@ func TestKDQueryReturnsExactlyMatchingSet(t *testing.T) {
 
 func TestKDStreamPrefixUniform(t *testing.T) {
 	sim := testSim()
-	rel, err := workload.GenerateRelation(sim, 1200, workload.Uniform, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := record.Box2D(0, workload.KeyDomain*2/3, 0, workload.KeyDomain*2/3)
-	matching, err := workload.CollectMatching(rel, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matching) < 100 {
-		t.Skip("unexpectedly few matches")
+	// Search seeds for a relation with enough matches to chi-square: a miss
+	// moves on, it does not skip.
+	var rel *pagefile.ItemFile
+	var matching []record.Record
+	for seed := uint64(24); len(matching) < 100; seed++ {
+		if seed == 24+50 {
+			t.Fatal("no relation in 50 seeds has 100 records inside the predicate")
+		}
+		var err error
+		if rel, err = workload.GenerateRelation(sim, 1200, workload.Uniform, seed); err != nil {
+			t.Fatal(err)
+		}
+		if matching, err = workload.CollectMatching(rel, q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const k, trials = 40, 150
 	counts := prefixInclusionCounts(t, rel, Params{Height: 5, Dims: 2}, q, k, trials)

@@ -38,7 +38,6 @@ package fleet
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,60 +115,34 @@ type replica struct {
 	streams int                           // guarded by mu; streams the router currently places here
 }
 
-// routerCounters is the router's live observability surface.
+// routerCounters is what only a router counts; the engine counts the rest.
 type routerCounters struct {
-	ConnsAccepted    atomic.Int64
-	ConnsClosed      atomic.Int64
-	StreamsOpened    atomic.Int64
-	StreamsClosed    atomic.Int64
-	BatchesServed    atomic.Int64
-	RecordsServed    atomic.Int64
-	RejectedTenant   atomic.Int64
-	RejectedServer   atomic.Int64
-	RejectedDrain    atomic.Int64
-	HedgedReads      atomic.Int64
-	HedgeWins        atomic.Int64
-	Migrations       atomic.Int64
-	BadFrames        atomic.Int64
-	RecordsIngested  atomic.Int64
-	RejectedThrottle atomic.Int64
-}
-
-// tenantQuota is one tenant's fleet-wide accounting at the router.
-type tenantQuota struct {
-	mu      sync.Mutex
-	streams int // guarded by mu
-	conns   int // guarded by mu; sessions attached to this key
-
-	tbMu     sync.Mutex
-	tbTokens float64   // guarded by tbMu
-	tbLast   time.Time // guarded by tbMu
-	tbInit   bool      // guarded by tbMu
+	HedgedReads atomic.Int64
+	HedgeWins   atomic.Int64
+	Migrations  atomic.Int64
 }
 
 // Router fronts a fleet of replicas behind the single-server wire
-// protocol. Create with New, call Connect to dial the fleet, then Serve.
+// protocol: it is a server.Engine — Serve is the engine's, and Snapshot,
+// which lays the fleet fields over the standard stats frame, so svload works
+// against a router unchanged — over the fleet. Create with New, call Connect
+// to dial the fleet, then Serve.
 type Router struct {
+	*server.Engine
 	cfg   Config
 	ring  *ring
 	reps  []*replica
 	stats routerCounters
 
 	mu        sync.Mutex
-	tenants   map[string]*tenantQuota // guarded by mu
-	viewIDs   map[string]uint32       // guarded by mu; view name -> router view id
-	viewNames map[uint32]string       // guarded by mu
-	viewMeta  map[string]viewMeta     // guarded by mu; cached open-view info
-	writeMu   map[string]*sync.Mutex  // guarded by mu; per-view write serialization
-	listeners []net.Listener          // guarded by mu
-	conns     map[net.Conn]struct{}   // guarded by mu; accepted client connections
-	nextView  uint32                  // guarded by mu
-	draining  bool                    // guarded by mu
+	viewIDs   map[string]uint32      // guarded by mu; view name -> router view id
+	viewNames map[uint32]string      // guarded by mu
+	viewMeta  map[string]viewMeta    // guarded by mu; cached open-view info
+	writeMu   map[string]*sync.Mutex // guarded by mu; per-view write serialization
+	nextView  uint32                 // guarded by mu
 
-	seedCtr  atomic.Uint64
-	wg       sync.WaitGroup
-	shutOnce sync.Once
-	done     chan struct{}
+	seedCtr atomic.Uint64
+	wg      sync.WaitGroup // the legs' pull goroutines
 }
 
 type viewMeta struct {
@@ -187,14 +160,20 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:       cfg,
 		ring:      newRing(len(cfg.Replicas), cfg.VNodes),
-		tenants:   make(map[string]*tenantQuota),
 		viewIDs:   make(map[string]uint32),
 		viewNames: make(map[uint32]string),
 		viewMeta:  make(map[string]viewMeta),
 		writeMu:   make(map[string]*sync.Mutex),
-		conns:     make(map[net.Conn]struct{}),
-		done:      make(chan struct{}),
 	}
+	// The engine's server-wide and per-connection stream caps, idle reaper
+	// and request deadline stay off: the replicas enforce their own. The
+	// write bucket is on at the router so every replica sees exactly the
+	// batches that were admitted.
+	r.Engine = server.NewEngine(endpoint{r}, server.Config{
+		MaxBatch:   cfg.MaxBatch,
+		WriteRate:  cfg.TenantWriteRate,
+		WriteBurst: cfg.TenantWriteBurst,
+	})
 	for i, addr := range cfg.Replicas {
 		r.reps = append(r.reps, &replica{idx: i, addr: addr, views: make(map[string]*server.RemoteView)})
 	}
@@ -311,123 +290,6 @@ func (r *Router) streamSeed() uint64 {
 	return mix64(r.cfg.Seed ^ mix64(r.seedCtr.Add(1)))
 }
 
-// tenantFor returns tenant's quota bucket, creating it on first use.
-func (r *Router) tenantFor(tenant string) *tenantQuota {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tq, ok := r.tenants[tenant]
-	if !ok {
-		tq = &tenantQuota{}
-		r.tenants[tenant] = tq
-	}
-	return tq
-}
-
-// tenantCap resolves the per-tenant stream cap at this instant: the
-// configured cap, or a fair share of fleet capacity over active tenants.
-func (r *Router) tenantCap() int {
-	if r.cfg.TenantStreams > 0 {
-		return r.cfg.TenantStreams
-	}
-	capacity := 0
-	for _, rep := range r.reps {
-		rep.mu.Lock()
-		if rep.alive {
-			capacity += rep.maxStr
-		}
-		rep.mu.Unlock()
-	}
-	r.mu.Lock()
-	tenants := len(r.tenants)
-	r.mu.Unlock()
-	if tenants < 1 {
-		tenants = 1
-	}
-	share := capacity / tenants
-	if share < 1 {
-		share = 1
-	}
-	return share
-}
-
-// admitTenantStream claims one stream slot of tenant's fleet-wide cap.
-func (r *Router) admitTenantStream(tenant string) bool {
-	tq := r.tenantFor(tenant)
-	cap := r.tenantCap()
-	tq.mu.Lock()
-	defer tq.mu.Unlock()
-	if tq.streams >= cap {
-		return false
-	}
-	tq.streams++
-	return true
-}
-
-// releaseTenantStream returns one slot to tenant's cap.
-func (r *Router) releaseTenantStream(tenant string) {
-	tq := r.tenantFor(tenant)
-	tq.mu.Lock()
-	tq.streams--
-	tq.mu.Unlock()
-}
-
-// attachTenant records one live session on the tenant's accounting key.
-func (r *Router) attachTenant(key string) {
-	tq := r.tenantFor(key)
-	tq.mu.Lock()
-	tq.conns++
-	tq.mu.Unlock()
-}
-
-// detachTenant drops one session from the key, deleting the bucket once
-// nothing references it — so fair-share capacity flows back to the tenants
-// that are actually present.
-func (r *Router) detachTenant(key string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tq, ok := r.tenants[key]
-	if !ok {
-		return
-	}
-	tq.mu.Lock()
-	tq.conns--
-	gone := tq.conns <= 0 && tq.streams <= 0
-	tq.mu.Unlock()
-	if gone {
-		delete(r.tenants, key)
-	}
-}
-
-// admitTenantWrite draws n entries from tenant's write token bucket. Like
-// the single server's rate admission, the bucket deliberately refills on
-// the "wall clock": it paces real client traffic. Always true when write
-// rate admission is off.
-func (r *Router) admitTenantWrite(tenant string, n int) bool {
-	rate := r.cfg.TenantWriteRate
-	if rate <= 0 || n <= 0 {
-		return true
-	}
-	tq := r.tenantFor(tenant)
-	burst := float64(r.cfg.TenantWriteBurst)
-	tq.tbMu.Lock()
-	defer tq.tbMu.Unlock()
-	now := time.Now()
-	if !tq.tbInit {
-		tq.tbTokens, tq.tbInit = burst, true
-	} else {
-		tq.tbTokens += now.Sub(tq.tbLast).Seconds() * rate
-		if tq.tbTokens > burst {
-			tq.tbTokens = burst
-		}
-	}
-	tq.tbLast = now
-	if tq.tbTokens < float64(n) {
-		return false
-	}
-	tq.tbTokens -= float64(n)
-	return true
-}
-
 // viewWriteMu returns the per-view write-serialization lock: fan-out holds
 // it across every replica, so all replicas apply the fleet's writes in one
 // order and stay byte-identical.
@@ -442,102 +304,18 @@ func (r *Router) viewWriteMu(name string) *sync.Mutex {
 	return m
 }
 
-// Serve accepts client connections on ln until Shutdown.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	r.listeners = append(r.listeners, ln)
-	r.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.isDraining() {
-				return nil
-			}
-			return fmt.Errorf("fleet: accept: %w", err)
-		}
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.stats.ConnsAccepted.Add(1)
-		r.wg.Add(1)
-		go r.serveConn(conn)
-	}
-}
-
-func (r *Router) isDraining() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.draining
-}
-
-// Shutdown closes the listeners and every client connection, waits for
-// the sessions and in-flight pulls to wind down, and tears down the
-// replica connections. Idempotent.
+// Shutdown drains the client connections as a server does — each finishes
+// the request it is serving, whole, before it closes — waits for the legs'
+// pulls to wind down, and tears down the replica connections. Idempotent.
 func (r *Router) Shutdown() {
-	r.shutOnce.Do(func() {
-		r.mu.Lock()
-		r.draining = true
-		lns := append([]net.Listener(nil), r.listeners...)
-		conns := make([]net.Conn, 0, len(r.conns))
-		for c := range r.conns {
-			conns = append(conns, c)
+	r.Engine.Shutdown()
+	r.wg.Wait()
+	for _, rep := range r.reps {
+		rep.mu.Lock()
+		if rep.cl != nil {
+			rep.cl.Close()
+			rep.cl = nil
 		}
-		r.mu.Unlock()
-		for _, ln := range lns {
-			ln.Close()
-		}
-		for _, c := range conns {
-			c.Close()
-		}
-		r.wg.Wait()
-		for _, rep := range r.reps {
-			rep.mu.Lock()
-			if rep.cl != nil {
-				rep.cl.Close()
-				rep.cl = nil
-			}
-			rep.mu.Unlock()
-		}
-		close(r.done)
-	})
-	<-r.done
-}
-
-// Snapshot renders the router's counters as a StatsSnapshot, so the
-// standard stats frame and svload work against a router unchanged. The
-// serving counters are fleet-wide as seen at the router; the fleet fields
-// report hedging, migration, and replica health.
-func (r *Router) Snapshot() *server.StatsSnapshot {
-	c := &r.stats
-	r.mu.Lock()
-	tenants := int64(len(r.tenants))
-	r.mu.Unlock()
-	return &server.StatsSnapshot{
-		ConnsAccepted:    c.ConnsAccepted.Load(),
-		StreamsOpened:    c.StreamsOpened.Load(),
-		StreamsClosed:    c.StreamsClosed.Load(),
-		BatchesServed:    c.BatchesServed.Load(),
-		RecordsServed:    c.RecordsServed.Load(),
-		RejectedServer:   c.RejectedServer.Load(),
-		RejectedDrain:    c.RejectedDrain.Load(),
-		BadFrames:        c.BadFrames.Load(),
-		RecordsIngested:  c.RecordsIngested.Load(),
-		RejectedThrottle: c.RejectedThrottle.Load(),
-		RejectedTenant:   c.RejectedTenant.Load(),
-		TenantsActive:    tenants,
-		HedgedReads:      c.HedgedReads.Load(),
-		HedgeWins:        c.HedgeWins.Load(),
-		Migrations:       c.Migrations.Load(),
-		ReplicasLive:     int64(r.ReplicasLive()),
+		rep.mu.Unlock()
 	}
 }

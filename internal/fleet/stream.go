@@ -61,46 +61,35 @@ func (r *Router) closeLink(l *streamLink) {
 	l.rep.mu.Unlock()
 }
 
-// routedStream is one client stream as the router serves it: a canonical
-// position (records the client has been sent) plus one or two replica legs
-// that can each produce the sequence's next batch on demand. The canonical
-// position, not any replica's state, is the stream — legs are disposable
-// and interchangeable, which is what makes hedging and migration safe.
+// routedStream is one client stream as the router serves it: one or two
+// replica legs that can each produce the sequence's next batch on demand.
+// The canonical position the engine keeps (records the client has been
+// sent), not any replica's state, is the stream — legs are disposable and
+// interchangeable, which is what makes hedging and migration safe.
 type routedStream struct {
 	r      *Router
-	id     uint32
 	tenant string // named tenant for replica attribution; "" = none
-	key    string // router accounting + placement key
+	key    string // the engine's accounting key, and the placement key
 	view   string
 	query  record.Box
 	seed   uint64
 
 	mu      sync.Mutex
-	pos     int64       // guarded by mu; canonical position (records delivered)
-	eof     bool        // guarded by mu
 	primary *streamLink // guarded by mu
 	shadow  *streamLink // guarded by mu; lazily opened by the first hedge
-	// body is the buffer the last forwarded batch sits in. Each pull hands it
-	// to the one leg goroutine that will write it, and takes back the
-	// winner's: a leg still in flight when its race is lost keeps the buffer
-	// it was given, so no two pulls ever share one.
-	body []byte // guarded by mu
 }
 
 // placeKey is the consistent-hash key the stream's legs are placed by:
 // tenant-scoped so a tenant's streams on one view share replica locality.
 func (st *routedStream) placeKey() string { return st.key + "/" + st.view }
 
-// open places the stream's first leg: candidates in ring-walk order, dead
+// open places the stream's first leg at pos: candidates in ring-walk order, dead
 // replicas skipped, replicas that fail typed-admission remembered (the
 // last such rejection is surfaced if no replica admits), replicas that
 // fail on transport marked dead. A typed non-admission failure (unknown
 // view, unsupported seeded open) stops the walk — every replica would
 // refuse identically.
-func (st *routedStream) open() (*streamLink, error) {
-	st.mu.Lock()
-	pos := st.pos
-	st.mu.Unlock()
+func (st *routedStream) open(pos int64) (*streamLink, error) {
 	var lastReject error
 	for _, rep := range st.r.aliveFor(st.placeKey()) {
 		l, err := st.r.openLink(rep, st.tenant, st.view, st.query, st.seed, pos)
@@ -135,7 +124,7 @@ func (st *routedStream) reopen(skip *replica, pos int64) (*streamLink, error) {
 			return l, nil
 		}
 		lastErr = err
-		if _, ok := err.(*server.Error); !ok {
+		if !typed(err) {
 			st.r.markDead(rep)
 		}
 	}
@@ -184,8 +173,8 @@ func recoverable(err error) bool {
 	return false
 }
 
-// pull serves up to max records of the stream's sequence starting at the
-// canonical position pos. The primary leg races a wall clock hedge timer:
+// Pull appends to dst up to max records of the stream's sequence starting at
+// the canonical position pos. The primary leg races a wall clock hedge timer:
 // past the HedgeAfter budget the router issues the identical positioned
 // pull on a shadow leg (opened on another replica at the same canonical
 // position) and forwards whichever leg answers first — the batches are
@@ -194,11 +183,13 @@ func recoverable(err error) bool {
 // that fails recoverably is replaced by reopening (seed, pos) on the next
 // live replica in the placement walk — live migration, invisible to the
 // client beyond latency. The batch comes back as the replica's own FBatch
-// body, valid until the stream's next pull.
-func (st *routedStream) pull(pos int64, max int) (server.RawBatch, error) {
+// body, not one record of it decoded. dst goes to the one leg goroutine that
+// will write it, and the winner's buffer comes back: a leg still in flight
+// when its race is lost keeps the buffer it was given, so no two pulls ever
+// share one.
+func (st *routedStream) Pull(dst []byte, pos int64, max int) (server.RawBatch, error) {
 	st.mu.Lock()
-	pri, buf := st.primary, st.body
-	st.body = nil
+	pri := st.primary
 	st.mu.Unlock()
 	if pri == nil {
 		var err error
@@ -213,7 +204,7 @@ func (st *routedStream) pull(pos int64, max int) (server.RawBatch, error) {
 	ch := make(chan pullResult, 2)
 	outstanding := 1
 	st.r.wg.Add(1)
-	go st.pullInto(ch, pri, pos, max, false, buf)
+	go st.pullInto(ch, pri, pos, max, false, dst)
 
 	var res pullResult
 	if d := st.r.cfg.HedgeAfter; d > 0 {
@@ -226,7 +217,7 @@ func (st *routedStream) pull(pos int64, max int) (server.RawBatch, error) {
 				st.r.stats.HedgedReads.Add(1)
 				outstanding++
 				st.r.wg.Add(1)
-				go st.pullInto(ch, sh, pos, max, true, nil)
+				go st.pullInto(ch, sh, pos, max, true, append([]byte(nil), dst...))
 			}
 			res = <-ch
 		}
@@ -263,7 +254,7 @@ func (st *routedStream) pull(pos int64, max int) (server.RawBatch, error) {
 		st.mu.Lock()
 		st.primary = repl
 		st.mu.Unlock()
-		rb, err := repl.rs.PullAt(pos, max, nil)
+		rb, err := repl.rs.PullAt(pos, max, dst) // every leg has answered: dst is free again
 		if err != nil {
 			return server.RawBatch{}, err
 		}
@@ -271,9 +262,6 @@ func (st *routedStream) pull(pos int64, max int) (server.RawBatch, error) {
 	}
 
 	st.mu.Lock()
-	st.pos = res.End
-	st.eof = res.EOF
-	st.body = res.Body
 	if res.hedged && st.shadow == res.link {
 		// The shadow answered first: promote it. The demoted leg stays as
 		// the shadow — its replica fast-forwards if it is hedged later.
@@ -325,18 +313,22 @@ func (st *routedStream) dropLeg(l *streamLink, err error) {
 		st.shadow = nil
 	}
 	st.mu.Unlock()
-	if _, typed := err.(*server.Error); !typed {
+	if !typed(err) {
 		st.r.markDead(l.rep)
 	}
 	st.r.closeLink(l)
 }
 
-// close tears down both legs.
-func (st *routedStream) close() {
+// Clock: a routed stream samples no simulated disk of its own.
+func (*routedStream) Clock() (used, now time.Duration) { return 0, 0 }
+
+// Close tears down both legs.
+func (st *routedStream) Close() error {
 	st.mu.Lock()
 	pri, sh := st.primary, st.shadow
 	st.primary, st.shadow = nil, nil
 	st.mu.Unlock()
 	st.r.closeLink(pri)
 	st.r.closeLink(sh)
+	return nil
 }

@@ -76,6 +76,10 @@ func (m *mmapBackend) WritePage(i int64, src []byte) error {
 
 func (m *mmapBackend) NumPages() int64 { return m.npages.Load() }
 
+// Sync makes every page written so far durable: writes go through the file,
+// not the read-only mapping, so the file's fsync covers them.
+func (m *mmapBackend) Sync() error { return m.f.Sync() }
+
 func (m *mmapBackend) Close() error {
 	var err error
 	if m.mapping != nil {

@@ -117,6 +117,16 @@ func TestBackendsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	// A backend over a real file that cannot fsync would make File.Sync skip
+	// the fsync without a word.
+	for name, f := range map[string]*File{"pread": a, "mmap": b} {
+		if _, ok := f.backend.(interface{ Sync() error }); !ok {
+			t.Errorf("%s: backend %T has no Sync: File.Sync would skip the fsync", name, f.backend)
+		}
+		if err := f.Sync(); err != nil {
+			t.Errorf("%s: Sync: %v", name, err)
+		}
+	}
 
 	startA, startB := simA.Now(), simB.Now()
 	bufA := make([]byte, a.PageSize())

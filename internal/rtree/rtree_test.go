@@ -129,14 +129,21 @@ func TestSamplerMatchesPredicate(t *testing.T) {
 
 func TestSamplerExhaustsSmallPredicate(t *testing.T) {
 	sim := testSim()
-	tree, rel := buildTestTree(t, sim, 2000, 3, 4096)
 	q := record.Box2D(0, workload.KeyDomain/8, 0, workload.KeyDomain/8)
-	want, err := workload.CountMatching(rel, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want == 0 {
-		t.Skip("empty predicate for this seed")
+	// Search seeds for a relation the predicate matches something of: a miss
+	// moves on, it does not skip.
+	var tree *Tree
+	var want int64
+	for seed := uint64(3); want == 0; seed++ {
+		if seed == 3+50 {
+			t.Fatal("no relation in 50 seeds has a record inside the predicate")
+		}
+		var rel *pagefile.ItemFile
+		tree, rel = buildTestTree(t, sim, 2000, seed, 4096)
+		var err error
+		if want, err = workload.CountMatching(rel, q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s, err := tree.NewSampler(q, rand.New(rand.NewPCG(2, 2)))
 	if err != nil {
@@ -162,21 +169,21 @@ func TestSamplerUniformity(t *testing.T) {
 	// Verify exact uniformity of the corrected draw: run many independent
 	// first-draws and chi-square the frequency of each matching record.
 	sim := testSim()
-	rel, err := workload.GenerateRelation(sim, 600, workload.Uniform, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := Build(pagefile.NewMem(sim), rel, pagefile.NewPool(4096), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := record.Box2D(0, workload.KeyDomain/2, 0, workload.KeyDomain/2)
-	matching, err := workload.CollectMatching(rel, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matching) < 20 {
-		t.Skip("too few matches for this seed")
+	// Search seeds for a relation with enough matches to chi-square: a miss
+	// moves on, it does not skip.
+	var tree *Tree
+	var matching []record.Record
+	for seed := uint64(4); len(matching) < 20; seed++ {
+		if seed == 4+50 {
+			t.Fatal("no relation in 50 seeds has 20 records inside the predicate")
+		}
+		var rel *pagefile.ItemFile
+		tree, rel = buildTestTree(t, sim, 600, seed, 4096)
+		var err error
+		if matching, err = workload.CollectMatching(rel, q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	index := map[uint64]int{}
 	for i := range matching {

@@ -521,7 +521,7 @@ func (s *RemoteStream) advanceLocked(end int64, n int, eof bool) {
 // RawBatch is one FBatch body as a server sent it, for forwarding: the
 // fields an intermediary routes on, the records still encoded.
 type RawBatch struct {
-	Body []byte // the whole body; SetBatchStream re-addresses it
+	Body []byte // the buffer the body was appended to, body and all
 	N    int    // records in Body
 	EOF  bool   // the sequence is exhausted
 	End  int64  // the stream's position after the batch
@@ -529,8 +529,8 @@ type RawBatch struct {
 
 // PullAt performs one position-checked wire pull: up to max records of the
 // stream's sequence starting at position pos, bypassing the client-side
-// buffer entirely and decoding nothing — the body is copied behind dst[:0]
-// as it arrived. The server fast-forwards (discarding records this caller
+// buffer entirely and decoding nothing — the body is appended to dst as it
+// arrived. The server fast-forwards (discarding records this caller
 // already holds from another replica) when the stream is behind pos, and
 // rejects with CodeStreamPosition (IsStreamPosition) when it is ahead — the
 // caller then reopens at pos. PullAt is the fleet router's primitive for
@@ -550,7 +550,7 @@ func (s *RemoteStream) PullAt(pos int64, max int, dst []byte) (RawBatch, error) 
 		if m.Pos < 0 {
 			m.Pos = pos + int64(n)
 		}
-		rb = RawBatch{Body: append(dst[:0], body...), N: n, EOF: m.EOF, End: m.Pos}
+		rb = RawBatch{Body: append(dst, body...), N: n, EOF: m.EOF, End: m.Pos}
 		return nil
 	})
 	if err != nil {

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -164,6 +166,35 @@ func TestMessageRoundTrips(t *testing.T) {
 	if got.RecordsServed != snap.RecordsServed || got.SimIO != snap.SimIO ||
 		len(got.Sessions) != 2 || got.Sessions[0] != snap.Sessions[0] || got.Sessions[1] != snap.Sessions[1] {
 		t.Fatalf("stats snapshot round-trip mismatch:\n got %+v\nwant %+v", got, snap)
+	}
+
+	// The stats frame's layout — 40 server fields, 10 per session, in wire
+	// order — pinned by the digest of a snapshot whose every field differs,
+	// recorded at PR 20's parent.
+	full := &StatsSnapshot{
+		OpenConns: 1, OpenStreams: 2, ConnsAccepted: 3, ConnsRejected: 4,
+		StreamsOpened: 5, StreamsClosed: 6, StreamsReaped: 7,
+		BatchesServed: 8, RecordsServed: 9, EstimatesServed: 10,
+		RejectedServer: 11, RejectedConn: 12, RejectedDrain: 13, BadFrames: 14,
+		BytesRead: 15, BytesWritten: 16, SimIO: 17,
+		TransientErrors: 18, DegradedErrors: 19, MaintJobs: 20, MaintJobErrors: 21,
+		RecordsIngested: 22, RecordsDeleted: 23, FlushesServed: 24, RejectedWrites: 25,
+		MemViewRecords: 26, TombstonesPending: 27, DeltaLevels: 28, CompactionsRun: 29,
+		RejectedThrottle: 30, WALBytes: 31, WALFsyncs: 32, WALReplayed: 33, WALSegments: 34,
+		RejectedTenant: 35, TenantsActive: 36,
+		HedgedReads: 37, HedgeWins: 38, Migrations: 39, ReplicasLive: 40,
+		Sessions: []SessionSnapshot{{
+			ID: 41, OpenStreams: 42, StreamsOpened: 43, StreamsReaped: 44,
+			Batches: 45, Records: 46, Rejections: 47,
+			BytesRead: 48, BytesWritten: 49, SimIO: 50,
+		}},
+	}
+	const golden = "aff5d72bdfa3b652e291e937798d80fbb1b2e7eab0cdcfc46f272d8d75189118"
+	if enc := full.Encode(); len(enc) != 412 || fmt.Sprintf("%x", sha256.Sum256(enc)) != golden {
+		t.Fatalf("stats frame layout changed: %d bytes, sha256 %x", len(enc), sha256.Sum256(enc))
+	}
+	if back, err := decodeStatsSnapshot(full.Encode()); err != nil || !reflect.DeepEqual(back, full) {
+		t.Fatalf("full stats snapshot does not round-trip: %+v (%v)", back, err)
 	}
 }
 

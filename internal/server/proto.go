@@ -64,6 +64,7 @@ const (
 	// rewound in place; the caller must reopen the stream at the desired
 	// position (the open-stream request accepts a start position).
 	CodeStreamPosition uint16 = 15
+	numCodes                  = 16 // one past the last code: the engine counts the error frames it sends by code
 )
 
 // Error is a typed failure returned by the server as an FError frame and
@@ -248,10 +249,9 @@ func splitRecords(b []byte) (raw, rest []byte, err error) {
 
 // --- request messages ----------------------------------------------------
 //
-// The message types and their codecs are exported for protocol-compatible
-// intermediaries: the fleet router terminates client connections with
-// them, rewrites ids, and re-issues requests to replicas through the Client
-// API, sharing (not mirroring) the codecs the server and client use.
+// The engine decodes these and the client encodes them; an Endpoint is handed
+// the decoded message (the fleet router re-issues it to replicas through the
+// Client API), so there is one codec per message.
 
 // OpenViewReq is the body of FOpenView.
 type OpenViewReq struct{ Name string }
@@ -265,10 +265,7 @@ func DecodeOpenViewReq(b []byte) (OpenViewReq, error) {
 	if err != nil {
 		return OpenViewReq{}, err
 	}
-	if len(rest) != 0 {
-		return OpenViewReq{}, errTrailing
-	}
-	return OpenViewReq{Name: name}, nil
+	return whole(OpenViewReq{Name: name}, rest)
 }
 
 // openStreamFlagSeeded marks an open-stream request that pins the stream's
@@ -329,10 +326,7 @@ func DecodeOpenStreamReq(b []byte) (OpenStreamReq, error) {
 	if m.StartPos < 0 {
 		return m, fmt.Errorf("server: open-stream start position %d negative", m.StartPos)
 	}
-	if len(b) != 0 {
-		return m, errTrailing
-	}
-	return m, nil
+	return whole(m, b)
 }
 
 // NextBatchReq is the body of FNextBatch.
@@ -379,10 +373,7 @@ func DecodeNextBatchReq(b []byte) (NextBatchReq, error) {
 	if m.Pos < 0 {
 		return m, fmt.Errorf("server: next-batch position %d negative", m.Pos)
 	}
-	if len(b) != 0 {
-		return m, errTrailing
-	}
-	return m, nil
+	return whole(m, b)
 }
 
 // EstimateReq is the body of FEstimate.
@@ -406,10 +397,7 @@ func DecodeEstimateReq(b []byte) (EstimateReq, error) {
 	if m.Query, b, err = consumeBox(b); err != nil {
 		return m, err
 	}
-	if len(b) != 0 {
-		return m, errTrailing
-	}
-	return m, nil
+	return whole(m, b)
 }
 
 // CancelReq is the body of FCancel and of its FCancelOK echo.
@@ -425,13 +413,19 @@ func DecodeCancelReq(b []byte) (CancelReq, error) {
 	if m.StreamID, b, err = consumeU32(b); err != nil {
 		return m, err
 	}
-	if len(b) != 0 {
+	return whole(m, b)
+}
+
+var errTrailing = fmt.Errorf("server: trailing bytes after message body")
+
+// whole returns a decoded message once nothing follows it in the body: one
+// with trailing bytes is malformed.
+func whole[T any](m T, rest []byte) (T, error) {
+	if len(rest) != 0 {
 		return m, errTrailing
 	}
 	return m, nil
 }
-
-var errTrailing = fmt.Errorf("server: trailing bytes after message body")
 
 // WriteReq is the body of FAppend and FDeleteRecs, which share the wire
 // shape: a batch of records to insert into a view's live write path, or a
@@ -479,10 +473,7 @@ func DecodeFlushViewReq(b []byte) (FlushViewReq, error) {
 	if m.ViewID, b, err = consumeU32(b); err != nil {
 		return m, err
 	}
-	if len(b) != 0 {
-		return m, errTrailing
-	}
-	return m, nil
+	return whole(m, b)
 }
 
 // SetTenantReq (the body of FSetTenant and of its FTenantOK echo) attributes a connection's quota usage to a named tenant.
@@ -500,10 +491,7 @@ func DecodeSetTenantReq(b []byte) (SetTenantReq, error) {
 	if err != nil {
 		return SetTenantReq{}, err
 	}
-	if len(rest) != 0 {
-		return SetTenantReq{}, errTrailing
-	}
-	return SetTenantReq{Tenant: t}, nil
+	return whole(SetTenantReq{Tenant: t}, rest)
 }
 
 // ReplicaInfoResp (the body of FReplicaInfoResult) identifies a replica and reports its live load, the
@@ -624,10 +612,7 @@ func DecodeViewListResp(b []byte) (ViewListResp, error) {
 			return ViewListResp{}, err
 		}
 	}
-	if len(b) != 0 {
-		return ViewListResp{}, errTrailing
-	}
-	return m, nil
+	return whole(m, b)
 }
 
 // --- response messages ----------------------------------------------------
@@ -661,10 +646,7 @@ func DecodeViewInfo(b []byte) (ViewInfo, error) {
 	if m.Count, b, err = consumeI64(b); err != nil {
 		return m, err
 	}
-	if len(b) != 0 {
-		return m, errTrailing
-	}
-	return m, nil
+	return whole(m, b)
 }
 
 // StreamOpened is the body of FStreamOpened.
@@ -680,10 +662,7 @@ func DecodeStreamOpened(b []byte) (StreamOpened, error) {
 	if m.StreamID, b, err = consumeU32(b); err != nil {
 		return m, err
 	}
-	if len(b) != 0 {
-		return m, errTrailing
-	}
-	return m, nil
+	return whole(m, b)
 }
 
 // BatchResp is the body of FBatch.
@@ -812,10 +791,7 @@ func DecodeWriteAck(b []byte) (WriteAck, error) {
 	if m.N, b, err = consumeU32(b); err != nil {
 		return m, err
 	}
-	if len(b) != 0 {
-		return m, errTrailing
-	}
-	return m, nil
+	return whole(m, b)
 }
 
 // ErrorResp is the body of FError.
@@ -839,8 +815,5 @@ func DecodeErrorResp(b []byte) (ErrorResp, error) {
 	if m.Msg, b, err = consumeString(b); err != nil {
 		return m, err
 	}
-	if len(b) != 0 {
-		return m, errTrailing
-	}
-	return m, nil
+	return whole(m, b)
 }

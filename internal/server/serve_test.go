@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -56,6 +57,151 @@ func startServer(t *testing.T, cfg Config, name string, recs []record.Record) (*
 	})
 	return srv, v, ln.Addr().String(), path
 }
+
+// served is one way of serving the protocol, as a contract test sees it:
+// the address clients dial, a local copy of the view behind it for reference
+// sequences, and the three calls both kinds of endpoint answer.
+type served struct {
+	addr     string
+	view     *sampleview.View
+	serve    func(net.Listener) error
+	shutdown func()
+	snapshot func() *StatsSnapshot
+	done     chan error // what serve returned for the listener at addr
+}
+
+// NewRouter builds a fleet router over the given replica addresses. The
+// fleet package imports this one, so router_test.go (package server_test)
+// fills it in.
+var NewRouter func(replicas []string) (serve func(net.Listener) error, shutdown func(), snapshot func() *StatsSnapshot, err error)
+
+// eachEndpoint runs one contract test against a server alone and against a
+// router over two replicas — an endpoint of the same total stream capacity:
+// cfg.MaxStreams, when set, is divided over the replicas. Whatever the
+// contract says of one must hold of the other.
+func eachEndpoint(t *testing.T, cfg Config, recs []record.Record, test func(t *testing.T, ep *served)) {
+	listenAndServe := func(t *testing.T, ep *served) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.addr, ep.done = ln.Addr().String(), make(chan error, 1)
+		go func() { ep.done <- ep.serve(ln) }()
+		t.Cleanup(ep.shutdown)
+	}
+	t.Run("server", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "sale.view")
+		v, err := sampleview.CreateFromSlice(path, recs, sampleview.Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { v.Close() })
+		srv := New(cfg)
+		srv.AddView("sale", v)
+		ep := &served{view: v, serve: srv.Serve, shutdown: srv.Shutdown, snapshot: srv.Snapshot}
+		listenAndServe(t, ep)
+		test(t, ep)
+	})
+	t.Run("router", func(t *testing.T) {
+		cfg.MaxStreams /= 2
+		ep := &served{}
+		var replicas []string
+		for i := 0; i < 2; i++ {
+			_, v, addr, _ := startServer(t, cfg, "sale", recs)
+			ep.view = v
+			replicas = append(replicas, addr)
+		}
+		var err error
+		if ep.serve, ep.shutdown, ep.snapshot, err = NewRouter(replicas); err != nil {
+			t.Fatal(err)
+		}
+		listenAndServe(t, ep)
+		test(t, ep)
+	})
+}
+
+// frameWatch follows the frames of everything read from a connection, so a
+// test can tell a stream that ended between two frames from one that ended
+// inside a frame.
+type frameWatch struct {
+	net.Conn
+	hdr     [4]byte
+	got     int    // header bytes of the current frame seen so far
+	payload uint32 // payload bytes of the current frame still to come
+	// hold, when set, stops the reader inside the next frame: it takes the
+	// frame's first bytes and no more until hold is closed (and a moment
+	// longer), so the rest stays in flight meanwhile.
+	hold <-chan struct{}
+}
+
+func (w *frameWatch) Read(p []byte) (int, error) {
+	if w.hold != nil {
+		p = p[:min(len(p), 64)]
+	}
+	n, err := w.Conn.Read(p)
+	for _, b := range p[:n] {
+		if w.payload > 0 {
+			w.payload--
+			continue
+		}
+		w.hdr[w.got] = b
+		if w.got++; w.got == len(w.hdr) {
+			w.got, w.payload = 0, binary.LittleEndian.Uint32(w.hdr[:])
+		}
+	}
+	if w.hold != nil && w.torn() {
+		<-w.hold
+		time.Sleep(50 * time.Millisecond)
+		w.hold = nil
+	}
+	return n, err
+}
+
+// torn reports whether the last frame read is incomplete.
+func (w *frameWatch) torn() bool { return w.got != 0 || w.payload != 0 }
+
+// heldListener accepts its first connection at once but hands it to Serve
+// only when released: a connection caught between accept and session.
+type heldListener struct {
+	net.Listener
+	release chan struct{}
+}
+
+func (l *heldListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	<-l.release
+	return conn, err
+}
+
+// pipeListener serves in-memory connections with no buffer between their
+// ends: a response is in flight until its reader has taken the last byte.
+type pipeListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	l.conns <- server
+	return client
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case conn := <-l.conns:
+		return conn, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return nil }
 
 // TestServedStreamUniformity is the end-to-end correctness table test: K
 // concurrent sessions against one served view, each asserting its stream's
@@ -373,94 +519,118 @@ func TestIdleReapingOnSimulatedClock(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownDrains hammers the server with pulls while Shutdown
-// runs: every response a client successfully reads must be complete and
-// well-formed (a batch is either fully delivered or the connection closes
-// cleanly before it — never a torn frame), and Shutdown must return.
+// TestGracefulShutdownDrains shuts the endpoint down with a batch response
+// in flight on every connection: every response a client reads must be
+// complete and well-formed (a batch is either fully delivered or the
+// connection closes cleanly before it — never a torn frame), a connection
+// accepted while the drain is under way is turned away with a typed frame,
+// and Shutdown must return.
 func TestGracefulShutdownDrains(t *testing.T) {
-	recs := genRecords(30_000, 23)
-	path := filepath.Join(t.TempDir(), "drain.view")
-	v, err := sampleview.CreateFromSlice(path, recs, sampleview.Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	srv := New(Config{MaxStreams: 64})
-	srv.AddView("sale", v)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	eachEndpoint(t, Config{MaxStreams: 64}, genRecords(30_000, 23), func(t *testing.T, ep *served) {
+		listen := func() net.Listener {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ln
+		}
+		// The clients' listener: its responses stay in flight until read.
+		pipes := &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+		pipesServed := make(chan error, 1)
+		go func() { pipesServed <- ep.serve(pipes) }()
+		// And one whose only connection is accepted before the drain starts
+		// and reaches the endpoint after it.
+		held := &heldListener{Listener: listen(), release: make(chan struct{})}
+		heldServed := make(chan error, 1)
+		go func() { heldServed <- ep.serve(held) }()
+		late, err := net.Dial("tcp", held.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer late.Close()
 
-	const clients = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	started := make(chan struct{}, clients)
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cl, err := Dial(ln.Addr().String())
-			if err != nil {
-				started <- struct{}{}
-				return // raced with listener close: fine
-			}
-			defer cl.Close()
-			rv, err := cl.OpenView("sale")
-			if err != nil {
-				started <- struct{}{}
-				return
-			}
-			s, err := rv.Query(record.Box1D(0, 1<<20))
-			if err != nil {
-				started <- struct{}{}
-				return
-			}
-			started <- struct{}{}
-			total := 0
-			for {
-				batch, err := s.NextBatch()
+		const clients = 8
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		started := make(chan struct{}, clients)
+		draining := make(chan struct{})
+		for g := 0; g < clients; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				watch := &frameWatch{Conn: pipes.dial()}
+				cl := NewClient(watch)
+				defer cl.Close()
+				rv, err := cl.OpenView("sale")
 				if err != nil {
-					// Once draining starts, the only acceptable failures
-					// are clean transport closes — never a decode error
-					// (torn frame) and never a server-side panic message.
-					if err == io.EOF {
-						return
-					}
-					if isCleanDisconnect(err) {
-						return
-					}
-					errs <- fmt.Errorf("client %d after %d records: %v", g, total, err)
+					errs <- fmt.Errorf("client %d: %v", g, err)
+					started <- struct{}{}
 					return
 				}
-				total += len(batch)
+				// The stream's open is read whole; the first batch is begun
+				// and left half-read, the rest of it blocked half-written,
+				// until the drain has begun.
+				s, err := rv.Query(record.Box1D(0, 1<<20))
+				watch.hold = draining
+				started <- struct{}{}
+				total := 0
+				for err == nil {
+					var batch []record.Record
+					batch, err = s.NextBatch()
+					total += len(batch)
+				}
+				// Once draining starts, the only acceptable failures are clean
+				// transport closes between two frames — never a torn frame, a
+				// decode error or a server-side panic message.
+				if watch.torn() {
+					errs <- fmt.Errorf("client %d after %d records: connection ended inside a frame: %v", g, total, err)
+				} else if err != io.EOF && !isCleanDisconnect(err) {
+					errs <- fmt.Errorf("client %d after %d records: %v", g, total, err)
+				}
+			}(g)
+		}
+		for g := 0; g < clients; g++ {
+			<-started
+		}
+		time.Sleep(50 * time.Millisecond) // let the held-back responses get under way
+		close(draining)
+		ep.shutdown()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		for _, served := range []chan error{ep.done, pipesServed} {
+			if err := <-served; err != nil {
+				t.Fatalf("Serve returned %v after Shutdown", err)
 			}
-		}(g)
-	}
-	for g := 0; g < clients; g++ {
-		<-started
-	}
-	srv.Shutdown()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve returned %v after Shutdown", err)
-	}
-	// New connections are refused after shutdown.
-	if _, err := net.DialTimeout("tcp", ln.Addr().String(), 100*time.Millisecond); err == nil {
-		t.Fatal("listener still accepting after Shutdown")
-	}
+		}
+		// New connections are refused after shutdown.
+		if _, err := net.DialTimeout("tcp", ep.addr, 100*time.Millisecond); err == nil {
+			t.Fatal("listener still accepting after Shutdown")
+		}
+
+		// The connection that was accepted before the drain and arrives after
+		// it is answered, not dropped.
+		close(held.release)
+		late.SetReadDeadline(time.Now().Add(5 * time.Second))
+		ft, body, err := NewFrameReader(late).Next()
+		if err != nil || ft != FError {
+			t.Fatalf("connection accepted while draining: read %v frame, %v; want the typed refusal", ft, err)
+		}
+		if m, err := DecodeErrorResp(body); err != nil || m.Code != CodeShuttingDown {
+			t.Fatalf("connection accepted while draining: refused with %+v (%v), want CodeShuttingDown", m, err)
+		}
+		if err := <-heldServed; err != nil {
+			t.Fatalf("Serve on the held listener returned %v after Shutdown", err)
+		}
+	})
 }
 
 // isCleanDisconnect reports whether err is an orderly transport-level
 // close, as opposed to a protocol violation.
 func isCleanDisconnect(err error) bool {
-	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) || errors.Is(err, io.ErrUnexpectedEOF) {
 		// ErrUnexpectedEOF can only be clean here if no partial payload was
 		// delivered; FrameReader wraps torn payloads distinctly, but a
 		// connection reset mid-header reads as unexpected EOF with zero
@@ -474,79 +644,95 @@ func isCleanDisconnect(err error) bool {
 // TestSessionTeardownFreesSlots: closing a connection releases all its
 // admission slots.
 func TestSessionTeardownFreesSlots(t *testing.T) {
-	recs := genRecords(2_000, 29)
-	_, _, addr, _ := startServer(t, Config{MaxStreams: 2, MaxStreamsPerConn: 2}, "sale", recs)
-
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rv, err := cl.OpenView("sale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := rv.Query(record.Box1D(0, 1<<19)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl.Close()
-
-	// The teardown is asynchronous; poll the server until the slots return.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cl2, err := Dial(addr)
+	eachEndpoint(t, Config{MaxStreams: 2, MaxStreamsPerConn: 2}, genRecords(2_000, 29), func(t *testing.T, ep *served) {
+		cl, err := Dial(ep.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rv2, err := cl2.OpenView("sale")
+		rv, err := cl.OpenView("sale")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := rv2.Query(record.Box1D(0, 1<<19))
-		if err == nil {
-			s.Close()
+		for i := 0; i < 2; i++ {
+			if _, err := rv.Query(record.Box1D(0, 1<<19)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl.Close()
+
+		// The teardown is asynchronous; poll the endpoint until the slots return.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			cl2, err := Dial(ep.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rv2, err := cl2.OpenView("sale")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := rv2.Query(record.Box1D(0, 1<<19))
+			if err == nil {
+				s.Close()
+				cl2.Close()
+				return
+			}
 			cl2.Close()
-			return
+			if !IsAdmissionReject(err) {
+				t.Fatal(err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("slots never freed after connection close")
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		cl2.Close()
-		if !IsAdmissionReject(err) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("slots never freed after connection close")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	})
 }
 
-// TestUnknownViewAndStream covers the typed not-found errors.
+// TestUnknownViewAndStream covers the typed not-found errors, and the one
+// request that is answered with no frame at all: a length prefix outside the
+// protocol's bounds closes the connection and is counted.
 func TestUnknownViewAndStream(t *testing.T) {
-	recs := genRecords(1_000, 31)
-	_, _, addr, _ := startServer(t, Config{}, "sale", recs)
+	eachEndpoint(t, Config{}, genRecords(1_000, 31), func(t *testing.T, ep *served) {
+		cl, err := Dial(ep.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		_, err = cl.OpenView("nope")
+		var se *Error
+		if !errors.As(err, &se) || se.Code != CodeUnknownView {
+			t.Fatalf("OpenView(nope): err = %v, want CodeUnknownView", err)
+		}
+		rv, err := cl.OpenView("sale")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A fabricated stream id draws CodeUnknownStream.
+		err = cl.roundTrip(FNextBatch, NextBatchReq{StreamID: 999, Max: 10}.Encode(), FBatch, nil)
+		if !errors.As(err, &se) || se.Code != CodeUnknownStream {
+			t.Fatalf("NextBatch(999): err = %v, want CodeUnknownStream", err)
+		}
+		// Dimension mismatch is a bad request, not a hang.
+		_, err = rv.Query(record.Box2D(0, 1, 0, 1))
+		if !errors.As(err, &se) || se.Code != CodeBadRequest {
+			t.Fatalf("2-d query on 1-d view: err = %v, want CodeBadRequest", err)
+		}
 
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	_, err = cl.OpenView("nope")
-	var se *Error
-	if !errors.As(err, &se) || se.Code != CodeUnknownView {
-		t.Fatalf("OpenView(nope): err = %v, want CodeUnknownView", err)
-	}
-	rv, err := cl.OpenView("sale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A fabricated stream id draws CodeUnknownStream.
-	err = cl.roundTrip(FNextBatch, NextBatchReq{StreamID: 999, Max: 10}.Encode(), FBatch, nil)
-	if !errors.As(err, &se) || se.Code != CodeUnknownStream {
-		t.Fatalf("NextBatch(999): err = %v, want CodeUnknownStream", err)
-	}
-	// Dimension mismatch is a bad request, not a hang.
-	_, err = rv.Query(record.Box2D(0, 1, 0, 1))
-	if !errors.As(err, &se) || se.Code != CodeBadRequest {
-		t.Fatalf("2-d query on 1-d view: err = %v, want CodeBadRequest", err)
-	}
+		conn, err := net.Dial("tcp", ep.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, MaxFrame+1)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Fatalf("over-length frame: read %d bytes, %v; want the connection closed", n, err)
+		}
+		if bad := ep.snapshot().BadFrames; bad != 1 {
+			t.Fatalf("BadFrames = %d after one over-length frame, want 1", bad)
+		}
+	})
 }

@@ -1,8 +1,8 @@
 package server
 
 import (
+	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -230,29 +230,6 @@ var (
 	_ SeededSource   = shardedSource{}
 )
 
-// tenantState is one tenant's admission accounting: its open-stream count
-// and its write-rate token bucket, shared across every connection
-// attributed to the tenant. Connections without a tenant each get a
-// private tenantState under a per-connection key, which reduces to the
-// pre-fleet per-connection accounting.
-type tenantState struct {
-	// mu guards the admission tallies. It nests strictly inside Server.mu:
-	// every acquisition happens while the server lock is held, which keeps
-	// the tenant tally and the server-wide openStreams total moving in
-	// lockstep.
-	mu      sync.Mutex
-	streams int // guarded by mu
-	conns   int // guarded by mu; live sessions attributed via set-tenant
-
-	// Write-rate token bucket (Config.WriteRate / WriteBurst). The bucket
-	// starts full and refills continuously on the wall clock; tbLast is the
-	// instant of the last draw.
-	tbMu     sync.Mutex
-	tbTokens float64   // guarded by tbMu
-	tbLast   time.Time // guarded by tbMu
-	tbInit   bool      // guarded by tbMu
-}
-
 // servedView is one view registered with the server.
 type servedView struct {
 	id   uint32
@@ -263,45 +240,32 @@ type servedView struct {
 	fromCatalog bool
 }
 
-// Server multiplexes client sessions over a set of served sample views.
-// Create one with New, register views with AddView, then run Serve on one
-// or more listeners. All methods are safe for concurrent use.
+// Server multiplexes client sessions over a set of served sample views: it
+// is an Engine — Serve, Shutdown and Snapshot are the engine's — over the
+// views registered here. Create one with New, register views with AddView,
+// then run Serve on one or more listeners. All methods are safe for
+// concurrent use.
 type Server struct {
-	cfg   Config
-	stats serverCounters
+	*Engine
 
-	mu          sync.Mutex
-	views       map[string]*servedView  // guarded by mu
-	viewsByID   map[uint32]*servedView  // guarded by mu
-	sessions    map[*session]struct{}   // guarded by mu
-	listeners   []net.Listener          // guarded by mu
-	catalog     *catalog.Catalog        // guarded by mu
-	tenants     map[string]*tenantState // guarded by mu; admission accounting per tenant key
-	openStreams int                     // guarded by mu; admission-controlled total
-	nextSession uint64                  // guarded by mu
-	nextView    uint32                  // guarded by mu
-	draining    bool                    // guarded by mu
+	mu        sync.Mutex
+	views     map[string]*servedView // guarded by mu
+	viewsByID map[uint32]*servedView // guarded by mu
+	catalog   *catalog.Catalog       // guarded by mu
+	nextView  uint32                 // guarded by mu
 
-	// inFlight counts requests currently being handled across all sessions;
-	// background maintenance runs only when it drops to zero, so jobs fill
-	// the gaps between request bursts instead of delaying live traffic.
-	inFlight atomic.Int64
-
-	wg       sync.WaitGroup
-	shutOnce sync.Once
-	done     chan struct{}
+	maintJobs      atomic.Int64 // catalog background jobs run between request bursts
+	maintJobErrors atomic.Int64 // catalog background jobs that failed
 }
 
 // New returns a server with the given configuration and no views.
 func New(cfg Config) *Server {
-	return &Server{
-		cfg:       cfg.withDefaults(),
+	s := &Server{
 		views:     make(map[string]*servedView),
 		viewsByID: make(map[uint32]*servedView),
-		sessions:  make(map[*session]struct{}),
-		tenants:   make(map[string]*tenantState),
-		done:      make(chan struct{}),
 	}
+	s.Engine = NewEngine(endpoint{s}, cfg.withDefaults())
+	return s
 }
 
 // Config returns the server's effective (defaulted) configuration.
@@ -320,10 +284,16 @@ func (s *Server) AddView(name string, v *sampleview.View) {
 func (s *Server) AddSource(name string, v ViewSource) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.addLocked(&servedView{name: name, v: v})
+}
+
+// addLocked gives sv the next view id and registers it. Callers hold s.mu.
+func (s *Server) addLocked(sv *servedView) *servedView {
 	s.nextView++
-	sv := &servedView{id: s.nextView, name: name, v: v}
-	s.views[name] = sv
+	sv.id = s.nextView
+	s.views[sv.name] = sv
 	s.viewsByID[sv.id] = sv
+	return sv
 }
 
 // SetCatalog hosts a view catalog on the server: open-view requests fall
@@ -336,37 +306,180 @@ func (s *Server) SetCatalog(c *catalog.Catalog) {
 	s.catalog = c
 }
 
-// getCatalog returns the hosted catalog, if any.
-func (s *Server) getCatalog() *catalog.Catalog {
+// viewByID resolves a view id an open-view response handed out.
+func (s *Server) viewByID(id uint32) (*servedView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.catalog
+	sv, ok := s.viewsByID[id]
+	if !ok {
+		return nil, &Error{Code: CodeUnknownView, Msg: "unknown view id"}
+	}
+	return sv, nil
 }
 
-// runMaintenance offers the hosted catalog one maintenance slot. It is
-// called when the server goes idle (the last in-flight request finished);
-// TryRunDueJobs backs off instead of blocking if the catalog is busy, so
-// a request arriving concurrently is never queued behind a compaction.
-func (s *Server) runMaintenance() {
-	c := s.getCatalog()
-	if c == nil {
-		return
+// endpoint is the server as its engine sees it: local views behind the
+// Endpoint surface.
+type endpoint struct{ *Server }
+
+// streamErr types a view-layer failure for the wire: clients retry
+// transients and tolerate degradation instead of treating either as a
+// server bug.
+func streamErr(err error) error {
+	code := CodeInternal
+	switch {
+	case errors.Is(err, sampleview.ErrStreamClosed):
+		// Lost a race with the reaper between the stream lookup and the draw.
+		return &Error{Code: CodeStreamReaped, Msg: "stream reaped after simulated-clock idle timeout"}
+	case sampleview.IsTransient(err):
+		code = CodeTransient
+	case sampleview.IsDegraded(err):
+		code = CodeDegraded
 	}
-	reports, ok := c.TryRunDueJobs()
-	if !ok {
-		return
-	}
-	for i := range reports {
-		s.stats.MaintJobs.Add(1)
-		if reports[i].Err != nil {
-			s.stats.MaintJobErrors.Add(1)
+	return &Error{Code: code, Msg: err.Error()}
+}
+
+// OpenView resolves a view by name. A name missing from the static registry
+// falls through to the hosted catalog; the resolution is cached so streams
+// opened against it keep a stable view id.
+func (s endpoint) OpenView(name string) (ViewInfo, error) {
+	s.mu.Lock()
+	sv, ok := s.views[name]
+	if !ok && s.catalog != nil {
+		var v *shard.View
+		if v, ok = s.catalog.Get(name); ok {
+			sv = s.addLocked(&servedView{name: name, v: shardedSource{v}, fromCatalog: true})
 		}
 	}
+	s.mu.Unlock()
+	if !ok {
+		return ViewInfo{}, &Error{Code: CodeUnknownView, Msg: "no served view named " + name}
+	}
+	return ViewInfo{
+		ViewID: sv.id,
+		Dims:   uint8(sv.v.Dims()),
+		Height: uint8(sv.v.Height()),
+		Count:  sv.v.Count(),
+	}, nil
 }
 
-// listViews reports every servable view: statically registered ones plus
+// checkQuery resolves the view a stream or estimate request names and checks
+// the predicate against its shape.
+func (s endpoint) checkQuery(viewID uint32, q record.Box) (*servedView, error) {
+	sv, err := s.viewByID(viewID)
+	if err == nil && q.Dims() != sv.v.Dims() {
+		err = &Error{Code: CodeBadRequest, Msg: "query dimensions do not match the view"}
+	}
+	return sv, err
+}
+
+func (s endpoint) OpenStream(_, _ string, req OpenStreamReq) (EndpointStream, error) {
+	sv, err := s.checkQuery(req.ViewID, req.Query)
+	if err != nil {
+		return nil, err
+	}
+	var stream ViewStream
+	if !req.Seeded {
+		stream, err = sv.v.OpenStream(req.Query)
+	} else if seeded, ok := sv.v.(SeededSource); ok {
+		stream, err = seeded.OpenStreamSeeded(req.Query, req.Seed)
+	} else {
+		return nil, &Error{Code: CodeBadRequest, Msg: "view " + sv.name + " does not support seeded streams"}
+	}
+	if err != nil {
+		// Opening a stream on a view with a live write path scans delta
+		// pages, so storage faults can strike here too.
+		return nil, streamErr(err)
+	}
+	ls := &localStream{s: stream, view: sv.v}
+	// A migrated or hedged stream resumes mid-sequence: fast-forward past
+	// the prefix the client already holds. A failure here closes the stream
+	// and surfaces typed, so the router can retry the open elsewhere.
+	if err := ls.skipTo(req.StartPos); err != nil {
+		stream.Close()
+		return nil, streamErr(err)
+	}
+	return ls, nil
+}
+
+func (s endpoint) Estimate(req EstimateReq) (float64, error) {
+	sv, err := s.checkQuery(req.ViewID, req.Query)
+	if err != nil {
+		return 0, err
+	}
+	est, err := sv.v.EstimateCount(req.Query)
+	if err != nil {
+		return 0, streamErr(err)
+	}
+	return est, nil
+}
+
+// writable runs write-path admission for n incoming entries against a view:
+// the source must be writable, and its in-memory buffer (records plus
+// pending tombstones) must have room under the server's backlog cap. It
+// returns the writable surface and how many entries the buffer holds.
+func (s endpoint) writable(viewID uint32, n int) (WritableSource, int64, error) {
+	sv, err := s.viewByID(viewID)
+	if err != nil {
+		return nil, 0, err
+	}
+	w, ok := sv.v.(WritableSource)
+	if !ok {
+		return nil, 0, &Error{Code: CodeReadOnly, Msg: "view " + sv.name + " is read-only"}
+	}
+	ws := w.WriteStats()
+	backlog := ws.MemViewRecords + ws.MemViewTombstones
+	if n > 0 && backlog+int64(n) > int64(s.cfg.MaxWriteBacklog) {
+		return nil, 0, &Error{Code: CodeWriteBacklog, Msg: fmt.Sprintf(
+			"write backlog %d + batch %d over cap %d; flush pending", backlog, n, s.cfg.MaxWriteBacklog)}
+	}
+	return w, backlog, nil
+}
+
+func (s endpoint) Write(op FrameType, req WriteReq) (uint32, error) {
+	w, _, err := s.writable(req.ViewID, len(req.Records))
+	if err != nil {
+		return 0, err
+	}
+	verb, apply := "append", w.Insert
+	if op == FDeleteRecs {
+		verb, apply = "delete", w.Delete
+	}
+	// Entries are applied in order; the first failure stops the batch and
+	// reports it, with the count applied telling how far the batch got (the
+	// earlier entries are already in the memview).
+	for i := range req.Records {
+		if err := apply(req.Records[i]); err != nil {
+			return uint32(i), &Error{Code: CodeInternal, Msg: fmt.Sprintf("%s record %d of %d: %v", verb, i, len(req.Records), err)}
+		}
+	}
+	// The ack is a durability promise: group-commit the batch before
+	// sending it, so an acked append or tombstone survives a crash.
+	if err := w.Commit(); err != nil {
+		return 0, &Error{Code: CodeInternal, Msg: fmt.Sprintf("%s commit: %v", verb, err)}
+	}
+	return uint32(len(req.Records)), nil
+}
+
+func (s endpoint) Flush(viewID uint32) (uint32, error) {
+	w, buffered, err := s.writable(viewID, 0)
+	if err != nil {
+		return 0, err
+	}
+	if err := w.Flush(); err != nil {
+		if sampleview.IsTransient(err) {
+			return 0, &Error{Code: CodeTransient, Msg: err.Error()}
+		}
+		return 0, err
+	}
+	if buffered < 0 || buffered > int64(^uint32(0)) {
+		buffered = 0
+	}
+	return uint32(buffered), nil
+}
+
+// ListViews reports every servable view: statically registered ones plus
 // the hosted catalog's registry, sorted by name.
-func (s *Server) listViews() []ViewListEntry {
+func (s endpoint) ListViews() ([]ViewListEntry, error) {
 	s.mu.Lock()
 	c := s.catalog
 	static := make([]*servedView, 0, len(s.views))
@@ -393,372 +506,133 @@ func (s *Server) listViews() []ViewListEntry {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return out, nil
 }
 
-// Serve accepts connections on ln until the listener fails or Shutdown is
-// called; Shutdown makes it return nil. Each connection gets a session
-// goroutine.
-func (s *Server) Serve(ln net.Listener) error {
+func (s endpoint) Identity() (string, int) { return s.cfg.ReplicaID, s.cfg.MaxStreams }
+
+func (s endpoint) TenantStreamCap(int) int { return s.cfg.MaxStreamsPerTenant }
+
+// Idle offers the hosted catalog one maintenance slot: its background jobs
+// (compaction, checksum scrubs) fill the gaps between request bursts instead
+// of delaying live traffic. TryRunDueJobs backs off instead of blocking if
+// the catalog is busy, so a request arriving concurrently is never queued
+// behind a compaction.
+func (s endpoint) Idle() {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	s.listeners = append(s.listeners, ln)
+	c := s.catalog
 	s.mu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.isDraining() {
-				return nil
-			}
-			return fmt.Errorf("server: accept: %w", err)
-		}
-		s.stats.ConnsAccepted.Add(1)
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Shutdown gracefully stops the server: listeners close, sessions finish
-// the request they are serving (an in-flight batch is fully written before
-// its connection closes — no acknowledged batch is ever dropped), idle
-// sessions are disconnected, and Shutdown returns once every session
-// goroutine has exited. It is idempotent; concurrent callers all block
-// until the drain completes.
-func (s *Server) Shutdown() {
-	s.shutOnce.Do(func() {
-		s.mu.Lock()
-		s.draining = true
-		lns := append([]net.Listener(nil), s.listeners...)
-		sessions := make([]*session, 0, len(s.sessions))
-		for sess := range s.sessions {
-			sessions = append(sessions, sess)
-		}
-		s.mu.Unlock()
-
-		for _, ln := range lns {
-			ln.Close()
-		}
-		// drainClose waits for the session's in-flight request (if any) to
-		// finish writing its response, then severs the connection so the
-		// read loop unblocks.
-		for _, sess := range sessions {
-			sess.drainClose()
-		}
-		s.wg.Wait()
-		close(s.done)
-	})
-	<-s.done
-}
-
-// register enrolls a new session; it fails once draining has started.
-func (s *Server) register(sess *session) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	s.nextSession++
-	sess.id = s.nextSession
-	s.sessions[sess] = struct{}{}
-	return true
-}
-
-func (s *Server) unregister(sess *session) {
-	s.mu.Lock()
-	delete(s.sessions, sess)
-	s.mu.Unlock()
-	closed := sess.closeAllStreams()
-	key, named := sess.tenantKey()
-	s.releaseStreams(key, closed)
-	s.dropTenant(key, named)
-	s.stats.ConnsClosed.Add(1)
-}
-
-// lookupView resolves a view by name or id. A name missing from the static
-// registry falls through to the hosted catalog; the resolution is cached so
-// streams opened against it keep a stable view id.
-func (s *Server) lookupView(name string) (*servedView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sv, ok := s.views[name]; ok {
-		return sv, true
-	}
-	if s.catalog == nil {
-		return nil, false
-	}
-	v, ok := s.catalog.Get(name)
-	if !ok {
-		return nil, false
-	}
-	s.nextView++
-	sv := &servedView{id: s.nextView, name: name, v: shardedSource{v}, fromCatalog: true}
-	s.views[name] = sv
-	s.viewsByID[sv.id] = sv
-	return sv, true
-}
-
-func (s *Server) lookupViewID(id uint32) (*servedView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sv, ok := s.viewsByID[id]
-	return sv, ok
-}
-
-// tenantKeyFor namespaces a tenant name so it can never collide with the
-// per-connection fallback keys ("conn:<session id>").
-func tenantKeyFor(name string) string { return "tenant:" + name }
-
-// tenantLocked returns key's accounting bucket, creating it on first use.
-// Callers hold s.mu.
-func (s *Server) tenantLocked(key string) *tenantState {
-	ts, ok := s.tenants[key]
-	if !ok {
-		ts = &tenantState{}
-		s.tenants[key] = ts
-	}
-	return ts
-}
-
-// admitStream claims one server-wide stream slot and one slot of the given
-// tenant key's cap. It returns a rejection code (and false) when the server
-// is draining or either cap is reached.
-func (s *Server) admitStream(key string) (uint16, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return CodeShuttingDown, false
-	}
-	if s.openStreams >= s.cfg.MaxStreams {
-		return CodeServerStreams, false
-	}
-	ts := s.tenantLocked(key)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.streams >= s.cfg.MaxStreamsPerTenant {
-		return CodeTenantStreams, false
-	}
-	s.openStreams++
-	ts.streams++
-	return 0, true
-}
-
-// releaseStreams returns n stream slots, server-wide and to the tenant key
-// they were admitted under.
-func (s *Server) releaseStreams(key string, n int) {
-	if n == 0 {
+	if c == nil {
 		return
 	}
-	s.mu.Lock()
-	s.openStreams -= n
-	if ts, ok := s.tenants[key]; ok {
-		ts.mu.Lock()
-		ts.streams -= n
-		ts.mu.Unlock()
-	}
-	s.mu.Unlock()
-}
-
-// admitRate draws n entries from the tenant key's write-rate token bucket,
-// reporting whether the batch is admitted. The bucket deliberately refills
-// on the "wall clock": rate admission paces real client traffic, a pressure
-// the simulated disk clock cannot see. Disabled (always true) when
-// Config.WriteRate is 0.
-func (s *Server) admitRate(key string, n int) bool {
-	rate := s.cfg.WriteRate
-	if rate <= 0 || n <= 0 {
-		return true
-	}
-	s.mu.Lock()
-	ts := s.tenantLocked(key)
-	s.mu.Unlock()
-	burst := float64(s.cfg.WriteBurst)
-	ts.tbMu.Lock()
-	defer ts.tbMu.Unlock()
-	now := time.Now()
-	if !ts.tbInit {
-		ts.tbTokens, ts.tbInit = burst, true
-	} else {
-		ts.tbTokens += now.Sub(ts.tbLast).Seconds() * rate
-		if ts.tbTokens > burst {
-			ts.tbTokens = burst
-		}
-	}
-	ts.tbLast = now
-	if ts.tbTokens < float64(n) {
-		return false
-	}
-	ts.tbTokens -= float64(n)
-	return true
-}
-
-// attributeTenant binds a session to a named tenant for accounting.
-func (s *Server) attributeTenant(name string) {
-	s.mu.Lock()
-	ts := s.tenantLocked(tenantKeyFor(name))
-	ts.mu.Lock()
-	ts.conns++
-	ts.mu.Unlock()
-	s.mu.Unlock()
-}
-
-// dropTenant releases a session's attribution at teardown, deleting the
-// accounting bucket once nothing references it (named tenants when their
-// last connection leaves; per-connection keys always, since only the owning
-// session ever used them).
-func (s *Server) dropTenant(key string, named bool) {
-	s.mu.Lock()
-	if ts, ok := s.tenants[key]; ok {
-		ts.mu.Lock()
-		if named {
-			ts.conns--
-		}
-		dead := ts.conns <= 0 && ts.streams <= 0
-		ts.mu.Unlock()
-		if dead {
-			delete(s.tenants, key)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// tenantsActive counts live tenant accounting buckets (named and
-// per-connection alike): the denominator of a fair share.
-func (s *Server) tenantsActive() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.tenants))
-}
-
-// replicaInfo answers a replica-info request with the server's identity and
-// live load.
-func (s *Server) replicaInfo() ReplicaInfoResp {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return ReplicaInfoResp{
-		ReplicaID:   s.cfg.ReplicaID,
-		OpenStreams: uint32(s.openStreams),
-		MaxStreams:  uint32(s.cfg.MaxStreams),
-		Draining:    s.draining,
-	}
-}
-
-// reapIdle closes streams idle past IdleTimeout on their view's simulated
-// clock. It runs on the open-stream path when the server-wide cap is
-// exhausted — the moment admission slots are contended — so reaping needs
-// no wall-clock timer: an abandoned stream is collected as soon as other
-// traffic has both advanced the simulated disk and run out of slots.
-func (s *Server) reapIdle() {
-	if s.cfg.IdleTimeout <= 0 {
+	reports, ok := c.TryRunDueJobs()
+	if !ok {
 		return
 	}
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	total := 0
-	for _, sess := range sessions {
-		n := sess.reapIdle(s.cfg.IdleTimeout)
-		if n > 0 {
-			key, _ := sess.tenantKey()
-			s.releaseStreams(key, n)
-			total += n
+	for i := range reports {
+		s.maintJobs.Add(1)
+		if reports[i].Err != nil {
+			s.maintJobErrors.Add(1)
 		}
 	}
-	s.stats.StreamsReaped.Add(int64(total))
-	s.stats.StreamsClosed.Add(int64(total))
 }
 
-// Snapshot returns a point-in-time copy of the server's counters plus one
-// row per live session.
-func (s *Server) Snapshot() *StatsSnapshot {
+// FillSnapshot adds the maintenance counters and the write-path gauges,
+// aggregated over the servable views.
+func (s endpoint) FillSnapshot(snap *StatsSnapshot) {
+	snap.MaintJobs = s.maintJobs.Load()
+	snap.MaintJobErrors = s.maintJobErrors.Load()
 	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
 	views := make([]*servedView, 0, len(s.views))
 	for _, sv := range s.views {
 		views = append(views, sv)
 	}
-	openConns := int64(len(s.sessions))
-	openStreams := int64(s.openStreams)
 	s.mu.Unlock()
-
-	var write lsm.WriteStats
 	for _, sv := range views {
-		if w, ok := sv.v.(WritableSource); ok {
-			ws := w.WriteStats()
-			if ws.DeltaLevels > write.DeltaLevels {
-				write.DeltaLevels = ws.DeltaLevels
-			}
-			write.MemViewRecords += ws.MemViewRecords
-			write.MemViewTombstones += ws.MemViewTombstones
-			write.TombstonesPending += ws.TombstonesPending
-			write.Compactions += ws.Compactions
-			write.WALBytes += ws.WALBytes
-			write.WALFsyncs += ws.WALFsyncs
-			write.WALReplayed += ws.WALReplayed
-			write.WALSegments += ws.WALSegments
+		w, ok := sv.v.(WritableSource)
+		if !ok {
+			continue
+		}
+		ws := w.WriteStats()
+		snap.DeltaLevels = max(snap.DeltaLevels, ws.DeltaLevels)
+		snap.MemViewRecords += ws.MemViewRecords
+		snap.TombstonesPending += ws.TombstonesPending
+		snap.CompactionsRun += ws.Compactions
+		snap.WALBytes += ws.WALBytes
+		snap.WALFsyncs += ws.WALFsyncs
+		snap.WALReplayed += ws.WALReplayed
+		snap.WALSegments += ws.WALSegments
+	}
+}
+
+// localStream is one stream over a local view as the engine drives it: the
+// ViewStream, the position it has reached, and a failure waiting to be told.
+// Only the session's goroutine touches pos and deferred.
+type localStream struct {
+	s    ViewStream
+	view ViewSource
+	pos  int64
+	// deferred is a hard stream failure observed while a partial batch was
+	// being delivered; it is surfaced as a typed error on the stream's next
+	// pull so the records already sampled are never dropped and the failure
+	// is never lost.
+	deferred error
+}
+
+// skipTo fast-forwards the stream to position target by sampling and
+// discarding. Positions already passed are never revisited; a predicate
+// that exhausts before target simply leaves the stream at its end. The
+// position advances through partial progress, so a transient fault leaves
+// the skip resumable exactly where it struck.
+func (ls *localStream) skipTo(target int64) error {
+	for ls.pos < target {
+		// The stream lends its batch buffer and keeps it: skip batch-sized.
+		chunk := min(target-ls.pos, 512)
+		recs, err := ls.s.Sample(int(chunk))
+		ls.pos += int64(len(recs))
+		if err != nil {
+			return err
+		}
+		if int64(len(recs)) < chunk {
+			return nil // exhausted before target
 		}
 	}
-
-	c := &s.stats
-	snap := &StatsSnapshot{
-		OpenConns:       openConns,
-		OpenStreams:     openStreams,
-		ConnsAccepted:   c.ConnsAccepted.Load(),
-		ConnsRejected:   c.ConnsRejected.Load(),
-		StreamsOpened:   c.StreamsOpened.Load(),
-		StreamsClosed:   c.StreamsClosed.Load(),
-		StreamsReaped:   c.StreamsReaped.Load(),
-		BatchesServed:   c.BatchesServed.Load(),
-		RecordsServed:   c.RecordsServed.Load(),
-		EstimatesServed: c.EstimatesServed.Load(),
-		RejectedServer:  c.RejectedServer.Load(),
-		RejectedConn:    c.RejectedConn.Load(),
-		RejectedDrain:   c.RejectedDrain.Load(),
-		BadFrames:       c.BadFrames.Load(),
-		BytesRead:       c.BytesRead.Load(),
-		BytesWritten:    c.BytesWritten.Load(),
-		SimIO:           time.Duration(c.SimIONanos.Load()),
-		TransientErrors: c.TransientErrors.Load(),
-		DegradedErrors:  c.DegradedErrors.Load(),
-		MaintJobs:       c.MaintJobs.Load(),
-		MaintJobErrors:  c.MaintJobErrors.Load(),
-
-		RecordsIngested:   c.RecordsIngested.Load(),
-		RecordsDeleted:    c.RecordsDeleted.Load(),
-		FlushesServed:     c.FlushesServed.Load(),
-		RejectedWrites:    c.RejectedWrites.Load(),
-		MemViewRecords:    write.MemViewRecords,
-		TombstonesPending: write.TombstonesPending,
-		DeltaLevels:       write.DeltaLevels,
-		CompactionsRun:    write.Compactions,
-
-		RejectedThrottle: c.RejectedThrottle.Load(),
-		WALBytes:         write.WALBytes,
-		WALFsyncs:        write.WALFsyncs,
-		WALReplayed:      write.WALReplayed,
-		WALSegments:      write.WALSegments,
-
-		RejectedTenant: c.RejectedTenant.Load(),
-		TenantsActive:  s.tenantsActive(),
-	}
-	for _, sess := range sessions {
-		snap.Sessions = append(snap.Sessions, sess.snapshot())
-	}
-	return snap
+	return nil
 }
+
+// Pull draws one batch. The records Sample returns are lent by the stream
+// until its next Sample, and are encoded behind dst before this returns —
+// the only use made of them.
+func (ls *localStream) Pull(dst []byte, pos int64, max int) (RawBatch, error) {
+	err := ls.deferred
+	ls.deferred = nil
+	if err == nil {
+		err = ls.skipTo(pos)
+	}
+	if err != nil {
+		return RawBatch{End: ls.pos}, streamErr(err)
+	}
+	recs, err := ls.s.Sample(max)
+	ls.pos += int64(len(recs))
+	if err != nil {
+		if len(recs) == 0 || errors.Is(err, sampleview.ErrStreamClosed) {
+			return RawBatch{End: ls.pos}, streamErr(err)
+		}
+		// A partial batch rode ahead of the failure. Deliver it — the
+		// records are valid and acknowledged batches must never be dropped.
+		// A transient fault needs nothing more: the stream made no further
+		// progress and the next pull resumes at the faulted stab. A hard
+		// failure is kept so the typed error surfaces on the stream's next
+		// pull instead of vanishing.
+		if !sampleview.IsTransient(err) {
+			ls.deferred = err
+		}
+	}
+	eof := err == nil && len(recs) < max
+	body := BatchResp{EOF: eof, Records: recs, Pos: ls.pos}.AppendTo(dst)
+	return RawBatch{Body: body, N: len(recs), EOF: eof, End: ls.pos}, nil
+}
+
+func (ls *localStream) Close() error { return ls.s.Close() }
+
+func (ls *localStream) Clock() (used, now time.Duration) { return ls.s.SimNow(), ls.view.SimNow() }

@@ -8,74 +8,42 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sampleview"
 )
 
-// servedStream is one open stream of one session. The underlying view
-// stream (unsharded or sharded) is internally synchronized, so the request
-// path and the idle reaper may race on it freely; lastActive and simSeen
-// are atomics for the same reason.
+// servedStream is one open stream of one session. The Endpoint's stream is
+// internally synchronized, so the request path and the idle reaper may race
+// on it freely; lastActive and simSeen are atomics for the same reason.
 type servedStream struct {
-	id   uint32
-	view *servedView
-	s    ViewStream
-	// lastActive is the view's simulated time (nanoseconds) when the stream
-	// last served a request; the reaper compares it against the view's
-	// current simulated clock.
+	s EndpointStream
+	// lastActive is the simulated time (nanoseconds) of what the stream
+	// samples when it last served a request; the reaper compares it against
+	// that clock's current reading.
 	lastActive atomic.Int64
 	// simSeen is the portion of the stream's own simulated I/O time already
-	// folded into the session and server counters.
+	// folded into the session and engine counters.
 	simSeen atomic.Int64
-	// pos is the stream's position: records served (or skipped by a seeded
-	// open's fast-forward) so far. Exported in every batch response — it is
-	// the canonical resume point a fleet router migrates and hedges on.
-	pos atomic.Int64
-
-	// deferredMu guards deferred.
-	deferredMu sync.Mutex
-	// deferred is a hard stream failure observed while a partial batch was
-	// being delivered; it is surfaced as a typed error frame on the
-	// stream's next request so the records already sampled are never
-	// dropped and the failure is never lost.
-	deferred error // guarded by deferredMu
+	// pos is the stream's position: records served (or skipped by a
+	// fast-forward) so far, the canonical resume point a fleet router migrates
+	// and hedges on. Only the session's goroutine touches it.
+	pos int64
 }
 
-// stashErr defers a stream failure to the stream's next request.
-func (st *servedStream) stashErr(err error) {
-	st.deferredMu.Lock()
-	st.deferred = err
-	st.deferredMu.Unlock()
-}
-
-// takeErr pops the deferred failure, if any.
-func (st *servedStream) takeErr() error {
-	st.deferredMu.Lock()
-	defer st.deferredMu.Unlock()
-	err := st.deferred
-	st.deferred = nil
-	return err
-}
-
-// touch stamps the stream as active now (in its view's simulated time).
-func (st *servedStream) touch() { st.lastActive.Store(int64(st.view.v.SimNow())) }
-
-// chargeSim folds the stream's not-yet-accounted simulated I/O time into
-// the session and server counters and returns the delta.
-func (st *servedStream) chargeSim(sess *session) {
-	now := int64(st.s.SimNow())
-	prev := st.simSeen.Swap(now)
-	if d := now - prev; d > 0 {
+// charge stamps the stream as active now and folds its not-yet-accounted
+// simulated I/O time into the session and engine counters.
+func (st *servedStream) charge(sess *session) {
+	used, now := st.s.Clock()
+	st.lastActive.Store(int64(now))
+	if d := int64(used) - st.simSeen.Swap(int64(used)); d > 0 {
 		sess.counters.SimIONanos.Add(d)
-		sess.srv.stats.SimIONanos.Add(d)
+		sess.eng.stats.SimIONanos.Add(d)
 	}
 }
 
-// session is the per-connection server state: the stream registry, the
+// session is the per-connection engine state: the stream registry, the
 // per-session counter slice, and the drain handshake with Shutdown.
 type session struct {
 	id   uint64
-	srv  *Server
+	eng  *Engine
 	conn net.Conn
 
 	// busy is held for the full handling of one request, from after the
@@ -110,11 +78,14 @@ func (sess *session) tenantKey() (string, bool) {
 	if sess.tenant != "" {
 		return tenantKeyFor(sess.tenant), true
 	}
-	return fmt.Sprintf("conn:%d", sess.id), false
+	return sess.connKey(), false
 }
 
+// connKey is the accounting key of a session that has set no tenant.
+func (sess *session) connKey() string { return fmt.Sprintf("conn:%d", sess.id) }
+
 // countingConn counts bytes crossing the wire into both the session's and
-// the server's counters.
+// the engine's counters.
 type countingConn struct {
 	net.Conn
 	sess *session
@@ -124,7 +95,7 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
 		c.sess.counters.BytesRead.Add(int64(n))
-		c.sess.srv.stats.BytesRead.Add(int64(n))
+		c.sess.eng.stats.BytesRead.Add(int64(n))
 	}
 	return n, err
 }
@@ -133,33 +104,32 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	if n > 0 {
 		c.sess.counters.BytesWritten.Add(int64(n))
-		c.sess.srv.stats.BytesWritten.Add(int64(n))
+		c.sess.eng.stats.BytesWritten.Add(int64(n))
 	}
 	return n, err
 }
 
 // serveConn runs one connection's request loop until the peer disconnects,
-// a protocol error occurs, or the server drains.
-func (s *Server) serveConn(nc net.Conn) {
-	defer s.wg.Done()
+// a protocol error occurs, or the engine drains.
+func (e *Engine) serveConn(nc net.Conn) {
+	defer e.wg.Done()
 	defer nc.Close()
 	sess := &session{
-		srv:     s,
+		eng:     e,
 		conn:    nc,
 		streams: make(map[uint32]*servedStream),
 		reaped:  make(map[uint32]struct{}),
 	}
-	if !s.register(sess) {
+	cc := &countingConn{Conn: nc, sess: sess}
+	if !e.register(sess) {
 		// Raced with Shutdown: refuse politely and hang up.
-		s.stats.ConnsRejected.Add(1)
-		cc := &countingConn{Conn: nc, sess: sess}
+		e.stats.ConnsRejected.Add(1)
 		frame, _ := AppendFrame(nil, FError, ErrorResp{Code: CodeShuttingDown, Msg: "server shutting down"}.Encode())
 		_, _ = cc.Write(frame) // best effort: the peer is being turned away either way
 		return
 	}
-	defer s.unregister(sess)
+	defer e.unregister(sess)
 
-	cc := &countingConn{Conn: nc, sess: sess}
 	// One reader per connection: it arms the per-request deadline the moment
 	// a frame header arrives — from then on the payload read, the handling
 	// and the response write all race the same RequestTimeout budget.
@@ -173,29 +143,27 @@ func (s *Server) serveConn(nc net.Conn) {
 			// Only protocol violations count as bad frames; disconnects and
 			// drain-triggered closes are ordinary transport events.
 			if errors.Is(err, errFrameLength) {
-				s.stats.BadFrames.Add(1)
+				e.stats.BadFrames.Add(1)
 			}
 			return
 		}
 		sess.busy.Lock()
-		s.inFlight.Add(1)
+		e.inFlight.Add(1)
 		frame, werr := sess.respond(t, body)
 		if werr == nil {
 			_, werr = cc.Write(frame)
 		}
-		idle := s.inFlight.Add(-1) == 0
+		idle := e.inFlight.Add(-1) == 0
 		sess.busy.Unlock()
 		if werr != nil {
 			return
 		}
 		sess.clearDeadline()
-		if s.isDraining() {
+		if e.isDraining() {
 			return
 		}
 		if idle {
-			// The burst just drained: give the catalog's background jobs
-			// (compaction, checksum scrubs) their window.
-			s.runMaintenance()
+			e.ep.Idle()
 		}
 	}
 }
@@ -215,19 +183,12 @@ func (sess *session) frame(t FrameType, body []byte) ([]byte, error) {
 	return sess.keep(frame), err
 }
 
-// batchFrame encodes a batch response — the one response of any size —
-// header and body at once, each record marshalled where it goes out from.
-func (sess *session) batchFrame(m BatchResp) ([]byte, error) {
-	frame := m.AppendTo(append(sess.wbuf[:0], 0, 0, 0, 0, byte(FBatch)))
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-headerSize))
-	return sess.keep(frame), nil
-}
-
 // keep makes frame's memory the connection's write buffer, unless the frame
 // was one of the rare ones past KeepBuf.
 func (sess *session) keep(frame []byte) []byte {
-	if cap(frame) <= KeepBuf {
-		sess.wbuf = frame
+	sess.wbuf = frame
+	if cap(frame) > KeepBuf {
+		sess.wbuf = nil
 	}
 	return frame
 }
@@ -237,7 +198,7 @@ func (sess *session) keep(frame []byte) []byte {
 // loop against peers that stall mid-frame or stop draining responses,
 // failure modes the simulated disk clock cannot observe.
 func (sess *session) armDeadline() {
-	if d := sess.srv.cfg.RequestTimeout; d > 0 {
+	if d := sess.eng.cfg.RequestTimeout; d > 0 {
 		_ = sess.conn.SetDeadline(time.Now().Add(d))
 	}
 }
@@ -245,7 +206,7 @@ func (sess *session) armDeadline() {
 // clearDeadline removes the per-request wall clock deadline once the
 // response has been flushed.
 func (sess *session) clearDeadline() {
-	if sess.srv.cfg.RequestTimeout > 0 {
+	if sess.eng.cfg.RequestTimeout > 0 {
 		_ = sess.conn.SetDeadline(time.Time{})
 	}
 }
@@ -274,537 +235,338 @@ func (sess *session) handle(t FrameType, body []byte) (FrameType, []byte) {
 		return sess.handleFlushView(body)
 	case FSetTenant:
 		return sess.handleSetTenant(body)
-	case FReplicaInfo:
+	case FReplicaInfo, FListViews:
 		if len(body) != 0 {
-			sess.srv.stats.BadFrames.Add(1)
-			return reject(sess, CodeBadRequest, errTrailing.Error())
+			return sess.badFrame(errTrailing.Error())
 		}
-		return FReplicaInfoResult, sess.srv.replicaInfo().Encode()
-	case FListViews:
-		if len(body) != 0 {
-			sess.srv.stats.BadFrames.Add(1)
-			return reject(sess, CodeBadRequest, errTrailing.Error())
+		if t == FReplicaInfo {
+			return sess.handleReplicaInfo()
 		}
-		return FViewList, ViewListResp{Views: sess.srv.listViews()}.Encode()
+		views, err := sess.eng.ep.ListViews()
+		if err != nil {
+			return sess.fail(err)
+		}
+		return FViewList, ViewListResp{Views: views}.Encode()
 	case FStats:
-		return FStatsResult, sess.srv.Snapshot().Encode()
+		return FStatsResult, sess.eng.Snapshot().Encode()
 	default:
-		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, "unknown frame type "+t.String())
+		return sess.badFrame("unknown frame type " + t.String())
 	}
 }
 
-// reject builds a typed error response, counting it against the session.
-func reject(sess *session, code uint16, msg string) (FrameType, []byte) {
+// reject builds a typed error response, counting it against the session and,
+// by code, against the engine.
+func (sess *session) reject(code uint16, msg string) (FrameType, []byte) {
 	sess.counters.Rejections.Add(1)
+	if sent := sess.eng.stats.errorsSent[:]; int(code) < len(sent) {
+		sent[code].Add(1)
+	}
 	return FError, ErrorResp{Code: code, Msg: msg}.Encode()
 }
 
-// classifyStreamErr maps a view-layer stream failure to its wire code,
-// counting fault frames in the server stats.
-func (sess *session) classifyStreamErr(err error) uint16 {
-	switch {
-	case sampleview.IsTransient(err):
-		sess.srv.stats.TransientErrors.Add(1)
-		return CodeTransient
-	case sampleview.IsDegraded(err):
-		sess.srv.stats.DegradedErrors.Add(1)
-		return CodeDegraded
-	default:
-		return CodeInternal
+// fail rejects with an Endpoint's failure: a typed one under its own code
+// and message, anything else as CodeInternal.
+func (sess *session) fail(err error) (FrameType, []byte) {
+	if se, ok := err.(*Error); ok {
+		return sess.reject(se.Code, se.Msg)
 	}
+	return sess.reject(CodeInternal, err.Error())
+}
+
+// badFrame counts and rejects a request that is not in the protocol: a body
+// that does not decode, or a frame type that is no request.
+func (sess *session) badFrame(msg string) (FrameType, []byte) {
+	sess.eng.stats.BadFrames.Add(1)
+	return sess.reject(CodeBadRequest, msg)
 }
 
 func (sess *session) handleOpenView(body []byte) (FrameType, []byte) {
 	req, err := DecodeOpenViewReq(body)
 	if err != nil {
-		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, err.Error())
+		return sess.badFrame(err.Error())
 	}
-	sv, ok := sess.srv.lookupView(req.Name)
-	if !ok {
-		return reject(sess, CodeUnknownView, "no served view named "+req.Name)
+	info, err := sess.eng.ep.OpenView(req.Name)
+	if err != nil {
+		return sess.fail(err)
 	}
-	return FViewInfo, ViewInfo{
-		ViewID: sv.id,
-		Dims:   uint8(sv.v.Dims()),
-		Height: uint8(sv.v.Height()),
-		Count:  sv.v.Count(),
+	return FViewInfo, info.Encode()
+}
+
+func (sess *session) handleReplicaInfo() (FrameType, []byte) {
+	e := sess.eng
+	id, maxStreams := e.ep.Identity()
+	e.mu.Lock()
+	open, draining := e.openStreams, e.draining
+	e.mu.Unlock()
+	return FReplicaInfoResult, ReplicaInfoResp{
+		ReplicaID:   id,
+		OpenStreams: uint32(open),
+		MaxStreams:  uint32(maxStreams),
+		Draining:    draining,
 	}.Encode()
 }
 
 func (sess *session) handleSetTenant(body []byte) (FrameType, []byte) {
 	req, err := DecodeSetTenantReq(body)
 	if err != nil {
-		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, err.Error())
+		return sess.badFrame(err.Error())
 	}
 	if req.Tenant == "" {
-		return reject(sess, CodeBadRequest, "empty tenant name")
+		return sess.reject(CodeBadRequest, "empty tenant name")
 	}
 	sess.mu.Lock()
 	switch {
 	case sess.tenant == req.Tenant:
 		sess.mu.Unlock() // idempotent re-attribution
-		return FTenantOK, SetTenantReq{Tenant: req.Tenant}.Encode()
+		return FTenantOK, req.Encode()
 	case sess.tenant != "":
 		sess.mu.Unlock()
-		return reject(sess, CodeBadRequest, "connection already attributed to tenant "+sess.tenant)
+		return sess.reject(CodeBadRequest, "connection already attributed to tenant "+sess.tenant)
 	case sess.nextStream > 0:
 		// Streams (and their quota slots) were already accounted under the
 		// per-connection key; re-attributing them mid-flight would corrupt
 		// both tallies.
 		sess.mu.Unlock()
-		return reject(sess, CodeBadRequest, "set-tenant must precede the connection's first stream")
+		return sess.reject(CodeBadRequest, "set-tenant must precede the connection's first stream")
 	}
 	sess.tenant = req.Tenant
 	sess.mu.Unlock()
-	sess.srv.attributeTenant(req.Tenant)
-	return FTenantOK, SetTenantReq{Tenant: req.Tenant}.Encode()
+	// Nothing holds the per-connection key any more: drop the bucket a write
+	// or a refused open may have made under it.
+	e := sess.eng
+	e.dropTenant(sess.connKey(), false)
+	e.mu.Lock()
+	e.tenantLocked(tenantKeyFor(req.Tenant)).conns++
+	e.mu.Unlock()
+	return FTenantOK, req.Encode()
 }
 
 func (sess *session) handleOpenStream(body []byte) (FrameType, []byte) {
 	req, err := DecodeOpenStreamReq(body)
 	if err != nil {
-		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, err.Error())
+		return sess.badFrame(err.Error())
 	}
-	sv, ok := sess.srv.lookupViewID(req.ViewID)
-	if !ok {
-		return reject(sess, CodeUnknownView, "unknown view id")
-	}
-	if req.Query.Dims() != sv.v.Dims() {
-		return reject(sess, CodeBadRequest, "query dimensions do not match the view")
-	}
-	var seeded SeededSource
-	if req.Seeded {
-		if seeded, ok = sv.v.(SeededSource); !ok {
-			return reject(sess, CodeBadRequest, "view "+sv.name+" does not support seeded streams")
-		}
-	}
-
+	e := sess.eng
 	key, _ := sess.tenantKey()
-	code, ok := sess.srv.admitStream(key)
-	if !ok && code == CodeServerStreams {
-		// The server-wide cap is the one moment idle streams matter: reap
+	rej := e.admitStream(key)
+	if rej != nil && rej.Code == CodeServerStreams {
+		// The engine-wide cap is the one moment idle streams matter: reap
 		// abandoned ones and retry, so a saturated server sheds dead weight
 		// before rejecting live traffic. Reaping never runs uncontended —
 		// under heavy fan-in the shared simulated clock races far ahead of
 		// any single stream's activity, and an unconditional sweep would
 		// collect streams that are merely waiting their turn.
-		sess.srv.reapIdle()
-		code, ok = sess.srv.admitStream(key)
+		e.reapIdle()
+		rej = e.admitStream(key)
 	}
-	if !ok {
-		switch code {
-		case CodeServerStreams:
-			sess.srv.stats.RejectedServer.Add(1)
-			return reject(sess, code, "server stream limit reached")
-		case CodeTenantStreams:
-			sess.srv.stats.RejectedTenant.Add(1)
-			return reject(sess, code, "tenant stream limit reached")
-		default:
-			sess.srv.stats.RejectedDrain.Add(1)
-			return reject(sess, code, "server shutting down")
-		}
+	if rej != nil {
+		return sess.fail(rej)
 	}
-	if !sess.claimConnSlot() {
-		sess.srv.releaseStreams(key, 1)
-		sess.srv.stats.RejectedConn.Add(1)
-		return reject(sess, CodeConnStreams, "connection stream limit reached")
+	sess.mu.Lock()
+	tenant := sess.tenant
+	connFull := e.cfg.MaxStreamsPerConn > 0 && len(sess.streams) >= e.cfg.MaxStreamsPerConn
+	sess.mu.Unlock()
+	if connFull {
+		e.releaseStreams(key, 1)
+		return sess.reject(CodeConnStreams, "connection stream limit reached")
 	}
-
-	var stream ViewStream
-	if req.Seeded {
-		stream, err = seeded.OpenStreamSeeded(req.Query, req.Seed)
-	} else {
-		stream, err = sv.v.OpenStream(req.Query)
-	}
+	s, err := e.ep.OpenStream(tenant, key, req)
 	if err != nil {
-		sess.srv.releaseStreams(key, 1)
-		// Opening a stream on a view with a live write path scans delta
-		// pages, so storage faults can strike here too: type them the same
-		// way batch failures are, so clients retry transients and tolerate
-		// degradation instead of treating the open as a server bug.
-		return reject(sess, sess.classifyStreamErr(err), err.Error())
+		e.releaseStreams(key, 1)
+		return sess.fail(err)
 	}
-	st := &servedStream{view: sv, s: stream}
-	if req.Seeded && req.StartPos > 0 {
-		// A migrated or hedged stream resumes mid-sequence: fast-forward
-		// past the prefix the client already holds before registering the
-		// stream. A failure here closes the stream and surfaces typed, so
-		// the router can retry the open elsewhere.
-		if err := st.skipTo(req.StartPos); err != nil {
-			st.s.Close()
-			sess.srv.releaseStreams(key, 1)
-			return reject(sess, sess.classifyStreamErr(err), err.Error())
-		}
+	st := &servedStream{s: s}
+	if req.Seeded {
+		st.pos = req.StartPos
 	}
-	st.touch()
+	st.charge(sess)
 	sess.mu.Lock()
 	sess.nextStream++
-	st.id = sess.nextStream
-	sess.streams[st.id] = st
+	id := sess.nextStream
+	sess.streams[id] = st
 	sess.mu.Unlock()
 	sess.counters.StreamsOpened.Add(1)
-	sess.srv.stats.StreamsOpened.Add(1)
-	return FStreamOpened, StreamOpened{StreamID: st.id}.Encode()
+	e.stats.StreamsOpened.Add(1)
+	return FStreamOpened, StreamOpened{StreamID: id}.Encode()
 }
 
-// skipTo fast-forwards the stream to position target by sampling and
-// discarding. Positions already passed are never revisited; a predicate
-// that exhausts before target simply leaves the stream at its end. The
-// position advances through partial progress, so a transient fault leaves
-// the skip resumable exactly where it struck.
-func (st *servedStream) skipTo(target int64) error {
-	for {
-		cur := st.pos.Load()
-		if cur >= target {
-			return nil
-		}
-		// The stream lends its batch buffer and keeps it: skip batch-sized.
-		chunk := min(target-cur, 512)
-		recs, err := st.s.Sample(int(chunk))
-		st.pos.Add(int64(len(recs)))
-		if err != nil {
-			return err
-		}
-		if int64(len(recs)) < chunk {
-			return nil // exhausted before target
-		}
-	}
-}
-
-// claimConnSlot reports whether the connection has a stream slot free (slots
-// are tracked by the stream map's size, so there is nothing to give back).
-func (sess *session) claimConnSlot() bool {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return len(sess.streams) < sess.srv.cfg.MaxStreamsPerConn
-}
-
-func (sess *session) lookupStream(id uint32) (*servedStream, bool, bool) {
+// removeStream unregisters a stream and reports whether it was present.
+func (sess *session) removeStream(id uint32) (*servedStream, bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	st, ok := sess.streams[id]
-	_, wasReaped := sess.reaped[id]
-	return st, ok, wasReaped
-}
-
-// removeStream unregisters a stream, optionally leaving a reaped tombstone,
-// and reports whether it was present.
-func (sess *session) removeStream(id uint32, asReaped bool) (*servedStream, bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	st, ok := sess.streams[id]
-	if !ok {
-		return nil, false
-	}
 	delete(sess.streams, id)
-	if asReaped {
-		sess.reaped[id] = struct{}{}
-	}
-	return st, true
+	return st, ok
 }
 
-// handleNextBatch serves one batch pull. The records Sample returns are lent
-// by the stream until its next Sample, and are encoded into the response
-// frame before this returns — the only use made of them.
+// retire closes a stream the client cancelled or drained and frees its
+// admission slot.
+func (sess *session) retire(st *servedStream) {
+	st.charge(sess)
+	st.s.Close()
+	sess.counters.StreamsClosed.Add(1)
+	sess.eng.stats.StreamsClosed.Add(1)
+	key, _ := sess.tenantKey()
+	sess.eng.releaseStreams(key, 1)
+}
+
+// handleNextBatch serves one batch pull: the stream appends the batch body
+// straight behind the frame header in the connection's write buffer.
 func (sess *session) handleNextBatch(body []byte) ([]byte, error) {
 	req, err := DecodeNextBatchReq(body)
 	if err != nil {
-		sess.srv.stats.BadFrames.Add(1)
-		return sess.frame(reject(sess, CodeBadRequest, err.Error()))
+		return sess.frame(sess.badFrame(err.Error()))
 	}
-	st, ok, wasReaped := sess.lookupStream(req.StreamID)
+	sess.mu.Lock()
+	st, ok := sess.streams[req.StreamID]
+	_, wasReaped := sess.reaped[req.StreamID]
+	sess.mu.Unlock()
 	if !ok {
 		if wasReaped {
-			return sess.frame(reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout"))
+			return sess.frame(sess.reject(CodeStreamReaped, "stream reaped after simulated-clock idle timeout"))
 		}
-		return sess.frame(reject(sess, CodeUnknownStream, "unknown stream id"))
+		return sess.frame(sess.reject(CodeUnknownStream, "unknown stream id"))
 	}
-	if derr := st.takeErr(); derr != nil {
-		return sess.frame(reject(sess, sess.classifyStreamErr(derr), derr.Error()))
-	}
+	pos := st.pos
 	if req.Pos >= 0 {
 		// Position-checked pull: samples are served exactly once, so a
 		// request behind the stream is unservable — the caller must reopen
 		// at the position it wants. A request ahead of the stream (the
 		// losing half of a hedged pair, reconciling) fast-forwards: the
 		// skipped records were already delivered by the other replica.
-		cur := st.pos.Load()
-		if req.Pos < cur {
-			return sess.frame(reject(sess, CodeStreamPosition, fmt.Sprintf(
-				"stream at position %d, requested position %d is behind it", cur, req.Pos)))
+		if req.Pos < pos {
+			return sess.frame(sess.reject(CodeStreamPosition, fmt.Sprintf(
+				"stream at position %d, requested position %d is behind it", pos, req.Pos)))
 		}
-		if req.Pos > cur {
-			if err := st.skipTo(req.Pos); err != nil {
-				st.chargeSim(sess)
-				st.touch()
-				if errors.Is(err, sampleview.ErrStreamClosed) {
-					sess.removeStream(req.StreamID, true)
-					return sess.frame(reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout"))
-				}
-				return sess.frame(reject(sess, sess.classifyStreamErr(err), err.Error()))
-			}
-		}
+		pos = req.Pos
 	}
 	max := int(req.Max)
-	if max <= 0 || max > sess.srv.cfg.MaxBatch {
-		max = sess.srv.cfg.MaxBatch
+	if max <= 0 || max > sess.eng.cfg.MaxBatch {
+		max = sess.eng.cfg.MaxBatch
 	}
-	recs, err := st.s.Sample(max)
-	st.chargeSim(sess)
-	st.touch()
-	pos := st.pos.Add(int64(len(recs)))
+	dst := append(sess.wbuf[:0], 0, 0, 0, 0, byte(FBatch))
+	sess.wbuf = nil // the stream's now; what comes back is kept
+	rb, err := st.s.Pull(dst, pos, max)
+	st.charge(sess)
+	if rb.End > st.pos {
+		st.pos = rb.End
+	}
 	if err != nil {
-		if errors.Is(err, sampleview.ErrStreamClosed) {
-			// Lost a race with the reaper between lookup and Sample.
-			sess.removeStream(req.StreamID, true)
-			return sess.frame(reject(sess, CodeStreamReaped, "stream reaped after simulated-clock idle timeout"))
-		}
-		if len(recs) == 0 {
-			return sess.frame(reject(sess, sess.classifyStreamErr(err), err.Error()))
-		}
-		// A partial batch rode ahead of the failure. Deliver it — the
-		// records are valid and acknowledged batches must never be dropped.
-		// A transient fault needs nothing more: the stream made no further
-		// progress and the next pull resumes at the faulted stab. A hard
-		// failure is stashed so the typed error surfaces on the stream's
-		// next request instead of vanishing.
-		if !sampleview.IsTransient(err) {
-			st.stashErr(err)
-		}
-		sess.counters.Batches.Add(1)
-		sess.counters.Records.Add(int64(len(recs)))
-		sess.srv.stats.BatchesServed.Add(1)
-		sess.srv.stats.RecordsServed.Add(int64(len(recs)))
-		return sess.batchFrame(BatchResp{StreamID: req.StreamID, EOF: false, Records: recs, Pos: pos})
+		return sess.frame(sess.fail(err))
 	}
-	eof := len(recs) < max
-	if eof {
-		// The predicate is exhausted: retire the stream and free its
+	if rb.EOF {
+		// The sequence is exhausted: retire the stream and free its
 		// admission slot without waiting for a cancel.
-		if _, ok := sess.removeStream(req.StreamID, false); ok {
-			st.s.Close()
-			sess.counters.StreamsClosed.Add(1)
-			sess.srv.stats.StreamsClosed.Add(1)
-			key, _ := sess.tenantKey()
-			sess.srv.releaseStreams(key, 1)
+		if _, ok := sess.removeStream(req.StreamID); ok {
+			sess.retire(st)
 		}
 	}
 	sess.counters.Batches.Add(1)
-	sess.counters.Records.Add(int64(len(recs)))
-	sess.srv.stats.BatchesServed.Add(1)
-	sess.srv.stats.RecordsServed.Add(int64(len(recs)))
-	return sess.batchFrame(BatchResp{StreamID: req.StreamID, EOF: eof, Records: recs, Pos: pos})
+	sess.counters.Records.Add(int64(rb.N))
+	sess.eng.stats.BatchesServed.Add(1)
+	sess.eng.stats.RecordsServed.Add(int64(rb.N))
+	frame := rb.Body
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-headerSize))
+	SetBatchStream(frame[headerSize+1:], req.StreamID)
+	return sess.keep(frame), nil
 }
 
 func (sess *session) handleEstimate(body []byte) (FrameType, []byte) {
 	req, err := DecodeEstimateReq(body)
 	if err != nil {
-		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, err.Error())
+		return sess.badFrame(err.Error())
 	}
-	sv, ok := sess.srv.lookupViewID(req.ViewID)
-	if !ok {
-		return reject(sess, CodeUnknownView, "unknown view id")
-	}
-	if req.Query.Dims() != sv.v.Dims() {
-		return reject(sess, CodeBadRequest, "query dimensions do not match the view")
-	}
-	est, err := sv.v.EstimateCount(req.Query)
+	est, err := sess.eng.ep.Estimate(req)
 	if err != nil {
-		return reject(sess, sess.classifyStreamErr(err), err.Error())
+		return sess.fail(err)
 	}
-	sess.srv.stats.EstimatesServed.Add(1)
+	sess.eng.stats.EstimatesServed.Add(1)
 	return FEstimateResult, EstimateResp{Count: est}.Encode()
 }
 
-// admitWrite runs write-path admission for n incoming entries against sv:
-// the source must be writable, and its in-memory buffer (records plus
-// pending tombstones) must have room under the server's backlog cap. It
-// returns the writable surface, or a rejection code and message.
-func (sess *session) admitWrite(sv *servedView, n int) (WritableSource, uint16, string) {
-	w, ok := sv.v.(WritableSource)
-	if !ok {
-		return nil, CodeReadOnly, "view " + sv.name + " is read-only"
-	}
-	if n > 0 {
-		ws := w.WriteStats()
-		backlog := ws.MemViewRecords + ws.MemViewTombstones
-		if backlog+int64(n) > int64(sess.srv.cfg.MaxWriteBacklog) {
-			return nil, CodeWriteBacklog, fmt.Sprintf(
-				"write backlog %d + batch %d over cap %d; flush pending", backlog, n, sess.srv.cfg.MaxWriteBacklog)
-		}
-	}
-	return w, 0, ""
-}
-
-// rejectWrite is reject plus the write-rejection counter.
-func (sess *session) rejectWrite(code uint16, msg string) (FrameType, []byte) {
-	sess.srv.stats.RejectedWrites.Add(1)
-	return reject(sess, code, msg)
-}
-
-// admitRate draws n entries from the write-rate token bucket of the tenant
-// this session is attributed to (its own bucket when no tenant is set —
-// the pre-fleet per-connection behaviour).
-func (sess *session) admitRate(n int) bool {
-	key, _ := sess.tenantKey()
-	return sess.srv.admitRate(key, n)
-}
-
-// rejectThrottled is the typed write-rate rejection.
-func (sess *session) rejectThrottled(n int) (FrameType, []byte) {
-	sess.srv.stats.RejectedThrottle.Add(1)
-	return reject(sess, CodeWriteThrottled, fmt.Sprintf(
-		"write rate limit: batch of %d exceeds the tenant's available tokens; retry after backoff", n))
-}
-
 // handleWrite serves an append (FAppend) or, the same wire shape, a batch of
-// tombstones (FDeleteRecs).
+// tombstones (FDeleteRecs), drawing on the write-rate bucket of the tenant
+// this session is attributed to (its own bucket when no tenant is set). A
+// batch the bucket refuses is rejected before the Endpoint sees it, so the
+// client can safely retry the identical batch.
 func (sess *session) handleWrite(t FrameType, body []byte) (FrameType, []byte) {
 	req, err := DecodeWriteReq(body)
 	if err != nil {
-		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, err.Error())
+		return sess.badFrame(err.Error())
 	}
-	sv, ok := sess.srv.lookupViewID(req.ViewID)
-	if !ok {
-		return reject(sess, CodeUnknownView, "unknown view id")
+	key, _ := sess.tenantKey()
+	if n := len(req.Records); !sess.eng.admitRate(key, n) {
+		return sess.reject(CodeWriteThrottled, fmt.Sprintf(
+			"write rate limit: batch of %d exceeds the tenant's available tokens; retry after backoff", n))
 	}
-	w, code, msg := sess.admitWrite(sv, len(req.Records))
-	if w == nil {
-		return sess.rejectWrite(code, msg)
-	}
-	if !sess.admitRate(len(req.Records)) {
-		return sess.rejectThrottled(len(req.Records))
-	}
-	verb, apply, applied, ack := "append", w.Insert, &sess.srv.stats.RecordsIngested, FAppendOK
+	applied, ack := &sess.eng.stats.RecordsIngested, FAppendOK
 	if t == FDeleteRecs {
-		verb, apply, applied, ack = "delete", w.Delete, &sess.srv.stats.RecordsDeleted, FDeleteOK
+		applied, ack = &sess.eng.stats.RecordsDeleted, FDeleteOK
 	}
-	// Entries are applied in order; the first failure stops the batch and
-	// reports it, with the count applied telling the client how far the
-	// batch got (the earlier entries are already in the memview).
-	for i := range req.Records {
-		if err := apply(req.Records[i]); err != nil {
-			applied.Add(int64(i))
-			return reject(sess, CodeInternal, fmt.Sprintf("%s record %d of %d: %v", verb, i, len(req.Records), err))
-		}
+	n, err := sess.eng.ep.Write(t, req)
+	applied.Add(int64(n))
+	if err != nil {
+		return sess.fail(err)
 	}
-	// The ack is a durability promise: group-commit the batch before
-	// sending it, so an acked append or tombstone survives a crash.
-	if err := w.Commit(); err != nil {
-		return reject(sess, CodeInternal, fmt.Sprintf("%s commit: %v", verb, err))
-	}
-	applied.Add(int64(len(req.Records)))
-	return ack, WriteAck{ViewID: req.ViewID, N: uint32(len(req.Records))}.Encode()
+	return ack, WriteAck{ViewID: req.ViewID, N: n}.Encode()
 }
 
 func (sess *session) handleFlushView(body []byte) (FrameType, []byte) {
 	req, err := DecodeFlushViewReq(body)
 	if err != nil {
-		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, err.Error())
+		return sess.badFrame(err.Error())
 	}
-	sv, ok := sess.srv.lookupViewID(req.ViewID)
-	if !ok {
-		return reject(sess, CodeUnknownView, "unknown view id")
+	n, err := sess.eng.ep.Flush(req.ViewID)
+	if err != nil {
+		return sess.fail(err)
 	}
-	w, code, msg := sess.admitWrite(sv, 0)
-	if w == nil {
-		return sess.rejectWrite(code, msg)
-	}
-	ws := w.WriteStats()
-	buffered := ws.MemViewRecords + ws.MemViewTombstones
-	if err := w.Flush(); err != nil {
-		code := CodeInternal
-		if sampleview.IsTransient(err) {
-			sess.srv.stats.TransientErrors.Add(1)
-			code = CodeTransient
-		}
-		return reject(sess, code, err.Error())
-	}
-	sess.srv.stats.FlushesServed.Add(1)
-	n := uint32(buffered)
-	if buffered < 0 || buffered > int64(^uint32(0)) {
-		n = 0
-	}
+	sess.eng.stats.FlushesServed.Add(1)
 	return FFlushOK, WriteAck{ViewID: req.ViewID, N: n}.Encode()
 }
 
 func (sess *session) handleCancel(body []byte) (FrameType, []byte) {
 	req, err := DecodeCancelReq(body)
 	if err != nil {
-		sess.srv.stats.BadFrames.Add(1)
-		return reject(sess, CodeBadRequest, err.Error())
+		return sess.badFrame(err.Error())
 	}
-	st, ok := sess.removeStream(req.StreamID, false)
+	st, ok := sess.removeStream(req.StreamID)
 	if !ok {
 		// Idempotent against the reaper and EOF auto-close: cancelling a
 		// stream that is already gone succeeds.
 		sess.mu.Lock()
-		_, wasKnown := sess.reaped[req.StreamID]
-		known := wasKnown || req.StreamID != 0 && req.StreamID <= sess.nextStream
+		known := req.StreamID != 0 && req.StreamID <= sess.nextStream
 		sess.mu.Unlock()
-		if known {
-			return FCancelOK, CancelReq{StreamID: req.StreamID}.Encode()
+		if !known {
+			return sess.reject(CodeUnknownStream, "unknown stream id")
 		}
-		return reject(sess, CodeUnknownStream, "unknown stream id")
+	} else {
+		sess.retire(st)
 	}
-	st.chargeSim(sess)
-	st.s.Close()
-	sess.counters.StreamsClosed.Add(1)
-	sess.srv.stats.StreamsClosed.Add(1)
-	key, _ := sess.tenantKey()
-	sess.srv.releaseStreams(key, 1)
-	return FCancelOK, CancelReq{StreamID: req.StreamID}.Encode()
+	return FCancelOK, req.Encode()
 }
 
-// reapIdle closes this session's streams that are idle past d on their
-// view's simulated clock and returns how many it reaped.
-func (sess *session) reapIdle(d time.Duration) int {
+// closeStreams unregisters the session's streams that doomed picks (all of
+// them when nil: the session is over), leaving a reaped tombstone for each
+// when asReaped, closes them, and returns how many admission slots to
+// release.
+func (sess *session) closeStreams(doomed func(*servedStream) bool, asReaped bool) int {
 	sess.mu.Lock()
 	var victims []*servedStream
 	for id, st := range sess.streams {
-		if time.Duration(int64(st.view.v.SimNow())-st.lastActive.Load()) > d {
+		if doomed == nil || doomed(st) {
 			victims = append(victims, st)
 			delete(sess.streams, id)
-			sess.reaped[id] = struct{}{}
+			if asReaped {
+				sess.reaped[id] = struct{}{}
+			}
 		}
 	}
 	sess.mu.Unlock()
 	for _, st := range victims {
-		st.chargeSim(sess)
+		st.charge(sess)
 		st.s.Close()
 	}
-	if n := int64(len(victims)); n > 0 {
-		sess.counters.StreamsReaped.Add(n)
-		sess.counters.StreamsClosed.Add(n)
-	}
-	return len(victims)
-}
-
-// closeAllStreams tears down every stream at session exit and returns how
-// many server-wide slots to release.
-func (sess *session) closeAllStreams() int {
-	sess.mu.Lock()
-	victims := make([]*servedStream, 0, len(sess.streams))
-	for id, st := range sess.streams {
-		victims = append(victims, st)
-		delete(sess.streams, id)
-	}
-	sess.mu.Unlock()
-	for _, st := range victims {
-		st.chargeSim(sess)
-		st.s.Close()
-	}
-	if n := int64(len(victims)); n > 0 {
-		sess.counters.StreamsClosed.Add(n)
-		sess.srv.stats.StreamsClosed.Add(n)
-	}
+	sess.counters.StreamsClosed.Add(int64(len(victims)))
 	return len(victims)
 }
 

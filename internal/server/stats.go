@@ -7,40 +7,7 @@ import (
 	"time"
 )
 
-// serverCounters is the server's live counter set. All fields are atomics:
-// the hot request path updates them without taking the server lock, and
-// sums commute, so snapshots are consistent enough for observability
-// without stalling serving.
-type serverCounters struct {
-	ConnsAccepted    atomic.Int64
-	ConnsClosed      atomic.Int64
-	ConnsRejected    atomic.Int64
-	StreamsOpened    atomic.Int64
-	StreamsClosed    atomic.Int64 // cancel + EOF + session teardown
-	StreamsReaped    atomic.Int64
-	BatchesServed    atomic.Int64
-	RecordsServed    atomic.Int64
-	EstimatesServed  atomic.Int64
-	RejectedServer   atomic.Int64 // server-wide stream cap
-	RejectedConn     atomic.Int64 // per-connection stream cap
-	RejectedDrain    atomic.Int64 // refused because shutting down
-	BadFrames        atomic.Int64
-	BytesRead        atomic.Int64
-	BytesWritten     atomic.Int64
-	SimIONanos       atomic.Int64 // simulated I/O time charged by served streams
-	TransientErrors  atomic.Int64 // CodeTransient frames sent (storage retry budget exhausted)
-	DegradedErrors   atomic.Int64 // CodeDegraded frames sent (leaves permanently lost)
-	MaintJobs        atomic.Int64 // catalog background jobs run between request bursts
-	MaintJobErrors   atomic.Int64 // catalog background jobs that failed
-	RecordsIngested  atomic.Int64 // records accepted by append frames
-	RecordsDeleted   atomic.Int64 // tombstones recorded by delete frames
-	FlushesServed    atomic.Int64 // explicit flush frames honored
-	RejectedWrites   atomic.Int64 // CodeReadOnly + CodeWriteBacklog rejections
-	RejectedThrottle atomic.Int64 // CodeWriteThrottled rejections (rate admission)
-	RejectedTenant   atomic.Int64 // CodeTenantStreams rejections (per-tenant stream cap)
-}
-
-// sessionCounters is the per-session slice of the same surface.
+// sessionCounters is the per-session slice of the engine's counters.
 type sessionCounters struct {
 	StreamsOpened atomic.Int64
 	StreamsClosed atomic.Int64

@@ -178,13 +178,15 @@ func TestSeededOpenAtPosition(t *testing.T) {
 // server is unservable and rejects with CodeStreamPosition; and every
 // batch response carries the canonical resume position.
 func TestPullPositionContract(t *testing.T) {
-	recs := genRecords(6000, 9)
-	_, v, addr, _ := startServer(t, Config{MaxStreams: 64}, "sale", recs)
+	eachEndpoint(t, Config{MaxStreams: 64}, genRecords(6000, 9), testPullPositionContract)
+}
+
+func testPullPositionContract(t *testing.T, ep *served) {
 	q := record.Box1D(0, 1<<19)
 	const seed = 0xca11
-	want := localSeededSeq(t, v, q, seed)
+	want := localSeededSeq(t, ep.view, q, seed)
 
-	cl, err := Dial(addr)
+	cl, err := Dial(ep.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestPullPositionContract(t *testing.T) {
 	// fields PullAt read off it without decoding.
 	var raw []byte
 	pullAt := func(pos int64, max int) ([]record.Record, bool, int64, error) {
-		rb, err := rs.PullAt(pos, max, raw)
+		rb, err := rs.PullAt(pos, max, raw[:0])
 		if err != nil {
 			return nil, false, rb.End, err
 		}
