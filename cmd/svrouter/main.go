@@ -34,7 +34,7 @@ func main() {
 	var (
 		listen     = flag.String("listen", "127.0.0.1:7000", "address to listen on")
 		replicas   = flag.String("replicas", "", "comma-separated replica addresses (required)")
-		hedgeAfter = flag.Duration("hedge-after", 0, "hedge a batch pull against a second replica after this long (0 = never)")
+		hedgeAfter = flag.Duration("hedge-after", 0, "hedge a batch pull against a second replica after this long (0 = never; a hedged pull costs a goroutine hand-off an unhedged one does not)")
 		tenStreams = flag.Int("tenant-streams", 0, "fleet-wide open-stream cap per tenant (0 = fair share of fleet capacity)")
 		tenRate    = flag.Float64("tenant-write-rate", 0, "per-tenant write admission: sustained entries per second (0 = unlimited)")
 		tenBurst   = flag.Int("tenant-write-burst", 0, "per-tenant write admission: token-bucket burst capacity (0 = auto)")

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"sampleview/internal/server"
 )
@@ -25,9 +24,34 @@ func typed(err error) bool {
 	return ok
 }
 
+// OpenView resolves a view name against a live replica and assigns (or
+// reuses) the router's own id for it. The record count is the count at
+// resolution time; like a single server's view-info response it is a
+// snapshot, not a live gauge.
 func (r endpoint) OpenView(name string) (server.ViewInfo, error) {
-	id, meta, err := r.openRouterView(name)
-	return server.ViewInfo{ViewID: id, Dims: uint8(meta.dims), Height: uint8(meta.height), Count: meta.count}, err
+	lastErr := fmt.Errorf("fleet: no live replica to resolve view %q", name)
+	for _, rep := range r.liveReplicas() {
+		rv, err := r.sharedView(rep, name)
+		if err != nil {
+			if typed(err) {
+				return server.ViewInfo{}, err // unknown view: every replica agrees
+			}
+			lastErr = err
+			continue
+		}
+		r.mu.Lock()
+		i := 0
+		for i < len(r.views) && r.views[i].name != name {
+			i++
+		}
+		if i == len(r.views) {
+			r.views = append(r.views, &routerView{name: name})
+		}
+		r.views[i].dims.Store(int32(rv.Dims()))
+		r.mu.Unlock()
+		return server.ViewInfo{ViewID: uint32(i + 1), Dims: uint8(rv.Dims()), Height: uint8(rv.Height()), Count: rv.Count()}, nil
+	}
+	return server.ViewInfo{}, lastErr
 }
 
 func (r endpoint) OpenStream(tenant, key string, req server.OpenStreamReq) (server.EndpointStream, error) {
@@ -42,17 +66,13 @@ func (r endpoint) OpenStream(tenant, key string, req server.OpenStreamReq) (serv
 	if !req.Seeded {
 		seed, pos = r.streamSeed(), 0
 	}
-	st := &routedStream{r: r.Router, tenant: tenant, key: key, view: name, query: req.Query, seed: seed}
-	link, err := st.open(pos)
-	if err != nil {
+	st := &routedStream{r: r.Router, tenant: tenant, placeKey: key + "/" + name, view: name, query: req.Query, seed: seed}
+	if _, err := st.leg(false, nil, pos); err != nil {
 		if !typed(err) {
 			err = &server.Error{Code: server.CodeServerStreams, Msg: err.Error()}
 		}
 		return nil, err
 	}
-	st.mu.Lock()
-	st.primary = link
-	st.mu.Unlock()
 	return st, nil
 }
 
@@ -99,19 +119,18 @@ func (r endpoint) Flush(viewID uint32) (uint32, error) {
 // a follower that fails after the decider accepted is marked dead — it can
 // no longer be byte-identical with the fleet.
 func (r endpoint) fanOut(viewID uint32, apply func(*server.RemoteView) (int, error)) (uint32, error) {
-	name, _, err := r.viewByID(viewID)
+	v, err := r.viewByID(viewID)
 	if err != nil {
 		return 0, err
 	}
-	mu := r.viewWriteMu(name)
-	mu.Lock()
-	defer mu.Unlock()
+	v.writeMu.Lock()
+	defer v.writeMu.Unlock()
 
 	var ack uint32
 	decided := false
 	err = errNoReplica
 	for _, rep := range r.liveReplicas() {
-		rv, verr := r.sharedView(rep, name)
+		rv, verr := r.sharedView(rep, v.name)
 		if verr != nil {
 			if !decided {
 				err = verr
@@ -138,13 +157,13 @@ func (r endpoint) ListViews() ([]server.ViewListEntry, error) {
 	err := errNoReplica
 	for _, rep := range r.liveReplicas() {
 		rep.mu.Lock()
-		cl := rep.cl
+		c := rep.meta
 		rep.mu.Unlock()
-		if cl == nil {
+		if c == nil {
 			continue
 		}
 		var views []server.ViewListEntry
-		if views, err = cl.ListViews(); err == nil {
+		if views, err = c.cl.ListViews(); err == nil {
 			return views, nil
 		}
 		if !typed(err) {
@@ -168,9 +187,9 @@ func (r endpoint) TenantStreamCap(active int) int {
 // FillSnapshot lays the fleet fields over the engine's snapshot: hedging,
 // migration, and replica health.
 func (r endpoint) FillSnapshot(snap *server.StatsSnapshot) {
-	snap.HedgedReads = r.stats.HedgedReads.Load()
-	snap.HedgeWins = r.stats.HedgeWins.Load()
-	snap.Migrations = r.stats.Migrations.Load()
+	snap.HedgedReads = r.hedgedReads.Load()
+	snap.HedgeWins = r.hedgeWins.Load()
+	snap.Migrations = r.migrations.Load()
 	snap.ReplicasLive = int64(r.ReplicasLive())
 }
 
@@ -189,88 +208,40 @@ func (r *Router) capacity() int {
 	return capacity
 }
 
-// viewByID resolves a router view id back to its name and cached shape.
-func (r *Router) viewByID(id uint32) (string, viewMeta, error) {
+// viewByID resolves a router view id.
+func (r *Router) viewByID(id uint32) (*routerView, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name, ok := r.viewNames[id]
-	if !ok {
-		return "", viewMeta{}, &server.Error{Code: server.CodeUnknownView, Msg: "unknown view id"}
+	if id-1 >= uint32(len(r.views)) { // id 0 wraps past any length
+		return nil, &server.Error{Code: server.CodeUnknownView, Msg: "unknown view id"}
 	}
-	return name, r.viewMeta[name], nil
+	return r.views[id-1], nil
 }
 
 // checkQuery resolves the view a stream or estimate request names and checks
 // the predicate's dimensions against its shape.
 func (r *Router) checkQuery(viewID uint32, dims int) (string, error) {
-	name, meta, err := r.viewByID(viewID)
-	if err == nil && dims != meta.dims {
-		err = &server.Error{Code: server.CodeBadRequest, Msg: "query dimensions do not match the view"}
+	v, err := r.viewByID(viewID)
+	if err != nil {
+		return "", err
 	}
-	return name, err
+	if dims != int(v.dims.Load()) {
+		return "", &server.Error{Code: server.CodeBadRequest, Msg: "query dimensions do not match the view"}
+	}
+	return v.name, nil
 }
 
-// openRouterView resolves a view name against a live replica, assigns (or
-// reuses) the router's own id for it, and refreshes the cached shape. The
-// cached record count is the count at resolution time; like a single
-// server's view-info response it is a snapshot, not a live gauge.
-func (r *Router) openRouterView(name string) (uint32, viewMeta, error) {
-	lastErr := fmt.Errorf("fleet: no live replica to resolve view %q", name)
-	for _, rep := range r.liveReplicas() {
-		rv, err := r.sharedView(rep, name)
-		if err != nil {
-			if typed(err) {
-				return 0, viewMeta{}, err // unknown view: every replica agrees
-			}
-			lastErr = err
-			continue
-		}
-		meta := viewMeta{dims: rv.Dims(), height: rv.Height(), count: rv.Count()}
-		r.mu.Lock()
-		id, ok := r.viewIDs[name]
-		if !ok {
-			r.nextView++
-			id = r.nextView
-			r.viewIDs[name] = id
-			r.viewNames[id] = name
-		}
-		r.viewMeta[name] = meta
-		r.mu.Unlock()
-		return id, meta, nil
-	}
-	return 0, viewMeta{}, lastErr
-}
-
-// sharedView returns rep's cached remote view on its shared metadata
-// connection, resolving (and re-dialing the shared connection) on demand.
+// sharedView resolves a view on rep's metadata connection, (re)dialing the
+// connection on demand.
 func (r *Router) sharedView(rep *replica, name string) (*server.RemoteView, error) {
 	rep.mu.Lock()
-	cl := rep.cl
-	if v, ok := rep.views[name]; ok && cl != nil {
-		rep.mu.Unlock()
-		return v, nil
-	}
+	c := rep.meta
 	rep.mu.Unlock()
-	if cl == nil {
-		if err := r.probeReplica(rep); err != nil {
+	if c == nil {
+		var err error
+		if c, err = r.probeReplica(rep); err != nil {
 			return nil, err
 		}
-		rep.mu.Lock()
-		cl = rep.cl
-		rep.mu.Unlock()
-		if cl == nil {
-			return nil, io.ErrClosedPipe
-		}
 	}
-	v, err := cl.OpenView(name)
-	if err != nil {
-		return nil, err
-	}
-	rep.mu.Lock()
-	if rep.views == nil {
-		rep.views = make(map[string]*server.RemoteView)
-	}
-	rep.views[name] = v
-	rep.mu.Unlock()
-	return v, nil
+	return c.view(name)
 }

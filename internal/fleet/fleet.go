@@ -37,6 +37,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -83,43 +84,28 @@ func (c Config) withDefaults() Config {
 	if c.SpillThreshold <= 0 || c.SpillThreshold > 1 {
 		c.SpillThreshold = 0.8
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 4096
 	}
 	if c.TenantWriteRate > 0 && c.TenantWriteBurst <= 0 {
-		c.TenantWriteBurst = c.MaxBatch
-		if r := int(c.TenantWriteRate); r > c.TenantWriteBurst {
-			c.TenantWriteBurst = r
-		}
+		c.TenantWriteBurst = max(c.MaxBatch, int(c.TenantWriteRate))
 	}
 	return c
 }
 
 // replica is the router's view of one replica server: its shared metadata
-// connection (estimates, writes, list-views — per-stream traffic uses
-// dedicated connections), its last known identity and load, and whether
-// the router still considers it alive.
+// connection (estimates, writes, list-views), the quiescent connections
+// parked for its next stream legs, its last known load, and whether the
+// router still considers it alive.
 type replica struct {
-	idx  int
 	addr string
 
 	mu      sync.Mutex
-	cl      *server.Client                // guarded by mu; shared metadata/write conn, nil until dialed
-	views   map[string]*server.RemoteView // guarded by mu; views resolved on the shared conn
-	id      string                        // guarded by mu; ReplicaID from the last replica-info
-	maxStr  int                           // guarded by mu; the replica's stream cap
-	alive   bool                          // guarded by mu
-	streams int                           // guarded by mu; streams the router currently places here
-}
-
-// routerCounters is what only a router counts; the engine counts the rest.
-type routerCounters struct {
-	HedgedReads atomic.Int64
-	HedgeWins   atomic.Int64
-	Migrations  atomic.Int64
+	meta    *replicaConn   // guarded by mu; shared metadata/write conn, nil until dialed
+	parked  []*replicaConn // guarded by mu; quiescent legs, oldest first, at most maxParked
+	maxStr  int            // guarded by mu; the replica's stream cap
+	alive   bool           // guarded by mu
+	streams int            // guarded by mu; streams the router currently places here
 }
 
 // Router fronts a fleet of replicas behind the single-server wire
@@ -129,26 +115,31 @@ type routerCounters struct {
 // to dial the fleet, then Serve.
 type Router struct {
 	*server.Engine
-	cfg   Config
-	ring  *ring
-	reps  []*replica
-	stats routerCounters
+	cfg  Config
+	ring *ring
+	reps []*replica
+	// What only a router counts; the engine counts the rest.
+	hedgedReads, hedgeWins, migrations atomic.Int64
 
-	mu        sync.Mutex
-	viewIDs   map[string]uint32      // guarded by mu; view name -> router view id
-	viewNames map[uint32]string      // guarded by mu
-	viewMeta  map[string]viewMeta    // guarded by mu; cached open-view info
-	writeMu   map[string]*sync.Mutex // guarded by mu; per-view write serialization
-	nextView  uint32                 // guarded by mu
+	mu    sync.Mutex
+	views []*routerView // guarded by mu; a view's router id is its index + 1
 
 	seedCtr atomic.Uint64
-	wg      sync.WaitGroup // the legs' pull goroutines
+	wg      sync.WaitGroup // the hedged legs' pull goroutines
+
+	// dial makes every connection the router opens to a replica, legs and
+	// metadata alike; server.Dial unless a test substitutes its own.
+	dial                   func(addr string) (*server.Client, error)
+	legsDialed, legsReused atomic.Int64 // legs opened on a fresh dial / on a parked connection
 }
 
-type viewMeta struct {
-	dims   int
-	height int
-	count  int64
+// routerView is a view the router has resolved by name.
+type routerView struct {
+	name string
+	dims atomic.Int32 // as last resolved
+	// writeMu is held across a write's fan-out, so all replicas apply the
+	// fleet's writes in one order and stay byte-identical.
+	writeMu sync.Mutex
 }
 
 // New returns a router for the given fleet. Call Connect before Serve.
@@ -158,12 +149,9 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("fleet: no replicas configured")
 	}
 	r := &Router{
-		cfg:       cfg,
-		ring:      newRing(len(cfg.Replicas), cfg.VNodes),
-		viewIDs:   make(map[string]uint32),
-		viewNames: make(map[uint32]string),
-		viewMeta:  make(map[string]viewMeta),
-		writeMu:   make(map[string]*sync.Mutex),
+		cfg:  cfg,
+		ring: newRing(len(cfg.Replicas), cfg.VNodes),
+		dial: server.Dial,
 	}
 	// The engine's server-wide and per-connection stream caps, idle reaper
 	// and request deadline stay off: the replicas enforce their own. The
@@ -174,70 +162,59 @@ func New(cfg Config) (*Router, error) {
 		WriteRate:  cfg.TenantWriteRate,
 		WriteBurst: cfg.TenantWriteBurst,
 	})
-	for i, addr := range cfg.Replicas {
-		r.reps = append(r.reps, &replica{idx: i, addr: addr, views: make(map[string]*server.RemoteView)})
+	for _, addr := range cfg.Replicas {
+		r.reps = append(r.reps, &replica{addr: addr})
 	}
 	return r, nil
 }
 
-// Connect dials every replica and fetches its identity. At least one
-// replica must answer for Connect to succeed; the rest are retried lazily.
+// Connect dials every replica and fetches its stream cap. At least one
+// replica must answer for Connect to succeed.
 func (r *Router) Connect() error {
-	live := 0
 	var firstErr error
 	for _, rep := range r.reps {
-		if err := r.probeReplica(rep); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if _, err := r.probeReplica(rep); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		live++
 	}
-	if live == 0 {
+	if r.ReplicasLive() == 0 {
 		return fmt.Errorf("fleet: no replica reachable: %w", firstErr)
 	}
 	return nil
 }
 
-// probeReplica (re)dials a replica's shared connection and refreshes its
-// identity and load, marking it alive on success.
-func (r *Router) probeReplica(rep *replica) error {
+// probeReplica (re)dials a replica's metadata connection and refreshes its
+// stream cap, marking it alive — unless it fails to answer or reports itself
+// draining, and then nothing is kept open to it.
+func (r *Router) probeReplica(rep *replica) (*replicaConn, error) {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if rep.cl == nil {
-		cl, err := server.Dial(rep.addr)
+	rep.alive = false
+	if rep.meta == nil {
+		c, err := r.connect(rep, "")
 		if err != nil {
-			rep.alive = false
-			return fmt.Errorf("fleet: replica %s: %w", rep.addr, err)
+			return nil, fmt.Errorf("fleet: replica %s: %w", rep.addr, err)
 		}
-		rep.cl = cl
-		rep.views = make(map[string]*server.RemoteView)
+		rep.meta = c
 	}
-	info, err := rep.cl.ReplicaInfo()
+	info, err := rep.meta.cl.ReplicaInfo()
+	if err == nil && info.Draining {
+		err = errors.New("draining")
+	}
 	if err != nil {
-		rep.cl.Close()
-		rep.cl = nil
-		rep.alive = false
-		return fmt.Errorf("fleet: replica %s: %w", rep.addr, err)
+		rep.hangUpLocked()
+		return nil, fmt.Errorf("fleet: replica %s: %w", rep.addr, err)
 	}
-	rep.id = info.ReplicaID
-	if rep.id == "" {
-		rep.id = rep.addr
-	}
-	rep.maxStr = info.MaxStreams
-	rep.alive = !info.Draining
-	return nil
+	rep.maxStr, rep.alive = info.MaxStreams, true
+	return rep.meta, nil
 }
 
-// markDead drops a replica from serving after a transport failure. Its
-// streams migrate as their next pulls fail over.
+// markDead drops a replica from serving after a transport failure, closing
+// every connection kept to it. Its streams migrate as their next pulls fail
+// over.
 func (r *Router) markDead(rep *replica) {
 	rep.mu.Lock()
-	if rep.cl != nil {
-		rep.cl.Close()
-		rep.cl = nil
-	}
+	rep.hangUpLocked()
 	rep.alive = false
 	rep.mu.Unlock()
 }
@@ -247,9 +224,8 @@ func (r *Router) markDead(rep *replica) {
 // walk embodies the placement policy — prefer the key's owner, spill past
 // hot replicas, never place on the dead.
 func (r *Router) aliveFor(key string) []*replica {
-	order := r.ring.walk(key)
 	var cool, hot []*replica
-	for _, idx := range order {
+	for _, idx := range r.ring.walk(key) {
 		rep := r.reps[idx]
 		rep.mu.Lock()
 		alive, load, capacity := rep.alive, rep.streams, rep.maxStr
@@ -290,20 +266,6 @@ func (r *Router) streamSeed() uint64 {
 	return mix64(r.cfg.Seed ^ mix64(r.seedCtr.Add(1)))
 }
 
-// viewWriteMu returns the per-view write-serialization lock: fan-out holds
-// it across every replica, so all replicas apply the fleet's writes in one
-// order and stay byte-identical.
-func (r *Router) viewWriteMu(name string) *sync.Mutex {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.writeMu[name]
-	if !ok {
-		m = &sync.Mutex{}
-		r.writeMu[name] = m
-	}
-	return m
-}
-
 // Shutdown drains the client connections as a server does — each finishes
 // the request it is serving, whole, before it closes — waits for the legs'
 // pulls to wind down, and tears down the replica connections. Idempotent.
@@ -312,10 +274,7 @@ func (r *Router) Shutdown() {
 	r.wg.Wait()
 	for _, rep := range r.reps {
 		rep.mu.Lock()
-		if rep.cl != nil {
-			rep.cl.Close()
-			rep.cl = nil
-		}
+		rep.hangUpLocked()
 		rep.mu.Unlock()
 	}
 }

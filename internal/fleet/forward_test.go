@@ -122,3 +122,51 @@ func TestRouterForwardsBatchesUndecoded(t *testing.T) {
 		t.Fatalf("stream position %d after %d forwarded batches of %d", s.Pos(), 8+pulls, len(batch))
 	}
 }
+
+// TestUnhedgedPullStartsNoGoroutine is the router-side half of the gate
+// above: with hedging off, a routed pull is one PullAt on the primary leg in
+// the caller's goroutine. At the parent every pull made a channel and started
+// a goroutine to hand the batch back through it — 3 allocations a pull by
+// this same measurement; a `go` statement or a `make(chan)` on the unhedged
+// path shows up here as at least one.
+func TestUnhedgedPullStartsNoGoroutine(t *testing.T) {
+	const parentAllocs = 3
+	rep := server.New(server.Config{ReplicaID: "replica-0"})
+	rep.AddSource("sale", fixedSource{genRecords(256, 9)})
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rep.Serve(rln)
+	t.Cleanup(rep.Shutdown)
+	router, _ := startRouter(t, Config{Replicas: []string{rln.Addr().String()}, Seed: 1}, nil)
+	ep := endpoint{router}
+	info, err := ep.OpenView("sale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ep.OpenStream("", "conn:1", server.OpenStreamReq{ViewID: info.ViewID, Query: record.Box1D(0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var buf []byte
+	pos := int64(0)
+	pull := func() {
+		rb, err := st.Pull(buf[:0], pos, 256)
+		if err != nil || rb.N != 256 {
+			t.Fatalf("router-side pull: %d records, %v", rb.N, err)
+		}
+		buf, pos = rb.Body, rb.End
+	}
+	pull() // the leg's buffers reach their size
+	goroutines := runtime.NumGoroutine()
+	allocs := testing.AllocsPerRun(200, pull)
+	t.Logf("%.1f allocations per router-side pull (parent: %d)", allocs, parentAllocs)
+	if allocs >= parentAllocs || allocs >= 1 {
+		t.Fatalf("an unhedged router-side pull makes %.1f allocations; want none (the parent's channel, goroutine and result made %d)", allocs, parentAllocs)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after 200 unhedged pulls, %d before", n, goroutines)
+	}
+}

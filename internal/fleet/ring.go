@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"hash/fnv"
 	"sort"
 )
 
@@ -31,16 +32,9 @@ func mix64(x uint64) uint64 {
 
 // hashKey folds a string key through FNV-1a and mixes the result.
 func hashKey(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return mix64(h)
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return mix64(h.Sum64())
 }
 
 // newRing builds a ring over n replicas with vnodes points each. Point
@@ -73,9 +67,6 @@ func newRing(n, vnodes int) *ring {
 // Every replica appears exactly once.
 func (r *ring) walk(key string) []int {
 	out := make([]int, 0, r.n)
-	if r.n == 0 {
-		return out
-	}
 	seen := make([]bool, r.n)
 	h := hashKey(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

@@ -3,28 +3,32 @@ package fleet
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sampleview/internal/record"
 	"sampleview/internal/server"
 )
 
-// streamLink is one replica's leg of a routed stream: a dedicated client
-// connection carrying exactly this stream, opened seeded at an explicit
-// position. A dedicated connection per leg keeps the legs independently
-// raceable — the Client serializes requests per connection, so sharing one
-// would serialize the hedge against the pull it is hedging.
-type streamLink struct {
-	rep *replica
-	cl  *server.Client
-	rs  *server.RemoteStream
+// maxParked bounds the quiescent connections kept to one replica between
+// streams; past it the oldest is closed. Each costs the replica an idle
+// session and goroutine (DESIGN.md, "Fleet architecture": a leg's life).
+const maxParked = 32
+
+// replicaConn is one connection the router keeps to a replica — its metadata
+// connection, or a stream leg: a client, the tenant it introduced itself as
+// (once per connection), and the views resolved on it.
+type replicaConn struct {
+	cl     *server.Client
+	tenant string // "" = none
+
+	mu    sync.Mutex
+	views map[string]*server.RemoteView // guarded by mu
 }
 
-// openLink dials a dedicated connection to rep and opens the stream's
-// sequence there at (seed, pos). The replica fast-forwards past pos
-// itself, so the link starts exactly where the client's prefix ends.
-func (r *Router) openLink(rep *replica, tenant, view string, q record.Box, seed uint64, pos int64) (*streamLink, error) {
-	cl, err := server.Dial(rep.addr)
+// connect dials rep and introduces the connection as tenant.
+func (r *Router) connect(rep *replica, tenant string) (*replicaConn, error) {
+	cl, err := r.dial(rep.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -34,31 +38,138 @@ func (r *Router) openLink(rep *replica, tenant, view string, q record.Box, seed 
 			return nil, err
 		}
 	}
-	rv, err := cl.OpenView(view)
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
-	rs, err := rv.QueryAt(q, seed, pos)
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
-	rep.mu.Lock()
-	rep.streams++
-	rep.mu.Unlock()
-	return &streamLink{rep: rep, cl: cl, rs: rs}, nil
+	return &replicaConn{cl: cl, tenant: tenant, views: make(map[string]*server.RemoteView)}, nil
 }
 
-// closeLink tears down a leg and returns its placement slot.
+// view resolves a view by name on the connection, once.
+func (c *replicaConn) view(name string) (*server.RemoteView, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.views[name]; ok {
+		return v, nil
+	}
+	v, err := c.cl.OpenView(name)
+	if err == nil {
+		c.views[name] = v
+	}
+	return v, err
+}
+
+// lease takes the newest connection parked at rep for tenant, nil if none.
+func (rep *replica) lease(tenant string) *replicaConn {
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	for i := len(rep.parked) - 1; i >= 0; i-- {
+		if c := rep.parked[i]; c.tenant == tenant {
+			rep.parked = append(rep.parked[:i], rep.parked[i+1:]...)
+			return c
+		}
+	}
+	return nil
+}
+
+// park keeps a quiescent connection for rep's next leg, closing the oldest
+// one past maxParked — or this one, if the replica has been marked dead.
+func (rep *replica) park(c *replicaConn) {
+	rep.mu.Lock()
+	if rep.alive {
+		rep.parked = append(rep.parked, c)
+		c = nil
+		if len(rep.parked) > maxParked {
+			c = rep.parked[0]
+			rep.parked = append(rep.parked[:0], rep.parked[1:]...)
+		}
+	}
+	rep.mu.Unlock()
+	if c != nil {
+		c.cl.Close()
+	}
+}
+
+// hangUpLocked closes what the router keeps to rep beyond its leased legs:
+// the parked connections and the metadata one. Callers hold rep.mu.
+func (rep *replica) hangUpLocked() {
+	for _, c := range rep.parked {
+		c.cl.Close()
+	}
+	rep.parked = nil
+	if rep.meta != nil {
+		rep.meta.cl.Close()
+		rep.meta = nil
+	}
+}
+
+// streamLink is one replica's leg of a routed stream: a connection leased
+// for exactly this stream, opened seeded at an explicit position. One
+// connection per leg keeps legs independently raceable — the Client
+// serializes requests, so a shared one would queue the hedge behind the pull
+// it is hedging.
+type streamLink struct {
+	rep   *replica
+	c     *replicaConn
+	rs    *server.RemoteStream
+	pulls atomic.Int32 // pulls outstanding; the leg is quiescent only at zero
+}
+
+// openLink opens the stream's sequence on rep at (seed, pos) — the replica
+// fast-forwards past pos itself — over a connection parked for the tenant,
+// one round trip, or else a fresh dial. A parked connection that fails on
+// transport went stale while idle, which says nothing of the replica: the
+// open runs once more on a fresh dial, whose failure is the caller's to
+// judge. A typed refusal refuses the stream, not the connection: it parks.
+func (r *Router) openLink(rep *replica, tenant, view string, q record.Box, seed uint64, pos int64) (*streamLink, error) {
+	c := rep.lease(tenant)
+	for {
+		reused := c != nil
+		if !reused {
+			var err error
+			if c, err = r.connect(rep, tenant); err != nil {
+				return nil, err
+			}
+			r.legsDialed.Add(1)
+		}
+		var rs *server.RemoteStream
+		rv, err := c.view(view)
+		if err == nil {
+			rs, err = rv.QueryAt(q, seed, pos)
+		}
+		if err == nil {
+			if reused {
+				r.legsReused.Add(1)
+			}
+			rep.mu.Lock()
+			rep.streams++
+			rep.mu.Unlock()
+			return &streamLink{rep: rep, c: c, rs: rs}, nil
+		}
+		if typed(err) {
+			rep.park(c)
+			return nil, err
+		}
+		c.cl.Close()
+		if !reused {
+			return nil, err
+		}
+		c = nil
+	}
+}
+
+// closeLink returns a leg's placement slot and its connection: parked when
+// the leg is quiescent — no pull outstanding, and the cancel acknowledged (or
+// the stream retired at EOF), so the replica's slot is free on return —
+// closed otherwise: a failed connection, or a hedge loser still in flight.
 func (r *Router) closeLink(l *streamLink) {
 	if l == nil {
 		return
 	}
-	l.cl.Close()
 	l.rep.mu.Lock()
 	l.rep.streams--
 	l.rep.mu.Unlock()
+	if l.pulls.Load() == 0 && l.rs.Close() == nil {
+		l.rep.park(l.c)
+	} else {
+		l.c.cl.Close()
+	}
 }
 
 // routedStream is one client stream as the router serves it: one or two
@@ -69,54 +180,27 @@ func (r *Router) closeLink(l *streamLink) {
 type routedStream struct {
 	r      *Router
 	tenant string // named tenant for replica attribution; "" = none
-	key    string // the engine's accounting key, and the placement key
-	view   string
-	query  record.Box
-	seed   uint64
+	// placeKey places the stream's legs on the ring: accounting key + view,
+	// so a tenant's streams on one view share replica locality.
+	placeKey string
+	view     string
+	query    record.Box
+	seed     uint64
 
 	mu      sync.Mutex
 	primary *streamLink // guarded by mu
 	shadow  *streamLink // guarded by mu; lazily opened by the first hedge
 }
 
-// placeKey is the consistent-hash key the stream's legs are placed by:
-// tenant-scoped so a tenant's streams on one view share replica locality.
-func (st *routedStream) placeKey() string { return st.key + "/" + st.view }
-
-// open places the stream's first leg at pos: candidates in ring-walk order, dead
-// replicas skipped, replicas that fail typed-admission remembered (the
-// last such rejection is surfaced if no replica admits), replicas that
-// fail on transport marked dead. A typed non-admission failure (unknown
-// view, unsupported seeded open) stops the walk — every replica would
-// refuse identically.
-func (st *routedStream) open(pos int64) (*streamLink, error) {
-	var lastReject error
-	for _, rep := range st.r.aliveFor(st.placeKey()) {
-		l, err := st.r.openLink(rep, st.tenant, st.view, st.query, st.seed, pos)
-		if err == nil {
-			return l, nil
-		}
-		if se, ok := err.(*server.Error); ok {
-			if server.IsAdmissionReject(err) || se.Code == server.CodeShuttingDown {
-				lastReject = err
-				continue
-			}
-			return nil, err
-		}
-		st.r.markDead(rep)
-	}
-	if lastReject != nil {
-		return nil, lastReject
-	}
-	return nil, fmt.Errorf("fleet: no live replica for view %q", st.view)
-}
-
-// reopen places a replacement leg at pos, skipping the replica a failed
-// leg was on (it may be alive but unable to serve this stream).
-func (st *routedStream) reopen(skip *replica, pos int64) (*streamLink, error) {
-	var lastErr error
-	for _, rep := range st.r.aliveFor(st.placeKey()) {
-		if skip != nil && rep == skip {
+// place opens a leg at pos on the first replica of the placement walk that
+// admits it, passing over skip (where a failed or hedged leg is). A replica
+// that fails on transport is marked dead; one that answers with a typed
+// refusal is alive — another may have room, or a healthy disk — so the walk
+// goes on, and the last refusal is the caller's if no replica admits.
+func (st *routedStream) place(skip *replica, pos int64) (*streamLink, error) {
+	lastErr := fmt.Errorf("fleet: no live replica for view %q", st.view)
+	for _, rep := range st.r.aliveFor(st.placeKey) {
+		if rep == skip {
 			continue
 		}
 		l, err := st.r.openLink(rep, st.tenant, st.view, st.query, st.seed, pos)
@@ -128,30 +212,53 @@ func (st *routedStream) reopen(skip *replica, pos int64) (*streamLink, error) {
 			st.r.markDead(rep)
 		}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("fleet: no live replica for view %q", st.view)
-	}
 	return nil, lastErr
 }
 
-// pullResult is one leg's answer in a (possibly hedged) pull race: the
-// replica's batch body as it arrived, not one record of it decoded.
-type pullResult struct {
-	server.RawBatch
-	err    error
-	link   *streamLink
-	hedged bool
+// leg returns the stream's primary leg, or its shadow, first placing one at
+// pos, on a replica other than skip, if the stream has none.
+func (st *routedStream) leg(shadow bool, skip *replica, pos int64) (*streamLink, error) {
+	slot := &st.primary
+	if shadow {
+		slot = &st.shadow
+	}
+	st.mu.Lock()
+	l := *slot
+	st.mu.Unlock()
+	if l != nil {
+		return l, nil
+	}
+	l, err := st.place(skip, pos)
+	if err == nil {
+		st.mu.Lock()
+		*slot = l
+		st.mu.Unlock()
+	}
+	return l, err
 }
 
-// pullInto runs one positioned pull on a leg, the body landing in buf
-// (which the goroutine owns from here on), and delivers the result. It
-// runs as a goroutine paired with the router's WaitGroup; a leg whose race
-// is already lost unblocks when the stream (or the router) closes the
-// leg's connection.
-func (st *routedStream) pullInto(ch chan<- pullResult, l *streamLink, pos int64, max int, hedged bool, buf []byte) {
-	defer st.r.wg.Done()
+// pullResult is one leg's answer to a (possibly hedged) pull: the replica's
+// batch body as it arrived, not one record of it decoded.
+type pullResult struct {
+	server.RawBatch
+	err  error
+	link *streamLink
+}
+
+// pull runs one positioned pull into buf and counts it no longer
+// outstanding; the caller counted it in.
+func (l *streamLink) pull(pos int64, max int, buf []byte) pullResult {
 	rb, err := l.rs.PullAt(pos, max, buf)
-	ch <- pullResult{RawBatch: rb, err: err, link: l, hedged: hedged}
+	l.pulls.Add(-1)
+	return pullResult{RawBatch: rb, err: err, link: l}
+}
+
+// pullInto is pull as one side of a race, buf the goroutine's from here on,
+// paired with the router's WaitGroup; a loser still in flight unblocks when
+// the stream closes its connection.
+func (st *routedStream) pullInto(ch chan<- pullResult, l *streamLink, pos int64, max int, buf []byte) {
+	defer st.r.wg.Done()
+	ch <- l.pull(pos, max, buf)
 }
 
 // recoverable reports whether a leg failure is survivable by reopening the
@@ -173,55 +280,86 @@ func recoverable(err error) bool {
 	return false
 }
 
-// Pull appends to dst up to max records of the stream's sequence starting at
-// the canonical position pos. The primary leg races a wall clock hedge timer:
-// past the HedgeAfter budget the router issues the identical positioned
-// pull on a shadow leg (opened on another replica at the same canonical
-// position) and forwards whichever leg answers first — the batches are
-// byte-identical by the determinism contract, and the losing leg's replica
-// fast-forwards on its next pull rather than re-serving the prefix. A leg
-// that fails recoverably is replaced by reopening (seed, pos) on the next
-// live replica in the placement walk — live migration, invisible to the
-// client beyond latency. The batch comes back as the replica's own FBatch
-// body, not one record of it decoded. dst goes to the one leg goroutine that
-// will write it, and the winner's buffer comes back: a leg still in flight
-// when its race is lost keeps the buffer it was given, so no two pulls ever
-// share one.
+// Pull appends to dst up to max records of the stream's sequence from the
+// canonical position pos, as the replica's own FBatch body, undecoded:
+// without a hedge budget one PullAt on the primary leg in the caller's
+// goroutine, with one a race. A leg that fails recoverably is replaced by
+// reopening (seed, pos) on the next live replica of the placement walk — live
+// migration, invisible to the client beyond latency.
 func (st *routedStream) Pull(dst []byte, pos int64, max int) (server.RawBatch, error) {
-	st.mu.Lock()
-	pri := st.primary
-	st.mu.Unlock()
-	if pri == nil {
-		var err error
-		if pri, err = st.reopen(nil, pos); err != nil {
-			return server.RawBatch{}, err
-		}
-		st.mu.Lock()
-		st.primary = pri
-		st.mu.Unlock()
+	pri, err := st.leg(false, nil, pos)
+	if err != nil {
+		return server.RawBatch{}, err
 	}
-
-	ch := make(chan pullResult, 2)
-	outstanding := 1
-	st.r.wg.Add(1)
-	go st.pullInto(ch, pri, pos, max, false, dst)
 
 	var res pullResult
 	if d := st.r.cfg.HedgeAfter; d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case res = <-ch:
-			timer.Stop()
-		case <-timer.C:
-			if sh := st.ensureShadow(pri, pos); sh != nil {
-				st.r.stats.HedgedReads.Add(1)
-				outstanding++
-				st.r.wg.Add(1)
-				go st.pullInto(ch, sh, pos, max, true, append([]byte(nil), dst...))
-			}
-			res = <-ch
-		}
+		res = st.race(pri, pos, max, dst, d)
 	} else {
+		pri.pulls.Add(1)
+		res = pri.pull(pos, max, dst)
+	}
+
+	if res.err != nil {
+		if !recoverable(res.err) {
+			return server.RawBatch{}, res.err
+		}
+		// Migrate: replace the stream's legs with a fresh one at the
+		// canonical position and pull once more, off the hedge path.
+		st.dropLeg(res.link, res.err)
+		repl, err := st.leg(false, res.link.rep, pos)
+		if err != nil {
+			return server.RawBatch{}, err
+		}
+		st.r.migrations.Add(1)
+		repl.pulls.Add(1)
+		if res = repl.pull(pos, max, dst); res.err != nil { // every leg has answered: dst is free again
+			return server.RawBatch{}, res.err
+		}
+	}
+
+	if res.link != pri {
+		st.mu.Lock()
+		if st.shadow == res.link {
+			// The shadow answered first: promote it. The demoted leg stays as
+			// the shadow — its replica fast-forwards if it is hedged later.
+			st.r.hedgeWins.Add(1)
+			st.primary, st.shadow = st.shadow, st.primary
+		}
+		st.mu.Unlock()
+	}
+	return res.RawBatch, nil
+}
+
+// race pulls on the primary leg against a wall clock hedge timer: past the
+// budget the identical positioned pull goes to a shadow leg (on another
+// replica, at the same canonical position) and whichever answers first is
+// forwarded — the batches are byte-identical by the determinism contract, and
+// the loser's replica fast-forwards on its next pull. dst goes to the one
+// goroutine that will write it and the winner's buffer comes back: a loser
+// in flight keeps the buffer it was given, so no two pulls share one. An
+// error comes back only once every leg started has answered.
+func (st *routedStream) race(pri *streamLink, pos int64, max int, dst []byte, budget time.Duration) pullResult {
+	ch := make(chan pullResult, 2) // one slot per leg: a loser's answer never blocks
+	outstanding := 0
+	start := func(l *streamLink, buf []byte) {
+		outstanding++
+		l.pulls.Add(1)
+		st.r.wg.Add(1)
+		go st.pullInto(ch, l, pos, max, buf)
+	}
+	start(pri, dst)
+
+	var res pullResult
+	timer := time.NewTimer(budget)
+	select {
+	case res = <-ch:
+		timer.Stop()
+	case <-timer.C:
+		if sh, err := st.leg(true, pri.rep, pos); err == nil {
+			st.r.hedgedReads.Add(1)
+			start(sh, append([]byte(nil), dst...))
+		}
 		res = <-ch
 	}
 	outstanding--
@@ -238,73 +376,12 @@ func (st *routedStream) Pull(dst []byte, pos int64, max int) (server.RawBatch, e
 			st.dropLeg(next.link, next.err)
 		}
 	}
-
-	if res.err != nil {
-		if !recoverable(res.err) {
-			return server.RawBatch{}, res.err
-		}
-		// Migrate: replace the stream's legs with a fresh one at the
-		// canonical position and pull once more, off the hedge path.
-		st.dropLeg(res.link, res.err)
-		repl, err := st.reopen(res.link.rep, pos)
-		if err != nil {
-			return server.RawBatch{}, err
-		}
-		st.r.stats.Migrations.Add(1)
-		st.mu.Lock()
-		st.primary = repl
-		st.mu.Unlock()
-		rb, err := repl.rs.PullAt(pos, max, dst) // every leg has answered: dst is free again
-		if err != nil {
-			return server.RawBatch{}, err
-		}
-		res = pullResult{RawBatch: rb, link: repl}
-	}
-
-	st.mu.Lock()
-	if res.hedged && st.shadow == res.link {
-		// The shadow answered first: promote it. The demoted leg stays as
-		// the shadow — its replica fast-forwards if it is hedged later.
-		st.r.stats.HedgeWins.Add(1)
-		st.primary, st.shadow = st.shadow, st.primary
-	}
-	st.mu.Unlock()
-	return res.RawBatch, nil
+	return res
 }
 
-// ensureShadow returns the stream's shadow leg, opening it at pos on the
-// next live replica in the placement walk if the stream has none yet.
-func (st *routedStream) ensureShadow(pri *streamLink, pos int64) *streamLink {
-	st.mu.Lock()
-	sh := st.shadow
-	st.mu.Unlock()
-	if sh != nil {
-		return sh
-	}
-	sh, err := st.reopen(pri.rep, pos)
-	if err != nil {
-		return nil
-	}
-	st.mu.Lock()
-	if st.shadow == nil {
-		st.shadow = sh
-		st.mu.Unlock()
-		return sh
-	}
-	// Lost a race installing it; keep the installed one.
-	installed := st.shadow
-	st.mu.Unlock()
-	st.r.closeLink(sh)
-	return installed
-}
-
-// dropLeg removes a failed leg from the stream, closing its connection and
-// marking its replica dead when the failure was transport-level (a typed
-// error means the replica is alive and merely refused this leg).
+// dropLeg removes a failed leg from the stream, marking its replica dead if
+// the failure was transport-level (a typed error: alive, merely refused).
 func (st *routedStream) dropLeg(l *streamLink, err error) {
-	if l == nil {
-		return
-	}
 	st.mu.Lock()
 	switch l {
 	case st.primary:
@@ -322,7 +399,7 @@ func (st *routedStream) dropLeg(l *streamLink, err error) {
 // Clock: a routed stream samples no simulated disk of its own.
 func (*routedStream) Clock() (used, now time.Duration) { return 0, 0 }
 
-// Close tears down both legs.
+// Close returns both legs.
 func (st *routedStream) Close() error {
 	st.mu.Lock()
 	pri, sh := st.primary, st.shadow

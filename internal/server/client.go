@@ -64,7 +64,7 @@ func (p RetryPolicy) backoff(attempt int, jitter uint64) time.Duration {
 // connection, matching the protocol's strict request/response alternation.
 type Client struct {
 	mu   sync.Mutex
-	conn net.Conn // guarded by mu
+	conn net.Conn // set once; requests use it under mu, Close from outside
 	// fr reads every response into the connection's one read buffer, and
 	// wbuf is where every request frame is encoded, in place. A response
 	// body aliases fr's buffer, which the next exchange of any stream on
@@ -116,16 +116,17 @@ func NewClient(conn net.Conn) *Client {
 	}
 }
 
-// Close tears down the connection. Streams opened through the client
-// become unusable; the server reclaims their admission slots on
-// disconnect.
+// Close tears down the connection, failing a request in flight rather than
+// waiting for it. Streams opened through the client become unusable; the
+// server reclaims their admission slots on disconnect.
 func (c *Client) Close() error {
+	err := c.conn.Close() // before mu: a request in flight holds it until its read fails
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err == nil {
 		c.err = fmt.Errorf("server: client closed")
 	}
-	return c.conn.Close()
+	return err
 }
 
 // roundTrip sends one request frame, reads the single response frame,
