@@ -556,13 +556,12 @@ func (t *Tree) sealPage(m *leafMeta, p int64, payload []byte, crc []uint32) {
 // readLeaf reads leaf data from disk (first page random, the rest
 // sequential) and returns the records of each section, in section order,
 // freshly allocated: offline consumers (Verify, tests) may hold the result
-// across further reads. It is the fsck read: every page is fetched and
-// verified whole, and the directory's prefix checksums are recomputed from
-// those pages and compared. The query hot path uses readLeafInto instead.
+// across further reads. It is the fsck read, readLeafInto without a
+// predicate; the query hot path passes its own.
 func (t *Tree) readLeaf(ordinal int64) ([][]record.Record, error) {
-	d := leafDecoder{fsck: true, page: t.f.PageBuf()}
+	d := leafDecoder{page: t.f.PageBuf()}
 	defer t.f.PutPageBuf(d.page)
-	return t.readLeafInto(ordinal, &d, t.h)
+	return t.readLeafInto(ordinal, &d, t.h, nil)
 }
 
 // leafDecoder is the reusable arena one stream decodes leaves into. Every
@@ -578,31 +577,30 @@ type leafDecoder struct {
 	// page is the buffer pages are read into when the backend cannot lend
 	// its own frame: one page long, made on first use, owned with the decoder.
 	page []byte
-	// fsck selects the offline read of all h sections (see readLeaf).
-	fsck bool
 }
 
-// readLeafInto reads the first k sections of one leaf into d (the other
-// sections come back empty). The simulated disk is charged every page of
-// the leaf, and every page meets its faults, whatever k is; what k decides
-// is the bytes that really move: pages before the one the prefix ends on
-// are read and verified whole, that page is read up to the prefix's last
-// record and verified against the directory's prefix checksum, and the
-// pages past it are charged without being fetched. Payloads are obtained
-// zero-copy where the backend allows it and decoded as whole batches.
-func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int) ([][]record.Record, error) {
+// readLeafInto reads sigma_Q of the first k sections of one leaf into d (the
+// other sections come back empty): q is tested on the encoded records, and a
+// record is decoded, once, only if it matches. The simulated disk is charged
+// every page of the leaf, and every page meets its faults, whatever k and q
+// are; what k decides is the bytes that really move: pages before the one
+// the prefix ends on are read and verified whole, that page is read up to
+// the prefix's last record and verified against the directory's prefix
+// checksum, and the pages past it are charged without being fetched.
+// Payloads are obtained zero-copy where the backend allows it.
+//
+// A nil q is the fsck read: every page is fetched and verified whole, every
+// record of all h sections decoded, and the directory's prefix checksums are
+// recomputed from those pages and compared.
+func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box) ([][]record.Record, error) {
 	if ordinal < 0 || ordinal >= t.nLeaves {
 		return nil, fmt.Errorf("core: leaf %d out of range [0,%d)", ordinal, t.nLeaves)
 	}
 	m := &t.leaves[ordinal]
 	total := m.totalRecords()
-	if cap(d.sections) < t.h {
-		d.sections = make([][]record.Record, t.h)
-	}
-	sections := d.sections[:t.h]
-	for s := range sections {
-		sections[s] = nil
-	}
+	d.sections = resized(d.sections, t.h)
+	sections := d.sections
+	clear(sections)
 	if total == 0 {
 		return sections, nil
 	}
@@ -616,35 +614,53 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int) ([][]record.Re
 	// leaf for fsck (every page is then "before" it, i.e. read whole).
 	last := ceilDiv(use, perPage) - 1
 	var resealed []uint32
-	if d.fsck {
+	if q == nil {
 		k, use, last = t.h, total, pages
 		resealed = make([]uint32, t.h)
 	}
-	if len(d.page) < t.f.PageSize() {
-		d.page = make([]byte, t.f.PageSize())
-	}
-	buf := d.page
-	flat := d.arena[:0]
+	d.page = resized(d.page, t.f.PageSize())
+	// The arena has room for the whole prefix, so it never moves under the
+	// sections sliced out of it. Sections end where their counts say, pages
+	// where perPage says: sec is the section being decoded, start its first
+	// record in flat, left its records still to come.
+	flat := resized(d.arena, int(use))[:0]
+	sec, start, left := 0, 0, int64(m.secCounts[0])
 	for p := int64(0); p < pages; p++ {
 		n := min(perPage, use-p*perPage) // records of the prefix on this page
 		var payload []byte
 		var err error
 		switch {
 		case p < last:
-			payload, err = t.f.ReadPayload(m.firstPage+p, buf)
+			payload, err = t.f.ReadPayload(m.firstPage+p, d.page)
 		case p == last:
-			payload, err = t.f.ReadPrefix(m.firstPage+p, buf, int(n)*record.Size, m.secCRC[k-1])
+			payload, err = t.f.ReadPrefix(m.firstPage+p, d.page, int(n)*record.Size, m.secCRC[k-1])
 		default:
 			n = 0
-			_, err = t.f.ReadPrefix(m.firstPage+p, buf, 0, 0)
+			_, err = t.f.ReadPrefix(m.firstPage+p, d.page, 0, 0)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if d.fsck {
+		if q == nil {
 			t.sealPage(m, p, payload, resealed)
 		}
-		flat = record.AppendBatch(flat, payload, int(n))
+		for n > 0 {
+			if left == 0 {
+				sections[sec], start = flat[start:len(flat):len(flat)], len(flat)
+				sec++
+				left = int64(m.secCounts[sec])
+				continue
+			}
+			c := int(min(n, left))
+			if q == nil {
+				flat = record.AppendBatch(flat, payload, c)
+			} else {
+				flat = record.AppendMatching(flat, payload, c, *q)
+			}
+			payload = payload[c*record.Size:]
+			n -= int64(c)
+			left -= int64(c)
+		}
 	}
 	d.arena = flat
 	for s, got := range resealed {
@@ -653,11 +669,8 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int) ([][]record.Re
 				ordinal, s+1, want, got)
 		}
 	}
-	off := 0
-	for s := 0; s < k; s++ {
-		n := int(m.secCounts[s])
-		sections[s] = flat[off : off+n : off+n]
-		off += n
+	for ; sec < k; sec++ {
+		sections[sec], start = flat[start:len(flat):len(flat)], len(flat)
 	}
 	return sections, nil
 }

@@ -229,8 +229,8 @@ func TestShuttleVisitsEachLeafOnce(t *testing.T) {
 	}
 	visited := map[int64]bool{}
 	for i := int64(0); i < tree.NumLeaves(); i++ {
-		stream.shuttle(&stream.cur)
-		leaf := stream.cur.leaf
+		stream.shuttle()
+		leaf := stream.path[tree.h] - tree.nLeaves
 		if visited[leaf] {
 			t.Fatalf("leaf %d visited twice", leaf)
 		}
@@ -273,8 +273,8 @@ func TestShuttleOrderMatchesPaper(t *testing.T) {
 	}
 	want := []int64{2, 4, 3, 5, 0, 6, 1, 7}
 	for i, ord := range want {
-		stream.shuttle(&stream.cur)
-		got := stream.cur.leaf
+		stream.shuttle()
+		got := stream.path[tree.h] - tree.nLeaves
 		if got != ord {
 			t.Fatalf("stab %d retrieved leaf %d, want %d (paper order)", i+1, got, ord)
 		}

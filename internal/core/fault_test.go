@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
+	"sampleview/internal/workload"
 )
 
 // drainWithRetry drives a stream to completion, retrying transient errors
@@ -245,5 +247,121 @@ func TestFsckPagesLocatesCorruption(t *testing.T) {
 	_, degraded := drainWithRetry(t, s)
 	if len(degraded) != 1 || degraded[0].Leaf != leaf {
 		t.Fatalf("stream degradation %v, want exactly leaf %d", degraded, leaf)
+	}
+}
+
+// flakyBackend fails the first read of every armed physical page with a
+// transient error, before a byte of it moves.
+type flakyBackend struct {
+	countingBackend
+	armed map[int64]bool
+	fired int
+}
+
+func (b *flakyBackend) ReadPage(i int64, dst []byte) error {
+	if b.armed[i] {
+		delete(b.armed, i)
+		b.fired++
+		return &pagefile.TransientError{Page: i, Attempts: 1}
+	}
+	return b.countingBackend.ReadPage(i, dst)
+}
+
+// TestTransientOnSecondPageLeavesNoResidue: the filtered read has decoded
+// the matches of a leaf's first page into the arena when its second page
+// fails. The failed stab must emit and park nothing, and the retried one
+// exactly what a fault-free stab does: stab by stab the faulty stream's
+// batches, emitted count and parked count equal the clean stream's.
+func TestTransientOnSecondPageLeavesNoResidue(t *testing.T) {
+	sim := tinySim()
+	rel, err := workload.GenerateRelation(sim, 250, workload.Uniform, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := &flakyBackend{armed: map[int64]bool{}}
+	tree, err := Create(pagefile.NewOn(sim, fb), rel, Params{Height: 5, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := record.Box1D(workload.KeyDomain/4, 3*(workload.KeyDomain/4))
+	type stabResult struct {
+		batch           []record.Record
+		emitted, parked int64
+	}
+	var want []stabResult
+	clean, err := tree.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		batch, err := clean.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, stabResult{batch, clean.Emitted(), int64(clean.Buffered())})
+	}
+
+	// Arm the second page of every two-page leaf, noting which of them hold a
+	// match on their first page: those are the stabs that fail with matches
+	// already decoded.
+	perPage := int64(tree.f.PageSize() / record.Size)
+	matchesFirst := map[int64]bool{}
+	for leaf := int64(0); leaf < tree.nLeaves; leaf++ {
+		m := &tree.leaves[leaf]
+		if ceilDiv(m.totalRecords(), perPage) != 2 {
+			continue
+		}
+		sections, err := tree.readLeaf(leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := int64(0)
+		for _, sec := range sections {
+			for i := range sec {
+				if seen < perPage && q.ContainsRecord(&sec[i]) {
+					matchesFirst[leaf] = true
+				}
+				seen++
+			}
+		}
+		fb.armed[m.firstPage+1] = true
+	}
+	faulty, err := tree.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	residue := 0 // failed stabs whose first page had put matches in the arena
+	for i, w := range want {
+		emitted, parked := faulty.Emitted(), faulty.Buffered()
+		got, err := faulty.NextBatch()
+		for pagefile.IsTransient(err) {
+			if faulty.Emitted() != emitted || faulty.Buffered() != parked || len(faulty.queued()) != 0 {
+				t.Fatalf("stab %d failed and still emitted or parked records (emitted %d -> %d, parked %d -> %d)",
+					i, emitted, faulty.Emitted(), parked, faulty.Buffered())
+			}
+			if matchesFirst[faulty.path[tree.h]-tree.nLeaves] {
+				residue++
+			}
+			got, err = faulty.NextBatch()
+		}
+		if err != nil {
+			t.Fatalf("stab %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, w.batch) || faulty.Emitted() != w.emitted || int64(faulty.Buffered()) != w.parked {
+			t.Fatalf("stab %d: %d records, emitted %d, parked %d; the fault-free stream: %d records, emitted %d, parked %d",
+				i, len(got), faulty.Emitted(), faulty.Buffered(), len(w.batch), w.emitted, w.parked)
+		}
+	}
+	if _, err := faulty.NextBatch(); err != io.EOF {
+		t.Fatalf("the faulty stream outlived the fault-free one: %v", err)
+	}
+	if fb.fired == 0 || faulty.TransientRetries() != int64(fb.fired) {
+		t.Fatalf("%d armed pages failed, the stream retried %d stabs", fb.fired, faulty.TransientRetries())
+	}
+	if residue == 0 {
+		t.Fatal("no failed stab had decoded a match before it failed; the test checked nothing")
 	}
 }

@@ -70,7 +70,7 @@ func craftedTree(t *testing.T, counts [][]int32, workers int) (*Tree, *countingB
 	tree.splits = make([]int64, tree.nLeaves)
 	tree.cntL = make([]int64, tree.nLeaves)
 	tree.cntR = make([]int64, tree.nLeaves)
-	tree.dataMin, tree.dataMax = []int64{0}, []int64{1 << 40}
+	tree.dataMin, tree.dataMax = []int64{0}, []int64{32 << 20}
 	tree.leaves = newLeafMetas(tree.nLeaves, h)
 	sorted := pagefile.NewItemFile(pagefile.NewMem(sim), taggedSize)
 	w := sorted.NewWriter()
@@ -80,7 +80,9 @@ func craftedTree(t *testing.T, counts [][]int32, workers int) (*Tree, *countingB
 		for sec, n := range counts[leaf] {
 			for i := int32(0); i < n; i++ {
 				tree.count++
-				rec := record.Record{Key: int64(leaf)<<20 | int64(sec)<<10 | int64(i), Amount: tree.count, Seq: uint64(tree.count)}
+				// Keys rise through each section (at most 32 records), so a key
+				// range keeps a run from the middle of every long one.
+				rec := record.Record{Key: int64(i)<<20 | int64(leaf)<<10 | int64(sec), Amount: tree.count, Seq: uint64(tree.count)}
 				binary.LittleEndian.PutUint64(item[:8], makeTag(int64(leaf), sec))
 				rec.Marshal(item[8:])
 				if err := w.Write(item); err != nil {
@@ -102,15 +104,34 @@ func craftedTree(t *testing.T, counts [][]int32, workers int) (*Tree, *countingB
 	return reopened, cb
 }
 
+// prefixPredicates are the predicates the prefix read is checked under: one
+// matching nothing, one matching everything, and one cutting the middle out
+// of every dimension of the stored data, so that sections keep some records
+// and drop others on both sides of a page end.
+func prefixPredicates(tree *Tree) []*record.Box {
+	nothing := record.FullBox(tree.dims).WithDim(0, record.Range{Lo: 1, Hi: 0})
+	everything := record.FullBox(tree.dims)
+	some := tree.DataBounds()
+	for d := 0; d < tree.dims; d++ {
+		r := some.Dim(d)
+		w := (r.Hi - r.Lo) / 4
+		some = some.WithDim(d, record.Range{Lo: r.Lo + w, Hi: r.Hi - w})
+	}
+	return []*record.Box{&nothing, &everything, &some}
+}
+
 // checkEveryPrefix is the contract of the prefix read, checked for every
-// leaf and every k in 0..h: readLeafInto(k) decodes exactly readLeaf()[:k];
-// the clock is charged every page of the leaf whatever k is; and the bytes
-// fetched are whole frames before the page the prefix ends on, header +
-// prefix on it, and nothing after.
+// leaf, every k in 0..h and every predicate of prefixPredicates:
+// readLeafInto(k, q) returns sigma_q of readLeaf()[:k], section by section;
+// the clock is charged every page of the leaf whatever k and q are; and the
+// bytes fetched are whole frames before the page the prefix ends on, header
+// + prefix on it, and nothing after.
 func checkEveryPrefix(t *testing.T, tree *Tree, cb *countingBackend) {
 	t.Helper()
 	perPage := int64(tree.f.PageSize() / record.Size)
 	var dec leafDecoder
+	preds := prefixPredicates(tree)
+	kept, dropped := 0, 0
 	for leaf := int64(0); leaf < tree.nLeaves; leaf++ {
 		whole, err := tree.readLeaf(leaf)
 		if err != nil {
@@ -123,36 +144,49 @@ func checkEveryPrefix(t *testing.T, tree *Tree, cb *countingBackend) {
 			if k > 0 {
 				use += int64(m.secCounts[k-1])
 			}
-			ck := tree.f.Sim().Fork()
-			cb.reads = cb.reads[:0]
-			got, err := tree.WithClock(ck).readLeafInto(leaf, &dec, k)
-			if err != nil {
-				t.Fatalf("leaf %d k=%d: %v", leaf, k, err)
-			}
-			for s := range got {
-				var want []record.Record
-				if s < k {
-					want = whole[s]
+			for pi, q := range preds {
+				ck := tree.f.Sim().Fork()
+				cb.reads = cb.reads[:0]
+				got, err := tree.WithClock(ck).readLeafInto(leaf, &dec, k, q)
+				if err != nil {
+					t.Fatalf("leaf %d k=%d predicate %d: %v", leaf, k, pi, err)
 				}
-				if len(got[s]) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got[s], want)) {
-					t.Fatalf("leaf %d k=%d section %d: %d records, want %d (or contents differ)", leaf, k, s+1, len(got[s]), len(want))
+				for s := range got {
+					var want []record.Record
+					if s < k {
+						for _, rec := range whole[s] {
+							if q.ContainsRecord(&rec) {
+								want = append(want, rec)
+							}
+						}
+						if pi == len(preds)-1 {
+							kept += len(want)
+							dropped += len(whole[s]) - len(want)
+						}
+					}
+					if len(got[s]) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got[s], want)) {
+						t.Fatalf("leaf %d k=%d predicate %d section %d: %d records, want %d (or contents differ)", leaf, k, pi, s+1, len(got[s]), len(want))
+					}
 				}
-			}
-			if c := ck.Counters(); c.Reads() != pages || (pages > 0 && c.RandomReads != 1) {
-				t.Fatalf("leaf %d k=%d: charged %+v, want %d pages, first one random", leaf, k, c, pages)
-			}
-			var want []pageRead
-			for p := int64(0); p*perPage < use; p++ {
-				if on := use - p*perPage; on > perPage {
-					want = append(want, pageRead{m.firstPage + p, tinyPhys})
-				} else {
-					want = append(want, pageRead{m.firstPage + p, 8 + int(on)*record.Size})
+				if c := ck.Counters(); c.Reads() != pages || (pages > 0 && c.RandomReads != 1) {
+					t.Fatalf("leaf %d k=%d predicate %d: charged %+v, want %d pages, first one random", leaf, k, pi, c, pages)
 				}
-			}
-			if fmt.Sprint(cb.reads) != fmt.Sprint(want) {
-				t.Fatalf("leaf %d k=%d (prefix %d records of %d): fetched %v, want %v", leaf, k, use, m.totalRecords(), cb.reads, want)
+				var want []pageRead
+				for p := int64(0); p*perPage < use; p++ {
+					if on := use - p*perPage; on > perPage {
+						want = append(want, pageRead{m.firstPage + p, tinyPhys})
+					} else {
+						want = append(want, pageRead{m.firstPage + p, 8 + int(on)*record.Size})
+					}
+				}
+				if fmt.Sprint(cb.reads) != fmt.Sprint(want) {
+					t.Fatalf("leaf %d k=%d predicate %d (prefix %d records of %d): fetched %v, want %v", leaf, k, pi, use, m.totalRecords(), cb.reads, want)
+				}
 			}
 		}
+	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("the selective predicate kept %d records and dropped %d; it must do both", kept, dropped)
 	}
 }
 

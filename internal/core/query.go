@@ -14,11 +14,11 @@ import (
 // Each call to NextLeaf performs one stab: a root-to-leaf traversal that at
 // every internal node alternates between the children it visited last time
 // (the lookup table's next bits), always preferring a child whose region
-// overlaps the query while it still has unread leaves. The retrieved
-// leaf's sections are then filtered and either emitted immediately (when
+// overlaps the query while it still has unread leaves. The retrieved leaf's
+// sections, filtered as they are read, are either emitted immediately (when
 // the section's region covers the query) or parked in per-region buckets;
 // whenever every level-s region intersecting the query has a parked batch,
-// one batch per region is appended, filtered and emitted.
+// one batch per region is appended and emitted.
 //
 // The guarantee, tested extensively in this package: at every instant, the
 // multiset of records emitted so far is a uniform random sample, without
@@ -39,6 +39,8 @@ type Stream struct {
 	// buffered counts the records currently parked across all buckets
 	// (Figure 15's metric).
 	buffered int
+	// outPeak is the most records out has held at the end of a stab.
+	outPeak int
 
 	outHead     int // s.out[outHead:] is emitted but not yet consumed
 	queryLeaves int
@@ -46,13 +48,12 @@ type Stream struct {
 	emitted     int64
 	done        bool
 
-	// pending is the leaf ordinal of a stab whose read failed transiently
-	// (-1 if none). The shuttle already consumed the leaf's remaining
-	// counters when the stab was routed, so the retry re-reads the same leaf
-	// over the preserved cur path instead of stabbing again — a transient
-	// fault never skips a leaf, preserving prefix equality with a fault-free
-	// run.
-	pending int64
+	// pending marks a stab whose read failed transiently. The shuttle already
+	// consumed the leaf's remaining counters when the stab was routed, so the
+	// retry re-reads the same leaf over the preserved path instead of stabbing
+	// again — a transient fault never skips a leaf, preserving prefix equality
+	// with a fault-free run.
+	pending bool
 	// fault accounting, surfaced through Stream stats.
 	transientRetries int64
 	degradedLeaves   int64
@@ -74,6 +75,10 @@ type scratch struct {
 	// level-(s+1) nodes whose region overlaps the query; all of them must
 	// contribute a batch before section-s batches can be appended.
 	requiredAll [][]int64
+	// overlaps and covers say, per heap node, whether its region overlaps and
+	// contains the query: computeRequired compares boxes once per stream, and
+	// every stab after it routes and combines on these bits.
+	overlaps, covers []bool
 
 	// buckets[s] holds parked batches keyed by heap node index. The batches
 	// themselves are exact-size allocations of the stream that parked them
@@ -82,17 +87,20 @@ type scratch struct {
 
 	out []record.Record // emitted records, consumed from Stream.outHead
 
-	// cur is the stab being served; its path survives a transient fault so
-	// the retry re-reads the same leaf.
-	cur stab
+	// path is the stab being served: the heap indices of its root-to-leaf
+	// traversal by level (path[1..h]). It survives a transient fault so the
+	// retry re-reads the same leaf.
+	path []int64
 
 	// dec is the reusable leaf-decode arena and page buffer.
 	dec leafDecoder
 }
 
 // Retained scratch is bounded by constants: a tree keeps at most
-// maxFreeScratch idle objects, and an object whose record buffers grew past
-// maxKeepRecords (one unusually wide combine) sheds them before it is kept.
+// maxFreeScratch idle objects, and an object whose stream needed more than
+// maxKeepRecords records in a buffer (one unusually wide combine) sheds that
+// buffer before it is kept: judged by out's high-water length and the arena's
+// exact size, never by where append's growth policy rounded a capacity to.
 const (
 	maxFreeScratch = 4
 	maxKeepRecords = 4096
@@ -110,6 +118,10 @@ func (t *Tree) getScratch() *scratch {
 	sc.nextRight = resized(sc.nextRight, int(t.nLeaves))
 	clear(sc.nextRight)
 	sc.remaining = resized(sc.remaining, int(2*t.nLeaves))
+	sc.overlaps = resized(sc.overlaps, int(2*t.nLeaves))
+	clear(sc.overlaps)
+	sc.covers = resized(sc.covers, int(2*t.nLeaves))
+	clear(sc.covers)
 	sc.requiredAll = resized(sc.requiredAll, t.h)
 	sc.buckets = resized(sc.buckets, t.h)
 	for i := range sc.buckets {
@@ -119,9 +131,7 @@ func (t *Tree) getScratch() *scratch {
 		}
 	}
 	sc.out = sc.out[:0]
-	sc.cur.leaf = -1
-	sc.cur.idx = resized(sc.cur.idx, t.h+1)
-	sc.cur.box = resized(sc.cur.box, t.h+1)
+	sc.path = resized(sc.path, t.h+1)
 	return sc
 }
 
@@ -148,7 +158,7 @@ func (s *Stream) Close() {
 	for _, b := range sc.buckets {
 		clear(b)
 	}
-	if cap(sc.out) > maxKeepRecords {
+	if s.outPeak > maxKeepRecords {
 		sc.out = nil
 	}
 	if cap(sc.dec.arena) > maxKeepRecords {
@@ -158,14 +168,6 @@ func (s *Stream) Close() {
 	case s.t.free <- sc:
 	default:
 	}
-}
-
-// stab is one routed root-to-leaf traversal: the leaf it reached plus the
-// path's heap indices and regions per level (1-based, levels 1..h).
-type stab struct {
-	leaf int64
-	idx  []int64
-	box  []record.Box
 }
 
 // StreamOptions tunes the query algorithm.
@@ -196,7 +198,7 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 	if q.Dims() != t.dims {
 		return nil, fmt.Errorf("core: query has %d dims, tree has %d", q.Dims(), t.dims)
 	}
-	s := &Stream{t: t, q: q, scratch: t.getScratch(), pending: -1}
+	s := &Stream{t: t, q: q, scratch: t.getScratch()}
 	// remaining[i] = number of leaves below heap node i.
 	for i := int64(1); i < 2*t.nLeaves; i++ {
 		lvl := levelOf(i)
@@ -224,12 +226,13 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 }
 
 // computeRequired walks the tree regions top-down from node idx and
-// records, per level, which nodes overlap the query.
+// records which nodes overlap the query, per level and per node.
 func (s *Stream) computeRequired(idx int64, level int, box record.Box) {
 	if !box.Overlaps(s.q) {
 		return
 	}
 	s.requiredAll[level-1] = append(s.requiredAll[level-1], idx)
+	s.overlaps[idx], s.covers[idx] = true, box.ContainsBox(s.q)
 	if level == s.t.h {
 		return
 	}
@@ -368,31 +371,24 @@ func (s *Stream) NextLeaf() (int, error) {
 	if s.outHead >= len(s.out) {
 		s.out, s.outHead = s.out[:0], 0
 	}
-	if s.pending >= 0 {
-		s.pending = -1 // retry cur over its preserved path
-	} else {
-		s.shuttle(&s.cur)
+	if !s.pending {
+		s.shuttle()
 	}
-	leaf := s.cur.leaf
-	emitted, err := s.combineTuples(&s.cur)
+	leaf := s.path[s.t.h] - s.t.nLeaves // ordinal
+	emitted, err := s.combineTuples(leaf)
+	if s.pending = err != nil && retriable(err); s.pending {
+		s.transientRetries++
+		return 0, fmt.Errorf("core: leaf %d: %w", leaf, err)
+	}
+	s.done = s.remaining[1] == 0
 	if err != nil {
-		if retriable(err) {
-			s.pending = leaf
-			s.transientRetries++
-			return 0, fmt.Errorf("core: leaf %d: %w", leaf, err)
-		}
 		secs := s.lostSections()
 		s.degradedLeaves++
 		s.degradedSections += int64(len(secs))
-		if s.remaining[1] == 0 {
-			s.done = true
-		}
 		return 0, &DegradedError{Leaf: leaf, Sections: secs, Err: err}
 	}
 	s.leavesRead++
-	if s.remaining[1] == 0 {
-		s.done = true
-	}
+	s.outPeak = max(s.outPeak, len(s.out))
 	return emitted, nil
 }
 
@@ -402,7 +398,7 @@ func (s *Stream) NextLeaf() (int, error) {
 func (s *Stream) lostSections() []int {
 	var secs []int
 	for sec := 0; sec < s.t.h; sec++ {
-		if s.cur.box[sec+1].Overlaps(s.q) {
+		if s.overlaps[s.path[sec+1]] {
 			secs = append(secs, sec+1)
 		}
 	}
@@ -411,128 +407,85 @@ func (s *Stream) lostSections() []int {
 
 // shuttle picks the next leaf to read: starting at the root it prefers, at
 // every node, an undone child overlapping the query; between two eligible
-// children it alternates via the node's next bit. It records the path's
-// heap indices and regions into st, decrements the remaining counters, and
-// sets st.leaf to the routed leaf ordinal.
-func (s *Stream) shuttle(st *stab) {
+// children it alternates via the node's next bit. It records the heap
+// indices it passes into path and decrements their remaining counters.
+func (s *Stream) shuttle() {
 	t := s.t
 	idx := int64(1)
-	box := record.FullBox(t.dims)
-	st.idx[1] = 1
-	st.box[1] = box
+	s.path[1] = 1
 	s.remaining[1]--
 	for level := 1; level < t.h; level++ {
-		split := t.splits[idx]
 		left, right := 2*idx, 2*idx+1
-		leftBox := t.childBox(box, level, split, false)
-		rightBox := t.childBox(box, level, split, true)
-
-		var goRight bool
-		switch {
-		case s.remaining[left] == 0:
-			goRight = true
-		case s.remaining[right] == 0:
-			goRight = false
-		default:
-			ovlL := leftBox.Overlaps(s.q)
-			ovlR := rightBox.Overlaps(s.q)
+		goRight := s.remaining[left] == 0
+		if !goRight && s.remaining[right] != 0 {
+			// Weighted shuttle: each child's visit deficit relative to its
+			// share of query-relevant leaves (equal, so a tie, when unweighted).
+			var dl, dr int64
+			if s.weight != nil {
+				dl = int64(s.sent[left]) * int64(s.weight[right])
+				dr = int64(s.sent[right]) * int64(s.weight[left])
+			}
 			switch {
-			case ovlL && !ovlR:
-				goRight = false
-			case ovlR && !ovlL:
-				goRight = true
-			case s.weight != nil && s.weight[left]+s.weight[right] > 0:
-				// Weighted shuttle: go to the child with the larger visit
-				// deficit relative to its share of query-relevant leaves;
-				// toggle on ties.
-				dl := int64(s.sent[left]) * int64(s.weight[right])
-				dr := int64(s.sent[right]) * int64(s.weight[left])
-				if dl == dr {
-					goRight = s.nextRight[idx]
-					s.nextRight[idx] = !s.nextRight[idx]
-				} else {
-					goRight = dl > dr
-				}
+			case s.overlaps[left] != s.overlaps[right]:
+				goRight = s.overlaps[right]
+			case dl != dr:
+				goRight = dl > dr
 			default:
 				goRight = s.nextRight[idx]
-				s.nextRight[idx] = !s.nextRight[idx]
+				s.nextRight[idx] = !goRight
 			}
 		}
+		idx = left
 		if goRight {
-			idx, box = right, rightBox
-		} else {
-			idx, box = left, leftBox
+			idx = right
 		}
 		if s.sent != nil {
 			s.sent[idx]++
 		}
 		s.remaining[idx]--
-		st.idx[level+1] = idx
-		st.box[level+1] = box
+		s.path[level+1] = idx
 	}
-	st.leaf = idx - t.nLeaves // leaf ordinal
 }
 
-// combineTuples implements Algorithm 4 for the leaf just retrieved: filter
-// each section by the query, emit covering sections immediately, park
-// partially overlapping sections, and flush every bucket group that has a
-// batch for each required region.
+// combineTuples implements Algorithm 4 for the leaf just retrieved: emit
+// covering sections immediately, park partially overlapping sections, and
+// flush every bucket group that has a batch for each required region. The
+// read applies sigma_Q itself (readLeafInto), so every section arrives
+// holding its matches only.
 //
 // Regions nest along the stab's path, so the sections whose region overlaps
 // the query are sections 1..k for some k, and the rest are useless: k is
 // known before the read, and only that prefix of the leaf is fetched.
-func (s *Stream) combineTuples(st *stab) (int, error) {
+func (s *Stream) combineTuples(leaf int64) (int, error) {
 	t := s.t
 	k := 0
-	for k < t.h && st.box[k+1].Overlaps(s.q) {
+	for k < t.h && s.overlaps[s.path[k+1]] {
 		k++
 	}
-	sections, err := t.readLeafInto(st.leaf, &s.dec, k)
+	sections, err := t.readLeafInto(leaf, &s.dec, k, &s.q)
 	if err != nil {
 		return 0, err
 	}
 	emitted := 0
 	for sec := 0; sec < k; sec++ {
-		level := sec + 1
 		recs := sections[sec]
-		if st.box[level].ContainsBox(s.q) {
+		nodeIdx := s.path[sec+1]
+		if s.covers[nodeIdx] {
 			// The section's region covers the query: an immediately usable
-			// random sample (combinability), filtered straight out.
-			before := len(s.out)
-			s.out = s.filterInto(s.out, recs)
-			emitted += len(s.out) - before
-			s.emitted += int64(len(s.out) - before)
+			// random sample (combinability).
+			s.out = append(s.out, recs...)
+			emitted += len(recs)
+			s.emitted += int64(len(recs))
 			continue
 		}
 		// Partial overlap: park sigma_Q of the section under this region
 		// (copied out of the decode arena at its exact size) and try to
 		// append one batch per required region (appendability).
-		n := 0
-		for i := range recs {
-			if s.q.ContainsRecord(&recs[i]) {
-				n++
-			}
-		}
-		var batch []record.Record
-		if n > 0 {
-			batch = s.filterInto(make([]record.Record, 0, n), recs)
-		}
-		nodeIdx := st.idx[level]
-		s.buckets[sec][nodeIdx] = append(s.buckets[sec][nodeIdx], batch)
-		s.buffered += len(batch)
+		s.buckets[sec][nodeIdx] = append(s.buckets[sec][nodeIdx], append([]record.Record(nil), recs...))
+		s.buffered += len(recs)
 		emitted += s.tryCombine(sec)
 	}
 	return emitted, nil
-}
-
-// filterInto appends sigma_Q of recs to dst.
-func (s *Stream) filterInto(dst, recs []record.Record) []record.Record {
-	for i := range recs {
-		if s.q.ContainsRecord(&recs[i]) {
-			dst = append(dst, recs[i])
-		}
-	}
-	return dst
 }
 
 // tryCombine appends one parked batch from every required region of the

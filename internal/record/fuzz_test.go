@@ -57,3 +57,38 @@ func FuzzUnmarshalMarshal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzContainsEncoded: on any Size bytes and any box — one or two
+// dimensions, empty, degenerate, full-domain — the predicate decided on the
+// encoded form is the predicate decided on the decoded record.
+func FuzzContainsEncoded(f *testing.F) {
+	const minI, maxI = int64(-1 << 63), int64(1<<63 - 1)
+	rec := func(key, amount int64) []byte {
+		buf := make([]byte, Size)
+		(&Record{Key: key, Amount: amount, Seq: 9}).Marshal(buf)
+		return buf
+	}
+	f.Add(rec(5, 5), false, int64(0), int64(10), int64(0), int64(0))  // 1-d, inside
+	f.Add(rec(5, 50), true, int64(0), int64(10), int64(0), int64(10)) // 2-d, amount outside
+	f.Add(rec(5, 5), true, int64(10), int64(0), minI, maxI)           // empty first dimension
+	f.Add(rec(5, 5), true, minI, maxI, int64(1), int64(0))            // empty second dimension
+	f.Add(rec(minI, maxI), true, minI, maxI, minI, maxI)              // full domain, edge record
+	f.Add(rec(7, -7), true, int64(7), int64(7), int64(-7), int64(-7)) // Lo == Hi
+	f.Add(rec(maxI, minI), true, maxI, maxI, minI, minI)              // Lo == Hi at the edges
+	f.Add(rec(minI, 0), false, minI+1, maxI, int64(0), int64(0))      // one below Lo at the edge
+	f.Add(bytes.Repeat([]byte{0xff}, Size+3), false, int64(-1), int64(-1), int64(0), int64(0))
+	f.Fuzz(func(t *testing.T, src []byte, twoD bool, keyLo, keyHi, amtLo, amtHi int64) {
+		if len(src) < Size {
+			return
+		}
+		b := Box1D(keyLo, keyHi)
+		if twoD {
+			b = Box2D(keyLo, keyHi, amtLo, amtHi)
+		}
+		var r Record
+		r.Unmarshal(src)
+		if got, want := b.ContainsEncoded(src), b.ContainsRecord(&r); got != want {
+			t.Fatalf("%v on key %d amount %d: encoded test says %v, decoded test %v", b, r.Key, r.Amount, got, want)
+		}
+	})
+}

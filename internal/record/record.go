@@ -91,3 +91,33 @@ func AppendBatch(dst []Record, src []byte, n int) []Record {
 	}
 	return dst
 }
+
+// ContainsEncoded is ContainsRecord on the encoded form: both indexed
+// attributes lead the encoding (Marshal), so src (at least Size bytes long)
+// is tested without being decoded.
+func (b Box) ContainsEncoded(src []byte) bool {
+	_ = src[Size-1]
+	for d, r := range b.dims[:b.n] {
+		if !r.Contains(int64(binary.LittleEndian.Uint64(src[8*d:]))) {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendMatching is AppendBatch under a predicate: of the n consecutive
+// records encoded in src it decodes and appends to dst only those inside b,
+// in order. A record outside b costs a load and a compare or two.
+func AppendMatching(dst []Record, src []byte, n int, b Box) []Record {
+	for src = src[:max(n, 0)*Size]; len(src) > 0; src = src[Size:] {
+		if !b.ContainsEncoded(src) {
+			continue
+		}
+		if len(dst) == cap(dst) {
+			dst = append(dst, Record{})[:len(dst)]
+		}
+		dst = dst[:len(dst)+1]
+		dst[len(dst)-1].Unmarshal(src)
+	}
+	return dst
+}

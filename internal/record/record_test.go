@@ -248,3 +248,42 @@ func TestBoxValueSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendMatching: the matching kernel is AppendBatch followed by a
+// filter — same records, same order, dst's own records untouched — for every
+// shape of call the leaf decode makes.
+func TestAppendMatching(t *testing.T) {
+	const stored = 12
+	src := make([]byte, stored*Size+7) // longer than any n*Size asked for
+	for i := 0; i < stored; i++ {
+		r := Record{Key: int64(i % 5), Amount: int64(i), Seq: uint64(100 + i)}
+		r.Payload[0] = byte(i)
+		r.Marshal(src[i*Size:])
+	}
+	held := []Record{{Key: -1, Seq: 1}, {Key: -2, Seq: 2}}
+	roomy := append(make([]Record, 0, 64), held...)
+	for _, b := range []Box{Box1D(1, 3), Box2D(1, 3, 4, 9), Box1D(9, 9), FullBox(1), FullBox(2), Box1D(3, 1)} {
+		for _, n := range []int{0, 1, 5, stored} {
+			for name, dst := range map[string][]Record{"nil": nil, "full": held[:2:2], "roomy": roomy} {
+				want := append([]Record(nil), dst...)
+				for _, r := range AppendBatch(nil, src, n) {
+					if b.ContainsRecord(&r) {
+						want = append(want, r)
+					}
+				}
+				got := AppendMatching(dst, src, n, b)
+				if len(got) != len(want) {
+					t.Fatalf("%v n=%d dst=%s: %d records, want %d", b, n, name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%v n=%d dst=%s: record %d is seq %d, want seq %d", b, n, name, i, got[i].Seq, want[i].Seq)
+					}
+				}
+				if name == "roomy" && len(got) > 0 && &got[0] != &roomy[0] {
+					t.Fatalf("%v n=%d: dst had room for the matches and was reallocated", b, n)
+				}
+			}
+		}
+	}
+}
