@@ -2,9 +2,12 @@ package extsort
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand/v2"
+	"os"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -348,5 +351,56 @@ func TestSortWorkersByteIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sortTies sorts src into dst by the leading uint64 of each item: the one
+// call of the tie-order golden that names the sorter's entry point.
+func sortTies(dst, src *pagefile.ItemFile, memPages, workers int) error {
+	return SortWorkers(dst, src, cmpUint64, memPages, workers)
+}
+
+// TestSortTieOrderGolden pins the order among equal keys. The sorter is not
+// stable: the order of ties is whatever the standard library's pdqsort makes
+// of each chunk and whatever the merge heap makes of the runs, and every
+// built view file (and the run digests frozen beside the benchmark) depends
+// on it. The golden was recorded before run formation sorted extracted keys
+// and must never be re-recorded for a change to this package.
+func TestSortTieOrderGolden(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 24))
+	keys := make([]uint64, 100000)
+	for i := range keys {
+		keys[i] = rng.Uint64N(64)
+	}
+	var out bytes.Buffer
+	for _, memPages := range []int{3, 8, 2048} {
+		for _, workers := range []int{1, 4} {
+			sim := testSim()
+			src := writeItems(t, sim, keys)
+			dst := pagefile.NewItemFile(pagefile.NewMem(sim), itemSize)
+			if err := sortTies(dst, src, memPages, workers); err != nil {
+				t.Fatal(err)
+			}
+			c := sim.Counters()
+			fmt.Fprintf(&out, "mem=%d workers=%d sha256=%x rr=%d sr=%d rw=%d sw=%d now=%d\n", memPages, workers,
+				sha256.Sum256(rawBytes(t, dst)), c.RandomReads, c.SequentialReads, c.RandomWrites, c.SequentialWrites, int64(sim.Now()))
+		}
+	}
+	const golden = "testdata/tieorder.golden"
+	want, err := os.ReadFile(golden)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s did not exist; wrote a fresh baseline — review and commit it", golden)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, out.Bytes()) {
+		t.Fatalf("tie order differs from %s:\ngot\n%swant\n%s", golden, out.Bytes(), want)
 	}
 }
