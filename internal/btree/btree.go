@@ -54,19 +54,7 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, pool *pagefile.Pool, memP
 
 	// Leaf level: external sort by key straight into the data region.
 	items := pagefile.NewItemFile(dst, record.Size)
-	cmp := func(a, b []byte) int {
-		x := int64(binary.LittleEndian.Uint64(a[0:8]))
-		y := int64(binary.LittleEndian.Uint64(b[0:8]))
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if err := extsort.Sort(items, src, cmp, memPages); err != nil {
+	if err := extsort.Sort(items, src, extsort.Key{Signed: true}, memPages, 1); err != nil {
 		return nil, fmt.Errorf("btree: sorting records: %w", err)
 	}
 

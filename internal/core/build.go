@@ -87,9 +87,14 @@ func Create(dst *pagefile.File, src *pagefile.ItemFile, p Params) (*Tree, error)
 		return nil, fmt.Errorf("core: phase 2 assignment: %w", err)
 	}
 
-	// Phase 2b: external sort by (leaf, section).
+	// Phase 2b: external sort by (leaf, section). Each temporary file is
+	// closed as soon as its one reader is done with it: the heap holds the
+	// copies of the relation a pass is using, not one per pass.
 	sorted := pagefile.NewItemFile(pagefile.NewMem(dst.Sim()), taggedSize)
-	if err := extsort.SortWorkers(sorted, tagged, cmpTag, p.MemPages, workers); err != nil {
+	defer sorted.File().Close()
+	err = extsort.Sort(sorted, tagged, extsort.Key{}, p.MemPages, workers)
+	tagged.File().Close()
+	if err != nil {
 		return nil, fmt.Errorf("core: phase 2 sort: %w", err)
 	}
 
@@ -138,28 +143,23 @@ func (t *Tree) writeFile(sorted *pagefile.ItemFile, workers int) error {
 
 const taggedSize = 8 + record.Size
 
+// closeOnError releases a temporary file its maker is about to abandon.
+func closeOnError(tmp *pagefile.ItemFile, err *error) {
+	if *err != nil {
+		tmp.File().Close()
+	}
+}
+
 // tag packs (leaf ordinal, section index) so that ascending uint64 order
 // is (leaf, section) order. section is 0-based here; it fits because
-// MaxHeight < 256.
+// MaxHeight < 256. The tag leads the tagged item, which is the zero
+// extsort.Key.
 func makeTag(leaf int64, section int) uint64 {
 	return uint64(leaf)<<8 | uint64(section)
 }
 
 func splitTag(tag uint64) (leaf int64, section int) {
 	return int64(tag >> 8), int(tag & 0xff)
-}
-
-func cmpTag(a, b []byte) int {
-	x := binary.LittleEndian.Uint64(a[:8])
-	y := binary.LittleEndian.Uint64(b[:8])
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // phase1External computes one-dimensional split keys with an external sort
@@ -170,19 +170,8 @@ func (t *Tree) phase1External(src *pagefile.ItemFile, memPages, workers int) err
 		return nil // no internal nodes
 	}
 	sorted := pagefile.NewItemFile(pagefile.NewMem(t.f.Sim()), record.Size)
-	cmp := func(a, b []byte) int {
-		x := int64(binary.LittleEndian.Uint64(a[0:8]))
-		y := int64(binary.LittleEndian.Uint64(b[0:8]))
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if err := extsort.SortWorkers(sorted, src, cmp, memPages, workers); err != nil {
+	defer sorted.File().Close()
+	if err := extsort.Sort(sorted, src, extsort.Key{Signed: true}, memPages, workers); err != nil {
 		return err
 	}
 
@@ -317,9 +306,10 @@ func quickselect(part []int32, k int, coord []int64, rng *rand.Rand) {
 // record, accumulates the exact per-node left/right counts and the
 // directory's per-section counts, and returns the tagged temporary file
 // (Figure 9 of the paper).
-func (t *Tree) assignTags(src *pagefile.ItemFile, seed uint64) (*pagefile.ItemFile, error) {
+func (t *Tree) assignTags(src *pagefile.ItemFile, seed uint64) (_ *pagefile.ItemFile, err error) {
 	t.leaves = newLeafMetas(t.nLeaves, t.h)
 	tagged := pagefile.NewItemFile(pagefile.NewMem(t.f.Sim()), taggedSize)
+	defer closeOnError(tagged, &err)
 	w := tagged.NewWriter()
 	rng := rand.New(rand.NewPCG(seed, seed^0xace7ace7ace7ace7))
 	buf := make([]byte, taggedSize)

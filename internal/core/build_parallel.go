@@ -50,7 +50,7 @@ type tagAcc struct {
 // sequential pass) and additionally fills t.leaves[*].secCounts, which the
 // parallel leaf renderer needs to locate every leaf in the sorted file
 // before it is written.
-func (t *Tree) assignTagsParallel(src *pagefile.ItemFile, seed uint64, workers int) (*pagefile.ItemFile, error) {
+func (t *Tree) assignTagsParallel(src *pagefile.ItemFile, seed uint64, workers int) (_ *pagefile.ItemFile, err error) {
 	n := src.Count()
 	h := t.h
 	sim := t.f.Sim()
@@ -70,6 +70,7 @@ func (t *Tree) assignTagsParallel(src *pagefile.ItemFile, seed uint64, workers i
 
 	t.leaves = newLeafMetas(t.nLeaves, h)
 	tagged := pagefile.NewItemFile(pagefile.NewMem(sim), taggedSize)
+	defer closeOnError(tagged, &err)
 	if n == 0 {
 		return tagged, nil
 	}

@@ -14,51 +14,89 @@
 // inserted, so the sorter works with any memory budget of at least three
 // pages. All I/O is charged to the simulated disk through pagefile.
 //
-// SortWorkers spreads phase 1 (and the independent groups of intermediate
-// merge passes) over a pool of goroutines. Chunk boundaries depend only on
-// the memory budget, runs are collected in chunk order, and the merge
-// consumes them in that fixed order, so the sorted output is byte-for-byte
-// identical for every worker count. Each chunk and each merge group charges
-// its I/O to a private clock forked from the shared simulated disk
-// (iosim.Sim.Fork), so the simulated cost is also independent of how chunks
-// happen to be scheduled over workers.
+// Workers spread phase 1 (and the independent groups of intermediate merge
+// passes) over a pool of goroutines. Chunk boundaries depend only on the
+// memory budget, runs are collected in chunk order, and the merge consumes
+// them in that fixed order, so the sorted output is byte-for-byte identical
+// for every worker count. Each chunk and each merge group charges its I/O to
+// a private clock forked from the shared simulated disk (iosim.Sim.Fork), so
+// the simulated cost is also independent of how chunks happen to be
+// scheduled over workers.
+//
+// Items are ordered by an extracted key (Key) and moved by the page. A chunk
+// is read as page images; what is sorted is one 16-byte (key, offset) pair
+// per item, so a comparison never touches an item, and each item is copied
+// once, into its page of the run. A merge compares cached keys and copies
+// each winner once into its output page; a pass over a single run compares
+// nothing and moves whole pages.
+//
+// Tie order is part of the contract. The sort is not stable: equal keys
+// come out in the order the standard library's pdqsort (slices.SortFunc,
+// whose decisions depend only on the comparison results and the length)
+// leaves them within a chunk and the merge heap (container/heap's sift
+// rules) leaves them between runs. View files, the stream goldens and the
+// benchmark's frozen run digests all depend on that order, so it may change
+// only with them; testdata/tieorder.golden pins it, and a toolchain whose
+// pdqsort decides differently fails there.
+//
+// What is charged is the sequence of page reads and appends, never the bytes
+// moved: a sequential pass reads its input through an ItemReader's read-ahead
+// and appends each run whole; a forked chunk is one burst of reads, then its
+// run; a merge pass refills each run a burst at a time and appends output
+// (pagefile.ItemFile.NewWriterBurst) at the points where a burst of it is
+// complete. Moving pages instead of items issues exactly those calls in that
+// order (every page still checksum-verified on read and sealed on write), so
+// counters and simulated time are a function of input size, item size,
+// memPages and workers alone; the same golden pins them.
 package extsort
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
+	"slices"
 
 	"sampleview/internal/pagefile"
 	"sampleview/internal/par"
 )
 
-// Compare orders two encoded items: negative if a < b, zero if equal,
-// positive if a > b.
-type Compare func(a, b []byte) int
+// Key says where an item carries its sort key: a little-endian 64-bit
+// integer at byte Offset, ordered as signed or unsigned. Every ordering in
+// the repository is one of these (record key, coordinate, tag, random key).
+type Key struct {
+	Offset int
+	Signed bool
+}
+
+// of returns item's key mapped so that unsigned order is the key's order.
+func (k Key) of(item []byte) uint64 {
+	v := binary.LittleEndian.Uint64(item[k.Offset:])
+	if k.Signed {
+		v ^= 1 << 63
+	}
+	return v
+}
 
 // MinMemPages is the smallest usable memory budget: one input page, one
 // output page, and at least two merge inputs.
 const MinMemPages = 3
 
-// Sort reads all items from src and writes them to dst in cmp order. dst
+// Sort reads all items from src and writes them to dst in key order. dst
 // must be an empty item file with the same item size as src. memPages is
-// the number of page-sized memory buffers the sorter may use.
-func Sort(dst, src *pagefile.ItemFile, cmp Compare, memPages int) error {
-	return SortWorkers(dst, src, cmp, memPages, 1)
-}
-
-// SortWorkers is Sort with run formation and intermediate merge passes
-// spread over up to workers goroutines (each holding its own memPages of
-// sort memory). The output is byte-identical to Sort's; workers <= 1 runs
-// the exact sequential path.
-func SortWorkers(dst, src *pagefile.ItemFile, cmp Compare, memPages, workers int) error {
+// the number of page-sized memory buffers the sorter may use. Run formation
+// and intermediate merge passes are spread over up to workers goroutines
+// (each holding its own memPages of sort memory); workers <= 1 runs the
+// sequential path, and the output is byte-identical for every worker count.
+func Sort(dst, src *pagefile.ItemFile, key Key, memPages, workers int) error {
 	if memPages < MinMemPages {
 		return fmt.Errorf("extsort: memory budget %d pages below minimum %d", memPages, MinMemPages)
 	}
 	if dst.ItemSize() != src.ItemSize() {
 		return fmt.Errorf("extsort: item size mismatch: dst %d, src %d", dst.ItemSize(), src.ItemSize())
+	}
+	if key.Offset < 0 || key.Offset+8 > src.ItemSize() {
+		return fmt.Errorf("extsort: key at offset %d outside a %d-byte item", key.Offset, src.ItemSize())
 	}
 	if dst.Count() != 0 {
 		return fmt.Errorf("extsort: destination already holds %d items", dst.Count())
@@ -66,90 +104,109 @@ func SortWorkers(dst, src *pagefile.ItemFile, cmp Compare, memPages, workers int
 	var runs []*pagefile.ItemFile
 	var err error
 	if workers > 1 {
-		runs, err = formRunsParallel(src, cmp, memPages, workers)
+		runs, err = formRunsParallel(src, key, memPages, workers)
 	} else {
-		runs, err = formRuns(src, cmp, memPages)
+		runs, err = formRuns(src, key, memPages)
 	}
 	if err != nil {
+		closeRuns(runs)
 		return err
 	}
 	fanIn := memPages - 1
 	// Intermediate passes until the final merge fits in one pass.
 	for len(runs) > fanIn {
-		ngroups := (len(runs) + fanIn - 1) / fanIn
-		next := make([]*pagefile.ItemFile, ngroups)
-		if workers > 1 {
-			if err := mergeGroupsParallel(next, runs, cmp, memPages, fanIn, workers); err != nil {
-				return err
-			}
-		} else {
-			for g := 0; g < ngroups; g++ {
-				lo := g * fanIn
-				hi := min(lo+fanIn, len(runs))
-				out := pagefile.NewItemFile(pagefile.NewMem(src.File().Sim()), src.ItemSize())
-				if err := mergeRuns(out, runs[lo:hi], cmp, memPages); err != nil {
-					return err
-				}
-				next[g] = out
-			}
+		next := make([]*pagefile.ItemFile, (len(runs)+fanIn-1)/fanIn)
+		if err := mergeGroups(next, runs, key, memPages, fanIn, workers); err != nil {
+			closeRuns(runs)
+			closeRuns(next)
+			return err
 		}
 		runs = next
 	}
-	return mergeRuns(dst, runs, cmp, memPages)
+	return mergeRuns(dst, runs, key, memPages)
+}
+
+// closeRuns releases the memory of temporary run files (nil entries are
+// runs a failed pass never produced). Closing twice is harmless.
+func closeRuns(runs []*pagefile.ItemFile) {
+	for _, r := range runs {
+		if r != nil {
+			r.File().Close()
+		}
+	}
+}
+
+// pair is one item of a chunk during run formation: its extracted key and
+// where it sits in the arena.
+type pair struct {
+	key uint64
+	off int
+}
+
+// chunkSorter is one worker's sort memory: an arena of source page images
+// and the pairs of the items in them, both sized to the largest chunk the
+// input has rather than to the budget.
+type chunkSorter struct {
+	src   *pagefile.ItemFile
+	key   Key
+	arena []byte
+	pairs []pair
+}
+
+func newChunkSorter(src *pagefile.ItemFile, key Key, memPages int) *chunkSorter {
+	pages := int(min(int64(memPages), src.NumPages()))
+	return &chunkSorter{
+		src:   src,
+		key:   key,
+		arena: make([]byte, pages*src.File().PageSize()),
+		pairs: make([]pair, 0, pages*src.PerPage()),
+	}
+}
+
+// writeRun sorts the n items on the arena's leading page images and writes
+// them to run. Only the 16-byte pairs are sorted: a comparison touches no
+// item, and each item moves once, from the arena into its page of the run.
+func (c *chunkSorter) writeRun(run *pagefile.ItemFile, n int) error {
+	ps, perPage, itemSize := c.src.File().PageSize(), c.src.PerPage(), c.src.ItemSize()
+	c.pairs = c.pairs[:0]
+	for base := 0; len(c.pairs) < n; base += ps {
+		for off := base; off < base+perPage*itemSize && len(c.pairs) < n; off += itemSize {
+			c.pairs = append(c.pairs, pair{c.key.of(c.arena[off:]), off})
+		}
+	}
+	slices.SortFunc(c.pairs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
+	w := run.NewWriter()
+	for _, p := range c.pairs {
+		if err := w.Write(c.arena[p.off : p.off+itemSize]); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
 }
 
 // formRuns performs phase 1: sequential read, in-memory sort of
-// memPages-sized chunks, one sorted run file per chunk.
-func formRuns(src *pagefile.ItemFile, cmp Compare, memPages int) ([]*pagefile.ItemFile, error) {
-	itemSize := src.ItemSize()
-	chunkItems := memPages * src.PerPage()
-	arena := make([]byte, 0, chunkItems*itemSize)
-	var idx []int // item offsets into arena, reordered by the sort
-
+// memPages-sized chunks, one sorted run file per chunk. Like
+// formRunsParallel it returns the runs it made even beside an error, for
+// the caller to close.
+func formRuns(src *pagefile.ItemFile, key Key, memPages int) ([]*pagefile.ItemFile, error) {
+	c := newChunkSorter(src, key, memPages)
+	ps := src.File().PageSize()
 	var runs []*pagefile.ItemFile
-	flush := func() error {
-		if len(idx) == 0 {
-			return nil
-		}
-		sort.Slice(idx, func(i, j int) bool {
-			return cmp(arena[idx[i]:idx[i]+itemSize], arena[idx[j]:idx[j]+itemSize]) < 0
-		})
-		run := pagefile.NewItemFile(pagefile.NewMem(src.File().Sim()), itemSize)
-		w := run.NewWriter()
-		for _, off := range idx {
-			if err := w.Write(arena[off : off+itemSize]); err != nil {
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		runs = append(runs, run)
-		arena = arena[:0]
-		idx = idx[:0]
-		return nil
-	}
-
 	r := src.NewReader()
-	for {
-		item, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		off := len(arena)
-		arena = append(arena, item...)
-		idx = append(idx, off)
-		if len(idx) == chunkItems {
-			if err := flush(); err != nil {
-				return nil, err
+	for r.Pos() < src.Count() {
+		first := r.Pos()
+		for pages := 0; pages < memPages && r.Pos() < src.Count(); pages++ {
+			page, err := r.NextPage()
+			if err != nil {
+				return runs, err
 			}
+			copy(c.arena[pages*ps:], page)
 		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
+		run := pagefile.NewItemFile(pagefile.NewMem(src.File().Sim()), src.ItemSize())
+		runs = append(runs, run)
+		if err := c.writeRun(run, int(r.Pos()-first)); err != nil {
+			return runs, err
+		}
 	}
 	return runs, nil
 }
@@ -159,168 +216,110 @@ func formRuns(src *pagefile.ItemFile, cmp Compare, memPages int) ([]*pagefile.It
 // source page is read by two workers); each chunk is read, sorted and
 // written as a run on a clock forked per chunk, and runs are collected in
 // chunk order so the subsequent merge sees exactly the sequential run list.
-func formRunsParallel(src *pagefile.ItemFile, cmp Compare, memPages, workers int) ([]*pagefile.ItemFile, error) {
-	itemSize := src.ItemSize()
-	chunkItems := int64(memPages * src.PerPage())
-	n := src.Count()
-	if n == 0 {
-		return nil, nil
-	}
-	nchunks := int((n + chunkItems - 1) / chunkItems)
+func formRunsParallel(src *pagefile.ItemFile, key Key, memPages, workers int) ([]*pagefile.ItemFile, error) {
+	sim, ps := src.File().Sim(), src.File().PageSize()
+	nchunks := int((src.NumPages() + int64(memPages) - 1) / int64(memPages))
 	runs := make([]*pagefile.ItemFile, nchunks)
-	sim := src.File().Sim()
-
-	var fail par.First
-	var wg sync.WaitGroup
-	chunks := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			arena := make([]byte, 0, int(chunkItems)*itemSize)
-			var idx []int
-			for k := range chunks {
-				if fail.Failed() {
-					continue
-				}
-				lo := int64(k) * chunkItems
-				hi := min(lo+chunkItems, n)
-				ck := sim.Fork()
-				// Read the whole chunk in one burst; a wider read-ahead
-				// would spill into the next worker's chunk.
-				r := src.OnClock(ck).NewReaderBurst(lo, memPages)
-				arena = arena[:0]
-				idx = idx[:0]
-				for i := lo; i < hi; i++ {
-					item, err := r.Next()
-					if err != nil {
-						fail.Set(err)
-						break
-					}
-					off := len(arena)
-					arena = append(arena, item...)
-					idx = append(idx, off)
-				}
-				if fail.Failed() {
-					continue
-				}
-				sort.Slice(idx, func(i, j int) bool {
-					return cmp(arena[idx[i]:idx[i]+itemSize], arena[idx[j]:idx[j]+itemSize]) < 0
-				})
-				mem := pagefile.NewMem(sim)
-				run := pagefile.NewItemFile(mem.OnClock(ck), itemSize)
-				rw := run.NewWriter()
-				for _, off := range idx {
-					if err := rw.Write(arena[off : off+itemSize]); err != nil {
-						fail.Set(err)
-						break
-					}
-				}
-				if fail.Failed() {
-					continue
-				}
-				if err := rw.Flush(); err != nil {
-					fail.Set(err)
-					continue
-				}
-				// Rewrap on the unclocked file so the merge pass charges the
-				// caller's clock, not this chunk's.
-				reopened, err := pagefile.OpenItemFile(mem, itemSize, 0, run.Count())
-				if err != nil {
-					fail.Set(err)
-					continue
-				}
-				runs[k] = reopened
+	// Sort memories not in use: a worker makes one for its first chunk, so
+	// there are never more of them than chunks or workers.
+	idle := make(chan *chunkSorter, workers)
+	return runs, par.ForEach(nchunks, workers, func(k int) error {
+		var c *chunkSorter
+		select {
+		case c = <-idle:
+		default:
+			c = newChunkSorter(src, key, memPages)
+		}
+		defer func() { idle <- c }()
+		first := int64(k) * int64(memPages)
+		pages := min(int64(memPages), src.NumPages()-first)
+		items := min(pages*int64(src.PerPage()), src.Count()-first*int64(src.PerPage()))
+		ck := sim.Fork()
+		// Read the whole chunk in one burst, straight into the arena.
+		in := src.File().OnClock(ck)
+		for p := int64(0); p < pages; p++ {
+			if err := in.Read(src.StartPage()+first+p, c.arena[int(p)*ps:]); err != nil {
+				return err
 			}
-		}()
-	}
-	for k := 0; k < nchunks; k++ {
-		chunks <- k
-	}
-	close(chunks)
-	wg.Wait()
-	if err := fail.Err(); err != nil {
-		return nil, err
-	}
-	return runs, nil
+		}
+		mem := pagefile.NewMem(sim)
+		err := c.writeRun(pagefile.NewItemFile(mem.OnClock(ck), src.ItemSize()), int(items))
+		if err == nil {
+			// Wrap the unclocked file, so the merge pass charges the caller's
+			// clock, not this chunk's.
+			runs[k], err = pagefile.OpenItemFile(mem, src.ItemSize(), 0, items)
+		}
+		if err != nil {
+			mem.Close()
+		}
+		return err
+	})
 }
 
-// mergeGroupsParallel runs the independent groups of one intermediate merge
-// pass concurrently, each group on its own forked clock, filling next[g]
-// with the merged run for group g.
-func mergeGroupsParallel(next, runs []*pagefile.ItemFile, cmp Compare, memPages, fanIn, workers int) error {
-	itemSize := runs[0].ItemSize()
+// mergeGroups runs one intermediate merge pass: each group of up to fanIn
+// runs is merged into next[g]. With workers > 1 the groups, which are
+// independent, run concurrently, each on its own forked clock.
+func mergeGroups(next, runs []*pagefile.ItemFile, key Key, memPages, fanIn, workers int) error {
 	sim := runs[0].File().Sim()
-	var fail par.First
-	var wg sync.WaitGroup
-	groups := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range groups {
-				if fail.Failed() {
-					continue
-				}
-				lo := g * fanIn
-				hi := min(lo+fanIn, len(runs))
-				ck := sim.Fork()
-				clocked := make([]*pagefile.ItemFile, hi-lo)
-				for i, r := range runs[lo:hi] {
-					clocked[i] = r.OnClock(ck)
-				}
-				mem := pagefile.NewMem(sim)
-				out := pagefile.NewItemFile(mem.OnClock(ck), itemSize)
-				if err := mergeRuns(out, clocked, cmp, memPages); err != nil {
-					fail.Set(err)
-					continue
-				}
-				merged, err := pagefile.OpenItemFile(mem, itemSize, 0, out.Count())
-				if err != nil {
-					fail.Set(err)
-					continue
-				}
-				next[g] = merged
+	return par.ForEach(len(next), workers, func(g int) error {
+		group := runs[g*fanIn : min((g+1)*fanIn, len(runs))]
+		mem := pagefile.NewMem(sim)
+		out := pagefile.NewItemFile(mem, runs[0].ItemSize())
+		if workers > 1 {
+			ck := sim.Fork()
+			out = out.OnClock(ck)
+			clocked := make([]*pagefile.ItemFile, len(group))
+			for i, r := range group {
+				clocked[i] = r.OnClock(ck)
 			}
-		}()
-	}
-	for g := 0; g < len(next); g++ {
-		groups <- g
-	}
-	close(groups)
-	wg.Wait()
-	return fail.Err()
+			group = clocked
+		}
+		err := mergeRuns(out, group, key, memPages)
+		if err == nil {
+			next[g], err = pagefile.OpenItemFile(mem, out.ItemSize(), 0, out.Count())
+		}
+		if err != nil {
+			mem.Close()
+		}
+		return err
+	})
 }
 
-// mergeRuns performs one merge pass of the given runs into dst. Each run
-// is read in multi-page bursts and the output is written in multi-page
-// bursts (one seek amortized over the burst), the way a real TPMMS
-// allocates its merge buffers; page-at-a-time alternation between the
+// mergeRuns performs one merge pass of the given runs into dst and closes
+// them. Each run is read in multi-page bursts and the output is written in
+// multi-page bursts (one seek amortized over the burst), the way a real
+// TPMMS allocates its merge buffers; page-at-a-time alternation between the
 // runs and the output would turn every access into a seek.
-func mergeRuns(dst *pagefile.ItemFile, runs []*pagefile.ItemFile, cmp Compare, memPages int) error {
-	burst := memPages / (len(runs) + 1)
-	if burst < 1 {
-		burst = 1
-	}
-	w := newBurstWriter(dst, burst)
-	h := &mergeHeap{cmp: cmp}
+func mergeRuns(dst *pagefile.ItemFile, runs []*pagefile.ItemFile, key Key, memPages int) error {
+	defer closeRuns(runs)
+	burst := max(1, memPages/(len(runs)+1))
+	// The output gets a burst too, no larger than all the pass will write.
+	var total int64
 	for _, run := range runs {
-		mr := newRunCursor(run, burst)
-		ok, err := mr.advance()
+		total += run.NumPages()
+	}
+	w := dst.NewWriterBurst(int(max(1, min(int64(burst), total))))
+	if len(runs) == 1 {
+		return copyRun(w, runs[0])
+	}
+	h := &mergeHeap{}
+	for _, run := range runs {
+		c := &runCursor{r: run.NewReaderBurst(0, burst)}
+		ok, err := c.advance(key)
 		if err != nil {
 			return err
 		}
 		if ok {
-			h.entries = append(h.entries, mr)
+			h.entries = append(h.entries, c)
 		}
 	}
 	h.init()
 	for len(h.entries) > 0 {
 		e := h.entries[0]
-		if err := w.write(e.cur); err != nil {
+		if err := w.Write(e.cur); err != nil {
 			return err
 		}
-		ok, err := e.advance()
+		ok, err := e.advance(key)
 		if err != nil {
 			return err
 		}
@@ -330,131 +329,58 @@ func mergeRuns(dst *pagefile.ItemFile, runs []*pagefile.ItemFile, cmp Compare, m
 			h.fix()
 		}
 	}
-	return w.flush()
+	return w.Flush()
 }
 
-// runCursor reads one sorted run in page bursts: each refill performs one
-// seek plus burst-1 sequential transfers. Items never span pages, so the
-// cursor tracks (page, slot) within the loaded burst.
+// runCursor is the head of one sorted run, read in page bursts (one seek
+// plus burst-1 sequential transfers per refill), with its key extracted once.
 type runCursor struct {
-	itf   *pagefile.ItemFile
-	burst int64
-	buf   []byte
-
-	pos       int64 // next item index in the run
-	remaining int64 // items left in the loaded burst
-	page      int64 // page within buf
-	slot      int64 // slot within that page
-	cur       []byte
+	r   *pagefile.ItemReader
+	cur []byte
+	key uint64
 }
 
-func newRunCursor(itf *pagefile.ItemFile, burst int) *runCursor {
-	return &runCursor{
-		itf:   itf,
-		burst: int64(burst),
-		buf:   make([]byte, burst*itf.File().PageSize()),
+// advance loads the run's next item; it returns false at the end of the run.
+func (c *runCursor) advance(k Key) (bool, error) {
+	item, err := c.r.Next()
+	if err == io.EOF {
+		return false, nil
 	}
-}
-
-// advance loads the next item into cur, refilling the burst buffer from
-// disk when drained; it returns false at the end of the run.
-func (c *runCursor) advance() (bool, error) {
-	if c.remaining == 0 {
-		if c.pos >= c.itf.Count() {
-			return false, nil
-		}
-		perPage := int64(c.itf.PerPage())
-		firstPage := c.itf.StartPage() + c.pos/perPage
-		lastPage := c.itf.StartPage() + c.itf.NumPages() - 1
-		pages := c.burst
-		if m := lastPage - firstPage + 1; pages > m {
-			pages = m
-		}
-		ps := c.itf.File().PageSize()
-		for p := int64(0); p < pages; p++ {
-			if err := c.itf.File().Read(firstPage+p, c.buf[int(p)*ps:]); err != nil {
-				return false, err
-			}
-		}
-		c.page = 0
-		c.slot = c.pos % perPage
-		c.remaining = pages*perPage - c.slot
-		if rem := c.itf.Count() - c.pos; c.remaining > rem {
-			c.remaining = rem
-		}
+	if err != nil {
+		return false, err
 	}
-	ps := c.itf.File().PageSize()
-	is := c.itf.ItemSize()
-	start := int(c.page)*ps + int(c.slot)*is
-	c.cur = c.buf[start : start+is]
-	c.slot++
-	if c.slot == int64(c.itf.PerPage()) {
-		c.slot = 0
-		c.page++
-	}
-	c.pos++
-	c.remaining--
+	c.cur, c.key = item, k.of(item)
 	return true, nil
 }
 
-// burstWriter buffers whole pages and writes them in one sequential run.
-type burstWriter struct {
-	itf   *pagefile.ItemFile
-	inner *pagefile.ItemWriter
-	// The ItemWriter already assembles pages; bursting is achieved by the
-	// fact that consecutive Append calls with no interleaved reads are
-	// sequential. To avoid interleaving with run refills, buffer items
-	// here and push them down in batches.
-	pending []byte
-	limit   int
-	isz     int
-}
-
-func newBurstWriter(itf *pagefile.ItemFile, burstPages int) *burstWriter {
-	return &burstWriter{
-		itf:   itf,
-		inner: itf.NewWriter(),
-		limit: burstPages * itf.PerPage() * itf.ItemSize(),
-		isz:   itf.ItemSize(),
-	}
-}
-
-func (w *burstWriter) write(item []byte) error {
-	w.pending = append(w.pending, item[:w.isz]...)
-	if len(w.pending) >= w.limit {
-		return w.push()
-	}
-	return nil
-}
-
-func (w *burstWriter) push() error {
-	for off := 0; off+w.isz <= len(w.pending); off += w.isz {
-		if err := w.inner.Write(w.pending[off : off+w.isz]); err != nil {
+// copyRun is the merge of a single run: nothing to compare, so each page is
+// read straight into the writer's image of it and goes out as it is, by the
+// same Read and Append calls in the same order as an item-by-item merge of
+// that run (every page still verified on read and sealed on write).
+func copyRun(w *pagefile.ItemWriter, run *pagefile.ItemFile) error {
+	left := run.Count()
+	for p := int64(0); p < run.NumPages(); p++ {
+		if err := run.File().Read(run.StartPage()+p, w.Page()); err != nil {
+			return err
+		}
+		n := min(left, int64(run.PerPage()))
+		left -= n
+		if err := w.PageDone(int(n)); err != nil {
 			return err
 		}
 	}
-	w.pending = w.pending[:0]
-	return nil
+	return w.Flush()
 }
 
-func (w *burstWriter) flush() error {
-	if err := w.push(); err != nil {
-		return err
-	}
-	return w.inner.Flush()
-}
-
-// mergeHeap is a typed binary min-heap of run cursors. It replaces the
-// previous container/heap implementation: the direct calls avoid an
-// interface dispatch per comparison on the innermost merge loop, and the
-// sift procedures mirror container/heap's exactly, so ties between equal
-// keys resolve in the same order and merge output stays byte-identical.
+// mergeHeap is a typed binary min-heap of run cursors ordered by their
+// cached keys. Its sift procedures mirror container/heap's exactly, so ties
+// between equal keys resolve in the order they always have and merge output
+// stays byte-identical.
 type mergeHeap struct {
 	entries []*runCursor
-	cmp     Compare
 }
 
-func (h *mergeHeap) less(i, j int) bool { return h.cmp(h.entries[i].cur, h.entries[j].cur) < 0 }
+func (h *mergeHeap) less(i, j int) bool { return h.entries[i].key < h.entries[j].key }
 
 func (h *mergeHeap) init() {
 	n := len(h.entries)

@@ -29,19 +29,6 @@ func testSim() *iosim.Sim {
 
 const itemSize = 16
 
-func cmpUint64(a, b []byte) int {
-	x := binary.LittleEndian.Uint64(a)
-	y := binary.LittleEndian.Uint64(b)
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // writeItems writes the given uint64 keys as items (key + sequence tail so
 // duplicates are distinguishable) and returns the item file.
 func writeItems(t *testing.T, sim *iosim.Sim, keys []uint64) *pagefile.ItemFile {
@@ -94,7 +81,7 @@ func sortHelper(t *testing.T, keys []uint64, memPages int) []uint64 {
 	sim := testSim()
 	src := writeItems(t, sim, keys)
 	dst := pagefile.NewItemFile(pagefile.NewMem(sim), itemSize)
-	if err := Sort(dst, src, cmpUint64, memPages); err != nil {
+	if err := Sort(dst, src, Key{}, memPages, 1); err != nil {
 		t.Fatal(err)
 	}
 	return readKeys(t, dst)
@@ -197,51 +184,69 @@ func TestSortRejectsBadArguments(t *testing.T) {
 	sim := testSim()
 	src := writeItems(t, sim, []uint64{1})
 	dst := pagefile.NewItemFile(pagefile.NewMem(sim), itemSize)
-	if err := Sort(dst, src, cmpUint64, 2); err == nil {
+	if err := Sort(dst, src, Key{}, 2, 1); err == nil {
 		t.Fatal("memory budget below minimum should be rejected")
 	}
 	dst8 := pagefile.NewItemFile(pagefile.NewMem(sim), 8)
-	if err := Sort(dst8, src, cmpUint64, 3); err == nil {
+	if err := Sort(dst8, src, Key{}, 3, 1); err == nil {
 		t.Fatal("item size mismatch should be rejected")
 	}
 	// Non-empty destination rejected.
 	full := writeItems(t, sim, []uint64{9})
-	if err := Sort(full, src, cmpUint64, 3); err == nil {
+	if err := Sort(full, src, Key{}, 3, 1); err == nil {
 		t.Fatal("non-empty destination should be rejected")
+	}
+	if err := Sort(dst, src, Key{Offset: itemSize - 7}, 3, 1); err == nil {
+		t.Fatal("a key that does not fit the item should be rejected")
 	}
 }
 
 func TestSortStableBytesComparator(t *testing.T) {
-	// Sorting by full item bytes must produce bytewise-sorted output.
+	// Every form a key descriptor takes orders the output as that form reads
+	// the bytes: unsigned and signed, at the head of the item and past it.
 	sim := testSim()
 	rng := rand.New(rand.NewPCG(5, 5))
-	itf := pagefile.NewItemFile(pagefile.NewMem(sim), itemSize)
-	w := itf.NewWriter()
-	item := make([]byte, itemSize)
-	for i := 0; i < 500; i++ {
-		rng := rng.Uint64()
-		binary.BigEndian.PutUint64(item[0:8], rng)
-		w.Write(item)
+	keys := make([]uint64, 500)
+	for i := range keys {
+		keys[i] = rng.Uint64() // half of these are negative as int64
 	}
-	w.Flush()
-	dst := pagefile.NewItemFile(pagefile.NewMem(sim), itemSize)
-	if err := Sort(dst, itf, bytes.Compare, 4); err != nil {
-		t.Fatal(err)
-	}
-	r := dst.NewReader()
-	prev := make([]byte, 0, itemSize)
-	for {
-		it, err := r.Next()
-		if err == io.EOF {
-			break
+	for _, key := range []Key{{}, {Signed: true}, {Offset: 8}, {Offset: 8, Signed: true}} {
+		itf := pagefile.NewItemFile(pagefile.NewMem(sim), itemSize)
+		w := itf.NewWriter()
+		item := make([]byte, itemSize)
+		for i, k := range keys {
+			binary.LittleEndian.PutUint64(item[key.Offset:], k)
+			binary.LittleEndian.PutUint64(item[8-key.Offset:], uint64(i)) // the other half: noise
+			if err := w.Write(item); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err != nil {
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if len(prev) > 0 && bytes.Compare(prev, it) > 0 {
-			t.Fatal("bytewise order violated")
+		dst := pagefile.NewItemFile(pagefile.NewMem(sim), itemSize)
+		if err := Sort(dst, itf, key, 4, 1); err != nil {
+			t.Fatal(err)
 		}
-		prev = append(prev[:0], it...)
+		if dst.Count() != int64(len(keys)) {
+			t.Fatalf("%+v: %d items out, %d in", key, dst.Count(), len(keys))
+		}
+		r := dst.NewReader()
+		var prev uint64
+		for i := 0; ; i++ {
+			it, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := binary.LittleEndian.Uint64(it[key.Offset:])
+			if i > 0 && (key.Signed && int64(prev) > int64(k) || !key.Signed && prev > k) {
+				t.Fatalf("%+v: order violated at item %d", key, i)
+			}
+			prev = k
+		}
 	}
 }
 
@@ -255,7 +260,7 @@ func TestSortChargesSimulatedTime(t *testing.T) {
 	src := writeItems(t, sim, keys)
 	before := sim.Now()
 	dst := pagefile.NewItemFile(pagefile.NewMem(sim), itemSize)
-	if err := Sort(dst, src, cmpUint64, 8); err != nil {
+	if err := Sort(dst, src, Key{}, 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	if sim.Now() == before {
@@ -309,9 +314,9 @@ func rawBytes(t *testing.T, itf *pagefile.ItemFile) []byte {
 }
 
 // TestSortWorkersByteIdentical verifies the tentpole determinism claim at
-// the sorter level: for any worker count, SortWorkers produces the same
-// bytes (including tie order between duplicate keys) and the same total
-// simulated cost as the sequential Sort.
+// the sorter level: for any worker count, Sort produces the same bytes
+// (including tie order between duplicate keys) and the same total simulated
+// write cost as the sequential sort.
 func TestSortWorkersByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	for _, n := range []int{0, 1, 100, 5000} {
@@ -324,7 +329,7 @@ func TestSortWorkersByteIdentical(t *testing.T) {
 				sim := testSim()
 				src := writeItems(t, sim, keys)
 				dst := pagefile.NewItemFile(pagefile.NewMem(sim), itemSize)
-				if err := SortWorkers(dst, src, cmpUint64, memPages, workers); err != nil {
+				if err := Sort(dst, src, Key{}, memPages, workers); err != nil {
 					t.Fatal(err)
 				}
 				return rawBytes(t, dst), sim.Counters()
@@ -357,7 +362,7 @@ func TestSortWorkersByteIdentical(t *testing.T) {
 // sortTies sorts src into dst by the leading uint64 of each item: the one
 // call of the tie-order golden that names the sorter's entry point.
 func sortTies(dst, src *pagefile.ItemFile, memPages, workers int) error {
-	return SortWorkers(dst, src, cmpUint64, memPages, workers)
+	return Sort(dst, src, Key{}, memPages, workers)
 }
 
 // TestSortTieOrderGolden pins the order among equal keys. The sorter is not

@@ -54,7 +54,8 @@ func SliceSource(recs []record.Record) func() (record.Record, bool) {
 }
 
 // stage writes the records fill emits to a scratch relation on sim, the
-// input format of the bulk build.
+// input format of the bulk build. The caller closes the relation's file once
+// the build has read it.
 func stage(sim *iosim.Sim, fill func(write func(*record.Record) error) error) (*pagefile.ItemFile, error) {
 	rel := pagefile.NewItemFile(pagefile.NewMem(sim), record.Size)
 	w := rel.NewWriter()
@@ -63,10 +64,14 @@ func stage(sim *iosim.Sim, fill func(write func(*record.Record) error) error) (*
 		rec.Marshal(buf)
 		return w.Write(buf)
 	})
+	if err == nil {
+		err = w.Flush()
+	}
 	if err != nil {
+		rel.File().Close()
 		return nil, err
 	}
-	return rel, w.Flush()
+	return rel, nil
 }
 
 // createFile creates the page file at path on sim ("" = in memory).
@@ -95,9 +100,11 @@ func BuildPart(sim *iosim.Sim, path string, next func() (record.Record, bool), p
 	}
 	f, err := createFile(sim, path)
 	if err != nil {
+		rel.File().Close()
 		return nil, err
 	}
 	tree, err := core.Create(f, rel, p)
+	rel.File().Close()
 	if err != nil {
 		f.Close()
 		return nil, err

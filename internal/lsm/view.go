@@ -669,5 +669,6 @@ func (v *View) Fold(dst *pagefile.File, p core.Params) (*core.Tree, error) {
 	if p.Dims == 0 {
 		p.Dims = v.main.Dims()
 	}
+	defer staging.File().Close()
 	return core.Create(dst, staging, p)
 }

@@ -140,77 +140,119 @@ func (t *ItemFile) GetPooled(pool *Pool, i int64, dst []byte) error {
 // file while writing another would otherwise seek on every page.
 const burstPages = 8
 
-// ItemWriter appends items to an ItemFile, buffering several pages and
-// writing them in one sequential burst.
+// ItemWriter appends items to an ItemFile. It assembles page images in a
+// ring and appends them in sequential groups of burstPages: each time hold
+// more pages are complete (hold is 1 unless the writer came from
+// NewWriterBurst), every whole group completed so far goes out, and the rest
+// waits for the next such point or for Flush.
 type ItemWriter struct {
-	t    *ItemFile
-	buf  []byte // burstPages worth of page images
-	page int    // pages completed in buf
-	n    int    // items in the current page
+	t        *ItemFile
+	ring     []byte // hold+burstPages-1 page images
+	hold     int
+	done     int    // pages completed since the last Flush
+	appended int    // of those, pages appended
+	cur      []byte // image of page number done, the one being filled
+	n        int    // bytes of items in cur
 }
 
-// NewWriter returns a writer that appends to t. Only one writer should be
-// active for a file at a time, the item region must be the last region of
-// the underlying file, and appending may only resume on a page boundary.
-// It panics if the item region ends mid-page or is not the file's final
-// region, both of which indicate a programming error in layout sequencing.
-func (t *ItemFile) NewWriter() *ItemWriter {
+// NewWriter returns a writer that appends to t, under the rules (and the
+// panics) of NewWriterBurst.
+func (t *ItemFile) NewWriter() *ItemWriter { return t.NewWriterBurst(1) }
+
+// NewWriterBurst returns a writer for a pass that alternates between
+// refilling its inputs and writing: output is held back until pages pages of
+// it are complete, so the appends of that span follow one another instead of
+// interleaving, a page at a time, with the reads that produced them.
+//
+// Only one writer should be active for a file at a time, the item region
+// must be the last region of the underlying file, and appending may only
+// resume on a page boundary. It panics if the item region ends mid-page or
+// is not the file's final region, both of which indicate a programming error
+// in layout sequencing.
+func (t *ItemFile) NewWriterBurst(pages int) *ItemWriter {
 	if t.count%int64(t.perPage) != 0 {
 		panic(fmt.Sprintf("pagefile: cannot append to item file ending mid-page (%d items, %d per page)", t.count, t.perPage))
 	}
 	if t.file.NumPages() != t.startPage+t.NumPages() {
 		panic("pagefile: item region is not at the end of the file")
 	}
-	return &ItemWriter{t: t, buf: make([]byte, burstPages*t.file.PageSize())}
+	w := &ItemWriter{t: t, hold: pages, ring: make([]byte, (pages+burstPages-1)*t.file.PageSize())}
+	w.cur = w.image(0)
+	return w
+}
+
+// image returns the ring slot of page number p.
+func (w *ItemWriter) image(p int) []byte {
+	ps := w.t.file.PageSize()
+	at := p % (len(w.ring) / ps) * ps
+	return w.ring[at : at+ps]
 }
 
 // Write appends one item (exactly ItemSize bytes of it are consumed).
 func (w *ItemWriter) Write(item []byte) error {
-	ps := w.t.file.PageSize()
-	off := w.page*ps + w.n*w.t.itemSize
-	copy(w.buf[off:], item[:w.t.itemSize])
-	w.n++
+	w.n += copy(w.cur[w.n:], item[:w.t.itemSize])
 	w.t.count++
-	if w.n == w.t.perPage {
-		w.n = 0
-		w.page++
-		if w.page == burstPages {
-			return w.flushBurst(false)
-		}
+	if w.n < w.t.perPage*w.t.itemSize {
+		return nil
 	}
-	return nil
+	return w.nextPage()
 }
 
-// flushBurst writes the buffered pages consecutively (one seek, then
-// sequential transfers). With final set, a trailing partial page is
-// zero-padded and written too.
-func (w *ItemWriter) flushBurst(final bool) error {
-	ps := w.t.file.PageSize()
-	pages := w.page
-	if final && w.n > 0 {
-		// Zero the unused tail so partially filled pages are deterministic.
-		off := w.page*ps + w.n*w.t.itemSize
-		for i := off; i < (w.page+1)*ps; i++ {
-			w.buf[i] = 0
-		}
-		pages++
+// Page returns the image of the page being filled, for a caller that moves
+// whole pages: with the writer on a page boundary, it fills the image itself
+// (reads a page of another item file of the same item size straight into it)
+// and calls PageDone.
+func (w *ItemWriter) Page() []byte { return w.cur }
+
+// PageDone records that the image Page returned now holds n items, packed
+// from its start and zero after them. Fewer than PerPage only on the last
+// page before Flush.
+func (w *ItemWriter) PageDone(n int) error {
+	w.t.count += int64(n)
+	w.n = n * w.t.itemSize
+	if n < w.t.perPage {
+		return nil
 	}
-	for p := 0; p < pages; p++ {
-		if _, err := w.t.file.Append(w.buf[p*ps : (p+1)*ps]); err != nil {
+	return w.nextPage()
+}
+
+// nextPage completes the current page and, at every hold-th one, appends
+// the whole groups completed so far.
+func (w *ItemWriter) nextPage() error {
+	w.n = 0
+	w.done++
+	w.cur = w.image(w.done)
+	if w.done%w.hold != 0 {
+		return nil
+	}
+	return w.appendTo(w.done / burstPages * burstPages)
+}
+
+// appendTo appends the completed pages before page number end, consecutively
+// (one seek, then sequential transfers).
+func (w *ItemWriter) appendTo(end int) error {
+	for ; w.appended < end; w.appended++ {
+		if _, err := w.t.file.Append(w.image(w.appended)); err != nil {
 			return err
 		}
 	}
-	w.page = 0
-	if final {
-		w.n = 0
-	}
 	return nil
 }
 
-// Flush writes any buffered pages, padding the last partial one. It must
-// be called once after the last Write; the writer must not be used
-// afterwards.
-func (w *ItemWriter) Flush() error { return w.flushBurst(true) }
+// Flush writes every buffered page, zero-padding the last partial one so
+// partially filled pages are deterministic (its ring slot may hold an
+// earlier page's items). It must be called after the last Write; a writer
+// used again afterwards starts on a fresh page.
+func (w *ItemWriter) Flush() error {
+	if w.n > 0 {
+		clear(w.cur[w.n:])
+		w.done++
+	}
+	err := w.appendTo(w.done)
+	w.done, w.appended, w.n = 0, 0, 0
+	w.cur = w.image(0)
+	return err
+}
 
 // ItemReader scans an ItemFile sequentially, reading ahead several pages
 // per seek.
@@ -245,6 +287,20 @@ func (t *ItemFile) NewReaderBurst(start int64, pages int) *ItemReader {
 
 // Pos returns the index of the next item the reader will return.
 func (r *ItemReader) Pos() int64 { return r.pos }
+
+// NextPage returns every item from the next one to the end of its page,
+// packed, and moves past them; io.EOF after the last item. It reads (and is
+// charged) exactly as that many calls of Next, and the slice is as short-lived.
+func (r *ItemReader) NextPage() ([]byte, error) {
+	first, err := r.Next()
+	if err != nil {
+		return nil, err
+	}
+	at := r.pos - 1
+	n := min(int64(r.t.perPage)-at%int64(r.t.perPage), r.t.count-at)
+	r.pos = at + n
+	return first[:int(n)*r.t.itemSize], nil
+}
 
 // Next returns the next item, or io.EOF after the last one. The returned
 // slice aliases the reader's buffer and is valid until the next call.

@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"testing"
 	"time"
@@ -428,5 +429,127 @@ func TestReaderBufferClampedToRegion(t *testing.T) {
 	}
 	if r := NewItemFile(NewMem(sim), 16).NewReader(); len(r.buf) != ps {
 		t.Fatalf("reader over an empty region buffers %d bytes, want one page", len(r.buf))
+	}
+}
+
+// TestItemPagesMoveWhole: copying an item file page by page (a Read straight
+// into the writer's Page, then PageDone) yields the same pages, count and
+// charges as copying it item by item, partial last page included; NextPage
+// hands out the rest of a page from wherever the reader stands.
+func TestItemPagesMoveWhole(t *testing.T) {
+	build := func(sim *iosim.Sim) *ItemFile {
+		itf := NewItemFile(NewMem(sim), 100) // 5 items per page
+		w := itf.NewWriter()
+		for i := 0; i < 23; i++ {
+			if err := w.Write(fill(100, byte(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return itf
+	}
+	simA, simB := testSim(), testSim()
+	a, b := build(simA), build(simB)
+
+	byItem := NewItemFile(NewMem(simA), 100)
+	w := byItem.NewWriter()
+	ra := a.NewReader()
+	for item, err := ra.Next(); err == nil; item, err = ra.Next() {
+		if err := w.Write(item); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	byPage := NewItemFile(NewMem(simB), 100)
+	w = byPage.NewWriter()
+	for p, left := int64(0), b.Count(); p < b.NumPages(); p++ {
+		if err := b.File().Read(p, w.Page()); err != nil {
+			t.Fatal(err)
+		}
+		n := min(left, 5)
+		left -= n
+		if err := w.PageDone(int(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if byPage.Count() != 23 || byPage.NumPages() != 5 {
+		t.Fatalf("page copy holds %d items on %d pages, want 23 on 5", byPage.Count(), byPage.NumPages())
+	}
+	if simA.Counters() != simB.Counters() || simA.Now() != simB.Now() {
+		t.Fatalf("page copy charged %+v, item copy %+v", simB.Counters(), simA.Counters())
+	}
+	pa, pb := make([]byte, a.File().PageSize()), make([]byte, a.File().PageSize())
+	for p := int64(0); p < 5; p++ {
+		if err := byItem.File().Read(p, pa); err != nil {
+			t.Fatal(err)
+		}
+		if err := byPage.File().Read(p, pb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pa, pb) {
+			t.Fatalf("page %d differs between the item copy and the page copy", p)
+		}
+	}
+
+	mid := b.NewReaderAt(7) // item 2 of page 1: the rest of that page is 3 items
+	items, err := mid.NextPage()
+	if err != nil || len(items) != 300 || items[0] != 8 || mid.Pos() != 10 {
+		t.Fatalf("NextPage from item 7: %d bytes, first %d, pos %d, err %v", len(items), items[0], mid.Pos(), err)
+	}
+	if items, err = mid.NextPage(); err != nil || len(items) != 500 || items[0] != 11 {
+		t.Fatalf("NextPage from item 10: %d bytes, first %d, err %v", len(items), items[0], err)
+	}
+	mid = b.NewReaderAt(20)
+	if items, err = mid.NextPage(); err != nil || len(items) != 300 {
+		t.Fatalf("NextPage on the partial last page: %d bytes, err %v", len(items), err)
+	}
+	if _, err = mid.NextPage(); err != io.EOF {
+		t.Fatalf("NextPage past the end: %v", err)
+	}
+}
+
+// TestWriterBurstHoldsOutputBack: a burst writer appends only at every
+// hold-th completed page, and then only whole burstPages groups; Flush
+// writes the rest, and the items read back in order.
+func TestWriterBurstHoldsOutputBack(t *testing.T) {
+	sim := testSim()
+	itf := NewItemFile(NewMem(sim), 100) // 5 items per page
+	w := itf.NewWriterBurst(3)
+	onDisk := map[int]int64{8: 0, 9: 8, 17: 8, 18: 16, 20: 16} // completed pages -> pages appended
+	for i := 0; i < 5*20+2; i++ {
+		if err := w.Write(fill(100, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		if want, ok := onDisk[(i+1)/5]; ok && (i+1)%5 == 0 && itf.File().NumPages() != want {
+			t.Fatalf("after %d pages the file holds %d, want %d", (i+1)/5, itf.File().NumPages(), want)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if itf.File().NumPages() != 21 || itf.Count() != 102 {
+		t.Fatalf("flushed file holds %d pages, %d items", itf.File().NumPages(), itf.Count())
+	}
+	r := itf.NewReader()
+	for i := 0; i < 102; i++ {
+		item, err := r.Next()
+		if err != nil || item[0] != byte(i) || item[99] != byte(i) {
+			t.Fatalf("item %d reads back wrong (err %v)", i, err)
+		}
+	}
+	last := make([]byte, itf.File().PageSize())
+	if err := itf.File().Read(20, last); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(last[200:], make([]byte, len(last)-200)) {
+		t.Fatal("the partial last page carries an earlier page's items past its own")
 	}
 }

@@ -5,7 +5,7 @@
 // None of the helpers impose an ordering of their own; callers that need
 // deterministic output are responsible for cutting work at fixed boundaries
 // and collecting results by index, which is the convention used throughout
-// this repository (see extsort.SortWorkers and core.Create).
+// this repository (see extsort.Sort and core.Create).
 package par
 
 import "sync"

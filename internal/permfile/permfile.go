@@ -69,19 +69,10 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, memPages int, seed uint64
 
 	// Pass 2: external sort by the random key.
 	sorted := pagefile.NewItemFile(pagefile.NewMem(sim), tagSize+record.Size)
-	cmp := func(a, b []byte) int {
-		x := binary.LittleEndian.Uint64(a[:tagSize])
-		y := binary.LittleEndian.Uint64(b[:tagSize])
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if err := extsort.Sort(sorted, tagged, cmp, memPages); err != nil {
+	defer sorted.File().Close()
+	err := extsort.Sort(sorted, tagged, extsort.Key{}, memPages, 1)
+	tagged.File().Close()
+	if err != nil {
 		return nil, fmt.Errorf("permfile: permuting: %w", err)
 	}
 

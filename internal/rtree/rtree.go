@@ -76,7 +76,8 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, pool *pagefile.Pool, memP
 
 	// STR step 1: sort all records by x (Key).
 	byX := pagefile.NewItemFile(pagefile.NewMem(sim), record.Size)
-	if err := extsort.Sort(byX, src, cmpDim(0), memPages); err != nil {
+	defer byX.File().Close()
+	if err := extsort.Sort(byX, src, dimKey(0), memPages, 1); err != nil {
 		return nil, fmt.Errorf("rtree: x-sort: %w", err)
 	}
 
@@ -119,7 +120,9 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, pool *pagefile.Pool, memP
 			return nil, err
 		}
 		byY := pagefile.NewItemFile(pagefile.NewMem(sim), record.Size)
-		if err := extsort.Sort(byY, slab, cmpDim(1), memPages); err != nil {
+		err = extsort.Sort(byY, slab, dimKey(1), memPages, 1)
+		slab.File().Close()
+		if err != nil {
 			return nil, fmt.Errorf("rtree: y-sort: %w", err)
 		}
 		r := byY.NewReader()
@@ -206,21 +209,9 @@ func writeHeader(f *pagefile.File, count, root, height int64) error {
 	return f.Write(0, page)
 }
 
-func cmpDim(d int) extsort.Compare {
-	off := d * 8
-	return func(a, b []byte) int {
-		x := int64(binary.LittleEndian.Uint64(a[off : off+8]))
-		y := int64(binary.LittleEndian.Uint64(b[off : off+8]))
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
-	}
-}
+// dimKey is the sort key of coordinate d: Key and Amount lead the encoded
+// record as consecutive signed 64-bit integers.
+func dimKey(d int) extsort.Key { return extsort.Key{Offset: d * 8, Signed: true} }
 
 // copyRange copies items [lo, hi) of src into a fresh in-memory item file.
 func copyRange(sim *iosim.Sim, src *pagefile.ItemFile, lo, hi int64) (*pagefile.ItemFile, error) {
