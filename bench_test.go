@@ -300,7 +300,7 @@ func BenchmarkAblationShuttle(b *testing.B) {
 			b.ReportAllocs()
 			var early, late float64
 			for i := 0; i < b.N; i++ {
-				stream, err := tree.QueryWithOptions(q, core.StreamOptions{WeightedShuttle: weighted})
+				stream, err := tree.QueryWithOptions(q, core.StreamOptions{WeightedShuttle: weighted, ReadEveryLeaf: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -106,9 +106,10 @@ func Create(dst *pagefile.File, src *pagefile.ItemFile, p Params) (*Tree, error)
 
 // writeFile lays the tree out in its (empty) file: header, split region,
 // directory, the leaf data rendered from the (leaf, section)-sorted tagged
-// records, and the prefix-checksum region. The directory's section counts
-// are already known from tagging.
+// records, and the summary region. The directory's section counts and the
+// data bounds are already known from tagging.
 func (t *Tree) writeFile(sorted *pagefile.ItemFile, workers int) error {
+	t.initOccRanges()
 	if err := t.writeHeader(); err != nil {
 		return err
 	}
@@ -132,7 +133,7 @@ func (t *Tree) writeFile(sorted *pagefile.ItemFile, workers int) error {
 	if err != nil {
 		return err
 	}
-	if err := t.writeCRCRegion(); err != nil {
+	if err := t.writeSummaryRegion(); err != nil {
 		return err
 	}
 	if err := t.writeDirRegion(); err != nil {
@@ -388,7 +389,7 @@ func (t *Tree) writeLeafData(sorted *pagefile.ItemFile) error {
 			page[i] = 0
 		}
 		m := &t.leaves[current]
-		t.sealPage(m, t.f.NumPages()-m.firstPage, page, m.secCRC)
+		t.sealPage(current, t.f.NumPages()-m.firstPage, page, m.secCRC, m.occ)
 		if _, err := t.f.Append(page); err != nil {
 			return err
 		}

@@ -21,15 +21,16 @@
 //
 // The tree lives in one page file:
 //
-//	page 0:                 header (magic, count, height, dims, geometry)
-//	split region:           per internal node: split key, left/right counts
-//	directory region:       per leaf: first data page + per-section counts
-//	leaf data region:       each leaf page-aligned, records grouped by section
-//	prefix-checksum region: per leaf: one CRC32-C per section (the directory's
-//	                        second half, see below)
+//	page 0:            header (magic, count, height, dims, geometry)
+//	split region:      per internal node: split key, left/right counts
+//	directory region:  per leaf: first data page + per-section counts
+//	leaf data region:  each leaf page-aligned, records grouped by section
+//	summary region:    per leaf: one CRC32-C per section, then an occupancy
+//	                   bitmap for each of the first occSections sections (the
+//	                   directory's second half, see below)
 //
-// The split, directory and prefix-checksum regions are small (tens of bytes
-// per node/leaf) and are read sequentially once at Open, mirroring the
+// The split, directory and summary regions are small (tens to a few hundred
+// bytes per node/leaf) and are read sequentially once at Open, mirroring the
 // paper's packing of binary internal nodes into disk-page-sized units.
 //
 // Regions nest, so the sections a query can use from a leaf are always
@@ -38,10 +39,14 @@
 // ends, from that page's first byte through the section's last record; with
 // it a stab reads, verifies and decodes the usable prefix alone
 // (readLeafInto) while the simulated disk is still charged the whole leaf.
-// The checksums sit after the leaf data rather than inside the directory
-// entries so that format 2 leaves every leaf on the page format 1 put it
-// on: the fault plans of internal/iosim are keyed by physical page, and a
-// shifted data region would meet a different fault schedule.
+// The occupancy bitmap of section s has bit b set when some record of the
+// section has its dimension-0 key in bucket b of the section's region
+// (clamped to the data bounds, cut into occBits equal buckets): a stab whose
+// sections 1..k cannot hold a key of the query skips the leaf's I/O
+// (Stream.combineTuples). The summaries sit after the leaf data rather than
+// inside the directory entries so that every leaf stays on the page format
+// 1 put it on: the fault plans of internal/iosim are keyed by physical page,
+// and a shifted data region would meet a different fault schedule.
 package core
 
 import (
@@ -56,10 +61,19 @@ import (
 
 const (
 	// magic ends in the tree format version. Version 2 added the directory's
-	// per-section prefix checksums; a version-1 file is refused (FormatError).
-	magic      = uint64(0x5356414345545232) // "SVACETR2"
+	// per-section prefix checksums, version 3 the occupancy bitmaps beside
+	// them; an older file is refused (FormatError).
+	magic      = uint64(0x5356414345545233) // "SVACETR3"
 	magicStem  = magic &^ 0xff
 	treeFormat = int(magic&0xff) - '0'
+
+	// A leaf keeps an occBits-bucket occupancy bitmap for each of its first
+	// occSections sections: 256 × 4 costs 128 bytes a leaf (4 pages of 64
+	// KiB on a 1M-record view) and was chosen by measured skip rate
+	// (DESIGN.md, "Occupancy bits").
+	occBits     = 256
+	occSections = 4
+	occWords    = occBits / 64
 
 	// MaxHeight bounds the tree height; 2^(MaxHeight-1) leaves is far more
 	// than any laptop-scale relation needs.
@@ -133,6 +147,9 @@ type leafMeta struct {
 	// ends, through the section's last record (0 while sections 0..s hold no
 	// record): what a prefix read ending with section s is verified against.
 	secCRC []uint32
+	// occ holds the occupancy bitmaps of sections 0..occSecs(h)-1, occWords
+	// words each.
+	occ []uint64
 }
 
 // newLeafMetas allocates the directory of an nLeaves-leaf tree of height h.
@@ -140,12 +157,18 @@ func newLeafMetas(nLeaves int64, h int) []leafMeta {
 	leaves := make([]leafMeta, nLeaves)
 	counts := make([]int32, nLeaves*int64(h))
 	crcs := make([]uint32, nLeaves*int64(h))
+	w := occSecs(h) * occWords
+	occ := make([]uint64, nLeaves*int64(w))
 	for i := range leaves {
 		leaves[i].secCounts = counts[i*h : (i+1)*h : (i+1)*h]
 		leaves[i].secCRC = crcs[i*h : (i+1)*h : (i+1)*h]
+		leaves[i].occ = occ[i*w : (i+1)*w : (i+1)*w]
 	}
 	return leaves
 }
+
+// occSecs is how many sections of a height-h tree's leaves keep bitmaps.
+func occSecs(h int) int { return min(h, occSections) }
 
 func (m *leafMeta) totalRecords() int64 {
 	var n int64
@@ -173,6 +196,9 @@ type Tree struct {
 	// dataMin/dataMax bound the stored coordinates per dimension; they are
 	// used to clamp edge regions when interpolating count estimates.
 	dataMin, dataMax []int64
+	// occRange[idx] is heap node idx's dimension-0 region clamped to the data
+	// bounds, for the nodes whose sections keep occupancy bitmaps.
+	occRange []record.Range
 
 	// free holds the scratch objects closed streams handed back (see
 	// Stream.Close); clocked views share their tree's list.
@@ -212,7 +238,7 @@ func (t *Tree) Count() int64 { return t.count }
 func (t *Tree) NumLeaves() int64 { return t.nLeaves }
 
 // DataPages returns the number of pages in the leaf data region.
-func (t *Tree) DataPages() int64 { return t.crcStart() - t.leafDataStart() }
+func (t *Tree) DataPages() int64 { return t.sumStart() - t.leafDataStart() }
 
 // MeanSectionSize returns the observed mean section size mu.
 func (t *Tree) MeanSectionSize() float64 {
@@ -283,13 +309,14 @@ func (t *Tree) splitStart() int64    { return 1 }
 func (t *Tree) dirStart() int64      { return t.splitStart() + t.splitPages() }
 func (t *Tree) leafDataStart() int64 { return t.dirStart() + t.dirPages() }
 
-// The prefix-checksum region is the file's last crcPages pages.
-func (t *Tree) crcPages() int64 {
-	perPage := int64(t.f.PageSize()) / (4 * int64(t.h))
-	return ceilDiv(t.nLeaves, perPage)
+// The summary region is the file's last sumPages pages.
+func (t *Tree) sumEntrySize() int { return 4*t.h + 8*occSecs(t.h)*occWords }
+
+func (t *Tree) sumPages() int64 {
+	return ceilDiv(t.nLeaves, int64(t.f.PageSize()/t.sumEntrySize()))
 }
 
-func (t *Tree) crcStart() int64 { return t.f.NumPages() - t.crcPages() }
+func (t *Tree) sumStart() int64 { return t.f.NumPages() - t.sumPages() }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
@@ -328,17 +355,37 @@ func Open(f *pagefile.File) (*Tree, error) {
 	if err := t.readSplitRegion(); err != nil {
 		return nil, err
 	}
-	if t.crcStart() < t.leafDataStart() {
+	if t.sumStart() < t.leafDataStart() {
 		return nil, fmt.Errorf("core: corrupt header (h=%d needs %d pages, file has %d)",
-			t.h, t.leafDataStart()+t.crcPages(), f.NumPages())
+			t.h, t.leafDataStart()+t.sumPages(), f.NumPages())
 	}
 	if err := t.readDirRegion(); err != nil {
 		return nil, err
 	}
-	if err := t.readCRCRegion(); err != nil {
+	if err := t.readSummaryRegion(); err != nil {
 		return nil, err
 	}
+	t.initOccRanges()
 	return t, nil
+}
+
+// initOccRanges fills occRange from the splits and data bounds.
+func (t *Tree) initOccRanges() {
+	t.occRange = make([]record.Range, 1<<occSecs(t.h))
+	for idx := range t.occRange[1:] {
+		r := t.nodeBox(int64(idx + 1)).Dim(0)
+		t.occRange[idx+1] = record.Range{Lo: max(r.Lo, t.dataMin[0]), Hi: min(r.Hi, t.dataMax[0])}
+	}
+}
+
+// occBucket is the occupancy bucket of key x (clamped into r) in region r.
+func occBucket(r record.Range, x int64) int {
+	x = max(min(x, r.Hi), r.Lo)
+	hi, lo := bits.Mul64(uint64(x-r.Lo), occBits)
+	if span := uint64(r.Hi-r.Lo) + 1; span != 0 {
+		hi, _ = bits.Div64(hi, lo, span)
+	}
+	return int(hi)
 }
 
 func (t *Tree) writeHeader() error {
@@ -497,14 +544,17 @@ func (t *Tree) readDirRegion() error {
 	return nil
 }
 
-// writeCRCRegion appends the prefix-checksum region; the leaf data must be
+// writeSummaryRegion appends the summary region; the leaf data must be
 // complete, since the region is located from the end of the file.
-func (t *Tree) writeCRCRegion() error {
-	w := t.newRegionWriter(t.f.NumPages(), t.crcPages())
-	entry := make([]byte, 4*t.h)
+func (t *Tree) writeSummaryRegion() error {
+	w := t.newRegionWriter(t.f.NumPages(), t.sumPages())
+	entry := make([]byte, t.sumEntrySize())
 	for i := range t.leaves {
 		for s, crc := range t.leaves[i].secCRC {
 			binary.LittleEndian.PutUint32(entry[4*s:], crc)
+		}
+		for j, word := range t.leaves[i].occ {
+			binary.LittleEndian.PutUint64(entry[4*t.h+8*j:], word)
 		}
 		if err := w.write(entry); err != nil {
 			return err
@@ -513,33 +563,45 @@ func (t *Tree) writeCRCRegion() error {
 	return w.close()
 }
 
-func (t *Tree) readCRCRegion() error {
-	r := t.newRegionReader(t.crcStart())
+func (t *Tree) readSummaryRegion() error {
+	r := t.newRegionReader(t.sumStart())
 	for i := range t.leaves {
-		b, err := r.read(4 * t.h)
+		b, err := r.read(t.sumEntrySize())
 		if err != nil {
 			return err
 		}
 		for s := range t.leaves[i].secCRC {
 			t.leaves[i].secCRC[s] = binary.LittleEndian.Uint32(b[4*s:])
 		}
+		for j := range t.leaves[i].occ {
+			t.leaves[i].occ[j] = binary.LittleEndian.Uint64(b[4*t.h+8*j:])
+		}
 	}
 	return nil
 }
 
-// sealPage is the one definition of the prefix checksums: given the payload
-// of the leaf's page p (leaf-relative), it stores into crc[s] the checksum
-// of every section s of m that ends on that page, chaining so each byte is
-// hashed once. The builders call it with crc = m.secCRC on every page they
-// write; fsck calls it on every page it reads and compares.
-func (t *Tree) sealPage(m *leafMeta, p int64, payload []byte, crc []uint32) {
+// sealPage is the one definition of a leaf's summary: given the payload of
+// the leaf's page p (leaf-relative), it stores into crc[s] the checksum of
+// every section s that ends on that page, chaining so each byte is hashed
+// once, and sets in occ the bucket bit of every key the page holds for a
+// section that keeps a bitmap. The builders call it with m.secCRC, m.occ on
+// every page they write; fsck calls it on every page it reads and compares.
+func (t *Tree) sealPage(leaf, p int64, payload []byte, crc []uint32, occ []uint64) {
+	m := &t.leaves[leaf]
 	perPage := int64(t.f.PageSize() / record.Size)
 	lo, hi := p*perPage, (p+1)*perPage
-	var end int64 // records in sections 0..s
+	var start, end int64 // records in sections 0..s-1 and 0..s
 	var sum uint32
 	off := 0
 	for s, c := range m.secCounts {
-		end += int64(c)
+		start, end = end, end+int64(c)
+		if s < len(m.occ)/occWords {
+			r := t.occRange[(t.nLeaves+leaf)>>(t.h-1-s)]
+			for i := max(start, lo); i < min(end, hi); i++ {
+				b := occBucket(r, int64(binary.LittleEndian.Uint64(payload[(i-lo)*record.Size:])))
+				occ[s*occWords+b/64] |= 1 << (b % 64)
+			}
+		}
 		if end <= lo {
 			continue
 		}
@@ -590,8 +652,8 @@ type leafDecoder struct {
 // Payloads are obtained zero-copy where the backend allows it.
 //
 // A nil q is the fsck read: every page is fetched and verified whole, every
-// record of all h sections decoded, and the directory's prefix checksums are
-// recomputed from those pages and compared.
+// record of all h sections decoded, and the leaf's summary (prefix checksums,
+// occupancy bits) is recomputed from those pages and compared.
 func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box) ([][]record.Record, error) {
 	if ordinal < 0 || ordinal >= t.nLeaves {
 		return nil, fmt.Errorf("core: leaf %d out of range [0,%d)", ordinal, t.nLeaves)
@@ -614,9 +676,10 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 	// leaf for fsck (every page is then "before" it, i.e. read whole).
 	last := ceilDiv(use, perPage) - 1
 	var resealed []uint32
+	var reocc []uint64
 	if q == nil {
 		k, use, last = t.h, total, pages
-		resealed = make([]uint32, t.h)
+		resealed, reocc = make([]uint32, t.h), make([]uint64, len(m.occ))
 	}
 	d.page = resized(d.page, t.f.PageSize())
 	// The arena has room for the whole prefix, so it never moves under the
@@ -642,7 +705,7 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 			return nil, err
 		}
 		if q == nil {
-			t.sealPage(m, p, payload, resealed)
+			t.sealPage(ordinal, p, payload, resealed, reocc)
 		}
 		for n > 0 {
 			if left == 0 {
@@ -667,6 +730,12 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 		if want := m.secCRC[s]; got != want {
 			return nil, fmt.Errorf("core: leaf %d section %d: directory prefix checksum %08x, pages hash to %08x",
 				ordinal, s+1, want, got)
+		}
+	}
+	for j, got := range reocc {
+		if want := m.occ[j]; got != want {
+			return nil, fmt.Errorf("core: leaf %d section %d: directory occupancy word %d is %016x, keys set %016x",
+				ordinal, j/occWords+1, j%occWords, want, got)
 		}
 	}
 	for ; sec < k; sec++ {

@@ -287,7 +287,9 @@ func TestStoredCorruptionIsLocalised(t *testing.T) {
 	m := &tree.leaves[leaf]
 	perPage := int64(tree.f.PageSize() / record.Size)
 	drain := func(q record.Box) ([]record.Record, []*DegradedError) {
-		s, err := tree.Query(q)
+		// A point predicate's stab would skip most leaves; every leaf is read
+		// here, since what is checked is which bytes a read consumes.
+		s, err := tree.QueryWithOptions(q, StreamOptions{ReadEveryLeaf: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,23 +341,24 @@ func TestStoredCorruptionIsLocalised(t *testing.T) {
 	}
 }
 
-// TestPrefixChecksumTableIsCovered: a rotted bit in the prefix-checksum
-// region is caught by the page checksum when Open loads the region, and a
-// table that disagrees with intact leaf pages (the bug a page checksum cannot
-// see) is named by Verify, leaf and section.
+// TestPrefixChecksumTableIsCovered: a rotted bit in the summary region is
+// caught by the page checksum when Open loads the region, and a table that
+// disagrees with intact leaf pages (the bug a page checksum cannot see) is
+// named by Verify, leaf and section.
 func TestPrefixChecksumTableIsCovered(t *testing.T) {
 	sim := tinySim()
 	tree, _ := buildTestTree(t, sim, 2000, Params{Height: 5, Seed: 2}, 2)
-	if err := tree.f.CorruptStored(tree.crcStart(), 8*(8+4*(3*5+2))); err != nil {
+	bit := int64(8 * (8 + 3*tree.sumEntrySize() + 4*2)) // leaf 3's section-3 checksum
+	if err := tree.f.CorruptStored(tree.sumStart(), bit); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(tree.f); !pagefile.IsCorrupt(err) {
-		t.Fatalf("Open over a rotted checksum region = %v, want CorruptPageError", err)
+		t.Fatalf("Open over a rotted summary region = %v, want CorruptPageError", err)
 	}
-	if faults, err := tree.FsckPages(); err != nil || len(faults) != 1 || faults[0].Region != "checksums" {
-		t.Fatalf("FsckPages = %v, %v; want one fault in the checksums region", faults, err)
+	if faults, err := tree.FsckPages(); err != nil || len(faults) != 1 || faults[0].Region != "summaries" {
+		t.Fatalf("FsckPages = %v, %v; want one fault in the summaries region", faults, err)
 	}
-	if err := tree.f.CorruptStored(tree.crcStart(), 8*(8+4*(3*5+2))); err != nil {
+	if err := tree.f.CorruptStored(tree.sumStart(), bit); err != nil {
 		t.Fatal(err)
 	}
 
@@ -366,8 +369,60 @@ func TestPrefixChecksumTableIsCovered(t *testing.T) {
 	}
 }
 
-// TestFormat1Refused: a tree file of the previous format fails Open with a
-// typed error saying what to do, not with "bad magic" and not by being read.
+// TestOccupancyBitIsVerified clears one stored occupancy bit and re-seals
+// its page, as a builder bug would leave it: no page checksum sees it, and a
+// skipping stream whose predicate meets only that bucket drops the record
+// that set it. Verify must name the leaf and section.
+func TestOccupancyBitIsVerified(t *testing.T) {
+	sim := tinySim()
+	tree, _ := buildTestTree(t, sim, 2000, Params{Height: 5, Seed: 2}, 2)
+	const leaf, sec = 6, 1 // 0-based section: the level-2 region
+	sections, err := tree.readLeaf(leaf)
+	if err != nil || len(sections[sec]) == 0 {
+		t.Fatalf("leaf %d section %d: %v, %d records; pick another fixture", leaf, sec+1, err, len(sections[sec]))
+	}
+	x := sections[sec][0].Key
+	b := occBucket(tree.occRange[(tree.nLeaves+leaf)>>(tree.h-1-sec)], x)
+	perPage := int64(tree.f.PageSize() / tree.sumEntrySize())
+	page := tree.sumStart() + leaf/perPage
+	buf := make([]byte, tree.f.PageSize())
+	if err := tree.f.Read(page, buf); err != nil {
+		t.Fatal(err)
+	}
+	off := int(leaf%perPage)*tree.sumEntrySize() + 4*tree.h + 8*(sec*occWords+b/64)
+	word := binary.LittleEndian.Uint64(buf[off:])
+	binary.LittleEndian.PutUint64(buf[off:], word&^(1<<(b%64)))
+	if err := tree.f.Write(page, buf); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := Open(tree.f)
+	if err != nil {
+		t.Fatalf("Open over a re-sealed summary page = %v", err)
+	}
+	q := record.Box1D(x, x)
+	count := func(opts StreamOptions) int {
+		s, err := bad.QueryWithOptions(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := s.AppendNext(nil, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(recs)
+	}
+	if read, skipped := count(StreamOptions{ReadEveryLeaf: true}), count(StreamOptions{}); skipped >= read {
+		t.Fatalf("key %d: the skipping stream found %d records, reading every leaf %d; the cleared bit should hide one", x, skipped, read)
+	}
+	want := fmt.Sprintf("leaf %d section %d", leaf, sec+1)
+	if err := bad.Verify(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Verify with a cleared occupancy bit = %v, want it to name %s", err, want)
+	}
+}
+
+// TestFormat1Refused: a tree file of a previous format (1: no prefix
+// checksums, 2: no occupancy bits) fails Open with a typed error saying what
+// to do, not with "bad magic" and not by being read.
 func TestFormat1Refused(t *testing.T) {
 	sim := tinySim()
 	tree, _ := buildTestTree(t, sim, 500, Params{}, 1)
@@ -375,14 +430,16 @@ func TestFormat1Refused(t *testing.T) {
 	if err := tree.f.Read(0, page); err != nil {
 		t.Fatal(err)
 	}
-	copy(page, "1RTECAVS") // little-endian "SVACETR1"
-	if err := tree.f.Write(0, page); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(tree.f)
 	var fe *FormatError
-	if !errors.As(err, &fe) || fe.Found != 1 || fe.Wanted != 2 {
-		t.Fatalf("Open of a format-1 tree = %v, want FormatError{1, 2}", err)
+	for _, old := range []int{1, 2} {
+		copy(page, fmt.Sprintf("%dRTECAVS", old)) // little-endian "SVACETR<old>"
+		if err := tree.f.Write(0, page); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(tree.f)
+		if !errors.As(err, &fe) || fe.Found != old || fe.Wanted != 3 {
+			t.Fatalf("Open of a format-%d tree = %v, want FormatError{%d, 3}", old, err, old)
+		}
 	}
 	copy(page, "notatree")
 	if err := tree.f.Write(0, page); err != nil {

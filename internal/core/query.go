@@ -35,6 +35,8 @@ type Stream struct {
 	// weight and sent drive the optional weighted shuttle (nil when the
 	// paper's toggling shuttle is in use).
 	weight, sent []int32
+	// readEvery is StreamOptions.ReadEveryLeaf.
+	readEvery bool
 
 	// buffered counts the records currently parked across all buckets
 	// (Figure 15's metric).
@@ -79,6 +81,10 @@ type scratch struct {
 	// contains the query: computeRequired compares boxes once per stream, and
 	// every stab after it routes and combines on these bits.
 	overlaps, covers []bool
+	// want[idx*occWords:][:occWords] marks the occupancy buckets of heap node
+	// idx's region that the query meets, for overlapping nodes whose sections
+	// keep bitmaps.
+	want []uint64
 
 	// buckets[s] holds parked batches keyed by heap node index. The batches
 	// themselves are exact-size allocations of the stream that parked them
@@ -122,6 +128,7 @@ func (t *Tree) getScratch() *scratch {
 	clear(sc.overlaps)
 	sc.covers = resized(sc.covers, int(2*t.nLeaves))
 	clear(sc.covers)
+	sc.want = resized(sc.want, len(t.occRange)*occWords)
 	sc.requiredAll = resized(sc.requiredAll, t.h)
 	sc.buckets = resized(sc.buckets, t.h)
 	for i := range sc.buckets {
@@ -185,10 +192,17 @@ type StreamOptions struct {
 	// an extension over the published algorithm, off by default and
 	// measured by BenchmarkAblationShuttle.
 	WeightedShuttle bool
+	// ReadEveryLeaf makes every stab read its leaf, the published
+	// one-leaf-per-stab cost the paper's figures are drawn against. By
+	// default a stab whose sections' occupancy bits show no key of the
+	// query skips the read. The records, their order and the stabs are the
+	// same either way; only the pages charged (and their faults) differ.
+	ReadEveryLeaf bool
 }
 
 // Query returns an online sample stream over the records of t matching q,
-// using the paper's shuttle exactly as published.
+// using the paper's shuttle as published, minus the reads of leaves that
+// cannot hold a match.
 func (t *Tree) Query(q record.Box) (*Stream, error) {
 	return t.QueryWithOptions(q, StreamOptions{})
 }
@@ -198,7 +212,7 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 	if q.Dims() != t.dims {
 		return nil, fmt.Errorf("core: query has %d dims, tree has %d", q.Dims(), t.dims)
 	}
-	s := &Stream{t: t, q: q, scratch: t.getScratch()}
+	s := &Stream{t: t, q: q, scratch: t.getScratch(), readEvery: opts.ReadEveryLeaf}
 	// remaining[i] = number of leaves below heap node i.
 	for i := int64(1); i < 2*t.nLeaves; i++ {
 		lvl := levelOf(i)
@@ -233,6 +247,16 @@ func (s *Stream) computeRequired(idx int64, level int, box record.Box) {
 	}
 	s.requiredAll[level-1] = append(s.requiredAll[level-1], idx)
 	s.overlaps[idx], s.covers[idx] = true, box.ContainsBox(s.q)
+	if idx < int64(len(s.t.occRange)) {
+		want := s.want[idx*occWords:][:occWords]
+		clear(want)
+		r, q := s.t.occRange[idx], s.q.Dim(0)
+		if lo, hi := max(r.Lo, q.Lo), min(r.Hi, q.Hi); lo <= hi {
+			for b := occBucket(r, lo); b <= occBucket(r, hi); b++ {
+				want[b/64] |= 1 << (b % 64)
+			}
+		}
+	}
 	if level == s.t.h {
 		return
 	}
@@ -267,7 +291,8 @@ func (s *Stream) RemainingLeaves() int64 {
 	return int64(s.remaining[1])
 }
 
-// LeavesRead returns the number of leaf nodes retrieved so far.
+// LeavesRead returns the number of stabs served so far, skipped reads
+// included.
 func (s *Stream) LeavesRead() int64 { return s.leavesRead }
 
 // Emitted returns the number of sample records emitted so far (consumed or
@@ -355,9 +380,9 @@ func (s *Stream) NextBatch() ([]record.Record, error) {
 	return append([]record.Record(nil), batch...), nil
 }
 
-// NextLeaf performs one stab (Algorithm 3), reading exactly one leaf from
-// disk, and returns how many new sample records it emitted. It returns
-// io.EOF once every leaf has been read.
+// NextLeaf performs one stab (Algorithm 3), reading at most one leaf from
+// disk (exactly one under ReadEveryLeaf), and returns how many new sample
+// records it emitted. It returns io.EOF once every leaf has been stabbed.
 //
 // Storage faults surface typed: a transient failure keeps the stab pending
 // (call NextLeaf again to retry the same leaf — the sample sequence is
@@ -455,14 +480,26 @@ func (s *Stream) shuttle() {
 //
 // Regions nest along the stab's path, so the sections whose region overlaps
 // the query are sections 1..k for some k, and the rest are useless: k is
-// known before the read, and only that prefix of the leaf is fetched.
+// known before the read, and only that prefix of the leaf is fetched. When
+// the occupancy bits show that none of sections 1..k holds a key of the
+// query, nothing is read and the combine runs on k empty sections, exactly
+// as after a read that filtered them all away: the same empty batches are
+// parked and the emitted sequence does not change.
 func (s *Stream) combineTuples(leaf int64) (int, error) {
 	t := s.t
 	k := 0
 	for k < t.h && s.overlaps[s.path[k+1]] {
 		k++
 	}
-	sections, err := t.readLeafInto(leaf, &s.dec, k, &s.q)
+	var sections [][]record.Record
+	var err error
+	if s.readEvery || s.mayMatch(&t.leaves[leaf], k) {
+		sections, err = t.readLeafInto(leaf, &s.dec, k, &s.q)
+	} else {
+		s.dec.sections = resized(s.dec.sections, k)
+		sections = s.dec.sections
+		clear(sections)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -486,6 +523,26 @@ func (s *Stream) combineTuples(leaf int64) (int, error) {
 		emitted += s.tryCombine(sec)
 	}
 	return emitted, nil
+}
+
+// mayMatch reports whether any of sections 1..k of leaf m can hold a record
+// of the query: a section past the bitmapped ones can if it is not empty.
+func (s *Stream) mayMatch(m *leafMeta, k int) bool {
+	for sec := 0; sec < k; sec++ {
+		if sec >= len(m.occ)/occWords {
+			if m.secCounts[sec] != 0 {
+				return true
+			}
+			continue
+		}
+		want := s.want[s.path[sec+1]*occWords:][:occWords]
+		for w, bits := range m.occ[sec*occWords:][:occWords] {
+			if bits&want[w] != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // tryCombine appends one parked batch from every required region of the

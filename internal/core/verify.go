@@ -18,8 +18,8 @@ import (
 //  4. the per-node left/right counts stored in the split region equal the
 //     counts recomputed from the records themselves, and
 //  5. every page of every leaf passes its whole-page checksum and the
-//     directory's per-section prefix checksums equal the ones recomputed
-//     from those pages (readLeaf).
+//     directory's per-section prefix checksums and occupancy bitmaps equal
+//     the ones recomputed from those pages (readLeaf).
 //
 // It costs a full scan of the leaf data region.
 func (t *Tree) Verify() error {
@@ -86,7 +86,7 @@ type PageFault struct {
 	// Page is the logical page index within the view file.
 	Page int64
 	// Region names the file region the page belongs to: "header", "splits",
-	// "directory", "leaf" or "checksums".
+	// "directory", "leaf" or "summaries" (prefix checksums and occupancy bits).
 	Region string
 	// Leaf is the ordinal of the owning leaf when Region is "leaf", else -1.
 	Leaf int64
@@ -142,8 +142,8 @@ func (t *Tree) locatePage(page int64, err error) PageFault {
 	case page < t.leafDataStart():
 		pf.Region = "directory"
 		return pf
-	case page >= t.crcStart():
-		pf.Region = "checksums"
+	case page >= t.sumStart():
+		pf.Region = "summaries"
 		return pf
 	}
 	pf.Region = "leaf"

@@ -43,63 +43,12 @@ func Fig1DOn(wb *Workbench, id string, sel, maxFrac float64) (*Figure, error) {
 	limit := time.Duration(float64(wb.ScanTime) * maxFrac)
 	qs := queries1D(cfg.Seed+10, cfg.Queries, sel)
 	rng := rand.New(rand.NewPCG(cfg.Seed+11, cfg.Seed+12))
-
-	workers := cfg.workers()
-	runAce, runPerm := wb.runACE, wb.runPerm
-	if workers > 1 {
-		runAce, runPerm = wb.runACEForked, wb.runPermForked
-	}
-	ace := make([]curve, cfg.Queries)
-	bt := make([]curve, cfg.Queries)
-	perm := make([]curve, cfg.Queries)
-	err := wb.runChains(
-		func() error { // ACE Tree: independent streams, fan out per query
-			return par.ForEach(cfg.Queries, workers, func(i int) error {
-				var err error
-				ace[i], err = runAce(qs[i], limit)
-				return err
-			})
-		},
-		func() error { // B+-Tree: one chain (shared draw rng and pool)
-			for i := range qs {
-				c, err := wb.runBTree(qs[i].Dim(0), limit, rng)
-				if err != nil {
-					return err
-				}
-				bt[i] = c
-			}
-			return nil
-		},
-		func() error { // permuted file: independent scans, fan out
-			return par.ForEach(cfg.Queries, workers, func(i int) error {
-				var err error
-				perm[i], err = runPerm(qs[i], limit)
-				return err
-			})
-		},
-	)
+	curves, err := wb.race(qs, limit, func(q record.Box) (curve, error) { return wb.runBTree(q.Dim(0), limit, rng) })
 	if err != nil {
 		return nil, err
 	}
-
-	fig := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Sampling rate, 1-d predicate, %.2f%% selectivity", sel*100),
-		XLabel: "% of time required to scan relation",
-		YLabel: "% of total number of records in the relation",
-	}
-	for _, m := range []struct {
-		name   string
-		curves []curve
-	}{
-		{"ACE Tree", ace},
-		{"B+ Tree", bt},
-		{"Randomly permuted file", perm},
-	} {
-		xs, ys := resampleMean(m.curves, wb.ScanTime, maxFrac, cfg.GridPoints)
-		fig.Series = append(fig.Series, Series{Name: m.name, X: xs, Y: ys})
-	}
-	return fig, nil
+	return wb.meanFigure(id, fmt.Sprintf("Sampling rate, 1-d predicate, %.2f%% selectivity", sel*100),
+		maxFrac, "B+ Tree", curves), nil
 }
 
 // fig14 produces Figure 14: the 2.5%-selectivity experiment run until all
@@ -123,72 +72,21 @@ func Fig14On(wb *Workbench) (*Figure, error) {
 	noLimit := time.Duration(1<<62 - 1)
 	qs := queries1D(cfg.Seed+20, cfg.Queries, sel)
 	rng := rand.New(rand.NewPCG(cfg.Seed+21, cfg.Seed+22))
-
-	workers := cfg.workers()
-	runAce, runPerm := wb.runACE, wb.runPerm
-	if workers > 1 {
-		runAce, runPerm = wb.runACEForked, wb.runPermForked
-	}
-	ace := make([]curve, cfg.Queries)
-	bt := make([]curve, cfg.Queries)
-	perm := make([]curve, cfg.Queries)
-	err := wb.runChains(
-		func() error {
-			return par.ForEach(cfg.Queries, workers, func(i int) error {
-				var err error
-				ace[i], err = runAce(qs[i], noLimit)
-				return err
-			})
-		},
-		func() error {
-			for i := range qs {
-				c, err := wb.runBTree(qs[i].Dim(0), noLimit, rng)
-				if err != nil {
-					return err
-				}
-				bt[i] = c
-			}
-			return nil
-		},
-		func() error {
-			return par.ForEach(cfg.Queries, workers, func(i int) error {
-				var err error
-				perm[i], err = runPerm(qs[i], noLimit)
-				return err
-			})
-		},
-	)
+	curves, err := wb.race(qs, noLimit, func(q record.Box) (curve, error) { return wb.runBTree(q.Dim(0), noLimit, rng) })
 	if err != nil {
 		return nil, err
 	}
 	var longest time.Duration
-	for _, curves := range [][]curve{ace, bt, perm} {
-		for _, c := range curves {
+	for _, method := range curves {
+		for _, c := range method {
 			if n := len(c.ts); n > 0 && c.ts[n-1] > longest {
 				longest = c.ts[n-1]
 			}
 		}
 	}
 	maxFrac := float64(longest)/float64(wb.ScanTime)*1.02 + 0.01
-
-	fig := &Figure{
-		ID:     "14",
-		Title:  "Sampling rate to completion, 1-d predicate, 2.50% selectivity",
-		XLabel: "% of time required to scan relation",
-		YLabel: "% of total number of records in the relation",
-	}
-	for _, m := range []struct {
-		name   string
-		curves []curve
-	}{
-		{"ACE Tree", ace},
-		{"B+ Tree", bt},
-		{"Randomly permuted file", perm},
-	} {
-		xs, ys := resampleMean(m.curves, wb.ScanTime, maxFrac, cfg.GridPoints)
-		fig.Series = append(fig.Series, Series{Name: m.name, X: xs, Y: ys})
-	}
-	return fig, nil
+	return wb.meanFigure("14", "Sampling rate to completion, 1-d predicate, 2.50% selectivity",
+		maxFrac, "B+ Tree", curves), nil
 }
 
 // fig15 produces Figure 15(a)/(b): minimum, average and maximum number of
@@ -212,15 +110,9 @@ func Fig15On(wb *Workbench, id string, sel float64) (*Figure, error) {
 	limit := time.Duration(float64(wb.ScanTime) * maxFrac)
 	qs := queries1D(cfg.Seed+30, cfg.Queries, sel)
 
-	workers := cfg.workers()
-	runAce := wb.runACEBuffered
-	if workers > 1 {
-		runAce = wb.runACEBufferedForked
-	}
 	curves := make([]curve, cfg.Queries)
-	if err := par.ForEach(cfg.Queries, workers, func(i int) error {
-		var err error
-		curves[i], err = runAce(qs[i], limit)
+	if err := par.ForEach(cfg.Queries, cfg.workers(), func(i int) (err error) {
+		curves[i], err = wb.runACE(qs[i], limit, wb.bufferedFrac)
 		return err
 	}); err != nil {
 		return nil, err
@@ -237,4 +129,42 @@ func Fig15On(wb *Workbench, id string, sel float64) (*Figure, error) {
 			{Name: "Maximum of queries", X: xs, Y: maxs},
 		},
 	}, nil
+}
+
+// race runs the three competitors of a sampling-rate figure over qs, each to
+// limit: the ACE Tree and the permuted file fan out per query, and the
+// rank-based baseline (B+-Tree or R-Tree, whose runs share a draw rng and a
+// buffer pool) runs its queries in order as one chain. It returns the
+// curves of the three, in that order.
+func (wb *Workbench) race(qs []record.Box, limit time.Duration, baseline func(record.Box) (curve, error)) ([3][]curve, error) {
+	var curves [3][]curve
+	chain := func(m, workers int, run func(record.Box) (curve, error)) func() error {
+		curves[m] = make([]curve, len(qs))
+		return func() error {
+			return par.ForEach(len(qs), workers, func(i int) (err error) {
+				curves[m][i], err = run(qs[i])
+				return err
+			})
+		}
+	}
+	ace := func(q record.Box) (curve, error) { return wb.runACE(q, limit, wb.emittedPct) }
+	perm := func(q record.Box) (curve, error) { return wb.runPerm(q, limit) }
+	err := wb.runChains(chain(0, wb.Cfg.workers(), ace), chain(1, 1, baseline), chain(2, wb.Cfg.workers(), perm))
+	return curves, err
+}
+
+// meanFigure plots the mean of each method's curves from race over the
+// first maxFrac of scan time.
+func (wb *Workbench) meanFigure(id, title string, maxFrac float64, baseline string, curves [3][]curve) *Figure {
+	fig := &Figure{
+		ID:     id,
+		Title:  title,
+		XLabel: "% of time required to scan relation",
+		YLabel: "% of total number of records in the relation",
+	}
+	for m, name := range []string{"ACE Tree", baseline, "Randomly permuted file"} {
+		xs, ys := resampleMean(curves[m], wb.ScanTime, maxFrac, wb.Cfg.GridPoints)
+		fig.Series = append(fig.Series, Series{Name: name, X: xs, Y: ys})
+	}
+	return fig
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"sampleview/internal/par"
 	"sampleview/internal/record"
 	"sampleview/internal/workload"
 )
@@ -34,61 +33,10 @@ func Fig2DOn(wb *Workbench, id string, sel, maxFrac float64) (*Figure, error) {
 		qs[i] = qg.Box2D(sel)
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed+41, cfg.Seed+42))
-
-	workers := cfg.workers()
-	runAce, runPerm := wb.runACE, wb.runPerm
-	if workers > 1 {
-		runAce, runPerm = wb.runACEForked, wb.runPermForked
-	}
-	ace := make([]curve, cfg.Queries)
-	rt := make([]curve, cfg.Queries)
-	perm := make([]curve, cfg.Queries)
-	err := wb.runChains(
-		func() error { // ACE Tree: independent streams, fan out per query
-			return par.ForEach(cfg.Queries, workers, func(i int) error {
-				var err error
-				ace[i], err = runAce(qs[i], limit)
-				return err
-			})
-		},
-		func() error { // R-Tree: one chain (shared draw rng and pool)
-			for i := range qs {
-				c, err := wb.runRTree(qs[i], limit, rng)
-				if err != nil {
-					return err
-				}
-				rt[i] = c
-			}
-			return nil
-		},
-		func() error { // permuted file: independent scans, fan out
-			return par.ForEach(cfg.Queries, workers, func(i int) error {
-				var err error
-				perm[i], err = runPerm(qs[i], limit)
-				return err
-			})
-		},
-	)
+	curves, err := wb.race(qs, limit, func(q record.Box) (curve, error) { return wb.runRTree(q, limit, rng) })
 	if err != nil {
 		return nil, err
 	}
-
-	fig := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Sampling rate, 2-d predicate, %.2f%% selectivity", sel*100),
-		XLabel: "% of time required to scan relation",
-		YLabel: "% of total number of records in the relation",
-	}
-	for _, m := range []struct {
-		name   string
-		curves []curve
-	}{
-		{"ACE Tree", ace},
-		{"R Tree", rt},
-		{"Randomly permuted file", perm},
-	} {
-		xs, ys := resampleMean(m.curves, wb.ScanTime, maxFrac, cfg.GridPoints)
-		fig.Series = append(fig.Series, Series{Name: m.name, X: xs, Y: ys})
-	}
-	return fig, nil
+	return wb.meanFigure(id, fmt.Sprintf("Sampling rate, 2-d predicate, %.2f%% selectivity", sel*100),
+		maxFrac, "R Tree", curves), nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"sampleview/internal/core"
 	"sampleview/internal/par"
-	"sampleview/internal/permfile"
 	"sampleview/internal/record"
 )
 
@@ -61,29 +60,25 @@ func (wb *Workbench) runChains(chains ...func() error) error {
 	return g.Wait()
 }
 
-// runACE executes one ACE Tree query, recording the cumulative emitted
-// sample count (as percent of the relation) after every leaf retrieval,
-// until the elapsed simulated time exceeds limit or the stream completes.
-func (wb *Workbench) runACE(q record.Box, limit time.Duration) (curve, error) {
-	return runACEOn(wb.Ace, wb.AceSim.Now, wb.Cfg.N, q, limit)
-}
-
-// runACEForked is runACE charged to a clock forked for this one query, so
-// that several queries can stream from the shared tree concurrently.
-func (wb *Workbench) runACEForked(q record.Box, limit time.Duration) (curve, error) {
-	ck := wb.AceSim.Fork()
-	return runACEOn(wb.Ace.WithClock(ck), ck.Now, wb.Cfg.N, q, limit)
-}
-
-func runACEOn(tree *core.Tree, now func() time.Duration, n int64, q record.Box, limit time.Duration) (curve, error) {
+// runACE executes one ACE Tree query, recording y of the stream after every
+// leaf retrieval, until the elapsed simulated time exceeds limit or the
+// stream completes. Every stab reads its leaf: the figures price the
+// published algorithm, not the occupancy skip. On a parallel workbench the
+// query is charged to a clock forked for it, so that several queries can
+// stream from the shared tree concurrently.
+func (wb *Workbench) runACE(q record.Box, limit time.Duration, y func(*core.Stream) float64) (curve, error) {
+	tree, now := wb.Ace, wb.AceSim.Now
+	if wb.Cfg.workers() > 1 {
+		ck := wb.AceSim.Fork()
+		tree, now = wb.Ace.WithClock(ck), ck.Now
+	}
 	var c curve
-	stream, err := tree.Query(q)
+	stream, err := tree.QueryWithOptions(q, core.StreamOptions{ReadEveryLeaf: true})
 	if err != nil {
 		return c, err
 	}
 	t0 := now()
 	c.add(0, 0)
-	scale := 100 / float64(n)
 	for !stream.Done() {
 		if now()-t0 >= limit {
 			break
@@ -93,44 +88,21 @@ func runACEOn(tree *core.Tree, now func() time.Duration, n int64, q record.Box, 
 		} else if err != nil {
 			return c, err
 		}
-		c.add(now()-t0, float64(stream.Emitted())*scale)
+		c.add(now()-t0, y(stream))
 	}
 	return c, nil
 }
 
-// runACEBuffered is runACE but records the buffered-record count (as a
-// fraction of the relation), Figure 15's metric.
-func (wb *Workbench) runACEBuffered(q record.Box, limit time.Duration) (curve, error) {
-	return runACEBufferedOn(wb.Ace, wb.AceSim.Now, wb.Cfg.N, q, limit)
+// emittedPct is the sampling-rate figures' y: records emitted, as percent of
+// the relation.
+func (wb *Workbench) emittedPct(s *core.Stream) float64 {
+	return float64(s.Emitted()) * (100 / float64(wb.Cfg.N))
 }
 
-// runACEBufferedForked is runACEBuffered on a per-query forked clock.
-func (wb *Workbench) runACEBufferedForked(q record.Box, limit time.Duration) (curve, error) {
-	ck := wb.AceSim.Fork()
-	return runACEBufferedOn(wb.Ace.WithClock(ck), ck.Now, wb.Cfg.N, q, limit)
-}
-
-func runACEBufferedOn(tree *core.Tree, now func() time.Duration, n int64, q record.Box, limit time.Duration) (curve, error) {
-	var c curve
-	stream, err := tree.Query(q)
-	if err != nil {
-		return c, err
-	}
-	t0 := now()
-	c.add(0, 0)
-	scale := 1 / float64(n)
-	for !stream.Done() {
-		if now()-t0 >= limit {
-			break
-		}
-		if _, err := stream.NextLeaf(); err == io.EOF {
-			break
-		} else if err != nil {
-			return c, err
-		}
-		c.add(now()-t0, float64(stream.Buffered())*scale)
-	}
-	return c, nil
+// bufferedFrac is Figure 15's y: records buffered, as a fraction of the
+// relation.
+func (wb *Workbench) bufferedFrac(s *core.Stream) float64 {
+	return float64(s.Buffered()) * (1 / float64(wb.Cfg.N))
 }
 
 // runBTree executes one Algorithm-1 sampling run over the ranked B+-Tree
@@ -191,23 +163,19 @@ func (wb *Workbench) runRTree(q record.Box, limit time.Duration, rng *rand.Rand)
 }
 
 // runPerm executes one scan of the randomly permuted file, recording each
-// matching record against the sequential clock.
+// matching record against the sequential clock (a forked one on a parallel
+// workbench).
 func (wb *Workbench) runPerm(q record.Box, limit time.Duration) (curve, error) {
-	return runPermOn(wb.Perm, wb.PermSim.Now, wb.Cfg.N, q, limit)
-}
-
-// runPermForked is runPerm on a per-query forked clock.
-func (wb *Workbench) runPermForked(q record.Box, limit time.Duration) (curve, error) {
-	ck := wb.PermSim.Fork()
-	return runPermOn(wb.Perm.OnClock(ck), ck.Now, wb.Cfg.N, q, limit)
-}
-
-func runPermOn(pf *permfile.File, now func() time.Duration, n int64, q record.Box, limit time.Duration) (curve, error) {
+	pf, now := wb.Perm, wb.PermSim.Now
+	if wb.Cfg.workers() > 1 {
+		ck := wb.PermSim.Fork()
+		pf, now = wb.Perm.OnClock(ck), ck.Now
+	}
 	var c curve
 	sc := pf.Query(q)
 	t0 := now()
 	c.add(0, 0)
-	scale := 100 / float64(n)
+	scale := 100 / float64(wb.Cfg.N)
 	var cnt float64
 	for now()-t0 < limit {
 		if _, err := sc.Next(); err == io.EOF {

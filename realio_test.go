@@ -103,10 +103,16 @@ func TestBackendStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestOldTreeFormatRefused rewrites a stored view's header to the previous
+// TestOldTreeFormatRefused rewrites a stored view's header to each previous
 // tree format and checks that Open and OpenSharded fail with the typed
 // *FormatError and its "rebuild the view" text intact, whatever wraps it.
 func TestOldTreeFormatRefused(t *testing.T) {
+	for _, old := range []byte{'1', '2'} {
+		t.Run("format"+string(old), func(t *testing.T) { checkOldTreeFormatRefused(t, old) })
+	}
+}
+
+func checkOldTreeFormatRefused(t *testing.T, old byte) {
 	downgrade := func(path string) {
 		t.Helper()
 		f, err := pagefile.Open(iosim.New(smallPages()), path)
@@ -118,7 +124,7 @@ func TestOldTreeFormatRefused(t *testing.T) {
 		if err := f.Read(0, page); err != nil {
 			t.Fatal(err)
 		}
-		page[0] = '1' // "SVACETR2" is stored little-endian: the version digit comes first
+		page[0] = old // "SVACETR3" is stored little-endian: the version digit comes first
 		if err := f.Write(0, page); err != nil {
 			t.Fatal(err)
 		}
@@ -126,9 +132,9 @@ func TestOldTreeFormatRefused(t *testing.T) {
 	check := func(what string, err error) {
 		t.Helper()
 		var fe *FormatError
-		if !errors.As(err, &fe) || fe.Found != 1 || !strings.Contains(err.Error(), fe.Error()) ||
+		if !errors.As(err, &fe) || fe.Found != int(old-'0') || !strings.Contains(err.Error(), fe.Error()) ||
 			!strings.Contains(err.Error(), "rebuild the view") {
-			t.Fatalf("%s over a format-1 tree = %v, want a *FormatError surfaced verbatim", what, err)
+			t.Fatalf("%s over a format-%c tree = %v, want a *FormatError surfaced verbatim", what, old, err)
 		}
 	}
 	recs := genRecords(2000, 3)
