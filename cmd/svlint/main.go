@@ -1,15 +1,14 @@
 // Command svlint runs the repository's static-analysis suite: a
-// standard-library-only multichecker enforcing the contracts the
-// reproduction's correctness rests on (seeded randomness, simulated time,
-// copy-out buffer-pool access, lock annotations, error prefixes,
-// documented panics), plus a type-aware interprocedural tier (clock-charge
-// dataflow, lock-order deadlock detection, goroutine and resource
-// lifecycle). See internal/analysis for the individual checks and
-// DESIGN.md "Enforced invariants" for the contract each encodes.
+// standard-library-only multichecker for the contracts the paper's
+// measurements rest on and no test can see broken — seeded randomness,
+// simulated time only, page I/O only through internal/pagefile, and no
+// process exit from library code. See internal/analysis for the individual
+// checks, DESIGN.md "Enforced invariants" for the contract each encodes,
+// and results/lint-catches.md for why the suite holds these and no others.
 //
 // Usage:
 //
-//	svlint [-list] [-json] [-nottyped] [packages]
+//	svlint [-list] [packages]
 //
 // Package patterns are directories relative to the current working
 // directory; a trailing /... recurses. With no arguments, ./... is
@@ -21,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
@@ -32,29 +30,13 @@ import (
 	"sampleview/internal/analysis"
 )
 
-// jsonDiag is the -json wire form of one finding, one object per line.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
-	var (
-		list    = flag.Bool("list", false, "list the analyzers and exit")
-		jsonOut = flag.Bool("json", false, "emit diagnostics as JSON Lines on stdout")
-		noTyped = flag.Bool("notyped", false, "skip the type-aware tier (syntactic analyzers only)")
-	)
+	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Parse()
 
 	if *list {
 		for _, a := range analysis.All() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		for _, a := range analysis.AllTyped() {
-			fmt.Printf("%-14s %s (type-aware)\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -103,31 +85,12 @@ func main() {
 		pkgs = append(pkgs, pkg)
 	}
 
-	var prog *analysis.Program
-	if !*noTyped {
-		prog, err = analysis.TypeCheck(fset, pkgs, modRoot)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	diags := analysis.RunSuite(pkgs, prog, analysis.All(), analysis.AllTyped())
-	enc := json.NewEncoder(os.Stdout)
+	diags := analysis.RunSuite(pkgs, analysis.All())
 	for _, d := range diags {
-		pos := d.Pos
-		if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-			pos.Filename = rel
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = rel
 		}
-		if *jsonOut {
-			if err := enc.Encode(jsonDiag{
-				File: pos.Filename, Line: pos.Line, Column: pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			}); err != nil {
-				fatal(err)
-			}
-			continue
-		}
-		fmt.Printf("%s: %s: %s\n", pos, d.Analyzer, d.Message)
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "svlint: %d violation(s)\n", len(diags))

@@ -1,10 +1,11 @@
 // Package analysis is a small, standard-library-only static-analysis
-// framework plus the repository's analyzer suite. The analyzers encode the
-// contracts the reproduction's correctness rests on — seeded randomness
-// only, no wall-clock in simulated code, copy-out buffer-pool access,
-// lock-annotated shared state, prefixed error wrapping, documented panics —
-// so that they are machine-checked on every change instead of enforced by
-// reviewer vigilance.
+// framework plus the repository's analyzer suite. The analyzers guard the
+// contracts the paper's measurements rest on and no test can observe a
+// violation of: every random draw comes from a seed, no wall-clock time
+// enters simulated code, every page access goes through internal/pagefile
+// (and so is checksummed, fault-injected and charged to the simulated
+// disk), and library code never ends the process. results/lint-catches.md
+// records why these four are the ones kept.
 //
 // The framework is deliberately syntactic: packages are parsed with
 // go/parser (comments included) and analyzers work on the AST with
@@ -20,10 +21,8 @@ import (
 	"go/token"
 	"path"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one finding: a position, the analyzer that produced it, and
@@ -91,120 +90,43 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		NoGlobalRand,
 		NoWallClock,
-		NoFrameAlias,
 		NoDirectIO,
-		LockGuard,
-		ErrPrefix,
-		NoPanic,
 		NoFatal,
-		SyncBeforeAck,
 	}
 }
 
-// workerCount bounds the suite's worker pools: enough to use the machine,
-// capped so a wide tree does not fork hundreds of goroutines for passes
-// that each take microseconds.
-func workerCount() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Run applies every analyzer to every package, fanning the (package,
-// analyzer) pairs out over a bounded worker pool, and returns the
-// diagnostics sorted. Each pass appends to its own slot, so scheduling
-// never reorders output: determinism comes from the final sort, which ties
-// down to the message.
+// Run applies every analyzer to every package and returns the diagnostics
+// sorted; the sort ties down to the message, so output is deterministic.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	type unit struct {
-		pkg *Package
-		a   *Analyzer
-	}
-	var units []unit
+	var out []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			units = append(units, unit{pkg, a})
+			a.Run(&Pass{Pkg: pkg, name: a.Name, out: &out})
 		}
 	}
-	outs := make([][]Diagnostic, len(units))
-	sem := make(chan struct{}, workerCount())
-	var wg sync.WaitGroup
-	for i, u := range units {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			u.a.Run(&Pass{Pkg: u.pkg, name: u.a.Name, out: &outs[i]})
-		}()
-	}
-	wg.Wait()
-	var out []Diagnostic
-	for _, o := range outs {
-		out = append(out, o...)
-	}
 	sortDiags(out)
 	return out
 }
 
-// RunTyped applies the typed analyzers to a type-checked program. Typed
-// analyzers are whole-program passes, so the fan-out is per analyzer; they
-// only read the shared Program, which is immutable once built.
-func RunTyped(prog *Program, analyzers []*TypedAnalyzer) []Diagnostic {
-	outs := make([][]Diagnostic, len(analyzers))
-	var wg sync.WaitGroup
-	for i, a := range analyzers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a.Run(&TypedPass{Prog: prog, name: a.Name, out: &outs[i]})
-		}()
-	}
-	wg.Wait()
-	var out []Diagnostic
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	sortDiags(out)
-	return out
-}
-
-// Names returns every analyzer name of both tiers plus "directive", the
-// name hygiene findings report under — the "known" set that lint:ignore
-// directives are validated against.
+// Names returns every analyzer name plus "directive", the name hygiene
+// findings report under — the "known" set that lint:ignore directives are
+// validated against.
 func Names() map[string]bool {
 	known := map[string]bool{"directive": true}
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	for _, a := range AllTyped() {
-		known[a.Name] = true
-	}
 	return known
 }
 
-// RunSuite runs the full suite: the syntactic analyzers over pkgs, the
-// typed analyzers over prog (skipped when prog is nil), then filters both
-// tiers' output through the lint:ignore directives collected from pkgs and
-// appends the directive hygiene diagnostics.
-func RunSuite(pkgs []*Package, prog *Program, syn []*Analyzer, typed []*TypedAnalyzer) []Diagnostic {
-	out := Run(pkgs, syn)
-	if prog != nil {
-		out = append(out, RunTyped(prog, typed)...)
-	}
+// RunSuite runs analyzers over pkgs, filters the output through the
+// lint:ignore directives collected from pkgs, and appends the directive
+// hygiene diagnostics.
+func RunSuite(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	out := Run(pkgs, analyzers)
 	active := make(map[string]bool)
-	for _, a := range syn {
+	for _, a := range analyzers {
 		active[a.Name] = true
-	}
-	if prog != nil {
-		for _, a := range typed {
-			active[a.Name] = true
-		}
 	}
 	out = collectDirectives(pkgs).apply(out, active, Names())
 	sortDiags(out)
@@ -278,59 +200,4 @@ func pkgCall(tab map[string]string, call *ast.CallExpr, importPath string) (stri
 		return "", false
 	}
 	return sel.Sel.Name, true
-}
-
-// exprKey renders an expression as a stable string key, used to match a
-// guarded-field receiver against the mutex it must lock (e.g. both sides
-// of "s.stats" / "s.mu.Lock()" reduce to the base "s"). It intentionally
-// normalizes parentheses, dereferences and type assertions away.
-func exprKey(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprKey(e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return exprKey(e.X) + "[]"
-	case *ast.CallExpr:
-		return exprKey(e.Fun) + "()"
-	case *ast.ParenExpr:
-		return exprKey(e.X)
-	case *ast.StarExpr:
-		return exprKey(e.X)
-	case *ast.UnaryExpr:
-		return exprKey(e.X)
-	case *ast.TypeAssertExpr:
-		return exprKey(e.X)
-	default:
-		return "?"
-	}
-}
-
-// walkStack traverses root keeping the ancestor stack; fn is called for
-// every node with the stack of its ancestors (outermost first, not
-// including the node itself). Returning false skips the node's children.
-func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		into := fn(n, stack)
-		if into {
-			stack = append(stack, n)
-		}
-		return into
-	})
-}
-
-// enclosingFuncDecl returns the innermost FuncDecl on the stack, or nil.
-func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	return nil
 }

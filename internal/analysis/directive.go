@@ -10,8 +10,8 @@ import (
 // Suppression directives let one specific, justified exception live next to
 // the code it excuses instead of widening an analyzer's scope:
 //
-//	//lint:ignore clockcharge prefetch warms the OS cache on wall time only
-//	b.ReadPage(p, buf)
+//	//lint:ignore nodirectio the live segment is an append-only handle the group committer fsyncs per cohort
+//	f, err := os.OpenFile(segPath(prefix, l.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 //
 // The directive names one or more analyzers (comma-separated) and carries a
 // mandatory free-text reason; it silences matching diagnostics reported on

@@ -69,8 +69,8 @@ func TestNames(t *testing.T) {
 			t.Errorf("analyzer name %q is not a valid directive target", name)
 		}
 	}
-	if len(known) != len(All())+len(AllTyped())+1 {
-		t.Errorf("Names() has %d entries, want %d", len(known), len(All())+len(AllTyped())+1)
+	if len(known) != len(All())+1 {
+		t.Errorf("Names() has %d entries, want %d", len(known), len(All())+1)
 	}
 }
 

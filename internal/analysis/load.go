@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // skipDirs are directory names never descended into by LoadTree: fixture
@@ -38,16 +37,10 @@ func FindModuleRoot(dir string) (string, error) {
 }
 
 // LoadTree parses every package under root (recursively), skipping hidden
-// directories, testdata trees and directories without Go files. Rel paths
-// are computed against modRoot, which must contain root.
-//
-// The walk collects directories serially; parsing — where the time goes —
-// fans out over a bounded worker pool. token.FileSet is safe for
-// concurrent AddFile, and each worker writes only its own slot, so the
-// result order is the walk order regardless of scheduling.
+// directories, testdata trees and directories without Go files, in walk
+// order. Rel paths are computed against modRoot, which must contain root.
 func LoadTree(fset *token.FileSet, root, modRoot string) ([]*Package, error) {
-	type job struct{ dir, rel string }
-	var jobs []job
+	var pkgs []*Package
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -63,34 +56,14 @@ func LoadTree(fset *token.FileSet, root, modRoot string) ([]*Package, error) {
 		if err != nil {
 			return err
 		}
-		jobs = append(jobs, job{p, filepath.ToSlash(rel)})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	loaded := make([]*Package, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, workerCount())
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			loaded[i], errs[i] = LoadDir(fset, j.dir, j.rel)
-		}()
-	}
-	wg.Wait()
-	var pkgs []*Package
-	for i, pkg := range loaded {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
+		pkg, err := LoadDir(fset, p, filepath.ToSlash(rel))
 		if pkg != nil {
 			pkgs = append(pkgs, pkg)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pkgs, nil
 }

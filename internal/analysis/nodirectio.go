@@ -3,11 +3,11 @@ package analysis
 import "go/ast"
 
 // NoDirectIO keeps internal/pagefile the only data-plane I/O entry point.
-// With the real-I/O fast path (mmap backend, async prefetcher) living
-// behind the pagefile.Backend interface, any other package opening an
-// os.File for itself would read pages that bypass checksum verification,
-// fault injection and the simulated-clock charging at once — three
-// invariants at a stroke. This analyzer bans acquiring an os.File handle
+// With the real-I/O backends (pread, mmap) behind the pagefile.Backend
+// interface, any other package opening an os.File for itself would read
+// pages that bypass checksum verification, fault injection and the
+// simulated-clock charging at once — three invariants at a stroke. This
+// analyzer bans acquiring an os.File handle
 // (os.Open, os.OpenFile, os.Create, os.NewFile) outside internal/pagefile,
 // and the raw descriptors underneath it (syscall.Open, syscall.Openat)
 // everywhere including pagefile — even the sanctioned owner goes through
@@ -49,7 +49,7 @@ func runNoDirectIO(pass *Pass) {
 			continue
 		}
 		tab := importTable(f.AST)
-		walkStack(f.AST, func(n ast.Node, stack []ast.Node) bool {
+		ast.Inspect(f.AST, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true

@@ -46,20 +46,22 @@ func runNoWallClock(pass *Pass) {
 			continue
 		}
 		tab := importTable(f.AST)
-		walkStack(f.AST, func(n ast.Node, stack []ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, decl := range f.AST.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil &&
+				strings.Contains(strings.ToLower(fd.Doc.Text()), "wall clock") {
+				continue
 			}
-			if name, ok := pkgCall(tab, call, "time"); ok && wallClockFns[name] {
-				if fd := enclosingFuncDecl(stack); fd != nil && fd.Doc != nil &&
-					strings.Contains(strings.ToLower(fd.Doc.Text()), "wall clock") {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
 				}
-				pass.Reportf(call.Pos(),
-					"time.%s reads the wall clock in simulated code; use the iosim Sim/Clock, or document the exemption with \"wall clock\" in the function comment", name)
-			}
-			return true
-		})
+				if name, ok := pkgCall(tab, call, "time"); ok && wallClockFns[name] {
+					pass.Reportf(call.Pos(),
+						"time.%s reads the wall clock in simulated code; use the iosim Sim/Clock, or document the exemption with \"wall clock\" in the function comment", name)
+				}
+				return true
+			})
+		}
 	}
 }

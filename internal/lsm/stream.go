@@ -39,8 +39,10 @@ type Stream struct {
 	// section records sit in the key-correlated order the tag sort left
 	// them in, so an unshuffled batch cut mid-way (as the sharded K-way
 	// merger does on every draw) would lean each prefix toward low keys.
-	// nil serves the base in emission order: the unsharded view over an
-	// empty write path, where nothing cuts a batch.
+	// nil serves the base in emission order (the unsharded view over an empty
+	// write path). That is not uniform: AppendSample(n), Next and each wire
+	// batch of 256 cut a stab's batch, so early samples lean to low keys; the
+	// fix waits on re-recording the stream digests svsuite pins.
 	rng *rand.Rand
 	// baseQueue is the unserved tail of the current shuffled stab batch. It
 	// is lent by the base stream (core.Stream.LendBatch) and shuffled where

@@ -205,7 +205,7 @@ func (f *File) CheckPage(i int64) error {
 
 // CorruptStored flips one bit of the stored image of logical page i,
 // bypassing the checksum machinery — it damages the page exactly the way
-// bit rot would, for tests and chaos tooling. The write is not charged.
+// bit rot would, for tests and chaos tooling. Neither access is charged.
 func (f *File) CorruptStored(i int64, bit int64) error {
 	n := f.NumPages()
 	if i < 0 || i >= n {
@@ -213,7 +213,6 @@ func (f *File) CorruptStored(i int64, bit int64) error {
 	}
 	phys := i + f.physOff
 	frame := make([]byte, f.pageSize+frameHdrSize)
-	//lint:ignore clockcharge fault injection flips stored bits behind the cost model by design
 	if err := f.backend.ReadPage(phys, frame); err != nil {
 		return err
 	}
@@ -221,7 +220,6 @@ func (f *File) CorruptStored(i int64, bit int64) error {
 		bit = -bit
 	}
 	flipBit(frame, bit)
-	//lint:ignore clockcharge fault injection flips stored bits behind the cost model by design
 	return f.backend.WritePage(phys, frame)
 }
 

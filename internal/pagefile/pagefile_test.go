@@ -195,6 +195,46 @@ func TestPoolEviction(t *testing.T) {
 	}
 }
 
+// TestPoolReadIntoCopiesOut: ReadInto hands the caller a copy, never a cached
+// frame, so scribbling over dst after a miss, after a hit, or after the page
+// was evicted and faulted back in leaves what the pool serves next unchanged.
+func TestPoolReadIntoCopiesOut(t *testing.T) {
+	sim := testSim()
+	f := NewMem(sim)
+	for i := 0; i < 3; i++ {
+		f.Append(fill(512, byte(i+1)))
+	}
+	pool := NewPool(2) // one shard: reading pages 1 and 2 evicts page 0
+	dst := make([]byte, f.PageSize())
+	readScribbleReread := func(page int64, when string) {
+		t.Helper()
+		if err := pool.ReadInto(f, page, dst); err != nil {
+			t.Fatal(err)
+		}
+		for i := range dst {
+			dst[i] = 0xee
+		}
+		got := make([]byte, f.PageSize())
+		if err := pool.ReadInto(f, page, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, fill(f.PageSize(), byte(page+1))) {
+			t.Fatalf("page %d after scribbling over dst %s: the pool served the scribble", page, when)
+		}
+	}
+	readScribbleReread(0, "after a miss")
+	readScribbleReread(0, "after a hit")
+	readScribbleReread(1, "after a miss")
+	readScribbleReread(2, "after a miss")
+	if pool.Contains(f, 0) {
+		t.Fatal("page 0 should have been evicted")
+	}
+	readScribbleReread(0, "after an eviction")
+	if st := pool.Stats(); st.Misses != 4 || st.Evictions != 2 {
+		t.Fatalf("stats = %+v, want 4 misses and 2 evictions", st)
+	}
+}
+
 func TestPoolZeroCapacity(t *testing.T) {
 	sim := testSim()
 	f := NewMem(sim)

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -623,6 +624,52 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		}
 		if err := <-heldServed; err != nil {
 			t.Fatalf("Serve on the held listener returned %v after Shutdown", err)
+		}
+	})
+}
+
+// TestShutdownLeavesNoGoroutines: Shutdown with streams in flight on several
+// connections leaves the process no goroutine the endpoint started — its
+// per-connection sessions included — once the clients go away.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	eachEndpoint(t, Config{MaxStreams: 64}, genRecords(6_000, 37), func(t *testing.T, ep *served) {
+		base := runtime.NumGoroutine()
+		const conns = 4
+		var clients []*Client
+		for i := 0; i < conns; i++ {
+			cl, err := Dial(ep.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clients = append(clients, cl)
+			rv, err := cl.OpenView("sale")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := rv.Query(record.Box1D(0, 1<<19))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch, err := s.NextBatch(); err != nil || len(batch) == 0 {
+				t.Fatalf("connection %d: %d records, %v", i, len(batch), err)
+			}
+		}
+		if n := runtime.NumGoroutine(); n <= base {
+			t.Fatalf("%d goroutines with %d connections open, baseline %d: the check cannot see a session", n, conns, base)
+		}
+		ep.shutdown()
+		if err := <-ep.done; err != nil {
+			t.Fatalf("Serve returned %v after Shutdown", err)
+		}
+		for _, cl := range clients {
+			cl.Close()
+		}
+		// The baseline counted the Serve loop, which has returned.
+		want := base - 1
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines 5s after Shutdown, want at most %d", runtime.NumGoroutine(), want)
+			}
 		}
 	})
 }
