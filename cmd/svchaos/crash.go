@@ -20,9 +20,10 @@ package main
 // Writes that were in flight but never acknowledged may land on either side
 // of the cut; the drill only requires that they appear at most once.
 //
-// The mode finishes with a group-commit vs sync-every-write throughput
-// comparison on the same simulated disk and, with -out, writes the whole
-// run as a markdown report (results/crash-bench.md in CI).
+// With -out the drill table is written as a markdown report
+// (results/crash-bench.md). What group commit saves over sync-every-write
+// is pinned by internal/wal's TestGroupCommitAmortizesFsyncs and
+// TestSyncEveryOneSyncsEachCommit.
 
 import (
 	"fmt"
@@ -30,12 +31,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"time"
 
 	"sampleview"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -68,18 +66,15 @@ type crashDrill struct {
 }
 
 func (d *crashDrill) failf(format string, args ...any) {
-	if len(d.errs) < 8 {
-		d.errs = append(d.errs, fmt.Sprintf(format, args...))
-	}
+	d.errs = append(d.errs, fmt.Sprintf(format, args...))
 }
 
-// runCrashMode executes the full ladder plus the durability-cost bench and
-// returns the process exit code.
-func runCrashMode(nrecords int, seed uint64, out string) int {
+// runCrashMode executes the full ladder: it returns the report and whether
+// every drill held.
+func runCrashMode(nrecords int, seed uint64) (string, bool) {
 	dir, err := os.MkdirTemp("", "svchaos-crash-*")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-		return 1
+		return "", failed(err)
 	}
 	defer os.RemoveAll(dir)
 
@@ -88,14 +83,14 @@ func runCrashMode(nrecords int, seed uint64, out string) int {
 		nrecords, len(sampleview.CrashPoints()), crashMaxHits)
 
 	var drills []crashDrill
-	failed := false
+	ok := true
 	for _, p := range sampleview.CrashPoints() {
 		for hit := 1; hit <= crashMaxHits; hit++ {
-			d := runCrashDrill(dir, recs, p, hit, seed+fnv1a(p.String())+uint64(hit))
+			d := runCrashDrill(dir, recs, p, hit, seed+salt(p.String())+uint64(hit))
 			verdict := "ok"
 			if len(d.errs) > 0 {
 				verdict = "CONTRACT VIOLATED"
-				failed = true
+				ok = false
 			}
 			if !d.fired {
 				verdict = "not reached"
@@ -106,37 +101,14 @@ func runCrashMode(nrecords int, seed uint64, out string) int {
 			}
 			fmt.Printf("%-20s hit=%d  fired=%-5v cut-at=%-12s acked=%-4d acked-del=%-3d replayed=%-4d recovered=%-6d p=%-6s %s\n",
 				d.point, d.hit, d.fired, d.cutOp, d.acked, d.ackedDel, d.replayed, d.recovered, pCell, verdict)
-			for _, e := range d.errs {
-				fmt.Printf("    violation: %s\n", e)
-			}
+			printFirst("violation", d.errs)
 			drills = append(drills, d)
 			if !d.fired {
 				break // deeper hits of this point are unreachable too
 			}
 		}
 	}
-
-	bench := runDurabilityBench(dir, recs, seed)
-	fmt.Printf("durability cost: sync-every-write %d fsyncs / %d ops (sim %v); group commit %d fsyncs / %d ops (sim %v)\n",
-		bench.syncFsyncs, bench.ops, bench.syncSim.Round(time.Millisecond),
-		bench.groupFsyncs, bench.ops, bench.groupSim.Round(time.Millisecond))
-
-	if out != "" {
-		report := buildCrashReport(nrecords, seed, drills, bench)
-		if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(out, []byte(report), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-			return 1
-		}
-		fmt.Printf("report written to %s\n", out)
-	}
-	if failed {
-		return 1
-	}
-	return 0
+	return buildCrashReport(nrecords, seed, drills), ok
 }
 
 // runCrashDrill runs one drill: build, write until the planned cut (or the
@@ -152,11 +124,15 @@ func runCrashDrill(dir string, base []record.Record, p sampleview.CrashPoint, hi
 	}
 	v.InjectCrash(sampleview.CrashPlan{Point: p, Hit: hit})
 
-	// State the verifier needs: acknowledged live inserts, acknowledged
-	// deletes, and everything in flight at the moment of the cut.
+	// State the verifier needs: every record the view may serve (the base
+	// relation and each insert it accepted), acknowledged live inserts,
+	// acknowledged deletes, and everything in flight at the moment of the cut.
+	known := make(map[uint64]record.Record, len(base))
+	for _, r := range base {
+		known[r.Seq] = r
+	}
 	ackedLive := make(map[uint64]record.Record)
 	ackedDeleted := make(map[uint64]struct{})
-	pendingIns := make(map[uint64]record.Record)
 	pendingDel := make(map[uint64]struct{})
 	g := workload.NewGenerator(workload.Uniform, seed^0xc2b2ae3d27d4eb4f)
 	nextSeq := uint64(writeSeqBase)
@@ -184,7 +160,7 @@ work:
 			if err := v.Insert(rec); cut("insert", err) {
 				break work
 			}
-			pendingIns[rec.Seq] = rec
+			known[rec.Seq] = rec
 			cur = append(cur, rec)
 		}
 		// Every third batch tombstones the first half of the previous
@@ -200,16 +176,15 @@ work:
 		if err := v.Commit(); cut("commit", err) {
 			break work
 		}
-		for seq, rec := range pendingIns {
-			ackedLive[seq] = rec
+		for _, rec := range cur {
+			ackedLive[rec.Seq] = rec
 		}
 		for seq := range pendingDel {
 			delete(ackedLive, seq)
 			ackedDeleted[seq] = struct{}{}
 			d.ackedDel++
 		}
-		d.acked += len(pendingIns)
-		pendingIns = make(map[uint64]record.Record)
+		d.acked += len(cur)
 		pendingDel = make(map[uint64]struct{})
 		prev = cur
 		if batch%4 == 3 {
@@ -237,27 +212,28 @@ work:
 	}
 	defer re.Close()
 	d.replayed = re.WriteStats().WALReplayed
-	verifyRecovered(&d, re, base, ackedLive, ackedDeleted, pendingIns, pendingDel)
+	verifyRecovered(&d, re, known, ackedLive, ackedDeleted, pendingDel)
 	return d
 }
 
 // verifyRecovered drains the recovered view and checks the contract against
-// the drill's write ledger.
-func verifyRecovered(d *crashDrill, re *sampleview.View, base []record.Record,
-	ackedLive map[uint64]record.Record, ackedDeleted map[uint64]struct{},
-	pendingIns map[uint64]record.Record, pendingDel map[uint64]struct{}) {
-	baseBySeq := make(map[uint64]record.Record, len(base))
-	for _, r := range base {
-		baseBySeq[r.Seq] = r
-	}
+// the drill's write ledger: known is every record the view may serve.
+func verifyRecovered(d *crashDrill, re *sampleview.View, known, ackedLive map[uint64]record.Record,
+	ackedDeleted, pendingDel map[uint64]struct{}) {
 	s, err := re.Query(record.FullBox(1))
 	if err != nil {
 		d.failf("recovery query: %v", err)
 		return
 	}
 	defer s.Close()
-	served := make(map[uint64]record.Record)
-	hist := make([]int64, uniformityBuckets)
+	// Anything served outside known is a phantom or a corrupt record; the
+	// uniformity gate covers the drained prefix's keys (the live key
+	// population is uniform over the domain by construction).
+	ck := newChecker(record.FullBox(1), func(seq uint64) (record.Record, bool) {
+		r, ok := known[seq]
+		return r, ok
+	})
+	var prefix [uniformityBuckets]int64
 	for {
 		rec, err := s.Next()
 		if err == io.EOF {
@@ -270,164 +246,36 @@ func verifyRecovered(d *crashDrill, re *sampleview.View, base []record.Record,
 			d.failf("recovery stream: %v", err)
 			return
 		}
-		if _, dup := served[rec.Seq]; dup {
-			d.failf("seq %d served twice: write double-applied by recovery", rec.Seq)
-		}
-		served[rec.Seq] = rec
-		// Uniformity over the drained prefix's keys (the live key
-		// population is uniform over the domain by construction).
-		if len(served) <= crashUniformPrefix {
-			b := rec.Key * uniformityBuckets / workload.KeyDomain
-			if b >= 0 && b < uniformityBuckets {
-				hist[b]++
-			}
+		ck.add(rec)
+		if len(ck.seen) <= crashUniformPrefix {
+			prefix = ck.hist
 		}
 	}
-	d.recovered = len(served)
+	d.recovered = len(ck.seen)
+	d.errs = append(d.errs, ck.bad...)
 
-	for seq, want := range ackedLive {
+	for seq := range ackedLive {
 		if _, inflight := pendingDel[seq]; inflight {
 			continue // an unacknowledged delete may land on either side
 		}
-		got, ok := served[seq]
-		if !ok {
+		if _, ok := ck.seen[seq]; !ok {
 			d.failf("acked seq %d lost across the cut", seq)
-			continue
-		}
-		if got != want {
-			d.failf("acked seq %d recovered with wrong bytes", seq)
 		}
 	}
 	for seq := range ackedDeleted {
-		if _, ok := served[seq]; ok {
+		if _, ok := ck.seen[seq]; ok {
 			d.failf("acked delete of seq %d undone by recovery", seq)
 		}
 	}
-	for seq := range served {
-		if _, ok := baseBySeq[seq]; ok {
-			continue
-		}
-		if _, ok := ackedLive[seq]; ok {
-			continue
-		}
-		if _, ok := pendingIns[seq]; ok {
-			continue
-		}
-		if _, ok := ackedDeleted[seq]; ok {
-			continue // resurrection, already reported above
-		}
-		d.failf("phantom seq %d served by the recovered view", seq)
-	}
-
-	n := int64(0)
-	for _, c := range hist {
-		n += c
-	}
-	if n >= minUniformitySample {
-		if p, err := stats.ChiSquareUniformPValue(hist); err == nil {
-			d.pvalue, d.pvalid = p, true
-			if p < uniformityAlpha {
-				d.failf("recovered sample non-uniform (p=%.5f)", p)
-			}
+	if p, ok := uniformity(prefix); ok {
+		d.pvalue, d.pvalid = p, true
+		if p < uniformityAlpha {
+			d.failf("recovered sample non-uniform (p=%.5f)", p)
 		}
 	}
 }
 
-// durabilityBench compares the cost of the two durability settings on the
-// same simulated disk: sync-every-write (SyncEvery=1, one writer) against
-// group commit (a 2ms window, 8 concurrent writers).
-type durabilityBench struct {
-	ops                    int
-	syncFsyncs, syncBytes  int64
-	syncSim, syncWall      time.Duration
-	groupFsyncs            int64
-	groupBytes             int64
-	groupSim, groupWall    time.Duration
-	groupWriters           int
-	syncErrs, groupErrsStr string
-}
-
-const (
-	benchOps     = 4096
-	benchWriters = 8
-)
-
-func runDurabilityBench(dir string, base []record.Record, seed uint64) durabilityBench {
-	b := durabilityBench{ops: benchOps, groupWriters: benchWriters}
-
-	// Baseline: one writer, one fsync per acknowledged write.
-	if v, err := sampleview.CreateFromSlice(filepath.Join(dir, "bench-sync.view"), base,
-		sampleview.Options{Seed: seed, WAL: true, WALSyncEvery: 1}); err != nil {
-		b.syncErrs = err.Error()
-	} else {
-		g := workload.NewGenerator(workload.Uniform, seed)
-		sim0 := v.SimNow()
-		start := time.Now()
-		for i := 0; i < benchOps; i++ {
-			rec := g.Next()
-			rec.Seq = writeSeqBase + uint64(i)
-			if err := v.Insert(rec); err != nil {
-				b.syncErrs = err.Error()
-				break
-			}
-			if err := v.Commit(); err != nil {
-				b.syncErrs = err.Error()
-				break
-			}
-		}
-		b.syncWall = time.Since(start)
-		b.syncSim = v.SimNow() - sim0
-		ws := v.WriteStats()
-		b.syncFsyncs, b.syncBytes = ws.WALFsyncs, ws.WALBytes
-		v.Close()
-	}
-
-	// Group commit: concurrent writers share fsyncs through the cohort.
-	if v, err := sampleview.CreateFromSlice(filepath.Join(dir, "bench-group.view"), base,
-		sampleview.Options{Seed: seed, WAL: true, WALGroupWindow: 2 * time.Millisecond}); err != nil {
-		b.groupErrsStr = err.Error()
-	} else {
-		sim0 := v.SimNow()
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make([]error, benchWriters)
-		per := benchOps / benchWriters
-		for w := 0; w < benchWriters; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				g := workload.NewGenerator(workload.Uniform, seed+uint64(w)*2654435761)
-				for i := 0; i < per; i++ {
-					rec := g.Next()
-					rec.Seq = 2*writeSeqBase + uint64(w*per+i)
-					if err := v.Insert(rec); err != nil {
-						errs[w] = err
-						return
-					}
-					if err := v.Commit(); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.groupErrsStr = err.Error()
-				break
-			}
-		}
-		b.groupWall = time.Since(start)
-		b.groupSim = v.SimNow() - sim0
-		ws := v.WriteStats()
-		b.groupFsyncs, b.groupBytes = ws.WALFsyncs, ws.WALBytes
-		v.Close()
-	}
-	return b
-}
-
-func buildCrashReport(nrecords int, seed uint64, drills []crashDrill, bench durabilityBench) string {
+func buildCrashReport(nrecords int, seed uint64, drills []crashDrill) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# Crash bench: deterministic power-cut ladder\n\n")
 	fmt.Fprintf(&sb, "Each drill arms one crash point at one hit count, drives a seeded write "+
@@ -458,25 +306,5 @@ func buildCrashReport(nrecords int, seed uint64, drills []crashDrill, bench dura
 		fmt.Fprintf(&sb, "| %s | %d | %v | %s | %d | %d | %d | %d | %s | %s |\n",
 			d.point, d.hit, d.fired, cutOp, d.acked, d.ackedDel, d.replayed, d.recovered, pCell, verdict)
 	}
-	fmt.Fprintf(&sb, "\n## Durability cost: group commit vs sync-every-write\n\n")
-	fmt.Fprintf(&sb, "%d acknowledged writes on the same simulated disk; the simulated time is "+
-		"the disk-busy cost a real device would pay.\n\n", bench.ops)
-	fmt.Fprintf(&sb, "| mode | writers | fsyncs | fsyncs/op | wal bytes | sim disk time | sim time/op | wall |\n")
-	fmt.Fprintf(&sb, "|---|---|---|---|---|---|---|---|\n")
-	row := func(name string, writers int, fsyncs, bytes int64, sim, wall time.Duration, errstr string) {
-		if errstr != "" {
-			fmt.Fprintf(&sb, "| %s | %d | error: %s | | | | | |\n", name, writers, errstr)
-			return
-		}
-		fmt.Fprintf(&sb, "| %s | %d | %d | %.3f | %d | %v | %v | %v |\n",
-			name, writers, fsyncs, float64(fsyncs)/float64(bench.ops), bytes,
-			sim.Round(time.Millisecond), (sim / time.Duration(bench.ops)).Round(time.Microsecond),
-			wall.Round(time.Millisecond))
-	}
-	row("sync-every-write", 1, bench.syncFsyncs, bench.syncBytes, bench.syncSim, bench.syncWall, bench.syncErrs)
-	row("group-commit (2ms window)", bench.groupWriters, bench.groupFsyncs, bench.groupBytes,
-		bench.groupSim, bench.groupWall, bench.groupErrsStr)
-	fmt.Fprintf(&sb, "\nGroup commit amortizes the sync barrier across the cohort: fewer fsyncs "+
-		"per acknowledged write at identical durability (an ack still means \"on disk\").\n")
 	return sb.String()
 }

@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +23,6 @@ import (
 	"sampleview/internal/fleet"
 	"sampleview/internal/record"
 	"sampleview/internal/server"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -54,16 +52,17 @@ type chaosFleet struct {
 	addr     string
 	replicas []*server.Server
 	views    []*sampleview.View
-	closers  []func()
 }
 
 func (cf *chaosFleet) close() {
-	cf.router.Shutdown()
+	if cf.router != nil {
+		cf.router.Shutdown()
+	}
 	for _, srv := range cf.replicas {
 		srv.Shutdown()
 	}
-	for _, c := range cf.closers {
-		c()
+	for _, v := range cf.views {
+		v.Close()
 	}
 }
 
@@ -82,21 +81,17 @@ func startChaosFleet(dir string, k int, recs []record.Record, seed uint64) (*cha
 			return nil, err
 		}
 		cf.views = append(cf.views, v)
-		cf.closers = append(cf.closers, func() { v.Close() })
 
 		srv := server.New(server.Config{
 			MaxStreams: fleetReplicaCap,
 			ReplicaID:  fmt.Sprintf("replica-%d", i),
 		})
 		srv.AddView("fleet", v)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+		cf.replicas = append(cf.replicas, srv)
+		if addrs[i], err = serveLoopback(srv.Serve); err != nil {
 			cf.close()
 			return nil, err
 		}
-		go srv.Serve(ln)
-		cf.replicas = append(cf.replicas, srv)
-		addrs[i] = ln.Addr().String()
 	}
 	router, err := fleet.New(fleet.Config{Replicas: addrs, Seed: seed})
 	if err != nil {
@@ -108,22 +103,19 @@ func startChaosFleet(dir string, k int, recs []record.Record, seed uint64) (*cha
 		return nil, err
 	}
 	cf.router = router
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	if cf.addr, err = serveLoopback(router.Serve); err != nil {
 		cf.close()
 		return nil, err
 	}
-	go router.Serve(ln)
-	cf.addr = ln.Addr().String()
 	return cf, nil
 }
 
-// runFleetMode is the -fleet entry point. Returns the process exit code.
-func runFleetMode(nrecords int, seed uint64, out string) int {
+// runFleetMode is the -fleet entry point: it returns the report and
+// whether every drill held.
+func runFleetMode(nrecords int, seed uint64) (string, bool) {
 	dir, err := os.MkdirTemp("", "svchaos-fleet-*")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-		return 1
+		return "", failed(err)
 	}
 	defer os.RemoveAll(dir)
 
@@ -131,7 +123,7 @@ func runFleetMode(nrecords int, seed uint64, out string) int {
 	fmt.Printf("fleet drill: %d records per replica; K in %v\n", nrecords, fleetSizes)
 
 	var results []fleetResult
-	failed := false
+	ok := true
 	for _, k := range fleetSizes {
 		res := fleetResult{k: k, suffixP: 1}
 		start := time.Now()
@@ -146,35 +138,13 @@ func runFleetMode(nrecords int, seed uint64, out string) int {
 		verdict := "ok"
 		if len(res.violations) > 0 {
 			verdict = "CONTRACT VIOLATED"
-			failed = true
+			ok = false
 		}
 		fmt.Printf("K=%d  %6.1fs  killed at %d/%d, %d migrations, suffix p=%.3f (n=%d)  %s\n",
 			k, res.elapsed.Seconds(), res.killAt, res.total, res.migrations, res.suffixP, res.suffixN, verdict)
-		for i, v := range res.violations {
-			if i == 5 {
-				fmt.Printf("    ... and %d more\n", len(res.violations)-5)
-				break
-			}
-			fmt.Printf("    violation: %s\n", v)
-		}
+		printFirst("violation", res.violations)
 	}
-
-	report := buildFleetReport(nrecords, seed, results)
-	if out != "" {
-		if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(out, []byte(report), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-			return 1
-		}
-		fmt.Printf("report written to %s\n", out)
-	}
-	if failed {
-		return 1
-	}
-	return 0
+	return buildFleetReport(nrecords, seed, results), ok
 }
 
 // runFleetKillDrill pulls a seeded stream a third of the way, kills the
@@ -280,22 +250,11 @@ func runFleetKillDrill(cf *chaosFleet, res *fleetResult, seed uint64) {
 
 	// Post-migration suffix uniformity: the records served after the kill
 	// must still look like a uniform sample of the query range.
-	kr := q.Dim(0)
-	width := kr.Hi - kr.Lo + 1
-	hist := make([]int64, uniformityBuckets)
-	for _, rec := range got[res.killAt:] {
-		b := (rec.Key - kr.Lo) * uniformityBuckets / width
-		if b >= 0 && b < uniformityBuckets {
-			hist[b]++
-		}
-	}
+	ck := newChecker(q, nil)
+	ck.add(got[res.killAt:]...)
+	res.violations = append(res.violations, ck.bad...)
 	res.suffixN = len(got) - res.killAt
-	if res.suffixN >= minUniformitySample {
-		p, err := stats.ChiSquareUniformPValue(hist)
-		if err != nil {
-			fail("suffix uniformity: %v", err)
-			return
-		}
+	if p, ok := uniformity(ck.hist); ok {
 		res.suffixP = p
 		if p < uniformityAlpha {
 			fail("post-migration suffix fails uniformity: p=%g over %d records", p, res.suffixN)

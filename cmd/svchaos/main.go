@@ -1,7 +1,7 @@
-// Command svchaos is the end-to-end chaos harness: it builds a sample
-// view, serves it on a loopback listener, and replays the svload-style
-// closed-loop workload under escalating storage-fault profiles, verifying
-// on the fly that the failure-handling contract holds at every level:
+// Command svchaos is the end-to-end drill harness. By default it builds a
+// sample view, serves it on a loopback listener, and replays a closed-loop
+// reader workload under escalating storage-fault profiles, verifying on the
+// fly that the failure-handling contract holds at every level:
 //
 //   - transient profiles (flaky-disk, flaky-deep) are invisible to
 //     clients — zero client-visible errors, every delivered record valid;
@@ -9,7 +9,7 @@
 //     as typed degraded errors, never as garbage records, duplicates or
 //     dropped connections;
 //   - delivered samples stay uniform (chi-square over query-range key
-//     buckets) whenever no leaf was lost.
+//     buckets) on every operation that lost no leaf.
 //
 // Usage:
 //
@@ -19,6 +19,13 @@
 //	svchaos -ingest 2 -profiles flaky-disk
 //	svchaos -crash -records 20000 -out results/crash-bench.md
 //	svchaos -fleet -records 60000 -out results/fleet-bench.md
+//	svchaos -connect 127.0.0.1:7070 -view sale -clients 32 -ingest 8
+//	svchaos -connect 127.0.0.1:7070 -view sale -clients 32 -tenants 8
+//
+// With -connect the same reader and writer fleet runs against an external
+// svserve or svrouter, in the view's own dimensionality, and ends by dumping
+// its counters. Without a source relation the readers check the predicate
+// and duplicates only; -tenants N spreads them across N tenant identities.
 //
 // With -fleet the fault ladder is replaced by the replicated-serving kill
 // drill: for each fleet size K in {2, 4} a router fronts K byte-identical
@@ -31,8 +38,7 @@
 // power-cut ladder: every instrumented crash point is armed at escalating
 // hit counts against a WAL-backed view under a seeded write workload, the
 // view is reopened after each cut, and recovery is verified — no
-// acknowledged write lost, no double-apply, samples still uniform — followed
-// by a group-commit vs sync-every-write durability-cost comparison (see
+// acknowledged write lost, no double-apply, samples still uniform (see
 // crash.go).
 //
 // With -shards K the view is partitioned across K simulated disks and the
@@ -50,7 +56,8 @@
 // must see zero hard errors.
 //
 // The run prints a per-profile summary and, with -out, writes a markdown
-// report. The exit status is non-zero if any contract above was violated.
+// report (ladder, -crash, -fleet); the exit status is non-zero if any
+// contract above was violated.
 package main
 
 import (
@@ -58,7 +65,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,20 +75,7 @@ import (
 	"sampleview"
 	"sampleview/internal/record"
 	"sampleview/internal/server"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
-)
-
-// selectivities is the paper's evaluation mix, cycled per operation.
-var selectivities = []float64{0.0025, 0.025, 0.25}
-
-// uniformityBuckets and minUniformitySample size the per-query chi-square
-// test: at least ~10 expected records per bucket.
-const (
-	uniformityBuckets    = 16
-	minUniformitySample  = 160
-	uniformityAlpha      = 1e-3
-	admissionRetryBudget = 50
 )
 
 // profileResult aggregates one profile's run.
@@ -124,156 +117,129 @@ var (
 // entered through the wire rather than the original build.
 const writeSeqBase = 1 << 40
 
-// lookupSource resolves a served Seq against the original relation and the
-// written set.
-func lookupSource(bySeq map[uint64]record.Record, seq uint64) (record.Record, bool) {
-	if src, ok := bySeq[seq]; ok {
-		return src, true
-	}
-	if v, ok := writtenSet.Load(seq); ok {
-		return v.(record.Record), true
-	}
-	return record.Record{}, false
-}
-
 func main() {
 	var (
 		nrecords = flag.Int("records", 100_000, "records in the generated view")
-		clients  = flag.Int("clients", 8, "concurrent client connections per profile")
-		ops      = flag.Int("ops", 6, "queries per client")
+		clients  = flag.Int("clients", 8, "concurrent reader connections (per profile)")
+		ops      = flag.Int("ops", 6, "queries per reader")
 		samples  = flag.Int("samples", 2000, "sample budget per query")
 		batch    = flag.Int("batch", 256, "records per batch pull")
 		seed     = flag.Uint64("seed", 1, "workload and fault-schedule seed")
 		profs    = flag.String("profiles", "all", "comma-separated fault profiles, or \"all\" for the escalating ladder")
 		shards   = flag.Int("shards", 1, "partition the view across this many simulated disks (>1 adds a shard-kill phase)")
-		ingest   = flag.Int("ingest", 0, "writer connections appending/deleting/flushing under each profile")
+		ingest   = flag.Int("ingest", 0, "writer connections appending/deleting/flushing while the readers run")
 		crash    = flag.Bool("crash", false, "run the deterministic power-cut ladder instead of the fault-profile ladder")
 		fleetOn  = flag.Bool("fleet", false, "run the replicated-serving fleet drill instead of the fault-profile ladder")
+		connect  = flag.String("connect", "", "drive the readers and writers against this svserve or svrouter address instead")
+		view     = flag.String("view", "sale", "served view name")
+		tenants  = flag.Int("tenants", 0, "spread readers round-robin across this many tenant identities (0 = untenanted)")
 		out      = flag.String("out", "", "write the markdown report to this file")
 	)
 	flag.Parse()
 	nextWriteSeq.Store(writeSeqBase)
 
-	if *crash {
-		os.Exit(runCrashMode(*nrecords, *seed, *out))
+	t := traffic{addr: *connect, view: *view, dims: 1, tenants: *tenants, clients: *clients, ops: *ops,
+		samples: *samples, batch: *batch, ingest: *ingest, seed: *seed, writeSeed: *seed}
+	var report string
+	var ok bool
+	switch {
+	case *crash:
+		report, ok = runCrashMode(*nrecords, *seed)
+	case *fleetOn:
+		report, ok = runFleetMode(*nrecords, *seed)
+	case *connect != "":
+		ok = runConnect(t)
+	default:
+		report, ok = runLadder(t, *nrecords, *profs, *shards)
 	}
-	if *fleetOn {
-		os.Exit(runFleetMode(*nrecords, *seed, *out))
+	if err := writeOut(*out, report); err != nil {
+		ok = failed(err)
 	}
-
-	profiles := sampleview.FaultProfiles()
-	if *profs != "all" {
-		profiles = strings.Split(*profs, ",")
-	}
-
-	dir, err := os.MkdirTemp("", "svchaos-*")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-
-	recs := genRecords(*nrecords, *seed)
-	bySeq := make(map[uint64]record.Record, len(recs))
-	for _, r := range recs {
-		bySeq[r.Seq] = r
-	}
-	tg, err := buildTarget(dir, recs, *shards, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-		os.Exit(1)
-	}
-	defer tg.close()
-	fmt.Printf("view: %d records across %d shard(s); %d clients x %d ops x %d samples per profile\n",
-		tg.count, *shards, *clients, *ops, *samples)
-
-	var results []profileResult
-	failed := false
-	for _, name := range profiles {
-		plan, err := sampleview.FaultProfile(name, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-			os.Exit(2)
-		}
-		res := runProfile(tg, bySeq, name, plan, *clients, *ops, *samples, *batch, *ingest, *seed)
-		results = append(results, res)
-		verdict := "ok"
-		if !contractHolds(&res) {
-			verdict = "CONTRACT VIOLATED"
-			failed = true
-		}
-		fmt.Printf("%-11s %7d recs %6.1fs  retries=%-5d transient=%-5d degraded=%-4d corrupt=%-4d dead=%-3d uniform-fail=%d  %s\n",
-			name, res.records, res.elapsed.Seconds(), res.retries, res.transient,
-			res.degFrames, res.faults.CorruptPages, res.faults.DeadPages, res.pFailures, verdict)
-		if *ingest > 0 {
-			fmt.Printf("    ingest: %d appended, %d deleted, %d flushes, %d writer errors\n",
-				res.appended, res.wdeleted, res.flushes, len(res.writeErrs))
-			for i, e := range res.writeErrs {
-				if i == 5 {
-					fmt.Printf("    ... and %d more\n", len(res.writeErrs)-5)
-					break
-				}
-				fmt.Printf("    writer error: %s\n", e)
-			}
-		}
-		for i, e := range res.hardErrs {
-			if i == 5 {
-				fmt.Printf("    ... and %d more\n", len(res.hardErrs)-5)
-				break
-			}
-			fmt.Printf("    hard error: %s\n", e)
-		}
-		for i, e := range res.badRecs {
-			if i == 5 {
-				fmt.Printf("    ... and %d more\n", len(res.badRecs)-5)
-				break
-			}
-			fmt.Printf("    bad record: %s\n", e)
-		}
-	}
-
-	if tg.k > 1 {
-		res := runShardKill(tg, bySeq, *seed)
-		results = append(results, res)
-		verdict := "ok"
-		if !shardKillHolds(tg, &res) {
-			verdict = "CONTRACT VIOLATED"
-			failed = true
-		}
-		fmt.Printf("%-11s %7d recs %6.1fs  degraded-events=%-4d  %s\n",
-			res.profile, res.records, res.elapsed.Seconds(), res.degEvents, verdict)
-		for i, e := range append(res.hardErrs, res.badRecs...) {
-			if i == 5 {
-				break
-			}
-			fmt.Printf("    violation: %s\n", e)
-		}
-	}
-
-	report := buildReport(tg.count, *clients, *ops, *samples, *batch, *seed, results)
-	if *out != "" {
-		if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "svchaos: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", *out)
-	}
-	if failed {
+	if !ok {
 		os.Exit(1)
 	}
 }
 
-// fnv1a hashes a profile name into a seed salt (FNV-1a, 64-bit).
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
+// runLadder builds the chaos view and drives the traffic under each fault
+// profile in turn, then, on a sharded view, kills a shard.
+func runLadder(t traffic, nrecords int, profs string, shards int) (string, bool) {
+	profiles := sampleview.FaultProfiles()
+	if profs != "all" {
+		profiles = strings.Split(profs, ",")
 	}
-	return h
+	dir, err := os.MkdirTemp("", "svchaos-*")
+	if err != nil {
+		return "", failed(err)
+	}
+	defer os.RemoveAll(dir)
+
+	recs := genRecords(nrecords, t.seed)
+	bySeq := make(map[uint64]record.Record, len(recs))
+	for _, r := range recs {
+		bySeq[r.Seq] = r
+	}
+	t.source = func(seq uint64) (record.Record, bool) {
+		if r, ok := bySeq[seq]; ok {
+			return r, true
+		}
+		v, ok := writtenSet.Load(seq)
+		r, _ := v.(record.Record)
+		return r, ok
+	}
+	tg, err := buildTarget(dir, recs, shards, t.seed)
+	if err != nil {
+		return "", failed(err)
+	}
+	defer tg.close()
+	fmt.Printf("view: %d records across %d shard(s); %d clients x %d ops x %d samples per profile\n",
+		tg.count, shards, t.clients, t.ops, t.samples)
+
+	var results []profileResult
+	ok := true
+	for _, name := range profiles {
+		plan, err := sampleview.FaultProfile(name, t.seed)
+		if err != nil {
+			return "", failed(err)
+		}
+		res := runProfile(tg, t, name, plan)
+		results = append(results, res)
+		ok = printProfile(&res, t.ingest) && ok
+	}
+
+	if tg.k > 1 {
+		res := runShardKill(tg, t, recs)
+		results = append(results, res)
+		verdict := "ok"
+		if len(res.hardErrs) > 0 || len(res.badRecs) > 0 || res.degEvents == 0 || res.records == 0 {
+			verdict = "CONTRACT VIOLATED"
+			ok = false
+		}
+		fmt.Printf("%-11s %7d recs %6.1fs  degraded-events=%-4d  %s\n",
+			res.profile, res.records, res.elapsed.Seconds(), res.degEvents, verdict)
+		printFirst("violation", append(res.hardErrs, res.badRecs...))
+	}
+	return buildReport(tg.count, t, results), ok
+}
+
+// printProfile prints one run's row and its first failures, and returns
+// whether the contract held.
+func printProfile(res *profileResult, ingest int) bool {
+	ok := contractHolds(res)
+	verdict := "ok"
+	if !ok {
+		verdict = "CONTRACT VIOLATED"
+	}
+	fmt.Printf("%-11s %7d recs %6.1fs  retries=%-5d transient=%-5d degraded=%-4d corrupt=%-4d dead=%-3d uniform-fail=%d  %s\n",
+		res.profile, res.records, res.elapsed.Seconds(), res.retries, res.transient,
+		res.degFrames, res.faults.CorruptPages, res.faults.DeadPages, res.pFailures, verdict)
+	if ingest > 0 {
+		fmt.Printf("    ingest: %d appended, %d deleted, %d flushes, %d writer errors\n",
+			res.appended, res.wdeleted, res.flushes, len(res.writeErrs))
+		printFirst("writer error", res.writeErrs)
+	}
+	printFirst("hard error", res.hardErrs)
+	printFirst("bad record", res.badRecs)
+	return ok
 }
 
 // contractHolds checks the per-profile failure-handling contract: no
@@ -344,38 +310,20 @@ func buildTarget(dir string, recs []record.Record, shards int, seed uint64) (*ta
 	}, nil
 }
 
-// runProfile serves the view under one fault plan and drives the fleet.
-func runProfile(tg *target, bySeq map[uint64]record.Record, name string,
-	plan sampleview.FaultPlan, clients, ops, samples, batch, ingest int, seed uint64) profileResult {
-	res := profileResult{profile: name}
+// runProfile serves the view under one fault plan and drives the traffic.
+func runProfile(tg *target, t traffic, name string, plan sampleview.FaultPlan) profileResult {
 	before := tg.faults()
 	tg.inject(plan)
 	defer tg.inject(sampleview.FaultPlan{})
 
-	srv := server.New(server.Config{MaxStreams: 4 * clients, RequestTimeout: 30 * time.Second})
-	srv.AddSource("chaos", tg.source)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv := server.New(server.Config{MaxStreams: 4 * t.clients, RequestTimeout: 30 * time.Second})
+	srv.AddSource(t.view, tg.source)
+	addr, err := serveLoopback(srv.Serve)
 	if err != nil {
-		res.hardErrs = append(res.hardErrs, err.Error())
-		return res
+		return profileResult{profile: name, hardErrs: []string{err.Error()}}
 	}
-	go srv.Serve(ln)
 	defer srv.Shutdown()
 
-	start := time.Now()
-	perClient := make([]profileResult, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			perClient[c] = runClient(ln.Addr().String(), bySeq,
-				seed+uint64(c)*1000003, ops, samples, batch)
-		}(c)
-	}
-	stop := make(chan struct{})
-	perWriter := make([]profileResult, ingest)
-	var wwg sync.WaitGroup
 	// Writers must NOT replay the same key sequence profile after profile:
 	// the written set accumulates across the ladder, and re-appending one
 	// profile's key multiset under every later profile would pile up
@@ -383,38 +331,9 @@ func runProfile(tg *target, bySeq map[uint64]record.Record, name string,
 	// rightly flag the relation itself as non-uniform. Readers deliberately
 	// keep identical seeds (the same query mix under every profile); the
 	// writer seeds take a per-profile salt.
-	salt := fnv1a(name)
-	for w := 0; w < ingest; w++ {
-		wwg.Add(1)
-		go func(w int) {
-			defer wwg.Done()
-			perWriter[w] = runIngest(ln.Addr().String(), w, seed+salt+uint64(w)*6700417, stop)
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	wwg.Wait()
-	res.elapsed = time.Since(start)
-
-	for i := range perWriter {
-		pw := &perWriter[i]
-		res.appended += pw.appended
-		res.wdeleted += pw.wdeleted
-		res.flushes += pw.flushes
-		res.writeErrs = append(res.writeErrs, pw.writeErrs...)
-	}
-
-	for i := range perClient {
-		pc := &perClient[i]
-		res.records += pc.records
-		res.ops += pc.ops
-		res.retries += pc.retries
-		res.degEvents += pc.degEvents
-		res.pvalues = append(res.pvalues, pc.pvalues...)
-		res.pFailures += pc.pFailures
-		res.hardErrs = append(res.hardErrs, pc.hardErrs...)
-		res.badRecs = append(res.badRecs, pc.badRecs...)
-	}
+	t.addr, t.writeSeed = addr, t.seed+salt(name)
+	res := t.drive()
+	res.profile = name
 	snap := srv.Snapshot()
 	res.transient = snap.TransientErrors
 	res.degFrames = snap.DegradedErrors
@@ -429,226 +348,44 @@ func runProfile(tg *target, bySeq map[uint64]record.Record, name string,
 	return res
 }
 
-// runIngest drives one writer connection until stop closes: append a fresh
-// batch of records, tombstone the first half of every third batch, and
-// flush every fifth iteration, so the write path churns — memview swaps,
-// L0 flushes, compactions — while the faulted readers sample. Transient
-// faults are absorbed by the client's retry policy; anything that still
-// escapes is recorded as a writer error (tolerated only on lossy profiles).
-func runIngest(addr string, id int, seed uint64, stop <-chan struct{}) profileResult {
-	var res profileResult
-	fail := func(format string, args ...any) {
-		res.writeErrs = append(res.writeErrs, fmt.Sprintf("writer %d: %s", id, fmt.Sprintf(format, args...)))
-	}
-	cl, err := server.Dial(addr)
-	if err != nil {
-		fail("dial: %v", err)
-		return res
-	}
-	defer cl.Close()
-	cl.SetRetryPolicy(server.RetryPolicy{Seed: seed})
-	rv, err := cl.OpenView("chaos")
-	if err != nil {
-		fail("open view: %v", err)
-		return res
-	}
-	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	const batchSize = 64
-	for iter := 0; ; iter++ {
-		select {
-		case <-stop:
-			return res
-		default:
-		}
-		// Claim a fresh Seq block and register the batch before sending it,
-		// so a reader can never see an unregistered record.
-		base := nextWriteSeq.Add(batchSize) - batchSize
-		batch := make([]record.Record, batchSize)
-		for i := range batch {
-			batch[i] = record.Record{
-				Key:    rng.Int64N(workload.KeyDomain),
-				Amount: rng.Int64N(workload.KeyDomain),
-				Seq:    base + uint64(i),
-			}
-			writtenSet.Store(batch[i].Seq, batch[i])
-		}
-		for {
-			n, err := rv.Append(batch)
-			if err == nil {
-				res.appended += int64(n)
-				break
-			}
-			if server.IsWriteReject(err) {
-				if _, ferr := rv.Flush(); ferr != nil {
-					fail("flush under backlog: %v", ferr)
-					return res
-				}
-				res.flushes++
-				continue
-			}
-			fail("append: %v", err)
-			return res
-		}
-		if iter%3 == 2 {
-			if n, err := rv.Delete(batch[:batchSize/2]); err != nil {
-				fail("delete: %v", err)
-				return res
-			} else {
-				res.wdeleted += int64(n)
-			}
-		}
-		if iter%5 == 4 {
-			if _, err := rv.Flush(); err != nil {
-				fail("flush: %v", err)
-				return res
-			}
-			res.flushes++
-		}
-	}
-}
-
-// runClient drives one connection through its operations, verifying every
-// delivered record against the source relation.
-func runClient(addr string, bySeq map[uint64]record.Record,
-	seed uint64, ops, samples, batch int) profileResult {
-	var res profileResult
-	fail := func(format string, args ...any) {
-		res.hardErrs = append(res.hardErrs, fmt.Sprintf(format, args...))
-	}
-	cl, err := server.Dial(addr)
-	if err != nil {
-		fail("dial: %v", err)
-		return res
-	}
-	defer cl.Close()
-	cl.SetRetryPolicy(server.RetryPolicy{Seed: seed})
-	rv, err := cl.OpenView("chaos")
-	if err != nil {
-		fail("open view: %v", err)
-		return res
-	}
-	qg := workload.NewQueryGen(seed)
-	rng := rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))
-
-	for op := 0; op < ops; op++ {
-		q := qg.Range1D(selectivities[op%len(selectivities)])
-		var s *server.RemoteStream
-		for attempt := 0; ; attempt++ {
-			s, err = rv.Query(q)
-			if err == nil {
-				break
-			}
-			if server.IsAdmissionReject(err) && attempt < admissionRetryBudget {
-				time.Sleep(time.Duration(1+rng.Int64N(4)) * time.Millisecond)
-				continue
-			}
-			fail("op %d: open stream: %v", op, err)
-			return res
-		}
-		s.SetBatchSize(batch)
-
-		kr := q.Dim(0)
-		width := kr.Hi - kr.Lo + 1
-		hist := make([]int64, uniformityBuckets)
-		seen := make(map[uint64]struct{}, samples)
-		got, opDegraded := 0, 0
-		for got < samples {
-			recs, err := s.NextBatch()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if server.IsDegraded(err) {
-					res.degEvents++ // typed, clean: the stream keeps serving
-					if opDegraded++; opDegraded > 1000 {
-						fail("op %d: stream wedged on degraded errors", op)
-						break
-					}
-					continue
-				}
-				fail("op %d: next batch: %v", op, err)
-				break
-			}
-			for i := range recs {
-				r := recs[i]
-				src, ok := lookupSource(bySeq, r.Seq)
-				if !ok || r != src {
-					res.badRecs = append(res.badRecs,
-						fmt.Sprintf("op %d: record seq %d not in the source relation (silent corruption)", op, r.Seq))
-					continue
-				}
-				if !q.ContainsRecord(&r) {
-					res.badRecs = append(res.badRecs,
-						fmt.Sprintf("op %d: record seq %d outside the predicate", op, r.Seq))
-				}
-				if _, dup := seen[r.Seq]; dup {
-					res.badRecs = append(res.badRecs,
-						fmt.Sprintf("op %d: duplicate seq %d (not without-replacement)", op, r.Seq))
-				}
-				seen[r.Seq] = struct{}{}
-				b := (r.Key - kr.Lo) * uniformityBuckets / width
-				if b >= 0 && b < uniformityBuckets {
-					hist[b]++
-				}
-			}
-			got += len(recs)
-		}
-		// Uniformity of the delivered sample's keys over the query range.
-		if got >= minUniformitySample && res.degEvents == 0 {
-			if p, err := stats.ChiSquareUniformPValue(hist); err == nil {
-				res.pvalues = append(res.pvalues, p)
-				if p < uniformityAlpha {
-					res.pFailures++
-				}
-			}
-		}
-		res.records += int64(got)
-		res.ops++
-		s.Close()
-	}
-	res.retries = cl.Retries()
-	return res
-}
-
 // runShardKill kills one shard of the served view and drains a full-box
 // stream over the wire, recording the blast radius: which records arrived
 // and what errors surfaced. The shard is revived afterwards.
-func runShardKill(tg *target, bySeq map[uint64]record.Record, seed uint64) profileResult {
-	res := profileResult{profile: "shard-kill"}
+func runShardKill(tg *target, t traffic, base []record.Record) profileResult {
+	res := profileResult{profile: "shard-kill", ops: 1}
+	fail := func(err error) profileResult {
+		res.hardErrs = append(res.hardErrs, err.Error())
+		return res
+	}
 	dead := tg.k - 1
 	tg.kill(dead)
 	defer tg.revive(dead)
 
 	srv := server.New(server.Config{RequestTimeout: 30 * time.Second})
-	srv.AddSource("chaos", tg.source)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv.AddSource(t.view, tg.source)
+	addr, err := serveLoopback(srv.Serve)
 	if err != nil {
-		res.hardErrs = append(res.hardErrs, err.Error())
-		return res
+		return fail(err)
 	}
-	go srv.Serve(ln)
 	defer srv.Shutdown()
 
 	start := time.Now()
-	cl, err := server.Dial(ln.Addr().String())
+	cl, err := server.Dial(addr)
 	if err != nil {
-		res.hardErrs = append(res.hardErrs, err.Error())
-		return res
+		return fail(err)
 	}
 	defer cl.Close()
-	rv, err := cl.OpenView("chaos")
+	rv, err := cl.OpenView(t.view)
 	if err != nil {
-		res.hardErrs = append(res.hardErrs, err.Error())
-		return res
+		return fail(err)
 	}
 	s, err := rv.Query(record.FullBox(1))
 	if err != nil {
-		res.hardErrs = append(res.hardErrs, err.Error())
-		return res
+		return fail(err)
 	}
 	defer s.Close()
 
-	served := make(map[uint64]struct{}, len(bySeq))
+	ck := newChecker(record.FullBox(1), t.source)
 	for {
 		recs, err := s.NextBatch()
 		if err == io.EOF {
@@ -656,8 +393,7 @@ func runShardKill(tg *target, bySeq map[uint64]record.Record, seed uint64) profi
 		}
 		if err != nil {
 			if server.IsDegraded(err) {
-				res.degEvents++
-				if res.degEvents > 100_000 {
+				if res.degEvents++; res.degEvents > 100_000 {
 					res.hardErrs = append(res.hardErrs, "stream wedged on degraded errors")
 					break
 				}
@@ -666,46 +402,32 @@ func runShardKill(tg *target, bySeq map[uint64]record.Record, seed uint64) profi
 			res.hardErrs = append(res.hardErrs, fmt.Sprintf("next batch: %v", err))
 			break
 		}
+		ck.add(recs...)
+		// Base-build records on the dead shard live only on its dead
+		// storage and must never appear. Write-path records are exempt:
+		// an appended-but-unflushed record sits in the dead shard's
+		// in-memory buffer, which a storage kill does not touch, so
+		// serving it is the degrade-not-fail contract working (flushed
+		// deltas sit on dead pages and are salvaged away).
 		for i := range recs {
-			if src, ok := lookupSource(bySeq, recs[i].Seq); !ok || recs[i] != src {
-				res.badRecs = append(res.badRecs,
-					fmt.Sprintf("record seq %d not in the source relation", recs[i].Seq))
-				continue
-			}
-			// Base-build records on the dead shard live only on its dead
-			// storage and must never appear. Write-path records are exempt:
-			// an appended-but-unflushed record sits in the dead shard's
-			// in-memory buffer, which a storage kill does not touch, so
-			// serving it is the degrade-not-fail contract working (flushed
-			// deltas sit on dead pages and are salvaged away).
 			if recs[i].Seq < writeSeqBase && tg.route(recs[i]) == dead {
 				res.badRecs = append(res.badRecs,
 					fmt.Sprintf("record seq %d served from the dead shard %d", recs[i].Seq, dead))
 			}
-			served[recs[i].Seq] = struct{}{}
 		}
 		res.records += int64(len(recs))
 	}
-	for _, r := range bySeq {
-		if tg.route(r) != dead {
-			if _, ok := served[r.Seq]; !ok {
-				res.badRecs = append(res.badRecs,
-					fmt.Sprintf("surviving-shard record seq %d never served", r.Seq))
-			}
+	res.badRecs = append(res.badRecs, ck.bad...)
+	for _, r := range base {
+		if _, ok := ck.seen[r.Seq]; !ok && tg.route(r) != dead {
+			res.badRecs = append(res.badRecs, fmt.Sprintf("surviving-shard record seq %d never served", r.Seq))
 		}
 	}
-	res.ops = 1
 	res.elapsed = time.Since(start)
 	snap := srv.Snapshot()
 	res.transient = snap.TransientErrors
 	res.degFrames = snap.DegradedErrors
 	return res
-}
-
-// shardKillHolds checks the shard-kill contract: the dead shard degrades
-// through typed errors only, and the survivors deliver everything.
-func shardKillHolds(tg *target, r *profileResult) bool {
-	return len(r.hardErrs) == 0 && len(r.badRecs) == 0 && r.degEvents > 0 && r.records > 0
 }
 
 func genRecords(n int, seed uint64) []record.Record {
@@ -721,13 +443,13 @@ func genRecords(n int, seed uint64) []record.Record {
 	return recs
 }
 
-func buildReport(count int64, clients, ops, samples, batch int, seed uint64, results []profileResult) string {
+func buildReport(count int64, t traffic, results []profileResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Chaos bench: fault injection end to end\n\n")
 	fmt.Fprintf(&b, "Closed-loop workload (%d clients x %d ops x %d samples, batches of %d, seed %d) "+
 		"against one served view of %d records, repeated under escalating fault profiles. "+
 		"Client-side retry policy: capped exponential backoff with seeded jitter.\n\n",
-		clients, ops, samples, batch, seed, count)
+		t.clients, t.ops, t.samples, t.batch, t.seed, count)
 	fmt.Fprintf(&b, "| profile | records | wall | client retries | transient frames | degraded frames | corrupt pages | dead pages | reread recoveries | latency spikes | hard errors | bad records | uniformity failures | min p |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	for _, r := range results {
@@ -747,13 +469,7 @@ func buildReport(count int64, clients, ops, samples, batch int, seed uint64, res
 			r.faults.Rereads, r.faults.LatencySpikes,
 			len(r.hardErrs), len(r.badRecs), r.pFailures, pCell)
 	}
-	anyIngest := false
-	for _, r := range results {
-		if r.appended > 0 || len(r.writeErrs) > 0 {
-			anyIngest = true
-		}
-	}
-	if anyIngest {
+	if t.ingest > 0 {
 		fmt.Fprintf(&b, "\nIngest racing each profile (writers append, tombstone and flush while the readers sample):\n\n")
 		fmt.Fprintf(&b, "| profile | appended | deleted | flushes | writer errors |\n|---|---|---|---|---|\n")
 		for _, r := range results {

@@ -1,12 +1,10 @@
 // Command svsample draws an online random sample from a range predicate
-// over a sample view built with svbuild, optionally running an online
-// aggregation of AVG/SUM(Amount) with confidence intervals as the sample
-// grows.
+// over a sample view built with svbuild. Online aggregation with confidence
+// intervals is svquery's ("SELECT AVG(amount) ... ERROR 1").
 //
 // Usage:
 //
 //	svsample -view sale.view -lo 100 -hi 5000 -count 20
-//	svsample -view sale.view -lo 100 -hi 5000 -agg -interval 500
 //	svsample -view sale.view -dims 2 -lo 0 -hi 99 -alo 10 -ahi 20 -count 10
 package main
 
@@ -22,15 +20,12 @@ import (
 
 func main() {
 	var (
-		view     = flag.String("view", "", "view file to open (required)")
-		lo       = flag.Int64("lo", math.MinInt64, "lower bound on Key")
-		hi       = flag.Int64("hi", math.MaxInt64, "upper bound on Key")
-		alo      = flag.Int64("alo", math.MinInt64, "lower bound on Amount (2-d views)")
-		ahi      = flag.Int64("ahi", math.MaxInt64, "upper bound on Amount (2-d views)")
-		count    = flag.Int("count", 10, "samples to print (0 = drain the predicate)")
-		agg      = flag.Bool("agg", false, "run online aggregation of Amount instead of printing records")
-		interval = flag.Int("interval", 1000, "with -agg: report every this many samples")
-		conf     = flag.Float64("conf", 0.95, "with -agg: confidence level")
+		view  = flag.String("view", "", "view file to open (required)")
+		lo    = flag.Int64("lo", math.MinInt64, "lower bound on Key")
+		hi    = flag.Int64("hi", math.MaxInt64, "upper bound on Key")
+		alo   = flag.Int64("alo", math.MinInt64, "lower bound on Amount (2-d views)")
+		ahi   = flag.Int64("ahi", math.MaxInt64, "upper bound on Amount (2-d views)")
+		count = flag.Int("count", 10, "samples to print (0 = drain the predicate)")
 	)
 	flag.Parse()
 	if *view == "" {
@@ -57,10 +52,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *agg {
-		runAgg(v, q, stream, *interval, *conf)
-		return
-	}
 	printed := 0
 	for *count == 0 || printed < *count {
 		rec, err := stream.Next()
@@ -77,34 +68,4 @@ func main() {
 	st := v.Stats()
 	fmt.Fprintf(os.Stderr, "%d samples; I/O: %d random + %d sequential reads; simulated time %s\n",
 		printed, st.Counters.RandomReads, st.Counters.SequentialReads, st.SimTime)
-}
-
-func runAgg(v *sampleview.View, q sampleview.Box, stream *sampleview.Stream, interval int, conf float64) {
-	est, err := v.NewEstimator(q)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "svsample: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("online AVG(Amount), %d%% confidence, estimated population %d\n",
-		int(conf*100), est.Population())
-	for {
-		rec, err := stream.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "svsample: %v\n", err)
-			os.Exit(1)
-		}
-		est.Add(float64(rec.Amount))
-		if est.Count()%int64(interval) == 0 {
-			lo, hi := est.MeanInterval(conf)
-			sum, _ := est.SumEstimate()
-			fmt.Printf("n=%-10d avg=%.2f  ci=[%.2f, %.2f]  sum~%.0f\n",
-				est.Count(), est.Mean(), lo, hi, sum)
-		}
-	}
-	lo, hi := est.MeanInterval(conf)
-	fmt.Printf("final: n=%d avg=%.4f ci=[%.4f, %.4f] (predicate exhausted: exact)\n",
-		est.Count(), est.Mean(), lo, hi)
 }
