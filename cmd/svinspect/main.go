@@ -49,7 +49,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer part.Close()
-	f, t := part.File(), part.Main()
+	f, t := part.Main().File(), part.Main()
 
 	fmt.Printf("view:            %s\n", *view)
 	fmt.Printf("records:         %d\n", t.Count())

@@ -1,9 +1,10 @@
 // Command svrouter fronts a fleet of svserve replicas with a single
 // protocol-compatible endpoint: clients dial the router exactly as they
 // would a lone server, and the router places their streams on replicas by
-// consistent hash with load-aware spill, enforces fleet-wide per-tenant
-// quotas, hedges slow batch pulls against a second replica, and migrates
-// live streams off dead replicas with a byte-identical resumed prefix.
+// consistent hash up to an even share of the streams, enforces fleet-wide
+// per-tenant quotas, hedges slow batch pulls against a second replica, and
+// migrates live streams off dead replicas with a byte-identical resumed
+// prefix.
 //
 // Usage:
 //
@@ -38,8 +39,6 @@ func main() {
 		tenStreams = flag.Int("tenant-streams", 0, "fleet-wide open-stream cap per tenant (0 = fair share of fleet capacity)")
 		tenRate    = flag.Float64("tenant-write-rate", 0, "per-tenant write admission: sustained entries per second (0 = unlimited)")
 		tenBurst   = flag.Int("tenant-write-burst", 0, "per-tenant write admission: token-bucket burst capacity (0 = auto)")
-		spill      = flag.Float64("spill-threshold", 0, "place streams past a replica loaded beyond this fraction of its cap (0 = default 0.8)")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per replica on the placement ring (0 = default 64)")
 		seed       = flag.Uint64("seed", 1, "seed for router-assigned stream seeds")
 		maxBatch   = flag.Int("max-batch", 4096, "cap on records per batch response")
 	)
@@ -60,11 +59,9 @@ func main() {
 	router, err := fleet.New(fleet.Config{
 		Replicas:         addrs,
 		HedgeAfter:       *hedgeAfter,
-		SpillThreshold:   *spill,
 		TenantStreams:    *tenStreams,
 		TenantWriteRate:  *tenRate,
 		TenantWriteBurst: *tenBurst,
-		VNodes:           *vnodes,
 		Seed:             *seed,
 		MaxBatch:         *maxBatch,
 	})

@@ -225,6 +225,9 @@ func (t *Tree) DataBounds() record.Box {
 	return record.NewBox(dims...)
 }
 
+// File returns the page file the tree is stored in.
+func (t *Tree) File() *pagefile.File { return t.f }
+
 // Height returns the tree height h (= sections per leaf).
 func (t *Tree) Height() int { return t.h }
 

@@ -9,9 +9,9 @@
 // That makes the expensive problems of replicated serving almost free here:
 //
 //   - Placement: open-stream requests land on a replica chosen by
-//     consistent-hash over (tenant, view) with load-aware spill, so a
-//     tenant's streams concentrate (cache locality) until a replica is hot,
-//     then overflow along the ring walk.
+//     consistent-hash over (tenant, view) with a bounded load, so a tenant's
+//     streams concentrate (cache locality) until their replica holds its
+//     even share of the fleet's streams, then overflow along the ring walk.
 //   - Hedged reads: when a replica takes longer than a latency budget to
 //     answer a pull, the router issues the same positioned pull on a second
 //     replica and forwards whichever answers first. Determinism makes the
@@ -56,10 +56,6 @@ type Config struct {
 	// pull before the router hedges it against a second replica. 0
 	// disables hedging.
 	HedgeAfter time.Duration
-	// SpillThreshold is the replica-load fraction (of the replica's own
-	// stream cap) past which placement spills to the next replica on the
-	// ring walk (default 0.8).
-	SpillThreshold float64
 	// TenantStreams caps open streams per tenant fleet-wide. 0 selects
 	// fair share: the fleet's total stream capacity divided by the number
 	// of active tenants, re-evaluated at each admission.
@@ -71,9 +67,6 @@ type Config struct {
 	// state). 0 disables write-rate admission.
 	TenantWriteRate  float64
 	TenantWriteBurst int
-	// VNodes is the consistent-hash ring's virtual nodes per replica
-	// (default 64).
-	VNodes int
 	// Seed drives stream-seed derivation. Fixed seed, fixed stream seeds.
 	Seed uint64
 	// MaxBatch caps records per proxied batch (default 4096).
@@ -81,9 +74,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SpillThreshold <= 0 || c.SpillThreshold > 1 {
-		c.SpillThreshold = 0.8
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 4096
 	}
@@ -110,9 +100,9 @@ type replica struct {
 
 // Router fronts a fleet of replicas behind the single-server wire
 // protocol: it is a server.Engine — Serve is the engine's, and Snapshot,
-// which lays the fleet fields over the standard stats frame, so svload works
-// against a router unchanged — over the fleet. Create with New, call Connect
-// to dial the fleet, then Serve.
+// which lays the fleet fields over the standard stats frame, so svchaos
+// -connect works against a router unchanged — over the fleet. Create with
+// New, call Connect to dial the fleet, then Serve.
 type Router struct {
 	*server.Engine
 	cfg  Config
@@ -150,7 +140,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:  cfg,
-		ring: newRing(len(cfg.Replicas), cfg.VNodes),
+		ring: newRing(len(cfg.Replicas)),
 		dial: server.Dial,
 	}
 	// The engine's server-wide and per-connection stream caps, idle reaper
@@ -220,26 +210,40 @@ func (r *Router) markDead(rep *replica) {
 }
 
 // aliveFor walks the placement ring for key and returns the candidate
-// replicas: alive ones in walk order, the under-threshold ones first. The
-// walk embodies the placement policy — prefer the key's owner, spill past
-// hot replicas, never place on the dead.
+// replicas: alive ones in walk order, first those holding fewer streams than
+// both the next stream's even share, ⌈(Σ streams + 1) / alive⌉, and their own
+// stream cap. The walk embodies the placement policy — prefer the key's
+// owner up to its share, never place on the dead. (The textbook bounded load
+// ⌈(1+ε)·mean⌉ is this at ε → 0: with any ε > 0 the ceiling lets the owner
+// keep both of two streams over two replicas.)
 func (r *Router) aliveFor(key string) []*replica {
-	var cool, hot []*replica
+	type candidate struct {
+		rep            *replica
+		load, capacity int
+	}
+	var alive []candidate
+	total := 0
 	for _, idx := range r.ring.walk(key) {
 		rep := r.reps[idx]
 		rep.mu.Lock()
-		alive, load, capacity := rep.alive, rep.streams, rep.maxStr
+		c := candidate{rep, rep.streams, rep.maxStr}
+		ok := rep.alive
 		rep.mu.Unlock()
-		if !alive {
-			continue
+		if ok {
+			alive = append(alive, c)
+			total += c.load
 		}
-		if capacity > 0 && float64(load) >= r.cfg.SpillThreshold*float64(capacity) {
-			hot = append(hot, rep)
-			continue
-		}
-		cool = append(cool, rep)
 	}
-	return append(cool, hot...)
+	var under, over []*replica
+	share := (total + len(alive)) / max(len(alive), 1)
+	for _, c := range alive {
+		if c.load < share && (c.capacity <= 0 || c.load < c.capacity) {
+			under = append(under, c.rep)
+		} else {
+			over = append(over, c.rep)
+		}
+	}
+	return append(under, over...)
 }
 
 // liveReplicas returns every alive replica in index order (write fan-out

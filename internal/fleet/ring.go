@@ -37,13 +37,13 @@ func hashKey(key string) uint64 {
 	return mix64(h.Sum64())
 }
 
+// vnodes is the number of points each replica owns on the ring.
+const vnodes = 64
+
 // newRing builds a ring over n replicas with vnodes points each. Point
 // hashes derive from (replica index, vnode index) alone, so every router
 // over the same fleet computes the identical ring.
-func newRing(n, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+func newRing(n int) *ring {
 	r := &ring{points: make([]ringPoint, 0, n*vnodes), n: n}
 	for i := 0; i < n; i++ {
 		for v := 0; v < vnodes; v++ {

@@ -7,7 +7,7 @@ import (
 
 func TestRingWalkCoversEveryReplicaOnce(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
-		r := newRing(n, 0) // 0 selects the default vnode count
+		r := newRing(n)
 		for k := 0; k < 50; k++ {
 			order := r.walk(fmt.Sprintf("tenant-%d/view", k))
 			if len(order) != n {
@@ -28,8 +28,8 @@ func TestRingWalkCoversEveryReplicaOnce(t *testing.T) {
 }
 
 func TestRingWalkDeterministic(t *testing.T) {
-	a := newRing(5, 64)
-	b := newRing(5, 64)
+	a := newRing(5)
+	b := newRing(5)
 	for k := 0; k < 100; k++ {
 		key := fmt.Sprintf("t%d/orders", k)
 		wa, wb := a.walk(key), b.walk(key)
@@ -46,7 +46,7 @@ func TestRingWalkDeterministic(t *testing.T) {
 // disproportionate share of keys.
 func TestRingDistribution(t *testing.T) {
 	const n, keys = 4, 8000
-	r := newRing(n, 64)
+	r := newRing(n)
 	owners := make([]int, n)
 	for k := 0; k < keys; k++ {
 		owners[r.walk(fmt.Sprintf("tenant-%d/view-%d", k%97, k))[0]]++
@@ -60,7 +60,7 @@ func TestRingDistribution(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := newRing(0, 16)
+	r := newRing(0)
 	if got := r.walk("anything"); len(got) != 0 {
 		t.Fatalf("empty ring walk returned %v, want empty", got)
 	}

@@ -99,7 +99,7 @@ func TestTombstoneOnlyNewestLevelSurvivesReopen(t *testing.T) {
 	if got := re.Levels(); got != 2 {
 		t.Fatalf("levels after reopen = %d, want 2", got)
 	}
-	if got := re.Tombstones(); got != 10 {
+	if got := re.stats().TombstonesPending; got != 10 {
 		t.Fatalf("tombstones after reopen = %d, want 10", got)
 	}
 

@@ -404,6 +404,7 @@ func TestStreamDeterminism(t *testing.T) {
 
 	run := func() []record.Record {
 		s := mustQuery(t, v, record.FullBox(1), 99)
+		defer s.Close()
 		var out []record.Record
 		for {
 			rec, err := s.Next()
@@ -437,6 +438,7 @@ func TestStreamDeterminism(t *testing.T) {
 						break
 					}
 				}
+				s.Close()
 			}
 		}(g)
 	}
@@ -455,8 +457,36 @@ func TestStreamDeterminism(t *testing.T) {
 	wg.Wait()
 }
 
+// prefixUnique pulls up to n records from s, reporting a duplicate or a
+// non-transient error, and closes it; it returns false on a failure.
+func prefixUnique(t *testing.T, s *Stream, n int) bool {
+	defer s.Close()
+	seen := make(map[uint64]bool)
+	for j := 0; j < n; j++ {
+		rec, err := s.Next()
+		if err == io.EOF {
+			return true
+		}
+		if pagefile.IsTransient(err) {
+			continue
+		}
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		if seen[rec.Seq] {
+			t.Errorf("duplicate seq %d in stream prefix", rec.Seq)
+			return false
+		}
+		seen[rec.Seq] = true
+	}
+	return true
+}
+
 // TestRaceIngestStreamsCompaction drives concurrent ingest, streams and
-// maintenance; under -race this is the write path's data-race stress.
+// maintenance; under -race this is the write path's data-race stress, and
+// each stream's Close releases the levels it pinned while compactions
+// supersede them.
 func TestRaceIngestStreamsCompaction(t *testing.T) {
 	sim := testSim()
 	v := buildView(t, sim, 400, 60)
@@ -510,24 +540,8 @@ func TestRaceIngestStreamsCompaction(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				seen := make(map[uint64]bool)
-				for j := 0; j < 120; j++ {
-					rec, err := s.Next()
-					if err == io.EOF {
-						break
-					}
-					if pagefile.IsTransient(err) {
-						continue
-					}
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if seen[rec.Seq] {
-						t.Errorf("duplicate seq %d in stream prefix", rec.Seq)
-						return
-					}
-					seen[rec.Seq] = true
+				if !prefixUnique(t, s, 120) {
+					return
 				}
 			}
 		}(w)

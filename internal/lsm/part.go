@@ -36,8 +36,7 @@ type PartOptions struct {
 type Part struct {
 	*View
 	sim    *iosim.Sim
-	path   string // "" = in memory
-	file   *pagefile.File
+	path   string   // "" = in memory
 	walLog *wal.Log // nil without PartOptions.WAL or in memory
 }
 
@@ -109,7 +108,7 @@ func BuildPart(sim *iosim.Sim, path string, next func() (record.Record, bool), p
 		f.Close()
 		return nil, err
 	}
-	return newPart(sim, path, f, tree, o, true)
+	return newPart(sim, path, tree, o, true)
 }
 
 // OpenPart opens a partition stored by BuildPart: the page file, the delta
@@ -125,24 +124,24 @@ func OpenPart(sim *iosim.Sim, path string, o PartOptions) (*Part, error) {
 		f.Close()
 		return nil, err
 	}
-	return newPart(sim, path, f, tree, o, false)
+	return newPart(sim, path, tree, o, false)
 }
 
 // newPart puts the write path around a built or opened base: the delta
 // store beside path (fresh when create, else reopened), the live view, and
-// the log. It owns f from the call on: a failure closes everything opened
-// so far.
-func newPart(sim *iosim.Sim, path string, f *pagefile.File, tree *core.Tree, o PartOptions, create bool) (*Part, error) {
+// the log. It owns the tree's file from the call on: a failure closes
+// everything opened so far.
+func newPart(sim *iosim.Sim, path string, tree *core.Tree, o PartOptions, create bool) (*Part, error) {
 	openStore := OpenStore
 	if create {
 		openStore = CreateStore
 	}
 	store, err := openStore(sim, path)
 	if err != nil {
-		f.Close()
+		tree.File().Close()
 		return nil, err
 	}
-	p := &Part{View: NewView(tree, store), sim: sim, path: path, file: f}
+	p := &Part{View: NewView(tree, store), sim: sim, path: path}
 	if o.WAL && path != "" {
 		if err := p.openWAL(o, create); err != nil {
 			p.Close()
@@ -173,9 +172,6 @@ func (p *Part) openWAL(o PartOptions, create bool) error {
 	return nil
 }
 
-// File returns the page file holding the base tree.
-func (p *Part) File() *pagefile.File { return p.file }
-
 // Verify runs the deep structural check of everything the partition stores:
 // the base tree's invariants, then every delta level's.
 func (p *Part) Verify() error {
@@ -196,7 +192,7 @@ func (p *Part) Close() error {
 			err = werr
 		}
 	}
-	if ferr := p.file.Close(); ferr != nil && err == nil {
+	if ferr := p.Main().File().Close(); ferr != nil && err == nil {
 		err = ferr
 	}
 	return err
@@ -204,10 +200,10 @@ func (p *Part) Close() error {
 
 // foldTo rebuilds the base over everything the partition holds (View.Fold)
 // into a fresh page file at path on sim, removing the file on failure.
-func (p *Part) foldTo(sim *iosim.Sim, path string, params core.Params) (*pagefile.File, *core.Tree, error) {
+func (p *Part) foldTo(sim *iosim.Sim, path string, params core.Params) (*core.Tree, error) {
 	f, err := createFile(sim, path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tree, err := p.View.Fold(f, params)
 	if err != nil {
@@ -215,9 +211,9 @@ func (p *Part) foldTo(sim *iosim.Sim, path string, params core.Params) (*pagefil
 		if path != "" {
 			os.Remove(path)
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	return f, tree, nil
+	return tree, nil
 }
 
 // Fold builds a new partition at path on sim over everything the receiver
@@ -225,11 +221,11 @@ func (p *Part) foldTo(sim *iosim.Sim, path string, params core.Params) (*pagefil
 // and leaves the receiver open and readable. The new partition starts from
 // an empty write path and an empty log: the fold is wholly in its base.
 func (p *Part) Fold(sim *iosim.Sim, path string, params core.Params, o PartOptions) (*Part, error) {
-	f, tree, err := p.foldTo(sim, path, params)
+	tree, err := p.foldTo(sim, path, params)
 	if err != nil {
 		return nil, err
 	}
-	return newPart(sim, path, f, tree, o, true)
+	return newPart(sim, path, tree, o, true)
 }
 
 // Rebuild folds the partition in place: the new base is staged in a sibling
@@ -243,27 +239,28 @@ func (p *Part) Rebuild(params core.Params) error {
 	if staged != "" {
 		staged += ".compact"
 	}
-	f, tree, err := p.foldTo(p.sim, staged, params)
+	tree, err := p.foldTo(p.sim, staged, params)
 	if err != nil {
 		return err
 	}
 	if staged != "" {
 		if err := os.Rename(staged, p.path); err != nil {
-			f.Close()
+			tree.File().Close()
 			os.Remove(staged)
 			return fmt.Errorf("lsm: swapping rebuilt partition: %w", err)
 		}
 	}
 	// CreateStore clears the old store's files from disk; Destroy then
-	// releases the handles the old store still holds on them.
-	np, err := newPart(p.sim, p.path, f, tree, PartOptions{}, true)
+	// releases the handles the old store still holds on them. A stream still
+	// reading the old base or levels keeps them open until it closes.
+	np, err := newPart(p.sim, p.path, tree, PartOptions{}, true)
 	if err != nil {
 		return err
 	}
-	oldFile, oldStore := p.file, p.Store()
-	p.file, p.View = np.file, np.View
-	oldFile.Close()
-	oldStore.Destroy()
+	old := p.View
+	p.View = np.View
+	old.Main().File().Close()
+	old.Store().Destroy()
 	if p.walLog == nil {
 		return nil
 	}

@@ -19,19 +19,20 @@ import (
 // first (index 0 is the most recently flushed level). Levels themselves are
 // immutable; the store's lock only guards the slice that orders them, so
 // queries snapshot the level list and then read without contention while
-// flushes and compactions swap the list underneath.
+// flushes and compactions swap the list underneath. A level's file is
+// reference-counted: the ladder holds one reference while the level is
+// listed and every snapshot one more, so a superseded level closes when its
+// last reader lets go.
 type Store struct {
 	sim    *iosim.Sim
 	prefix string // delta files live at prefix+".dNNNNNN"; "" = in-memory
 
 	mu      sync.Mutex
 	levels  []*level // guarded by mu; newest first
-	retired []*level // guarded by mu; superseded levels kept open for live streams
 	nextGen uint64   // guarded by mu
 	applied uint64   // guarded by mu; highest WAL LSN folded into a durable level
 	flushes int64    // guarded by mu
 	merges  int64    // guarded by mu
-	orphans int64    // guarded by mu; stale delta files removed on open
 }
 
 // storeManifest is the persisted level directory for OS-backed stores. CRC
@@ -67,14 +68,9 @@ func (m storeManifest) checksum() uint32 {
 func CreateStore(sim *iosim.Sim, prefix string) (*Store, error) {
 	s := &Store{sim: sim, prefix: prefix}
 	if prefix != "" {
-		if m, err := readStoreManifest(prefix); err == nil {
-			for _, gen := range m.Gens {
-				os.Remove(deltaPath(prefix, gen))
-			}
-		}
+		// The listed levels and any a crash mid-flush or mid-compaction of
+		// the previous view orphaned go alike.
 		os.Remove(manifestPath(prefix))
-		// Deltas orphaned by a crash mid-flush or mid-compaction of the
-		// previous view at this path go too.
 		s.removeOrphanDeltas(nil)
 	}
 	return s, nil
@@ -92,8 +88,7 @@ func OpenStore(sim *iosim.Sim, prefix string) (*Store, error) {
 	if os.IsNotExist(err) {
 		// No manifest was ever installed; any delta files are orphans from
 		// a crash before the first flush completed.
-		s.removeOrphanDeltas(nil)
-		return s, nil
+		m, err = &storeManifest{}, nil
 	}
 	if err != nil {
 		return nil, err
@@ -104,9 +99,7 @@ func OpenStore(sim *iosim.Sim, prefix string) (*Store, error) {
 	for _, gen := range m.Gens {
 		lvl, err := openDelta(sim, deltaPath(prefix, gen))
 		if err != nil {
-			for _, l := range levels {
-				l.file.Close()
-			}
+			release(levels)
 			return nil, err
 		}
 		levels = append(levels, lvl)
@@ -141,26 +134,16 @@ func (s *Store) removeOrphanDeltas(live map[uint64]bool) {
 	if err != nil {
 		return
 	}
-	var removed int64
 	for _, e := range ents {
 		name := e.Name()
 		if !strings.HasPrefix(name, base) {
 			continue
 		}
 		var gen uint64
-		if _, err := fmt.Sscanf(name[len(base):], "%d", &gen); err != nil {
-			continue
-		}
-		if live[gen] {
-			continue
-		}
-		if os.Remove(filepath.Join(dir, name)) == nil {
-			removed++
+		if _, err := fmt.Sscanf(name[len(base):], "%d", &gen); err == nil && !live[gen] {
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
-	s.mu.Lock()
-	s.orphans += removed
-	s.mu.Unlock()
 }
 
 func deltaPath(prefix string, gen uint64) string {
@@ -269,14 +252,6 @@ func (s *Store) AppliedLSN() uint64 {
 	return s.applied
 }
 
-// OrphansRemoved returns how many unreferenced delta files open-time GC
-// reclaimed.
-func (s *Store) OrphansRemoved() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.orphans
-}
-
 func (s *Store) pathFor(gen uint64) string {
 	if s.prefix == "" {
 		return ""
@@ -312,9 +287,9 @@ func (s *Store) pickMergeLocked(force bool) int {
 // CompactOnce runs one round of size-tiered compaction: if a level pair is
 // due (or force is set and two levels exist), the pair is merged into a
 // single new level and the ladder shortens by one. The heavy I/O runs
-// without the store lock — levels are immutable and open streams keep
-// reading the superseded files — and the list swap at the end is atomic.
-// It reports whether a merge ran.
+// without the store lock on references the merge holds to its inputs —
+// levels are immutable — and the list swap at the end is atomic. It reports
+// whether a merge ran.
 func (s *Store) CompactOnce(force bool) (bool, error) {
 	s.mu.Lock()
 	i := s.pickMergeLocked(force)
@@ -322,7 +297,10 @@ func (s *Store) CompactOnce(force bool) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	newer, older := s.levels[i], s.levels[i+1]
+	inputs := []*level{s.levels[i], s.levels[i+1]}
+	newer, older := inputs[0], inputs[1]
+	retain(inputs)
+	defer release(inputs)
 	gen := s.nextGen
 	s.nextGen++
 	s.mu.Unlock()
@@ -367,22 +345,24 @@ func (s *Store) CompactOnce(force bool) (bool, error) {
 	}
 	s.levels[idx] = merged
 	s.levels = append(s.levels[:idx+1], s.levels[idx+2:]...)
-	s.retired = append(s.retired, newer, older)
 	s.merges++
 	err = s.saveManifestLocked()
 	s.mu.Unlock()
+	// The ladder's references go: an input no stream holds closes with the
+	// merge's own, one a stream still reads closes with that stream.
+	release(inputs)
 	if err != nil {
 		// The durable manifest still references the input levels (a crash
 		// before the rename leaves the old manifest authoritative), so their
-		// files must survive for recovery; the merged output is the orphan
-		// and open-time GC reclaims it after restart.
+		// files must survive for recovery — closing unlinks nothing; the
+		// merged output is the orphan and open-time GC reclaims it after
+		// restart.
 		return true, err
 	}
 
-	// Superseded files stay open until Close (streams opened before the
-	// merge keep reading them), but their directory entries go now; on
+	// The directory entries go once the manifest no longer names them; on
 	// unix the data lives until the last reader closes.
-	for _, l := range []*level{newer, older} {
+	for _, l := range inputs {
 		if l.path != "" {
 			os.Remove(l.path)
 		}
@@ -435,21 +415,39 @@ func (s *Store) mergeLevels(gen uint64, newer, older *level) (*level, error) {
 	return writeDelta(s.sim, s.pathFor(gen), gen, inserts, tombs)
 }
 
-// snapshotLevels returns the current level list, newest first. The slice is
-// a copy; the levels it points at are immutable.
+// snapshotLevels returns the current level list, newest first, holding a
+// reference to each level for the caller, who drops them with release. The
+// slice is a copy; the levels it points at are immutable.
 func (s *Store) snapshotLevels() []*level {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*level, len(s.levels))
 	copy(out, s.levels)
+	retain(out)
 	return out
+}
+
+// retain takes a reference to each level's file; release drops it, closing
+// a file whose last reference it was.
+func retain(levels []*level) {
+	for _, l := range levels {
+		l.file.Retain()
+	}
+}
+
+func release(levels []*level) {
+	for _, l := range levels {
+		l.file.Close()
+	}
 }
 
 // Verify reads every level whole and checks it against the invariants its
 // readers rely on (see level.verify), newest level first; the first
 // violation is returned.
 func (s *Store) Verify() error {
-	for _, l := range s.snapshotLevels() {
+	levels := s.snapshotLevels()
+	defer release(levels)
+	for _, l := range levels {
 		if err := l.verify(); err != nil {
 			return fmt.Errorf("lsm: delta level gen %d: %w", l.gen, err)
 		}
@@ -464,56 +462,32 @@ func (s *Store) Levels() int {
 	return len(s.levels)
 }
 
-// DeltaRecords returns the total live inserts across all levels.
-func (s *Store) DeltaRecords() int64 {
+// stats returns the ladder's share of the write path's gauges: its depth,
+// the live inserts and pending tombstones it holds, and the flushes and
+// merges it has absorbed.
+func (s *Store) stats() WriteStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var n int64
+	w := WriteStats{DeltaLevels: int64(len(s.levels)), Flushes: s.flushes, Compactions: s.merges}
 	for _, l := range s.levels {
-		n += l.nIns
+		w.DeltaRecords += l.nIns
+		w.TombstonesPending += l.nTombs
 	}
-	return n
+	return w
 }
 
-// Tombstones returns the total tombstones pending across all levels.
-func (s *Store) Tombstones() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, l := range s.levels {
-		n += l.nTombs
-	}
-	return n
-}
-
-// Flushes returns how many memview flushes the store has absorbed.
-func (s *Store) Flushes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushes
-}
-
-// Merges returns how many compaction merges have run.
-func (s *Store) Merges() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.merges
-}
-
-// Close closes every level file, including superseded ones retained for
-// older streams.
+// Close drops the ladder's reference to every level: a level no stream
+// holds closes now, one a stream still reads closes with that stream.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	for _, l := range append(s.levels, s.retired...) {
-		if l.file != nil {
-			if err := l.file.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, l := range s.levels {
+		if err := l.file.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
-	s.levels, s.retired = nil, nil
+	s.levels = nil
 	return first
 }
 
@@ -521,19 +495,14 @@ func (s *Store) Close() error {
 // cleanup after a fold rebuilt the base over everything the store held.
 func (s *Store) Destroy() error {
 	s.mu.Lock()
-	paths := make([]string, 0, len(s.levels))
 	for _, l := range s.levels {
 		if l.path != "" {
-			paths = append(paths, l.path)
+			os.Remove(l.path)
 		}
 	}
 	s.mu.Unlock()
-	err := s.Close()
-	for _, p := range paths {
-		os.Remove(p)
-	}
 	if s.prefix != "" {
 		os.Remove(manifestPath(s.prefix))
 	}
-	return err
+	return s.Close()
 }

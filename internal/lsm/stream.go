@@ -7,6 +7,7 @@ import (
 
 	"sampleview/internal/core"
 	"sampleview/internal/interleave"
+	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
 )
 
@@ -34,6 +35,10 @@ var ErrStreamClosed = errors.New("sampleview: stream closed")
 type Stream struct {
 	base     *core.Stream
 	baseDone bool
+	// file is the base tree's file, pinned (as the checker's levels are)
+	// until Close, so the view's maintenance can close its storage while the
+	// stream reads on.
+	file *pagefile.File
 	// rng shuffles each base stab's batch before it is served record by
 	// record: a section's contents are a random subset, but within the
 	// section records sit in the key-correlated order the tag sort left
@@ -70,7 +75,7 @@ type Stream struct {
 // re-reading on the same clock, since a caller can retry a draw against live
 // stream state but has nothing to retry an open against — a fresh open forks
 // a fresh clock, whose per-charger fault schedule would start over.
-func newStream(parts *streamParts, base *core.Stream, q record.Box, rng *rand.Rand) (*Stream, error) {
+func newStream(parts *streamParts, base *core.Stream, file *pagefile.File, q record.Box, rng *rand.Rand) (*Stream, error) {
 	rem := make([]float64, len(parts.levels)+2)
 	// Shuffling the exact component makes its draw order an exchangeable
 	// uniform permutation, so emitting from the tail is a uniform
@@ -87,6 +92,7 @@ func newStream(parts *streamParts, base *core.Stream, q record.Box, rng *rand.Ra
 		mem:     parts.mem,
 		levels:  parts.levels,
 		base:    base,
+		file:    file,
 		rng:     rng,
 		checker: parts.checker,
 	}
@@ -167,11 +173,18 @@ func (s *Stream) Next() (record.Record, error) {
 }
 
 // Close ends the stream: it drops the write-path populations and the run
-// buffer and lets the base tree recycle its working memory. Only the fault
-// counters (and Buffered, now zero) may be read afterwards; callers
-// serialize Close against draws.
+// buffer, lets the base tree recycle its working memory, and releases the
+// files it pinned, closing any a compaction or rebuild has since superseded.
+// Only the fault counters (and Buffered, now zero) may be read afterwards;
+// callers serialize Close against draws. Idempotent.
 func (s *Stream) Close() {
-	s.baseQueue, s.mem, s.levels, s.page, s.merge, s.checker = nil, nil, nil, nil, nil, nil
+	if s.checker != nil {
+		release(s.checker.levels)
+	}
+	if s.file != nil {
+		defer s.file.Close()
+	}
+	s.baseQueue, s.mem, s.levels, s.page, s.merge, s.checker, s.file = nil, nil, nil, nil, nil, nil, nil
 	s.base.Close()
 }
 

@@ -153,18 +153,6 @@ func (v *View) Commit() error {
 	return l.Commit(l.LastLSN())
 }
 
-// MemLen returns the number of live inserts buffered in memory (the live
-// buffer plus any sealed snapshot still being flushed).
-func (v *View) MemLen() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	n := v.mem.Len()
-	if v.flushing != nil {
-		n += len(v.flushing.Inserts)
-	}
-	return n
-}
-
 // Flush seals the current memview and writes it out as a new level-0 delta
 // file. Ingest is blocked only for the buffer swap; the sealed snapshot
 // stays visible to queries throughout the write and is retired atomically
@@ -231,20 +219,16 @@ func (v *View) CompactOnce(force bool) (bool, error) { return v.store.CompactOnc
 // DeltaSize returns the records awaiting a fold into the base: live
 // in-memory inserts plus the inserts of every delta level.
 func (v *View) DeltaSize() int {
-	return v.MemLen() + int(v.store.DeltaRecords())
+	w, _ := v.gauges()
+	return int(w.MemViewRecords + w.DeltaRecords)
 }
 
 // Count returns the view's record count: base plus pending inserts minus
 // pending tombstones (tombstones are assumed to name live records; deleting
 // a record twice skews the count until the fold recomputes it exactly).
 func (v *View) Count() int64 {
-	v.mu.Lock()
-	n := int64(v.mem.Len()) - int64(v.mem.Tombstones())
-	if v.flushing != nil {
-		n += int64(len(v.flushing.Inserts)) - int64(len(v.flushing.Tombs))
-	}
-	v.mu.Unlock()
-	return v.main.Count() + n + v.store.DeltaRecords() - v.store.Tombstones()
+	w, _ := v.gauges()
+	return v.main.Count() + w.MemViewRecords + w.DeltaRecords - w.TombstonesPending
 }
 
 // Empty reports whether the write path holds nothing, so queries can take
@@ -298,33 +282,30 @@ func (w *WriteStats) Add(o WriteStats) {
 
 // WriteStats returns the view's current write-path gauges and counters.
 func (v *View) WriteStats() WriteStats {
-	v.mu.Lock()
-	memRecs := int64(v.mem.Len())
-	memTombs := int64(v.mem.Tombstones())
-	if v.flushing != nil {
-		memRecs += int64(len(v.flushing.Inserts))
-		memTombs += int64(len(v.flushing.Tombs))
-	}
-	log, replayed := v.log, v.walReplayed
-	v.mu.Unlock()
-	var walBytes, walFsyncs, walSegs int64
+	w, log := v.gauges()
 	if log != nil {
 		ls := log.Stats()
-		walBytes, walFsyncs, walSegs = ls.Bytes, ls.Fsyncs, ls.Segments
+		w.WALBytes, w.WALFsyncs, w.WALSegments = ls.Bytes, ls.Fsyncs, ls.Segments
 	}
-	return WriteStats{
-		WALBytes:          walBytes,
-		WALFsyncs:         walFsyncs,
-		WALReplayed:       replayed,
-		WALSegments:       walSegs,
-		MemViewRecords:    memRecs,
-		MemViewTombstones: memTombs,
-		DeltaLevels:       int64(v.store.Levels()),
-		DeltaRecords:      v.store.DeltaRecords(),
-		TombstonesPending: memTombs + v.store.Tombstones(),
-		Flushes:           v.store.Flushes(),
-		Compactions:       v.store.Merges(),
+	return w
+}
+
+// gauges returns WriteStats but for the log's counters, which wait out a
+// commit in flight, and the log to read them from. The memview and the
+// ladder are read in one critical section, so a flush counts its records
+// once.
+func (v *View) gauges() (WriteStats, *wal.Log) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	w := v.store.stats()
+	w.MemViewRecords, w.MemViewTombstones = int64(v.mem.Len()), int64(v.mem.Tombstones())
+	if v.flushing != nil {
+		w.MemViewRecords += int64(len(v.flushing.Inserts))
+		w.MemViewTombstones += int64(len(v.flushing.Tombs))
 	}
+	w.TombstonesPending += w.MemViewTombstones
+	w.WALReplayed = v.walReplayed
+	return w, v.log
 }
 
 // tombChecker vets Seqs against every tombstone component visible to one
@@ -444,7 +425,8 @@ const runRetryBudget = 64
 // expected in q — including those that will turn out to target level
 // inserts, which the stream hands back to the base as it meets them. It
 // reads nothing from the ladder; ck is the clock later level reads charge
-// (the shared disk when nil).
+// (the shared disk when nil). The caller releases the levels the checker
+// holds.
 func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamParts, error) {
 	v.mu.Lock()
 	mems := []memview.Snapshot{v.mem.Snapshot()}
@@ -456,6 +438,7 @@ func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamPa
 
 	est, err := main.EstimateCount(q) // also validates the predicate's dims
 	if err != nil {
+		release(levels)
 		return nil, err
 	}
 
@@ -502,6 +485,7 @@ func (v *View) EstimateCount(q record.Box) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer release(parts.checker.levels)
 	var live, consumed float64
 	var page []byte
 	var recs []record.Record
@@ -564,11 +548,20 @@ func (v *View) OpenStream(ck *iosim.Clock, q record.Box, shuffle *rand.Rand, mer
 	if !v.Empty() {
 		return v.QueryClocked(ck, q, merge())
 	}
-	base, err := v.main.WithClock(ck).Query(q)
+	main := v.main.WithClock(ck)
+	base, err := main.Query(q)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{base: base, rng: shuffle}, nil
+	return &Stream{base: base, rng: shuffle, file: pin(main)}, nil
+}
+
+// pin takes a reference to the base tree's file for a stream, which drops it
+// at Close: a rebuild may close the view's file while the stream reads on.
+func pin(main *core.Tree) *pagefile.File {
+	f := main.File()
+	f.Retain()
+	return f
 }
 
 func (v *View) queryOn(main *core.Tree, ck *iosim.Clock, q record.Box, rng *rand.Rand) (*Stream, error) {
@@ -581,9 +574,10 @@ func (v *View) queryOn(main *core.Tree, ck *iosim.Clock, q record.Box, rng *rand
 	}
 	ms, err := main.Query(q)
 	if err != nil {
+		release(parts.checker.levels)
 		return nil, err
 	}
-	return newStream(parts, ms, q, rng)
+	return newStream(parts, ms, pin(main), q, rng)
 }
 
 // Fold rebuilds the base ACE tree over everything the view holds — base
@@ -602,6 +596,7 @@ func (v *View) Fold(dst *pagefile.File, p core.Params) (*core.Tree, error) {
 	}
 	levels := v.store.snapshotLevels()
 	v.mu.Unlock()
+	defer release(levels)
 	checker := newTombChecker(mems, levels, nil)
 
 	staging, err := stage(dst.Sim(), func(write func(*record.Record) error) error {

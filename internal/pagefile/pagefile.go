@@ -71,6 +71,9 @@ type File struct {
 	// frames recycles physical-frame scratch buffers for the checksum
 	// encode/verify paths.
 	frames *bufPool
+	// refs counts the holders of the backend, shared across OnClock views:
+	// the opener's reference plus one per Retain.
+	refs *atomic.Int64
 }
 
 // bufPool is a bounded free list of page buffers. A plain sync.Pool of
@@ -145,7 +148,7 @@ func (p *bufPool) put(b []byte) {
 // logical page 0.
 func newFile(sim *iosim.Sim, backend Backend, physOff int64) *File {
 	phys := sim.Model().PageSize
-	return &File{
+	f := &File{
 		sim:      sim,
 		charge:   sim,
 		id:       sim.Register(),
@@ -154,7 +157,10 @@ func newFile(sim *iosim.Sim, backend Backend, physOff int64) *File {
 		backend:  backend,
 		bufs:     &bufPool{ps: phys - frameHdrSize},
 		frames:   &bufPool{ps: phys},
+		refs:     new(atomic.Int64),
 	}
+	f.refs.Store(1)
+	return f
 }
 
 // NewMem creates an empty in-memory page file on sim. Memory files use the
@@ -450,8 +456,18 @@ func (f *File) Sync() error {
 	return nil
 }
 
-// Close releases the backing storage.
-func (f *File) Close() error { return f.backend.Close() }
+// Retain takes one more reference to the backing storage, for a reader that
+// may outlive the owner's Close; the reader drops it with its own Close.
+func (f *File) Retain() { f.refs.Add(1) }
+
+// Close drops one reference to the backing storage and releases it with the
+// last. Closing never removes the file from disk.
+func (f *File) Close() error {
+	if f.refs.Add(-1) > 0 {
+		return nil
+	}
+	return f.backend.Close()
+}
 
 // memBackend stores pages in memory.
 type memBackend struct {

@@ -711,3 +711,78 @@ func TestOpenCorruptWALReleasesHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStreamSurvivesCompact: a stream open across Compact, which folds every
+// shard's write path into a new base renamed over the old file, drains
+// exactly the union it opened on, with no error: it reads on from the old
+// bases and levels it pinned, and releases them when it closes.
+func TestStreamSurvivesCompact(t *testing.T) {
+	recs := genRecords(3000, 47)
+	dir := filepath.Join(t.TempDir(), "view")
+	v, err := Create(dir, recs, Options{K: 3, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	want := matching(recs, record.FullBox(1))
+	fresh := genRecords(300, 48)
+	for i := range fresh {
+		fresh[i].Seq += 1 << 32
+		if err := v.Insert(fresh[i]); err != nil {
+			t.Fatal(err)
+		}
+		want[fresh[i].Seq] = fresh[i]
+		if i%100 == 99 {
+			if err := v.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := v.DeltaLevels(); n != 3 {
+		t.Fatalf("%d delta levels before the compaction, want 3", n)
+	}
+	s, err := v.Query(record.FullBox(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[uint64]record.Record)
+	for len(got) < 10 {
+		rec, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[rec.Seq] = rec
+	}
+	if n, err := v.Compact(); err != nil || n != 3 {
+		t.Fatalf("Compact rebuilt %d shards (err %v), want 3", n, err)
+	}
+	for {
+		rec, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("stream across Compact failed after %d records: %v", len(got), err)
+		}
+		if _, dup := got[rec.Seq]; dup {
+			t.Fatalf("seq %d served twice", rec.Seq)
+		}
+		got[rec.Seq] = rec
+	}
+	if len(got) != len(want) {
+		t.Fatalf("stream across Compact returned %d records, want %d", len(got), len(want))
+	}
+	for seq := range want {
+		if _, ok := got[seq]; !ok {
+			t.Fatalf("seq %d missing from the stream across Compact", seq)
+		}
+	}
+	s.Close()
+	if open, ok := openHandlesUnder(dir); ok {
+		for _, p := range open {
+			if strings.HasSuffix(p, " (deleted)") {
+				t.Fatalf("closed stream still holds a superseded file: %v", open)
+			}
+		}
+	}
+}

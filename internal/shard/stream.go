@@ -100,14 +100,15 @@ func (v *View) queryLocked(q record.Box, src *rand.Rand) (*Stream, error) {
 	for i, sp := range v.shards {
 		ck := v.farm.Disk(i).Fork()
 		est, err := sp.EstimateCount(q)
-		if err != nil {
-			return nil, fmt.Errorf("shard: estimating on shard %d: %w", i, err)
+		var ls *lsm.Stream
+		if err == nil {
+			// The tree's uniformity guarantee is per stab batch, and the K-way
+			// merger cuts batches mid-way on every draw, so each shard's
+			// batches are shuffled before they are served record by record.
+			ls, err = sp.OpenStream(ck, q, seeded(), seeded)
 		}
-		// The tree's uniformity guarantee is per stab batch, and the K-way
-		// merger cuts batches mid-way on every draw, so each shard's batches
-		// are shuffled before they are served record by record.
-		ls, err := sp.OpenStream(ck, q, seeded(), seeded)
 		if err != nil {
+			(&Stream{subs: subs[:i]}).Close() // unpin the shards opened so far
 			return nil, fmt.Errorf("shard: opening shard %d stream: %w", i, err)
 		}
 		subs[i] = &sub{leaf: ls, est0: est, queryLeaves: ls.QueryLeaves()}
