@@ -65,7 +65,7 @@ func main() {
 		fmt.Printf("key=%d amount=%d seq=%d\n", rec.Key, rec.Amount, rec.Seq)
 		printed++
 	}
-	st := v.Stats()
+	st := stream.Stats() // the sample's own I/O, not the view's since Open
 	fmt.Fprintf(os.Stderr, "%d samples; I/O: %d random + %d sequential reads; simulated time %s\n",
 		printed, st.Counters.RandomReads, st.Counters.SequentialReads, st.SimTime)
 }

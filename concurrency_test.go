@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestConcurrentStreamsAndAppends drives a view from many goroutines at
@@ -110,7 +111,7 @@ func TestManyConcurrentStreams(t *testing.T) {
 	const goroutines = 32
 	var wg sync.WaitGroup
 	counts := make([]int, goroutines)
-	times := make([]string, goroutines)
+	times := make([]time.Duration, goroutines)
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)

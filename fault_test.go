@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -162,12 +163,12 @@ func TestFaultStatsDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal("flaky-deep should force sampler-level retries")
 	}
 	for i := 1; i < k; i++ {
-		if seq[i].st != seq[0].st {
+		if !reflect.DeepEqual(seq[i].st, seq[0].st) {
 			t.Fatalf("sequential runs disagree:\n%+v\n%+v", seq[i].st, seq[0].st)
 		}
 	}
 	for i := range par {
-		if par[i].st != seq[0].st {
+		if !reflect.DeepEqual(par[i].st, seq[0].st) {
 			t.Fatalf("concurrent run %d diverged from sequential baseline:\n%+v\n%+v",
 				i, par[i].st, seq[0].st)
 		}
@@ -311,6 +312,61 @@ func TestDeltaLossMidStreamDegrades(t *testing.T) {
 		if !seen[r.Seq] {
 			t.Fatalf("in-memory record seq %d lost from the degraded stream", r.Seq)
 		}
+	}
+}
+
+// TestStreamCountsEveryErrorOnce: every error a stream returns is counted
+// exactly once in its Stats — a transient one in Retries, a lost base leaf
+// in DegradedLeaves, and a lost delta region, which surfaces once, as
+// itself — so what a caller saw and what the stream reports reconcile, on
+// both view kinds and every write-path shape.
+func TestStreamCountsEveryErrorOnce(t *testing.T) {
+	returned := 0
+	goldenConfigs(t, func(cfg string, v goldenView) {
+		for _, profile := range []string{"flaky-disk", "hell"} {
+			for _, seed := range []uint64{1, 2} {
+				plan, err := FaultProfile(profile, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.inject(plan)
+				for _, p := range goldenPreds {
+					s, err := v.seeded(p.q, 42)
+					if err != nil {
+						continue // a failed open returns no stream to count on
+					}
+					errs, lost := 0, 0
+					for {
+						_, err := s.Next()
+						if err == io.EOF {
+							break
+						}
+						if err == nil {
+							continue
+						}
+						if !IsDegraded(err) && !IsTransient(err) {
+							t.Fatalf("%s %s %s/%d: stream error of unexpected type: %v", cfg, p.name, profile, seed, err)
+						}
+						if lsm.IsWritePathLost(err) {
+							lost++
+						}
+						if errs++; errs > 10000 {
+							t.Fatal("stream stuck in errors")
+						}
+					}
+					st := s.Stats()
+					if counted := st.Retries + st.DegradedLeaves + int64(lost); counted != int64(errs) {
+						t.Errorf("%s %s %s/%d: returned %d errors, Stats counts %d (retries %d, degraded leaves %d, lost regions %d)",
+							cfg, p.name, profile, seed, errs, counted, st.Retries, st.DegradedLeaves, lost)
+					}
+					returned += errs
+				}
+			}
+		}
+		v.inject(FaultPlan{})
+	})
+	if returned == 0 {
+		t.Fatal("no stream returned an error; the test checked nothing")
 	}
 }
 

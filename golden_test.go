@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sampleview/internal/iosim"
 	"sampleview/internal/record"
 )
 
@@ -23,10 +22,6 @@ type goldenWriter interface {
 	Delete(Record) error
 	Flush() error
 	Commit() error
-}
-
-type goldenNexter interface {
-	Next() (Record, error)
 }
 
 // goldenPreds are the paper's 0.25% / 2.5% / 25% selectivities over the
@@ -83,7 +78,7 @@ func goldenLevels(t *testing.T, w goldenWriter, base []Record) {
 }
 
 // goldenDigest drains s and returns the FNV-64a of its record bytes.
-func goldenDigest(t *testing.T, s goldenNexter) string {
+func goldenDigest(t *testing.T, s *Stream) string {
 	t.Helper()
 	h := fnv.New64a()
 	buf := make([]byte, record.Size)
@@ -103,27 +98,19 @@ func goldenDigest(t *testing.T, s goldenNexter) string {
 }
 
 // goldenView is the surface both golden tests drive: the root view and the
-// sharded view behind the same three closures.
+// sharded view behind the same three methods.
 type goldenView struct {
-	seeded func(Box, uint64) (goldenNexter, error)
-	drawn  func(Box) (goldenNexter, error)
+	seeded func(Box, uint64) (*Stream, error)
+	drawn  func(Box) (*Stream, error)
 	inject func(FaultPlan)
 }
 
 func goldenRoot(v *View) goldenView {
-	return goldenView{
-		seeded: func(q Box, seed uint64) (goldenNexter, error) { return v.QuerySeeded(q, seed) },
-		drawn:  func(q Box) (goldenNexter, error) { return v.Query(q) },
-		inject: v.InjectFaults,
-	}
+	return goldenView{v.QuerySeeded, v.Query, v.InjectFaults}
 }
 
 func goldenSharded(v *ShardedView) goldenView {
-	return goldenView{
-		seeded: func(q Box, seed uint64) (goldenNexter, error) { return v.QuerySeeded(q, seed) },
-		drawn:  func(q Box) (goldenNexter, error) { return v.Query(q) },
-		inject: v.InjectFaults,
-	}
+	return goldenView{v.QuerySeeded, v.Query, v.InjectFaults}
 }
 
 // goldenConfigs builds every pinned configuration in turn — the root view
@@ -305,7 +292,7 @@ const goldenClocks = "testdata/stream_clocks.golden"
 // transient errors are recorded and the stream re-driven) and renders the
 // record digest, the stream's clock and fault counters, and a digest of the
 // error sequence.
-func goldenClockLine(t *testing.T, s goldenNexter) string {
+func goldenClockLine(t *testing.T, s *Stream) string {
 	t.Helper()
 	recs, errs := fnv.New64a(), fnv.New64a()
 	buf := make([]byte, record.Size)
@@ -330,28 +317,12 @@ func goldenClockLine(t *testing.T, s goldenNexter) string {
 		recs.Write(buf)
 		n++
 	}
-	var (
-		c       iosim.Counters
-		f       FaultCounters
-		sim     string
-		retries int64
-		degL    int64
-		degS    int64
-	)
-	switch s := s.(type) {
-	case *Stream:
-		st := s.Stats()
-		c, f, sim, retries, degL, degS = st.Counters, st.Faults, st.SimTime, st.Retries, st.DegradedLeaves, st.DegradedSections
-	case *ShardedStream:
-		st := s.Stats()
-		c, f, sim, retries, degL, degS = st.Counters, st.Faults, st.SimTime.String(), st.Retries, st.DegradedLeaves, st.DegradedSections
-	default:
-		t.Fatalf("unknown stream type %T", s)
-	}
+	st := s.Stats()
+	c, f := st.Counters, st.Faults
 	return fmt.Sprintf("%016x n=%d reads=%d/%d sim=%s faults=%d/%d/%d/%d/%d retries=%d degraded=%d/%d errs=%d:%016x",
-		recs.Sum64(), n, c.RandomReads, c.SequentialReads, sim,
+		recs.Sum64(), n, c.RandomReads, c.SequentialReads, st.SimTime,
 		f.Transient, f.LatencySpikes, f.Rereads, f.CorruptPages, f.DeadPages,
-		retries, degL, degS, nerr, errs.Sum64())
+		st.Retries, st.DegradedLeaves, st.DegradedSections, nerr, errs.Sum64())
 }
 
 // TestGoldenStreamClocks pins, for every configuration × fault profile ×

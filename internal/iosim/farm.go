@@ -70,11 +70,7 @@ func (f *Farm) Now() time.Duration {
 func (f *Farm) Counters() Counters {
 	var t Counters
 	for _, s := range f.sims {
-		c := s.Counters()
-		t.RandomReads += c.RandomReads
-		t.SequentialReads += c.SequentialReads
-		t.RandomWrites += c.RandomWrites
-		t.SequentialWrites += c.SequentialWrites
+		t.Add(s.Counters())
 	}
 	return t
 }
@@ -83,12 +79,7 @@ func (f *Farm) Counters() Counters {
 func (f *Farm) FaultCounters() FaultCounters {
 	var t FaultCounters
 	for _, s := range f.sims {
-		c := s.FaultCounters()
-		t.Transient += c.Transient
-		t.LatencySpikes += c.LatencySpikes
-		t.Rereads += c.Rereads
-		t.CorruptPages += c.CorruptPages
-		t.DeadPages += c.DeadPages
+		t.Add(s.FaultCounters())
 	}
 	return t
 }

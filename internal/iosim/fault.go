@@ -63,6 +63,15 @@ func (c FaultCounters) Total() int64 {
 	return c.Transient + c.LatencySpikes + c.Rereads + c.CorruptPages + c.DeadPages
 }
 
+// Add accumulates o into c (for summing across disks or clocks).
+func (c *FaultCounters) Add(o FaultCounters) {
+	c.Transient += o.Transient
+	c.LatencySpikes += o.LatencySpikes
+	c.Rereads += o.Rereads
+	c.CorruptPages += o.CorruptPages
+	c.DeadPages += o.DeadPages
+}
+
 // add folds kind counts indexed by FaultKind into the struct.
 func (c *FaultCounters) add(k FaultKind, n int64) {
 	switch k {

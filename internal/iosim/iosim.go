@@ -93,6 +93,14 @@ func (c Counters) Reads() int64 { return c.RandomReads + c.SequentialReads }
 // Writes returns the total number of page writes.
 func (c Counters) Writes() int64 { return c.RandomWrites + c.SequentialWrites }
 
+// Add accumulates o into c (for summing across disks or clocks).
+func (c *Counters) Add(o Counters) {
+	c.RandomReads += o.RandomReads
+	c.SequentialReads += o.SequentialReads
+	c.RandomWrites += o.RandomWrites
+	c.SequentialWrites += o.SequentialWrites
+}
+
 // Charger charges simulated time for page accesses. Both *Sim (shared,
 // synchronized) and *Clock (private, per stream) implement it; pagefile
 // routes every access through one. BeginRead consults the active FaultPlan

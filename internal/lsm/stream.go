@@ -12,8 +12,9 @@ import (
 )
 
 // ErrStreamClosed is returned by a closed stream's Next and Sample. The
-// unsharded and sharded streams both wrap this package's Stream and share
-// the sentinel; the message names the public package callers meet it in.
+// in-process stream (shard.Stream, on either view kind) wraps this
+// package's Stream and returns the sentinel; the message names the public
+// package callers meet it in.
 var ErrStreamClosed = errors.New("sampleview: stream closed")
 
 // Stream is one partition's online sample: the base tree's stream, merged
@@ -175,8 +176,8 @@ func (s *Stream) Next() (record.Record, error) {
 // Close ends the stream: it drops the write-path populations and the run
 // buffer, lets the base tree recycle its working memory, and releases the
 // files it pinned, closing any a compaction or rebuild has since superseded.
-// Only the fault counters (and Buffered, now zero) may be read afterwards;
-// callers serialize Close against draws. Idempotent.
+// Callers serialize Close against draws and draw nothing afterwards.
+// Idempotent.
 func (s *Stream) Close() {
 	if s.checker != nil {
 		release(s.checker.levels)
@@ -333,17 +334,3 @@ func (s *Stream) appendBase(dst []record.Record, n int) ([]record.Record, error)
 // query (see core.Stream.QueryLeaves); the write-path components hold no
 // leaves.
 func (s *Stream) QueryLeaves() int { return s.base.QueryLeaves() }
-
-// TransientRetries returns the base stream's count of stabs re-driven
-// after a transient fault.
-func (s *Stream) TransientRetries() int64 { return s.base.TransientRetries() }
-
-// DegradedLeaves returns how many base leaves this stream permanently lost.
-func (s *Stream) DegradedLeaves() int64 { return s.base.DegradedLeaves() }
-
-// DegradedSections returns the query-overlapping sections of lost leaves.
-func (s *Stream) DegradedSections() int64 { return s.base.DegradedSections() }
-
-// Buffered returns the records parked in the base stream's combine buckets
-// plus the tail of the current shuffled stab batch.
-func (s *Stream) Buffered() int { return s.base.Buffered() + len(s.baseQueue) }

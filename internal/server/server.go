@@ -164,23 +164,16 @@ type SeededSource interface {
 	OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error)
 }
 
-// batchStream is what the built-in sources open: an in-process stream
-// (unsharded or sharded), drawn a batch at a time into one record buffer
+// batchStream is what the built-in sources open: the in-process stream
+// (of either view kind), drawn a batch at a time into one record buffer
 // that lives as long as the stream.
 type batchStream struct {
-	drawer
+	*shard.Stream
 	// buf is the batch Sample lent last. It belongs to this object — plain
 	// garbage-collected memory, never the recycled working memory the
 	// stream's Close hands on to the next stream — because the reaper may
 	// Close the stream while the session is still encoding buf.
 	buf []record.Record
-}
-
-// drawer is the batch-draw surface sampleview.Stream and shard.Stream share.
-type drawer interface {
-	AppendSample(dst []record.Record, n int) ([]record.Record, error)
-	Close() error
-	SimNow() time.Duration
 }
 
 func (b *batchStream) Sample(n int) ([]record.Record, error) {
@@ -190,11 +183,11 @@ func (b *batchStream) Sample(n int) ([]record.Record, error) {
 }
 
 // lend wraps a freshly opened stream (or passes the open's error on).
-func lend(s drawer, err error) (ViewStream, error) {
+func lend(s *shard.Stream, err error) (ViewStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &batchStream{drawer: s}, nil
+	return &batchStream{Stream: s}, nil
 }
 
 // localSource adapts an in-process unsharded view to ViewSource.

@@ -616,13 +616,6 @@ func (v *View) Fsck() ([]ShardFsck, error) {
 // busiest shard disk's clock.
 func (v *View) SimNow() time.Duration { return v.farm.Now() }
 
-// Stats summarizes the I/O and fault activity across all shard disks.
-type Stats struct {
-	Counters iosim.Counters
-	Faults   iosim.FaultCounters
-	SimTime  time.Duration
-}
-
 // Stats returns a snapshot of the farm-wide counters.
 func (v *View) Stats() Stats {
 	return Stats{

@@ -2,7 +2,6 @@ package sampleview
 
 import (
 	"errors"
-	"io"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"sampleview/internal/lsm"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
+	"sampleview/internal/shard"
 	"sampleview/internal/stats"
 )
 
@@ -414,24 +414,16 @@ func (v *View) NewEstimator(q Box) (*Estimator, error) {
 // Stream is an online random sample: every prefix of the records it has
 // returned is a uniform random sample, without replacement, of all records
 // matching the predicate. It ends with io.EOF once the full matching set
-// has been returned.
+// has been returned. It is the one in-process stream type: a View's stream
+// is the merged stream over the view's one partition (which needs no
+// merger), and ShardedStream is the same type over K partitions.
 //
 // Each Stream owns its state: a private lock serializing its draws and a
 // private clock accounting its I/O, so any number of streams over one
 // view can be driven concurrently, each observing the cost it would incur
-// running alone on the view's disk.
-type Stream struct {
-	mu    sync.Mutex   // serializes draws on this stream
-	clock *iosim.Clock // the stream's private I/O clock
-	// leaf is the partition's stream: the base tree alone over an empty write
-	// path, merged with the memview and delta levels otherwise. Once closed it
-	// draws nothing more, but its fault counters stay readable.
-	leaf   *lsm.Stream // guarded by mu
-	closed bool        // guarded by mu
-	// write snapshots the view's write-path stats at open, so Stats can
-	// report the delta depth this stream reads through.
-	write WriteStats
-}
+// running alone on the view's disk. Close is idempotent and may race with
+// draws; Stats stays valid after it.
+type Stream = shard.Stream
 
 // Query starts an online sample stream for predicate q. Records ingested
 // after the stream was created do not join it; start a new stream to see
@@ -455,9 +447,7 @@ func (v *View) Query(q Box) (*Stream, error) {
 // deterministic (the shuttle draws nothing at query time); the seed is
 // simply recorded by convention.
 func (v *View) QuerySeeded(q Box, seed uint64) (*Stream, error) {
-	return v.open(q, func() *rand.Rand {
-		return rand.New(rand.NewPCG(seed^0x51ee0c0de, seed*0x9e3779b97f4a7c15+1))
-	})
+	return v.open(q, func() *rand.Rand { return shard.SeededRand(seed) })
 }
 
 // open starts a stream on a private clock; merge supplies the rng that
@@ -468,92 +458,13 @@ func (v *View) open(q Box, merge func() *rand.Rand) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{clock: ck, leaf: ls, write: v.part.WriteStats()}, nil
-}
-
-// AppendSample is the stream's batch draw: under one acquisition of the
-// stream lock it appends the next n sample records to dst — a slice the
-// caller owns; the stream keeps no reference to it — and returns the
-// extended slice, having made exactly the draws n calls of Next would.
-// Fewer than n records with a nil error means the predicate is exhausted;
-// after Close the error is ErrStreamClosed. Records drawn before a storage
-// error are returned with it, and a retried call continues where the fault
-// struck.
-func (s *Stream) AppendSample(dst []Record, n int) ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return dst, ErrStreamClosed
-	}
-	return s.leaf.AppendNext(dst, n)
-}
-
-// Next returns the next sample record, io.EOF when the predicate is
-// exhausted, or ErrStreamClosed after Close.
-func (s *Stream) Next() (Record, error) {
-	var one [1]Record
-	out, err := s.AppendSample(one[:0], 1)
-	if len(out) == 0 && err == nil {
-		err = io.EOF
-	}
-	return one[0], err
-}
-
-// Close releases the stream's buffered state, handing its working memory
-// back to the view for the next stream. It is idempotent and safe to call
-// concurrently with Next, Sample, Buffered and Stats from other goroutines:
-// a draw racing with Close either completes normally (a batch draw whole) or
-// observes ErrStreamClosed, never a torn state, and nothing a draw returned
-// is touched by Close or by any later stream. Stats remains valid after
-// Close (the stream's clock is retained; only the sampling state is
-// dropped).
-func (s *Stream) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		s.leaf.Close()
-	}
-	return nil
-}
-
-// Sample collects up to n records from the stream (fewer if the predicate
-// exhausts first) into a slice of its own.
-func (s *Stream) Sample(n int) ([]Record, error) {
-	// The predicate may exhaust long before a large n.
-	return s.AppendSample(make([]Record, 0, min(n, 4096)), n)
-}
-
-// Buffered returns the number of records parked in the base stream's
-// combine buckets.
-func (s *Stream) Buffered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.leaf.Buffered()
+	return shard.OnePartition(ls, ck), nil
 }
 
 // IOStats summarizes the I/O activity, fault activity and simulated time of
-// the view's disk (for View.Stats) or of one stream (for Stream.Stats).
-type IOStats struct {
-	Counters iosim.Counters
-	// Faults counts storage-layer fault events: injected transient
-	// failures, latency spikes, checksum rereads, corrupt pages and dead
-	// pages observed by this disk or stream clock.
-	Faults FaultCounters
-	// Retries counts sampler-level retries: stabs that surfaced a transient
-	// error to the caller and were re-driven over the same leaf. Zero in
-	// View.Stats (it is a per-stream quantity).
-	Retries int64
-	// DegradedLeaves and DegradedSections count the leaves (and their
-	// query-overlapping sections) this stream permanently lost to hard
-	// storage failures. Zero in View.Stats.
-	DegradedLeaves   int64
-	DegradedSections int64
-	// Write holds the write-path gauges and counters: the view's current
-	// state in View.Stats, the state at stream open in Stream.Stats.
-	Write   WriteStats
-	SimTime string
-}
+// the view's disk (View.Stats) or of one stream (Stream.Stats): the one stats
+// type every view and stream reports.
+type IOStats = shard.Stats
 
 // Stats returns a snapshot of the view's simulated I/O counters,
 // aggregated over every stream (counters are atomic; no lock is taken).
@@ -561,8 +472,7 @@ func (v *View) Stats() IOStats {
 	return IOStats{
 		Counters: v.sim.Counters(),
 		Faults:   v.sim.FaultCounters(),
-		Write:    v.part.WriteStats(),
-		SimTime:  v.sim.Now().String(),
+		SimTime:  v.sim.Now(),
 	}
 }
 
@@ -572,28 +482,3 @@ func (v *View) Stats() IOStats {
 // makes it a deterministic basis for idle accounting (the serving layer's
 // reaper keys off it).
 func (v *View) SimNow() time.Duration { return v.sim.Now() }
-
-// SimNow returns the stream's elapsed simulated I/O time as a duration (the
-// same quantity Stats reports as a string).
-func (s *Stream) SimNow() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clock.Now()
-}
-
-// Stats returns the stream's own I/O and fault counters and elapsed
-// simulated time: the cost this stream would incur running alone on the
-// view's disk, plus how many faults it absorbed and what it lost.
-func (s *Stream) Stats() IOStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return IOStats{
-		Counters:         s.clock.Counters(),
-		Faults:           s.clock.FaultCounters(),
-		Retries:          s.leaf.TransientRetries(),
-		DegradedLeaves:   s.leaf.DegradedLeaves(),
-		DegradedSections: s.leaf.DegradedSections(),
-		Write:            s.write,
-		SimTime:          s.clock.Now().String(),
-	}
-}

@@ -54,8 +54,8 @@ func NewCatalog(dir string, runtime ShardedOptions, policy CatalogPolicy) (*Cata
 	return catalog.New(dir, runtime, policy)
 }
 
-// Sharded view and stream: the partitioned counterparts of View and Stream,
-// sharing ErrStreamClosed with them.
+// Sharded view and stream: the partitioned counterpart of View, and the
+// stream type both views share.
 type (
 	// ShardedView is a sample view partitioned across K simulated disks. Each
 	// shard holds an independent ACE tree over its partition; Query merges the
@@ -63,11 +63,9 @@ type (
 	// guarantee as an unsharded view, while the shards' I/O proceeds in
 	// parallel on separate spindles.
 	ShardedView = shard.View
-	// ShardedStream is an online random sample merged from K per-shard
-	// streams. Fault semantics mirror the unsharded Stream per shard:
-	// transient faults surface as retriable errors and a dead shard degrades
-	// (the survivors keep serving), both wrapped in *ShardError naming the
-	// shard.
+	// ShardedStream is Stream: over K > 1 shards, transient faults surface
+	// as retriable errors and a dead shard degrades (the survivors keep
+	// serving), both wrapped in *ShardError naming the shard.
 	ShardedStream = shard.Stream
 )
 

@@ -11,8 +11,8 @@ import (
 )
 
 // TestStreamCloseIdempotent checks the basic Close contract: repeated
-// closes succeed, Next reports ErrStreamClosed afterwards, and Stats and
-// Buffered stay usable.
+// closes succeed, Next reports ErrStreamClosed afterwards, and Stats stays
+// usable.
 func TestStreamCloseIdempotent(t *testing.T) {
 	v, err := CreateFromSlice("", genRecords(5_000, 11), Options{})
 	if err != nil {
@@ -39,9 +39,6 @@ func TestStreamCloseIdempotent(t *testing.T) {
 	if _, err := s.Sample(10); err != ErrStreamClosed {
 		t.Fatalf("Sample after Close: err = %v, want ErrStreamClosed", err)
 	}
-	if s.Buffered() != 0 {
-		t.Fatalf("Buffered after Close = %d, want 0", s.Buffered())
-	}
 	after := s.Stats()
 	if after.SimTime != before.SimTime {
 		t.Fatalf("Stats changed across Close: %s -> %s", before.SimTime, after.SimTime)
@@ -64,7 +61,7 @@ func TestStreamCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestStreamCloseRace races Close against Next, Sample, Buffered and Stats
+// TestStreamCloseRace races Close against Next, Sample and Stats
 // from many goroutines — the collision the serving layer's idle reaper and
 // a client cancel produce. Run with -race. Every Next must either return a
 // valid record, io.EOF, or ErrStreamClosed; nothing may panic.
@@ -103,7 +100,6 @@ func TestStreamCloseRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				_ = s.Stats()
-				_ = s.Buffered()
 			}
 		}()
 		// Two racing closers (reaper and cancel).
