@@ -23,7 +23,6 @@ type BlockSampler struct {
 	q       record.Range
 	pages   []int64 // data pages intersecting the query's rank range, shuffled
 	next    int
-	blocks  int64
 	records int64
 }
 
@@ -50,9 +49,6 @@ func (t *Tree) NewBlockSampler(q record.Range, rng *rand.Rand) (*BlockSampler, e
 	}
 	return s, nil
 }
-
-// Blocks returns how many blocks have been consumed.
-func (s *BlockSampler) Blocks() int64 { return s.blocks }
 
 // Records returns how many matching records have been returned.
 func (s *BlockSampler) Records() int64 { return s.records }
@@ -81,7 +77,6 @@ func (s *BlockSampler) NextBlock() ([]record.Record, error) {
 			out = append(out, rec)
 		}
 	}
-	s.blocks++
 	s.records += int64(len(out))
 	return out, nil
 }

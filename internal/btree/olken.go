@@ -51,16 +51,10 @@ func (t *Tree) NewOlkenSampler(q record.Range, rng *rand.Rand) (*OlkenSampler, e
 	}, nil
 }
 
-// SetMaxFutile overrides the exhaustion threshold.
-func (s *OlkenSampler) SetMaxFutile(n int) { s.maxFutile = n }
-
 // Attempts returns the number of descents performed, including aborted
 // and rejected ones: the quantity that costs a random I/O each in the
 // uncached case.
 func (s *OlkenSampler) Attempts() int64 { return s.attempts }
-
-// Returned reports how many distinct records have been produced.
-func (s *OlkenSampler) Returned() int64 { return int64(len(s.used)) }
 
 // Next returns one more uniformly drawn matching record, or io.EOF once
 // the sampler concludes the predicate is exhausted.

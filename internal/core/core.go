@@ -279,19 +279,6 @@ func (t *Tree) nodeBox(idx int64) record.Box {
 	return box
 }
 
-// nodeCount returns the number of database records in the region of heap
-// node idx (exact, from the construction-time counts).
-func (t *Tree) nodeCount(idx int64) int64 {
-	if idx == 1 {
-		return t.count
-	}
-	parent := idx / 2
-	if idx%2 == 0 {
-		return t.cntL[parent]
-	}
-	return t.cntR[parent]
-}
-
 // geometry of the file regions.
 
 func (t *Tree) nInternal() int64 { return t.nLeaves - 1 }

@@ -135,12 +135,12 @@ func TestStructuralInvariants(t *testing.T) {
 	// its children (medians guarantee it up to duplicate keys; uniform
 	// random keys make it near-exact).
 	for i := int64(1); i < tree.nLeaves/2; i++ {
-		parent := tree.nodeCount(i)
+		parent := nodeCount(tree, i)
 		if parent < 100 {
 			continue // too small for a tight ratio
 		}
 		for _, child := range []int64{2 * i, 2*i + 1} {
-			ratio := float64(parent) / float64(tree.nodeCount(child))
+			ratio := float64(parent) / float64(nodeCount(tree, child))
 			if ratio < 1.7 || ratio > 2.3 {
 				t.Fatalf("node %d/%d count ratio %v, want ~2 (exponentiality)", i, child, ratio)
 			}
@@ -428,4 +428,17 @@ func TestEstimateCount(t *testing.T) {
 	if _, err := tree.EstimateCount(record.FullBox(2)); err == nil {
 		t.Fatal("2-d estimate on 1-d tree accepted")
 	}
+}
+
+// nodeCount returns the number of database records in the region of heap
+// node idx (exact, from the construction-time counts).
+func nodeCount(t *Tree, idx int64) int64 {
+	if idx == 1 {
+		return t.count
+	}
+	parent := idx / 2
+	if idx%2 == 0 {
+		return t.cntL[parent]
+	}
+	return t.cntR[parent]
 }

@@ -70,7 +70,7 @@ func TestTransientRetryPreservesPrefix(t *testing.T) {
 	if len(deg) != 0 {
 		t.Fatalf("transient-only plan degraded the stream: %v", deg[0])
 	}
-	if faulty.TransientRetries() == 0 {
+	if faulty.transientRetries == 0 {
 		t.Fatal("plan should have forced caller-level retries")
 	}
 	if len(got) != len(want) {
@@ -109,7 +109,7 @@ func TestDegradedStreamContinues(t *testing.T) {
 	if !s.Done() {
 		t.Fatal("stream did not finish after degradation")
 	}
-	if got := s.DegradedLeaves(); got != int64(len(degraded)) {
+	if got := s.degradedLeaves; got != int64(len(degraded)) {
 		t.Fatalf("DegradedLeaves = %d, %d errors seen", got, len(degraded))
 	}
 	var lostSecs int64
@@ -126,7 +126,7 @@ func TestDegradedStreamContinues(t *testing.T) {
 		}
 		lostSecs += int64(len(de.Sections))
 	}
-	if got := s.DegradedSections(); got != lostSecs {
+	if got := s.degradedSections; got != lostSecs {
 		t.Fatalf("DegradedSections = %d, want %d", got, lostSecs)
 	}
 	// Surviving records arrive exactly once.
@@ -169,7 +169,7 @@ func TestFaultCountersDeterministicAcrossClocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		recs, deg := drainWithRetry(t, s)
-		return result{recs, len(deg), s.TransientRetries(), s.DegradedLeaves(), s.DegradedSections(), clk.FaultCounters()}
+		return result{recs, len(deg), s.transientRetries, s.degradedLeaves, s.degradedSections, clk.FaultCounters()}
 	}
 	a := run()
 	b := run()
@@ -258,13 +258,13 @@ type flakyBackend struct {
 	fired int
 }
 
-func (b *flakyBackend) ReadPage(i int64, dst []byte) error {
+func (b *flakyBackend) ReadPage(i int64, off int, dst []byte) error {
 	if b.armed[i] {
 		delete(b.armed, i)
 		b.fired++
 		return &pagefile.TransientError{Page: i, Attempts: 1}
 	}
-	return b.countingBackend.ReadPage(i, dst)
+	return b.countingBackend.ReadPage(i, off, dst)
 }
 
 // TestTransientOnSecondPageLeavesNoResidue: the filtered read has decoded
@@ -358,8 +358,8 @@ func TestTransientOnSecondPageLeavesNoResidue(t *testing.T) {
 	if _, err := faulty.NextBatch(); err != io.EOF {
 		t.Fatalf("the faulty stream outlived the fault-free one: %v", err)
 	}
-	if fb.fired == 0 || faulty.TransientRetries() != int64(fb.fired) {
-		t.Fatalf("%d armed pages failed, the stream retried %d stabs", fb.fired, faulty.TransientRetries())
+	if fb.fired == 0 || faulty.transientRetries != int64(fb.fired) {
+		t.Fatalf("%d armed pages failed, the stream retried %d stabs", fb.fired, faulty.transientRetries)
 	}
 	if residue == 0 {
 		t.Fatal("no failed stab had decoded a match before it failed; the test checked nothing")

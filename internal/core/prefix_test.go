@@ -27,9 +27,9 @@ type pageRead struct {
 	bytes int
 }
 
-func (c *countingBackend) ReadPage(i int64, dst []byte) error {
+func (c *countingBackend) ReadPage(i int64, off int, dst []byte) error {
 	c.reads = append(c.reads, pageRead{i, len(dst)})
-	copy(dst, c.pages[i])
+	copy(dst, c.pages[i][off:])
 	return nil
 }
 

@@ -56,7 +56,8 @@ type Stream struct {
 	// again — a transient fault never skips a leaf, preserving prefix equality
 	// with a fault-free run.
 	pending bool
-	// fault accounting, surfaced through Stream stats.
+	// fault accounting: stabs retried after a transient failure the caller
+	// saw, leaves permanently lost and the query sections lost with them.
 	transientRetries int64
 	degradedLeaves   int64
 	degradedSections int64
@@ -282,15 +283,6 @@ func (s *Stream) Done() bool { return s.done && len(s.queued()) == 0 }
 // it to apportion a degraded leaf's share of the estimated matching count.
 func (s *Stream) QueryLeaves() int { return s.queryLeaves }
 
-// RemainingLeaves returns the number of leaves not yet served to the caller
-// (over the whole tree, not just the query-overlapping region).
-func (s *Stream) RemainingLeaves() int64 {
-	if s.scratch == nil {
-		return 0
-	}
-	return int64(s.remaining[1])
-}
-
 // LeavesRead returns the number of stabs served so far, skipped reads
 // included.
 func (s *Stream) LeavesRead() int64 { return s.leavesRead }
@@ -303,19 +295,6 @@ func (s *Stream) Emitted() int64 { return s.emitted }
 // buckets: records that match the predicate but cannot yet be used
 // (Figure 15's metric).
 func (s *Stream) Buffered() int { return s.buffered }
-
-// TransientRetries returns how many stabs surfaced a transient storage
-// failure that the caller retried (the storage layer's own absorbed retries
-// are counted by the disk's fault counters, not here).
-func (s *Stream) TransientRetries() int64 { return s.transientRetries }
-
-// DegradedLeaves returns how many leaves the stream permanently lost to
-// hard storage failures.
-func (s *Stream) DegradedLeaves() int64 { return s.degradedLeaves }
-
-// DegradedSections returns the total number of query-overlapping sections
-// lost with degraded leaves.
-func (s *Stream) DegradedSections() int64 { return s.degradedSections }
 
 // AppendNext is the stream's batch draw: it appends the next n sample
 // records to dst — a slice the caller owns; the stream keeps no reference

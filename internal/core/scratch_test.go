@@ -79,7 +79,7 @@ func TestScratchRecycling(t *testing.T) {
 	if got, err := a.AppendNext(nil, 4); err != nil || len(got) != 0 {
 		t.Fatalf("AppendNext on a closed stream = %d records, %v", len(got), err)
 	}
-	if !a.Done() || a.Buffered() != 0 || a.RemainingLeaves() != 0 || a.Emitted() != emitted || a.LeavesRead() != leaves {
+	if !a.Done() || a.Buffered() != 0 || a.scratch != nil || a.Emitted() != emitted || a.LeavesRead() != leaves {
 		t.Fatal("a closed stream must read as exhausted with its counters intact")
 	}
 

@@ -193,9 +193,6 @@ func (s *Sim) Sync() error {
 	return nil
 }
 
-// Syncs returns the number of durability barriers charged so far.
-func (s *Sim) Syncs() int64 { return s.syncs.Load() }
-
 // AtCrashPoint delegates to the parent Sim: a power cut takes every stream
 // down at once.
 func (c *Clock) AtCrashPoint(p CrashPoint) error {

@@ -90,8 +90,8 @@ func TestSyncChargesBarrier(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Syncs() != 1 {
-		t.Fatalf("Syncs = %d, want 1", s.Syncs())
+	if s.syncs.Load() != 1 {
+		t.Fatalf("Syncs = %d, want 1", s.syncs.Load())
 	}
 	if d := s.Now() - before; d != s.Model().RandomWrite {
 		t.Fatalf("barrier charged %v, want one random write (%v)", d, s.Model().RandomWrite)

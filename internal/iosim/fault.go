@@ -219,17 +219,6 @@ func (p FaultPlan) fate(f FileID, page int64, attempt int) Fault {
 	return flt
 }
 
-// PageFate returns the fault the plan would inject into the given read
-// attempt of the page. It is exported for tests and the fsck tooling; the
-// storage layer goes through Charger.BeginRead, which additionally advances
-// the per-charger attempt cursor and charges spikes.
-func (p FaultPlan) PageFate(f FileID, page int64, attempt int) Fault {
-	if !p.Enabled() {
-		return Fault{FlipBit: -1}
-	}
-	return p.fate(f, page, attempt)
-}
-
 // Profiles returns the named fault profiles, mildest first.
 func Profiles() []string {
 	names := make([]string, 0, len(profiles))

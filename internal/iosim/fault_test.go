@@ -24,12 +24,12 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	differ := 0
 	for page := int64(0); page < 2000; page++ {
 		for attempt := 0; attempt < 4; attempt++ {
-			a := plan.PageFate(1, page, attempt)
-			b := same.PageFate(1, page, attempt)
+			a := plan.fate(1, page, attempt)
+			b := same.fate(1, page, attempt)
 			if a != b {
 				t.Fatalf("page %d attempt %d: schedule not deterministic: %+v vs %+v", page, attempt, a, b)
 			}
-			if a != other.PageFate(1, page, attempt) {
+			if a != other.fate(1, page, attempt) {
 				differ++
 			}
 		}
@@ -49,7 +49,7 @@ func TestFaultPlanRates(t *testing.T) {
 	const n = 20000
 	var transient, sticky, corrupt, spiked int
 	for page := int64(0); page < n; page++ {
-		f := plan.PageFate(3, page, 0)
+		f := plan.fate(3, page, 0)
 		if f.Sticky {
 			sticky++
 			continue
@@ -88,7 +88,7 @@ func TestFaultBurstEventuallySucceeds(t *testing.T) {
 	for page := int64(0); page < 500; page++ {
 		sawClear := false
 		for attempt := 0; attempt <= plan.TransientBurst; attempt++ {
-			f := plan.PageFate(0, page, attempt)
+			f := plan.fate(0, page, attempt)
 			if !f.Transient {
 				sawClear = true
 			} else if sawClear {

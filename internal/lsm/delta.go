@@ -12,8 +12,9 @@
 //	bloom region:      filter bits over the level's tombstone Seqs
 //	insert region:     ItemFile of live inserted records, sorted by (stratum, Key, Seq)
 //	tombstone region:  ItemFile of tombstone records, sorted by Seq
-//	fence region:      run fences — per run, the first Key of its records on every insert page it touches —
-//	                   then rank fences: the (Key, Seq) of every rankFenceEvery-th insert in level-wide (Key, Seq) order
+//	fence region:      block fences — the first Key of every block of the insert region — then the blocks'
+//	                   checksums, two to a word, then rank fences: the (Key, Seq) of every
+//	                   rankFenceEvery-th insert in level-wide (Key, Seq) order
 //
 // A record's stratum is fixed by a 64-bit mix of its Seq, independent of
 // its key; strata grow geometrically from about one page, and stratum j's
@@ -23,9 +24,10 @@
 // runs in order, each shuffled, are a uniform random permutation of the
 // level (see DESIGN.md, "Why a lazily read level is still an exact
 // sample"). The rank fences (loaded in memory when the level is opened, as
-// the bloom filter and run fences are) give the exact size of the candidate
-// set a predicate's key range leaves in the level without any I/O; the run
-// fences narrow a run's read to the pages that range covers.
+// the bloom filter and block fences are) give the exact size of the
+// candidate set a predicate's key range leaves in the level without any I/O;
+// the block fences narrow a run's read to the blocks that range covers, and
+// their checksums verify just those bytes.
 //
 // Tombstones carry the full deleted record, not just its Seq, so query
 // planning can bound which key region a level's deletes affect. The
@@ -53,15 +55,18 @@ const deltaMagic = "SVDELTA1"
 
 // deltaLayout is the layout version this package writes and the only one it
 // reads: version 1 sorted inserts by Seq and had no fences, version 2 sorted
-// the whole insert region by (Key, Seq) with one fence per page.
-const deltaLayout = 3
+// the whole insert region by (Key, Seq) with one fence per page, version 3
+// cut it into runs with one fence per page a run touches.
+const deltaLayout = 4
 
 const (
-	// strataGrowth is the ratio between consecutive strata's expected sizes
-	// and rankFenceEvery the spacing of the rank fences; DESIGN.md ("Delta
-	// ladder") records the measurements that chose both.
+	// strataGrowth is the ratio between consecutive strata's expected sizes,
+	// rankFenceEvery the spacing of the rank fences and blockSlots the most
+	// slots a block holds; DESIGN.md ("Delta ladder") records the
+	// measurements that chose all three.
 	strataGrowth   = 4
 	rankFenceEvery = 64
+	blockSlots     = 32
 	// maxRuns bounds the header's run directory. Sixteen runs growing 4x from
 	// one page cover 4^16 pages; a larger level's last stratum takes the rest.
 	maxRuns = 16
@@ -160,11 +165,16 @@ type level struct {
 	// in (Key, Seq) order at slots [runEnd[j-1], runEnd[j]) of the insert
 	// region, neither end page-aligned.
 	runEnd []int64
-	// fences holds, run after run, the first Key of the run's records on each
-	// insert page the run touches; run j's fences are
-	// fences[runFence[j]:runFence[j+1]].
-	fences   []int64
-	runFence []int
+	// The insert region is cut into blocks: each run's slots on one page, cut
+	// again at every blockSlots-th slot of the page, so no block spans two
+	// runs or two pages. Block k holds slots [blockSlot[k], blockSlot[k+1])
+	// (blockSlot ends with nIns), blockKey[k] is its first record's Key and
+	// blockSum[k] the CRC32-C of its bytes seeded with its logical page
+	// number; run j's blocks are [runBlock[j], runBlock[j+1]).
+	blockSlot []int64
+	blockKey  []int64
+	blockSum  []uint32
+	runBlock  []int
 	// ranks[k] is the (Key, Seq) of the insert at position k*rankFenceEvery
 	// of the level-wide (Key, Seq) order.
 	ranks      []keySeq
@@ -268,19 +278,34 @@ func readWords[T int64 | uint64](f *pagefile.File, start, n int64) ([]T, error) 
 	}
 }
 
-// fenceSlots returns the slot each fence of a level describes — per run, the
-// run's first slot on every insert page it touches — and each run's offset
-// into that list, the list's length last.
-func fenceSlots(runEnd []int64, per int64) (slots []int64, runFence []int) {
+// cutBlocks returns the first slot of every block of a level, its insert
+// count last, and each run's first block, the block count last.
+func cutBlocks(runEnd []int64, per int64) (slots []int64, runBlock []int) {
 	start := int64(0)
 	for _, end := range runEnd {
-		runFence = append(runFence, len(slots))
-		for slot := start; slot < end; slot = (slot/per + 1) * per {
+		runBlock = append(runBlock, len(slots))
+		for slot := start; slot < end; slot = min((slot/per+1)*per, slot-slot%per+(slot%per/blockSlots+1)*blockSlots) {
 			slots = append(slots, slot)
 		}
 		start = end
 	}
-	return slots, append(runFence, len(slots))
+	return append(slots, start), append(runBlock, len(slots))
+}
+
+// sumBlocks returns the checksum of every block cut at slots (cutBlocks) in
+// an insert region starting at page start, holding per records a page, whose
+// slot i holds at(i).
+func sumBlocks(slots []int64, per, start int64, at func(i int) *record.Record) []uint32 {
+	sums := make([]uint32, len(slots)-1)
+	var buf [record.Size]byte
+	for k := range sums {
+		sums[k] = uint32(start + slots[k]/per)
+		for i := slots[k]; i < slots[k+1]; i++ {
+			at(int(i)).Marshal(buf[:])
+			sums[k] = pagefile.UpdateCRC(sums[k], buf[:])
+		}
+	}
+	return sums
 }
 
 // runStart is the slot of run j's first insert.
@@ -388,7 +413,8 @@ func writeDelta(sim *iosim.Sim, path string, gen uint64, inserts, tombs []record
 		}
 		return start, itf, nil
 	}
-	d.insStart, lvl.inserts, err = writeRegion(len(order), func(i int) *record.Record { return &inserts[order[i].idx] })
+	inserted := func(i int) *record.Record { return &inserts[order[i].idx] }
+	d.insStart, lvl.inserts, err = writeRegion(len(order), inserted)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: writing insert region: %w", err)
 	}
@@ -397,12 +423,19 @@ func writeDelta(sim *iosim.Sim, path string, gen uint64, inserts, tombs []record
 		return nil, fmt.Errorf("lsm: writing tombstone region: %w", err)
 	}
 
-	var slots []int64
-	slots, lvl.runFence = fenceSlots(lvl.runEnd, int64(per))
-	for _, slot := range slots {
-		lvl.fences = append(lvl.fences, order[slot].key)
+	lvl.blockSlot, lvl.runBlock = cutBlocks(lvl.runEnd, int64(per))
+	lvl.blockSum = sumBlocks(lvl.blockSlot, int64(per), d.insStart, inserted)
+	for _, slot := range lvl.blockSlot[:len(lvl.blockSum)] {
+		lvl.blockKey = append(lvl.blockKey, order[slot].key)
 	}
-	words := slices.Grow(slices.Clone(lvl.fences), 2*len(lvl.ranks))
+	words := slices.Clone(lvl.blockKey)
+	for k := 0; k < len(lvl.blockSum); k += 2 {
+		sums := uint64(lvl.blockSum[k])
+		if k+1 < len(lvl.blockSum) {
+			sums |= uint64(lvl.blockSum[k+1]) << 32
+		}
+		words = append(words, int64(sums))
+	}
 	for _, r := range lvl.ranks {
 		words = append(words, r.key, int64(r.seq))
 	}
@@ -521,14 +554,17 @@ func loadDelta(f *pagefile.File, path string) (*level, error) {
 	if !slices.IsSorted(lvl.runEnd) || lvl.runEnd[0] < 0 || lvl.runEnd[d.nRuns-1] != lvl.nIns {
 		return nil, fmt.Errorf("lsm: %s has run offsets %v for %d inserts", path, lvl.runEnd, lvl.nIns)
 	}
-	_, lvl.runFence = fenceSlots(lvl.runEnd, int64(lvl.inserts.PerPage()))
-	nFences, nRanks := lvl.runFence[d.nRuns], int((lvl.nIns+rankFenceEvery-1)/rankFenceEvery)
-	words, err := readWords[int64](f, d.fenceStart, int64(nFences+2*nRanks))
+	lvl.blockSlot, lvl.runBlock = cutBlocks(lvl.runEnd, int64(lvl.inserts.PerPage()))
+	nBlocks, nRanks := lvl.runBlock[d.nRuns], int((lvl.nIns+rankFenceEvery-1)/rankFenceEvery)
+	words, err := readWords[int64](f, d.fenceStart, int64(nBlocks+(nBlocks+1)/2+2*nRanks))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: reading fence region: %w", err)
 	}
-	lvl.fences = words[:nFences:nFences]
-	for w := words[nFences:]; len(w) > 0; w = w[2:] {
+	lvl.blockKey, lvl.blockSum = words[:nBlocks:nBlocks], make([]uint32, nBlocks)
+	for k := range lvl.blockSum {
+		lvl.blockSum[k] = uint32(words[nBlocks+k/2] >> (32 * (k % 2)))
+	}
+	for w := words[nBlocks+(nBlocks+1)/2:]; len(w) > 0; w = w[2:] {
 		lvl.ranks = append(lvl.ranks, keySeq{w[0], uint64(w[1])})
 	}
 	return lvl, nil
@@ -564,53 +600,63 @@ func (l *level) candidates(q record.Box) candRange {
 	return c
 }
 
-func (c *candRange) contains(rec *record.Record) bool {
-	ks := keySeqOf(rec)
-	return c.lo.compare(ks) <= 0 && (c.open || ks.compare(c.hi) < 0)
-}
-
-// runWindow returns the pages [first, last) of the insert region on which
-// run j can hold candidates of c: from the page before the run's first fence
-// at or above c's low key — a page's tail may reach that key although the
-// run's first key on it is below — through the last page whose fence is at
-// or below c's high key.
-func (l *level) runWindow(j int, c *candRange) (first, last int64) {
-	if c.n == 0 || l.runStart(j) == l.runEnd[j] {
+// runWindow returns the blocks [lo, hi) in which run j can hold candidates
+// of c: from the block before the run's first fence at or above c's low key
+// — a block's tail may reach that key although its first key is below —
+// through the last block whose fence is at or below c's high key. Every
+// page's first block is among them, so the window touches exactly the pages
+// a fence per page would have read.
+func (l *level) runWindow(j int, c *candRange) (lo, hi int) {
+	first, end := l.runBlock[j], l.runBlock[j+1]
+	if c.n == 0 || first == end {
 		return 0, 0
 	}
-	fences := l.fences[l.runFence[j]:l.runFence[j+1]]
-	lo, _ := slices.BinarySearch(fences, c.lo.key)
-	lo = max(lo-1, 0)
-	hi := len(fences)
+	keys := l.blockKey[first:end]
+	lo, _ = slices.BinarySearch(keys, c.lo.key)
+	hi = len(keys)
 	if !c.open {
-		hi = sort.Search(len(fences), func(i int) bool { return fences[i] > c.hi.key })
+		hi = sort.Search(len(keys), func(i int) bool { return keys[i] > c.hi.key })
 	}
-	page0 := l.runStart(j) / int64(l.inserts.PerPage())
-	return page0 + int64(lo), page0 + int64(hi)
+	return first + max(lo-1, 0), first + hi
 }
 
-// readRun appends to dst the candidates of c stored in run j, reading the
-// run's window in one sequential pass through the page-sized buffer page,
-// charged to itf (the level's insert region, possibly on a stream's clock).
+// keySeqAt is the place in the key order of the i-th record encoded in src.
+func keySeqAt(src []byte, i int) keySeq {
+	rec := src[i*record.Size:]
+	return keySeq{int64(binary.LittleEndian.Uint64(rec[0:8])), binary.LittleEndian.Uint64(rec[16:24])}
+}
+
+// readRun appends to dst the candidates of c stored in run j, in order. It
+// reads the run's window one span a page, in one sequential pass through the
+// page-sized buffer page, charged to itf (the level's insert region,
+// possibly on a stream's clock): each span moves and checksums only the
+// window's blocks on its page, and of those only the candidates — one
+// stretch of the (Key, Seq)-ordered slots — are decoded.
 func (l *level) readRun(itf *pagefile.ItemFile, j int, c *candRange, page []byte, dst []record.Record) ([]record.Record, error) {
-	first, last := l.runWindow(j, c)
-	if first == last {
+	lo, hi := l.runWindow(j, c)
+	if lo == hi {
 		return dst, nil
 	}
-	start, end, per := l.runStart(j), l.runEnd[j], int64(itf.PerPage())
-	dst = slices.Grow(dst, int(c.n*(end-start)/l.nIns))
-	var rec record.Record
-	for p := first; p < last; p++ {
-		payload, err := itf.File().ReadPayload(itf.StartPage()+p, page)
+	per := int64(itf.PerPage())
+	dst = slices.Grow(dst, int(c.n*(l.runEnd[j]-l.runStart(j))/l.nIns))
+	for k := lo; k < hi; {
+		p, next := l.blockSlot[k]/per, k+1
+		for next < hi && l.blockSlot[next]/per == p {
+			next++
+		}
+		from, n := l.blockSlot[k], int(l.blockSlot[next]-l.blockSlot[k])
+		span, err := itf.File().ReadSpan(itf.StartPage()+p, page, int(from-p*per)*record.Size, n*record.Size,
+			blockSlots*record.Size, l.blockSum[k:next])
 		if err != nil {
 			return dst, err
 		}
-		for slot := max(start, p*per); slot < min(end, (p+1)*per); slot++ {
-			rec.Unmarshal(payload[(slot-p*per)*record.Size:])
-			if c.contains(&rec) {
-				dst = append(dst, rec)
-			}
+		a := sort.Search(n, func(i int) bool { return c.lo.compare(keySeqAt(span, i)) <= 0 })
+		b := n
+		if !c.open {
+			b = sort.Search(n, func(i int) bool { return c.hi.compare(keySeqAt(span, i)) <= 0 })
 		}
+		dst = record.AppendBatch(dst, span[a*record.Size:], b-a)
+		k = next
 	}
 	return dst, nil
 }
@@ -675,9 +721,10 @@ func readAll(itf *pagefile.ItemFile, dst []record.Record) ([]record.Record, erro
 
 // verify checks the level's stored bytes against everything its readers
 // trust without looking: the run read trusts the run directory, each run's
-// order and fences and every record's stratum, the candidate arithmetic the
-// rank fences, lookupTomb the tombstone order, the tombstone checker the
-// bloom filter, and level skipping the header's counts and bounds.
+// order, block fences and block checksums and every record's stratum, the
+// candidate arithmetic the rank fences, lookupTomb the tombstone order, the
+// tombstone checker the bloom filter, and level skipping the header's counts
+// and bounds.
 func (l *level) verify() error {
 	ins, err := readRegion(l.inserts, l.nIns, "insert")
 	if err != nil {
@@ -707,10 +754,13 @@ func (l *level) verify() error {
 			}
 		}
 	}
-	slots, _ := fenceSlots(l.runEnd, per)
-	for k, slot := range slots {
-		if l.fences[k] != ins[slot].Key {
-			return fmt.Errorf("fence %d is %d but its run's records on the page start at key %d", k, l.fences[k], ins[slot].Key)
+	sums := sumBlocks(l.blockSlot, per, l.inserts.StartPage(), func(i int) *record.Record { return &ins[i] })
+	for k, slot := range l.blockSlot[:len(sums)] {
+		if l.blockKey[k] != ins[slot].Key {
+			return fmt.Errorf("block %d's fence is key %d but its first record's is %d", k, l.blockKey[k], ins[slot].Key)
+		}
+		if l.blockSum[k] != sums[k] {
+			return fmt.Errorf("block %d's checksum is %08x but its bytes sum to %08x", k, l.blockSum[k], sums[k])
 		}
 	}
 	if bounds != l.insBounds {

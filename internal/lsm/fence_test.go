@@ -45,16 +45,33 @@ func bruteForce(all []record.Record, q record.Box) []record.Record {
 
 func byKeySeq(a, b record.Record) int { return keySeqOf(&a).compare(keySeqOf(&b)) }
 
+// runPages returns the insert pages [first, last) run j's window for c
+// touches.
+func runPages(l *level, j int, c *candRange) (first, last int64) {
+	lo, hi := l.runWindow(j, c)
+	if lo == hi {
+		return 0, 0
+	}
+	per := int64(l.inserts.PerPage())
+	return l.blockSlot[lo] / per, (l.blockSlot[hi]-1)/per + 1
+}
+
 // windowPages is how many insert pages the windows of runs [from, to) hold
 // for q.
 func windowPages(l *level, q record.Box, from, to int) int64 {
 	c := l.candidates(q)
 	var n int64
 	for j := from; j < to; j++ {
-		first, last := l.runWindow(j, &c)
+		first, last := runPages(l, j, &c)
 		n += last - first
 	}
 	return n
+}
+
+// contains reports whether rec is in the candidate set c.
+func (c *candRange) contains(rec *record.Record) bool {
+	ks := keySeqOf(rec)
+	return c.lo.compare(ks) <= 0 && (c.open || ks.compare(c.hi) < 0)
 }
 
 // checkCandidates holds one level and predicate to the candidate contract:
@@ -161,7 +178,7 @@ func TestFencedReadMatchesBruteForce(t *testing.T) {
 			record.Box1D(lo, lo), record.Box1D(hi, hi), // Lo == Hi on the extreme keys
 			record.Box2D(lo, hi, 2000, 3000), // key range matches, second dimension never does
 		}
-		for _, f := range l.fences { // Lo == Hi on every run fence, and just around it
+		for _, f := range l.blockKey { // Lo == Hi on every block fence, and just around it
 			boxes = append(boxes, record.Box1D(f, f), record.Box1D(f-1, f-1), record.Box1D(f+1, f+1),
 				record.Box2D(f, f, 0, 499))
 		}
@@ -539,7 +556,7 @@ func sameSet(t *testing.T, what string, got, want map[uint64]bool) {
 func windowsHold(l *level, q record.Box, p int64) bool {
 	c := l.candidates(q)
 	for j := range l.runEnd {
-		if first, last := l.runWindow(j, &c); first <= p && p < last {
+		if first, last := runPages(l, j, &c); first <= p && p < last {
 			return true
 		}
 	}
@@ -579,7 +596,7 @@ func TestDeadPageInsideAndOutsideTheWindow(t *testing.T) {
 
 	// The narrowest suffix of the key domain whose windows miss the page.
 	var outside record.Box
-	for _, f := range l.fences[l.runFence[2]:] {
+	for _, f := range l.blockKey[l.runBlock[2]:l.runBlock[3]] {
 		if q := record.Box1D(f, l.insBounds[0][1]); !windowsHold(l, q, dead) {
 			outside = q
 			break
@@ -654,19 +671,22 @@ func TestTransientInsideTheWindowIsAbsorbedAtOpen(t *testing.T) {
 // Store.Verify to name each with its own lsm-prefixed error.
 func TestVerifyNamesEachBrokenInvariant(t *testing.T) {
 	// swap exchanges items i and j of a page of records; bump decrements
-	// the 64-bit word at off.
-	swap := func(i, j int) func([]byte) {
-		return func(page []byte) {
+	// the 64-bit word at off, and bumpFence the fence region's word-th word.
+	swap := func(i, j int) func(*level, []byte) {
+		return func(_ *level, page []byte) {
 			a, b := page[i*record.Size:(i+1)*record.Size], page[j*record.Size:(j+1)*record.Size]
 			tmp := slices.Clone(a)
 			copy(a, b)
 			copy(b, tmp)
 		}
 	}
-	bump := func(off int) func([]byte) {
-		return func(page []byte) {
+	bump := func(off int) func(*level, []byte) {
+		return func(_ *level, page []byte) {
 			binary.LittleEndian.PutUint64(page[off:], binary.LittleEndian.Uint64(page[off:])-1)
 		}
+	}
+	bumpFence := func(word func(blocks int) int) func(*level, []byte) {
+		return func(l *level, page []byte) { bump(8*word(len(l.blockKey)))(l, page) }
 	}
 	header := func(*level) int64 { return 0 }
 	firstInserts := func(l *level) int64 { return l.inserts.StartPage() }
@@ -674,20 +694,21 @@ func TestVerifyNamesEachBrokenInvariant(t *testing.T) {
 	cases := []struct {
 		name, want string
 		page       func(l *level) int64 // the page to corrupt
-		edit       func(page []byte)
+		edit       func(l *level, page []byte)
 	}{
 		{"insert order", "sorts before its predecessor", firstInserts, swap(1, 2)},
 		// The fixture's first run ends one slot into the second page.
 		{"stratum", "of stratum 1 is stored in run 0", func(l *level) int64 { return l.inserts.StartPage() + 1 }, swap(0, 1)},
 		{"run offsets", "run 0 spans", header, bump(headerFixed + 8*8)},
-		// The fence region is the file's last page: the fixture's two runs
-		// touch two and three insert pages, so five run fences, then the rank
+		// The fence region is the file's last page: the block fences, their
+		// checksums two to a word (block 0's in the low half), then the rank
 		// fences' (Key, Seq) pairs.
-		{"run fence", "fence 1 is", lastPage, bump(8 * 1)},
-		{"rank fence", "rank fence 1 is", lastPage, bump(8 * (5 + 2))},
+		{"block fence", "block 1's fence is", lastPage, bumpFence(func(int) int { return 1 })},
+		{"block checksum", "block 0's checksum is", lastPage, bumpFence(func(n int) int { return n })},
+		{"rank fence", "rank fence 1 is", lastPage, bumpFence(func(n int) int { return n + (n+1)/2 + 2 })},
 		{"tombstone order", "does not sort after its predecessor", func(l *level) int64 { return l.tombs.StartPage() }, swap(0, 1)},
 		// The bloom region follows the header.
-		{"bloom", "fails the level's bloom filter", func(*level) int64 { return 1 }, func(page []byte) { clear(page) }},
+		{"bloom", "fails the level's bloom filter", func(*level) int64 { return 1 }, func(_ *level, page []byte) { clear(page) }},
 		{"insert count", "run offsets", header, bump(headerFixed)},
 		{"tombstone count", "tombstone region holds records past", header, bump(headerFixed + 8)},
 		{"insert bounds", "insert bounds", header, bump(boundsOff)},
@@ -717,7 +738,7 @@ func TestVerifyNamesEachBrokenInvariant(t *testing.T) {
 		if err := l.file.Read(n, page); err != nil {
 			t.Fatal(err)
 		}
-		c.edit(page)
+		c.edit(l, page)
 		if err := l.file.Write(n, page); err != nil {
 			t.Fatal(err)
 		}
@@ -736,11 +757,11 @@ func TestVerifyNamesEachBrokenInvariant(t *testing.T) {
 	}
 }
 
-// TestLayoutV1Rejected: a delta file of the Seq-ordered, fence-less layout 1
-// or the wholly key-ordered layout 2 is refused with a typed error rather
-// than read as if cut into runs.
+// TestLayoutV1Rejected: a delta file of the Seq-ordered, fence-less layout 1,
+// the wholly key-ordered layout 2 or the page-fenced layout 3 is refused with
+// a typed error rather than read as if cut into checksummed blocks.
 func TestLayoutV1Rejected(t *testing.T) {
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		l := memLevel(t, testSim(), 1, keyed(50, 0, 1, 1), nil)
 		page := make([]byte, l.file.PageSize())
 		if err := l.file.Read(0, page); err != nil {
@@ -906,5 +927,95 @@ func TestLazyLevelPrefixesAreUniform(t *testing.T) {
 		if p < 1e-4 {
 			t.Fatalf("first %d records over %d seeds: key slices %v, expected %.0f (p=%g)", cut, seeds, observed[i], expected[i], p)
 		}
+	}
+}
+
+// wholePageRun is the reference a span read is held to: every page of run
+// j's window read whole, every slot of the run on it decoded, the candidates
+// of c kept in slot order.
+func wholePageRun(t *testing.T, l *level, itf *pagefile.ItemFile, j int, c *candRange) []record.Record {
+	t.Helper()
+	first, last := runPages(l, j, c)
+	per, page := int64(itf.PerPage()), make([]byte, itf.File().PageSize())
+	var out []record.Record
+	for p := first; p < last; p++ {
+		payload, err := itf.File().ReadPayload(itf.StartPage()+p, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot := max(l.runStart(j), p*per); slot < min(l.runEnd[j], (p+1)*per); slot++ {
+			var rec record.Record
+			rec.Unmarshal(payload[(slot-p*per)*record.Size:])
+			if c.contains(&rec) {
+				out = append(out, rec)
+			}
+		}
+	}
+	return out
+}
+
+// TestSpanReadMatchesWholePageDecode is the differential test of the block
+// layout: over levels of many sizes (runs that start and end mid-block, runs
+// holding a single slot of a page) and few or many distinct keys, for random,
+// open-ended and fence-hugging predicates, every run's span read returns
+// exactly — records and order — what decoding its window's pages whole and
+// filtering by the candidate set returns, and charges the same pages.
+func TestSpanReadMatchesWholePageDecode(t *testing.T) {
+	sim := testSim()
+	rng := rand.New(rand.NewPCG(31, 32))
+	var midStart, midEnd, singleSlot, open int
+	for trial := 0; trial < 60; trial++ {
+		n, keys := 1+rng.IntN(60*testPerPage), 1+rng.Int64N(5000)
+		recs := make([]record.Record, n)
+		for i := range recs {
+			recs[i] = record.Record{Key: rng.Int64N(keys), Amount: rng.Int64N(100), Seq: uint64(trial)<<32 | uint64(i)}
+		}
+		l := memLevel(t, sim, uint64(trial+1), recs, nil)
+		for j := range l.runEnd {
+			start, end := l.runStart(j), l.runEnd[j]
+			if start%testPerPage%blockSlots != 0 {
+				midStart++
+			}
+			if end%testPerPage%blockSlots != 0 {
+				midEnd++
+			}
+			if end-start == 1 || start%testPerPage == testPerPage-1 || end%testPerPage == 1 {
+				singleSlot++
+			}
+		}
+		boxes := []record.Box{record.FullBox(1), record.Box1D(-1, -1), record.Box1D(keys, keys+10)}
+		for i := 0; i < 20; i++ {
+			a, b := rng.Int64N(keys+2)-1, rng.Int64N(keys+2)-1
+			boxes = append(boxes, record.Box1D(min(a, b), max(a, b)), record.Box1D(a, 1<<62))
+		}
+		for i := 0; i < 5; i++ {
+			f := l.blockKey[rng.IntN(len(l.blockKey))]
+			boxes = append(boxes, record.Box1D(f, f), record.Box1D(f-1, f), record.Box1D(f, 1<<62))
+		}
+		for _, q := range boxes {
+			c := l.candidates(q)
+			if c.open && c.n > 0 {
+				open++
+			}
+			page := make([]byte, l.file.PageSize())
+			for j := range l.runEnd {
+				ck, ref := sim.Fork(), sim.Fork()
+				got, err := l.readRun(l.inserts.OnClock(ck), j, &c, page, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := wholePageRun(t, l, l.inserts.OnClock(ref), j, &c)
+				if !slices.Equal(got, want) {
+					t.Fatalf("level of %d, run %d, %v: span read returned %d records, whole pages %d", n, j, q, len(got), len(want))
+				}
+				if ck.Counters() != ref.Counters() || ck.Now() != ref.Now() {
+					t.Fatalf("level of %d, run %d, %v: span read charged %+v, whole pages %+v", n, j, q, ck.Counters(), ref.Counters())
+				}
+			}
+		}
+	}
+	if midStart == 0 || midEnd == 0 || singleSlot == 0 || open == 0 {
+		t.Fatalf("coverage: %d runs starting mid-block, %d ending mid-block, %d single-slot pages, %d open ranges; want some of each",
+			midStart, midEnd, singleSlot, open)
 	}
 }

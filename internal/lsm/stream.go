@@ -62,7 +62,8 @@ type Stream struct {
 	q      record.Box
 	mem    []record.Record
 	levels []levelSource
-	// page is the one buffer every run load of the stream reads through.
+	// page is the one buffer every run load of the stream reads through,
+	// borrowed from the first level's pool until Close.
 	page []byte
 	// pending parks a base draw whose tombstone probe failed transiently,
 	// so a retried draw resumes with the same record (nothing skipped).
@@ -120,7 +121,7 @@ func (s *Stream) baseIdx() int { return len(s.levels) + 1 }
 func (s *Stream) loadRun(i, attempts int) error {
 	ls := &s.levels[i]
 	if s.page == nil {
-		s.page = make([]byte, ls.itf.File().PageSize())
+		s.page = s.levels[0].itf.File().PageBuf()
 	}
 	var err error
 	ls.ready, err = ls.l.readRunRetry(ls.itf, ls.next, &ls.cand, s.page, ls.ready[:0], attempts)
@@ -179,6 +180,9 @@ func (s *Stream) Next() (record.Record, error) {
 // Callers serialize Close against draws and draw nothing afterwards.
 // Idempotent.
 func (s *Stream) Close() {
+	if s.page != nil {
+		s.levels[0].itf.File().PutPageBuf(s.page)
+	}
 	if s.checker != nil {
 		release(s.checker.levels)
 	}

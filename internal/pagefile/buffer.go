@@ -27,8 +27,7 @@ type PoolStats struct {
 // slice-aliasing hazard the previous Read API documented but could not
 // enforce).
 type Pool struct {
-	capacity int
-	shards   []poolShard
+	shards []poolShard
 }
 
 // poolShards is the number of lock stripes of a large pool. A small power
@@ -75,7 +74,7 @@ func NewPool(capacity int) *Pool {
 	if capacity < poolShards*minShardPages {
 		nshards = 1
 	}
-	p := &Pool{capacity: capacity, shards: make([]poolShard, nshards)}
+	p := &Pool{shards: make([]poolShard, nshards)}
 	for i := range p.shards {
 		// Distribute capacity over the shards, rounding so that the total
 		// capacity is preserved exactly.
@@ -99,9 +98,6 @@ func (p *Pool) shard(f *File, page int64) *poolShard {
 	h := (uint64(uint32(f.id))<<32 ^ uint64(page)) * 0x9e3779b97f4a7c15
 	return &p.shards[h>>56%uint64(len(p.shards))]
 }
-
-// Capacity returns the maximum number of cached pages.
-func (p *Pool) Capacity() int { return p.capacity }
 
 // Stats returns a snapshot of the aggregated hit/miss counters.
 func (p *Pool) Stats() PoolStats {

@@ -36,8 +36,9 @@ import (
 //
 // A layer that wants to read less than a page keeps, outside the page, the
 // CRC32-C of the payload prefix it will ask for (UpdateCRC at write time)
-// and reads with ReadPrefix; see there for what that does and does not
-// verify.
+// and reads with ReadPrefix, or the CRC32-C of each block of the spans it
+// will ask for, seeded with the page number, and reads with ReadSpan; see
+// there for what each does and does not verify.
 
 // frameHdrSize is the per-page header: CRC32-C plus the page number.
 const frameHdrSize = 8
@@ -154,7 +155,7 @@ func readSuper(b Backend, physSize int) error {
 		return &FormatError{}
 	}
 	frame := make([]byte, physSize)
-	if err := b.ReadPage(0, frame); err != nil {
+	if err := b.ReadPage(0, 0, frame); err != nil {
 		return err
 	}
 	if string(frame[frameHdrSize:frameHdrSize+len(superMagic)]) != superMagic {
@@ -194,7 +195,7 @@ func (f *File) CheckPage(i int64) error {
 	f.charge.ReadPage(f.id, phys)
 	frame := f.frames.get()
 	defer f.frames.put(frame)
-	if err := f.backend.ReadPage(phys, frame); err != nil {
+	if err := f.backend.ReadPage(phys, 0, frame); err != nil {
 		return err
 	}
 	if got, want, ok := verifyFrame(frame, phys); !ok {
@@ -213,7 +214,7 @@ func (f *File) CorruptStored(i int64, bit int64) error {
 	}
 	phys := i + f.physOff
 	frame := make([]byte, f.pageSize+frameHdrSize)
-	if err := f.backend.ReadPage(phys, frame); err != nil {
+	if err := f.backend.ReadPage(phys, 0, frame); err != nil {
 		return err
 	}
 	if bit < 0 {

@@ -119,21 +119,6 @@ func (t *ItemFile) Get(i int64, dst []byte) error {
 	return nil
 }
 
-// GetPooled reads item i into dst through the given buffer pool.
-func (t *ItemFile) GetPooled(pool *Pool, i int64, dst []byte) error {
-	if i < 0 || i >= t.count {
-		return fmt.Errorf("pagefile: item %d out of range [0,%d)", i, t.count)
-	}
-	page, off := t.locate(i)
-	buf := t.file.PageBuf()
-	defer t.file.PutPageBuf(buf)
-	if err := pool.ReadInto(t.file, page, buf); err != nil {
-		return err
-	}
-	copy(dst[:t.itemSize], buf[off:off+t.itemSize])
-	return nil
-}
-
 // burstPages is how many pages ItemWriter and ItemReader buffer: bursts
 // amortize one disk seek over several page transfers, the way any real
 // scan/copy pass allocates its buffers. Construction passes that read one

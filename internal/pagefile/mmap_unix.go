@@ -53,12 +53,12 @@ func (m *mmapBackend) PageView(i int64) ([]byte, bool) {
 	return m.mapping[off : off+int64(m.pageSize) : off+int64(m.pageSize)], true
 }
 
-func (m *mmapBackend) ReadPage(i int64, dst []byte) error {
+func (m *mmapBackend) ReadPage(i int64, off int, dst []byte) error {
 	if frame, ok := m.PageView(i); ok {
-		copy(dst, frame)
+		copy(dst, frame[off:])
 		return nil
 	}
-	if _, err := m.f.ReadAt(dst, i*int64(m.pageSize)); err != nil {
+	if _, err := m.f.ReadAt(dst, i*int64(m.pageSize)+int64(off)); err != nil {
 		return fmt.Errorf("pagefile: read page %d: %w", i, err)
 	}
 	return nil

@@ -29,9 +29,9 @@ var ErrPageOutOfRange = errors.New("pagefile: page index out of range")
 // ReadPage/WritePage calls to distinct pages; WritePage calls that extend
 // the backend require external synchronization.
 type Backend interface {
-	// ReadPage copies the leading len(dst) bytes of page i into dst (at most
-	// one page long).
-	ReadPage(i int64, dst []byte) error
+	// ReadPage copies bytes [off, off+len(dst)) of page i into dst (within
+	// the page).
+	ReadPage(i int64, off int, dst []byte) error
 	// WritePage stores src (exactly one page long) as page i, extending the
 	// backend if i is the current page count.
 	WritePage(i int64, src []byte) error
@@ -233,7 +233,7 @@ func (f *File) Sim() *iosim.Sim { return f.sim }
 // verification runs on every read; failures that outlive the budget surface
 // as *TransientError, *DeadPageError or *CorruptPageError.
 func (f *File) Read(i int64, dst []byte) error {
-	_, err := f.readPage(i, dst, false, wholePage, 0)
+	_, err := f.readPage(i, dst, false, nil)
 	return err
 }
 
@@ -246,7 +246,7 @@ func (f *File) Read(i int64, dst []byte) error {
 // must treat the result as read-only; a zero-copy result stays valid until
 // the file is closed.
 func (f *File) ReadPayload(i int64, dst []byte) ([]byte, error) {
-	return f.readPage(i, dst, true, wholePage, 0)
+	return f.readPage(i, dst, true, nil)
 }
 
 // ReadPrefix returns the first n payload bytes of logical page i, charging
@@ -261,17 +261,30 @@ func (f *File) ReadPayload(i int64, dst []byte) ([]byte, error) {
 // so damage past the prefix goes unseen here and is left to CheckPage. With
 // n == 0 nothing is fetched: the access is charged and may fault, no more.
 func (f *File) ReadPrefix(i int64, dst []byte, n int, want uint32) ([]byte, error) {
-	return f.readPage(i, dst, true, n, want)
+	return f.readPage(i, dst, true, &span{n: n, block: n, want: []uint32{want}, hdr: true})
 }
 
-// wholePage is readPage's prefix length for "the whole frame, verified
-// against the header's checksum".
-const wholePage = -1
+// ReadSpan returns payload bytes [off, off+n) of logical page i under the
+// rules of ReadPrefix, but moves no header: the span is cut at every multiple
+// of block bytes from the payload's start, and piece k is accepted iff
+// UpdateCRC(uint32(i), piece) == want[k]. Seeding with the page number makes
+// a span served from the wrong page fail, as the header's page number does.
+func (f *File) ReadSpan(i int64, dst []byte, off, n, block int, want []uint32) ([]byte, error) {
+	return f.readPage(i, dst, true, &span{off: off, n: n, block: block, seed: uint32(i), want: want})
+}
+
+// span is a read of payload bytes [off, off+n) checked as ReadSpan checks
+// it; with hdr the header is read too and its page number checked.
+type span struct {
+	off, n, block int
+	seed          uint32
+	want          []uint32
+	hdr           bool
+}
 
 // readPage is the one fault/attempt loop behind every read entry. Each
-// attempt fetches the whole frame (prefix == wholePage) or header + prefix
-// payload bytes checked against want.
-func (f *File) readPage(i int64, dst []byte, zerocopy bool, prefix int, want uint32) ([]byte, error) {
+// attempt fetches the whole frame (sp == nil) or the span.
+func (f *File) readPage(i int64, dst []byte, zerocopy bool, sp *span) ([]byte, error) {
 	n := f.NumPages()
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, i, n)
@@ -293,10 +306,10 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool, prefix int, want uin
 		}
 		var payload []byte
 		var err error
-		if prefix == wholePage {
+		if sp == nil {
 			payload, err = f.readFrame(phys, i, flt, dst, zerocopy)
 		} else {
-			payload, err = f.readFramePrefix(phys, i, flt, dst, prefix, want)
+			payload, err = f.readFrameSpan(phys, i, flt, dst, sp)
 		}
 		if err == nil {
 			return payload, nil
@@ -354,7 +367,7 @@ func (f *File) readFrame(phys, i int64, flt iosim.Fault, dst []byte, zerocopy bo
 	}
 	frame := f.frames.get()
 	defer f.frames.put(frame)
-	if err := f.backend.ReadPage(phys, frame); err != nil {
+	if err := f.backend.ReadPage(phys, 0, frame); err != nil {
 		return nil, err
 	}
 	if flt.FlipBit >= 0 {
@@ -368,34 +381,46 @@ func (f *File) readFrame(phys, i int64, flt iosim.Fault, dst []byte, zerocopy bo
 	return dst[:f.pageSize], nil
 }
 
-// readFramePrefix is readFrame moving and verifying only header + n payload
-// bytes. An attempt with injected bit rot is a whole-page attempt (the flip
-// lands anywhere in the frame and must fail it exactly as it fails Read),
-// as is one whose header and prefix do not fit dst.
-func (f *File) readFramePrefix(phys, i int64, flt iosim.Fault, dst []byte, n int, want uint32) ([]byte, error) {
-	if flt.FlipBit >= 0 || frameHdrSize+n > len(dst) {
+// readFrameSpan is readFrame moving and verifying only the span. An attempt
+// with injected bit rot is a whole-page attempt (the flip lands anywhere in
+// the frame and must fail it exactly as it fails Read), as is one whose
+// bytes do not fit dst.
+func (f *File) readFrameSpan(phys, i int64, flt iosim.Fault, dst []byte, sp *span) ([]byte, error) {
+	lo, from := frameHdrSize+sp.off, frameHdrSize+sp.off // in the frame: the span's first byte, and frame[0]'s
+	if sp.hdr {
+		from = 0
+	}
+	frame, ok := f.view(phys, flt)
+	switch {
+	case flt.FlipBit >= 0 || lo+sp.n-from > len(dst):
 		payload, err := f.readFrame(phys, i, flt, dst, true)
 		if err != nil {
 			return nil, err
 		}
-		return payload[:n], nil
-	}
-	if n == 0 {
+		frame, from = payload, frameHdrSize
+	case sp.n == 0:
 		return dst[:0], nil
-	}
-	frame, ok := f.view(phys, flt)
-	if !ok {
-		frame = dst[:frameHdrSize+n]
-		if err := f.backend.ReadPage(phys, frame); err != nil {
+	case ok:
+		from = 0
+	default:
+		frame = dst[:lo+sp.n-from]
+		if err := f.backend.ReadPage(phys, from, frame); err != nil {
 			return nil, err
 		}
 	}
-	payload := frame[frameHdrSize : frameHdrSize+n : frameHdrSize+n]
-	got := UpdateCRC(0, payload)
-	if got != want || binary.LittleEndian.Uint32(frame[4:8]) != uint32(phys) {
-		return nil, &CorruptPageError{Page: i, Got: got, Want: want}
+	body := frame[lo-from : lo-from+sp.n : lo-from+sp.n]
+	var got uint32
+	for k, at := 0, 0; at < sp.n; k++ {
+		next := min((sp.off+at)/sp.block*sp.block+sp.block-sp.off, sp.n)
+		if got = UpdateCRC(sp.seed, body[at:next]); got != sp.want[k] {
+			return nil, &CorruptPageError{Page: i, Got: got, Want: sp.want[k]}
+		}
+		at = next
 	}
-	return payload, nil
+	if sp.hdr && from == 0 && binary.LittleEndian.Uint32(frame[4:8]) != uint32(phys) {
+		return nil, &CorruptPageError{Page: i, Got: got, Want: got}
+	}
+	return body, nil
 }
 
 // Write writes logical page i from src (at least one page long), charging
@@ -475,8 +500,8 @@ type memBackend struct {
 	pages    [][]byte
 }
 
-func (m *memBackend) ReadPage(i int64, dst []byte) error {
-	copy(dst, m.pages[i])
+func (m *memBackend) ReadPage(i int64, off int, dst []byte) error {
+	copy(dst, m.pages[i][off:])
 	return nil
 }
 
@@ -511,8 +536,8 @@ type osBackend struct {
 	npages   int64
 }
 
-func (o *osBackend) ReadPage(i int64, dst []byte) error {
-	_, err := o.f.ReadAt(dst, i*int64(o.pageSize))
+func (o *osBackend) ReadPage(i int64, off int, dst []byte) error {
+	_, err := o.f.ReadAt(dst, i*int64(o.pageSize)+int64(off))
 	if err != nil {
 		return fmt.Errorf("pagefile: read page %d: %w", i, err)
 	}

@@ -315,13 +315,6 @@ func TestItemFileGet(t *testing.T) {
 	if err := itf.Get(7, dst); err == nil {
 		t.Fatal("Get past end should fail")
 	}
-	pool := NewPool(2)
-	if err := itf.GetPooled(pool, 3, dst); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0] != 13 {
-		t.Fatalf("GetPooled(3) = %d", dst[0])
-	}
 }
 
 func TestItemReaderAt(t *testing.T) {

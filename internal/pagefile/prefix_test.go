@@ -16,9 +16,9 @@ type countingBackend struct {
 	reads []int // len(dst) of each ReadPage, in call order
 }
 
-func (c *countingBackend) ReadPage(i int64, dst []byte) error {
+func (c *countingBackend) ReadPage(i int64, off int, dst []byte) error {
 	c.reads = append(c.reads, len(dst))
-	return c.memBackend.ReadPage(i, dst)
+	return c.memBackend.ReadPage(i, off, dst)
 }
 
 // PageView hides the embedded memory backend's zero-copy view, so reads take

@@ -166,9 +166,6 @@ func (p *File) Query(q record.Box) *Scanner {
 	return &Scanner{q: q, r: p.items.NewReaderBurst(0, 1), total: p.items.Count()}
 }
 
-// Scanned returns how many records have been examined so far.
-func (s *Scanner) Scanned() int64 { return s.scanned }
-
 // Next returns the next matching record, or io.EOF once the whole file has
 // been scanned.
 func (s *Scanner) Next() (record.Record, error) {

@@ -117,8 +117,8 @@ func TestQueryFiltersAndDoesNotRepeat(t *testing.T) {
 	if got != want {
 		t.Fatalf("scanner returned %d matches, relation holds %d", got, want)
 	}
-	if sc.Scanned() != pf.Count() {
-		t.Fatalf("Scanned = %d, want %d", sc.Scanned(), pf.Count())
+	if sc.scanned != pf.Count() {
+		t.Fatalf("Scanned = %d, want %d", sc.scanned, pf.Count())
 	}
 }
 

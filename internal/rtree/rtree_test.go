@@ -122,8 +122,8 @@ func TestSamplerMatchesPredicate(t *testing.T) {
 		}
 		seen[rec.Seq] = true
 	}
-	if s.Returned() != want/2 {
-		t.Fatalf("Returned = %d", s.Returned())
+	if int64(len(s.used)) != want/2 {
+		t.Fatalf("returned %d distinct records", len(s.used))
 	}
 }
 
@@ -234,7 +234,7 @@ func TestSamplerDisjointQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetMaxFutile(200)
+	s.maxFutile = 200
 	if _, err := s.Next(); err != io.EOF {
 		t.Fatalf("disjoint query should exhaust immediately, got %v", err)
 	}

@@ -51,12 +51,6 @@ func (t *Tree) NewSampler(q record.Box, rng *rand.Rand) (*Sampler, error) {
 	return &Sampler{t: t, q: q, rng: rng, used: make(map[int64]struct{}), maxFutile: DefaultMaxFutile}, nil
 }
 
-// SetMaxFutile overrides the exhaustion threshold (tests use small values).
-func (s *Sampler) SetMaxFutile(n int) { s.maxFutile = n }
-
-// Returned reports how many distinct records have been produced.
-func (s *Sampler) Returned() int64 { return int64(len(s.used)) }
-
 // Attempts reports how many descents have been performed, including
 // rejected ones. Every attempt costs a root-to-leaf walk, so harnesses
 // charging per-draw CPU should charge per attempt.

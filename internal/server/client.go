@@ -533,7 +533,7 @@ type RawBatch struct {
 // buffer entirely and decoding nothing — the body is appended to dst as it
 // arrived. The server fast-forwards (discarding records this caller
 // already holds from another replica) when the stream is behind pos, and
-// rejects with CodeStreamPosition (IsStreamPosition) when it is ahead — the
+// rejects with CodeStreamPosition when it is ahead — the
 // caller then reopens at pos. PullAt is the fleet router's primitive for
 // hedged reads and migration; do not mix it with the buffered
 // Next/NextBatch on the same stream.

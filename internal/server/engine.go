@@ -77,7 +77,6 @@ type EndpointStream interface {
 // without stalling serving.
 type engineCounters struct {
 	ConnsAccepted   atomic.Int64
-	ConnsClosed     atomic.Int64
 	ConnsRejected   atomic.Int64
 	StreamsOpened   atomic.Int64
 	StreamsClosed   atomic.Int64 // cancel + EOF + session teardown

@@ -87,14 +87,6 @@ func IsAdmissionReject(err error) bool {
 	return ok && (se.Code == CodeServerStreams || se.Code == CodeConnStreams || se.Code == CodeTenantStreams)
 }
 
-// IsStreamPosition reports whether err is a typed position-rewind
-// rejection: the stream cannot serve records behind its current position
-// and must be reopened at the position the caller wants.
-func IsStreamPosition(err error) bool {
-	se, ok := err.(*Error)
-	return ok && se.Code == CodeStreamPosition
-}
-
 // IsTransient reports whether err is a typed transient server failure:
 // the stream made no progress and repeating the request resumes exactly
 // where the fault struck.
