@@ -109,7 +109,7 @@ func Create(dst *pagefile.File, src *pagefile.ItemFile, p Params) (*Tree, error)
 // records, and the summary region. The directory's section counts and the
 // data bounds are already known from tagging.
 func (t *Tree) writeFile(sorted *pagefile.ItemFile, workers int) error {
-	t.initOccRanges()
+	t.initSketch()
 	if err := t.writeHeader(); err != nil {
 		return err
 	}
@@ -389,7 +389,7 @@ func (t *Tree) writeLeafData(sorted *pagefile.ItemFile) error {
 			page[i] = 0
 		}
 		m := &t.leaves[current]
-		t.sealPage(current, t.f.NumPages()-m.firstPage, page, m.secCRC, m.occ)
+		t.sealPage(current, t.f.NumPages()-m.firstPage, page, m.secCRC, m.sketch)
 		if _, err := t.f.Append(page); err != nil {
 			return err
 		}

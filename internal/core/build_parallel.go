@@ -296,7 +296,7 @@ func (t *Tree) writeLeafDataParallel(sorted *pagefile.ItemFile, workers int) err
 					}
 					m := &t.leaves[leaf]
 					for p := int64(0); p < pageOff[leaf+1]-pageOff[leaf]; p++ {
-						t.sealPage(leaf, p, out[base+p*int64(ps):][:ps], m.secCRC, m.occ)
+						t.sealPage(leaf, p, out[base+p*int64(ps):][:ps], m.secCRC, m.sketch)
 					}
 				}
 				if err != nil {

@@ -25,9 +25,9 @@
 //	split region:      per internal node: split key, left/right counts
 //	directory region:  per leaf: first data page + per-section counts
 //	leaf data region:  each leaf page-aligned, records grouped by section
-//	summary region:    per leaf: one CRC32-C per section, then an occupancy
-//	                   bitmap for each of the first occSections sections (the
-//	                   directory's second half, see below)
+//	summary region:    per leaf: one CRC32-C per section, then the key sketch
+//	                   of the first sketchSections sections (the directory's
+//	                   second half, see below), entries packed across pages
 //
 // The split, directory and summary regions are small (tens to a few hundred
 // bytes per node/leaf) and are read sequentially once at Open, mirroring the
@@ -39,11 +39,11 @@
 // ends, from that page's first byte through the section's last record; with
 // it a stab reads, verifies and decodes the usable prefix alone
 // (readLeafInto) while the simulated disk is still charged the whole leaf.
-// The occupancy bitmap of section s has bit b set when some record of the
-// section has its dimension-0 key in bucket b of the section's region
-// (clamped to the data bounds, cut into occBits equal buckets): a stab whose
-// sections 1..k cannot hold a key of the query skips the leaf's I/O
-// (Stream.combineTuples). The summaries sit after the leaf data rather than
+// The key sketch of section s is the sorted list of its records' dimension-0
+// keys, each quantized to 16 bits within the section's region (clamped to
+// the data bounds, cut into 2^16 equal buckets), one uint16 per record: a
+// stab whose sections 1..k hold no key in the query's quantized range skips
+// the leaf's I/O (Stream.combineTuples). The summaries sit after the leaf data rather than
 // inside the directory entries so that every leaf stays on the page format
 // 1 put it on: the fault plans of internal/iosim are keyed by physical page,
 // and a shifted data region would meet a different fault schedule.
@@ -53,6 +53,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
@@ -61,19 +62,17 @@ import (
 
 const (
 	// magic ends in the tree format version. Version 2 added the directory's
-	// per-section prefix checksums, version 3 the occupancy bitmaps beside
-	// them; an older file is refused (FormatError).
-	magic      = uint64(0x5356414345545233) // "SVACETR3"
+	// per-section prefix checksums, version 3 occupancy bitmaps beside them,
+	// version 4 the key sketches that replaced the bitmaps; an older file is
+	// refused (FormatError).
+	magic      = uint64(0x5356414345545234) // "SVACETR4"
 	magicStem  = magic &^ 0xff
 	treeFormat = int(magic&0xff) - '0'
 
-	// A leaf keeps an occBits-bucket occupancy bitmap for each of its first
-	// occSections sections: 256 × 4 costs 128 bytes a leaf (4 pages of 64
-	// KiB on a 1M-record view) and was chosen by measured skip rate
-	// (DESIGN.md, "Occupancy bits").
-	occBits     = 256
-	occSections = 4
-	occWords    = occBits / 64
+	// A leaf keeps a key sketch, 2 bytes a record, for each of its first
+	// sketchSections sections: 10 pages of 64 KiB on a 1M-record view, and
+	// the width was chosen by measured skip rate (DESIGN.md, "Key sketch").
+	sketchSections = 4
 
 	// MaxHeight bounds the tree height; 2^(MaxHeight-1) leaves is far more
 	// than any laptop-scale relation needs.
@@ -147,9 +146,9 @@ type leafMeta struct {
 	// ends, through the section's last record (0 while sections 0..s hold no
 	// record): what a prefix read ending with section s is verified against.
 	secCRC []uint32
-	// occ holds the occupancy bitmaps of sections 0..occSecs(h)-1, occWords
-	// words each.
-	occ []uint64
+	// sketch holds the key sketches of sections 0..sketchSecs(h)-1 in
+	// section order, each as long as its section's count (initSketch).
+	sketch []uint16
 }
 
 // newLeafMetas allocates the directory of an nLeaves-leaf tree of height h.
@@ -157,18 +156,24 @@ func newLeafMetas(nLeaves int64, h int) []leafMeta {
 	leaves := make([]leafMeta, nLeaves)
 	counts := make([]int32, nLeaves*int64(h))
 	crcs := make([]uint32, nLeaves*int64(h))
-	w := occSecs(h) * occWords
-	occ := make([]uint64, nLeaves*int64(w))
 	for i := range leaves {
 		leaves[i].secCounts = counts[i*h : (i+1)*h : (i+1)*h]
 		leaves[i].secCRC = crcs[i*h : (i+1)*h : (i+1)*h]
-		leaves[i].occ = occ[i*w : (i+1)*w : (i+1)*w]
 	}
 	return leaves
 }
 
-// occSecs is how many sections of a height-h tree's leaves keep bitmaps.
-func occSecs(h int) int { return min(h, occSections) }
+// sketchSecs is how many sections of a height-h tree's leaves keep sketches.
+func sketchSecs(h int) int { return min(h, sketchSections) }
+
+// sketchLen is the number of keys in the leaf's sketch.
+func (m *leafMeta) sketchLen() int64 {
+	var n int64
+	for _, c := range m.secCounts[:sketchSecs(len(m.secCounts))] {
+		n += int64(c)
+	}
+	return n
+}
 
 func (m *leafMeta) totalRecords() int64 {
 	var n int64
@@ -196,9 +201,9 @@ type Tree struct {
 	// dataMin/dataMax bound the stored coordinates per dimension; they are
 	// used to clamp edge regions when interpolating count estimates.
 	dataMin, dataMax []int64
-	// occRange[idx] is heap node idx's dimension-0 region clamped to the data
-	// bounds, for the nodes whose sections keep occupancy bitmaps.
-	occRange []record.Range
+	// sketchRegion[idx] is heap node idx's dimension-0 region clamped to the
+	// data bounds, for the nodes whose sections keep key sketches.
+	sketchRegion []record.Range
 
 	// free holds the scratch objects closed streams handed back (see
 	// Stream.Close); clocked views share their tree's list.
@@ -299,11 +304,14 @@ func (t *Tree) splitStart() int64    { return 1 }
 func (t *Tree) dirStart() int64      { return t.splitStart() + t.splitPages() }
 func (t *Tree) leafDataStart() int64 { return t.dirStart() + t.dirPages() }
 
-// The summary region is the file's last sumPages pages.
-func (t *Tree) sumEntrySize() int { return 4*t.h + 8*occSecs(t.h)*occWords }
-
+// The summary region is the file's last sumPages pages: every leaf's h
+// prefix checksums and its sketch, packed.
 func (t *Tree) sumPages() int64 {
-	return ceilDiv(t.nLeaves, int64(t.f.PageSize()/t.sumEntrySize()))
+	n := t.nLeaves * 4 * int64(t.h)
+	for i := range t.leaves {
+		n += 2 * t.leaves[i].sketchLen()
+	}
+	return ceilDiv(n, int64(t.f.PageSize()))
 }
 
 func (t *Tree) sumStart() int64 { return t.f.NumPages() - t.sumPages() }
@@ -345,37 +353,72 @@ func Open(f *pagefile.File) (*Tree, error) {
 	if err := t.readSplitRegion(); err != nil {
 		return nil, err
 	}
-	if t.sumStart() < t.leafDataStart() {
+	if t.leafDataStart() > f.NumPages() {
 		return nil, fmt.Errorf("core: corrupt header (h=%d needs %d pages, file has %d)",
-			t.h, t.leafDataStart()+t.sumPages(), f.NumPages())
+			t.h, t.leafDataStart(), f.NumPages())
 	}
 	if err := t.readDirRegion(); err != nil {
 		return nil, err
 	}
+	if t.sumStart() < t.leafDataStart() {
+		return nil, fmt.Errorf("core: corrupt directory (h=%d needs %d pages, file has %d)",
+			t.h, t.leafDataStart()+t.sumPages(), f.NumPages())
+	}
+	t.initSketch()
 	if err := t.readSummaryRegion(); err != nil {
 		return nil, err
 	}
-	t.initOccRanges()
 	return t, nil
 }
 
-// initOccRanges fills occRange from the splits and data bounds.
-func (t *Tree) initOccRanges() {
-	t.occRange = make([]record.Range, 1<<occSecs(t.h))
-	for idx := range t.occRange[1:] {
+// initSketch fills sketchRegion from the splits and data bounds and sizes
+// every leaf's sketch from its section counts.
+func (t *Tree) initSketch() {
+	t.sketchRegion = make([]record.Range, 1<<sketchSecs(t.h))
+	for idx := range t.sketchRegion[1:] {
 		r := t.nodeBox(int64(idx + 1)).Dim(0)
-		t.occRange[idx+1] = record.Range{Lo: max(r.Lo, t.dataMin[0]), Hi: min(r.Hi, t.dataMax[0])}
+		t.sketchRegion[idx+1] = record.Range{Lo: max(r.Lo, t.dataMin[0]), Hi: min(r.Hi, t.dataMax[0])}
+	}
+	var n int64
+	for i := range t.leaves {
+		n += t.leaves[i].sketchLen()
+	}
+	keys := make([]uint16, n)
+	for i := range t.leaves {
+		n := t.leaves[i].sketchLen()
+		t.leaves[i].sketch, keys = keys[:n:n], keys[n:]
 	}
 }
 
-// occBucket is the occupancy bucket of key x (clamped into r) in region r.
-func occBucket(r record.Range, x int64) int {
+// sketchKey is key x (clamped into r) quantized to 16 bits within region r:
+// ⌊(x − r.Lo)·2¹⁶ / (r.Hi − r.Lo + 1)⌋, monotone in x.
+func sketchKey(r record.Range, x int64) uint16 {
 	x = max(min(x, r.Hi), r.Lo)
-	hi, lo := bits.Mul64(uint64(x-r.Lo), occBits)
+	hi, lo := bits.Mul64(uint64(x-r.Lo), 1<<16)
 	if span := uint64(r.Hi-r.Lo) + 1; span != 0 {
 		hi, _ = bits.Div64(hi, lo, span)
 	}
-	return int(hi)
+	return uint16(hi)
+}
+
+// keySpan is a query's dimension-0 range quantized into one node's sketch
+// region; lo > hi when the query meets none of the region's keys.
+type keySpan struct{ lo, hi uint16 }
+
+// quantizeSpan is the span of sketch values a key of region r inside q can
+// have. Quantizing is monotone, so no such key falls outside it.
+func quantizeSpan(r, q record.Range) keySpan {
+	lo, hi := max(r.Lo, q.Lo), min(r.Hi, q.Hi)
+	if lo > hi {
+		return keySpan{1, 0}
+	}
+	return keySpan{sketchKey(r, lo), sketchKey(r, hi)}
+}
+
+// meets reports whether the sorted sketch keys hold a value inside s.
+func (s keySpan) meets(keys []uint16) bool {
+	i, _ := slices.BinarySearch(keys, s.lo)
+	return i < len(keys) && keys[i] <= s.hi
 }
 
 func (t *Tree) writeHeader() error {
@@ -419,6 +462,23 @@ func (w *regionWriter) write(entry []byte) error {
 	return nil
 }
 
+// stream writes b on from where the last write ended, continuing on the next
+// page when this one fills: the summary region's entries vary in length, so
+// they are packed across page ends.
+func (w *regionWriter) stream(b []byte) error {
+	for len(b) > 0 {
+		if w.off == len(w.page) {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+		n := copy(w.page[w.off:], b)
+		w.off += n
+		b = b[n:]
+	}
+	return nil
+}
+
 func (w *regionWriter) flush() error {
 	if w.pg >= w.limit {
 		return fmt.Errorf("core: region overflow at page %d", w.pg)
@@ -457,16 +517,38 @@ func (t *Tree) newRegionReader(start int64) *regionReader {
 
 func (r *regionReader) read(n int) ([]byte, error) {
 	if !r.loaded || r.off+n > len(r.page) {
-		if err := r.f.Read(r.next, r.page); err != nil {
+		if err := r.load(); err != nil {
 			return nil, err
 		}
-		r.next++
-		r.off = 0
-		r.loaded = true
 	}
 	b := r.page[r.off : r.off+n]
 	r.off += n
 	return b, nil
+}
+
+func (r *regionReader) load() error {
+	if err := r.f.Read(r.next, r.page); err != nil {
+		return err
+	}
+	r.next++
+	r.off = 0
+	r.loaded = true
+	return nil
+}
+
+// stream fills dst from regionWriter.stream's packed entries.
+func (r *regionReader) stream(dst []byte) error {
+	for len(dst) > 0 {
+		if !r.loaded || r.off == len(r.page) {
+			if err := r.load(); err != nil {
+				return err
+			}
+		}
+		n := copy(dst, r.page[r.off:])
+		r.off += n
+		dst = dst[n:]
+	}
+	return nil
 }
 
 func (t *Tree) writeSplitRegion() error {
@@ -529,6 +611,9 @@ func (t *Tree) readDirRegion() error {
 		m.firstPage = int64(binary.LittleEndian.Uint64(b[0:8]))
 		for s := 0; s < t.h; s++ {
 			m.secCounts[s] = int32(binary.LittleEndian.Uint32(b[8+4*s:]))
+			if m.secCounts[s] < 0 {
+				return fmt.Errorf("core: corrupt directory (leaf %d section %d counts %d records)", i, s+1, m.secCounts[s])
+			}
 		}
 	}
 	return nil
@@ -538,15 +623,16 @@ func (t *Tree) readDirRegion() error {
 // complete, since the region is located from the end of the file.
 func (t *Tree) writeSummaryRegion() error {
 	w := t.newRegionWriter(t.f.NumPages(), t.sumPages())
-	entry := make([]byte, t.sumEntrySize())
+	var entry []byte
 	for i := range t.leaves {
-		for s, crc := range t.leaves[i].secCRC {
-			binary.LittleEndian.PutUint32(entry[4*s:], crc)
+		entry = entry[:0]
+		for _, crc := range t.leaves[i].secCRC {
+			entry = binary.LittleEndian.AppendUint32(entry, crc)
 		}
-		for j, word := range t.leaves[i].occ {
-			binary.LittleEndian.PutUint64(entry[4*t.h+8*j:], word)
+		for _, key := range t.leaves[i].sketch {
+			entry = binary.LittleEndian.AppendUint16(entry, key)
 		}
-		if err := w.write(entry); err != nil {
+		if err := w.stream(entry); err != nil {
 			return err
 		}
 	}
@@ -555,16 +641,18 @@ func (t *Tree) writeSummaryRegion() error {
 
 func (t *Tree) readSummaryRegion() error {
 	r := t.newRegionReader(t.sumStart())
+	var entry []byte
 	for i := range t.leaves {
-		b, err := r.read(t.sumEntrySize())
-		if err != nil {
+		m := &t.leaves[i]
+		entry = resized(entry, 4*t.h+2*len(m.sketch))
+		if err := r.stream(entry); err != nil {
 			return err
 		}
-		for s := range t.leaves[i].secCRC {
-			t.leaves[i].secCRC[s] = binary.LittleEndian.Uint32(b[4*s:])
+		for s := range m.secCRC {
+			m.secCRC[s] = binary.LittleEndian.Uint32(entry[4*s:])
 		}
-		for j := range t.leaves[i].occ {
-			t.leaves[i].occ[j] = binary.LittleEndian.Uint64(b[4*t.h+8*j:])
+		for j := range m.sketch {
+			m.sketch[j] = binary.LittleEndian.Uint16(entry[4*t.h+2*j:])
 		}
 	}
 	return nil
@@ -573,10 +661,12 @@ func (t *Tree) readSummaryRegion() error {
 // sealPage is the one definition of a leaf's summary: given the payload of
 // the leaf's page p (leaf-relative), it stores into crc[s] the checksum of
 // every section s that ends on that page, chaining so each byte is hashed
-// once, and sets in occ the bucket bit of every key the page holds for a
-// section that keeps a bitmap. The builders call it with m.secCRC, m.occ on
-// every page they write; fsck calls it on every page it reads and compares.
-func (t *Tree) sealPage(leaf, p int64, payload []byte, crc []uint32, occ []uint64) {
+// once, and into sketch the quantized key of every record the page holds
+// for a section that keeps a sketch, sorting the section's run once its last
+// page is sealed. The builders call it with m.secCRC, m.sketch on every page
+// they write, in page order; fsck calls it on every page it reads and
+// compares.
+func (t *Tree) sealPage(leaf, p int64, payload []byte, crc []uint32, sketch []uint16) {
 	m := &t.leaves[leaf]
 	perPage := int64(t.f.PageSize() / record.Size)
 	lo, hi := p*perPage, (p+1)*perPage
@@ -585,11 +675,11 @@ func (t *Tree) sealPage(leaf, p int64, payload []byte, crc []uint32, occ []uint6
 	off := 0
 	for s, c := range m.secCounts {
 		start, end = end, end+int64(c)
-		if s < len(m.occ)/occWords {
-			r := t.occRange[(t.nLeaves+leaf)>>(t.h-1-s)]
+		sketched := s < sketchSecs(t.h)
+		if sketched {
+			r := t.sketchRegion[(t.nLeaves+leaf)>>(t.h-1-s)]
 			for i := max(start, lo); i < min(end, hi); i++ {
-				b := occBucket(r, int64(binary.LittleEndian.Uint64(payload[(i-lo)*record.Size:])))
-				occ[s*occWords+b/64] |= 1 << (b % 64)
+				sketch[i] = sketchKey(r, int64(binary.LittleEndian.Uint64(payload[(i-lo)*record.Size:])))
 			}
 		}
 		if end <= lo {
@@ -602,6 +692,9 @@ func (t *Tree) sealPage(leaf, p int64, payload []byte, crc []uint32, occ []uint6
 		sum = pagefile.UpdateCRC(sum, payload[off:n])
 		off = n
 		crc[s] = sum
+		if sketched {
+			slices.Sort(sketch[start:end])
+		}
 	}
 }
 
@@ -666,10 +759,10 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 	// leaf for fsck (every page is then "before" it, i.e. read whole).
 	last := ceilDiv(use, perPage) - 1
 	var resealed []uint32
-	var reocc []uint64
+	var resketch []uint16
 	if q == nil {
 		k, use, last = t.h, total, pages
-		resealed, reocc = make([]uint32, t.h), make([]uint64, len(m.occ))
+		resealed, resketch = make([]uint32, t.h), make([]uint16, len(m.sketch))
 	}
 	d.page = resized(d.page, t.f.PageSize())
 	// The arena has room for the whole prefix, so it never moves under the
@@ -695,7 +788,7 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 			return nil, err
 		}
 		if q == nil {
-			t.sealPage(ordinal, p, payload, resealed, reocc)
+			t.sealPage(ordinal, p, payload, resealed, resketch)
 		}
 		for n > 0 {
 			if left == 0 {
@@ -722,10 +815,14 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 				ordinal, s+1, want, got)
 		}
 	}
-	for j, got := range reocc {
-		if want := m.occ[j]; got != want {
-			return nil, fmt.Errorf("core: leaf %d section %d: directory occupancy word %d is %016x, keys set %016x",
-				ordinal, j/occWords+1, j%occWords, want, got)
+	for j, got := range resketch {
+		if want := m.sketch[j]; got != want {
+			s, at := 0, j // the section holding sketch index j, and j's rank in it
+			for ; at >= int(m.secCounts[s]); s++ {
+				at -= int(m.secCounts[s])
+			}
+			return nil, fmt.Errorf("core: leaf %d section %d: sketch key %d is %d, pages give %d",
+				ordinal, s+1, at, want, got)
 		}
 	}
 	for ; sec < k; sec++ {

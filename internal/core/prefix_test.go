@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -348,7 +349,7 @@ func TestStoredCorruptionIsLocalised(t *testing.T) {
 func TestPrefixChecksumTableIsCovered(t *testing.T) {
 	sim := tinySim()
 	tree, _ := buildTestTree(t, sim, 2000, Params{Height: 5, Seed: 2}, 2)
-	bit := int64(8 * (8 + 3*tree.sumEntrySize() + 4*2)) // leaf 3's section-3 checksum
+	bit := 8 * (8 + sumEntryOffset(tree, 3) + 4*2) // leaf 3's section-3 checksum
 	if err := tree.f.CorruptStored(tree.sumStart(), bit); err != nil {
 		t.Fatal(err)
 	}
@@ -369,29 +370,50 @@ func TestPrefixChecksumTableIsCovered(t *testing.T) {
 	}
 }
 
-// TestOccupancyBitIsVerified clears one stored occupancy bit and re-seals
-// its page, as a builder bug would leave it: no page checksum sees it, and a
-// skipping stream whose predicate meets only that bucket drops the record
-// that set it. Verify must name the leaf and section.
-func TestOccupancyBitIsVerified(t *testing.T) {
+// sumEntryOffset is the byte offset of leaf's entry in the summary region.
+func sumEntryOffset(tree *Tree, leaf int64) int64 {
+	var off int64
+	for i := range leaf {
+		off += 4*int64(tree.h) + 2*tree.leaves[i].sketchLen()
+	}
+	return off
+}
+
+// TestKeySketchIsVerified moves one stored sketch key out of its bucket and
+// re-seals its page, as a builder bug would leave it: no page checksum sees
+// it, and a skipping stream whose predicate meets only that bucket drops the
+// record that set it. Verify must name the leaf and section.
+func TestKeySketchIsVerified(t *testing.T) {
 	sim := tinySim()
 	tree, _ := buildTestTree(t, sim, 2000, Params{Height: 5, Seed: 2}, 2)
 	const leaf, sec = 6, 1 // 0-based section: the level-2 region
 	sections, err := tree.readLeaf(leaf)
-	if err != nil || len(sections[sec]) == 0 {
+	if err != nil || len(sections[sec]) < 2 {
 		t.Fatalf("leaf %d section %d: %v, %d records; pick another fixture", leaf, sec+1, err, len(sections[sec]))
 	}
+	m := &tree.leaves[leaf]
+	keys := m.sketch[m.secCounts[0]:][:m.secCounts[sec]]
 	x := sections[sec][0].Key
-	b := occBucket(tree.occRange[(tree.nLeaves+leaf)>>(tree.h-1-sec)], x)
-	perPage := int64(tree.f.PageSize() / tree.sumEntrySize())
-	page := tree.sumStart() + leaf/perPage
-	buf := make([]byte, tree.f.PageSize())
+	v := sketchKey(tree.sketchRegion[(tree.nLeaves+leaf)>>(tree.h-1-sec)], x)
+	j, found := slices.BinarySearch(keys, v)
+	if !found || (j+1 < len(keys) && keys[j+1] == v) || (j > 0 && keys[j-1] == v) {
+		t.Fatalf("key %d's sketch value %d is not stored exactly once in %v; pick another fixture", x, v, keys)
+	}
+	moved := keys[max(j-1, 0)] // a neighbour's value keeps the run sorted
+	if j == 0 {
+		moved = keys[1]
+	}
+	off := sumEntryOffset(tree, leaf) + 4*int64(tree.h) + 2*(int64(m.secCounts[0])+int64(j))
+	ps := int64(tree.f.PageSize())
+	if off%ps == ps-1 {
+		t.Fatalf("the stored key straddles a summary page end; pick another fixture")
+	}
+	page := tree.sumStart() + off/ps
+	buf := make([]byte, ps)
 	if err := tree.f.Read(page, buf); err != nil {
 		t.Fatal(err)
 	}
-	off := int(leaf%perPage)*tree.sumEntrySize() + 4*tree.h + 8*(sec*occWords+b/64)
-	word := binary.LittleEndian.Uint64(buf[off:])
-	binary.LittleEndian.PutUint64(buf[off:], word&^(1<<(b%64)))
+	binary.LittleEndian.PutUint16(buf[off%ps:], moved)
 	if err := tree.f.Write(page, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +422,7 @@ func TestOccupancyBitIsVerified(t *testing.T) {
 		t.Fatalf("Open over a re-sealed summary page = %v", err)
 	}
 	q := record.Box1D(x, x)
-	count := func(opts StreamOptions) int {
+	drain := func(opts StreamOptions) map[uint64]record.Record {
 		s, err := bad.QueryWithOptions(q, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -409,20 +431,33 @@ func TestOccupancyBitIsVerified(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(recs)
+		bySeq := make(map[uint64]record.Record)
+		for _, r := range recs {
+			bySeq[r.Seq] = r
+		}
+		return bySeq
 	}
-	if read, skipped := count(StreamOptions{ReadEveryLeaf: true}), count(StreamOptions{}); skipped >= read {
-		t.Fatalf("key %d: the skipping stream found %d records, reading every leaf %d; the cleared bit should hide one", x, skipped, read)
+	read, skipped := drain(StreamOptions{ReadEveryLeaf: true}), drain(StreamOptions{})
+	var dropped []record.Record
+	for seq, r := range read {
+		if _, ok := skipped[seq]; !ok {
+			dropped = append(dropped, r)
+		}
+	}
+	if want := sections[sec][0]; len(dropped) != 1 || dropped[0] != want || len(skipped) != len(read)-1 {
+		t.Fatalf("key %d: the skipping stream dropped %v of %d records; the moved key should hide exactly %v",
+			x, dropped, len(read), want)
 	}
 	want := fmt.Sprintf("leaf %d section %d", leaf, sec+1)
 	if err := bad.Verify(); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Verify with a cleared occupancy bit = %v, want it to name %s", err, want)
+		t.Fatalf("Verify with a moved sketch key = %v, want it to name %s", err, want)
 	}
 }
 
 // TestFormat1Refused: a tree file of a previous format (1: no prefix
-// checksums, 2: no occupancy bits) fails Open with a typed error saying what
-// to do, not with "bad magic" and not by being read.
+// checksums, 2: no occupancy bits, 3: bitmaps, not key sketches) fails Open
+// with a typed error saying what to do, not with "bad magic" and not by
+// being read.
 func TestFormat1Refused(t *testing.T) {
 	sim := tinySim()
 	tree, _ := buildTestTree(t, sim, 500, Params{}, 1)
@@ -431,14 +466,14 @@ func TestFormat1Refused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fe *FormatError
-	for _, old := range []int{1, 2} {
+	for _, old := range []int{1, 2, 3} {
 		copy(page, fmt.Sprintf("%dRTECAVS", old)) // little-endian "SVACETR<old>"
 		if err := tree.f.Write(0, page); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Open(tree.f)
-		if !errors.As(err, &fe) || fe.Found != old || fe.Wanted != 3 {
-			t.Fatalf("Open of a format-%d tree = %v, want FormatError{%d, 3}", old, err, old)
+		if !errors.As(err, &fe) || fe.Found != old || fe.Wanted != 4 {
+			t.Fatalf("Open of a format-%d tree = %v, want FormatError{%d, 4}", old, err, old)
 		}
 	}
 	copy(page, "notatree")

@@ -82,10 +82,9 @@ type scratch struct {
 	// contains the query: computeRequired compares boxes once per stream, and
 	// every stab after it routes and combines on these bits.
 	overlaps, covers []bool
-	// want[idx*occWords:][:occWords] marks the occupancy buckets of heap node
-	// idx's region that the query meets, for overlapping nodes whose sections
-	// keep bitmaps.
-	want []uint64
+	// spans[idx] is the query's dimension-0 range quantized into heap node
+	// idx's sketch region, for overlapping nodes whose sections keep sketches.
+	spans []keySpan
 
 	// buckets[s] holds parked batches keyed by heap node index. The batches
 	// themselves are exact-size allocations of the stream that parked them
@@ -129,7 +128,7 @@ func (t *Tree) getScratch() *scratch {
 	clear(sc.overlaps)
 	sc.covers = resized(sc.covers, int(2*t.nLeaves))
 	clear(sc.covers)
-	sc.want = resized(sc.want, len(t.occRange)*occWords)
+	sc.spans = resized(sc.spans, len(t.sketchRegion))
 	sc.requiredAll = resized(sc.requiredAll, t.h)
 	sc.buckets = resized(sc.buckets, t.h)
 	for i := range sc.buckets {
@@ -195,8 +194,8 @@ type StreamOptions struct {
 	WeightedShuttle bool
 	// ReadEveryLeaf makes every stab read its leaf, the published
 	// one-leaf-per-stab cost the paper's figures are drawn against. By
-	// default a stab whose sections' occupancy bits show no key of the
-	// query skips the read. The records, their order and the stabs are the
+	// default a stab whose sections' key sketches show no key of the query
+	// skips the read. The records, their order and the stabs are the
 	// same either way; only the pages charged (and their faults) differ.
 	ReadEveryLeaf bool
 }
@@ -248,15 +247,8 @@ func (s *Stream) computeRequired(idx int64, level int, box record.Box) {
 	}
 	s.requiredAll[level-1] = append(s.requiredAll[level-1], idx)
 	s.overlaps[idx], s.covers[idx] = true, box.ContainsBox(s.q)
-	if idx < int64(len(s.t.occRange)) {
-		want := s.want[idx*occWords:][:occWords]
-		clear(want)
-		r, q := s.t.occRange[idx], s.q.Dim(0)
-		if lo, hi := max(r.Lo, q.Lo), min(r.Hi, q.Hi); lo <= hi {
-			for b := occBucket(r, lo); b <= occBucket(r, hi); b++ {
-				want[b/64] |= 1 << (b % 64)
-			}
-		}
+	if idx < int64(len(s.t.sketchRegion)) {
+		s.spans[idx] = quantizeSpan(s.t.sketchRegion[idx], s.q.Dim(0))
 	}
 	if level == s.t.h {
 		return
@@ -460,7 +452,7 @@ func (s *Stream) shuttle() {
 // Regions nest along the stab's path, so the sections whose region overlaps
 // the query are sections 1..k for some k, and the rest are useless: k is
 // known before the read, and only that prefix of the leaf is fetched. When
-// the occupancy bits show that none of sections 1..k holds a key of the
+// the key sketches show that none of sections 1..k holds a key of the
 // query, nothing is read and the combine runs on k empty sections, exactly
 // as after a read that filtered them all away: the same empty batches are
 // parked and the emitted sequence does not change.
@@ -505,21 +497,23 @@ func (s *Stream) combineTuples(leaf int64) (int, error) {
 }
 
 // mayMatch reports whether any of sections 1..k of leaf m can hold a record
-// of the query: a section past the bitmapped ones can if it is not empty.
+// of the query: a sketched section can if one of its keys falls in the
+// query's span for its region, a section past the sketched ones if it is not
+// empty.
 func (s *Stream) mayMatch(m *leafMeta, k int) bool {
+	keys := m.sketch
 	for sec := 0; sec < k; sec++ {
-		if sec >= len(m.occ)/occWords {
-			if m.secCounts[sec] != 0 {
+		n := int(m.secCounts[sec])
+		if sec >= sketchSections {
+			if n != 0 {
 				return true
 			}
 			continue
 		}
-		want := s.want[s.path[sec+1]*occWords:][:occWords]
-		for w, bits := range m.occ[sec*occWords:][:occWords] {
-			if bits&want[w] != 0 {
-				return true
-			}
+		if s.spans[s.path[sec+1]].meets(keys[:n]) {
+			return true
 		}
+		keys = keys[n:]
 	}
 	return false
 }

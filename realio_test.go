@@ -107,7 +107,7 @@ func TestBackendStreamEquivalence(t *testing.T) {
 // tree format and checks that Open and OpenSharded fail with the typed
 // *FormatError and its "rebuild the view" text intact, whatever wraps it.
 func TestOldTreeFormatRefused(t *testing.T) {
-	for _, old := range []byte{'1', '2'} {
+	for _, old := range []byte{'1', '2', '3'} {
 		t.Run("format"+string(old), func(t *testing.T) { checkOldTreeFormatRefused(t, old) })
 	}
 }
@@ -124,7 +124,7 @@ func checkOldTreeFormatRefused(t *testing.T, old byte) {
 		if err := f.Read(0, page); err != nil {
 			t.Fatal(err)
 		}
-		page[0] = old // "SVACETR3" is stored little-endian: the version digit comes first
+		page[0] = old // "SVACETR4" is stored little-endian: the version digit comes first
 		if err := f.Write(0, page); err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func checkOldTreeFormatRefused(t *testing.T, old byte) {
 	check := func(what string, err error) {
 		t.Helper()
 		var fe *FormatError
-		if !errors.As(err, &fe) || fe.Found != int(old-'0') || !strings.Contains(err.Error(), fe.Error()) ||
+		if !errors.As(err, &fe) || fe.Found != int(old-'0') || fe.Wanted != 4 || !strings.Contains(err.Error(), fe.Error()) ||
 			!strings.Contains(err.Error(), "rebuild the view") {
 			t.Fatalf("%s over a format-%c tree = %v, want a *FormatError surfaced verbatim", what, old, err)
 		}
