@@ -43,10 +43,11 @@
 // keys, each quantized to 16 bits within the section's region (clamped to
 // the data bounds, cut into 2^16 equal buckets), one uint16 per record: a
 // stab whose sections 1..k hold no key in the query's quantized range skips
-// the leaf's I/O (Stream.combineTuples). The summaries sit after the leaf data rather than
-// inside the directory entries so that every leaf stays on the page format
-// 1 put it on: the fault plans of internal/iosim are keyed by physical page,
-// and a shifted data region would meet a different fault schedule.
+// the leaf's I/O (Stream.combineTuples). The summaries sit after the leaf
+// data rather than inside the directory entries so that every leaf stays on
+// the page format 1 put it on: the fault plans of internal/iosim are keyed
+// by physical page, and a shifted data region would meet a different fault
+// schedule.
 package core
 
 import (
@@ -70,8 +71,9 @@ const (
 	treeFormat = int(magic&0xff) - '0'
 
 	// A leaf keeps a key sketch, 2 bytes a record, for each of its first
-	// sketchSections sections: 10 pages of 64 KiB on a 1M-record view, and
-	// the width was chosen by measured skip rate (DESIGN.md, "Key sketch").
+	// sketchSections sections: about 667 KB on a 1M-record view, where the
+	// bitmaps it replaced took 262 KB. Its 16-bit width was chosen by
+	// measured skip rate (DESIGN.md, "Key sketch").
 	sketchSections = 4
 
 	// MaxHeight bounds the tree height; 2^(MaxHeight-1) leaves is far more
@@ -736,7 +738,7 @@ type leafDecoder struct {
 //
 // A nil q is the fsck read: every page is fetched and verified whole, every
 // record of all h sections decoded, and the leaf's summary (prefix checksums,
-// occupancy bits) is recomputed from those pages and compared.
+// key sketch) is recomputed from those pages and compared.
 func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box) ([][]record.Record, error) {
 	if ordinal < 0 || ordinal >= t.nLeaves {
 		return nil, fmt.Errorf("core: leaf %d out of range [0,%d)", ordinal, t.nLeaves)

@@ -75,7 +75,7 @@ func drainStabs(t *testing.T, tree *Tree, q record.Box, opts StreamOptions) ([][
 	}
 }
 
-// checkSkipMatchesRead drains q with the occupancy skip and with every leaf
+// checkSkipMatchesRead drains q with the key-sketch skip and with every leaf
 // read. The skipping stream must emit the same batch on every stab, charge no
 // more pages, and charge the same pages when q covers the data bounds (every
 // section that holds a record then holds a match). It returns the pages each
@@ -101,7 +101,7 @@ func checkSkipMatchesRead(t *testing.T, tree *Tree, q record.Box) (skipped, read
 // consistent with the structure the fsck validated: every emitted record
 // matches the predicate, no record is emitted twice (sampling is without
 // replacement), the exhausted stream has returned exactly the brute-force
-// matching set, and skipping leaves by occupancy bits changed nothing but
+// matching set, and skipping leaves by key sketches changed nothing but
 // the pages charged (checkSkipMatchesRead).
 func FuzzRangeQuery(f *testing.F) {
 	f.Add(int64(0), int64(workload.KeyDomain))

@@ -18,7 +18,7 @@ import (
 //  4. the per-node left/right counts stored in the split region equal the
 //     counts recomputed from the records themselves, and
 //  5. every page of every leaf passes its whole-page checksum and the
-//     directory's per-section prefix checksums and occupancy bitmaps equal
+//     directory's per-section prefix checksums and key sketches equal
 //     the ones recomputed from those pages (readLeaf).
 //
 // It costs a full scan of the leaf data region.
@@ -86,7 +86,7 @@ type PageFault struct {
 	// Page is the logical page index within the view file.
 	Page int64
 	// Region names the file region the page belongs to: "header", "splits",
-	// "directory", "leaf" or "summaries" (prefix checksums and occupancy bits).
+	// "directory", "leaf" or "summaries" (prefix checksums and key sketches).
 	Region string
 	// Leaf is the ordinal of the owning leaf when Region is "leaf", else -1.
 	Leaf int64

@@ -63,7 +63,7 @@ func (wb *Workbench) runChains(chains ...func() error) error {
 // runACE executes one ACE Tree query, recording y of the stream after every
 // leaf retrieval, until the elapsed simulated time exceeds limit or the
 // stream completes. Every stab reads its leaf: the figures price the
-// published algorithm, not the occupancy skip. On a parallel workbench the
+// published algorithm, not the key-sketch skip. On a parallel workbench the
 // query is charged to a clock forked for it, so that several queries can
 // stream from the shared tree concurrently.
 func (wb *Workbench) runACE(q record.Box, limit time.Duration, y func(*core.Stream) float64) (curve, error) {
