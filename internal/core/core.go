@@ -148,7 +148,7 @@ type leafMeta struct {
 	// ends, through the section's last record (0 while sections 0..s hold no
 	// record): what a prefix read ending with section s is verified against.
 	secCRC []uint32
-	// sketch holds the key sketches of sections 0..sketchSecs(h)-1 in
+	// sketch holds the key sketches of sections 0..min(h, sketchSections)-1 in
 	// section order, each as long as its section's count (initSketch).
 	sketch []uint16
 }
@@ -165,14 +165,20 @@ func newLeafMetas(nLeaves int64, h int) []leafMeta {
 	return leaves
 }
 
-// sketchSecs is how many sections of a height-h tree's leaves keep sketches.
-func sketchSecs(h int) int { return min(h, sketchSections) }
-
 // sketchLen is the number of keys in the leaf's sketch.
 func (m *leafMeta) sketchLen() int64 {
 	var n int64
-	for _, c := range m.secCounts[:sketchSecs(len(m.secCounts))] {
+	for _, c := range m.secCounts[:min(len(m.secCounts), sketchSections)] {
 		n += int64(c)
+	}
+	return n
+}
+
+// sketchKeys is the number of keys in every leaf's sketch.
+func (t *Tree) sketchKeys() int64 {
+	var n int64
+	for i := range t.leaves {
+		n += t.leaves[i].sketchLen()
 	}
 	return n
 }
@@ -309,11 +315,7 @@ func (t *Tree) leafDataStart() int64 { return t.dirStart() + t.dirPages() }
 // The summary region is the file's last sumPages pages: every leaf's h
 // prefix checksums and its sketch, packed.
 func (t *Tree) sumPages() int64 {
-	n := t.nLeaves * 4 * int64(t.h)
-	for i := range t.leaves {
-		n += 2 * t.leaves[i].sketchLen()
-	}
-	return ceilDiv(n, int64(t.f.PageSize()))
+	return ceilDiv(t.nLeaves*4*int64(t.h)+2*t.sketchKeys(), int64(t.f.PageSize()))
 }
 
 func (t *Tree) sumStart() int64 { return t.f.NumPages() - t.sumPages() }
@@ -376,16 +378,12 @@ func Open(f *pagefile.File) (*Tree, error) {
 // initSketch fills sketchRegion from the splits and data bounds and sizes
 // every leaf's sketch from its section counts.
 func (t *Tree) initSketch() {
-	t.sketchRegion = make([]record.Range, 1<<sketchSecs(t.h))
+	t.sketchRegion = make([]record.Range, 1<<min(t.h, sketchSections))
 	for idx := range t.sketchRegion[1:] {
 		r := t.nodeBox(int64(idx + 1)).Dim(0)
 		t.sketchRegion[idx+1] = record.Range{Lo: max(r.Lo, t.dataMin[0]), Hi: min(r.Hi, t.dataMax[0])}
 	}
-	var n int64
-	for i := range t.leaves {
-		n += t.leaves[i].sketchLen()
-	}
-	keys := make([]uint16, n)
+	keys := make([]uint16, t.sketchKeys())
 	for i := range t.leaves {
 		n := t.leaves[i].sketchLen()
 		t.leaves[i].sketch, keys = keys[:n:n], keys[n:]
@@ -464,23 +462,6 @@ func (w *regionWriter) write(entry []byte) error {
 	return nil
 }
 
-// stream writes b on from where the last write ended, continuing on the next
-// page when this one fills: the summary region's entries vary in length, so
-// they are packed across page ends.
-func (w *regionWriter) stream(b []byte) error {
-	for len(b) > 0 {
-		if w.off == len(w.page) {
-			if err := w.flush(); err != nil {
-				return err
-			}
-		}
-		n := copy(w.page[w.off:], b)
-		w.off += n
-		b = b[n:]
-	}
-	return nil
-}
-
 func (w *regionWriter) flush() error {
 	if w.pg >= w.limit {
 		return fmt.Errorf("core: region overflow at page %d", w.pg)
@@ -519,38 +500,16 @@ func (t *Tree) newRegionReader(start int64) *regionReader {
 
 func (r *regionReader) read(n int) ([]byte, error) {
 	if !r.loaded || r.off+n > len(r.page) {
-		if err := r.load(); err != nil {
+		if err := r.f.Read(r.next, r.page); err != nil {
 			return nil, err
 		}
+		r.next++
+		r.off = 0
+		r.loaded = true
 	}
 	b := r.page[r.off : r.off+n]
 	r.off += n
 	return b, nil
-}
-
-func (r *regionReader) load() error {
-	if err := r.f.Read(r.next, r.page); err != nil {
-		return err
-	}
-	r.next++
-	r.off = 0
-	r.loaded = true
-	return nil
-}
-
-// stream fills dst from regionWriter.stream's packed entries.
-func (r *regionReader) stream(dst []byte) error {
-	for len(dst) > 0 {
-		if !r.loaded || r.off == len(r.page) {
-			if err := r.load(); err != nil {
-				return err
-			}
-		}
-		n := copy(dst, r.page[r.off:])
-		r.off += n
-		dst = dst[n:]
-	}
-	return nil
 }
 
 func (t *Tree) writeSplitRegion() error {
@@ -622,39 +581,45 @@ func (t *Tree) readDirRegion() error {
 }
 
 // writeSummaryRegion appends the summary region; the leaf data must be
-// complete, since the region is located from the end of the file.
+// complete, since the region is located from the end of the file. Entries
+// vary in length, so they are packed across page ends.
 func (t *Tree) writeSummaryRegion() error {
-	w := t.newRegionWriter(t.f.NumPages(), t.sumPages())
-	var entry []byte
+	ps := int64(t.f.PageSize())
+	region := make([]byte, 0, t.sumPages()*ps)
 	for i := range t.leaves {
-		entry = entry[:0]
 		for _, crc := range t.leaves[i].secCRC {
-			entry = binary.LittleEndian.AppendUint32(entry, crc)
+			region = binary.LittleEndian.AppendUint32(region, crc)
 		}
 		for _, key := range t.leaves[i].sketch {
-			entry = binary.LittleEndian.AppendUint16(entry, key)
+			region = binary.LittleEndian.AppendUint16(region, key)
 		}
-		if err := w.stream(entry); err != nil {
+	}
+	region = region[:cap(region)]
+	for p, start := int64(0), t.f.NumPages(); p*ps < int64(len(region)); p++ {
+		if err := t.f.Write(start+p, region[p*ps:][:ps]); err != nil {
 			return err
 		}
 	}
-	return w.close()
+	return nil
 }
 
 func (t *Tree) readSummaryRegion() error {
-	r := t.newRegionReader(t.sumStart())
-	var entry []byte
-	for i := range t.leaves {
-		m := &t.leaves[i]
-		entry = resized(entry, 4*t.h+2*len(m.sketch))
-		if err := r.stream(entry); err != nil {
+	ps := int64(t.f.PageSize())
+	region := make([]byte, t.sumPages()*ps)
+	for p := int64(0); p*ps < int64(len(region)); p++ {
+		if err := t.f.Read(t.sumStart()+p, region[p*ps:][:ps]); err != nil {
 			return err
 		}
+	}
+	for i := range t.leaves {
+		m := &t.leaves[i]
 		for s := range m.secCRC {
-			m.secCRC[s] = binary.LittleEndian.Uint32(entry[4*s:])
+			m.secCRC[s] = binary.LittleEndian.Uint32(region)
+			region = region[4:]
 		}
 		for j := range m.sketch {
-			m.sketch[j] = binary.LittleEndian.Uint16(entry[4*t.h+2*j:])
+			m.sketch[j] = binary.LittleEndian.Uint16(region)
+			region = region[2:]
 		}
 	}
 	return nil
@@ -677,7 +642,7 @@ func (t *Tree) sealPage(leaf, p int64, payload []byte, crc []uint32, sketch []ui
 	off := 0
 	for s, c := range m.secCounts {
 		start, end = end, end+int64(c)
-		sketched := s < sketchSecs(t.h)
+		sketched := s < sketchSections
 		if sketched {
 			r := t.sketchRegion[(t.nLeaves+leaf)>>(t.h-1-s)]
 			for i := max(start, lo); i < min(end, hi); i++ {
@@ -817,15 +782,12 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 				ordinal, s+1, want, got)
 		}
 	}
-	for j, got := range resketch {
-		if want := m.sketch[j]; got != want {
-			s, at := 0, j // the section holding sketch index j, and j's rank in it
-			for ; at >= int(m.secCounts[s]); s++ {
-				at -= int(m.secCounts[s])
-			}
-			return nil, fmt.Errorf("core: leaf %d section %d: sketch key %d is %d, pages give %d",
-				ordinal, s+1, at, want, got)
+	for s, at := 0, 0; at < len(resketch); s++ {
+		n := at + int(m.secCounts[s])
+		if !slices.Equal(resketch[at:n], m.sketch[at:n]) {
+			return nil, fmt.Errorf("core: leaf %d section %d: stored key sketch differs from the keys on its pages", ordinal, s+1)
 		}
+		at = n
 	}
 	for ; sec < k; sec++ {
 		sections[sec], start = flat[start:len(flat):len(flat)], len(flat)
