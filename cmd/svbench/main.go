@@ -41,19 +41,7 @@ func main() {
 	cfg.Physical = *physical
 	cfg.Parallel = *parallel
 	if *pageSize > 0 {
-		m := cfg.Model
-		// Keep the sequential transfer rate (~53 MB/s) of the paper's
-		// testbed at the chosen page size.
-		m.SequentialRead = time.Duration(float64(m.SequentialRead) * float64(*pageSize) / float64(m.PageSize))
-		m.SequentialWrite = m.SequentialRead
-		m.PageSize = *pageSize
-		cfg.Model = m
-		// Keep the external sorts' memory budget at ~16 MB regardless of
-		// page size so construction does not degenerate into many-pass
-		// merges with small pages.
-		if mem := 16 << 20 / *pageSize; mem > cfg.MemPages {
-			cfg.MemPages = mem
-		}
+		cfg = cfg.WithPageSize(*pageSize)
 	}
 	if *n > 0 {
 		cfg.N = *n
@@ -76,22 +64,18 @@ func main() {
 
 	// Group figures by dimensionality so the expensive workbench builds
 	// are shared.
-	var oneD, twoD []string
+	var byDims [3][]string
 	for _, id := range ids {
-		switch id {
-		case "11", "12", "13", "14", "15a", "15b":
-			oneD = append(oneD, id)
-		case "16", "17", "18":
-			twoD = append(twoD, id)
-		default:
+		d := figures.FigureDims(id)
+		if d == 0 {
 			fmt.Fprintf(os.Stderr, "svbench: unknown figure %q\n", id)
 			os.Exit(2)
 		}
+		byDims[d] = append(byDims[d], id)
 	}
-
-	run := func(dims int, ids []string) {
+	for dims, ids := range byDims {
 		if len(ids) == 0 {
-			return
+			continue
 		}
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "svbench: building %d-d workbench (n=%d)...\n", dims, cfg.N)
@@ -104,7 +88,7 @@ func main() {
 			time.Since(start).Round(time.Millisecond), wb.ScanTime)
 		for _, id := range ids {
 			start := time.Now()
-			fig, err := generateOn(wb, id)
+			fig, err := figures.GenerateOn(wb, id)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "svbench: figure %s: %v\n", id, err)
 				os.Exit(1)
@@ -112,33 +96,6 @@ func main() {
 			printFigure(fig)
 			fmt.Fprintf(os.Stderr, "svbench: figure %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
 		}
-	}
-	run(1, oneD)
-	run(2, twoD)
-}
-
-func generateOn(wb *figures.Workbench, id string) (*figures.Figure, error) {
-	switch id {
-	case "11":
-		return figures.Fig1DOn(wb, "11", 0.0025, 0.04)
-	case "12":
-		return figures.Fig1DOn(wb, "12", 0.025, 0.04)
-	case "13":
-		return figures.Fig1DOn(wb, "13", 0.25, 0.04)
-	case "14":
-		return figures.Fig14On(wb)
-	case "15a":
-		return figures.Fig15On(wb, "15a", 0.0025)
-	case "15b":
-		return figures.Fig15On(wb, "15b", 0.025)
-	case "16":
-		return figures.Fig2DOn(wb, "16", 0.0025, 0.05)
-	case "17":
-		return figures.Fig2DOn(wb, "17", 0.025, 0.05)
-	case "18":
-		return figures.Fig2DOn(wb, "18", 0.25, 0.05)
-	default:
-		return nil, fmt.Errorf("unknown figure %q", id)
 	}
 }
 

@@ -10,18 +10,6 @@ import (
 	"sampleview/internal/workload"
 )
 
-// fig1D produces Figures 11-13: average sampling rate of the ACE Tree, the
-// ranked B+-Tree and the permuted file over `Queries` one-dimensional
-// predicates at the given selectivity, plotted over the first
-// maxFrac*scan-time of execution.
-func fig1D(cfg Config, id string, sel, maxFrac float64) (*Figure, error) {
-	wb, err := NewWorkbench(cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	return Fig1DOn(wb, id, sel, maxFrac)
-}
-
 // queries1D pre-draws the figure's predicate set, so the per-method chains
 // can run it in any order (or concurrently) while consuming the query
 // generator's stream exactly as the original interleaved loop did.
@@ -34,7 +22,10 @@ func queries1D(seed uint64, n int, sel float64) []record.Box {
 	return qs
 }
 
-// Fig1DOn is fig1D against an existing one-dimensional workbench.
+// Fig1DOn produces Figures 11-13 on a one-dimensional workbench: average
+// sampling rate of the ACE Tree, the ranked B+-Tree and the permuted file
+// over `Queries` one-dimensional predicates at the given selectivity,
+// plotted over the first maxFrac*scan-time of execution.
 func Fig1DOn(wb *Workbench, id string, sel, maxFrac float64) (*Figure, error) {
 	if wb.Dims != 1 {
 		return nil, fmt.Errorf("figures: figure %s needs a 1-d workbench", id)
@@ -51,18 +42,9 @@ func Fig1DOn(wb *Workbench, id string, sel, maxFrac float64) (*Figure, error) {
 		maxFrac, "B+ Tree", curves), nil
 }
 
-// fig14 produces Figure 14: the 2.5%-selectivity experiment run until all
-// three methods have returned every matching record, exposing the late
-// crossover points.
-func fig14(cfg Config) (*Figure, error) {
-	wb, err := NewWorkbench(cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	return Fig14On(wb)
-}
-
-// Fig14On is fig14 against an existing one-dimensional workbench.
+// Fig14On produces Figure 14 on a one-dimensional workbench: the
+// 2.5%-selectivity experiment run until all three methods have returned
+// every matching record, exposing the late crossover points.
 func Fig14On(wb *Workbench) (*Figure, error) {
 	if wb.Dims != 1 {
 		return nil, fmt.Errorf("figures: figure 14 needs a 1-d workbench")
@@ -89,18 +71,10 @@ func Fig14On(wb *Workbench) (*Figure, error) {
 		maxFrac, "B+ Tree", curves), nil
 }
 
-// fig15 produces Figure 15(a)/(b): minimum, average and maximum number of
-// records the ACE query algorithm buffers (as a fraction of the relation)
-// over ten queries at the given selectivity.
-func fig15(cfg Config, id string, sel float64) (*Figure, error) {
-	wb, err := NewWorkbench(cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	return Fig15On(wb, id, sel)
-}
-
-// Fig15On is fig15 against an existing one-dimensional workbench.
+// Fig15On produces Figure 15(a)/(b) on a one-dimensional workbench:
+// minimum, average and maximum number of records the ACE query algorithm
+// buffers (as a fraction of the relation) over ten queries at the given
+// selectivity.
 func Fig15On(wb *Workbench, id string, sel float64) (*Figure, error) {
 	if wb.Dims != 1 {
 		return nil, fmt.Errorf("figures: figure %s needs a 1-d workbench", id)

@@ -9,18 +9,9 @@ import (
 	"sampleview/internal/workload"
 )
 
-// fig2D produces Figures 16-18: the two-dimensional experiment, where a
-// k-d ACE Tree over (DAY, AMOUNT) competes against an STR-packed R-Tree
-// and the permuted file on square box predicates at the given selectivity.
-func fig2D(cfg Config, id string, sel, maxFrac float64) (*Figure, error) {
-	wb, err := NewWorkbench(cfg, 2)
-	if err != nil {
-		return nil, err
-	}
-	return Fig2DOn(wb, id, sel, maxFrac)
-}
-
-// Fig2DOn is fig2D against an existing two-dimensional workbench.
+// Fig2DOn produces Figures 16-18 on a two-dimensional workbench: a k-d ACE
+// Tree over (DAY, AMOUNT) competes against an STR-packed R-Tree and the
+// permuted file on square box predicates at the given selectivity.
 func Fig2DOn(wb *Workbench, id string, sel, maxFrac float64) (*Figure, error) {
 	if wb.Dims != 2 {
 		return nil, fmt.Errorf("figures: figure %s needs a 2-d workbench", id)

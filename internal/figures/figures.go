@@ -130,31 +130,49 @@ func IDs() []string {
 	return []string{"11", "12", "13", "14", "15a", "15b", "16", "17", "18"}
 }
 
-// Generate regenerates the figure with the given ID.
-func Generate(id string, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
-	switch id {
-	case "11":
-		return fig1D(cfg, "11", 0.0025, 0.04)
-	case "12":
-		return fig1D(cfg, "12", 0.025, 0.04)
-	case "13":
-		return fig1D(cfg, "13", 0.25, 0.04)
-	case "14":
-		return fig14(cfg)
-	case "15a":
-		return fig15(cfg, "15a", 0.0025)
-	case "15b":
-		return fig15(cfg, "15b", 0.025)
-	case "16":
-		return fig2D(cfg, "16", 0.0025, 0.05)
-	case "17":
-		return fig2D(cfg, "17", 0.025, 0.05)
-	case "18":
-		return fig2D(cfg, "18", 0.25, 0.05)
-	default:
+// WithPageSize returns c on disk pages of ps bytes, keeping the sequential
+// transfer rate (~53 MB/s) of the paper's testbed and the external sorts'
+// memory budget at ~16 MB, so construction does not degenerate into
+// many-pass merges with small pages.
+func (c Config) WithPageSize(ps int) Config {
+	m := c.Model
+	m.SequentialRead = time.Duration(float64(m.SequentialRead) * float64(ps) / float64(m.PageSize))
+	m.SequentialWrite = m.SequentialRead
+	m.PageSize = ps
+	c.Model = m
+	c.MemPages = max(c.MemPages, 16<<20/ps)
+	return c
+}
+
+// figureDefs maps every figure id to the dimensionality of its workbench
+// and the run that draws it.
+var figureDefs = map[string]struct {
+	dims int
+	run  func(*Workbench) (*Figure, error)
+}{
+	"11":  {1, func(wb *Workbench) (*Figure, error) { return Fig1DOn(wb, "11", 0.0025, 0.04) }},
+	"12":  {1, func(wb *Workbench) (*Figure, error) { return Fig1DOn(wb, "12", 0.025, 0.04) }},
+	"13":  {1, func(wb *Workbench) (*Figure, error) { return Fig1DOn(wb, "13", 0.25, 0.04) }},
+	"14":  {1, Fig14On},
+	"15a": {1, func(wb *Workbench) (*Figure, error) { return Fig15On(wb, "15a", 0.0025) }},
+	"15b": {1, func(wb *Workbench) (*Figure, error) { return Fig15On(wb, "15b", 0.025) }},
+	"16":  {2, func(wb *Workbench) (*Figure, error) { return Fig2DOn(wb, "16", 0.0025, 0.05) }},
+	"17":  {2, func(wb *Workbench) (*Figure, error) { return Fig2DOn(wb, "17", 0.025, 0.05) }},
+	"18":  {2, func(wb *Workbench) (*Figure, error) { return Fig2DOn(wb, "18", 0.25, 0.05) }},
+}
+
+// FigureDims returns the dimensionality of the workbench figure id runs on,
+// or 0 for an unknown id.
+func FigureDims(id string) int { return figureDefs[id].dims }
+
+// GenerateOn regenerates the figure with the given ID against a workbench
+// of its dimensionality (FigureDims).
+func GenerateOn(wb *Workbench, id string) (*Figure, error) {
+	def, ok := figureDefs[id]
+	if !ok {
 		return nil, fmt.Errorf("figures: unknown figure %q (known: %v)", id, IDs())
 	}
+	return def.run(wb)
 }
 
 // curve is the raw step function (time, cumulative value) one query run

@@ -156,7 +156,16 @@ func TestFig2DShape(t *testing.T) {
 }
 
 func TestGenerateUnknownFigure(t *testing.T) {
-	if _, err := Generate("99", testConfig()); err == nil {
+	if FigureDims("99") != 0 {
+		t.Fatal("unknown figure given a workbench")
+	}
+	cfg := testConfig()
+	cfg.N = 2_000
+	wb, err := NewWorkbench(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GenerateOn(wb, "99"); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
 }
@@ -166,7 +175,11 @@ func TestGenerateDispatch(t *testing.T) {
 	cfg := testConfig()
 	cfg.N = 20_000
 	cfg.Queries = 2
-	fig, err := Generate("11", cfg)
+	wb, err := NewWorkbench(cfg, FigureDims("11"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, err := GenerateOn(wb, "11")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,59 @@
+package figures
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"testing"
+)
+
+// figuresGolden pins the paper's figures: one FNV-64a digest per series of
+// every figure at the configuration `svbench -fig all -n 200000` runs (8 KB
+// pages, seed 2006, ten queries, 160 grid points), hashed over the very
+// "%.4f\t%.6f" lines svbench prints. A change to how the ACE Tree, the
+// B+-Tree, the R-Tree or the permuted file is built or charged flips a line.
+// Re-record only in a commit that says why: delete the file, rerun, review.
+const figuresGolden = "testdata/figures.golden"
+
+func TestFiguresGolden(t *testing.T) {
+	cfg := DefaultConfig().WithPageSize(8192)
+	cfg.N = 200_000
+	var out bytes.Buffer
+	for dims := 1; dims <= 2; dims++ {
+		wb, err := NewWorkbench(cfg, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range IDs() {
+			if FigureDims(id) != dims {
+				continue
+			}
+			fig, err := GenerateOn(wb, id)
+			if err != nil {
+				t.Fatalf("figure %s: %v", id, err)
+			}
+			for _, s := range fig.Series {
+				h := fnv.New64a()
+				for i := range s.X {
+					fmt.Fprintf(h, "%.4f\t%.6f\n", s.X[i], s.Y[i])
+				}
+				fmt.Fprintf(&out, "%s\t%s\t%d points\t%016x\n", id, s.Name, len(s.X), h.Sum64())
+			}
+		}
+	}
+
+	want, err := os.ReadFile(figuresGolden)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(figuresGolden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s did not exist; wrote a fresh baseline — review and commit it", figuresGolden)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, out.Bytes()) {
+		t.Fatalf("figures differ from %s:\ngot\n%swant\n%s", figuresGolden, out.Bytes(), want)
+	}
+}
