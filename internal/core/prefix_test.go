@@ -392,16 +392,16 @@ func TestKeySketchIsVerified(t *testing.T) {
 		t.Fatalf("leaf %d section %d: %v, %d records; pick another fixture", leaf, sec+1, err, len(sections[sec]))
 	}
 	m := &tree.leaves[leaf]
-	keys := m.sketch[m.secCounts[0]:][:m.secCounts[sec]]
+	keys := m.sketch[m.secCounts[0]:][:m.secCounts[sec]] // section 1's run follows section 0's
 	x := sections[sec][0].Key
 	v := sketchKey(tree.sketchRegion[(tree.nLeaves+leaf)>>(tree.h-1-sec)], x)
 	j, found := slices.BinarySearch(keys, v)
 	if !found || (j+1 < len(keys) && keys[j+1] == v) || (j > 0 && keys[j-1] == v) {
 		t.Fatalf("key %d's sketch value %d is not stored exactly once in %v; pick another fixture", x, v, keys)
 	}
-	moved := keys[max(j-1, 0)] // a neighbour's value keeps the run sorted
-	if j == 0 {
-		moved = keys[1]
+	moved := keys[1] // a neighbour's value keeps the run sorted
+	if j > 0 {
+		moved = keys[j-1]
 	}
 	off := sumEntryOffset(tree, leaf) + 4*int64(tree.h) + 2*(int64(m.secCounts[0])+int64(j))
 	ps := int64(tree.f.PageSize())
