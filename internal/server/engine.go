@@ -306,9 +306,13 @@ func (e *Engine) releaseStreams(key string, n int) {
 }
 
 // admitRate draws n entries from the tenant key's write-rate token bucket,
-// reporting whether the batch is admitted. The bucket deliberately refills
-// on the "wall clock": rate admission paces real client traffic, a pressure
-// the simulated disk clock cannot see. Disabled (always true) when
+// reporting whether the batch is admitted: when the bucket holds n tokens,
+// or is full. A batch larger than the burst is thus admitted once the bucket
+// fills and leaves it in debt, which throttles the tenant's next writes until
+// the refill repays it; a bucket that never admitted it would throttle it
+// forever, however long the client backed off. The bucket deliberately
+// refills on the "wall clock": rate admission paces real client traffic, a
+// pressure the simulated disk clock cannot see. Disabled (always true) when
 // Config.WriteRate is 0.
 func (e *Engine) admitRate(key string, n int) bool {
 	rate := e.cfg.WriteRate
@@ -324,7 +328,7 @@ func (e *Engine) admitRate(key string, n int) bool {
 	now := time.Now()
 	ts.tbTokens = min(ts.tbTokens+now.Sub(ts.tbLast).Seconds()*rate, burst)
 	ts.tbLast = now
-	if ts.tbTokens < float64(n) {
+	if ts.tbTokens < min(float64(n), burst) {
 		return false
 	}
 	ts.tbTokens -= float64(n)

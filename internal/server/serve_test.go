@@ -71,15 +71,17 @@ type served struct {
 	done     chan error // what serve returned for the listener at addr
 }
 
-// NewRouter builds a fleet router over the given replica addresses. The
-// fleet package imports this one, so router_test.go (package server_test)
-// fills it in.
-var NewRouter func(replicas []string) (serve func(net.Listener) error, shutdown func(), snapshot func() *StatsSnapshot, err error)
+// NewRouter builds a fleet router over the given replica addresses, with
+// writeRate as its per-tenant write rate. The fleet package imports this
+// one, so router_test.go (package server_test) fills it in.
+var NewRouter func(replicas []string, writeRate float64) (serve func(net.Listener) error, shutdown func(), snapshot func() *StatsSnapshot, err error)
 
 // eachEndpoint runs one contract test against a server alone and against a
 // router over two replicas — an endpoint of the same total stream capacity:
-// cfg.MaxStreams, when set, is divided over the replicas. Whatever the
-// contract says of one must hold of the other.
+// cfg.MaxStreams, when set, is divided over the replicas. cfg.WriteRate is
+// the router's tenant write rate, and its replicas run without one: the
+// router admits writes, so every replica applies the same batches. Whatever
+// the contract says of one must hold of the other.
 func eachEndpoint(t *testing.T, cfg Config, recs []record.Record, test func(t *testing.T, ep *served)) {
 	listenAndServe := func(t *testing.T, ep *served) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -104,7 +106,9 @@ func eachEndpoint(t *testing.T, cfg Config, recs []record.Record, test func(t *t
 		test(t, ep)
 	})
 	t.Run("router", func(t *testing.T) {
+		writeRate := cfg.WriteRate
 		cfg.MaxStreams /= 2
+		cfg.WriteRate = 0
 		ep := &served{}
 		var replicas []string
 		for i := 0; i < 2; i++ {
@@ -113,7 +117,7 @@ func eachEndpoint(t *testing.T, cfg Config, recs []record.Record, test func(t *t
 			replicas = append(replicas, addr)
 		}
 		var err error
-		if ep.serve, ep.shutdown, ep.snapshot, err = NewRouter(replicas); err != nil {
+		if ep.serve, ep.shutdown, ep.snapshot, err = NewRouter(replicas, writeRate); err != nil {
 			t.Fatal(err)
 		}
 		listenAndServe(t, ep)
