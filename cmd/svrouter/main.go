@@ -37,10 +37,8 @@ func main() {
 		replicas   = flag.String("replicas", "", "comma-separated replica addresses (required)")
 		hedgeAfter = flag.Duration("hedge-after", 0, "hedge a batch pull against a second replica after this long (0 = never; a hedged pull costs a goroutine hand-off an unhedged one does not)")
 		tenStreams = flag.Int("tenant-streams", 0, "fleet-wide open-stream cap per tenant (0 = fair share of fleet capacity)")
-		tenRate    = flag.Float64("tenant-write-rate", 0, "per-tenant write admission: sustained entries per second (0 = unlimited)")
-		tenBurst   = flag.Int("tenant-write-burst", 0, "per-tenant write admission: token-bucket burst capacity (0 = auto)")
+		tenRate    = flag.Float64("tenant-write-rate", 0, "per-tenant write admission: sustained entries per second, bursts up to max(rate, 4096) (0 = unlimited)")
 		seed       = flag.Uint64("seed", 1, "seed for router-assigned stream seeds")
-		maxBatch   = flag.Int("max-batch", 4096, "cap on records per batch response")
 	)
 	flag.Parse()
 
@@ -57,13 +55,11 @@ func main() {
 	}
 
 	router, err := fleet.New(fleet.Config{
-		Replicas:         addrs,
-		HedgeAfter:       *hedgeAfter,
-		TenantStreams:    *tenStreams,
-		TenantWriteRate:  *tenRate,
-		TenantWriteBurst: *tenBurst,
-		Seed:             *seed,
-		MaxBatch:         *maxBatch,
+		Replicas:        addrs,
+		HedgeAfter:      *hedgeAfter,
+		TenantStreams:   *tenStreams,
+		TenantWriteRate: *tenRate,
+		Seed:            *seed,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "svrouter: %v\n", err)

@@ -40,7 +40,6 @@ func main() {
 		connStreams = flag.Int("conn-streams", 16, "per-connection cap on open streams")
 		tenStreams  = flag.Int("tenant-streams", 0, "per-tenant cap on open streams, summed across connections (0 = -max-streams)")
 		replicaID   = flag.String("replica-id", "", "name this server in a fleet (reported via replica-info)")
-		maxBatch    = flag.Int("max-batch", 4096, "cap on records per batch response")
 		idle        = flag.Duration("idle", 0, "reap streams idle this long on the simulated disk clock (0 = never)")
 		reqTimeout  = flag.Duration("req-timeout", 0, "wall-clock deadline per in-flight request (0 = none)")
 		profile     = flag.String("fault-profile", "", "inject storage faults on every served view: "+strings.Join(sampleview.FaultProfiles(), ", "))
@@ -55,8 +54,7 @@ func main() {
 		walOn       = flag.Bool("wal", false, "write-ahead-log every served view: appends and deletes are group-committed before the ack and replayed on restart")
 		syncEvery   = flag.Int("sync-every", 0, "wal: fsync once at most this many writes accumulate in a commit cohort (1 = every write, 0 = window batching only)")
 		groupWindow = flag.Duration("group-commit-window", 0, "wal: how long a group-commit leader waits for more writers before the fsync (0 = none)")
-		writeRate   = flag.Float64("write-rate", 0, "per-connection write admission: sustained appended/deleted entries per second (0 = unlimited)")
-		writeBurst  = flag.Int("write-burst", 0, "per-connection write admission: token-bucket burst capacity (0 = auto from -write-rate and -max-batch)")
+		writeRate   = flag.Float64("write-rate", 0, "per-connection write admission: sustained appended/deleted entries per second, bursts up to max(rate, 4096) (0 = unlimited)")
 	)
 	views := map[string]string{}
 	flag.Func("view", "serve a view as name=file.view (repeatable, required)", func(s string) error {
@@ -93,12 +91,10 @@ func main() {
 		MaxStreamsPerConn:   *connStreams,
 		MaxStreamsPerTenant: *tenStreams,
 		ReplicaID:           *replicaID,
-		MaxBatch:            *maxBatch,
 		IdleTimeout:         *idle,
 		RequestTimeout:      *reqTimeout,
 		MaxWriteBacklog:     *backlog,
 		WriteRate:           *writeRate,
-		WriteBurst:          *writeBurst,
 	})
 	for name, path := range views {
 		v, err := sampleview.Open(path, sampleview.Options{
@@ -163,7 +159,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("listening on %s (max %d streams, %d per connection, batches of up to %d)\n",
-		ln.Addr(), *maxStreams, *connStreams, *maxBatch)
+		ln.Addr(), *maxStreams, *connStreams, server.MaxBatch)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

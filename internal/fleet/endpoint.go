@@ -62,12 +62,12 @@ func (r endpoint) OpenStream(tenant, key string, req server.OpenStreamReq) (serv
 	// A client that asked for a specific (seed, position) gets exactly it
 	// (a router can front another router); plain opens get a router-derived
 	// seed, which is what makes the stream migratable at all.
-	seed, pos := req.Seed, req.StartPos
+	seed := req.Seed
 	if !req.Seeded {
-		seed, pos = r.streamSeed(), 0
+		seed = r.streamSeed()
 	}
 	st := &routedStream{r: r.Router, tenant: tenant, placeKey: key + "/" + name, view: name, query: req.Query, seed: seed}
-	if _, err := st.leg(false, nil, pos); err != nil {
+	if _, err := st.leg(false, nil, req.StartPos); err != nil {
 		if !typed(err) {
 			err = &server.Error{Code: server.CodeServerStreams, Msg: err.Error()}
 		}

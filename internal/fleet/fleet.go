@@ -46,7 +46,8 @@ import (
 	"sampleview/internal/server"
 )
 
-// Config tunes the router. Replicas is required; everything else defaults.
+// Config tunes the router. Replicas is required; a zero elsewhere switches
+// a feature off or picks its fair-share default.
 type Config struct {
 	// Replicas lists the replica server addresses ("host:port"). Their
 	// order is the fleet's replica index space, so every router configured
@@ -60,27 +61,15 @@ type Config struct {
 	// fair share: the fleet's total stream capacity divided by the number
 	// of active tenants, re-evaluated at each admission.
 	TenantStreams int
-	// TenantWriteRate / TenantWriteBurst are the per-tenant write token
-	// bucket, enforced at the router so every replica sees exactly the
-	// batches that were admitted (replica-side rate admission would let
-	// replicas disagree about which batch was throttled, diverging their
-	// state). 0 disables write-rate admission.
-	TenantWriteRate  float64
-	TenantWriteBurst int
+	// TenantWriteRate is the refill rate of the per-tenant write token
+	// bucket, which holds max(rate, server.MaxBatch) as a server's does. It
+	// is enforced at the router so every replica sees exactly the batches
+	// that were admitted (replica-side rate admission would let replicas
+	// disagree about which batch was throttled, diverging their state). 0
+	// disables write-rate admission.
+	TenantWriteRate float64
 	// Seed drives stream-seed derivation. Fixed seed, fixed stream seeds.
 	Seed uint64
-	// MaxBatch caps records per proxied batch (default 4096).
-	MaxBatch int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.TenantWriteRate > 0 && c.TenantWriteBurst <= 0 {
-		c.TenantWriteBurst = max(c.MaxBatch, int(c.TenantWriteRate))
-	}
-	return c
 }
 
 // replica is the router's view of one replica server: its shared metadata
@@ -134,7 +123,6 @@ type routerView struct {
 
 // New returns a router for the given fleet. Call Connect before Serve.
 func New(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: no replicas configured")
 	}
@@ -147,11 +135,7 @@ func New(cfg Config) (*Router, error) {
 	// and request deadline stay off: the replicas enforce their own. The
 	// write bucket is on at the router so every replica sees exactly the
 	// batches that were admitted.
-	r.Engine = server.NewEngine(endpoint{r}, server.Config{
-		MaxBatch:   cfg.MaxBatch,
-		WriteRate:  cfg.TenantWriteRate,
-		WriteBurst: cfg.TenantWriteBurst,
-	})
+	r.Engine = server.NewEngine(endpoint{r}, server.Config{WriteRate: cfg.TenantWriteRate})
 	for _, addr := range cfg.Replicas {
 		r.reps = append(r.reps, &replica{addr: addr})
 	}

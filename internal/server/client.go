@@ -14,43 +14,31 @@ import (
 )
 
 // RetryPolicy governs the client's automatic retry of typed transient
-// server failures (CodeTransient): capped exponential backoff with
+// server failures (CodeTransient) and write-rate throttles: up to maxRetries
+// retries of one request, with capped exponential backoff and
 // deterministic, seeded jitter, so a fleet of retrying clients neither
 // stampedes in lockstep nor behaves differently across identical runs.
 type RetryPolicy struct {
-	// MaxRetries is how many times one request is retried after its first
-	// transient failure. 0 selects the default (6); negative disables
-	// client-side retry entirely.
-	MaxRetries int
-	// BaseDelay is the first backoff step (default 2ms); successive steps
-	// double until MaxDelay (default 250ms) caps them.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// Seed drives the jitter. A fixed seed gives a reproducible backoff
 	// schedule.
 	Seed uint64
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 6
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 2 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 250 * time.Millisecond
-	}
-	return p
-}
+// The retry schedule: at most maxRetries retries of one request, the first
+// after baseDelay, each step doubling until maxDelay caps it.
+const (
+	maxRetries = 6
+	baseDelay  = 2 * time.Millisecond
+	maxDelay   = 250 * time.Millisecond
+)
 
 // backoff computes the delay before retry number attempt (0-based):
-// BaseDelay doubling per attempt, capped at MaxDelay, with the upper half
+// baseDelay doubling per attempt, capped at maxDelay, with the upper half
 // of the interval jittered by the seeded source.
-func (p RetryPolicy) backoff(attempt int, jitter uint64) time.Duration {
-	d := p.BaseDelay << uint(attempt)
-	if d <= 0 || d > p.MaxDelay {
-		d = p.MaxDelay
+func backoff(attempt int, jitter uint64) time.Duration {
+	d := baseDelay << uint(attempt)
+	if d <= 0 || d > maxDelay {
+		d = maxDelay
 	}
 	if half := d / 2; half > 0 {
 		d = half + time.Duration(jitter%uint64(half)+1)
@@ -69,23 +57,26 @@ type Client struct {
 	// wbuf is where every request frame is encoded, in place. A response
 	// body aliases fr's buffer, which the next exchange of any stream on
 	// this connection overwrites: it is decoded before mu is released.
-	fr     *FrameReader        // guarded by mu
-	wbuf   []byte              // guarded by mu
-	err    error               // guarded by mu; sticky transport failure
-	policy RetryPolicy         // guarded by mu
-	rng    *rand.Rand          // guarded by mu; seeded jitter source
-	sleep  func(time.Duration) // guarded by mu; backoff wait, swappable in tests
+	fr    *FrameReader        // guarded by mu
+	wbuf  []byte              // guarded by mu
+	err   error               // guarded by mu; sticky transport failure
+	rng   *rand.Rand          // guarded by mu; seeded jitter source
+	sleep func(time.Duration) // guarded by mu; backoff wait, swappable in tests
 
 	retries atomic.Int64 // transient failures absorbed by retrying
 }
 
-// SetRetryPolicy replaces the client's transient-retry policy (reseeding
-// the jitter source). The zero policy restores the defaults.
+// SetRetryPolicy replaces the client's retry policy, reseeding the jitter
+// source.
 func (c *Client) SetRetryPolicy(p RetryPolicy) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.policy = p.withDefaults()
-	c.rng = rand.New(rand.NewPCG(c.policy.Seed, c.policy.Seed^0x9e3779b97f4a7c15))
+	c.rng = jitterSource(p)
+}
+
+// jitterSource is the backoff jitter source a policy seeds.
+func jitterSource(p RetryPolicy) *rand.Rand {
+	return rand.New(rand.NewPCG(p.Seed, p.Seed^0x9e3779b97f4a7c15))
 }
 
 // Retries returns how many transient server failures this client has
@@ -104,12 +95,10 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (any net.Conn, e.g. net.Pipe
 // in tests) as a Client.
 func NewClient(conn net.Conn) *Client {
-	p := RetryPolicy{}.withDefaults()
 	return &Client{
-		conn:   conn,
-		fr:     NewFrameReader(conn),
-		policy: p,
-		rng:    rand.New(rand.NewPCG(p.Seed, p.Seed^0x9e3779b97f4a7c15)),
+		conn: conn,
+		fr:   NewFrameReader(conn),
+		rng:  jitterSource(RetryPolicy{}),
 		// Backoff waits are real (wall clock) pauses between network
 		// retries; tests substitute a recording stub.
 		sleep: time.Sleep,
@@ -192,16 +181,15 @@ func (c *Client) retry(req FrameType, body []byte, want FrameType, retryable fun
 			return err
 		}
 		c.mu.Lock()
-		p := c.policy
 		jitter := c.rng.Uint64()
 		sleep := c.sleep
 		c.mu.Unlock()
-		if attempt >= p.MaxRetries {
+		if attempt >= maxRetries {
 			return err
 		}
 		c.retries.Add(1)
 		if sleep != nil {
-			sleep(p.backoff(attempt, jitter))
+			sleep(backoff(attempt, jitter))
 		}
 	}
 }
@@ -359,9 +347,7 @@ func (v *RemoteView) Query(q record.Box) (*RemoteStream, error) {
 // batch. The record sequence it serves is a pure function of (view state,
 // query, seed), so the same call against any replica holding the same view
 // bytes continues the same sample — the primitive fleet routers build
-// hedging and live migration on. Pulls on the returned stream are
-// position-checked: the server discards anything another replica already
-// delivered, never re-sending it.
+// hedging and live migration on.
 func (v *RemoteView) QueryAt(q record.Box, seed uint64, pos int64) (*RemoteStream, error) {
 	if pos < 0 {
 		pos = 0
@@ -371,7 +357,7 @@ func (v *RemoteView) QueryAt(q record.Box, seed uint64, pos int64) (*RemoteStrea
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteStream{v: v, id: resp.StreamID, batch: 256, checked: true, pos: pos}, nil
+	return &RemoteStream{v: v, id: resp.StreamID, batch: 256, pos: pos}, nil
 }
 
 // SampleStream implements the aqp engine's Source interface, so a remote
@@ -395,19 +381,17 @@ type RemoteStream struct {
 	eof    bool            // guarded by mu
 	closed bool            // guarded by mu
 	batch  int             // guarded by mu
-	// checked marks a position-checked stream (opened with QueryAt): every
-	// pull names the expected server position, and pos tracks the position
-	// after the last batch — the stream's resume point on another replica.
-	checked bool  // guarded by mu
-	pos     int64 // guarded by mu
+	// pos is the server's position after the last batch, which every pull
+	// names: the server fast-forwards to it past anything another replica
+	// already delivered, never re-sending it, and it is the stream's resume
+	// point on another replica.
+	pos int64 // guarded by mu
 }
 
 // Pos returns the stream's server position after the last pulled batch:
-// how many records of the seeded sequence the server has served or
-// skipped. Meaningful for position-checked streams (QueryAt); plain Query
-// streams report the positions the server exports, or 0 against a server
-// that predates position export. Records buffered client-side but not yet
-// read are included — Pos is the wire position, not the read position.
+// how many records of the sequence the server has served or skipped.
+// Records buffered client-side but not yet read are included — Pos is the
+// wire position, not the read position.
 func (s *RemoteStream) Pos() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -484,37 +468,29 @@ func (s *RemoteStream) drainedLocked() error {
 // failures (CodeDegraded and the rest) surface to the caller; the stream
 // itself stays usable, mirroring the in-process Stream's degraded semantics.
 func (s *RemoteStream) pullLocked(dst []record.Record) ([]record.Record, error) {
-	pos := int64(-1)
-	if s.checked {
-		pos = s.pos
-	}
-	err := s.pull(pos, s.batch, func(body []byte) error {
+	err := s.pull(s.pos, s.batch, func(body []byte) error {
 		m, err := DecodeBatchInto(dst, body)
 		if err != nil {
 			return err
 		}
-		s.advanceLocked(m.Pos, len(m.Records)-len(dst), m.EOF)
+		s.advanceLocked(m.Pos, m.EOF)
 		dst = m.Records
 		return nil
 	})
 	return dst, err
 }
 
-// pull performs one wire pull of up to max records at position pos (-1:
-// unchecked) and hands the FBatch body to use inside the exchange.
+// pull performs one wire pull of up to max records at position pos and
+// hands the FBatch body to use inside the exchange.
 func (s *RemoteStream) pull(pos int64, max int, use func(body []byte) error) error {
 	var req [16]byte
 	body := NextBatchReq{StreamID: s.id, Max: uint32(max), Pos: pos}.appendTo(req[:0])
 	return s.v.c.retry(FNextBatch, body, FBatch, IsTransient, use)
 }
 
-// advanceLocked records a pulled batch of n records: end is the position
-// the server reported after it (negative from a server that predates
-// position export).
-func (s *RemoteStream) advanceLocked(end int64, n int, eof bool) {
-	if end < 0 {
-		end = s.pos + int64(n)
-	}
+// advanceLocked records a pulled batch: end is the position the server
+// reported after it.
+func (s *RemoteStream) advanceLocked(end int64, eof bool) {
 	s.pos = end
 	s.eof = s.eof || eof
 }
@@ -528,13 +504,13 @@ type RawBatch struct {
 	End  int64  // the stream's position after the batch
 }
 
-// PullAt performs one position-checked wire pull: up to max records of the
-// stream's sequence starting at position pos, bypassing the client-side
-// buffer entirely and decoding nothing — the body is appended to dst as it
-// arrived. The server fast-forwards (discarding records this caller
-// already holds from another replica) when the stream is behind pos, and
-// rejects with CodeStreamPosition when it is ahead — the
-// caller then reopens at pos. PullAt is the fleet router's primitive for
+// PullAt performs one wire pull at a position of the caller's: up to max
+// records of the stream's sequence starting at position pos, bypassing the
+// client-side buffer entirely and decoding nothing — the body is appended
+// to dst as it arrived. The server fast-forwards (discarding records this
+// caller already holds from another replica) when the stream is behind pos,
+// and rejects with CodeStreamPosition when it is ahead — the caller then
+// reopens at pos. PullAt is the fleet router's primitive for
 // hedged reads and migration; do not mix it with the buffered
 // Next/NextBatch on the same stream.
 func (s *RemoteStream) PullAt(pos int64, max int, dst []byte) (RawBatch, error) {
@@ -547,18 +523,14 @@ func (s *RemoteStream) PullAt(pos int64, max int, dst []byte) (RawBatch, error) 
 		if err != nil {
 			return err
 		}
-		n := len(raw) / record.Size
-		if m.Pos < 0 {
-			m.Pos = pos + int64(n)
-		}
-		rb = RawBatch{Body: append(dst, body...), N: n, EOF: m.EOF, End: m.Pos}
+		rb = RawBatch{Body: append(dst, body...), N: len(raw) / record.Size, EOF: m.EOF, End: m.Pos}
 		return nil
 	})
 	if err != nil {
 		return RawBatch{End: pos}, err
 	}
 	s.mu.Lock()
-	s.advanceLocked(rb.End, rb.N, rb.EOF)
+	s.advanceLocked(rb.End, rb.EOF)
 	s.mu.Unlock()
 	return rb, nil
 }

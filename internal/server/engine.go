@@ -22,7 +22,7 @@ type Endpoint interface {
 	// OpenView resolves a view by name.
 	OpenView(name string) (ViewInfo, error)
 	// OpenStream opens a stream the engine has already admitted, standing at
-	// req.StartPos when req.Seeded and at 0 otherwise. tenant is the name the
+	// req.StartPos (0 for an unseeded open). tenant is the name the
 	// connection set ("" if none) and key its quota unit, unique to the
 	// connection when it set none. The engine closes every stream it was
 	// given, exactly once.
@@ -107,7 +107,7 @@ type tenantState struct {
 	streams int
 	conns   int // live sessions attributed via set-tenant
 
-	// Write-rate token bucket (Config.WriteRate / WriteBurst). It refills
+	// Write-rate token bucket (Config.WriteRate). It refills
 	// continuously on the wall clock from tbLast, the instant of the last
 	// draw; the zero instant of a new bucket is long enough ago to fill it.
 	tbMu     sync.Mutex
@@ -143,9 +143,9 @@ type Engine struct {
 // NewEngine returns an engine serving ep. cfg is taken as given, no defaults
 // applied, and a zero field switches its check off: MaxStreams and
 // MaxStreamsPerConn the two stream caps, IdleTimeout the reaper,
-// RequestTimeout the per-request deadline, WriteRate the write bucket.
-// MaxBatch must be set; the fields about tenants' caps, replica identity and
-// write backlog are the Endpoint's and are not read.
+// RequestTimeout the per-request deadline, WriteRate the write bucket. The
+// fields about tenants' caps, replica identity and write backlog are the
+// Endpoint's and are not read.
 func NewEngine(ep Endpoint, cfg Config) *Engine {
 	return &Engine{
 		cfg:      cfg,
@@ -322,7 +322,7 @@ func (e *Engine) admitRate(key string, n int) bool {
 	e.mu.Lock()
 	ts := e.tenantLocked(key)
 	e.mu.Unlock()
-	burst := float64(e.cfg.WriteBurst)
+	burst := max(rate, MaxBatch)
 	ts.tbMu.Lock()
 	defer ts.tbMu.Unlock()
 	now := time.Now()

@@ -139,7 +139,6 @@ func TestServedTransientRetryTransparent(t *testing.T) {
 // TestRetryBackoffDeterministic pins the seeded jitter: two clients with
 // the same RetryPolicy seed produce identical backoff schedules.
 func TestRetryBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{Seed: 42}.withDefaults()
 	schedule := func() []time.Duration {
 		c := NewClient(nil)
 		c.SetRetryPolicy(RetryPolicy{Seed: 42})
@@ -148,7 +147,7 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 			c.mu.Lock()
 			j := c.rng.Uint64()
 			c.mu.Unlock()
-			out = append(out, p.backoff(attempt, j))
+			out = append(out, backoff(attempt, j))
 		}
 		return out
 	}
@@ -157,8 +156,8 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("backoff %d differs across identically seeded clients: %v vs %v", i, a[i], b[i])
 		}
-		if a[i] <= 0 || a[i] > p.MaxDelay {
-			t.Fatalf("backoff %d = %v outside (0, %v]", i, a[i], p.MaxDelay)
+		if a[i] <= 0 || a[i] > maxDelay {
+			t.Fatalf("backoff %d = %v outside (0, %v]", i, a[i], maxDelay)
 		}
 	}
 	if a[0] >= a[6] {

@@ -57,8 +57,8 @@ type FrameType uint8
 const (
 	// Client → server.
 	FOpenView    FrameType = 0x01 // body: name — resolve a served view by name
-	FOpenStream  FrameType = 0x02 // body: viewID, box — start an online sample stream
-	FNextBatch   FrameType = 0x03 // body: streamID, max — pull up to max records
+	FOpenStream  FrameType = 0x02 // body: viewID, box[, seeded flag, seed, start pos] — start an online sample stream
+	FNextBatch   FrameType = 0x03 // body: streamID, max, pos — pull up to max records from position pos
 	FEstimate    FrameType = 0x04 // body: viewID, box — estimate matching-record count
 	FCancel      FrameType = 0x05 // body: streamID — close a stream early
 	FStats       FrameType = 0x06 // body: empty — snapshot server/session counters
@@ -72,7 +72,7 @@ const (
 	// Server → client.
 	FViewInfo          FrameType = 0x81 // body: viewID, dims, height, count
 	FStreamOpened      FrameType = 0x82 // body: streamID
-	FBatch             FrameType = 0x83 // body: streamID, eof, records
+	FBatch             FrameType = 0x83 // body: streamID, eof, records, pos after the batch
 	FEstimateResult    FrameType = 0x84 // body: float64 count
 	FCancelOK          FrameType = 0x85 // body: streamID
 	FStatsResult       FrameType = 0x86 // body: encoded StatsSnapshot

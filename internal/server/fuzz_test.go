@@ -212,8 +212,11 @@ func reencodeCheck(t *testing.T, ft FrameType, body []byte) {
 	case FError:
 		m, _ := DecodeErrorResp(body)
 		out = m.Encode()
+	case FStatsResult:
+		m, _ := decodeStatsSnapshot(body)
+		out = m.Encode()
 	default:
-		return // EstimateResp (NaN bit patterns) and stats (padding) skip byte-identity
+		return // EstimateResp (NaN bit patterns) skips byte-identity
 	}
 	if !bytes.Equal(out, body) {
 		t.Fatalf("%v: re-encode changed the bytes:\n in %x\nout %x", ft, body, out)

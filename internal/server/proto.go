@@ -154,6 +154,16 @@ func consumeI64(b []byte) (int64, []byte, error) {
 
 var errShort = fmt.Errorf("server: truncated message body")
 
+// consumePos consumes a stream position, which is never negative; what
+// names the position in the error.
+func consumePos(b []byte, what string) (int64, []byte, error) {
+	v, b, err := consumeI64(b)
+	if err == nil && v < 0 {
+		err = fmt.Errorf("server: %s position %d negative", what, v)
+	}
+	return v, b, err
+}
+
 func appendString(b []byte, s string) []byte {
 	if len(s) > math.MaxUint16 {
 		s = s[:math.MaxUint16]
@@ -272,8 +282,8 @@ type OpenStreamReq struct {
 	Query  record.Box
 	// Seeded pins the stream's randomness to Seed; StartPos (records to
 	// skip before the first batch) lets a migrated or hedged stream resume
-	// mid-sequence. Absent on the wire for unseeded opens, so pre-fleet
-	// peers interoperate unchanged.
+	// mid-sequence. Both are absent on the wire for an unseeded open, whose
+	// stream starts at 0 with randomness of the server's choosing.
 	Seeded   bool
 	Seed     uint64
 	StartPos int64
@@ -301,7 +311,7 @@ func DecodeOpenStreamReq(b []byte) (OpenStreamReq, error) {
 		return m, err
 	}
 	if len(b) == 0 {
-		return m, nil // legacy unseeded open
+		return m, nil // unseeded
 	}
 	if b[0] != openStreamFlagSeeded {
 		return m, fmt.Errorf("server: open-stream flags 0x%02x unknown", b[0])
@@ -312,11 +322,8 @@ func DecodeOpenStreamReq(b []byte) (OpenStreamReq, error) {
 		return m, err
 	}
 	m.Seed = uint64(seed)
-	if m.StartPos, b, err = consumeI64(b); err != nil {
+	if m.StartPos, b, err = consumePos(b, "open-stream start"); err != nil {
 		return m, err
-	}
-	if m.StartPos < 0 {
-		return m, fmt.Errorf("server: open-stream start position %d negative", m.StartPos)
 	}
 	return whole(m, b)
 }
@@ -326,11 +333,10 @@ type NextBatchReq struct {
 	StreamID uint32
 	Max      uint32
 	// Pos is the stream position (records already consumed) the caller
-	// expects the batch to start at, or -1 for unchecked pulls. When the
-	// stream is ahead the request is rejected with CodeStreamPosition;
-	// when behind, the server fast-forwards (hedged duplicates are
-	// discarded server-side, never re-sent). Absent on the wire for
-	// legacy pulls.
+	// expects the batch to start at. When the stream is ahead the request
+	// is rejected with CodeStreamPosition; when behind, the server
+	// fast-forwards (hedged duplicates are discarded server-side, never
+	// re-sent).
 	Pos int64
 }
 
@@ -339,16 +345,12 @@ func (m NextBatchReq) Encode() []byte { return m.appendTo(nil) }
 
 // appendTo renders the body behind b (a stack buffer, on the pull path).
 func (m NextBatchReq) appendTo(b []byte) []byte {
-	b = appendU32(appendU32(b, m.StreamID), m.Max)
-	if m.Pos >= 0 {
-		b = appendI64(b, m.Pos)
-	}
-	return b
+	return appendI64(appendU32(appendU32(b, m.StreamID), m.Max), m.Pos)
 }
 
 // DecodeNextBatchReq decodes an FNextBatch body.
 func DecodeNextBatchReq(b []byte) (NextBatchReq, error) {
-	m := NextBatchReq{Pos: -1}
+	var m NextBatchReq
 	var err error
 	if m.StreamID, b, err = consumeU32(b); err != nil {
 		return m, err
@@ -356,14 +358,8 @@ func DecodeNextBatchReq(b []byte) (NextBatchReq, error) {
 	if m.Max, b, err = consumeU32(b); err != nil {
 		return m, err
 	}
-	if len(b) == 0 {
-		return m, nil // legacy unchecked pull
-	}
-	if m.Pos, b, err = consumeI64(b); err != nil {
+	if m.Pos, b, err = consumePos(b, "next-batch"); err != nil {
 		return m, err
-	}
-	if m.Pos < 0 {
-		return m, fmt.Errorf("server: next-batch position %d negative", m.Pos)
 	}
 	return whole(m, b)
 }
@@ -662,34 +658,25 @@ type BatchResp struct {
 	StreamID uint32
 	EOF      bool
 	Records  []record.Record
-	// Pos is the stream position after this batch (total records served),
-	// or -1 when the server predates position export. Fleet routers use it
-	// as the canonical resume point for hedging and migration.
+	// Pos is the stream position after this batch (total records served):
+	// the client's position for its next pull, and the canonical resume
+	// point fleet routers hedge and migrate on.
 	Pos int64
 }
 
-// Encode renders the body; a negative Pos omits the position field (the
-// legacy shape).
+// Encode renders the body.
 func (m BatchResp) Encode() []byte { return m.AppendTo(nil) }
 
 // AppendTo renders the body behind b, in place: b grows once, to the exact
 // size of the body, and each record is marshalled where it lands.
 func (m BatchResp) AppendTo(b []byte) []byte {
-	size := 4 + 1 + 4 + len(m.Records)*record.Size
-	if m.Pos >= 0 {
-		size += 8
-	}
-	b = appendU32(slices.Grow(b, size), m.StreamID)
+	b = appendU32(slices.Grow(b, 4+1+4+len(m.Records)*record.Size+8), m.StreamID)
 	if m.EOF {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	b = appendRecords(b, m.Records)
-	if m.Pos >= 0 {
-		b = appendI64(b, m.Pos)
-	}
-	return b
+	return appendI64(appendRecords(b, m.Records), m.Pos)
 }
 
 // SplitBatchResp validates an FBatch body and returns its fields with the
@@ -697,7 +684,6 @@ func (m BatchResp) AppendTo(b []byte) []byte {
 // len(raw)/record.Size of them): all an intermediary forwarding the body
 // needs, at no record decoded.
 func SplitBatchResp(b []byte) (m BatchResp, raw []byte, err error) {
-	m.Pos = -1
 	if m.StreamID, b, err = consumeU32(b); err != nil {
 		return m, nil, err
 	}
@@ -711,14 +697,8 @@ func SplitBatchResp(b []byte) (m BatchResp, raw []byte, err error) {
 	if raw, b, err = splitRecords(b[1:]); err != nil {
 		return m, nil, err
 	}
-	if len(b) == 0 {
-		return m, raw, nil // legacy response without position export
-	}
-	if m.Pos, b, err = consumeI64(b); err != nil {
+	if m.Pos, b, err = consumePos(b, "batch"); err != nil {
 		return m, nil, err
-	}
-	if m.Pos < 0 {
-		return m, nil, fmt.Errorf("server: batch position %d negative", m.Pos)
 	}
 	if len(b) != 0 {
 		return m, nil, errTrailing

@@ -36,11 +36,6 @@ type Config struct {
 	// responses so a router can identify and health-check its replicas.
 	// Empty outside a fleet.
 	ReplicaID string
-	// MaxBatch caps records per batch response. Larger client requests are
-	// clamped, bounding per-request buffering — backpressure comes from the
-	// strict request/response alternation, not from queues (default 4096,
-	// and never more than fits a frame).
-	MaxBatch int
 	// IdleTimeout reaps streams idle for longer than this on the simulated
 	// disk clock of the view they sample: a stream is idle once the view's
 	// simulated time has advanced IdleTimeout past the stream's last
@@ -67,22 +62,20 @@ type Config struct {
 	MaxWriteBacklog int
 	// WriteRate is per-tenant write-rate admission: a tenant's appends and
 	// deletes — across all of its connections — draw from one token bucket
-	// refilled at this many entries per second. Connections that never set
-	// a tenant each get their own bucket (the pre-fleet per-connection
-	// behaviour). A batch that finds the bucket dry receives a typed
-	// CodeWriteThrottled rejection before anything is applied, so the
-	// client can safely retry the identical batch. 0 disables rate
-	// admission.
+	// refilled at this many entries per second and holding at most
+	// max(WriteRate, MaxBatch). Connections that never set a tenant each get
+	// their own bucket. A batch that finds the bucket short (and not full)
+	// receives a typed CodeWriteThrottled rejection before anything is
+	// applied, so the client can safely retry the identical batch. 0
+	// disables rate admission.
 	WriteRate float64
-	// WriteBurst is the token bucket's capacity: the largest write burst one
-	// tenant may land instantly. Defaults to max(WriteRate, MaxBatch)
-	// when rate admission is on, so a full-size batch is always admittable.
-	WriteBurst int
 }
 
-// maxBatchLimit is the largest batch that fits one frame with headroom for
-// the batch response envelope.
-const maxBatchLimit = (MaxFrame - 64) / record.Size
+// MaxBatch caps records per batch response. Larger client requests are
+// clamped, bounding per-request buffering — backpressure comes from the
+// strict request/response alternation, not from queues. A full batch fits a
+// frame with room to spare.
+const MaxBatch = 4096
 
 func (c Config) withDefaults() Config {
 	if c.MaxStreams <= 0 {
@@ -94,20 +87,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxStreamsPerTenant <= 0 {
 		c.MaxStreamsPerTenant = c.MaxStreams
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxBatch > maxBatchLimit {
-		c.MaxBatch = maxBatchLimit
-	}
 	if c.MaxWriteBacklog <= 0 {
 		c.MaxWriteBacklog = 65536
-	}
-	if c.WriteRate > 0 && c.WriteBurst <= 0 {
-		c.WriteBurst = c.MaxBatch
-		if r := int(c.WriteRate); r > c.WriteBurst {
-			c.WriteBurst = r
-		}
 	}
 	return c
 }
@@ -128,6 +109,7 @@ type ViewStream interface {
 // ViewSource abstracts a servable view — unsharded or sharded — behind the
 // exact surface the request handlers need.
 type ViewSource interface {
+	SeededSource
 	Dims() int
 	Height() int
 	Count() int64
@@ -155,11 +137,10 @@ type WritableSource interface {
 	WriteStats() lsm.WriteStats
 }
 
-// SeededSource is the optional seeded-open surface of a ViewSource: a
-// stream whose randomness is pinned to an explicit seed, so replicas
-// holding byte-identical view state serve byte-identical sample sequences
-// for the same (query, seed). Both built-in sources implement it; seeded
-// open requests against a source that does not are refused.
+// SeededSource is the seeded-open surface every ViewSource has: a stream
+// whose randomness is pinned to an explicit seed, so replicas holding
+// byte-identical view state serve byte-identical sample sequences for the
+// same (query, seed) — what the fleet tier's migration relies on.
 type SeededSource interface {
 	OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error)
 }
@@ -190,38 +171,34 @@ func lend(s *shard.Stream, err error) (ViewStream, error) {
 	return &batchStream{Stream: s}, nil
 }
 
-// localSource adapts an in-process unsharded view to ViewSource.
-type localSource struct{ *sampleview.View }
-
-func (v localSource) OpenStream(q record.Box) (ViewStream, error) { return lend(v.View.Query(q)) }
-
-func (v localSource) OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error) {
-	return lend(v.View.QuerySeeded(q, seed))
+// view is what the unsharded and the sharded view share: everything a
+// ViewSource needs, the live write path, and the stream opens.
+type view interface {
+	WritableSource
+	Dims() int
+	Height() int
+	Count() int64
+	EstimateCount(record.Box) (float64, error)
+	SimNow() time.Duration
+	Query(record.Box) (*shard.Stream, error)
+	QuerySeeded(record.Box, uint64) (*shard.Stream, error)
 }
 
-// shardedSource adapts a multi-disk sharded view to ViewSource.
-type shardedSource struct{ *shard.View }
+// source adapts an in-process view of either kind to ViewSource; it is
+// writable too.
+type source struct{ view }
 
-func (v shardedSource) OpenStream(q record.Box) (ViewStream, error) { return lend(v.View.Query(q)) }
+func (v source) OpenStream(q record.Box) (ViewStream, error) { return lend(v.Query(q)) }
 
-func (v shardedSource) OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error) {
-	return lend(v.View.QuerySeeded(q, seed))
+func (v source) OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error) {
+	return lend(v.QuerySeeded(q, seed))
 }
 
 // LocalSource adapts an unsharded view for AddSource.
-func LocalSource(v *sampleview.View) ViewSource { return localSource{v} }
+func LocalSource(v *sampleview.View) ViewSource { return source{v} }
 
 // ShardedSource adapts a sharded view for AddSource.
-func ShardedSource(v *shard.View) ViewSource { return shardedSource{v} }
-
-// Both built-in sources carry the live write path and the seeded opens the
-// fleet tier's migration relies on.
-var (
-	_ WritableSource = localSource{}
-	_ WritableSource = shardedSource{}
-	_ SeededSource   = localSource{}
-	_ SeededSource   = shardedSource{}
-)
+func ShardedSource(v *shard.View) ViewSource { return source{v} }
 
 // servedView is one view registered with the server.
 type servedView struct {
@@ -269,7 +246,7 @@ func (s *Server) Config() Config { return s.cfg }
 // open-view requests; streams already open keep sampling the view they
 // started on.
 func (s *Server) AddView(name string, v *sampleview.View) {
-	s.AddSource(name, localSource{v})
+	s.AddSource(name, LocalSource(v))
 }
 
 // AddSource registers any ViewSource (for example ShardedSource) under
@@ -340,7 +317,7 @@ func (s endpoint) OpenView(name string) (ViewInfo, error) {
 	if !ok && s.catalog != nil {
 		var v *shard.View
 		if v, ok = s.catalog.Get(name); ok {
-			sv = s.addLocked(&servedView{name: name, v: shardedSource{v}, fromCatalog: true})
+			sv = s.addLocked(&servedView{name: name, v: ShardedSource(v), fromCatalog: true})
 		}
 	}
 	s.mu.Unlock()
@@ -371,12 +348,10 @@ func (s endpoint) OpenStream(_, _ string, req OpenStreamReq) (EndpointStream, er
 		return nil, err
 	}
 	var stream ViewStream
-	if !req.Seeded {
-		stream, err = sv.v.OpenStream(req.Query)
-	} else if seeded, ok := sv.v.(SeededSource); ok {
-		stream, err = seeded.OpenStreamSeeded(req.Query, req.Seed)
+	if req.Seeded {
+		stream, err = sv.v.OpenStreamSeeded(req.Query, req.Seed)
 	} else {
-		return nil, &Error{Code: CodeBadRequest, Msg: "view " + sv.name + " does not support seeded streams"}
+		stream, err = sv.v.OpenStream(req.Query)
 	}
 	if err != nil {
 		// Opening a stream on a view with a live write path scans delta

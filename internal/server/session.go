@@ -375,10 +375,7 @@ func (sess *session) handleOpenStream(body []byte) (FrameType, []byte) {
 		e.releaseStreams(key, 1)
 		return sess.fail(err)
 	}
-	st := &servedStream{s: s}
-	if req.Seeded {
-		st.pos = req.StartPos
-	}
+	st := &servedStream{s: s, pos: req.StartPos}
 	st.charge(sess)
 	sess.mu.Lock()
 	sess.nextStream++
@@ -427,26 +424,22 @@ func (sess *session) handleNextBatch(body []byte) ([]byte, error) {
 		}
 		return sess.frame(sess.reject(CodeUnknownStream, "unknown stream id"))
 	}
-	pos := st.pos
-	if req.Pos >= 0 {
-		// Position-checked pull: samples are served exactly once, so a
-		// request behind the stream is unservable — the caller must reopen
-		// at the position it wants. A request ahead of the stream (the
-		// losing half of a hedged pair, reconciling) fast-forwards: the
-		// skipped records were already delivered by the other replica.
-		if req.Pos < pos {
-			return sess.frame(sess.reject(CodeStreamPosition, fmt.Sprintf(
-				"stream at position %d, requested position %d is behind it", pos, req.Pos)))
-		}
-		pos = req.Pos
+	// Samples are served exactly once, so a pull behind the stream is
+	// unservable — the caller must reopen at the position it wants. A pull
+	// ahead of the stream (the losing half of a hedged pair, reconciling)
+	// fast-forwards: the skipped records were already delivered by the other
+	// replica.
+	if req.Pos < st.pos {
+		return sess.frame(sess.reject(CodeStreamPosition, fmt.Sprintf(
+			"stream at position %d, requested position %d is behind it", st.pos, req.Pos)))
 	}
 	max := int(req.Max)
-	if max <= 0 || max > sess.eng.cfg.MaxBatch {
-		max = sess.eng.cfg.MaxBatch
+	if max <= 0 || max > MaxBatch {
+		max = MaxBatch
 	}
 	dst := append(sess.wbuf[:0], 0, 0, 0, 0, byte(FBatch))
 	sess.wbuf = nil // the stream's now; what comes back is kept
-	rb, err := st.s.Pull(dst, pos, max)
+	rb, err := st.s.Pull(dst, req.Pos, max)
 	st.charge(sess)
 	if rb.End > st.pos {
 		st.pos = rb.End

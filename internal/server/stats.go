@@ -46,9 +46,7 @@ type StatsSnapshot struct {
 	MaintJobs       int64
 	MaintJobErrors  int64
 
-	// Write-path counters (wire version 2 fields; older servers omit them
-	// and the decoder leaves them zero). The first four count requests; the
-	// last four are gauges aggregated over the servable views at snapshot
+	// Write-path counters. The first four count requests; the last four are gauges aggregated over the servable views at snapshot
 	// time: buffered memview entries, pending tombstones, the deepest delta
 	// ladder, and total compactions run since the views opened.
 	RecordsIngested   int64
@@ -60,7 +58,7 @@ type StatsSnapshot struct {
 	DeltaLevels       int64
 	CompactionsRun    int64
 
-	// Durability counters (wire version 3 fields). RejectedThrottle counts
+	// Durability counters. RejectedThrottle counts
 	// write-rate rejections; the WAL gauges aggregate over the servable
 	// views: logged bytes, group-commit fsyncs, operations replayed by crash
 	// recovery at open, and live log segments.
@@ -70,7 +68,7 @@ type StatsSnapshot struct {
 	WALReplayed      int64
 	WALSegments      int64
 
-	// Fleet counters (wire version 4 fields). A replica fills the first
+	// Fleet counters. A replica fills the first
 	// two: per-tenant stream-cap rejections and live tenant accounting
 	// buckets. A fleet router answering a stats request fills the rest:
 	// hedged pulls issued, hedges whose second replica answered first,
@@ -100,14 +98,11 @@ type SessionSnapshot struct {
 	SimIO         time.Duration
 }
 
-// serverFieldCount and sessionFieldCount version the wire encoding: a
-// snapshot is encoded as a field count followed by that many int64s, per
-// scope, so decoders can stay compatible with older servers that send
-// fewer fields. Fields 21..28 are the write-path counters added with the
-// ingest frames (wire version 2 of the stats snapshot); fields 29..33 are
-// the durability counters added with the write-ahead log (wire version 3);
-// fields 34..39 are the fleet counters added with the serving tier (wire
-// version 4).
+// serverFieldCount and sessionFieldCount are the sizes of the two scopes of
+// the wire encoding: a snapshot is encoded as, per scope, a field count
+// followed by that many int64s, and a scope of any other count is refused.
+// Fields 21..28 are the write-path counters, 29..33 the durability counters
+// and 34..39 the fleet counters.
 const (
 	serverFieldCount  = 40
 	sessionFieldCount = 10
@@ -175,24 +170,21 @@ func (s *StatsSnapshot) Encode() []byte {
 	return b
 }
 
-// consumeFields reads a count-prefixed int64 vector, padding or truncating
-// to want fields; the count is validated against the available bytes before
-// allocating.
+// consumeFields reads a count-prefixed int64 vector of exactly want fields.
 func consumeFields(b []byte, want int) ([]int64, []byte, error) {
 	n, b, err := consumeU32(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(b)) < uint64(n)*8 {
-		return nil, nil, fmt.Errorf("server: stats claims %d fields but only %d bytes follow", n, len(b))
+	if n != uint32(want) {
+		return nil, nil, fmt.Errorf("server: stats scope has %d fields, want %d", n, want)
+	}
+	if len(b) < want*8 {
+		return nil, nil, errShort
 	}
 	out := make([]int64, want)
-	for i := 0; i < int(n); i++ {
-		var v int64
-		v, b, _ = consumeI64(b)
-		if i < want {
-			out[i] = v
-		}
+	for i := range out {
+		out[i], b, _ = consumeI64(b)
 	}
 	return out, b, nil
 }
