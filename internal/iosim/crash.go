@@ -195,19 +195,10 @@ func (s *Sim) Sync() error {
 
 // AtCrashPoint delegates to the parent Sim: a power cut takes every stream
 // down at once.
-func (c *Clock) AtCrashPoint(p CrashPoint) error {
-	if c.parent == nil {
-		return nil
-	}
-	return c.parent.AtCrashPoint(p)
-}
+func (c *Clock) AtCrashPoint(p CrashPoint) error { return c.parent.AtCrashPoint(p) }
 
 // Sync charges a durability barrier to the stream's clock and the parent's.
 func (c *Clock) Sync() error {
-	if c.parent == nil {
-		c.now += c.model.RandomWrite
-		return nil
-	}
 	if err := c.parent.Sync(); err != nil {
 		return err
 	}

@@ -348,12 +348,7 @@ func (s *Sim) BeginRead(f FileID, page int64) Fault {
 }
 
 // FaultPlan returns the fault schedule of the parent Sim (zero if none).
-func (c *Clock) FaultPlan() FaultPlan {
-	if c.parent != nil {
-		return c.parent.FaultPlan()
-	}
-	return FaultPlan{}
-}
+func (c *Clock) FaultPlan() FaultPlan { return c.parent.FaultPlan() }
 
 // FaultCounters returns the stream's own fault counters.
 func (c *Clock) FaultCounters() FaultCounters { return c.faults }
@@ -361,9 +356,7 @@ func (c *Clock) FaultCounters() FaultCounters { return c.faults }
 // NoteFault records one fault outcome, mirroring it to the parent Sim.
 func (c *Clock) NoteFault(k FaultKind) {
 	c.faults.add(k, 1)
-	if c.parent != nil {
-		c.parent.faults[k].Add(1)
-	}
+	c.parent.faults[k].Add(1)
 }
 
 // BeginRead consults the fault plan for the stream's next read attempt of
@@ -371,9 +364,6 @@ func (c *Clock) NoteFault(k FaultKind) {
 // stream observes is a pure function of its own access sequence, identical
 // at any concurrency.
 func (c *Clock) BeginRead(f FileID, page int64) Fault {
-	if c.parent == nil {
-		return Fault{FlipBit: -1}
-	}
 	p := c.parent.plan.Load()
 	if p == nil {
 		return Fault{FlipBit: -1}

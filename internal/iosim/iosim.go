@@ -275,7 +275,7 @@ func (s *Sim) Fork() *Clock {
 // single-stream cost.
 type Clock struct {
 	model    Model
-	parent   *Sim
+	parent   *Sim // never nil: Fork is the only constructor
 	now      time.Duration
 	counters Counters
 	headFile FileID
@@ -302,9 +302,7 @@ func (c *Clock) Counters() Counters { return c.counters }
 func (c *Clock) Advance(d time.Duration) {
 	if d > 0 {
 		c.now += d
-		if c.parent != nil {
-			c.parent.now.Add(int64(d))
-		}
+		c.parent.now.Add(int64(d))
 	}
 }
 
@@ -320,9 +318,7 @@ func (c *Clock) sequential(f FileID, page int64) bool {
 func (c *Clock) charge(kind int, d time.Duration, n *int64) {
 	c.now += d
 	*n++
-	if c.parent != nil {
-		c.parent.charge(kind, d)
-	}
+	c.parent.charge(kind, d)
 }
 
 // ReadPage charges the stream's clock for reading the given page of file f.
