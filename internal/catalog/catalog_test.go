@@ -177,6 +177,85 @@ func TestCompactionJobTriggersAtThreshold(t *testing.T) {
 	}
 }
 
+// TestFlushAndMergeJobs: with FlushThreshold and MaxDeltaLevels set,
+// RunDueJobs flushes each batch that reaches the threshold into a delta
+// level, leaves a ladder at the depth alone while no pair is due by size
+// (batches shrink, so none is), forces a merge once the ladder passes the
+// depth — and the view still serves every record exactly once.
+func TestFlushAndMergeJobs(t *testing.T) {
+	c, err := New("", shard.Options{}, Policy{FlushThreshold: 20, MaxDeltaLevels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	base := genRecords(2000, 9)
+	v, err := c.Register("orders", base, shard.Options{K: 2, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[uint64]bool, len(base))
+	for _, r := range base {
+		want[r.Seq] = true
+	}
+	g := workload.NewGenerator(workload.Uniform, 19)
+	seq := uint64(1 << 32) // disjoint from the base's Seqs
+	for i, n := range []int{400, 100, 25} {
+		for j := 0; j < n; j++ {
+			rec := g.Next()
+			rec.Seq = seq
+			seq++
+			if err := v.Insert(rec); err != nil {
+				t.Fatal(err)
+			}
+			want[rec.Seq] = true
+		}
+		reports := c.RunDueJobs()
+		if len(reports) == 0 || reports[0].Kind != "flush" || reports[0].Err != nil {
+			t.Fatalf("batch %d of %d records: reports = %+v, want a flush first", i, n, reports)
+		}
+		if w := v.WriteStats(); w.MemViewRecords != 0 {
+			t.Fatalf("batch %d: %d records still buffered after the flush", i, w.MemViewRecords)
+		}
+		switch i {
+		case 0: // one level: no merge considered
+			if len(reports) != 1 {
+				t.Fatalf("batch 0: reports = %+v, want the flush alone", reports)
+			}
+		case 1: // two levels, at the depth, the newer smaller: nothing merges
+			if len(reports) != 2 || reports[1].Kind != "merge" || reports[1].ShardsMerged != 0 || v.DeltaLevels() != 2 {
+				t.Fatalf("batch 1: reports = %+v at %d levels, want an idle merge at 2", reports, v.DeltaLevels())
+			}
+		case 2: // three levels, past the depth: every shard is forced back to two
+			if len(reports) != 2 || reports[1].Kind != "merge" || reports[1].Err != nil ||
+				reports[1].ShardsMerged != v.K() || v.DeltaLevels() != 2 {
+				t.Fatalf("batch 2: reports = %+v at %d levels, want a forced merge of %d shards to 2", reports, v.DeltaLevels(), v.K())
+			}
+		}
+	}
+
+	s, err := v.Query(record.Box1D(0, workload.KeyDomain-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for {
+		r, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want[r.Seq] {
+			t.Fatalf("record seq %d served twice or never stored", r.Seq)
+		}
+		delete(want, r.Seq)
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d records never served", len(want))
+	}
+}
+
 func TestScrubJobDetectsDamageAndSetsHealth(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "cat")
 	c, err := New(root, shard.Options{}, Policy{ScrubEvery: time.Millisecond})
