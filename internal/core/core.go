@@ -34,20 +34,20 @@
 // paper's packing of binary internal nodes into disk-page-sized units.
 //
 // Regions nest, so the sections a query can use from a leaf are always
-// sections 1..k: a prefix of the leaf's bytes. The prefix checksum of
-// section s is the CRC32-C of the payload of the page on which section s
-// ends, from that page's first byte through the section's last record; with
-// it a stab reads, verifies and decodes the usable prefix alone
-// (readLeafInto) while the simulated disk is still charged the whole leaf.
-// The key sketch of section s is the sorted list of its records' dimension-0
-// keys, each quantized to 16 bits within the section's region (clamped to
-// the data bounds, cut into 2^16 equal buckets), one uint16 per record: a
-// stab whose sections 1..k hold no key in the query's quantized range skips
-// the leaf's I/O (Stream.combineTuples). The summaries sit after the leaf
-// data rather than inside the directory entries so that every leaf stays on
-// the page format 1 put it on: the fault plans of internal/iosim are keyed
-// by physical page, and a shifted data region would meet a different fault
-// schedule.
+// sections 1..k. The key sketch of section s is the sorted list of its
+// records' dimension-0 keys, each quantized to 16 bits within the section's
+// region (clamped to the data bounds, cut into 2^16 equal buckets), one
+// uint16 per record; it rules out the sections of 1..k with no key in the
+// query's quantized range (Stream.need). The prefix checksum of section s is
+// the CRC32-C of the payload of the page on which s ends, from that page's
+// first byte through s's last record: a chain, with which a stab reads,
+// verifies and decodes only the bytes from the first section left to the
+// last (readLeafInto), or skips the leaf's I/O when none is left, while the
+// simulated disk is still charged the whole leaf. The summaries sit after
+// the leaf data rather than inside the directory entries so that every leaf
+// stays on the page format 1 put it on: the fault plans of internal/iosim
+// are keyed by physical page, and a shifted data region would meet a
+// different fault schedule.
 package core
 
 import (
@@ -673,7 +673,7 @@ func (t *Tree) sealPage(leaf, p int64, payload []byte, crc []uint32, sketch []ui
 func (t *Tree) readLeaf(ordinal int64) ([][]record.Record, error) {
 	d := leafDecoder{page: t.f.PageBuf()}
 	defer t.f.PutPageBuf(d.page)
-	return t.readLeafInto(ordinal, &d, t.h, nil)
+	return t.readLeafInto(ordinal, &d, 1<<t.h-1, nil)
 }
 
 // leafDecoder is the reusable arena one stream decodes leaves into. Every
@@ -682,7 +682,7 @@ func (t *Tree) readLeaf(ordinal int64) ([][]record.Record, error) {
 // returned sections alias the arena and are valid only until the next
 // readLeafInto call with the same decoder. Reuse is safe for the query
 // path because everything it keeps past a stab (emitted records, parked
-// bucket batches) is copied out of the sections by value.
+// batches) is copied out of the sections by value.
 type leafDecoder struct {
 	arena    []record.Record
 	sections [][]record.Record
@@ -691,65 +691,72 @@ type leafDecoder struct {
 	page []byte
 }
 
-// readLeafInto reads sigma_Q of the first k sections of one leaf into d (the
-// other sections come back empty): q is tested on the encoded records, and a
-// record is decoded, once, only if it matches. The simulated disk is charged
-// every page of the leaf, and every page meets its faults, whatever k and q
-// are; what k decides is the bytes that really move: pages before the one
-// the prefix ends on are read and verified whole, that page is read up to
-// the prefix's last record and verified against the directory's prefix
-// checksum, and the pages past it are charged without being fetched.
-// Payloads are obtained zero-copy where the backend allows it.
+// readLeafInto reads sigma_Q of the sections of one leaf that need names
+// (bit s for section s+1) into d, decoding a record, once, only if q matches
+// it encoded; the other sections come back empty. Every page of the leaf is
+// charged and meets its faults whatever need and q are; what moves is the
+// range from need's first section to its last. Pages outside it are only
+// charged, the page it ends on is read from the range's first byte there and
+// verified against the last section's prefix checksum (continuing the chain
+// of the section before when the range starts mid-page), and its other pages
+// are read and verified whole. Sections in the range that need leaves out
+// are not filtered. Payloads are zero-copy where the backend allows it.
 //
-// A nil q is the fsck read: every page is fetched and verified whole, every
-// record of all h sections decoded, and the leaf's summary (prefix checksums,
-// key sketch) is recomputed from those pages and compared.
-func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box) ([][]record.Record, error) {
+// A nil q (need naming all h sections) is the fsck read: every page fetched
+// and verified whole, every record decoded, the summary recomputed and compared.
+func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, need uint32, q *record.Box) ([][]record.Record, error) {
 	if ordinal < 0 || ordinal >= t.nLeaves {
 		return nil, fmt.Errorf("core: leaf %d out of range [0,%d)", ordinal, t.nLeaves)
 	}
 	m := &t.leaves[ordinal]
 	total := m.totalRecords()
-	d.sections = resized(d.sections, t.h)
-	sections := d.sections
+	sections := resized(d.sections, t.h)
+	d.sections = sections
 	clear(sections)
-	if total == 0 {
-		return sections, nil
-	}
 	perPage := int64(t.f.PageSize() / record.Size)
 	pages := ceilDiv(total, perPage)
-	var use int64 // records in the first k sections
-	for _, c := range m.secCounts[:k] {
-		use += int64(c)
+	// The range is sections a..b-1 (a clamped to a section when need is
+	// empty), records [from, to) of the leaf, ending on page last.
+	a, b := min(bits.TrailingZeros32(need), t.h-1), bits.Len32(need)
+	var from, to int64
+	for s, c := range m.secCounts[:b] {
+		if s < a {
+			from += int64(c)
+		}
+		to += int64(c)
 	}
-	// last is the page the prefix ends on: -1 for an empty prefix, past the
-	// leaf for fsck (every page is then "before" it, i.e. read whole).
-	last := ceilDiv(use, perPage) - 1
+	last := ceilDiv(to, perPage) - 1
 	var resealed []uint32
 	var resketch []uint16
 	if q == nil {
-		k, use, last = t.h, total, pages
+		last = pages // every page is one before the last: read whole
 		resealed, resketch = make([]uint32, t.h), make([]uint16, len(m.sketch))
 	}
 	d.page = resized(d.page, t.f.PageSize())
-	// The arena has room for the whole prefix, so it never moves under the
+	// The arena has room for the whole range, so it never moves under the
 	// sections sliced out of it. Sections end where their counts say, pages
 	// where perPage says: sec is the section being decoded, start its first
 	// record in flat, left its records still to come.
-	flat := resized(d.arena, int(use))[:0]
-	sec, start, left := 0, 0, int64(m.secCounts[0])
+	flat := resized(d.arena, int(to-from))[:0]
+	sec, start, left := a, 0, int64(m.secCounts[a])
 	for p := int64(0); p < pages; p++ {
-		n := min(perPage, use-p*perPage) // records of the prefix on this page
+		// The range's records on this page, counted from the page's first.
+		lo, hi := max(from-p*perPage, 0), min(to-p*perPage, perPage)
 		var payload []byte
 		var err error
 		switch {
+		case lo >= hi: // no record of the range here: charged, not fetched
+			lo, hi = 0, 0
+			_, err = t.f.ReadPrefix(m.firstPage+p, d.page, 0, 0, 0, 0)
 		case p < last:
 			payload, err = t.f.ReadPayload(m.firstPage+p, d.page)
-		case p == last:
-			payload, err = t.f.ReadPrefix(m.firstPage+p, d.page, int(n)*record.Size, m.secCRC[k-1])
 		default:
-			n = 0
-			_, err = t.f.ReadPrefix(m.firstPage+p, d.page, 0, 0)
+			var seed uint32
+			if lo > 0 {
+				seed = m.secCRC[a-1]
+			}
+			payload, err = t.f.ReadPrefix(m.firstPage+p, d.page, int(lo)*record.Size, int(hi-lo)*record.Size, seed, m.secCRC[b-1])
+			hi, lo = hi-lo, 0 // the payload starts at the range's first record
 		}
 		if err != nil {
 			return nil, err
@@ -757,7 +764,8 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 		if q == nil {
 			t.sealPage(ordinal, p, payload, resealed, resketch)
 		}
-		for n > 0 {
+		payload = payload[lo*record.Size:]
+		for n := hi - lo; n > 0; {
 			if left == 0 {
 				sections[sec], start = flat[start:len(flat):len(flat)], len(flat)
 				sec++
@@ -765,9 +773,10 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 				continue
 			}
 			c := int(min(n, left))
-			if q == nil {
+			switch {
+			case q == nil:
 				flat = record.AppendBatch(flat, payload, c)
-			} else {
+			case need>>sec&1 != 0:
 				flat = record.AppendMatching(flat, payload, c, *q)
 			}
 			payload = payload[c*record.Size:]
@@ -789,7 +798,7 @@ func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder, k int, q *record.Box)
 		}
 		at = n
 	}
-	for ; sec < k; sec++ {
+	for ; sec < b; sec++ {
 		sections[sec], start = flat[start:len(flat):len(flat)], len(flat)
 	}
 	return sections, nil

@@ -63,7 +63,7 @@ func TestDiagEmissionProfile(t *testing.T) {
 				empty, queued, recs := 0, 0, 0
 				minq, maxq := 1<<30, 0
 				for _, idx := range req {
-					q := stream.buckets[sec][idx]
+					q := stream.parked[idx]
 					if len(q) == 0 {
 						empty++
 					}

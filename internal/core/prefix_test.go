@@ -23,13 +23,14 @@ type countingBackend struct {
 	reads []pageRead
 }
 
+// pageRead is one fetch: bytes [off, off+bytes) of the physical frame of page.
 type pageRead struct {
-	page  int64
-	bytes int
+	page       int64
+	off, bytes int
 }
 
 func (c *countingBackend) ReadPage(i int64, off int, dst []byte) error {
-	c.reads = append(c.reads, pageRead{i, len(dst)})
+	c.reads = append(c.reads, pageRead{i, off, len(dst)})
 	copy(dst, c.pages[i][off:])
 	return nil
 }
@@ -121,12 +122,11 @@ func prefixPredicates(tree *Tree) []*record.Box {
 	return []*record.Box{&nothing, &everything, &some}
 }
 
-// checkEveryPrefix is the contract of the prefix read, checked for every
-// leaf, every k in 0..h and every predicate of prefixPredicates:
-// readLeafInto(k, q) returns sigma_q of readLeaf()[:k], section by section;
-// the clock is charged every page of the leaf whatever k and q are; and the
-// bytes fetched are whole frames before the page the prefix ends on, header
-// + prefix on it, and nothing after.
+// checkEveryPrefix is the contract of the leaf read, checked for every
+// leaf, every set of sections need and every predicate of prefixPredicates:
+// readLeafInto(need, q) returns sigma_q of readLeaf()[s] for every section s
+// in need and nothing for the rest; the clock is charged every page of the
+// leaf whatever need and q are; and the bytes fetched are wantFetches'.
 func checkEveryPrefix(t *testing.T, tree *Tree, cb *countingBackend) {
 	t.Helper()
 	perPage := int64(tree.f.PageSize() / record.Size)
@@ -140,21 +140,17 @@ func checkEveryPrefix(t *testing.T, tree *Tree, cb *countingBackend) {
 		}
 		m := &tree.leaves[leaf]
 		pages := ceilDiv(m.totalRecords(), perPage)
-		var use int64
-		for k := 0; k <= tree.h; k++ {
-			if k > 0 {
-				use += int64(m.secCounts[k-1])
-			}
+		for need := uint32(0); need < 1<<tree.h; need++ {
 			for pi, q := range preds {
 				ck := tree.f.Sim().Fork()
 				cb.reads = cb.reads[:0]
-				got, err := tree.WithClock(ck).readLeafInto(leaf, &dec, k, q)
+				got, err := tree.WithClock(ck).readLeafInto(leaf, &dec, need, q)
 				if err != nil {
-					t.Fatalf("leaf %d k=%d predicate %d: %v", leaf, k, pi, err)
+					t.Fatalf("leaf %d need %b predicate %d: %v", leaf, need, pi, err)
 				}
 				for s := range got {
 					var want []record.Record
-					if s < k {
+					if need>>s&1 != 0 {
 						for _, rec := range whole[s] {
 							if q.ContainsRecord(&rec) {
 								want = append(want, rec)
@@ -166,22 +162,14 @@ func checkEveryPrefix(t *testing.T, tree *Tree, cb *countingBackend) {
 						}
 					}
 					if len(got[s]) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got[s], want)) {
-						t.Fatalf("leaf %d k=%d predicate %d section %d: %d records, want %d (or contents differ)", leaf, k, pi, s+1, len(got[s]), len(want))
+						t.Fatalf("leaf %d need %b predicate %d section %d: %d records, want %d (or contents differ)", leaf, need, pi, s+1, len(got[s]), len(want))
 					}
 				}
 				if c := ck.Counters(); c.Reads() != pages || (pages > 0 && c.RandomReads != 1) {
-					t.Fatalf("leaf %d k=%d predicate %d: charged %+v, want %d pages, first one random", leaf, k, pi, c, pages)
+					t.Fatalf("leaf %d need %b predicate %d: charged %+v, want %d pages, first one random", leaf, need, pi, c, pages)
 				}
-				var want []pageRead
-				for p := int64(0); p*perPage < use; p++ {
-					if on := use - p*perPage; on > perPage {
-						want = append(want, pageRead{m.firstPage + p, tinyPhys})
-					} else {
-						want = append(want, pageRead{m.firstPage + p, 8 + int(on)*record.Size})
-					}
-				}
-				if fmt.Sprint(cb.reads) != fmt.Sprint(want) {
-					t.Fatalf("leaf %d k=%d predicate %d (prefix %d records of %d): fetched %v, want %v", leaf, k, pi, use, m.totalRecords(), cb.reads, want)
+				if want := wantFetches(m, perPage, need); fmt.Sprint(cb.reads) != fmt.Sprint(want) {
+					t.Fatalf("leaf %d need %b predicate %d (%d records): fetched %v, want %v", leaf, need, pi, m.totalRecords(), cb.reads, want)
 				}
 			}
 		}
@@ -189,6 +177,38 @@ func checkEveryPrefix(t *testing.T, tree *Tree, cb *countingBackend) {
 	if kept == 0 || dropped == 0 {
 		t.Fatalf("the selective predicate kept %d records and dropped %d; it must do both", kept, dropped)
 	}
+}
+
+// wantFetches is what a positional backend is asked for when a stab reads
+// sections need of leaf m: nothing for a page outside the range from need's
+// first record to its last; the frame from the range's first byte through
+// its last on the page the range ends on, plus the header when the range
+// starts on an earlier page or at this one's first byte; the whole frame on
+// the range's other pages.
+func wantFetches(m *leafMeta, perPage int64, need uint32) []pageRead {
+	var from, to, at int64 // need's first section's first record, its last's end
+	for s, c := range m.secCounts {
+		if need>>s&1 != 0 {
+			if need&(1<<s-1) == 0 {
+				from = at
+			}
+			to = at + int64(c)
+		}
+		at += int64(c)
+	}
+	var want []pageRead
+	for p := from / perPage; from < to && p*perPage < to; p++ {
+		lo, hi := max(from-p*perPage, 0), min(to-p*perPage, perPage)
+		switch {
+		case (p+1)*perPage < to:
+			want = append(want, pageRead{m.firstPage + p, 0, tinyPhys})
+		case lo > 0:
+			want = append(want, pageRead{m.firstPage + p, 8 + int(lo)*record.Size, int(hi-lo) * record.Size})
+		default:
+			want = append(want, pageRead{m.firstPage + p, 0, 8 + int(hi)*record.Size})
+		}
+	}
+	return want
 }
 
 // TestPrefixReadCraftedLeaves puts the prefix boundary everywhere it can

@@ -86,10 +86,11 @@ type scratch struct {
 	// idx's sketch region, for overlapping nodes whose sections keep sketches.
 	spans []keySpan
 
-	// buckets[s] holds parked batches keyed by heap node index. The batches
-	// themselves are exact-size allocations of the stream that parked them
-	// and are dropped, not recycled, at Close.
-	buckets []map[int64][][]record.Record
+	// parked[idx] queues, oldest first, the batches (exact-size copies) parked
+	// under heap node idx; ready[s] counts the regions of requiredAll[s]
+	// holding one. Close drops them all: every queue nil, every count 0.
+	parked [][][]record.Record
+	ready  []int
 
 	out []record.Record // emitted records, consumed from Stream.outHead
 
@@ -130,15 +131,11 @@ func (t *Tree) getScratch() *scratch {
 	clear(sc.covers)
 	sc.spans = resized(sc.spans, len(t.sketchRegion))
 	sc.requiredAll = resized(sc.requiredAll, t.h)
-	sc.buckets = resized(sc.buckets, t.h)
-	for i := range sc.buckets {
-		sc.requiredAll[i] = sc.requiredAll[i][:0]
-		if sc.buckets[i] == nil {
-			sc.buckets[i] = make(map[int64][][]record.Record)
-		}
-	}
+	sc.parked = resized(sc.parked, int(2*t.nLeaves))
+	sc.ready = resized(sc.ready, t.h)
 	sc.out = sc.out[:0]
 	sc.path = resized(sc.path, t.h+1)
+	sc.dec.sections = resized(sc.dec.sections, t.h)
 	return sc
 }
 
@@ -162,8 +159,11 @@ func (s *Stream) Close() {
 		return
 	}
 	s.scratch, s.done, s.outHead, s.buffered = nil, true, 0, 0
-	for _, b := range sc.buckets {
-		clear(b)
+	for sec, req := range sc.requiredAll {
+		for _, idx := range req {
+			sc.parked[idx] = nil
+		}
+		sc.requiredAll[sec], sc.ready[sec] = req[:0], 0
 	}
 	if s.outPeak > maxKeepRecords {
 		sc.out = nil
@@ -445,38 +445,32 @@ func (s *Stream) shuttle() {
 
 // combineTuples implements Algorithm 4 for the leaf just retrieved: emit
 // covering sections immediately, park partially overlapping sections, and
-// flush every bucket group that has a batch for each required region. The
-// read applies sigma_Q itself (readLeafInto), so every section arrives
-// holding its matches only.
+// flush every section whose required regions all have a batch. The read
+// applies sigma_Q itself (readLeafInto), so every section arrives holding
+// its matches only.
 //
 // Regions nest along the stab's path, so the sections whose region overlaps
-// the query are sections 1..k for some k, and the rest are useless: k is
-// known before the read, and only that prefix of the leaf is fetched. When
-// the key sketches show that none of sections 1..k holds a key of the
-// query, nothing is read and the combine runs on k empty sections, exactly
-// as after a read that filtered them all away: the same empty batches are
-// parked and the emitted sequence does not change.
+// the query are sections 1..k for some k, and the rest are useless. Of
+// those, the read fetches only the range from the first to the last section
+// the key sketches and counts cannot rule out (need). When they rule out
+// all k nothing is read and the combine runs on k empty sections, exactly as
+// after a read that filtered them all away: the emitted sequence is the same.
 func (s *Stream) combineTuples(leaf int64) (int, error) {
 	t := s.t
 	k := 0
 	for k < t.h && s.overlaps[s.path[k+1]] {
 		k++
 	}
-	var sections [][]record.Record
-	var err error
-	if s.readEvery || s.mayMatch(&t.leaves[leaf], k) {
-		sections, err = t.readLeafInto(leaf, &s.dec, k, &s.q)
+	if need := s.need(&t.leaves[leaf], k); s.readEvery || need != 0 {
+		if _, err := t.readLeafInto(leaf, &s.dec, need, &s.q); err != nil {
+			return 0, err
+		}
 	} else {
-		s.dec.sections = resized(s.dec.sections, k)
-		sections = s.dec.sections
-		clear(sections)
-	}
-	if err != nil {
-		return 0, err
+		clear(s.dec.sections[:k])
 	}
 	emitted := 0
 	for sec := 0; sec < k; sec++ {
-		recs := sections[sec]
+		recs := s.dec.sections[sec]
 		nodeIdx := s.path[sec+1]
 		if s.covers[nodeIdx] {
 			// The section's region covers the query: an immediately usable
@@ -486,63 +480,58 @@ func (s *Stream) combineTuples(leaf int64) (int, error) {
 			s.emitted += int64(len(recs))
 			continue
 		}
-		// Partial overlap: park sigma_Q of the section under this region
-		// (copied out of the decode arena at its exact size) and try to
-		// append one batch per required region (appendability).
-		s.buckets[sec][nodeIdx] = append(s.buckets[sec][nodeIdx], append([]record.Record(nil), recs...))
+		// Partial overlap: park an exact-size copy under this region and
+		// append one batch per required region while each has one.
+		if len(s.parked[nodeIdx]) == 0 {
+			s.ready[sec]++
+		}
+		s.parked[nodeIdx] = append(s.parked[nodeIdx], append([]record.Record(nil), recs...))
 		s.buffered += len(recs)
 		emitted += s.tryCombine(sec)
 	}
 	return emitted, nil
 }
 
-// mayMatch reports whether any of sections 1..k of leaf m can hold a record
-// of the query: a sketched section can if one of its keys falls in the
-// query's span for its region, a section past the sketched ones if it is not
-// empty.
-func (s *Stream) mayMatch(m *leafMeta, k int) bool {
+// need returns the sections among 1..k of leaf m that can hold a record of
+// the query, bit s for section s+1: a sketched section if one of its keys
+// falls in the query's span for its region, a later one if it is not empty;
+// under ReadEveryLeaf, all k.
+func (s *Stream) need(m *leafMeta, k int) uint32 {
+	if s.readEvery {
+		return 1<<k - 1
+	}
+	var need uint32
 	keys := m.sketch
 	for sec := 0; sec < k; sec++ {
 		n := int(m.secCounts[sec])
-		if sec >= sketchSections {
-			if n != 0 {
-				return true
-			}
-			continue
+		can := n != 0
+		if sec < sketchSections {
+			can, keys = s.spans[s.path[sec+1]].meets(keys[:n]), keys[n:]
 		}
-		if s.spans[s.path[sec+1]].meets(keys[:n]) {
-			return true
+		if can {
+			need |= 1 << sec
 		}
-		keys = keys[n:]
 	}
-	return false
+	return need
 }
 
-// tryCombine appends one parked batch from every required region of the
-// given section number, if all are present, and emits the result. It
-// repeats until some region's bucket is empty, returning the number of
-// records emitted.
+// tryCombine appends the oldest parked batch of every required region of
+// the given section, for as long as every one has a batch, and emits the
+// result, returning the number of records emitted.
 func (s *Stream) tryCombine(sec int) int {
 	emitted := 0
-	for {
-		ready := true
+	for s.ready[sec] == len(s.requiredAll[sec]) {
 		for _, idx := range s.requiredAll[sec] {
-			if len(s.buckets[sec][idx]) == 0 {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			return emitted
-		}
-		for _, idx := range s.requiredAll[sec] {
-			q := s.buckets[sec][idx]
+			q := s.parked[idx]
 			batch := q[0]
-			s.buckets[sec][idx] = q[1:]
+			if s.parked[idx] = q[1:]; len(q) == 1 {
+				s.ready[sec]--
+			}
 			s.buffered -= len(batch)
 			s.out = append(s.out, batch...)
 			emitted += len(batch)
 			s.emitted += int64(len(batch))
 		}
 	}
+	return emitted
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"slices"
 	"testing"
 
 	"sampleview/internal/record"
@@ -30,7 +31,9 @@ func drainAll(t *testing.T, s *Stream) []record.Record {
 // counters, parked batches, queued records), and nothing the predecessor
 // returned — by Next, NextBatch or the caller-owned batch draw — may change
 // when the successor draws through the recycled memory. A closed stream
-// reads as exhausted, keeps its counters, and tolerates a second Close.
+// reads as exhausted, keeps its counters, and tolerates a second Close; its
+// combine table comes back empty however many regions it had batches parked
+// under.
 func TestScratchRecycling(t *testing.T) {
 	sim := testSim()
 	tree, _ := buildTestTree(t, sim, 6000, Params{Height: 7}, 91)
@@ -105,6 +108,61 @@ func TestScratchRecycling(t *testing.T) {
 				t.Fatalf("slice %d record %d, returned by the closed stream, changed under its successor", i, j)
 			}
 		}
+	}
+
+	// A 25% stream stopped after a few stabs has batches parked under many
+	// regions. Close must hand back its combine table with every queue nil
+	// and every ready count 0, and the stream that takes the table must draw
+	// exactly what a stream on a freshly opened tree draws.
+	qc := record.Box1D(workload.KeyDomain/8, workload.KeyDomain/8+workload.KeyDomain/4)
+	c, err := tree.Query(qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 6 {
+		if _, err := c.NextLeaf(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	regions := 0
+	for _, q := range c.parked {
+		if len(q) > 0 {
+			regions++
+		}
+	}
+	if regions < 8 {
+		t.Fatalf("stream C parked batches under %d regions; the check wants many", regions)
+	}
+	table := c.scratch
+	c.Close()
+	for idx, q := range table.parked {
+		if q != nil {
+			t.Fatalf("closed stream left %d batches queued under heap node %d", len(q), idx)
+		}
+	}
+	for sec, n := range table.ready {
+		if n != 0 {
+			t.Fatalf("closed stream left section %d's ready count at %d", sec+1, n)
+		}
+	}
+	reopened, err := Open(tree.f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFresh, err := reopened.Query(qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = drainAll(t, fromFresh)
+	d, err := tree.Query(qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.scratch != table {
+		t.Fatal("stream D did not take the table C handed back")
+	}
+	if got := drainAll(t, d); !slices.Equal(got, want) {
+		t.Fatalf("stream on C's recycled table drew %d records, one on a fresh tree %d (or they differ)", len(got), len(want))
 	}
 
 	// The free list is bounded: closing more streams than it holds drops the

@@ -44,7 +44,7 @@ func FuzzPageChecksum(f *testing.F) {
 		want := UpdateCRC(0, page[:n])
 		checkPrefix := func(wantCorrupt bool) {
 			t.Helper()
-			got, err := pf.ReadPrefix(0, make([]byte, pf.PageSize()), n, want)
+			got, err := pf.ReadPrefix(0, make([]byte, pf.PageSize()), 0, n, 0, want)
 			switch {
 			case wantCorrupt && !IsCorrupt(err):
 				t.Fatalf("ReadPrefix(%d) after bit flip %d = %v, want CorruptPageError", n, bit, err)

@@ -249,25 +249,24 @@ func (f *File) ReadPayload(i int64, dst []byte) ([]byte, error) {
 	return f.readPage(i, dst, true, nil)
 }
 
-// ReadPrefix returns the first n payload bytes of logical page i, charging
-// the clock and running the attempt loop exactly as Read does — a prefix
-// read costs the simulated disk a whole page and meets the same faults —
-// but moving only the page header and those n bytes: one positional read of
-// that length straight into dst (at least one page long), or a view of the
-// backend's frame under the rules of ReadPayload. The bytes are accepted iff
-// the header carries the page's number and CRC32-C(payload[:n]) == want,
-// where want was computed (UpdateCRC) when the page was written and is kept
-// by the caller outside the page; the whole-page checksum is not consulted,
-// so damage past the prefix goes unseen here and is left to CheckPage. With
-// n == 0 nothing is fetched: the access is charged and may fault, no more.
-func (f *File) ReadPrefix(i int64, dst []byte, n int, want uint32) ([]byte, error) {
-	return f.readPage(i, dst, true, &span{n: n, block: n, want: []uint32{want}, hdr: true})
+// ReadPrefix returns payload bytes [off, off+n) of logical page i, charging
+// the clock and running the attempt loop exactly as Read does, but moving
+// only those bytes (and the header when off is 0): one positional read into
+// dst (at least one page long), or a view of the frame under the rules of
+// ReadPayload. They are accepted iff UpdateCRC(seed, bytes) == want, where
+// seed is the chain over the payload before off (0 for off 0) and want was
+// kept by the caller when the page was written, and, when off is 0, the
+// header carries the page's number; with off > 0 the chain value alone binds
+// them to the page. The whole-page checksum is not consulted, so damage
+// outside the span goes unseen and is left to CheckPage. With n == 0 nothing
+// is fetched: the access is charged and may fault, no more.
+func (f *File) ReadPrefix(i int64, dst []byte, off, n int, seed, want uint32) ([]byte, error) {
+	return f.readPage(i, dst, true, &span{off: off, n: n, block: off + n, seed: seed, want: []uint32{want}, hdr: off == 0})
 }
 
-// ReadSpan returns payload bytes [off, off+n) of logical page i under the
-// rules of ReadPrefix, but moves no header: the span is cut at every multiple
-// of block bytes from the payload's start, and piece k is accepted iff
-// UpdateCRC(uint32(i), piece) == want[k]. Seeding with the page number makes
+// ReadSpan is ReadPrefix moving no header, with the span cut at every
+// multiple of block bytes from the payload's start and piece k accepted iff
+// UpdateCRC(uint32(i), piece) == want[k]: seeding with the page number makes
 // a span served from the wrong page fail, as the header's page number does.
 func (f *File) ReadSpan(i int64, dst []byte, off, n, block int, want []uint32) ([]byte, error) {
 	return f.readPage(i, dst, true, &span{off: off, n: n, block: block, seed: uint32(i), want: want})

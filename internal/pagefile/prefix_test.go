@@ -89,7 +89,7 @@ func TestReadPrefixReturnsThePrefix(t *testing.T) {
 				if err := f.Read(i, whole); err != nil {
 					t.Fatal(err)
 				}
-				got, err := f.ReadPrefix(i, buf, n, UpdateCRC(0, whole[:n]))
+				got, err := f.ReadPrefix(i, buf, 0, n, 0, UpdateCRC(0, whole[:n]))
 				if err != nil {
 					t.Fatalf("%s: page %d prefix %d: %v", name, i, n, err)
 				}
@@ -99,7 +99,7 @@ func TestReadPrefixReturnsThePrefix(t *testing.T) {
 				if n == 0 || frameHdrSize+n > ps {
 					continue // nothing fetched / whole-frame fallback: want is not consulted
 				}
-				_, err = f.ReadPrefix(i, buf, n, UpdateCRC(0, whole[:n])^1)
+				_, err = f.ReadPrefix(i, buf, 0, n, 0, UpdateCRC(0, whole[:n])^1)
 				var cpe *CorruptPageError
 				if !errors.As(err, &cpe) || cpe.Page != i {
 					t.Fatalf("%s: page %d prefix %d with a wrong checksum = %v, want CorruptPageError", name, i, n, err)
@@ -122,7 +122,7 @@ func TestReadPrefixMovesOnlyThePrefix(t *testing.T) {
 	for _, n := range []int{0, 1, 200, f.PageSize() - frameHdrSize} {
 		cb.reads = cb.reads[:0]
 		before := f.Sim().Counters().Reads()
-		if _, err := f.ReadPrefix(3, buf, n, UpdateCRC(0, whole[:n])); err != nil {
+		if _, err := f.ReadPrefix(3, buf, 0, n, 0, UpdateCRC(0, whole[:n])); err != nil {
 			t.Fatal(err)
 		}
 		if charged := f.Sim().Counters().Reads() - before; charged != 1 {
@@ -165,7 +165,7 @@ func TestReadPrefixSameAttemptLoop(t *testing.T) {
 			for pass := 0; pass < 3; pass++ { // later passes meet spent transient bursts
 				for i := int64(0); i < f.NumPages(); i++ {
 					errA := fa.Read(i, buf)
-					got, errB := fb.ReadPrefix(i, buf, n, UpdateCRC(0, clean[i][:n]))
+					got, errB := fb.ReadPrefix(i, buf, 0, n, 0, UpdateCRC(0, clean[i][:n]))
 					if fmt.Sprint(errA) != fmt.Sprint(errB) {
 						t.Fatalf("%s: page %d prefix %d: Read = %v, ReadPrefix = %v", name, i, n, errA, errB)
 					}
@@ -213,7 +213,7 @@ func TestReadPrefixCorruptionIsLocal(t *testing.T) {
 			if err := f.CorruptStored(2, c.bit); err != nil {
 				t.Fatal(err)
 			}
-			_, err := f.ReadPrefix(2, buf, n, want)
+			_, err := f.ReadPrefix(2, buf, 0, n, 0, want)
 			if got := IsCorrupt(err); got != c.seen || (err != nil && !got) {
 				t.Fatalf("%s: bit %d: ReadPrefix = %v, want corrupt=%v", name, c.bit, err, c.seen)
 			}
