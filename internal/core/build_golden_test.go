@@ -60,6 +60,7 @@ func TestBuildGolden(t *testing.T) {
 		{20000, 1, 3, 1},    // intermediate merge passes
 		{200000, 1, 64, 1},  // the EXPERIMENTS Construction row's regime
 		{200000, 1, 64, 4},
+		{200000, 1, 2048, 4}, // one chunk, sorted by four workers
 		{50000, 2, 64, 2},
 	} {
 		name := fmt.Sprintf("ace n=%d dims=%d mem=%d par=%d", c.n, c.dims, c.memPages, c.parallel)
