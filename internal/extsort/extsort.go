@@ -51,11 +51,11 @@
 package extsort
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
+	"sync"
+	"sync/atomic"
 
 	"sampleview/internal/pagefile"
 	"sampleview/internal/par"
@@ -143,30 +143,95 @@ type pair struct {
 	off int
 }
 
-// chunkSorter is one worker's sort memory: an arena of source page images
-// and the pairs of the items in them, both sized to the largest chunk the
-// input has rather than to the budget.
-type chunkSorter struct {
-	src   *pagefile.ItemFile
-	key   Key
-	arena []byte
-	pairs []pair
+// crew is one Sort's workers, as a count of tokens: a chunk holds one while
+// it is read, sorted and written, and a token the chunk loop leaves free
+// (fewer chunks than workers, or the last chunk still running) is lent to a
+// range of a chunk's sort or a span of its gather. Lending never waits: when
+// every worker is busy the chunk does the work itself. A nil crew (one
+// worker) lends nothing.
+type crew struct{ busy chan struct{} }
+
+func newCrew(workers int) *crew {
+	if workers <= 1 {
+		return nil
+	}
+	return &crew{busy: make(chan struct{}, workers)}
 }
 
-func newChunkSorter(src *pagefile.ItemFile, key Key, memPages int) *chunkSorter {
-	pages := int(min(int64(memPages), src.NumPages()))
-	return &chunkSorter{
-		src:   src,
-		key:   key,
-		arena: make([]byte, pages*src.File().PageSize()),
-		pairs: make([]pair, 0, pages*src.PerPage()),
+// take blocks until a worker is free and holds it; give releases it.
+func (c *crew) take() {
+	if c != nil {
+		c.busy <- struct{}{}
 	}
 }
 
-// writeRun sorts the n items on the arena's leading page images and writes
-// them to run. Only the 16-byte pairs are sorted: a comparison touches no
-// item, and each item moves once, from the arena into its page of the run.
-func (c *chunkSorter) writeRun(run *pagefile.ItemFile, n int) error {
+func (c *crew) give() {
+	if c != nil {
+		<-c.busy
+	}
+}
+
+// lend runs fn on a free worker, counted in wg, and reports whether one was
+// free.
+func (c *crew) lend(wg *sync.WaitGroup, fn func()) bool {
+	if c == nil {
+		return false
+	}
+	select {
+	case c.busy <- struct{}{}:
+	default:
+		return false
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer c.give()
+		fn()
+	}()
+	return true
+}
+
+// gatherPages is how many run pages a chunk fills before appending them.
+const gatherPages = 16
+
+// chunkSorter is one worker's sort memory: an arena of source page images
+// and the pairs of the items in them, both sized to the largest chunk the
+// input has rather than to the budget, and two batches of run page images,
+// one appended while the other is filled.
+type chunkSorter struct {
+	src   *pagefile.ItemFile
+	key   Key
+	crew  *crew
+	arena []byte
+	pairs []pair
+	out   [2][]byte
+}
+
+func newChunkSorter(src *pagefile.ItemFile, key Key, memPages int, cw *crew) *chunkSorter {
+	pages := int(min(int64(memPages), src.NumPages()))
+	ps := src.File().PageSize()
+	c := &chunkSorter{
+		src:   src,
+		key:   key,
+		crew:  cw,
+		arena: make([]byte, pages*ps),
+		pairs: make([]pair, 0, pages*src.PerPage()),
+	}
+	for i := range c.out {
+		c.out[i] = make([]byte, min(pages, gatherPages)*ps)
+	}
+	return c
+}
+
+// writeRun sorts the n items on the arena's leading page images and appends
+// them to run as a sorted run. Only the 16-byte pairs are sorted: a
+// comparison touches no item, and each item moves once, from the arena into
+// the image of its run page. Images are filled a batch at a time by the
+// chunk's worker and any idle one, and while one batch is appended the idle
+// workers fill the next. Batches are appended whole and in page order, so
+// the run is charged the same Append calls in the same order at every worker
+// count.
+func (c *chunkSorter) writeRun(run *pagefile.File, n int) error {
 	ps, perPage, itemSize := c.src.File().PageSize(), c.src.PerPage(), c.src.ItemSize()
 	c.pairs = c.pairs[:0]
 	for base := 0; len(c.pairs) < n; base += ps {
@@ -174,14 +239,80 @@ func (c *chunkSorter) writeRun(run *pagefile.ItemFile, n int) error {
 			c.pairs = append(c.pairs, pair{c.key.of(c.arena[off:]), off})
 		}
 	}
-	slices.SortFunc(c.pairs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
-	w := run.NewWriter()
-	for _, p := range c.pairs {
-		if err := w.Write(c.arena[p.off : p.off+itemSize]); err != nil {
-			return err
+	sortPairs(c.pairs, c.crew)
+	pages, size := (n+perPage-1)/perPage, len(c.out[0])/ps
+	b := c.gather(0, 0, min(size, pages))
+	b.finish()
+	for {
+		var next *batch
+		if b.end < pages {
+			next = c.gather(1-b.buf, b.end, min(b.end+size, pages))
+		}
+		for p := b.first; p < b.end; p++ {
+			if _, err := run.Append(b.image(p)); err != nil {
+				if next != nil {
+					next.finish()
+				}
+				return err
+			}
+		}
+		if next == nil {
+			return nil
+		}
+		next.finish()
+		b = next
+	}
+}
+
+// batch is the filling of the images of run pages [first, end) into
+// c.out[buf]: workers claim pages one at a time until none is left.
+type batch struct {
+	c          *chunkSorter
+	buf        int
+	first, end int
+	claimed    atomic.Int64 // pages claimed so far
+	wg         sync.WaitGroup
+}
+
+// gather starts filling the images of run pages [first, end) into
+// c.out[buf] on every idle worker there is; the caller's is not one of them.
+func (c *chunkSorter) gather(buf, first, end int) *batch {
+	b := &batch{c: c, buf: buf, first: first, end: end}
+	for range end - first - 1 {
+		if !c.crew.lend(&b.wg, b.work) {
+			break
 		}
 	}
-	return w.Flush()
+	return b
+}
+
+// finish has the caller fill pages of b too, until every page is done.
+func (b *batch) finish() {
+	b.work()
+	b.wg.Wait()
+}
+
+func (b *batch) image(p int) []byte {
+	ps := b.c.src.File().PageSize()
+	return b.c.out[b.buf][(p-b.first)*ps : (p-b.first+1)*ps]
+}
+
+// work fills unclaimed pages until none is left. A page is packed from its
+// start and zero after its items.
+func (b *batch) work() {
+	perPage, itemSize := b.c.src.PerPage(), b.c.src.ItemSize()
+	for {
+		p := b.first + int(b.claimed.Add(1)) - 1
+		if p >= b.end {
+			return
+		}
+		img := b.image(p)
+		items := b.c.pairs[p*perPage : min((p+1)*perPage, len(b.c.pairs))]
+		for i, pr := range items {
+			copy(img[i*itemSize:], b.c.arena[pr.off:pr.off+itemSize])
+		}
+		clear(img[len(items)*itemSize:])
+	}
 }
 
 // formRuns performs phase 1: sequential read, in-memory sort of
@@ -189,7 +320,7 @@ func (c *chunkSorter) writeRun(run *pagefile.ItemFile, n int) error {
 // formRunsParallel it returns the runs it made even beside an error, for
 // the caller to close.
 func formRuns(src *pagefile.ItemFile, key Key, memPages int) ([]*pagefile.ItemFile, error) {
-	c := newChunkSorter(src, key, memPages)
+	c := newChunkSorter(src, key, memPages, nil)
 	ps := src.File().PageSize()
 	var runs []*pagefile.ItemFile
 	r := src.NewReader()
@@ -202,13 +333,28 @@ func formRuns(src *pagefile.ItemFile, key Key, memPages int) ([]*pagefile.ItemFi
 			}
 			copy(c.arena[pages*ps:], page)
 		}
-		run := pagefile.NewItemFile(pagefile.NewMem(src.File().Sim()), src.ItemSize())
-		runs = append(runs, run)
-		if err := c.writeRun(run, int(r.Pos()-first)); err != nil {
+		mem := pagefile.NewMem(src.File().Sim())
+		run, err := c.newRun(mem, mem, r.Pos()-first)
+		if err != nil {
 			return runs, err
 		}
+		runs = append(runs, run)
 	}
 	return runs, nil
+}
+
+// newRun writes the chunk's n items through clocked, a view of mem, and
+// returns mem as a run of n items; on error it releases mem.
+func (c *chunkSorter) newRun(mem, clocked *pagefile.File, n int64) (*pagefile.ItemFile, error) {
+	err := c.writeRun(clocked, int(n))
+	var run *pagefile.ItemFile
+	if err == nil {
+		run, err = pagefile.OpenItemFile(mem, c.src.ItemSize(), 0, n)
+	}
+	if err != nil {
+		mem.Close()
+	}
+	return run, err
 }
 
 // formRunsParallel is phase 1 over a worker pool. The input is cut into the
@@ -216,19 +362,23 @@ func formRuns(src *pagefile.ItemFile, key Key, memPages int) ([]*pagefile.ItemFi
 // source page is read by two workers); each chunk is read, sorted and
 // written as a run on a clock forked per chunk, and runs are collected in
 // chunk order so the subsequent merge sees exactly the sequential run list.
+// A worker the chunks leave idle helps sort and gather the chunks in hand.
 func formRunsParallel(src *pagefile.ItemFile, key Key, memPages, workers int) ([]*pagefile.ItemFile, error) {
 	sim, ps := src.File().Sim(), src.File().PageSize()
 	nchunks := int((src.NumPages() + int64(memPages) - 1) / int64(memPages))
 	runs := make([]*pagefile.ItemFile, nchunks)
+	cw := newCrew(workers)
 	// Sort memories not in use: a worker makes one for its first chunk, so
 	// there are never more of them than chunks or workers.
 	idle := make(chan *chunkSorter, workers)
 	return runs, par.ForEach(nchunks, workers, func(k int) error {
+		cw.take()
+		defer cw.give()
 		var c *chunkSorter
 		select {
 		case c = <-idle:
 		default:
-			c = newChunkSorter(src, key, memPages)
+			c = newChunkSorter(src, key, memPages, cw)
 		}
 		defer func() { idle <- c }()
 		first := int64(k) * int64(memPages)
@@ -242,16 +392,11 @@ func formRunsParallel(src *pagefile.ItemFile, key Key, memPages, workers int) ([
 				return err
 			}
 		}
+		// The run wraps the unclocked file, so the merge pass charges the
+		// caller's clock, not this chunk's.
 		mem := pagefile.NewMem(sim)
-		err := c.writeRun(pagefile.NewItemFile(mem.OnClock(ck), src.ItemSize()), int(items))
-		if err == nil {
-			// Wrap the unclocked file, so the merge pass charges the caller's
-			// clock, not this chunk's.
-			runs[k], err = pagefile.OpenItemFile(mem, src.ItemSize(), 0, items)
-		}
-		if err != nil {
-			mem.Close()
-		}
+		var err error
+		runs[k], err = c.newRun(mem, mem.OnClock(ck), items)
 		return err
 	})
 }
