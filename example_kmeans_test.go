@@ -1,13 +1,4 @@
-// Scalable clustering over an online sample, in the spirit of Bradley et
-// al.'s scalable K-means (the paper's Section I cites it as a canonical
-// consumer of randomized input orderings). Points inside a temporal range
-// are clustered by consuming the view's online sample one record at a
-// time with an incremental (MacQueen-style) K-means update; because every
-// prefix of the stream is a uniform random sample, the centroids converge
-// long before the predicate is exhausted.
-//
-// Run with: go run ./examples/kmeans
-package main
+package sampleview_test
 
 import (
 	"fmt"
@@ -20,9 +11,15 @@ import (
 	"sampleview"
 )
 
-const k = 4
-
-func main() {
+// Scalable clustering over an online sample, in the spirit of Bradley et
+// al.'s scalable K-means (the paper's Section I cites it as a canonical
+// consumer of randomized input orderings). Points inside a temporal range
+// are clustered by consuming the view's online sample one record at a
+// time with an incremental (MacQueen-style) K-means update; because every
+// prefix of the stream is a uniform random sample, the centroids converge
+// long before the predicate is exhausted.
+func Example_kmeans() {
+	const k = 4
 	// SALE records whose (DAY-in-year, AMOUNT) pairs form four clusters:
 	// e.g. winter/cheap, winter/expensive, summer/cheap, summer/expensive.
 	rng := rand.New(rand.NewPCG(11, 11))
@@ -74,9 +71,9 @@ func main() {
 			}
 			return cs[i][1] < cs[j][1]
 		})
-		fmt.Printf("after %7d samples: ", consumed)
+		fmt.Printf("after %7d samples:", consumed)
 		for _, c := range cs {
-			fmt.Printf("(%.0f, %.0f) ", c[0], c[1])
+			fmt.Printf(" (%.0f, %.0f)", c[0], c[1])
 		}
 		fmt.Println()
 	}
@@ -116,4 +113,17 @@ func main() {
 	fmt.Println("  (60, 20000) (60, 90000) (240, 25000) (240, 80000)")
 	fmt.Printf("\nclustered %d of %d matching records: the uniform online sample\n", consumed, n)
 	fmt.Println("converges without ever reading most of the data.")
+
+	// Output:
+	// after     256 samples: (60, 90323) (62, 20521) (232, 24437) (237, 81498)
+	// after    1024 samples: (59, 19877) (60, 90057) (236, 80593) (236, 24765)
+	// after    4096 samples: (59, 90023) (59, 19801) (239, 24777) (239, 80311)
+	// after   16384 samples: (59, 19897) (60, 89792) (239, 80049) (239, 24936)
+	// after   60000 samples: (59, 19926) (60, 89939) (239, 25039) (240, 79990)
+	//
+	// true generating centers (day, amount):
+	//   (60, 20000) (60, 90000) (240, 25000) (240, 80000)
+	//
+	// clustered 60000 of 400000 matching records: the uniform online sample
+	// converges without ever reading most of the data.
 }

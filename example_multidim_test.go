@@ -1,10 +1,4 @@
-// Multi-dimensional sample views (paper Section VII): a k-d ACE Tree over
-// (DAY, AMOUNT) answers sampling queries with predicates on both
-// attributes, e.g. "sample the sales of week 30-40 with amounts between
-// $100 and $500", and supports online aggregation over the box.
-//
-// Run with: go run ./examples/multidim
-package main
+package sampleview_test
 
 import (
 	"fmt"
@@ -15,7 +9,11 @@ import (
 	"sampleview"
 )
 
-func main() {
+// Multi-dimensional sample views (paper Section VII): a k-d ACE Tree over
+// (DAY, AMOUNT) answers sampling queries with predicates on both
+// attributes, e.g. "sample the sales of week 30-40 with amounts between
+// $100 and $500", and supports online aggregation over the box.
+func Example_multidim() {
 	rng := rand.New(rand.NewPCG(23, 23))
 	const n = 300_000
 	recs := make([]sampleview.Record, n)
@@ -81,4 +79,20 @@ func main() {
 	fmt.Printf("\nonline SUM(AMOUNT) after %d samples: [%.0f, %.0f] at 95%%\n",
 		est.Count(), sumLo, sumHi)
 	fmt.Printf("exact SUM(AMOUNT):                    %.0f\n", exact)
+
+	// Output:
+	// 2-d sample view: 300000 records, height 10
+	//
+	// online sample from the box predicate:
+	//   day=187  amount=24734
+	//   day=278  amount=52313
+	//   day=227  amount=80712
+	//   day=276  amount=97677
+	//   day=349  amount=86825
+	//   day=227  amount=82317
+	//   day=350  amount=63153
+	//   day=255  amount=53016
+	//
+	// online SUM(AMOUNT) after 2000 samples: [360238582, 373093598] at 95%
+	// exact SUM(AMOUNT):                    367087417
 }

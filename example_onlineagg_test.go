@@ -1,13 +1,4 @@
-// Online aggregation: the paper's motivating application. The query
-//
-//	SELECT AVG(AMOUNT) FROM SALE WHERE DAY BETWEEN d1 AND d2
-//
-// is answered approximately: samples stream out of the view and a running
-// estimate with a CLT confidence interval is reported, converging on the
-// exact answer long before the predicate is exhausted.
-//
-// Run with: go run ./examples/onlineagg
-package main
+package sampleview_test
 
 import (
 	"fmt"
@@ -18,7 +9,14 @@ import (
 	"sampleview"
 )
 
-func main() {
+// Online aggregation: the paper's motivating application. The query
+//
+//	SELECT AVG(AMOUNT) FROM SALE WHERE DAY BETWEEN d1 AND d2
+//
+// is answered approximately: samples stream out of the view and a running
+// estimate with a CLT confidence interval is reported, converging on the
+// exact answer long before the predicate is exhausted.
+func Example_onlineAggregation() {
 	// SALE with seasonally varying amounts so the answer isn't trivially
 	// the global mean.
 	rng := rand.New(rand.NewPCG(7, 7))
@@ -74,4 +72,15 @@ func main() {
 	}
 	fmt.Printf("\nexhausted: n=%d final estimate %.2f (exact %.2f)\n",
 		est.Count(), est.Mean(), exact)
+
+	// Output:
+	// online AVG(AMOUNT) for DAY in [900,1400]; exact answer 82983.86
+	// samples    estimate     95% interval                 covers exact?
+	// 100        83387.34     [82136.19, 84638.49]   true
+	// 400        83458.74     [82824.19, 84093.29]   true
+	// 1600       83048.06     [82739.61, 83356.52]   true
+	// 6400       82904.94     [82754.77, 83055.11]   true
+	// 25600      82886.65     [82824.24, 82949.06]   false
+	//
+	// exhausted: n=68936 final estimate 82983.86 (exact 82983.86)
 }

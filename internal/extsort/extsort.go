@@ -143,50 +143,27 @@ type pair struct {
 	off int
 }
 
-// crew is one Sort's workers, as a count of tokens: a chunk holds one while
-// it is read, sorted and written, and a token the chunk loop leaves free
-// (fewer chunks than workers, or the last chunk still running) is lent to a
-// range of a chunk's sort or a span of its gather. Lending never waits: when
-// every worker is busy the chunk does the work itself. A nil crew (one
-// worker) lends nothing.
-type crew struct{ busy chan struct{} }
-
-func newCrew(workers int) *crew {
-	if workers <= 1 {
-		return nil
-	}
-	return &crew{busy: make(chan struct{}, workers)}
-}
-
-// take blocks until a worker is free and holds it; give releases it.
-func (c *crew) take() {
-	if c != nil {
-		c.busy <- struct{}{}
-	}
-}
-
-func (c *crew) give() {
-	if c != nil {
-		<-c.busy
-	}
-}
+// crew is one Sort's workers, as a channel holding a token per busy one: a
+// chunk holds one while it is read, sorted and written, and a worker the
+// chunk loop leaves free (fewer chunks than workers, or the last chunk still
+// running) is lent to a range of a chunk's sort or to its gather. Lending
+// never waits: when every worker is busy the chunk does the work itself. A
+// nil crew (one worker) lends nothing.
+type crew chan struct{}
 
 // lend runs fn on a free worker, counted in wg, and reports whether one was
 // free.
-func (c *crew) lend(wg *sync.WaitGroup, fn func()) bool {
-	if c == nil {
-		return false
-	}
+func (c crew) lend(wg *sync.WaitGroup, fn func()) bool {
 	select {
-	case c.busy <- struct{}{}:
+	case c <- struct{}{}:
 	default:
 		return false
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer c.give()
 		fn()
+		<-c
 	}()
 	return true
 }
@@ -201,13 +178,13 @@ const gatherPages = 16
 type chunkSorter struct {
 	src   *pagefile.ItemFile
 	key   Key
-	crew  *crew
+	crew  crew
 	arena []byte
 	pairs []pair
 	out   [2][]byte
 }
 
-func newChunkSorter(src *pagefile.ItemFile, key Key, memPages int, cw *crew) *chunkSorter {
+func newChunkSorter(src *pagefile.ItemFile, key Key, memPages int, cw crew) *chunkSorter {
 	pages := int(min(int64(memPages), src.NumPages()))
 	ps := src.File().PageSize()
 	c := &chunkSorter{
@@ -367,13 +344,13 @@ func formRunsParallel(src *pagefile.ItemFile, key Key, memPages, workers int) ([
 	sim, ps := src.File().Sim(), src.File().PageSize()
 	nchunks := int((src.NumPages() + int64(memPages) - 1) / int64(memPages))
 	runs := make([]*pagefile.ItemFile, nchunks)
-	cw := newCrew(workers)
+	cw := make(crew, workers)
 	// Sort memories not in use: a worker makes one for its first chunk, so
 	// there are never more of them than chunks or workers.
 	idle := make(chan *chunkSorter, workers)
 	return runs, par.ForEach(nchunks, workers, func(k int) error {
-		cw.take()
-		defer cw.give()
+		cw <- struct{}{}
+		defer func() { <-cw }()
 		var c *chunkSorter
 		select {
 		case c = <-idle:

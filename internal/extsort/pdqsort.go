@@ -24,7 +24,7 @@ const forkLen = 1 << 13
 // a range reads outside itself, data[a-1], is a pivot placed before the range
 // was handed out and never moved again, so the result is the same at every
 // worker count. A nil crew sorts inline.
-func sortPairs(data []pair, cw *crew) {
+func sortPairs(data []pair, cw crew) {
 	var wg sync.WaitGroup
 	pdqsort(data, 0, len(data), bits.Len(uint(len(data))), cw, &wg)
 	wg.Wait()
@@ -82,54 +82,44 @@ func heapSort(data []pair, a, b int) {
 
 // pdqsort sorts data[a:b]; limit is the number of very unbalanced pivots
 // allowed before falling back to heapsort.
-func pdqsort(data []pair, a, b, limit int, cw *crew, wg *sync.WaitGroup) {
+func pdqsort(data []pair, a, b, limit int, cw crew, wg *sync.WaitGroup) {
 	const maxInsertion = 12
-
 	var (
 		wasBalanced    = true // whether the last partitioning was reasonably balanced
 		wasPartitioned = true // whether the slice was already partitioned
 	)
-
 	for {
 		length := b - a
-
 		if length <= maxInsertion {
 			insertionSort(data, a, b)
 			return
 		}
-
 		if limit == 0 {
 			heapSort(data, a, b)
 			return
 		}
-
 		if !wasBalanced {
 			breakPatterns(data, a, b)
 			limit--
 		}
-
 		pivot, hint := choosePivot(data, a, b)
 		if hint == decreasingHint {
 			reverseRange(data, a, b)
 			pivot = (b - 1) - (pivot - a)
 			hint = increasingHint
 		}
-
 		if wasBalanced && wasPartitioned && hint == increasingHint {
 			if partialInsertionSort(data, a, b) {
 				return
 			}
 		}
-
 		// Many duplicates: split off the elements equal to the pivot.
 		if a > 0 && !(data[a-1].key < data[pivot].key) {
 			a = partitionEqual(data, a, b, pivot)
 			continue
 		}
-
 		mid, alreadyPartitioned := partition(data, a, b, pivot)
 		wasPartitioned = alreadyPartitioned
-
 		leftLen, rightLen := mid-a, b-mid
 		balanceThreshold := length / 8
 		if leftLen < rightLen {
@@ -146,7 +136,7 @@ func pdqsort(data []pair, a, b, limit int, cw *crew, wg *sync.WaitGroup) {
 
 // sortRange is pdqsort's recursive call: on an idle worker if the range is
 // long and one is free, inline otherwise.
-func sortRange(data []pair, a, b, limit int, cw *crew, wg *sync.WaitGroup) {
+func sortRange(data []pair, a, b, limit int, cw crew, wg *sync.WaitGroup) {
 	if b-a < forkLen || !cw.lend(wg, func() { pdqsort(data, a, b, limit, cw, wg) }) {
 		pdqsort(data, a, b, limit, cw, wg)
 	}
@@ -157,7 +147,6 @@ func sortRange(data []pair, a, b, limit int, cw *crew, wg *sync.WaitGroup) {
 func partition(data []pair, a, b, pivot int) (newpivot int, alreadyPartitioned bool) {
 	data[a], data[pivot] = data[pivot], data[a]
 	i, j := a+1, b-1 // inclusive bounds of what is left to partition
-
 	for i <= j && data[i].key < data[a].key {
 		i++
 	}
@@ -171,7 +160,6 @@ func partition(data []pair, a, b, pivot int) (newpivot int, alreadyPartitioned b
 	data[i], data[j] = data[j], data[i]
 	i++
 	j--
-
 	for {
 		for i <= j && data[i].key < data[a].key {
 			i++
@@ -195,7 +183,6 @@ func partition(data []pair, a, b, pivot int) (newpivot int, alreadyPartitioned b
 func partitionEqual(data []pair, a, b, pivot int) (newpivot int) {
 	data[a], data[pivot] = data[pivot], data[a]
 	i, j := a+1, b-1
-
 	for {
 		for i <= j && !(data[a].key < data[i].key) {
 			i++
@@ -225,17 +212,13 @@ func partialInsertionSort(data []pair, a, b int) bool {
 		for i < b && !(data[i].key < data[i-1].key) {
 			i++
 		}
-
 		if i == b {
 			return true
 		}
-
 		if b-a < shortestShifting {
 			return false
 		}
-
 		data[i], data[i-1] = data[i-1], data[i]
-
 		// Shift the smaller one to the left. As in the original the loop's
 		// bound is 1, not a: it stops at data[a-1] at the latest, a pivot no
 		// greater than anything in the range.
@@ -265,26 +248,19 @@ func partialInsertionSort(data []pair, a, b int) bool {
 func breakPatterns(data []pair, a, b int) {
 	length := b - a
 	if length >= 8 {
-		random := xorshift(length)
+		random := uint64(length) // a xorshift generator
 		modulus := uint(1) << bits.Len(uint(length))
-
 		for idx := a + (length/4)*2 - 1; idx <= a+(length/4)*2+1; idx++ {
-			other := int(uint(random.next()) & (modulus - 1))
+			random ^= random << 13
+			random ^= random >> 7
+			random ^= random << 17
+			other := int(uint(random) & (modulus - 1))
 			if other >= length {
 				other -= length
 			}
 			data[idx], data[a+other] = data[a+other], data[idx]
 		}
 	}
-}
-
-type xorshift uint64
-
-func (r *xorshift) next() uint64 {
-	*r ^= *r << 13
-	*r ^= *r >> 7
-	*r ^= *r << 17
-	return uint64(*r)
 }
 
 // choosePivot picks a pivot in data[a:b]: a fixed one below 8 elements, the
@@ -294,16 +270,13 @@ func choosePivot(data []pair, a, b int) (pivot int, hint sortedHint) {
 		shortestNinther = 50
 		maxSwaps        = 4 * 3
 	)
-
 	l := b - a
-
 	var (
 		swaps int
 		i     = a + l/4*1
 		j     = a + l/4*2
 		k     = a + l/4*3
 	)
-
 	if l >= 8 {
 		if l >= shortestNinther {
 			i = median(data, i-1, i, i+1, &swaps)
@@ -312,7 +285,6 @@ func choosePivot(data []pair, a, b int) (pivot int, hint sortedHint) {
 		}
 		j = median(data, i, j, k, &swaps)
 	}
-
 	switch swaps {
 	case 0:
 		return j, increasingHint

@@ -13,10 +13,12 @@ import (
 // sortWorkers sorts data the way a chunk of Sort does, holding one of
 // workers and lending the rest to the sort.
 func sortWorkers(data []pair, workers int) {
-	cw := newCrew(workers)
-	cw.take()
+	var cw crew
+	if workers > 1 {
+		cw = make(crew, workers)
+		cw <- struct{}{}
+	}
 	sortPairs(data, cw)
-	cw.give()
 }
 
 // pairsOf returns one pair per key whose off is the key's index, so two

@@ -69,6 +69,9 @@ type served struct {
 	shutdown func()
 	snapshot func() *StatsSnapshot
 	done     chan error // what serve returned for the listener at addr
+	// replicaID is the identity a replica-info request (the fleet's hello)
+	// answers with: the server's configured one, or "router".
+	replicaID string
 }
 
 // NewRouter builds a fleet router over the given replica addresses, with
@@ -101,7 +104,7 @@ func eachEndpoint(t *testing.T, cfg Config, recs []record.Record, test func(t *t
 		t.Cleanup(func() { v.Close() })
 		srv := New(cfg)
 		srv.AddView("sale", v)
-		ep := &served{view: v, serve: srv.Serve, shutdown: srv.Shutdown, snapshot: srv.Snapshot}
+		ep := &served{view: v, serve: srv.Serve, shutdown: srv.Shutdown, snapshot: srv.Snapshot, replicaID: cfg.ReplicaID}
 		listenAndServe(t, ep)
 		test(t, ep)
 	})
@@ -109,7 +112,7 @@ func eachEndpoint(t *testing.T, cfg Config, recs []record.Record, test func(t *t
 		writeRate := cfg.WriteRate
 		cfg.MaxStreams /= 2
 		cfg.WriteRate = 0
-		ep := &served{}
+		ep := &served{replicaID: "router"}
 		var replicas []string
 		for i := 0; i < 2; i++ {
 			_, v, addr, _ := startServer(t, cfg, "sale", recs)
@@ -736,6 +739,51 @@ func TestSessionTeardownFreesSlots(t *testing.T) {
 				t.Fatal("slots never freed after connection close")
 			}
 			time.Sleep(10 * time.Millisecond)
+		}
+	})
+}
+
+// TestMetadataRequests covers the requests that open no stream: a count
+// estimate matches the view's own, list-views names the one view with its
+// size, a hello reports the endpoint's identity, whole stream capacity and
+// live streams, and a flush acks the writes it moved out of memory.
+func TestMetadataRequests(t *testing.T) {
+	recs := genRecords(3_000, 47)
+	eachEndpoint(t, Config{MaxStreams: 8, ReplicaID: "solo"}, recs, func(t *testing.T, ep *served) {
+		cl, rv := dialView(t, ep, "")
+		q := record.Box1D(0, 1<<19)
+		want, err := ep.view.EstimateCount(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := rv.EstimateCount(q); err != nil || got != want {
+			t.Fatalf("EstimateCount = (%v, %v), want the view's %v", got, err, want)
+		}
+		views, err := cl.ListViews()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(views) != 1 || views[0].Name != "sale" || views[0].Count != int64(len(recs)) || views[0].Health != "ok" {
+			t.Fatalf("ListViews = %+v, want one healthy view sale of %d records", views, len(recs))
+		}
+		rs, err := rv.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Close()
+		info, err := cl.ReplicaInfo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (ReplicaInfo{ReplicaID: ep.replicaID, OpenStreams: 1, MaxStreams: 8}); info != want {
+			t.Fatalf("ReplicaInfo = %+v, want %+v", info, want)
+		}
+		added := freshRecords(3, 1<<32)
+		if n, err := rv.Append(added); err != nil || n != len(added) {
+			t.Fatalf("Append = (%d, %v), want %d", n, err, len(added))
+		}
+		if n, err := rv.Flush(); err != nil || n != len(added) {
+			t.Fatalf("Flush = (%d, %v), want the %d buffered records", n, err, len(added))
 		}
 	})
 }

@@ -30,9 +30,6 @@ func NewEstimator() *Estimator { return &Estimator{} }
 // is drawn from.
 func (e *Estimator) SetPopulation(n int64) { e.population = n }
 
-// Population returns the declared population size (0 when unknown).
-func (e *Estimator) Population() int64 { return e.population }
-
 // Add consumes one sampled value.
 func (e *Estimator) Add(x float64) {
 	e.n++

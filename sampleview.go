@@ -111,9 +111,6 @@ const (
 // CrashPoints returns every crash point, in write-path order.
 func CrashPoints() []CrashPoint { return iosim.CrashPoints() }
 
-// ParseCrashPoint resolves a crash-point name from a flag.
-func ParseCrashPoint(s string) (CrashPoint, error) { return iosim.ParseCrashPoint(s) }
-
 // IsCrash reports whether err is (or wraps) a simulated power cut. After a
 // cut, every write-path operation on the view fails with the same error;
 // reopening the view runs recovery over whatever reached the disk.
