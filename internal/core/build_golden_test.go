@@ -19,9 +19,10 @@ import (
 // what it is charged: the SHA-256 of the built file, sim.Counters() and
 // sim.Now() after the build, on the default disk model. The parallel-vs-
 // sequential tests compare a build with itself; this file is what notices
-// both sides drifting together. Built bytes depend on the standard library's
-// pdqsort tie order (see package extsort), so a toolchain that changes it
-// fails here by name. To re-record on purpose: delete the file, rerun, review.
+// both sides drifting together. Built bytes depend on the order among equal
+// keys, which package extsort's own pdqsort fixes at every worker count and
+// on every toolchain; the par=4 one-chunk line is a sort whose ranges go to
+// other workers. To re-record on purpose: delete the file, rerun, review.
 const buildGolden = "testdata/build.golden"
 
 // goldenLine builds one structure on a fresh default-model disk over the

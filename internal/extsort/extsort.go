@@ -21,7 +21,9 @@
 // for every worker count. Each chunk and each merge group charges its I/O to
 // a private clock forked from the shared simulated disk (iosim.Sim.Fork), so
 // the simulated cost is also independent of how chunks happen to be
-// scheduled over workers.
+// scheduled over workers. A worker the chunks leave idle (a budget larger
+// than the input makes one chunk) helps with the chunks in hand: it takes
+// long ranges of a chunk's sort and pages of its gather into run pages.
 //
 // Items are ordered by an extracted key (Key) and moved by the page. A chunk
 // is read as page images; what is sorted is one 16-byte (key, offset) pair
@@ -31,13 +33,14 @@
 // nothing and moves whole pages.
 //
 // Tie order is part of the contract. The sort is not stable: equal keys
-// come out in the order the standard library's pdqsort (slices.SortFunc,
-// whose decisions depend only on the comparison results and the length)
+// come out in the order the package's pdqsort (pdqsort.go, a copy of Go
+// 1.24's slices.SortFunc whose decisions depend only on the comparison
+// results and the lengths, so the order is the same at every worker count)
 // leaves them within a chunk and the merge heap (container/heap's sift
-// rules) leaves them between runs. View files, the stream goldens and the
-// benchmark's frozen run digests all depend on that order, so it may change
-// only with them; testdata/tieorder.golden pins it, and a toolchain whose
-// pdqsort decides differently fails there.
+// rules) leaves them between runs. The order belongs to this package, not
+// to the toolchain. View files, the stream goldens and the benchmark's
+// frozen run digests all depend on it, so it may change only with them;
+// testdata/tieorder.golden pins it.
 //
 // What is charged is the sequence of page reads and appends, never the bytes
 // moved: a sequential pass reads its input through an ItemReader's read-ahead

@@ -366,8 +366,8 @@ func sortTies(dst, src *pagefile.ItemFile, memPages, workers int) error {
 }
 
 // TestSortTieOrderGolden pins the order among equal keys. The sorter is not
-// stable: the order of ties is whatever the standard library's pdqsort makes
-// of each chunk and whatever the merge heap makes of the runs, and every
+// stable: the order of ties is whatever the package's pdqsort makes of each
+// chunk and whatever the merge heap makes of the runs, and every
 // built view file (and the run digests frozen beside the benchmark) depends
 // on it. The golden was recorded before run formation sorted extracted keys
 // and must never be re-recorded for a change to this package.
