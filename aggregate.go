@@ -49,5 +49,5 @@ func (v *View) RunQuery(q AggQuery) (*AggResult, error) {
 
 // AQPSource returns the view as an aqp.Source, for callers that drive the
 // aggregate engine directly and swap local and remote sources (for
-// example, svquery with and without -connect).
+// example, sv query with and without -connect).
 func (v *View) AQPSource() aqp.Source { return aqpSource{v} }

@@ -324,7 +324,7 @@ func BenchmarkAblationShuttle(b *testing.B) {
 }
 
 // BenchmarkStreamParallel drives many concurrent streams over one shared
-// view, the contention profile of the svserve layer. Each iteration runs
+// view, the contention profile of the serving layer. Each iteration runs
 // one seeded query and draws 1000 samples; every leaf read grabs a scratch
 // page from the view file's buffer pool, so this is the benchmark that
 // shows the pool's single mutex versus its striped replacement (see

@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -24,18 +26,32 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run regenerates the figures args asks for, printing their TSV to stdout
+// and progress to stderr, and returns the exit status: 2 for a
+// command-line mistake, 1 for a failed figure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("svbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		figList  = flag.String("fig", "all", "comma-separated figure ids ("+strings.Join(figures.IDs(), ",")+") or 'all'")
-		n        = flag.Int64("n", 0, "records in the SALE relation (0 = default 1M)")
-		queries  = flag.Int("queries", 0, "queries averaged per figure (0 = default 10)")
-		seed     = flag.Uint64("seed", 2006, "experiment seed")
-		grid     = flag.Int("grid", 0, "x-axis grid points (0 = default 160)")
-		pool     = flag.Int("pool", 0, "buffer pool pages for rank-based samplers (0 = auto)")
-		pageSize = flag.Int("pagesize", 8192, "disk page size in bytes (smaller pages refine leaf granularity)")
-		physical = flag.Bool("physical", false, "charge the raw disk model instead of the scale-matched one")
-		parallel = flag.Int("par", 0, "worker goroutines for builds and per-figure queries (0 or 1 = sequential)")
+		figList  = fs.String("fig", "all", "comma-separated figure ids ("+strings.Join(figures.IDs(), ",")+") or 'all'")
+		n        = fs.Int64("n", 0, "records in the SALE relation (0 = default 1M)")
+		queries  = fs.Int("queries", 0, "queries averaged per figure (0 = default 10)")
+		seed     = fs.Uint64("seed", 2006, "experiment seed")
+		grid     = fs.Int("grid", 0, "x-axis grid points (0 = default 160)")
+		pool     = fs.Int("pool", 0, "buffer pool pages for rank-based samplers (0 = auto)")
+		pageSize = fs.Int("pagesize", 8192, "disk page size in bytes (smaller pages refine leaf granularity)")
+		physical = fs.Bool("physical", false, "charge the raw disk model instead of the scale-matched one")
+		parallel = fs.Int("par", 0, "worker goroutines for builds and per-figure queries (0 or 1 = sequential)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cfg := figures.DefaultConfig()
 	cfg.Physical = *physical
@@ -68,8 +84,8 @@ func main() {
 	for _, id := range ids {
 		d := figures.FigureDims(id)
 		if d == 0 {
-			fmt.Fprintf(os.Stderr, "svbench: unknown figure %q\n", id)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "svbench: unknown figure %q\n", id)
+			return 2
 		}
 		byDims[d] = append(byDims[d], id)
 	}
@@ -78,44 +94,45 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		fmt.Fprintf(os.Stderr, "svbench: building %d-d workbench (n=%d)...\n", dims, cfg.N)
+		fmt.Fprintf(stderr, "svbench: building %d-d workbench (n=%d)...\n", dims, cfg.N)
 		wb, err := figures.NewWorkbench(cfg, dims)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "svbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "svbench: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "svbench: workbench ready in %v (scan time %v)\n",
+		fmt.Fprintf(stderr, "svbench: workbench ready in %v (scan time %v)\n",
 			time.Since(start).Round(time.Millisecond), wb.ScanTime)
 		for _, id := range ids {
 			start := time.Now()
 			fig, err := figures.GenerateOn(wb, id)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "svbench: figure %s: %v\n", id, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "svbench: figure %s: %v\n", id, err)
+				return 1
 			}
-			printFigure(fig)
-			fmt.Fprintf(os.Stderr, "svbench: figure %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
+			printFigure(stdout, fig)
+			fmt.Fprintf(stderr, "svbench: figure %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
+	return 0
 }
 
-func printFigure(fig *figures.Figure) {
-	fmt.Printf("# Figure %s: %s\n", fig.ID, fig.Title)
-	fmt.Printf("# x: %s | y: %s\n", fig.XLabel, fig.YLabel)
-	fmt.Printf("x")
+func printFigure(w io.Writer, fig *figures.Figure) {
+	fmt.Fprintf(w, "# Figure %s: %s\n", fig.ID, fig.Title)
+	fmt.Fprintf(w, "# x: %s | y: %s\n", fig.XLabel, fig.YLabel)
+	fmt.Fprintf(w, "x")
 	for _, s := range fig.Series {
-		fmt.Printf("\t%s", s.Name)
+		fmt.Fprintf(w, "\t%s", s.Name)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if len(fig.Series) == 0 {
 		return
 	}
 	for i := range fig.Series[0].X {
-		fmt.Printf("%.4f", fig.Series[0].X[i])
+		fmt.Fprintf(w, "%.4f", fig.Series[0].X[i])
 		for _, s := range fig.Series {
-			fmt.Printf("\t%.6f", s.Y[i])
+			fmt.Fprintf(w, "\t%.6f", s.Y[i])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

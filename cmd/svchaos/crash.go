@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"sampleview"
+	"sampleview/internal/iosim"
 	"sampleview/internal/record"
 	"sampleview/internal/workload"
 )
@@ -80,11 +81,11 @@ func runCrashMode(nrecords int, seed uint64) (string, bool) {
 
 	recs := genRecords(nrecords, seed)
 	fmt.Printf("crash ladder: %d base records, %d crash points x up to %d hits\n",
-		nrecords, len(sampleview.CrashPoints()), crashMaxHits)
+		nrecords, len(iosim.CrashPoints()), crashMaxHits)
 
 	var drills []crashDrill
 	ok := true
-	for _, p := range sampleview.CrashPoints() {
+	for _, p := range iosim.CrashPoints() {
 		for hit := 1; hit <= crashMaxHits; hit++ {
 			d := runCrashDrill(dir, recs, p, hit, seed+salt(p.String())+uint64(hit))
 			verdict := "ok"

@@ -375,7 +375,7 @@ func (t *traffic) runClient(c int) profileResult {
 	return res
 }
 
-// runConnect drives the fleet against an external svserve or svrouter and
+// runConnect drives the fleet against an external sv serve or sv route and
 // dumps its counters. There is no fault ladder and no source relation, so
 // the readers check the predicate and duplicates only.
 func runConnect(t traffic) bool {

@@ -23,7 +23,7 @@
 //	svchaos -connect 127.0.0.1:7070 -view sale -clients 32 -tenants 8
 //
 // With -connect the same reader and writer fleet runs against an external
-// svserve or svrouter, in the view's own dimensionality, and ends by dumping
+// sv serve or sv route, in the view's own dimensionality, and ends by dumping
 // its counters. Without a source relation the readers check the predicate
 // and duplicates only; -tenants N spreads them across N tenant identities.
 //
@@ -73,6 +73,7 @@ import (
 	"time"
 
 	"sampleview"
+	"sampleview/internal/iosim"
 	"sampleview/internal/record"
 	"sampleview/internal/server"
 	"sampleview/internal/workload"
@@ -130,7 +131,7 @@ func main() {
 		ingest   = flag.Int("ingest", 0, "writer connections appending/deleting/flushing while the readers run")
 		crash    = flag.Bool("crash", false, "run the deterministic power-cut ladder instead of the fault-profile ladder")
 		fleetOn  = flag.Bool("fleet", false, "run the replicated-serving fleet drill instead of the fault-profile ladder")
-		connect  = flag.String("connect", "", "drive the readers and writers against this svserve or svrouter address instead")
+		connect  = flag.String("connect", "", "drive the readers and writers against this sv serve or sv route address instead")
 		view     = flag.String("view", "sale", "served view name")
 		tenants  = flag.Int("tenants", 0, "spread readers round-robin across this many tenant identities (0 = untenanted)")
 		out      = flag.String("out", "", "write the markdown report to this file")
@@ -163,7 +164,7 @@ func main() {
 // runLadder builds the chaos view and drives the traffic under each fault
 // profile in turn, then, on a sharded view, kills a shard.
 func runLadder(t traffic, nrecords int, profs string, shards int) (string, bool) {
-	profiles := sampleview.FaultProfiles()
+	profiles := iosim.Profiles()
 	if profs != "all" {
 		profiles = strings.Split(profs, ",")
 	}

@@ -55,8 +55,7 @@ type Package struct {
 	Name string
 	// Rel is the slash-separated directory path relative to the module
 	// root ("" for the root package). Analyzers use it to scope rules:
-	// cmd/ and examples/ are host-side code exempt from the simulation
-	// contracts.
+	// cmd/ is host-side code exempt from the simulation contracts.
 	Rel   string
 	Dir   string
 	Files []*File

@@ -94,20 +94,16 @@ func TestAnalyzers(t *testing.T) {
 }
 
 // TestScopeExemptions re-loads violating fixtures under module paths the
-// analyzers exempt (examples/, cmd/) and demands silence.
+// analyzers exempt (cmd/) and demands silence.
 func TestScopeExemptions(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
 		fixture  string
 		rel      string
 	}{
-		{NoGlobalRand, "noglobalrand", "examples/demo"},
 		{NoWallClock, "nowallclock", "cmd/tool"},
-		{NoWallClock, "nowallclock", "examples/demo"},
 		{NoDirectIO, "nodirectio", "cmd/tool"},
-		{NoDirectIO, "nodirectio", "examples/demo"},
 		{NoFatal, "nofatal", "cmd/tool"},
-		{NoFatal, "nofatal", "examples/demo"},
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("%s@%s", c.analyzer.Name, c.rel)

@@ -17,9 +17,9 @@ import "go/ast"
 // shard and catalog layers use them for small JSON manifests, which are
 // control-plane metadata, not pages, and never flow through a Backend.
 //
-// Scope: non-test files outside cmd/, examples/ and internal/pagefile.
-// The command-line tools and examples are host-side programs; pagefile is
-// the sanctioned owner of raw file handles.
+// Scope: non-test files outside cmd/ and internal/pagefile. The
+// command-line tools are host-side programs; pagefile is the sanctioned
+// owner of raw file handles.
 var NoDirectIO = &Analyzer{
 	Name: "nodirectio",
 	Doc:  "ban os.File acquisition outside internal/pagefile (the raw-I/O entry point)",
@@ -40,7 +40,7 @@ var sysOpenFns = map[string]bool{
 
 func runNoDirectIO(pass *Pass) {
 	p := pass.Pkg
-	if p.inDir("cmd") || p.inDir("examples") {
+	if p.inDir("cmd") {
 		return
 	}
 	inPagefile := p.inDir("internal/pagefile")

@@ -13,7 +13,7 @@ import (
 // (TransientIOError, CorruptPageError, DegradedError, ...) so every layer
 // can apply its own policy.
 //
-// Scope: non-test files outside cmd/ and examples/. A command's main owns
+// Scope: non-test files outside cmd/. A command's main owns
 // the process and may exit with a status code; everything else returns.
 //
 // The check is syntactic, matching direct calls of package-level functions
@@ -27,7 +27,7 @@ var NoFatal = &Analyzer{
 
 func runNoFatal(pass *Pass) {
 	p := pass.Pkg
-	if p.inDir("cmd") || p.inDir("examples") {
+	if p.inDir("cmd") {
 		return
 	}
 	for _, f := range p.Files {

@@ -10,9 +10,9 @@ import "go/ast"
 // byte-identical-at-any-parallelism guarantee of the construction pipeline
 // depends on.
 //
-// Scope: every non-test file outside examples/ (examples are pedagogical
-// host-side code; _test.go files may use testing-local randomness, though
-// in practice the suite seeds everything).
+// Scope: every non-test file, commands included (_test.go files may use
+// testing-local randomness, though in practice the suite seeds
+// everything).
 var NoGlobalRand = &Analyzer{
 	Name: "noglobalrand",
 	Doc:  "ban the global math/rand source and time-seeded sources",
@@ -83,11 +83,7 @@ func ctorSeededFromClock(tab map[string]string, ctor *ast.CallExpr) bool {
 }
 
 func runNoGlobalRand(pass *Pass) {
-	p := pass.Pkg
-	if p.inDir("examples") {
-		return
-	}
-	for _, f := range p.Files {
+	for _, f := range pass.Pkg.Files {
 		if f.Test {
 			continue
 		}

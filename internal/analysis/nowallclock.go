@@ -18,7 +18,7 @@ import (
 // function's own doc comment, making every exemption grep-able and
 // reviewed.
 //
-// Scope: non-test files outside cmd/ and examples/. The command-line tools
+// Scope: non-test files outside cmd/. The command-line tools
 // legitimately report host elapsed time; tests may use timeouts.
 var NoWallClock = &Analyzer{
 	Name: "nowallclock",
@@ -38,7 +38,7 @@ var wallClockFns = map[string]bool{
 
 func runNoWallClock(pass *Pass) {
 	p := pass.Pkg
-	if p.inDir("cmd") || p.inDir("examples") {
+	if p.inDir("cmd") {
 		return
 	}
 	for _, f := range p.Files {

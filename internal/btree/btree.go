@@ -226,9 +226,6 @@ func (t *Tree) Count() int64 { return t.count }
 // Height returns the number of internal levels.
 func (t *Tree) Height() int { return t.height }
 
-// DataPages returns the number of pages holding records.
-func (t *Tree) DataPages() int64 { return t.items.NumPages() }
-
 // RankGE returns the number of records whose key is strictly less than k,
 // which is also the zero-based rank of the first record with key >= k.
 func (t *Tree) RankGE(k int64) (int64, error) {

@@ -182,7 +182,7 @@ func (t *Tree) locatePage(page int64, err error) PageFault {
 // SectionHistogram returns, per section number (1-based index 0..h-1),
 // the total number of records stored in that section across all leaves.
 // Construction assigns sections uniformly, so the histogram should be
-// nearly flat; svinspect prints it.
+// nearly flat; sv inspect prints it.
 func (t *Tree) SectionHistogram() []int64 {
 	hist := make([]int64, t.h)
 	for i := range t.leaves {

@@ -1,5 +1,5 @@
 // Package fleet is the replicated multi-tenant serving tier: a router
-// process that fronts N svserve replicas, each hosting the same views over
+// process that fronts N sv serve replicas, each hosting the same views over
 // independent simulated disks, behind the exact wire protocol a single
 // server speaks — clients need no changes to talk to a fleet.
 //

@@ -135,13 +135,6 @@ func (s *Sim) SetCrashPlan(p CrashPlan) {
 	}
 }
 
-// CrashPlan returns the active crash schedule (zero if none).
-func (s *Sim) CrashPlan() CrashPlan {
-	s.crashMu.Lock()
-	defer s.crashMu.Unlock()
-	return s.crashPlan
-}
-
 // Crashed reports whether the simulated power cut has fired.
 func (s *Sim) Crashed() bool {
 	s.crashMu.Lock()

@@ -58,11 +58,6 @@ type FaultCounters struct {
 	DeadPages int64
 }
 
-// Total returns the total number of fault events.
-func (c FaultCounters) Total() int64 {
-	return c.Transient + c.LatencySpikes + c.Rereads + c.CorruptPages + c.DeadPages
-}
-
 // Add accumulates o into c (for summing across disks or clocks).
 func (c *FaultCounters) Add(o FaultCounters) {
 	c.Transient += o.Transient

@@ -288,9 +288,6 @@ type Clock struct {
 	faults   FaultCounters
 }
 
-// Model returns the disk model in use.
-func (c *Clock) Model() Model { return c.model }
-
 // Now returns the stream's elapsed simulated time.
 func (c *Clock) Now() time.Duration { return c.now }
 

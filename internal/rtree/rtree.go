@@ -331,6 +331,3 @@ func (t *Tree) Count() int64 { return t.count }
 
 // Height returns the number of internal levels.
 func (t *Tree) Height() int { return t.height }
-
-// DataPages returns the number of pages holding records.
-func (t *Tree) DataPages() int64 { return t.items.NumPages() }

@@ -788,6 +788,43 @@ func TestMetadataRequests(t *testing.T) {
 	})
 }
 
+// TestBadFramesRejected sends requests that are not in the protocol — a
+// frame type no client sends, a body where none belongs, a body cut short —
+// and wants each answered with CodeBadRequest and counted as a bad frame,
+// with the connection still serving afterwards.
+func TestBadFramesRejected(t *testing.T) {
+	eachEndpoint(t, Config{}, genRecords(1_000, 53), func(t *testing.T, ep *served) {
+		cl, err := Dial(ep.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		before := ep.snapshot().BadFrames
+		open := OpenViewReq{Name: "sale"}.Encode()
+		for _, f := range []struct {
+			name string
+			typ  FrameType
+			body []byte
+		}{
+			{"batch frame as a request", FBatch, nil},
+			{"list-views with a body", FListViews, []byte{0}},
+			{"truncated open-view", FOpenView, open[:len(open)-1]},
+		} {
+			err := cl.roundTrip(f.typ, f.body, FViewInfo, nil)
+			var se *Error
+			if !errors.As(err, &se) || se.Code != CodeBadRequest {
+				t.Errorf("%s: err = %v, want CodeBadRequest", f.name, err)
+			}
+		}
+		if _, err := cl.OpenView("sale"); err != nil {
+			t.Fatalf("OpenView after the bad frames: %v", err)
+		}
+		if got := ep.snapshot().BadFrames - before; got != 3 {
+			t.Errorf("BadFrames grew by %d, want 3", got)
+		}
+	})
+}
+
 // TestUnknownViewAndStream covers the typed not-found errors, and the one
 // request that is answered with no frame at all: a length prefix outside the
 // protocol's bounds closes the connection and is counted.

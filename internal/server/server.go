@@ -238,9 +238,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Config returns the server's effective (defaulted) configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // AddView registers v under name. Clients resolve it with an open-view
 // request. Registering a name twice replaces the old registration for new
 // open-view requests; streams already open keep sampling the view they

@@ -219,7 +219,7 @@ func decodeStatsSnapshot(b []byte) (*StatsSnapshot, error) {
 	return &s, nil
 }
 
-// Dump writes the snapshot as an svinspect-style text report.
+// Dump writes the snapshot as an sv inspect-style text report.
 func (s *StatsSnapshot) Dump(w io.Writer) {
 	fmt.Fprintf(w, "connections:     %d open, %d accepted, %d rejected\n",
 		s.OpenConns, s.ConnsAccepted, s.ConnsRejected)

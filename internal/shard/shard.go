@@ -314,7 +314,7 @@ func (v *View) writeManifest() error {
 }
 
 // ReadManifest loads a stored view directory's layout metadata without
-// opening the shards (svinspect walks catalogs with it).
+// opening the shards (sv inspect walks catalogs with it).
 func ReadManifest(dir string) (k int, partition Partition, err error) {
 	m, err := readManifest(dir)
 	if err != nil {

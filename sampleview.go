@@ -76,19 +76,12 @@ const (
 	BackendMmap = pagefile.BackendMmap
 )
 
-// ParseBackendKind maps a flag spelling ("pread", "mmap", "default") to a
-// BackendKind for Options.Backend.
-func ParseBackendKind(s string) (BackendKind, error) { return pagefile.ParseBackendKind(s) }
-
 // FaultProfile returns the named fault profile ("none", "flaky-disk",
 // "slow-disk", "flaky-deep", "bitrot", "bad-sector", "hell") with the given
 // seed.
 func FaultProfile(name string, seed uint64) (FaultPlan, error) {
 	return iosim.ProfilePlan(name, seed)
 }
-
-// FaultProfiles lists the named fault profiles, mildest first.
-func FaultProfiles() []string { return iosim.Profiles() }
 
 // Crash-injection types, re-exported for the crash-drill harness: a
 // CrashPlan schedules one deterministic simulated power cut at a named
@@ -107,9 +100,6 @@ const (
 	CrashPreManifestRename = iosim.CrashPreManifestRename
 	CrashMidCompaction     = iosim.CrashMidCompaction
 )
-
-// CrashPoints returns every crash point, in write-path order.
-func CrashPoints() []CrashPoint { return iosim.CrashPoints() }
 
 // IsCrash reports whether err is (or wraps) a simulated power cut. After a
 // cut, every write-path operation on the view fails with the same error;
