@@ -20,9 +20,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,28 +33,40 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints the packages args names, printing findings to stdout, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("svlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, a := range analysis.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return fatal(stderr, err)
 	}
 	modRoot, err := analysis.FindModuleRoot(cwd)
 	if err != nil {
-		fatal(err)
+		return fatal(stderr, err)
 	}
 
 	fset := token.NewFileSet()
@@ -66,21 +80,21 @@ func main() {
 		if recurse {
 			loaded, err := analysis.LoadTree(fset, dir, modRoot)
 			if err != nil {
-				fatal(err)
+				return fatal(stderr, err)
 			}
 			pkgs = append(pkgs, loaded...)
 			continue
 		}
 		rel, err := filepath.Rel(modRoot, dir)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		pkg, err := analysis.LoadDir(fset, dir, filepath.ToSlash(rel))
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		if pkg == nil {
-			fatal(fmt.Errorf("no Go files in %s", dir))
+			return fatal(stderr, fmt.Errorf("no Go files in %s", dir))
 		}
 		pkgs = append(pkgs, pkg)
 	}
@@ -90,15 +104,16 @@ func main() {
 		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			d.Pos.Filename = rel
 		}
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "svlint: %d violation(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "svlint: %d violation(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "svlint: %v\n", err)
-	os.Exit(2)
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "svlint: %v\n", err)
+	return 2
 }

@@ -48,7 +48,7 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, pool *pagefile.Pool, memP
 	if src.ItemSize() != record.Size {
 		return nil, fmt.Errorf("btree: source item size %d is not a record", src.ItemSize())
 	}
-	if err := writeHeader(dst, 0, 0, 0); err != nil {
+	if err := pagefile.WriteHeader(dst, magic, 0, 0, 0); err != nil {
 		return nil, err
 	}
 
@@ -62,7 +62,7 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, pool *pagefile.Pool, memP
 	if err := t.buildInternalLevels(); err != nil {
 		return nil, err
 	}
-	if err := writeHeader(dst, t.count, t.rootPage, int64(t.height)); err != nil {
+	if err := pagefile.WriteHeader(dst, magic, t.count, t.rootPage, int64(t.height)); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -70,19 +70,10 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, pool *pagefile.Pool, memP
 
 // Open opens a tree previously written by Build.
 func Open(f *pagefile.File, pool *pagefile.Pool) (*Tree, error) {
-	if f.NumPages() == 0 {
-		return nil, fmt.Errorf("btree: empty file")
+	var count, rootPage, height int64
+	if err := pagefile.ReadHeader(f, magic, &count, &rootPage, &height); err != nil {
+		return nil, fmt.Errorf("btree: %w", err)
 	}
-	page := make([]byte, f.PageSize())
-	if err := f.Read(0, page); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint64(page[0:8]) != magic {
-		return nil, fmt.Errorf("btree: bad magic")
-	}
-	count := int64(binary.LittleEndian.Uint64(page[8:16]))
-	rootPage := int64(binary.LittleEndian.Uint64(page[16:24]))
-	height := int(binary.LittleEndian.Uint64(page[24:32]))
 	items, err := pagefile.OpenItemFile(f, record.Size, 1, count)
 	if err != nil {
 		return nil, fmt.Errorf("btree: %w", err)
@@ -93,21 +84,8 @@ func Open(f *pagefile.File, pool *pagefile.Pool) (*Tree, error) {
 		items:    items,
 		count:    count,
 		rootPage: rootPage,
-		height:   height,
+		height:   int(height),
 	}, nil
-}
-
-func writeHeader(f *pagefile.File, count, rootPage, height int64) error {
-	page := make([]byte, f.PageSize())
-	binary.LittleEndian.PutUint64(page[0:8], magic)
-	binary.LittleEndian.PutUint64(page[8:16], uint64(count))
-	binary.LittleEndian.PutUint64(page[16:24], uint64(rootPage))
-	binary.LittleEndian.PutUint64(page[24:32], uint64(height))
-	if f.NumPages() == 0 {
-		_, err := f.Append(page)
-		return err
-	}
-	return f.Write(0, page)
 }
 
 // entry is one (minKey, child, count) triple of an internal node.

@@ -213,9 +213,10 @@ type Tree struct {
 	// data bounds, for the nodes whose sections keep key sketches.
 	sketchRegion []record.Range
 
-	// free holds the scratch objects closed streams handed back (see
-	// Stream.Close); clocked views share their tree's list.
-	free chan *scratch
+	// free and chunks hold the scratch objects and parking chunks closed
+	// streams handed back (see Stream.Close); clocked views share them.
+	free   chan *scratch
+	chunks chan []record.Record
 }
 
 // WithClock returns a view of the tree whose I/O is charged to the given
@@ -354,6 +355,8 @@ func Open(f *pagefile.File) (*Tree, error) {
 		t.dataMax[d] = int64(binary.LittleEndian.Uint64(page[40+16*d : 48+16*d]))
 	}
 	t.nLeaves = int64(1) << uint(t.h-1)
+	// A corrupt count must not size the list past what the file can hold.
+	t.chunks = newChunkList(min(t.count, f.NumPages()*int64(f.PageSize())/record.Size))
 	if err := t.readSplitRegion(); err != nil {
 		return nil, err
 	}

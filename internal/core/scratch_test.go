@@ -134,6 +134,10 @@ func TestScratchRecycling(t *testing.T) {
 		t.Fatalf("stream C parked batches under %d regions; the check wants many", regions)
 	}
 	table := c.scratch
+	chunks := slices.Clone(table.chunks)
+	if len(chunks) == 0 || len(chunks) > cap(tree.chunks) {
+		t.Fatalf("stream C holds %d parking chunks; the check wants 1 to %d", len(chunks), cap(tree.chunks))
+	}
 	c.Close()
 	for idx, q := range table.parked {
 		if q != nil {
@@ -144,6 +148,18 @@ func TestScratchRecycling(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("closed stream left section %d's ready count at %d", sec+1, n)
 		}
+	}
+	if len(table.chunks) != 0 {
+		t.Fatalf("closed stream kept %d parking chunks", len(table.chunks))
+	}
+	if len(tree.chunks) != len(chunks) {
+		t.Fatalf("tree's list holds %d chunks after C closed, want C's %d", len(tree.chunks), len(chunks))
+	}
+	for _, want := range chunks {
+		if got := <-tree.chunks; len(got) != 0 || &got[:1][0] != &want[:1][0] {
+			t.Fatal("tree's list does not hold C's chunks, emptied, in order")
+		}
+		tree.chunks <- want[:0]
 	}
 	reopened, err := Open(tree.f)
 	if err != nil {
@@ -180,6 +196,88 @@ func TestScratchRecycling(t *testing.T) {
 	}
 	if len(tree.free) != maxFreeScratch {
 		t.Fatalf("free list holds %d scratch objects, want %d", len(tree.free), maxFreeScratch)
+	}
+}
+
+// TestParkingChunksRecycled: a closed stream's parking chunks go back to its
+// tree's list, so a second stream like it parks into them and makes none; the
+// list holds chunks of at most 1/recordsPerKept of the tree's records, whatever
+// number of streams closed into it, from whichever clocked view.
+func TestParkingChunksRecycled(t *testing.T) {
+	sim := testSim()
+	tree, _ := buildTestTree(t, sim, 200_000, Params{}, 95)
+	bound := int(tree.count / recordsPerKept / chunkRecords)
+	if cap(tree.chunks) != bound || bound < 2 {
+		t.Fatalf("tree of %d records keeps %d chunks, want %d (at least 2 for this test)", tree.count, cap(tree.chunks), bound)
+	}
+	if reopened, err := Open(tree.f); err != nil || cap(reopened.chunks) != bound {
+		t.Fatalf("reopened tree keeps %d chunks (err %v), want %d", cap(reopened.chunks), err, bound)
+	}
+	q := record.Box1D(workload.KeyDomain/8, workload.KeyDomain/8+workload.KeyDomain/4)
+	first, err := tree.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainAll(t, first)
+	if len(first.chunks) != bound {
+		t.Fatalf("a 25%% drain parked into %d chunks; the check wants the tree's %d", len(first.chunks), bound)
+	}
+	first.Close()
+	if len(tree.chunks) != bound {
+		t.Fatalf("tree's list holds %d chunks after the first stream closed, want %d", len(tree.chunks), bound)
+	}
+	recycled := map[*record.Record]bool{}
+	for range bound {
+		c := <-tree.chunks
+		recycled[&c[:1][0]] = true
+		tree.chunks <- c
+	}
+
+	second, err := tree.WithClock(sim.Fork()).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []record.Record
+	for {
+		batch, err := second.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, batch...)
+		for _, c := range second.chunks {
+			if !recycled[&c[:1][0]] {
+				t.Fatal("the second stream made a parking chunk on a warm tree")
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("the stream parking into recycled chunks drew other records than the first")
+	}
+	second.Close()
+
+	var open []*Stream
+	for i := range 12 {
+		lo := workload.KeyDomain / 16 * int64(i%8)
+		s, err := tree.WithClock(sim.Fork()).Query(record.Box1D(lo, lo+workload.KeyDomain/4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.AppendNext(nil, 3000); err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, s)
+		if i%3 == 2 {
+			for _, s := range open {
+				s.Close()
+			}
+			open = open[:0]
+		}
+		if len(tree.chunks)*chunkRecords > int(tree.count/recordsPerKept) {
+			t.Fatalf("tree's list holds %d chunks, over its bound of %d records", len(tree.chunks), tree.count/recordsPerKept)
+		}
 	}
 }
 

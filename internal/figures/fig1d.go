@@ -91,7 +91,7 @@ func Fig15On(wb *Workbench, id string, sel float64) (*Figure, error) {
 	}); err != nil {
 		return nil, err
 	}
-	xs, mins, means, maxs := resampleMinMeanMax(curves, wb.ScanTime, maxFrac, cfg.GridPoints)
+	xs, mins, means, maxs := resample(curves, wb.ScanTime, maxFrac, cfg.GridPoints)
 	return &Figure{
 		ID:     id,
 		Title:  fmt.Sprintf("Records buffered by the ACE Tree, %.2f%% selectivity", sel*100),
@@ -137,7 +137,7 @@ func (wb *Workbench) meanFigure(id, title string, maxFrac float64, baseline stri
 		YLabel: "% of total number of records in the relation",
 	}
 	for m, name := range []string{"ACE Tree", baseline, "Randomly permuted file"} {
-		xs, ys := resampleMean(curves[m], wb.ScanTime, maxFrac, wb.Cfg.GridPoints)
+		xs, _, ys, _ := resample(curves[m], wb.ScanTime, maxFrac, wb.Cfg.GridPoints)
 		fig.Series = append(fig.Series, Series{Name: name, X: xs, Y: ys})
 	}
 	return fig

@@ -197,26 +197,10 @@ func (c *curve) at(t time.Duration) float64 {
 	return c.ys[i-1]
 }
 
-// resampleMean averages a set of per-query curves onto a uniform grid over
-// [0, maxFrac] of scanTime, returning x (percent of scan) and mean y.
-func resampleMean(curves []curve, scanTime time.Duration, maxFrac float64, points int) (xs, ys []float64) {
-	xs = make([]float64, points)
-	ys = make([]float64, points)
-	for i := 0; i < points; i++ {
-		frac := maxFrac * float64(i+1) / float64(points)
-		t := time.Duration(float64(scanTime) * frac)
-		var sum float64
-		for q := range curves {
-			sum += curves[q].at(t)
-		}
-		xs[i] = frac * 100
-		ys[i] = sum / float64(len(curves))
-	}
-	return xs, ys
-}
-
-// resampleMinMeanMax is resampleMean plus min and max envelopes (Fig 15).
-func resampleMinMeanMax(curves []curve, scanTime time.Duration, maxFrac float64, points int) (xs, mins, means, maxs []float64) {
+// resample averages a set of per-query curves onto a uniform grid over
+// [0, maxFrac] of scanTime, returning x (percent of scan), and the min, mean
+// and max y (Fig 15 draws all three).
+func resample(curves []curve, scanTime time.Duration, maxFrac float64, points int) (xs, mins, means, maxs []float64) {
 	xs = make([]float64, points)
 	mins = make([]float64, points)
 	means = make([]float64, points)

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"sampleview/internal/server"
+	"sampleview/internal/splitmix"
 )
 
 // Config tunes the router. Replicas is required; a zero elsewhere switches
@@ -251,7 +252,7 @@ func (r *Router) ReplicasLive() int { return len(r.liveReplicas()) }
 // streamSeed derives the next stream's seed deterministically from the
 // router's config seed and a counter — reproducible runs, no shared rng.
 func (r *Router) streamSeed() uint64 {
-	return mix64(r.cfg.Seed ^ mix64(r.seedCtr.Add(1)))
+	return splitmix.Mix(r.cfg.Seed ^ splitmix.Mix(r.seedCtr.Add(1)))
 }
 
 // Shutdown drains the client connections as a server does — each finishes

@@ -3,6 +3,8 @@ package fleet
 import (
 	"hash/fnv"
 	"sort"
+
+	"sampleview/internal/splitmix"
 )
 
 // ring is a consistent-hash ring over replica indices. Each replica owns
@@ -22,19 +24,11 @@ type ringPoint struct {
 	idx  int
 }
 
-// mix64 is splitmix64's finalizer: a cheap, well-distributed 64-bit hash.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // hashKey folds a string key through FNV-1a and mixes the result.
 func hashKey(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return mix64(h.Sum64())
+	return splitmix.Mix(h.Sum64())
 }
 
 // vnodes is the number of points each replica owns on the ring.
@@ -48,7 +42,7 @@ func newRing(n int) *ring {
 	for i := 0; i < n; i++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
-				hash: mix64(uint64(i)<<32 | uint64(v)),
+				hash: splitmix.Mix(uint64(i)<<32 | uint64(v)),
 				idx:  i,
 			})
 		}

@@ -1,5 +1,7 @@
 package lsm
 
+import "sampleview/internal/splitmix"
+
 // Each delta level carries a bloom filter over its tombstone Seqs so the
 // query path can prune levels while vetting base draws: a negative filter
 // test proves the level holds no tombstone for the Seq and costs no I/O;
@@ -35,18 +37,9 @@ func bloomFromBits(bits []uint64) *bloomFilter {
 	return &bloomFilter{bits: bits, m: uint64(len(bits)) * 64}
 }
 
-// bloomMix is the splitmix64 finalizer: the same seeded, allocation-free
-// mixing the shard router uses, applied here to derive the probe sequence.
-func bloomMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 func (f *bloomFilter) probes(seq uint64) (h1, h2 uint64) {
-	h1 = bloomMix(seq)
-	h2 = bloomMix(h1^0x6a09e667f3bcc909) | 1
+	h1 = splitmix.Mix(seq)
+	h2 = splitmix.Mix(h1^0x6a09e667f3bcc909) | 1
 	return h1, h2
 }
 

@@ -48,6 +48,7 @@ import (
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
+	"sampleview/internal/splitmix"
 )
 
 // deltaMagic identifies a delta-level file.
@@ -232,10 +233,7 @@ func strataCuts(n int64, per int) []int64 {
 // changes n and the cuts, never which of two records comes in the earlier
 // stratum.
 func stratumOf(seq uint64, n int64, cuts []int64) int {
-	x := seq + 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	pos, _ := bits.Mul64(x^x>>31, uint64(n))
+	pos, _ := bits.Mul64(splitmix.Mix(seq), uint64(n))
 	j := 0
 	for j < len(cuts) && cuts[j] <= int64(pos) {
 		j++

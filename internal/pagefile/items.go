@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -37,6 +38,39 @@ type ItemRangeError struct {
 func (e *ItemRangeError) Error() string {
 	return fmt.Sprintf("pagefile: item region [%d,%d) outside file of %d pages",
 		e.StartPage, e.StartPage+e.Pages, e.NumPages)
+}
+
+// WriteHeader writes page 0 of a file whose items start at page 1, appending
+// it to an empty file: magic, then each field, as little-endian 64-bit words.
+func WriteHeader(f *File, magic uint64, fields ...int64) error {
+	page := make([]byte, f.PageSize())
+	binary.LittleEndian.PutUint64(page, magic)
+	for i, v := range fields {
+		binary.LittleEndian.PutUint64(page[8+8*i:], uint64(v))
+	}
+	if f.NumPages() == 0 {
+		_, err := f.Append(page)
+		return err
+	}
+	return f.Write(0, page)
+}
+
+// ReadHeader reads the fields of the page 0 WriteHeader wrote with magic.
+func ReadHeader(f *File, magic uint64, fields ...*int64) error {
+	if f.NumPages() == 0 {
+		return fmt.Errorf("empty file")
+	}
+	page := make([]byte, f.PageSize())
+	if err := f.Read(0, page); err != nil {
+		return err
+	}
+	if binary.LittleEndian.Uint64(page) != magic {
+		return fmt.Errorf("bad magic")
+	}
+	for i, p := range fields {
+		*p = int64(binary.LittleEndian.Uint64(page[8+8*i:]))
+	}
+	return nil
 }
 
 // OpenItemFile wraps f as an item file holding count items whose item

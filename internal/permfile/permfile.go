@@ -78,7 +78,7 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, memPages int, seed uint64
 
 	// Final pass: strip the sort keys while writing the permuted records to
 	// their destination, behind a one-page header.
-	if err := writeHeader(dst, 0); err != nil {
+	if err := pagefile.WriteHeader(dst, magic, 0); err != nil {
 		return nil, err
 	}
 	items := pagefile.NewItemFile(dst, record.Size)
@@ -99,7 +99,7 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, memPages int, seed uint64
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
-	if err := writeHeader(dst, items.Count()); err != nil {
+	if err := pagefile.WriteHeader(dst, magic, items.Count()); err != nil {
 		return nil, err
 	}
 	return &File{items: items}, nil
@@ -107,33 +107,15 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, memPages int, seed uint64
 
 // Open opens a permuted file previously written by Build.
 func Open(f *pagefile.File) (*File, error) {
-	if f.NumPages() == 0 {
-		return nil, fmt.Errorf("permfile: empty file")
+	var count int64
+	if err := pagefile.ReadHeader(f, magic, &count); err != nil {
+		return nil, fmt.Errorf("permfile: %w", err)
 	}
-	page := make([]byte, f.PageSize())
-	if err := f.Read(0, page); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint64(page[0:8]) != magic {
-		return nil, fmt.Errorf("permfile: bad magic")
-	}
-	count := int64(binary.LittleEndian.Uint64(page[8:16]))
 	items, err := pagefile.OpenItemFile(f, record.Size, 1, count)
 	if err != nil {
 		return nil, fmt.Errorf("permfile: %w", err)
 	}
 	return &File{items: items}, nil
-}
-
-func writeHeader(f *pagefile.File, count int64) error {
-	page := make([]byte, f.PageSize())
-	binary.LittleEndian.PutUint64(page[0:8], magic)
-	binary.LittleEndian.PutUint64(page[8:16], uint64(count))
-	if f.NumPages() == 0 {
-		_, err := f.Append(page)
-		return err
-	}
-	return f.Write(0, page)
 }
 
 // Count returns the number of records in the file.

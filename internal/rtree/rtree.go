@@ -69,7 +69,7 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, pool *pagefile.Pool, memP
 	if src.ItemSize() != record.Size {
 		return nil, fmt.Errorf("rtree: source item size %d is not a record", src.ItemSize())
 	}
-	if err := writeHeader(dst, 0, 0, 0); err != nil {
+	if err := pagefile.WriteHeader(dst, magic, 0, 0, 0); err != nil {
 		return nil, err
 	}
 	sim := dst.Sim()
@@ -85,7 +85,7 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, pool *pagefile.Pool, memP
 	items := pagefile.NewItemFile(dst, record.Size)
 	t := &Tree{f: dst, pool: pool, items: items, count: n}
 	if n == 0 {
-		return t, writeHeader(dst, 0, 0, 0)
+		return t, pagefile.WriteHeader(dst, magic, 0, 0, 0)
 	}
 
 	// STR step 2: cut the x-order into ceil(sqrt(P)) vertical slabs, sort
@@ -164,24 +164,15 @@ func Build(dst *pagefile.File, src *pagefile.ItemFile, pool *pagefile.Pool, memP
 	if err := t.buildInternalLevels(leafEntries); err != nil {
 		return nil, err
 	}
-	return t, writeHeader(dst, t.count, t.rootPage, int64(t.height))
+	return t, pagefile.WriteHeader(dst, magic, t.count, t.rootPage, int64(t.height))
 }
 
 // Open opens a tree previously written by Build.
 func Open(f *pagefile.File, pool *pagefile.Pool) (*Tree, error) {
-	if f.NumPages() == 0 {
-		return nil, fmt.Errorf("rtree: empty file")
+	var count, root, height int64
+	if err := pagefile.ReadHeader(f, magic, &count, &root, &height); err != nil {
+		return nil, fmt.Errorf("rtree: %w", err)
 	}
-	page := make([]byte, f.PageSize())
-	if err := f.Read(0, page); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint64(page[0:8]) != magic {
-		return nil, fmt.Errorf("rtree: bad magic")
-	}
-	count := int64(binary.LittleEndian.Uint64(page[8:16]))
-	root := int64(binary.LittleEndian.Uint64(page[16:24]))
-	height := int(binary.LittleEndian.Uint64(page[24:32]))
 	items, err := pagefile.OpenItemFile(f, record.Size, 1, count)
 	if err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
@@ -192,21 +183,8 @@ func Open(f *pagefile.File, pool *pagefile.Pool) (*Tree, error) {
 		items:    items,
 		count:    count,
 		rootPage: root,
-		height:   height,
+		height:   int(height),
 	}, nil
-}
-
-func writeHeader(f *pagefile.File, count, root, height int64) error {
-	page := make([]byte, f.PageSize())
-	binary.LittleEndian.PutUint64(page[0:8], magic)
-	binary.LittleEndian.PutUint64(page[8:16], uint64(count))
-	binary.LittleEndian.PutUint64(page[16:24], uint64(root))
-	binary.LittleEndian.PutUint64(page[24:32], uint64(height))
-	if f.NumPages() == 0 {
-		_, err := f.Append(page)
-		return err
-	}
-	return f.Write(0, page)
 }
 
 // dimKey is the sort key of coordinate d: Key and Amount lead the encoded

@@ -95,8 +95,11 @@ func checkSampleAllocs(t *testing.T, v *View) {
 		t.Fatal("no Sample(256) was served without a stab; the gate checked nothing")
 	}
 	// Whole drain: the result slices (one record size each, rounded to a size
-	// class) plus each record parked at most once.
-	if perRec := float64(total) / float64(records); perRec > 2.4*float64(unsafe.Sizeof(record.Record{})) {
-		t.Fatalf("draining by Sample(256) allocated %.0f bytes per record, want <= 2.4 records' worth", perRec)
+	// class) plus what parking allocates: nothing in a recycled chunk, an
+	// exact-size copy once the stream holds its tree's bound of chunks. A
+	// record is 104 B in memory: 164 and 160 B measured here, in the plain and
+	// the -race build alike, and 175 and 170 B with an exact-size copy per park.
+	if perRec := float64(total) / float64(records); perRec > 1.6*float64(unsafe.Sizeof(record.Record{})) {
+		t.Fatalf("draining by Sample(256) allocated %.0f bytes per record, want <= 1.6 records' worth", perRec)
 	}
 }

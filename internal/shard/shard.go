@@ -31,6 +31,7 @@ import (
 	"sampleview/internal/pagefile"
 	"sampleview/internal/par"
 	"sampleview/internal/record"
+	"sampleview/internal/splitmix"
 )
 
 // Partition selects how records map to shards.
@@ -125,7 +126,7 @@ func (o Options) params(shard int) core.Params {
 		MemPages: o.MemPages,
 		// Per-shard seeds differ so shard trees are independently
 		// randomized; mixing keeps them deterministic in (Seed, shard).
-		Seed: mix64(o.Seed ^ (uint64(shard) + 1)),
+		Seed: splitmix.Mix(o.Seed ^ (uint64(shard) + 1)),
 	}
 }
 
@@ -186,18 +187,6 @@ func newView(dir string, opts Options, k int, bounds []int64) *View {
 	}
 }
 
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed hash used
-// for partition routing and per-shard seed derivation.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // route returns the shard index owning rec.
 func (v *View) route(rec *record.Record) int {
 	k := len(v.shards)
@@ -205,7 +194,7 @@ func (v *View) route(rec *record.Record) int {
 		return 0
 	}
 	if v.bounds == nil {
-		return int(mix64(v.opts.Seed^rec.Seq) % uint64(k))
+		return int(splitmix.Mix(v.opts.Seed^rec.Seq) % uint64(k))
 	}
 	// Range mode: binary search the K+1 boundaries; clamp to edge shards.
 	if rec.Key < v.bounds[0] {
@@ -311,20 +300,6 @@ func (v *View) writeManifest() error {
 		return fmt.Errorf("shard: writing manifest: %w", err)
 	}
 	return nil
-}
-
-// ReadManifest loads a stored view directory's layout metadata without
-// opening the shards (sv inspect walks catalogs with it).
-func ReadManifest(dir string) (k int, partition Partition, err error) {
-	m, err := readManifest(dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	p, err := ParsePartition(m.Partition)
-	if err != nil {
-		return 0, 0, err
-	}
-	return m.K, p, nil
 }
 
 func readManifest(dir string) (*manifest, error) {

@@ -389,12 +389,12 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Close()
-	k, part, err := ReadManifest(dir)
+	m, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k != 4 || part != RangeByKey {
-		t.Fatalf("manifest reports K=%d partition=%v, want 4/range", k, part)
+	if m.K != 4 || m.Partition != RangeByKey.String() {
+		t.Fatalf("manifest reports K=%d partition=%v, want 4/range", m.K, m.Partition)
 	}
 	vo, err := Open(dir, Options{})
 	if err != nil {

@@ -128,7 +128,9 @@ func TestStreamCloseRace(t *testing.T) {
 // may alias it. Every slice and record stream A returned — by Sample, by the
 // caller-owned batch draw, by Next — must read bit-identical after A is
 // closed and a stream B on the same view has drawn through the recycled
-// memory. Both the base-alone path and the merged (write path) one.
+// memory. Both the base-alone path and the merged (write path) one, and a
+// 25% predicate for A and B: A parks into chunks that go back to the tree
+// at Close, and B's parks overwrite them.
 func TestClosedStreamResultsSurviveRecycling(t *testing.T) {
 	v, err := CreateFromSlice("", genRecords(30_000, 17), Options{})
 	if err != nil {
@@ -143,46 +145,51 @@ func TestClosedStreamResultsSurviveRecycling(t *testing.T) {
 				}
 			}
 		}
-		a, err := v.Query(Box1D(0, 1<<19))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var held [][]Record
-		for i := 0; i < 6; i++ {
-			batch, err := a.Sample(256)
-			if err != nil || len(batch) != 256 {
-				t.Fatalf("%s: Sample: %d records, %v", mode, len(batch), err)
-			}
-			held = append(held, batch)
-			own, err := a.AppendSample(make([]Record, 0, 64), 64)
-			if err != nil || len(own) != 64 {
-				t.Fatalf("%s: AppendSample: %d records, %v", mode, len(own), err)
-			}
-			rec, err := a.Next()
+		for _, qs := range [][2]Box{
+			{Box1D(0, 1<<19), Box1D(1<<18, 1<<20)},
+			{Box1D(1<<18, 1<<19-1), Box1D(1<<18, 1<<19-1)},
+		} {
+			a, err := v.Query(qs[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			held = append(held, own, []Record{rec})
-		}
-		want := make([][]Record, len(held))
-		for i, h := range held {
-			want[i] = append([]Record(nil), h...)
-		}
-		if err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
-		b, err := v.Query(Box1D(1<<18, 1<<20))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Sample(8000); err != nil {
-			t.Fatal(err)
-		}
-		b.Close()
-		for i := range held {
-			for j := range held[i] {
-				if held[i][j] != want[i][j] {
-					t.Fatalf("%s: slice %d record %d changed after Close + a draw on the next stream", mode, i, j)
+			var held [][]Record
+			for i := 0; i < 6; i++ {
+				batch, err := a.Sample(256)
+				if err != nil || len(batch) != 256 {
+					t.Fatalf("%s: Sample: %d records, %v", mode, len(batch), err)
+				}
+				held = append(held, batch)
+				own, err := a.AppendSample(make([]Record, 0, 64), 64)
+				if err != nil || len(own) != 64 {
+					t.Fatalf("%s: AppendSample: %d records, %v", mode, len(own), err)
+				}
+				rec, err := a.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, own, []Record{rec})
+			}
+			want := make([][]Record, len(held))
+			for i, h := range held {
+				want[i] = append([]Record(nil), h...)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b, err := v.Query(qs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Sample(8000); err != nil {
+				t.Fatal(err)
+			}
+			b.Close()
+			for i := range held {
+				for j := range held[i] {
+					if held[i][j] != want[i][j] {
+						t.Fatalf("%s %v: slice %d record %d changed after Close + a draw on the next stream", mode, qs[0], i, j)
+					}
 				}
 			}
 		}
@@ -289,8 +296,11 @@ func TestSampleAllocatesOnlyItsResult(t *testing.T) {
 		t.Fatal("no Sample(256) was served without a stab; the gate checked nothing")
 	}
 	// Whole drain: the result slices (one record size each, rounded to a size
-	// class) plus each record parked at most once.
-	if perRec := float64(total) / float64(records); perRec > 2.4*float64(unsafe.Sizeof(Record{})) {
-		t.Fatalf("draining by Sample(256) allocated %.0f bytes per record, want <= 2.4 records' worth", perRec)
+	// class) plus what parking allocates: nothing in a recycled chunk, an
+	// exact-size copy once the stream holds its tree's bound of chunks. A
+	// record is 104 B in memory: 172.3 B measured here, in the plain and the
+	// -race build alike, and 176.0 B with an exact-size copy per park.
+	if perRec := float64(total) / float64(records); perRec > 1.67*float64(unsafe.Sizeof(Record{})) {
+		t.Fatalf("draining by Sample(256) allocated %.0f bytes per record, want <= 1.67 records' worth", perRec)
 	}
 }
