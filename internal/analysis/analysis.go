@@ -181,6 +181,23 @@ func importTable(f *ast.File) map[string]string {
 	return tab
 }
 
+// eachCall calls fn on every call expression in the package's non-test
+// files, with the import table of the call's file.
+func eachCall(pass *Pass, fn func(tab map[string]string, call *ast.CallExpr)) {
+	for _, f := range pass.Pkg.Files {
+		if f.Test {
+			continue
+		}
+		tab := importTable(f.AST)
+		ast.Inspect(f.AST, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				fn(tab, call)
+			}
+			return true
+		})
+	}
+}
+
 // pkgCall reports whether call is a direct call of a package-level function
 // of the package imported under importPath in the file described by tab
 // (e.g. rand.Intn where rand is "math/rand"). It returns the function name.

@@ -44,25 +44,14 @@ func runNoDirectIO(pass *Pass) {
 		return
 	}
 	inPagefile := p.inDir("internal/pagefile")
-	for _, f := range p.Files {
-		if f.Test {
-			continue
+	eachCall(pass, func(tab map[string]string, call *ast.CallExpr) {
+		if name, ok := pkgCall(tab, call, "os"); ok && fileOpenFns[name] && !inPagefile {
+			pass.Reportf(call.Pos(),
+				"os.%s acquires a raw file handle outside internal/pagefile; page I/O must go through a pagefile.Backend (one-shot os.ReadFile/os.WriteFile are fine for manifests)", name)
 		}
-		tab := importTable(f.AST)
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, ok := pkgCall(tab, call, "os"); ok && fileOpenFns[name] && !inPagefile {
-				pass.Reportf(call.Pos(),
-					"os.%s acquires a raw file handle outside internal/pagefile; page I/O must go through a pagefile.Backend (one-shot os.ReadFile/os.WriteFile are fine for manifests)", name)
-			}
-			if name, ok := pkgCall(tab, call, "syscall"); ok && sysOpenFns[name] {
-				pass.Reportf(call.Pos(),
-					"syscall.%s acquires a raw descriptor; use the os package so the handle stays visible to checksums and fault injection", name)
-			}
-			return true
-		})
-	}
+		if name, ok := pkgCall(tab, call, "syscall"); ok && sysOpenFns[name] {
+			pass.Reportf(call.Pos(),
+				"syscall.%s acquires a raw descriptor; use the os package so the handle stays visible to checksums and fault injection", name)
+		}
+	})
 }

@@ -30,26 +30,15 @@ func runNoFatal(pass *Pass) {
 	if p.inDir("cmd") {
 		return
 	}
-	for _, f := range p.Files {
-		if f.Test {
-			continue
+	eachCall(pass, func(tab map[string]string, call *ast.CallExpr) {
+		if name, ok := pkgCall(tab, call, "log"); ok &&
+			(strings.HasPrefix(name, "Fatal") || strings.HasPrefix(name, "Panic")) {
+			pass.Reportf(call.Pos(),
+				"log.%s aborts the process from library code; return a typed error and let the caller decide", name)
 		}
-		tab := importTable(f.AST)
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, ok := pkgCall(tab, call, "log"); ok &&
-				(strings.HasPrefix(name, "Fatal") || strings.HasPrefix(name, "Panic")) {
-				pass.Reportf(call.Pos(),
-					"log.%s aborts the process from library code; return a typed error and let the caller decide", name)
-			}
-			if name, ok := pkgCall(tab, call, "os"); ok && name == "Exit" {
-				pass.Reportf(call.Pos(),
-					"os.Exit aborts the process from library code; return a typed error and let the caller decide")
-			}
-			return true
-		})
-	}
+		if name, ok := pkgCall(tab, call, "os"); ok && name == "Exit" {
+			pass.Reportf(call.Pos(),
+				"os.Exit aborts the process from library code; return a typed error and let the caller decide")
+		}
+	})
 }

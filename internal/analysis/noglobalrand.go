@@ -83,33 +83,22 @@ func ctorSeededFromClock(tab map[string]string, ctor *ast.CallExpr) bool {
 }
 
 func runNoGlobalRand(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		if f.Test {
-			continue
-		}
-		tab := importTable(f.AST)
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
+	eachCall(pass, func(tab map[string]string, call *ast.CallExpr) {
+		for _, rp := range randPaths {
+			name, ok := pkgCall(tab, call, rp)
 			if !ok {
-				return true
+				continue
 			}
-			for _, rp := range randPaths {
-				name, ok := pkgCall(tab, call, rp)
-				if !ok {
-					continue
-				}
-				switch {
-				case globalRandFns[name]:
+			switch {
+			case globalRandFns[name]:
+				pass.Reportf(call.Pos(),
+					"rand.%s draws from the global %s source; pass an explicitly seeded *rand.Rand", name, rp)
+			case randCtors[name]:
+				if ctorSeededFromClock(tab, call) {
 					pass.Reportf(call.Pos(),
-						"rand.%s draws from the global %s source; pass an explicitly seeded *rand.Rand", name, rp)
-				case randCtors[name]:
-					if ctorSeededFromClock(tab, call) {
-						pass.Reportf(call.Pos(),
-							"rand.%s seeded from the wall clock; use an explicit constant or configured seed", name)
-					}
+						"rand.%s seeded from the wall clock; use an explicit constant or configured seed", name)
 				}
 			}
-			return true
-		})
-	}
+		}
+	})
 }

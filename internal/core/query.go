@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"sampleview/internal/par"
 	"sampleview/internal/record"
 )
 
@@ -132,10 +133,8 @@ func newChunkList(count int64) chan []record.Record {
 // getScratch takes a scratch object off the tree's free list (or makes one)
 // and sizes and resets its tables for a new stream over t.
 func (t *Tree) getScratch() *scratch {
-	var sc *scratch
-	select {
-	case sc = <-t.free:
-	default:
+	sc := par.Take(t.free)
+	if sc == nil {
 		sc = new(scratch)
 	}
 	sc.nextRight = resized(sc.nextRight, int(t.nLeaves))
@@ -182,10 +181,7 @@ func (s *Stream) Close() {
 		sc.requiredAll[sec], sc.ready[sec] = req[:0], 0
 	}
 	for _, c := range sc.chunks {
-		select {
-		case s.t.chunks <- c[:0]:
-		default:
-		}
+		par.Give(s.t.chunks, c[:0])
 	}
 	clear(sc.chunks)
 	sc.chunks = sc.chunks[:0]
@@ -195,10 +191,7 @@ func (s *Stream) Close() {
 	if cap(sc.dec.arena) > maxKeepRecords {
 		sc.dec.arena = nil
 	}
-	select {
-	case s.t.free <- sc:
-	default:
-	}
+	par.Give(s.t.free, sc)
 }
 
 // StreamOptions tunes the query algorithm.
@@ -549,10 +542,8 @@ func (s *Stream) park(recs []record.Record) []record.Record {
 		if n >= cap(s.t.chunks) || len(recs) > chunkRecords {
 			return append([]record.Record(nil), recs...)
 		}
-		var c []record.Record
-		select {
-		case c = <-s.t.chunks:
-		default:
+		c := par.Take(s.t.chunks)
+		if c == nil {
 			c = make([]record.Record, 0, chunkRecords)
 		}
 		s.chunks, n = append(s.chunks, c), n+1

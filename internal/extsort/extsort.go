@@ -354,10 +354,8 @@ func formRunsParallel(src *pagefile.ItemFile, key Key, memPages, workers int) ([
 	return runs, par.ForEach(nchunks, workers, func(k int) error {
 		cw <- struct{}{}
 		defer func() { <-cw }()
-		var c *chunkSorter
-		select {
-		case c = <-idle:
-		default:
+		c := par.Take(idle)
+		if c == nil {
 			c = newChunkSorter(src, key, memPages, cw)
 		}
 		defer func() { idle <- c }()

@@ -156,6 +156,8 @@ func (b *dimBounds) overlapFraction(q record.Box) float64 {
 // by writeDelta/openDelta and never mutated, so levels are shared freely
 // across streams and maintenance without locking.
 type level struct {
+	// idle holds the run buffers closed streams handed back (see keepIdle).
+	idle    chan []record.Record
 	gen     uint64
 	file    *pagefile.File
 	path    string // "" for in-memory levels
@@ -335,7 +337,7 @@ func writeDelta(sim *iosim.Sim, path string, gen uint64, inserts, tombs []record
 		return nil, fmt.Errorf("lsm: page size %d below delta header size %d", ps, headerSize)
 	}
 
-	lvl := &level{gen: gen, file: f, path: path,
+	lvl := &level{idle: make(chan []record.Record, keepIdle), gen: gen, file: f, path: path,
 		nIns: int64(len(inserts)), nTombs: int64(len(tombs)),
 		insBounds: emptyBounds(), tombBounds: emptyBounds()}
 	for i := range inserts {
@@ -514,7 +516,7 @@ func loadDelta(f *pagefile.File, path string) (*level, error) {
 	if v := binary.LittleEndian.Uint32(buf[8:12]); v != deltaLayout {
 		return nil, &DeltaLayoutError{Path: path, Version: v}
 	}
-	lvl := &level{file: f, path: path}
+	lvl := &level{idle: make(chan []record.Record, keepIdle), file: f, path: path}
 	lvl.gen = binary.LittleEndian.Uint64(buf[16:24])
 	var d regionDir
 	for i, p := range headerWords(lvl, &d) {

@@ -8,6 +8,7 @@ import (
 	"sampleview/internal/core"
 	"sampleview/internal/interleave"
 	"sampleview/internal/pagefile"
+	"sampleview/internal/par"
 	"sampleview/internal/record"
 )
 
@@ -57,10 +58,11 @@ type Stream struct {
 	// merge interleaves the write path with the base. Source 0 is mem, 1..L
 	// the levels newest first, L+1 the base; over a write path that was empty
 	// at open the base is its one source.
-	merge  *interleave.Merger
-	q      record.Box
-	mem    []record.Record
-	levels []levelSource
+	merge   *interleave.Merger
+	q       record.Box
+	mem     []record.Record
+	memIdle chan []record.Record
+	levels  []levelSource
 	// page is the one buffer every run load of the stream reads through,
 	// borrowed from the first level's pool until Close.
 	page []byte
@@ -84,6 +86,7 @@ func newStream(parts *streamParts, base *core.Stream, file *pagefile.File, q rec
 	s := &Stream{
 		q:       q,
 		mem:     parts.mem,
+		memIdle: parts.memIdle,
 		levels:  parts.levels,
 		base:    base,
 		file:    file,
@@ -121,8 +124,26 @@ func baseStream(base *core.Stream, file *pagefile.File, shuffle *rand.Rand) *Str
 	return s
 }
 
+// Close hands a stream's buffers on: a level keeps at most keepIdle idle run
+// buffers and a view keepIdle in-memory match lists, and a buffer of more
+// than maxIdleRecords records (core's bound) is dropped, so a full-domain
+// drain pins no level-sized buffer. On ingest-mixed this cut
+// alloc_kb_per_ksample to 0.62x for 1.01x rss_mb_p50 (results/bench40-compare.md).
+const (
+	keepIdle       = 2
+	maxIdleRecords = 4096
+)
+
+// giveIdle hands buf, emptied, to list unless it is larger than lists keep.
+func giveIdle(list chan []record.Record, buf []record.Record) {
+	if c := cap(buf); c > 0 && c <= maxIdleRecords {
+		par.Give(list, buf[:0])
+	}
+}
+
 // loadRun reads level i's next run through the stream's buffer and shuffles
-// its candidates into ready, which is empty when it is called. A transient
+// its candidates into ready, which is empty when it is called (and nil until
+// the level's first load takes a buffer off its idle list). A transient
 // fault that outlasts attempts passes leaves the level as it was, so the
 // retried draw reloads the same run. A permanent loss is recorded for the
 // stream to surface once and costs the level the rest of its mass.
@@ -130,6 +151,9 @@ func (s *Stream) loadRun(i, attempts int) error {
 	ls := &s.levels[i]
 	if s.page == nil {
 		s.page = s.levels[0].itf.File().PageBuf()
+	}
+	if ls.ready == nil {
+		ls.ready = par.Take(ls.l.idle)
 	}
 	var err error
 	ls.ready, err = ls.l.readRunRetry(ls.itf, ls.next, &ls.cand, s.page, ls.ready[:0], attempts)
@@ -170,12 +194,15 @@ func (s *Stream) Next() (record.Record, error) {
 	return one[0], err
 }
 
-// Close ends the stream: it drops the write-path populations and the run
-// buffer, lets the base tree recycle its working memory, and releases the
-// files it pinned, closing any a compaction or rebuild has since superseded.
-// Callers serialize Close against draws and draw nothing afterwards.
-// Idempotent.
+// Close ends the stream: it hands the write-path buffers back to their lists,
+// lets the base tree recycle its working memory, and releases the files it
+// pinned, closing any a compaction or rebuild has since superseded. Callers
+// serialize Close against draws and draw nothing afterwards. Idempotent.
 func (s *Stream) Close() {
+	giveIdle(s.memIdle, s.mem)
+	for i := range s.levels {
+		giveIdle(s.levels[i].l.idle, s.levels[i].ready)
+	}
 	if s.page != nil {
 		s.levels[0].itf.File().PutPageBuf(s.page)
 	}

@@ -10,6 +10,7 @@ import (
 	"sampleview/internal/iosim"
 	"sampleview/internal/memview"
 	"sampleview/internal/pagefile"
+	"sampleview/internal/par"
 	"sampleview/internal/record"
 	"sampleview/internal/wal"
 )
@@ -37,11 +38,14 @@ type View struct {
 	// snapshot; the View uses the log but does not own its lifecycle.
 	log         *wal.Log // guarded by mu (pointer install); the Log itself is concurrency-safe
 	walReplayed int64    // guarded by mu
+	// idle holds the in-memory match lists closed streams handed back (see
+	// keepIdle).
+	idle chan []record.Record
 }
 
 // NewView wraps a base tree and its delta store in a writable view.
 func NewView(main *core.Tree, store *Store) *View {
-	return &View{main: main, mem: memview.New(), store: store}
+	return &View{main: main, mem: memview.New(), store: store, idle: make(chan []record.Record, keepIdle)}
 }
 
 // Main returns the base ACE tree.
@@ -62,47 +66,44 @@ func (v *View) buffer() *memview.Buffer {
 // the retry lands in the fresh buffer the flush installed. With a WAL
 // attached the insert is logged first (and the log append + buffer write
 // are atomic with respect to the flush seal); it is volatile until Commit.
-func (v *View) Insert(rec record.Record) error {
-	v.mu.Lock()
-	if v.log != nil {
-		if _, err := v.log.AppendInsert(rec); err != nil {
-			v.mu.Unlock()
-			return err
-		}
-		err := v.mem.Insert(rec)
-		v.mu.Unlock()
-		return err
-	}
-	v.mu.Unlock()
-	for {
-		if err := v.buffer().Insert(rec); err != memview.ErrSealed {
-			return err
-		}
-	}
-}
+func (v *View) Insert(rec record.Record) error { return v.write(rec, false) }
 
 // Delete removes the record with rec's Seq from the view: an in-buffer
 // target annihilates immediately, anything older becomes a tombstone that
 // is honored by queries at once and physically applied by merges and folds.
 // With a WAL attached the delete is logged first and is volatile until
 // Commit.
-func (v *View) Delete(rec record.Record) error {
+func (v *View) Delete(rec record.Record) error { return v.write(rec, true) }
+
+// write is Insert (del false) and Delete (del true).
+func (v *View) write(rec record.Record, del bool) error {
 	v.mu.Lock()
 	if v.log != nil {
-		if _, err := v.log.AppendDelete(rec); err != nil {
-			v.mu.Unlock()
-			return err
+		logOp := v.log.AppendInsert
+		if del {
+			logOp = v.log.AppendDelete
 		}
-		err := v.mem.Delete(rec)
+		_, err := logOp(rec)
+		if err == nil {
+			err = apply(v.mem, rec, del)
+		}
 		v.mu.Unlock()
 		return err
 	}
 	v.mu.Unlock()
 	for {
-		if err := v.buffer().Delete(rec); err != memview.ErrSealed {
+		if err := apply(v.buffer(), rec, del); err != memview.ErrSealed {
 			return err
 		}
 	}
+}
+
+// apply writes rec into the memview buffer m as an insert or a delete.
+func apply(m *memview.Buffer, rec record.Record, del bool) error {
+	if del {
+		return m.Delete(rec)
+	}
+	return m.Insert(rec)
 }
 
 // AttachWAL wires the write-ahead log into the view and replays the given
@@ -124,13 +125,7 @@ func (v *View) AttachWAL(l *wal.Log, ops []wal.Op) (int, error) {
 		if op.LSN <= applied {
 			continue
 		}
-		var err error
-		if op.Delete {
-			err = v.mem.Delete(op.Rec)
-		} else {
-			err = v.mem.Insert(op.Rec)
-		}
-		if err != nil {
+		if err := apply(v.mem, op.Rec, op.Delete); err != nil {
 			return n, fmt.Errorf("lsm: wal replay at lsn %d: %w", op.LSN, err)
 		}
 		n++
@@ -410,7 +405,8 @@ type levelSource struct {
 // level draws.
 type streamParts struct {
 	mem     []record.Record
-	levels  []levelSource // newest first
+	memIdle chan []record.Record // where mem goes back at Close
+	levels  []levelSource        // newest first
 	baseEst float64
 	checker *tombChecker
 }
@@ -421,6 +417,18 @@ type streamParts struct {
 // (bounded by the fault plan) always clear well within it.
 const runRetryBudget = 64
 
+// components snapshots the in-memory state (the live buffer, then a sealed
+// snapshot mid-flush) and the level ladder, whose levels the caller releases.
+func (v *View) components() ([]memview.Snapshot, []*level) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	mems := []memview.Snapshot{v.mem.Snapshot()}
+	if v.flushing != nil {
+		mems = append(mems, *v.flushing)
+	}
+	return mems, v.store.snapshotLevels()
+}
+
 // gather assembles the stream components for q: it snapshots the in-memory
 // state and level ladder, sizes each level's candidate set from its rank
 // fences, and reduces the base population estimate by the tombstones
@@ -430,21 +438,14 @@ const runRetryBudget = 64
 // (the shared disk when nil). The caller releases the levels the checker
 // holds.
 func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamParts, error) {
-	v.mu.Lock()
-	mems := []memview.Snapshot{v.mem.Snapshot()}
-	if v.flushing != nil {
-		mems = append(mems, *v.flushing)
-	}
-	levels := v.store.snapshotLevels()
-	v.mu.Unlock()
-
+	mems, levels := v.components()
 	est, err := main.EstimateCount(q) // also validates the predicate's dims
 	if err != nil {
 		release(levels)
 		return nil, err
 	}
 
-	parts := &streamParts{checker: newTombChecker(mems, levels, ck), levels: make([]levelSource, len(levels))}
+	parts := &streamParts{mem: par.Take(v.idle), memIdle: v.idle, checker: newTombChecker(mems, levels, ck), levels: make([]levelSource, len(levels))}
 	for i := range mems {
 		parts.mem = mems[i].MatchingInserts(parts.mem, q)
 	}
@@ -488,6 +489,7 @@ func (v *View) EstimateCount(q record.Box) (float64, error) {
 		return 0, err
 	}
 	defer release(parts.checker.levels)
+	defer giveIdle(parts.memIdle, parts.mem)
 	var live, consumed float64
 	var page []byte
 	var recs []record.Record
@@ -591,13 +593,7 @@ func (v *View) queryOn(main *core.Tree, ck *iosim.Clock, q record.Box, rng *rand
 // against ingest, then swap in a new View around the returned tree and
 // Destroy the old store.
 func (v *View) Fold(dst *pagefile.File, p core.Params) (*core.Tree, error) {
-	v.mu.Lock()
-	mems := []memview.Snapshot{v.mem.Snapshot()}
-	if v.flushing != nil {
-		mems = append(mems, *v.flushing)
-	}
-	levels := v.store.snapshotLevels()
-	v.mu.Unlock()
+	mems, levels := v.components()
 	defer release(levels)
 	checker := newTombChecker(mems, levels, nil)
 

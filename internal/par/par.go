@@ -1,6 +1,8 @@
 // Package par provides the small fork-join helpers the parallel
 // construction pipeline and the figure harness share: a first-error
-// collector, a goroutine group, and a bounded parallel for-each.
+// collector, a goroutine group, and a bounded parallel for-each; and the
+// take/give pair of the bounded free lists (buffered channels) through which
+// streams recycle their working memory.
 //
 // None of the helpers impose an ordering of their own; callers that need
 // deterministic output are responsible for cutting work at fixed boundaries
@@ -107,4 +109,23 @@ func ForEach(n, workers int, fn func(i int) error) error {
 	close(jobs)
 	wg.Wait()
 	return ff.Err()
+}
+
+// Take returns a value from the free list, or the zero value when the list
+// holds none (a nil list holds none).
+func Take[T any](list chan T) (v T) {
+	select {
+	case v = <-list:
+	default:
+	}
+	return v
+}
+
+// Give hands v to the free list, dropping it when the list is full (a nil
+// list is always full).
+func Give[T any](list chan T, v T) {
+	select {
+	case list <- v:
+	default:
+	}
 }

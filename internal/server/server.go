@@ -150,7 +150,8 @@ type SeededSource interface {
 // that lives as long as the stream.
 type batchStream struct {
 	*shard.Stream
-	// buf is the batch Sample lent last. It belongs to this object — plain
+	// buf is the batch Sample lent last, made at the size of the largest
+	// pull so far (at most MaxBatch). It belongs to this object — plain
 	// garbage-collected memory, never the recycled working memory the
 	// stream's Close hands on to the next stream — because the reaper may
 	// Close the stream while the session is still encoding buf.
@@ -158,6 +159,9 @@ type batchStream struct {
 }
 
 func (b *batchStream) Sample(n int) ([]record.Record, error) {
+	if cap(b.buf) < n {
+		b.buf = make([]record.Record, 0, n)
+	}
 	var err error
 	b.buf, err = b.AppendSample(b.buf[:0], n)
 	return b.buf, err

@@ -10,7 +10,7 @@ import (
 
 // encodeFrame builds one wire frame around payload (LSN | op | record).
 func encodeFrame(lsn uint64, op byte, rec record.Record) []byte {
-	payload := make([]byte, insertPayload)
+	payload := make([]byte, payloadSize)
 	binary.LittleEndian.PutUint64(payload[0:8], lsn)
 	payload[8] = op
 	rec.Marshal(payload[9:])

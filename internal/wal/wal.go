@@ -63,8 +63,7 @@ const (
 	// Both ops carry the full encoded record: a delete's tombstone keeps its
 	// coordinates so replay rebuilds the memview exactly (tombstone bounds
 	// feed query-time population estimates, not just Seq matching).
-	insertPayload = 8 + 1 + record.Size // lsn + op + record
-	deletePayload = 8 + 1 + record.Size // lsn + op + record
+	payloadSize = 8 + 1 + record.Size // lsn + op + record
 
 	// maxPayload bounds a frame's declared length; anything larger is
 	// corruption, not a frame we could ever have written.
@@ -303,29 +302,22 @@ func replaySegment(data []byte) (ops []Op, clean int, err error) {
 		if crc32.Checksum(payload, crcTable) != sum {
 			return ops, off, fmt.Errorf("frame checksum mismatch at offset %d", off)
 		}
-		op := Op{LSN: binary.LittleEndian.Uint64(payload[0:8])}
-		switch payload[8] {
-		case opInsert:
-			if n != insertPayload {
-				return ops, off, fmt.Errorf("insert frame length %d", n)
-			}
-			op.Rec.Unmarshal(payload[9:])
-		case opDelete:
-			if n != deletePayload {
-				return ops, off, fmt.Errorf("delete frame length %d", n)
-			}
-			op.Delete = true
-			op.Rec.Unmarshal(payload[9:])
-		default:
+		if payload[8] != opInsert && payload[8] != opDelete {
 			return ops, off, fmt.Errorf("unknown op %d", payload[8])
 		}
+		if n != payloadSize {
+			return ops, off, fmt.Errorf("op %d frame length %d", payload[8], n)
+		}
+		op := Op{LSN: binary.LittleEndian.Uint64(payload[0:8]), Delete: payload[8] == opDelete}
+		op.Rec.Unmarshal(payload[9:])
 		ops = append(ops, op)
 		off += frameHeader + n
 	}
 }
 
-// appendFrame encodes one frame into the commit buffer and returns its LSN.
-func (l *Log) appendFrame(op byte, body func(dst []byte)) (uint64, error) {
+// appendFrame encodes one frame of rec into the commit buffer and returns
+// its LSN.
+func (l *Log) appendFrame(op byte, rec *record.Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.dead != nil {
@@ -336,18 +328,14 @@ func (l *Log) appendFrame(op byte, body func(dst []byte)) (uint64, error) {
 	}
 	lsn := l.nextLSN
 	l.nextLSN++
-	n := deletePayload
-	if op == opInsert {
-		n = insertPayload
-	}
 	start := len(l.buf)
-	l.buf = append(l.buf, make([]byte, frameHeader+n)...)
+	l.buf = append(l.buf, make([]byte, frameHeader+payloadSize)...)
 	payload := l.buf[start+frameHeader:]
 	binary.LittleEndian.PutUint64(payload[0:8], lsn)
 	payload[8] = op
-	body(payload[9:])
-	binary.LittleEndian.PutUint32(l.buf[start:], uint32(n))
-	binary.LittleEndian.PutUint32(l.buf[start+4:], crc32.Checksum(payload[:n], crcTable))
+	rec.Marshal(payload[9:])
+	binary.LittleEndian.PutUint32(l.buf[start:], payloadSize)
+	binary.LittleEndian.PutUint32(l.buf[start+4:], crc32.Checksum(payload, crcTable))
 	l.lastLSN = lsn
 	l.pending++
 	l.appends++
@@ -366,14 +354,14 @@ func (l *Log) appendFrame(op byte, body func(dst []byte)) (uint64, error) {
 // AppendInsert logs an insert of rec and returns its LSN. The operation is
 // volatile until a Commit covering the LSN returns.
 func (l *Log) AppendInsert(rec record.Record) (uint64, error) {
-	return l.appendFrame(opInsert, func(dst []byte) { rec.Marshal(dst) })
+	return l.appendFrame(opInsert, &rec)
 }
 
 // AppendDelete logs a delete of rec (the tombstone keeps the record's
 // coordinates) and returns its LSN. The operation is volatile until a
 // Commit covering the LSN returns.
 func (l *Log) AppendDelete(rec record.Record) (uint64, error) {
-	return l.appendFrame(opDelete, func(dst []byte) { rec.Marshal(dst) })
+	return l.appendFrame(opDelete, &rec)
 }
 
 // Commit blocks until every operation with LSN <= upTo is durable, joining

@@ -190,20 +190,8 @@ func (q *QueryGen) Box2D(sel float64) record.Box {
 // the box. It charges simulated I/O like any other scan; tests that must
 // not disturb an experiment's clock should run it on a scratch clone.
 func CountMatching(rel *pagefile.ItemFile, q record.Box) (int64, error) {
-	var n int64
-	r := rel.NewReader()
-	var rec record.Record
-	for i := int64(0); i < rel.Count(); i++ {
-		item, err := r.Next()
-		if err != nil {
-			return 0, err
-		}
-		rec.Unmarshal(item)
-		if q.ContainsRecord(&rec) {
-			n++
-		}
-	}
-	return n, nil
+	recs, err := CollectMatching(rel, q)
+	return int64(len(recs)), err
 }
 
 // CollectMatching scans the relation and returns every record inside the

@@ -245,13 +245,56 @@ func TestCloseVersusBatchDraw(t *testing.T) {
 // on a warm view (working memory recycled from a closed stream), a
 // Sample(256) that needs no stab — the records are already emitted —
 // allocates its result slice and nothing else, and a stab adds only what it
-// parks, never anything proportional to the batch.
+// parks, never anything proportional to the batch. The write-path row (two
+// flushed levels and a memview) gates the delta levels' run loads too: a
+// warm stream loads every run into the buffers the closed one handed back.
 func TestSampleAllocatesOnlyItsResult(t *testing.T) {
-	v, err := CreateFromSlice("", genRecords(60_000, 23), Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		name   string
+		writes int
+		// bound is records' worth allocated per record by a whole drain: the
+		// result slices (one record size each, rounded to a size class) plus
+		// what parking allocates — nothing in a recycled chunk, an exact-size
+		// copy once the stream holds its tree's bound of chunks. A record is
+		// 104 B in memory. base: 172.3 B measured, in the plain and the -race
+		// build alike, and 176.0 B with an exact-size copy per park.
+		// memview+levels: 161.0 B, plain and -race alike; 171.1 B when every run
+		// load makes its own buffer.
+		bound float64
+	}{
+		{"base", 0, 1.67},
+		{"memview+levels", 12_000, 1.56},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			v, err := CreateFromSlice("", genRecords(60_000, 23), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Close()
+			fresh := genRecords(row.writes, 24)
+			for i := range fresh {
+				fresh[i].Seq += 1 << 40
+				if err := v.Insert(fresh[i]); err != nil {
+					t.Fatal(err)
+				}
+				if (i+1)%(row.writes/3) == 0 && i+1 < row.writes {
+					if err := v.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if n := v.DeltaLevels(); row.writes > 0 && n != 2 {
+				t.Fatalf("%d delta levels, want two", n)
+			}
+			checkSampleAllocs(t, v, row.bound)
+		})
 	}
-	defer v.Close()
+}
+
+// checkSampleAllocs drains a warm stream over v by Sample(256), checking that
+// every draw served without a page read makes exactly one allocation and
+// that the drain allocates at most bound records' worth per record.
+func checkSampleAllocs(t *testing.T, v *View, bound float64) {
 	q := Box1D(0, 1<<18)
 	warm, err := v.Query(q)
 	if err != nil {
@@ -295,12 +338,7 @@ func TestSampleAllocatesOnlyItsResult(t *testing.T) {
 	if noStab == 0 {
 		t.Fatal("no Sample(256) was served without a stab; the gate checked nothing")
 	}
-	// Whole drain: the result slices (one record size each, rounded to a size
-	// class) plus what parking allocates: nothing in a recycled chunk, an
-	// exact-size copy once the stream holds its tree's bound of chunks. A
-	// record is 104 B in memory: 172.3 B measured here, in the plain and the
-	// -race build alike, and 176.0 B with an exact-size copy per park.
-	if perRec := float64(total) / float64(records); perRec > 1.67*float64(unsafe.Sizeof(Record{})) {
-		t.Fatalf("draining by Sample(256) allocated %.0f bytes per record, want <= 1.67 records' worth", perRec)
+	if perRec := float64(total) / float64(records); perRec > bound*float64(unsafe.Sizeof(Record{})) {
+		t.Fatalf("draining by Sample(256) allocated %.0f bytes per record, want <= %v records' worth", perRec, bound)
 	}
 }
