@@ -115,14 +115,14 @@ type scratch struct {
 //
 // A parked section is copied into a chunk of chunkRecords records, and a tree
 // keeps idle chunks holding at most 1/recordsPerKept of its records: a bound
-// per tree and by its size, so a view's K shard trees keep what one tree of
-// the relation keeps. Over svsuite's workloads this cut alloc_kb_per_ksample
-// to 0.65-0.69x for 4-5% more rss_mb_p50 (results/bench39-compare.md).
+// per tree and by its size, so K shard trees keep what one tree would. It is
+// sized to the paper's Figure 15 buffer: one stream on a 25% predicate parks
+// up to 1.0-1.5% of its tree at once (results/bench41-compare.md).
 const (
 	maxFreeScratch = 4
 	maxKeepRecords = 4096
 	chunkRecords   = 512
-	recordsPerKept = 128
+	recordsPerKept = 64
 )
 
 // newChunkList makes the idle-chunk list of a tree of count records.

@@ -242,31 +242,53 @@ func TestCloseVersusBatchDraw(t *testing.T) {
 }
 
 // TestSampleAllocatesOnlyItsResult is the allocation gate of the batch draw:
-// on a warm view (working memory recycled from a closed stream), a
+// on a warm view (working memory recycled from closed streams), a
 // Sample(256) that needs no stab — the records are already emitted —
 // allocates its result slice and nothing else, and a stab adds only what it
 // parks, never anything proportional to the batch. The write-path row (two
 // flushed levels and a memview) gates the delta levels' run loads too: a
 // warm stream loads every run into the buffers the closed one handed back.
+// The two-streams and shard4 rows run svsuite's shape instead of a drain:
+// ops of 1,024 samples from a 25% predicate (svsuite's 5,000 on a million
+// records, scaled to the tree), by two streams on one tree drawn in turn,
+// and by one stream over a K = 4 sharded view. Their parking outgrows a
+// tree's list of idle chunks when it keeps count/128 records.
 func TestSampleAllocatesOnlyItsResult(t *testing.T) {
 	for _, row := range []struct {
-		name   string
-		writes int
-		// bound is records' worth allocated per record by a whole drain: the
-		// result slices (one record size each, rounded to a size class) plus
-		// what parking allocates — nothing in a recycled chunk, an exact-size
-		// copy once the stream holds its tree's bound of chunks. A record is
-		// 104 B in memory. base: 172.3 B measured, in the plain and the -race
-		// build alike, and 176.0 B with an exact-size copy per park.
-		// memview+levels: 161.0 B, plain and -race alike; 171.1 B when every run
-		// load makes its own buffer.
+		name    string
+		records int
+		writes  int
+		shards  int
+		streams int // drawn in turn, per op
+		ops     int // measured after one warming op; 1 = a whole drain
+		// bound is records' worth allocated per record drawn: the result
+		// slices (one record size each, rounded to a size class) plus what
+		// parking allocates — nothing in a recycled chunk, an exact-size copy
+		// once the stream holds its tree's bound of chunks. A record is 104 B
+		// in memory. Measured, in the plain and the -race build alike:
+		// base 172.3 B (176.0 with an exact-size copy per park);
+		// memview+levels 161.0 B (171.1 when every run load makes its own
+		// buffer); two-streams 305.6 B and shard4 225.0 B, against 374.8 and
+		// 403.3 B when a tree keeps idle chunks of count/128 records.
 		bound float64
 	}{
-		{"base", 0, 1.67},
-		{"memview+levels", 12_000, 1.56},
+		{"base", 60_000, 0, 0, 1, 1, 1.66},
+		{"memview+levels", 60_000, 12_000, 0, 1, 1, 1.55},
+		{"two-streams", 200_000, 0, 0, 2, 12, 2.94},
+		{"shard4", 300_000, 0, 4, 1, 12, 2.17},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			v, err := CreateFromSlice("", genRecords(60_000, 23), Options{})
+			recs := genRecords(row.records, 23)
+			if row.shards > 0 {
+				sv, err := CreateSharded("", recs, ShardedOptions{K: row.shards, Seed: 25})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sv.Close()
+				checkSampleAllocs(t, sv.Query, row.streams, row.ops, row.bound)
+				return
+			}
+			v, err := CreateFromSlice("", recs, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,52 +308,71 @@ func TestSampleAllocatesOnlyItsResult(t *testing.T) {
 			if n := v.DeltaLevels(); row.writes > 0 && n != 2 {
 				t.Fatalf("%d delta levels, want two", n)
 			}
-			checkSampleAllocs(t, v, row.bound)
+			checkSampleAllocs(t, v.Query, row.streams, row.ops, row.bound)
 		})
 	}
 }
 
-// checkSampleAllocs drains a warm stream over v by Sample(256), checking that
-// every draw served without a page read makes exactly one allocation and
-// that the drain allocates at most bound records' worth per record.
-func checkSampleAllocs(t *testing.T, v *View, bound float64) {
-	q := Box1D(0, 1<<18)
-	warm, err := v.Query(q)
-	if err != nil {
-		t.Fatal(err)
+// checkSampleAllocs runs a warming op and then ops measured ones. An op opens
+// n streams by query on a 25% predicate, draws from each in turn by
+// Sample(256) until it has drawn its share or runs dry, and closes them; a
+// single measured op drains its predicate, more draw 1,024 samples a stream,
+// on predicates shifted by 1/16 of the key domain from op to op. Every draw
+// served without a page read must make exactly one allocation, and the ops
+// may allocate at most bound records' worth per record drawn.
+func checkSampleAllocs(t *testing.T, query func(Box) (*Stream, error), n, ops int, bound float64) {
+	share := 1 << 30
+	if ops > 1 {
+		share = 1024
 	}
-	if _, err := warm.Sample(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	warm.Close()
-
-	s, err := v.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
-	noStab, total := 0, uint64(0)
-	records := 0
-	for {
-		reads := s.Stats().Counters.Reads()
-		runtime.ReadMemStats(&before)
-		batch, err := s.Sample(256)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) < 256 {
-			break
-		}
-		records += len(batch)
-		total += after.TotalAlloc - before.TotalAlloc
-		if s.Stats().Counters.Reads() == reads {
-			noStab++
-			if n := after.Mallocs - before.Mallocs; n != 1 {
-				t.Fatalf("a Sample(256) served from emitted records made %d allocations, want 1 (the result)", n)
+	noStab, records, total := 0, 0, uint64(0)
+	for op := 0; op <= ops; op++ {
+		lo := int64(max(op-1, 0)) << 16
+		ss := make([]*Stream, n)
+		for i := range ss {
+			s, err := query(Box1D(lo, lo+1<<18))
+			if err != nil {
+				t.Fatal(err)
 			}
+			ss[i] = s
+			defer s.Close()
+		}
+		drawn := make([]int, n)
+		for live := n; live > 0; {
+			for i, s := range ss {
+				if drawn[i] >= share {
+					continue
+				}
+				reads := s.Stats().Counters.Reads()
+				runtime.ReadMemStats(&before)
+				batch, err := s.Sample(256)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if drawn[i] += len(batch); len(batch) < 256 {
+					drawn[i] = share
+				}
+				if drawn[i] >= share {
+					live--
+				}
+				if op == 0 || len(batch) < 256 {
+					continue
+				}
+				records += len(batch)
+				total += after.TotalAlloc - before.TotalAlloc
+				if s.Stats().Counters.Reads() == reads {
+					noStab++
+					if n := after.Mallocs - before.Mallocs; n != 1 {
+						t.Fatalf("a Sample(256) served from emitted records made %d allocations, want 1 (the result)", n)
+					}
+				}
+			}
+		}
+		for _, s := range ss {
+			s.Close()
 		}
 	}
 	t.Logf("noStab=%d records=%d bytes/rec=%.1f", noStab, records, float64(total)/float64(records))
@@ -339,6 +380,6 @@ func checkSampleAllocs(t *testing.T, v *View, bound float64) {
 		t.Fatal("no Sample(256) was served without a stab; the gate checked nothing")
 	}
 	if perRec := float64(total) / float64(records); perRec > bound*float64(unsafe.Sizeof(Record{})) {
-		t.Fatalf("draining by Sample(256) allocated %.0f bytes per record, want <= %v records' worth", perRec, bound)
+		t.Fatalf("drawing by Sample(256) allocated %.0f bytes per record, want <= %v records' worth", perRec, bound)
 	}
 }
