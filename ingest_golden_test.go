@@ -55,13 +55,14 @@ func TestIngestClocksGolden(t *testing.T) {
 	var levels []level
 	last := v.WriteStats()
 	deletes, flushedBatches, victim := int64(0), 0, 0
-	// line reports one maintenance step: op runs it, and in is the records it
-	// takes in; it returns the step's output size, annihilated count and file.
-	line := func(name string, op func() (ran bool, in, outRecs, gone int64, file string)) bool {
+	// line runs one maintenance step and, if it ran, prints its line: op
+	// returns the records the step took in and wrote out, the tombstones it
+	// annihilated and the level file it wrote ("" when nothing ran).
+	line := func(name string, op func() (in, outRecs, gone int64, file string)) bool {
 		t.Helper()
 		before, now := v.Stats().Counters, v.SimNow()
-		ran, in, outRecs, gone, file := op()
-		if !ran {
+		in, outRecs, gone, file := op()
+		if file == "" {
 			return false
 		}
 		after, ws := v.Stats().Counters, v.WriteStats()
@@ -107,7 +108,7 @@ func TestIngestClocksGolden(t *testing.T) {
 			continue
 		}
 		flushedBatches = b + 1
-		line(fmt.Sprintf("flush %d", v.WriteStats().Flushes+1), func() (bool, int64, int64, int64, string) {
+		line(fmt.Sprintf("flush %d", v.WriteStats().Flushes+1), func() (int64, int64, int64, string) {
 			ws := v.WriteStats()
 			in := ws.MemViewRecords + ws.MemViewTombstones
 			gone := deletes - ws.MemViewTombstones
@@ -122,14 +123,17 @@ func TestIngestClocksGolden(t *testing.T) {
 				t.Fatalf("flush of %d records wrote %d in levels %v, removed %v", in, written, added, removed)
 			}
 			levels = append([]level{{added[0], written}}, levels...)
-			return true, in, written, gone, deltaPath(path, added[0])
+			return in, written, gone, deltaPath(path, added[0])
 		})
 		for merge := 1; ; merge++ {
-			ran := line(fmt.Sprintf("compact %d.%d", v.WriteStats().Flushes, merge), func() (bool, int64, int64, int64, string) {
+			ran := line(fmt.Sprintf("compact %d.%d", v.WriteStats().Flushes, merge), func() (int64, int64, int64, string) {
 				gens, ws := deltaGens(t, path), v.WriteStats()
 				ran, err := v.CompactDeltas(false)
-				if err != nil || !ran {
-					return false, 0, 0, 0, ""
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ran {
+					return 0, 0, 0, ""
 				}
 				added, removed := diffGens(gens, deltaGens(t, path))
 				i := slices.IndexFunc(levels, func(l level) bool { return slices.Contains(removed, l.gen) })
@@ -139,7 +143,7 @@ func TestIngestClocksGolden(t *testing.T) {
 				in := levels[i].records + levels[i+1].records
 				outRecs := in - (ladder(ws) - ladder(v.WriteStats()))
 				levels = slices.Replace(levels, i, i+2, level{added[0], outRecs})
-				return true, in, outRecs, (in - outRecs) / 2, deltaPath(path, added[0])
+				return in, outRecs, (in - outRecs) / 2, deltaPath(path, added[0])
 			})
 			if !ran {
 				break

@@ -337,7 +337,6 @@ func checkSampleAllocs(t *testing.T, query func(Box) (*Stream, error), n, ops in
 				t.Fatal(err)
 			}
 			ss[i] = s
-			defer s.Close()
 		}
 		drawn := make([]int, n)
 		for live := n; live > 0; {
