@@ -14,8 +14,8 @@ package main
 //   - nothing is applied twice (no duplicate Seq in a full drain);
 //   - nothing phantom appears (every served record traces to the base
 //     relation or a write the workload actually issued);
-//   - the recovered view still serves uniform samples (chi-square over key
-//     buckets of a drained prefix).
+//   - the recovered view still serves uniform samples (the prefix oracle's
+//     chi-square over rank buckets of a drained prefix).
 //
 // Writes that were in flight but never acknowledged may land on either side
 // of the cut; the drill only requires that they appear at most once.
@@ -34,6 +34,7 @@ import (
 
 	"sampleview"
 	"sampleview/internal/iosim"
+	"sampleview/internal/oracle"
 	"sampleview/internal/record"
 	"sampleview/internal/workload"
 )
@@ -61,8 +62,7 @@ type crashDrill struct {
 	ackedDel  int    // deletes acknowledged before the cut
 	replayed  int64  // WAL operations replayed on recovery
 	recovered int    // records served by the recovered view
-	pvalue    float64
-	pvalid    bool
+	uniform   oracle.Verdict
 	errs      []string
 }
 
@@ -96,12 +96,8 @@ func runCrashMode(nrecords int, seed uint64) (string, bool) {
 			if !d.fired {
 				verdict = "not reached"
 			}
-			pCell := "n/a"
-			if d.pvalid {
-				pCell = fmt.Sprintf("%.3f", d.pvalue)
-			}
 			fmt.Printf("%-20s hit=%d  fired=%-5v cut-at=%-12s acked=%-4d acked-del=%-3d replayed=%-4d recovered=%-6d p=%-6s %s\n",
-				d.point, d.hit, d.fired, d.cutOp, d.acked, d.ackedDel, d.replayed, d.recovered, pCell, verdict)
+				d.point, d.hit, d.fired, d.cutOp, d.acked, d.ackedDel, d.replayed, d.recovered, pCell(d.uniform), verdict)
 			printFirst("violation", d.errs)
 			drills = append(drills, d)
 			if !d.fired {
@@ -125,16 +121,9 @@ func runCrashDrill(dir string, base []record.Record, p sampleview.CrashPoint, hi
 	}
 	v.InjectCrash(sampleview.CrashPlan{Point: p, Hit: hit})
 
-	// State the verifier needs: every record the view may serve (the base
-	// relation and each insert it accepted), acknowledged live inserts,
-	// acknowledged deletes, and everything in flight at the moment of the cut.
-	known := make(map[uint64]record.Record, len(base))
-	for _, r := range base {
-		known[r.Seq] = r
-	}
-	ackedLive := make(map[uint64]record.Record)
-	ackedDeleted := make(map[uint64]struct{})
-	pendingDel := make(map[uint64]struct{})
+	// The model recovery is held to: the base plus acked inserts minus acked
+	// deletes, with whatever was in flight at the cut free to land either way.
+	m := oracle.NewModel(base)
 	g := workload.NewGenerator(workload.Uniform, seed^0xc2b2ae3d27d4eb4f)
 	nextSeq := uint64(writeSeqBase)
 	var prev []record.Record
@@ -161,32 +150,28 @@ work:
 			if err := v.Insert(rec); cut("insert", err) {
 				break work
 			}
-			known[rec.Seq] = rec
+			m.Pending(rec)
 			cur = append(cur, rec)
 		}
 		// Every third batch tombstones the first half of the previous
 		// (already acknowledged) batch.
+		var dels []record.Record
 		if batch%3 == 2 && len(prev) >= crashBatch/2 {
-			for _, rec := range prev[:crashBatch/2] {
-				if err := v.Delete(rec); cut("delete", err) {
-					break work
-				}
-				pendingDel[rec.Seq] = struct{}{}
+			dels = prev[:crashBatch/2]
+		}
+		for _, rec := range dels {
+			if err := v.Delete(rec); cut("delete", err) {
+				break work
 			}
+			m.Pending(rec)
 		}
 		if err := v.Commit(); cut("commit", err) {
 			break work
 		}
-		for _, rec := range cur {
-			ackedLive[rec.Seq] = rec
-		}
-		for seq := range pendingDel {
-			delete(ackedLive, seq)
-			ackedDeleted[seq] = struct{}{}
-			d.ackedDel++
-		}
+		m.Write(cur...)
+		m.Delete(dels...)
 		d.acked += len(cur)
-		pendingDel = make(map[uint64]struct{})
+		d.ackedDel += len(dels)
 		prev = cur
 		if batch%4 == 3 {
 			if err := v.Flush(); cut("flush", err) {
@@ -213,28 +198,23 @@ work:
 	}
 	defer re.Close()
 	d.replayed = re.WriteStats().WALReplayed
-	verifyRecovered(&d, re, known, ackedLive, ackedDeleted, pendingDel)
+	verifyRecovered(&d, re, m)
 	return d
 }
 
-// verifyRecovered drains the recovered view and checks the contract against
-// the drill's write ledger: known is every record the view may serve.
-func verifyRecovered(d *crashDrill, re *sampleview.View, known, ackedLive map[uint64]record.Record,
-	ackedDeleted, pendingDel map[uint64]struct{}) {
+// verifyRecovered drains the recovered view and holds it to the drill's
+// model: every record served is the model's, once; every acknowledged
+// record not in flight is served; the drained prefix passes the uniformity
+// gate.
+func verifyRecovered(d *crashDrill, re *sampleview.View, m *oracle.Model) {
 	s, err := re.Query(record.FullBox(1))
 	if err != nil {
 		d.failf("recovery query: %v", err)
 		return
 	}
 	defer s.Close()
-	// Anything served outside known is a phantom or a corrupt record; the
-	// uniformity gate covers the drained prefix's keys (the live key
-	// population is uniform over the domain by construction).
-	ck := newChecker(record.FullBox(1), func(seq uint64) (record.Record, bool) {
-		r, ok := known[seq]
-		return r, ok
-	})
-	var prefix [uniformityBuckets]int64
+	ck := oracle.NewChecker(crashUniformPrefix)
+	o := ck.Stream(m, record.FullBox(1))
 	for {
 		rec, err := s.Next()
 		if err == io.EOF {
@@ -247,32 +227,13 @@ func verifyRecovered(d *crashDrill, re *sampleview.View, known, ackedLive map[ui
 			d.failf("recovery stream: %v", err)
 			return
 		}
-		ck.add(rec)
-		if len(ck.seen) <= crashUniformPrefix {
-			prefix = ck.hist
-		}
+		o.Add(rec)
+		d.recovered++
 	}
-	d.recovered = len(ck.seen)
-	d.errs = append(d.errs, ck.bad...)
-
-	for seq := range ackedLive {
-		if _, inflight := pendingDel[seq]; inflight {
-			continue // an unacknowledged delete may land on either side
-		}
-		if _, ok := ck.seen[seq]; !ok {
-			d.failf("acked seq %d lost across the cut", seq)
-		}
-	}
-	for seq := range ackedDeleted {
-		if _, ok := ck.seen[seq]; ok {
-			d.failf("acked delete of seq %d undone by recovery", seq)
-		}
-	}
-	if p, ok := uniformity(prefix); ok {
-		d.pvalue, d.pvalid = p, true
-		if p < uniformityAlpha {
-			d.failf("recovered sample non-uniform (p=%.5f)", p)
-		}
+	o.Drained()
+	d.errs = append(d.errs, ck.Violations()...)
+	if d.uniform = ck.Verdicts()[0]; d.uniform.Tested && d.uniform.P < oracle.Alpha {
+		d.failf("recovered sample non-uniform (p=%.5f)", d.uniform.P)
 	}
 }
 
@@ -285,8 +246,8 @@ func buildCrashReport(nrecords int, seed uint64, drills []crashDrill) string {
 		"then reopens the view and verifies recovery (seed %d).\n\n", crashBatch, nrecords, seed)
 	fmt.Fprintf(&sb, "Contract: every acknowledged write survives byte-identical, acknowledged "+
 		"deletes stay deleted, nothing is applied twice, nothing phantom appears, and the "+
-		"recovered view still serves uniform samples (chi-square over %d key buckets, alpha %g).\n\n",
-		uniformityBuckets, uniformityAlpha)
+		"recovered view still serves uniform samples (the prefix oracle's chi-square over rank "+
+		"buckets of the first %d records, alpha %g).\n\n", crashUniformPrefix, oracle.Alpha)
 	fmt.Fprintf(&sb, "| crash point | hit | fired | cut at | acked | acked deletes | replayed | recovered | p | verdict |\n")
 	fmt.Fprintf(&sb, "|---|---|---|---|---|---|---|---|---|---|\n")
 	for _, d := range drills {
@@ -296,16 +257,12 @@ func buildCrashReport(nrecords int, seed uint64, drills []crashDrill) string {
 		} else if !d.fired {
 			verdict = "not reached"
 		}
-		pCell := "n/a"
-		if d.pvalid {
-			pCell = fmt.Sprintf("%.3f", d.pvalue)
-		}
 		cutOp := d.cutOp
 		if cutOp == "" {
 			cutOp = "-"
 		}
 		fmt.Fprintf(&sb, "| %s | %d | %v | %s | %d | %d | %d | %d | %s | %s |\n",
-			d.point, d.hit, d.fired, cutOp, d.acked, d.ackedDel, d.replayed, d.recovered, pCell, verdict)
+			d.point, d.hit, d.fired, cutOp, d.acked, d.ackedDel, d.replayed, d.recovered, pCell(d.uniform), verdict)
 	}
 	return sb.String()
 }

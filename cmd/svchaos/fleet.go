@@ -6,7 +6,7 @@ package main
 // replica hosting it down outright, and requires the drained remainder to be
 // byte-identical to an uninterrupted local stream over the same view bytes
 // (no gap, no duplicate, no reorder), with the post-migration suffix still
-// chi-square-uniform over the query range. Throughput, batch latency and
+// uniform over the predicate's matches. Throughput, batch latency and
 // placement per K are svsuite's to measure (fleet-sharded).
 //
 // The -out report (results/fleet-bench.md in CI) is the drill's verdicts.
@@ -21,6 +21,7 @@ import (
 
 	"sampleview"
 	"sampleview/internal/fleet"
+	"sampleview/internal/oracle"
 	"sampleview/internal/record"
 	"sampleview/internal/server"
 	"sampleview/internal/workload"
@@ -42,8 +43,7 @@ type fleetResult struct {
 	killAt     int
 	total      int
 	migrations int64
-	suffixN    int
-	suffixP    float64
+	suffix     oracle.Verdict // the post-migration suffix's uniformity
 }
 
 // chaosFleet is one running fleet: K replica servers plus the router.
@@ -125,12 +125,12 @@ func runFleetMode(nrecords int, seed uint64) (string, bool) {
 	var results []fleetResult
 	ok := true
 	for _, k := range fleetSizes {
-		res := fleetResult{k: k, suffixP: 1}
+		res := fleetResult{k: k}
 		start := time.Now()
 		if cf, err := startChaosFleet(dir, k, recs, seed); err != nil {
 			res.violations = append(res.violations, err.Error())
 		} else {
-			runFleetKillDrill(cf, &res, seed)
+			runFleetKillDrill(cf, &res, recs, seed)
 			cf.close()
 		}
 		res.elapsed = time.Since(start)
@@ -140,8 +140,8 @@ func runFleetMode(nrecords int, seed uint64) (string, bool) {
 			verdict = "CONTRACT VIOLATED"
 			ok = false
 		}
-		fmt.Printf("K=%d  %6.1fs  killed at %d/%d, %d migrations, suffix p=%.3f (n=%d)  %s\n",
-			k, res.elapsed.Seconds(), res.killAt, res.total, res.migrations, res.suffixP, res.suffixN, verdict)
+		fmt.Printf("K=%d  %6.1fs  killed at %d/%d, %d migrations, suffix p=%s (n=%d)  %s\n",
+			k, res.elapsed.Seconds(), res.killAt, res.total, res.migrations, pCell(res.suffix), res.suffix.N, verdict)
 		printFirst("violation", res.violations)
 	}
 	return buildFleetReport(nrecords, seed, results), ok
@@ -150,8 +150,8 @@ func runFleetMode(nrecords int, seed uint64) (string, bool) {
 // runFleetKillDrill pulls a seeded stream a third of the way, kills the
 // replica hosting it, and verifies the migrated remainder: byte-identical
 // to the uninterrupted local reference, and the post-migration suffix
-// still chi-square-uniform over the query range.
-func runFleetKillDrill(cf *chaosFleet, res *fleetResult, seed uint64) {
+// still uniform over the predicate's matches.
+func runFleetKillDrill(cf *chaosFleet, res *fleetResult, recs []record.Record, seed uint64) {
 	fail := func(format string, args ...any) {
 		res.violations = append(res.violations, fmt.Sprintf("drill: %s", fmt.Sprintf(format, args...)))
 	}
@@ -165,20 +165,12 @@ func runFleetKillDrill(cf *chaosFleet, res *fleetResult, seed uint64) {
 		fail("local reference: %v", err)
 		return
 	}
-	var want []record.Record
-	for {
-		rec, err := ls.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			fail("local reference: %v", err)
-			ls.Close()
-			return
-		}
-		want = append(want, rec)
-	}
+	want, err := ls.Sample(len(recs))
 	ls.Close()
+	if err != nil {
+		fail("local reference: %v", err)
+		return
+	}
 	res.total = len(want)
 	res.killAt = len(want) / 3
 
@@ -249,16 +241,12 @@ func runFleetKillDrill(cf *chaosFleet, res *fleetResult, seed uint64) {
 	}
 
 	// Post-migration suffix uniformity: the records served after the kill
-	// must still look like a uniform sample of the query range.
-	ck := newChecker(q, nil)
-	ck.add(got[res.killAt:]...)
-	res.violations = append(res.violations, ck.bad...)
-	res.suffixN = len(got) - res.killAt
-	if p, ok := uniformity(ck.hist); ok {
-		res.suffixP = p
-		if p < uniformityAlpha {
-			fail("post-migration suffix fails uniformity: p=%g over %d records", p, res.suffixN)
-		}
+	// must still look like a uniform sample of the predicate's matches.
+	ck := oracle.NewChecker(len(got) - res.killAt)
+	ck.Stream(oracle.NewModel(recs), q).Add(got[res.killAt:]...)
+	res.violations = append(res.violations, ck.Violations()...)
+	if res.suffix = ck.Verdicts()[0]; res.suffix.Tested && res.suffix.P < oracle.Alpha {
+		fail("post-migration suffix fails uniformity: p=%g over %d records", res.suffix.P, res.suffix.N)
 	}
 
 	snap, err := cl.ServerStats()
@@ -288,12 +276,12 @@ func buildFleetReport(nrecords int, seed uint64, results []fleetResult) string {
 		if len(r.violations) > 0 {
 			identical = "VIOLATED"
 		}
-		fmt.Fprintf(&b, "| %d | %v | %d | %d | %s | %d | %d | %.3f |\n",
-			r.k, r.elapsed.Round(time.Millisecond), r.killAt, r.total, identical, r.migrations, r.suffixN, r.suffixP)
+		fmt.Fprintf(&b, "| %d | %v | %d | %d | %s | %d | %d | %s |\n",
+			r.k, r.elapsed.Round(time.Millisecond), r.killAt, r.total, identical, r.migrations, r.suffix.N, pCell(r.suffix))
 	}
 	fmt.Fprintf(&b, "\nContract: a migrated stream's full sequence is byte-identical to an "+
 		"uninterrupted local stream over the same view bytes — no gap, no duplicate, "+
-		"no reorder — and the post-migration suffix stays chi-square-uniform "+
-		"(%d buckets, alpha %g).\n", uniformityBuckets, uniformityAlpha)
+		"no reorder — and the post-migration suffix passes the prefix oracle's chi-square "+
+		"over rank buckets of the predicate's matches (alpha %g).\n", oracle.Alpha)
 	return b.String()
 }

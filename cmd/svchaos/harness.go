@@ -1,9 +1,9 @@
 package main
 
-// The shared harness every mode draws on: one per-stream checker, one
-// chi-square gate over its key histogram, one loopback server, one report
+// The shared harness every mode draws on: one loopback server, one report
 // writer, and the closed-loop reader and writer fleet that the fault ladder
-// and -connect both drive.
+// and -connect both drive. Every mode checks what it is served with the
+// prefix oracle (internal/oracle).
 
 import (
 	"fmt"
@@ -16,79 +16,26 @@ import (
 	"sync"
 	"time"
 
+	"sampleview/internal/oracle"
 	"sampleview/internal/record"
 	"sampleview/internal/server"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
 // selectivities is the paper's evaluation mix, cycled per operation.
 var selectivities = []float64{0.0025, 0.025, 0.25}
 
-// uniformityBuckets and minUniformitySample size the chi-square gate: at
-// least ~10 expected records per bucket.
 const (
-	uniformityBuckets    = 16
-	minUniformitySample  = 160
-	uniformityAlpha      = 1e-3
 	admissionRetryBudget = 50
 	writeBatch           = 64
 )
 
-// checker verifies one stream's records as they arrive: each must equal its
-// source record byte for byte (when the relation is known), fall inside the
-// predicate, and carry a Seq the stream has not delivered before. It also
-// buckets keys over the predicate's first dimension, clamped to the
-// generated key domain, for the uniformity gate.
-type checker struct {
-	q         record.Box
-	source    func(seq uint64) (record.Record, bool) // nil: relation unknown
-	lo, width int64
-	seen      map[uint64]struct{}
-	hist      [uniformityBuckets]int64
-	bad       []string
-}
-
-func newChecker(q record.Box, source func(uint64) (record.Record, bool)) *checker {
-	kr := q.Dim(0)
-	lo, hi := max(kr.Lo, 0), min(kr.Hi, workload.KeyDomain-1)
-	return &checker{q: q, source: source, lo: lo, width: hi - lo + 1, seen: make(map[uint64]struct{})}
-}
-
-func (c *checker) add(recs ...record.Record) {
-	for i := range recs {
-		r := &recs[i]
-		if c.source != nil {
-			if src, ok := c.source(r.Seq); !ok || *r != src {
-				c.bad = append(c.bad, fmt.Sprintf("record seq %d not in the source relation (phantom or silent corruption)", r.Seq))
-				continue
-			}
-		}
-		if !c.q.ContainsRecord(r) {
-			c.bad = append(c.bad, fmt.Sprintf("record seq %d outside the predicate", r.Seq))
-		}
-		if _, dup := c.seen[r.Seq]; dup {
-			c.bad = append(c.bad, fmt.Sprintf("duplicate seq %d (not without-replacement)", r.Seq))
-		}
-		c.seen[r.Seq] = struct{}{}
-		if b := (r.Key - c.lo) * uniformityBuckets / c.width; b >= 0 && b < uniformityBuckets {
-			c.hist[b]++
-		}
+// pCell formats a verdict's p-value for a report: "n/a" when untested.
+func pCell(v oracle.Verdict) string {
+	if !v.Tested {
+		return "n/a"
 	}
-}
-
-// uniformity is the chi-square gate over a key histogram; ok is false when
-// it holds too few records to judge.
-func uniformity(hist [uniformityBuckets]int64) (p float64, ok bool) {
-	n := int64(0)
-	for _, c := range hist {
-		n += c
-	}
-	if n < minUniformitySample {
-		return 0, false
-	}
-	p, err := stats.ChiSquareUniformPValue(hist[:])
-	return p, err == nil
+	return fmt.Sprintf("%.3f", v.P)
 }
 
 // serveLoopback serves an endpoint on a fresh loopback listener and returns
@@ -150,10 +97,10 @@ type traffic struct {
 	dims, tenants                        int
 	clients, ops, samples, batch, ingest int
 	seed, writeSeed                      uint64
-	// source resolves a served Seq to the record it must equal. It is nil
-	// when the relation is unknown (-connect); the uniformity gate is then
-	// skipped too, since its buckets assume keys uniform over the domain.
-	source func(uint64) (record.Record, bool)
+	// model is the relation served records must come from, writers'
+	// records pending in it before they are sent; nil when the relation is
+	// unknown (-connect), which leaves the predicate and duplicates.
+	model *oracle.Model
 }
 
 // drive runs the readers and writers to completion and sums their results.
@@ -241,7 +188,9 @@ func (t *traffic) runIngest(id int, stop <-chan struct{}) profileResult {
 				Amount: rng.Int64N(workload.KeyDomain),
 				Seq:    base + uint64(i),
 			}
-			writtenSet.Store(batch[i].Seq, batch[i])
+		}
+		if t.model != nil {
+			t.model.Pending(batch...)
 		}
 		for {
 			n, err := rv.Append(batch)
@@ -333,7 +282,8 @@ func (t *traffic) runClient(c int) profileResult {
 		}
 		s.SetBatchSize(t.batch)
 
-		ck := newChecker(q, t.source)
+		ck := oracle.NewChecker(t.samples)
+		o := ck.Stream(t.model, q)
 		got, opDegraded := 0, 0
 		for got < t.samples {
 			recs, err := s.NextBatch()
@@ -352,19 +302,17 @@ func (t *traffic) runClient(c int) profileResult {
 				fail("op %d: next batch: %v", op, err)
 				break
 			}
-			ck.add(recs...)
+			o.Add(recs...)
 			got += len(recs)
 		}
-		for _, b := range ck.bad {
+		for _, b := range ck.Violations() {
 			res.badRecs = append(res.badRecs, fmt.Sprintf("op %d: %s", op, b))
 		}
 		// An op that lost a leaf may legitimately be non-uniform.
-		if t.source != nil && opDegraded == 0 {
-			if p, ok := uniformity(ck.hist); ok {
-				res.pvalues = append(res.pvalues, p)
-				if p < uniformityAlpha {
-					res.pFailures++
-				}
+		if v := ck.Verdicts()[0]; v.Tested && opDegraded == 0 {
+			res.pvalues = append(res.pvalues, v.P)
+			if v.P < oracle.Alpha {
+				res.pFailures++
 			}
 		}
 		res.records += int64(got)

@@ -8,8 +8,9 @@
 //   - corruption and dead pages (bitrot, bad-sector, hell) surface only
 //     as typed degraded errors, never as garbage records, duplicates or
 //     dropped connections;
-//   - delivered samples stay uniform (chi-square over query-range key
-//     buckets) on every operation that lost no leaf.
+//   - delivered samples stay uniform (the prefix oracle's chi-square over
+//     rank buckets of the predicate's matches) on every operation that lost
+//     no leaf.
 //
 // Usage:
 //
@@ -67,13 +68,14 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"sampleview"
 	"sampleview/internal/iosim"
+	"sampleview/internal/oracle"
 	"sampleview/internal/record"
 	"sampleview/internal/server"
 	"sampleview/internal/workload"
@@ -101,18 +103,10 @@ type profileResult struct {
 	writeErrs []string // writer-visible hard failures
 }
 
-// writtenSet tracks records added through the wire during the run, so the
-// readers' byte-identity check covers them: anything served must match the
-// original build or a writer's append exactly. Records are registered
-// before the append is sent — a reader can race the ack, never the source
-// of truth. The set persists across profiles (appends from an earlier
-// profile keep getting served in later ones), as does nextWriteSeq, which
-// hands each writer batch a fresh disjoint Seq block so a deleted Seq is
-// never reinserted.
-var (
-	writtenSet   sync.Map // Seq → record.Record
-	nextWriteSeq atomic.Uint64
-)
+// nextWriteSeq hands each writer batch a fresh disjoint Seq block, across
+// profiles too, so a deleted Seq is never reinserted. A batch is pending in
+// the ladder's model before it is sent: a reader can race the ack only.
+var nextWriteSeq atomic.Uint64
 
 // writeSeqBase is the first Seq handed to writers; anything at or above it
 // entered through the wire rather than the original build.
@@ -175,25 +169,14 @@ func runLadder(t traffic, nrecords int, profs string, shards int) (string, bool)
 	defer os.RemoveAll(dir)
 
 	recs := genRecords(nrecords, t.seed)
-	bySeq := make(map[uint64]record.Record, len(recs))
-	for _, r := range recs {
-		bySeq[r.Seq] = r
-	}
-	t.source = func(seq uint64) (record.Record, bool) {
-		if r, ok := bySeq[seq]; ok {
-			return r, true
-		}
-		v, ok := writtenSet.Load(seq)
-		r, _ := v.(record.Record)
-		return r, ok
-	}
+	t.model = oracle.NewModel(recs)
 	tg, err := buildTarget(dir, recs, shards, t.seed)
 	if err != nil {
 		return "", failed(err)
 	}
-	defer tg.close()
+	defer tg.view.Close()
 	fmt.Printf("view: %d records across %d shard(s); %d clients x %d ops x %d samples per profile\n",
-		tg.count, shards, t.clients, t.ops, t.samples)
+		tg.view.Count(), shards, t.clients, t.ops, t.samples)
 
 	var results []profileResult
 	ok := true
@@ -219,7 +202,7 @@ func runLadder(t traffic, nrecords int, profs string, shards int) (string, bool)
 			res.profile, res.records, res.elapsed.Seconds(), res.degEvents, verdict)
 		printFirst("violation", append(res.hardErrs, res.badRecs...))
 	}
-	return buildReport(tg.count, t, results), ok
+	return buildReport(tg.view.Count(), t, results), ok
 }
 
 // printProfile prints one run's row and its first failures, and returns
@@ -261,19 +244,17 @@ func contractHolds(r *profileResult) bool {
 	return len(r.hardErrs) == 0
 }
 
-// target abstracts the served view so the ladder runs identically against
-// an unsharded view or a K-way sharded one.
+// target is the served view, unsharded or K-way sharded, so the ladder
+// runs identically against either.
 type target struct {
+	view interface {
+		Count() int64
+		InjectFaults(sampleview.FaultPlan)
+		Stats() sampleview.IOStats
+		Close() error
+	}
 	source server.ViewSource
-	count  int64
 	k      int
-	inject func(sampleview.FaultPlan)
-	faults func() sampleview.FaultCounters
-	close  func()
-	// sharded-only hooks for the shard-kill phase.
-	kill   func(int)
-	revive func(int)
-	route  func(record.Record) int
 }
 
 // buildTarget materializes the chaos view: unsharded for shards <= 1,
@@ -284,38 +265,21 @@ func buildTarget(dir string, recs []record.Record, shards int, seed uint64) (*ta
 		if err != nil {
 			return nil, err
 		}
-		return &target{
-			source: server.LocalSource(v),
-			count:  v.Count(),
-			k:      1,
-			inject: v.InjectFaults,
-			faults: func() sampleview.FaultCounters { return v.Stats().Faults },
-			close:  func() { v.Close() },
-		}, nil
+		return &target{v, server.LocalSource(v), 1}, nil
 	}
 	v, err := sampleview.CreateSharded(filepath.Join(dir, "chaos.shards"), recs,
 		sampleview.ShardedOptions{K: shards, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	return &target{
-		source: server.ShardedSource(v),
-		count:  v.Count(),
-		k:      shards,
-		inject: v.InjectFaults,
-		faults: func() sampleview.FaultCounters { return v.Stats().Faults },
-		close:  func() { v.Close() },
-		kill:   v.KillShard,
-		revive: v.ReviveShard,
-		route:  v.Route,
-	}, nil
+	return &target{v, server.ShardedSource(v), shards}, nil
 }
 
 // runProfile serves the view under one fault plan and drives the traffic.
 func runProfile(tg *target, t traffic, name string, plan sampleview.FaultPlan) profileResult {
-	before := tg.faults()
-	tg.inject(plan)
-	defer tg.inject(sampleview.FaultPlan{})
+	before := tg.view.Stats().Faults
+	tg.view.InjectFaults(plan)
+	defer tg.view.InjectFaults(sampleview.FaultPlan{})
 
 	srv := server.New(server.Config{MaxStreams: 4 * t.clients, RequestTimeout: 30 * time.Second})
 	srv.AddSource(t.view, tg.source)
@@ -325,20 +289,16 @@ func runProfile(tg *target, t traffic, name string, plan sampleview.FaultPlan) p
 	}
 	defer srv.Shutdown()
 
-	// Writers must NOT replay the same key sequence profile after profile:
-	// the written set accumulates across the ladder, and re-appending one
-	// profile's key multiset under every later profile would pile up
-	// duplicate keys until the census windows of the uniformity check
-	// rightly flag the relation itself as non-uniform. Readers deliberately
-	// keep identical seeds (the same query mix under every profile); the
-	// writer seeds take a per-profile salt.
+	// Readers keep identical seeds (the same query mix under every
+	// profile); writers take a per-profile salt, so each profile writes
+	// keys of its own rather than piling duplicates onto the last one's.
 	t.addr, t.writeSeed = addr, t.seed+salt(name)
 	res := t.drive()
 	res.profile = name
 	snap := srv.Snapshot()
 	res.transient = snap.TransientErrors
 	res.degFrames = snap.DegradedErrors
-	after := tg.faults()
+	after := tg.view.Stats().Faults
 	res.faults = sampleview.FaultCounters{
 		Transient:     after.Transient - before.Transient,
 		LatencySpikes: after.LatencySpikes - before.LatencySpikes,
@@ -358,9 +318,9 @@ func runShardKill(tg *target, t traffic, base []record.Record) profileResult {
 		res.hardErrs = append(res.hardErrs, err.Error())
 		return res
 	}
-	dead := tg.k - 1
-	tg.kill(dead)
-	defer tg.revive(dead)
+	sv, dead := tg.view.(*sampleview.ShardedView), tg.k-1
+	sv.KillShard(dead)
+	defer sv.ReviveShard(dead)
 
 	srv := server.New(server.Config{RequestTimeout: 30 * time.Second})
 	srv.AddSource(t.view, tg.source)
@@ -386,10 +346,20 @@ func runShardKill(tg *target, t traffic, base []record.Record) profileResult {
 	}
 	defer s.Close()
 
-	ck := newChecker(record.FullBox(1), t.source)
+	// Base records on the dead shard's storage must never appear, every
+	// other must; written records stay pending (an unflushed one sits in the
+	// dead shard's memview, which a storage kill does not touch).
+	for _, r := range base {
+		if sv.Route(r) == dead {
+			t.model.Delete(r)
+		}
+	}
+	ck := oracle.NewChecker()
+	o := ck.Stream(t.model, record.FullBox(1))
 	for {
 		recs, err := s.NextBatch()
 		if err == io.EOF {
+			o.Drained()
 			break
 		}
 		if err != nil {
@@ -403,27 +373,10 @@ func runShardKill(tg *target, t traffic, base []record.Record) profileResult {
 			res.hardErrs = append(res.hardErrs, fmt.Sprintf("next batch: %v", err))
 			break
 		}
-		ck.add(recs...)
-		// Base-build records on the dead shard live only on its dead
-		// storage and must never appear. Write-path records are exempt:
-		// an appended-but-unflushed record sits in the dead shard's
-		// in-memory buffer, which a storage kill does not touch, so
-		// serving it is the degrade-not-fail contract working (flushed
-		// deltas sit on dead pages and are salvaged away).
-		for i := range recs {
-			if recs[i].Seq < writeSeqBase && tg.route(recs[i]) == dead {
-				res.badRecs = append(res.badRecs,
-					fmt.Sprintf("record seq %d served from the dead shard %d", recs[i].Seq, dead))
-			}
-		}
+		o.Add(recs...)
 		res.records += int64(len(recs))
 	}
-	res.badRecs = append(res.badRecs, ck.bad...)
-	for _, r := range base {
-		if _, ok := ck.seen[r.Seq]; !ok && tg.route(r) != dead {
-			res.badRecs = append(res.badRecs, fmt.Sprintf("surviving-shard record seq %d never served", r.Seq))
-		}
-	}
+	res.badRecs = append(res.badRecs, ck.Violations()...)
 	res.elapsed = time.Since(start)
 	snap := srv.Snapshot()
 	res.transient = snap.TransientErrors
@@ -454,21 +407,12 @@ func buildReport(count int64, t traffic, results []profileResult) string {
 	fmt.Fprintf(&b, "| profile | records | wall | client retries | transient frames | degraded frames | corrupt pages | dead pages | reread recoveries | latency spikes | hard errors | bad records | uniformity failures | min p |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	for _, r := range results {
-		minP := 1.0
-		for _, p := range r.pvalues {
-			if p < minP {
-				minP = p
-			}
-		}
-		pCell := fmt.Sprintf("%.3f", minP)
-		if len(r.pvalues) == 0 {
-			pCell = "n/a"
-		}
+		minP := oracle.Verdict{P: slices.Min(append([]float64{1}, r.pvalues...)), Tested: len(r.pvalues) > 0}
 		fmt.Fprintf(&b, "| %s | %d | %v | %d | %d | %d | %d | %d | %d | %d | %d | %d | %d | %s |\n",
 			r.profile, r.records, r.elapsed.Round(time.Millisecond), r.retries,
 			r.transient, r.degFrames, r.faults.CorruptPages, r.faults.DeadPages,
 			r.faults.Rereads, r.faults.LatencySpikes,
-			len(r.hardErrs), len(r.badRecs), r.pFailures, pCell)
+			len(r.hardErrs), len(r.badRecs), r.pFailures, pCell(minP))
 	}
 	if t.ingest > 0 {
 		fmt.Fprintf(&b, "\nIngest racing each profile (writers append, tombstone and flush while the readers sample):\n\n")

@@ -11,7 +11,6 @@ import (
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -257,48 +256,6 @@ func TestSamplerWithoutReplacementCompletes(t *testing.T) {
 	}
 	if s.Remaining() != 0 {
 		t.Fatalf("Remaining = %d after exhaustion", s.Remaining())
-	}
-}
-
-func TestSamplerUniformity(t *testing.T) {
-	// Chi-square the first draws of many independent samplers over the rank
-	// span: every matching record must be equally likely early in the
-	// stream (this is what "online sample" means).
-	sim := testSim()
-	tree, _ := buildTestTree(t, sim, 2000, 7, 4096)
-	q := record.Range{Lo: workload.KeyDomain / 4, Hi: workload.KeyDomain / 2}
-	const buckets = 8
-	counts := make([]int64, buckets)
-	r1, r2, err := tree.RankRange(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	span := r2 - r1 + 1
-	rng := rand.New(rand.NewPCG(2, 2))
-	for trial := 0; trial < 300; trial++ {
-		s, err := tree.NewSampler(q, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			rec, err := s.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rank, err := tree.RankGE(rec.Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// rank of first record with this key; good enough bucketing.
-			counts[(rank-r1)*buckets/span]++
-		}
-	}
-	p, err := stats.ChiSquareUniformPValue(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("sampler draws not uniform over rank span: p=%v counts=%v", p, counts)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -38,49 +37,6 @@ func TestOlkenMatchesPredicateWithoutReplacement(t *testing.T) {
 	}
 	if int64(len(s.used)) != want/2 {
 		t.Fatalf("returned %d distinct records", len(s.used))
-	}
-}
-
-func TestOlkenUniformity(t *testing.T) {
-	// First draws across many fresh samplers must be uniform over the
-	// matching records, including records on the short last page.
-	sim := testSim()
-	tree, rel := buildTestTree(t, sim, 777, 42, 4096) // deliberately ragged
-	q := record.FullRange()
-	matching, err := workload.CollectMatching(rel, record.FullBox(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	index := map[uint64]int{}
-	for i := range matching {
-		index[matching[i].Seq] = i
-	}
-	counts := make([]int64, len(matching))
-	rng := rand.New(rand.NewPCG(2, 2))
-	trials := 30 * len(matching)
-	for i := 0; i < trials; i++ {
-		s, err := tree.NewOlkenSampler(q, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[index[rec.Seq]]++
-	}
-	// Bucket to keep expected counts per cell healthy.
-	const buckets = 20
-	grouped := make([]int64, buckets)
-	for i, c := range counts {
-		grouped[i%buckets] += c
-	}
-	p, err := stats.ChiSquareUniformPValue(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("olken draws not uniform: p=%v", p)
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"io"
 	"testing"
 
-	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -125,50 +123,6 @@ func TestKDQueryReturnsExactlyMatchingSet(t *testing.T) {
 		if stream.Buffered() != 0 {
 			t.Fatalf("query %v: buckets not drained", q)
 		}
-	}
-}
-
-func TestKDStreamPrefixUniform(t *testing.T) {
-	sim := testSim()
-	q := record.Box2D(0, workload.KeyDomain*2/3, 0, workload.KeyDomain*2/3)
-	// Search seeds for a relation with enough matches to chi-square: a miss
-	// moves on, it does not skip.
-	var rel *pagefile.ItemFile
-	var matching []record.Record
-	for seed := uint64(24); len(matching) < 100; seed++ {
-		if seed == 24+50 {
-			t.Fatal("no relation in 50 seeds has 100 records inside the predicate")
-		}
-		var err error
-		if rel, err = workload.GenerateRelation(sim, 1200, workload.Uniform, seed); err != nil {
-			t.Fatal(err)
-		}
-		if matching, err = workload.CollectMatching(rel, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const k, trials = 40, 150
-	counts := prefixInclusionCounts(t, rel, Params{Height: 5, Dims: 2}, q, k, trials)
-	matchSet := make(map[uint64]bool, len(matching))
-	for i := range matching {
-		matchSet[matching[i].Seq] = true
-	}
-	for seq := range counts {
-		if !matchSet[seq] {
-			t.Fatalf("non-matching record %d sampled", seq)
-		}
-	}
-	const groups = 24
-	grouped := make([]int64, groups)
-	for i := range matching {
-		grouped[i%groups] += counts[matching[i].Seq]
-	}
-	p, err := stats.ChiSquareUniformPValue(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("2-d stream prefix not uniform: p=%v", p)
 	}
 }
 

@@ -4,142 +4,16 @@ import (
 	"io"
 	"testing"
 
-	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
 	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
 // The ACE Tree's defining guarantee is that the records emitted so far are
-// at all times a uniform random sample of the matching records. The
-// randomness lives in construction (section and leaf draws), so these
-// tests rebuild the tree many times with different seeds over the same
-// relation and chi-square the inclusion frequencies of fixed-size stream
-// prefixes.
-
-// prefixInclusionCounts builds `trials` trees over rel with distinct seeds,
-// queries q, takes the first k emitted records of each stream, and counts
-// how often each matching record appears.
-func prefixInclusionCounts(t *testing.T, rel *pagefile.ItemFile, p Params, q record.Box, k, trials int) map[uint64]int64 {
-	t.Helper()
-	counts := make(map[uint64]int64)
-	for trial := 0; trial < trials; trial++ {
-		p := p
-		p.Seed = uint64(1000 + trial)
-		tree, err := Create(pagefile.NewMem(rel.File().Sim()), rel, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, err := tree.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < k; i++ {
-			rec, err := stream.Next()
-			if err == io.EOF {
-				t.Fatalf("stream exhausted after %d records, wanted a %d-prefix", i, k)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[rec.Seq]++
-		}
-	}
-	return counts
-}
-
-func TestStreamPrefixIsUniformSample(t *testing.T) {
-	sim := testSim()
-	rel, err := workload.GenerateRelation(sim, 1500, workload.Uniform, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := record.Box1D(workload.KeyDomain/5, workload.KeyDomain*3/5) // ~40% selectivity
-	matching, err := workload.CollectMatching(rel, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k, trials = 60, 200
-	counts := prefixInclusionCounts(t, rel, Params{Height: 5}, q, k, trials)
-	// Every record counted must match the predicate.
-	matchSet := make(map[uint64]bool, len(matching))
-	for i := range matching {
-		matchSet[matching[i].Seq] = true
-	}
-	for seq := range counts {
-		if !matchSet[seq] {
-			t.Fatalf("non-matching record %d appeared in a stream prefix", seq)
-		}
-	}
-	// Chi-square inclusion frequencies over all matching records (records
-	// never sampled contribute zero cells).
-	cells := make([]int64, 0, len(matching))
-	for i := range matching {
-		cells = append(cells, counts[matching[i].Seq])
-	}
-	// Bucket into 30 groups to keep expected counts per cell healthy.
-	const groups = 30
-	grouped := make([]int64, groups)
-	for i, c := range cells {
-		grouped[i%groups] += c
-	}
-	p, err := stats.ChiSquareUniformPValue(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("stream prefix not uniform over matching records: p=%v", p)
-	}
-}
-
-func TestStreamPrefixUniformAcrossKeySpace(t *testing.T) {
-	// Bucket sampled keys by position within the query range: early stream
-	// prefixes must not favour any part of the range (this is exactly what
-	// block-based B+-Tree sampling gets wrong).
-	sim := testSim()
-	rel, err := workload.GenerateRelation(sim, 2000, workload.Uniform, 78)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := int64(workload.KeyDomain/10), int64(workload.KeyDomain*9/10)
-	q := record.Box1D(lo, hi)
-	const k, trials, buckets = 40, 150, 12
-	counts := prefixInclusionCounts(t, rel, Params{Height: 6}, q, k, trials)
-	matching, err := workload.CollectMatching(rel, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyOf := make(map[uint64]int64, len(matching))
-	for i := range matching {
-		keyOf[matching[i].Seq] = matching[i].Key
-	}
-	grouped := make([]int64, buckets)
-	for seq, c := range counts {
-		b := int((keyOf[seq] - lo) * buckets / (hi - lo + 1))
-		grouped[b] += c
-	}
-	// Expected counts proportional to the number of matching records per
-	// key bucket.
-	expected := make([]float64, buckets)
-	var total int64
-	for _, c := range grouped {
-		total += c
-	}
-	per := make([]int64, buckets)
-	for i := range matching {
-		per[int((matching[i].Key-lo)*buckets/(hi-lo+1))]++
-	}
-	for b := range expected {
-		expected[b] = float64(total) * float64(per[b]) / float64(len(matching))
-	}
-	p, err := stats.ChiSquarePValue(grouped, expected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("early samples skewed across key space: p=%v grouped=%v", p, grouped)
-	}
-}
+// a uniform random sample of the matching records. The randomness lives in
+// construction (section and leaf draws); these tests check the draws
+// themselves. The streams are held to the guarantee by the root package's
+// TestPrefixOracle, at every stab's end.
 
 func TestSectionAssignmentUniform(t *testing.T) {
 	// Construction property: section numbers are uniform over 1..h.

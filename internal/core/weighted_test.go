@@ -4,9 +4,7 @@ import (
 	"io"
 	"testing"
 
-	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -53,50 +51,6 @@ func TestWeightedShuttleExactSet(t *testing.T) {
 		if stream.LeavesRead() != tree.NumLeaves() {
 			t.Fatal("weighted shuttle skipped leaves")
 		}
-	}
-}
-
-func TestWeightedShuttlePrefixUniform(t *testing.T) {
-	sim := testSim()
-	rel, err := workload.GenerateRelation(sim, 1500, workload.Uniform, 56)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := record.Box1D(workload.KeyDomain/5, workload.KeyDomain*3/5)
-	matching, err := workload.CollectMatching(rel, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k, trials = 50, 180
-	counts := make(map[uint64]int64)
-	for trial := 0; trial < trials; trial++ {
-		tree, err := Create(pagefile.NewMem(sim), rel, Params{Height: 5, Seed: uint64(3000 + trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, err := tree.QueryWithOptions(q, StreamOptions{WeightedShuttle: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < k; i++ {
-			rec, err := stream.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[rec.Seq]++
-		}
-	}
-	const groups = 25
-	grouped := make([]int64, groups)
-	for i := range matching {
-		grouped[i%groups] += counts[matching[i].Seq]
-	}
-	p, err := stats.ChiSquareUniformPValue(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("weighted-shuttle prefix not uniform: p=%v", p)
 	}
 }
 

@@ -180,45 +180,6 @@ func TestFleetServesSeededStreamsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetPlainQueryIsUniformSample: an unseeded stream through the
-// router still satisfies the sample-stream contract — exactly the
-// predicate's matching set, each record once, served to EOF.
-func TestFleetPlainQueryIsUniformSample(t *testing.T) {
-	recs := genRecords(4000, 11)
-	tf := startFleet(t, 2, recs, server.Config{MaxStreams: 64}, nil)
-	cl := dialRouter(t, tf)
-	rv, err := cl.OpenView("sale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := record.Box1D(0, 1<<19)
-	rs, err := rv.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, rs)
-
-	want := 0
-	seen := make(map[record.Record]bool, len(got))
-	for i := range recs {
-		if q.ContainsRecord(&recs[i]) {
-			want++
-		}
-	}
-	for _, r := range got {
-		if !q.ContainsRecord(&r) {
-			t.Fatalf("served record %v outside predicate", r)
-		}
-		if seen[r] {
-			t.Fatalf("record %v served twice", r)
-		}
-		seen[r] = true
-	}
-	if len(got) != want {
-		t.Fatalf("served %d records, predicate matches %d", len(got), want)
-	}
-}
-
 // TestFleetTenantQuota: the router enforces the fleet-wide per-tenant
 // stream cap across connections, while untenanted connections account
 // separately.

@@ -3,35 +3,59 @@ package interleave
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
-	"sampleview/internal/stats"
+	"sampleview/internal/oracle"
+	"sampleview/internal/record"
 )
 
+// TestPickProportionalToRemaining: picks in proportion to what each source
+// has left, deducting as they go, merge sources of 10, 30 and 60 shuffled
+// records into uniform prefixes of the union, pooled over 6,000 seeds
+// (60,000 records at cut 10).
 func TestPickProportionalToRemaining(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	weights := []float64{10, 30, 60}
-	m := New(rng, weights)
-	const draws = 60000
-	counts := make([]int64, len(weights))
-	for i := 0; i < draws; i++ {
-		idx, ok := m.Pick()
-		if !ok {
-			t.Fatalf("draw %d: no mass reported with remaining %v", i, m.rem)
+	checkPlanner(t, []int{10, 30, 60}, 6000)
+}
+
+// checkPlanner merges shuffled sources of the given sizes over disjoint key
+// ranges by Pick and Deduct, once per seed, and holds each merged stream to
+// the prefix oracle.
+func checkPlanner(t *testing.T, sizes []int, trials int) {
+	t.Helper()
+	var recs []record.Record
+	for i := range sum(sizes) {
+		recs = append(recs, record.Record{Key: int64(i), Seq: uint64(i)})
+	}
+	m, ck := oracle.NewModel(recs), oracle.NewChecker()
+	for trial := range uint64(trials) {
+		rng := rand.New(rand.NewPCG(trial, 0x51ed))
+		srcs := make([][]record.Record, len(sizes))
+		rem := make([]float64, len(sizes))
+		for i, base := 0, 0; i < len(sizes); base, i = base+sizes[i], i+1 {
+			srcs[i] = slices.Clone(recs[base : base+sizes[i]])
+			rng.Shuffle(sizes[i], func(a, b int) { srcs[i][a], srcs[i][b] = srcs[i][b], srcs[i][a] })
+			rem[i] = float64(sizes[i])
 		}
-		counts[idx]++
+		p, o := New(rng, rem), ck.Stream(m, record.FullBox(1))
+		for idx, ok := p.Pick(); ok; idx, ok = p.Pick() {
+			src := srcs[idx]
+			o.Add(src[len(src)-1])
+			srcs[idx] = src[:len(src)-1]
+			p.Deduct(idx)
+		}
+		o.Drained()
 	}
-	expected := make([]float64, len(weights))
-	for i, w := range weights {
-		expected[i] = float64(draws) * w / 100
-	}
-	p, err := stats.ChiSquarePValue(counts, expected)
-	if err != nil {
+	if err := ck.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if p < 1e-4 {
-		t.Fatalf("draw frequencies %v diverge from weights %v (p=%g)", counts, weights, p)
+}
+
+func sum(xs []int) (n int) {
+	for _, x := range xs {
+		n += x
 	}
+	return n
 }
 
 func TestDeductDrivesSourceToZero(t *testing.T) {
@@ -89,59 +113,6 @@ func TestPickReportsFalseWithNoMass(t *testing.T) {
 	// Negative initial counts are clamped by New.
 	if total(m) != 0 {
 		t.Fatalf("total = %v, want 0", total(m))
-	}
-}
-
-// TestMergedStreamUniformOverUnion simulates the full K-way merge contract:
-// K sources each holding a shuffled (i.e. uniform without-replacement)
-// sequence over a disjoint population, merged by remaining-count draws,
-// must yield a uniform without-replacement permutation of the union — every
-// element equally likely at every prefix position.
-func TestMergedStreamUniformOverUnion(t *testing.T) {
-	const (
-		k      = 4
-		perSrc = 25
-		total  = k * perSrc
-		trials = 4000
-		prefix = 10
-	)
-	// firstSeen[v] counts how often element v lands in the first `prefix`
-	// draws of the merged stream.
-	firstSeen := make([]int64, total)
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewPCG(uint64(trial), 0x51ed))
-		srcs := make([][]int, k)
-		rem := make([]float64, k)
-		for s := 0; s < k; s++ {
-			srcs[s] = rng.Perm(perSrc)
-			for i := range srcs[s] {
-				srcs[s][i] += s * perSrc
-			}
-			rem[s] = perSrc
-		}
-		m := New(rng, rem)
-		for pos := 0; pos < prefix; pos++ {
-			idx, ok := m.Pick()
-			if !ok {
-				t.Fatalf("trial %d: mass exhausted after %d of %d draws", trial, pos, total)
-			}
-			src := srcs[idx]
-			v := src[len(src)-1]
-			srcs[idx] = src[:len(src)-1]
-			m.Deduct(idx)
-			firstSeen[v]++
-		}
-	}
-	expected := make([]float64, total)
-	for i := range expected {
-		expected[i] = float64(trials) * prefix / total
-	}
-	p, err := stats.ChiSquarePValue(firstSeen, expected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 1e-4 {
-		t.Fatalf("merged prefix membership is not uniform over the union (p=%g)", p)
 	}
 }
 

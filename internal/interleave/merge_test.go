@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"sampleview/internal/core"
+	"sampleview/internal/oracle"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 )
 
 var errTransient = errors.New("transient")
@@ -36,7 +36,7 @@ func (u *urn) draw(dst []record.Record, n int) ([]record.Record, float64, error)
 		u.keys = u.keys[:len(u.keys)-1]
 		took++
 		if k >= 0 {
-			dst = append(dst, record.Record{Key: k})
+			dst = append(dst, record.Record{Key: k, Seq: uint64(k)})
 		} else if u.restore != nil {
 			u.restore()
 		}
@@ -132,58 +132,45 @@ func TestMergeDrawsEveryLiveRecordOnce(t *testing.T) {
 	}
 }
 
-// TestMergePrefixUniformUnderVetting is the operator's uniformity contract
-// with rejection: sources of unequal sizes, counted by their supersets and
-// vetting a quarter of what they draw, still merge into prefixes that are
-// uniform over the live union. Membership is pooled across seeds at the
-// prefix cuts 1, 10 and 100.
-func TestMergePrefixUniformUnderVetting(t *testing.T) {
-	const trials = 3000
-	cuts := []int{1, 10, 100}
-	sizes := []int{40, 80, 120}
-	live := 0
-	for _, n := range sizes {
-		live += n - (n+3)/4
-	}
-	seen := make([]map[int64]int64, len(cuts))
-	for c := range cuts {
-		seen[c] = map[int64]int64{}
-	}
-	for trial := range uint64(trials) {
-		rng := rand.New(rand.NewPCG(trial, 0x7e57))
-		urns := make([]*urn, len(sizes))
-		rem := make([]float64, len(sizes))
+// TestMergePrefixOracle holds merged streams to the prefix oracle, pooled
+// across seeds: the planner over K equal sources, each a shuffled (uniform
+// without-replacement) sequence over a disjoint population, and the
+// operator over sources of unequal sizes, counted by their supersets and
+// vetting a quarter of what they draw, whose prefixes must be uniform over
+// the live union.
+func TestMergePrefixOracle(t *testing.T) {
+	t.Run("planner/four-equal-sources", func(t *testing.T) {
+		checkPlanner(t, []int{25, 25, 25, 25}, 4000)
+	})
+	t.Run("operator/vetting", func(t *testing.T) {
+		sizes := []int{40, 80, 120}
+		var live []record.Record
 		for i, n := range sizes {
-			urns[i], rem[i] = shuffledUrn(rng, int64(i)*1000, n, 4), float64(n)
-		}
-		out, err := mergeOf(rng, rem, urns).AppendNext(nil, cuts[len(cuts)-1])
-		if err != nil || len(out) != cuts[len(cuts)-1] {
-			t.Fatalf("trial %d: %d records, %v", trial, len(out), err)
-		}
-		for c, cut := range cuts {
-			for _, r := range out[:cut] {
-				seen[c][r.Key]++
+			for j := range n {
+				if j%4 != 0 {
+					k := int64(i*1000 + j)
+					live = append(live, record.Record{Key: k, Seq: uint64(k)})
+				}
 			}
 		}
-	}
-	for c, cut := range cuts {
-		if len(seen[c]) != live {
-			t.Fatalf("cut %d: %d distinct keys reached the prefix, want all %d live ones", cut, len(seen[c]), live)
+		m, ck := oracle.NewModel(live), oracle.NewChecker()
+		for trial := range uint64(3000) {
+			rng := rand.New(rand.NewPCG(trial, 0x7e57))
+			urns := make([]*urn, len(sizes))
+			rem := make([]float64, len(sizes))
+			for i, n := range sizes {
+				urns[i], rem[i] = shuffledUrn(rng, int64(i)*1000, n, 4), float64(n)
+			}
+			out, err := mergeOf(rng, rem, urns).AppendNext(nil, 100)
+			if err != nil || len(out) != 100 {
+				t.Fatalf("trial %d: %d records, %v", trial, len(out), err)
+			}
+			ck.Stream(m, record.FullBox(1)).Add(out...)
 		}
-		counts := make([]int64, 0, live)
-		expected := make([]float64, 0, live)
-		for _, n := range seen[c] {
-			counts = append(counts, n)
-			expected = append(expected, float64(trials*cut)/float64(live))
-		}
-		p, err := stats.ChiSquarePValue(counts, expected)
-		if err != nil {
+		if err := ck.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if p < 1e-4 {
-			t.Fatalf("cut %d: merged prefix membership is not uniform over the live union (p=%g)", cut, p)
-		}
-	}
+	})
 }
 
 // TestMergeMatchesPlannerLoop pins the operator, over exact sources that vet

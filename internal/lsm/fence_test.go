@@ -14,7 +14,6 @@ import (
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -855,77 +854,6 @@ func TestLazyLevelsDrainExactly(t *testing.T) {
 					t.Fatalf("%v: live seq %d missing", q, rec.Seq)
 				}
 			}
-		}
-	}
-}
-
-// TestLazyLevelPrefixesAreUniform is the sampling half of the exactness
-// claim: over 300 seeds, the first 10, 100 and 1000 records of a stream over
-// a four-run level (beside a base, a second level and a memview) spread over
-// eight equal key slices of a predicate cut mid-run as the matching
-// population does. It buckets by key, not by record, and writes a fresh level
-// (fresh Seqs) per seed: like a base leaf's sections, a record's stratum is
-// fixed when its level is written — two streams over one level both see its
-// first run's records first — and only the order within a run and the
-// interleave are drawn per stream. What makes a prefix uniform is that the
-// strata are independent of the keys, so that is what the test varies.
-func TestLazyLevelPrefixesAreUniform(t *testing.T) {
-	const buckets, seeds = 8, 300
-	cuts := []int{10, 100, 1000}
-	const lo, width = workload.KeyDomain / 4, workload.KeyDomain / 2
-	q := record.Box1D(lo, lo+width-1)
-	slice := func(key int64) int { return int((key - lo) * buckets / width) }
-	observed := make([][]int64, len(cuts))
-	expected := make([][]float64, len(cuts))
-	for i := range cuts {
-		observed[i], expected[i] = make([]int64, buckets), make([]float64, buckets)
-	}
-	for seed := uint64(1); seed <= seeds; seed++ {
-		sim := testSim()
-		v := buildView(t, sim, 400, seed)
-		pop := bruteForce(mustDrainBase(t, v), q)
-		pop = append(pop, bruteForce(ingest(t, v, 100*testPerPage, seed+1000, seed<<32), q)...)
-		if err := v.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		pop = append(pop, bruteForce(ingest(t, v, 10*testPerPage, seed+2000, seed<<32|1<<30), q)...)
-		if err := v.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		pop = append(pop, bruteForce(ingest(t, v, 50, seed+3000, seed<<32|1<<31), q)...)
-		if n := len(v.Store().snapshotLevels()[1].runEnd); n != 4 {
-			t.Fatalf("fixture: the large level has %d runs, want 4", n)
-		}
-		var share [buckets]float64
-		for i := range pop {
-			share[slice(pop[i].Key)] += 1 / float64(len(pop))
-		}
-		s := mustQuery(t, v, q, seed)
-		for n, c := 0, 0; c < len(cuts); n++ {
-			rec, err := s.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := c; i < len(cuts); i++ {
-				observed[i][slice(rec.Key)]++
-			}
-			if n+1 == cuts[c] {
-				c++
-			}
-		}
-		for i, cut := range cuts {
-			for b := range share {
-				expected[i][b] += share[b] * float64(cut)
-			}
-		}
-	}
-	for i, cut := range cuts {
-		p, err := stats.ChiSquarePValue(observed[i], expected[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p < 1e-4 {
-			t.Fatalf("first %d records over %d seeds: key slices %v, expected %.0f (p=%g)", cut, seeds, observed[i], expected[i], p)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -269,75 +268,6 @@ func TestTombstoneRoundTrip(t *testing.T) {
 	}
 	if len(check2) != len(model) {
 		t.Fatalf("folded view returned %d records, want %d", len(check2), len(model))
-	}
-}
-
-// TestUniformityAcrossComponentsUnderFlaky checks that a merged prefix
-// spreads evenly over the write path's records — memview and both levels,
-// bucketed across component boundaries — with transient faults striking the
-// reads. Every trial builds its own view with its own Seqs: which of a
-// level's records sit in its first run is fixed when the level is written
-// (as the base tree's draw order is at build time), so the prefixes of many
-// streams over one level are uniform over its keys but not over its records.
-func TestUniformityAcrossComponentsUnderFlaky(t *testing.T) {
-	plan, err := iosim.ProfilePlan("flaky-disk", 34)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const buckets, prefix, perComponent = 12, 30, 200
-	counts := make([]int64, buckets)
-	var baseDraws, allDraws, transients int64
-	for trial := uint64(0); trial < 300; trial++ {
-		sim := testSim()
-		v := buildView(t, sim, 600, 30)
-		first := (3*trial + 1) << 32
-		for c := uint64(0); c < 3; c++ {
-			ingest(t, v, perComponent, 31+c, first+c<<32)
-			if c < 2 {
-				if err := v.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if v.Store().Levels() != 2 {
-			t.Fatalf("levels = %d, want 2", v.Store().Levels())
-		}
-		sim.SetFaultPlan(plan)
-		s := mustQuery(t, v, record.FullBox(1), 1000+trial)
-		for picked := 0; picked < prefix; {
-			rec, err := s.Next()
-			if pagefile.IsTransient(err) {
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			picked++
-			allDraws++
-			if rec.Seq >= first {
-				i := (rec.Seq-first)>>32*perComponent + (rec.Seq-first)&(1<<32-1)
-				counts[i*buckets/(3*perComponent)]++
-			} else {
-				baseDraws++
-			}
-		}
-		transients += sim.FaultCounters().Transient
-	}
-	p, err := stats.ChiSquareUniformPValue(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("merged prefix not uniform across write components: p=%v counts=%v", p, counts)
-	}
-	// The base holds 600 of 1200 records; its share of every prefix must
-	// match its share of the population (9000 draws, so ±0.05 is >9 sigma).
-	frac := float64(baseDraws) / float64(allDraws)
-	if frac < 0.45 || frac > 0.55 {
-		t.Fatalf("base drew %.3f of the merged prefix, want ~0.5", frac)
-	}
-	if transients == 0 {
-		t.Fatal("flaky profile injected no transient faults; the test exercised nothing")
 	}
 }
 

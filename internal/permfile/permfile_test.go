@@ -9,7 +9,6 @@ import (
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -119,32 +118,6 @@ func TestQueryFiltersAndDoesNotRepeat(t *testing.T) {
 	}
 	if sc.scanned != pf.Count() {
 		t.Fatalf("Scanned = %d, want %d", sc.scanned, pf.Count())
-	}
-}
-
-func TestScanPrefixIsUniformSample(t *testing.T) {
-	// The first k matches of the scan must be a uniform sample of the
-	// matching records: bucket the Seq values of the sampled prefix and
-	// chi-square them against uniformity.
-	sim := testSim()
-	pf, _ := buildTestFile(t, sim, 20000, 4)
-	q := record.FullBox(1)
-	const buckets = 10
-	counts := make([]int64, buckets)
-	sc := pf.Query(q)
-	for i := 0; i < 4000; i++ {
-		rec, err := sc.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[rec.Seq*buckets/20000]++
-	}
-	p, err := stats.ChiSquareUniformPValue(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("scan prefix not uniform: p=%v counts=%v", p, counts)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -162,57 +161,6 @@ func TestSamplerExhaustsSmallPredicate(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("sampler returned %d records before exhaustion, want %d", got, want)
-	}
-}
-
-func TestSamplerUniformity(t *testing.T) {
-	// Verify exact uniformity of the corrected draw: run many independent
-	// first-draws and chi-square the frequency of each matching record.
-	sim := testSim()
-	q := record.Box2D(0, workload.KeyDomain/2, 0, workload.KeyDomain/2)
-	// Search seeds for a relation with enough matches to chi-square: a miss
-	// moves on, it does not skip.
-	var tree *Tree
-	var matching []record.Record
-	for seed := uint64(4); len(matching) < 20; seed++ {
-		if seed == 4+50 {
-			t.Fatal("no relation in 50 seeds has 20 records inside the predicate")
-		}
-		var rel *pagefile.ItemFile
-		tree, rel = buildTestTree(t, sim, 600, seed, 4096)
-		var err error
-		if matching, err = workload.CollectMatching(rel, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	index := map[uint64]int{}
-	for i := range matching {
-		index[matching[i].Seq] = i
-	}
-	counts := make([]int64, len(matching))
-	rng := rand.New(rand.NewPCG(3, 3))
-	trials := 40 * len(matching)
-	for i := 0; i < trials; i++ {
-		s, err := tree.NewSampler(q, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, ok := index[rec.Seq]
-		if !ok {
-			t.Fatal("sampled record not in matching set")
-		}
-		counts[j]++
-	}
-	p, err := stats.ChiSquareUniformPValue(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("R-tree sampler not uniform: p=%v", p)
 	}
 }
 

@@ -211,118 +211,6 @@ func (l *pipeListener) Close() error {
 
 func (l *pipeListener) Addr() net.Addr { return nil }
 
-// TestServedStreamUniformity is the end-to-end correctness table test: K
-// concurrent sessions against one served view, each asserting its stream's
-// prefix is a true uniform without-replacement sample by cross-checking
-// record-for-record against an in-process Stream over the same view file
-// (the shuttle is deterministic given the stored view, so the served
-// sequence must match the local one exactly), and that running to EOF
-// yields the full matching set exactly once.
-func TestServedStreamUniformity(t *testing.T) {
-	recs := genRecords(12_000, 5)
-	_, _, addr, path := startServer(t, Config{MaxStreams: 64}, "sale", recs)
-
-	cases := []struct {
-		name string
-		q    record.Box
-	}{
-		{"narrow", record.Box1D(0, 1<<14)},
-		{"quarter", record.Box1D(0, 1<<18)},
-		{"middle", record.Box1D(1<<18, 1<<19)},
-		{"full", record.Box1D(0, 1<<20)},
-		{"empty", record.Box1D(-100, -1)},
-		{"everything", record.FullBox(1)},
-	}
-
-	// K concurrent sessions: each case driven by several goroutines at
-	// once, every one on its own connection.
-	const perCase = 3
-	var wg sync.WaitGroup
-	errs := make(chan error, len(cases)*perCase)
-	for _, tc := range cases {
-		for g := 0; g < perCase; g++ {
-			wg.Add(1)
-			go func(name string, q record.Box) {
-				defer wg.Done()
-				fail := func(format string, args ...any) {
-					errs <- fmt.Errorf("%s: %s", name, fmt.Sprintf(format, args...))
-				}
-				cl, err := Dial(addr)
-				if err != nil {
-					fail("%v", err)
-					return
-				}
-				defer cl.Close()
-				rv, err := cl.OpenView("sale")
-				if err != nil {
-					fail("%v", err)
-					return
-				}
-				remote, err := rv.Query(q)
-				if err != nil {
-					fail("%v", err)
-					return
-				}
-				// The in-process reference stream over the same stored view.
-				lv, err := sampleview.Open(path, sampleview.Options{})
-				if err != nil {
-					fail("%v", err)
-					return
-				}
-				defer lv.Close()
-				local, err := lv.Query(q)
-				if err != nil {
-					fail("%v", err)
-					return
-				}
-				want := map[uint64]bool{}
-				for i := range recs {
-					if q.ContainsRecord(&recs[i]) {
-						want[recs[i].Seq] = true
-					}
-				}
-				seen := map[uint64]bool{}
-				for i := 0; ; i++ {
-					rr, rerr := remote.Next()
-					lr, lerr := local.Next()
-					if (rerr == io.EOF) != (lerr == io.EOF) {
-						fail("stream lengths diverge at %d: remote %v, local %v", i, rerr, lerr)
-						return
-					}
-					if rerr == io.EOF {
-						break
-					}
-					if rerr != nil || lerr != nil {
-						fail("at %d: remote %v, local %v", i, rerr, lerr)
-						return
-					}
-					if rr != lr {
-						fail("record %d diverges: remote seq %d, local seq %d", i, rr.Seq, lr.Seq)
-						return
-					}
-					if seen[rr.Seq] {
-						fail("duplicate seq %d: not without-replacement", rr.Seq)
-						return
-					}
-					if !want[rr.Seq] {
-						fail("seq %d does not match the predicate", rr.Seq)
-						return
-					}
-					seen[rr.Seq] = true
-				}
-				if len(seen) != len(want) {
-					fail("drained %d records, want %d", len(seen), len(want))
-				}
-			}(tc.name, tc.q)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 // TestAdmissionControl verifies the typed rejections: the (max streams +
 // 1)-th open-stream request receives CodeServerStreams — not a hang, not a
 // panic — the per-connection cap receives CodeConnStreams, and slots free

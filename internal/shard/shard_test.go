@@ -6,13 +6,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
 	"sampleview/internal/core"
+	"sampleview/internal/oracle"
 	"sampleview/internal/record"
-	"sampleview/internal/stats"
 	"sampleview/internal/workload"
 )
 
@@ -98,114 +98,63 @@ func TestShardedMatchesUnshardedSet(t *testing.T) {
 	}
 }
 
-// TestKWayUniformity: at K ∈ {1, 4, 16}, the prefix of a merged stream is
-// a uniform sample of the matching set, across low/medium/high
-// selectivities. The sample-order randomness lives in the construction
-// (the paper bakes the permutation into the tree) plus the merge draws, so
-// each trial builds with a fresh seed; prefix hits are then histogrammed
-// over rank buckets of the matching set, which catches both positional
-// bias and partition bias (range shards correlate with key rank), and the
-// same uniform expectation the unsharded stream satisfies is asserted.
-func TestKWayUniformity(t *testing.T) {
+// TestKWayPrefixOracle: at K ∈ {1, 4, 16}, the prefixes of a merged
+// stream pass the prefix oracle across low, medium and high selectivities.
+// The sample order lives in the construction plus the merge draws, so each
+// trial builds afresh (alternating hash and range partitioning, since range
+// shards correlate with key rank) and opens one stream per predicate; each
+// predicate pools its own 120 streams per K. Beside oracle.Cuts, each is
+// cut at a third of its matches, at most 40.
+func TestKWayPrefixOracle(t *testing.T) {
 	recs := genRecords(4000, 13)
+	m := oracle.NewModel(recs)
 	qg := workload.NewQueryGen(37)
-	sels := []float64{0.0025, 0.025, 0.25}
-	queries := make([]record.Box, len(sels))
-	for i, sel := range sels {
-		queries[i] = qg.Range1D(sel)
+	var queries []record.Box
+	for _, sel := range []float64{0.0025, 0.025, 0.25} {
+		queries = append(queries, qg.Range1D(sel))
 	}
 	const trials = 120
 	for _, k := range []int{1, 4, 16} {
+		checkers := make([]*oracle.Checker, len(queries))
 		for qi, q := range queries {
-			want := matching(recs, q)
-			m := len(want)
-			if m < 4 {
-				t.Fatalf("query %d matches only %d records; enlarge the relation", qi, m)
+			checkers[qi] = oracle.NewChecker(append(slices.Clone(oracle.Cuts), min(max(len(m.Shuffle(q, 0))/3, 2), 40))...)
+		}
+		for trial := range trials {
+			part := HashBySeq
+			if trial%2 == 1 {
+				part = RangeByKey
 			}
-			// Rank the matching records by key (ties by Seq) and bucket the
-			// ranks; expected hits are proportional to bucket size.
-			ranked := make([]record.Record, 0, m)
-			for _, rec := range want {
-				ranked = append(ranked, rec)
+			v, err := Create("", recs, Options{K: k, Partition: part, Seed: uint64(1000*k + trial), Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
 			}
-			sortRecords(ranked)
-			rankOf := make(map[uint64]int, m)
-			for i, rec := range ranked {
-				rankOf[rec.Seq] = i
-			}
-			nBuckets := 16
-			if m < nBuckets {
-				nBuckets = m
-			}
-			prefix := m / 3
-			if prefix < 2 {
-				prefix = 2
-			}
-			if prefix > 40 {
-				prefix = 40
-			}
-			counts := make([]int64, nBuckets)
-			sizes := make([]int64, nBuckets)
-			for r := 0; r < m; r++ {
-				sizes[r*nBuckets/m]++
-			}
-			for trial := 0; trial < trials; trial++ {
-				part := HashBySeq
-				if trial%2 == 1 {
-					part = RangeByKey
-				}
-				v, err := Create("", recs, Options{
-					K: k, Partition: part,
-					Seed:        uint64(1000*k + trial),
-					Parallelism: 2,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+			for qi, q := range queries {
 				s, err := v.Query(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sample, err := s.Sample(prefix)
+				sample, err := s.Sample(1000)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(sample) != prefix {
-					t.Fatalf("K=%d sel=%v: short prefix %d < %d", k, sels[qi], len(sample), prefix)
-				}
-				for _, rec := range sample {
-					rank, ok := rankOf[rec.Seq]
-					if !ok {
-						t.Fatalf("K=%d sel=%v: non-matching record seq %d emitted", k, sels[qi], rec.Seq)
-					}
-					counts[rank*nBuckets/m]++
+				o := checkers[qi].Stream(m, q)
+				if o.Add(sample...); len(sample) < 1000 {
+					o.Drained()
 				}
 				s.Close()
-				v.Close()
 			}
-			expected := make([]float64, nBuckets)
-			for i := range expected {
-				expected[i] = float64(trials) * float64(prefix) * float64(sizes[i]) / float64(m)
+			v.Close()
+		}
+		for qi, ck := range checkers {
+			if err := ck.Err(); err != nil {
+				t.Fatalf("K=%d, predicate %d: %v", k, qi, err)
 			}
-			p, err := stats.ChiSquarePValue(counts, expected)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p < 1e-4 {
-				t.Fatalf("K=%d sel=%v: prefix membership not uniform (p=%g, counts=%v)", k, sels[qi], p, counts)
+			// The predicate's own cut pools every trial's prefix.
+			if v := ck.Verdicts()[len(oracle.Cuts)]; !v.Tested || v.N != trials*int64(v.Cut) {
+				t.Fatalf("K=%d, predicate %d: cut %d pooled %d records (tested %v), want %d", k, qi, v.Cut, v.N, v.Tested, trials*v.Cut)
 			}
 		}
 	}
-}
-
-// sortRecords orders records by key, breaking ties by Seq.
-func sortRecords(recs []record.Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Key != recs[j].Key {
-			return recs[i].Key < recs[j].Key
-		}
-		return recs[i].Seq < recs[j].Seq
-	})
 }
 
 // TestBuildBytesStableAcrossParallelism: the stored shard files are

@@ -175,49 +175,3 @@ func TestChiSquareArgumentValidation(t *testing.T) {
 		t.Fatal("no observations should be rejected")
 	}
 }
-
-func TestKSUniform(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	n := 2000
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = rng.Float64() * 10
-	}
-	d := KSUniformStatistic(vals, 0, 10)
-	p := KolmogorovSmirnovPValue(d, n)
-	if p < 0.01 {
-		t.Fatalf("uniform data rejected: d=%v p=%v", d, p)
-	}
-	// Squashed data should be firmly rejected.
-	for i := range vals {
-		vals[i] = rng.Float64() * 5
-	}
-	d = KSUniformStatistic(vals, 0, 10)
-	p = KolmogorovSmirnovPValue(d, n)
-	if p > 1e-9 {
-		t.Fatalf("non-uniform data accepted: d=%v p=%v", d, p)
-	}
-}
-
-func TestKSStatisticEdgeCases(t *testing.T) {
-	if d := KSUniformStatistic(nil, 0, 1); d != 0 {
-		t.Fatalf("empty data KS = %v", d)
-	}
-	if p := KolmogorovSmirnovPValue(0, 10); p != 1 {
-		t.Fatalf("zero statistic p = %v", p)
-	}
-}
-
-func TestSortFloats(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	v := make([]float64, 1000)
-	for i := range v {
-		v[i] = rng.Float64()
-	}
-	sortFloats(v)
-	for i := 1; i < len(v); i++ {
-		if v[i-1] > v[i] {
-			t.Fatal("sortFloats produced unsorted output")
-		}
-	}
-}

@@ -52,92 +52,6 @@ func ChiSquareSurvival(stat float64, df int) float64 {
 	return gammaQ(float64(df)/2, stat/2)
 }
 
-// KolmogorovSmirnovPValue returns the asymptotic p-value of the one-sample
-// KS statistic d computed from n observations.
-func KolmogorovSmirnovPValue(d float64, n int) float64 {
-	if d <= 0 {
-		return 1
-	}
-	sqn := math.Sqrt(float64(n))
-	lambda := (sqn + 0.12 + 0.11/sqn) * d
-	// Q_KS(lambda) = 2 * sum_{j>=1} (-1)^{j-1} exp(-2 j^2 lambda^2)
-	var sum float64
-	sign := 1.0
-	for j := 1; j <= 100; j++ {
-		term := sign * math.Exp(-2*float64(j*j)*lambda*lambda)
-		sum += term
-		if math.Abs(term) < 1e-12 {
-			break
-		}
-		sign = -sign
-	}
-	p := 2 * sum
-	switch {
-	case p < 0:
-		return 0
-	case p > 1:
-		return 1
-	default:
-		return p
-	}
-}
-
-// KSUniformStatistic returns the one-sample KS statistic of values against
-// the uniform distribution on [lo, hi]. values is sorted in place.
-func KSUniformStatistic(values []float64, lo, hi float64) float64 {
-	if len(values) == 0 || hi <= lo {
-		return 0
-	}
-	sortFloats(values)
-	n := float64(len(values))
-	var d float64
-	for i, v := range values {
-		cdf := (v - lo) / (hi - lo)
-		if cdf < 0 {
-			cdf = 0
-		} else if cdf > 1 {
-			cdf = 1
-		}
-		if up := float64(i+1)/n - cdf; up > d {
-			d = up
-		}
-		if down := cdf - float64(i)/n; down > d {
-			d = down
-		}
-	}
-	return d
-}
-
-func sortFloats(v []float64) {
-	// Small dependency-free heapsort: the test suite calls this with at most
-	// a few hundred thousand values.
-	n := len(v)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(v, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		v[0], v[i] = v[i], v[0]
-		siftDown(v, 0, i)
-	}
-}
-
-func siftDown(v []float64, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && v[child+1] > v[child] {
-			child++
-		}
-		if v[root] >= v[child] {
-			return
-		}
-		v[root], v[child] = v[child], v[root]
-		root = child
-	}
-}
-
 // gammaQ returns the regularized upper incomplete gamma function Q(a, x),
 // following the series/continued-fraction split of Numerical Recipes.
 func gammaQ(a, x float64) float64 {

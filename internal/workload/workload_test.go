@@ -81,14 +81,13 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestUniformKeysAreUniform(t *testing.T) {
 	g := NewGenerator(Uniform, 1)
-	const n = 20000
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = float64(g.Next().Key)
+	const n, buckets = 20000, 64
+	counts := make([]int64, buckets)
+	for range n {
+		counts[g.Next().Key*buckets/KeyDomain]++
 	}
-	d := stats.KSUniformStatistic(vals, 0, float64(KeyDomain))
-	if p := stats.KolmogorovSmirnovPValue(d, n); p < 0.001 {
-		t.Fatalf("uniform generator failed KS test: d=%v p=%v", d, p)
+	if p, err := stats.ChiSquareUniformPValue(counts); err != nil || p < 0.001 {
+		t.Fatalf("uniform generator failed the chi-square test over %d key buckets: p=%v (%v)", buckets, p, err)
 	}
 }
 

