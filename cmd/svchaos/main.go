@@ -18,7 +18,6 @@
 //	svchaos -profiles flaky-disk,hell -seed 7
 //	svchaos -shards 4
 //	svchaos -ingest 2 -profiles flaky-disk
-//	svchaos -crash -records 20000 -out results/crash-bench.md
 //	svchaos -fleet -records 60000 -out results/fleet-bench.md
 //	svchaos -connect 127.0.0.1:7070 -view sale -clients 32 -ingest 8
 //	svchaos -connect 127.0.0.1:7070 -view sale -clients 32 -tenants 8
@@ -35,13 +34,6 @@
 // sequence byte-identical to an uninterrupted local stream and the
 // post-migration suffix still chi-square-uniform (see fleet.go).
 //
-// With -crash the fault-profile ladder is replaced by the deterministic
-// power-cut ladder: every instrumented crash point is armed at escalating
-// hit counts against a WAL-backed view under a seeded write workload, the
-// view is reopened after each cut, and recovery is verified — no
-// acknowledged write lost, no double-apply, samples still uniform (see
-// crash.go).
-//
 // With -shards K the view is partitioned across K simulated disks and the
 // ladder runs against the merged K-way stream; a final shard-kill phase
 // then kills one shard outright and verifies the blast radius: typed
@@ -57,7 +49,7 @@
 // must see zero hard errors.
 //
 // The run prints a per-profile summary and, with -out, writes a markdown
-// report (ladder, -crash, -fleet); the exit status is non-zero if any
+// report (ladder, -fleet); the exit status is non-zero if any
 // contract above was violated.
 package main
 
@@ -123,7 +115,6 @@ func main() {
 		profs    = flag.String("profiles", "all", "comma-separated fault profiles, or \"all\" for the escalating ladder")
 		shards   = flag.Int("shards", 1, "partition the view across this many simulated disks (>1 adds a shard-kill phase)")
 		ingest   = flag.Int("ingest", 0, "writer connections appending/deleting/flushing while the readers run")
-		crash    = flag.Bool("crash", false, "run the deterministic power-cut ladder instead of the fault-profile ladder")
 		fleetOn  = flag.Bool("fleet", false, "run the replicated-serving fleet drill instead of the fault-profile ladder")
 		connect  = flag.String("connect", "", "drive the readers and writers against this sv serve or sv route address instead")
 		view     = flag.String("view", "sale", "served view name")
@@ -138,8 +129,6 @@ func main() {
 	var report string
 	var ok bool
 	switch {
-	case *crash:
-		report, ok = runCrashMode(*nrecords, *seed)
 	case *fleetOn:
 		report, ok = runFleetMode(*nrecords, *seed)
 	case *connect != "":

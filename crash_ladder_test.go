@@ -1,13 +1,11 @@
-package main
+package sampleview
 
-// Crash mode (-crash): the deterministic kill-at-every-crash-point ladder.
-//
-// For every instrumented crash point (post-wal-append, mid-page-write,
-// pre-manifest-rename, mid-compaction) and an escalating hit count, one
-// drill builds a WAL-backed view, drives a seeded write workload — insert
-// batches, group commits, tombstone deletes, flushes, forced compactions —
-// until the simulated power cut strikes, then reopens the view and checks
-// the recovery contract:
+// The power-cut ladder: for every instrumented crash point (post-wal-append,
+// mid-page-write, pre-manifest-rename, mid-compaction) and an escalating hit
+// count, one drill builds a WAL-backed view, drives a seeded write workload —
+// insert batches, group commits, tombstone deletes, flushes, forced
+// compactions — until the simulated power cut strikes, then reopens the view
+// and checks the recovery contract:
 //
 //   - every acknowledged write (Commit returned nil) survives, byte-identical;
 //   - every acknowledged delete stays deleted;
@@ -18,21 +16,18 @@ package main
 //     chi-square over rank buckets of a drained prefix).
 //
 // Writes that were in flight but never acknowledged may land on either side
-// of the cut; the drill only requires that they appear at most once.
-//
-// With -out the drill table is written as a markdown report
-// (results/crash-bench.md). What group commit saves over sync-every-write
-// is pinned by internal/wal's TestGroupCommitAmortizesFsyncs and
-// TestSyncEveryOneSyncsEachCommit.
+// of the cut; the drill only requires that they appear at most once. What
+// group commit saves over sync-every-write is pinned by internal/wal's
+// TestGroupCommitAmortizesFsyncs and TestSyncEveryOneSyncsEachCommit.
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
+	"testing"
 
-	"sampleview"
 	"sampleview/internal/iosim"
 	"sampleview/internal/oracle"
 	"sampleview/internal/record"
@@ -50,11 +45,13 @@ const (
 	// crashUniformPrefix is the drained-prefix size for the post-recovery
 	// uniformity check.
 	crashUniformPrefix = 2000
+	// crashSeqBase is the first Seq the drill's writes carry.
+	crashSeqBase = 1 << 40
 )
 
 // crashDrill is one point x hit run of the ladder.
 type crashDrill struct {
-	point     sampleview.CrashPoint
+	point     CrashPoint
 	hit       int
 	fired     bool   // the plan actually cut power
 	cutOp     string // workload operation that observed the cut
@@ -70,69 +67,59 @@ func (d *crashDrill) failf(format string, args ...any) {
 	d.errs = append(d.errs, fmt.Sprintf(format, args...))
 }
 
-// runCrashMode executes the full ladder: it returns the report and whether
-// every drill held.
-func runCrashMode(nrecords int, seed uint64) (string, bool) {
-	dir, err := os.MkdirTemp("", "svchaos-crash-*")
-	if err != nil {
-		return "", failed(err)
-	}
-	defer os.RemoveAll(dir)
-
-	recs := genRecords(nrecords, seed)
-	fmt.Printf("crash ladder: %d base records, %d crash points x up to %d hits\n",
-		nrecords, len(iosim.CrashPoints()), crashMaxHits)
-
-	var drills []crashDrill
-	ok := true
+// TestCrashLadder runs the ladder over 5,000 base records, seed 1: every
+// crash point at hits 1 to 3, each point's ladder ending at the first hit
+// its workload never reaches. Every point must fire at hit 1, and every
+// drill must keep the recovery contract.
+func TestCrashLadder(t *testing.T) {
+	const nrecords, seed = 5000, 1
+	base := genRecords(nrecords, seed)
+	dir := t.TempDir()
 	for _, p := range iosim.CrashPoints() {
 		for hit := 1; hit <= crashMaxHits; hit++ {
-			d := runCrashDrill(dir, recs, p, hit, seed+salt(p.String())+uint64(hit))
-			verdict := "ok"
+			h := fnv.New64a()
+			io.WriteString(h, p.String())
+			d := runCrashDrill(dir, base, p, hit, seed+h.Sum64()+uint64(hit))
+			t.Logf("%-20s hit=%d fired=%-5v cut-at=%-8s acked=%-4d acked-del=%-3d replayed=%-4d recovered=%-5d p=%.3f",
+				d.point, d.hit, d.fired, d.cutOp, d.acked, d.ackedDel, d.replayed, d.recovered, d.uniform.P)
 			if len(d.errs) > 0 {
-				verdict = "CONTRACT VIOLATED"
-				ok = false
+				t.Errorf("%s hit %d: recovery contract violated: %s", p, hit, strings.Join(d.errs, "; "))
 			}
 			if !d.fired {
-				verdict = "not reached"
-			}
-			fmt.Printf("%-20s hit=%d  fired=%-5v cut-at=%-12s acked=%-4d acked-del=%-3d replayed=%-4d recovered=%-6d p=%-6s %s\n",
-				d.point, d.hit, d.fired, d.cutOp, d.acked, d.ackedDel, d.replayed, d.recovered, pCell(d.uniform), verdict)
-			printFirst("violation", d.errs)
-			drills = append(drills, d)
-			if !d.fired {
+				if hit == 1 {
+					t.Errorf("%s never fired; its drill proves nothing", p)
+				}
 				break // deeper hits of this point are unreachable too
 			}
 		}
 	}
-	return buildCrashReport(nrecords, seed, drills), ok
 }
 
 // runCrashDrill runs one drill: build, write until the planned cut (or the
 // workload ends), reopen, verify.
-func runCrashDrill(dir string, base []record.Record, p sampleview.CrashPoint, hit int, seed uint64) crashDrill {
+func runCrashDrill(dir string, base []Record, p CrashPoint, hit int, seed uint64) crashDrill {
 	d := crashDrill{point: p, hit: hit}
 	path := filepath.Join(dir, fmt.Sprintf("drill-%s-%d.view", p, hit))
-	opts := sampleview.Options{Seed: seed, WAL: true, WALSyncEvery: crashBatch}
-	v, err := sampleview.CreateFromSlice(path, base, opts)
+	opts := Options{Seed: seed, WAL: true, WALSyncEvery: crashBatch}
+	v, err := CreateFromSlice(path, base, opts)
 	if err != nil {
 		d.failf("create: %v", err)
 		return d
 	}
-	v.InjectCrash(sampleview.CrashPlan{Point: p, Hit: hit})
+	v.InjectCrash(CrashPlan{Point: p, Hit: hit})
 
 	// The model recovery is held to: the base plus acked inserts minus acked
 	// deletes, with whatever was in flight at the cut free to land either way.
 	m := oracle.NewModel(base)
 	g := workload.NewGenerator(workload.Uniform, seed^0xc2b2ae3d27d4eb4f)
-	nextSeq := uint64(writeSeqBase)
-	var prev []record.Record
+	nextSeq := uint64(crashSeqBase)
+	var prev []Record
 
 	cut := func(op string, err error) bool {
 		if err == nil {
 			return false
 		}
-		if sampleview.IsCrash(err) {
+		if IsCrash(err) {
 			d.fired, d.cutOp = true, op
 		} else {
 			d.failf("%s failed without a cut: %v", op, err)
@@ -142,7 +129,7 @@ func runCrashDrill(dir string, base []record.Record, p sampleview.CrashPoint, hi
 
 work:
 	for batch := 0; batch < crashMaxBatches; batch++ {
-		cur := make([]record.Record, 0, crashBatch)
+		cur := make([]Record, 0, crashBatch)
 		for i := 0; i < crashBatch; i++ {
 			rec := g.Next()
 			rec.Seq = nextSeq
@@ -155,7 +142,7 @@ work:
 		}
 		// Every third batch tombstones the first half of the previous
 		// (already acknowledged) batch.
-		var dels []record.Record
+		var dels []Record
 		if batch%3 == 2 && len(prev) >= crashBatch/2 {
 			dels = prev[:crashBatch/2]
 		}
@@ -187,11 +174,11 @@ work:
 	if d.fired != v.Crashed() {
 		d.failf("cut bookkeeping out of sync: fired=%v Crashed=%v", d.fired, v.Crashed())
 	}
-	if err := v.Close(); err != nil && !sampleview.IsCrash(err) {
+	if err := v.Close(); err != nil && !IsCrash(err) {
 		d.failf("close: %v", err)
 	}
 
-	re, err := sampleview.Open(path, opts)
+	re, err := Open(path, opts)
 	if err != nil {
 		d.failf("recovery open: %v", err)
 		return d
@@ -206,7 +193,7 @@ work:
 // model: every record served is the model's, once; every acknowledged
 // record not in flight is served; the drained prefix passes the uniformity
 // gate.
-func verifyRecovered(d *crashDrill, re *sampleview.View, m *oracle.Model) {
+func verifyRecovered(d *crashDrill, re *View, m *oracle.Model) {
 	s, err := re.Query(record.FullBox(1))
 	if err != nil {
 		d.failf("recovery query: %v", err)
@@ -221,7 +208,7 @@ func verifyRecovered(d *crashDrill, re *sampleview.View, m *oracle.Model) {
 			break
 		}
 		if err != nil {
-			if sampleview.IsTransient(err) {
+			if IsTransient(err) {
 				continue
 			}
 			d.failf("recovery stream: %v", err)
@@ -237,32 +224,41 @@ func verifyRecovered(d *crashDrill, re *sampleview.View, m *oracle.Model) {
 	}
 }
 
-func buildCrashReport(nrecords int, seed uint64, drills []crashDrill) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "# Crash bench: deterministic power-cut ladder\n\n")
-	fmt.Fprintf(&sb, "Each drill arms one crash point at one hit count, drives a seeded write "+
-		"workload (insert batches of %d, group commits, tombstone deletes, flushes, forced "+
-		"compactions) over a %d-record WAL-backed view until the simulated power cut strikes, "+
-		"then reopens the view and verifies recovery (seed %d).\n\n", crashBatch, nrecords, seed)
-	fmt.Fprintf(&sb, "Contract: every acknowledged write survives byte-identical, acknowledged "+
-		"deletes stay deleted, nothing is applied twice, nothing phantom appears, and the "+
-		"recovered view still serves uniform samples (the prefix oracle's chi-square over rank "+
-		"buckets of the first %d records, alpha %g).\n\n", crashUniformPrefix, oracle.Alpha)
-	fmt.Fprintf(&sb, "| crash point | hit | fired | cut at | acked | acked deletes | replayed | recovered | p | verdict |\n")
-	fmt.Fprintf(&sb, "|---|---|---|---|---|---|---|---|---|---|\n")
-	for _, d := range drills {
-		verdict := "ok"
-		if len(d.errs) > 0 {
-			verdict = "VIOLATED: " + d.errs[0]
-		} else if !d.fired {
-			verdict = "not reached"
-		}
-		cutOp := d.cutOp
-		if cutOp == "" {
-			cutOp = "-"
-		}
-		fmt.Fprintf(&sb, "| %s | %d | %v | %s | %d | %d | %d | %d | %s | %s |\n",
-			d.point, d.hit, d.fired, cutOp, d.acked, d.ackedDel, d.replayed, d.recovered, pCell(d.uniform), verdict)
+// TestRecoveryVerifierFlagsPhantom feeds verifyRecovered a clean view, one
+// serving a record the drill never issued, and a model holding an
+// acknowledged write the view no longer serves.
+func TestRecoveryVerifierFlagsPhantom(t *testing.T) {
+	base := genRecords(2000, 2)
+	v, err := CreateFromSlice(filepath.Join(t.TempDir(), "v.view"), base, Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sb.String()
+	defer v.Close()
+
+	var d crashDrill
+	verifyRecovered(&d, v, oracle.NewModel(base))
+	if len(d.errs) > 0 || !d.uniform.Tested || d.recovered != len(base) {
+		t.Fatalf("clean view: errs %v, uniformity %+v, recovered %d of %d", d.errs, d.uniform, d.recovered, len(base))
+	}
+
+	// A record the drill never issued surfaces after "recovery".
+	phantom := Record{Key: 7, Amount: 7, Seq: crashSeqBase}
+	if err := v.Insert(phantom); err != nil {
+		t.Fatal(err)
+	}
+	d = crashDrill{}
+	verifyRecovered(&d, v, oracle.NewModel(base))
+	if len(d.errs) != 1 || !strings.Contains(d.errs[0], "phantom") {
+		t.Fatalf("phantom: errs %v, want one naming seq %d", d.errs, phantom.Seq)
+	}
+
+	// An acknowledged write the view no longer serves is lost.
+	d = crashDrill{}
+	m := oracle.NewModel(base)
+	lost := Record{Key: 8, Seq: crashSeqBase + 1}
+	m.Write(phantom, lost)
+	verifyRecovered(&d, v, m)
+	if len(d.errs) != 1 || !strings.Contains(d.errs[0], "missing from a drained stream") {
+		t.Fatalf("lost ack: errs %v", d.errs)
+	}
 }

@@ -88,5 +88,5 @@ func Example_quickstart() {
 	//   day=1037  amount=48975
 	//
 	// predicate exhausted after 4988 records (view estimated 5009)
-	// I/O performed: 582 random + 2051 sequential page reads (simulated disk time 12.228s)
+	// I/O performed: 232 random + 2560 sequential page reads (simulated disk time 9.3388s)
 }

@@ -137,6 +137,7 @@ func (t *Tree) writeFile(sorted *pagefile.ItemFile, workers int) error {
 	if err := t.writeSummaryRegion(); err != nil {
 		return err
 	}
+	t.scanTime = t.f.Sim().ScanCost(t.DataPages())
 	if err := t.writeDirRegion(); err != nil {
 		return err
 	}

@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"time"
 
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
@@ -217,6 +218,11 @@ type Tree struct {
 	// streams handed back (see Stream.Close); clocked views share them.
 	free   chan *scratch
 	chunks chan []record.Record
+
+	// scanTime is what one sequential pass over the leaf data region costs
+	// on the tree's disk model: the stab charges at which a stream weighs
+	// finishing by a pass (Stream.weighPass).
+	scanTime time.Duration
 }
 
 // WithClock returns a view of the tree whose I/O is charged to the given
@@ -264,6 +270,15 @@ func (t *Tree) MeanSectionSize() float64 {
 
 // splitDim returns the dimension split at the given level (1-based).
 func (t *Tree) splitDim(level int) int { return (level - 1) % t.dims }
+
+// ancestor returns the heap index of leaf's ancestor at level sec+1, whose
+// region section sec+1 of the leaf samples.
+func (t *Tree) ancestor(leaf int64, sec int) int64 { return (t.nLeaves + leaf) >> (t.h - 1 - sec) }
+
+// leafEnd returns the page after the last of leaf m.
+func (t *Tree) leafEnd(m *leafMeta) int64 {
+	return m.firstPage + ceilDiv(m.totalRecords(), int64(t.f.PageSize()/record.Size))
+}
 
 // levelOf returns the level of a heap index (root = level 1).
 func levelOf(idx int64) int { return bits.Len64(uint64(idx)) }
@@ -375,6 +390,7 @@ func Open(f *pagefile.File) (*Tree, error) {
 	if err := t.readSummaryRegion(); err != nil {
 		return nil, err
 	}
+	t.scanTime = f.Sim().ScanCost(t.DataPages())
 	return t, nil
 }
 
@@ -416,6 +432,16 @@ func quantizeSpan(r, q record.Range) keySpan {
 		return keySpan{1, 0}
 	}
 	return keySpan{sketchKey(r, lo), sketchKey(r, hi)}
+}
+
+// count returns how many of the sorted sketch keys lie inside s.
+func (s keySpan) count(keys []uint16) int {
+	i, _ := slices.BinarySearch(keys, s.lo)
+	n := i
+	for n < len(keys) && keys[n] <= s.hi {
+		n++
+	}
+	return n - i
 }
 
 // meets reports whether the sorted sketch keys hold a value inside s.

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
+	"time"
 
 	"sampleview/internal/par"
 	"sampleview/internal/record"
@@ -62,6 +64,13 @@ type Stream struct {
 	transientRetries int64
 	degradedLeaves   int64
 	degradedSections int64
+
+	// stabTime is what the stream's stab reads have been charged. weighed is
+	// set once the stream has weighed finishing by one pass (weighPass), and
+	// passed once it took it: from then on a stab to a leaf the pass holds
+	// takes its sections instead of reading.
+	stabTime        time.Duration
+	weighed, passed bool
 }
 
 // scratch is the working memory of one stream at a time. Nothing in it
@@ -105,6 +114,19 @@ type scratch struct {
 
 	// dec is the reusable leaf-decode arena and page buffer.
 	dec leafDecoder
+
+	// The drain pass's list of leaves (listed) and what it fetched: sigma_Q
+	// of each held leaf's sections 1..k in heldSecs, their records in held
+	// (never more than maxKeepRecords), and per leaf ordinal 1 + the index
+	// of its first section in heldSecs, or 0 (heldAt, valid once passed;
+	// -1 marks a listed leaf while the stream weighs the pass). saved and
+	// savedNext keep the shuttle's state while stabCost replays its route.
+	listed    []int64
+	held      []record.Record
+	heldSecs  [][]record.Record
+	heldAt    []int32
+	saved     []int32
+	savedNext []bool
 }
 
 // Retained scratch is bounded by constants: a tree keeps at most
@@ -185,6 +207,8 @@ func (s *Stream) Close() {
 	}
 	clear(sc.chunks)
 	sc.chunks = sc.chunks[:0]
+	clear(sc.heldSecs)
+	sc.listed, sc.held, sc.heldSecs = sc.listed[:0], sc.held[:0], sc.heldSecs[:0]
 	if s.outPeak > maxKeepRecords {
 		sc.out = nil
 	}
@@ -369,8 +393,9 @@ func (s *Stream) NextBatch() ([]record.Record, error) {
 }
 
 // NextLeaf performs one stab (Algorithm 3), reading at most one leaf from
-// disk (exactly one under ReadEveryLeaf), and returns how many new sample
-// records it emitted. It returns io.EOF once every leaf has been stabbed.
+// disk (exactly one under ReadEveryLeaf) unless it first makes the stream's
+// drain pass (weighPass), and returns how many new sample records it
+// emitted. It returns io.EOF once every leaf has been stabbed.
 //
 // Storage faults surface typed: a transient failure keeps the stab pending
 // (call NextLeaf again to retry the same leaf — the sample sequence is
@@ -385,6 +410,10 @@ func (s *Stream) NextLeaf() (int, error) {
 		s.out, s.outHead = s.out[:0], 0
 	}
 	if !s.pending {
+		if !s.weighed && !s.readEvery && s.stabTime >= s.t.scanTime {
+			s.weighed = true
+			s.weighPass()
+		}
 		s.shuttle()
 	}
 	leaf := s.path[s.t.h] - s.t.nLeaves // ordinal
@@ -472,14 +501,19 @@ func (s *Stream) shuttle() {
 // the key sketches and counts cannot rule out (need). When they rule out
 // all k nothing is read and the combine runs on k empty sections, exactly as
 // after a read that filtered them all away: the emitted sequence is the same.
+// A leaf the drain pass holds is not read either: its sections are the ones
+// the pass fetched, the same range read the same way.
 func (s *Stream) combineTuples(leaf int64) (int, error) {
 	t := s.t
-	k := 0
-	for k < t.h && s.overlaps[s.path[k+1]] {
-		k++
-	}
-	if need := s.need(&t.leaves[leaf], k); s.readEvery || need != 0 {
-		if _, err := t.readLeafInto(leaf, &s.dec, need, &s.q); err != nil {
+	k := s.reach(leaf)
+	if s.passed && s.heldAt[leaf] != 0 {
+		at := int(s.heldAt[leaf] - 1)
+		copy(s.dec.sections, s.heldSecs[at:at+k])
+	} else if need := s.need(leaf, k); s.readEvery || need != 0 {
+		start := t.f.Now()
+		_, err := t.readLeafInto(leaf, &s.dec, need, &s.q)
+		s.stabTime += t.f.Now() - start
+		if err != nil {
 			return 0, err
 		}
 	} else {
@@ -509,27 +543,174 @@ func (s *Stream) combineTuples(leaf int64) (int, error) {
 	return emitted, nil
 }
 
-// need returns the sections among 1..k of leaf m that can hold a record of
+// reach returns k: the stab to leaf can use its sections 1..k, those whose
+// region (the leaf's ancestor at that level) overlaps the query.
+func (s *Stream) reach(leaf int64) int {
+	k := 0
+	for k < s.t.h && s.overlaps[s.t.ancestor(leaf, k)] {
+		k++
+	}
+	return k
+}
+
+// need returns the sections among 1..k of leaf that can hold a record of
 // the query, bit s for section s+1: a sketched section if one of its keys
 // falls in the query's span for its region, a later one if it is not empty;
-// under ReadEveryLeaf, all k.
-func (s *Stream) need(m *leafMeta, k int) uint32 {
+// under ReadEveryLeaf, all k. It depends on the leaf and the query alone.
+func (s *Stream) need(leaf int64, k int) uint32 {
 	if s.readEvery {
 		return 1<<k - 1
 	}
 	var need uint32
+	m := &s.t.leaves[leaf]
 	keys := m.sketch
 	for sec := 0; sec < k; sec++ {
 		n := int(m.secCounts[sec])
 		can := n != 0
 		if sec < sketchSections {
-			can, keys = s.spans[s.path[sec+1]].meets(keys[:n]), keys[n:]
+			can, keys = s.spans[s.t.ancestor(leaf, sec)].meets(keys[:n]), keys[n:]
 		}
 		if can {
 			need |= 1 << sec
 		}
 	}
 	return need
+}
+
+// bound is at least the number of matches the stab to leaf reads under
+// need: per section it names, the sketch keys inside the query's span, or
+// every record of a section without a sketch.
+func (s *Stream) bound(leaf int64, k int, need uint32) int {
+	m := &s.t.leaves[leaf]
+	n, keys := 0, m.sketch
+	for sec := 0; sec < k; sec++ {
+		c := int(m.secCounts[sec])
+		switch {
+		case sec < sketchSections:
+			if need>>sec&1 != 0 {
+				n += s.spans[s.t.ancestor(leaf, sec)].count(keys[:c])
+			}
+			keys = keys[c:]
+		case need>>sec&1 != 0:
+			n += c
+		}
+	}
+	return n
+}
+
+// weighPass decides, once, whether the stream finishes by one sequential
+// pass. It runs before the first stab after the stab reads have been charged
+// as much as a pass over the tree's leaf data region: the 2-competitive
+// ski-rental rule, which pays for the pass once the stabs have cost as much.
+// It lists the unvisited leaves whose stab would read and takes the pass only
+// if their matches surely fit maxKeepRecords and the pass, plus a stab from a
+// cold head of every listed leaf it must leave, costs no more than their
+// stabs would (stabCost). So a drain is never charged more than without the
+// pass, and at any point at most twice as much.
+func (s *Stream) weighPass() {
+	t := s.t
+	s.heldAt = resized(s.heldAt, int(t.nLeaves))
+	clear(s.heldAt)
+	s.listed = s.listed[:0]
+	fit := 0
+	var left time.Duration
+	for leaf := int64(0); leaf < t.nLeaves; leaf++ {
+		if s.remaining[t.nLeaves+leaf] == 0 {
+			continue
+		}
+		k := s.reach(leaf)
+		need := s.need(leaf, k)
+		if need == 0 {
+			continue
+		}
+		lm := &t.leaves[leaf]
+		end := t.leafEnd(lm)
+		if end > t.f.NumPages() {
+			return // a directory Verify refuses
+		}
+		s.listed = append(s.listed, leaf)
+		s.heldAt[leaf] = -1
+		fit += s.bound(leaf, k, need)
+		if !t.f.Quiet(lm.firstPage, end) {
+			left += t.f.Sim().ScanCost(end - lm.firstPage)
+		}
+	}
+	if len(s.listed) == 0 || fit > maxKeepRecords {
+		return
+	}
+	first := t.leaves[s.listed[0]].firstPage
+	span := t.leafEnd(&t.leaves[s.listed[len(s.listed)-1]]) - first
+	if t.f.Sim().ScanCost(span)+left > s.stabCost() {
+		return
+	}
+	if cap(s.held) < fit {
+		s.held = make([]record.Record, 0, fit)
+	}
+	s.pass(first)
+}
+
+// stabCost is what the stabs of the listed leaves (heldAt -1) would be
+// charged from here on without faults: the shuttle's remaining route,
+// replayed over a copy of its state, each read's first page sequential only
+// where the read before ended (the first one's, where the head is not known,
+// always) and its other pages sequential.
+func (s *Stream) stabCost() time.Duration {
+	t, sc := s.t, s.scratch
+	m := t.f.Sim().Model()
+	sc.saved = append(sc.saved[:0], s.remaining...)
+	sc.savedNext = append(sc.savedNext[:0], s.nextRight...)
+	sent := slices.Clone(s.sent)
+	var cost time.Duration
+	head := int64(-1)
+	for s.remaining[1] != 0 {
+		s.shuttle()
+		leaf := s.path[t.h] - t.nLeaves
+		if s.heldAt[leaf] == 0 {
+			continue
+		}
+		lm := &t.leaves[leaf]
+		end := t.leafEnd(lm)
+		cost += time.Duration(end-lm.firstPage) * m.SequentialRead
+		if head >= 0 && lm.firstPage != head {
+			cost += m.RandomRead - m.SequentialRead
+		}
+		head = end
+	}
+	copy(s.remaining, sc.saved)
+	copy(s.nextRight, sc.savedNext)
+	copy(s.sent, sent)
+	return cost
+}
+
+// pass charges one ascending sweep from page over the listed leaves. Of each
+// leaf the fault plan cannot touch it fetches the range the leaf's stab would
+// and holds its sections; the other pages it only crosses, so a leaf whose
+// read could fault is left to its own stab, which meets the same faults at
+// the same point of the stream as without the pass.
+func (s *Stream) pass(page int64) {
+	t := s.t
+	for _, leaf := range s.listed {
+		lm := &t.leaves[leaf]
+		t.f.Cross(page, lm.firstPage)
+		page = lm.firstPage
+		end := t.leafEnd(lm)
+		s.heldAt[leaf] = 0
+		if t.f.Quiet(lm.firstPage, end) {
+			k := s.reach(leaf)
+			if secs, err := t.readLeafInto(leaf, &s.dec, s.need(leaf, k), &s.q); err == nil {
+				s.heldAt[leaf] = int32(len(s.heldSecs) + 1)
+				for _, sec := range secs[:k] {
+					n := len(s.held)
+					s.held = append(s.held, sec...)
+					s.heldSecs = append(s.heldSecs, s.held[n:len(s.held):len(s.held)])
+				}
+				page = end
+			}
+		}
+		t.f.Cross(page, end)
+		page = end
+	}
+	s.passed = true
 }
 
 // park returns a copy of recs, a section about to be parked, in the stream's

@@ -188,6 +188,7 @@ func TestStabMovesOnlyItsRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.weighed = true // every read a stab's own; a drain pass fetches the same ranges
 			prefix := tree.WithClock(sim.Fork())
 			for s.Emitted() < 1000 {
 				cb.reads = cb.reads[:0]
@@ -197,12 +198,8 @@ func TestStabMovesOnlyItsRange(t *testing.T) {
 					t.Fatal(err)
 				}
 				leaf := s.path[tree.h] - tree.nLeaves
-				m := &tree.leaves[leaf]
-				k := 0
-				for k < tree.h && s.overlaps[s.path[k+1]] {
-					k++
-				}
-				need := s.need(m, k)
+				m, k := &tree.leaves[leaf], s.reach(leaf)
+				need := s.need(leaf, k)
 				var from int64 // the first needed section's first record
 				for _, c := range m.secCounts[:min(bits.TrailingZeros32(need), tree.h)] {
 					from += int64(c)
@@ -257,6 +254,7 @@ func TestEmptyReadShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.weighed = true // the stabs' reads; a drain pass fetches the same leaves
 		for {
 			before := ck.Counters().Reads()
 			if _, err := s.NextLeaf(); err == io.EOF {

@@ -134,6 +134,13 @@ func (p FaultPlan) Enabled() bool {
 	return p.TransientRate > 0 || p.LatencyRate > 0 || p.StickyRate > 0 || p.CorruptRate > 0
 }
 
+// Quiet reports whether no read attempt of the page can fail, return rotted
+// bytes or be delayed under the plan: the page is neither sticky, flaky,
+// corrupt nor slow. It consults no attempt cursor and charges nothing.
+func (p FaultPlan) Quiet(f FileID, page int64) bool {
+	return p.fate(f, page, 0) == Fault{FlipBit: -1}
+}
+
 // Attempts returns the per-read attempt budget the plan prescribes.
 func (p FaultPlan) Attempts() int {
 	if p.MaxAttempts > 0 {

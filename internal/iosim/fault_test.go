@@ -205,3 +205,32 @@ func TestSetFaultPlanClear(t *testing.T) {
 		t.Fatalf("expected no fault after clearing plan, got %+v", f)
 	}
 }
+
+// TestQuietPagesNeverFault: under every profile a page Quiet calls quiet
+// meets no fault on any attempt, and every other page does on its first.
+func TestQuietPagesNeverFault(t *testing.T) {
+	for _, name := range Profiles() {
+		p, err := ProfilePlan(name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quiet := 0
+		for page := int64(0); page < 2000; page++ {
+			if !p.Quiet(3, page) {
+				if p.fate(3, page, 0) == (Fault{FlipBit: -1}) {
+					t.Fatalf("%s page %d: not quiet, yet its first read is clean", name, page)
+				}
+				continue
+			}
+			quiet++
+			for a := 0; a < 8; a++ {
+				if f := p.fate(3, page, a); f != (Fault{FlipBit: -1}) {
+					t.Fatalf("%s page %d attempt %d: quiet, yet %+v", name, page, a, f)
+				}
+			}
+		}
+		if name != "none" && quiet == 2000 {
+			t.Fatalf("%s: every page quiet", name)
+		}
+	}
+}

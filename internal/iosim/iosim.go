@@ -110,8 +110,10 @@ func (c *Counters) Add(o Counters) {
 // pages) so they show up in FaultCounters.
 type Charger interface {
 	ReadPage(f FileID, page int64)
+	ReadPages(f FileID, page, n int64)
 	WritePage(f FileID, page int64)
 	Advance(d time.Duration)
+	Now() time.Duration
 	BeginRead(f FileID, page int64) Fault
 	NoteFault(k FaultKind)
 	FaultPlan() FaultPlan
@@ -230,6 +232,23 @@ func (s *Sim) ReadPage(f FileID, page int64) {
 	}
 }
 
+// ReadPages charges the clock for reading the n pages of file f from page
+// on, in order, as n ReadPage calls would: the first classified by the head,
+// the rest sequential.
+func (s *Sim) ReadPages(f FileID, page, n int64) {
+	if n <= 0 {
+		return
+	}
+	s.ReadPage(f, page)
+	if n--; n > 0 {
+		s.mu.Lock()
+		s.head[f] = page + 1 + n
+		s.mu.Unlock()
+		s.counters[cSeqRead].Add(n)
+		s.now.Add(n * int64(s.model.SequentialRead))
+	}
+}
+
 // WritePage charges the clock for writing the given page of file f.
 func (s *Sim) WritePage(f FileID, page int64) {
 	s.mu.Lock()
@@ -324,6 +343,23 @@ func (c *Clock) ReadPage(f FileID, page int64) {
 		c.charge(cSeqRead, c.model.SequentialRead, &c.counters.SequentialReads)
 	} else {
 		c.charge(cRandomRead, c.model.RandomRead, &c.counters.RandomReads)
+	}
+}
+
+// ReadPages charges the stream's clock for reading the n pages of file f
+// from page on, as n ReadPage calls would.
+func (c *Clock) ReadPages(f FileID, page, n int64) {
+	if n <= 0 {
+		return
+	}
+	c.ReadPage(f, page)
+	if n--; n > 0 {
+		c.head[f] = page + 1 + n
+		d := time.Duration(n) * c.model.SequentialRead
+		c.now += d
+		c.counters.SequentialReads += n
+		c.parent.counters[cSeqRead].Add(n)
+		c.parent.now.Add(int64(d))
 	}
 }
 

@@ -89,6 +89,34 @@ func TestScanCost(t *testing.T) {
 	}
 }
 
+// TestReadPagesIsReadPageRun: charging a run of pages at once leaves the
+// shared disk and a forked clock where as many ReadPage calls would, and
+// the read after it sequential.
+func TestReadPagesIsReadPageRun(t *testing.T) {
+	one, run := New(testModel()), New(testModel())
+	f1, f2 := one.Register(), run.Register()
+	c1, c2 := one.Fork(), run.Fork()
+	for _, r := range [][2]int64{{5, 3}, {8, 4}, {2, 1}, {9, 0}, {30, 7}} {
+		for i := r[0]; i < r[0]+r[1]; i++ {
+			one.ReadPage(f1, i)
+			c1.ReadPage(f1, i)
+		}
+		run.ReadPages(f2, r[0], r[1])
+		c2.ReadPages(f2, r[0], r[1])
+	}
+	one.ReadPage(f1, 37)
+	c1.ReadPage(f1, 37)
+	run.ReadPage(f2, 37)
+	c2.ReadPage(f2, 37)
+	if one.Now() != run.Now() || one.Counters() != run.Counters() || c1.Now() != c2.Now() || c1.Counters() != c2.Counters() {
+		t.Fatalf("page by page %v %+v (clock %v %+v), by runs %v %+v (clock %v %+v)",
+			one.Now(), one.Counters(), c1.Now(), c1.Counters(), run.Now(), run.Counters(), c2.Now(), c2.Counters())
+	}
+	if c := c2.Counters(); c.RandomReads != 3 || c.SequentialReads != 13 {
+		t.Fatalf("runs charged %+v, want 3 random reads and 13 sequential", c)
+	}
+}
+
 func TestAdvance(t *testing.T) {
 	s := New(testModel())
 	s.Advance(5 * time.Second)

@@ -332,3 +332,7 @@ func (s *Stream) appendBase(dst []record.Record, n int) ([]record.Record, error)
 // query (see core.Stream.QueryLeaves); the write-path components hold no
 // leaves.
 func (s *Stream) QueryLeaves() int { return s.base.QueryLeaves() }
+
+// LeavesRead returns the base stream's stabs so far (core.Stream.LeavesRead):
+// once a drain pass holds its leaves, a stab need not read a page.
+func (s *Stream) LeavesRead() int64 { return s.base.LeavesRead() }

@@ -224,6 +224,18 @@ func (f *File) CorruptStored(i int64, bit int64) error {
 	return f.backend.WritePage(phys, frame)
 }
 
+// Quiet reports whether the fault plan of the file's charger can touch no
+// read attempt of logical pages [from, to) (iosim.FaultPlan.Quiet).
+func (f *File) Quiet(from, to int64) bool {
+	p := f.charge.FaultPlan()
+	for i := from; i < to && p.Enabled(); i++ {
+		if !p.Quiet(f.id, i+f.physOff) {
+			return false
+		}
+	}
+	return true
+}
+
 // faultFor asks the file's charger what the fault plan injects into the
 // next read attempt of physical page phys.
 func (f *File) faultFor(phys int64) iosim.Fault {

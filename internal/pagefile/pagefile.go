@@ -17,6 +17,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sampleview/internal/iosim"
 )
@@ -271,6 +272,15 @@ func (f *File) ReadPrefix(i int64, dst []byte, off, n int, seed, want uint32) ([
 func (f *File) ReadSpan(i int64, dst []byte, off, n, block int, want []uint32) ([]byte, error) {
 	return f.readPage(i, dst, true, &span{off: off, n: n, block: block, seed: uint32(i), want: want})
 }
+
+// Cross charges reads of logical pages [from, to), as a scan passing over
+// them pays their transfer, and does nothing else: no fault is consulted, no
+// byte moves.
+func (f *File) Cross(from, to int64) { f.charge.ReadPages(f.id, from+f.physOff, to-from) }
+
+// Now returns the simulated time of the file's charger: the shared disk's
+// clock, or the stream's own for a view obtained with OnClock.
+func (f *File) Now() time.Duration { return f.charge.Now() }
 
 // span is a read of payload bytes [off, off+n) checked as ReadSpan checks
 // it; with hdr the header is read too and its page number checked.
