@@ -89,10 +89,9 @@ type replica struct {
 }
 
 // Router fronts a fleet of replicas behind the single-server wire
-// protocol: it is a server.Engine — Serve is the engine's, and Snapshot,
-// which lays the fleet fields over the standard stats frame, so svchaos
-// -connect works against a router unchanged — over the fleet. Create with
-// New, call Connect to dial the fleet, then Serve.
+// protocol: it is a server.Engine over the fleet, whose Serve is the
+// engine's and whose Snapshot lays the fleet fields over the standard stats
+// frame. Create with New, call Connect to dial the fleet, then Serve.
 type Router struct {
 	*server.Engine
 	cfg  Config

@@ -27,75 +27,85 @@ func hostingReplica(t *testing.T, tf *testFleet) int {
 // killAt records, and the resumed stream — transparently reopened by the
 // router on a surviving replica at the same (seed, position) — must
 // deliver a total sequence byte-identical to an uninterrupted local stream
-// over the same view bytes: no gap, no duplicate, no reordering.
+// over the same view bytes: no gap, no duplicate, no reordering. Every kill
+// point runs on fleets of 2, 3 and 4 replicas; the three-replica rows keep
+// their names.
 func TestLiveStreamMigration(t *testing.T) {
+	for _, replicas := range []int{2, 3, 4} {
+		for _, killAt := range []int{0, 1, 137, 1024, 2500} {
+			name := fmt.Sprintf("killAt=%d", killAt)
+			if replicas != 3 {
+				name += fmt.Sprintf(",replicas=%d", replicas)
+			}
+			t.Run(name, func(t *testing.T) { migrateAt(t, replicas, killAt) })
+		}
+	}
+}
+
+// migrateAt is one TestLiveStreamMigration row: a fleet of replicas, killed
+// under a stream killAt records in.
+func migrateAt(t *testing.T, replicas, killAt int) {
 	recs := genRecords(6000, 21)
 	q := record.Box1D(0, 1<<19)
 	const seed = 0xca11ab1e
+	tf := startFleet(t, replicas, recs, server.Config{MaxStreams: 64}, nil)
+	want := localSeeded(t, tf.views[0], q, seed)
+	if killAt >= len(want) {
+		t.Fatalf("kill position %d beyond sequence length %d; bad test setup", killAt, len(want))
+	}
 
-	for _, killAt := range []int{0, 1, 137, 1024, 2500} {
-		killAt := killAt
-		t.Run(fmt.Sprintf("killAt=%d", killAt), func(t *testing.T) {
-			tf := startFleet(t, 3, recs, server.Config{MaxStreams: 64}, nil)
-			want := localSeeded(t, tf.views[0], q, seed)
-			if killAt >= len(want) {
-				t.Fatalf("kill position %d beyond sequence length %d; bad test setup", killAt, len(want))
-			}
+	cl := dialRouter(t, tf)
+	rv, err := cl.OpenView("sale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rv.QueryAt(q, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.SetBatchSize(64)
 
-			cl := dialRouter(t, tf)
-			rv, err := cl.OpenView("sale")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs, err := rv.QueryAt(q, seed, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs.SetBatchSize(64)
+	got := make([]record.Record, 0, len(want))
+	for len(got) < killAt {
+		rec, err := rs.Next()
+		if err != nil {
+			t.Fatalf("pre-kill pull failed after %d records: %v", len(got), err)
+		}
+		got = append(got, rec)
+	}
 
-			got := make([]record.Record, 0, len(want))
-			for len(got) < killAt {
-				rec, err := rs.Next()
-				if err != nil {
-					t.Fatalf("pre-kill pull failed after %d records: %v", len(got), err)
-				}
-				got = append(got, rec)
-			}
+	victim := hostingReplica(t, tf)
+	tf.replicas[victim].Shutdown()
 
-			victim := hostingReplica(t, tf)
-			tf.replicas[victim].Shutdown()
+	for {
+		rec, err := rs.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("post-kill pull failed after %d records: %v", len(got), err)
+		}
+		got = append(got, rec)
+	}
 
-			for {
-				rec, err := rs.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatalf("post-kill pull failed after %d records: %v", len(got), err)
-				}
-				got = append(got, rec)
-			}
+	if !sameRecords(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("resumed stream diverges from uninterrupted reference: got %d records, want %d, first mismatch at %d",
+			len(got), len(want), i)
+	}
 
-			if !sameRecords(got, want) {
-				i := 0
-				for i < len(got) && i < len(want) && got[i] == want[i] {
-					i++
-				}
-				t.Fatalf("resumed stream diverges from uninterrupted reference: got %d records, want %d, first mismatch at %d",
-					len(got), len(want), i)
-			}
-
-			snap, err := cl.ServerStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snap.Migrations == 0 {
-				t.Fatal("router reports no migrations after the hosting replica was killed")
-			}
-			if snap.ReplicasLive != 2 {
-				t.Fatalf("ReplicasLive = %d after kill, want 2", snap.ReplicasLive)
-			}
-		})
+	snap, err := cl.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Migrations == 0 {
+		t.Fatal("router reports no migrations after the hosting replica was killed")
+	}
+	if snap.ReplicasLive != int64(replicas-1) {
+		t.Fatalf("ReplicasLive = %d after kill, want %d", snap.ReplicasLive, replicas-1)
 	}
 }
 

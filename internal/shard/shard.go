@@ -540,15 +540,9 @@ func (v *View) InjectFaults(p iosim.FaultPlan) { v.farm.SetFaultPlan(p) }
 
 // KillShard makes every page of shard i permanently unreadable (sticky bad
 // sectors), simulating the death of that shard's disk. Streams observe it
-// as per-shard degradation; surviving shards keep serving. ReviveShard
-// undoes it.
+// as per-shard degradation; surviving shards keep serving.
 func (v *View) KillShard(i int) {
 	v.farm.SetFaultPlanOn(i, iosim.FaultPlan{Seed: 1, StickyRate: 1})
-}
-
-// ReviveShard clears shard i's fault schedule.
-func (v *View) ReviveShard(i int) {
-	v.farm.SetFaultPlanOn(i, iosim.FaultPlan{})
 }
 
 // ShardFsck reports one shard's checksum scrub: the corrupt pages found

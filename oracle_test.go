@@ -519,9 +519,14 @@ func startFleet(t *testing.T, k int, recs []record.Record) (addr string, replica
 	return serve(t, router, router.Shutdown), replicas
 }
 
-func openRemote(t *testing.T, addr string) *server.RemoteView {
+// openRemote opens view "sale" on a fresh connection, attributed to tenant
+// unless it is empty.
+func openRemote(t *testing.T, addr, tenant string) *server.RemoteView {
 	t.Helper()
 	cl, err := server.Dial(addr)
+	if err == nil && tenant != "" {
+		err = cl.SetTenant(tenant)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +560,7 @@ func servedRow(t *testing.T, ck *oracle.Checker) {
 		record.Box1D(0, 1<<20), record.Box1D(-100, -1), record.FullBox(1),
 	} {
 		for range 3 {
-			rv := openRemote(t, addr)
+			rv := openRemote(t, addr, "")
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -605,7 +610,7 @@ func fleetPlainRow(t *testing.T, ck *oracle.Checker) {
 	recs := oracleRecs(4000, 11)
 	addr, _ := startFleet(t, 2, recs)
 	q := record.Box1D(0, 1<<19)
-	rs, err := openRemote(t, addr).Query(q)
+	rs, err := openRemote(t, addr, "").Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +626,7 @@ func fleetMigrationRow(t *testing.T, ck *oracle.Checker) {
 		recs := oracleRecs(1500, 600+b)
 		m := oracle.NewModel(recs)
 		addr, replicas := startFleet(t, 2, recs)
-		rs, err := openRemote(t, addr).QueryAt(q, b, 0)
+		rs, err := openRemote(t, addr, "").QueryAt(q, b, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -357,8 +357,8 @@ func (v *View) Compact(path string, opts Options) (*View, error) {
 
 // InjectFaults installs (or, with a zero plan, clears) a deterministic
 // storage-fault schedule on the view's simulated disk. It takes effect for
-// subsequent page reads, including those of streams already open; the
-// chaos harness uses it to escalate profiles against a live view.
+// subsequent page reads, including those of streams already open;
+// TestServedFaultLadder uses it to escalate profiles against a served view.
 func (v *View) InjectFaults(p FaultPlan) { v.sim.SetFaultPlan(p) }
 
 // FaultPlan returns the active fault schedule (zero if none).
