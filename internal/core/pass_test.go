@@ -3,6 +3,7 @@ package core
 import (
 	"io"
 	"testing"
+	"time"
 	"unsafe"
 
 	"sampleview/internal/iosim"
@@ -10,20 +11,52 @@ import (
 	"sampleview/internal/workload"
 )
 
-// TestDrainPassBound holds the drain pass to its ski-rental bound on the
-// seeded 200k-record view (one-page leaves on 64 KiB pages, as in svsuite's
-// scan-local). Each 0.25% drain is drawn 100 records at a time beside the
-// same stream kept to its stabs: at every cut the stream may have been
-// charged at most twice what the stabs were, plus one random read, and at
-// the end no more than they were. Streams closed at 1,024 samples of more
-// matches, as svsuite's latency ops are, never reach the pass and are charged
-// exactly as the stabs. A
+// TestDrainPassBound holds the drain pass to its price and its ski-rental
+// bound on the seeded 200k-record view (one-page leaves on 64 KiB pages, as
+// in svsuite's scan-local). Each 0.25% drain is drawn 100 records at a time
+// beside the same stream kept to its stabs: at every cut the stream may have
+// been charged at most twice what the stabs were, plus one random read, and
+// at the end no more than they were. The clock moves across every pass by
+// exactly the price weighPass compared, with one random read for the first
+// fetch and one per gap the pass seeks over (one that would cost a seek or
+// more to cross), and the drains seek over a gap and cross one at least once
+// each. Streams closed at 1,024 samples of more matches, as svsuite's latency
+// ops are, never reach the pass and are charged exactly as the stabs. A
 // stream that takes the pass on recycled scratch holds its records in the
 // buffer the stream before it left.
 func TestDrainPassBound(t *testing.T) {
 	tree, _ := seededView(t)
 	sim := tree.f.Sim()
-	random := sim.Model().RandomRead
+	m := sim.Model()
+	random := m.RandomRead
+	seeks, crosses := 0, 0
+	// weigh weighs s's pass where NextLeaf would, measuring what it charges.
+	weigh := func(s *Stream, ck *iosim.Clock) {
+		s.weighed = true
+		at, reads := ck.Now(), ck.Counters().RandomReads
+		if s.weighPass(); !s.passed {
+			return
+		}
+		if got, price := ck.Now()-at, s.pass(false); got != price {
+			t.Fatalf("%v: the pass was charged %v, priced %v", s.q, got, price)
+		}
+		want, head := int64(1), int64(-1)
+		for _, leaf := range s.listed {
+			lm := &tree.leaves[leaf]
+			switch gap := lm.firstPage - head; {
+			case head < 0 || gap == 0:
+			case time.Duration(gap)*m.SequentialRead >= m.RandomRead-m.SequentialRead:
+				seeks++
+				want++
+			default:
+				crosses++
+			}
+			head = tree.leafEnd(lm)
+		}
+		if got := ck.Counters().RandomReads - reads; got != want {
+			t.Fatalf("%v: the pass made %d random reads, want 1 plus %d seeks", s.q, got, want-1)
+		}
+	}
 	qg := workload.NewQueryGen(45)
 	open := func(q record.Box, stay bool) (*Stream, *iosim.Clock) {
 		ck := sim.Fork()
@@ -44,6 +77,14 @@ func TestDrainPassBound(t *testing.T) {
 		var got, want []record.Record
 		for cut := 0; ; cut++ {
 			var err error
+			for len(s.queued()) < 100 && !s.done {
+				if !s.weighed && s.stabTime >= tree.scanTime {
+					weigh(s, ck)
+				}
+				if _, err := s.NextLeaf(); err != nil && err != io.EOF {
+					t.Fatal(err)
+				}
+			}
 			if got, err = s.AppendNext(got[:0], 100); err != nil {
 				t.Fatal(err)
 			}
@@ -78,9 +119,10 @@ func TestDrainPassBound(t *testing.T) {
 		s.Close()
 		stay.Close()
 	}
-	if passes < 6 || reused == 0 {
-		t.Fatalf("%d of 12 drains took the pass, %d in a recycled buffer; the bound was barely tested", passes, reused)
+	if passes < 6 || reused == 0 || seeks == 0 || crosses == 0 {
+		t.Fatalf("%d of 12 drains took the pass, %d in a recycled buffer, %d gaps seeked over and %d crossed; the bound was barely tested", passes, reused, seeks, crosses)
 	}
+	t.Logf("%d passes seeked over %d gaps and crossed %d", passes, seeks, crosses)
 	for _, sel := range []float64{0.025, 0.25} {
 		q := qg.Range1D(sel)
 		s, ck := open(q, false)

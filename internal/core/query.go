@@ -603,10 +603,10 @@ func (s *Stream) bound(leaf int64, k int, need uint32) int {
 // as much as a pass over the tree's leaf data region: the 2-competitive
 // ski-rental rule, which pays for the pass once the stabs have cost as much.
 // It lists the unvisited leaves whose stab would read and takes the pass only
-// if their matches surely fit maxKeepRecords and the pass, plus a stab from a
-// cold head of every listed leaf it must leave, costs no more than their
-// stabs would (stabCost). So a drain is never charged more than without the
-// pass, and at any point at most twice as much.
+// if their matches surely fit maxKeepRecords and the pass (priced by its own
+// walk), plus a stab from a cold head of every listed leaf it must leave,
+// costs no more than their stabs would (stabCost). So a drain is never
+// charged more than without the pass, and at any point at most twice as much.
 func (s *Stream) weighPass() {
 	t := s.t
 	s.heldAt = resized(s.heldAt, int(t.nLeaves))
@@ -635,18 +635,15 @@ func (s *Stream) weighPass() {
 			left += t.f.Sim().ScanCost(end - lm.firstPage)
 		}
 	}
-	if len(s.listed) == 0 || fit > maxKeepRecords {
-		return
-	}
-	first := t.leaves[s.listed[0]].firstPage
-	span := t.leafEnd(&t.leaves[s.listed[len(s.listed)-1]]) - first
-	if t.f.Sim().ScanCost(span)+left > s.stabCost() {
+	if len(s.listed) == 0 || fit > maxKeepRecords || s.pass(false)+left > s.stabCost() {
 		return
 	}
 	if cap(s.held) < fit {
 		s.held = make([]record.Record, 0, fit)
 	}
-	s.pass(first)
+	clear(s.heldAt)
+	s.pass(true)
+	s.passed = true
 }
 
 // stabCost is what the stabs of the listed leaves (heldAt -1) would be
@@ -682,35 +679,50 @@ func (s *Stream) stabCost() time.Duration {
 	return cost
 }
 
-// pass charges one ascending sweep from page over the listed leaves. Of each
-// leaf the fault plan cannot touch it fetches the range the leaf's stab would
-// and holds its sections; the other pages it only crosses, so a leaf whose
-// read could fault is left to its own stab, which meets the same faults at
-// the same point of the stream as without the pass.
-func (s *Stream) pass(page int64) {
+// pass walks one ascending sweep over the listed leaves and returns what it
+// is charged without faults. Of each leaf the fault plan cannot touch it
+// fetches the range the leaf's stab would, from a cold head first; the other
+// leaves it leaves to their own stabs, which meet the same faults at the same
+// point of the stream as without the pass. Between two fetches it crosses the
+// gap only where that costs less than the seek a random read adds, and after
+// the last it crosses nothing. Only with hold does it charge the sweep and
+// hold the sections it fetched; without, it prices the same walk.
+func (s *Stream) pass(hold bool) time.Duration {
 	t := s.t
+	m := t.f.Sim().Model()
+	seek := m.RandomRead - m.SequentialRead
+	var cost time.Duration
+	head := int64(-1)
 	for _, leaf := range s.listed {
 		lm := &t.leaves[leaf]
-		t.f.Cross(page, lm.firstPage)
-		page = lm.firstPage
 		end := t.leafEnd(lm)
-		s.heldAt[leaf] = 0
-		if t.f.Quiet(lm.firstPage, end) {
-			k := s.reach(leaf)
-			if secs, err := t.readLeafInto(leaf, &s.dec, s.need(leaf, k), &s.q); err == nil {
-				s.heldAt[leaf] = int32(len(s.heldSecs) + 1)
-				for _, sec := range secs[:k] {
-					n := len(s.held)
-					s.held = append(s.held, sec...)
-					s.heldSecs = append(s.heldSecs, s.held[n:len(s.held):len(s.held)])
-				}
-				page = end
-			}
+		if !t.f.Quiet(lm.firstPage, end) {
+			continue
 		}
-		t.f.Cross(page, end)
-		page = end
+		gap := time.Duration(lm.firstPage-head) * m.SequentialRead
+		if head < 0 || gap >= seek {
+			gap = seek
+		} else if hold {
+			t.f.Cross(head, lm.firstPage)
+		}
+		cost += gap + time.Duration(end-lm.firstPage)*m.SequentialRead
+		if head = end; !hold {
+			continue
+		}
+		k := s.reach(leaf)
+		secs, err := t.readLeafInto(leaf, &s.dec, s.need(leaf, k), &s.q)
+		if err != nil {
+			head = -1
+			continue
+		}
+		s.heldAt[leaf] = int32(len(s.heldSecs) + 1)
+		for _, sec := range secs[:k] {
+			n := len(s.held)
+			s.held = append(s.held, sec...)
+			s.heldSecs = append(s.heldSecs, s.held[n:len(s.held):len(s.held)])
+		}
 	}
-	s.passed = true
+	return cost
 }
 
 // park returns a copy of recs, a section about to be parked, in the stream's
