@@ -88,5 +88,5 @@ func Example_quickstart() {
 	//   day=1037  amount=48975
 	//
 	// predicate exhausted after 4988 records (view estimated 5009)
-	// I/O performed: 232 random + 2560 sequential page reads (simulated disk time 9.3388s)
+	// I/O performed: 233 random + 2495 sequential page reads (simulated disk time 9.2708s)
 }
