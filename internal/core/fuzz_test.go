@@ -131,11 +131,12 @@ func wholeLeaves(tree *Tree) ([][][]record.Record, error) {
 // wholeLeaves); both must emit the same batch and fail with the same error at
 // every stab; the stab-kept stream's reads must fail as the whole-prefix
 // reads do and its clock must end identical to theirs: fetching only the
-// sections the sketch cannot rule out moves no charge and no fault. A stream
-// that finishes by a pass must meet the same faults and be charged no more
-// time than the stab-kept one, and no more random reads and no more time
-// than a stream reading every leaf. It returns the number of stabs that
-// failed and whether the stream took the pass.
+// sections the sketch cannot rule out moves no charge and no fault. The
+// stream's pass is weighed by weighChecked. A stream that finishes by a pass
+// must meet the same faults and be charged no more time than the stab-kept
+// one, and no more random reads and no more time than a stream reading every
+// leaf. It returns the number of stabs that failed and whether the stream
+// took the pass.
 func checkSpanMatchesPrefix(t *testing.T, tree *Tree, whole [][][]record.Record, q record.Box, plan iosim.FaultPlan) (failed int, passed bool) {
 	t.Helper()
 	sim := tree.f.Sim()
@@ -156,6 +157,9 @@ func checkSpanMatchesPrefix(t *testing.T, tree *Tree, whole [][][]record.Record,
 	for stab := 0; ; stab++ {
 		if stab > 100_000 {
 			t.Fatalf("query %v: stream stuck in retries", q)
+		}
+		if weighDue(s) {
+			weighChecked(t, s, ca)
 		}
 		_, err := s.NextLeaf()
 		_, errStay := stay.NextLeaf()

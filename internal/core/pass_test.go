@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -17,46 +18,18 @@ import (
 // beside the same stream kept to its stabs: at every cut the stream may have
 // been charged at most twice what the stabs were, plus one random read, and
 // at the end no more than they were. The clock moves across every pass by
-// exactly the price weighPass compared, with one random read for the first
-// fetch and one per gap the pass seeks over (one that would cost a seek or
-// more to cross), and the drains seek over a gap and cross one at least once
-// each. Streams closed at 1,024 samples of more matches, as svsuite's latency
-// ops are, never reach the pass and are charged exactly as the stabs. A
-// stream that takes the pass on recycled scratch holds its records in the
-// buffer the stream before it left.
+// exactly the price weighPass compared, which is the cheapest walk the rule
+// allows (cheapestPass), with one random read for the first fetch and one
+// per gap seeked over; the drains seek over a gap and cross one at least
+// once each. Streams closed at 1,024 samples of more matches, as svsuite's
+// latency ops are, never reach the pass and are charged exactly as the
+// stabs. A stream that takes the pass on recycled scratch holds its records
+// in the buffer the stream before it left.
 func TestDrainPassBound(t *testing.T) {
 	tree, _ := seededView(t)
 	sim := tree.f.Sim()
-	m := sim.Model()
-	random := m.RandomRead
+	random := sim.Model().RandomRead
 	seeks, crosses := 0, 0
-	// weigh weighs s's pass where NextLeaf would, measuring what it charges.
-	weigh := func(s *Stream, ck *iosim.Clock) {
-		s.weighed = true
-		at, reads := ck.Now(), ck.Counters().RandomReads
-		if s.weighPass(); !s.passed {
-			return
-		}
-		if got, price := ck.Now()-at, s.pass(false); got != price {
-			t.Fatalf("%v: the pass was charged %v, priced %v", s.q, got, price)
-		}
-		want, head := int64(1), int64(-1)
-		for _, leaf := range s.listed {
-			lm := &tree.leaves[leaf]
-			switch gap := lm.firstPage - head; {
-			case head < 0 || gap == 0:
-			case time.Duration(gap)*m.SequentialRead >= m.RandomRead-m.SequentialRead:
-				seeks++
-				want++
-			default:
-				crosses++
-			}
-			head = tree.leafEnd(lm)
-		}
-		if got := ck.Counters().RandomReads - reads; got != want {
-			t.Fatalf("%v: the pass made %d random reads, want 1 plus %d seeks", s.q, got, want-1)
-		}
-	}
 	qg := workload.NewQueryGen(45)
 	open := func(q record.Box, stay bool) (*Stream, *iosim.Clock) {
 		ck := sim.Fork()
@@ -78,8 +51,12 @@ func TestDrainPassBound(t *testing.T) {
 		for cut := 0; ; cut++ {
 			var err error
 			for len(s.queued()) < 100 && !s.done {
-				if !s.weighed && s.stabTime >= tree.scanTime {
-					weigh(s, ck)
+				if weighDue(s) {
+					cold, seeked, crossed := weighChecked(t, s, ck)
+					if s.passed && !cold {
+						t.Fatalf("%v: the pass found the head where its first fetch begins", q)
+					}
+					seeks, crosses = seeks+seeked, crosses+crossed
 				}
 				if _, err := s.NextLeaf(); err != nil && err != io.EOF {
 					t.Fatal(err)
@@ -139,4 +116,92 @@ func TestDrainPassBound(t *testing.T) {
 			t.Fatalf("%v: 1,024 samples charged %v %+v (passed %v), the stabs %v %+v", q, ck.Now(), ck.Counters(), s.passed, cs.Now(), cs.Counters())
 		}
 	}
+}
+
+// weighDue reports whether s's next NextLeaf would weigh its pass.
+func weighDue(s *Stream) bool {
+	return !s.done && !s.pending && !s.weighed && !s.readEvery && s.stabTime >= s.t.scanTime
+}
+
+// weighChecked weighs s's pass where its next NextLeaf would (weighDue),
+// measuring it on s's clock ck, and holds it to the rule: a pass is taken
+// exactly when its listed matches fit maxKeepRecords and its cheapest walk
+// (cheapestPass), plus a cold stab of each listed leaf it leaves, costs no
+// more than their stabs (stabCost). A pass must be priced at that walk and
+// charged it, with one random read for the first fetch and one per gap
+// seeked over — or, where the stab before it left the head on the first
+// fetch's page (warm), one seek and one random read less. It reports whether
+// the pass started cold and the gaps it seeked over and crossed.
+func weighChecked(t *testing.T, s *Stream, ck *iosim.Clock) (cold bool, seeks, crosses int) {
+	t.Helper()
+	tree, m := s.t, s.t.f.Sim().Model()
+	seek := m.RandomRead - m.SequentialRead
+	s.weighed = true
+	at, reads := ck.Now(), ck.Counters().RandomReads
+	s.weighPass()
+	charged, random := ck.Now()-at, ck.Counters().RandomReads-reads
+	price, seeks, crosses := cheapestPass(s)
+	fit, left := 0, time.Duration(0)
+	for _, leaf := range s.listed {
+		k := s.reach(leaf)
+		fit += s.bound(leaf, k, s.need(leaf, k))
+		lm := &tree.leaves[leaf]
+		if end := tree.leafEnd(lm); !tree.f.Quiet(lm.firstPage, end) {
+			left += tree.f.Sim().ScanCost(end - lm.firstPage)
+		}
+	}
+	// stabCost prices the leaves heldAt marks: once a pass is taken, only
+	// those it holds, so every listed leaf is marked for the comparison.
+	marks := slices.Clone(s.heldAt)
+	for _, leaf := range s.listed {
+		s.heldAt[leaf] = -1
+	}
+	stabs := s.stabCost()
+	copy(s.heldAt, marks)
+	if takes := len(s.listed) > 0 && fit <= maxKeepRecords && price+left <= stabs; takes != s.passed || !s.passed && charged != 0 {
+		t.Fatalf("%v: passed %v (charged %v) with a cheapest pass of %v plus %v left to stabs against stabs of %v, %d matches", s.q, s.passed, charged, price, left, stabs, fit)
+	}
+	if !s.passed {
+		return false, 0, 0
+	}
+	if s.pass(false) != price {
+		t.Fatalf("%v: the pass was priced %v, its cheapest walk %v", s.q, s.pass(false), price)
+	}
+	cold = charged == price && random == int64(1+seeks)
+	if !cold && (charged != price-seek || random != int64(seeks)) {
+		t.Fatalf("%v: the pass was charged %v in %d random reads, priced %v with %d seeks", s.q, charged, random, price, seeks)
+	}
+	return cold, seeks, crosses
+}
+
+// cheapestPass prices s's pass as its rule states it, without faults: of the
+// listed leaves the fault plan cannot touch, the first is fetched by a random
+// read, and each later one after a gap from the end of the one before,
+// crossed by sequential transfers where that costs less than the seek a
+// random read adds, seeked over otherwise; a fetch transfers every page of
+// its leaf. It also counts the gaps seeked over and those crossed.
+func cheapestPass(s *Stream) (price time.Duration, seeks, crosses int) {
+	m := s.t.f.Sim().Model()
+	seek := m.RandomRead - m.SequentialRead
+	head := int64(-1)
+	for _, leaf := range s.listed {
+		lm := &s.t.leaves[leaf]
+		end := s.t.leafEnd(lm)
+		if !s.t.f.Quiet(lm.firstPage, end) {
+			continue
+		}
+		switch gap := time.Duration(lm.firstPage-head) * m.SequentialRead; {
+		case head < 0:
+			price += seek
+		case gap >= seek:
+			price += seek
+			seeks++
+		case gap > 0:
+			price += gap
+			crosses++
+		}
+		price += time.Duration(end-lm.firstPage) * m.SequentialRead
+		head = end
+	}
+	return price, seeks, crosses
 }
