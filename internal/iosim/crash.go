@@ -3,7 +3,6 @@ package iosim
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // This file is the crash-injection layer of the simulated disk. A CrashPlan
@@ -55,7 +54,7 @@ var crashPointNames = [numCrashPoints]string{
 	CrashMidCompaction:     "mid-compaction",
 }
 
-// String returns the point's stable name (used in flags and reports).
+// String returns the point's stable name (used in reports).
 func (p CrashPoint) String() string {
 	if int(p) < len(crashPointNames) {
 		return crashPointNames[p]
@@ -66,21 +65,6 @@ func (p CrashPoint) String() string {
 // CrashPoints returns every real crash point, in write-path order.
 func CrashPoints() []CrashPoint {
 	return []CrashPoint{CrashPostWALAppend, CrashMidPageWrite, CrashPreManifestRename, CrashMidCompaction}
-}
-
-// ParseCrashPoint resolves a crash-point name from a flag.
-func ParseCrashPoint(s string) (CrashPoint, error) {
-	for p, name := range crashPointNames {
-		if s == name {
-			return CrashPoint(p), nil
-		}
-	}
-	names := make([]string, 0, numCrashPoints)
-	for _, p := range CrashPoints() {
-		names = append(names, p.String())
-	}
-	return CrashNone, fmt.Errorf("iosim: unknown crash point %q (have %s)",
-		s, strings.Join(names, ", "))
 }
 
 // CrashPlan schedules one deterministic power cut. The zero value injects

@@ -5,24 +5,6 @@ import (
 	"testing"
 )
 
-func TestCrashPointNamesRoundTrip(t *testing.T) {
-	for _, p := range CrashPoints() {
-		got, err := ParseCrashPoint(p.String())
-		if err != nil {
-			t.Fatalf("ParseCrashPoint(%q): %v", p.String(), err)
-		}
-		if got != p {
-			t.Fatalf("ParseCrashPoint(%q) = %v, want %v", p.String(), got, p)
-		}
-	}
-	if p, err := ParseCrashPoint("none"); err != nil || p != CrashNone {
-		t.Fatalf("ParseCrashPoint(none) = %v, %v", p, err)
-	}
-	if _, err := ParseCrashPoint("half-past-flush"); err == nil {
-		t.Fatal("unknown crash point parsed")
-	}
-}
-
 func TestCrashPlanFiresOnNthHit(t *testing.T) {
 	s := New(DefaultModel())
 	s.SetCrashPlan(CrashPlan{Point: CrashMidPageWrite, Hit: 3})

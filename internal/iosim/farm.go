@@ -30,20 +30,6 @@ func NewFarm(model Model, k int) *Farm {
 	return &Farm{sims: sims}
 }
 
-// FarmOf wraps existing Sims as a Farm. It panics if sims is empty or
-// contains a nil entry.
-func FarmOf(sims ...*Sim) *Farm {
-	if len(sims) == 0 {
-		panic("iosim: farm needs at least one disk")
-	}
-	for _, s := range sims {
-		if s == nil {
-			panic("iosim: nil disk in farm")
-		}
-	}
-	return &Farm{sims: append([]*Sim(nil), sims...)}
-}
-
 // K returns the number of disks.
 func (f *Farm) K() int { return len(f.sims) }
 

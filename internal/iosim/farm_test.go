@@ -51,13 +51,9 @@ func TestFarmFaultPlanSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestFarmOfAndScanCost(t *testing.T) {
-	s1, s2 := New(DefaultModel()), New(DefaultModel())
-	f := FarmOf(s1, s2)
-	if f.K() != 2 || f.Disk(1) != s2 {
-		t.Fatal("FarmOf did not preserve members")
-	}
-	if got, want := f.ScanCost(10), s1.ScanCost(10); got != want {
+func TestFarmScanCost(t *testing.T) {
+	f := NewFarm(DefaultModel(), 2)
+	if got, want := f.ScanCost(10), New(DefaultModel()).ScanCost(10); got != want {
 		t.Fatalf("farm ScanCost = %v, want single-disk %v", got, want)
 	}
 	var zero time.Duration
