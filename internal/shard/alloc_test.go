@@ -70,6 +70,11 @@ func checkSampleAllocs(t *testing.T, v *View) {
 	}
 	defer s.Close()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Mallocs counts the runtime's objects too. With one P it has no idle P
+	// to start an OS thread for; a thread started inside a draw's window
+	// (an m, its two gs and two profiling stack buffers) would count as five
+	// allocations of the draw's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	noStab, records, total := 0, 0, uint64(0)
 	stabs := func() (n int64) {

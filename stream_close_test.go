@@ -326,6 +326,11 @@ func checkSampleAllocs(t *testing.T, query func(Box) (*Stream, error), n, ops in
 		share = 1024
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Mallocs counts the runtime's objects too. With one P it has no idle P
+	// to start an OS thread for; a thread started inside a draw's window
+	// (an m, its two gs and two profiling stack buffers) would count as five
+	// allocations of the draw's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	noStab, records, total := 0, 0, uint64(0)
 	for op := 0; op <= ops; op++ {
