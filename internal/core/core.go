@@ -220,8 +220,9 @@ type Tree struct {
 	chunks chan []record.Record
 
 	// scanTime is what one sequential pass over the leaf data region costs
-	// on the tree's disk model: the stab charges at which a stream weighs
-	// finishing by a pass (Stream.weighPass).
+	// on the tree's disk model, which no drain pass exceeds: at half of it
+	// in stab charges a stream lists the leaves its pass would finish
+	// (Stream.list).
 	scanTime time.Duration
 }
 

@@ -63,19 +63,14 @@ func TestDiagEmissionProfile(t *testing.T) {
 				empty, queued, recs := 0, 0, 0
 				minq, maxq := 1<<30, 0
 				for _, idx := range req {
-					q := stream.parked[idx]
-					if len(q) == 0 {
+					n := stream.depth(idx)
+					if n == 0 {
 						empty++
 					}
-					queued += len(q)
-					if len(q) < minq {
-						minq = len(q)
-					}
-					if len(q) > maxq {
-						maxq = len(q)
-					}
-					for _, b := range q {
-						recs += len(b)
+					queued += n
+					minq, maxq = min(minq, n), max(maxq, n)
+					for i := stream.parked[idx].first; i != 0; i = stream.batches[i-1].next {
+						recs += len(stream.batches[i-1].recs)
 					}
 				}
 				fmt.Printf("   lvl %2d R=%4d empty=%4d queued=%5d recs=%5d min=%d max=%d\n",

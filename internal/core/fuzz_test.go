@@ -158,7 +158,7 @@ func checkSpanMatchesPrefix(t *testing.T, tree *Tree, whole [][][]record.Record,
 		if stab > 100_000 {
 			t.Fatalf("query %v: stream stuck in retries", q)
 		}
-		if weighDue(s) {
+		if weighDue(t, s) {
 			weighChecked(t, s, ca)
 		}
 		_, err := s.NextLeaf()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"io"
-	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -51,7 +50,7 @@ func TestDrainPassBound(t *testing.T) {
 		for cut := 0; ; cut++ {
 			var err error
 			for len(s.queued()) < 100 && !s.done {
-				if weighDue(s) {
+				if weighDue(t, s) {
 					cold, seeked, crossed := weighChecked(t, s, ck)
 					if s.passed && !cold {
 						t.Fatalf("%v: the pass found the head where its first fetch begins", q)
@@ -118,54 +117,53 @@ func TestDrainPassBound(t *testing.T) {
 	}
 }
 
-// weighDue reports whether s's next NextLeaf would weigh its pass.
-func weighDue(s *Stream) bool {
-	return !s.done && !s.pending && !s.weighed && !s.readEvery && s.stabTime >= s.t.scanTime
+// weighDue reports whether s's next NextLeaf would weigh its pass: s has
+// listed its leaves and not decided. It fails t if the stabs reached half the
+// scan cost and s listed nothing, as it must right after the read that got
+// there.
+func weighDue(t *testing.T, s *Stream) bool {
+	t.Helper()
+	if !s.done && !s.weighed && len(s.listed) == 0 && s.stabTime >= s.t.scanTime/2 {
+		t.Fatalf("%v: the stabs were charged %v, half the scan is %v, and nothing is listed", s.q, s.stabTime, s.t.scanTime/2)
+	}
+	return !s.done && !s.pending && !s.weighed && len(s.listed) != 0
 }
 
 // weighChecked weighs s's pass where its next NextLeaf would (weighDue),
-// measuring it on s's clock ck, and holds it to the rule: a pass is taken
-// exactly when its listed matches fit maxKeepRecords and its cheapest walk
-// (cheapestPass), plus a cold stab of each listed leaf it leaves, costs no
-// more than their stabs (stabCost). A pass must be priced at that walk and
-// charged it, with one random read for the first fetch and one per gap
-// seeked over — or, where the stab before it left the head on the first
-// fetch's page (warm), one seek and one random read less. It reports whether
-// the pass started cold and the gaps it seeked over and crossed.
+// measuring it on s's clock ck, and holds it to the rule. The listing must
+// have waited for half the scan cost, and its fit, left and price must be
+// what checkListed recomputes. The pass is decided exactly at the first stab
+// where its matches fit maxKeepRecords and the stabs have been charged
+// price + left, and taken exactly when price + left is no more than the
+// listed leaves' stabs (stabCost); it is declined for good where nothing is
+// left for it to fetch (price 0). A pass must be charged its price, with one
+// random read for the first fetch and one per gap seeked over — or, where the
+// stab before it left the head on the first fetch's page (warm), one seek
+// and one random read less. It reports whether the pass started cold and the
+// gaps it seeked over and crossed.
 func weighChecked(t *testing.T, s *Stream, ck *iosim.Clock) (cold bool, seeks, crosses int) {
 	t.Helper()
-	tree, m := s.t, s.t.f.Sim().Model()
+	m := s.t.f.Sim().Model()
 	seek := m.RandomRead - m.SequentialRead
-	s.weighed = true
+	if s.stabTime < s.t.scanTime/2 {
+		t.Fatalf("%v: listed at stab charges of %v, under half the scan (%v)", s.q, s.stabTime, s.t.scanTime/2)
+	}
+	price, seeks, crosses, fit, left := checkListed(t, s)
+	due := fit <= maxKeepRecords && s.stabTime >= price+left
+	var stabs time.Duration
+	if due && price > 0 {
+		stabs = s.stabCost()
+	}
 	at, reads := ck.Now(), ck.Counters().RandomReads
-	s.weighPass()
+	s.weigh()
 	charged, random := ck.Now()-at, ck.Counters().RandomReads-reads
-	price, seeks, crosses := cheapestPass(s)
-	fit, left := 0, time.Duration(0)
-	for _, leaf := range s.listed {
-		k := s.reach(leaf)
-		fit += s.bound(leaf, k, s.need(leaf, k))
-		lm := &tree.leaves[leaf]
-		if end := tree.leafEnd(lm); !tree.f.Quiet(lm.firstPage, end) {
-			left += tree.f.Sim().ScanCost(end - lm.firstPage)
-		}
-	}
-	// stabCost prices the leaves heldAt marks: once a pass is taken, only
-	// those it holds, so every listed leaf is marked for the comparison.
-	marks := slices.Clone(s.heldAt)
-	for _, leaf := range s.listed {
-		s.heldAt[leaf] = -1
-	}
-	stabs := s.stabCost()
-	copy(s.heldAt, marks)
-	if takes := len(s.listed) > 0 && fit <= maxKeepRecords && price+left <= stabs; takes != s.passed || !s.passed && charged != 0 {
-		t.Fatalf("%v: passed %v (charged %v) with a cheapest pass of %v plus %v left to stabs against stabs of %v, %d matches", s.q, s.passed, charged, price, left, stabs, fit)
+	takes := due && price > 0 && price+left <= stabs
+	if s.weighed != (due || price == 0) || s.passed != takes || !s.passed && charged != 0 {
+		t.Fatalf("%v: decided %v, passed %v (charged %v), at stabs of %v against a pass of %v plus %v left to stabs (the stabs to come %v), %d matches",
+			s.q, s.weighed, s.passed, charged, s.stabTime, price, left, stabs, fit)
 	}
 	if !s.passed {
 		return false, 0, 0
-	}
-	if s.pass(false) != price {
-		t.Fatalf("%v: the pass was priced %v, its cheapest walk %v", s.q, s.pass(false), price)
 	}
 	cold = charged == price && random == int64(1+seeks)
 	if !cold && (charged != price-seek || random != int64(seeks)) {
@@ -174,12 +172,39 @@ func weighChecked(t *testing.T, s *Stream, ck *iosim.Clock) (cold bool, seeks, c
 	return cold, seeks, crosses
 }
 
+// checkListed recomputes, from scratch, what s's listing prices while s
+// weighs its pass, and fails t unless s kept the same fit, left and price:
+// over the listed leaves no stab has reached, fit is the sum of their
+// bounds, left a cold stab of each the fault plan can touch, and price the
+// cheapest pass over the others (cheapestPass).
+func checkListed(t *testing.T, s *Stream) (price time.Duration, seeks, crosses, fit int, left time.Duration) {
+	t.Helper()
+	tree := s.t
+	price, seeks, crosses = cheapestPass(s)
+	for _, leaf := range s.listed {
+		if s.heldAt[leaf] >= 0 {
+			continue
+		}
+		k := s.reach(leaf)
+		fit += s.bound(leaf, k, s.need(leaf, k))
+		lm := &tree.leaves[leaf]
+		if end := tree.leafEnd(lm); !tree.f.Quiet(lm.firstPage, end) {
+			left += tree.f.Sim().ScanCost(end - lm.firstPage)
+		}
+	}
+	if s.price != price || s.fit != fit || s.left != left {
+		t.Fatalf("%v: the listing kept price %v, fit %d and left %v; recomputed, %v, %d and %v", s.q, s.price, s.fit, s.left, price, fit, left)
+	}
+	return price, seeks, crosses, fit, left
+}
+
 // cheapestPass prices s's pass as its rule states it, without faults: of the
-// listed leaves the fault plan cannot touch, the first is fetched by a random
-// read, and each later one after a gap from the end of the one before,
-// crossed by sequential transfers where that costs less than the seek a
-// random read adds, seeked over otherwise; a fetch transfers every page of
-// its leaf. It also counts the gaps seeked over and those crossed.
+// listed leaves no stab has reached and the fault plan cannot touch, the
+// first is fetched by a random read, and each later one after a gap from the
+// end of the one before, crossed by sequential transfers where that costs
+// less than the seek a random read adds, seeked over otherwise; a fetch
+// transfers every page of its leaf. It also counts the gaps seeked over and
+// those crossed.
 func cheapestPass(s *Stream) (price time.Duration, seeks, crosses int) {
 	m := s.t.f.Sim().Model()
 	seek := m.RandomRead - m.SequentialRead
@@ -187,7 +212,7 @@ func cheapestPass(s *Stream) (price time.Duration, seeks, crosses int) {
 	for _, leaf := range s.listed {
 		lm := &s.t.leaves[leaf]
 		end := s.t.leafEnd(lm)
-		if !s.t.f.Quiet(lm.firstPage, end) {
+		if s.heldAt[leaf] >= 0 || !s.t.f.Quiet(lm.firstPage, end) {
 			continue
 		}
 		switch gap := time.Duration(lm.firstPage-head) * m.SequentialRead; {

@@ -65,11 +65,18 @@ type Stream struct {
 	degradedLeaves   int64
 	degradedSections int64
 
-	// stabTime is what the stream's stab reads have been charged. weighed is
-	// set once the stream has weighed finishing by one pass (weighPass), and
+	// stabTime is what the stream's stab reads have been charged. Once it
+	// reaches half the tree's scan cost the stream lists the leaves a drain
+	// pass would finish (list) and, stab by stab, keeps fit, price and left
+	// current for what is still listed (unlist): fit bounds their matches,
+	// price is the pass over those the fault plan cannot touch, from a cold
+	// head, and left a cold stab of each of the others. weighed is set once
+	// the stream decided for good whether to finish by the pass (weigh), and
 	// passed once it took it: from then on a stab to a leaf the pass holds
 	// takes its sections instead of reading.
 	stabTime        time.Duration
+	price, left     time.Duration
+	fit             int
 	weighed, passed bool
 }
 
@@ -97,13 +104,16 @@ type scratch struct {
 	spans []keySpan
 
 	// parked[idx] queues, oldest first, the batches parked under heap node
-	// idx (copies in the stream's parking chunks, the last one filling);
-	// ready[s] counts the regions of requiredAll[s] holding one. Close drops
-	// them all, every queue nil and every count 0, and hands the chunks to
-	// the tree's list.
-	parked [][][]record.Record
-	ready  []int
-	chunks [][]record.Record
+	// idx (copies in the stream's parking chunks, the last one filling):
+	// a list through batches, whose slots a stream takes off spare or
+	// appends, so it parks in the slots its predecessors grew. ready[s]
+	// counts the regions of requiredAll[s] holding one. Close empties every
+	// queue and count and hands the chunks to the tree's list.
+	parked  []queue
+	batches []batch
+	spare   int32
+	ready   []int
+	chunks  [][]record.Record
 
 	out []record.Record // emitted records, consumed from Stream.outHead
 
@@ -115,13 +125,16 @@ type scratch struct {
 	// dec is the reusable leaf-decode arena and page buffer.
 	dec leafDecoder
 
-	// The drain pass's list of leaves (listed) and what it fetched: sigma_Q
-	// of each held leaf's sections 1..k in heldSecs, their records in held
-	// (never more than maxKeepRecords), and per leaf ordinal 1 + the index
-	// of its first section in heldSecs, or 0 (heldAt, valid once passed;
-	// -1 marks a listed leaf while the stream weighs the pass). saved and
-	// savedNext keep the shuttle's state while stabCost replays its route.
+	// The drain pass's list of leaves (listed, ascending; walk[i] links
+	// listed[i] into the pass) and what it fetched: sigma_Q of each held
+	// leaf's sections 1..k in heldSecs, their records in held (never more
+	// than maxKeepRecords), and per leaf ordinal 1 + the index of its first
+	// section in heldSecs, or 0 (heldAt, valid once passed; while the stream
+	// weighs the pass, -1-i marks listed[i] until a stab reaches it). saved
+	// and savedNext keep the shuttle's state while stabCost replays its
+	// route.
 	listed    []int64
+	walk      []link
 	held      []record.Record
 	heldSecs  [][]record.Record
 	heldAt    []int32
@@ -198,7 +211,7 @@ func (s *Stream) Close() {
 	s.scratch, s.done, s.outHead, s.buffered = nil, true, 0, 0
 	for sec, req := range sc.requiredAll {
 		for _, idx := range req {
-			sc.parked[idx] = nil
+			sc.parked[idx] = queue{}
 		}
 		sc.requiredAll[sec], sc.ready[sec] = req[:0], 0
 	}
@@ -207,8 +220,13 @@ func (s *Stream) Close() {
 	}
 	clear(sc.chunks)
 	sc.chunks = sc.chunks[:0]
+	clear(sc.batches)
+	sc.batches, sc.spare = sc.batches[:0], 0
+	if cap(sc.batches) > maxKeepRecords {
+		sc.batches = nil
+	}
 	clear(sc.heldSecs)
-	sc.listed, sc.held, sc.heldSecs = sc.listed[:0], sc.held[:0], sc.heldSecs[:0]
+	sc.listed, sc.walk, sc.held, sc.heldSecs = sc.listed[:0], sc.walk[:0], sc.held[:0], sc.heldSecs[:0]
 	if s.outPeak > maxKeepRecords {
 		sc.out = nil
 	}
@@ -253,7 +271,8 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 	if q.Dims() != t.dims {
 		return nil, fmt.Errorf("core: query has %d dims, tree has %d", q.Dims(), t.dims)
 	}
-	s := &Stream{t: t, q: q, scratch: t.getScratch(), readEvery: opts.ReadEveryLeaf}
+	// A stream reading every leaf never weighs a pass.
+	s := &Stream{t: t, q: q, scratch: t.getScratch(), readEvery: opts.ReadEveryLeaf, weighed: opts.ReadEveryLeaf}
 	// remaining[i] = number of leaves below heap node i.
 	for i := int64(1); i < 2*t.nLeaves; i++ {
 		lvl := levelOf(i)
@@ -394,8 +413,8 @@ func (s *Stream) NextBatch() ([]record.Record, error) {
 
 // NextLeaf performs one stab (Algorithm 3), reading at most one leaf from
 // disk (exactly one under ReadEveryLeaf) unless it first makes the stream's
-// drain pass (weighPass), and returns how many new sample records it
-// emitted. It returns io.EOF once every leaf has been stabbed.
+// drain pass (weigh), and returns how many new sample records it emitted.
+// It returns io.EOF once every leaf has been stabbed.
 //
 // Storage faults surface typed: a transient failure keeps the stab pending
 // (call NextLeaf again to retry the same leaf — the sample sequence is
@@ -410,14 +429,19 @@ func (s *Stream) NextLeaf() (int, error) {
 		s.out, s.outHead = s.out[:0], 0
 	}
 	if !s.pending {
-		if !s.weighed && !s.readEvery && s.stabTime >= s.t.scanTime {
-			s.weighed = true
-			s.weighPass()
+		if !s.weighed && len(s.listed) != 0 {
+			s.weigh()
 		}
 		s.shuttle()
 	}
 	leaf := s.path[s.t.h] - s.t.nLeaves // ordinal
+	if !s.weighed && len(s.listed) != 0 {
+		s.unlist(leaf) // on a retry a no-op: the first attempt unlisted it
+	}
 	emitted, err := s.combineTuples(leaf)
+	if !s.weighed && len(s.listed) == 0 && s.stabTime >= s.t.scanTime/2 {
+		s.list() // right after the read that got here: what it allocates lands in a draw that reads
+	}
 	if s.pending = err != nil && retriable(err); s.pending {
 		s.transientRetries++
 		return 0, fmt.Errorf("core: leaf %d: %w", leaf, err)
@@ -502,11 +526,13 @@ func (s *Stream) shuttle() {
 // all k nothing is read and the combine runs on k empty sections, exactly as
 // after a read that filtered them all away: the emitted sequence is the same.
 // A leaf the drain pass holds is not read either: its sections are the ones
-// the pass fetched, the same range read the same way.
+// the pass fetched, the same range read the same way, and they stay where
+// the pass put them until Close, so they are parked without a copy.
 func (s *Stream) combineTuples(leaf int64) (int, error) {
 	t := s.t
 	k := s.reach(leaf)
-	if s.passed && s.heldAt[leaf] != 0 {
+	held := s.passed && s.heldAt[leaf] != 0
+	if held {
 		at := int(s.heldAt[leaf] - 1)
 		copy(s.dec.sections, s.heldSecs[at:at+k])
 	} else if need := s.need(leaf, k); s.readEvery || need != 0 {
@@ -533,10 +559,13 @@ func (s *Stream) combineTuples(leaf int64) (int, error) {
 		}
 		// Partial overlap: park a copy under this region and append one
 		// batch per required region while each has one.
-		if len(s.parked[nodeIdx]) == 0 {
+		if s.parked[nodeIdx].first == 0 {
 			s.ready[sec]++
 		}
-		s.parked[nodeIdx] = append(s.parked[nodeIdx], s.park(recs))
+		if !held {
+			recs = s.park(recs)
+		}
+		s.push(nodeIdx, recs)
 		s.buffered += len(recs)
 		emitted += s.tryCombine(sec)
 	}
@@ -598,22 +627,18 @@ func (s *Stream) bound(leaf int64, k int, need uint32) int {
 	return n
 }
 
-// weighPass decides, once, whether the stream finishes by one sequential
-// pass. It runs before the first stab after the stab reads have been charged
-// as much as a pass over the tree's leaf data region: the 2-competitive
-// ski-rental rule, which pays for the pass once the stabs have cost as much.
-// It lists the unvisited leaves whose stab would read and takes the pass only
-// if their matches surely fit maxKeepRecords and the pass (priced by its own
-// walk), plus a stab from a cold head of every listed leaf it must leave,
-// costs no more than their stabs would (stabCost). So a drain is never
-// charged more than without the pass, and at any point at most twice as much.
-func (s *Stream) weighPass() {
+// list lists, once, the leaves a drain pass would finish: the unvisited
+// leaves whose stab would read. It prices them as weigh compares them (see
+// Stream.fit), and links each the fault plan cannot touch, the pass's
+// fetches, to the one before it (walk). A stream with nothing to list never
+// takes a pass.
+func (s *Stream) list() {
 	t := s.t
 	s.heldAt = resized(s.heldAt, int(t.nLeaves))
 	clear(s.heldAt)
-	s.listed = s.listed[:0]
-	fit := 0
-	var left time.Duration
+	s.saved = slices.Grow(s.saved[:0], len(s.remaining))
+	s.savedNext = slices.Grow(s.savedNext[:0], len(s.nextRight))
+	prev := int32(-1)
 	for leaf := int64(0); leaf < t.nLeaves; leaf++ {
 		if s.remaining[t.nLeaves+leaf] == 0 {
 			continue
@@ -626,27 +651,113 @@ func (s *Stream) weighPass() {
 		lm := &t.leaves[leaf]
 		end := t.leafEnd(lm)
 		if end > t.f.NumPages() {
+			s.weighed = true
 			return // a directory Verify refuses
 		}
+		i := int32(len(s.listed))
 		s.listed = append(s.listed, leaf)
-		s.heldAt[leaf] = -1
-		fit += s.bound(leaf, k, need)
-		if !t.f.Quiet(lm.firstPage, end) {
-			left += t.f.Sim().ScanCost(end - lm.firstPage)
+		s.heldAt[leaf] = -1 - i
+		s.fit += s.bound(leaf, k, need)
+		quiet := t.f.Quiet(lm.firstPage, end)
+		s.walk = append(s.walk, link{prev: prev, next: -1, quiet: quiet})
+		if !quiet {
+			s.left += t.f.Sim().ScanCost(end - lm.firstPage)
+			continue
 		}
+		s.price += s.hop(prev, leaf) + s.fetch(leaf)
+		if prev >= 0 {
+			s.walk[prev].next = i
+		}
+		prev = i
 	}
-	if len(s.listed) == 0 || fit > maxKeepRecords || s.pass(false)+left > s.stabCost() {
+	s.weighed = len(s.listed) == 0
+}
+
+// link ties listed[i], while it is listed and the pass would fetch it
+// (quiet), to the listed leaves the pass would fetch just before and after
+// it: their positions in listed, or -1.
+type link struct {
+	prev, next int32
+	quiet      bool
+}
+
+// unlist drops leaf, which a stab just reached, from the listing and keeps
+// fit, left and price current. A leaf x the pass would fetch leaves its walk
+// between its neighbours a and b, which takes cost(a→x) + fetch(x) +
+// cost(x→b) − cost(a→b) off the price: O(1) a stab, however long the list.
+func (s *Stream) unlist(leaf int64) {
+	i := -1 - s.heldAt[leaf]
+	if i < 0 {
+		return // not listed
+	}
+	s.heldAt[leaf] = 0
+	k := s.reach(leaf)
+	s.fit -= s.bound(leaf, k, s.need(leaf, k))
+	w := s.walk[i]
+	if !w.quiet {
+		lm := &s.t.leaves[leaf]
+		s.left -= s.t.f.Sim().ScanCost(s.t.leafEnd(lm) - lm.firstPage)
 		return
 	}
-	if cap(s.held) < fit {
-		s.held = make([]record.Record, 0, fit)
+	s.price -= s.hop(w.prev, leaf) + s.fetch(leaf)
+	if w.prev >= 0 {
+		s.walk[w.prev].next = w.next
 	}
-	clear(s.heldAt)
-	s.pass(true)
+	if w.next >= 0 {
+		b := s.listed[w.next]
+		s.price += s.hop(w.prev, b) - s.hop(i, b)
+		s.walk[w.next].prev = w.prev
+	}
+}
+
+// hop is what the pass pays to bring the head from the end of listed[from]
+// (from -1: from where it is not known) to leaf's first page: the seek a
+// random read adds, or the gap's sequential transfers where they cost less.
+func (s *Stream) hop(from int32, leaf int64) time.Duration {
+	m := s.t.f.Sim().Model()
+	seek := m.RandomRead - m.SequentialRead
+	if from < 0 {
+		return seek
+	}
+	gap := s.t.leaves[leaf].firstPage - s.t.leafEnd(&s.t.leaves[s.listed[from]])
+	return min(time.Duration(gap)*m.SequentialRead, seek)
+}
+
+// fetch is what the pass's read of leaf transfers: every page of it.
+func (s *Stream) fetch(leaf int64) time.Duration {
+	lm := &s.t.leaves[leaf]
+	return time.Duration(s.t.leafEnd(lm)-lm.firstPage) * s.t.f.Sim().Model().SequentialRead
+}
+
+// weigh buys the pass at the first stab where the stab reads have been
+// charged as much as the pass and a cold stab of each listed leaf it leaves
+// would be (price + left): the 2-competitive ski-rental rule, which buys
+// once the rent paid equals the price to buy, at the pass's current price.
+// It takes the pass only if the listed matches surely fit maxKeepRecords and
+// price + left costs no more than the stabs of the listed leaves would
+// (stabCost); it makes that comparison once, and declines for good a pass
+// it fails, or one left nothing to fetch. So a drain is never charged more
+// than without the pass, and at any point at most twice as much.
+func (s *Stream) weigh() {
+	if s.price == 0 { // a fetch costs a page at least: nothing left to fetch
+		s.weighed = true
+		return
+	}
+	if s.fit > maxKeepRecords || s.stabTime < s.price+s.left {
+		return
+	}
+	s.weighed = true
+	if s.price+s.left > s.stabCost() {
+		return
+	}
+	if cap(s.held) < s.fit {
+		s.held = make([]record.Record, 0, s.fit)
+	}
+	s.pass()
 	s.passed = true
 }
 
-// stabCost is what the stabs of the listed leaves (heldAt -1) would be
+// stabCost is what the stabs of the listed leaves (heldAt marks) would be
 // charged from here on without faults: the shuttle's remaining route,
 // replayed over a copy of its state, each read's first page sequential only
 // where the read before ended (the first one's, where the head is not known,
@@ -679,40 +790,33 @@ func (s *Stream) stabCost() time.Duration {
 	return cost
 }
 
-// pass walks one ascending sweep over the listed leaves and returns what it
-// is charged without faults. Of each leaf the fault plan cannot touch it
-// fetches the range the leaf's stab would, from a cold head first; the other
-// leaves it leaves to their own stabs, which meet the same faults at the same
-// point of the stream as without the pass. Between two fetches it crosses the
-// gap only where that costs less than the seek a random read adds, and after
-// the last it crosses nothing. Only with hold does it charge the sweep and
-// hold the sections it fetched; without, it prices the same walk.
-func (s *Stream) pass(hold bool) time.Duration {
+// pass walks one ascending sweep over the leaves still listed, fetching of
+// each the pass would fetch the range its stab would, and holds the sections
+// it fetched. It is charged price, or a seek less where the stab before it
+// left the head on its first fetch's page: between two fetches it crosses
+// the gap where that costs less than a seek (hop), and after the last it
+// crosses nothing. The listed leaves the fault plan can touch it leaves to
+// their own stabs, which meet the same faults at the same point of the
+// stream as without the pass.
+func (s *Stream) pass() {
 	t := s.t
 	m := t.f.Sim().Model()
 	seek := m.RandomRead - m.SequentialRead
-	var cost time.Duration
-	head := int64(-1)
-	for _, leaf := range s.listed {
+	prev := int32(-1)
+	for i, leaf := range s.listed {
+		live := s.heldAt[leaf] != 0
+		if s.heldAt[leaf] = 0; !live || !s.walk[i].quiet {
+			continue
+		}
 		lm := &t.leaves[leaf]
-		end := t.leafEnd(lm)
-		if !t.f.Quiet(lm.firstPage, end) {
-			continue
+		if prev >= 0 && s.hop(prev, leaf) < seek {
+			t.f.Cross(t.leafEnd(&t.leaves[s.listed[prev]]), lm.firstPage)
 		}
-		gap := time.Duration(lm.firstPage-head) * m.SequentialRead
-		if head < 0 || gap >= seek {
-			gap = seek
-		} else if hold {
-			t.f.Cross(head, lm.firstPage)
-		}
-		cost += gap + time.Duration(end-lm.firstPage)*m.SequentialRead
-		if head = end; !hold {
-			continue
-		}
+		prev = int32(i)
 		k := s.reach(leaf)
 		secs, err := t.readLeafInto(leaf, &s.dec, s.need(leaf, k), &s.q)
 		if err != nil {
-			head = -1
+			prev = -1
 			continue
 		}
 		s.heldAt[leaf] = int32(len(s.heldSecs) + 1)
@@ -722,7 +826,6 @@ func (s *Stream) pass(hold bool) time.Duration {
 			s.heldSecs = append(s.heldSecs, s.held[n:len(s.held):len(s.held)])
 		}
 	}
-	return cost
 }
 
 // park returns a copy of recs, a section about to be parked, in the stream's
@@ -746,6 +849,45 @@ func (s *Stream) park(recs []record.Record) []record.Record {
 	return c[len(c)-len(recs) : len(c) : len(c)]
 }
 
+// queue is a list of parked batches: 1 + the indices in scratch.batches of
+// its first and last, or 0 for none.
+type queue struct{ first, last int32 }
+
+// batch is a parked batch and 1 + the index of the next in its list, or 0.
+type batch struct {
+	recs []record.Record
+	next int32
+}
+
+// push queues recs last under heap node idx.
+func (sc *scratch) push(idx int64, recs []record.Record) {
+	i := sc.spare
+	if i == 0 {
+		sc.batches = append(sc.batches, batch{})
+		i = int32(len(sc.batches))
+	} else {
+		sc.spare = sc.batches[i-1].next
+	}
+	sc.batches[i-1] = batch{recs: recs}
+	if q := &sc.parked[idx]; q.first == 0 {
+		q.first, q.last = i, i
+	} else {
+		sc.batches[q.last-1].next, q.last = i, i
+	}
+}
+
+// pop takes the oldest batch queued under heap node idx, which has one.
+func (sc *scratch) pop(idx int64) []record.Record {
+	q := &sc.parked[idx]
+	i := q.first
+	b := sc.batches[i-1]
+	if q.first = b.next; q.first == 0 {
+		q.last = 0
+	}
+	sc.batches[i-1], sc.spare = batch{next: sc.spare}, i
+	return b.recs
+}
+
 // tryCombine appends the oldest parked batch of every required region of
 // the given section, for as long as every one has a batch, and emits the
 // result, returning the number of records emitted.
@@ -753,9 +895,8 @@ func (s *Stream) tryCombine(sec int) int {
 	emitted := 0
 	for s.ready[sec] == len(s.requiredAll[sec]) {
 		for _, idx := range s.requiredAll[sec] {
-			q := s.parked[idx]
-			batch := q[0]
-			if s.parked[idx] = q[1:]; len(q) == 1 {
+			batch := s.pop(idx)
+			if s.parked[idx].first == 0 {
 				s.ready[sec]--
 			}
 			s.buffered -= len(batch)

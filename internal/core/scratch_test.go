@@ -111,7 +111,7 @@ func TestScratchRecycling(t *testing.T) {
 	}
 
 	// A 25% stream stopped after a few stabs has batches parked under many
-	// regions. Close must hand back its combine table with every queue nil
+	// regions. Close must hand back its combine table with every queue empty
 	// and every ready count 0, and the stream that takes the table must draw
 	// exactly what a stream on a freshly opened tree draws.
 	qc := record.Box1D(workload.KeyDomain/8, workload.KeyDomain/8+workload.KeyDomain/4)
@@ -126,7 +126,7 @@ func TestScratchRecycling(t *testing.T) {
 	}
 	regions := 0
 	for _, q := range c.parked {
-		if len(q) > 0 {
+		if q.first != 0 {
 			regions++
 		}
 	}
@@ -139,9 +139,9 @@ func TestScratchRecycling(t *testing.T) {
 		t.Fatalf("stream C holds %d parking chunks; the check wants 1 to %d", len(chunks), cap(tree.chunks))
 	}
 	c.Close()
-	for idx, q := range table.parked {
-		if q != nil {
-			t.Fatalf("closed stream left %d batches queued under heap node %d", len(q), idx)
+	for idx := range table.parked {
+		if n := table.depth(int64(idx)); n != 0 || table.parked[idx] != (queue{}) {
+			t.Fatalf("closed stream left %d batches queued under heap node %d", n, idx)
 		}
 	}
 	for sec, n := range table.ready {
@@ -317,4 +317,13 @@ func TestLendBatchIsNextBatchWithoutTheCopy(t *testing.T) {
 	if copied.Emitted() != lent.Emitted() {
 		t.Fatalf("emitted %d vs %d", copied.Emitted(), lent.Emitted())
 	}
+}
+
+// depth returns how many batches sc holds parked under heap node idx.
+func (sc *scratch) depth(idx int64) int {
+	n := 0
+	for i := sc.parked[idx].first; i != 0; i = sc.batches[i-1].next {
+		n++
+	}
+	return n
 }
