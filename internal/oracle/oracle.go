@@ -36,10 +36,9 @@ type entry struct {
 // tombstones, beside the writes still in flight. It is safe for concurrent
 // use, so writers may register records while streams are checked.
 type Model struct {
-	mu    sync.Mutex
-	recs  map[uint64]*entry
-	lastQ record.Box
-	last  []*entry // lastQ's matches ranked; nil after any change
+	mu     sync.Mutex
+	recs   map[uint64]*entry
+	sorted []*entry // every entry by (Key, Seq); nil after any change
 }
 
 // NewModel returns a model holding base.
@@ -59,7 +58,7 @@ func (m *Model) Delete(recs ...record.Record)  { m.set(recs, false, false) }
 func (m *Model) set(recs []record.Record, live, pending bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.last = nil
+	m.sorted = nil
 	for _, r := range recs {
 		delete(m.recs, r.Seq)
 		if live {
@@ -68,20 +67,34 @@ func (m *Model) set(recs []record.Record, live, pending bool) {
 	}
 }
 
-// ranked returns q's matches, pending ones included, by (Key, Seq).
+// ranked returns q's matches, pending ones included, by (Key, Seq): the
+// run of the sorted entries in q's key range, found by binary search and,
+// for a box of more dimensions, filtered on the others. The entries are
+// sorted once per change, so streams over different predicates share them.
 func (m *Model) ranked(q record.Box) []*entry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.last == nil || m.lastQ != q {
-		m.lastQ, m.last = q, nil
+	if m.sorted == nil {
+		m.sorted = make([]*entry, 0, len(m.recs))
 		for _, e := range m.recs {
-			if q.ContainsRecord(&e.rec) {
-				m.last = append(m.last, e)
-			}
+			m.sorted = append(m.sorted, e)
 		}
-		slices.SortFunc(m.last, func(a, b *entry) int { return keySeq(a, &b.rec) })
+		slices.SortFunc(m.sorted, func(a, b *entry) int { return keySeq(a, &b.rec) })
 	}
-	return m.last
+	keys := q.Dim(0)
+	lo, _ := slices.BinarySearchFunc(m.sorted, keys.Lo, func(e *entry, k int64) int { return cmp.Compare(e.rec.Key, k) })
+	n, _ := slices.BinarySearchFunc(m.sorted[lo:], keys.Hi, func(e *entry, k int64) int { return cmp.Or(cmp.Compare(e.rec.Key, k), -1) })
+	run := m.sorted[lo : lo+n : lo+n]
+	if q.Dims() == 1 {
+		return run
+	}
+	var out []*entry
+	for _, e := range run {
+		if q.ContainsRecord(&e.rec) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func keySeq(e *entry, r *record.Record) int {

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"cmp"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -86,6 +88,24 @@ func TestModelTracksWrites(t *testing.T) {
 	full := record.FullBox(1)
 	if got := len(m.Shuffle(full, 1)); got != 101 {
 		t.Fatalf("%d matches, want 100 base - 1 deleted + 2 writes", got)
+	}
+	// ranked cuts the sorted entries to a box's key range, bounds included,
+	// and filters on the other dimension: it must rank what a scan finds.
+	lo, hi := min(recs[5].Key, recs[9].Key), max(recs[5].Key, recs[9].Key)
+	for _, q := range []record.Box{full, record.Box1D(lo, hi), record.Box1D(hi, lo), record.Box1D(math.MinInt64, 4), record.Box2D(lo, math.MaxInt64, 0, domain/2)} {
+		var want, got []record.Record
+		for _, e := range m.recs {
+			if q.ContainsRecord(&e.rec) {
+				want = append(want, e.rec)
+			}
+		}
+		slices.SortFunc(want, func(a, b record.Record) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Seq, b.Seq)) })
+		for _, e := range m.ranked(q) {
+			got = append(got, e.rec)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v: ranked %d entries, a scan finds %d", q, len(got), len(want))
+		}
 	}
 	for _, served := range [][]record.Record{
 		append([]record.Record{w[0]}, recs[2:]...),        // without either pending record
