@@ -58,7 +58,6 @@ func TestPrefixOracle(t *testing.T) {
 			coreRow(t, ck, coreConfig{1500, 56, corePrefix.q, 180, 3000, core.Params{Height: 5}}, core.StreamOptions{WeightedShuttle: true}, true)
 		}, true},
 		{"btree/sampler", 10, 3000, btreeRow, true},
-		{"btree/olken", 1, 777 * 30, olkenRow, true},
 		{"rtree/sampler", 1, 40 * 157, rtreeRow, true},
 		{"permfile/scan", 4000, 4000, permfileRow, true},
 		{"root/mmap-under-faults", 30, 3000, mmapFaultRow, true},
@@ -296,23 +295,6 @@ func btreeRow(t *testing.T, ck *oracle.Checker) {
 			t.Fatal(err)
 		}
 		feed(t, s, ck.Stream(m, record.NewBox(r)), 100)
-	}
-}
-
-func olkenRow(t *testing.T, ck *oracle.Checker) {
-	sim := oracleSim()
-	rel, recs := relation(t, sim, 777, workload.Uniform, 42) // a ragged last page
-	tree, err := btree.Build(pagefile.NewMem(sim), rel, pagefile.NewPool(4096), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, rng := oracle.NewModel(recs), rand.New(rand.NewPCG(2, 2))
-	for range 30 * len(recs) {
-		s, err := tree.NewOlkenSampler(record.FullRange(), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(t, s, ck.Stream(m, record.FullBox(1)), 1)
 	}
 }
 
