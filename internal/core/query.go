@@ -439,8 +439,10 @@ func (s *Stream) NextLeaf() (int, error) {
 		s.unlist(leaf) // on a retry a no-op: the first attempt unlisted it
 	}
 	emitted, err := s.combineTuples(leaf)
+	// Right after the read that got stabTime there, so what listing
+	// allocates lands in a draw that reads.
 	if !s.weighed && len(s.listed) == 0 && s.stabTime >= s.t.scanTime/2 {
-		s.list() // right after the read that got here: what it allocates lands in a draw that reads
+		s.list()
 	}
 	if s.pending = err != nil && retriable(err); s.pending {
 		s.transientRetries++
@@ -636,6 +638,7 @@ func (s *Stream) list() {
 	t := s.t
 	s.heldAt = resized(s.heldAt, int(t.nLeaves))
 	clear(s.heldAt)
+	// stabCost's copies, sized now: weigh may run in a draw that reads nothing.
 	s.saved = slices.Grow(s.saved[:0], len(s.remaining))
 	s.savedNext = slices.Grow(s.savedNext[:0], len(s.nextRight))
 	prev := int32(-1)

@@ -36,9 +36,13 @@ type entry struct {
 // tombstones, beside the writes still in flight. It is safe for concurrent
 // use, so writers may register records while streams are checked.
 type Model struct {
-	mu     sync.Mutex
-	recs   map[uint64]*entry
-	sorted []*entry // every entry by (Key, Seq); nil after any change
+	mu   sync.Mutex
+	recs map[uint64]*entry
+	// sorted holds the entries by (Key, Seq) as of the last ranked; the
+	// entries set since wait in fresh, and stale says whether any entry was
+	// replaced or deleted since.
+	sorted, fresh []*entry
+	stale         bool
 }
 
 // NewModel returns a model holding base.
@@ -58,28 +62,41 @@ func (m *Model) Delete(recs ...record.Record)  { m.set(recs, false, false) }
 func (m *Model) set(recs []record.Record, live, pending bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sorted = nil
 	for _, r := range recs {
-		delete(m.recs, r.Seq)
+		if _, ok := m.recs[r.Seq]; ok {
+			delete(m.recs, r.Seq)
+			m.stale = true
+		}
 		if live {
-			m.recs[r.Seq] = &entry{r, pending}
+			e := &entry{r, pending}
+			m.recs[r.Seq] = e
+			m.fresh = append(m.fresh, e)
 		}
 	}
 }
 
 // ranked returns q's matches, pending ones included, by (Key, Seq): the
 // run of the sorted entries in q's key range, found by binary search and,
-// for a box of more dimensions, filtered on the others. The entries are
-// sorted once per change, so streams over different predicates share them.
+// for a box of more dimensions, filtered on the others. Streams over
+// different predicates share the sorted entries: a change only sorts the
+// entries it set and merges them in, into a new slice, since the runs
+// handed out before alias the old one.
 func (m *Model) ranked(q record.Box) []*entry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.sorted == nil {
-		m.sorted = make([]*entry, 0, len(m.recs))
-		for _, e := range m.recs {
-			m.sorted = append(m.sorted, e)
+	if len(m.fresh) > 0 || m.stale {
+		slices.SortFunc(m.fresh, func(a, b *entry) int { return keySeq(a, &b.rec) })
+		merged, rest := make([]*entry, 0, len(m.sorted)+len(m.fresh)), m.sorted
+		for _, e := range m.fresh {
+			n, _ := slices.BinarySearchFunc(rest, &e.rec, keySeq)
+			merged, rest = append(append(merged, rest[:n]...), e), rest[n:]
 		}
-		slices.SortFunc(m.sorted, func(a, b *entry) int { return keySeq(a, &b.rec) })
+		merged = append(merged, rest...)
+		if m.stale {
+			merged = slices.DeleteFunc(merged, func(e *entry) bool { return m.recs[e.rec.Seq] != e })
+		}
+		clear(m.fresh)
+		m.sorted, m.fresh, m.stale = merged, m.fresh[:0], false
 	}
 	keys := q.Dim(0)
 	lo, _ := slices.BinarySearchFunc(m.sorted, keys.Lo, func(e *entry, k int64) int { return cmp.Compare(e.rec.Key, k) })

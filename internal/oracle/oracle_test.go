@@ -90,23 +90,29 @@ func TestModelTracksWrites(t *testing.T) {
 		t.Fatalf("%d matches, want 100 base - 1 deleted + 2 writes", got)
 	}
 	// ranked cuts the sorted entries to a box's key range, bounds included,
-	// and filters on the other dimension: it must rank what a scan finds.
+	// and filters on the other dimension: it must rank what a scan finds,
+	// after the writes above and after more merged into its sorted entries,
+	// and a ranking handed out before must not change under the merge.
 	lo, hi := min(recs[5].Key, recs[9].Key), max(recs[5].Key, recs[9].Key)
-	for _, q := range []record.Box{full, record.Box1D(lo, hi), record.Box1D(hi, lo), record.Box1D(math.MinInt64, 4), record.Box2D(lo, math.MaxInt64, 0, domain/2)} {
-		var want, got []record.Record
-		for _, e := range m.recs {
-			if q.ContainsRecord(&e.rec) {
-				want = append(want, e.rec)
+	checkRanked := func() {
+		t.Helper()
+		for _, q := range []record.Box{full, record.Box1D(lo, hi), record.Box1D(hi, lo), record.Box1D(math.MinInt64, 4), record.Box2D(lo, math.MaxInt64, 0, domain/2)} {
+			var want, got []record.Record
+			for _, e := range m.recs {
+				if q.ContainsRecord(&e.rec) {
+					want = append(want, e.rec)
+				}
+			}
+			slices.SortFunc(want, func(a, b record.Record) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Seq, b.Seq)) })
+			for _, e := range m.ranked(q) {
+				got = append(got, e.rec)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v: ranked %d entries, a scan finds %d", q, len(got), len(want))
 			}
 		}
-		slices.SortFunc(want, func(a, b record.Record) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Seq, b.Seq)) })
-		for _, e := range m.ranked(q) {
-			got = append(got, e.rec)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%v: ranked %d entries, a scan finds %d", q, len(got), len(want))
-		}
 	}
+	checkRanked()
 	for _, served := range [][]record.Record{
 		append([]record.Record{w[0]}, recs[2:]...),        // without either pending record
 		append([]record.Record{w[0], w[1]}, recs[0:1]...), // with both, short of the rest
@@ -130,6 +136,14 @@ func TestModelTracksWrites(t *testing.T) {
 	ck.Stream(nil, record.Box1D(0, 10)).Add(record.Record{Key: 5, Seq: 1}, record.Record{Key: 50, Seq: 2})
 	if bad := ck.Violations(); len(bad) != 1 || !strings.Contains(bad[0], "outside") {
 		t.Fatalf("unknown relation: flagged %v, want the predicate alone", bad)
+	}
+	before := m.ranked(full)
+	kept := slices.Clone(before)
+	m.Write(record.Record{Key: lo, Seq: 502}, record.Record{Key: hi + 1, Seq: 503})
+	m.Delete(recs[7])
+	checkRanked()
+	if !slices.Equal(before, kept) {
+		t.Fatal("a ranking handed out changed when later writes were merged")
 	}
 }
 
