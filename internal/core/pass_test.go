@@ -16,8 +16,10 @@ import (
 // in svsuite's scan-local). Each 0.25% drain is drawn 100 records at a time
 // beside the same stream kept to its stabs: at every cut the stream may have
 // been charged at most twice what the stabs were, plus one random read, and
-// at the end no more than they were. The clock moves across every pass by
-// exactly the price weighPass compared, which is the cheapest walk the rule
+// at the end no more than they were. At every stab after the listing the
+// stream's fit, left and price are what checkListed recomputes, and the pass
+// is bought at the first stab the rule allows (weighChecked). The clock
+// moves across every pass by exactly its price, the cheapest walk the rule
 // allows (cheapestPass), with one random read for the first fetch and one
 // per gap seeked over; the drains seek over a gap and cross one at least
 // once each. Streams closed at 1,024 samples of more matches, as svsuite's

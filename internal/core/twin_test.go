@@ -105,11 +105,12 @@ func twinQuery(tree *Tree, lo, hi uint16) record.Box {
 // oracle.Checker's record checks (inside the predicate, no duplicate, no
 // phantom, nothing missing from a drain that lost no leaf). Each stream may
 // be charged at most twice its twin plus one random read, and at the end of
-// a drain no more than its twin, meeting the same faults; a pass must be
-// priced at its cheapest walk (cheapestPass) and hold at most maxKeepRecords
-// records. The first predicate then runs checkSpanMatchesPrefix under the
-// plan, on scratch the pairs left, which also holds its pass to the rule
-// (weighChecked).
+// a drain no more than its twin, meeting the same faults. While a stream
+// weighs its pass, its listing must keep the fit, left and price that
+// checkListed recomputes after every call, and a pass must hold at most
+// maxKeepRecords records. The first predicate then runs
+// checkSpanMatchesPrefix under the plan, on scratch the pairs left, which
+// also holds its pass to the rule (weighChecked).
 // (A single stream's chi-square is left to the tests that pool many: here
 // it would fail one input in a thousand by chance.)
 func FuzzStreamTwin(f *testing.F) {
@@ -119,8 +120,9 @@ func FuzzStreamTwin(f *testing.F) {
 	// over the whole box; a one-record tree; an empty tree; a 600-record
 	// tree on 4 KiB pages whose first pair closes at once and whose second
 	// takes the pass over another predicate, leaving its scratch to the
-	// check of the first predicate, which must decline a pass of one leaf
-	// (found by fuzzing a build whose weighPass kept a recycled heldAt).
+	// check of the first predicate (found by fuzzing a build that kept a
+	// recycled heldAt; with the pass bought at its own price, seeds 0 and
+	// 2 are the ones that catch that build).
 	f.Add(uint16(3+5*6+40), uint16(0), uint16(0x4000), uint16(0x4800), []byte{0x18, 5, 6, 0xf8, 0, 7, 0x10, 0x12, 6, 0xf8})
 	f.Add(uint16(3+5*6+40), uint16(5+7*3), uint16(0x2000), uint16(0x2600), []byte{0xf8, 0xf8, 6, 5})
 	f.Add(uint16(3+5*6+40+160), uint16(6+7*1), uint16(0x8000), uint16(0x8900), []byte{0x38, 7, 0x70, 0x74, 0xf8})
