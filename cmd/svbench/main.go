@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pool     = fs.Int("pool", 0, "buffer pool pages for rank-based samplers (0 = auto)")
 		pageSize = fs.Int("pagesize", 8192, "disk page size in bytes (smaller pages refine leaf granularity)")
 		physical = fs.Bool("physical", false, "charge the raw disk model instead of the scale-matched one")
-		parallel = fs.Int("par", 0, "worker goroutines for builds and per-figure queries (0 or 1 = sequential)")
+		parallel = fs.Int("par", 0, "worker goroutines for builds and per-figure queries (0 = 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -194,7 +194,7 @@ func TestConcurrentBuilds(t *testing.T) {
 
 // TestBuildParallelismByteIdentical is the public-API determinism
 // guarantee: the stored view file is the same byte string whether it was
-// built sequentially or by a pool of workers.
+// built by 1 worker or by a pool of them.
 func TestBuildParallelismByteIdentical(t *testing.T) {
 	recs := genRecords(30_000, 77)
 	dir := t.TempDir()
@@ -216,7 +216,7 @@ func TestBuildParallelismByteIdentical(t *testing.T) {
 	}
 	for workers, img := range images {
 		if !bytes.Equal(img, images[1]) {
-			t.Fatalf("view built with %d workers differs from sequential build (%d vs %d bytes)",
+			t.Fatalf("view built with %d workers differs from 1 worker's (%d vs %d bytes)",
 				workers, len(img), len(images[1]))
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -60,10 +59,7 @@ func Create(dst *pagefile.File, src *pagefile.ItemFile, p Params) (*Tree, error)
 		t.dataMax[d] = -1 << 63
 	}
 
-	workers := p.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(p.Parallelism, 1)
 
 	// Phase 1: split keys.
 	var err error
@@ -78,12 +74,7 @@ func Create(dst *pagefile.File, src *pagefile.ItemFile, p Params) (*Tree, error)
 
 	// Phase 2a: tag every record with (leaf, section) and accumulate the
 	// per-node counts.
-	var tagged *pagefile.ItemFile
-	if workers > 1 {
-		tagged, err = t.assignTagsParallel(src, p.Seed, workers)
-	} else {
-		tagged, err = t.assignTags(src, p.Seed)
-	}
+	tagged, err := t.assignTags(src, p.Seed, workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: phase 2 assignment: %w", err)
 	}
@@ -125,13 +116,7 @@ func (t *Tree) writeFile(sorted *pagefile.ItemFile, workers int) error {
 			return err
 		}
 	}
-	var err error
-	if workers > 1 {
-		err = t.writeLeafDataParallel(sorted, workers)
-	} else {
-		err = t.writeLeafData(sorted)
-	}
-	if err != nil {
+	if err := t.writeLeafData(sorted, workers); err != nil {
 		return err
 	}
 	if err := t.writeSummaryRegion(); err != nil {
@@ -303,134 +288,4 @@ func quickselect(part []int32, k int, coord []int64, rng *rand.Rand) {
 			return
 		}
 	}
-}
-
-// assignTags scans src, draws the section and leaf assignment for every
-// record, accumulates the exact per-node left/right counts and the
-// directory's per-section counts, and returns the tagged temporary file
-// (Figure 9 of the paper).
-func (t *Tree) assignTags(src *pagefile.ItemFile, seed uint64) (_ *pagefile.ItemFile, err error) {
-	t.leaves = newLeafMetas(t.nLeaves, t.h)
-	tagged := pagefile.NewItemFile(pagefile.NewMem(t.f.Sim()), taggedSize)
-	defer closeOnError(tagged, &err)
-	w := tagged.NewWriter()
-	rng := rand.New(rand.NewPCG(seed, seed^0xace7ace7ace7ace7))
-	buf := make([]byte, taggedSize)
-	var rec record.Record
-	r := src.NewReader()
-	path := make([]int64, t.h+1) // path[level] = heap index of ancestor
-	for {
-		item, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		rec.Unmarshal(item)
-		for d := 0; d < t.dims; d++ {
-			c := rec.Coord(d)
-			if c < t.dataMin[d] {
-				t.dataMin[d] = c
-			}
-			if c > t.dataMax[d] {
-				t.dataMax[d] = c
-			}
-		}
-
-		// Full descent: accumulate counts and remember the path.
-		node := int64(1)
-		path[1] = 1
-		for level := 1; level < t.h; level++ {
-			if rec.Coord(t.splitDim(level)) > t.splits[node] {
-				t.cntR[node]++
-				node = 2*node + 1
-			} else {
-				t.cntL[node]++
-				node = 2 * node
-			}
-			path[level+1] = node
-		}
-
-		// Section draw (1-based level s), then a uniform leaf below the
-		// level-s ancestor.
-		s := 1 + rng.IntN(t.h)
-		ancestor := path[s]
-		leavesBelow := int64(1) << uint(t.h-s)
-		firstLeaf := (ancestor - int64(1)<<uint(s-1)) * leavesBelow
-		leaf := firstLeaf + rng.Int64N(leavesBelow)
-		t.leaves[leaf].secCounts[s-1]++
-
-		binary.LittleEndian.PutUint64(buf[:8], makeTag(leaf, s-1))
-		copy(buf[8:], item)
-		if err := w.Write(buf); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return tagged, nil
-}
-
-// writeLeafData streams the (leaf, section)-sorted records into the leaf
-// data region, page-aligning each leaf, and fills in the rest of the
-// directory metadata (the section counts come from tagging).
-func (t *Tree) writeLeafData(sorted *pagefile.ItemFile) error {
-	r := sorted.NewReader()
-
-	perPage := t.f.PageSize() / record.Size
-	page := make([]byte, t.f.PageSize())
-	inPage := 0
-	current := int64(-1)
-	flushPage := func() error {
-		if inPage == 0 {
-			return nil
-		}
-		for i := inPage * record.Size; i < len(page); i++ {
-			page[i] = 0
-		}
-		m := &t.leaves[current]
-		t.sealPage(current, t.f.NumPages()-m.firstPage, page, m.secCRC, m.sketch)
-		if _, err := t.f.Append(page); err != nil {
-			return err
-		}
-		inPage = 0
-		return nil
-	}
-
-	for {
-		item, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		leaf, _ := splitTag(binary.LittleEndian.Uint64(item[:8]))
-		if leaf != current {
-			if err := flushPage(); err != nil { // page-align the new leaf
-				return err
-			}
-			current = leaf
-			t.leaves[leaf].firstPage = t.f.NumPages()
-		}
-		copy(page[inPage*record.Size:], item[8:])
-		inPage++
-		if inPage == perPage {
-			if err := flushPage(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flushPage(); err != nil {
-		return err
-	}
-	// Leaves that received no records point at the end of the file.
-	for i := range t.leaves {
-		if t.leaves[i].totalRecords() == 0 {
-			t.leaves[i].firstPage = t.f.NumPages()
-		}
-	}
-	return nil
 }

@@ -11,14 +11,15 @@ import (
 	"sampleview/internal/record"
 )
 
-// Parallel construction pipeline. Both stages follow the same recipe for
-// keeping the built file byte-identical to the sequential build:
+// The construction pipeline, the one path every build runs at any worker
+// count. Both stages follow the same recipe for keeping the built file and
+// its simulated cost independent of the worker count:
 //
 //   - Work is cut at fixed, worker-count-independent boundaries (blocks of
 //     source pages for tagging, ranges of leaves for rendering).
-//   - All randomness is pre-drawn in one sequential pass, consuming the
-//     seeded PCG stream in exactly the order assignTags consumes it, so
-//     every record receives the same (section, leaf) assignment.
+//   - All randomness is pre-drawn in one pass over the seeded PCG stream,
+//     in record order, so every record receives the same (section, leaf)
+//     assignment whichever worker tags it.
 //   - Workers hand their output to a single collector that writes blocks
 //     in order; only one goroutine ever touches the output file.
 //
@@ -45,20 +46,20 @@ type tagAcc struct {
 	secCounts  []int32 // [leaf*h + section]
 }
 
-// assignTagsParallel is assignTags spread over a worker pool. It returns
-// the tagged file with items in source order (byte-identical to the
-// sequential pass) and additionally fills t.leaves[*].secCounts, which the
-// parallel leaf renderer needs to locate every leaf in the sorted file
-// before it is written.
-func (t *Tree) assignTagsParallel(src *pagefile.ItemFile, seed uint64, workers int) (_ *pagefile.ItemFile, err error) {
+// assignTags scans src over a worker pool, draws the section and leaf
+// assignment for every record, accumulates the exact per-node left/right
+// counts, the data bounds and the directory's per-section counts, and
+// returns the tagged temporary file with items in source order (Figure 9
+// of the paper). The section counts let writeLeafData locate every leaf in
+// the sorted file before it is written.
+func (t *Tree) assignTags(src *pagefile.ItemFile, seed uint64, workers int) (_ *pagefile.ItemFile, err error) {
 	n := src.Count()
 	h := t.h
 	sim := t.f.Sim()
 
-	// Pre-draw the randomness sequentially: record i draws its section with
-	// IntN(h) and its leaf offset with Int64N(2^(h-s)), whose modulus
-	// depends only on the section draw, so this consumes the PCG stream in
-	// exactly the order the sequential scan does.
+	// Pre-draw the randomness in record order: record i draws its section
+	// with IntN(h) and its leaf offset with Int64N(2^(h-s)), whose modulus
+	// depends only on the section draw.
 	rng := rand.New(rand.NewPCG(seed, seed^0xace7ace7ace7ace7))
 	sVals := make([]uint8, n)
 	uVals := make([]int64, n)
@@ -220,13 +221,12 @@ func (t *Tree) assignTagsParallel(src *pagefile.ItemFile, seed uint64, workers i
 	return tagged, nil
 }
 
-// writeLeafDataParallel renders the leaf data region from the sorted
-// tagged file with a worker pool. The section counts gathered during
-// tagging determine every leaf's item range and page-aligned disk location
-// up front, so tasks over disjoint leaf ranges are independent; a single
-// collector appends the rendered pages in order, producing exactly the
-// bytes writeLeafData streams out sequentially.
-func (t *Tree) writeLeafDataParallel(sorted *pagefile.ItemFile, workers int) error {
+// writeLeafData renders the leaf data region from the (leaf,
+// section)-sorted tagged file with a worker pool, page-aligning each leaf.
+// The section counts gathered during tagging determine every leaf's item
+// range and disk location up front, so tasks over disjoint leaf ranges are
+// independent; a single collector appends the rendered pages in order.
+func (t *Tree) writeLeafData(sorted *pagefile.ItemFile, workers int) error {
 	perPage := int64(t.f.PageSize() / record.Size)
 	ps := t.f.PageSize()
 	sim := t.f.Sim()
@@ -245,8 +245,8 @@ func (t *Tree) writeLeafDataParallel(sorted *pagefile.ItemFile, workers int) err
 	dataStart := t.f.NumPages()
 	for i := int64(0); i < t.nLeaves; i++ {
 		if t.leaves[i].totalRecords() == 0 {
-			// Same convention as the sequential writer: empty leaves point
-			// at the end of the file.
+			// Leaves that received no records point at the end of the
+			// file.
 			t.leaves[i].firstPage = dataStart + pageOff[t.nLeaves]
 		} else {
 			t.leaves[i].firstPage = dataStart + pageOff[i]

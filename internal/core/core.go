@@ -99,8 +99,8 @@ type Params struct {
 	Seed uint64
 	// Parallelism is the number of worker goroutines the construction
 	// pipeline (sorted-run formation, tag assignment, leaf rendering) may
-	// use; 0 or 1 builds sequentially. The built view file is byte-identical
-	// for every value: randomness is pre-drawn in sequential order and work
+	// use; 0 counts as 1. The built view file and its simulated cost are the
+	// same for every value: randomness is pre-drawn in record order and work
 	// is split at fixed boundaries, so only wall-clock time changes.
 	Parallelism int
 }

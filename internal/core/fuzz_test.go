@@ -294,8 +294,8 @@ func FuzzRangeQuery(f *testing.F) {
 	})
 }
 
-// TestSkipMatchesPublishedRead runs checkSkipMatchesRead over both builders,
-// one- and two-dimensional trees on 4 KiB pages and on 1 KiB ones (leaves of
+// TestSkipMatchesPublishedRead runs checkSkipMatchesRead over builds with 1
+// and 4 workers, one- and two-dimensional trees on 4 KiB pages and on 1 KiB ones (leaves of
 // 3 to 20 pages), and the edge predicates: empty, one stored key, Lo == Hi
 // on a split key, beside the data bounds on either side, the data bounds and
 // the full box, plus narrow ranges on which skipping must save time. Two

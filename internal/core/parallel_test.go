@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"sampleview/internal/iosim"
 	"sampleview/internal/pagefile"
@@ -52,7 +53,7 @@ func TestCreateParallelByteIdentical(t *testing.T) {
 				pp.Parallelism = workers
 				got := buildBytes(t, n, pp)
 				if !bytes.Equal(got, want) {
-					t.Fatalf("n=%d params=%+v: parallel build (workers=%d) differs from sequential", n, p, workers)
+					t.Fatalf("n=%d params=%+v: build with %d workers differs from 1 worker", n, p, workers)
 				}
 			}
 		}
@@ -60,25 +61,32 @@ func TestCreateParallelByteIdentical(t *testing.T) {
 }
 
 // TestCreateParallelDeterministicCost asserts that the simulated
-// construction cost at a fixed parallelism level does not depend on
-// goroutine scheduling: per-block clock forks make every block's charges a
-// pure function of the block.
+// construction cost depends neither on the worker count nor on goroutine
+// scheduling: every build runs one pipeline, and per-block clock forks make
+// every block's charges a pure function of the block.
 func TestCreateParallelDeterministicCost(t *testing.T) {
-	costOnce := func() iosim.Counters {
+	type cost struct {
+		c   iosim.Counters
+		now time.Duration
+	}
+	costOnce := func(p Params) cost {
 		sim := testSim()
 		rel, err := workload.GenerateRelation(sim, 20000, workload.Uniform, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Create(pagefile.NewMem(sim), rel, Params{Seed: 7, Parallelism: 4}); err != nil {
+		if _, err := Create(pagefile.NewMem(sim), rel, p); err != nil {
 			t.Fatal(err)
 		}
-		return sim.Counters()
+		return cost{sim.Counters(), sim.Now()}
 	}
-	want := costOnce()
-	for i := 0; i < 3; i++ {
-		if got := costOnce(); got != want {
-			t.Fatalf("parallel build cost not deterministic: %+v vs %+v", got, want)
+	for _, mem := range []int{3, 64} {
+		want := costOnce(Params{Seed: 7, MemPages: mem, Parallelism: 1})
+		// 4 runs twice: the repeat catches charges that follow scheduling.
+		for _, workers := range []int{2, 4, 4} {
+			if got := costOnce(Params{Seed: 7, MemPages: mem, Parallelism: workers}); got != want {
+				t.Fatalf("mem=%d: build with %d workers charged %+v, 1 worker %+v", mem, workers, got, want)
+			}
 		}
 	}
 }

@@ -58,8 +58,8 @@ func tinySim() *iosim.Sim {
 }
 
 // craftedTree writes a one-dimensional tree whose leaves hold exactly the
-// given per-section record counts, through the builders' own file writer
-// (sequential or parallel), over a counting backend.
+// given per-section record counts, through the build's own file writer at
+// the given worker count, over a counting backend.
 func craftedTree(t *testing.T, counts [][]int32, workers int) (*Tree, *countingBackend) {
 	t.Helper()
 	sim := tinySim()
@@ -214,7 +214,7 @@ func wantFetches(m *leafMeta, perPage int64, need uint32) []pageRead {
 // TestPrefixReadCraftedLeaves puts the prefix boundary everywhere it can
 // fall: on the first, a middle and the last page of a multi-page leaf,
 // exactly at a page end, before leading and after trailing empty sections,
-// and in an empty leaf — under both builders, which must also agree on
+// and in an empty leaf — with 1 and 3 workers, which must also agree on
 // every checksum.
 func TestPrefixReadCraftedLeaves(t *testing.T) {
 	counts := [][]int32{
@@ -238,12 +238,12 @@ func TestPrefixReadCraftedLeaves(t *testing.T) {
 		crcs = append(crcs, all)
 	}
 	if !reflect.DeepEqual(crcs[0], crcs[1]) {
-		t.Fatal("sequential and parallel builders sealed different prefix checksums")
+		t.Fatal("builds with 1 and 3 workers sealed different prefix checksums")
 	}
 }
 
 // TestPrefixReadBuiltTrees runs the same contract over trees Create built
-// (both builders, one and two dimensions) with leaves of 3+ pages.
+// (1 and 4 workers, one and two dimensions) with leaves of 3+ pages.
 func TestPrefixReadBuiltTrees(t *testing.T) {
 	for _, p := range []Params{
 		{Height: 4, Seed: 3},

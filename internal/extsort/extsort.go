@@ -20,8 +20,8 @@
 // them in that fixed order, so the sorted output is byte-for-byte identical
 // for every worker count. Each chunk and each merge group charges its I/O to
 // a private clock forked from the shared simulated disk (iosim.Sim.Fork), so
-// the simulated cost is also independent of how chunks happen to be
-// scheduled over workers. A worker the chunks leave idle (a budget larger
+// the simulated cost is also the same at every worker count, however chunks
+// happen to be scheduled over workers. A worker the chunks leave idle (a budget larger
 // than the input makes one chunk) helps with the chunks in hand: it takes
 // long ranges of a chunk's sort and pages of its gather into run pages.
 //
@@ -43,14 +43,13 @@
 // testdata/tieorder.golden pins it.
 //
 // What is charged is the sequence of page reads and appends, never the bytes
-// moved: a sequential pass reads its input through an ItemReader's read-ahead
-// and appends each run whole; a forked chunk is one burst of reads, then its
-// run; a merge pass refills each run a burst at a time and appends output
+// moved: a chunk is one burst of reads on its forked clock, then its run; a
+// merge pass refills each run a burst at a time and appends output
 // (pagefile.ItemFile.NewWriterBurst) at the points where a burst of it is
 // complete. Moving pages instead of items issues exactly those calls in that
 // order (every page still checksum-verified on read and sealed on write), so
-// counters and simulated time are a function of input size, item size,
-// memPages and workers alone; the same golden pins them.
+// counters and simulated time are a function of input size, item size and
+// memPages alone; the same golden pins them.
 package extsort
 
 import (
@@ -89,8 +88,9 @@ const MinMemPages = 3
 // must be an empty item file with the same item size as src. memPages is
 // the number of page-sized memory buffers the sorter may use. Run formation
 // and intermediate merge passes are spread over up to workers goroutines
-// (each holding its own memPages of sort memory); workers <= 1 runs the
-// sequential path, and the output is byte-identical for every worker count.
+// (each holding its own memPages of sort memory; fewer than one counts as
+// one), and the output and its simulated cost are the same for every
+// worker count.
 func Sort(dst, src *pagefile.ItemFile, key Key, memPages, workers int) error {
 	if memPages < MinMemPages {
 		return fmt.Errorf("extsort: memory budget %d pages below minimum %d", memPages, MinMemPages)
@@ -104,13 +104,9 @@ func Sort(dst, src *pagefile.ItemFile, key Key, memPages, workers int) error {
 	if dst.Count() != 0 {
 		return fmt.Errorf("extsort: destination already holds %d items", dst.Count())
 	}
-	var runs []*pagefile.ItemFile
-	var err error
-	if workers > 1 {
-		runs, err = formRunsParallel(src, key, memPages, workers)
-	} else {
-		runs, err = formRuns(src, key, memPages)
-	}
+	// A crew of no workers would never let a chunk start.
+	workers = max(workers, 1)
+	runs, err := formRuns(src, key, memPages, workers)
 	if err != nil {
 		closeRuns(runs)
 		return err
@@ -150,8 +146,7 @@ type pair struct {
 // chunk holds one while it is read, sorted and written, and a worker the
 // chunk loop leaves free (fewer chunks than workers, or the last chunk still
 // running) is lent to a range of a chunk's sort or to its gather. Lending
-// never waits: when every worker is busy the chunk does the work itself. A
-// nil crew (one worker) lends nothing.
+// never waits: when every worker is busy the chunk does the work itself.
 type crew chan struct{}
 
 // lend runs fn on a free worker, counted in wg, and reports whether one was
@@ -295,34 +290,6 @@ func (b *batch) work() {
 	}
 }
 
-// formRuns performs phase 1: sequential read, in-memory sort of
-// memPages-sized chunks, one sorted run file per chunk. Like
-// formRunsParallel it returns the runs it made even beside an error, for
-// the caller to close.
-func formRuns(src *pagefile.ItemFile, key Key, memPages int) ([]*pagefile.ItemFile, error) {
-	c := newChunkSorter(src, key, memPages, nil)
-	ps := src.File().PageSize()
-	var runs []*pagefile.ItemFile
-	r := src.NewReader()
-	for r.Pos() < src.Count() {
-		first := r.Pos()
-		for pages := 0; pages < memPages && r.Pos() < src.Count(); pages++ {
-			page, err := r.NextPage()
-			if err != nil {
-				return runs, err
-			}
-			copy(c.arena[pages*ps:], page)
-		}
-		mem := pagefile.NewMem(src.File().Sim())
-		run, err := c.newRun(mem, mem, r.Pos()-first)
-		if err != nil {
-			return runs, err
-		}
-		runs = append(runs, run)
-	}
-	return runs, nil
-}
-
 // newRun writes the chunk's n items through clocked, a view of mem, and
 // returns mem as a run of n items; on error it releases mem.
 func (c *chunkSorter) newRun(mem, clocked *pagefile.File, n int64) (*pagefile.ItemFile, error) {
@@ -337,13 +304,14 @@ func (c *chunkSorter) newRun(mem, clocked *pagefile.File, n int64) (*pagefile.It
 	return run, err
 }
 
-// formRunsParallel is phase 1 over a worker pool. The input is cut into the
-// same memPages-sized chunks as formRuns (boundaries are page-aligned, so no
-// source page is read by two workers); each chunk is read, sorted and
-// written as a run on a clock forked per chunk, and runs are collected in
-// chunk order so the subsequent merge sees exactly the sequential run list.
-// A worker the chunks leave idle helps sort and gather the chunks in hand.
-func formRunsParallel(src *pagefile.ItemFile, key Key, memPages, workers int) ([]*pagefile.ItemFile, error) {
+// formRuns performs phase 1 over a worker pool. The input is cut into
+// memPages-sized chunks (boundaries are page-aligned, so no source page is
+// read by two workers); each chunk is read, sorted and written as a run on a
+// clock forked per chunk, and runs are collected in chunk order, so the
+// merge sees the same run list at every worker count. A worker the chunks
+// leave idle helps sort and gather the chunks in hand. It returns the runs
+// it made even beside an error, for the caller to close.
+func formRuns(src *pagefile.ItemFile, key Key, memPages, workers int) ([]*pagefile.ItemFile, error) {
 	sim, ps := src.File().Sim(), src.File().PageSize()
 	nchunks := int((src.NumPages() + int64(memPages) - 1) / int64(memPages))
 	runs := make([]*pagefile.ItemFile, nchunks)
@@ -380,22 +348,17 @@ func formRunsParallel(src *pagefile.ItemFile, key Key, memPages, workers int) ([
 }
 
 // mergeGroups runs one intermediate merge pass: each group of up to fanIn
-// runs is merged into next[g]. With workers > 1 the groups, which are
-// independent, run concurrently, each on its own forked clock.
+// runs is merged into next[g]. The groups are independent: they run
+// concurrently, each on its own forked clock.
 func mergeGroups(next, runs []*pagefile.ItemFile, key Key, memPages, fanIn, workers int) error {
 	sim := runs[0].File().Sim()
 	return par.ForEach(len(next), workers, func(g int) error {
-		group := runs[g*fanIn : min((g+1)*fanIn, len(runs))]
 		mem := pagefile.NewMem(sim)
-		out := pagefile.NewItemFile(mem, runs[0].ItemSize())
-		if workers > 1 {
-			ck := sim.Fork()
-			out = out.OnClock(ck)
-			clocked := make([]*pagefile.ItemFile, len(group))
-			for i, r := range group {
-				clocked[i] = r.OnClock(ck)
-			}
-			group = clocked
+		ck := sim.Fork()
+		out := pagefile.NewItemFile(mem, runs[0].ItemSize()).OnClock(ck)
+		var group []*pagefile.ItemFile
+		for _, r := range runs[g*fanIn : min((g+1)*fanIn, len(runs))] {
+			group = append(group, r.OnClock(ck))
 		}
 		err := mergeRuns(out, group, key, memPages)
 		if err == nil {

@@ -23,7 +23,7 @@ const forkLen = 1 << 13
 // workers the crew has idle. Sibling ranges are disjoint, and the one element
 // a range reads outside itself, data[a-1], is a pivot placed before the range
 // was handed out and never moved again, so the result is the same at every
-// worker count. A nil crew sorts inline.
+// worker count.
 func sortPairs(data []pair, cw crew) {
 	var wg sync.WaitGroup
 	pdqsort(data, 0, len(data), bits.Len(uint(len(data))), cw, &wg)

@@ -13,11 +13,8 @@ import (
 // sortWorkers sorts data the way a chunk of Sort does, holding one of
 // workers and lending the rest to the sort.
 func sortWorkers(data []pair, workers int) {
-	var cw crew
-	if workers > 1 {
-		cw = make(crew, workers)
-		cw <- struct{}{}
-	}
+	cw := make(crew, workers)
+	cw <- struct{}{}
 	sortPairs(data, cw)
 }
 

@@ -48,15 +48,15 @@ type Config struct {
 	// the ACE construction pipeline itself fans out, see
 	// core.Params.Parallelism), and a figure's averaged queries run
 	// concurrently per method on forked per-stream clocks (iosim.Sim.Fork).
-	// 0 or 1 runs everything on the calling goroutine, exactly reproducing
-	// the harness's original sequential charge order. Parallel runs are
+	// 0 or 1 builds with one worker and runs the queries on the calling
+	// goroutine, exactly reproducing the harness's original sequential
+	// charge order. Parallel runs are
 	// deterministic for a fixed seed: every query stream is charged to its
 	// own clock, whose cost is the stream's single-disk cost regardless of
 	// goroutine scheduling. They can differ microscopically from the
 	// sequential run, because a forked stream starts with the disk head
 	// unpositioned while the sequential harness lets one query inherit the
-	// previous query's head position (and the parallel ACE build's
-	// read-ahead is block-bounded).
+	// previous query's head position.
 	Parallel int
 	// Physical disables scale matching. The paper's normalized curves
 	// (percent-of-scan-time axes) are governed by dimensionless ratios:

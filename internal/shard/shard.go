@@ -80,7 +80,7 @@ type Options struct {
 	Seed                   uint64
 	// Parallelism bounds the worker goroutines used across the whole
 	// build: shards build concurrently and each shard's internal pipeline
-	// stays sequential, so the stored bytes are identical at every setting.
+	// runs on one worker; the stored bytes are identical at every setting.
 	Parallelism int
 	// Model overrides the per-disk cost model (zero = iosim.DefaultModel).
 	Model iosim.Model

@@ -147,9 +147,9 @@ type Options struct {
 	Seed uint64
 	// BuildParallelism is the number of worker goroutines the bulk
 	// construction pipeline may use for run formation (the sort of each
-	// chunk included), tagging and leaf writing (0 or 1 = sequential). The
-	// stored view is byte-identical at every setting for a given seed, and
-	// does not depend on the Go toolchain's sort.
+	// chunk included), tagging and leaf writing (0 counts as 1). The stored
+	// view and the build's simulated cost are the same at every setting for
+	// a given seed, and do not depend on the Go toolchain's sort.
 	BuildParallelism int
 	// DiskModel overrides the simulated disk cost model used for I/O
 	// accounting. Zero value selects iosim.DefaultModel.
