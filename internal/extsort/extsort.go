@@ -21,9 +21,10 @@
 // for every worker count. Each chunk and each merge group charges its I/O to
 // a private clock forked from the shared simulated disk (iosim.Sim.Fork), so
 // the simulated cost is also the same at every worker count, however chunks
-// happen to be scheduled over workers. A worker the chunks leave idle (a budget larger
-// than the input makes one chunk) helps with the chunks in hand: it takes
-// long ranges of a chunk's sort and pages of its gather into run pages.
+// happen to be scheduled over workers. A worker the chunks leave idle (a
+// budget larger than the input makes one chunk) helps with the chunks in
+// hand: it takes long ranges of a chunk's sort and pages of its gather into
+// run pages.
 //
 // Items are ordered by an extracted key (Key) and moved by the page. A chunk
 // is read as page images; what is sorted is one 16-byte (key, offset) pair
@@ -348,8 +349,8 @@ func formRuns(src *pagefile.ItemFile, key Key, memPages, workers int) ([]*pagefi
 }
 
 // mergeGroups runs one intermediate merge pass: each group of up to fanIn
-// runs is merged into next[g]. The groups are independent: they run
-// concurrently, each on its own forked clock.
+// runs is merged into next[g]. The groups are independent and spread over
+// the workers, each on its own forked clock.
 func mergeGroups(next, runs []*pagefile.ItemFile, key Key, memPages, fanIn, workers int) error {
 	sim := runs[0].File().Sim()
 	return par.ForEach(len(next), workers, func(g int) error {

@@ -50,13 +50,12 @@ type Config struct {
 	// concurrently per method on forked per-stream clocks (iosim.Sim.Fork).
 	// 0 or 1 builds with one worker and runs the queries on the calling
 	// goroutine, exactly reproducing the harness's original sequential
-	// charge order. Parallel runs are
-	// deterministic for a fixed seed: every query stream is charged to its
-	// own clock, whose cost is the stream's single-disk cost regardless of
-	// goroutine scheduling. They can differ microscopically from the
-	// sequential run, because a forked stream starts with the disk head
-	// unpositioned while the sequential harness lets one query inherit the
-	// previous query's head position.
+	// charge order. Parallel runs are deterministic for a fixed seed: every
+	// query stream is charged to its own clock, whose cost is the stream's
+	// single-disk cost regardless of goroutine scheduling. They can differ
+	// microscopically from the sequential run, because a forked stream
+	// starts with the disk head unpositioned while the sequential harness
+	// lets one query inherit the previous query's head position.
 	Parallel int
 	// Physical disables scale matching. The paper's normalized curves
 	// (percent-of-scan-time axes) are governed by dimensionless ratios:
