@@ -18,10 +18,10 @@ import (
 // buildGolden is the checked-in record of what every bulk build writes and
 // what it is charged: the SHA-256 of the built file, sim.Counters() and
 // sim.Now() after the build, on the default disk model. The worker-count
-// tests compare a build with itself; this file is what notices every
-// worker count drifting together. Built bytes depend on the order among equal
-// keys, which package extsort's own pdqsort fixes at every worker count and
-// on every toolchain; the par=4 one-chunk line is a sort whose ranges go to
+// tests compare a build with itself; this file is what notices every worker
+// count drifting together. Built bytes depend on the order among equal keys,
+// which package extsort's own pdqsort fixes at every worker count and on
+// every toolchain; the par=4 one-chunk line is a sort whose ranges go to
 // other workers. To re-record on purpose: delete the file, rerun, review.
 const buildGolden = "testdata/build.golden"
 

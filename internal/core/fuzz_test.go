@@ -295,12 +295,12 @@ func FuzzRangeQuery(f *testing.F) {
 }
 
 // TestSkipMatchesPublishedRead runs checkSkipMatchesRead over builds with 1
-// and 4 workers, one- and two-dimensional trees on 4 KiB pages and on 1 KiB ones (leaves of
-// 3 to 20 pages), and the edge predicates: empty, one stored key, Lo == Hi
-// on a split key, beside the data bounds on either side, the data bounds and
-// the full box, plus narrow ranges on which skipping must save time. Two
-// narrow ranges also run checkSpanUnderFaults, and on the small trees one key
-// and the data bounds too.
+// and 4 workers, one- and two-dimensional trees on 4 KiB pages and on 1 KiB
+// ones (leaves of 3 to 20 pages), and the edge predicates: empty, one stored
+// key, Lo == Hi on a split key, beside the data bounds on either side, the
+// data bounds and the full box, plus narrow ranges on which skipping must
+// save time. Two narrow ranges also run checkSpanUnderFaults, and on the
+// small trees one key and the data bounds too.
 // On 4 KiB and 1 KiB pages the 3,000-record trees keep their 0.25% drains on
 // their stabs; on the paper's 64 KiB pages the 40,000-record trees' drains
 // finish by a pass, under every fault profile.

@@ -291,20 +291,6 @@ func (b *batch) work() {
 	}
 }
 
-// newRun writes the chunk's n items through clocked, a view of mem, and
-// returns mem as a run of n items; on error it releases mem.
-func (c *chunkSorter) newRun(mem, clocked *pagefile.File, n int64) (*pagefile.ItemFile, error) {
-	err := c.writeRun(clocked, int(n))
-	var run *pagefile.ItemFile
-	if err == nil {
-		run, err = pagefile.OpenItemFile(mem, c.src.ItemSize(), 0, n)
-	}
-	if err != nil {
-		mem.Close()
-	}
-	return run, err
-}
-
 // formRuns performs phase 1 over a worker pool. The input is cut into
 // memPages-sized chunks (boundaries are page-aligned, so no source page is
 // read by two workers); each chunk is read, sorted and written as a run on a
@@ -342,8 +328,13 @@ func formRuns(src *pagefile.ItemFile, key Key, memPages, workers int) ([]*pagefi
 		// The run wraps the unclocked file, so the merge pass charges the
 		// caller's clock, not this chunk's.
 		mem := pagefile.NewMem(sim)
-		var err error
-		runs[k], err = c.newRun(mem, mem.OnClock(ck), items)
+		err := c.writeRun(mem.OnClock(ck), int(items))
+		if err == nil {
+			runs[k], err = pagefile.OpenItemFile(mem, src.ItemSize(), 0, items)
+		}
+		if err != nil {
+			mem.Close()
+		}
 		return err
 	})
 }

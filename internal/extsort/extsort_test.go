@@ -319,6 +319,10 @@ func rawBytes(t *testing.T, itf *pagefile.ItemFile) []byte {
 // with 1 worker, and a rerun at the same count charges the same again
 // whatever the goroutine scheduling.
 func TestSortWorkersByteIdentical(t *testing.T) {
+	type cost struct {
+		c   iosim.Counters
+		now time.Duration
+	}
 	rng := rand.New(rand.NewPCG(11, 12))
 	for _, n := range []int{0, 1, 100, 5000} {
 		keys := make([]uint64, n)
@@ -326,10 +330,6 @@ func TestSortWorkersByteIdentical(t *testing.T) {
 			keys[i] = rng.Uint64() % 500 // plenty of duplicate keys
 		}
 		for _, memPages := range []int{3, 4, 16} {
-			type cost struct {
-				c   iosim.Counters
-				now time.Duration
-			}
 			sortOnce := func(workers int) ([]byte, cost) {
 				sim := testSim()
 				src := writeItems(t, sim, keys)
