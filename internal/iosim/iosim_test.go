@@ -1,6 +1,9 @@
 package iosim
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"sync"
 	"testing"
 	"time"
 )
@@ -144,5 +147,139 @@ func TestDefaultModelRatio(t *testing.T) {
 	// The paper's testbed had a random:sequential page cost ratio of ~8:1.
 	if ratio < 5 || ratio > 15 {
 		t.Fatalf("default model ratio %.1f outside plausible band", ratio)
+	}
+}
+
+// TestSimChargesAsItsClock: a seeded program charged to a Sim directly and
+// to the lone fork of a second Sim with the same model and fault plan sees
+// the same faults and the same clock after every op, and the same counters
+// at the end: the Sim's direct charges follow the Clock's cost rule and
+// attempt cursors exactly.
+func TestSimChargesAsItsClock(t *testing.T) {
+	plan := FaultPlan{
+		Seed: 11, TransientRate: 0.2, TransientBurst: 2,
+		LatencyRate: 0.1, LatencySpike: 3 * time.Millisecond,
+	}
+	direct, other := New(testModel()), New(testModel())
+	direct.SetFaultPlan(plan)
+	other.SetFaultPlan(plan)
+	var files []FileID
+	for i := 0; i < 3; i++ {
+		files = append(files, direct.Register())
+		other.Register()
+	}
+	clk := other.Fork()
+	rng := rand.New(rand.NewPCG(50, 1))
+	next := make(map[FileID]int64)
+	for op := 0; op < 6000; op++ {
+		f := files[rng.IntN(len(files))]
+		page := int64(rng.IntN(64))
+		if rng.IntN(2) == 0 { // continue where this file's head would be
+			page = next[f]
+		}
+		next[f] = page + 1
+		k := rng.IntN(5)
+		switch k {
+		case 0:
+			direct.ReadPage(f, page)
+			clk.ReadPage(f, page)
+		case 1:
+			n := int64(rng.IntN(5))
+			direct.ReadPages(f, page, n)
+			clk.ReadPages(f, page, n)
+			if n > 0 {
+				next[f] = page + n
+			}
+		case 2:
+			direct.WritePage(f, page)
+			clk.WritePage(f, page)
+		case 3:
+			if a, b := direct.BeginRead(f, page), clk.BeginRead(f, page); a != b {
+				t.Fatalf("op %d: BeginRead(%d, %d) = %+v on the Sim, %+v on the Clock", op, f, page, a, b)
+			}
+		case 4:
+			d := time.Duration(rng.IntN(1000)) * time.Microsecond
+			direct.Advance(d)
+			clk.Advance(d)
+		}
+		if direct.Now() != clk.Now() {
+			t.Fatalf("op %d (kind %d): Sim at %v, Clock at %v", op, k, direct.Now(), clk.Now())
+		}
+	}
+	if a, b := direct.Counters(), clk.Counters(); a != b {
+		t.Fatalf("counters: Sim %+v, Clock %+v", a, b)
+	}
+	if a, b := direct.FaultCounters(), clk.FaultCounters(); a != b {
+		t.Fatalf("fault counters: Sim %+v, Clock %+v", a, b)
+	}
+	c, fc := direct.Counters(), direct.FaultCounters()
+	if c.RandomReads == 0 || c.SequentialReads == 0 || fc.Transient == 0 || fc.LatencySpikes == 0 {
+		t.Fatalf("program exercised too little: %+v %+v", c, fc)
+	}
+	t.Logf("%d random / %d sequential reads, %d random / %d sequential writes, %d transient, %d spikes",
+		c.RandomReads, c.SequentialReads, c.RandomWrites, c.SequentialWrites, fc.Transient, fc.LatencySpikes)
+}
+
+// TestConcurrentDirectAndForkedCharges: goroutines charging one Sim
+// directly, fault attempts included, race forks charging it too. Every
+// access lands in the totals, each direct reader meets each flaky page's
+// burst exactly once, and each fork reads as it would running alone.
+func TestConcurrentDirectAndForkedCharges(t *testing.T) {
+	const workers, iters = 4, 500
+	plan := FaultPlan{Seed: 3, TransientRate: 1, TransientBurst: 1, LatencyRate: 0.2, LatencySpike: time.Millisecond}
+	// program charges ch with iters steps over f, from page base on: two
+	// attempts of a flaky page (the first fails), then 5 page accesses.
+	program := func(ch Charger, f FileID, base int64) error {
+		for i := int64(0); i < iters; i++ {
+			page := base + i
+			if !ch.BeginRead(f, page).Transient || ch.BeginRead(f, page).Transient {
+				return fmt.Errorf("page %d: want one failed attempt, then a clean one", page)
+			}
+			ch.ReadPage(f, page)
+			ch.WritePage(f, page+1)
+			ch.ReadPages(f, page+2, 3)
+			ch.Advance(time.Microsecond)
+		}
+		return nil
+	}
+	solo := New(testModel())
+	solo.SetFaultPlan(plan)
+	sf := solo.Register()
+	alone := solo.Fork()
+	if err := program(alone, sf, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	sim := New(testModel())
+	sim.SetFaultPlan(plan)
+	f := sim.Register()
+	forks := make([]*Clock, workers)
+	errs := make(chan error, 2*workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		forks[g] = sim.Fork()
+		wg.Add(2)
+		go func(base int64) { defer wg.Done(); errs <- program(sim, f, base) }(int64(g) * 10 * iters)
+		go func(c *Clock) { defer wg.Done(); errs <- program(c, f, 0) }(forks[g])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, fc := sim.Counters(), sim.FaultCounters()
+	if got, want := c.Reads()+c.Writes(), int64(2*workers*iters*5); got != want {
+		t.Fatalf("%d accesses charged, want %d", got, want)
+	}
+	if got, want := fc.Transient, int64(2*workers*iters); got != want {
+		t.Fatalf("%d transient faults, want %d", got, want)
+	}
+	for g, k := range forks {
+		if k.Now() != alone.Now() || k.Counters() != alone.Counters() || k.FaultCounters() != alone.FaultCounters() {
+			t.Fatalf("fork %d read %v %+v %+v, alone %v %+v %+v", g,
+				k.Now(), k.Counters(), k.FaultCounters(), alone.Now(), alone.Counters(), alone.FaultCounters())
+		}
 	}
 }
