@@ -169,16 +169,3 @@ func (s *Sim) Sync() error {
 	s.now.Add(int64(s.model.RandomWrite))
 	return nil
 }
-
-// AtCrashPoint delegates to the parent Sim: a power cut takes every stream
-// down at once.
-func (c *Clock) AtCrashPoint(p CrashPoint) error { return c.parent.AtCrashPoint(p) }
-
-// Sync charges a durability barrier to the stream's clock and the parent's.
-func (c *Clock) Sync() error {
-	if err := c.parent.Sync(); err != nil {
-		return err
-	}
-	c.now += c.model.RandomWrite
-	return nil
-}

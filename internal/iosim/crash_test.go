@@ -80,21 +80,6 @@ func TestSyncChargesBarrier(t *testing.T) {
 	}
 }
 
-func TestClockCrashDelegation(t *testing.T) {
-	s := New(DefaultModel())
-	c := s.Fork()
-	s.SetCrashPlan(CrashPlan{Point: CrashPostWALAppend})
-	if err := c.AtCrashPoint(CrashPostWALAppend); !IsCrash(err) {
-		t.Fatalf("fork did not see the parent's cut: %v", err)
-	}
-	if err := c.Sync(); !IsCrash(err) {
-		t.Fatalf("fork Sync survived the parent's cut: %v", err)
-	}
-	if !s.Crashed() {
-		t.Fatal("cut via fork did not crash the parent")
-	}
-}
-
 func TestCrashErrorMessageNamesPoint(t *testing.T) {
 	e := &CrashError{Point: CrashPreManifestRename, Hit: 2}
 	want := fmt.Sprintf("iosim: simulated power cut at %s (hit 2)", CrashPreManifestRename)

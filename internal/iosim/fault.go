@@ -312,41 +312,17 @@ func (s *Sim) FaultCounters() FaultCounters {
 // NoteFault records one fault outcome observed by the storage layer.
 func (s *Sim) NoteFault(k FaultKind) { s.faults[k].Add(1) }
 
-// nextAttempt returns and advances the per-page read-attempt cursor.
-func (s *Sim) nextAttempt(f FileID, page int64) int {
-	k := attemptKey{f, page}
-	s.faultMu.Lock()
-	defer s.faultMu.Unlock()
-	if s.attempts == nil {
-		s.attempts = make(map[attemptKey]int)
-	}
-	a := s.attempts[k]
-	s.attempts[k] = a + 1
-	return a
-}
-
-// BeginRead consults the fault plan for the next read attempt of the page.
-// It advances the per-page attempt cursor (only pages the plan marks flaky
-// are tracked), charges any injected latency spike to the clock, and counts
-// transient and latency faults.
+// BeginRead consults the fault plan for the next read attempt of the page,
+// against the attempt cursors of the Clock the Sim owns: see Clock.BeginRead.
+// With no plan installed it returns without taking the lock.
 func (s *Sim) BeginRead(f FileID, page int64) Fault {
 	p := s.plan.Load()
 	if p == nil {
 		return Fault{FlipBit: -1}
 	}
-	attempt := 0
-	if p.TransientRate > 0 && p.roll(f, page, saltFlaky) < p.TransientRate {
-		attempt = s.nextAttempt(f, page)
-	}
-	flt := p.fate(f, page, attempt)
-	if flt.Transient {
-		s.faults[FaultTransient].Add(1)
-	}
-	if flt.Spike > 0 {
-		s.Advance(flt.Spike)
-		s.faults[FaultLatency].Add(1)
-	}
-	return flt
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.own.beginRead(p, f, page)
 }
 
 // FaultPlan returns the fault schedule of the parent Sim (zero if none).
@@ -364,9 +340,15 @@ func (c *Clock) NoteFault(k FaultKind) {
 // BeginRead consults the fault plan for the stream's next read attempt of
 // the page, against the stream's private attempt cursors: the schedule a
 // stream observes is a pure function of its own access sequence, identical
-// at any concurrency.
+// at any concurrency. It advances the cursor (only pages the plan marks
+// flaky are tracked), charges any injected latency spike to the clock, and
+// counts transient and latency faults.
 func (c *Clock) BeginRead(f FileID, page int64) Fault {
-	p := c.parent.plan.Load()
+	return c.beginRead(c.parent.plan.Load(), f, page)
+}
+
+// beginRead is BeginRead under plan p, loaded once by the caller.
+func (c *Clock) beginRead(p *FaultPlan, f FileID, page int64) Fault {
 	if p == nil {
 		return Fault{FlipBit: -1}
 	}

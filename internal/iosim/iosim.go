@@ -17,18 +17,19 @@
 //
 // # Concurrency
 //
-// A Sim is safe for concurrent use. Because random-versus-sequential
-// classification depends on the order in which accesses move the disk head,
-// charging a shared Sim from several goroutines would make the split between
-// the counters (and hence the clock) depend on goroutine scheduling. Workers
-// that need deterministic accounting therefore charge a private Clock
-// obtained from Sim.Fork: each Clock classifies accesses against its own
-// head state (deterministic for a single stream regardless of what other
-// streams do) and contributes every charge to the parent Sim's totals with
-// atomic additions, which commute. The parent's aggregate clock and counters
-// are thus the same for any interleaving and any worker count, while each
-// stream's own elapsed time is exactly what a single-stream run would
-// measure.
+// The cost rule and the flaky-page attempt cursors live in Clock alone. A
+// Clock, obtained from Sim.Fork, classifies each access against its own head
+// state and cursors and contributes every charge to the parent Sim's totals
+// with atomic additions, which commute. A Sim charged directly delegates,
+// under its mutex, to a Clock it owns, so a Sim is safe for concurrent use.
+// But random-versus-sequential classification depends on the order in which
+// accesses move the disk head, so charging a shared Sim from several
+// goroutines makes the split between the counters (and hence the clock)
+// depend on goroutine scheduling. Workers that need deterministic accounting
+// therefore charge a private fork each: its reading is exactly what a
+// single-stream run would measure, regardless of what other streams do, and
+// the parent's aggregate clock and counters are the same for any
+// interleaving and any worker count.
 package iosim
 
 import (
@@ -120,29 +121,25 @@ type Charger interface {
 }
 
 // Sim is a simulated disk: a virtual clock plus head-position tracking.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. Accesses charged to the Sim
+// directly go, under mu, through a Clock the Sim owns, so the Sim and its
+// forks share one implementation of the cost rule and the attempt cursors.
 type Sim struct {
 	model Model
 
 	now      atomic.Int64 // accumulated nanoseconds
 	counters [4]atomic.Int64
+	files    atomic.Int32 // FileIDs handed out by Register
 
-	// mu guards the head state used to classify accesses charged directly
-	// to the Sim (Clock forks keep their own head state).
-	mu sync.Mutex
-	// head tracks, per registered file, the page index immediately after the
-	// last page accessed, or -1 if the head is not positioned in that file.
-	head     []int64 // guarded by mu
-	headFile FileID  // guarded by mu; file the head is currently in, or -1
+	// mu guards own, the Clock that classifies and fault-checks the accesses
+	// charged directly to the Sim. Its head and attempt cursors are its own,
+	// apart from every other fork's.
+	mu  sync.Mutex
+	own *Clock // guarded by mu
 
 	// plan is the active fault schedule; nil means no faults.
-	plan atomic.Pointer[FaultPlan]
-	// faultMu guards the per-page read-attempt cursors used by flaky-page
-	// burst accounting for accesses charged directly to the Sim (Clock forks
-	// keep their own cursors).
-	faultMu  sync.Mutex
-	attempts map[attemptKey]int // guarded by faultMu
-	faults   [numFaultKinds]atomic.Int64
+	plan   atomic.Pointer[FaultPlan]
+	faults [numFaultKinds]atomic.Int64
 
 	// crashMu guards the crash schedule and the crashed state; syncs counts
 	// durability barriers (see crash.go).
@@ -167,20 +164,16 @@ func New(model Model) *Sim {
 	if err := model.Validate(); err != nil {
 		panic(err)
 	}
-	return &Sim{model: model, headFile: -1}
+	s := &Sim{model: model}
+	s.own = s.Fork()
+	return s
 }
 
 // Model returns the disk model in use.
 func (s *Sim) Model() Model { return s.model }
 
 // Register allocates a FileID for a new file on this disk.
-func (s *Sim) Register() FileID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := FileID(len(s.head))
-	s.head = append(s.head, -1)
-	return id
-}
+func (s *Sim) Register() FileID { return FileID(s.files.Add(1) - 1) }
 
 // Now returns the current simulated time: the total disk-busy time of every
 // access charged to the Sim, directly or through a forked Clock.
@@ -205,60 +198,27 @@ func (s *Sim) Advance(d time.Duration) {
 	}
 }
 
-// charge records one access of the given kind (a counter index).
-func (s *Sim) charge(kind int, d time.Duration) {
-	s.counters[kind].Add(1)
-	s.now.Add(int64(d))
-}
-
-// sequentialLocked reports whether accessing page of file f continues the
-// current head position, and updates the head either way. Callers hold mu.
-func (s *Sim) sequentialLocked(f FileID, page int64) bool {
-	seq := s.headFile == f && s.head[f] == page
-	s.headFile = f
-	s.head[f] = page + 1
-	return seq
-}
-
 // ReadPage charges the clock for reading the given page of file f.
 func (s *Sim) ReadPage(f FileID, page int64) {
 	s.mu.Lock()
-	seq := s.sequentialLocked(f, page)
-	s.mu.Unlock()
-	if seq {
-		s.charge(cSeqRead, s.model.SequentialRead)
-	} else {
-		s.charge(cRandomRead, s.model.RandomRead)
-	}
+	defer s.mu.Unlock()
+	s.own.ReadPage(f, page)
 }
 
 // ReadPages charges the clock for reading the n pages of file f from page
 // on, in order, as n ReadPage calls would: the first classified by the head,
 // the rest sequential.
 func (s *Sim) ReadPages(f FileID, page, n int64) {
-	if n <= 0 {
-		return
-	}
-	s.ReadPage(f, page)
-	if n--; n > 0 {
-		s.mu.Lock()
-		s.head[f] = page + 1 + n
-		s.mu.Unlock()
-		s.counters[cSeqRead].Add(n)
-		s.now.Add(n * int64(s.model.SequentialRead))
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.own.ReadPages(f, page, n)
 }
 
 // WritePage charges the clock for writing the given page of file f.
 func (s *Sim) WritePage(f FileID, page int64) {
 	s.mu.Lock()
-	seq := s.sequentialLocked(f, page)
-	s.mu.Unlock()
-	if seq {
-		s.charge(cSeqWrite, s.model.SequentialWrite)
-	} else {
-		s.charge(cRandomWrite, s.model.RandomWrite)
-	}
+	defer s.mu.Unlock()
+	s.own.WritePage(f, page)
 }
 
 // ScanCost returns the time a pure sequential scan of n pages would take:
@@ -287,11 +247,11 @@ func (s *Sim) Fork() *Clock {
 }
 
 // Clock is a private virtual clock for one stream or worker, created with
-// Sim.Fork. It is NOT safe for concurrent use; each goroutine charges its
-// own Clock. Every charge also flows into the parent Sim's clock and
-// counters, so shared totals stay complete (and deterministic, because
-// contributions commute) while the Clock's own state gives the stream's
-// single-stream cost.
+// Sim.Fork; the Sim's own direct charges go through one too. It is NOT safe
+// for concurrent use; each goroutine charges its own Clock. Every charge
+// also flows into the parent Sim's clock and counters, so shared totals
+// stay complete (and deterministic, because contributions commute) while
+// the Clock's own state gives the stream's single-stream cost.
 type Clock struct {
 	model    Model
 	parent   *Sim // never nil: Fork is the only constructor
@@ -324,25 +284,28 @@ func (c *Clock) Advance(d time.Duration) {
 
 // sequential classifies an access against the stream's private head state.
 func (c *Clock) sequential(f FileID, page int64) bool {
-	h, ok := c.head[f]
-	seq := ok && c.headFile == f && h == page
+	seq := c.headFile == f && c.head[f] == page
 	c.headFile = f
 	c.head[f] = page + 1
 	return seq
 }
 
-func (c *Clock) charge(kind int, d time.Duration, n *int64) {
+// charge records n accesses of the given kind (a counter index), d each, in
+// the stream's counter ctr and the parent's totals.
+func (c *Clock) charge(kind int, n int64, d time.Duration, ctr *int64) {
+	d *= time.Duration(n)
 	c.now += d
-	*n++
-	c.parent.charge(kind, d)
+	*ctr += n
+	c.parent.counters[kind].Add(n)
+	c.parent.now.Add(int64(d))
 }
 
 // ReadPage charges the stream's clock for reading the given page of file f.
 func (c *Clock) ReadPage(f FileID, page int64) {
 	if c.sequential(f, page) {
-		c.charge(cSeqRead, c.model.SequentialRead, &c.counters.SequentialReads)
+		c.charge(cSeqRead, 1, c.model.SequentialRead, &c.counters.SequentialReads)
 	} else {
-		c.charge(cRandomRead, c.model.RandomRead, &c.counters.RandomReads)
+		c.charge(cRandomRead, 1, c.model.RandomRead, &c.counters.RandomReads)
 	}
 }
 
@@ -355,19 +318,15 @@ func (c *Clock) ReadPages(f FileID, page, n int64) {
 	c.ReadPage(f, page)
 	if n--; n > 0 {
 		c.head[f] = page + 1 + n
-		d := time.Duration(n) * c.model.SequentialRead
-		c.now += d
-		c.counters.SequentialReads += n
-		c.parent.counters[cSeqRead].Add(n)
-		c.parent.now.Add(int64(d))
+		c.charge(cSeqRead, n, c.model.SequentialRead, &c.counters.SequentialReads)
 	}
 }
 
 // WritePage charges the stream's clock for writing the given page of file f.
 func (c *Clock) WritePage(f FileID, page int64) {
 	if c.sequential(f, page) {
-		c.charge(cSeqWrite, c.model.SequentialWrite, &c.counters.SequentialWrites)
+		c.charge(cSeqWrite, 1, c.model.SequentialWrite, &c.counters.SequentialWrites)
 	} else {
-		c.charge(cRandomWrite, c.model.RandomWrite, &c.counters.RandomWrites)
+		c.charge(cRandomWrite, 1, c.model.RandomWrite, &c.counters.RandomWrites)
 	}
 }

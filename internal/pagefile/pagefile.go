@@ -300,7 +300,7 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool, sp *span) ([]byte, e
 	}
 	phys := i + f.physOff
 	budget := f.charge.FaultPlan().Attempts()
-	var sticky, transient bool
+	var sticky bool
 	var corrupt *CorruptPageError
 	for a := 0; a < budget; a++ {
 		flt := f.faultFor(phys)
@@ -310,7 +310,6 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool, sp *span) ([]byte, e
 			continue
 		}
 		if flt.Transient {
-			transient = true
 			continue
 		}
 		var payload []byte
@@ -340,8 +339,6 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool, sp *span) ([]byte, e
 	case corrupt != nil:
 		f.charge.NoteFault(iosim.FaultCorrupt)
 		return nil, corrupt
-	case transient:
-		return nil, &TransientError{Page: i, Attempts: budget}
 	}
 	return nil, &TransientError{Page: i, Attempts: budget}
 }
