@@ -257,8 +257,8 @@ type Clock struct {
 	parent   *Sim // never nil: Fork is the only constructor
 	now      time.Duration
 	counters Counters
-	headFile FileID
-	head     map[FileID]int64
+	headFile FileID           // file the head is in, or -1 before the first access
+	head     map[FileID]int64 // per file, the page after the last one accessed
 
 	// attempts holds the stream's private per-page read-attempt cursors, so
 	// a stream's fault schedule depends only on its own access sequence —
