@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"sampleview"
 	"sampleview/internal/catalog"
 	"sampleview/internal/lsm"
+	"sampleview/internal/par"
 	"sampleview/internal/record"
 	"sampleview/internal/shard"
 )
@@ -95,11 +97,11 @@ func (c Config) withDefaults() Config {
 
 // ViewStream is the per-stream surface the serving layer drives: batch
 // pulls, teardown, and the simulated time used for idle accounting. The
-// slice Sample returns is the stream's to reuse: it is valid until the next
-// Sample on that stream and no longer (the session encodes it into the
-// response frame before it asks again). Close may come from the idle reaper
-// while a batch is still being encoded, so it must leave the last batch
-// alone; one goroutine at a time calls Sample.
+// session encodes the slice Sample returns before it asks again, so a stream
+// may reuse it; Close may come from the idle reaper while a batch is still
+// being encoded, so it must leave the last batch alone; one goroutine at a
+// time calls Sample. A *shard.Stream is drawn with AppendSample instead, into
+// record memory the server lends for one pull (localStream.draw).
 type ViewStream interface {
 	Sample(n int) ([]record.Record, error)
 	Close() error
@@ -145,36 +147,6 @@ type SeededSource interface {
 	OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error)
 }
 
-// batchStream is what the built-in sources open: the in-process stream
-// (of either view kind), drawn a batch at a time into one record buffer
-// that lives as long as the stream.
-type batchStream struct {
-	*shard.Stream
-	// buf is the batch Sample lent last, made at the size of the largest
-	// pull so far (at most MaxBatch). It belongs to this object — plain
-	// garbage-collected memory, never the recycled working memory the
-	// stream's Close hands on to the next stream — because the reaper may
-	// Close the stream while the session is still encoding buf.
-	buf []record.Record
-}
-
-func (b *batchStream) Sample(n int) ([]record.Record, error) {
-	if cap(b.buf) < n {
-		b.buf = make([]record.Record, 0, n)
-	}
-	var err error
-	b.buf, err = b.AppendSample(b.buf[:0], n)
-	return b.buf, err
-}
-
-// lend wraps a freshly opened stream (or passes the open's error on).
-func lend(s *shard.Stream, err error) (ViewStream, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &batchStream{Stream: s}, nil
-}
-
 // view is what the unsharded and the sharded view share: everything a
 // ViewSource needs, the live write path, and the stream opens.
 type view interface {
@@ -192,10 +164,10 @@ type view interface {
 // writable too.
 type source struct{ view }
 
-func (v source) OpenStream(q record.Box) (ViewStream, error) { return lend(v.Query(q)) }
+func (v source) OpenStream(q record.Box) (ViewStream, error) { return v.Query(q) }
 
 func (v source) OpenStreamSeeded(q record.Box, seed uint64) (ViewStream, error) {
-	return lend(v.QuerySeeded(q, seed))
+	return v.QuerySeeded(q, seed)
 }
 
 // LocalSource adapts an unsharded view for AddSource.
@@ -228,8 +200,9 @@ type Server struct {
 	catalog   *catalog.Catalog       // guarded by mu
 	nextView  uint32                 // guarded by mu
 
-	maintJobs      atomic.Int64 // catalog background jobs run between request bursts
-	maintJobErrors atomic.Int64 // catalog background jobs that failed
+	maintJobs      atomic.Int64         // catalog background jobs run between request bursts
+	maintJobErrors atomic.Int64         // catalog background jobs that failed
+	batches        chan []record.Record // buffers pulls draw into, one per CPU: each is out for one pull
 }
 
 // New returns a server with the given configuration and no views.
@@ -237,6 +210,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		views:     make(map[string]*servedView),
 		viewsByID: make(map[uint32]*servedView),
+		batches:   make(chan []record.Record, runtime.NumCPU()),
 	}
 	s.Engine = NewEngine(endpoint{s}, cfg.withDefaults())
 	return s
@@ -359,7 +333,7 @@ func (s endpoint) OpenStream(_, _ string, req OpenStreamReq) (EndpointStream, er
 		// pages, so storage faults can strike here too.
 		return nil, streamErr(err)
 	}
-	ls := &localStream{s: stream, view: sv.v}
+	ls := &localStream{s: stream, view: sv.v, batches: s.batches}
 	// A migrated or hedged stream resumes mid-sequence: fast-forward past
 	// the prefix the client already holds. A failure here closes the stream
 	// and surfaces typed, so the router can retry the open elsewhere.
@@ -538,14 +512,37 @@ func (s endpoint) FillSnapshot(snap *StatsSnapshot) {
 // ViewStream, the position it has reached, and a failure waiting to be told.
 // Only the session's goroutine touches pos and deferred.
 type localStream struct {
-	s    ViewStream
-	view ViewSource
-	pos  int64
+	s       ViewStream
+	view    ViewSource
+	batches chan []record.Record // the server's free list (see draw)
+	pos     int64
 	// deferred is a hard stream failure observed while a partial batch was
 	// being delivered; it is surfaced as a typed error on the stream's next
 	// pull so the records already sampled are never dropped and the failure
 	// is never lost.
 	deferred error
+}
+
+// draw samples up to n records. A *shard.Stream draws into a buffer from the
+// server's free list, which give hands back once the records are used, so no
+// stream, reaper or Close ever holds it; any other stream is served from what
+// its Sample returns.
+func (ls *localStream) draw(n int) ([]record.Record, error) {
+	st, ok := ls.s.(*shard.Stream)
+	if !ok {
+		return ls.s.Sample(n)
+	}
+	buf := par.Take(ls.batches)
+	if cap(buf) < n {
+		buf = make([]record.Record, 0, n)
+	}
+	return st.AppendSample(buf[:0], n)
+}
+
+func (ls *localStream) give(recs []record.Record) {
+	if _, ok := ls.s.(*shard.Stream); ok {
+		par.Give(ls.batches, recs[:0])
+	}
 }
 
 // skipTo fast-forwards the stream to position target by sampling and
@@ -555,9 +552,9 @@ type localStream struct {
 // the skip resumable exactly where it struck.
 func (ls *localStream) skipTo(target int64) error {
 	for ls.pos < target {
-		// The stream lends its batch buffer and keeps it: skip batch-sized.
 		chunk := min(target-ls.pos, 512)
-		recs, err := ls.s.Sample(int(chunk))
+		recs, err := ls.draw(int(chunk))
+		ls.give(recs)
 		ls.pos += int64(len(recs))
 		if err != nil {
 			return err
@@ -569,9 +566,8 @@ func (ls *localStream) skipTo(target int64) error {
 	return nil
 }
 
-// Pull draws one batch. The records Sample returns are lent by the stream
-// until its next Sample, and are encoded behind dst before this returns —
-// the only use made of them.
+// Pull draws one batch and encodes it behind dst, the only use made of its
+// records, before the buffer they were drawn into goes back.
 func (ls *localStream) Pull(dst []byte, pos int64, max int) (RawBatch, error) {
 	err := ls.deferred
 	ls.deferred = nil
@@ -581,7 +577,8 @@ func (ls *localStream) Pull(dst []byte, pos int64, max int) (RawBatch, error) {
 	if err != nil {
 		return RawBatch{End: ls.pos}, streamErr(err)
 	}
-	recs, err := ls.s.Sample(max)
+	recs, err := ls.draw(max)
+	defer ls.give(recs)
 	ls.pos += int64(len(recs))
 	if err != nil {
 		if len(recs) == 0 || errors.Is(err, sampleview.ErrStreamClosed) {
