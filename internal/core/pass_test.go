@@ -136,7 +136,8 @@ func weighDue(t *testing.T, s *Stream) bool {
 // have waited for half the scan cost, and its fit, left and price must be
 // what checkListed recomputes. The pass is decided exactly at the first stab
 // where its matches fit maxKeepRecords and the stabs have been charged
-// price + left, and taken exactly when price + left is no more than the
+// price (left is paid with or without the pass, so it is no part of the
+// rent), and taken exactly when price + left is no more than the
 // listed leaves' stabs (stabCost); it is declined for good where nothing is
 // left for it to fetch (price 0). A pass must be charged its price, with one
 // random read for the first fetch and one per gap seeked over — or, where the
@@ -151,7 +152,7 @@ func weighChecked(t *testing.T, s *Stream, ck *iosim.Clock) (cold bool, seeks, c
 		t.Fatalf("%v: listed at stab charges of %v, under half the scan (%v)", s.q, s.stabTime, s.t.scanTime/2)
 	}
 	price, seeks, crosses, fit, left := checkListed(t, s)
-	due := fit <= maxKeepRecords && s.stabTime >= price+left
+	due := fit <= maxKeepRecords && s.stabTime >= price
 	var stabs time.Duration
 	if due && price > 0 {
 		stabs = s.stabCost()

@@ -733,9 +733,10 @@ func (s *Stream) fetch(leaf int64) time.Duration {
 }
 
 // weigh buys the pass at the first stab where the stab reads have been
-// charged as much as the pass and a cold stab of each listed leaf it leaves
-// would be (price + left): the 2-competitive ski-rental rule, which buys
-// once the rent paid equals the price to buy, at the pass's current price.
+// charged as much as the pass (price): the 2-competitive ski-rental rule,
+// which buys once the rent paid equals the price to buy, at the pass's
+// current price. The cold stabs of the listed leaves the pass leaves (left)
+// are no part of the rent: they are paid whether or not the pass is bought.
 // It takes the pass only if the listed matches surely fit maxKeepRecords and
 // price + left costs no more than the stabs of the listed leaves would
 // (stabCost); it makes that comparison once, and declines for good a pass
@@ -746,7 +747,7 @@ func (s *Stream) weigh() {
 		s.weighed = true
 		return
 	}
-	if s.fit > maxKeepRecords || s.stabTime < s.price+s.left {
+	if s.fit > maxKeepRecords || s.stabTime < s.price {
 		return
 	}
 	s.weighed = true
