@@ -19,7 +19,7 @@ func TestFigureTSV(t *testing.T) {
 		t.Errorf("header:\n%s\n%s", lines[0], lines[1])
 	}
 	cols := strings.Split(lines[2], "\t")
-	if want := []string{"x", "ACE Tree", "B+ Tree", "Randomly permuted file"}; strings.Join(cols, "|") != strings.Join(want, "|") {
+	if want := []string{"x", "ACE Tree", "B+ Tree", "Randomly permuted file", "ACE Tree (system)"}; strings.Join(cols, "|") != strings.Join(want, "|") {
 		t.Errorf("columns %q, want %q", cols, want)
 	}
 	for _, row := range lines[3:] {

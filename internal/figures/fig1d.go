@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"sampleview/internal/core"
 	"sampleview/internal/par"
 	"sampleview/internal/record"
 	"sampleview/internal/workload"
@@ -34,7 +35,7 @@ func Fig1DOn(wb *Workbench, id string, sel, maxFrac float64) (*Figure, error) {
 	limit := time.Duration(float64(wb.ScanTime) * maxFrac)
 	qs := queries1D(cfg.Seed+10, cfg.Queries, sel)
 	rng := rand.New(rand.NewPCG(cfg.Seed+11, cfg.Seed+12))
-	curves, err := wb.race(qs, limit, func(q record.Box) (curve, error) { return wb.runBTree(q.Dim(0), limit, rng) })
+	curves, err := wb.race(qs, limit, func(q record.Box) (curve, error) { return wb.runBTree(q.Dim(0), limit, rng) }, true)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +55,7 @@ func Fig14On(wb *Workbench) (*Figure, error) {
 	noLimit := time.Duration(1<<62 - 1)
 	qs := queries1D(cfg.Seed+20, cfg.Queries, sel)
 	rng := rand.New(rand.NewPCG(cfg.Seed+21, cfg.Seed+22))
-	curves, err := wb.race(qs, noLimit, func(q record.Box) (curve, error) { return wb.runBTree(q.Dim(0), noLimit, rng) })
+	curves, err := wb.race(qs, noLimit, func(q record.Box) (curve, error) { return wb.runBTree(q.Dim(0), noLimit, rng) }, true)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +87,7 @@ func Fig15On(wb *Workbench, id string, sel float64) (*Figure, error) {
 
 	curves := make([]curve, cfg.Queries)
 	if err := par.ForEach(cfg.Queries, cfg.workers(), func(i int) (err error) {
-		curves[i], err = wb.runACE(qs[i], limit, wb.bufferedFrac)
+		curves[i], err = wb.runACE(qs[i], limit, core.StreamOptions{ReadEveryLeaf: true}, wb.bufferedFrac)
 		return err
 	}); err != nil {
 		return nil, err
@@ -105,13 +106,14 @@ func Fig15On(wb *Workbench, id string, sel float64) (*Figure, error) {
 	}, nil
 }
 
-// race runs the three competitors of a sampling-rate figure over qs, each to
+// race runs the competitors of a sampling-rate figure over qs, each to
 // limit: the ACE Tree and the permuted file fan out per query, and the
 // rank-based baseline (B+-Tree or R-Tree, whose runs share a draw rng and a
 // buffer pool) runs its queries in order as one chain. It returns the
-// curves of the three, in that order.
-func (wb *Workbench) race(qs []record.Box, limit time.Duration, baseline func(record.Box) (curve, error)) ([3][]curve, error) {
-	var curves [3][]curve
+// curves of the three, in that order, then, with system, the ACE Tree's own
+// read path's, run last so the other three are charged as without it.
+func (wb *Workbench) race(qs []record.Box, limit time.Duration, baseline func(record.Box) (curve, error), system bool) ([][]curve, error) {
+	curves := make([][]curve, 3, 4)
 	chain := func(m, workers int, run func(record.Box) (curve, error)) func() error {
 		curves[m] = make([]curve, len(qs))
 		return func() error {
@@ -121,22 +123,29 @@ func (wb *Workbench) race(qs []record.Box, limit time.Duration, baseline func(re
 			})
 		}
 	}
-	ace := func(q record.Box) (curve, error) { return wb.runACE(q, limit, wb.emittedPct) }
+	ace := func(opts core.StreamOptions) func(record.Box) (curve, error) {
+		return func(q record.Box) (curve, error) { return wb.runACE(q, limit, opts, wb.emittedPct) }
+	}
 	perm := func(q record.Box) (curve, error) { return wb.runPerm(q, limit) }
-	err := wb.runChains(chain(0, wb.Cfg.workers(), ace), chain(1, 1, baseline), chain(2, wb.Cfg.workers(), perm))
-	return curves, err
+	w := wb.Cfg.workers()
+	chains := []func() error{chain(0, w, ace(core.StreamOptions{ReadEveryLeaf: true})), chain(1, 1, baseline), chain(2, w, perm)}
+	if system {
+		curves = curves[:4]
+		chains = append(chains, chain(3, w, ace(core.StreamOptions{})))
+	}
+	return curves, wb.runChains(chains...)
 }
 
 // meanFigure plots the mean of each method's curves from race over the
 // first maxFrac of scan time.
-func (wb *Workbench) meanFigure(id, title string, maxFrac float64, baseline string, curves [3][]curve) *Figure {
+func (wb *Workbench) meanFigure(id, title string, maxFrac float64, baseline string, curves [][]curve) *Figure {
 	fig := &Figure{
 		ID:     id,
 		Title:  title,
 		XLabel: "% of time required to scan relation",
 		YLabel: "% of total number of records in the relation",
 	}
-	for m, name := range []string{"ACE Tree", baseline, "Randomly permuted file"} {
+	for m, name := range []string{"ACE Tree", baseline, "Randomly permuted file", "ACE Tree (system)"}[:len(curves)] {
 		xs, _, ys, _ := resample(curves[m], wb.ScanTime, maxFrac, wb.Cfg.GridPoints)
 		fig.Series = append(fig.Series, Series{Name: name, X: xs, Y: ys})
 	}

@@ -24,7 +24,7 @@ func Fig2DOn(wb *Workbench, id string, sel, maxFrac float64) (*Figure, error) {
 		qs[i] = qg.Box2D(sel)
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed+41, cfg.Seed+42))
-	curves, err := wb.race(qs, limit, func(q record.Box) (curve, error) { return wb.runRTree(q, limit, rng) })
+	curves, err := wb.race(qs, limit, func(q record.Box) (curve, error) { return wb.runRTree(q, limit, rng) }, false)
 	if err != nil {
 		return nil, err
 	}

@@ -41,39 +41,33 @@ func (c Config) workers() int {
 
 // runChains executes the per-method query chains of one figure. A chain
 // owns one competing method's whole query sequence; distinct chains charge
-// distinct simulated disks, so they run inline and in order on a
-// sequential workbench and concurrently on a parallel one with identical
-// results.
+// distinct simulated disks (the two ACE chains share one, but on a parallel
+// workbench each ACE query charges a clock of its own), so they run inline
+// and in order on a sequential workbench and concurrently on a parallel one
+// with identical results.
 func (wb *Workbench) runChains(chains ...func() error) error {
-	if wb.Cfg.workers() <= 1 {
-		for _, fn := range chains {
-			if err := fn(); err != nil {
-				return err
-			}
-		}
-		return nil
+	workers := 1
+	if wb.Cfg.workers() > 1 {
+		workers = len(chains)
 	}
-	var g par.Group
-	for _, fn := range chains {
-		g.Go(fn)
-	}
-	return g.Wait()
+	return par.ForEach(len(chains), workers, func(i int) error { return chains[i]() })
 }
 
-// runACE executes one ACE Tree query, recording y of the stream after every
-// leaf retrieval, until the elapsed simulated time exceeds limit or the
-// stream completes. Every stab reads its leaf: the figures price the
-// published algorithm, not the key-sketch skip. On a parallel workbench the
-// query is charged to a clock forked for it, so that several queries can
-// stream from the shared tree concurrently.
-func (wb *Workbench) runACE(q record.Box, limit time.Duration, y func(*core.Stream) float64) (curve, error) {
+// runACE executes one ACE Tree query opened with opts, recording y of the
+// stream after every leaf retrieval, until the elapsed simulated time
+// exceeds limit or the stream completes. The figures price the published
+// algorithm (ReadEveryLeaf: no key-sketch skip, no drain pass); Figures
+// 11-14 plot the system's own read path, the zero options, beside it. On a
+// parallel workbench the query is charged to a clock forked for it, so that
+// several queries can stream from the shared tree concurrently.
+func (wb *Workbench) runACE(q record.Box, limit time.Duration, opts core.StreamOptions, y func(*core.Stream) float64) (curve, error) {
 	tree, now := wb.Ace, wb.AceSim.Now
 	if wb.Cfg.workers() > 1 {
 		ck := wb.AceSim.Fork()
 		tree, now = wb.Ace.WithClock(ck), ck.Now
 	}
 	var c curve
-	stream, err := tree.QueryWithOptions(q, core.StreamOptions{ReadEveryLeaf: true})
+	stream, err := tree.QueryWithOptions(q, opts)
 	if err != nil {
 		return c, err
 	}

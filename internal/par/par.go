@@ -1,6 +1,6 @@
 // Package par provides the small fork-join helpers the parallel
 // construction pipeline and the figure harness share: a first-error
-// collector, a goroutine group, and a bounded parallel for-each; and the
+// collector and a bounded parallel for-each; and the
 // take/give pair of the bounded free lists (buffered channels) through which
 // streams recycle their working memory.
 //
@@ -43,31 +43,6 @@ func (f *First) Err() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.e
-}
-
-// Group runs functions concurrently and reports the first error when all
-// have finished. The zero value is ready to use.
-type Group struct {
-	wg sync.WaitGroup
-	ff First
-}
-
-// Go starts fn in its own goroutine.
-func (g *Group) Go(fn func() error) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		if err := fn(); err != nil {
-			g.ff.Set(err)
-		}
-	}()
-}
-
-// Wait blocks until every function started with Go has returned and
-// reports the first error among them.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	return g.ff.Err()
 }
 
 // ForEach calls fn(i) for every i in [0, n), spread over up to workers
