@@ -40,11 +40,10 @@ func (c Config) workers() int {
 }
 
 // runChains executes the per-method query chains of one figure. A chain
-// owns one competing method's whole query sequence; distinct chains charge
-// distinct simulated disks (the two ACE chains share one, but on a parallel
-// workbench each ACE query charges a clock of its own), so they run inline
-// and in order on a sequential workbench and concurrently on a parallel one
-// with identical results.
+// owns one competing method's whole query sequence. Chains run inline and in
+// order on a sequential workbench; on a parallel one they run at once, with
+// identical results, because each charges its own disk (each ACE query a
+// clock forked for it).
 func (wb *Workbench) runChains(chains ...func() error) error {
 	workers := 1
 	if wb.Cfg.workers() > 1 {
