@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -29,7 +30,8 @@ var Cuts = []int{1, 10, 100, 1000}
 
 type entry struct {
 	rec     record.Record
-	pending bool // in flight at a cut: may be served or not
+	pending bool   // in flight at a cut: may be served or not
+	at      uint64 // the entries set before it: one set before a ranking and live since is in it
 }
 
 // Model is a relation's live records, the base plus acked writes minus
@@ -43,6 +45,7 @@ type Model struct {
 	// replaced or deleted since.
 	sorted, fresh []*entry
 	stale         bool
+	sets          uint64
 }
 
 // NewModel returns a model holding base.
@@ -68,8 +71,8 @@ func (m *Model) set(recs []record.Record, live, pending bool) {
 			m.stale = true
 		}
 		if live {
-			e := &entry{r, pending}
-			m.recs[r.Seq] = e
+			e := &entry{r, pending, m.sets}
+			m.recs[r.Seq], m.sets = e, m.sets+1
 			m.fresh = append(m.fresh, e)
 		}
 	}
@@ -113,6 +116,9 @@ func (m *Model) ranked(q record.Box) []*entry {
 	}
 	return out
 }
+
+// firstRank is the first of l ranks in bucket b (l at b = buckets).
+func firstRank(b, l int) int { return (b*l + buckets - 1) / buckets }
 
 func keySeq(e *entry, r *record.Record) int {
 	return cmp.Or(cmp.Compare(e.rec.Key, r.Key), cmp.Compare(e.rec.Seq, r.Seq))
@@ -160,6 +166,7 @@ type Stream struct {
 	m      *Model
 	q      record.Box
 	ranked []*entry
+	at     uint64 // the model's entries set before ranked was taken
 	seen   map[uint64]bool
 	n      int64 // ranked records served
 	hist   [buckets]int64
@@ -171,6 +178,9 @@ type Stream struct {
 func (c *Checker) Stream(m *Model, q record.Box) *Stream {
 	s := &Stream{c: c, m: m, q: q, seen: make(map[uint64]bool)}
 	if m != nil {
+		m.mu.Lock()
+		s.at = m.sets
+		m.mu.Unlock()
 		s.ranked = m.ranked(q)
 	}
 	return s
@@ -180,9 +190,10 @@ func (c *Checker) Stream(m *Model, q record.Box) *Stream {
 // byte-equal to the model's, inside the predicate and new to the stream.
 func (s *Stream) Add(recs ...record.Record) {
 	for _, r := range recs {
+		var e *entry
 		if s.m != nil {
 			s.m.mu.Lock()
-			e := s.m.recs[r.Seq]
+			e = s.m.recs[r.Seq]
 			s.m.mu.Unlock()
 			if e == nil || e.rec != r {
 				s.c.flag("seq %d is not the model's record (phantom or altered)", r.Seq)
@@ -197,16 +208,25 @@ func (s *Stream) Add(recs ...record.Record) {
 			continue
 		}
 		s.seen[r.Seq] = true
-		if i, ok := slices.BinarySearchFunc(s.ranked, &r, keySeq); ok {
-			s.hist[i*buckets/len(s.ranked)]++
-			s.n++
+		// r's bucket is the last whose first ranked record is not after r. A
+		// match set before the ranking is ranked, a later one if found there.
+		if l := len(s.ranked); l > 0 && s.q.ContainsRecord(&r) {
+			b := sort.Search(buckets-1, func(b int) bool { i := firstRank(b+1, l); return i == l || keySeq(s.ranked[i], &r) > 0 })
+			ok := e.at < s.at
+			if !ok {
+				_, ok = slices.BinarySearchFunc(s.ranked[firstRank(b, l):firstRank(b+1, l)], &r, keySeq)
+			}
+			if ok {
+				s.hist[b]++
+				s.n++
+			}
 		}
 		if j, l := slices.Index(s.c.cuts, len(s.seen)), len(s.ranked); j >= 0 && l > 0 {
 			s.c.mu.Lock()
 			s.c.n[j] += s.n
-			for b := range buckets { // bucket b holds ranks ⌈bl/buckets⌉ to ⌈(b+1)l/buckets⌉
+			for b := range buckets {
 				s.c.obs[j][b] += s.hist[b]
-				s.c.want[j][b] += float64(s.n) * float64(((b+1)*l+buckets-1)/buckets-(b*l+buckets-1)/buckets) / float64(l)
+				s.c.want[j][b] += float64(s.n) * float64(firstRank(b+1, l)-firstRank(b, l)) / float64(l)
 			}
 			s.c.mu.Unlock()
 		}
