@@ -271,58 +271,6 @@ func BenchmarkAblationDifferential(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationShuttle compares the paper's toggling shuttle against
-// the weighted-shuttle extension (core.StreamOptions) on a 2.5%-wide
-// query: it reports the records emitted after reading 1/16 and 1/2 of
-// the leaves. Toggling sends equal stab streams into both sides of every
-// spanned split regardless of how much of the query lies below each, so
-// batches pile up in the combine buckets; deficit-weighted routing
-// completes the deep (high-yield) levels much sooner, at a small cost in
-// the very first stabs. The statistical guarantee is unchanged.
-func BenchmarkAblationShuttle(b *testing.B) {
-	sim := iosim.New(iosim.DefaultModel())
-	rel, err := workload.GenerateRelation(sim, 400_000, workload.Uniform, 31)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := core.Create(pagefile.NewMem(sim), rel, core.Params{Seed: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	qg := workload.NewQueryGen(33)
-	q := qg.Range1D(0.025)
-	for _, weighted := range []bool{false, true} {
-		name := "toggling"
-		if weighted {
-			name = "weighted"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var early, late float64
-			for i := 0; i < b.N; i++ {
-				stream, err := tree.QueryWithOptions(q, core.StreamOptions{WeightedShuttle: weighted, ReadEveryLeaf: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for stream.LeavesRead() < tree.NumLeaves()/16 {
-					if _, err := stream.NextLeaf(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				early = float64(stream.Emitted())
-				for stream.LeavesRead() < tree.NumLeaves()/2 {
-					if _, err := stream.NextLeaf(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				late = float64(stream.Emitted())
-			}
-			b.ReportMetric(early, "recs@1/16leaves")
-			b.ReportMetric(late, "recs@1/2leaves")
-		})
-	}
-}
-
 // BenchmarkStreamParallel drives many concurrent streams over one shared
 // view, the contention profile of the serving layer. Each iteration runs
 // one seeded query and draws 1000 samples; every leaf read grabs a scratch

@@ -445,12 +445,6 @@ func (s keySpan) count(keys []uint16) int {
 	return n - i
 }
 
-// meets reports whether the sorted sketch keys hold a value inside s.
-func (s keySpan) meets(keys []uint16) bool {
-	i, _ := slices.BinarySearch(keys, s.lo)
-	return i < len(keys) && keys[i] <= s.hi
-}
-
 func (t *Tree) writeHeader() error {
 	page := make([]byte, t.f.PageSize())
 	binary.LittleEndian.PutUint64(page[0:8], magic)

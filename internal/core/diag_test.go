@@ -33,8 +33,7 @@ func TestDiagEmissionProfile(t *testing.T) {
 
 	qg := workload.NewQueryGen(777)
 	q := qg.Range1D(0.025)
-	opts := StreamOptions{WeightedShuttle: os.Getenv("SV_DIAG_WEIGHTED") != ""}
-	stream, err := tree.QueryWithOptions(q, opts)
+	stream, err := tree.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}

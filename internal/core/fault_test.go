@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sampleview/internal/iosim"
@@ -366,5 +367,75 @@ func TestTransientOnSecondPageLeavesNoResidue(t *testing.T) {
 	}
 	if residue == 0 {
 		t.Fatal("no failed stab had decoded a match before it failed; the test checked nothing")
+	}
+}
+
+// TestTransientOnListingStabRereadsItsLeaf: the stab whose read brings the
+// stabs to half the scan cost lists the drain pass's leaves after its
+// shuttle reached its own leaf, so list keeps that leaf's need as 0. When
+// that stab fails transiently, its retry must still read the leaf (stabNeed
+// recomputes it while the stab is pending), and the stream must serve
+// exactly the batches of its fault-free twin, stab by stab.
+func TestTransientOnListingStabRereadsItsLeaf(t *testing.T) {
+	sim := iosim.New(iosim.DefaultModel())
+	rel, err := workload.GenerateRelation(sim, 40_000, workload.Uniform, 52)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := &flakyBackend{armed: map[int64]bool{}}
+	tree, err := Create(pagefile.NewOn(sim, fb), rel, Params{Height: 7, Seed: 52})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := workload.NewQueryGen(52).Range1D(0.0025)
+	open := func() *Stream {
+		s, err := tree.WithClock(sim.Fork()).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	clean := open()
+	var want [][]record.Record
+	listedAt, leaf := -1, int64(-1)
+	for {
+		batch, err := clean.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if listedAt < 0 && len(clean.listed) != 0 {
+			listedAt, leaf = len(want), clean.path[tree.h]-tree.nLeaves
+		}
+		want = append(want, batch)
+	}
+	if listedAt < 0 || !clean.passed {
+		t.Fatalf("%v: listed at stab %d, passed %v; the test needs a drain that lists and passes", q, listedAt, clean.passed)
+	}
+	page := tree.leaves[leaf].firstPage
+	fb.armed[page] = true
+	faulty := open()
+	for i, w := range want {
+		got, err := faulty.NextBatch()
+		if pagefile.IsTransient(err) {
+			if i != listedAt || len(faulty.listed) == 0 {
+				t.Fatalf("stab %d failed (listed %d leaves); the armed stab is %d, which lists", i, len(faulty.listed), listedAt)
+			}
+			reads := len(fb.reads)
+			if got, err = faulty.NextBatch(); !slices.ContainsFunc(fb.reads[reads:], func(r pageRead) bool { return r.page == page }) {
+				t.Fatalf("stab %d: the retry did not read leaf %d", i, leaf)
+			}
+		}
+		if err != nil {
+			t.Fatalf("stab %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("stab %d: %d records, the fault-free stream %d", i, len(got), len(w))
+		}
+	}
+	if _, err := faulty.NextBatch(); err != io.EOF || fb.fired != 1 || !faulty.passed {
+		t.Fatalf("after the fault-free stream's stabs: %v; %d armed reads failed, passed %v", err, fb.fired, faulty.passed)
 	}
 }

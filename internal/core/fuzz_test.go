@@ -176,7 +176,7 @@ func checkSpanMatchesPrefix(t *testing.T, tree *Tree, whole [][][]record.Record,
 		leaf := s.path[tree.h] - tree.nLeaves
 		k := s.reach(leaf)
 		var want error
-		if s.need(leaf, k) != 0 {
+		if need, _ := s.need(leaf, k); need != 0 {
 			_, want = prefix.readLeafInto(leaf, &dec, 1<<k-1, &q)
 		}
 		if got := errors.Unwrap(errStay); fmt.Sprint(got) != fmt.Sprint(want) {

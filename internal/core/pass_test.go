@@ -134,11 +134,13 @@ func weighDue(t *testing.T, s *Stream) bool {
 // weighChecked weighs s's pass where its next NextLeaf would (weighDue),
 // measuring it on s's clock ck, and holds it to the rule. The listing must
 // have waited for half the scan cost, and its fit, left and price must be
-// what checkListed recomputes. The pass is decided exactly at the first stab
+// what checkListed recomputes. The floor weigh tests before the replay may
+// never exceed the listed leaves' stabs (stabCost), or it would take a pass
+// the replay declines. The pass is decided exactly at the first stab
 // where its matches fit maxKeepRecords and the stabs have been charged
 // price (left is paid with or without the pass, so it is no part of the
 // rent), and taken exactly when price + left is no more than the
-// listed leaves' stabs (stabCost); it is declined for good where nothing is
+// listed leaves' stabs; it is declined for good where nothing is
 // left for it to fetch (price 0). A pass must be charged its price, with one
 // random read for the first fetch and one per gap seeked over — or, where the
 // stab before it left the head on the first fetch's page (warm), one seek
@@ -154,8 +156,10 @@ func weighChecked(t *testing.T, s *Stream, ck *iosim.Clock) (cold bool, seeks, c
 	price, seeks, crosses, fit, left := checkListed(t, s)
 	due := fit <= maxKeepRecords && s.stabTime >= price
 	var stabs time.Duration
-	if due && price > 0 {
-		stabs = s.stabCost()
+	if price > 0 {
+		if stabs = s.stabCost(); s.floor() > stabs {
+			t.Fatalf("%v: the floor %v is over the listed leaves' stabs %v", s.q, s.floor(), stabs)
+		}
 	}
 	at, reads := ck.Now(), ck.Counters().RandomReads
 	s.weigh()
@@ -179,17 +183,26 @@ func weighChecked(t *testing.T, s *Stream, ck *iosim.Clock) (cold bool, seeks, c
 // weighs its pass, and fails t unless s kept the same fit, left and price:
 // over the listed leaves no stab has reached, fit is the sum of their
 // bounds, left a cold stab of each the fault plan can touch, and price the
-// cheapest pass over the others (cheapestPass).
+// cheapest pass over the others (cheapestPass). The need s kept of each leaf
+// no stab has reached and the bound of each such listed one must be theirs.
 func checkListed(t *testing.T, s *Stream) (price time.Duration, seeks, crosses, fit int, left time.Duration) {
 	t.Helper()
 	tree := s.t
 	price, seeks, crosses = cheapestPass(s)
-	for _, leaf := range s.listed {
+	for leaf := range tree.nLeaves {
+		if need, _ := s.need(leaf, s.reach(leaf)); s.remaining[tree.nLeaves+leaf] != 0 && s.needs[leaf] != need {
+			t.Fatalf("%v: leaf %d kept need %#x, its need is %#x", s.q, leaf, s.needs[leaf], need)
+		}
+	}
+	for i, leaf := range s.listed {
 		if s.heldAt[leaf] >= 0 {
 			continue
 		}
-		k := s.reach(leaf)
-		fit += s.bound(leaf, k, s.need(leaf, k))
+		_, bound := s.need(leaf, s.reach(leaf))
+		if int(s.walk[i].bound) != bound {
+			t.Fatalf("%v: listed leaf %d kept bound %d, its bound is %d", s.q, leaf, s.walk[i].bound, bound)
+		}
+		fit += bound
 		lm := &tree.leaves[leaf]
 		if end := tree.leafEnd(lm); !tree.f.Quiet(lm.firstPage, end) {
 			left += tree.f.Sim().ScanCost(end - lm.firstPage)

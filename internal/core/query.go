@@ -35,11 +35,10 @@ type Stream struct {
 	// and handed back by Close (nil afterwards).
 	*scratch
 
-	// weight and sent drive the optional weighted shuttle (nil when the
-	// paper's toggling shuttle is in use).
-	weight, sent []int32
 	// readEvery is StreamOptions.ReadEveryLeaf.
 	readEvery bool
+	// needCalls counts need's evaluations (BenchmarkDrain reports them).
+	needCalls int64
 
 	// buffered counts the records currently parked across all buckets
 	// (Figure 15's metric).
@@ -126,15 +125,17 @@ type scratch struct {
 	dec leafDecoder
 
 	// The drain pass's list of leaves (listed, ascending; walk[i] links
-	// listed[i] into the pass) and what it fetched: sigma_Q of each held
-	// leaf's sections 1..k in heldSecs, their records in held (never more
-	// than maxKeepRecords), and per leaf ordinal 1 + the index of its first
-	// section in heldSecs, or 0 (heldAt, valid once passed; while the stream
-	// weighs the pass, -1-i marks listed[i] until a stab reaches it). saved
-	// and savedNext keep the shuttle's state while stabCost replays its
-	// route.
+	// listed[i] into the pass and keeps its bound) and what it fetched:
+	// sigma_Q of each held leaf's sections 1..k in heldSecs, their records in
+	// held (never more than maxKeepRecords), and per leaf ordinal 1 + the
+	// index of its first section in heldSecs, or 0 (heldAt, valid once
+	// passed; while the stream weighs the pass, -1-i marks listed[i] until a
+	// stab reaches it). needs[leaf] is need of each leaf no stab had reached
+	// at listing, 0 for the others (empty until the stream lists). saved and
+	// savedNext keep the shuttle's state while stabCost replays its route.
 	listed    []int64
 	walk      []link
+	needs     []uint32
 	held      []record.Record
 	heldSecs  [][]record.Record
 	heldAt    []int32
@@ -227,6 +228,7 @@ func (s *Stream) Close() {
 	}
 	clear(sc.heldSecs)
 	sc.listed, sc.walk, sc.held, sc.heldSecs = sc.listed[:0], sc.walk[:0], sc.held[:0], sc.heldSecs[:0]
+	sc.needs = sc.needs[:0]
 	if s.outPeak > maxKeepRecords {
 		sc.out = nil
 	}
@@ -238,19 +240,6 @@ func (s *Stream) Close() {
 
 // StreamOptions tunes the query algorithm.
 type StreamOptions struct {
-	// WeightedShuttle routes each stab toward the child with the larger
-	// deficit of visits relative to its share of query-relevant leaves,
-	// instead of the paper's strict 50/50 alternation. The paper's toggling
-	// sends equal stab streams to both sides of any split whose children
-	// both overlap the query, even when one side contains far more of the
-	// query's regions; the surplus batches then wait in the combine buckets
-	// (they can only be emitted one-per-region). Weighting removes that
-	// imbalance and increases early throughput, with an identical
-	// statistical guarantee: the emission rule is unchanged, and it is the
-	// emission rule alone that makes every prefix a uniform sample. This is
-	// an extension over the published algorithm, off by default and
-	// measured by BenchmarkAblationShuttle.
-	WeightedShuttle bool
 	// ReadEveryLeaf makes every stab read its leaf, the published
 	// one-leaf-per-stab cost the paper's figures are drawn against. By
 	// default a stab whose sections' key sketches show no key of the query
@@ -282,17 +271,6 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 		s.computeRequired(1, 1, record.FullBox(t.dims))
 	}
 	s.queryLeaves = len(s.requiredAll[t.h-1])
-	if opts.WeightedShuttle {
-		// weight[i] = number of query-overlapping leaf regions below heap
-		// node i; sent[i] counts stabs routed through it.
-		s.weight = make([]int32, 2*t.nLeaves)
-		s.sent = make([]int32, 2*t.nLeaves)
-		for _, leafIdx := range s.requiredAll[t.h-1] {
-			for i := leafIdx; i >= 1; i /= 2 {
-				s.weight[i]++
-			}
-		}
-	}
 	if t.count == 0 || q.Empty() {
 		s.done = true
 	}
@@ -486,19 +464,9 @@ func (s *Stream) shuttle() {
 		left, right := 2*idx, 2*idx+1
 		goRight := s.remaining[left] == 0
 		if !goRight && s.remaining[right] != 0 {
-			// Weighted shuttle: each child's visit deficit relative to its
-			// share of query-relevant leaves (equal, so a tie, when unweighted).
-			var dl, dr int64
-			if s.weight != nil {
-				dl = int64(s.sent[left]) * int64(s.weight[right])
-				dr = int64(s.sent[right]) * int64(s.weight[left])
-			}
-			switch {
-			case s.overlaps[left] != s.overlaps[right]:
+			if s.overlaps[left] != s.overlaps[right] {
 				goRight = s.overlaps[right]
-			case dl != dr:
-				goRight = dl > dr
-			default:
+			} else {
 				goRight = s.nextRight[idx]
 				s.nextRight[idx] = !goRight
 			}
@@ -506,9 +474,6 @@ func (s *Stream) shuttle() {
 		idx = left
 		if goRight {
 			idx = right
-		}
-		if s.sent != nil {
-			s.sent[idx]++
 		}
 		s.remaining[idx]--
 		s.path[level+1] = idx
@@ -537,7 +502,7 @@ func (s *Stream) combineTuples(leaf int64) (int, error) {
 	if held {
 		at := int(s.heldAt[leaf] - 1)
 		copy(s.dec.sections, s.heldSecs[at:at+k])
-	} else if need := s.need(leaf, k); s.readEvery || need != 0 {
+	} else if need := s.stabNeed(leaf, k); s.readEvery || need != 0 {
 		start := t.f.Now()
 		_, err := t.readLeafInto(leaf, &s.dec, need, &s.q)
 		s.stabTime += t.f.Now() - start
@@ -585,52 +550,45 @@ func (s *Stream) reach(leaf int64) int {
 }
 
 // need returns the sections among 1..k of leaf that can hold a record of
-// the query, bit s for section s+1: a sketched section if one of its keys
-// falls in the query's span for its region, a later one if it is not empty;
-// under ReadEveryLeaf, all k. It depends on the leaf and the query alone.
-func (s *Stream) need(leaf int64, k int) uint32 {
+// the query, bit s for section s+1 (a sketched section if some of its keys
+// fall in the query's span for its region, a later one if it is not empty;
+// under ReadEveryLeaf, all k), and a bound at least the number of matches
+// the stab reads under that need (those keys, or every record of a section
+// without a sketch). It depends on the leaf and the query alone.
+func (s *Stream) need(leaf int64, k int) (need uint32, bound int) {
 	if s.readEvery {
-		return 1<<k - 1
+		return 1<<k - 1, 0
 	}
-	var need uint32
+	s.needCalls++
 	m := &s.t.leaves[leaf]
 	keys := m.sketch
 	for sec := 0; sec < k; sec++ {
 		n := int(m.secCounts[sec])
-		can := n != 0
 		if sec < sketchSections {
-			can, keys = s.spans[s.t.ancestor(leaf, sec)].meets(keys[:n]), keys[n:]
+			n, keys = s.spans[s.t.ancestor(leaf, sec)].count(keys[:n]), keys[n:]
 		}
-		if can {
+		if n != 0 {
 			need |= 1 << sec
+			bound += n
 		}
 	}
-	return need
+	return need, bound
 }
 
-// bound is at least the number of matches the stab to leaf reads under
-// need: per section it names, the sketch keys inside the query's span, or
-// every record of a section without a sketch.
-func (s *Stream) bound(leaf int64, k int, need uint32) int {
-	m := &s.t.leaves[leaf]
-	n, keys := 0, m.sketch
-	for sec := 0; sec < k; sec++ {
-		c := int(m.secCounts[sec])
-		switch {
-		case sec < sketchSections:
-			if need>>sec&1 != 0 {
-				n += s.spans[s.t.ancestor(leaf, sec)].count(keys[:c])
-			}
-			keys = keys[c:]
-		case need>>sec&1 != 0:
-			n += c
-		}
+// stabNeed is need(leaf, k), as list kept it once the stream listed, except
+// on the retry of a stab that failed transiently (pending): list may have run
+// after that stab's shuttle reached its leaf, and kept 0 for it.
+func (s *Stream) stabNeed(leaf int64, k int) uint32 {
+	if len(s.needs) == 0 || s.pending {
+		need, _ := s.need(leaf, k)
+		return need
 	}
-	return n
+	return s.needs[leaf]
 }
 
 // list lists, once, the leaves a drain pass would finish: the unvisited
-// leaves whose stab would read. It prices them as weigh compares them (see
+// leaves whose stab would read. It keeps the need of every unvisited leaf and
+// the bound of every listed one, prices them as weigh compares them (see
 // Stream.fit), and links each the fault plan cannot touch, the pass's
 // fetches, to the one before it (walk). A stream with nothing to list never
 // takes a pass.
@@ -638,6 +596,8 @@ func (s *Stream) list() {
 	t := s.t
 	s.heldAt = resized(s.heldAt, int(t.nLeaves))
 	clear(s.heldAt)
+	needs := resized(s.needs, int(t.nLeaves))
+	clear(needs)
 	// stabCost's copies, sized now: weigh may run in a draw that reads nothing.
 	s.saved = slices.Grow(s.saved[:0], len(s.remaining))
 	s.savedNext = slices.Grow(s.savedNext[:0], len(s.nextRight))
@@ -646,9 +606,8 @@ func (s *Stream) list() {
 		if s.remaining[t.nLeaves+leaf] == 0 {
 			continue
 		}
-		k := s.reach(leaf)
-		need := s.need(leaf, k)
-		if need == 0 {
+		need, bound := s.need(leaf, s.reach(leaf))
+		if needs[leaf] = need; need == 0 {
 			continue
 		}
 		lm := &t.leaves[leaf]
@@ -660,9 +619,9 @@ func (s *Stream) list() {
 		i := int32(len(s.listed))
 		s.listed = append(s.listed, leaf)
 		s.heldAt[leaf] = -1 - i
-		s.fit += s.bound(leaf, k, need)
+		s.fit += bound
 		quiet := t.f.Quiet(lm.firstPage, end)
-		s.walk = append(s.walk, link{prev: prev, next: -1, quiet: quiet})
+		s.walk = append(s.walk, link{prev: prev, next: -1, bound: int32(bound), quiet: quiet})
 		if !quiet {
 			s.left += t.f.Sim().ScanCost(end - lm.firstPage)
 			continue
@@ -673,15 +632,16 @@ func (s *Stream) list() {
 		}
 		prev = i
 	}
+	s.needs = needs
 	s.weighed = len(s.listed) == 0
 }
 
 // link ties listed[i], while it is listed and the pass would fetch it
 // (quiet), to the listed leaves the pass would fetch just before and after
-// it: their positions in listed, or -1.
+// it: their positions in listed, or -1. bound is listed[i]'s.
 type link struct {
-	prev, next int32
-	quiet      bool
+	prev, next, bound int32
+	quiet             bool
 }
 
 // unlist drops leaf, which a stab just reached, from the listing and keeps
@@ -694,9 +654,8 @@ func (s *Stream) unlist(leaf int64) {
 		return // not listed
 	}
 	s.heldAt[leaf] = 0
-	k := s.reach(leaf)
-	s.fit -= s.bound(leaf, k, s.need(leaf, k))
 	w := s.walk[i]
+	s.fit -= int(w.bound)
 	if !w.quiet {
 		lm := &s.t.leaves[leaf]
 		s.left -= s.t.f.Sim().ScanCost(s.t.leafEnd(lm) - lm.firstPage)
@@ -739,9 +698,10 @@ func (s *Stream) fetch(leaf int64) time.Duration {
 // are no part of the rent: they are paid whether or not the pass is bought.
 // It takes the pass only if the listed matches surely fit maxKeepRecords and
 // price + left costs no more than the stabs of the listed leaves would
-// (stabCost); it makes that comparison once, and declines for good a pass
-// it fails, or one left nothing to fetch. So a drain is never charged more
-// than without the pass, and at any point at most twice as much.
+// (stabCost, replayed only where its floor leaves it open); it makes that
+// comparison once, and declines for good a pass it fails, or one left
+// nothing to fetch. So a drain is never charged more than without the pass,
+// and at any point at most twice as much.
 func (s *Stream) weigh() {
 	if s.price == 0 { // a fetch costs a page at least: nothing left to fetch
 		s.weighed = true
@@ -751,7 +711,7 @@ func (s *Stream) weigh() {
 		return
 	}
 	s.weighed = true
-	if s.price+s.left > s.stabCost() {
+	if s.price+s.left > s.floor() && s.price+s.left > s.stabCost() {
 		return
 	}
 	if cap(s.held) < s.fit {
@@ -759,6 +719,28 @@ func (s *Stream) weigh() {
 	}
 	s.pass()
 	s.passed = true
+}
+
+// floor is at most stabCost, in one walk of the listing: every listed leaf
+// no stab has reached transfers its pages, and each whose page predecessor
+// is not one of them pays a seek, less one seek for the stabs' first read,
+// which stabCost charges none (the head is not known).
+func (s *Stream) floor() time.Duration {
+	m := s.t.f.Sim().Model()
+	seek := m.RandomRead - m.SequentialRead
+	cost, head := -seek, int64(-1)
+	for _, leaf := range s.listed {
+		if s.heldAt[leaf] == 0 {
+			continue
+		}
+		lm := &s.t.leaves[leaf]
+		if lm.firstPage != head {
+			cost += seek
+		}
+		cost += s.fetch(leaf)
+		head = s.t.leafEnd(lm)
+	}
+	return cost
 }
 
 // stabCost is what the stabs of the listed leaves (heldAt marks) would be
@@ -771,7 +753,6 @@ func (s *Stream) stabCost() time.Duration {
 	m := t.f.Sim().Model()
 	sc.saved = append(sc.saved[:0], s.remaining...)
 	sc.savedNext = append(sc.savedNext[:0], s.nextRight...)
-	sent := slices.Clone(s.sent)
 	var cost time.Duration
 	head := int64(-1)
 	for s.remaining[1] != 0 {
@@ -790,7 +771,6 @@ func (s *Stream) stabCost() time.Duration {
 	}
 	copy(s.remaining, sc.saved)
 	copy(s.nextRight, sc.savedNext)
-	copy(s.sent, sent)
 	return cost
 }
 
@@ -817,14 +797,13 @@ func (s *Stream) pass() {
 			t.f.Cross(t.leafEnd(&t.leaves[s.listed[prev]]), lm.firstPage)
 		}
 		prev = int32(i)
-		k := s.reach(leaf)
-		secs, err := t.readLeafInto(leaf, &s.dec, s.need(leaf, k), &s.q)
+		secs, err := t.readLeafInto(leaf, &s.dec, s.needs[leaf], &s.q)
 		if err != nil {
 			prev = -1
 			continue
 		}
 		s.heldAt[leaf] = int32(len(s.heldSecs) + 1)
-		for _, sec := range secs[:k] {
+		for _, sec := range secs[:s.reach(leaf)] {
 			n := len(s.held)
 			s.held = append(s.held, sec...)
 			s.heldSecs = append(s.heldSecs, s.held[n:len(s.held):len(s.held)])

@@ -77,13 +77,13 @@ func TestSketchNeverExcludesAMatch(t *testing.T) {
 			case 1:
 				hi = math.MaxInt64
 			}
-			if s := quantizeSpan(r, record.Range{Lo: lo, Hi: hi}); !s.meets(keys) {
+			if s := quantizeSpan(r, record.Range{Lo: lo, Hi: hi}); s.count(keys) == 0 {
 				t.Fatalf("region %v: key %d (sketch %d) inside [%d, %d] excluded by span %v over %v",
 					r, x, sketchKey(r, x), lo, hi, s, keys)
 			}
 		}
 	}
-	if s := quantizeSpan(record.Range{Lo: 10, Hi: 20}, record.Range{Lo: 21, Hi: 30}); s.meets([]uint16{0, 1, math.MaxUint16}) {
+	if s := quantizeSpan(record.Range{Lo: 10, Hi: 20}, record.Range{Lo: 21, Hi: 30}); s.count([]uint16{0, 1, math.MaxUint16}) != 0 {
 		t.Fatalf("a query beside the region meets its sketch (span %v)", s)
 	}
 }
@@ -199,7 +199,7 @@ func TestStabMovesOnlyItsRange(t *testing.T) {
 				}
 				leaf := s.path[tree.h] - tree.nLeaves
 				m, k := &tree.leaves[leaf], s.reach(leaf)
-				need := s.need(leaf, k)
+				need, _ := s.need(leaf, k)
 				var from int64 // the first needed section's first record
 				for _, c := range m.secCounts[:min(bits.TrailingZeros32(need), tree.h)] {
 					from += int64(c)

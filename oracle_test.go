@@ -54,9 +54,6 @@ func TestPrefixOracle(t *testing.T) {
 		{"core/kd-2d", 40, 6000, func(t *testing.T, ck *oracle.Checker) {
 			coreRow(t, ck, coreConfig{1200, 24, record.Box2D(0, workload.KeyDomain*2/3, 0, workload.KeyDomain*2/3), 150, 1000, core.Params{Height: 5, Dims: 2}}, core.StreamOptions{}, true)
 		}, true},
-		{"core/weighted-shuttle", 50, 9000, func(t *testing.T, ck *oracle.Checker) {
-			coreRow(t, ck, coreConfig{1500, 56, corePrefix.q, 180, 3000, core.Params{Height: 5}}, core.StreamOptions{WeightedShuttle: true}, true)
-		}, true},
 		{"btree/sampler", 10, 3000, btreeRow, true},
 		{"rtree/sampler", 1, 40 * 157, rtreeRow, true},
 		{"permfile/scan", 4000, 4000, permfileRow, true},
