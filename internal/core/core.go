@@ -227,9 +227,9 @@ type Tree struct {
 }
 
 // WithClock returns a view of the tree whose I/O is charged to the given
-// per-stream clock instead of the shared simulated disk. The view shares
-// all in-memory metadata (which is read-only after construction), so any
-// number of clocked views may serve queries concurrently.
+// per-stream clock instead of the simulated disk's shared clock. The view
+// shares all in-memory metadata (which is read-only after construction), so
+// any number of clocked views may serve queries concurrently.
 func (t *Tree) WithClock(c *iosim.Clock) *Tree {
 	v := *t
 	v.f = t.f.OnClock(c)

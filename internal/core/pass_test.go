@@ -2,11 +2,13 @@ package core
 
 import (
 	"io"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
 	"sampleview/internal/iosim"
+	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
 	"sampleview/internal/workload"
 )
@@ -117,6 +119,58 @@ func TestDrainPassBound(t *testing.T) {
 			t.Fatalf("%v: 1,024 samples charged %v %+v (passed %v), the stabs %v %+v", q, ck.Now(), ck.Counters(), s.passed, cs.Now(), cs.Counters())
 		}
 	}
+}
+
+// siblingBackend serves the seeded view's pages and, when sib is set,
+// charges sib a read of every page it serves: a sibling stream's I/O on the
+// same Sim, landing in the middle of each stab.
+type siblingBackend struct {
+	*countingBackend
+	sib *iosim.Clock
+}
+
+func (b siblingBackend) ReadPage(i int64, off int, dst []byte) error {
+	if b.sib != nil {
+		b.sib.ReadPage(0, i)
+	}
+	return b.countingBackend.ReadPage(i, off, dst)
+}
+
+// TestStabTimeOnItsOwnClock: a stream opened without a clock of its own
+// prices its stabs on its file's clock, the Sim's shared clock, which what
+// a fork of the Sim is charged does not move. An unclocked 0.25% drain over
+// the seeded view, on a fresh Sim each time, reads the same stabTime, the
+// same records and the same pass decision whether or not a sibling fork is
+// charged a read beside each of its page reads.
+func TestStabTimeOnItsOwnClock(t *testing.T) {
+	tree, cb := seededView(t)
+	q := workload.NewQueryGen(45).Range1D(0.0025)
+	drain := func(sibling bool) (*Stream, []record.Record, *iosim.Clock) {
+		sim := iosim.New(tree.f.Sim().Model())
+		b := siblingBackend{countingBackend: cb}
+		if sibling {
+			b.sib = sim.Fork()
+		}
+		v := *tree
+		v.f = pagefile.NewOn(sim, b)
+		s, err := v.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := drainAll(t, s)
+		s.Close()
+		return s, recs, b.sib
+	}
+	alone, want, _ := drain(false)
+	beside, got, sib := drain(true)
+	if sib.Now() == 0 || !alone.weighed {
+		t.Fatalf("%v: the sibling was charged %v and the drain weighed its pass %v; the test shows nothing", q, sib.Now(), alone.weighed)
+	}
+	if beside.stabTime != alone.stabTime || beside.passed != alone.passed || !slices.Equal(got, want) {
+		t.Fatalf("%v: beside a sibling charged %v, the stabs were priced %v (passed %v, %d records); alone %v (passed %v, %d records)",
+			q, sib.Now(), beside.stabTime, beside.passed, len(got), alone.stabTime, alone.passed, len(want))
+	}
+	t.Logf("%v: stabs priced %v, passed %v, %d records; the sibling was charged %v", q, alone.stabTime, alone.passed, len(want), sib.Now())
 }
 
 // weighDue reports whether s's next NextLeaf would weigh its pass: s has

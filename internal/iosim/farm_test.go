@@ -8,9 +8,9 @@ import (
 func TestFarmNowIsMaxAndCountersSum(t *testing.T) {
 	f := NewFarm(DefaultModel(), 3)
 	a, b := f.Disk(0).Register(), f.Disk(1).Register()
-	f.Disk(0).ReadPage(a, 0) // random
-	f.Disk(0).ReadPage(a, 1) // sequential
-	f.Disk(1).ReadPage(b, 7) // random
+	f.Disk(0).Clock().ReadPage(a, 0) // random
+	f.Disk(0).Clock().ReadPage(a, 1) // sequential
+	f.Disk(1).Clock().ReadPage(b, 7) // random
 	m := f.Model()
 	if got, want := f.Now(), m.RandomRead+m.SequentialRead; got != want {
 		t.Fatalf("farm Now = %v, want max disk time %v", got, want)
@@ -26,10 +26,10 @@ func TestFarmIndependentHeads(t *testing.T) {
 	a, b := f.Disk(0).Register(), f.Disk(1).Register()
 	// Alternating across disks must stay sequential on each: separate
 	// spindles do not share a head.
-	f.Disk(0).ReadPage(a, 0)
-	f.Disk(1).ReadPage(b, 0)
-	f.Disk(0).ReadPage(a, 1)
-	f.Disk(1).ReadPage(b, 1)
+	f.Disk(0).Clock().ReadPage(a, 0)
+	f.Disk(1).Clock().ReadPage(b, 0)
+	f.Disk(0).Clock().ReadPage(a, 1)
+	f.Disk(1).Clock().ReadPage(b, 1)
 	for i := 0; i < 2; i++ {
 		c := f.Disk(i).Counters()
 		if c.RandomReads != 1 || c.SequentialReads != 1 {

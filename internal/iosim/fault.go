@@ -15,10 +15,10 @@ import (
 // byte-identical fault schedules, and a stream's fault counters are the
 // same whether it runs alone or beside a hundred others.
 //
-// Faults are injected at read time by pagefile, which consults the charger
-// (Sim or per-stream Clock) via BeginRead before every read attempt.
-// Transient faults are burst-shaped: a flaky page fails its first few read
-// attempts *per charger* and then succeeds, so a bounded retry loop always
+// Faults are injected at read time by pagefile, which consults the file's
+// Clock (the Sim's shared clock or a per-stream fork) via BeginRead before
+// every read attempt. Transient faults are burst-shaped: a flaky page fails
+// its first few read attempts *per clock* and then succeeds, so a bounded retry loop always
 // makes progress and the schedule stays deterministic per stream at any
 // concurrency. Sticky (dead) and corrupt pages are stateless per-page
 // verdicts: every reader sees the same failure.
@@ -97,7 +97,7 @@ type FaultPlan struct {
 	Seed uint64
 
 	// TransientRate is the per-page probability that a page is flaky. Reads
-	// of a flaky page fail for the first burst attempts made by each charger
+	// of a flaky page fail for the first burst attempts made by each clock
 	// and succeed afterwards, modelling a transient bus/controller error
 	// cleared by retrying.
 	TransientRate float64
@@ -200,7 +200,7 @@ func (p FaultPlan) burst(f FileID, page int64) int {
 }
 
 // fate returns the fault injected into read attempt number attempt (the
-// charger's per-page attempt cursor) of the given page. It is a pure
+// clock's per-page attempt cursor) of the given page. It is a pure
 // function of (plan, file, page, attempt).
 func (p FaultPlan) fate(f FileID, page int64, attempt int) Fault {
 	flt := Fault{FlipBit: -1}
@@ -274,7 +274,7 @@ func ProfilePlan(name string, seed uint64) (FaultPlan, error) {
 	return p, nil
 }
 
-// attemptKey identifies a per-charger read-attempt cursor.
+// attemptKey identifies a per-clock read-attempt cursor.
 type attemptKey struct {
 	file FileID
 	page int64
@@ -299,8 +299,8 @@ func (s *Sim) FaultPlan() FaultPlan {
 	return FaultPlan{}
 }
 
-// FaultCounters returns a snapshot of fault activity across the Sim and all
-// its forked Clocks.
+// FaultCounters returns a snapshot of fault activity across the Sim's
+// shared clock and all its forks.
 func (s *Sim) FaultCounters() FaultCounters {
 	var c FaultCounters
 	for k := FaultKind(0); k < numFaultKinds; k++ {
@@ -309,49 +309,39 @@ func (s *Sim) FaultCounters() FaultCounters {
 	return c
 }
 
-// NoteFault records one fault outcome observed by the storage layer.
-func (s *Sim) NoteFault(k FaultKind) { s.faults[k].Add(1) }
-
-// BeginRead consults the fault plan for the next read attempt of the page,
-// against the attempt cursors of the Clock the Sim owns: see Clock.BeginRead.
-// With no plan installed it returns without taking the lock.
-func (s *Sim) BeginRead(f FileID, page int64) Fault {
-	p := s.plan.Load()
-	if p == nil {
-		return Fault{FlipBit: -1}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.own.beginRead(p, f, page)
-}
-
 // FaultPlan returns the fault schedule of the parent Sim (zero if none).
 func (c *Clock) FaultPlan() FaultPlan { return c.parent.FaultPlan() }
 
-// FaultCounters returns the stream's own fault counters.
-func (c *Clock) FaultCounters() FaultCounters { return c.faults }
+// FaultCounters returns the clock's own fault counters.
+func (c *Clock) FaultCounters() FaultCounters {
+	c.lock()
+	defer c.unlock()
+	return c.faults
+}
 
-// NoteFault records one fault outcome, mirroring it to the parent Sim.
+// NoteFault records one fault outcome observed by the storage layer,
+// mirroring it to the parent Sim.
 func (c *Clock) NoteFault(k FaultKind) {
+	c.lock()
+	defer c.unlock()
 	c.faults.add(k, 1)
 	c.parent.faults[k].Add(1)
 }
 
-// BeginRead consults the fault plan for the stream's next read attempt of
-// the page, against the stream's private attempt cursors: the schedule a
-// stream observes is a pure function of its own access sequence, identical
-// at any concurrency. It advances the cursor (only pages the plan marks
-// flaky are tracked), charges any injected latency spike to the clock, and
-// counts transient and latency faults.
+// BeginRead consults the fault plan for the clock's next read attempt of
+// the page, against the clock's attempt cursors: the schedule a fork
+// observes is a pure function of its own access sequence, identical at any
+// concurrency. It advances the cursor (only pages the plan marks flaky are
+// tracked), charges any injected latency spike to the clock, and counts
+// transient and latency faults. With no plan installed it returns without
+// taking the shared clock's lock.
 func (c *Clock) BeginRead(f FileID, page int64) Fault {
-	return c.beginRead(c.parent.plan.Load(), f, page)
-}
-
-// beginRead is BeginRead under plan p, loaded once by the caller.
-func (c *Clock) beginRead(p *FaultPlan, f FileID, page int64) Fault {
+	p := c.parent.plan.Load()
 	if p == nil {
 		return Fault{FlipBit: -1}
 	}
+	c.lock()
+	defer c.unlock()
 	attempt := 0
 	if p.TransientRate > 0 && p.roll(f, page, saltFlaky) < p.TransientRate {
 		k := attemptKey{f, page}
@@ -367,7 +357,7 @@ func (c *Clock) beginRead(p *FaultPlan, f FileID, page int64) Fault {
 		c.parent.faults[FaultTransient].Add(1)
 	}
 	if flt.Spike > 0 {
-		c.Advance(flt.Spike)
+		c.advance(flt.Spike)
 		c.faults.LatencySpikes++
 		c.parent.faults[FaultLatency].Add(1)
 	}

@@ -101,8 +101,8 @@ func TestFaultBurstEventuallySucceeds(t *testing.T) {
 	}
 }
 
-// TestChargerBeginRead exercises the attempt cursors: a Sim (and a Clock)
-// sees a flaky page fail for its burst and then stay healthy, with fault
+// TestChargerBeginRead exercises the attempt cursors: a Sim's shared clock
+// (and a fork) sees a flaky page fail for its burst and then stay healthy, with fault
 // counters advancing accordingly.
 func TestChargerBeginRead(t *testing.T) {
 	sim := New(DefaultModel())
@@ -112,10 +112,10 @@ func TestChargerBeginRead(t *testing.T) {
 
 	// With rate 1.0 and burst 1, every page fails exactly its first attempt.
 	for page := int64(0); page < 10; page++ {
-		if f := sim.BeginRead(fid, page); !f.Transient {
+		if f := sim.Clock().BeginRead(fid, page); !f.Transient {
 			t.Fatalf("page %d: first attempt should be transient", page)
 		}
-		if f := sim.BeginRead(fid, page); f.Transient {
+		if f := sim.Clock().BeginRead(fid, page); f.Transient {
 			t.Fatalf("page %d: second attempt should succeed", page)
 		}
 	}
@@ -148,7 +148,7 @@ func TestLatencySpikeChargesClock(t *testing.T) {
 	sim.SetFaultPlan(FaultPlan{Seed: 5, LatencyRate: 1.0, LatencySpike: 25 * time.Millisecond})
 
 	before := sim.Now()
-	f := sim.BeginRead(fid, 7)
+	f := sim.Clock().BeginRead(fid, 7)
 	if f.Spike != 25*time.Millisecond {
 		t.Fatalf("spike = %v, want 25ms", f.Spike)
 	}
@@ -197,11 +197,11 @@ func TestSetFaultPlanClear(t *testing.T) {
 	sim := New(DefaultModel())
 	fid := sim.Register()
 	sim.SetFaultPlan(FaultPlan{Seed: 2, TransientRate: 1.0})
-	if f := sim.BeginRead(fid, 0); !f.Transient {
+	if f := sim.Clock().BeginRead(fid, 0); !f.Transient {
 		t.Fatalf("expected transient fault with plan installed")
 	}
 	sim.SetFaultPlan(FaultPlan{})
-	if f := sim.BeginRead(fid, 1); f.Transient || f.Sticky || f.FlipBit >= 0 || f.Spike != 0 {
+	if f := sim.Clock().BeginRead(fid, 1); f.Transient || f.Sticky || f.FlipBit >= 0 || f.Spike != 0 {
 		t.Fatalf("expected no fault after clearing plan, got %+v", f)
 	}
 }

@@ -17,19 +17,19 @@
 //
 // # Concurrency
 //
-// The cost rule and the flaky-page attempt cursors live in Clock alone. A
-// Clock, obtained from Sim.Fork, classifies each access against its own head
-// state and cursors and contributes every charge to the parent Sim's totals
-// with atomic additions, which commute. A Sim charged directly delegates,
-// under its mutex, to a Clock it owns, so a Sim is safe for concurrent use.
-// But random-versus-sequential classification depends on the order in which
-// accesses move the disk head, so charging a shared Sim from several
-// goroutines makes the split between the counters (and hence the clock)
-// depend on goroutine scheduling. Workers that need deterministic accounting
-// therefore charge a private fork each: its reading is exactly what a
-// single-stream run would measure, regardless of what other streams do, and
-// the parent's aggregate clock and counters are the same for any
-// interleaving and any worker count.
+// Only a Clock charges: the cost rule and the flaky-page attempt cursors
+// live there alone. A Clock classifies each access against its own head
+// state and cursors and contributes every charge to its Sim's totals with
+// atomic additions, which commute. Each Sim has one shared Clock (Sim.Clock),
+// which files opened on the Sim charge by default; it takes a lock, so any
+// goroutine may charge it. But random-versus-sequential classification
+// depends on the order in which accesses move the disk head, so charging the
+// shared clock from several goroutines makes the split between the counters
+// (and hence the clock) depend on goroutine scheduling. Workers that need
+// deterministic accounting therefore charge a private fork each (Sim.Fork),
+// which takes no lock: its reading is exactly what a single-stream run would
+// measure, regardless of what other streams do, and the Sim's aggregate
+// clock and counters are the same for any interleaving and any worker count.
 package iosim
 
 import (
@@ -102,28 +102,9 @@ func (c *Counters) Add(o Counters) {
 	c.SequentialWrites += o.SequentialWrites
 }
 
-// Charger charges simulated time for page accesses. Both *Sim (shared,
-// synchronized) and *Clock (private, per stream) implement it; pagefile
-// routes every access through one. BeginRead consults the active FaultPlan
-// for the next read attempt of a page (advancing the charger's per-page
-// attempt cursor and charging any latency spike), and NoteFault records
-// fault outcomes the storage layer observes (rereads, corrupt pages, dead
-// pages) so they show up in FaultCounters.
-type Charger interface {
-	ReadPage(f FileID, page int64)
-	ReadPages(f FileID, page, n int64)
-	WritePage(f FileID, page int64)
-	Advance(d time.Duration)
-	Now() time.Duration
-	BeginRead(f FileID, page int64) Fault
-	NoteFault(k FaultKind)
-	FaultPlan() FaultPlan
-}
-
-// Sim is a simulated disk: a virtual clock plus head-position tracking.
-// All methods are safe for concurrent use. Accesses charged to the Sim
-// directly go, under mu, through a Clock the Sim owns, so the Sim and its
-// forks share one implementation of the cost rule and the attempt cursors.
+// Sim is a simulated disk: the totals of every Clock charging it, the fault
+// and crash schedules, and the shared Clock. All methods are safe for
+// concurrent use.
 type Sim struct {
 	model Model
 
@@ -131,11 +112,9 @@ type Sim struct {
 	counters [4]atomic.Int64
 	files    atomic.Int32 // FileIDs handed out by Register
 
-	// mu guards own, the Clock that classifies and fault-checks the accesses
-	// charged directly to the Sim. Its head and attempt cursors are its own,
-	// apart from every other fork's.
-	mu  sync.Mutex
-	own *Clock // guarded by mu
+	// clock is the shared Clock (see Clock). Its head and attempt cursors
+	// are its own, apart from every fork's.
+	clock *Clock
 
 	// plan is the active fault schedule; nil means no faults.
 	plan   atomic.Pointer[FaultPlan]
@@ -165,7 +144,8 @@ func New(model Model) *Sim {
 		panic(err)
 	}
 	s := &Sim{model: model}
-	s.own = s.Fork()
+	s.clock = s.Fork()
+	s.clock.mu = new(sync.Mutex)
 	return s
 }
 
@@ -176,7 +156,7 @@ func (s *Sim) Model() Model { return s.model }
 func (s *Sim) Register() FileID { return FileID(s.files.Add(1) - 1) }
 
 // Now returns the current simulated time: the total disk-busy time of every
-// access charged to the Sim, directly or through a forked Clock.
+// access charged to the Sim's shared clock or to a fork.
 func (s *Sim) Now() time.Duration { return time.Duration(s.now.Load()) }
 
 // Counters returns a snapshot of the I/O counters.
@@ -198,29 +178,6 @@ func (s *Sim) Advance(d time.Duration) {
 	}
 }
 
-// ReadPage charges the clock for reading the given page of file f.
-func (s *Sim) ReadPage(f FileID, page int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.own.ReadPage(f, page)
-}
-
-// ReadPages charges the clock for reading the n pages of file f from page
-// on, in order, as n ReadPage calls would: the first classified by the head,
-// the rest sequential.
-func (s *Sim) ReadPages(f FileID, page, n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.own.ReadPages(f, page, n)
-}
-
-// WritePage charges the clock for writing the given page of file f.
-func (s *Sim) WritePage(f FileID, page int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.own.WritePage(f, page)
-}
-
 // ScanCost returns the time a pure sequential scan of n pages would take:
 // one random access to position the head followed by n-1 sequential
 // transfers. This is the paper's baseline "time required to scan the
@@ -231,6 +188,10 @@ func (s *Sim) ScanCost(n int64) time.Duration {
 	}
 	return s.model.RandomRead + time.Duration(n-1)*s.model.SequentialRead
 }
+
+// Clock returns the Sim's shared clock, which files opened on the Sim and
+// the write-ahead log charge. It is the only Clock safe for concurrent use.
+func (s *Sim) Clock() *Clock { return s.clock }
 
 // Fork returns a fresh Clock contributing to s. The Clock starts at time
 // zero with the head unpositioned and fresh fault-attempt cursors, so its
@@ -246,15 +207,18 @@ func (s *Sim) Fork() *Clock {
 	}
 }
 
-// Clock is a private virtual clock for one stream or worker, created with
-// Sim.Fork; the Sim's own direct charges go through one too. It is NOT safe
-// for concurrent use; each goroutine charges its own Clock. Every charge
-// also flows into the parent Sim's clock and counters, so shared totals
-// stay complete (and deterministic, because contributions commute) while
-// the Clock's own state gives the stream's single-stream cost.
+// Clock charges page accesses against its own head state, simulated time
+// and counters. A fork (Sim.Fork) is a private clock for one stream or
+// worker and is NOT safe for concurrent use; each goroutine charges its own.
+// The Sim's shared clock (Sim.Clock) is the one exception: it locks around
+// every call. Every charge also flows into the parent Sim's clock and
+// counters, so shared totals stay complete (and deterministic, because
+// contributions commute) while the Clock's own state gives the stream's
+// single-stream cost.
 type Clock struct {
 	model    Model
-	parent   *Sim // never nil: Fork is the only constructor
+	parent   *Sim        // never nil: Fork is the only constructor
+	mu       *sync.Mutex // set on the shared clock alone; forks lock nothing
 	now      time.Duration
 	counters Counters
 	headFile FileID           // file the head is in, or -1 before the first access
@@ -267,22 +231,51 @@ type Clock struct {
 	faults   FaultCounters
 }
 
-// Now returns the stream's elapsed simulated time.
-func (c *Clock) Now() time.Duration { return c.now }
+// lock and unlock guard the shared clock; on a fork they do nothing.
+func (c *Clock) lock() {
+	if c.mu != nil {
+		c.mu.Lock()
+	}
+}
 
-// Counters returns the stream's own I/O counters.
-func (c *Clock) Counters() Counters { return c.counters }
+func (c *Clock) unlock() {
+	if c.mu != nil {
+		c.mu.Unlock()
+	}
+}
 
-// Advance adds d of pure computation time to the stream's clock (and the
-// parent's).
+// Sim returns the simulated disk the clock charges.
+func (c *Clock) Sim() *Sim { return c.parent }
+
+// Now returns the clock's elapsed simulated time.
+func (c *Clock) Now() time.Duration {
+	c.lock()
+	defer c.unlock()
+	return c.now
+}
+
+// Counters returns the clock's own I/O counters.
+func (c *Clock) Counters() Counters {
+	c.lock()
+	defer c.unlock()
+	return c.counters
+}
+
+// Advance adds d of pure computation time to the clock (and the parent's).
 func (c *Clock) Advance(d time.Duration) {
+	c.lock()
+	defer c.unlock()
+	c.advance(d)
+}
+
+func (c *Clock) advance(d time.Duration) {
 	if d > 0 {
 		c.now += d
 		c.parent.now.Add(int64(d))
 	}
 }
 
-// sequential classifies an access against the stream's private head state.
+// sequential classifies an access against the clock's head state.
 func (c *Clock) sequential(f FileID, page int64) bool {
 	seq := c.headFile == f && c.head[f] == page
 	c.headFile = f
@@ -291,7 +284,7 @@ func (c *Clock) sequential(f FileID, page int64) bool {
 }
 
 // charge records n accesses of the given kind (a counter index), d each, in
-// the stream's counter ctr and the parent's totals.
+// the clock's counter ctr and the parent's totals.
 func (c *Clock) charge(kind int, n int64, d time.Duration, ctr *int64) {
 	d *= time.Duration(n)
 	c.now += d
@@ -300,8 +293,14 @@ func (c *Clock) charge(kind int, n int64, d time.Duration, ctr *int64) {
 	c.parent.now.Add(int64(d))
 }
 
-// ReadPage charges the stream's clock for reading the given page of file f.
+// ReadPage charges the clock for reading the given page of file f.
 func (c *Clock) ReadPage(f FileID, page int64) {
+	c.lock()
+	defer c.unlock()
+	c.readPage(f, page)
+}
+
+func (c *Clock) readPage(f FileID, page int64) {
 	if c.sequential(f, page) {
 		c.charge(cSeqRead, 1, c.model.SequentialRead, &c.counters.SequentialReads)
 	} else {
@@ -309,21 +308,26 @@ func (c *Clock) ReadPage(f FileID, page int64) {
 	}
 }
 
-// ReadPages charges the stream's clock for reading the n pages of file f
-// from page on, as n ReadPage calls would.
+// ReadPages charges the clock for reading the n pages of file f from page
+// on, as n ReadPage calls would: the first classified by the head, the rest
+// sequential.
 func (c *Clock) ReadPages(f FileID, page, n int64) {
 	if n <= 0 {
 		return
 	}
-	c.ReadPage(f, page)
+	c.lock()
+	defer c.unlock()
+	c.readPage(f, page)
 	if n--; n > 0 {
 		c.head[f] = page + 1 + n
 		c.charge(cSeqRead, n, c.model.SequentialRead, &c.counters.SequentialReads)
 	}
 }
 
-// WritePage charges the stream's clock for writing the given page of file f.
+// WritePage charges the clock for writing the given page of file f.
 func (c *Clock) WritePage(f FileID, page int64) {
+	c.lock()
+	defer c.unlock()
 	if c.sequential(f, page) {
 		c.charge(cSeqWrite, 1, c.model.SequentialWrite, &c.counters.SequentialWrites)
 	} else {

@@ -2,7 +2,6 @@ package iosim
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -21,11 +20,11 @@ func testModel() Model {
 func TestSequentialDetection(t *testing.T) {
 	s := New(testModel())
 	f := s.Register()
-	s.ReadPage(f, 0) // random: first access
-	s.ReadPage(f, 1) // sequential
-	s.ReadPage(f, 2) // sequential
-	s.ReadPage(f, 9) // random: skip
-	s.ReadPage(f, 3) // random: backwards
+	s.Clock().ReadPage(f, 0) // random: first access
+	s.Clock().ReadPage(f, 1) // sequential
+	s.Clock().ReadPage(f, 2) // sequential
+	s.Clock().ReadPage(f, 9) // random: skip
+	s.Clock().ReadPage(f, 3) // random: backwards
 	c := s.Counters()
 	if c.RandomReads != 3 || c.SequentialReads != 2 {
 		t.Fatalf("counters = %+v, want 3 random / 2 sequential", c)
@@ -39,9 +38,9 @@ func TestSequentialDetection(t *testing.T) {
 func TestInterleavedFilesBreakSequentiality(t *testing.T) {
 	s := New(testModel())
 	a, b := s.Register(), s.Register()
-	s.ReadPage(a, 0)
-	s.ReadPage(b, 0) // head moved to b: random
-	s.ReadPage(a, 1) // head back to a: random even though page follows
+	s.Clock().ReadPage(a, 0)
+	s.Clock().ReadPage(b, 0) // head moved to b: random
+	s.Clock().ReadPage(a, 1) // head back to a: random even though page follows
 	c := s.Counters()
 	if c.RandomReads != 3 || c.SequentialReads != 0 {
 		t.Fatalf("counters = %+v, want all random", c)
@@ -51,8 +50,8 @@ func TestInterleavedFilesBreakSequentiality(t *testing.T) {
 func TestWriteCosts(t *testing.T) {
 	s := New(testModel())
 	f := s.Register()
-	s.WritePage(f, 0)
-	s.WritePage(f, 1)
+	s.Clock().WritePage(f, 0)
+	s.Clock().WritePage(f, 1)
 	c := s.Counters()
 	if c.RandomWrites != 1 || c.SequentialWrites != 1 {
 		t.Fatalf("counters = %+v", c)
@@ -65,8 +64,8 @@ func TestWriteCosts(t *testing.T) {
 func TestReadAfterWriteIsSequential(t *testing.T) {
 	s := New(testModel())
 	f := s.Register()
-	s.WritePage(f, 0)
-	s.ReadPage(f, 1) // head is after page 0, so this is sequential
+	s.Clock().WritePage(f, 0)
+	s.Clock().ReadPage(f, 1) // head is after page 0, so this is sequential
 	if c := s.Counters(); c.SequentialReads != 1 {
 		t.Fatalf("read after write not sequential: %+v", c)
 	}
@@ -85,7 +84,7 @@ func TestScanCost(t *testing.T) {
 	f := s.Register()
 	before := s.Now()
 	for i := int64(0); i < 100; i++ {
-		s.ReadPage(f, i)
+		s.Clock().ReadPage(f, i)
 	}
 	if got := s.Now() - before; got != want {
 		t.Fatalf("actual scan cost %v, want %v", got, want)
@@ -93,7 +92,7 @@ func TestScanCost(t *testing.T) {
 }
 
 // TestReadPagesIsReadPageRun: charging a run of pages at once leaves the
-// shared disk and a forked clock where as many ReadPage calls would, and
+// shared clock and a fork where as many ReadPage calls would, and
 // the read after it sequential.
 func TestReadPagesIsReadPageRun(t *testing.T) {
 	one, run := New(testModel()), New(testModel())
@@ -101,15 +100,15 @@ func TestReadPagesIsReadPageRun(t *testing.T) {
 	c1, c2 := one.Fork(), run.Fork()
 	for _, r := range [][2]int64{{5, 3}, {8, 4}, {2, 1}, {9, 0}, {30, 7}} {
 		for i := r[0]; i < r[0]+r[1]; i++ {
-			one.ReadPage(f1, i)
+			one.Clock().ReadPage(f1, i)
 			c1.ReadPage(f1, i)
 		}
-		run.ReadPages(f2, r[0], r[1])
+		run.Clock().ReadPages(f2, r[0], r[1])
 		c2.ReadPages(f2, r[0], r[1])
 	}
-	one.ReadPage(f1, 37)
+	one.Clock().ReadPage(f1, 37)
 	c1.ReadPage(f1, 37)
-	run.ReadPage(f2, 37)
+	run.Clock().ReadPage(f2, 37)
 	c2.ReadPage(f2, 37)
 	if one.Now() != run.Now() || one.Counters() != run.Counters() || c1.Now() != c2.Now() || c1.Counters() != c2.Counters() {
 		t.Fatalf("page by page %v %+v (clock %v %+v), by runs %v %+v (clock %v %+v)",
@@ -150,86 +149,17 @@ func TestDefaultModelRatio(t *testing.T) {
 	}
 }
 
-// TestSimChargesAsItsClock: a seeded program charged to a Sim directly and
-// to the lone fork of a second Sim with the same model and fault plan sees
-// the same faults and the same clock after every op, and the same counters
-// at the end: the Sim's direct charges follow the Clock's cost rule and
-// attempt cursors exactly.
-func TestSimChargesAsItsClock(t *testing.T) {
-	plan := FaultPlan{
-		Seed: 11, TransientRate: 0.2, TransientBurst: 2,
-		LatencyRate: 0.1, LatencySpike: 3 * time.Millisecond,
-	}
-	direct, other := New(testModel()), New(testModel())
-	direct.SetFaultPlan(plan)
-	other.SetFaultPlan(plan)
-	var files []FileID
-	for i := 0; i < 3; i++ {
-		files = append(files, direct.Register())
-		other.Register()
-	}
-	clk := other.Fork()
-	rng := rand.New(rand.NewPCG(50, 1))
-	next := make(map[FileID]int64)
-	for op := 0; op < 6000; op++ {
-		f := files[rng.IntN(len(files))]
-		page := int64(rng.IntN(64))
-		if rng.IntN(2) == 0 { // continue where this file's head would be
-			page = next[f]
-		}
-		next[f] = page + 1
-		k := rng.IntN(5)
-		switch k {
-		case 0:
-			direct.ReadPage(f, page)
-			clk.ReadPage(f, page)
-		case 1:
-			n := int64(rng.IntN(5))
-			direct.ReadPages(f, page, n)
-			clk.ReadPages(f, page, n)
-			if n > 0 {
-				next[f] = page + n
-			}
-		case 2:
-			direct.WritePage(f, page)
-			clk.WritePage(f, page)
-		case 3:
-			if a, b := direct.BeginRead(f, page), clk.BeginRead(f, page); a != b {
-				t.Fatalf("op %d: BeginRead(%d, %d) = %+v on the Sim, %+v on the Clock", op, f, page, a, b)
-			}
-		case 4:
-			d := time.Duration(rng.IntN(1000)) * time.Microsecond
-			direct.Advance(d)
-			clk.Advance(d)
-		}
-		if direct.Now() != clk.Now() {
-			t.Fatalf("op %d (kind %d): Sim at %v, Clock at %v", op, k, direct.Now(), clk.Now())
-		}
-	}
-	if a, b := direct.Counters(), clk.Counters(); a != b {
-		t.Fatalf("counters: Sim %+v, Clock %+v", a, b)
-	}
-	if a, b := direct.FaultCounters(), clk.FaultCounters(); a != b {
-		t.Fatalf("fault counters: Sim %+v, Clock %+v", a, b)
-	}
-	c, fc := direct.Counters(), direct.FaultCounters()
-	if c.RandomReads == 0 || c.SequentialReads == 0 || fc.Transient == 0 || fc.LatencySpikes == 0 {
-		t.Fatalf("program exercised too little: %+v %+v", c, fc)
-	}
-	t.Logf("%d random / %d sequential reads, %d random / %d sequential writes, %d transient, %d spikes",
-		c.RandomReads, c.SequentialReads, c.RandomWrites, c.SequentialWrites, fc.Transient, fc.LatencySpikes)
-}
-
-// TestConcurrentDirectAndForkedCharges: goroutines charging one Sim
-// directly, fault attempts included, race forks charging it too. Every
-// access lands in the totals, each direct reader meets each flaky page's
-// burst exactly once, and each fork reads as it would running alone.
+// TestConcurrentDirectAndForkedCharges: goroutines charging one Sim's
+// shared clock, fault attempts included, race forks charging the Sim too.
+// Every access lands in the totals, each reader of the shared clock meets
+// each flaky page's burst exactly once, and each fork reads as it would
+// running alone.
 func TestConcurrentDirectAndForkedCharges(t *testing.T) {
 	const workers, iters = 4, 500
 	plan := FaultPlan{Seed: 3, TransientRate: 1, TransientBurst: 1, LatencyRate: 0.2, LatencySpike: time.Millisecond}
 	// program charges ch with iters steps over f, from page base on: two
 	// attempts of a flaky page (the first fails), then 5 page accesses.
-	program := func(ch Charger, f FileID, base int64) error {
+	program := func(ch *Clock, f FileID, base int64) error {
 		for i := int64(0); i < iters; i++ {
 			page := base + i
 			if !ch.BeginRead(f, page).Transient || ch.BeginRead(f, page).Transient {
@@ -259,7 +189,7 @@ func TestConcurrentDirectAndForkedCharges(t *testing.T) {
 	for g := 0; g < workers; g++ {
 		forks[g] = sim.Fork()
 		wg.Add(2)
-		go func(base int64) { defer wg.Done(); errs <- program(sim, f, base) }(int64(g) * 10 * iters)
+		go func(base int64) { defer wg.Done(); errs <- program(sim.Clock(), f, base) }(int64(g) * 10 * iters)
 		go func(c *Clock) { defer wg.Done(); errs <- program(c, f, 0) }(forks[g])
 	}
 	wg.Wait()

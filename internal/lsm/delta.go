@@ -701,7 +701,7 @@ func (l *level) lookupTomb(itf *pagefile.ItemFile, seq uint64) (bool, error) {
 }
 
 // readAll appends every record of the given region to dst (a sequential
-// scan on the level's own file, charged to the shared disk): the bulk read
+// scan on the level's own file, charged to the shared clock): the bulk read
 // used by merges and folds.
 func readAll(itf *pagefile.ItemFile, dst []record.Record) ([]record.Record, error) {
 	r := itf.NewReader()

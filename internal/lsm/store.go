@@ -187,9 +187,6 @@ func (s *Store) saveManifestLocked() error {
 		return fmt.Errorf("lsm: encoding manifest: %w", err)
 	}
 	err = pagefile.WriteFileAtomic(manifestPath(s.prefix), append(data, '\n'), func() error {
-		if s.sim == nil {
-			return nil
-		}
 		if err := s.sim.AtCrashPoint(iosim.CrashPreManifestRename); err != nil {
 			return err
 		}
@@ -206,9 +203,6 @@ func (s *Store) saveManifestLocked() error {
 // mid-flush snapshot in the same critical section that installs the level,
 // so no query window sees the records twice or not at all.
 func (s *Store) writeLevel(snap memview.Snapshot) (*level, error) {
-	if s.sim == nil {
-		return nil, fmt.Errorf("lsm: store has no backing disk")
-	}
 	s.mu.Lock()
 	gen := s.nextGen
 	s.nextGen++
@@ -315,14 +309,12 @@ func (s *Store) CompactOnce(force bool) (bool, error) {
 			return false, err
 		}
 	}
-	if s.sim != nil {
-		if err := s.sim.AtCrashPoint(iosim.CrashMidCompaction); err != nil {
-			// Power cut between writing the merged level and installing it:
-			// the output file stays on disk as an orphan (open-time GC
-			// reclaims it) and the input levels remain authoritative.
-			merged.file.Close()
-			return false, err
-		}
+	if err := s.sim.AtCrashPoint(iosim.CrashMidCompaction); err != nil {
+		// Power cut between writing the merged level and installing it: the
+		// output file stays on disk as an orphan (open-time GC reclaims it)
+		// and the input levels remain authoritative.
+		merged.file.Close()
+		return false, err
 	}
 
 	s.mu.Lock()

@@ -77,7 +77,7 @@ type Stream struct {
 // each level's first run: the open absorbs that read's transient faults by
 // re-reading on the same clock, since a caller can retry a draw against live
 // stream state but has nothing to retry an open against — a fresh open forks
-// a fresh clock, whose per-charger fault schedule would start over.
+// a fresh clock, whose per-clock fault schedule would start over.
 func newStream(parts *streamParts, base *core.Stream, file *pagefile.File, q record.Box, rng *rand.Rand) (*Stream, error) {
 	// Shuffling the exact component makes its draw order an exchangeable
 	// uniform permutation, so emitting from the tail is a uniform

@@ -322,11 +322,7 @@ type tombChecker struct {
 func newTombChecker(mems []memview.Snapshot, levels []*level, ck *iosim.Clock) *tombChecker {
 	t := &tombChecker{mems: mems, levels: levels, tombs: make([]*pagefile.ItemFile, len(levels))}
 	for i, l := range levels {
-		if ck != nil {
-			t.tombs[i] = l.tombs.OnClock(ck)
-		} else {
-			t.tombs[i] = l.tombs
-		}
+		t.tombs[i] = l.tombs.OnClock(ck)
 	}
 	return t
 }
@@ -413,7 +409,7 @@ type streamParts struct {
 
 // runRetryBudget bounds the re-reads of one run through transient faults
 // where there is no caller to hand the fault to. Each pass pushes the
-// failing page at least one attempt further, so per-charger transient bursts
+// failing page at least one attempt further, so per-clock transient bursts
 // (bounded by the fault plan) always clear well within it.
 const runRetryBudget = 64
 
@@ -434,9 +430,8 @@ func (v *View) components() ([]memview.Snapshot, []*level) {
 // fences, and reduces the base population estimate by the tombstones
 // expected in q — including those that will turn out to target level
 // inserts, which the stream hands back to the base as it meets them. It
-// reads nothing from the ladder; ck is the clock later level reads charge
-// (the shared disk when nil). The caller releases the levels the checker
-// holds.
+// reads nothing from the ladder; ck is the clock later level reads charge.
+// The caller releases the levels the checker holds.
 func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamParts, error) {
 	mems, levels := v.components()
 	est, err := main.EstimateCount(q) // also validates the predicate's dims
@@ -450,11 +445,7 @@ func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamPa
 		parts.mem = mems[i].MatchingInserts(parts.mem, q)
 	}
 	for i, l := range levels {
-		itf := l.inserts
-		if ck != nil {
-			itf = itf.OnClock(ck)
-		}
-		parts.levels[i] = levelSource{l: l, itf: itf, cand: l.candidates(q)}
+		parts.levels[i] = levelSource{l: l, itf: l.inserts.OnClock(ck), cand: l.candidates(q)}
 	}
 
 	// Matching in-memory tombstones are exact, each level's share is
@@ -481,10 +472,10 @@ func (v *View) gather(main *core.Tree, ck *iosim.Clock, q record.Box) (*streamPa
 // write path and the base (the in-memory and level parts are exact; the
 // base part interpolates internal-node counts minus the tombstones expected
 // to land in the base). It reads every run's window of every level, and
-// probes the tombstones of every match, on the shared simulated disk,
+// probes the tombstones of every match, on the store's shared clock,
 // re-driving transient faults itself.
 func (v *View) EstimateCount(q record.Box) (float64, error) {
-	parts, err := v.gather(v.main, nil, q)
+	parts, err := v.gather(v.main, v.store.sim.Clock(), q)
 	if err != nil {
 		return 0, err
 	}
@@ -528,10 +519,10 @@ func (v *View) EstimateCount(q record.Box) (float64, error) {
 	return max(parts.baseEst+consumed, 0) + float64(len(parts.mem)) + live, nil
 }
 
-// Query returns a merged online sample stream for q, charging base and
-// delta I/O directly to the shared disk.
+// Query returns a merged online sample stream for q, charging base I/O to
+// the base file's clock and delta I/O to the store's shared clock.
 func (v *View) Query(q record.Box, rng *rand.Rand) (*Stream, error) {
-	return v.queryOn(v.main, nil, q, rng)
+	return v.queryOn(v.main, v.store.sim.Clock(), q, rng)
 }
 
 // QueryClocked is Query with all I/O — base tree page reads, level insert
@@ -595,7 +586,7 @@ func (v *View) queryOn(main *core.Tree, ck *iosim.Clock, q record.Box, rng *rand
 func (v *View) Fold(dst *pagefile.File, p core.Params) (*core.Tree, error) {
 	mems, levels := v.components()
 	defer release(levels)
-	checker := newTombChecker(mems, levels, nil)
+	checker := newTombChecker(mems, levels, v.store.sim.Clock())
 
 	staging, err := stage(dst.Sim(), func(write func(*record.Record) error) error {
 		// Base records, skipping every tombstoned Seq. The full-domain query

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-
-	"sampleview/internal/iosim"
 )
 
 // On-disk format (version 2)
@@ -192,7 +190,7 @@ func (f *File) CheckPage(i int64) error {
 		return fmt.Errorf("%w: check page %d of %d", ErrPageOutOfRange, i, n)
 	}
 	phys := i + f.physOff
-	f.charge.ReadPage(f.id, phys)
+	f.clock.ReadPage(f.id, phys)
 	frame := f.frames.get()
 	defer f.frames.put(frame)
 	if err := f.backend.ReadPage(phys, 0, frame); err != nil {
@@ -224,20 +222,14 @@ func (f *File) CorruptStored(i int64, bit int64) error {
 	return f.backend.WritePage(phys, frame)
 }
 
-// Quiet reports whether the fault plan of the file's charger can touch no
+// Quiet reports whether the fault plan of the file's clock can touch no
 // read attempt of logical pages [from, to) (iosim.FaultPlan.Quiet).
 func (f *File) Quiet(from, to int64) bool {
-	p := f.charge.FaultPlan()
+	p := f.clock.FaultPlan()
 	for i := from; i < to && p.Enabled(); i++ {
 		if !p.Quiet(f.id, i+f.physOff) {
 			return false
 		}
 	}
 	return true
-}
-
-// faultFor asks the file's charger what the fault plan injects into the
-// next read attempt of physical page phys.
-func (f *File) faultFor(phys int64) iosim.Fault {
-	return f.charge.BeginRead(f.id, phys)
 }

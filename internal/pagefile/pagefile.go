@@ -57,11 +57,10 @@ type viewBackend interface {
 // writers require external synchronization (a file is written by one
 // goroutine during construction and read-only afterwards).
 //
-// Accesses are charged to the file's charger: the shared Sim by default, or
-// a private per-stream Clock for views obtained with OnClock.
+// Accesses are charged to the file's clock: the Sim's shared clock by
+// default, or a private per-stream fork for views obtained with OnClock.
 type File struct {
-	sim      *iosim.Sim
-	charge   iosim.Charger
+	clock    *iosim.Clock
 	id       iosim.FileID
 	pageSize int   // payload bytes per page (physical page minus header)
 	physOff  int64 // physical page of logical page 0 (1 past a superblock)
@@ -150,8 +149,7 @@ func (p *bufPool) put(b []byte) {
 func newFile(sim *iosim.Sim, backend Backend, physOff int64) *File {
 	phys := sim.Model().PageSize
 	f := &File{
-		sim:      sim,
-		charge:   sim,
+		clock:    sim.Clock(),
 		id:       sim.Register(),
 		pageSize: phys - frameHdrSize,
 		physOff:  physOff,
@@ -200,12 +198,12 @@ func Open(sim *iosim.Sim, path string) (*File, error) {
 }
 
 // OnClock returns a view of the file whose accesses are charged to the
-// given per-stream clock instead of the shared Sim. The view shares the
-// backing pages; it is how concurrent streams and construction workers keep
-// deterministic single-stream cost accounting.
+// given per-stream clock instead of the Sim's shared clock. The view shares
+// the backing pages; it is how concurrent streams and construction workers
+// keep deterministic single-stream cost accounting.
 func (f *File) OnClock(c *iosim.Clock) *File {
 	v := *f
-	v.charge = c
+	v.clock = c
 	return &v
 }
 
@@ -224,8 +222,8 @@ func (f *File) NumPages() int64 {
 	return n
 }
 
-// Sim returns the simulated disk this file lives on.
-func (f *File) Sim() *iosim.Sim { return f.sim }
+// Sim returns the simulated disk the file's clock charges.
+func (f *File) Sim() *iosim.Sim { return f.clock.Sim() }
 
 // Read reads logical page i into dst (at least one page long), charging the
 // clock. Under an active fault plan each attempt — the first read, retries
@@ -276,11 +274,12 @@ func (f *File) ReadSpan(i int64, dst []byte, off, n, block int, want []uint32) (
 // Cross charges reads of logical pages [from, to), as a scan passing over
 // them pays their transfer, and does nothing else: no fault is consulted, no
 // byte moves.
-func (f *File) Cross(from, to int64) { f.charge.ReadPages(f.id, from+f.physOff, to-from) }
+func (f *File) Cross(from, to int64) { f.clock.ReadPages(f.id, from+f.physOff, to-from) }
 
-// Now returns the simulated time of the file's charger: the shared disk's
-// clock, or the stream's own for a view obtained with OnClock.
-func (f *File) Now() time.Duration { return f.charge.Now() }
+// Now returns the simulated time of the file's clock: the Sim's shared
+// clock, or the stream's own for a view obtained with OnClock. Neither
+// counts what other clocks charge the Sim.
+func (f *File) Now() time.Duration { return f.clock.Now() }
 
 // span is a read of payload bytes [off, off+n) checked as ReadSpan checks
 // it; with hdr the header is read too and its page number checked.
@@ -299,12 +298,12 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool, sp *span) ([]byte, e
 		return nil, fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, i, n)
 	}
 	phys := i + f.physOff
-	budget := f.charge.FaultPlan().Attempts()
+	budget := f.clock.FaultPlan().Attempts()
 	var sticky bool
 	var corrupt *CorruptPageError
 	for a := 0; a < budget; a++ {
-		flt := f.faultFor(phys)
-		f.charge.ReadPage(f.id, phys)
+		flt := f.clock.BeginRead(f.id, phys)
+		f.clock.ReadPage(f.id, phys)
 		if flt.Sticky {
 			sticky = true
 			continue
@@ -326,7 +325,7 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool, sp *span) ([]byte, e
 		if errors.As(err, &cpe) {
 			corrupt = cpe
 			if a+1 < budget {
-				f.charge.NoteFault(iosim.FaultReread)
+				f.clock.NoteFault(iosim.FaultReread)
 			}
 			continue
 		}
@@ -334,10 +333,10 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool, sp *span) ([]byte, e
 	}
 	switch {
 	case sticky:
-		f.charge.NoteFault(iosim.FaultDead)
+		f.clock.NoteFault(iosim.FaultDead)
 		return nil, &DeadPageError{Page: i, Attempts: budget}
 	case corrupt != nil:
-		f.charge.NoteFault(iosim.FaultCorrupt)
+		f.clock.NoteFault(iosim.FaultCorrupt)
 		return nil, corrupt
 	}
 	return nil, &TransientError{Page: i, Attempts: budget}
@@ -438,7 +437,7 @@ func (f *File) Write(i int64, src []byte) error {
 		return fmt.Errorf("%w: write page %d of %d", ErrPageOutOfRange, i, n)
 	}
 	phys := i + f.physOff
-	f.charge.WritePage(f.id, phys)
+	f.clock.WritePage(f.id, phys)
 	frame := f.frames.get()
 	defer f.frames.put(frame)
 	copy(frame[frameHdrSize:], src[:f.pageSize])
@@ -475,7 +474,7 @@ func (f *File) Append(src []byte) (int64, error) {
 // call this first so the referenced bytes are never softer than the
 // reference.
 func (f *File) Sync() error {
-	if err := f.sim.Sync(); err != nil {
+	if err := f.Sim().Sync(); err != nil {
 		return err
 	}
 	type syncer interface{ Sync() error }

@@ -125,7 +125,7 @@ func (p *File) Count() int64 { return p.items.Count() }
 func (p *File) DataPages() int64 { return p.items.NumPages() }
 
 // OnClock returns a view of the file whose scans charge their I/O to the
-// given per-stream clock instead of directly to the shared simulated disk.
+// given per-stream clock instead of the simulated disk's shared clock.
 // Views share the underlying storage, so concurrent scans on separate
 // clocks are safe.
 func (p *File) OnClock(c *iosim.Clock) *File {

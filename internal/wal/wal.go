@@ -98,8 +98,8 @@ type Options struct {
 	// that many are pending the leader skips the window and syncs at once.
 	// 1 means sync every write (the durability baseline); 0 means no cap.
 	SyncEvery int
-	// Sim, when set, is charged for page writes and sync barriers and
-	// consulted for crash injection.
+	// Sim is required. Its shared clock is charged for page writes, the Sim
+	// for sync barriers, and the Sim is consulted for crash injection.
 	Sim *iosim.Sim
 }
 
@@ -163,11 +163,11 @@ func Open(prefix string, opts Options) (*Log, []Op, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	l := &Log{prefix: prefix, opts: opts, sim: opts.Sim, nextLSN: 1}
-	l.cond = sync.NewCond(&l.mu)
-	if l.sim != nil {
-		l.fid = l.sim.Register()
+	if opts.Sim == nil {
+		return nil, nil, fmt.Errorf("wal: open %s: no simulated disk", prefix)
 	}
+	l := &Log{prefix: prefix, opts: opts, sim: opts.Sim, fid: opts.Sim.Register(), nextLSN: 1}
+	l.cond = sync.NewCond(&l.mu)
 
 	idxs, err := l.scanSegments()
 	if err != nil {
@@ -339,14 +339,12 @@ func (l *Log) appendFrame(op byte, rec *record.Record) (uint64, error) {
 	l.lastLSN = lsn
 	l.pending++
 	l.appends++
-	if l.sim != nil {
-		if err := l.sim.AtCrashPoint(iosim.CrashPostWALAppend); err != nil {
-			// Power cut after the append: the frame sits in the volatile
-			// buffer and will never reach disk. The caller must not ack.
-			l.dead = err
-			l.cond.Broadcast()
-			return lsn, err
-		}
+	if err := l.sim.AtCrashPoint(iosim.CrashPostWALAppend); err != nil {
+		// Power cut after the append: the frame sits in the volatile buffer
+		// and will never reach disk. The caller must not ack.
+		l.dead = err
+		l.cond.Broadcast()
+		return lsn, err
 	}
 	return lsn, nil
 }
@@ -419,13 +417,11 @@ func (l *Log) flushLocked() error {
 		l.dead = fmt.Errorf("wal: write segment: %w", err)
 		return l.dead
 	}
-	if l.sim != nil {
-		if err := l.sim.AtCrashPoint(iosim.CrashMidPageWrite); err != nil {
-			// Power cut mid-write: the first half (likely a torn frame) is
-			// on disk, the rest of the buffer is lost.
-			l.dead = err
-			return l.dead
-		}
+	if err := l.sim.AtCrashPoint(iosim.CrashMidPageWrite); err != nil {
+		// Power cut mid-write: the first half (likely a torn frame) is on
+		// disk, the rest of the buffer is lost.
+		l.dead = err
+		return l.dead
 	}
 	if _, err := l.f.Write(l.buf[half:]); err != nil {
 		l.dead = fmt.Errorf("wal: write segment: %w", err)
@@ -450,10 +446,8 @@ func (l *Log) flushLocked() error {
 // barrier issues the fsync on the current segment, charging the simulated
 // clock first (a crashed sim fails the barrier before any real I/O).
 func (l *Log) barrier() error {
-	if l.sim != nil {
-		if err := l.sim.Sync(); err != nil {
-			return err
-		}
+	if err := l.sim.Sync(); err != nil {
+		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync segment: %w", err)
@@ -462,16 +456,13 @@ func (l *Log) barrier() error {
 	return nil
 }
 
-// chargePages charges the simulated clock for appending n bytes.
+// chargePages charges the Sim's shared clock for appending n bytes.
 func (l *Log) chargePages(n int64) {
-	if l.sim == nil {
-		return
-	}
 	ps := int64(l.sim.Model().PageSize)
 	first := l.size / ps
 	last := (l.size + n - 1) / ps
 	for p := first; p <= last; p++ {
-		l.sim.WritePage(l.fid, p)
+		l.sim.Clock().WritePage(l.fid, p)
 	}
 }
 

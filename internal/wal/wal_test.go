@@ -15,14 +15,22 @@ func testRec(seq uint64) record.Record {
 	return record.Record{Key: int64(seq % 31), Amount: int64(seq * 7), Seq: seq}
 }
 
+func testSim() *iosim.Sim { return iosim.New(iosim.DefaultModel()) }
+
 func prefix(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "view.sv")
 }
 
+func TestOpenNeedsSim(t *testing.T) {
+	if _, _, err := Open(prefix(t), Options{}); err == nil {
+		t.Fatal("a log opened without a simulated disk")
+	}
+}
+
 func TestAppendCommitReplay(t *testing.T) {
 	p := prefix(t)
-	l, ops, err := Open(p, Options{})
+	l, ops, err := Open(p, Options{Sim: testSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +52,7 @@ func TestAppendCommitReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, ops, err := Open(p, Options{})
+	l2, ops, err := Open(p, Options{Sim: testSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +92,7 @@ func TestAppendCommitReplay(t *testing.T) {
 
 func TestUncommittedAppendsAreVolatile(t *testing.T) {
 	p := prefix(t)
-	l, _, err := Open(p, Options{})
+	l, _, err := Open(p, Options{Sim: testSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +107,7 @@ func TestUncommittedAppendsAreVolatile(t *testing.T) {
 	if _, err := l.AppendInsert(testRec(2)); err != nil {
 		t.Fatal(err)
 	}
-	l2, ops, err := Open(p, Options{})
+	l2, ops, err := Open(p, Options{Sim: testSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +119,7 @@ func TestUncommittedAppendsAreVolatile(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	p := prefix(t)
-	l, _, err := Open(p, Options{})
+	l, _, err := Open(p, Options{Sim: testSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +147,7 @@ func TestTornTailTruncated(t *testing.T) {
 	f.Close()
 	before, _ := os.Stat(seg)
 
-	l2, ops, err := Open(p, Options{})
+	l2, ops, err := Open(p, Options{Sim: testSim()})
 	if err != nil {
 		t.Fatalf("torn tail must not fail open: %v", err)
 	}
@@ -160,7 +168,7 @@ func TestEmptyTailSegment(t *testing.T) {
 	if err := os.WriteFile(p+".wal000000", nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, ops, err := Open(p, Options{})
+	l, ops, err := Open(p, Options{Sim: testSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +187,7 @@ func TestEmptyTailSegment(t *testing.T) {
 func TestMidLogCorruptionFailsOpen(t *testing.T) {
 	p := prefix(t)
 	// Tiny segments force a rotation so damage lands in a non-tail segment.
-	l, _, err := Open(p, Options{SegmentBytes: 128})
+	l, _, err := Open(p, Options{Sim: testSim(), SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +215,14 @@ func TestMidLogCorruptionFailsOpen(t *testing.T) {
 	if err := os.WriteFile(seg0, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(p, Options{SegmentBytes: 128}); err == nil {
+	if _, _, err := Open(p, Options{Sim: testSim(), SegmentBytes: 128}); err == nil {
 		t.Fatal("corruption in a sealed segment must fail open")
 	}
 }
 
 func TestRotationAndTruncateThrough(t *testing.T) {
 	p := prefix(t)
-	l, _, err := Open(p, Options{SegmentBytes: 256})
+	l, _, err := Open(p, Options{Sim: testSim(), SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +248,7 @@ func TestRotationAndTruncateThrough(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, ops, err := Open(p, Options{SegmentBytes: 256})
+	l2, ops, err := Open(p, Options{Sim: testSim(), SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +273,7 @@ func TestRotationAndTruncateThrough(t *testing.T) {
 
 func TestPartialTruncateKeepsUnappliedSegments(t *testing.T) {
 	p := prefix(t)
-	l, _, err := Open(p, Options{SegmentBytes: 256})
+	l, _, err := Open(p, Options{Sim: testSim(), SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +298,7 @@ func TestPartialTruncateKeepsUnappliedSegments(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, ops, err := Open(p, Options{SegmentBytes: 256})
+	l2, ops, err := Open(p, Options{Sim: testSim(), SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +318,7 @@ func TestPartialTruncateKeepsUnappliedSegments(t *testing.T) {
 
 func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	p := prefix(t)
-	l, _, err := Open(p, Options{GroupWindow: 3 * time.Millisecond})
+	l, _, err := Open(p, Options{Sim: testSim(), GroupWindow: 3 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +354,7 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 
 func TestSyncEveryOneSyncsEachCommit(t *testing.T) {
 	p := prefix(t)
-	l, _, err := Open(p, Options{SyncEvery: 1, GroupWindow: 5 * time.Millisecond})
+	l, _, err := Open(p, Options{Sim: testSim(), SyncEvery: 1, GroupWindow: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
