@@ -315,17 +315,18 @@ func (c *Clock) FaultPlan() FaultPlan { return c.parent.FaultPlan() }
 // FaultCounters returns the clock's own fault counters.
 func (c *Clock) FaultCounters() FaultCounters {
 	c.lock()
-	defer c.unlock()
-	return c.faults
+	fc := c.faults
+	c.unlock()
+	return fc
 }
 
 // NoteFault records one fault outcome observed by the storage layer,
 // mirroring it to the parent Sim.
 func (c *Clock) NoteFault(k FaultKind) {
 	c.lock()
-	defer c.unlock()
 	c.faults.add(k, 1)
 	c.parent.faults[k].Add(1)
+	c.unlock()
 }
 
 // BeginRead consults the fault plan for the clock's next read attempt of
@@ -341,7 +342,6 @@ func (c *Clock) BeginRead(f FileID, page int64) Fault {
 		return Fault{FlipBit: -1}
 	}
 	c.lock()
-	defer c.unlock()
 	attempt := 0
 	if p.TransientRate > 0 && p.roll(f, page, saltFlaky) < p.TransientRate {
 		k := attemptKey{f, page}
@@ -361,5 +361,6 @@ func (c *Clock) BeginRead(f FileID, page int64) Fault {
 		c.faults.LatencySpikes++
 		c.parent.faults[FaultLatency].Add(1)
 	}
+	c.unlock()
 	return flt
 }

@@ -224,14 +224,17 @@ type Clock struct {
 	headFile FileID           // file the head is in, or -1 before the first access
 	head     map[FileID]int64 // per file, the page after the last one accessed
 
-	// attempts holds the stream's private per-page read-attempt cursors, so
-	// a stream's fault schedule depends only on its own access sequence —
-	// never on what concurrent streams do.
+	// attempts holds the clock's per-page read-attempt cursors, so a fork's
+	// fault schedule depends only on its own access sequence — never on what
+	// concurrent streams do.
 	attempts map[attemptKey]int
 	faults   FaultCounters
 }
 
-// lock and unlock guard the shared clock; on a fork they do nothing.
+// lock and unlock guard the shared clock; on a fork they cost two nil
+// checks. No charge can panic, so the calls pair up without a defer, and
+// unlockShared is kept out of line so that unlock inlines: either would
+// otherwise cost every fork's hot path.
 func (c *Clock) lock() {
 	if c.mu != nil {
 		c.mu.Lock()
@@ -240,9 +243,12 @@ func (c *Clock) lock() {
 
 func (c *Clock) unlock() {
 	if c.mu != nil {
-		c.mu.Unlock()
+		unlockShared(c.mu)
 	}
 }
+
+//go:noinline
+func unlockShared(mu *sync.Mutex) { mu.Unlock() }
 
 // Sim returns the simulated disk the clock charges.
 func (c *Clock) Sim() *Sim { return c.parent }
@@ -250,22 +256,24 @@ func (c *Clock) Sim() *Sim { return c.parent }
 // Now returns the clock's elapsed simulated time.
 func (c *Clock) Now() time.Duration {
 	c.lock()
-	defer c.unlock()
-	return c.now
+	now := c.now
+	c.unlock()
+	return now
 }
 
 // Counters returns the clock's own I/O counters.
 func (c *Clock) Counters() Counters {
 	c.lock()
-	defer c.unlock()
-	return c.counters
+	ctr := c.counters
+	c.unlock()
+	return ctr
 }
 
 // Advance adds d of pure computation time to the clock (and the parent's).
 func (c *Clock) Advance(d time.Duration) {
 	c.lock()
-	defer c.unlock()
 	c.advance(d)
+	c.unlock()
 }
 
 func (c *Clock) advance(d time.Duration) {
@@ -296,8 +304,8 @@ func (c *Clock) charge(kind int, n int64, d time.Duration, ctr *int64) {
 // ReadPage charges the clock for reading the given page of file f.
 func (c *Clock) ReadPage(f FileID, page int64) {
 	c.lock()
-	defer c.unlock()
 	c.readPage(f, page)
+	c.unlock()
 }
 
 func (c *Clock) readPage(f FileID, page int64) {
@@ -316,21 +324,21 @@ func (c *Clock) ReadPages(f FileID, page, n int64) {
 		return
 	}
 	c.lock()
-	defer c.unlock()
 	c.readPage(f, page)
 	if n--; n > 0 {
 		c.head[f] = page + 1 + n
 		c.charge(cSeqRead, n, c.model.SequentialRead, &c.counters.SequentialReads)
 	}
+	c.unlock()
 }
 
 // WritePage charges the clock for writing the given page of file f.
 func (c *Clock) WritePage(f FileID, page int64) {
 	c.lock()
-	defer c.unlock()
 	if c.sequential(f, page) {
 		c.charge(cSeqWrite, 1, c.model.SequentialWrite, &c.counters.SequentialWrites)
 	} else {
 		c.charge(cRandomWrite, 1, c.model.RandomWrite, &c.counters.RandomWrites)
 	}
+	c.unlock()
 }
