@@ -137,10 +137,10 @@ func (b siblingBackend) ReadPage(i int64, off int, dst []byte) error {
 }
 
 // TestStabTimeOnItsOwnClock: a stream opened without a clock of its own
-// prices its stabs on its file's clock, the Sim's shared clock, which what
-// a fork of the Sim is charged does not move. An unclocked 0.25% drain over
-// the seeded view, on a fresh Sim each time, reads the same stabTime, the
-// same records and the same pass decision whether or not a sibling fork is
+// prices its stabs on its file's clock, the Sim's shared clock, which no
+// charge to a fork of the Sim moves. An unclocked 0.25% drain over the
+// seeded view, on a fresh Sim each time, reads the same stabTime, the same
+// records and the same pass decision whether or not a sibling fork is
 // charged a read beside each of its page reads.
 func TestStabTimeOnItsOwnClock(t *testing.T) {
 	tree, cb := seededView(t)

@@ -18,10 +18,10 @@ import (
 // Faults are injected at read time by pagefile, which consults the file's
 // Clock (the Sim's shared clock or a per-stream fork) via BeginRead before
 // every read attempt. Transient faults are burst-shaped: a flaky page fails
-// its first few read attempts *per clock* and then succeeds, so a bounded retry loop always
-// makes progress and the schedule stays deterministic per stream at any
-// concurrency. Sticky (dead) and corrupt pages are stateless per-page
-// verdicts: every reader sees the same failure.
+// its first few read attempts *per clock* and then succeeds, so a bounded
+// retry loop always makes progress and the schedule stays deterministic per
+// stream at any concurrency. Sticky (dead) and corrupt pages are stateless
+// per-page verdicts: every reader sees the same failure.
 
 // FaultKind classifies a fault event for counting.
 type FaultKind int

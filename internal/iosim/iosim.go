@@ -218,7 +218,7 @@ func (s *Sim) Fork() *Clock {
 type Clock struct {
 	model    Model
 	parent   *Sim        // never nil: Fork is the only constructor
-	mu       *sync.Mutex // set on the shared clock alone; forks lock nothing
+	mu       sync.Locker // set on the shared clock alone; forks lock nothing
 	now      time.Duration
 	counters Counters
 	headFile FileID           // file the head is in, or -1 before the first access
@@ -231,10 +231,10 @@ type Clock struct {
 	faults   FaultCounters
 }
 
-// lock and unlock guard the shared clock; on a fork they cost two nil
-// checks. No charge can panic, so the calls pair up without a defer, and
-// unlockShared is kept out of line so that unlock inlines: either would
-// otherwise cost every fork's hot path.
+// lock and unlock guard the shared clock; on a fork they cost a nil check
+// each. No charge can panic, so the calls pair up without a defer, and mu is
+// a Locker so that both inline: a defer or a call would cost every fork's
+// hot path.
 func (c *Clock) lock() {
 	if c.mu != nil {
 		c.mu.Lock()
@@ -243,12 +243,9 @@ func (c *Clock) lock() {
 
 func (c *Clock) unlock() {
 	if c.mu != nil {
-		unlockShared(c.mu)
+		c.mu.Unlock()
 	}
 }
-
-//go:noinline
-func unlockShared(mu *sync.Mutex) { mu.Unlock() }
 
 // Sim returns the simulated disk the clock charges.
 func (c *Clock) Sim() *Sim { return c.parent }
@@ -302,19 +299,7 @@ func (c *Clock) charge(kind int, n int64, d time.Duration, ctr *int64) {
 }
 
 // ReadPage charges the clock for reading the given page of file f.
-func (c *Clock) ReadPage(f FileID, page int64) {
-	c.lock()
-	c.readPage(f, page)
-	c.unlock()
-}
-
-func (c *Clock) readPage(f FileID, page int64) {
-	if c.sequential(f, page) {
-		c.charge(cSeqRead, 1, c.model.SequentialRead, &c.counters.SequentialReads)
-	} else {
-		c.charge(cRandomRead, 1, c.model.RandomRead, &c.counters.RandomReads)
-	}
-}
+func (c *Clock) ReadPage(f FileID, page int64) { c.ReadPages(f, page, 1) }
 
 // ReadPages charges the clock for reading the n pages of file f from page
 // on, as n ReadPage calls would: the first classified by the head, the rest
@@ -324,7 +309,11 @@ func (c *Clock) ReadPages(f FileID, page, n int64) {
 		return
 	}
 	c.lock()
-	c.readPage(f, page)
+	if c.sequential(f, page) {
+		c.charge(cSeqRead, 1, c.model.SequentialRead, &c.counters.SequentialReads)
+	} else {
+		c.charge(cRandomRead, 1, c.model.RandomRead, &c.counters.RandomReads)
+	}
 	if n--; n > 0 {
 		c.head[f] = page + 1 + n
 		c.charge(cSeqRead, n, c.model.SequentialRead, &c.counters.SequentialReads)
