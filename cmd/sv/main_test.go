@@ -403,7 +403,7 @@ func TestServe(t *testing.T) {
 		"serving sale             "+path+" (20000 records, 1 dims)",
 		"catalog maintenance: flush at 1024 buffered, merge past 4 delta levels, full-fold at 256 pending, scrub every 0s of simulated time",
 		`fault injection: profile "none", seed 1`,
-		"durability: wal on (sync-every 0, group-commit window 0s)",
+		"durability: wal on (group-commit window 0s)",
 		"write admission: 1000 entries/s per tenant (a connection that sets no tenant is its own)",
 		"listening on "+addr+" (max 256 streams, 16 per connection, batches of up to 4096)",
 		"draining...",

@@ -40,7 +40,6 @@ func serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		scrubEvery  = fs.Duration("scrub-every", 0, "catalog: checksum-scrub each view at this simulated-time interval (0 = never)")
 		backendName = fs.String("backend", "default", "raw-I/O backend for stored view files: pread or mmap")
 		walOn       = fs.Bool("wal", false, "write-ahead-log every served view: appends and deletes are group-committed before the ack and replayed on restart")
-		syncEvery   = fs.Int("sync-every", 0, "wal: fsync once at most this many writes accumulate in a commit cohort (1 = every write, 0 = window batching only)")
 		groupWindow = fs.Duration("group-commit-window", 0, "wal: how long a group-commit leader waits for more writers before the fsync (0 = none)")
 		writeRate   = fs.Float64("write-rate", 0, "per-tenant write admission, one bucket across a tenant's connections (a connection that sets no tenant is its own tenant): sustained appended/deleted entries per second, bursts up to max(rate, 4096) (0 = unlimited)")
 	)
@@ -87,7 +86,6 @@ func serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Faults:         plan,
 			Backend:        backend,
 			WAL:            *walOn,
-			WALSyncEvery:   *syncEvery,
 			WALGroupWindow: *groupWindow,
 		})
 		if err != nil {
@@ -106,7 +104,6 @@ func serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				Faults:         plan,
 				Backend:        backend,
 				WAL:            *walOn,
-				WALSyncEvery:   *syncEvery,
 				WALGroupWindow: *groupWindow,
 			},
 			sampleview.CatalogPolicy{
@@ -131,7 +128,7 @@ func serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "fault injection: profile %q, seed %d\n", *profile, *faultSeed)
 	}
 	if *walOn {
-		fmt.Fprintf(stdout, "durability: wal on (sync-every %d, group-commit window %v)\n", *syncEvery, *groupWindow)
+		fmt.Fprintf(stdout, "durability: wal on (group-commit window %v)\n", *groupWindow)
 	}
 	if *writeRate > 0 {
 		fmt.Fprintf(stdout, "write admission: %.0f entries/s per tenant (a connection that sets no tenant is its own)\n", *writeRate)

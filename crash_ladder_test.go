@@ -16,9 +16,11 @@ package sampleview
 //     chi-square over rank buckets of a drained prefix).
 //
 // Writes that were in flight but never acknowledged may land on either side
-// of the cut; the drill only requires that they appear at most once. What
-// group commit saves over sync-every-write is pinned by internal/wal's
-// TestGroupCommitAmortizesFsyncs and TestSyncEveryOneSyncsEachCommit.
+// of the cut; the drill only requires that they appear at most once. The
+// drill's one writer acknowledges each batch with one Commit, so each
+// acknowledgement is one cohort and one fsync. What group commit saves over
+// sync-every-write is pinned by internal/wal's TestGroupCommitAmortizesFsyncs
+// and TestSequentialCommitsSyncOnceEach.
 
 import (
 	"fmt"
@@ -100,7 +102,7 @@ func TestCrashLadder(t *testing.T) {
 func runCrashDrill(dir string, base []Record, p CrashPoint, hit int, seed uint64) crashDrill {
 	d := crashDrill{point: p, hit: hit}
 	path := filepath.Join(dir, fmt.Sprintf("drill-%s-%d.view", p, hit))
-	opts := Options{Seed: seed, WAL: true, WALSyncEvery: crashBatch}
+	opts := Options{Seed: seed, WAL: true}
 	v, err := CreateFromSlice(path, base, opts)
 	if err != nil {
 		d.failf("create: %v", err)

@@ -11,7 +11,7 @@ func crashViewPath(t *testing.T, n int) (string, *View, []Record) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "crash.sv")
 	recs := genRecords(n, 11)
-	v, err := CreateFromSlice(path, recs, Options{Seed: 5, WAL: true, WALSyncEvery: 1})
+	v, err := CreateFromSlice(path, recs, Options{Seed: 5, WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCrashRecoveryAckedWritesSurvive(t *testing.T) {
 		t.Fatalf("close after crash: %v", err)
 	}
 
-	re, err := Open(path, Options{Seed: 5, WAL: true, WALSyncEvery: 1})
+	re, err := Open(path, Options{Seed: 5, WAL: true})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestCrashRecoveryDoesNotDoubleApply(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path, Options{Seed: 5, WAL: true, WALSyncEvery: 1})
+	re, err := Open(path, Options{Seed: 5, WAL: true})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestRecoveredViewKeepsWriting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path, Options{Seed: 5, WAL: true, WALSyncEvery: 1})
+	re, err := Open(path, Options{Seed: 5, WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRecoveredViewKeepsWriting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fin, err := Open(path, Options{Seed: 5, WAL: true, WALSyncEvery: 1})
+	fin, err := Open(path, Options{Seed: 5, WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func goldenConfigs(t *testing.T, visit func(cfg string, v goldenView)) {
 	visit("root/compacted", goldenRoot(cv))
 
 	wopts := ropts
-	wopts.WAL, wopts.WALSyncEvery = true, 1
+	wopts.WAL = true
 	wv, err := CreateFromSlice(filepath.Join(dir, "wal.sv"), base, wopts)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func goldenConfigs(t *testing.T, visit func(cfg string, v goldenView)) {
 	visit("shard4/compacted", goldenSharded(sv))
 
 	swopts := sopts
-	swopts.WAL, swopts.WALSyncEvery = true, 1
+	swopts.WAL = true
 	swv, err := CreateSharded(filepath.Join(dir, "wal.shards"), base, swopts)
 	if err != nil {
 		t.Fatal(err)

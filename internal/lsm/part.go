@@ -21,9 +21,7 @@ type PartOptions struct {
 	// WAL logs every insert and delete beside the page file before it is
 	// applied; ignored in memory, where nothing survives anyway.
 	WAL bool
-	// WALSyncEvery and WALGroupWindow tune the log's group commit (see
-	// wal.Options).
-	WALSyncEvery   int
+	// WALGroupWindow is the log's group-commit window (see wal.Options).
 	WALGroupWindow time.Duration
 }
 
@@ -160,7 +158,7 @@ func (p *Part) openWAL(o PartOptions, create bool) error {
 			return err
 		}
 	}
-	l, ops, err := wal.Open(p.path, wal.Options{Sim: p.sim, SyncEvery: o.WALSyncEvery, GroupWindow: o.WALGroupWindow})
+	l, ops, err := wal.Open(p.path, wal.Options{Sim: p.sim, GroupWindow: o.WALGroupWindow})
 	if err != nil {
 		return err
 	}

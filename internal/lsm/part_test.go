@@ -38,7 +38,7 @@ func partSeqs(t *testing.T, p *Part) map[uint64]record.Record {
 // in-place rebuild, reopen again — checking the live set at every step.
 func TestPartLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "part.sv")
-	opts := PartOptions{WAL: true, WALSyncEvery: 1}
+	opts := PartOptions{WAL: true}
 	base := genRecords(1500, 1, 0)
 	p, err := BuildPart(testSim(), path, SliceSource(base), core.Params{Height: 5, Seed: 3}, opts)
 	if err != nil {

@@ -96,10 +96,6 @@ type Options struct {
 	// and Open replays whatever a crash left unflushed. Ignored for
 	// in-memory views (nothing survives anyway).
 	WAL bool
-	// WALSyncEvery caps how many logged writes a group commit may cover
-	// before the leader syncs immediately (1 = sync every write; 0 = no cap,
-	// pure window batching). Passed through to wal.Options.SyncEvery.
-	WALSyncEvery int
 	// WALGroupWindow is how long a group-commit leader waits for followers
 	// to pile on before syncing. Passed through to wal.Options.GroupWindow.
 	WALGroupWindow time.Duration
@@ -134,7 +130,6 @@ func (o Options) part() lsm.PartOptions {
 	return lsm.PartOptions{
 		Backend:        o.Backend,
 		WAL:            o.WAL,
-		WALSyncEvery:   o.WALSyncEvery,
 		WALGroupWindow: o.WALGroupWindow,
 	}
 }

@@ -600,7 +600,7 @@ func openHandlesUnder(dir string) (paths []string, ok bool) {
 func TestOpenCorruptWALReleasesHandles(t *testing.T) {
 	recs := genRecords(2000, 43)
 	dir := filepath.Join(t.TempDir(), "view")
-	opts := Options{K: 2, Seed: 9, WAL: true, WALSyncEvery: 1}
+	opts := Options{K: 2, Seed: 9, WAL: true}
 	v, err := Create(dir, recs, opts)
 	if err != nil {
 		t.Fatal(err)

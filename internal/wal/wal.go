@@ -33,8 +33,8 @@
 // the leader, optionally waits a group-commit window for more writers to
 // join, then flushes the buffer and issues a single fsync that acks the
 // whole cohort. Under writer fan-in this amortizes the dominant cost (the
-// sync barrier) over many records; with SyncEvery=1 it degenerates to
-// sync-every-write. The simulated clock is charged for every page write and
+// sync barrier) over many records; a lone writer committing each append
+// syncs once per commit. The simulated clock is charged for every page write and
 // barrier, so group-commit batching shows up in simulated throughput the
 // same way it would on hardware.
 package wal
@@ -94,10 +94,6 @@ type Options struct {
 	// join its cohort before syncing. 0 syncs immediately with whatever has
 	// been appended.
 	GroupWindow time.Duration
-	// SyncEvery caps how many appended operations a cohort may cover: once
-	// that many are pending the leader skips the window and syncs at once.
-	// 1 means sync every write (the durability baseline); 0 means no cap.
-	SyncEvery int
 	// Sim is required. Its shared clock is charged for page writes, the Sim
 	// for sync barriers, and the Sim is consulted for crash injection.
 	Sim *iosim.Sim
@@ -134,12 +130,11 @@ type Log struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signals cohort completion; tied to mu
 
-	f       *os.File  // current segment, nil after Close
-	seg     int       // current segment index
-	size    int64     // flushed bytes in the current segment
-	sealed  []segInfo // finalized segments not yet truncated away
-	buf     []byte    // appended, not yet flushed frames
-	pending int       // operations in buf
+	f      *os.File  // current segment, nil after Close
+	seg    int       // current segment index
+	size   int64     // flushed bytes in the current segment
+	sealed []segInfo // finalized segments not yet truncated away
+	buf    []byte    // appended, not yet flushed frames
 
 	nextLSN    uint64 // next LSN to assign
 	lastLSN    uint64 // highest LSN appended
@@ -337,7 +332,6 @@ func (l *Log) appendFrame(op byte, rec *record.Record) (uint64, error) {
 	binary.LittleEndian.PutUint32(l.buf[start:], payloadSize)
 	binary.LittleEndian.PutUint32(l.buf[start+4:], crc32.Checksum(payload, crcTable))
 	l.lastLSN = lsn
-	l.pending++
 	l.appends++
 	if err := l.sim.AtCrashPoint(iosim.CrashPostWALAppend); err != nil {
 		// Power cut after the append: the frame sits in the volatile buffer
@@ -387,7 +381,7 @@ func (l *Log) Commit(upTo uint64) error {
 			continue
 		}
 		l.syncing = true
-		if l.opts.GroupWindow > 0 && (l.opts.SyncEvery <= 0 || l.pending < l.opts.SyncEvery) {
+		if l.opts.GroupWindow > 0 {
 			l.mu.Unlock()
 			time.Sleep(l.opts.GroupWindow)
 			l.mu.Lock()
@@ -434,7 +428,6 @@ func (l *Log) flushLocked() error {
 	l.size += int64(len(l.buf))
 	l.bytes += int64(len(l.buf))
 	l.buf = l.buf[:0]
-	l.pending = 0
 	l.durableLSN = target
 	l.segMaxLSN = target
 	if l.size >= l.opts.SegmentBytes {

@@ -407,7 +407,7 @@ func recoveredRow(t *testing.T, ck *oracle.Checker) {
 	for b := range uint64(20) {
 		m := oracle.NewModel(base)
 		path := filepath.Join(t.TempDir(), "crash.sv")
-		opts := sampleview.Options{Seed: 300 + b, WAL: true, WALSyncEvery: 1}
+		opts := sampleview.Options{Seed: 300 + b, WAL: true}
 		v, err := sampleview.CreateFromSlice(path, base, opts)
 		if err != nil {
 			t.Fatal(err)

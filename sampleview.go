@@ -173,10 +173,6 @@ type Options struct {
 	// truncates the segments a durable level-0 write made redundant.
 	// Ignored for in-memory views.
 	WAL bool
-	// WALSyncEvery caps how many logged operations one group-commit cohort
-	// may cover; 1 syncs every write (the durability baseline), 0 leaves
-	// the cohort unbounded. Only meaningful with WAL.
-	WALSyncEvery int
 	// WALGroupWindow is how long a commit leader waits (wall-clock) for
 	// more writers to join its cohort before issuing the one fsync that
 	// acks the batch. 0 syncs immediately. Only meaningful with WAL.
@@ -208,7 +204,6 @@ func (o Options) part() lsm.PartOptions {
 	return lsm.PartOptions{
 		Backend:        o.Backend,
 		WAL:            o.WAL,
-		WALSyncEvery:   o.WALSyncEvery,
 		WALGroupWindow: o.WALGroupWindow,
 	}
 }
