@@ -47,15 +47,12 @@ type Config struct {
 	// figure: the workbench's competing structures build concurrently (and
 	// the ACE construction pipeline itself fans out, see
 	// core.Params.Parallelism), and a figure's averaged queries run
-	// concurrently per method on forked per-stream clocks (iosim.Sim.Fork).
-	// 0 or 1 builds with one worker and runs the queries on the calling
-	// goroutine, exactly reproducing the harness's original sequential
-	// charge order. Parallel runs are deterministic for a fixed seed: every
-	// query stream is charged to its own clock, whose cost is the stream's
-	// single-disk cost regardless of goroutine scheduling. They can differ
-	// microscopically from the sequential run, because a forked stream
-	// starts with the disk head unpositioned while the sequential harness
-	// lets one query inherit the previous query's head position.
+	// concurrently per method. 0 or 1 builds with one worker and runs the
+	// queries on the calling goroutine. It sets the worker count only: every
+	// ACE query and permuted-file scan is charged to a clock forked for it
+	// (iosim.Sim.Fork), which starts with the disk head unpositioned, as the
+	// paper's queries each run alone; so the figures are the same at every
+	// worker count (TestFiguresIgnoreWorkerCount).
 	Parallel int
 	// Physical disables scale matching. The paper's normalized curves
 	// (percent-of-scan-time axes) are governed by dimensionless ratios:

@@ -41,12 +41,9 @@ func TestFiguresGolden(t *testing.T) {
 				t.Fatalf("figure %s: %v", id, err)
 			}
 			for _, s := range fig.Series {
-				h := fnv.New64a()
-				for i := range s.X {
-					fmt.Fprintf(h, "%.4f\t%.6f\n", s.X[i], s.Y[i])
-				}
-				fmt.Fprintf(&out, "%s\t%s\t%d points\t%016x\n", id, s.Name, len(s.X), h.Sum64())
-				sums[id+"/"+s.Name] = h.Sum64()
+				sum := seriesDigest(s)
+				fmt.Fprintf(&out, "%s\t%s\t%d points\t%016x\n", id, s.Name, len(s.X), sum)
+				sums[id+"/"+s.Name] = sum
 			}
 		}
 	}
@@ -66,5 +63,54 @@ func TestFiguresGolden(t *testing.T) {
 	}
 	if !bytes.Equal(want, out.Bytes()) {
 		t.Fatalf("figures differ from %s:\ngot\n%swant\n%s", figuresGolden, out.Bytes(), want)
+	}
+}
+
+// seriesDigest is the FNV-64a digest of a series' points, hashed over the
+// lines svbench prints.
+func seriesDigest(s Series) uint64 {
+	h := fnv.New64a()
+	for i := range s.X {
+		fmt.Fprintf(h, "%.4f\t%.6f\n", s.X[i], s.Y[i])
+	}
+	return h.Sum64()
+}
+
+// TestFiguresIgnoreWorkerCount pins that Config.Parallel sets the worker
+// count and nothing else: Figures 11 and 16 are the same, series by series,
+// at 0 and at 2 workers. Every query runs on a clock forked for it, so none
+// inherits a disk head from the workbench's build or from an earlier query.
+// The permuted file is where a sequential harness on the shared clock would
+// show: its build ends by writing header page 0, so the first scan's read
+// of page 1 would count as sequential.
+func TestFiguresIgnoreWorkerCount(t *testing.T) {
+	digests := func(workers int) map[string]uint64 {
+		cfg := DefaultConfig().WithPageSize(8192)
+		cfg.N = 40_000
+		cfg.Parallel = workers
+		sums := map[string]uint64{}
+		for _, id := range []string{"11", "16"} {
+			wb, err := NewWorkbench(cfg, FigureDims(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fig, err := GenerateOn(wb, id)
+			if err != nil {
+				t.Fatalf("figure %s: %v", id, err)
+			}
+			for _, s := range fig.Series {
+				sums[id+"/"+s.Name] = seriesDigest(s)
+			}
+		}
+		return sums
+	}
+	one, two := digests(0), digests(2)
+	if len(one) != 7 {
+		t.Fatalf("figures 11 and 16 drew %d series, want 7", len(one))
+	}
+	for name, sum := range one {
+		if two[name] != sum {
+			t.Errorf("%s: %016x at 0 workers, %016x at 2", name, sum, two[name])
+		}
 	}
 }

@@ -42,8 +42,8 @@ func (c Config) workers() int {
 // runChains executes the per-method query chains of one figure. A chain
 // owns one competing method's whole query sequence. Chains run inline and in
 // order on a sequential workbench; on a parallel one they run at once, with
-// identical results, because each charges its own disk (each ACE query a
-// clock forked for it).
+// identical results, because each charges its own disk (each ACE query and
+// each permuted-file scan a clock forked for it).
 func (wb *Workbench) runChains(chains ...func() error) error {
 	workers := 1
 	if wb.Cfg.workers() > 1 {
@@ -56,17 +56,14 @@ func (wb *Workbench) runChains(chains ...func() error) error {
 // stream after every leaf retrieval, until the elapsed simulated time
 // exceeds limit or the stream completes. The figures price the published
 // algorithm (ReadEveryLeaf: no key-sketch skip, no drain pass); Figures
-// 11-14 plot the system's own read path, the zero options, beside it. On a
-// parallel workbench the query is charged to a clock forked for it, so that
-// several queries can stream from the shared tree concurrently.
+// 11-14 plot the system's own read path, the zero options, beside it. The
+// query is charged to a clock forked for it: it runs as if alone on the
+// disk, whatever ran before it or beside it.
 func (wb *Workbench) runACE(q record.Box, limit time.Duration, opts core.StreamOptions, y func(*core.Stream) float64) (curve, error) {
-	tree, now := wb.Ace, wb.AceSim.Now
-	if wb.Cfg.workers() > 1 {
-		ck := wb.AceSim.Fork()
-		tree, now = wb.Ace.WithClock(ck), ck.Now
-	}
+	ck := wb.AceSim.Fork()
+	now := ck.Now
 	var c curve
-	stream, err := tree.QueryWithOptions(q, opts)
+	stream, err := wb.Ace.WithClock(ck).QueryWithOptions(q, opts)
 	if err != nil {
 		return c, err
 	}
@@ -156,16 +153,12 @@ func (wb *Workbench) runRTree(q record.Box, limit time.Duration, rng *rand.Rand)
 }
 
 // runPerm executes one scan of the randomly permuted file, recording each
-// matching record against the sequential clock (a forked one on a parallel
-// workbench).
+// matching record against a clock forked for the scan, as runACE does.
 func (wb *Workbench) runPerm(q record.Box, limit time.Duration) (curve, error) {
-	pf, now := wb.Perm, wb.PermSim.Now
-	if wb.Cfg.workers() > 1 {
-		ck := wb.PermSim.Fork()
-		pf, now = wb.Perm.OnClock(ck), ck.Now
-	}
+	ck := wb.PermSim.Fork()
+	now := ck.Now
 	var c curve
-	sc := pf.Query(q)
+	sc := wb.Perm.OnClock(ck).Query(q)
 	t0 := now()
 	c.add(0, 0)
 	scale := 100 / float64(wb.Cfg.N)
