@@ -76,10 +76,6 @@ type Info struct {
 	// LastScrub is the view's simulated time at the end of its last scrub
 	// (zero if never scrubbed).
 	LastScrub time.Duration
-	// Placement lists the serving replicas this view is pinned to (empty =
-	// any). The catalog only records the assignment; a fleet router is what
-	// acts on it.
-	Placement []string
 }
 
 // JobReport describes one background job run by RunDueJobs.
@@ -107,8 +103,6 @@ type manifest struct {
 type manifestEntry struct {
 	Name string `json:"name"`
 	Dir  string `json:"dir"` // relative to the catalog root
-	// Placement is the view's recorded replica assignment, if any.
-	Placement []string `json:"placement,omitempty"`
 }
 
 // entry is one registered view plus its maintenance state.
@@ -118,7 +112,6 @@ type entry struct {
 	view      *shard.View
 	lastScrub time.Duration // view sim time at the end of the last scrub
 	degraded  map[int]bool  // shards the last scrub found damage on
-	placement []string      // recorded replica assignment; empty = any
 }
 
 // Catalog is a set of named sharded views with background maintenance.
@@ -181,7 +174,7 @@ func New(root string, runtime shard.Options, policy Policy) (*Catalog, error) {
 			return nil, fmt.Errorf("catalog: opening view %q: %w", me.Name, err)
 		}
 		c.entries[me.Name] = &entry{name: me.Name, dir: dir, view: v,
-			degraded: map[int]bool{}, placement: me.Placement}
+			degraded: map[int]bool{}}
 	}
 	return c, nil
 }
@@ -198,7 +191,7 @@ func (c *Catalog) saveLocked() error {
 		if err != nil {
 			return fmt.Errorf("catalog: relativizing %q: %w", e.dir, err)
 		}
-		m.Views = append(m.Views, manifestEntry{Name: e.name, Dir: rel, Placement: e.placement})
+		m.Views = append(m.Views, manifestEntry{Name: e.name, Dir: rel})
 	}
 	sort.Slice(m.Views, func(i, j int) bool { return m.Views[i].Name < m.Views[j].Name })
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -293,7 +286,6 @@ func (c *Catalog) infoLocked(e *entry) Info {
 		Count:          e.view.Count(),
 		PendingAppends: e.view.PendingAppends(),
 		Write:          e.view.WriteStats(),
-		Placement:      append([]string(nil), e.placement...),
 		DeltaLevels:    e.view.DeltaLevels(),
 		LastScrub:      e.lastScrub,
 		Health:         HealthOK,
@@ -309,42 +301,6 @@ func (c *Catalog) infoLocked(e *entry) Info {
 		info.Health = HealthStale
 	}
 	return info
-}
-
-// SetPlacement records the serving replicas the named view is pinned to
-// and persists the assignment in the manifest. An empty or nil replicas
-// clears the pin. The catalog stores the metadata only — enforcement is
-// the fleet router's job — so stale assignments never block local opens.
-func (c *Catalog) SetPlacement(name string, replicas []string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return fmt.Errorf("catalog: view %q not registered", name)
-	}
-	old := e.placement
-	if len(replicas) == 0 {
-		e.placement = nil
-	} else {
-		e.placement = append([]string(nil), replicas...)
-	}
-	if err := c.saveLocked(); err != nil {
-		e.placement = old
-		return err
-	}
-	return nil
-}
-
-// Placement returns the named view's recorded replica assignment (nil =
-// unpinned) and whether the view is registered.
-func (c *Catalog) Placement(name string) ([]string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return nil, false
-	}
-	return append([]string(nil), e.placement...), true
 }
 
 // Len returns the number of registered views.

@@ -380,59 +380,43 @@ func TestReopenAfterPartialManifestTempWrite(t *testing.T) {
 	}
 }
 
-func TestPlacementPersistsAcrossReopen(t *testing.T) {
+// TestManifestWithPlacementOpens keeps manifests written while the catalog
+// still recorded replica placement readable: the field is ignored, the view
+// opens, and the next save drops it.
+func TestManifestWithPlacementOpens(t *testing.T) {
 	dir := t.TempDir()
 	c, err := New(dir, shard.Options{}, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := genRecords(500, 3)
-	if _, err := c.Register("orders", recs, shard.Options{K: 2, Seed: 5}); err != nil {
+	if _, err := c.Register("orders", genRecords(500, 3), shard.Options{K: 2, Seed: 5}); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := c.Register("sales", recs, shard.Options{K: 2, Seed: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetPlacement("orders", []string{"10.0.0.1:7070", "10.0.0.2:7070"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetPlacement("absent", []string{"x"}); err == nil {
-		t.Fatal("SetPlacement on an unregistered view succeeded")
-	}
-	got, ok := c.Placement("orders")
-	if !ok || len(got) != 2 || got[0] != "10.0.0.1:7070" {
-		t.Fatalf("Placement = (%v, %v)", got, ok)
 	}
 	c.Close()
-
-	// The assignment must survive a reopen via the manifest.
-	c2, err := New(dir, shard.Options{}, Policy{})
+	path := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	got, ok = c2.Placement("orders")
-	if !ok || len(got) != 2 || got[0] != "10.0.0.1:7070" || got[1] != "10.0.0.2:7070" {
-		t.Fatalf("reopened Placement = (%v, %v)", got, ok)
+	old := strings.Replace(string(data), `"dir":`, `"placement": ["10.0.0.1:7070"], "dir":`, 1)
+	if old == string(data) {
+		t.Fatalf("manifest has no dir field to sit beside: %s", data)
 	}
-	if unpinned, ok := c2.Placement("sales"); !ok || unpinned != nil {
-		t.Fatalf("unpinned view Placement = (%v, %v)", unpinned, ok)
-	}
-	var infos []Info
-	for _, info := range c2.List() {
-		if info.Name == "orders" {
-			infos = append(infos, info)
-		}
-	}
-	if len(infos) != 1 || len(infos[0].Placement) != 2 {
-		t.Fatalf("Info.Placement missing: %+v", infos)
-	}
-
-	// Clearing the pin persists too.
-	if err := c2.SetPlacement("orders", nil); err != nil {
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := c2.Placement("orders"); !ok || got != nil {
-		t.Fatalf("cleared Placement = (%v, %v)", got, ok)
+	c2, err := New(dir, shard.Options{}, Policy{})
+	if err != nil {
+		t.Fatalf("manifest with a placement field: %v", err)
+	}
+	defer c2.Close()
+	if infos := c2.List(); len(infos) != 1 || infos[0].Name != "orders" || infos[0].Count != 500 {
+		t.Fatalf("reopened catalog lists %+v", infos)
+	}
+	if _, err := c2.Register("sales", genRecords(100, 4), shard.Options{K: 2, Seed: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || strings.Contains(string(data), "placement") {
+		t.Fatalf("resaved manifest (err %v) still carries placement: %s", err, data)
 	}
 }
