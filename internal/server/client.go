@@ -13,19 +13,13 @@ import (
 	"sampleview/internal/record"
 )
 
-// RetryPolicy governs the client's automatic retry of typed transient
-// server failures (CodeTransient) and write-rate throttles: up to maxRetries
-// retries of one request, with capped exponential backoff and
-// deterministic, seeded jitter, so a fleet of retrying clients neither
-// stampedes in lockstep nor behaves differently across identical runs.
-type RetryPolicy struct {
-	// Seed drives the jitter. A fixed seed gives a reproducible backoff
-	// schedule.
-	Seed uint64
-}
-
-// The retry schedule: at most maxRetries retries of one request, the first
-// after baseDelay, each step doubling until maxDelay caps it.
+// The retry schedule of typed transient server failures (CodeTransient) and
+// write-rate throttles: at most maxRetries retries of one request, the first
+// after baseDelay, each step doubling until maxDelay caps it, with seeded
+// jitter. Each client draws its jitter from a seed of its own (clientSeeds),
+// so a fleet of retrying clients does not stampede in lockstep, and a
+// process that makes its clients in the same order backs off the same way
+// on every run.
 const (
 	maxRetries = 6
 	baseDelay  = 2 * time.Millisecond
@@ -66,17 +60,13 @@ type Client struct {
 	retries atomic.Int64 // transient failures absorbed by retrying
 }
 
-// SetRetryPolicy replaces the client's retry policy, reseeding the jitter
-// source.
-func (c *Client) SetRetryPolicy(p RetryPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rng = jitterSource(p)
-}
+// clientSeeds numbers the clients of a process: the nth NewClient seeds its
+// jitter with n.
+var clientSeeds atomic.Uint64
 
-// jitterSource is the backoff jitter source a policy seeds.
-func jitterSource(p RetryPolicy) *rand.Rand {
-	return rand.New(rand.NewPCG(p.Seed, p.Seed^0x9e3779b97f4a7c15))
+// jitterSource is the backoff jitter source seed drives.
+func jitterSource(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 }
 
 // Retries returns how many transient server failures this client has
@@ -98,7 +88,7 @@ func NewClient(conn net.Conn) *Client {
 	return &Client{
 		conn: conn,
 		fr:   NewFrameReader(conn),
-		rng:  jitterSource(RetryPolicy{}),
+		rng:  jitterSource(clientSeeds.Add(1)),
 		// Backoff waits are real (wall clock) pauses between network
 		// retries; tests substitute a recording stub.
 		sleep: time.Sleep,
@@ -168,7 +158,7 @@ func (c *Client) roundTrip(req FrameType, body []byte, want FrameType, use func(
 }
 
 // retry is roundTrip plus absorption of the failures retryable accepts
-// (nil: none): each is retried under the client's RetryPolicy — capped
+// (nil: none): each is retried under the retry schedule — capped
 // exponential backoff, seeded jitter, a wall clock wait between attempts —
 // before it surfaces. Every retried failure must be one the server rejected
 // before applying anything (transient pulls make no stream progress,
@@ -301,7 +291,7 @@ func (v *RemoteView) EstimateCount(q record.Box) (float64, error) {
 // rejections — a read-only view, or the ingest backlog over the server's
 // cap — surface as *Error (check with IsWriteReject); the client stays
 // usable and may retry after a flush. Write-rate throttles
-// (CodeWriteThrottled) are retried automatically under the RetryPolicy:
+// (CodeWriteThrottled) are retried automatically under the retry schedule:
 // the server rejects a throttled batch before applying anything, so the
 // replay cannot double-insert. No other append failure is auto-retried — a
 // mid-batch failure may leave a prefix applied, and replaying it would
@@ -323,7 +313,7 @@ func (v *RemoteView) Delete(recs []record.Record) (int, error) {
 // Flush seals the view's in-memory write buffer and persists it as an
 // on-disk delta level, returning how many buffered entries it covered.
 // Flushing is idempotent (an empty buffer flushes to nothing), so transient
-// failures are absorbed under the client's RetryPolicy.
+// failures are absorbed under the retry schedule.
 func (v *RemoteView) Flush() (int, error) {
 	ack, err := call(v.c, FFlushView, FlushViewReq{ViewID: v.id}.Encode(), FFlushOK, IsTransient, DecodeWriteAck)
 	return int(ack.N), err
@@ -464,7 +454,7 @@ func (s *RemoteStream) drainedLocked() error {
 }
 
 // pullLocked fetches one batch from the server and appends it to dst,
-// absorbing transient server faults under the client's RetryPolicy. Hard
+// absorbing transient server faults under the retry schedule. Hard
 // failures (CodeDegraded and the rest) surface to the caller; the stream
 // itself stays usable, mirroring the in-process Stream's degraded semantics.
 func (s *RemoteStream) pullLocked(dst []record.Record) ([]record.Record, error) {

@@ -83,7 +83,6 @@ func TestServedTransientRetryTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.SetRetryPolicy(RetryPolicy{Seed: 1})
 	var waits []time.Duration
 	cl.mu.Lock()
 	cl.sleep = func(d time.Duration) { waits = append(waits, d) }
@@ -136,18 +135,14 @@ func TestServedTransientRetryTransparent(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffDeterministic pins the seeded jitter: two clients with
-// the same RetryPolicy seed produce identical backoff schedules.
+// TestRetryBackoffDeterministic pins the seeded jitter: two jitter sources
+// with the same seed produce identical backoff schedules.
 func TestRetryBackoffDeterministic(t *testing.T) {
 	schedule := func() []time.Duration {
-		c := NewClient(nil)
-		c.SetRetryPolicy(RetryPolicy{Seed: 42})
+		rng := jitterSource(42)
 		var out []time.Duration
 		for attempt := 0; attempt < 8; attempt++ {
-			c.mu.Lock()
-			j := c.rng.Uint64()
-			c.mu.Unlock()
-			out = append(out, backoff(attempt, j))
+			out = append(out, backoff(attempt, rng.Uint64()))
 		}
 		return out
 	}
@@ -162,6 +157,21 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 	}
 	if a[0] >= a[6] {
 		t.Fatalf("backoff should grow: first %v, seventh %v", a[0], a[6])
+	}
+}
+
+// TestClientsJitterApart pins that clients do not back off in lockstep:
+// two clients of one process draw different first jitters, so their
+// retries of one transient failure do not land on the server together.
+func TestClientsJitterApart(t *testing.T) {
+	first := func() uint64 {
+		c := NewClient(nil)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.rng.Uint64()
+	}
+	if a, b := first(), first(); a == b {
+		t.Fatalf("two clients drew the same first jitter %d", a)
 	}
 }
 
@@ -181,7 +191,6 @@ func TestServedCorruptionTypedErrorNotConnDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.SetRetryPolicy(RetryPolicy{Seed: 2})
 	cl.mu.Lock()
 	cl.sleep = func(time.Duration) {}
 	cl.mu.Unlock()

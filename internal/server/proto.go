@@ -34,8 +34,8 @@ const (
 	// CodeTransient: the request failed on a transient storage fault that
 	// outlived the storage layer's own retry budget. The stream is intact
 	// and made no progress, so repeating the exact request resumes at the
-	// faulted stab; the client library retries these automatically under
-	// its RetryPolicy.
+	// faulted stab; the client library retries these automatically with
+	// capped, jittered backoff.
 	CodeTransient uint16 = 9
 	// CodeDegraded: the stream permanently lost a leaf to a hard storage
 	// failure (dead page or detected corruption). The stream stays open
