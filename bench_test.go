@@ -273,10 +273,9 @@ func BenchmarkAblationDifferential(b *testing.B) {
 
 // BenchmarkStreamParallel drives many concurrent streams over one shared
 // view, the contention profile of the serving layer. Each iteration runs
-// one seeded query and draws 1000 samples; every leaf read grabs a scratch
-// page from the view file's buffer pool, so this is the benchmark that
-// shows the pool's single mutex versus its striped replacement (see
-// results/realio-bench.md for the before/after numbers).
+// one seeded query and draws 1000 samples; each stream decodes its leaves
+// into a page of its own (results/realio-bench.md has the numbers from when
+// every leaf read drew on the view file's shared buffer pool).
 func BenchmarkStreamParallel(b *testing.B) {
 	recs := genRecords(200_000, 41)
 	v, err := CreateFromSlice("", recs, Options{Seed: 42})

@@ -15,11 +15,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"sampleview/internal/iosim"
+	"sampleview/internal/par"
 )
 
 // ErrPageOutOfRange is returned when a page index is outside the file.
@@ -79,70 +79,29 @@ type File struct {
 // bufPool is a bounded free list of page buffers. A plain sync.Pool of
 // []byte would box the slice header into an interface on every Put,
 // costing one small heap allocation per recycle on the sampler hot path;
-// the explicit list keeps steady-state gets and puts allocation-free.
-// The list is striped: every page read of every stream of a file passes
-// through this pool, so a single mutex would serialize otherwise
-// independent streams.
+// the list keeps steady-state gets and puts allocation-free.
 type bufPool struct {
-	ps      int
-	next    atomic.Uint32 // round-robin stripe cursor
-	stripes [bufStripes]bufStripe
+	ps   int
+	free chan []byte
 }
 
-type bufStripe struct {
-	mu   sync.Mutex
-	free [][]byte // guarded by mu
-	// Pad the stripe to its own cache line so neighbouring stripe locks do
-	// not false-share.
-	_ [64 - 8]byte
+// maxFreeBufs bounds the buffers a pool retains (with 8 KB pages: 512 KB).
+const maxFreeBufs = 64
+
+func newBufPool(ps int) *bufPool {
+	return &bufPool{ps: ps, free: make(chan []byte, maxFreeBufs)}
 }
 
-// bufStripes is the stripe count (power of two for cheap masking) and
-// maxFreePerStripe bounds each stripe's free list, keeping the total
-// buffers retained per file at 64 — the same bound the pool had when it
-// was a single list (with 8 KB pages: 512 KB).
-const (
-	bufStripes       = 8
-	maxFreePerStripe = 8
-)
-
-// get starts at the stripe the most recent put filled (likely non-empty,
-// and a different stripe per concurrent putter) and falls back to scanning
-// the rest before allocating, so buffers are only ever allocated when the
-// whole pool is genuinely drained.
+// get returns a free buffer, or a new one when the list is empty.
 func (p *bufPool) get() []byte {
-	home := p.next.Load()
-	for k := uint32(0); k < bufStripes; k++ {
-		s := &p.stripes[(home+k)&(bufStripes-1)]
-		s.mu.Lock()
-		if n := len(s.free); n > 0 {
-			b := s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
-			s.mu.Unlock()
-			return b
-		}
-		s.mu.Unlock()
+	if b := par.Take(p.free); b != nil {
+		return b
 	}
 	return make([]byte, p.ps)
 }
 
-// put advances the cursor so successive puts (and the gets chasing them)
-// spread across stripes; a full home stripe overflows into the next ones
-// before the buffer is dropped.
-func (p *bufPool) put(b []byte) {
-	home := p.next.Add(1)
-	for k := uint32(0); k < bufStripes; k++ {
-		s := &p.stripes[(home+k)&(bufStripes-1)]
-		s.mu.Lock()
-		if len(s.free) < maxFreePerStripe {
-			s.free = append(s.free, b)
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-	}
-}
+// put recycles b, dropping it when the list is full.
+func (p *bufPool) put(b []byte) { par.Give(p.free, b) }
 
 // newFile wires a File over backend; physOff is the physical page index of
 // logical page 0.
@@ -154,8 +113,8 @@ func newFile(sim *iosim.Sim, backend Backend, physOff int64) *File {
 		pageSize: phys - frameHdrSize,
 		physOff:  physOff,
 		backend:  backend,
-		bufs:     &bufPool{ps: phys - frameHdrSize},
-		frames:   &bufPool{ps: phys},
+		bufs:     newBufPool(phys - frameHdrSize),
+		frames:   newBufPool(phys),
 		refs:     new(atomic.Int64),
 	}
 	f.refs.Store(1)

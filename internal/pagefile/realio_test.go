@@ -275,11 +275,11 @@ func TestOpenItemFileRange(t *testing.T) {
 	}
 }
 
-// BenchmarkBufPool hammers the scratch-buffer pool directly from parallel
-// goroutines — the isolated cost the striping exists to cut. Each op is one
-// get/put pair with a one-cache-line touch, the pattern of a leaf read.
+// BenchmarkBufPool hammers the scratch-buffer list directly from parallel
+// goroutines. Each op is one get/put pair with a one-cache-line touch, the
+// pattern of a checksummed page write or an item-file probe.
 func BenchmarkBufPool(b *testing.B) {
-	p := &bufPool{ps: 8192}
+	p := newBufPool(8192)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			buf := p.get()
