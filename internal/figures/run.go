@@ -61,16 +61,15 @@ func (wb *Workbench) runChains(chains ...func() error) error {
 // disk, whatever ran before it or beside it.
 func (wb *Workbench) runACE(q record.Box, limit time.Duration, opts core.StreamOptions, y func(*core.Stream) float64) (curve, error) {
 	ck := wb.AceSim.Fork()
-	now := ck.Now
 	var c curve
 	stream, err := wb.Ace.WithClock(ck).QueryWithOptions(q, opts)
 	if err != nil {
 		return c, err
 	}
-	t0 := now()
+	t0 := ck.Now()
 	c.add(0, 0)
 	for !stream.Done() {
-		if now()-t0 >= limit {
+		if ck.Now()-t0 >= limit {
 			break
 		}
 		if _, err := stream.NextLeaf(); err == io.EOF {
@@ -78,7 +77,7 @@ func (wb *Workbench) runACE(q record.Box, limit time.Duration, opts core.StreamO
 		} else if err != nil {
 			return c, err
 		}
-		c.add(now()-t0, y(stream))
+		c.add(ck.Now()-t0, y(stream))
 	}
 	return c, nil
 }
@@ -156,21 +155,20 @@ func (wb *Workbench) runRTree(q record.Box, limit time.Duration, rng *rand.Rand)
 // matching record against a clock forked for the scan, as runACE does.
 func (wb *Workbench) runPerm(q record.Box, limit time.Duration) (curve, error) {
 	ck := wb.PermSim.Fork()
-	now := ck.Now
 	var c curve
 	sc := wb.Perm.OnClock(ck).Query(q)
-	t0 := now()
+	t0 := ck.Now()
 	c.add(0, 0)
 	scale := 100 / float64(wb.Cfg.N)
 	var cnt float64
-	for now()-t0 < limit {
+	for ck.Now()-t0 < limit {
 		if _, err := sc.Next(); err == io.EOF {
 			break
 		} else if err != nil {
 			return c, err
 		}
 		cnt++
-		c.add(now()-t0, cnt*scale)
+		c.add(ck.Now()-t0, cnt*scale)
 	}
 	return c, nil
 }
