@@ -94,7 +94,8 @@ func TestAnalyzers(t *testing.T) {
 }
 
 // TestScopeExemptions re-loads violating fixtures under module paths the
-// analyzers exempt (cmd/) and demands silence.
+// analyzers exempt (cmd/, and internal/analysis for nodirectio: the
+// linter's own source loader) and demands silence.
 func TestScopeExemptions(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
@@ -103,6 +104,7 @@ func TestScopeExemptions(t *testing.T) {
 	}{
 		{NoWallClock, "nowallclock", "cmd/tool"},
 		{NoDirectIO, "nodirectio", "cmd/tool"},
+		{NoDirectIO, "nodirectio", "internal/analysis"},
 		{NoFatal, "nofatal", "cmd/tool"},
 	}
 	for _, c := range cases {

@@ -2,21 +2,11 @@ package fixture
 
 import "os"
 
-// One-shot whole-file helpers are control-plane I/O (JSON manifests, small
-// reports), not page I/O; they never yield a handle a backend could bypass
-// the charged read path with.
-func loadManifest(path string) ([]byte, error) {
-	return os.ReadFile(path)
-}
-
-func storeManifest(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
-}
-
-// Metadata-only os calls are equally fine.
+// Metadata-only os calls create, rename, remove, list or read nothing, so
+// they stay legal outside internal/pagefile.
 func manifestExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
 }
 
-func dropManifest(path string) error { return os.Remove(path) }
+func workDir() (string, error) { return os.Getwd() }

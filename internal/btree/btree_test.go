@@ -14,6 +14,9 @@ import (
 	"sampleview/internal/workload"
 )
 
+// Remaining returns how many matching records have not been returned yet.
+func (s *Sampler) Remaining() int64 { return s.span - s.drawn }
+
 func testSim() *iosim.Sim {
 	return iosim.New(iosim.Model{
 		RandomRead:      10 * time.Millisecond,

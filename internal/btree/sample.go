@@ -48,9 +48,6 @@ func (t *Tree) NewSampler(q record.Range, rng *rand.Rand) (*Sampler, error) {
 	}, nil
 }
 
-// Remaining returns how many matching records have not been returned yet.
-func (s *Sampler) Remaining() int64 { return s.span - s.drawn }
-
 // Matching returns the total number of records satisfying the predicate,
 // known exactly from the rank computation.
 func (s *Sampler) Matching() int64 { return s.span }

@@ -9,9 +9,9 @@
 package catalog
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -143,25 +143,19 @@ func New(root string, runtime shard.Options, policy Policy) (*Catalog, error) {
 	if root == "" {
 		return c, nil
 	}
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := pagefile.MkdirAll(root); err != nil {
 		return nil, fmt.Errorf("catalog: creating root: %w", err)
 	}
 	// A crash between writing the temp manifest and renaming it leaves a
-	// (possibly partial) .tmp behind; the committed manifest is still the
-	// authority, so just discard the orphan.
-	if err := os.Remove(filepath.Join(root, ManifestName+".tmp")); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("catalog: clearing stale manifest temp: %w", err)
-	}
-	data, err := os.ReadFile(filepath.Join(root, ManifestName))
-	if os.IsNotExist(err) {
+	// (possibly partial) .tmp behind; the load discards it, since the
+	// committed manifest is still the authority.
+	var m manifest
+	err := pagefile.LoadJSON(filepath.Join(root, ManifestName), &m)
+	if errors.Is(err, fs.ErrNotExist) {
 		return c, c.saveLocked()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("catalog: reading manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("catalog: decoding manifest: %w", err)
 	}
 	for _, me := range m.Views {
 		if !nameRE.MatchString(me.Name) {
@@ -194,11 +188,7 @@ func (c *Catalog) saveLocked() error {
 		m.Views = append(m.Views, manifestEntry{Name: e.name, Dir: rel})
 	}
 	sort.Slice(m.Views, func(i, j int) bool { return m.Views[i].Name < m.Views[j].Name })
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("catalog: encoding manifest: %w", err)
-	}
-	if err := pagefile.WriteFileAtomic(filepath.Join(c.root, ManifestName), append(data, '\n'), nil); err != nil {
+	if err := pagefile.SaveJSON(filepath.Join(c.root, ManifestName), m, nil); err != nil {
 		return fmt.Errorf("catalog: saving manifest: %w", err)
 	}
 	return nil
@@ -258,7 +248,7 @@ func (c *Catalog) Drop(name string) error {
 	}
 	e.view.Close()
 	if e.dir != "" {
-		if err := os.RemoveAll(e.dir); err != nil {
+		if err := pagefile.Remove(e.dir); err != nil {
 			return fmt.Errorf("catalog: removing view %q files: %w", name, err)
 		}
 	}

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"sampleview/internal/core"
@@ -207,7 +206,7 @@ func (p *Part) foldTo(sim *iosim.Sim, path string, params core.Params) (*core.Tr
 	if err != nil {
 		f.Close()
 		if path != "" {
-			os.Remove(path)
+			pagefile.Remove(path)
 		}
 		return nil, err
 	}
@@ -242,14 +241,14 @@ func (p *Part) Rebuild(params core.Params) error {
 		return err
 	}
 	if staged != "" {
-		if err := os.Rename(staged, p.path); err != nil {
+		if err := pagefile.Rename(staged, p.path); err != nil {
 			tree.File().Close()
-			os.Remove(staged)
+			pagefile.Remove(staged)
 			return fmt.Errorf("lsm: swapping rebuilt partition: %w", err)
 		}
 	}
-	// CreateStore clears the old store's files from disk; Destroy then
-	// releases the handles the old store still holds on them. A stream still
+	// CreateStore clears the old store's files from disk; closing the old
+	// store then releases the handles it still holds on them. A stream still
 	// reading the old base or levels keeps them open until it closes.
 	np, err := newPart(p.sim, p.path, tree, PartOptions{}, true)
 	if err != nil {
@@ -258,7 +257,7 @@ func (p *Part) Rebuild(params core.Params) error {
 	old := p.View
 	p.View = np.View
 	old.Main().File().Close()
-	old.Store().Destroy()
+	old.Store().Close()
 	if p.walLog == nil {
 		return nil
 	}

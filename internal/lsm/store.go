@@ -2,11 +2,10 @@ package lsm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
-	"strings"
+	"io/fs"
 	"sync"
 
 	"sampleview/internal/iosim"
@@ -70,7 +69,8 @@ func CreateStore(sim *iosim.Sim, prefix string) (*Store, error) {
 	if prefix != "" {
 		// The listed levels and any a crash mid-flush or mid-compaction of
 		// the previous view orphaned go alike.
-		os.Remove(manifestPath(prefix))
+		pagefile.Remove(manifestPath(prefix))
+		pagefile.Remove(manifestPath(prefix) + ".tmp")
 		s.removeOrphanDeltas(nil)
 	}
 	return s, nil
@@ -85,7 +85,7 @@ func OpenStore(sim *iosim.Sim, prefix string) (*Store, error) {
 		return s, nil
 	}
 	m, err := readStoreManifest(prefix)
-	if os.IsNotExist(err) {
+	if errors.Is(err, fs.ErrNotExist) {
 		// No manifest was ever installed; any delta files are orphans from
 		// a crash before the first flush completed.
 		m, err = &storeManifest{}, nil
@@ -97,7 +97,7 @@ func OpenStore(sim *iosim.Sim, prefix string) (*Store, error) {
 	nextGen := m.NextGen
 	live := make(map[uint64]bool, len(m.Gens))
 	for _, gen := range m.Gens {
-		lvl, err := openDelta(sim, deltaPath(prefix, gen))
+		lvl, err := openDelta(sim, s.pathFor(gen))
 		if err != nil {
 			release(levels)
 			return nil, err
@@ -120,46 +120,26 @@ func OpenStore(sim *iosim.Sim, prefix string) (*Store, error) {
 	return s, nil
 }
 
-// removeOrphanDeltas deletes delta files (and a stale manifest temp file)
-// beside the store that the manifest does not reference. live is the set of
-// referenced generations; nil means nothing is referenced.
+// removeOrphanDeltas deletes the delta files beside the store that the
+// manifest does not reference. live is the set of referenced generations;
+// nil means nothing is referenced. Only OS-backed stores call it.
 func (s *Store) removeOrphanDeltas(live map[uint64]bool) {
-	if s.prefix == "" {
-		return
-	}
-	os.Remove(manifestPath(s.prefix) + ".tmp")
-	dir := filepath.Dir(s.prefix)
-	base := filepath.Base(s.prefix) + ".d"
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, base) {
-			continue
-		}
-		var gen uint64
-		if _, err := fmt.Sscanf(name[len(base):], "%d", &gen); err == nil && !live[gen] {
-			os.Remove(filepath.Join(dir, name))
+	gens, _ := pagefile.Generations(s.prefix + ".d")
+	for _, gen := range gens {
+		if !live[gen] {
+			pagefile.Remove(s.pathFor(gen))
 		}
 	}
-}
-
-func deltaPath(prefix string, gen uint64) string {
-	return fmt.Sprintf("%s.d%06d", prefix, gen)
 }
 
 func manifestPath(prefix string) string { return prefix + ".lsm" }
 
+// readStoreManifest loads the manifest beside prefix; a missing one is an
+// error matching fs.ErrNotExist.
 func readStoreManifest(prefix string) (*storeManifest, error) {
-	data, err := os.ReadFile(manifestPath(prefix))
-	if err != nil {
-		return nil, err
-	}
 	var m storeManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("lsm: decoding manifest %s: %w", manifestPath(prefix), err)
+	if err := pagefile.LoadJSON(manifestPath(prefix), &m); err != nil {
+		return nil, fmt.Errorf("lsm: reading manifest: %w", err)
 	}
 	if m.CRC != 0 && m.CRC != m.checksum() {
 		return nil, fmt.Errorf("lsm: manifest %s failed its checksum (half-written or corrupt)", manifestPath(prefix))
@@ -182,11 +162,7 @@ func (s *Store) saveManifestLocked() error {
 		m.Gens = append(m.Gens, l.gen)
 	}
 	m.CRC = m.checksum()
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("lsm: encoding manifest: %w", err)
-	}
-	err = pagefile.WriteFileAtomic(manifestPath(s.prefix), append(data, '\n'), func() error {
+	err := pagefile.SaveJSON(manifestPath(s.prefix), m, func() error {
 		if err := s.sim.AtCrashPoint(iosim.CrashPreManifestRename); err != nil {
 			return err
 		}
@@ -250,7 +226,7 @@ func (s *Store) pathFor(gen uint64) string {
 	if s.prefix == "" {
 		return ""
 	}
-	return deltaPath(s.prefix, gen)
+	return pagefile.GenPath(s.prefix+".d", gen)
 }
 
 // pickMergeLocked returns the index of the newer level of the adjacent pair
@@ -331,7 +307,7 @@ func (s *Store) CompactOnce(force bool) (bool, error) {
 		s.mu.Unlock()
 		merged.file.Close()
 		if merged.path != "" {
-			os.Remove(merged.path)
+			pagefile.Remove(merged.path)
 		}
 		return false, fmt.Errorf("lsm: level set changed during compaction")
 	}
@@ -356,7 +332,7 @@ func (s *Store) CompactOnce(force bool) (bool, error) {
 	// unix the data lives until the last reader closes.
 	for _, l := range inputs {
 		if l.path != "" {
-			os.Remove(l.path)
+			pagefile.Remove(l.path)
 		}
 	}
 	return true, nil
@@ -481,20 +457,4 @@ func (s *Store) Close() error {
 	}
 	s.levels = nil
 	return first
-}
-
-// Destroy closes the store and removes its delta files and manifest: the
-// cleanup after a fold rebuilt the base over everything the store held.
-func (s *Store) Destroy() error {
-	s.mu.Lock()
-	for _, l := range s.levels {
-		if l.path != "" {
-			os.Remove(l.path)
-		}
-	}
-	s.mu.Unlock()
-	if s.prefix != "" {
-		os.Remove(manifestPath(s.prefix))
-	}
-	return s.Close()
 }

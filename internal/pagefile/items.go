@@ -307,20 +307,6 @@ func (t *ItemFile) NewReaderBurst(start int64, pages int) *ItemReader {
 // Pos returns the index of the next item the reader will return.
 func (r *ItemReader) Pos() int64 { return r.pos }
 
-// NextPage returns every item from the next one to the end of its page,
-// packed, and moves past them; io.EOF after the last item. It reads (and is
-// charged) exactly as that many calls of Next, and the slice is as short-lived.
-func (r *ItemReader) NextPage() ([]byte, error) {
-	first, err := r.Next()
-	if err != nil {
-		return nil, err
-	}
-	at := r.pos - 1
-	n := min(int64(r.t.perPage)-at%int64(r.t.perPage), r.t.count-at)
-	r.pos = at + n
-	return first[:int(n)*r.t.itemSize], nil
-}
-
 // Next returns the next item, or io.EOF after the last one. The returned
 // slice aliases the reader's buffer and is valid until the next call.
 func (r *ItemReader) Next() ([]byte, error) {

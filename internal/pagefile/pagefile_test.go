@@ -10,6 +10,20 @@ import (
 	"sampleview/internal/iosim"
 )
 
+// NextPage returns every item from the next one to the end of its page,
+// packed, and moves past them; io.EOF after the last item. It reads (and is
+// charged) exactly as that many calls of Next, and the slice is as short-lived.
+func (r *ItemReader) NextPage() ([]byte, error) {
+	first, err := r.Next()
+	if err != nil {
+		return nil, err
+	}
+	at := r.pos - 1
+	n := min(int64(r.t.perPage)-at%int64(r.t.perPage), r.t.count-at)
+	r.pos = at + n
+	return first[:int(n)*r.t.itemSize], nil
+}
+
 func testSim() *iosim.Sim {
 	return iosim.New(iosim.Model{
 		RandomRead:      10 * time.Millisecond,
@@ -173,7 +187,7 @@ func TestPoolEviction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.Append(fill(512, byte(i)))
 	}
-	pool := NewPool(2) // small pools use a single shard: exact global LRU
+	pool := NewPool(2)
 	buf := make([]byte, f.PageSize())
 	pool.ReadInto(f, 0, buf)
 	pool.ReadInto(f, 1, buf)
@@ -195,6 +209,34 @@ func TestPoolEviction(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsTheLastCapacityPages: eviction takes the least recently used
+// page of the whole pool, so after a scan of distinct pages exactly the last
+// capacity of them stay resident, however the pages would hash.
+func TestPoolKeepsTheLastCapacityPages(t *testing.T) {
+	sim := testSim()
+	f := NewMem(sim)
+	const pages, capacity = 512, 64
+	for i := 0; i < pages; i++ {
+		f.Append(fill(512, byte(i)))
+	}
+	pool := NewPool(capacity)
+	buf := make([]byte, f.PageSize())
+	for i := int64(0); i < pages; i++ {
+		if err := pool.ReadInto(f, i, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := 0
+	for i := int64(pages - capacity); i < pages; i++ {
+		if pool.Contains(f, i) {
+			resident++
+		}
+	}
+	if resident != capacity || pool.Len() != capacity {
+		t.Fatalf("%d of the last %d pages resident (pool holds %d)", resident, capacity, pool.Len())
+	}
+}
+
 // TestPoolReadIntoCopiesOut: ReadInto hands the caller a copy, never a cached
 // frame, so scribbling over dst after a miss, after a hit, or after the page
 // was evicted and faulted back in leaves what the pool serves next unchanged.
@@ -204,7 +246,7 @@ func TestPoolReadIntoCopiesOut(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		f.Append(fill(512, byte(i+1)))
 	}
-	pool := NewPool(2) // one shard: reading pages 1 and 2 evicts page 0
+	pool := NewPool(2) // reading pages 1 and 2 evicts page 0
 	dst := make([]byte, f.PageSize())
 	readScribbleReread := func(page int64, when string) {
 		t.Helper()

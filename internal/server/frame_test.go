@@ -32,6 +32,9 @@ func DecodeFrame(b []byte) (t FrameType, body, rest []byte, err error) {
 	return FrameType(payload[0]), payload[1:], b[headerSize+int(n):], nil
 }
 
+// DecodeBatchResp decodes an FBatch body into records of its own.
+func DecodeBatchResp(b []byte) (BatchResp, error) { return DecodeBatchInto(nil, b) }
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := [][]byte{nil, {}, {1, 2, 3}, bytes.Repeat([]byte{0xab}, 1000)}

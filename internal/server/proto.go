@@ -721,9 +721,6 @@ func DecodeBatchInto(dst []record.Record, b []byte) (BatchResp, error) {
 	return m, nil
 }
 
-// DecodeBatchResp decodes an FBatch body into records of its own.
-func DecodeBatchResp(b []byte) (BatchResp, error) { return DecodeBatchInto(nil, b) }
-
 // EstimateResp is the body of FEstimateResult.
 type EstimateResp struct{ Count float64 }
 

@@ -17,10 +17,8 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -239,7 +237,7 @@ func rangeBounds(recs []record.Record, k int) []int64 {
 func Create(dir string, recs []record.Record, opts Options) (*View, error) {
 	k := opts.k()
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := pagefile.MkdirAll(dir); err != nil {
 			return nil, fmt.Errorf("shard: creating view directory: %w", err)
 		}
 	}
@@ -287,24 +285,16 @@ func (v *View) writeManifest() error {
 		Height:    v.opts.Height,
 		Seed:      v.opts.Seed,
 	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("shard: encoding manifest: %w", err)
-	}
-	if err := pagefile.WriteFileAtomic(filepath.Join(v.dir, ManifestName), append(data, '\n'), nil); err != nil {
+	if err := pagefile.SaveJSON(filepath.Join(v.dir, ManifestName), m, nil); err != nil {
 		return fmt.Errorf("shard: writing manifest: %w", err)
 	}
 	return nil
 }
 
 func readManifest(dir string) (*manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("shard: reading manifest: %w", err)
-	}
 	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("shard: decoding manifest %s: %w", filepath.Join(dir, ManifestName), err)
+	if err := pagefile.LoadJSON(filepath.Join(dir, ManifestName), &m); err != nil {
+		return nil, fmt.Errorf("shard: reading manifest: %w", err)
 	}
 	if m.K <= 0 {
 		return nil, fmt.Errorf("shard: manifest %s: invalid shard count %d", filepath.Join(dir, ManifestName), m.K)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -574,6 +575,33 @@ func TestTornManifestTempNeverShadows(t *testing.T) {
 	defer vo.Close()
 	if vo.K() != 3 || vo.Count() != int64(len(recs)) {
 		t.Fatalf("reopened K=%d Count=%d, want 3/%d", vo.K(), vo.Count(), len(recs))
+	}
+}
+
+// TestOpenRecoversFromStaleManifestTemp: Open discards the temp manifest a
+// save cut before its rename left behind, as the delta store and the
+// catalog do, so a stale temp never outlives the next open.
+func TestOpenRecoversFromStaleManifestTemp(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "view")
+	v, err := Create(dir, genRecords(600, 42), Options{K: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Close()
+	tmp := filepath.Join(dir, ManifestName+".tmp")
+	if err := os.WriteFile(tmp, []byte(`{"k": 7`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	vo, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vo.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("the stale temp manifest survived Open (err=%v)", err)
+	}
+	if _, err := Open(filepath.Join(t.TempDir(), "never-created"), Options{}); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("opening a view never created: %v, want fs.ErrNotExist", err)
 	}
 }
 

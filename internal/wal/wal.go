@@ -43,14 +43,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"sampleview/internal/iosim"
+	"sampleview/internal/pagefile"
 	"sampleview/internal/record"
 )
 
@@ -115,14 +113,13 @@ type Stats struct {
 
 // segInfo describes one finalized (rotated-away) segment.
 type segInfo struct {
-	idx    int
 	path   string
 	maxLSN uint64 // highest LSN the segment holds
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent use.
 type Log struct {
-	prefix string
+	family string // segment n is pagefile.GenPath(family, n)
 	opts   Options
 	sim    *iosim.Sim
 	fid    iosim.FileID
@@ -130,11 +127,11 @@ type Log struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signals cohort completion; tied to mu
 
-	f      *os.File  // current segment, nil after Close
-	seg    int       // current segment index
-	size   int64     // flushed bytes in the current segment
-	sealed []segInfo // finalized segments not yet truncated away
-	buf    []byte    // appended, not yet flushed frames
+	f      *pagefile.AppendFile // current segment, nil after Close
+	seg    uint64               // current segment index
+	size   int64                // flushed bytes in the current segment
+	sealed []segInfo            // finalized segments not yet truncated away
+	buf    []byte               // appended, not yet flushed frames
 
 	nextLSN    uint64 // next LSN to assign
 	lastLSN    uint64 // highest LSN appended
@@ -161,17 +158,17 @@ func Open(prefix string, opts Options) (*Log, []Op, error) {
 	if opts.Sim == nil {
 		return nil, nil, fmt.Errorf("wal: open %s: no simulated disk", prefix)
 	}
-	l := &Log{prefix: prefix, opts: opts, sim: opts.Sim, fid: opts.Sim.Register(), nextLSN: 1}
+	l := &Log{family: prefix + ".wal", opts: opts, sim: opts.Sim, fid: opts.Sim.Register(), nextLSN: 1}
 	l.cond = sync.NewCond(&l.mu)
 
-	idxs, err := l.scanSegments()
+	idxs, err := pagefile.Generations(l.family)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("wal: scan segments: %w", err)
 	}
 	var ops []Op
 	for i, idx := range idxs {
-		path := segPath(prefix, idx)
-		data, err := os.ReadFile(path)
+		path := pagefile.GenPath(l.family, idx)
+		data, err := pagefile.ReadFile(path)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: read segment: %w", err)
 		}
@@ -192,7 +189,7 @@ func Open(prefix string, opts Options) (*Log, []Op, error) {
 			// frames append to a clean boundary, and keep it as the live
 			// segment.
 			if int64(clean) != int64(len(data)) {
-				if err := os.Truncate(path, int64(clean)); err != nil {
+				if err := pagefile.Truncate(path, int64(clean)); err != nil {
 					return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 				}
 			}
@@ -200,7 +197,7 @@ func Open(prefix string, opts Options) (*Log, []Op, error) {
 			l.size = int64(clean)
 			l.segMaxLSN = maxLSN
 		} else {
-			l.sealed = append(l.sealed, segInfo{idx: idx, path: path, maxLSN: maxLSN})
+			l.sealed = append(l.sealed, segInfo{path: path, maxLSN: maxLSN})
 		}
 	}
 	for _, op := range ops {
@@ -212,8 +209,7 @@ func Open(prefix string, opts Options) (*Log, []Op, error) {
 	l.durableLSN = l.lastLSN // everything replayed came off disk
 	l.replayed = int64(len(ops))
 
-	//lint:ignore nodirectio the live segment is an append-only handle the group committer fsyncs per cohort; pagefile's page-granular backend cannot express that
-	f, err := os.OpenFile(segPath(prefix, l.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := pagefile.OpenAppend(pagefile.GenPath(l.family, l.seg))
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open segment: %w", err)
 	}
@@ -222,53 +218,15 @@ func Open(prefix string, opts Options) (*Log, []Op, error) {
 	return l, ops, nil
 }
 
-// segPath returns the path of segment idx.
-func segPath(prefix string, idx int) string {
-	return fmt.Sprintf("%s.wal%06d", prefix, idx)
-}
-
 // RemoveAll deletes every log segment belonging to prefix. Used when a
 // fresh view is created over a path that may hold segments from an earlier
 // incarnation.
 func RemoveAll(prefix string) error {
-	l := &Log{prefix: prefix}
-	idxs, err := l.scanSegments()
-	if err != nil {
-		return err
+	idxs, err := pagefile.Generations(prefix + ".wal")
+	for i := 0; err == nil && i < len(idxs); i++ {
+		err = pagefile.Remove(pagefile.GenPath(prefix+".wal", idxs[i]))
 	}
-	for _, idx := range idxs {
-		if err := os.Remove(segPath(prefix, idx)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	return nil
-}
-
-// scanSegments lists the existing segment indices in ascending order.
-func (l *Log) scanSegments() ([]int, error) {
-	dir := filepath.Dir(l.prefix)
-	base := filepath.Base(l.prefix) + ".wal"
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: scan segments: %w", err)
-	}
-	var idxs []int
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, base) {
-			continue
-		}
-		var idx int
-		if _, err := fmt.Sscanf(name[len(base):], "%d", &idx); err != nil {
-			continue
-		}
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	return idxs, nil
+	return err
 }
 
 // replaySegment decodes every clean frame of one segment image. It returns
@@ -465,10 +423,9 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
 	}
-	l.sealed = append(l.sealed, segInfo{idx: l.seg, path: segPath(l.prefix, l.seg), maxLSN: l.segMaxLSN})
+	l.sealed = append(l.sealed, segInfo{path: pagefile.GenPath(l.family, l.seg), maxLSN: l.segMaxLSN})
 	l.seg++
-	//lint:ignore nodirectio the fresh segment is the same append-only, cohort-fsynced handle as in Open
-	f, err := os.OpenFile(segPath(l.prefix, l.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := pagefile.OpenAppend(pagefile.GenPath(l.family, l.seg))
 	if err != nil {
 		l.dead = fmt.Errorf("wal: rotate segment: %w", err)
 		return l.dead
@@ -497,7 +454,7 @@ func (l *Log) TruncateThrough(applied uint64) error {
 	kept := l.sealed[:0]
 	for _, s := range l.sealed {
 		if s.maxLSN <= applied {
-			if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
+			if err := pagefile.Remove(s.path); err != nil {
 				return fmt.Errorf("wal: truncate: %w", err)
 			}
 			continue
