@@ -43,7 +43,6 @@ func Create(dst *pagefile.File, src *pagefile.ItemFile, p Params) (*Tree, error)
 	t := &Tree{
 		f:       dst,
 		free:    make(chan *scratch, maxFreeScratch),
-		chunks:  newChunkList(n),
 		h:       h,
 		dims:    p.Dims,
 		count:   n,

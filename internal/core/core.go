@@ -214,10 +214,9 @@ type Tree struct {
 	// data bounds, for the nodes whose sections keep key sketches.
 	sketchRegion []record.Range
 
-	// free and chunks hold the scratch objects and parking chunks closed
-	// streams handed back (see Stream.Close); clocked views share them.
-	free   chan *scratch
-	chunks chan []record.Record
+	// free holds the scratch objects, with their parking chunks, that closed
+	// streams handed back (see Stream.Close); clocked views share it.
+	free chan *scratch
 
 	// scanTime is what one sequential pass over the leaf data region costs
 	// on the tree's disk model, which no drain pass exceeds: at half of it
@@ -371,8 +370,6 @@ func Open(f *pagefile.File) (*Tree, error) {
 		t.dataMax[d] = int64(binary.LittleEndian.Uint64(page[40+16*d : 48+16*d]))
 	}
 	t.nLeaves = int64(1) << uint(t.h-1)
-	// A corrupt count must not size the list past what the file can hold.
-	t.chunks = newChunkList(min(t.count, f.NumPages()*int64(f.PageSize())/record.Size))
 	if err := t.readSplitRegion(); err != nil {
 		return nil, err
 	}

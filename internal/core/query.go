@@ -107,7 +107,8 @@ type scratch struct {
 	// a list through batches, whose slots a stream takes off spare or
 	// appends, so it parks in the slots its predecessors grew. ready[s]
 	// counts the regions of requiredAll[s] holding one. Close empties every
-	// queue and count and hands the chunks to the tree's list.
+	// queue, count and chunk, and the scratch keeps the chunks, in order, for
+	// the next stream to fill.
 	parked  []queue
 	batches []batch
 	spare   int32
@@ -149,11 +150,11 @@ type scratch struct {
 // buffer before it is kept: judged by out's high-water length and the arena's
 // exact size, never by where append's growth policy rounded a capacity to.
 //
-// A parked section is copied into a chunk of chunkRecords records, and a tree
-// keeps idle chunks holding at most 1/recordsPerKept of its records: a bound
-// per tree and by its size, so K shard trees keep what one tree would. It is
-// sized to the paper's Figure 15 buffer: one stream on a 25% predicate parks
-// up to 1.0-1.5% of its tree at once (results/bench41-compare.md).
+// A parked section is copied into a chunk of chunkRecords records. A stream
+// fills at most chunkBound chunks, which its scratch object keeps for the next
+// stream: up to maxFreeScratch times 1/recordsPerKept of a tree's records sit
+// idle, sized to the paper's Figure 15 buffer (one stream on a 25% predicate
+// parks up to 1.0-1.5% of its tree at once, results/bench41-compare.md).
 const (
 	maxFreeScratch = 4
 	maxKeepRecords = 4096
@@ -161,9 +162,10 @@ const (
 	recordsPerKept = 64
 )
 
-// newChunkList makes the idle-chunk list of a tree of count records.
-func newChunkList(count int64) chan []record.Record {
-	return make(chan []record.Record, max(1, count/recordsPerKept/chunkRecords))
+// chunkBound is how many parking chunks one stream on t fills:
+// count/recordsPerKept records, rounded up to whole chunks.
+func (t *Tree) chunkBound() int {
+	return int((t.count/recordsPerKept + chunkRecords - 1) / chunkRecords)
 }
 
 // getScratch takes a scratch object off the tree's free list (or makes one)
@@ -216,10 +218,9 @@ func (s *Stream) Close() {
 		}
 		sc.requiredAll[sec], sc.ready[sec] = req[:0], 0
 	}
-	for _, c := range sc.chunks {
-		par.Give(s.t.chunks, c[:0])
+	for i, c := range sc.chunks {
+		sc.chunks[i] = c[:0]
 	}
-	clear(sc.chunks)
 	sc.chunks = sc.chunks[:0]
 	clear(sc.batches)
 	sc.batches, sc.spare = sc.batches[:0], 0
@@ -812,20 +813,19 @@ func (s *Stream) pass() {
 }
 
 // park returns a copy of recs, a section about to be parked, in the stream's
-// last parking chunk, taking another from the tree's list (or making one)
-// while the stream holds fewer than the list keeps. A section larger than a
-// chunk, or one that fits in none, gets an exact-size copy.
+// last parking chunk, moving on to the next chunk its scratch kept (or making
+// one) while the stream holds fewer than its tree's chunkBound. A section
+// larger than a chunk, or one that fits in none, gets an exact-size copy.
 func (s *Stream) park(recs []record.Record) []record.Record {
 	n := len(s.chunks)
 	if n == 0 || len(s.chunks[n-1])+len(recs) > chunkRecords {
-		if n >= cap(s.t.chunks) || len(recs) > chunkRecords {
+		if n >= s.t.chunkBound() || len(recs) > chunkRecords {
 			return append([]record.Record(nil), recs...)
 		}
-		c := par.Take(s.t.chunks)
-		if c == nil {
-			c = make([]record.Record, 0, chunkRecords)
+		if s.chunks = slices.Grow(s.chunks, 1)[:n+1]; s.chunks[n] == nil {
+			s.chunks[n] = make([]record.Record, 0, chunkRecords)
 		}
-		s.chunks, n = append(s.chunks, c), n+1
+		n++
 	}
 	c := append(s.chunks[n-1], recs...)
 	s.chunks[n-1] = c

@@ -135,8 +135,8 @@ func TestScratchRecycling(t *testing.T) {
 	}
 	table := c.scratch
 	chunks := slices.Clone(table.chunks)
-	if len(chunks) == 0 || len(chunks) > cap(tree.chunks) {
-		t.Fatalf("stream C holds %d parking chunks; the check wants 1 to %d", len(chunks), cap(tree.chunks))
+	if len(chunks) == 0 || len(chunks) > tree.chunkBound() {
+		t.Fatalf("stream C holds %d parking chunks; the check wants 1 to %d", len(chunks), tree.chunkBound())
 	}
 	c.Close()
 	for idx := range table.parked {
@@ -150,16 +150,12 @@ func TestScratchRecycling(t *testing.T) {
 		}
 	}
 	if len(table.chunks) != 0 {
-		t.Fatalf("closed stream kept %d parking chunks", len(table.chunks))
+		t.Fatalf("closed stream left %d parking chunks in use", len(table.chunks))
 	}
-	if len(tree.chunks) != len(chunks) {
-		t.Fatalf("tree's list holds %d chunks after C closed, want C's %d", len(tree.chunks), len(chunks))
-	}
-	for _, want := range chunks {
-		if got := <-tree.chunks; len(got) != 0 || &got[:1][0] != &want[:1][0] {
-			t.Fatal("tree's list does not hold C's chunks, emptied, in order")
+	for i, got := range table.chunks[:len(chunks)] {
+		if len(got) != 0 || chunkOf(got) != chunkOf(chunks[i]) {
+			t.Fatal("closed stream's scratch does not keep its chunks, emptied, in order")
 		}
-		tree.chunks <- want[:0]
 	}
 	reopened, err := Open(tree.f)
 	if err != nil {
@@ -180,6 +176,11 @@ func TestScratchRecycling(t *testing.T) {
 	if got := drainAll(t, d); !slices.Equal(got, want) {
 		t.Fatalf("stream on C's recycled table drew %d records, one on a fresh tree %d (or they differ)", len(got), len(want))
 	}
+	for i, c := range chunks {
+		if chunkOf(d.chunks[i]) != chunkOf(c) {
+			t.Fatalf("stream D parked into another chunk than C's %d-th", i)
+		}
+	}
 
 	// The free list is bounded: closing more streams than it holds drops the
 	// surplus instead of blocking or growing.
@@ -199,19 +200,26 @@ func TestScratchRecycling(t *testing.T) {
 	}
 }
 
-// TestParkingChunksRecycled: a closed stream's parking chunks go back to its
-// tree's list, so a second stream like it parks into them and makes none; the
-// list holds chunks of at most 1/recordsPerKept of the tree's records, whatever
-// number of streams closed into it, from whichever clocked view.
+// TestParkingChunksRecycled: a closed stream's parking chunks stay with its
+// scratch, emptied and in order, so the next stream on that scratch parks
+// into them and makes none. No scratch keeps more than its tree's chunkBound,
+// count/recordsPerKept records rounded up to whole chunks, whatever streams
+// closed into it, from whichever clocked view, on a built or a reopened tree.
 func TestParkingChunksRecycled(t *testing.T) {
 	sim := testSim()
 	tree, _ := buildTestTree(t, sim, 200_000, Params{}, 95)
-	bound := int(tree.count / recordsPerKept / chunkRecords)
-	if cap(tree.chunks) != bound || bound < 2 {
-		t.Fatalf("tree of %d records keeps %d chunks, want %d (at least 2 for this test)", tree.count, cap(tree.chunks), bound)
+	kept := tree.count / recordsPerKept
+	bound := int((kept + chunkRecords - 1) / chunkRecords)
+	if tree.chunkBound() != bound || kept%chunkRecords == 0 || bound < 2 {
+		t.Fatalf("tree of %d records keeps %d chunks a stream, want %d (at least 2, and count/%d not a multiple of %d, for this test)",
+			tree.count, tree.chunkBound(), bound, recordsPerKept, chunkRecords)
 	}
-	if reopened, err := Open(tree.f); err != nil || cap(reopened.chunks) != bound {
-		t.Fatalf("reopened tree keeps %d chunks (err %v), want %d", cap(reopened.chunks), err, bound)
+	reopened, err := Open(tree.f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.chunkBound() != bound {
+		t.Fatalf("reopened tree keeps %d chunks a stream, want %d", reopened.chunkBound(), bound)
 	}
 	q := record.Box1D(workload.KeyDomain/8, workload.KeyDomain/8+workload.KeyDomain/4)
 	first, err := tree.Query(q)
@@ -222,20 +230,23 @@ func TestParkingChunksRecycled(t *testing.T) {
 	if len(first.chunks) != bound {
 		t.Fatalf("a 25%% drain parked into %d chunks; the check wants the tree's %d", len(first.chunks), bound)
 	}
+	sc, made := first.scratch, slices.Clone(first.chunks)
 	first.Close()
-	if len(tree.chunks) != bound {
-		t.Fatalf("tree's list holds %d chunks after the first stream closed, want %d", len(tree.chunks), bound)
+	if len(sc.chunks) != 0 {
+		t.Fatalf("closed stream left %d parking chunks in use", len(sc.chunks))
 	}
-	recycled := map[*record.Record]bool{}
-	for range bound {
-		c := <-tree.chunks
-		recycled[&c[:1][0]] = true
-		tree.chunks <- c
+	for i, got := range sc.chunks[:bound] {
+		if len(got) != 0 || chunkOf(got) != chunkOf(made[i]) {
+			t.Fatal("closed stream's scratch does not keep its chunks, emptied, in order")
+		}
 	}
 
 	second, err := tree.WithClock(sim.Fork()).Query(q)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if second.scratch != sc {
+		t.Fatal("the second stream did not take the scratch the first handed back")
 	}
 	var got []record.Record
 	for {
@@ -247,9 +258,9 @@ func TestParkingChunksRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = append(got, batch...)
-		for _, c := range second.chunks {
-			if !recycled[&c[:1][0]] {
-				t.Fatal("the second stream made a parking chunk on a warm tree")
+		for i, c := range second.chunks {
+			if chunkOf(c) != chunkOf(made[i]) {
+				t.Fatalf("the second stream parked into another chunk than the first's %d-th", i)
 			}
 		}
 	}
@@ -258,25 +269,99 @@ func TestParkingChunksRecycled(t *testing.T) {
 	}
 	second.Close()
 
-	var open []*Stream
-	for i := range 12 {
-		lo := workload.KeyDomain / 16 * int64(i%8)
-		s, err := tree.WithClock(sim.Fork()).Query(record.Box1D(lo, lo+workload.KeyDomain/4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.AppendNext(nil, 3000); err != nil {
-			t.Fatal(err)
-		}
-		open = append(open, s)
-		if i%3 == 2 {
-			for _, s := range open {
-				s.Close()
+	for _, tr := range []*Tree{tree, reopened} {
+		var open []*Stream
+		for i := range 12 {
+			lo := workload.KeyDomain / 16 * int64(i%8)
+			s, err := tr.WithClock(sim.Fork()).Query(record.Box1D(lo, lo+workload.KeyDomain/4))
+			if err != nil {
+				t.Fatal(err)
 			}
-			open = open[:0]
+			if _, err := s.AppendNext(nil, 3000); err != nil {
+				t.Fatal(err)
+			}
+			open = append(open, s)
+			if i%3 == 2 {
+				for _, s := range open {
+					s.Close()
+				}
+				open = open[:0]
+			}
+			for _, chunks := range idleChunks(tr) {
+				if len(chunks) > bound {
+					t.Fatalf("an idle scratch keeps %d chunks, over its tree's bound of %d", len(chunks), bound)
+				}
+			}
 		}
-		if len(tree.chunks)*chunkRecords > int(tree.count/recordsPerKept) {
-			t.Fatalf("tree's list holds %d chunks, over its bound of %d records", len(tree.chunks), tree.count/recordsPerKept)
+	}
+}
+
+// TestOverlappingStreamsRecycleParking: two 25% streams on one tree, drawn in
+// alternation, hold parked batches at once; once both close, each scratch
+// keeps the chunks its stream filled. A second round of the same pair parks
+// into those chunks, makes none, and draws the same records.
+func TestOverlappingStreamsRecycleParking(t *testing.T) {
+	sim := testSim()
+	tree, _ := buildTestTree(t, sim, 200_000, Params{}, 97)
+	qs := []record.Box{
+		record.Box1D(workload.KeyDomain/8, workload.KeyDomain/8+workload.KeyDomain/4),
+		record.Box1D(workload.KeyDomain/2, workload.KeyDomain/2+workload.KeyDomain/4),
+	}
+	var seen map[*record.Record]bool
+	var first [][]record.Record
+	for round := range 2 {
+		ss := make([]*Stream, len(qs))
+		for i, q := range qs {
+			s, err := tree.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss[i] = s
+		}
+		got := make([][]record.Record, len(ss))
+		overlapped := false
+		for live := len(ss); live > 0; {
+			live = 0
+			for i, s := range ss {
+				if s.Done() {
+					continue
+				}
+				batch, err := s.NextBatch()
+				if err != nil && err != io.EOF {
+					t.Fatal(err)
+				}
+				got[i] = append(got[i], batch...)
+				live++
+			}
+			overlapped = overlapped || ss[0].Buffered() > 0 && ss[1].Buffered() > 0
+		}
+		if !overlapped {
+			t.Fatal("the two streams never held parked batches at once")
+		}
+		made, used := 0, map[*record.Record]bool{}
+		for i, s := range ss {
+			if len(s.chunks) == 0 {
+				t.Fatalf("stream %d parked into no chunk; the check wants both to", i)
+			}
+			for _, c := range s.chunks {
+				if !seen[chunkOf(c)] {
+					made++
+				}
+				used[chunkOf(c)] = true
+			}
+			s.Close()
+		}
+		if round == 0 {
+			seen, first = used, got
+			continue
+		}
+		if made != 0 {
+			t.Fatalf("the second round made %d parking chunks on a warm tree, want 0", made)
+		}
+		for i := range got {
+			if !slices.Equal(got[i], first[i]) {
+				t.Fatalf("stream %d of the second round drew other records than in the first", i)
+			}
 		}
 	}
 }
@@ -326,4 +411,25 @@ func (sc *scratch) depth(idx int64) int {
 		n++
 	}
 	return n
+}
+
+// chunkOf names a parking chunk by its backing array.
+func chunkOf(c []record.Record) *record.Record { return &c[:1][0] }
+
+// idleChunks returns, per scratch object on t's free list, the parking chunks
+// it keeps for its next stream.
+func idleChunks(t *Tree) [][]*record.Record {
+	var out [][]*record.Record
+	for range len(t.free) {
+		sc := <-t.free
+		var chunks []*record.Record
+		for _, c := range sc.chunks[:cap(sc.chunks)] {
+			if c != nil {
+				chunks = append(chunks, chunkOf(c))
+			}
+		}
+		out = append(out, chunks)
+		t.free <- sc
+	}
+	return out
 }

@@ -1,10 +1,14 @@
 package sampleview
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -251,8 +255,9 @@ func TestCloseVersusBatchDraw(t *testing.T) {
 // The two-streams and shard4 rows run svsuite's shape instead of a drain:
 // ops of 1,024 samples from a 25% predicate (svsuite's 5,000 on a million
 // records, scaled to the tree), by two streams on one tree drawn in turn,
-// and by one stream over a K = 4 sharded view. Their parking outgrows a
-// tree's list of idle chunks when it keeps count/128 records.
+// and by one stream over a K = 4 sharded view. Their parking outgrows what
+// one stream's chunks hold when a tree keeps a single stream's worth. A row
+// past its bound logs the stacks that allocated, replayed on a fresh view.
 func TestSampleAllocatesOnlyItsResult(t *testing.T) {
 	for _, row := range []struct {
 		name    string
@@ -266,10 +271,11 @@ func TestSampleAllocatesOnlyItsResult(t *testing.T) {
 		// parking allocates — nothing in a recycled chunk, an exact-size copy
 		// once the stream holds its tree's bound of chunks. A record is 104 B
 		// in memory. Measured, in the plain and the -race build alike:
-		// base 172.3 B (176.0 with an exact-size copy per park);
-		// memview+levels 161.0 B (171.1 when every run load makes its own
-		// buffer); two-streams 305.6 B and shard4 225.0 B, against 374.8 and
-		// 403.3 B when a tree keeps idle chunks of count/128 records.
+		// base 159.6 B (176.0 with an exact-size copy per park);
+		// memview+levels 150.5 B (171.1 when every run load makes its own
+		// buffer); two-streams 135.0 B and shard4 192.8 B, against 302.8 and
+		// 223.5 B when a tree keeps one list of count/64 records' chunks for
+		// all its streams.
 		bound float64
 	}{
 		{"base", 60_000, 0, 0, 1, 1, 1.66},
@@ -278,61 +284,56 @@ func TestSampleAllocatesOnlyItsResult(t *testing.T) {
 		{"shard4", 300_000, 0, 4, 1, 12, 2.17},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			recs := genRecords(row.records, 23)
-			if row.shards > 0 {
-				sv, err := CreateSharded("", recs, ShardedOptions{K: row.shards, Seed: 25})
+			checkSampleAllocs(t, func() (func(Box) (*Stream, error), func() error) {
+				recs := genRecords(row.records, 23)
+				if row.shards > 0 {
+					sv, err := CreateSharded("", recs, ShardedOptions{K: row.shards, Seed: 25})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sv.Query, sv.Close
+				}
+				v, err := CreateFromSlice("", recs, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer sv.Close()
-				checkSampleAllocs(t, sv.Query, row.streams, row.ops, row.bound)
-				return
-			}
-			v, err := CreateFromSlice("", recs, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer v.Close()
-			fresh := genRecords(row.writes, 24)
-			for i := range fresh {
-				fresh[i].Seq += 1 << 40
-				if err := v.Insert(fresh[i]); err != nil {
-					t.Fatal(err)
-				}
-				if (i+1)%(row.writes/3) == 0 && i+1 < row.writes {
-					if err := v.Flush(); err != nil {
+				fresh := genRecords(row.writes, 24)
+				for i := range fresh {
+					fresh[i].Seq += 1 << 40
+					if err := v.Insert(fresh[i]); err != nil {
 						t.Fatal(err)
 					}
+					if (i+1)%(row.writes/3) == 0 && i+1 < row.writes {
+						if err := v.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-			}
-			if n := v.DeltaLevels(); row.writes > 0 && n != 2 {
-				t.Fatalf("%d delta levels, want two", n)
-			}
-			checkSampleAllocs(t, v.Query, row.streams, row.ops, row.bound)
+				if n := v.DeltaLevels(); row.writes > 0 && n != 2 {
+					t.Fatalf("%d delta levels, want two", n)
+				}
+				return v.Query, v.Close
+			}, row.streams, row.ops, row.bound)
 		})
 	}
 }
 
-// checkSampleAllocs runs a warming op and then ops measured ones. An op opens
-// n streams by query on a 25% predicate, draws from each in turn by
-// Sample(256) until it has drawn its share or runs dry, and closes them; a
-// single measured op drains its predicate, more draw 1,024 samples a stream,
-// on predicates shifted by 1/16 of the key domain from op to op. Every draw
-// served without a page read must make exactly one allocation, and the ops
-// may allocate at most bound records' worth per record drawn.
-func checkSampleAllocs(t *testing.T, query func(Box) (*Stream, error), n, ops int, bound float64) {
+// opener builds a view for an allocation gate and returns how to query and
+// close it.
+type opener func() (query func(Box) (*Stream, error), close func() error)
+
+// sampleOps runs a warming op and ops measured ones on a view. An op opens n
+// streams by query on a 25% predicate, draws from each in turn by draw until
+// it has drawn its share or runs dry, and closes them; a single measured op
+// drains its predicate, more draw 1,024 samples a stream, on predicates
+// shifted by 1/16 of the key domain from op to op. draw is handed the op (0
+// is the warming one) and the draw's index among all the ops' draws.
+func sampleOps(t *testing.T, query func(Box) (*Stream, error), n, ops int, draw func(op, k int, s *Stream) []Record) {
 	share := 1 << 30
 	if ops > 1 {
 		share = 1024
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Mallocs counts the runtime's objects too. With one P it has no idle P
-	// to start an OS thread for; a thread started inside a draw's window
-	// (an m, its two gs and two profiling stack buffers) would count as five
-	// allocations of the draw's.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	noStab, records, total := 0, 0, uint64(0)
+	k := 0
 	for op := 0; op <= ops; op++ {
 		lo := int64(max(op-1, 0)) << 16
 		ss := make([]*Stream, n)
@@ -349,29 +350,13 @@ func checkSampleAllocs(t *testing.T, query func(Box) (*Stream, error), n, ops in
 				if drawn[i] >= share {
 					continue
 				}
-				reads := s.Stats().Counters.Reads()
-				runtime.ReadMemStats(&before)
-				batch, err := s.Sample(256)
-				runtime.ReadMemStats(&after)
-				if err != nil {
-					t.Fatal(err)
-				}
+				batch := draw(op, k, s)
+				k++
 				if drawn[i] += len(batch); len(batch) < 256 {
 					drawn[i] = share
 				}
 				if drawn[i] >= share {
 					live--
-				}
-				if op == 0 || len(batch) < 256 {
-					continue
-				}
-				records += len(batch)
-				total += after.TotalAlloc - before.TotalAlloc
-				if s.Stats().Counters.Reads() == reads {
-					noStab++
-					if n := after.Mallocs - before.Mallocs; n != 1 {
-						t.Fatalf("a Sample(256) served from emitted records made %d allocations, want 1 (the result)", n)
-					}
 				}
 			}
 		}
@@ -379,11 +364,158 @@ func checkSampleAllocs(t *testing.T, query func(Box) (*Stream, error), n, ops in
 			s.Close()
 		}
 	}
+}
+
+// checkSampleAllocs runs sampleOps on the view open builds, drawing by
+// Sample(256). Every draw served without a page read must make exactly one
+// allocation, and the measured ops may allocate at most bound records' worth
+// per record drawn. A draw or a row past its bound is replayed on a fresh
+// view with every allocation profiled, and the stacks are logged.
+func checkSampleAllocs(t *testing.T, open opener, n, ops int, bound float64) {
+	query, done := open()
+	defer done()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Mallocs counts the runtime's objects too. With one P it has no idle P
+	// to start an OS thread for; a thread started inside a draw's window
+	// (an m, its two gs and two profiling stack buffers) would count as five
+	// allocations of the draw's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	noStab, records, total := 0, 0, uint64(0)
+	sampleOps(t, query, n, ops, func(op, k int, s *Stream) []Record {
+		reads := s.Stats().Counters.Reads()
+		runtime.ReadMemStats(&before)
+		batch, err := s.Sample(256)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op == 0 || len(batch) < 256 {
+			return batch
+		}
+		records += len(batch)
+		total += after.TotalAlloc - before.TotalAlloc
+		if s.Stats().Counters.Reads() == reads {
+			noStab++
+			if m := after.Mallocs - before.Mallocs; m != 1 {
+				t.Logf("draw %d replayed, every allocation profiled:\n%s", k,
+					allocStacks(t, open, n, ops, func(_, j int) bool { return j == k }))
+				t.Fatalf("a Sample(256) served from emitted records made %d allocations, want 1 (the result)", m)
+			}
+		}
+		return batch
+	})
 	t.Logf("noStab=%d records=%d bytes/rec=%.1f", noStab, records, float64(total)/float64(records))
 	if noStab == 0 {
 		t.Fatal("no Sample(256) was served without a stab; the gate checked nothing")
 	}
 	if perRec := float64(total) / float64(records); perRec > bound*float64(unsafe.Sizeof(Record{})) {
+		t.Logf("measured ops replayed, every allocation profiled:\n%s",
+			allocStacks(t, open, n, ops, func(op, _ int) bool { return op > 0 }))
 		t.Fatalf("drawing by Sample(256) allocated %.0f bytes per record, want <= %v records' worth", perRec, bound)
 	}
+}
+
+// allocStacks builds a fresh view by open, replays sampleOps on it, and
+// returns the stacks that allocated during the draws pick selects, with
+// every allocation profiled (runtime.MemProfileRate = 1).
+func allocStacks(t *testing.T, open opener, n, ops int, pick func(op, k int) bool) string {
+	gc := debug.SetGCPercent(100)
+	query, done := open()
+	debug.SetGCPercent(gc)
+	defer done()
+	allocs := map[[32]uintptr][2]int64{}
+	sampleOps(t, query, n, ops, func(op, k int, s *Stream) []Record {
+		var batch []Record
+		var err error
+		if draw := func() { batch, err = s.Sample(256) }; pick(op, k) {
+			profileAllocs(allocs, draw)
+		} else {
+			draw()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batch
+	})
+	return formatStacks(allocs)
+}
+
+// profileAllocs runs f with every allocation profiled and adds to allocs the
+// objects and bytes each stack allocated while f ran. A control window with
+// nothing in it comes first, and what it holds is taken off: the allocations
+// the profiling sets off by itself (the runtime's unique-map cleanup, which
+// each collection wakes). memProfile's own allocations are left out. The allocation gate of
+// internal/shard has a twin of it.
+func profileAllocs(allocs map[[32]uintptr][2]int64, f func()) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	base := memProfile()
+	ctl := memProfile()
+	f()
+	for stk, r := range memProfile() {
+		c, b := ctl[stk], base[stk]
+		if d := r.AllocObjects - 2*c.AllocObjects + b.AllocObjects; d > 0 && !inMemProfile(r.Stack()) {
+			a := allocs[stk]
+			allocs[stk] = [2]int64{a[0] + d, a[1] + r.AllocBytes - 2*c.AllocBytes + b.AllocBytes}
+		}
+	}
+}
+
+// memProfile returns the memory profile by stack, after a collection has
+// published every allocation made before it. It then yields, so the cleanup
+// the collection woke runs in the caller's window, not in the next.
+func memProfile() map[[32]uintptr]runtime.MemProfileRecord {
+	runtime.GC()
+	runtime.Gosched()
+	recs := make([]runtime.MemProfileRecord, 512)
+	n, ok := runtime.MemProfile(recs, true)
+	for ; !ok; n, ok = runtime.MemProfile(recs, true) {
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	m := make(map[[32]uintptr]runtime.MemProfileRecord, n)
+	for _, r := range recs[:n] {
+		m[r.Stack0] = r
+	}
+	return m
+}
+
+// inMemProfile reports whether stack runs through memProfile.
+func inMemProfile(stack []uintptr) bool {
+	frames := runtime.CallersFrames(stack)
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".memProfile") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// formatStacks renders the stacks in allocs, most objects first.
+func formatStacks(allocs map[[32]uintptr][2]int64) string {
+	if len(allocs) == 0 {
+		return "\tno allocation\n"
+	}
+	var b strings.Builder
+	var stacks [][32]uintptr
+	for stk := range allocs {
+		stacks = append(stacks, stk)
+	}
+	slices.SortFunc(stacks, func(x, y [32]uintptr) int { return cmp.Compare(allocs[y][0], allocs[x][0]) })
+	for _, stk := range stacks[:min(len(stacks), 8)] {
+		fmt.Fprintf(&b, "%d objects, %d B:\n", allocs[stk][0], allocs[stk][1])
+		r := runtime.MemProfileRecord{Stack0: stk}
+		frames := runtime.CallersFrames(r.Stack())
+		for range 12 {
+			f, more := frames.Next()
+			fmt.Fprintf(&b, "\t%s %s:%d\n", f.Function, filepath.Base(f.File), f.Line)
+			if !more {
+				break
+			}
+		}
+	}
+	return b.String()
 }
