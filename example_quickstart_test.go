@@ -88,5 +88,5 @@ func Example_quickstart() {
 	//   day=1037  amount=48975
 	//
 	// predicate exhausted after 4988 records (view estimated 5009)
-	// I/O performed: 161 random + 2636 sequential page reads (simulated disk time 8.016s)
+	// I/O performed: 155 random + 2640 sequential page reads (simulated disk time 7.9608s)
 }

@@ -219,8 +219,8 @@ type Tree struct {
 	free chan *scratch
 
 	// scanTime is what one sequential pass over the leaf data region costs
-	// on the tree's disk model, which no drain pass exceeds: at half of it
-	// in stab charges a stream lists the leaves its pass would finish
+	// on the tree's disk model, which no drain pass exceeds: at z times half
+	// of it in stab charges a stream lists the leaves its pass would finish
 	// (Stream.list).
 	scanTime time.Duration
 }
@@ -370,12 +370,12 @@ func Open(f *pagefile.File) (*Tree, error) {
 		t.dataMax[d] = int64(binary.LittleEndian.Uint64(page[40+16*d : 48+16*d]))
 	}
 	t.nLeaves = int64(1) << uint(t.h-1)
-	if err := t.readSplitRegion(); err != nil {
-		return nil, err
-	}
 	if t.leafDataStart() > f.NumPages() {
 		return nil, fmt.Errorf("core: corrupt header (h=%d needs %d pages, file has %d)",
 			t.h, t.leafDataStart(), f.NumPages())
+	}
+	if err := t.readSplitRegion(); err != nil {
+		return nil, err
 	}
 	if err := t.readDirRegion(); err != nil {
 		return nil, err
@@ -459,141 +459,86 @@ func (t *Tree) writeHeader() error {
 	return t.f.Write(0, page)
 }
 
-// regionWriter streams fixed-size entries into a pre-sized page region.
-type regionWriter struct {
-	f     *pagefile.File
-	page  []byte
-	pg    int64
-	off   int
-	limit int64 // last page of the region, exclusive
+// entry returns entry i, n bytes long, of a region whose pages each hold
+// PageSize/n entries and never split one.
+func (t *Tree) entry(region []byte, i int64, n int) []byte {
+	ps, per := int64(t.f.PageSize()), int64(t.f.PageSize()/n)
+	off := i/per*ps + i%per*int64(n)
+	return region[off : off+int64(n)]
 }
 
-func (t *Tree) newRegionWriter(start, pages int64) *regionWriter {
-	return &regionWriter{f: t.f, page: make([]byte, t.f.PageSize()), pg: start, limit: start + pages}
-}
-
-func (w *regionWriter) write(entry []byte) error {
-	if w.off+len(entry) > len(w.page) {
-		if err := w.flush(); err != nil {
+// writeRegion writes region, whole pages, from page start on.
+func (t *Tree) writeRegion(start int64, region []byte) error {
+	ps := int64(t.f.PageSize())
+	for p := int64(0); p*ps < int64(len(region)); p++ {
+		if err := t.f.Write(start+p, region[p*ps:][:ps]); err != nil {
 			return err
 		}
 	}
-	copy(w.page[w.off:], entry)
-	w.off += len(entry)
 	return nil
 }
 
-func (w *regionWriter) flush() error {
-	if w.pg >= w.limit {
-		return fmt.Errorf("core: region overflow at page %d", w.pg)
-	}
-	if err := w.f.Write(w.pg, w.page); err != nil {
-		return err
-	}
-	for i := range w.page {
-		w.page[i] = 0
-	}
-	w.pg++
-	w.off = 0
-	return nil
-}
-
-func (w *regionWriter) close() error {
-	if w.off > 0 {
-		return w.flush()
-	}
-	return nil
-}
-
-// regionReader streams fixed-size entries out of a page region. Entries
-// never span pages, matching regionWriter.
-type regionReader struct {
-	f      *pagefile.File
-	page   []byte
-	next   int64 // next page to load
-	off    int
-	loaded bool
-}
-
-func (t *Tree) newRegionReader(start int64) *regionReader {
-	return &regionReader{f: t.f, page: make([]byte, t.f.PageSize()), next: start}
-}
-
-func (r *regionReader) read(n int) ([]byte, error) {
-	if !r.loaded || r.off+n > len(r.page) {
-		if err := r.f.Read(r.next, r.page); err != nil {
+// readRegion reads the pages pages from page start on.
+func (t *Tree) readRegion(start, pages int64) ([]byte, error) {
+	ps := int64(t.f.PageSize())
+	region := make([]byte, pages*ps)
+	for p := int64(0); p < pages; p++ {
+		if err := t.f.Read(start+p, region[p*ps:][:ps]); err != nil {
 			return nil, err
 		}
-		r.next++
-		r.off = 0
-		r.loaded = true
 	}
-	b := r.page[r.off : r.off+n]
-	r.off += n
-	return b, nil
+	return region, nil
 }
 
 func (t *Tree) writeSplitRegion() error {
-	w := t.newRegionWriter(t.splitStart(), t.splitPages())
-	entry := make([]byte, splitEntrySize)
+	region := make([]byte, t.splitPages()*int64(t.f.PageSize()))
 	for i := int64(1); i < t.nLeaves; i++ {
-		binary.LittleEndian.PutUint64(entry[0:8], uint64(t.splits[i]))
-		binary.LittleEndian.PutUint64(entry[8:16], uint64(t.cntL[i]))
-		binary.LittleEndian.PutUint64(entry[16:24], uint64(t.cntR[i]))
-		if err := w.write(entry); err != nil {
-			return err
-		}
+		e := t.entry(region, i-1, splitEntrySize)
+		binary.LittleEndian.PutUint64(e[0:8], uint64(t.splits[i]))
+		binary.LittleEndian.PutUint64(e[8:16], uint64(t.cntL[i]))
+		binary.LittleEndian.PutUint64(e[16:24], uint64(t.cntR[i]))
 	}
-	return w.close()
+	return t.writeRegion(t.splitStart(), region)
 }
 
 func (t *Tree) readSplitRegion() error {
-	t.splits = make([]int64, t.nLeaves)
-	t.cntL = make([]int64, t.nLeaves)
-	t.cntR = make([]int64, t.nLeaves)
-	r := t.newRegionReader(t.splitStart())
+	region, err := t.readRegion(t.splitStart(), t.splitPages())
+	if err != nil {
+		return err
+	}
+	t.splits, t.cntL, t.cntR = make([]int64, t.nLeaves), make([]int64, t.nLeaves), make([]int64, t.nLeaves)
 	for i := int64(1); i < t.nLeaves; i++ {
-		b, err := r.read(splitEntrySize)
-		if err != nil {
-			return err
-		}
-		t.splits[i] = int64(binary.LittleEndian.Uint64(b[0:8]))
-		t.cntL[i] = int64(binary.LittleEndian.Uint64(b[8:16]))
-		t.cntR[i] = int64(binary.LittleEndian.Uint64(b[16:24]))
+		e := t.entry(region, i-1, splitEntrySize)
+		t.splits[i] = int64(binary.LittleEndian.Uint64(e[0:8]))
+		t.cntL[i] = int64(binary.LittleEndian.Uint64(e[8:16]))
+		t.cntR[i] = int64(binary.LittleEndian.Uint64(e[16:24]))
 	}
 	return nil
 }
 
 func (t *Tree) writeDirRegion() error {
-	w := t.newRegionWriter(t.dirStart(), t.dirPages())
-	entry := make([]byte, t.dirEntrySize())
-	for i := int64(0); i < t.nLeaves; i++ {
-		m := &t.leaves[i]
-		binary.LittleEndian.PutUint64(entry[0:8], uint64(m.firstPage))
-		for s := 0; s < t.h; s++ {
-			binary.LittleEndian.PutUint32(entry[8+4*s:], uint32(m.secCounts[s]))
-		}
-		if err := w.write(entry); err != nil {
-			return err
+	region := make([]byte, t.dirPages()*int64(t.f.PageSize()))
+	for i := range t.leaves {
+		e := t.entry(region, int64(i), int(t.dirEntrySize()))
+		binary.LittleEndian.PutUint64(e[0:8], uint64(t.leaves[i].firstPage))
+		for s, c := range t.leaves[i].secCounts {
+			binary.LittleEndian.PutUint32(e[8+4*s:], uint32(c))
 		}
 	}
-	return w.close()
+	return t.writeRegion(t.dirStart(), region)
 }
 
 func (t *Tree) readDirRegion() error {
+	region, err := t.readRegion(t.dirStart(), t.dirPages())
+	if err != nil {
+		return err
+	}
 	t.leaves = newLeafMetas(t.nLeaves, t.h)
-	r := t.newRegionReader(t.dirStart())
-	es := int(t.dirEntrySize())
-	for i := int64(0); i < t.nLeaves; i++ {
-		b, err := r.read(es)
-		if err != nil {
-			return err
-		}
-		m := &t.leaves[i]
-		m.firstPage = int64(binary.LittleEndian.Uint64(b[0:8]))
-		for s := 0; s < t.h; s++ {
-			m.secCounts[s] = int32(binary.LittleEndian.Uint32(b[8+4*s:]))
-			if m.secCounts[s] < 0 {
+	for i := range t.leaves {
+		e, m := t.entry(region, int64(i), int(t.dirEntrySize())), &t.leaves[i]
+		m.firstPage = int64(binary.LittleEndian.Uint64(e[0:8]))
+		for s := range m.secCounts {
+			if m.secCounts[s] = int32(binary.LittleEndian.Uint32(e[8+4*s:])); m.secCounts[s] < 0 {
 				return fmt.Errorf("core: corrupt directory (leaf %d section %d counts %d records)", i, s+1, m.secCounts[s])
 			}
 		}
@@ -605,8 +550,7 @@ func (t *Tree) readDirRegion() error {
 // complete, since the region is located from the end of the file. Entries
 // vary in length, so they are packed across page ends.
 func (t *Tree) writeSummaryRegion() error {
-	ps := int64(t.f.PageSize())
-	region := make([]byte, 0, t.sumPages()*ps)
+	region := make([]byte, 0, t.sumPages()*int64(t.f.PageSize()))
 	for i := range t.leaves {
 		for _, crc := range t.leaves[i].secCRC {
 			region = binary.LittleEndian.AppendUint32(region, crc)
@@ -615,22 +559,13 @@ func (t *Tree) writeSummaryRegion() error {
 			region = binary.LittleEndian.AppendUint16(region, key)
 		}
 	}
-	region = region[:cap(region)]
-	for p, start := int64(0), t.f.NumPages(); p*ps < int64(len(region)); p++ {
-		if err := t.f.Write(start+p, region[p*ps:][:ps]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.writeRegion(t.f.NumPages(), region[:cap(region)])
 }
 
 func (t *Tree) readSummaryRegion() error {
-	ps := int64(t.f.PageSize())
-	region := make([]byte, t.sumPages()*ps)
-	for p := int64(0); p*ps < int64(len(region)); p++ {
-		if err := t.f.Read(t.sumStart()+p, region[p*ps:][:ps]); err != nil {
-			return err
-		}
+	region, err := t.readRegion(t.sumStart(), t.sumPages())
+	if err != nil {
+		return err
 	}
 	for i := range t.leaves {
 		m := &t.leaves[i]

@@ -16,7 +16,8 @@ import (
 // their end, 256 records a draw, each stream on its own clock. One op is the
 // thirty drains. It reports the time per sample, need's evaluations per drain
 // and the simulated time per drain, which a change to the drain's CPU must
-// leave as it is.
+// leave as it is, beside the drains' mean buy point z and the share of them
+// that took the pass.
 func BenchmarkDrain(b *testing.B) {
 	tree, sim := scanLocalTree(b)
 	qg := workload.NewQueryGen(52)
@@ -24,8 +25,9 @@ func BenchmarkDrain(b *testing.B) {
 	for i := range qs {
 		qs[i] = qg.Range1D(0.0025)
 	}
-	var samples, needs int64
+	var samples, needs, passed int64
 	var simulated time.Duration
+	var zs float64
 	buf := make([]record.Record, 256)
 	b.ResetTimer()
 	for range b.N {
@@ -42,7 +44,10 @@ func BenchmarkDrain(b *testing.B) {
 				samples += int64(len(buf))
 			}
 			buf, needs = buf[:256], needs+s.needCalls
-			simulated += ck.Now()
+			simulated, zs = simulated+ck.Now(), zs+s.z
+			if s.passed {
+				passed++
+			}
 			s.Close()
 		}
 	}
@@ -50,6 +55,8 @@ func BenchmarkDrain(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")
 	b.ReportMetric(float64(needs)/drains, "needs/drain")
 	b.ReportMetric(simulated.Seconds()/drains, "sim-s/drain")
+	b.ReportMetric(zs/drains, "z-mean")
+	b.ReportMetric(float64(passed)/drains, "passed/drain")
 }
 
 // BenchmarkParking runs svsuite's op shape on scanLocalTree: an op opens two

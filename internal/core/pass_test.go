@@ -17,10 +17,11 @@ import (
 // bound on the seeded 200k-record view (one-page leaves on 64 KiB pages, as
 // in svsuite's scan-local). Each 0.25% drain is drawn 100 records at a time
 // beside the same stream kept to its stabs: at every cut the stream may have
-// been charged at most twice what the stabs were, plus one random read, and
-// at the end no more than they were. At every stab after the listing the
-// stream's fit, left and price are what checkListed recomputes, and the pass
-// is bought at the first stab the rule allows (weighChecked). The clock
+// been charged at most 1 + 1/z times what the stabs were, z its own buy
+// point, plus one random read (overBound), and at the end no more than they
+// were. At every stab after the listing the stream's fit, left and price
+// are what checkListed recomputes, and the pass is bought at the first stab
+// the rule allows (weighChecked). The clock
 // moves across every pass by exactly its price, the cheapest walk the rule
 // allows (cheapestPass), with one random read for the first fetch and one
 // per gap seeked over; the drains seek over a gap and cross one at least
@@ -74,8 +75,8 @@ func TestDrainPassBound(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("%v cut %d: %d records, kept to its stabs %d", q, cut, len(got), len(want))
 			}
-			if ck.Now() > 2*cs.Now()+random {
-				t.Fatalf("%v cut %d: charged %v, the stabs %v: over twice theirs plus a random read", q, cut, ck.Now(), cs.Now())
+			if overBound(s, ck.Now(), cs.Now(), random) {
+				t.Fatalf("%v cut %d: charged %v, the stabs %v: over 1 + 1/%.3f times theirs plus a random read", q, cut, ck.Now(), cs.Now(), s.z)
 			}
 			if len(got) < 100 {
 				break
@@ -173,26 +174,49 @@ func TestStabTimeOnItsOwnClock(t *testing.T) {
 	t.Logf("%v: stabs priced %v, passed %v, %d records; the sibling was charged %v", q, alone.stabTime, alone.passed, len(want), sib.Now())
 }
 
+// overBound reports whether a stream s, charged charged where its twin kept
+// to its stabs was charged stabs, broke the pass's contract: more than
+// 1 + 1/z times the stabs plus one random read, z the stream's buy point.
+// The pass is bought at stabs of z times its price, rounded down to the
+// nanosecond, so its price is at most (stabs + 1ns)/z.
+func overBound(s *Stream, charged, stabs, random time.Duration) bool {
+	return s.z*float64(charged-stabs-random) > float64(stabs)+1
+}
+
+// zShare is z times d, rounded down to the nanosecond: the share of the
+// scan cost at which s lists and of the price at which it buys.
+func zShare(s *Stream, d time.Duration) time.Duration {
+	return time.Duration(s.z * float64(d))
+}
+
+// unreadInside is how many of the records in the query's contained leaf
+// regions s can have left unread: the guard that keeps s from listing while
+// it is over maxKeepRecords, where no pass could hold them.
+func unreadInside(s *Stream) int64 { return s.inside - s.emitted - int64(s.buffered) }
+
 // weighDue reports whether s's next NextLeaf would weigh its pass: s has
-// listed its leaves and not decided. It fails t if the stabs reached half the
-// scan cost and s listed nothing, as it must right after the read that got
+// listed its leaves and not decided. It fails t if the stabs reached z times
+// half the scan cost with no more than maxKeepRecords records inside left
+// unread, and s listed nothing, as it must right after the read that got
 // there.
 func weighDue(t *testing.T, s *Stream) bool {
 	t.Helper()
-	if !s.done && !s.weighed && len(s.listed) == 0 && s.stabTime >= s.t.scanTime/2 {
-		t.Fatalf("%v: the stabs were charged %v, half the scan is %v, and nothing is listed", s.q, s.stabTime, s.t.scanTime/2)
+	if !s.done && !s.weighed && len(s.listed) == 0 && s.stabTime >= zShare(s, s.t.scanTime/2) && unreadInside(s) <= maxKeepRecords {
+		t.Fatalf("%v: the stabs were charged %v, z = %.3f of half the scan is %v, %d records inside are unread, and nothing is listed",
+			s.q, s.stabTime, s.z, zShare(s, s.t.scanTime/2), unreadInside(s))
 	}
 	return !s.done && !s.pending && !s.weighed && len(s.listed) != 0
 }
 
 // weighChecked weighs s's pass where its next NextLeaf would (weighDue),
 // measuring it on s's clock ck, and holds it to the rule. The listing must
-// have waited for half the scan cost, and its fit, left and price must be
-// what checkListed recomputes. The floor weigh tests before the replay may
+// have waited for z times half the scan cost and for no more than
+// maxKeepRecords records inside to be unread, and its fit, left and price
+// must be what checkListed recomputes. The floor weigh tests before the replay may
 // never exceed the listed leaves' stabs (stabCost), or it would take a pass
 // the replay declines. The pass is decided exactly at the first stab
-// where its matches fit maxKeepRecords and the stabs have been charged
-// price (left is paid with or without the pass, so it is no part of the
+// where its matches fit maxKeepRecords and the stabs have been charged z
+// times its price (left is paid with or without the pass, so it is no part of the
 // rent), and taken exactly when price + left is no more than the
 // listed leaves' stabs; it is declined for good where nothing is
 // left for it to fetch (price 0). A pass must be charged its price, with one
@@ -204,11 +228,12 @@ func weighChecked(t *testing.T, s *Stream, ck *iosim.Clock) (cold bool, seeks, c
 	t.Helper()
 	m := s.t.f.Sim().Model()
 	seek := m.RandomRead - m.SequentialRead
-	if s.stabTime < s.t.scanTime/2 {
-		t.Fatalf("%v: listed at stab charges of %v, under half the scan (%v)", s.q, s.stabTime, s.t.scanTime/2)
+	if s.stabTime < zShare(s, s.t.scanTime/2) || unreadInside(s) > maxKeepRecords {
+		t.Fatalf("%v: listed at stab charges of %v, z = %.3f of half the scan is %v, with %d records inside unread",
+			s.q, s.stabTime, s.z, zShare(s, s.t.scanTime/2), unreadInside(s))
 	}
 	price, seeks, crosses, fit, left := checkListed(t, s)
-	due := fit <= maxKeepRecords && s.stabTime >= price
+	due := fit <= maxKeepRecords && s.stabTime >= zShare(s, price)
 	var stabs time.Duration
 	if price > 0 {
 		if stabs = s.stabCost(); s.floor() > stabs {
@@ -220,8 +245,8 @@ func weighChecked(t *testing.T, s *Stream, ck *iosim.Clock) (cold bool, seeks, c
 	charged, random := ck.Now()-at, ck.Counters().RandomReads-reads
 	takes := due && price > 0 && price+left <= stabs
 	if s.weighed != (due || price == 0) || s.passed != takes || !s.passed && charged != 0 {
-		t.Fatalf("%v: decided %v, passed %v (charged %v), at stabs of %v against a pass of %v plus %v left to stabs (the stabs to come %v), %d matches",
-			s.q, s.weighed, s.passed, charged, s.stabTime, price, left, stabs, fit)
+		t.Fatalf("%v: decided %v, passed %v (charged %v), at stabs of %v against z = %.3f of a pass of %v plus %v left to stabs (the stabs to come %v), %d matches",
+			s.q, s.weighed, s.passed, charged, s.stabTime, s.z, price, left, stabs, fit)
 	}
 	if !s.passed {
 		return false, 0, 0

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"time"
 
 	"sampleview/internal/par"
 	"sampleview/internal/record"
+	"sampleview/internal/splitmix"
 )
 
 // Stream is an online random sample of the records matching a range
@@ -65,18 +67,22 @@ type Stream struct {
 	degradedSections int64
 
 	// stabTime is what the stream's stab reads have been charged. Once it
-	// reaches half the tree's scan cost the stream lists the leaves a drain
-	// pass would finish (list) and, stab by stab, keeps fit, price and left
-	// current for what is still listed (unlist): fit bounds their matches,
-	// price is the pass over those the fault plan cannot touch, from a cold
-	// head, and left a cold stab of each of the others. weighed is set once
-	// the stream decided for good whether to finish by the pass (weigh), and
-	// passed once it took it: from then on a stab to a leaf the pass holds
-	// takes its sections instead of reading.
+	// reaches z times half the tree's scan cost, while no more than
+	// maxKeepRecords of the inside records (those of the leaf regions the
+	// query contains) can be unread, the stream lists the leaves a drain pass
+	// would finish (list) and, stab by stab, keeps fit, price and left current
+	// for what is still listed (unlist): fit bounds their matches, price is
+	// the pass over those the fault plan cannot touch, from a cold head, and
+	// left a cold stab of each of the others. weighed is set once the stream
+	// decided for good whether to finish by the pass (weigh), and passed once
+	// it took it: from then on a stab to a leaf the pass holds takes its
+	// sections instead of reading.
 	stabTime        time.Duration
 	price, left     time.Duration
 	fit             int
 	weighed, passed bool
+	z               float64 // the buy point, a share of the price (drawZ)
+	inside          int64
 }
 
 // scratch is the working memory of one stream at a time. Nothing in it
@@ -262,14 +268,14 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 		return nil, fmt.Errorf("core: query has %d dims, tree has %d", q.Dims(), t.dims)
 	}
 	// A stream reading every leaf never weighs a pass.
-	s := &Stream{t: t, q: q, scratch: t.getScratch(), readEvery: opts.ReadEveryLeaf, weighed: opts.ReadEveryLeaf}
+	s := &Stream{t: t, q: q, scratch: t.getScratch(), readEvery: opts.ReadEveryLeaf, weighed: opts.ReadEveryLeaf, z: t.drawZ(q)}
 	// remaining[i] = number of leaves below heap node i.
 	for i := int64(1); i < 2*t.nLeaves; i++ {
 		lvl := levelOf(i)
 		s.remaining[i] = int32(int64(1) << uint(t.h-lvl))
 	}
 	if !q.Empty() {
-		s.computeRequired(1, 1, record.FullBox(t.dims))
+		s.inside = s.computeRequired(1, 1, record.FullBox(t.dims), t.count)
 	}
 	s.queryLeaves = len(s.requiredAll[t.h-1])
 	if t.count == 0 || q.Empty() {
@@ -278,11 +284,13 @@ func (t *Tree) QueryWithOptions(q record.Box, opts StreamOptions) (*Stream, erro
 	return s, nil
 }
 
-// computeRequired walks the tree regions top-down from node idx and
-// records which nodes overlap the query, per level and per node.
-func (s *Stream) computeRequired(idx int64, level int, box record.Box) {
+// computeRequired walks the tree regions top-down from node idx, which holds
+// n records, and records which nodes overlap the query, per level and per
+// node. It returns how many of the n lie in leaf regions the query contains:
+// the exact counts of the maximal subtrees inside it.
+func (s *Stream) computeRequired(idx int64, level int, box record.Box, n int64) int64 {
 	if !box.Overlaps(s.q) {
-		return
+		return 0
 	}
 	s.requiredAll[level-1] = append(s.requiredAll[level-1], idx)
 	s.overlaps[idx], s.covers[idx] = true, box.ContainsBox(s.q)
@@ -290,12 +298,30 @@ func (s *Stream) computeRequired(idx int64, level int, box record.Box) {
 		s.spans[idx] = quantizeSpan(s.t.sketchRegion[idx], s.q.Dim(0))
 	}
 	if level == s.t.h {
-		return
+		if !s.q.ContainsBox(box) {
+			n = 0
+		}
+		return n
 	}
 	split := s.t.splits[idx]
-	s.computeRequired(2*idx, level+1, s.t.childBox(box, level, split, false))
-	s.computeRequired(2*idx+1, level+1, s.t.childBox(box, level, split, true))
+	return s.computeRequired(2*idx, level+1, s.t.childBox(box, level, split, false), s.t.cntL[idx]) +
+		s.computeRequired(2*idx+1, level+1, s.t.childBox(box, level, split, true), s.t.cntR[idx])
 }
+
+// drawZ is the buy point of a stream over q on t, as a share of the pass's
+// price: z in [0, 1) with density e^z/(e−1), drawn from a uniform that hashes
+// t's count and q's bounds, so the same predicate reopened on the same tree
+// draws the same z and no rng draw moves.
+func (t *Tree) drawZ(q record.Box) float64 {
+	h := uint64(t.count)
+	for d := range q.Dims() {
+		h = splitmix.Mix(splitmix.Mix(h^uint64(q.Dim(d).Lo)) ^ uint64(q.Dim(d).Hi))
+	}
+	return math.Log1p(float64(h>>11) / (1 << 53) * (math.E - 1))
+}
+
+// share is z times d.
+func (s *Stream) share(d time.Duration) time.Duration { return time.Duration(s.z * float64(d)) }
 
 // queued returns the records emitted but not yet consumed.
 func (s *Stream) queued() []record.Record {
@@ -420,7 +446,7 @@ func (s *Stream) NextLeaf() (int, error) {
 	emitted, err := s.combineTuples(leaf)
 	// Right after the read that got stabTime there, so what listing
 	// allocates lands in a draw that reads.
-	if !s.weighed && len(s.listed) == 0 && s.stabTime >= s.t.scanTime/2 {
+	if !s.weighed && len(s.listed) == 0 && s.stabTime >= s.share(s.t.scanTime/2) && s.inside-s.emitted-int64(s.buffered) <= maxKeepRecords {
 		s.list()
 	}
 	if s.pending = err != nil && retriable(err); s.pending {
@@ -693,22 +719,23 @@ func (s *Stream) fetch(leaf int64) time.Duration {
 }
 
 // weigh buys the pass at the first stab where the stab reads have been
-// charged as much as the pass (price): the 2-competitive ski-rental rule,
-// which buys once the rent paid equals the price to buy, at the pass's
-// current price. The cold stabs of the listed leaves the pass leaves (left)
-// are no part of the rent: they are paid whether or not the pass is bought.
+// charged z times the pass (price), at the pass's current price: randomized
+// ski rental, whose buy point, drawn with density e^z/(e−1), pays in
+// expectation at most e/(e−1) times the offline choice. The cold stabs of the
+// listed leaves the pass leaves (left) are no part of the rent: they are paid
+// whether or not the pass is bought.
 // It takes the pass only if the listed matches surely fit maxKeepRecords and
 // price + left costs no more than the stabs of the listed leaves would
 // (stabCost, replayed only where its floor leaves it open); it makes that
 // comparison once, and declines for good a pass it fails, or one left
 // nothing to fetch. So a drain is never charged more than without the pass,
-// and at any point at most twice as much.
+// and at any point at most 1 + 1/z times as much, plus a random read.
 func (s *Stream) weigh() {
 	if s.price == 0 { // a fetch costs a page at least: nothing left to fetch
 		s.weighed = true
 		return
 	}
-	if s.fit > maxKeepRecords || s.stabTime < s.price {
+	if s.fit > maxKeepRecords || s.stabTime < s.share(s.price) {
 		return
 	}
 	s.weighed = true

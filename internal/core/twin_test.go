@@ -104,13 +104,13 @@ func twinQuery(tree *Tree, lo, hi uint16) record.Box {
 // records and the same error; what the stream is served must pass
 // oracle.Checker's record checks (inside the predicate, no duplicate, no
 // phantom, nothing missing from a drain that lost no leaf). Each stream may
-// be charged at most twice its twin plus one random read, and at the end of
-// a drain no more than its twin, meeting the same faults. While a stream
-// weighs its pass, its listing must keep the fit, left and price that
-// checkListed recomputes after every call, and a pass must hold at most
-// maxKeepRecords records. The first predicate then runs
-// checkSpanMatchesPrefix under the plan, on scratch the pairs left, which
-// also holds its pass to the rule (weighChecked).
+// be charged at most 1 + 1/z times its twin plus one random read, z its own
+// buy point (overBound), and at the end of a drain no more than its twin,
+// meeting the same faults. While a stream weighs its pass, its listing must
+// keep the fit, left and price that checkListed recomputes after every
+// call, and a pass must hold at most maxKeepRecords records. The first
+// predicate then runs checkSpanMatchesPrefix under the plan, on scratch the
+// pairs left, which also holds its pass to the rule (weighChecked).
 // (A single stream's chi-square is left to the tests that pool many: here
 // it would fail one input in a thousand by chance.)
 func FuzzStreamTwin(f *testing.F) {
@@ -181,8 +181,8 @@ func driveTwins(t *testing.T, tree *Tree, q record.Box, prog []byte, o *oracle.S
 		var de *DegradedError
 		lost = lost || errors.As(err, &de)
 		o.Add(got...)
-		if ca.Now() > 2*cs.Now()+random {
-			t.Fatalf("query %v %s: the stream was charged %v, its stabs %v: over twice theirs plus a random read", q, op, ca.Now(), cs.Now())
+		if overBound(s, ca.Now(), cs.Now(), random) {
+			t.Fatalf("query %v %s: the stream was charged %v, its stabs %v: over 1 + 1/%.3f times theirs plus a random read", q, op, ca.Now(), cs.Now(), s.z)
 		}
 		if !s.weighed && len(s.listed) != 0 {
 			checkListed(t, s)
